@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-cluster bench-proxy bench-whatif bench-speculation chaos cluster property resume fuzz whatif speculate verify
+.PHONY: build vet lint test race bench bench-cluster bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume fuzz whatif speculate verify
 
 build:
 	$(GO) build ./...
@@ -109,12 +109,28 @@ bench-speculation:
 		| $(GO) run ./tools/benchjson > BENCH_speculation.json
 	cat BENCH_speculation.json
 
-# WAL crash-recovery fuzzing: replay the checked-in seed corpus, then fuzz
-# live for a short burst (arbitrary segment bytes must never panic recovery
-# and must keep exactly the valid frame prefix).
+# Fuzzing: replay the checked-in seed corpora, then fuzz live for a short
+# burst each. WAL crash recovery: arbitrary segment bytes must never panic
+# recovery and must keep exactly the valid frame prefix. Event codec:
+# arbitrary bytes into every typed decoder must never panic, must be accepted
+# exactly when encoding/json accepts them, decode to what Parse over a decoded
+# map gives, and re-encode to bytes that decode to the same record.
 fuzz:
 	$(GO) test -run 'FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALRecover' -fuzztime 20s ./internal/mofka/wal/
+	$(GO) test -run 'FuzzCodec' ./internal/provenance/
+	$(GO) test -run '^$$' -fuzz 'FuzzCodec' -fuzztime 20s ./internal/provenance/
+
+# The repo's end-to-end benchmark (bench/e2e, a module of its own): all four
+# workloads twice, the spread judged against BENCHMARK.json's bounds. Minutes,
+# so not part of verify; bench-e2e-smoke is one imageprocessing cycle of each
+# workload, every code path in seconds, and is what CI runs.
+bench-e2e:
+	$(GO) run -C bench/e2e . -repeat 2
+
+bench-e2e-smoke:
+	for w in sim-only collect-mem collect-durable analyze; do \
+		$(GO) run -C bench/e2e . -workload $$w -smoke || exit 1; done
 
 # Everything CI runs.
 verify: build lint test race chaos cluster property resume fuzz whatif speculate

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -102,29 +101,33 @@ func (a *RunArtifacts) writeLogs(dir string) error {
 	return nil
 }
 
+// writeTopic writes one topic as JSONL: each event's stored metadata — valid,
+// compact, and from this repo's encoders canonical — on a line of its own, in
+// drain order, with no decode in between.
 func (a *RunArtifacts) writeTopic(dir, topic string) error {
-	metas, err := DrainTopic(a.Broker, topic)
+	t, err := a.Broker.OpenTopic(topic)
 	if err != nil {
 		return err
 	}
-	p := filepath.Join(dir, "mofka", topic+".jsonl")
-	f, err := os.Create(p)
+	c, err := t.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, "mofka", topic+".jsonl"))
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriter(f)
-	for _, m := range metas {
-		b, err := json.Marshal(m)
-		if err != nil {
-			_ = f.Close()
+	err = c.Scan(func(_ int, _ uint64, metadata []byte) error {
+		if _, err := w.Write(metadata); err != nil {
 			return err
 		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
-			_ = f.Close()
-			return err
-		}
+		return w.WriteByte('\n')
+	})
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := w.Flush(); err != nil {
+	if err != nil {
 		_ = f.Close()
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -61,13 +62,9 @@ func chaosRun(t *testing.T, seed uint64) (*RunArtifacts, []dask.Warning) {
 	if wf.graphErr != "" {
 		t.Fatalf("graph erred under chaos: %s", wf.graphErr)
 	}
-	metas, err := DrainTopic(art.Broker, TopicWarnings)
+	warns, err := provenance.Drain(art.Broker, TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		t.Fatal(err)
-	}
-	warns := make([]dask.Warning, len(metas))
-	for i, m := range metas {
-		warns[i] = ParseWarning(m)
 	}
 	return art, warns
 }

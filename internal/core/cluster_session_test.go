@@ -1,12 +1,12 @@
 package core
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"taskprov/internal/dask"
 	mcluster "taskprov/internal/mofka/cluster"
+	"taskprov/internal/provenance"
 )
 
 // clusterSession is testSession targeting a 3-broker, RF=2 sharded Mofka
@@ -36,21 +36,13 @@ func clusterRun(t *testing.T, seed uint64, chaosSpec string) *RunArtifacts {
 }
 
 // drainJSON drains a topic from the artifact broker and returns each event's
-// canonical JSON encoding (encoding/json sorts map keys), so two runs'
-// streams compare event for event.
+// stored metadata (canonical JSON), so two runs' streams compare event for
+// event.
 func drainJSON(t *testing.T, art *RunArtifacts, topic string) []string {
 	t.Helper()
-	metas, err := DrainTopic(art.Broker, topic)
+	out, err := provenance.Drain(art.Broker, topic, func(b []byte) (string, error) { return string(b), nil })
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := make([]string, len(metas))
-	for i, m := range metas {
-		b, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = string(b)
 	}
 	return out
 }
@@ -168,14 +160,13 @@ func TestClusterChaosFailover(t *testing.T) {
 
 	// The failover story is on the warnings topic: broker death, leader
 	// elections away from the dead node, the rejoin, and replica catch-up.
-	metas, err := DrainTopic(crash.Broker, TopicWarnings)
+	metas, err := provenance.Drain(crash.Broker, TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kinds := make(map[dask.WarningKind]int)
 	var daskWarns []dask.Warning
-	for _, m := range metas {
-		w := ParseWarning(m)
+	for _, w := range metas {
 		kinds[w.Kind]++
 		if !strings.HasPrefix(string(w.Kind), "cluster_") && w.Kind != dask.WarnProducerDegraded {
 			daskWarns = append(daskWarns, w)
@@ -191,13 +182,12 @@ func TestClusterChaosFailover(t *testing.T) {
 		t.Fatalf("no leader elections recorded (kinds: %v)", kinds)
 	}
 	// No worker was harmed: the dask-level warning stream matches baseline.
-	bmetas, err := DrainTopic(baseline.Broker, TopicWarnings)
+	bmetas, err := provenance.Drain(baseline.Broker, TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var baseWarns []dask.Warning
-	for _, m := range bmetas {
-		w := ParseWarning(m)
+	for _, w := range bmetas {
 		if !strings.HasPrefix(string(w.Kind), "cluster_") && w.Kind != dask.WarnProducerDegraded {
 			baseWarns = append(baseWarns, w)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -15,6 +14,7 @@ import (
 	"taskprov/internal/pfs"
 	"taskprov/internal/platform"
 	"taskprov/internal/posixio"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -108,71 +108,31 @@ func TestEventStreamsDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trans, err := DrainTopic(art.Broker, TopicTransitions)
+	trans, err := provenance.Drain(art.Broker, TopicTransitions, provenance.DecodeTransition)
 	if err != nil || len(trans) == 0 {
 		t.Fatalf("transitions = %d, %v", len(trans), err)
 	}
-	for _, m := range trans {
-		tr := ParseTransition(m)
+	for _, tr := range trans {
 		if tr.Key == "" || tr.To == "" || tr.Location == "" {
 			t.Fatalf("bad transition: %+v", tr)
 		}
 	}
-	execs, err := DrainTopic(art.Broker, TopicExecutions)
+	execs, err := provenance.Drain(art.Broker, TopicExecutions, provenance.DecodeExecution)
 	if err != nil || len(execs) != 9 {
 		t.Fatalf("executions = %d, %v", len(execs), err)
 	}
-	for _, m := range execs {
-		e := ParseExecution(m)
+	for _, e := range execs {
 		if e.ThreadID == 0 || e.Stop <= e.Start || e.Hostname == "" {
 			t.Fatalf("bad execution: %+v", e)
 		}
 	}
-	metas, err := DrainTopic(art.Broker, TopicTaskMeta)
+	metas, err := provenance.Drain(art.Broker, TopicTaskMeta, provenance.DecodeTaskMeta)
 	if err != nil || len(metas) != 9 {
 		t.Fatalf("task metas = %d, %v", len(metas), err)
 	}
-	tm := ParseTaskMeta(metas[len(metas)-1])
+	tm := metas[len(metas)-1]
 	if tm.Key == "" || tm.Prefix == "" {
 		t.Fatalf("bad task meta: %+v", tm)
-	}
-}
-
-func TestRoundTripEncodeParse(t *testing.T) {
-	tr := dask.Transition{Key: "k-1", From: "waiting", To: "processing", Stimulus: "ready", Location: "scheduler", At: sim.Seconds(1.5)}
-	if got := ParseTransition(TransitionEvent(tr)); got != tr {
-		t.Fatalf("transition round trip: %+v vs %+v", got, tr)
-	}
-	ex := dask.TaskExecution{Key: "k-1", Worker: "tcp://n:40000", Hostname: "n", ThreadID: 1001, Start: sim.Seconds(1), Stop: sim.Seconds(2), OutputSize: 77, GraphID: 3,
-		Files: []dask.FileEffect{{Path: "/lus/out.bin", SizeAfter: 77}}}
-	if got := ParseExecution(ExecutionEvent(ex)); !reflect.DeepEqual(got, ex) {
-		t.Fatalf("execution round trip: %+v vs %+v", got, ex)
-	}
-	tf := dask.Transfer{Key: "k-1", From: "a", To: "b", Bytes: 123, Start: sim.Seconds(1), Stop: sim.Seconds(2), SameNode: true}
-	if got := ParseTransfer(TransferEvent(tf)); got != tf {
-		t.Fatalf("transfer round trip: %+v vs %+v", got, tf)
-	}
-	ptf := dask.Transfer{Key: "k-2", From: "a", To: "b", Bytes: 1 << 20, Start: sim.Seconds(1), Stop: sim.Seconds(2),
-		ViaProxy: true, ResolveLatency: sim.Milliseconds(35)}
-	if got := ParseTransfer(TransferEvent(ptf)); got != ptf {
-		t.Fatalf("proxied transfer round trip: %+v vs %+v", got, ptf)
-	}
-	pe := dask.ProxyEvent{Op: dask.ProxyOpResolve, Key: "k-2", Worker: "tcp://n:40001", Bytes: 1 << 20,
-		Resident: 3 << 20, ResolveLatency: sim.Milliseconds(35), At: sim.Seconds(2)}
-	if got := ParseProxyEvent(ProxyEventMeta(pe)); got != pe {
-		t.Fatalf("proxy event round trip: %+v vs %+v", got, pe)
-	}
-	w := dask.Warning{Kind: dask.WarnGC, Worker: "w", Hostname: "h", At: sim.Seconds(3), Duration: sim.Seconds(0.25), Message: "gc"}
-	if got := ParseWarning(WarningEvent(w)); got != w {
-		t.Fatalf("warning round trip: %+v vs %+v", got, w)
-	}
-	hb := dask.WorkerMetrics{Worker: "w", At: sim.Seconds(4), Memory: 5, Executing: 6, Ready: 7}
-	if got := ParseHeartbeat(HeartbeatEvent(hb)); got != hb {
-		t.Fatalf("heartbeat round trip: %+v vs %+v", got, hb)
-	}
-	st := dask.StealEvent{Key: "k", Victim: "v", Thief: "t", At: sim.Seconds(5)}
-	if got := ParseSteal(StealEventMeta(st)); got != st {
-		t.Fatalf("steal round trip: %+v vs %+v", got, st)
 	}
 }
 
@@ -293,7 +253,7 @@ func TestInSituMonitor(t *testing.T) {
 	if got := mon.EventCount(TopicExecutions); got != 11 {
 		t.Fatalf("in-situ executions = %d, want 11", got)
 	}
-	post, err := DrainTopic(art.Broker, TopicTransitions)
+	post, err := provenance.Drain(art.Broker, TopicTransitions, provenance.DecodeTransition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +404,7 @@ func TestOnlineIOTracer(t *testing.T) {
 	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	metas, err := DrainTopic(broker, TopicIOTrace)
+	metas, err := provenance.Drain(broker, TopicIOTrace, provenance.DecodeIOTrace)
 	if err != nil || len(metas) != 4 {
 		t.Fatalf("streamed events = %d, %v", len(metas), err)
 	}
@@ -452,8 +412,8 @@ func TestOnlineIOTracer(t *testing.T) {
 	// the multiset of operations and the identity fields.
 	got := map[string]int{}
 	for i, m := range metas {
-		got[str(m, "op")]++
-		if str(m, "hostname") != "n0" || uint64(num(m, "thread_id")) != 9 {
+		got[m.Op]++
+		if m.Hostname != "n0" || m.ThreadID != 9 {
 			t.Fatalf("event %d identity wrong: %v", i, m)
 		}
 	}
@@ -509,13 +469,13 @@ func TestOnlineIOTracerEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	metas, err := DrainTopic(broker, TopicIOTrace)
+	metas, err := provenance.Drain(broker, TopicIOTrace, provenance.DecodeIOTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var streamedRW int
 	for _, m := range metas {
-		if op := str(m, "op"); op == "read" || op == "write" {
+		if m.Op == "read" || m.Op == "write" {
 			streamedRW++
 		}
 	}
@@ -530,3 +490,32 @@ func TestOnlineIOTracerEndToEnd(t *testing.T) {
 }
 
 var onlineTracers []*OnlineIOTracer
+
+// TestCollectorAllocationBudget guards the event hot path: a scheduler
+// transition through the plugin, the encoder, the producer and an in-memory
+// broker's append costs at most two allocations, amortised over its batch.
+// Before the typed codec it cost about thirty-six.
+func TestCollectorAllocationBudget(t *testing.T) {
+	c, err := NewCollector(mofka.NewStandaloneBroker(), mofka.ProducerOptions{BatchSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plugin := c.SchedulerPlugin()
+	tr := dask.Transition{Key: "('getitem-0af3c1', 12)", From: dask.StateWaiting, To: dask.StateProcessing,
+		Stimulus: "dependencies-ready", Location: "scheduler", At: sim.Seconds(12.345678901)}
+	for i := 0; i < 1024; i++ {
+		plugin.SchedulerTransition(tr)
+	}
+	if perEvent := testing.AllocsPerRun(64*64, func() { plugin.SchedulerTransition(tr) }); perEvent > 2 {
+		t.Fatalf("a collected transition costs %.2f allocations, budget 2", perEvent)
+	} else {
+		t.Logf("%.3f allocations per collected transition", perEvent)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := provenance.Drain(c.Broker(), TopicTransitions, provenance.DecodeTransition)
+	if err != nil || len(got) != 1024+64*64+1 || got[len(got)-1] != tr {
+		t.Fatalf("drained %d transitions (%v), last %+v", len(got), err, got[len(got)-1])
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"taskprov/internal/mofka"
+	"taskprov/internal/provenance"
 )
 
 // InSituMonitor is the paper's in situ consumption mode: an analysis
@@ -87,14 +88,14 @@ func (m *InSituMonitor) observe(topic string, ev mofka.Event) {
 	m.counts[topic]++
 	switch topic {
 	case TopicWarnings:
-		if meta, err := ev.ParseMetadata(); err == nil {
-			m.warn[str(meta, "kind")]++
+		if w, err := provenance.DecodeWarning(ev.Metadata); err == nil {
+			m.warn[string(w.Kind)]++
 		}
 	case TopicExecutions:
-		if meta, err := ev.ParseMetadata(); err == nil {
-			if d := num(meta, "stop") - num(meta, "start"); d > m.maxDur {
+		if e, err := provenance.DecodeExecution(ev.Metadata); err == nil {
+			if d := e.Stop.Seconds() - e.Start.Seconds(); d > m.maxDur {
 				m.maxDur = d
-				m.maxKey = str(meta, "key")
+				m.maxKey = string(e.Key)
 			}
 		}
 	}

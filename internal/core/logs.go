@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"taskprov/internal/provenance"
 )
 
 // The paper's job-layer provenance keeps the raw scheduler and worker logs
@@ -32,15 +34,14 @@ func renderLines(lines []logLine) string {
 // submissions, task erred events, steals, and graph completions.
 func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 	var lines []logLine
-	metas, err := DrainTopic(art.Broker, TopicTaskMeta)
+	metas, err := provenance.Drain(art.Broker, TopicTaskMeta, provenance.DecodeTaskMeta)
 	if err != nil {
 		return "", err
 	}
 	graphSeen := map[int]bool{}
 	graphCount := map[int]int{}
 	graphAt := map[int]float64{}
-	for _, m := range metas {
-		tm := ParseTaskMeta(m)
+	for _, tm := range metas {
 		graphCount[tm.GraphID]++
 		if !graphSeen[tm.GraphID] {
 			graphSeen[tm.GraphID] = true
@@ -51,12 +52,11 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 		lines = append(lines, logLine{at, fmt.Sprintf(
 			"INFO  - Receive graph %d (%d tasks) from client", id, graphCount[id])})
 	}
-	trans, err := DrainTopic(art.Broker, TopicTransitions)
+	trans, err := provenance.Drain(art.Broker, TopicTransitions, provenance.DecodeTransition)
 	if err != nil {
 		return "", err
 	}
-	for _, m := range trans {
-		tr := ParseTransition(m)
+	for _, tr := range trans {
 		if tr.Location != "scheduler" {
 			continue
 		}
@@ -69,22 +69,20 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 				"WARN  - Retrying task %s after failure", tr.Key)})
 		}
 	}
-	steals, err := DrainTopic(art.Broker, TopicSteals)
+	steals, err := provenance.Drain(art.Broker, TopicSteals, provenance.DecodeSteal)
 	if err != nil {
 		return "", err
 	}
-	for _, m := range steals {
-		s := ParseSteal(m)
+	for _, s := range steals {
 		lines = append(lines, logLine{s.At.Seconds(), fmt.Sprintf(
 			"INFO  - Moving task %s from %s to %s (work stealing)", s.Key, s.Victim, s.Thief)})
 	}
-	graphs, err := DrainTopic(art.Broker, TopicGraphs)
+	graphs, err := provenance.Drain(art.Broker, TopicGraphs, provenance.DecodeGraphEvent)
 	if err != nil {
 		return "", err
 	}
-	for _, m := range graphs {
-		lines = append(lines, logLine{num(m, "at"), fmt.Sprintf(
-			"INFO  - Graph %d complete", int(num(m, "graph_id")))})
+	for _, g := range graphs {
+		lines = append(lines, logLine{g.At, fmt.Sprintf("INFO  - Graph %d complete", g.GraphID)})
 	}
 	return renderLines(lines), nil
 }
@@ -93,12 +91,11 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 // exact phrasing Dask workers emit (the strings log-scrapers match on).
 func RenderWorkerLog(art *RunArtifacts, worker string) (string, error) {
 	var lines []logLine
-	warns, err := DrainTopic(art.Broker, TopicWarnings)
+	warns, err := provenance.Drain(art.Broker, TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		return "", err
 	}
-	for _, m := range warns {
-		w := ParseWarning(m)
+	for _, w := range warns {
 		if w.Worker != worker {
 			continue
 		}
@@ -113,13 +110,13 @@ func RenderWorkerLog(art *RunArtifacts, worker string) (string, error) {
 			lines = append(lines, logLine{w.At.Seconds(), "WARN  - " + w.Message})
 		}
 	}
-	execs, err := DrainTopic(art.Broker, TopicExecutions)
+	execs, err := provenance.Drain(art.Broker, TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return "", err
 	}
 	n := 0
-	for _, m := range execs {
-		if str(m, "worker") == worker {
+	for _, e := range execs {
+		if e.Worker == worker {
 			n++
 		}
 	}
@@ -131,20 +128,20 @@ func RenderWorkerLog(art *RunArtifacts, worker string) (string, error) {
 
 // WorkerAddrs lists the worker addresses observed in the run.
 func (a *RunArtifacts) WorkerAddrs() ([]string, error) {
-	execs, err := DrainTopic(a.Broker, TopicExecutions)
+	execs, err := provenance.Drain(a.Broker, TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return nil, err
 	}
 	set := map[string]bool{}
-	for _, m := range execs {
-		set[str(m, "worker")] = true
+	for _, e := range execs {
+		set[e.Worker] = true
 	}
-	hbs, err := DrainTopic(a.Broker, TopicHeartbeats)
+	hbs, err := provenance.Drain(a.Broker, TopicHeartbeats, provenance.DecodeHeartbeat)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range hbs {
-		set[str(m, "worker")] = true
+	for _, hb := range hbs {
+		set[hb.Worker] = true
 	}
 	var out []string
 	for w := range set {

@@ -5,10 +5,11 @@ import (
 
 	"taskprov/internal/mofka"
 	"taskprov/internal/posixio"
+	"taskprov/internal/provenance"
 )
 
 // TopicIOTrace is the Mofka topic the online I/O tracer publishes to.
-const TopicIOTrace = "io-trace"
+const TopicIOTrace = provenance.TopicIOTrace
 
 // OnlineIOTracer implements the paper's future-work plan to "shift to
 // capturing Darshan records and pushing them to Mofka at runtime to have a
@@ -21,6 +22,7 @@ type OnlineIOTracer struct {
 	producer *mofka.Producer
 	rank     int
 	hostname string
+	buf      []byte // reused encode buffer; the tracer runs on the simulation goroutine
 }
 
 // NewOnlineIOTracer wraps inner (which may be nil for stream-only tracing)
@@ -40,17 +42,13 @@ func NewOnlineIOTracer(broker *mofka.Broker, opts mofka.ProducerOptions, inner p
 
 var _ posixio.Tracer = (*OnlineIOTracer)(nil)
 
-func (o *OnlineIOTracer) event(op string, rec posixio.OpRecord) mofka.Metadata {
-	return mofka.Metadata{
-		"op": op, "rank": o.rank, "hostname": o.hostname,
-		"path": rec.Path, "thread_id": rec.TID,
-		"offset": rec.Offset, "bytes": rec.Bytes,
-		"start": rec.Start.Seconds(), "end": rec.End.Seconds(),
-	}
-}
-
 func (o *OnlineIOTracer) push(op string, rec posixio.OpRecord) {
-	if err := o.producer.Push(o.event(op, rec), nil); err != nil {
+	o.buf = provenance.AppendIOTrace(o.buf[:0], provenance.IOTrace{
+		Op: op, Rank: o.rank, Hostname: o.hostname,
+		Path: rec.Path, ThreadID: rec.TID, Offset: rec.Offset, Bytes: rec.Bytes,
+		Start: rec.Start, End: rec.End,
+	})
+	if err := o.producer.PushRaw(o.buf, nil); err != nil {
 		panic(fmt.Sprintf("core: online io trace push: %v", err))
 	}
 }

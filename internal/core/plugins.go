@@ -6,6 +6,7 @@ import (
 
 	"taskprov/internal/dask"
 	"taskprov/internal/mofka"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -23,6 +24,11 @@ type Collector struct {
 
 	// Counters for quick sanity checks and overhead ablations.
 	events map[string]int64
+
+	// buf is the one buffer every event is encoded into: the plugins run on
+	// the simulation goroutine only, and the producer copies what it is
+	// handed before push returns.
+	buf []byte
 
 	// clock timestamps degraded-mode warnings with virtual time; nil means
 	// zero timestamps (standalone collectors outside a simulation).
@@ -116,16 +122,22 @@ func (c *Collector) producerRecovered(topic string) {
 }
 
 func (c *Collector) pushWarning(w dask.Warning) {
-	c.push(TopicWarnings, WarningEvent(w))
+	c.push(TopicWarnings, provenance.AppendWarning(c.buf[:0], w))
 }
 
-// push publishes one event. Structural failures (invalid event, missing
-// partition, closed broker) panic — they indicate a broken in-process
-// pipeline. Transient append failures do not: the producer keeps the batch
-// buffered and retries, and the degraded-mode hooks document the episode.
-func (c *Collector) push(topic string, m mofka.Metadata) {
+func (c *Collector) pushSpeculation(ev dask.SpeculationEvent) {
+	c.push(TopicSpeculation, provenance.AppendSpeculation(c.buf[:0], ev))
+}
+
+// push publishes one event, encoded into c.buf by its caller. Structural
+// failures (invalid event, missing partition, closed broker) panic — they
+// indicate a broken in-process pipeline. Transient append failures do not:
+// the producer keeps the batch buffered and retries, and the degraded-mode
+// hooks document the episode.
+func (c *Collector) push(topic string, metadata []byte) {
+	c.buf = metadata // keep what the encoder grew
 	c.events[topic]++
-	err := c.producers[topic].Push(m, nil)
+	err := c.producers[topic].PushRaw(metadata, nil)
 	if err == nil {
 		return
 	}
@@ -164,33 +176,42 @@ func (c *Collector) SchedulerPlugin() dask.SchedulerPlugin { return &schedPlugin
 // into Mofka.
 func (c *Collector) WorkerPlugin() dask.WorkerPlugin { return &workerPlugin{c} }
 
+// graphDone is the graph-events record of a graph completion.
+func graphDone(id int, at sim.Time) provenance.GraphEvent {
+	return provenance.GraphEvent{GraphID: id, Event: provenance.GraphDone, At: at.Seconds()}
+}
+
 type schedPlugin struct{ c *Collector }
 
-func (p *schedPlugin) TaskAdded(m dask.TaskMeta) { p.c.push(TopicTaskMeta, TaskMetaEvent(m)) }
+func (p *schedPlugin) TaskAdded(m dask.TaskMeta) {
+	p.c.push(TopicTaskMeta, provenance.AppendTaskMeta(p.c.buf[:0], m))
+}
 func (p *schedPlugin) SchedulerTransition(t dask.Transition) {
-	p.c.push(TopicTransitions, TransitionEvent(t))
+	p.c.push(TopicTransitions, provenance.AppendTransition(p.c.buf[:0], t))
 }
-func (p *schedPlugin) GraphDone(id int, at sim.Time) { p.c.push(TopicGraphs, GraphDoneEvent(id, at)) }
-func (p *schedPlugin) Stolen(ev dask.StealEvent)     { p.c.push(TopicSteals, StealEventMeta(ev)) }
-func (p *schedPlugin) Speculation(ev dask.SpeculationEvent) {
-	p.c.push(TopicSpeculation, SpeculationEventMeta(ev))
+func (p *schedPlugin) GraphDone(id int, at sim.Time) {
+	p.c.push(TopicGraphs, provenance.AppendGraphEvent(p.c.buf[:0], graphDone(id, at)))
 }
+func (p *schedPlugin) Stolen(ev dask.StealEvent) {
+	p.c.push(TopicSteals, provenance.AppendSteal(p.c.buf[:0], ev))
+}
+func (p *schedPlugin) Speculation(ev dask.SpeculationEvent) { p.c.pushSpeculation(ev) }
 
 type workerPlugin struct{ c *Collector }
 
 func (p *workerPlugin) WorkerTransition(t dask.Transition) {
-	p.c.push(TopicTransitions, TransitionEvent(t))
+	p.c.push(TopicTransitions, provenance.AppendTransition(p.c.buf[:0], t))
 }
 func (p *workerPlugin) TaskExecuted(rec dask.TaskExecution) {
-	p.c.push(TopicExecutions, ExecutionEvent(rec))
+	p.c.push(TopicExecutions, provenance.AppendExecution(p.c.buf[:0], rec))
 }
 func (p *workerPlugin) TransferReceived(rec dask.Transfer) {
-	p.c.push(TopicTransfers, TransferEvent(rec))
+	p.c.push(TopicTransfers, provenance.AppendTransfer(p.c.buf[:0], rec))
 }
-func (p *workerPlugin) WorkerWarning(w dask.Warning) { p.c.push(TopicWarnings, WarningEvent(w)) }
+func (p *workerPlugin) WorkerWarning(w dask.Warning) { p.c.pushWarning(w) }
 func (p *workerPlugin) Heartbeat(m dask.WorkerMetrics) {
-	p.c.push(TopicHeartbeats, HeartbeatEvent(m))
+	p.c.push(TopicHeartbeats, provenance.AppendHeartbeat(p.c.buf[:0], m))
 }
 func (p *workerPlugin) ProxyEvent(ev dask.ProxyEvent) {
-	p.c.push(TopicProxy, ProxyEventMeta(ev))
+	p.c.push(TopicProxy, provenance.AppendProxyEvent(p.c.buf[:0], ev))
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 )
 
 // proxyReplayTopics is every provenance stream this session records (the
@@ -71,13 +72,9 @@ func TestProxyClusterChaosAcceptance(t *testing.T) {
 		if wf.graphErr != "" {
 			t.Fatalf("graph erred under %q: %s", chaosSpec, wf.graphErr)
 		}
-		metas, err := DrainTopic(art.Broker, TopicProxy)
+		evs, err := provenance.Drain(art.Broker, TopicProxy, provenance.DecodeProxyEvent)
 		if err != nil {
 			t.Fatal(err)
-		}
-		evs := make([]dask.ProxyEvent, len(metas))
-		for i, m := range metas {
-			evs[i] = ParseProxyEvent(m)
 		}
 		return evs
 	}

@@ -11,18 +11,13 @@
 // traces independently, and the two are only fused later, at analysis time,
 // on shared identifiers (hostname, pthread ID, timestamps).
 //
-// The event schema itself — topic names and the encode/parse pairs — lives
-// in internal/provenance so that stream consumers that core itself depends
-// on (the live monitoring subsystem, internal/live) can share it without an
-// import cycle. This file re-exports the schema under the historical names.
+// The event schema itself — topic names and the typed codec — lives in
+// internal/provenance so that stream consumers that core itself depends on
+// (the live monitoring subsystem, internal/live) can share it without an
+// import cycle. This file re-exports the topic names.
 package core
 
-import (
-	"taskprov/internal/dask"
-	"taskprov/internal/mofka"
-	"taskprov/internal/provenance"
-	"taskprov/internal/sim"
-)
+import "taskprov/internal/provenance"
 
 // Mofka topic names used by the provenance plugins (see
 // internal/provenance).
@@ -42,76 +37,3 @@ const (
 
 // AllTopics lists every topic the plugins produce into.
 func AllTopics() []string { return provenance.AllTopics() }
-
-// TaskMetaEvent encodes a TaskMeta as Mofka event metadata.
-func TaskMetaEvent(m dask.TaskMeta) mofka.Metadata { return provenance.TaskMetaEvent(m) }
-
-// TransitionEvent encodes a Transition as Mofka event metadata.
-func TransitionEvent(t dask.Transition) mofka.Metadata { return provenance.TransitionEvent(t) }
-
-// ExecutionEvent encodes a TaskExecution as Mofka event metadata.
-func ExecutionEvent(e dask.TaskExecution) mofka.Metadata { return provenance.ExecutionEvent(e) }
-
-// TransferEvent encodes a Transfer as Mofka event metadata.
-func TransferEvent(t dask.Transfer) mofka.Metadata { return provenance.TransferEvent(t) }
-
-// WarningEvent encodes a Warning as Mofka event metadata.
-func WarningEvent(w dask.Warning) mofka.Metadata { return provenance.WarningEvent(w) }
-
-// HeartbeatEvent encodes a WorkerMetrics sample as Mofka event metadata.
-func HeartbeatEvent(m dask.WorkerMetrics) mofka.Metadata { return provenance.HeartbeatEvent(m) }
-
-// StealEventMeta encodes a StealEvent as Mofka event metadata.
-func StealEventMeta(s dask.StealEvent) mofka.Metadata { return provenance.StealEventMeta(s) }
-
-// ProxyEventMeta encodes a ProxyEvent as Mofka event metadata.
-func ProxyEventMeta(e dask.ProxyEvent) mofka.Metadata { return provenance.ProxyEventMeta(e) }
-
-// SpeculationEventMeta encodes a SpeculationEvent as Mofka event metadata.
-func SpeculationEventMeta(e dask.SpeculationEvent) mofka.Metadata {
-	return provenance.SpeculationEventMeta(e)
-}
-
-// GraphDoneEvent encodes a graph completion as Mofka event metadata.
-func GraphDoneEvent(graphID int, at sim.Time) mofka.Metadata {
-	return provenance.GraphDoneEvent(graphID, at)
-}
-
-// ---- decoding (used by PERFRECUP loaders) ----
-
-func str(m mofka.Metadata, k string) string  { return provenance.Str(m, k) }
-func num(m mofka.Metadata, k string) float64 { return provenance.Num(m, k) }
-
-// ParseTransition decodes metadata written by TransitionEvent.
-func ParseTransition(m mofka.Metadata) dask.Transition { return provenance.ParseTransition(m) }
-
-// ParseExecution decodes metadata written by ExecutionEvent.
-func ParseExecution(m mofka.Metadata) dask.TaskExecution { return provenance.ParseExecution(m) }
-
-// ParseTransfer decodes metadata written by TransferEvent.
-func ParseTransfer(m mofka.Metadata) dask.Transfer { return provenance.ParseTransfer(m) }
-
-// ParseWarning decodes metadata written by WarningEvent.
-func ParseWarning(m mofka.Metadata) dask.Warning { return provenance.ParseWarning(m) }
-
-// ParseTaskMeta decodes metadata written by TaskMetaEvent.
-func ParseTaskMeta(m mofka.Metadata) dask.TaskMeta { return provenance.ParseTaskMeta(m) }
-
-// ParseHeartbeat decodes metadata written by HeartbeatEvent.
-func ParseHeartbeat(m mofka.Metadata) dask.WorkerMetrics { return provenance.ParseHeartbeat(m) }
-
-// ParseSteal decodes metadata written by StealEventMeta.
-func ParseSteal(m mofka.Metadata) dask.StealEvent { return provenance.ParseSteal(m) }
-
-// ParseProxyEvent decodes metadata written by ProxyEventMeta.
-func ParseProxyEvent(m mofka.Metadata) dask.ProxyEvent { return provenance.ParseProxyEvent(m) }
-
-// ParseSpeculationEvent decodes metadata written by SpeculationEventMeta.
-func ParseSpeculationEvent(m mofka.Metadata) dask.SpeculationEvent {
-	return provenance.ParseSpeculationEvent(m)
-}
-
-// DrainTopic pulls every event of a topic and decodes its metadata.
-func DrainTopic(b *mofka.Broker, topic string) ([]mofka.Metadata, error) {
-	return provenance.DrainTopic(b, topic)
-}

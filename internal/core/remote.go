@@ -6,6 +6,7 @@ import (
 
 	"taskprov/internal/dask"
 	"taskprov/internal/mofka"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -52,9 +53,10 @@ func NewRemoteCollector(remote *mofka.Remote, batchSize int) (*RemoteCollector, 
 	return c, nil
 }
 
-func (c *RemoteCollector) push(topic string, m mofka.Metadata) {
+// push queues one event's encoded metadata; the batch keeps the slice.
+func (c *RemoteCollector) push(topic string, metadata []byte) {
 	c.mu.Lock()
-	c.batch[topic] = append(c.batch[topic], m.Encode())
+	c.batch[topic] = append(c.batch[topic], metadata)
 	c.pushed++
 	full := len(c.batch[topic]) >= c.size
 	var metas [][]byte
@@ -116,35 +118,39 @@ func (c *RemoteCollector) WorkerPlugin() dask.WorkerPlugin { return &remoteWorke
 
 type remoteSchedPlugin struct{ c *RemoteCollector }
 
-func (p *remoteSchedPlugin) TaskAdded(m dask.TaskMeta) { p.c.push(TopicTaskMeta, TaskMetaEvent(m)) }
+func (p *remoteSchedPlugin) TaskAdded(m dask.TaskMeta) {
+	p.c.push(TopicTaskMeta, provenance.AppendTaskMeta(nil, m))
+}
 func (p *remoteSchedPlugin) SchedulerTransition(t dask.Transition) {
-	p.c.push(TopicTransitions, TransitionEvent(t))
+	p.c.push(TopicTransitions, provenance.AppendTransition(nil, t))
 }
 func (p *remoteSchedPlugin) GraphDone(id int, at sim.Time) {
-	p.c.push(TopicGraphs, GraphDoneEvent(id, at))
+	p.c.push(TopicGraphs, provenance.AppendGraphEvent(nil, graphDone(id, at)))
 }
-func (p *remoteSchedPlugin) Stolen(ev dask.StealEvent) { p.c.push(TopicSteals, StealEventMeta(ev)) }
+func (p *remoteSchedPlugin) Stolen(ev dask.StealEvent) {
+	p.c.push(TopicSteals, provenance.AppendSteal(nil, ev))
+}
 func (p *remoteSchedPlugin) Speculation(ev dask.SpeculationEvent) {
-	p.c.push(TopicSpeculation, SpeculationEventMeta(ev))
+	p.c.push(TopicSpeculation, provenance.AppendSpeculation(nil, ev))
 }
 
 type remoteWorkerPlugin struct{ c *RemoteCollector }
 
 func (p *remoteWorkerPlugin) WorkerTransition(t dask.Transition) {
-	p.c.push(TopicTransitions, TransitionEvent(t))
+	p.c.push(TopicTransitions, provenance.AppendTransition(nil, t))
 }
 func (p *remoteWorkerPlugin) TaskExecuted(rec dask.TaskExecution) {
-	p.c.push(TopicExecutions, ExecutionEvent(rec))
+	p.c.push(TopicExecutions, provenance.AppendExecution(nil, rec))
 }
 func (p *remoteWorkerPlugin) TransferReceived(rec dask.Transfer) {
-	p.c.push(TopicTransfers, TransferEvent(rec))
+	p.c.push(TopicTransfers, provenance.AppendTransfer(nil, rec))
 }
 func (p *remoteWorkerPlugin) WorkerWarning(w dask.Warning) {
-	p.c.push(TopicWarnings, WarningEvent(w))
+	p.c.push(TopicWarnings, provenance.AppendWarning(nil, w))
 }
 func (p *remoteWorkerPlugin) Heartbeat(m dask.WorkerMetrics) {
-	p.c.push(TopicHeartbeats, HeartbeatEvent(m))
+	p.c.push(TopicHeartbeats, provenance.AppendHeartbeat(nil, m))
 }
 func (p *remoteWorkerPlugin) ProxyEvent(ev dask.ProxyEvent) {
-	p.c.push(TopicProxy, ProxyEventMeta(ev))
+	p.c.push(TopicProxy, provenance.AppendProxyEvent(nil, ev))
 }

@@ -9,6 +9,7 @@ import (
 
 	"taskprov/internal/dask"
 	"taskprov/internal/posixio"
+	"taskprov/internal/provenance"
 	"taskprov/internal/resume"
 	"taskprov/internal/sim"
 )
@@ -110,15 +111,14 @@ func resumeTestSession(seed uint64) SessionConfig {
 // the output size of each key's latest record.
 func drainExecs(t *testing.T, art *RunArtifacts) (counts map[dask.TaskKey]int, sizes map[dask.TaskKey]int64) {
 	t.Helper()
-	metas, err := DrainTopic(art.Broker, TopicExecutions)
+	metas, err := provenance.Drain(art.Broker, TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts = make(map[dask.TaskKey]int)
 	sizes = make(map[dask.TaskKey]int64)
 	stops := make(map[dask.TaskKey]float64)
-	for _, m := range metas {
-		e := ParseExecution(m)
+	for _, e := range metas {
 		counts[e.Key]++
 		if s := e.Stop.Seconds(); s >= stops[e.Key] {
 			stops[e.Key] = s
@@ -262,13 +262,13 @@ func TestResumeEquivalence(t *testing.T) {
 			if art.Meta.Attempt != 2 || art.Meta.ResumedFrom != 1 {
 				t.Fatalf("metadata attempt = %d resumed_from = %d", art.Meta.Attempt, art.Meta.ResumedFrom)
 			}
-			warns, err := DrainTopic(art.Broker, TopicWarnings)
+			warns, err := provenance.Drain(art.Broker, TopicWarnings, provenance.DecodeWarning)
 			if err != nil {
 				t.Fatal(err)
 			}
 			seen := 0
-			for _, m := range warns {
-				if ParseWarning(m).Kind == dask.WarnSessionResumed {
+			for _, w := range warns {
+				if w.Kind == dask.WarnSessionResumed {
 					seen++
 				}
 			}

@@ -18,6 +18,7 @@ import (
 	"taskprov/internal/pfs"
 	"taskprov/internal/platform"
 	"taskprov/internal/posixio"
+	"taskprov/internal/provenance"
 	"taskprov/internal/proxystore"
 	"taskprov/internal/resume"
 	"taskprov/internal/sim"
@@ -961,11 +962,11 @@ func (a *RunArtifacts) TotalPosixOps() int64 {
 // TotalCommunications counts incoming inter-worker transfers — Table I's
 // "Communications".
 func (a *RunArtifacts) TotalCommunications() (int64, error) {
-	metas, err := DrainTopic(a.Broker, TopicTransfers)
+	t, err := a.Broker.OpenTopic(TopicTransfers)
 	if err != nil {
 		return 0, err
 	}
-	return int64(len(metas)), nil
+	return int64(t.Events()), nil
 }
 
 // DistinctFiles counts the distinct file paths across Darshan logs —
@@ -983,13 +984,13 @@ func (a *RunArtifacts) DistinctFiles() int {
 // DistinctTasks counts tasks registered at the scheduler — Table I's
 // "Distinct tasks".
 func (a *RunArtifacts) DistinctTasks() (int, error) {
-	metas, err := DrainTopic(a.Broker, TopicTaskMeta)
+	metas, err := provenance.Drain(a.Broker, TopicTaskMeta, provenance.DecodeTaskMeta)
 	if err != nil {
 		return 0, err
 	}
-	set := map[string]struct{}{}
+	set := map[dask.TaskKey]struct{}{}
 	for _, m := range metas {
-		set[str(m, "key")] = struct{}{}
+		set[m.Key] = struct{}{}
 	}
 	return len(set), nil
 }
@@ -998,13 +999,13 @@ func (a *RunArtifacts) DistinctTasks() (int, error) {
 // graphs". Distinct by graph ID: a resumed run's merged stream can carry a
 // graph's done event from more than one attempt.
 func (a *RunArtifacts) TaskGraphs() (int, error) {
-	metas, err := DrainTopic(a.Broker, TopicGraphs)
+	graphs, err := provenance.Drain(a.Broker, TopicGraphs, provenance.DecodeGraphEvent)
 	if err != nil {
 		return 0, err
 	}
 	set := map[int]struct{}{}
-	for _, m := range metas {
-		set[int(num(m, "graph_id"))] = struct{}{}
+	for _, g := range graphs {
+		set[g.GraphID] = struct{}{}
 	}
 	return len(set), nil
 }

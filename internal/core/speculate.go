@@ -102,5 +102,5 @@ func (s *Session) pushSpeculation(ev dask.SpeculationEvent) {
 	if s.collector == nil {
 		return
 	}
-	s.collector.push(TopicSpeculation, SpeculationEventMeta(ev))
+	s.collector.pushSpeculation(ev)
 }

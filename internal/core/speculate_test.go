@@ -10,6 +10,7 @@ import (
 	"taskprov/internal/chaos"
 	"taskprov/internal/dask"
 	"taskprov/internal/mochi/mercury"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -60,13 +61,9 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 	if wf.graphErr != "" {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
-	metas, err := DrainTopic(art.Broker, TopicSpeculation)
+	evs, err := provenance.Drain(art.Broker, TopicSpeculation, provenance.DecodeSpeculation)
 	if err != nil {
 		t.Fatal(err)
-	}
-	evs := make([]dask.SpeculationEvent, len(metas))
-	for i, m := range metas {
-		evs[i] = ParseSpeculationEvent(m)
 	}
 	return art, evs
 }
@@ -75,13 +72,12 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 // bytes from the run's proxy event stream (publish minus free/reclaim).
 func proxyFinalResident(t *testing.T, art *RunArtifacts) int64 {
 	t.Helper()
-	metas, err := DrainTopic(art.Broker, TopicProxy)
+	metas, err := provenance.Drain(art.Broker, TopicProxy, provenance.DecodeProxyEvent)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var resident int64
-	for _, m := range metas {
-		ev := ParseProxyEvent(m)
+	for _, ev := range metas {
 		switch ev.Op {
 		case dask.ProxyOpPublish:
 			resident += ev.Bytes
@@ -139,13 +135,13 @@ func TestBrownoutSpeculationAcceptance(t *testing.T) {
 
 	// Zero duplicate side effects: exactly one winning execution record per
 	// task key — a cancelled loser never reports its execution.
-	metas, err := DrainTopic(hedged.Broker, TopicExecutions)
+	metas, err := provenance.Drain(hedged.Broker, TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perKey := map[dask.TaskKey]int{}
-	for _, m := range metas {
-		perKey[ParseExecution(m).Key]++
+	for _, e := range metas {
+		perKey[e.Key]++
 	}
 	for k, n := range perKey {
 		if n != 1 {
@@ -199,14 +195,13 @@ func TestHeartbeatJitterDesynchronizesMultiRestart(t *testing.T) {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
 
-	metas, err := DrainTopic(art.Broker, TopicHeartbeats)
+	metas, err := provenance.Drain(art.Broker, TopicHeartbeats, provenance.DecodeHeartbeat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restart := sim.Seconds(6)
 	first := map[string]sim.Time{} // port suffix -> first post-restart heartbeat
-	for _, m := range metas {
-		hb := ParseHeartbeat(m)
+	for _, hb := range metas {
 		var suffix string
 		for _, rank := range []int{0, 1, 2} {
 			if strings.HasSuffix(hb.Worker, fmt.Sprintf(":%d", 40000+rank)) {
@@ -288,13 +283,13 @@ func TestRetryStormBoundedUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metas, err := DrainTopic(art.Broker, TopicSpeculation)
+	metas, err := provenance.Drain(art.Broker, TopicSpeculation, provenance.DecodeSpeculation)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var retries, denied int64
-	for _, m := range metas {
-		switch ev := ParseSpeculationEvent(m); ev.Kind {
+	for _, ev := range metas {
+		switch ev.Kind {
 		case dask.SpecRetry:
 			retries++
 			if ev.Primary != "badnode" || ev.Detail == "" {

@@ -187,6 +187,42 @@ func TestLiveEqualsWALReplay(t *testing.T) {
 	}
 }
 
+// TestReplayDataDirOpensClusterDirs: a 3-broker RF2 run's directory
+// (cluster.json + node-NN/) replays to the aggregates of the same seed's
+// standalone directory — it used to come back empty, without an error.
+func TestReplayDataDirOpensClusterDirs(t *testing.T) {
+	run := func(brokers int) live.Summary {
+		dir := filepath.Join(t.TempDir(), "log")
+		cfg := core.DefaultSessionConfig("job-mini", 11)
+		cfg.Platform.NodeSpeedCV = 0
+		cfg.PFS.InterferenceLoad = 0
+		cfg.Dask.WorkersPerNode = 2
+		cfg.Dask.ThreadsPerWorker = 2
+		cfg.MofkaDataDir = dir
+		if brokers > 0 {
+			cfg.ClusterBrokers = brokers
+			cfg.ClusterReplication = 2
+		}
+		if _, err := core.Run(cfg, &miniWorkflow{files: 24}); err != nil {
+			t.Fatal(err)
+		}
+		s, err := live.ReplayDataDir(dir, live.AggregatorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	standalone, clustered := run(0), run(3)
+	if clustered.Tasks == 0 || clustered.Tasks != standalone.Tasks {
+		t.Fatalf("cluster dir replays %d tasks, standalone dir %d", clustered.Tasks, standalone.Tasks)
+	}
+	if clustered.Submitted != standalone.Submitted || clustered.GraphsDone != standalone.GraphsDone ||
+		clustered.ComputeSeconds != standalone.ComputeSeconds || clustered.IOOps != standalone.IOOps ||
+		clustered.WallSeconds != standalone.WallSeconds || clustered.Workflow != "mini" {
+		t.Fatalf("cluster dir summary differs from standalone:\ncluster:    %+v\nstandalone: %+v", strip(clustered), strip(standalone))
+	}
+}
+
 // TestLiveEqualsPhases: the Fig. 3 phase decomposition PERFRECUP reports is
 // bit-for-bit the one the live monitor streamed.
 func TestLiveEqualsPhases(t *testing.T) {

@@ -340,7 +340,7 @@ func TestMonitorEmitsAnomalies(t *testing.T) {
 		t.Fatal("no anomaly on subscription channel")
 	}
 	m.Stop()
-	metas, err := provenance.DrainTopic(b, provenance.TopicAnomalies)
+	metas, err := provenance.Drain(b, provenance.TopicAnomalies, mofka.DecodeMetadata)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"taskprov/internal/darshan"
 	"taskprov/internal/mofka"
+	"taskprov/internal/mofka/cluster"
 	"taskprov/internal/provenance"
 )
 
@@ -58,9 +59,15 @@ type dirMetadata struct {
 // directory: the WAL segments replay through a fresh aggregator, and
 // whatever else the directory offers (metadata.json, darshan/*.darshan) is
 // folded in. Safe on the data dir of a crashed (kill -9) run: the WAL opens
-// read-only and torn tails are skipped, not truncated.
+// read-only and torn tails are skipped, not truncated. A sharded cluster
+// directory (cluster.json + node-NN/) is merged into one view first, the way
+// perfrecup.LoadEventLog opens it.
 func ReplayDataDir(dir string, opts AggregatorOptions) (Summary, error) {
-	b, err := mofka.OpenPostMortem(dir)
+	open := mofka.OpenPostMortem
+	if cluster.IsClusterDir(dir) {
+		open = cluster.OpenPostMortem
+	}
+	b, err := open(dir)
 	if err != nil {
 		return Summary{}, fmt.Errorf("live: open %s: %w", dir, err)
 	}

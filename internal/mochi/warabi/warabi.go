@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // RegionID identifies a region within a target.
@@ -29,7 +30,7 @@ type Target struct {
 	nextID  RegionID
 
 	bytesWritten int64
-	bytesRead    int64
+	bytesRead    atomic.Int64 // bumped by readers holding only the read lock
 }
 
 type region struct {
@@ -94,7 +95,7 @@ func (t *Target) Read(id RegionID, offset, size int64) ([]byte, error) {
 	if offset < 0 || offset+size > int64(len(r.data)) {
 		return nil, fmt.Errorf("%w: read [%d,%d) in region of %d", ErrOutOfBounds, offset, offset+size, len(r.data))
 	}
-	t.bytesRead += size
+	t.bytesRead.Add(size)
 	return append([]byte(nil), r.data[offset:offset+size]...), nil
 }
 
@@ -106,7 +107,7 @@ func (t *Target) ReadAll(id RegionID) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoRegion, id)
 	}
-	t.bytesRead += int64(len(r.data))
+	t.bytesRead.Add(int64(len(r.data)))
 	return append([]byte(nil), r.data...), nil
 }
 
@@ -160,7 +161,7 @@ func (t *Target) Size(id RegionID) (int64, error) {
 func (t *Target) Stats() (regions int, written, read int64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.regions), t.bytesWritten, t.bytesRead
+	return len(t.regions), t.bytesWritten, t.bytesRead.Load()
 }
 
 // Provider manages a set of named targets, like a Warabi provider.

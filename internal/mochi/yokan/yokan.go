@@ -168,6 +168,17 @@ func (c *Collection) Store(doc []byte) uint64 {
 	return uint64(len(c.docs) - 1)
 }
 
+// StoreBatch appends documents in order and returns the first one's ID. The
+// documents are not copied: the collection takes ownership, and the caller
+// must not write to them afterwards.
+func (c *Collection) StoreBatch(docs [][]byte) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	first := uint64(len(c.docs))
+	c.docs = append(c.docs, docs...)
+	return first
+}
+
 // Load returns document id.
 func (c *Collection) Load(id uint64) ([]byte, bool) {
 	c.mu.RLock()

@@ -390,6 +390,14 @@ func (p *Partition) appendBatch(metas [][]byte, datas [][]byte) error {
 	if err := p.topic.broker.injectAppendFault(p.topic.cfg.Name, p.index); err != nil {
 		return err
 	}
+	// Admission comes before anything is written anywhere: one invalid event
+	// refuses the whole batch and leaves no region, no WAL record, no
+	// document behind.
+	for i := range metas {
+		if err := checkMetadata(metas[i]); err != nil {
+			return fmt.Errorf("mofka: event %d of a batch for %s[%d]: %w", i, p.topic.cfg.Name, p.index, err)
+		}
+	}
 	var total int64
 	for _, d := range datas {
 		total += int64(len(d))
@@ -412,19 +420,19 @@ func (p *Partition) appendBatch(metas [][]byte, datas [][]byte) error {
 	if p.topic.broker.readOnly {
 		return fmt.Errorf("%w: broker is read-only (post-mortem)", ErrClosed)
 	}
-	// Pre-encode every envelope before the batch touches the WAL or the
-	// document store: an encode error must leave nothing persisted and
-	// nothing visible, never a half-published batch.
+	// The envelopes share one arena, which the document store takes over
+	// without copying.
 	region := p.topic.broker.data.CreateWrite(blob)
+	size := 0
+	for i := range metas {
+		size += envelopeLen(metas[i], uint64(region), offsets[i], int64(len(datas[i])))
+	}
+	arena := make([]byte, 0, size)
 	docs := make([][]byte, len(metas))
 	for i := range metas {
-		env := envelope{Meta: metas[i], Region: uint64(region), Offset: offsets[i], Size: int64(len(datas[i]))}
-		doc, err := json.Marshal(&env)
-		if err != nil {
-			err = fmt.Errorf("mofka: encode envelope: %w", err)
-			return errors.Join(err, p.topic.broker.data.Destroy(region))
-		}
-		docs[i] = doc
+		start := len(arena)
+		arena = appendEnvelope(arena, metas[i], uint64(region), offsets[i], int64(len(datas[i])))
+		docs[i] = arena[start:len(arena):len(arena)]
 	}
 	if p.log != nil {
 		recs := make([]wal.Record, len(metas))
@@ -436,10 +444,8 @@ func (p *Partition) appendBatch(metas [][]byte, datas [][]byte) error {
 			return errors.Join(err, p.topic.broker.data.Destroy(region))
 		}
 	}
-	for _, doc := range docs {
-		p.docs.Store(doc)
-		p.length++
-	}
+	p.docs.StoreBatch(docs)
+	p.length += uint64(len(docs))
 	p.cond.Broadcast()
 	return nil
 }
@@ -500,26 +506,37 @@ func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
 
 // readSelect is read with per-event data selection: selector nil fetches
 // every payload; otherwise only events whose metadata it accepts carry
-// data.
+// data. The events' metadata are private copies, cut from one arena per call.
 func (p *Partition) readSelect(from uint64, max int, selector func([]byte) bool) ([]Event, error) {
-	var out []Event
-	var firstErr error
-	p.docs.Iter(from, max, func(id uint64, doc []byte) bool {
-		var env envelope
-		if err := json.Unmarshal(doc, &env); err != nil {
-			firstErr = fmt.Errorf("mofka: corrupt envelope %d: %w", id, err)
-			return false
+	length := p.Length()
+	if from >= length {
+		return nil, nil
+	}
+	n := int(length - from)
+	if max > 0 && max < n {
+		n = max
+	}
+	out := make([]Event, 0, n)
+	var arena []byte
+	var readErr error
+	scanErr := p.scan(from, n, func(id uint64, metadata []byte, region uint64, offset, size int64) bool {
+		if arena == nil {
+			// Sized from the first event, with a quarter to spare; longer
+			// events grow it.
+			arena = make([]byte, 0, n*(len(metadata)+len(metadata)/4))
 		}
+		start := len(arena)
+		arena = append(arena, metadata...)
 		ev := Event{
 			Topic:     p.topic.cfg.Name,
 			Partition: p.index,
 			ID:        id,
-			Metadata:  append([]byte(nil), env.Meta...),
+			Metadata:  arena[start:],
 		}
-		if (selector == nil || selector(ev.Metadata)) && env.Size > 0 {
-			data, err := p.topic.broker.data.Read(warabi.RegionID(env.Region), env.Offset, env.Size)
+		if (selector == nil || selector(ev.Metadata)) && size > 0 {
+			data, err := p.topic.broker.data.Read(warabi.RegionID(region), offset, size)
 			if err != nil {
-				firstErr = fmt.Errorf("mofka: data for event %d: %w", id, err)
+				readErr = fmt.Errorf("mofka: data for event %d: %w", id, err)
 				return false
 			}
 			ev.Data = data
@@ -527,7 +544,35 @@ func (p *Partition) readSelect(from uint64, max int, selector func([]byte) bool)
 		out = append(out, ev)
 		return true
 	})
-	return out, firstErr
+	if readErr == nil {
+		readErr = scanErr
+	}
+	// Cut the metadata again now that the arena has stopped moving, each
+	// capped to its own bytes.
+	start := 0
+	for i := range out {
+		end := start + len(out[i].Metadata)
+		out[i].Metadata = arena[start:end:end]
+		start = end
+	}
+	return out, readErr
+}
+
+// scan visits up to max stored events from offset from (max <= 0: all of
+// them) until visit returns false. The metadata it passes is the stored
+// bytes, valid only during the call. A corrupt envelope ends the scan with an
+// error.
+func (p *Partition) scan(from uint64, max int, visit func(id uint64, metadata []byte, region uint64, offset, size int64) bool) error {
+	var err error
+	p.docs.Iter(from, max, func(id uint64, doc []byte) bool {
+		metadata, region, offset, size, splitErr := splitEnvelope(doc)
+		if splitErr != nil {
+			err = fmt.Errorf("mofka: corrupt envelope %d: %w", id, splitErr)
+			return false
+		}
+		return visit(id, metadata, region, offset, size)
+	})
+	return err
 }
 
 // waitForLength blocks until the partition holds more than n events, the

@@ -49,10 +49,11 @@ type Producer struct {
 	valid mofka.Validator
 
 	mu       sync.Mutex
-	open     []pendingBatch
+	open     []mofka.Batch
 	queues   [][]sealedBatch
-	nextSeq  []uint64 // per-partition, next sequence number to assign
-	epochs   []uint64 // per-partition cached fencing epoch (0 = unknown)
+	spare    []mofka.Batch // shipped batches, emptied, whose memory the next ones reuse
+	nextSeq  []uint64      // per-partition, next sequence number to assign
+	epochs   []uint64      // per-partition cached fencing epoch (0 = unknown)
 	rr       int
 	closed   bool
 	degraded bool
@@ -61,21 +62,17 @@ type Producer struct {
 	dropped  uint64
 
 	// shipMu serializes shipping so a partition's batches land in seal
-	// (and therefore sequence) order even under concurrent pushers.
+	// (and therefore sequence) order even under concurrent pushers. It also
+	// guards views.
 	shipMu sync.Mutex
+	views  [][]byte // reused backing of the metadata views handed to Append
 
 	stopFlusher chan struct{}
 	flusherDone chan struct{}
 }
 
-type pendingBatch struct {
-	metas [][]byte
-	datas [][]byte
-	bytes int64
-}
-
 type sealedBatch struct {
-	pendingBatch
+	mofka.Batch
 	seq uint64
 }
 
@@ -94,7 +91,7 @@ func (t *ClusterTopic) NewProducer(opts mofka.ProducerOptions) *Producer {
 		id:      fmt.Sprintf("producer-%d", producerSeq.Add(1)),
 		opts:    opts,
 		valid:   valid,
-		open:    make([]pendingBatch, t.parts),
+		open:    make([]mofka.Batch, t.parts),
 		queues:  make([][]sealedBatch, t.parts),
 		nextSeq: make([]uint64, t.parts),
 		epochs:  make([]uint64, t.parts),
@@ -173,11 +170,9 @@ func (p *Producer) PushRaw(metadata, data []byte) error {
 		p.rr = (p.rr + 1) % len(p.open)
 	}
 	b := &p.open[idx]
-	b.metas = append(b.metas, append([]byte(nil), metadata...))
-	b.datas = append(b.datas, append([]byte(nil), data...))
-	b.bytes += int64(len(data))
+	b.Add(metadata, data)
 	p.pushed++
-	needFlush := len(b.metas) >= p.opts.BatchSize || b.bytes >= p.opts.MaxBatchBytes
+	needFlush := b.Len() >= p.opts.BatchSize || b.DataBytes() >= p.opts.MaxBatchBytes
 	if needFlush {
 		p.sealLocked(idx)
 	}
@@ -191,12 +186,15 @@ func (p *Producer) PushRaw(metadata, data []byte) error {
 // sealLocked moves partition idx's open batch onto its shipping queue,
 // assigning the batch its per-partition sequence number. Callers hold p.mu.
 func (p *Producer) sealLocked(idx int) {
-	if len(p.open[idx].metas) == 0 {
+	if p.open[idx].Len() == 0 {
 		return
 	}
 	p.queues[idx] = append(p.queues[idx], sealedBatch{p.open[idx], p.nextSeq[idx]})
 	p.nextSeq[idx]++
-	p.open[idx] = pendingBatch{}
+	p.open[idx] = mofka.Batch{}
+	if n := len(p.spare); n > 0 {
+		p.open[idx], p.spare = p.spare[n-1], p.spare[:n-1]
+	}
 	p.flushes++
 }
 
@@ -247,8 +245,15 @@ func (p *Producer) drainPartition(idx int) error {
 			p.enforceBound(idx)
 			return err
 		}
+		// Every replica copied what it keeps, so the batch's memory is free
+		// for the next one (one spare per partition is all sealing can use).
 		p.mu.Lock()
+		p.queues[idx][0] = sealedBatch{}
 		p.queues[idx] = p.queues[idx][1:]
+		if len(p.spare) < len(p.open) {
+			b.Reset()
+			p.spare = append(p.spare, b.Batch)
+		}
 		p.mu.Unlock()
 	}
 }
@@ -258,16 +263,17 @@ func (p *Producer) drainPartition(idx int) error {
 // cached epoch (the current one rides on the error return) and retry
 // immediately, without consuming a retry attempt or backing off; any other
 // failure (no quorum, leader append error) backs off and retries up to
-// FlushRetries times with the same sequence number.
+// FlushRetries times with the same sequence number. It runs under shipMu.
 func (p *Producer) appendWithRetry(idx int, b sealedBatch) error {
 	backoff := p.opts.RetryBackoff
+	p.views = b.Metas(p.views)
 	var err error
 	for attempt := 0; ; {
 		p.mu.Lock()
 		epoch := p.epochs[idx]
 		p.mu.Unlock()
 		var cur uint64
-		cur, err = p.c.Append(p.topic, idx, p.id, b.seq, epoch, b.metas, b.datas)
+		cur, err = p.c.Append(p.topic, idx, p.id, b.seq, epoch, p.views, b.Datas())
 		p.mu.Lock()
 		p.epochs[idx] = cur
 		p.mu.Unlock()
@@ -293,7 +299,7 @@ func (p *Producer) enforceBound(idx int) {
 	p.mu.Lock()
 	over := len(p.queues[idx]) - p.opts.MaxPendingBatches
 	for i := 0; i < over; i++ {
-		p.dropped += uint64(len(p.queues[idx][i].metas))
+		p.dropped += uint64(p.queues[idx][i].Len())
 	}
 	if over > 0 {
 		p.queues[idx] = append([]sealedBatch(nil), p.queues[idx][over:]...)

@@ -62,28 +62,70 @@ func (t *Topic) NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 	return c, nil
 }
 
-// fill tops up the internal buffer by reading round-robin across
-// subscribed partitions.
-func (c *Consumer) fill() error {
+// roundRobin offers the subscribed partitions to read, one after the other
+// from where the last call stopped, until one of them yields events. Both
+// fill and Scan step through it, which is what makes their orders agree.
+func (c *Consumer) roundRobin(read func(pi int, p *Partition) (progressed bool, err error)) (bool, error) {
 	for range c.parts {
 		pi := c.parts[c.rr%len(c.parts)]
 		c.rr++
-		p := c.topic.partitions[pi]
+		if progressed, err := read(pi, c.topic.partitions[pi]); progressed || err != nil {
+			return progressed, err
+		}
+	}
+	return false, nil
+}
+
+// fill tops up the internal buffer by reading round-robin across
+// subscribed partitions.
+func (c *Consumer) fill() error {
+	_, err := c.roundRobin(func(pi int, p *Partition) (bool, error) {
 		sel := c.opts.DataSelector
 		if c.opts.NoData {
 			sel = func([]byte) bool { return false }
 		}
 		evs, err := p.readSelect(c.next[pi], c.opts.Prefetch, sel)
-		if err != nil {
+		if err != nil || len(evs) == 0 {
+			return false, err
+		}
+		c.next[pi] = evs[len(evs)-1].ID + 1
+		c.buf = append(c.buf, evs...)
+		return true, nil
+	})
+	return err
+}
+
+// Scan visits the metadata of every unread event, in the order Drain would
+// deliver them, without copying it: metadata is the broker's stored bytes,
+// valid only during the call and not to be written to. Payloads are not
+// fetched. It is the bulk read of analyses that decode each event once.
+func (c *Consumer) Scan(visit func(partition int, id uint64, metadata []byte) error) error {
+	for _, ev := range c.buf {
+		if err := visit(ev.Partition, ev.ID, ev.Metadata); err != nil {
 			return err
 		}
-		if len(evs) > 0 {
-			c.next[pi] = evs[len(evs)-1].ID + 1
-			c.buf = append(c.buf, evs...)
-			return nil
+	}
+	c.buf = nil
+	for {
+		progressed, err := c.roundRobin(func(pi int, p *Partition) (bool, error) {
+			from := c.next[pi]
+			var visitErr error
+			err := p.scan(from, c.opts.Prefetch, func(id uint64, metadata []byte, _ uint64, _, _ int64) bool {
+				if visitErr = visit(pi, id, metadata); visitErr != nil {
+					return false
+				}
+				c.next[pi] = id + 1
+				return true
+			})
+			if visitErr != nil {
+				err = visitErr
+			}
+			return c.next[pi] > from, err
+		})
+		if err != nil || !progressed {
+			return err
 		}
 	}
-	return nil
 }
 
 // Pull returns the next event, or ok=false when no unread events exist.

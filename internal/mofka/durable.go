@@ -197,17 +197,17 @@ func (b *Broker) recoverTopic(name string) error {
 // ingest publishes one already-durable event into the in-memory stores
 // (the WAL-replay path; no WAL append, no broadcast needed at recovery).
 func (p *Partition) ingest(meta, data []byte) error {
+	if err := checkMetadata(meta); err != nil {
+		return err
+	}
 	var region uint64
 	if len(data) > 0 {
 		region = uint64(p.topic.broker.data.CreateWrite(data))
 	}
-	env := envelope{Meta: meta, Region: region, Offset: 0, Size: int64(len(data))}
-	doc, err := json.Marshal(&env)
-	if err != nil {
-		return fmt.Errorf("mofka: encode envelope: %w", err)
-	}
+	size := int64(len(data))
+	doc := appendEnvelope(make([]byte, 0, envelopeLen(meta, region, 0, size)), meta, region, 0, size)
 	p.mu.Lock()
-	p.docs.Store(doc)
+	p.docs.StoreBatch([][]byte{doc})
 	p.length++
 	p.mu.Unlock()
 	return nil

@@ -12,8 +12,10 @@
 package mofka
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // Metadata is the JSON-expressible descriptive part of an event.
@@ -51,13 +53,160 @@ type Event struct {
 // ParseMetadata decodes the event's metadata JSON.
 func (e Event) ParseMetadata() (Metadata, error) { return DecodeMetadata(e.Metadata) }
 
-// envelope is the persisted per-event index entry stored in Yokan; the data
-// payload itself lives in a Warabi region shared by the whole batch.
-type envelope struct {
-	Meta   json.RawMessage `json:"m"`
-	Region uint64          `json:"r"`
-	Offset int64           `json:"o"`
-	Size   int64           `json:"s"`
+// The persisted per-event index entry stored in Yokan is the JSON object
+//
+//	{"m":<metadata>,"r":<region>,"o":<offset>,"s":<size>}
+//
+// with the metadata in its stored form (see appendStoredMetadata) and the data
+// payload in a Warabi region shared by the whole batch. It is framed and
+// split by hand: the broker writes and reads one per event.
+
+// envelopeLen is the length of the envelope appendEnvelope writes for
+// metadata already in its stored form.
+func envelopeLen(metadata []byte, region uint64, offset, size int64) int {
+	n := len(metadata)
+	if n == 0 {
+		n = len("null")
+	}
+	return n + len(`{"m":,"r":,"o":,"s":}`) + decimalLen(region) + decimalLen(uint64(offset)) + decimalLen(uint64(size))
+}
+
+func decimalLen(n uint64) int {
+	l := 1
+	for n >= 10 {
+		n /= 10
+		l++
+	}
+	return l
+}
+
+// appendEnvelope appends the envelope of one event whose metadata passed
+// checkMetadata.
+func appendEnvelope(dst, metadata []byte, region uint64, offset, size int64) []byte {
+	dst = append(dst, `{"m":`...)
+	dst = appendStoredMetadata(dst, metadata)
+	dst = append(dst, `,"r":`...)
+	dst = strconv.AppendUint(dst, region, 10)
+	dst = append(dst, `,"o":`...)
+	dst = strconv.AppendInt(dst, offset, 10)
+	dst = append(dst, `,"s":`...)
+	dst = strconv.AppendInt(dst, size, 10)
+	return append(dst, '}')
+}
+
+// splitEnvelope takes an envelope apart. The three trailing numbers are cut
+// off the end, so metadata that itself contains `,"r":` cannot be mistaken
+// for the frame. The metadata is a slice of doc.
+func splitEnvelope(doc []byte) (metadata []byte, region uint64, offset, size int64, err error) {
+	rest, ok := doc, len(doc) > 0 && doc[len(doc)-1] == '}'
+	if ok {
+		rest = rest[:len(rest)-1]
+	}
+	var s, o uint64
+	if ok {
+		rest, s, ok = cutTrailingNumber(rest, `,"s":`)
+	}
+	if ok {
+		rest, o, ok = cutTrailingNumber(rest, `,"o":`)
+	}
+	if ok {
+		rest, region, ok = cutTrailingNumber(rest, `,"r":`)
+	}
+	const head = `{"m":`
+	if !ok || len(rest) <= len(head) || string(rest[:len(head)]) != head {
+		return nil, 0, 0, 0, fmt.Errorf("malformed envelope %q", doc)
+	}
+	return rest[len(head):], region, int64(o), int64(s), nil
+}
+
+// cutTrailingNumber cuts label followed by decimal digits off the end of b.
+func cutTrailingNumber(b []byte, label string) (rest []byte, n uint64, ok bool) {
+	j := len(b)
+	for j > 0 && b[j-1] >= '0' && b[j-1] <= '9' {
+		j--
+	}
+	if digits := len(b) - j; digits == 0 || digits > 20 || j < len(label) || string(b[j-len(label):j]) != label {
+		return b, 0, false
+	}
+	for _, c := range b[j:] {
+		n = n*10 + uint64(c-'0')
+	}
+	return b[:j-len(label)], n, true
+}
+
+// checkMetadata is the broker's admission test for one event: its metadata
+// must be JSON (or empty, which is stored as null).
+func checkMetadata(metadata []byte) error {
+	if len(metadata) > 0 && !json.Valid(metadata) {
+		return fmt.Errorf("%w: metadata is not valid JSON", ErrInvalidEvent)
+	}
+	return nil
+}
+
+// appendStoredMetadata appends the form in which the broker stores and serves
+// metadata that passed checkMetadata: the JSON text compacted, with <, >, &,
+// U+2028 and U+2029 escaped — what marshalling the envelope through
+// encoding/json used to produce. Metadata from this repo's encoders is
+// already in that form and is copied as is.
+func appendStoredMetadata(dst, metadata []byte) []byte {
+	if len(metadata) == 0 {
+		return append(dst, "null"...)
+	}
+	if !needsRewrite(metadata) {
+		return append(dst, metadata...)
+	}
+	var compact, escaped bytes.Buffer
+	if err := json.Compact(&compact, metadata); err != nil {
+		panic(fmt.Sprintf("mofka: metadata admitted as valid does not compact: %v", err))
+	}
+	json.HTMLEscape(&escaped, compact.Bytes())
+	return append(dst, escaped.Bytes()...)
+}
+
+// rewriteStart marks the bytes a rewrite can start from: JSON whitespace, the
+// characters the stored form escapes, and the lead byte of U+2028 and U+2029.
+var rewriteStart = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '<': true, '>': true, '&': true, 0xE2: true}
+
+// needsRewrite reports whether valid JSON holds whitespace between tokens or,
+// inside a string, a character the stored form escapes. Most events hold none
+// of the bytes either starts from, and are cleared by the first loop.
+func needsRewrite(b []byte) bool {
+	clean := true
+	for _, c := range b {
+		if rewriteStart[c] {
+			clean = false
+			break
+		}
+	}
+	if clean {
+		return false
+	}
+	inString := false
+	for i := 0; i < len(b); i++ {
+		c := b[i]
+		if !inString {
+			switch c {
+			case '"':
+				inString = true
+			case ' ', '\t', '\n', '\r':
+				return true
+			}
+			continue
+		}
+		switch c {
+		case '\\':
+			i++
+		case '"':
+			inString = false
+		case '<', '>', '&':
+			return true
+		case 0xE2: // U+2028 and U+2029 are E2 80 A8 and E2 80 A9
+			if i+2 < len(b) && b[i+1] == 0x80 && b[i+2]&^1 == 0xA8 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Validator checks event metadata on push. It is Mofka's schema-validation

@@ -70,8 +70,9 @@ type Producer struct {
 	opts  ProducerOptions
 
 	mu       sync.Mutex
-	open     []pendingBatch   // per-partition batch accepting new events
-	queues   [][]pendingBatch // per-partition FIFO of sealed, unshipped batches
+	open     []Batch   // per-partition batch accepting new events
+	queues   [][]Batch // per-partition FIFO of sealed, unshipped batches
+	spare    []Batch   // shipped batches, emptied, whose memory the next ones reuse
 	rr       int
 	closed   bool
 	degraded bool
@@ -80,17 +81,60 @@ type Producer struct {
 	dropped  uint64
 
 	// shipMu serializes shipping so a partition's batches land in seal
-	// order even under concurrent pushers.
+	// order even under concurrent pushers. It also guards views.
 	shipMu sync.Mutex
+	views  [][]byte // reused backing of the metadata views handed to append
 
 	stopFlusher chan struct{}
 	flusherDone chan struct{}
 }
 
-type pendingBatch struct {
-	metas [][]byte
+// Batch accumulates the events of one producer batch. Metadata is copied
+// once, back to back into one arena, rather than into a slice per event;
+// Reset empties the batch and keeps the memory, so a producer that recycles
+// its shipped batches stops allocating per event. The cluster producer
+// (internal/mofka/cluster) builds its batches with it too.
+type Batch struct {
+	arena []byte
+	ends  []int // ends[i] is where event i's metadata stops in arena
 	datas [][]byte
 	bytes int64
+}
+
+// Add copies one event into the batch.
+func (b *Batch) Add(metadata, data []byte) {
+	b.arena = append(b.arena, metadata...)
+	b.ends = append(b.ends, len(b.arena))
+	b.datas = append(b.datas, append([]byte(nil), data...))
+	b.bytes += int64(len(data))
+}
+
+// Len is the number of events in the batch.
+func (b *Batch) Len() int { return len(b.ends) }
+
+// DataBytes is the payload bytes the batch holds.
+func (b *Batch) DataBytes() int64 { return b.bytes }
+
+// Metas returns each event's metadata as a view into the arena, valid until
+// the next Add or Reset, built on scratch's backing array when it is large
+// enough.
+func (b *Batch) Metas(scratch [][]byte) [][]byte {
+	metas := scratch[:0]
+	start := 0
+	for _, end := range b.ends {
+		metas = append(metas, b.arena[start:end:end])
+		start = end
+	}
+	return metas
+}
+
+// Datas returns each event's payload.
+func (b *Batch) Datas() [][]byte { return b.datas }
+
+// Reset empties the batch for reuse.
+func (b *Batch) Reset() {
+	clear(b.datas)
+	*b = Batch{arena: b.arena[:0], ends: b.ends[:0], datas: b.datas[:0]}
 }
 
 // NewProducer creates a producer for the topic.
@@ -99,8 +143,8 @@ func (t *Topic) NewProducer(opts ProducerOptions) *Producer {
 	p := &Producer{
 		topic:  t,
 		opts:   opts,
-		open:   make([]pendingBatch, len(t.partitions)),
-		queues: make([][]pendingBatch, len(t.partitions)),
+		open:   make([]Batch, len(t.partitions)),
+		queues: make([][]Batch, len(t.partitions)),
 	}
 	if opts.FlushInterval > 0 {
 		p.stopFlusher = make(chan struct{})
@@ -124,9 +168,10 @@ func (p *Producer) flushLoop() {
 	}
 }
 
-// Push enqueues one event. The metadata and data slices are copied. The
-// event becomes visible to consumers after its batch flushes (by size
-// trigger, interval, Flush, or Close).
+// Push enqueues one event. The metadata and data slices are copied (the
+// metadata once, into its batch's arena). The event becomes visible to
+// consumers after its batch flushes (by size trigger, interval, Flush, or
+// Close).
 func (p *Producer) Push(metadata Metadata, data []byte) error {
 	return p.PushRaw(metadata.Encode(), data)
 }
@@ -155,11 +200,9 @@ func (p *Producer) PushRaw(metadata, data []byte) error {
 		p.rr = (p.rr + 1) % len(p.topic.partitions)
 	}
 	b := &p.open[idx]
-	b.metas = append(b.metas, append([]byte(nil), metadata...))
-	b.datas = append(b.datas, append([]byte(nil), data...))
-	b.bytes += int64(len(data))
+	b.Add(metadata, data)
 	p.pushed++
-	needFlush := len(b.metas) >= p.opts.BatchSize || b.bytes >= p.opts.MaxBatchBytes
+	needFlush := b.Len() >= p.opts.BatchSize || b.DataBytes() >= p.opts.MaxBatchBytes
 	if needFlush {
 		p.sealLocked(idx)
 	}
@@ -173,11 +216,14 @@ func (p *Producer) PushRaw(metadata, data []byte) error {
 // sealLocked moves partition idx's open batch onto its shipping queue.
 // Callers hold p.mu.
 func (p *Producer) sealLocked(idx int) {
-	if len(p.open[idx].metas) == 0 {
+	if p.open[idx].Len() == 0 {
 		return
 	}
 	p.queues[idx] = append(p.queues[idx], p.open[idx])
-	p.open[idx] = pendingBatch{}
+	p.open[idx] = Batch{}
+	if n := len(p.spare); n > 0 {
+		p.open[idx], p.spare = p.spare[n-1], p.spare[:n-1]
+	}
 	p.flushes++
 }
 
@@ -230,17 +276,26 @@ func (p *Producer) drainPartition(idx int) error {
 			p.enforceBound(idx)
 			return err
 		}
+		// The broker copied what it keeps, so the batch's memory is free for
+		// the next one (one spare per partition is all sealing can use).
 		p.mu.Lock()
+		p.queues[idx][0] = Batch{}
 		p.queues[idx] = p.queues[idx][1:]
+		if len(p.spare) < len(p.open) {
+			b.Reset()
+			p.spare = append(p.spare, b)
+		}
 		p.mu.Unlock()
 	}
 }
 
-func (p *Producer) appendWithRetry(idx int, b pendingBatch) error {
+// appendWithRetry runs under shipMu.
+func (p *Producer) appendWithRetry(idx int, b Batch) error {
 	backoff := p.opts.RetryBackoff
+	p.views = b.Metas(p.views)
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = p.topic.partitions[idx].appendBatch(b.metas, b.datas)
+		err = p.topic.partitions[idx].appendBatch(p.views, b.Datas())
 		if err == nil || attempt >= p.opts.FlushRetries {
 			return err
 		}
@@ -255,10 +310,10 @@ func (p *Producer) enforceBound(idx int) {
 	p.mu.Lock()
 	over := len(p.queues[idx]) - p.opts.MaxPendingBatches
 	for i := 0; i < over; i++ {
-		p.dropped += uint64(len(p.queues[idx][i].metas))
+		p.dropped += uint64(p.queues[idx][i].Len())
 	}
 	if over > 0 {
-		p.queues[idx] = append([]pendingBatch(nil), p.queues[idx][over:]...)
+		p.queues[idx] = append([]Batch(nil), p.queues[idx][over:]...)
 	}
 	p.mu.Unlock()
 }

@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/perfrecup/frame"
+	"taskprov/internal/provenance"
 )
 
 // ClusterTimelineView tabulates the Mofka cluster's replication/failover
@@ -16,7 +17,7 @@ import (
 // (at, kind, worker, message) so the view is deterministic regardless of
 // partition drain order. Empty for single-broker runs.
 func ClusterTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicWarnings)
+	recs, err := provenance.Drain(art.Broker, core.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		return nil, err
 	}
@@ -25,8 +26,7 @@ func ClusterTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 		at                float64
 	}
 	var rows []row
-	for _, m := range metas {
-		w := core.ParseWarning(m)
+	for _, w := range recs {
 		if !strings.HasPrefix(string(w.Kind), "cluster_") {
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 )
 
 // CorrelationReport is the paper's §IV-D3 analysis: quantifying the
@@ -41,7 +42,7 @@ type PrefixShare struct {
 // Correlate computes the report from one run's artifacts.
 func Correlate(art *core.RunArtifacts, binSeconds float64) (CorrelationReport, error) {
 	rep := CorrelationReport{BinSeconds: binSeconds}
-	execs, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+	execs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return rep, err
 	}
@@ -57,8 +58,7 @@ func Correlate(art *core.RunArtifacts, binSeconds float64) (CorrelationReport, e
 	rows := make([]taskRow, 0, len(execs))
 	end := art.Meta.WallSeconds
 	var durs, sizes []float64
-	for _, m := range execs {
-		e := core.ParseExecution(m)
+	for _, e := range execs {
 		r := taskRow{
 			key: e.Key, start: e.Start.Seconds(), stop: e.Stop.Seconds(),
 			dur: (e.Stop - e.Start).Seconds(), size: float64(e.OutputSize),
@@ -93,13 +93,12 @@ func Correlate(art *core.RunArtifacts, binSeconds float64) (CorrelationReport, e
 			longActive[b] += overlap(r.start, r.stop, float64(b)*binSeconds, float64(b+1)*binSeconds)
 		}
 	}
-	warns, err := core.DrainTopic(art.Broker, core.TopicWarnings)
+	warns, err := provenance.Drain(art.Broker, core.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		return rep, err
 	}
 	warnBins := make([]float64, nbins)
-	for _, m := range warns {
-		w := core.ParseWarning(m)
+	for _, w := range warns {
 		b := int(w.At.Seconds() / binSeconds)
 		if b >= 0 && b < nbins {
 			warnBins[b]++

@@ -2,6 +2,7 @@ package perfrecup
 
 import (
 	"encoding/xml"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -68,6 +69,48 @@ func TestCritPathGoldenDeterminism(t *testing.T) {
 	}
 	if again != golden {
 		t.Error("second render of the same artifacts differs")
+	}
+}
+
+// TestCriticalSecondsBitReproducible: the attributed total is the same float,
+// bit for bit, on every call and whichever loader materialized the stream —
+// live broker, WAL replay, or the written run directory.
+func TestCriticalSecondsBitReproducible(t *testing.T) {
+	dataDir := t.TempDir()
+	live := durableRun(t, dataDir)
+	wal, err := LoadEventLog(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDir := filepath.Join(t.TempDir(), "run")
+	if err := live.WriteDir(runDir); err != nil {
+		t.Fatal(err)
+	}
+	pm, err := core.LoadDir(runDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	for i, art := range []*core.RunArtifacts{live, wal, pm} {
+		model, err := whatif.Extract(art.WhatIfInput())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := model.CriticalPath()
+		if len(cp.Categories) < 3 {
+			t.Fatalf("path attributes only %v: the sum has no order to get wrong", cp.Categories)
+		}
+		if i == 0 {
+			want = math.Float64bits(cp.CriticalSeconds())
+		}
+		for call := 0; call < 100; call++ {
+			if got := math.Float64bits(cp.CriticalSeconds()); got != want {
+				t.Fatalf("source %d, call %d: CriticalSeconds = %x, first was %x", i, call, got, want)
+			}
+		}
+		if again := math.Float64bits(model.CriticalPath().CriticalSeconds()); again != want {
+			t.Fatalf("source %d: a second extraction sums to %x, first %x", i, again, want)
+		}
 	}
 }
 

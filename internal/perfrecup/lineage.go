@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 )
 
 // Lineage is the full provenance record of one task (Fig. 8): identity,
@@ -68,13 +69,12 @@ type LineageIO struct {
 func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	l := &Lineage{Key: key, Prefix: dask.KeyPrefix(dask.TaskKey(key)), Group: dask.KeyGroup(dask.TaskKey(key))}
 
-	metas, err := core.DrainTopic(art.Broker, core.TopicTaskMeta)
+	metas, err := provenance.Drain(art.Broker, core.TopicTaskMeta, provenance.DecodeTaskMeta)
 	if err != nil {
 		return nil, err
 	}
 	found := false
-	for _, m := range metas {
-		tm := core.ParseTaskMeta(m)
+	for _, tm := range metas {
 		if string(tm.Key) == key {
 			l.GraphID = tm.GraphID
 			l.SubmittedAt = tm.At.Seconds()
@@ -89,12 +89,11 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		return nil, fmt.Errorf("perfrecup: task %q not found in run %s", key, art.Meta.JobID)
 	}
 
-	trans, err := core.DrainTopic(art.Broker, core.TopicTransitions)
+	trans, err := provenance.Drain(art.Broker, core.TopicTransitions, provenance.DecodeTransition)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range trans {
-		t := core.ParseTransition(m)
+	for _, t := range trans {
 		if string(t.Key) == key {
 			l.States = append(l.States, LineageState{
 				From: string(t.From), To: string(t.To),
@@ -104,12 +103,11 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	}
 	sort.Slice(l.States, func(a, b int) bool { return l.States[a].At < l.States[b].At })
 
-	execs, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+	execs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range execs {
-		e := core.ParseExecution(m)
+	for _, e := range execs {
 		if string(e.Key) == key {
 			l.Worker = e.Worker
 			l.Hostname = e.Hostname
@@ -120,12 +118,11 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	transfers, err := core.DrainTopic(art.Broker, core.TopicTransfers)
+	transfers, err := provenance.Drain(art.Broker, core.TopicTransfers, provenance.DecodeTransfer)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range transfers {
-		t := core.ParseTransfer(m)
+	for _, t := range transfers {
 		if string(t.Key) == key {
 			l.Movements = append(l.Movements, LineageMove{
 				From: t.From, To: t.To, Bytes: t.Bytes,
@@ -134,12 +131,11 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	steals, err := core.DrainTopic(art.Broker, core.TopicSteals)
+	steals, err := provenance.Drain(art.Broker, core.TopicSteals, provenance.DecodeSteal)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range steals {
-		s := core.ParseSteal(m)
+	for _, s := range steals {
 		if string(s.Key) == key {
 			l.Steals = append(l.Steals, fmt.Sprintf("%s -> %s @ %.3fs", s.Victim, s.Thief, s.At.Seconds()))
 		}

@@ -10,16 +10,17 @@ import (
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
 	"taskprov/internal/perfrecup/frame"
+	"taskprov/internal/provenance"
 )
 
 // ExecutionsView tabulates task executions: one row per executed task with
 // its placement, thread, window, and output size.
 func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+	recs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	key := make([]string, n)
 	prefix := make([]string, n)
 	group := make([]string, n)
@@ -31,8 +32,7 @@ func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 	dur := make([]float64, n)
 	size := make([]int64, n)
 	graph := make([]int64, n)
-	for i, m := range metas {
-		e := core.ParseExecution(m)
+	for i, e := range recs {
 		key[i] = string(e.Key)
 		prefix[i] = dask.KeyPrefix(e.Key)
 		group[i] = dask.KeyGroup(e.Key)
@@ -62,19 +62,18 @@ func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // TransitionsView tabulates every captured state transition.
 func TransitionsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicTransitions)
+	recs, err := provenance.Drain(art.Broker, core.TopicTransitions, provenance.DecodeTransition)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	key := make([]string, n)
 	from := make([]string, n)
 	to := make([]string, n)
 	stim := make([]string, n)
 	loc := make([]string, n)
 	at := make([]float64, n)
-	for i, m := range metas {
-		t := core.ParseTransition(m)
+	for i, t := range recs {
 		key[i] = string(t.Key)
 		from[i] = string(t.From)
 		to[i] = string(t.To)
@@ -94,11 +93,11 @@ func TransitionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // TransfersView tabulates inter-worker dependency transfers.
 func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicTransfers)
+	recs, err := provenance.Drain(art.Broker, core.TopicTransfers, provenance.DecodeTransfer)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	key := make([]string, n)
 	from := make([]string, n)
 	to := make([]string, n)
@@ -109,8 +108,7 @@ func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
 	same := make([]bool, n)
 	viaProxy := make([]bool, n)
 	resolve := make([]float64, n)
-	for i, m := range metas {
-		t := core.ParseTransfer(m)
+	for i, t := range recs {
 		key[i] = string(t.Key)
 		from[i] = t.From
 		to[i] = t.To
@@ -141,11 +139,11 @@ func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
 // blob's logical size and the store's resident footprint after the
 // operation — the raw series behind the live resident-bytes lane.
 func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicProxy)
+	recs, err := provenance.Drain(art.Broker, core.TopicProxy, provenance.DecodeProxyEvent)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	op := make([]string, n)
 	key := make([]string, n)
 	worker := make([]string, n)
@@ -153,8 +151,7 @@ func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
 	resident := make([]int64, n)
 	resolve := make([]float64, n)
 	at := make([]float64, n)
-	for i, m := range metas {
-		e := core.ParseProxyEvent(m)
+	for i, e := range recs {
 		op[i] = e.Op
 		key[i] = string(e.Key)
 		worker[i] = e.Worker
@@ -176,18 +173,17 @@ func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // WarningsView tabulates runtime warnings (unresponsive event loop, GC).
 func WarningsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicWarnings)
+	recs, err := provenance.Drain(art.Broker, core.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	kind := make([]string, n)
 	worker := make([]string, n)
 	host := make([]string, n)
 	at := make([]float64, n)
 	dur := make([]float64, n)
-	for i, m := range metas {
-		w := core.ParseWarning(m)
+	for i, w := range recs {
 		kind[i] = string(w.Kind)
 		worker[i] = w.Worker
 		host[i] = w.Hostname
@@ -279,19 +275,18 @@ func PosixView(art *core.RunArtifacts) (*frame.Frame, error) {
 // TaskMetaView tabulates the static task metadata (key, prefix, group,
 // graph, dependency count).
 func TaskMetaView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicTaskMeta)
+	recs, err := provenance.Drain(art.Broker, core.TopicTaskMeta, provenance.DecodeTaskMeta)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	key := make([]string, n)
 	prefix := make([]string, n)
 	group := make([]string, n)
 	graph := make([]int64, n)
 	ndeps := make([]int64, n)
 	at := make([]float64, n)
-	for i, m := range metas {
-		tm := core.ParseTaskMeta(m)
+	for i, tm := range recs {
 		key[i] = string(tm.Key)
 		prefix[i] = tm.Prefix
 		group[i] = tm.Group
@@ -311,18 +306,17 @@ func TaskMetaView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // HeartbeatsView tabulates worker heartbeat samples.
 func HeartbeatsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicHeartbeats)
+	recs, err := provenance.Drain(art.Broker, core.TopicHeartbeats, provenance.DecodeHeartbeat)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	worker := make([]string, n)
 	at := make([]float64, n)
 	mem := make([]int64, n)
 	execing := make([]int64, n)
 	ready := make([]int64, n)
-	for i, m := range metas {
-		h := core.ParseHeartbeat(m)
+	for i, h := range recs {
 		worker[i] = h.Worker
 		at[i] = h.At.Seconds()
 		mem[i] = h.Memory

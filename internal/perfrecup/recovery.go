@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/perfrecup/frame"
+	"taskprov/internal/provenance"
 )
 
 // RecoveryTimelineView tabulates the run's failure/recovery timeline: every
@@ -15,7 +16,7 @@ import (
 // (at, kind, worker, message) so the view is deterministic regardless of
 // partition drain order. Empty for fault-free runs.
 func RecoveryTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicWarnings)
+	recs, err := provenance.Drain(art.Broker, core.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		return nil, err
 	}
@@ -24,8 +25,7 @@ func RecoveryTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 		at, dur                 float64
 	}
 	var rows []row
-	for _, m := range metas {
-		w := core.ParseWarning(m)
+	for _, w := range recs {
 		if !w.Kind.IsRecovery() {
 			continue
 		}

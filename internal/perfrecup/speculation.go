@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/perfrecup/frame"
+	"taskprov/internal/provenance"
 )
 
 // SpeculationTimelineView tabulates the run's hedged-execution and
@@ -16,7 +17,7 @@ import (
 // (at, kind, key, duplicate, detail) so the view is deterministic regardless
 // of partition drain order. Empty for runs without speculation or retries.
 func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicSpeculation)
+	recs, err := provenance.Drain(art.Broker, core.TopicSpeculation, provenance.DecodeSpeculation)
 	if err != nil {
 		return nil, err
 	}
@@ -25,9 +26,8 @@ func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 		at, wasted                                    float64
 		attempt                                       int
 	}
-	rows := make([]row, 0, len(metas))
-	for _, m := range metas {
-		e := core.ParseSpeculationEvent(m)
+	rows := make([]row, 0, len(recs))
+	for _, e := range recs {
 		rows = append(rows, row{
 			kind: e.Kind, key: string(e.Key),
 			primary: e.Primary, duplicate: e.Duplicate, winner: e.Winner,

@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 )
 
 // WindowStats is the paper's "zooming through a specific time period"
@@ -52,13 +53,12 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 	w := WindowStats{From: from, To: to, Warnings: map[string]int{}}
 
-	execs, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+	execs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return w, err
 	}
 	byPrefix := map[string]float64{}
-	for _, m := range execs {
-		e := core.ParseExecution(m)
+	for _, e := range execs {
 		s, p := e.Start.Seconds(), e.Stop.Seconds()
 		ov := overlap(s, p, from, to)
 		if ov <= 0 {
@@ -95,12 +95,11 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		}
 	}
 
-	transfers, err := core.DrainTopic(art.Broker, core.TopicTransfers)
+	transfers, err := provenance.Drain(art.Broker, core.TopicTransfers, provenance.DecodeTransfer)
 	if err != nil {
 		return w, err
 	}
-	for _, m := range transfers {
-		t := core.ParseTransfer(m)
+	for _, t := range transfers {
 		ov := overlap(t.Start.Seconds(), t.Stop.Seconds(), from, to)
 		if ov <= 0 {
 			continue
@@ -110,12 +109,11 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		w.CommSeconds += ov
 	}
 
-	warns, err := core.DrainTopic(art.Broker, core.TopicWarnings)
+	warns, err := provenance.Drain(art.Broker, core.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		return w, err
 	}
-	for _, m := range warns {
-		wr := core.ParseWarning(m)
+	for _, wr := range warns {
 		at := wr.At.Seconds()
 		if at >= from && at < to {
 			w.Warnings[string(wr.Kind)]++
@@ -159,13 +157,12 @@ type ScheduleComparison struct {
 func CompareSchedules(a, b *core.RunArtifacts) (ScheduleComparison, error) {
 	var out ScheduleComparison
 	load := func(art *core.RunArtifacts) (map[string]dask.TaskExecution, error) {
-		metas, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+		execs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
 		if err != nil {
 			return nil, err
 		}
-		m := make(map[string]dask.TaskExecution, len(metas))
-		for _, meta := range metas {
-			e := core.ParseExecution(meta)
+		m := make(map[string]dask.TaskExecution, len(execs))
+		for _, e := range execs {
 			m[string(e.Key)] = e
 		}
 		return m, nil

@@ -6,6 +6,7 @@ import (
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
 	"taskprov/internal/mofka"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -14,14 +15,14 @@ import (
 func windowArt(t *testing.T, execs []dask.TaskExecution, transfers []dask.Transfer, warns []dask.Warning) *core.RunArtifacts {
 	t.Helper()
 	b := mofka.NewStandaloneBroker()
-	push := func(topic string, metas []mofka.Metadata) {
+	push := func(topic string, metas [][]byte) {
 		tp, err := b.OpenOrCreateTopic(mofka.TopicConfig{Name: topic, Partitions: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := tp.NewProducer(mofka.ProducerOptions{})
 		for _, m := range metas {
-			if err := p.Push(m, nil); err != nil {
+			if err := p.PushRaw(m, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -29,15 +30,15 @@ func windowArt(t *testing.T, execs []dask.TaskExecution, transfers []dask.Transf
 			t.Fatal(err)
 		}
 	}
-	var em, tm, wm []mofka.Metadata
+	var em, tm, wm [][]byte
 	for _, e := range execs {
-		em = append(em, core.ExecutionEvent(e))
+		em = append(em, provenance.AppendExecution(nil, e))
 	}
 	for _, tr := range transfers {
-		tm = append(tm, core.TransferEvent(tr))
+		tm = append(tm, provenance.AppendTransfer(nil, tr))
 	}
 	for _, w := range warns {
-		wm = append(wm, core.WarningEvent(w))
+		wm = append(wm, provenance.AppendWarning(nil, w))
 	}
 	push(core.TopicExecutions, em)
 	push(core.TopicTransfers, tm)

@@ -1,13 +1,20 @@
 // Package provenance defines the wire format of the WMS provenance stream:
-// the Mofka topic names the collection plugins produce into, and the
-// encode/parse pairs that turn the dask record types into Mofka event
-// metadata and back.
+// the Mofka topic names the collection plugins produce into, and the codec
+// that turns the dask record types into Mofka event metadata and back.
+//
+// The codec comes twice. codec.go holds the typed pair every producer and
+// consumer in the repository uses — Append<T> onto a reusable buffer,
+// Decode<T> and Drain[T] straight from the stored bytes. This file holds the
+// map pair it replaced — <T>Event builders of mofka.Metadata and Parse<T> over
+// a decoded map — which has no production caller left: it is the executable
+// specification the codec tests pin the typed pair to, byte for byte, and the
+// API bench/e2e (a module of its own) compiles against.
 //
 // It is deliberately a leaf package (no dependency on internal/core or
 // internal/perfrecup) so that every consumer of the stream — the in-run
 // collector, the post-mortem PERFRECUP loaders, and the live monitoring
 // subsystem (internal/live) — shares exactly one definition of the event
-// schema. internal/core re-exports the names for compatibility.
+// schema. internal/core re-exports the topic names.
 package provenance
 
 import (
@@ -38,6 +45,10 @@ const (
 	// duplicate launches, first-completion wins, loser cancellations (with
 	// wasted seconds), promotions, RPC retries, and retry-budget exhaustion.
 	TopicSpeculation = "speculation"
+
+	// TopicIOTrace carries the POSIX operations the online I/O tracer streams
+	// at runtime (core.OnlineIOTracer); it is not part of AllTopics.
+	TopicIOTrace = "io-trace"
 
 	// TopicAnomalies carries the live monitor's online findings back into
 	// the event space, so anomalies are themselves provenance (see
@@ -347,25 +358,4 @@ func MustParse(ev mofka.Event) mofka.Metadata {
 		panic(fmt.Sprintf("provenance: corrupt event %s[%d]/%d: %v", ev.Topic, ev.Partition, ev.ID, err))
 	}
 	return m
-}
-
-// DrainTopic pulls every event of a topic and decodes its metadata.
-func DrainTopic(b *mofka.Broker, topic string) ([]mofka.Metadata, error) {
-	t, err := b.OpenTopic(topic)
-	if err != nil {
-		return nil, err
-	}
-	c, err := t.NewConsumer(mofka.ConsumerOptions{NoData: true})
-	if err != nil {
-		return nil, err
-	}
-	evs, err := c.Drain()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]mofka.Metadata, len(evs))
-	for i, ev := range evs {
-		out[i] = MustParse(ev)
-	}
-	return out, nil
 }

@@ -139,13 +139,12 @@ func Reconstruct(dataDir string) (*State, error) {
 	for key, t := range cp.Tasks {
 		tasks[key] = doneTask{graph: t.GraphID, size: t.Size, stop: t.StopSeconds, files: t.Files}
 	}
-	execs, err := provenance.DrainTopic(broker, provenance.TopicExecutions)
+	execs, err := provenance.Drain(broker, provenance.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return nil, fmt.Errorf("resume: executions: %w", err)
 	}
 	maxAt := cp.AtSeconds
-	for _, m := range execs {
-		rec := provenance.ParseExecution(m)
+	for _, rec := range execs {
 		st.ExecCounts[rec.Key]++
 		stop := rec.Stop.Seconds()
 		maxAt = math.Max(maxAt, stop)
@@ -168,12 +167,11 @@ func Reconstruct(dataDir string) (*State, error) {
 	for _, b := range cp.Blobs {
 		blobs[b.Key] = &blobState{residual: 1, owner: b.Owner, size: b.Size, at: cp.AtSeconds}
 	}
-	proxyEvents, err := provenance.DrainTopic(broker, provenance.TopicProxy)
+	proxyEvents, err := provenance.Drain(broker, provenance.TopicProxy, provenance.DecodeProxyEvent)
 	if err != nil {
 		return nil, fmt.Errorf("resume: proxy events: %w", err)
 	}
-	for _, m := range proxyEvents {
-		ev := provenance.ParseProxyEvent(m)
+	for _, ev := range proxyEvents {
 		at := ev.At.Seconds()
 		maxAt = math.Max(maxAt, at)
 		if at <= cp.AtSeconds {
@@ -234,16 +232,15 @@ func Reconstruct(dataDir string) (*State, error) {
 			}
 		}
 	}
-	graphEvents, err := provenance.DrainTopic(broker, provenance.TopicGraphs)
+	graphEvents, err := provenance.Drain(broker, provenance.TopicGraphs, provenance.DecodeGraphEvent)
 	if err != nil {
 		return nil, fmt.Errorf("resume: graph events: %w", err)
 	}
-	for _, m := range graphEvents {
-		maxAt = math.Max(maxAt, provenance.Num(m, "at"))
-		if provenance.Str(m, "event") == "done" {
-			id := int(provenance.Num(m, "graph_id"))
-			doneLogged[id] = true
-			doneEvidenced[id] = true
+	for _, g := range graphEvents {
+		maxAt = math.Max(maxAt, g.At)
+		if g.Event == provenance.GraphDone {
+			doneLogged[g.GraphID] = true
+			doneEvidenced[g.GraphID] = true
 		}
 	}
 	for id := range doneLogged {
@@ -275,17 +272,16 @@ func Reconstruct(dataDir string) (*State, error) {
 	}
 
 	// The remaining topics only contribute to the clock frontier.
-	for _, topic := range []string{
-		provenance.TopicTaskMeta, provenance.TopicTransitions, provenance.TopicTransfers,
-		provenance.TopicWarnings, provenance.TopicHeartbeats, provenance.TopicSteals,
+	for _, err := range []error{
+		latest(&maxAt, broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta, func(r dask.TaskMeta) sim.Time { return r.At }),
+		latest(&maxAt, broker, provenance.TopicTransitions, provenance.DecodeTransition, func(r dask.Transition) sim.Time { return r.At }),
+		latest(&maxAt, broker, provenance.TopicTransfers, provenance.DecodeTransfer, func(r dask.Transfer) sim.Time { return r.Stop }),
+		latest(&maxAt, broker, provenance.TopicWarnings, provenance.DecodeWarning, func(r dask.Warning) sim.Time { return r.At }),
+		latest(&maxAt, broker, provenance.TopicHeartbeats, provenance.DecodeHeartbeat, func(r dask.WorkerMetrics) sim.Time { return r.At }),
+		latest(&maxAt, broker, provenance.TopicSteals, provenance.DecodeSteal, func(r dask.StealEvent) sim.Time { return r.At }),
 	} {
-		metas, err := provenance.DrainTopic(broker, topic)
 		if err != nil {
-			continue // topic may not exist in minimal logs
-		}
-		for _, m := range metas {
-			maxAt = math.Max(maxAt, provenance.Num(m, "at"))
-			maxAt = math.Max(maxAt, provenance.Num(m, "stop"))
+			return nil, fmt.Errorf("resume: %w", err)
 		}
 	}
 	if maxAt < 0 {
@@ -321,6 +317,19 @@ func Reconstruct(dataDir string) (*State, error) {
 	}
 	st.Frontier = fr
 	return st, nil
+}
+
+// latest raises maxAt to the newest timestamp, in virtual seconds, among a
+// topic's events. A topic minimal logs do not have contributes nothing.
+func latest[T any](maxAt *float64, broker *mofka.Broker, topic string, decode func([]byte) (T, error), at func(T) sim.Time) error {
+	recs, err := provenance.Drain(broker, topic, decode)
+	if errors.Is(err, mofka.ErrNoTopic) {
+		return nil
+	}
+	for _, r := range recs {
+		*maxAt = math.Max(*maxAt, at(r).Seconds())
+	}
+	return err
 }
 
 // legacyCompleted detects a finished pre-lineage run from its metadata.json

@@ -58,11 +58,12 @@ type CritPath struct {
 	Coverage float64
 }
 
-// CriticalSeconds sums the attributed categories.
+// CriticalSeconds sums the attributed categories, in render order: a float
+// sum in map order differs in its last bits from one call to the next.
 func (c *CritPath) CriticalSeconds() float64 {
 	var s float64
-	for _, v := range c.Categories {
-		s += v
+	for _, cat := range Categories() {
+		s += c.Categories[cat]
 	}
 	return s
 }

@@ -196,19 +196,19 @@ func Extract(in Input) (*Model, error) {
 	if in.Broker == nil {
 		return nil, fmt.Errorf("whatif: nil broker")
 	}
-	metas, err := provenance.DrainTopic(in.Broker, provenance.TopicTaskMeta)
+	metas, err := provenance.Drain(in.Broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta)
 	if err != nil {
 		return nil, fmt.Errorf("whatif: task-meta: %w", err)
 	}
-	execs, err := provenance.DrainTopic(in.Broker, provenance.TopicExecutions)
+	execs, err := provenance.Drain(in.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return nil, fmt.Errorf("whatif: executions: %w", err)
 	}
-	transfers, err := provenance.DrainTopic(in.Broker, provenance.TopicTransfers)
+	transfers, err := provenance.Drain(in.Broker, provenance.TopicTransfers, provenance.DecodeTransfer)
 	if err != nil {
 		return nil, fmt.Errorf("whatif: transfers: %w", err)
 	}
-	graphEvents, err := provenance.DrainTopic(in.Broker, provenance.TopicGraphs)
+	graphEvents, err := provenance.Drain(in.Broker, provenance.TopicGraphs, provenance.DecodeGraphEvent)
 	if err != nil {
 		return nil, fmt.Errorf("whatif: graph-events: %w", err)
 	}
@@ -216,8 +216,7 @@ func Extract(in Input) (*Model, error) {
 	// Executions: keep the final (max-Stop) execution of each key — a task
 	// re-executed after a worker crash contributes its surviving run.
 	execByKey := make(map[string]dask.TaskExecution, len(execs))
-	for _, em := range execs {
-		e := provenance.ParseExecution(em)
+	for _, e := range execs {
 		if prev, ok := execByKey[string(e.Key)]; !ok || e.Stop > prev.Stop {
 			execByKey[string(e.Key)] = e
 		}
@@ -228,8 +227,7 @@ func Extract(in Input) (*Model, error) {
 
 	// Task metadata: dependency lists and per-graph submit times.
 	metaByKey := make(map[string]metaRec, len(metas))
-	for _, mm := range metas {
-		tm := provenance.ParseTaskMeta(mm)
+	for _, tm := range metas {
 		if _, ok := metaByKey[string(tm.Key)]; ok {
 			continue // duplicate registration (re-submitted graph)
 		}
@@ -311,8 +309,7 @@ func Extract(in Input) (*Model, error) {
 	// Measured transfers, indexed by (dep, destination worker). A dep
 	// re-fetched after a crash keeps the longest observation, biasing the
 	// model conservative.
-	for _, tm := range transfers {
-		tr := provenance.ParseTransfer(tm)
+	for _, tr := range transfers {
 		idx, ok := m.Index[string(tr.Key)]
 		if !ok {
 			continue
@@ -356,7 +353,7 @@ type metaRec struct {
 // time (earliest task-meta registration), completion time (graph-done event,
 // falling back to the last task stop), and the set of graphs already done at
 // submit time — the barriers the client's Wait calls impose.
-func (m *Model) extractGraphs(metaByKey map[string]metaRec, graphEvents []mofka.Metadata) {
+func (m *Model) extractGraphs(metaByKey map[string]metaRec, graphEvents []provenance.GraphEvent) {
 	submit := map[int]float64{}
 	count := map[int]int{}
 	lastStop := map[int]float64{}
@@ -373,14 +370,12 @@ func (m *Model) extractGraphs(metaByKey map[string]metaRec, graphEvents []mofka.
 		}
 	}
 	done := map[int]float64{}
-	for _, gm := range graphEvents {
-		if provenance.Str(gm, "event") != "done" {
+	for _, g := range graphEvents {
+		if g.Event != provenance.GraphDone {
 			continue
 		}
-		id := int(provenance.Num(gm, "graph_id"))
-		at := provenance.Num(gm, "at")
-		if prev, ok := done[id]; !ok || at > prev {
-			done[id] = at
+		if prev, ok := done[g.GraphID]; !ok || g.At > prev {
+			done[g.GraphID] = g.At
 		}
 	}
 	ids := make([]int, 0, len(submit))

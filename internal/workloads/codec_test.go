@@ -1,0 +1,128 @@
+package workloads
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"taskprov/internal/core"
+	"taskprov/internal/mofka"
+	"taskprov/internal/provenance"
+)
+
+// checkTopicCodec holds the typed codec to the map API on every stored event
+// of one topic: the bytes are what encoding/json writes for their content,
+// Decode agrees with Parse over a decoded map, and the two encoders agree on
+// the decoded record.
+func checkTopicCodec[T any](t *testing.T, art *core.RunArtifacts, topic string,
+	decode func([]byte) (T, error), parse func(mofka.Metadata) T,
+	appendTo func([]byte, T) []byte, event func(T) mofka.Metadata) int {
+	t.Helper()
+	raws, err := provenance.Drain(art.Broker, topic, func(b []byte) ([]byte, error) {
+		return append([]byte(nil), b...), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, raw := range raws {
+		m, err := mofka.DecodeMetadata(raw)
+		if err != nil {
+			t.Fatalf("%s[%d]: %v", topic, i, err)
+		}
+		if canon := m.Encode(); !bytes.Equal(raw, canon) {
+			t.Fatalf("%s[%d] is not canonical:\nstored %s\n  json %s", topic, i, raw, canon)
+		}
+		rec, err := decode(raw)
+		if err != nil {
+			t.Fatalf("%s[%d]: decode %s: %v", topic, i, raw, err)
+		}
+		spec := parse(m)
+		if !reflect.DeepEqual(rec, spec) {
+			t.Fatalf("%s[%d]: %s\n typed %+v\n   map %+v", topic, i, raw, rec, spec)
+		}
+		if got, want := appendTo(nil, rec), event(spec).Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("%s[%d]: append %s, map encoder %s", topic, i, got, want)
+		}
+	}
+	return len(raws)
+}
+
+// TestCodecOnSeededRuns runs each workflow once and checks every event it
+// collected (the proxy and speculation topics stay empty in default sessions;
+// the provenance package's hostile-input tests cover their codecs).
+func TestCodecOnSeededRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full workflow runs")
+	}
+	for _, name := range []string{"imageprocessing", "resnet152", "xgboost"} {
+		art := runOnce(t, name, 5)
+		n := checkTopicCodec(t, art, core.TopicTaskMeta, provenance.DecodeTaskMeta, provenance.ParseTaskMeta, provenance.AppendTaskMeta, provenance.TaskMetaEvent)
+		n += checkTopicCodec(t, art, core.TopicTransitions, provenance.DecodeTransition, provenance.ParseTransition, provenance.AppendTransition, provenance.TransitionEvent)
+		n += checkTopicCodec(t, art, core.TopicExecutions, provenance.DecodeExecution, provenance.ParseExecution, provenance.AppendExecution, provenance.ExecutionEvent)
+		n += checkTopicCodec(t, art, core.TopicTransfers, provenance.DecodeTransfer, provenance.ParseTransfer, provenance.AppendTransfer, provenance.TransferEvent)
+		n += checkTopicCodec(t, art, core.TopicWarnings, provenance.DecodeWarning, provenance.ParseWarning, provenance.AppendWarning, provenance.WarningEvent)
+		n += checkTopicCodec(t, art, core.TopicHeartbeats, provenance.DecodeHeartbeat, provenance.ParseHeartbeat, provenance.AppendHeartbeat, provenance.HeartbeatEvent)
+		n += checkTopicCodec(t, art, core.TopicSteals, provenance.DecodeSteal, provenance.ParseSteal, provenance.AppendSteal, provenance.StealEventMeta)
+		n += checkTopicCodec(t, art, core.TopicProxy, provenance.DecodeProxyEvent, provenance.ParseProxyEvent, provenance.AppendProxyEvent, provenance.ProxyEventMeta)
+		n += checkTopicCodec(t, art, core.TopicSpeculation, provenance.DecodeSpeculation, provenance.ParseSpeculationEvent, provenance.AppendSpeculation, provenance.SpeculationEventMeta)
+		n += checkTopicCodec(t, art, core.TopicGraphs, provenance.DecodeGraphEvent,
+			func(m mofka.Metadata) provenance.GraphEvent {
+				return provenance.GraphEvent{GraphID: int(provenance.Num(m, "graph_id")), Event: provenance.Str(m, "event"), At: provenance.Num(m, "at")}
+			},
+			provenance.AppendGraphEvent,
+			func(g provenance.GraphEvent) mofka.Metadata {
+				return mofka.Metadata{"graph_id": g.GraphID, "event": g.Event, "at": g.At}
+			})
+		if int64(n) != art.Collector.TotalEvents() || n == 0 {
+			t.Fatalf("%s: checked %d events, the collector pushed %d", name, n, art.Collector.TotalEvents())
+		}
+		t.Logf("%s: %d events", name, n)
+
+		// WriteDir streams the stored bytes; the JSONL must be what decoding
+		// every event to a map and marshalling it back used to write.
+		dir := t.TempDir()
+		if err := art.WriteDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, topic := range art.Broker.Topics() {
+			got, err := os.ReadFile(filepath.Join(dir, "mofka", topic+".jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := legacyTopicJSONL(t, art.Broker, topic); !bytes.Equal(got, want) {
+				t.Fatalf("%s: %s.jsonl differs from the decode-and-marshal rendering (%d vs %d bytes)", name, topic, len(got), len(want))
+			}
+		}
+	}
+}
+
+// legacyTopicJSONL is core.writeTopic as it was before it streamed stored
+// bytes: drain the topic, decode each event to a map, marshal the map.
+func legacyTopicJSONL(t *testing.T, b *mofka.Broker, topic string) []byte {
+	t.Helper()
+	tp, err := b.OpenTopic(topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := tp.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := c.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	for _, ev := range evs {
+		line, err := json.Marshal(provenance.MustParse(ev))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(line)
+		out.WriteByte('\n')
+	}
+	return out.Bytes()
+}

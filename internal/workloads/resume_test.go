@@ -9,6 +9,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 	"taskprov/internal/resume"
 )
 
@@ -16,15 +17,14 @@ import (
 // latest output size.
 func execSummary(t *testing.T, art *core.RunArtifacts) (counts map[dask.TaskKey]int, sizes map[dask.TaskKey]int64) {
 	t.Helper()
-	metas, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+	metas, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts = make(map[dask.TaskKey]int)
 	sizes = make(map[dask.TaskKey]int64)
 	stops := make(map[dask.TaskKey]float64)
-	for _, m := range metas {
-		e := core.ParseExecution(m)
+	for _, e := range metas {
 		counts[e.Key]++
 		if s := e.Stop.Seconds(); s >= stops[e.Key] {
 			stops[e.Key] = s

@@ -5,6 +5,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 )
 
 func runOnce(t *testing.T, name string, seed uint64) *core.RunArtifacts {
@@ -114,14 +115,13 @@ func TestXGBoostTableI(t *testing.T) {
 
 	// Fig. 7: a burst of unresponsive-event-loop warnings early in the run,
 	// correlated with the read_parquet-fused-assign tasks.
-	warns, err := core.DrainTopic(art.Broker, core.TopicWarnings)
+	warns, err := provenance.Drain(art.Broker, core.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var loopWarns int
 	var lastWarnAt float64
-	for _, m := range warns {
-		w := core.ParseWarning(m)
+	for _, w := range warns {
 		if w.Kind == dask.WarnEventLoop {
 			loopWarns++
 			if w.At.Seconds() > lastWarnAt {
@@ -138,13 +138,12 @@ func TestXGBoostTableI(t *testing.T) {
 
 	// Fig. 6: the read_parquet-fused-assign outputs exceed Dask's
 	// recommended 128 MB.
-	execs, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+	execs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var readMax, readMin int64
-	for _, m := range execs {
-		e := core.ParseExecution(m)
+	for _, e := range execs {
 		if dask.KeyPrefix(e.Key) == "read_parquet-fused-assign" {
 			if readMin == 0 || e.OutputSize < readMin {
 				readMin = e.OutputSize
