@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-cluster bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume fuzz whatif speculate verify
+.PHONY: build vet lint test tier1 race bench bench-cluster bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume fuzz whatif speculate verify
 
 build:
 	$(GO) build ./...
 
+# vet also holds the tree to gofmt: any file gofmt would rewrite fails the
+# target. It is a check — nothing is rewritten — and "." covers bench/e2e (a
+# module of its own, which go vet ./... does not enter) as well.
 vet:
 	$(GO) vet ./...
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # Static analysis beyond vet; staticcheck runs when the binary is on PATH
 # (CI installs it, bare dev machines skip cleanly rather than failing).
@@ -16,6 +21,12 @@ lint: vet
 
 test:
 	$(GO) test ./...
+
+# ROADMAP's tier 1, uncached, with its wall time: the number "halve tier-1"
+# is measured by.
+tier1:
+	@start=$$(date +%s); $(GO) build ./... && $(GO) test -count=1 ./... || exit 1; \
+	echo "tier-1 (go build ./... && go test -count=1 ./...): $$(( $$(date +%s) - start )) s wall"
 
 # The broker, durable log, and live monitor are all concurrency-heavy; run
 # the whole tree under the race detector.
@@ -133,4 +144,4 @@ bench-e2e-smoke:
 		$(GO) run -C bench/e2e . -workload $$w -smoke || exit 1; done
 
 # Everything CI runs.
-verify: build lint test race chaos cluster property resume fuzz whatif speculate
+verify: tier1 lint race chaos cluster property resume fuzz whatif speculate

@@ -88,11 +88,11 @@ func (a *RunArtifacts) writeLogs(dir string) error {
 	if err != nil {
 		return err
 	}
-	for i, w := range workers {
-		wl, err := RenderWorkerLog(a, w)
-		if err != nil {
-			return err
-		}
+	logs, err := RenderWorkerLogs(a, workers)
+	if err != nil {
+		return err
+	}
+	for i, wl := range logs {
 		p := filepath.Join(logDir, fmt.Sprintf("worker-%04d.log", i))
 		if err := os.WriteFile(p, []byte(wl), 0o644); err != nil {
 			return err

@@ -90,40 +90,60 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 // RenderWorkerLog produces one worker's textual log: its warnings in the
 // exact phrasing Dask workers emit (the strings log-scrapers match on).
 func RenderWorkerLog(art *RunArtifacts, worker string) (string, error) {
-	var lines []logLine
-	warns, err := provenance.Drain(art.Broker, TopicWarnings, provenance.DecodeWarning)
+	logs, err := RenderWorkerLogs(art, []string{worker})
 	if err != nil {
 		return "", err
 	}
+	return logs[0], nil
+}
+
+// RenderWorkerLogs produces the logs of the given workers, in their order,
+// from one pass over the warnings and executions topics.
+func RenderWorkerLogs(art *RunArtifacts, workers []string) ([]string, error) {
+	type bucket struct {
+		lines    []logLine
+		executed int
+	}
+	buckets := make(map[string]*bucket, len(workers))
+	for _, w := range workers {
+		buckets[w] = &bucket{}
+	}
+	warns, err := provenance.Drain(art.Broker, TopicWarnings, provenance.DecodeWarning)
+	if err != nil {
+		return nil, err
+	}
 	for _, w := range warns {
-		if w.Worker != worker {
+		b := buckets[w.Worker]
+		if b == nil {
 			continue
 		}
 		switch w.Kind {
 		case "unresponsive_event_loop":
-			lines = append(lines, logLine{w.At.Seconds(), fmt.Sprintf(
+			b.lines = append(b.lines, logLine{w.At.Seconds(), fmt.Sprintf(
 				"WARN  - Event loop was unresponsive in Worker for %.2fs. This is often caused by long-running GIL-holding functions", w.Duration.Seconds())})
 		case "gc_collection":
-			lines = append(lines, logLine{w.At.Seconds(), fmt.Sprintf(
+			b.lines = append(b.lines, logLine{w.At.Seconds(), fmt.Sprintf(
 				"WARN  - full garbage collection took %.0f ms", 1000*w.Duration.Seconds())})
 		default:
-			lines = append(lines, logLine{w.At.Seconds(), "WARN  - " + w.Message})
+			b.lines = append(b.lines, logLine{w.At.Seconds(), "WARN  - " + w.Message})
 		}
 	}
 	execs, err := provenance.Drain(art.Broker, TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	n := 0
 	for _, e := range execs {
-		if e.Worker == worker {
-			n++
+		if b := buckets[e.Worker]; b != nil {
+			b.executed++
 		}
 	}
-	lines = append(lines, logLine{0, fmt.Sprintf("INFO  - Start worker at %s", worker)})
-	out := renderLines(lines)
-	out += fmt.Sprintf("%12s INFO  - Worker executed %d tasks\n", "---", n)
-	return out, nil
+	logs := make([]string, len(workers))
+	for i, w := range workers {
+		b := buckets[w]
+		lines := append(b.lines, logLine{0, fmt.Sprintf("INFO  - Start worker at %s", w)})
+		logs[i] = renderLines(lines) + fmt.Sprintf("%12s INFO  - Worker executed %d tasks\n", "---", b.executed)
+	}
+	return logs, nil
 }
 
 // WorkerAddrs lists the worker addresses observed in the run.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -392,5 +393,37 @@ func TestResumeRefusals(t *testing.T) {
 	cfg4.ResumeFrom = dir
 	if _, err := Run(cfg4, &toyWorkflow{files: 1}); !errors.Is(err, resume.ErrCompleted) {
 		t.Fatalf("resume of completed run: %v", err)
+	}
+}
+
+// TestCrashedSessionsLeaveNoGoroutines: a chaos-killed coordinator stops the
+// kernel with the client and every executing task parked mid-body. Closing
+// the session (Run does, on a crash) must unwind them all; repeated crashed
+// runs leave the goroutine count where it started.
+func TestCrashedSessionsLeaveNoGoroutines(t *testing.T) {
+	const seed, runs = 11, 8
+	baseArt, err := Run(resumeTestSession(seed), &resumeWorkflow{graphs: 2, width: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	killAt := time.Duration(float64(baseArt.WallTime) * 0.3)
+
+	before := runtime.NumGoroutine()
+	for i := 0; i < runs; i++ {
+		cfg := resumeTestSession(seed)
+		cfg.ChaosSpec = fmt.Sprintf("scheduler at=%s", killAt)
+		_, err := Run(cfg, &resumeWorkflow{graphs: 2, width: 8})
+		var crash *CrashError
+		if !errors.As(err, &crash) {
+			t.Fatalf("run %d: expected CrashError, got %v", i, err)
+		}
+	}
+	// Goroutines that were told to stop may take a moment to be gone.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before %d crashed sessions, %d after", before, runs, after)
 	}
 }

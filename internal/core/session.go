@@ -837,8 +837,9 @@ func (s *Session) buildMeta(start, end sim.Time) RunMetadata {
 	return m
 }
 
-// Close releases everything the session owns: the live endpoint and monitor,
-// the checkpoint ticker, and — when the session created them — the broker or
+// Close releases everything the session owns: the simulated processes a
+// crashed or deadlocked run left parked, the live endpoint and monitor, the
+// checkpoint ticker, and — when the session created them — the broker or
 // broker cluster (closing a durable broker fsyncs acknowledged events;
 // already-published events remain readable, see mofka.Broker.Close). It is
 // idempotent, safe on a partially-constructed session, and joins every
@@ -848,6 +849,9 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
+	if s.k != nil {
+		s.k.Close()
+	}
 	var errs []error
 	if s.liveSrv != nil {
 		if err := s.liveSrv.Close(); err != nil {

@@ -197,29 +197,24 @@ func (g *Graph) Finalize() error {
 			dependents[d] = append(dependents[d], k)
 		}
 	}
-	var frontier []TaskKey
+	// The frontier is a min-heap of ready keys: popping the smallest one is
+	// the deterministic tie-break.
+	var frontier keyHeap
 	for k, n := range indeg {
 		if n == 0 {
-			frontier = append(frontier, k)
+			frontier.push(k)
 		}
 	}
-	sortKeys(frontier)
 	order := make([]TaskKey, 0, len(g.tasks))
 	for len(frontier) > 0 {
-		k := frontier[0]
-		frontier = frontier[1:]
+		k := frontier.pop()
 		order = append(order, k)
-		next := dependents[k]
-		sortKeys(next)
-		var newly []TaskKey
-		for _, d := range next {
+		for _, d := range dependents[k] {
 			indeg[d]--
 			if indeg[d] == 0 {
-				newly = append(newly, d)
+				frontier.push(d)
 			}
 		}
-		// Keep frontier sorted by merging (both inputs sorted).
-		frontier = mergeSorted(frontier, newly)
 	}
 	if len(order) != len(g.tasks) {
 		return fmt.Errorf("dask: graph %d contains a dependency cycle", g.ID)
@@ -228,28 +223,53 @@ func (g *Graph) Finalize() error {
 	return nil
 }
 
-func sortKeys(ks []TaskKey) {
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+// keyHeap is a binary min-heap of task keys.
+type keyHeap []TaskKey
+
+func (h *keyHeap) push(k TaskKey) {
+	*h = append(*h, k)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if s[parent] <= k {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = k
 }
 
-func mergeSorted(a, b []TaskKey) []TaskKey {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]TaskKey, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+func (h *keyHeap) pop() TaskKey {
+	s := *h
+	n := len(s) - 1
+	top, k := s[0], s[n]
+	s[n] = ""
+	*h = s[:n]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
+		if child+1 < n && s[child+1] < s[child] {
+			child++
+		}
+		if k <= s[child] {
+			break
+		}
+		s[i] = s[child]
+		i = child
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	if n > 0 {
+		s[i] = k
+	}
+	return top
+}
+
+func sortKeys(ks []TaskKey) {
+	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 }
 
 // Roots returns tasks with no dependencies, sorted.

@@ -1,6 +1,9 @@
 package dask
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -177,5 +180,207 @@ func TestFusePreservesEstimates(t *testing.T) {
 	}
 	if !ft.BlocksEventLoop {
 		t.Fatal("fused task lost BlocksEventLoop")
+	}
+}
+
+// finalizeTables builds what Kahn's algorithm needs whatever its frontier is:
+// in-degrees and dependents over the internal edges, and room for the order.
+func finalizeTables(g *Graph) (indeg map[TaskKey]int, dependents map[TaskKey][]TaskKey, order []TaskKey) {
+	indeg = make(map[TaskKey]int, len(g.tasks))
+	dependents = make(map[TaskKey][]TaskKey, len(g.tasks))
+	for k, t := range g.tasks {
+		indeg[k] += 0
+		for _, d := range t.Deps {
+			if _, internal := g.tasks[d]; !internal {
+				continue
+			}
+			indeg[k]++
+			dependents[d] = append(dependents[d], k)
+		}
+	}
+	return indeg, dependents, make([]TaskKey, 0, len(g.tasks))
+}
+
+// referenceOrder is Finalize as it was before the frontier became a heap:
+// the frontier is a sorted slice, the ready dependents of each popped key are
+// sorted and merged into it. It is the specification of the order — task
+// priorities, and with them every virtual timestamp, follow from it.
+func referenceOrder(g *Graph) ([]TaskKey, error) {
+	for k, t := range g.tasks {
+		for _, d := range t.Deps {
+			if _, ok := g.tasks[d]; !ok && !g.externals[d] {
+				return nil, fmt.Errorf("dask: graph %d task %q depends on missing %q", g.ID, k, d)
+			}
+		}
+	}
+	indeg, dependents, order := finalizeTables(g)
+	var frontier []TaskKey
+	for k, n := range indeg {
+		if n == 0 {
+			frontier = append(frontier, k)
+		}
+	}
+	sortKeys(frontier)
+	for len(frontier) > 0 {
+		k := frontier[0]
+		frontier = frontier[1:]
+		order = append(order, k)
+		next := dependents[k]
+		sortKeys(next)
+		var newly []TaskKey
+		for _, d := range next {
+			indeg[d]--
+			if indeg[d] == 0 {
+				newly = append(newly, d)
+			}
+		}
+		merged := make([]TaskKey, 0, len(frontier)+len(newly))
+		for len(frontier) > 0 && len(newly) > 0 {
+			if frontier[0] <= newly[0] {
+				merged, frontier = append(merged, frontier[0]), frontier[1:]
+			} else {
+				merged, newly = append(merged, newly[0]), newly[1:]
+			}
+		}
+		frontier = append(append(merged, frontier...), newly...)
+	}
+	if len(order) != len(g.tasks) {
+		return nil, fmt.Errorf("dask: graph %d contains a dependency cycle", g.ID)
+	}
+	return order, nil
+}
+
+// scrambledDAG builds a random DAG whose key order has nothing to do with its
+// topological order: edges point from later to earlier positions of a random
+// permutation of the keys. Some dependencies are repeated, some are external
+// keys, and on request one is undeclared or closes a cycle.
+func scrambledDAG(id int, rng *sim.RNG, n int, missing, cycle bool) *Graph {
+	g := NewGraph(id)
+	perm := rng.Perm(n)
+	key := func(pos int) TaskKey { return TaskKey(fmt.Sprintf("k-%04d", perm[pos])) }
+	density := rng.Uniform(0.02, 0.5)
+	externals := rng.Intn(4)
+	for e := 0; e < externals; e++ {
+		g.AddExternal(TaskKey(fmt.Sprintf("ext-%d", e)))
+	}
+	specs := make([]*TaskSpec, n)
+	for pos := 0; pos < n; pos++ {
+		spec := &TaskSpec{Key: key(pos)}
+		for back := 1; back <= pos && back <= 12; back++ {
+			if rng.Bool(density) {
+				spec.Deps = append(spec.Deps, key(pos-back))
+				if rng.Bool(0.1) {
+					spec.Deps = append(spec.Deps, key(pos-back)) // listed twice
+				}
+			}
+		}
+		if externals > 0 && rng.Bool(0.2) {
+			spec.Deps = append(spec.Deps, TaskKey(fmt.Sprintf("ext-%d", rng.Intn(externals))))
+		}
+		specs[pos] = spec
+	}
+	if missing {
+		s := specs[rng.Intn(n)]
+		s.Deps = append(s.Deps, "ghost")
+	}
+	if cycle {
+		lo := rng.Intn(n)
+		hi := lo + rng.Intn(n-lo)
+		// lo depends on hi, and hi reaches lo through a chain.
+		specs[lo].Deps = append(specs[lo].Deps, key(hi))
+		for pos := lo + 1; pos <= hi; pos++ {
+			specs[pos].Deps = append(specs[pos].Deps, key(pos-1))
+		}
+	}
+	for _, s := range specs {
+		g.Add(s)
+	}
+	return g
+}
+
+// TestFinalizeMatchesSortedMergeReference: on random DAGs the heap frontier
+// yields exactly the order the sorted-merge frontier did, and the same two
+// errors.
+func TestFinalizeMatchesSortedMergeReference(t *testing.T) {
+	rng := sim.NewRNG(20240915)
+	for i := 0; i < 1500; i++ {
+		n := rng.IntBetween(1, 120)
+		missing, cycle := i%10 == 8, i%10 == 9
+		g := scrambledDAG(i, rng, n, missing, cycle)
+		want, wantErr := referenceOrder(g)
+		gotErr := g.Finalize()
+		switch {
+		case missing:
+			if gotErr == nil || !strings.Contains(gotErr.Error(), `missing "ghost"`) || wantErr == nil {
+				t.Fatalf("dag %d: missing dependency: Finalize %v, reference %v", i, gotErr, wantErr)
+			}
+		case cycle:
+			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("dag %d: cycle: Finalize %v, reference %v", i, gotErr, wantErr)
+			}
+		default:
+			if gotErr != nil || wantErr != nil {
+				t.Fatalf("dag %d: Finalize %v, reference %v", i, gotErr, wantErr)
+			}
+			if got := g.Keys(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("dag %d (%d tasks):\n heap order      %v\n reference order %v", i, n, got, want)
+			}
+		}
+	}
+}
+
+// layeredDAG is a wide layered graph, each task depending on fanIn tasks of
+// the layer before: the shape whose frontier stays hundreds of keys wide.
+func layeredDAG(layers, width, fanIn int) *Graph {
+	g := NewGraph(1)
+	for l := 0; l < layers; l++ {
+		for i := 0; i < width; i++ {
+			spec := &TaskSpec{Key: TaskKey(fmt.Sprintf("('layer%02d-%04x', %d)", l, l*7919, i))}
+			for d := 0; l > 0 && d < fanIn; d++ {
+				spec.Deps = append(spec.Deps, TaskKey(fmt.Sprintf("('layer%02d-%04x', %d)", l-1, (l-1)*7919, (i+d*31)%width)))
+			}
+			g.Add(spec)
+		}
+	}
+	return g
+}
+
+// allocatedBytes reports how many heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFinalizeAllocatesLinearly: beyond its tables, Finalize allocates only
+// the frontier heap — a few bytes per task, where re-copying the sorted
+// frontier on every release cost kilobytes per task on this shape.
+func TestFinalizeAllocatesLinearly(t *testing.T) {
+	const n = 10000
+	g := layeredDAG(50, n/50, 3)
+	tables := allocatedBytes(func() { finalizeTables(g) })
+	var err error
+	total := allocatedBytes(func() { err = g.Finalize() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d tasks: Finalize allocated %d B, its tables %d B", n, total, tables)
+	if total > tables+64*n {
+		t.Fatalf("Finalize allocated %d B, %d B beyond its tables; budget %d B", total, total-tables, 64*n)
+	}
+}
+
+// BenchmarkGraphFinalize orders a 20k-task layered graph, as the client does
+// once for every graph it submits.
+func BenchmarkGraphFinalize(b *testing.B) {
+	g := layeredDAG(100, 200, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Finalize(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -170,8 +170,8 @@ func (a *durAvg) mean() sim.Time {
 
 func newScheduler(c *Cluster, node *platform.Node) *Scheduler {
 	s := &Scheduler{
-		c:          c,
-		node:       node,
+		c:           c,
+		node:        node,
 		tasks:       make(map[TaskKey]*schedTask),
 		graphs:      make(map[int]*graphState),
 		prefixDur:   make(map[string]*durAvg),

@@ -1,17 +1,17 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 )
 
 // Event is a scheduled callback. It is returned by the scheduling methods so
-// callers can cancel it before it fires.
+// callers can cancel it before it fires, or move it with Kernel.Reschedule.
 type Event struct {
 	at     Time
 	seq    uint64
 	fn     func()
-	index  int // position in the heap, -1 once removed
+	pos    int // 1-based position in the kernel's heap; 0 while not queued
 	cancel bool
 }
 
@@ -19,39 +19,15 @@ type Event struct {
 func (e *Event) At() Time { return e.at }
 
 // Cancel prevents the event from firing. Cancelling an event that already
-// fired (or was already cancelled) is a no-op.
+// fired (or was already cancelled) is a no-op. The event stays queued until
+// its time comes; Kernel.Unschedule removes one at once.
 func (e *Event) Cancel() { e.cancel = true }
 
-// eventHeap orders events by (time, sequence). The sequence number makes the
+// before orders events by (time, sequence). The sequence number makes the
 // ordering of simultaneous events deterministic: they fire in scheduling
 // order.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // Kernel is a single-threaded discrete-event simulator. All methods must be
@@ -59,11 +35,12 @@ func (h *eventHeap) Pop() any {
 // event callbacks, or before Run).
 type Kernel struct {
 	now     Time
-	heap    eventHeap
+	heap    []*Event // binary min-heap by Event.before
 	seq     uint64
 	stopped bool
 	steps   uint64
 	rng     *RNG
+	procs   []*Proc // started and not yet finished, for Close
 }
 
 // NewKernel returns a kernel at virtual time zero whose root RNG is seeded
@@ -84,15 +61,105 @@ func (k *Kernel) Steps() uint64 { return k.steps }
 // identical state, so each component should derive its stream once.
 func (k *Kernel) RNG(name string) *RNG { return k.rng.Split(name) }
 
-// At schedules fn to run at the absolute virtual time t. Scheduling in the
-// past panics: it indicates a causality bug in the caller.
-func (k *Kernel) At(t Time, fn func()) *Event {
+// up moves the event at heap index i towards the root until its parent fires
+// no later than it.
+func (k *Kernel) up(i int) {
+	h := k.heap
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].pos = i + 1
+		i = parent
+	}
+	h[i] = e
+	e.pos = i + 1
+}
+
+// down moves the event at heap index i towards the leaves until both its
+// children fire no earlier than it.
+func (k *Kernel) down(i int) {
+	h := k.heap
+	e := h[i]
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(e) {
+			break
+		}
+		h[i] = h[child]
+		h[i].pos = i + 1
+		i = child
+	}
+	h[i] = e
+	e.pos = i + 1
+}
+
+// removeAt takes the event at heap index i out of the queue.
+func (k *Kernel) removeAt(i int) {
+	h := k.heap
+	last := len(h) - 1
+	h[i].pos = 0
+	moved := h[last]
+	h[last] = nil
+	k.heap = h[:last]
+	if i == last {
+		return
+	}
+	k.heap[i] = moved
+	k.fix(i)
+}
+
+// fix restores heap order around index i after its event's key changed.
+func (k *Kernel) fix(i int) {
+	e := k.heap[i]
+	k.up(i)
+	if e.pos == i+1 {
+		k.down(i)
+	}
+}
+
+// Reschedule makes e — queued, fired or cancelled — fire at the absolute
+// virtual time t, in place: nothing is allocated and no dead entry stays in
+// the queue. It consumes one sequence number, so among simultaneous events e
+// fires where a freshly scheduled event would. The caller owns e and must
+// not share it with another kernel. Scheduling in the past panics.
+func (k *Kernel) Reschedule(e *Event, t Time) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	e := &Event{at: t, seq: k.seq, fn: fn}
+	e.at, e.seq, e.cancel = t, k.seq, false
 	k.seq++
-	heap.Push(&k.heap, e)
+	if e.pos == 0 {
+		k.heap = append(k.heap, e)
+		k.up(len(k.heap) - 1)
+		return
+	}
+	k.fix(e.pos - 1) // the sequence number grew, but t may be earlier
+}
+
+// Unschedule removes e from the queue so that it does not fire; an event that
+// is not queued is left alone. Unlike Cancel it leaves nothing behind, and e
+// can be armed again with Reschedule.
+func (k *Kernel) Unschedule(e *Event) {
+	if e.pos != 0 {
+		k.removeAt(e.pos - 1)
+	}
+}
+
+// At schedules fn to run at the absolute virtual time t. Scheduling in the
+// past panics: it indicates a causality bug in the caller.
+func (k *Kernel) At(t Time, fn func()) *Event {
+	e := &Event{fn: fn}
+	k.Reschedule(e, t)
 	return e
 }
 
@@ -133,12 +200,16 @@ func (k *Kernel) Every(d Time, fn func()) (stop func()) {
 	return func() { stopped = true }
 }
 
-// Run fires events in timestamp order until no events remain or Stop is
-// called. It returns the final virtual time.
-func (k *Kernel) Run() Time {
+// fire pops and runs events in (time, sequence) order until the next one is
+// after deadline, none remain, or Stop is called.
+func (k *Kernel) fire(deadline Time) {
 	k.stopped = false
 	for len(k.heap) > 0 && !k.stopped {
-		e := heap.Pop(&k.heap).(*Event)
+		e := k.heap[0]
+		if e.at > deadline {
+			break
+		}
+		k.removeAt(0)
 		if e.cancel {
 			continue
 		}
@@ -146,6 +217,12 @@ func (k *Kernel) Run() Time {
 		k.steps++
 		e.fn()
 	}
+}
+
+// Run fires events in timestamp order until no events remain or Stop is
+// called. It returns the final virtual time.
+func (k *Kernel) Run() Time {
+	k.fire(math.MaxInt64)
 	return k.now
 }
 
@@ -153,24 +230,13 @@ func (k *Kernel) Run() Time {
 // events remain, or Stop is called. The clock is advanced to deadline if the
 // simulation ran out of events earlier. It returns the final virtual time.
 func (k *Kernel) RunUntil(deadline Time) Time {
-	k.stopped = false
-	for len(k.heap) > 0 && !k.stopped {
-		if k.heap[0].at > deadline {
-			break
-		}
-		e := heap.Pop(&k.heap).(*Event)
-		if e.cancel {
-			continue
-		}
-		k.now = e.at
-		k.steps++
-		e.fn()
-	}
+	k.fire(deadline)
 	if k.now < deadline {
 		k.now = deadline
 	}
 	return k.now
 }
 
-// Pending reports the number of scheduled (possibly cancelled) events.
+// Pending reports the number of queued events; ones cancelled with
+// Event.Cancel count until their time comes.
 func (k *Kernel) Pending() int { return len(k.heap) }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -215,4 +218,148 @@ func TestKernelEveryNonPositivePeriodPanics(t *testing.T) {
 		}
 	}()
 	NewKernel(1).Every(0, func() {})
+}
+
+// TestKernelOrderProperty drives random programs of At, After, Cancel,
+// Reschedule and Unschedule, interleaved with RunUntil, against a model that
+// knows nothing about heaps: the events that fire in each stretch are the
+// queued, uncancelled ones due by the deadline, in the order a sort by
+// (time, sequence number) gives, where every At, After and Reschedule takes
+// the next sequence number. Steps counts exactly the fired events, and
+// Pending the queued ones — a rescheduled or unscheduled timer leaves no dead
+// entry behind, a cancelled one stays until its time comes.
+func TestKernelOrderProperty(t *testing.T) {
+	type model struct {
+		ev        *Event
+		at        Time
+		seq       uint64
+		queued    bool
+		cancelled bool
+	}
+	for prog := 0; prog < 300; prog++ {
+		rng := rand.New(rand.NewSource(int64(prog)))
+		k := NewKernel(1)
+		var (
+			events []*model
+			seq    uint64
+			fired  []int
+			steps  uint64
+		)
+		// A coarse grid of times makes ties, which only the sequence number
+		// breaks.
+		when := func() Time { return k.Now() + Time(rng.Intn(8))*Millisecond }
+		for phase := 0; phase < 6; phase++ {
+			for op := 0; op < 40; op++ {
+				var m *model
+				if len(events) > 0 {
+					m = events[rng.Intn(len(events))]
+				}
+				switch c := rng.Intn(10); {
+				case c < 4 || m == nil:
+					id := len(events)
+					m = &model{at: when(), seq: seq, queued: true}
+					fn := func() { fired = append(fired, id) }
+					if c%2 == 0 {
+						m.ev = k.At(m.at, fn)
+					} else {
+						m.ev = k.After(m.at-k.Now(), fn)
+					}
+					seq++
+					events = append(events, m)
+				case c < 6:
+					m.ev.Cancel()
+					m.cancelled = m.queued
+				case c < 9:
+					m.at, m.seq, m.queued, m.cancelled = when(), seq, true, false
+					seq++
+					k.Reschedule(m.ev, m.at)
+					if m.ev.At() != m.at {
+						t.Fatalf("program %d: At() = %v after Reschedule to %v", prog, m.ev.At(), m.at)
+					}
+				default:
+					k.Unschedule(m.ev)
+					m.queued = false
+				}
+			}
+			pending := 0
+			for _, m := range events {
+				if m.queued {
+					pending++
+				}
+			}
+			if k.Pending() != pending {
+				t.Fatalf("program %d phase %d: Pending() = %d, %d events are queued", prog, phase, k.Pending(), pending)
+			}
+
+			deadline := k.Now() + Time(rng.Intn(6))*Millisecond
+			last := phase == 5
+			var due []int
+			for id, m := range events {
+				if m.queued && (last || m.at <= deadline) {
+					m.queued = false
+					if !m.cancelled {
+						due = append(due, id)
+					}
+				}
+			}
+			sort.Slice(due, func(i, j int) bool {
+				a, b := events[due[i]], events[due[j]]
+				if a.at != b.at {
+					return a.at < b.at
+				}
+				return a.seq < b.seq
+			})
+			fired = fired[:0]
+			if last {
+				k.Run()
+			} else if end := k.RunUntil(deadline); end != deadline {
+				t.Fatalf("program %d phase %d: RunUntil(%v) = %v", prog, phase, deadline, end)
+			}
+			if !reflect.DeepEqual(append([]int{}, fired...), append([]int{}, due...)) {
+				t.Fatalf("program %d phase %d: fired %v, reference order %v", prog, phase, fired, due)
+			}
+			steps += uint64(len(due))
+			if k.Steps() != steps {
+				t.Fatalf("program %d phase %d: Steps() = %d, %d events fired", prog, phase, k.Steps(), steps)
+			}
+		}
+		if k.Pending() != 0 {
+			t.Fatalf("program %d: %d events pending after Run", prog, k.Pending())
+		}
+	}
+}
+
+// TestKernelRescheduleInThePastPanics: Reschedule checks causality as At does.
+func TestKernelRescheduleInThePastPanics(t *testing.T) {
+	k := NewKernel(1)
+	e := k.At(Seconds(9), func() {})
+	k.RunUntil(Seconds(5))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("rescheduling into the past did not panic")
+		}
+	}()
+	k.Reschedule(e, Seconds(1))
+}
+
+// TestKernelAllocBudget: scheduling costs the Event and nothing else; moving
+// an event costs nothing.
+func TestKernelAllocBudget(t *testing.T) {
+	k := NewKernel(1)
+	fn := func() {}
+	if n := testing.AllocsPerRun(1000, func() {
+		k.At(k.Now()+Microsecond, fn)
+		k.Run()
+	}); n > 1 {
+		t.Errorf("Kernel.At + firing: %v allocs, budget 1", n)
+	}
+	e := k.After(Second, fn)
+	if n := testing.AllocsPerRun(1000, func() {
+		k.Reschedule(e, k.Now()+Microsecond)
+		k.Run()
+		k.Reschedule(e, k.Now()+Second)
+		k.Unschedule(e)
+	}); n != 0 {
+		t.Errorf("Reschedule/Unschedule: %v allocs, budget 0", n)
+	}
 }

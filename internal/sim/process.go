@@ -1,20 +1,36 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version so it may use
+// iter.Pull while go.mod (and bench/e2e, which replaces this module) stays at
+// go 1.22.
+
 package sim
 
-// Proc is a coroutine-style simulation process: a goroutine that runs in
+import "iter"
+
+// Proc is a coroutine-style simulation process: a coroutine that runs in
 // strict alternation with the kernel, so sequential code (sleep, do an async
 // operation, sleep again) can be written in straight-line style while the
 // kernel stays deterministic.
 //
-// Exactly one goroutine — either the kernel or one process — runs at any
-// moment. The kernel resumes a process from an event callback and blocks
-// until the process parks (in Sleep or Await) or returns. All cross-goroutine
-// state is therefore synchronized through the park/resume channel handoffs.
+// Exactly one of them — either the kernel or one process — runs at any
+// moment. The kernel resumes a process from an event callback and does not
+// continue until the process parks (in Sleep or Await) or returns. The switch
+// is iter.Pull's direct goroutine-to-goroutine handoff, which also orders all
+// memory accesses on either side of it.
 type Proc struct {
-	k        *Kernel
-	toProc   chan struct{} // kernel -> process: run
-	toKernel chan struct{} // process -> kernel: parked or finished
-	finished bool
+	k      *Kernel
+	body   func(p *Proc)
+	yield  func(struct{}) bool     // process -> kernel: parked
+	next   func() (struct{}, bool) // kernel -> process: run until parked or finished
+	stop   func()                  // kernel -> process: unwind (Kernel.Close)
+	resume func()                  // resumeFromEvent, bound once
+	wake   Event                   // start, then Sleep's timer: a process sleeps on one at a time
+	slot   int                     // index in k.procs
 }
+
+// procKilled is what park panics with when Kernel.Close unwinds the process.
+type procKilled struct{}
 
 // Kernel returns the kernel this process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -24,29 +40,70 @@ func (p *Proc) Now() Time { return p.k.Now() }
 
 // Go starts fn as a new simulation process at the current virtual time (it
 // begins executing in a zero-delay event). When fn returns the process ends.
+// A panic in fn surfaces from Kernel.Run with its original value.
 func (k *Kernel) Go(fn func(p *Proc)) {
-	p := &Proc{k: k, toProc: make(chan struct{}), toKernel: make(chan struct{})}
-	k.After(0, func() {
-		go func() {
-			fn(p)
-			p.finished = true
-			p.toKernel <- struct{}{}
+	p := &Proc{k: k, body: fn}
+	p.resume = p.resumeFromEvent
+	p.wake.fn = p.resume
+	k.Reschedule(&p.wake, k.now)
+}
+
+// start creates the coroutine, in the process's first event so that a process
+// the kernel never reaches costs no goroutine.
+func (p *Proc) start() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, killed := r.(procKilled); !killed {
+					panic(r)
+				}
+			}
 		}()
-		<-p.toKernel
+		p.body(p)
 	})
+	p.slot = len(p.k.procs)
+	p.k.procs = append(p.k.procs, p)
 }
 
-// park transfers control back to the kernel and blocks until resumed.
+// park transfers control back to the kernel and blocks until resumed. When
+// the kernel is closed instead, it unwinds the process body.
 func (p *Proc) park() {
-	p.toKernel <- struct{}{}
-	<-p.toProc
+	if !p.yield(struct{}{}) {
+		panic(procKilled{})
+	}
 }
 
-// resume is called from kernel event context; it hands control to the
-// process and blocks the kernel until the process parks again or finishes.
+// resumeFromEvent is called from kernel event context; it hands control to
+// the process and holds the kernel until the process parks again or
+// finishes.
 func (p *Proc) resumeFromEvent() {
-	p.toProc <- struct{}{}
-	<-p.toKernel
+	if p.next == nil {
+		p.start()
+	}
+	if _, parked := p.next(); parked {
+		return
+	}
+	k := p.k
+	last := len(k.procs) - 1
+	k.procs[p.slot] = k.procs[last]
+	k.procs[p.slot].slot = p.slot
+	k.procs[last] = nil
+	k.procs = k.procs[:last]
+}
+
+// Close unwinds every process that is still parked — a run that ended in
+// Stop, or with processes waiting on events that never came, leaves them
+// behind — so their goroutines exit and release what they hold. Deferred
+// calls in the process bodies run. Call it after Run has returned; the kernel
+// must not be run again.
+func (k *Kernel) Close() {
+	for len(k.procs) > 0 {
+		p := k.procs[len(k.procs)-1]
+		k.procs = k.procs[:len(k.procs)-1]
+		p.stop()
+	}
+	k.procs = nil
 }
 
 // Sleep suspends the process for d of virtual time.
@@ -54,7 +111,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.After(d, p.resumeFromEvent)
+	p.k.Reschedule(&p.wake, p.k.now+d)
 	p.park()
 }
 
@@ -66,7 +123,7 @@ func (p *Proc) Sleep(d Time) {
 // this repository (SharedServer.Submit, platform transfers, PFS operations)
 // satisfy that contract.
 func (p *Proc) Await(start func(done func())) {
-	start(func() { p.resumeFromEvent() })
+	start(p.resume)
 	p.park()
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -144,5 +146,101 @@ func TestProcNegativeSleepClamped(t *testing.T) {
 	k.Run()
 	if !ok {
 		t.Fatal("negative sleep moved the clock")
+	}
+}
+
+// TestProcPanicSurfacesFromRun: a panic in a process body is not swallowed by
+// the coroutine switch; Run's caller sees the original value.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	k := NewKernel(1)
+	boom := errors.New("boom")
+	k.Go(func(p *Proc) {
+		p.Sleep(Second)
+		panic(boom)
+	})
+	defer func() {
+		if r := recover(); r != boom {
+			t.Fatalf("recovered %v, want the process's panic value", r)
+		}
+		k.Close() // the dead process is nothing to unwind
+	}()
+	k.Run()
+	t.Fatal("Run returned")
+}
+
+// TestKernelCloseUnwindsParkedProcs: processes left parked when the run ends
+// — asleep past a Stop, or awaiting a completion that never comes — are
+// unwound by Close: their deferred calls run (even ones that park again),
+// nothing after the park does, and their goroutines are gone.
+func TestKernelCloseUnwindsParkedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	var deferred, resumed, finished int
+	for i := 0; i < 10; i++ {
+		i := i
+		k.Go(func(p *Proc) {
+			defer func() { deferred++ }()
+			defer p.Sleep(Second) // a cleanup that would block: unwinds too
+			switch {
+			case i < 4:
+				p.Sleep(Seconds(100))
+			case i < 8:
+				p.Await(func(done func()) {}) // never completes
+			default:
+				p.Sleep(Second)
+				finished++
+				return
+			}
+			resumed++
+		})
+	}
+	k.At(Seconds(10), k.Stop)
+	k.Run()
+	if finished != 2 || deferred != 2 {
+		t.Fatalf("before Close: %d finished, %d deferred calls ran", finished, deferred)
+	}
+	if n := runtime.NumGoroutine(); n != before+8 {
+		t.Fatalf("%d goroutines with 8 processes parked, %d before", n, before)
+	}
+	k.Close()
+	k.Close() // idempotent
+	if deferred != 10 || resumed != 0 {
+		t.Fatalf("after Close: %d deferred calls ran (want 10), %d bodies resumed past their park", deferred, resumed)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after Close, %d before", n, before)
+	}
+}
+
+// TestProcAllocBudget: the switch itself allocates nothing, and Sleep re-arms
+// the process's own timer, so a sleeping loop runs malloc-free; Await pays
+// only for what the awaited operation allocates (here the job).
+func TestProcAllocBudget(t *testing.T) {
+	const rounds = 1000
+	run := func(body func(p *Proc)) float64 {
+		k := NewKernel(1)
+		k.Go(func(p *Proc) {
+			for {
+				body(p)
+			}
+		})
+		k.RunUntil(0) // start the process: the coroutine is set up once
+		n := testing.AllocsPerRun(rounds, func() { k.RunUntil(k.Now() + Second) })
+		k.Close()
+		return n
+	}
+	if n := run(func(p *Proc) { p.Sleep(Second) }); n > 2 {
+		t.Errorf("Sleep round trip: %v allocs, budget 2", n)
+	}
+	var s *SharedServer
+	start := func(done func()) { s.Submit(1, done) }
+	n := run(func(p *Proc) {
+		if s == nil {
+			s = NewSharedServer(p.Kernel(), "dev", 1, 0)
+		}
+		p.Await(start)
+	})
+	if n > 2 {
+		t.Errorf("Await(Submit) to completion: %v allocs, budget 2", n)
 	}
 }

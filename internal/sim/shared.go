@@ -20,7 +20,7 @@ type SharedServer struct {
 	// server never iterates a map to find them.
 	jobs       []*SharedJob
 	lastUpdate Time
-	completion *Event
+	completion Event   // the one timer, moved in place as the job set changes
 	busyUnits  float64 // total units served, for utilization accounting
 }
 
@@ -39,7 +39,9 @@ func NewSharedServer(k *Kernel, name string, capacity, perJobCap float64) *Share
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: SharedServer %q capacity must be positive", name))
 	}
-	return &SharedServer{k: k, name: name, capacity: capacity, perJobCap: perJobCap}
+	s := &SharedServer{k: k, name: name, capacity: capacity, perJobCap: perJobCap}
+	s.completion.fn = s.complete
+	return s
 }
 
 // Name returns the server's diagnostic name.
@@ -84,17 +86,14 @@ func (s *SharedServer) advance() {
 	s.lastUpdate = now
 }
 
-// reschedule cancels any pending completion event and schedules one for the
-// job that will finish soonest under the current sharing rate. The ETA is
-// rounded UP to whole nanoseconds (and at least 1ns): rounding down could
-// leave a sub-nanosecond residue of work that can never be served, spinning
-// the kernel on zero-delay events forever.
+// reschedule moves the completion event to when the job that will finish
+// soonest under the current sharing rate does (and takes it out of the queue
+// when no job is left). The ETA is rounded UP to whole nanoseconds (and at
+// least 1ns): rounding down could leave a sub-nanosecond residue of work that
+// can never be served, spinning the kernel on zero-delay events forever.
 func (s *SharedServer) reschedule() {
-	if s.completion != nil {
-		s.completion.Cancel()
-		s.completion = nil
-	}
 	if len(s.jobs) == 0 {
+		s.k.Unschedule(&s.completion)
 		return
 	}
 	r := s.rate()
@@ -108,7 +107,7 @@ func (s *SharedServer) reschedule() {
 	if eta < 1 {
 		eta = 1
 	}
-	s.completion = s.k.After(eta, s.complete)
+	s.k.Reschedule(&s.completion, s.k.now+eta)
 }
 
 // complete fires when the earliest job(s) finish; it retires every job whose

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -206,5 +208,62 @@ func TestSharedServerSameInstantCompletionOrder(t *testing.T) {
 				t.Fatalf("trial %d: completion order %v, want submission order", trial, order)
 			}
 		}
+	}
+}
+
+// TestSharedServerGoldenTrace pins the server's arithmetic and its use of the
+// kernel's sequence numbers: two servers on one kernel under random arrivals
+// (bursts at one instant, zero-size jobs, equal sizes that finish together,
+// callbacks that submit more work) must complete every job at the recorded
+// nanosecond and run the callbacks in the recorded order. The digest was
+// recorded from the implementation that cancelled its completion event and
+// scheduled a fresh one on every change of the job set.
+func TestSharedServerGoldenTrace(t *testing.T) {
+	k := NewKernel(42)
+	rng := k.RNG("golden")
+	servers := []*SharedServer{
+		NewSharedServer(k, "nic", 1e9, 0),
+		NewSharedServer(k, "ost", 3e8, 1e8),
+	}
+	h := fnv.New64a()
+	jobs, next := 0, 0
+	var last Time
+	var submit func(s *SharedServer, units float64, chain int)
+	submit = func(s *SharedServer, units float64, chain int) {
+		id := next
+		next++
+		s.Submit(units, func() {
+			jobs++
+			last = k.Now()
+			fmt.Fprintf(h, "%d@%d;", id, k.Now())
+			if chain > 0 {
+				submit(servers[(id+chain)%2], units/2, chain-1)
+			}
+		})
+	}
+	sizes := []float64{0, 1, 4096, 4096, 1 << 20, 1 << 20, 3.5e6, 1e7, 1e8}
+	for i := 0; i < 300; i++ {
+		at := Time(rng.Intn(200)) * Millisecond // coarse grid: many bursts
+		burst := 1 + rng.Intn(3)
+		for b := 0; b < burst; b++ {
+			s := servers[rng.Intn(2)]
+			units := sizes[rng.Intn(len(sizes))]
+			chain := rng.Intn(3)
+			k.At(at, func() { submit(s, units, chain) })
+		}
+	}
+	k.Run()
+	got := fmt.Sprintf("%d jobs, last at %d, digest %016x", jobs, last, h.Sum64())
+	const want = "1159 jobs, last at 17952237392, digest 63cf783ad1ea1f6a"
+	if got != want {
+		t.Fatalf("trace = %s\n want   %s", got, want)
+	}
+	for _, s := range servers {
+		if s.Active() != 0 {
+			t.Fatalf("%s still has %d jobs", s.Name(), s.Active())
+		}
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("%d events left in the queue", k.Pending())
 	}
 }

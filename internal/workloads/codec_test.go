@@ -3,9 +3,12 @@ package workloads
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"taskprov/internal/core"
@@ -96,6 +99,21 @@ func TestCodecOnSeededRuns(t *testing.T) {
 				t.Fatalf("%s: %s.jsonl differs from the decode-and-marshal rendering (%d vs %d bytes)", name, topic, len(got), len(want))
 			}
 		}
+		// ... and the worker logs, rendered from one pass over the topics,
+		// must be what a pass per worker used to write.
+		workers, err := art.WorkerAddrs()
+		if err != nil || len(workers) == 0 {
+			t.Fatalf("%s: workers %v, %v", name, workers, err)
+		}
+		for i, w := range workers {
+			got, err := os.ReadFile(filepath.Join(dir, "logs", fmt.Sprintf("worker-%04d.log", i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := legacyWorkerLog(t, art, w); string(got) != want {
+				t.Fatalf("%s: worker-%04d.log differs from the per-worker rendering:\n%s\nwant:\n%s", name, i, got, want)
+			}
+		}
 	}
 }
 
@@ -125,4 +143,52 @@ func legacyTopicJSONL(t *testing.T, b *mofka.Broker, topic string) []byte {
 		out.WriteByte('\n')
 	}
 	return out.Bytes()
+}
+
+// legacyWorkerLog is core.RenderWorkerLog as it was when every worker's log
+// drained the warnings and executions topics for itself.
+func legacyWorkerLog(t *testing.T, art *core.RunArtifacts, worker string) string {
+	t.Helper()
+	type line struct {
+		at   float64
+		text string
+	}
+	var lines []line
+	warns, err := provenance.Drain(art.Broker, core.TopicWarnings, provenance.DecodeWarning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range warns {
+		if w.Worker != worker {
+			continue
+		}
+		switch w.Kind {
+		case "unresponsive_event_loop":
+			lines = append(lines, line{w.At.Seconds(), fmt.Sprintf(
+				"WARN  - Event loop was unresponsive in Worker for %.2fs. This is often caused by long-running GIL-holding functions", w.Duration.Seconds())})
+		case "gc_collection":
+			lines = append(lines, line{w.At.Seconds(), fmt.Sprintf(
+				"WARN  - full garbage collection took %.0f ms", 1000*w.Duration.Seconds())})
+		default:
+			lines = append(lines, line{w.At.Seconds(), "WARN  - " + w.Message})
+		}
+	}
+	execs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range execs {
+		if e.Worker == worker {
+			n++
+		}
+	}
+	lines = append(lines, line{0, fmt.Sprintf("INFO  - Start worker at %s", worker)})
+	sort.SliceStable(lines, func(i, j int) bool { return lines[i].at < lines[j].at })
+	var sb strings.Builder
+	for _, l := range lines {
+		fmt.Fprintf(&sb, "%12.6f %s\n", l.at, l.text)
+	}
+	fmt.Fprintf(&sb, "%12s INFO  - Worker executed %d tasks\n", "---", n)
+	return sb.String()
 }
