@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test tier1 race bench bench-cluster bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume fuzz whatif speculate verify
+.PHONY: build vet lint test tier1 race bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume fuzz whatif speculate verify
 
 build:
 	$(GO) build ./...
@@ -35,13 +35,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Cluster replication overhead, recorded as JSON for tracking across
-# changes (BENCH_cluster.json is checked in; regenerate after perf work).
-bench-cluster:
-	$(GO) test -run '^$$' -bench 'PushBatch' -benchmem ./internal/mofka/cluster/ \
-		| $(GO) run ./tools/benchjson > BENCH_cluster.json
-	cat BENCH_cluster.json
 
 # Pass-by-reference data plane: scheduler control-path bytes for a 16x64MB
 # gather, direct relay vs proxy refs (BENCH_proxystore.json is checked in;

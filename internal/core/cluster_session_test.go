@@ -65,9 +65,6 @@ func TestClusterSessionBasic(t *testing.T) {
 	if art.Broker == nil {
 		t.Fatal("no merged read view")
 	}
-	if art.Collector.Broker() != nil {
-		t.Fatal("cluster collector must not expose a standalone broker")
-	}
 	tasks, err := art.DistinctTasks()
 	if err != nil || tasks != 2*16+1 {
 		t.Fatalf("tasks = %d, %v", tasks, err)

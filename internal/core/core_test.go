@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"taskprov/internal/darshan"
 	"taskprov/internal/dask"
@@ -496,7 +499,8 @@ var onlineTracers []*OnlineIOTracer
 // broker's append costs at most two allocations, amortised over its batch.
 // Before the typed codec it cost about thirty-six.
 func TestCollectorAllocationBudget(t *testing.T) {
-	c, err := NewCollector(mofka.NewStandaloneBroker(), mofka.ProducerOptions{BatchSize: 64})
+	broker := mofka.NewStandaloneBroker()
+	c, err := NewCollector(broker.Bus(), mofka.ProducerOptions{BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,8 +518,56 @@ func TestCollectorAllocationBudget(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := provenance.Drain(c.Broker(), TopicTransitions, provenance.DecodeTransition)
+	got, err := provenance.Drain(broker, TopicTransitions, provenance.DecodeTransition)
 	if err != nil || len(got) != 1024+64*64+1 || got[len(got)-1] != tr {
 		t.Fatalf("drained %d transitions (%v), last %+v", len(got), err, got[len(got)-1])
+	}
+}
+
+// TestCollectorReportsDroppedEvents: provenance lost to the bounded backlog
+// during a producer's degraded episode is counted on the warning that closes
+// the episode; an episode that dropped nothing keeps the plain message.
+func TestCollectorReportsDroppedEvents(t *testing.T) {
+	broker := mofka.NewStandaloneBroker()
+	c, err := NewCollector(broker.Bus(), mofka.ProducerOptions{
+		BatchSize: 1, FlushRetries: 1, RetryBackoff: time.Microsecond, MaxPendingBatches: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plugin := c.SchedulerPlugin()
+	episode := func(events int) {
+		broker.SetAppendFault(func(topic string, _ int) error {
+			if topic == TopicTransitions {
+				return errors.New("disk on fire")
+			}
+			return nil
+		})
+		for i := 0; i < events; i++ {
+			plugin.SchedulerTransition(dask.Transition{Key: "k", From: dask.StateWaiting, To: dask.StateProcessing})
+		}
+		broker.SetAppendFault(nil)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	episode(8) // 4 per partition: 2 stay queued, 2 are dropped
+	episode(2) // 1 per partition: fits the backlog
+	warns, err := provenance.Drain(broker, TopicWarnings, provenance.DecodeWarning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recovered []string
+	for _, w := range warns {
+		if w.Kind == dask.WarnProducerDegraded && strings.Contains(w.Message, "recovered") {
+			recovered = append(recovered, w.Message)
+		}
+	}
+	want := []string{
+		"producer for topic task-transitions recovered after 0.000000s; dropped=4",
+		"producer for topic task-transitions recovered after 0.000000s",
+	}
+	if !slices.Equal(recovered, want) {
+		t.Fatalf("recovery warnings = %q, want %q", recovered, want)
 	}
 }

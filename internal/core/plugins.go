@@ -19,8 +19,7 @@ import (
 // to plugins that only serialize and enqueue; batching and persistence
 // happen inside Mofka.
 type Collector struct {
-	broker    *mofka.Broker // nil when publishing through a cluster Bus
-	producers map[string]mofka.Pusher
+	producers map[string]*mofka.Producer
 
 	// Counters for quick sanity checks and overhead ablations.
 	events map[string]int64
@@ -36,37 +35,26 @@ type Collector struct {
 	// degradedSince tracks, per topic, when its producer entered degraded
 	// mode. The collector runs on the simulation goroutine, so no lock.
 	degradedSince map[string]sim.Time
+	// droppedReported is, per topic, how many of its producer's dropped
+	// events earlier recovery warnings already accounted for.
+	droppedReported map[string]uint64
 }
 
 // NewCollector creates the topics (2 partitions each, as a small Mofka
-// deployment would) and producers on the given broker. Producers report
+// deployment would) and producers on the given bus — a standalone broker or
+// a sharded, replicated cluster (internal/mofka/cluster). Producers report
 // degraded episodes (broker unreachable, events buffering) back through the
 // collector, which records them on the warnings topic as
 // producer_degraded events.
-func NewCollector(broker *mofka.Broker, opts mofka.ProducerOptions) (*Collector, error) {
-	c, err := NewCollectorBus(broker.Bus(), 2, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.broker = broker
-	return c, nil
-}
-
-// NewCollectorBus is NewCollector against any Mofka deployment reachable
-// through the Bus interface — a standalone broker or a sharded, replicated
-// cluster (internal/mofka/cluster). partitions sets the per-topic partition
-// count (<=0 means 2).
-func NewCollectorBus(bus mofka.Bus, partitions int, opts mofka.ProducerOptions) (*Collector, error) {
-	if partitions <= 0 {
-		partitions = 2
-	}
+func NewCollector(bus mofka.Bus, opts mofka.ProducerOptions) (*Collector, error) {
 	c := &Collector{
-		producers:     make(map[string]mofka.Pusher),
-		events:        make(map[string]int64),
-		degradedSince: make(map[string]sim.Time),
+		producers:       make(map[string]*mofka.Producer),
+		events:          make(map[string]int64),
+		degradedSince:   make(map[string]sim.Time),
+		droppedReported: make(map[string]uint64),
 	}
 	for _, name := range AllTopics() {
-		t, err := bus.EnsureTopic(mofka.TopicConfig{Name: name, Partitions: partitions})
+		t, err := bus.EnsureTopic(mofka.TopicConfig{Name: name, Partitions: 2})
 		if err != nil {
 			return nil, fmt.Errorf("core: create topic %s: %w", name, err)
 		}
@@ -90,13 +78,10 @@ func (c *Collector) now() sim.Time {
 	return c.clock()
 }
 
-// Broker returns the broker the collector publishes to, or nil when the
-// collector targets a cluster Bus (read the cluster's ReadView instead).
-func (c *Collector) Broker() *mofka.Broker { return c.broker }
-
 // producerDegraded and producerRecovered are the producer resilience hooks:
 // both episodes land on the warnings topic, so a degraded provenance
-// pipeline documents its own gap. The warnings producer buffers too, so
+// pipeline documents its own gap — including how many events the bounded
+// backlog had to drop during it. The warnings producer buffers too, so
 // these events survive even when the broker is the thing that failed.
 func (c *Collector) producerDegraded(topic string, err error) {
 	at := c.now()
@@ -114,10 +99,15 @@ func (c *Collector) producerRecovered(topic string) {
 		since = at
 	}
 	delete(c.degradedSince, topic)
+	msg := fmt.Sprintf("producer for topic %s recovered after %v", topic, at-since)
+	total := c.producers[topic].Dropped()
+	if n := total - c.droppedReported[topic]; n > 0 {
+		msg += fmt.Sprintf("; dropped=%d", n)
+		c.droppedReported[topic] = total
+	}
 	c.pushWarning(dask.Warning{
 		Kind: dask.WarnProducerDegraded, Worker: "collector/" + topic, At: at,
-		Duration: at - since,
-		Message:  fmt.Sprintf("producer for topic %s recovered after %v", topic, at-since),
+		Duration: at - since, Message: msg,
 	})
 }
 

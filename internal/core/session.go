@@ -310,8 +310,11 @@ type Session struct {
 	px      *posixio.FS
 	cluster *dask.Cluster
 
-	broker    *mofka.Broker
-	ownBroker bool
+	// bus is the event log the run publishes through, whichever deployment
+	// it is; clu is the same cluster again, non-nil only for a sharded run,
+	// for the steps no standalone broker has. ownBus says Close closes it.
+	bus       mofka.Bus
+	ownBus    bool
 	clu       *mcluster.Cluster
 	collector *Collector
 	runtimes  []*darshan.Runtime
@@ -404,61 +407,10 @@ func NewSession(cfg SessionConfig, wf Workflow, broker *mofka.Broker) (*Session,
 		s.cluster.SetSpeculationAdvisor(live.NewStragglerDetector(cfg.LiveOptions.Aggregator.Anomaly))
 	}
 
-	// Sharded, replicated deployment: the provenance stream targets a
-	// multi-broker Mofka cluster instead of one broker. Health events are
-	// timestamped with virtual time so the failover timeline lines up with
-	// the rest of the provenance stream.
-	if cfg.ClusterBrokers > 0 {
-		ccfg := mcluster.Config{
-			Brokers:           cfg.ClusterBrokers,
-			ReplicationFactor: cfg.ClusterReplication,
-			Quorum:            cfg.ClusterQuorum,
-			NowSeconds:        func() float64 { return s.k.Now().Seconds() },
-		}
-		if cfg.MofkaDataDir != "" {
-			if s.resumeState == nil && (mcluster.IsClusterDir(cfg.MofkaDataDir) || mofka.IsDataDir(cfg.MofkaDataDir)) {
-				return nil, fmt.Errorf("core: data dir %s already holds an event log (one directory per run; use ResumeFrom to continue it)", cfg.MofkaDataDir)
-			}
-			pol, err := wal.ParseSyncPolicy(cfg.MofkaSyncPolicy)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			ccfg.DataDir = cfg.MofkaDataDir
-			ccfg.WAL = wal.Options{Sync: pol}
-		}
-		var err error
-		s.clu, err = mcluster.New(ccfg)
-		if err != nil {
-			return nil, err
-		}
+	if err := s.openBus(broker); err != nil {
+		_ = s.Close()
+		return nil, err
 	}
-
-	if broker == nil && s.clu == nil {
-		if cfg.MofkaDataDir != "" {
-			// Each run gets a fresh event log: appending a second run to an
-			// existing log would silently merge both runs' provenance. A
-			// resumed session is the sanctioned exception — it continues the
-			// same run, and the durable broker recovers the log appendable.
-			if s.resumeState == nil && mofka.IsDataDir(cfg.MofkaDataDir) {
-				return nil, fmt.Errorf("core: data dir %s already holds an event log (one directory per run; use ResumeFrom to continue it)", cfg.MofkaDataDir)
-			}
-			pol, err := wal.ParseSyncPolicy(cfg.MofkaSyncPolicy)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			broker, err = mofka.NewDurableBroker(mofka.Options{
-				DataDir: cfg.MofkaDataDir,
-				WAL:     wal.Options{Sync: pol},
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			broker = mofka.NewStandaloneBroker()
-		}
-		s.ownBroker = true
-	}
-	s.broker = broker
 
 	if !cfg.DisableCollection {
 		var err error
@@ -469,11 +421,7 @@ func NewSession(cfg SessionConfig, wf Workflow, broker *mofka.Broker) (*Session,
 			FlushRetries: 2,
 			RetryBackoff: time.Millisecond,
 		}
-		if s.clu != nil {
-			s.collector, err = NewCollectorBus(s.clu.Bus(), 2, popts)
-		} else {
-			s.collector, err = NewCollector(broker, popts)
-		}
+		s.collector, err = NewCollector(s.bus, popts)
 		if err != nil {
 			_ = s.Close()
 			return nil, err
@@ -522,14 +470,11 @@ func NewSession(cfg SessionConfig, wf Workflow, broker *mofka.Broker) (*Session,
 				_ = s.Close()
 				return nil, fmt.Errorf("core: %w", err)
 			}
-			ctl.ArmBroker(s.clu)
-		} else {
-			if len(plan.Brokers) > 0 {
-				_ = s.Close()
-				return nil, fmt.Errorf("core: chaos broker directive requires ClusterBrokers > 0")
-			}
-			ctl.ArmBroker(broker)
+		} else if len(plan.Brokers) > 0 {
+			_ = s.Close()
+			return nil, fmt.Errorf("core: chaos broker directive requires ClusterBrokers > 0")
 		}
+		ctl.ArmBroker(s.bus)
 		ctl.ArmSchedulerFaults(s.k, s.crash)
 		if kills := ctl.TaskTriggeredSchedulerKills(); len(kills) > 0 {
 			byKey := make(map[string]chaos.SchedulerKill, len(kills))
@@ -543,13 +488,17 @@ func NewSession(cfg SessionConfig, wf Workflow, broker *mofka.Broker) (*Session,
 	// Live monitoring: attach the streaming aggregator to the broker before
 	// the run starts, so it consumes the provenance topics while the
 	// workflow executes. Its final aggregates equal the post-mortem
-	// PERFRECUP views (the equivalence invariant, see internal/live).
+	// PERFRECUP views (the equivalence invariant, see internal/live). Only a
+	// standalone broker's read view is live (it is the broker); a cluster run
+	// attaches in Execute, to the merged view of the finished run.
 	if cfg.LiveMonitor && s.clu == nil {
-		s.monitor = live.NewMonitor(broker, cfg.LiveOptions)
-		slots := cfg.Platform.Nodes * cfg.Dask.WorkersPerNode * cfg.Dask.ThreadsPerWorker
-		s.monitor.Aggregator().SetMeta(wf.Name(), cfg.Seed, slots)
+		view, err := s.bus.ReadView()
+		if err != nil {
+			_ = s.Close()
+			return nil, err
+		}
+		s.attachMonitor(view)
 		if cfg.LiveHTTPAddr != "" {
-			var err error
 			s.liveSrv, err = live.Serve(cfg.LiveHTTPAddr, s.monitor)
 			if err != nil {
 				_ = s.Close()
@@ -558,6 +507,68 @@ func NewSession(cfg SessionConfig, wf Workflow, broker *mofka.Broker) (*Session,
 		}
 	}
 	return s, nil
+}
+
+// openBus is the build stage for the event log the provenance stream
+// publishes through: the caller's broker when one was supplied (shared with
+// in-situ consumers, and not the session's to close), otherwise a sharded,
+// replicated cluster (ClusterBrokers > 0) or a single broker, either one
+// durable when MofkaDataDir is set.
+func (s *Session) openBus(external *mofka.Broker) error {
+	cfg := s.cfg
+	if external != nil {
+		s.bus = external.Bus()
+		return nil
+	}
+	var opts mofka.Options
+	if cfg.MofkaDataDir != "" {
+		// Each run gets a fresh event log: appending a second run to an
+		// existing log would silently merge both runs' provenance. A resumed
+		// session is the sanctioned exception — it continues the same run,
+		// and the durable brokers recover the log appendable.
+		if s.resumeState == nil && (mcluster.IsClusterDir(cfg.MofkaDataDir) || mofka.IsDataDir(cfg.MofkaDataDir)) {
+			return fmt.Errorf("core: data dir %s already holds an event log (one directory per run; use ResumeFrom to continue it)", cfg.MofkaDataDir)
+		}
+		pol, err := wal.ParseSyncPolicy(cfg.MofkaSyncPolicy)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		opts = mofka.Options{DataDir: cfg.MofkaDataDir, WAL: wal.Options{Sync: pol}}
+	}
+	if cfg.ClusterBrokers > 0 {
+		// Health events are timestamped with virtual time so the failover
+		// timeline lines up with the rest of the provenance stream.
+		clu, err := mcluster.New(mcluster.Config{
+			Brokers:           cfg.ClusterBrokers,
+			ReplicationFactor: cfg.ClusterReplication,
+			Quorum:            cfg.ClusterQuorum,
+			NowSeconds:        func() float64 { return s.k.Now().Seconds() },
+			DataDir:           opts.DataDir,
+			WAL:               opts.WAL,
+		})
+		if err != nil {
+			return err
+		}
+		s.clu, s.bus, s.ownBus = clu, clu.Bus(), true
+		return nil
+	}
+	broker := mofka.NewStandaloneBroker()
+	if opts.DataDir != "" {
+		var err error
+		if broker, err = mofka.NewDurableBroker(opts); err != nil {
+			return err
+		}
+	}
+	s.bus, s.ownBus = broker.Bus(), true
+	return nil
+}
+
+// attachMonitor starts the live monitor on the broker.
+func (s *Session) attachMonitor(b *mofka.Broker) {
+	cfg := s.cfg
+	s.monitor = live.NewMonitor(b, cfg.LiveOptions)
+	slots := cfg.Platform.Nodes * cfg.Dask.WorkersPerNode * cfg.Dask.ThreadsPerWorker
+	s.monitor.Aggregator().SetMeta(s.wf.Name(), cfg.Seed, slots)
 }
 
 // crash is the coordinator-kill hook: the chaos "scheduler" directive calls
@@ -689,19 +700,18 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 		s.cluster.ReleaseResumeOrphans()
 	}
 
-	art := &RunArtifacts{Broker: s.broker, Collector: s.collector, Cluster: s.clu, WallTime: end - start}
+	art := &RunArtifacts{Collector: s.collector, Cluster: s.clu, WallTime: end - start}
 	if s.collector != nil {
 		if err := s.collector.Flush(); err != nil {
 			return nil, err
 		}
-	}
-	if s.clu != nil {
-		// The cluster-health lane: every replication/failover event (broker
-		// dead, leader elected, catch-up, under-replication, rebalance) is
-		// recorded on the warnings topic so perfrecup and live render the
-		// failover timeline from the provenance stream itself. Drained after
-		// the final flush so the append-time events are all present.
-		if s.collector != nil {
+		if s.clu != nil {
+			// The cluster-health lane: every replication/failover event
+			// (broker dead, leader elected, catch-up, under-replication,
+			// rebalance) is recorded on the warnings topic so perfrecup and
+			// live render the failover timeline from the provenance stream
+			// itself. Drained after the final flush so the append-time events
+			// are all present.
 			for _, ev := range s.clu.Events() {
 				s.collector.pushWarning(clusterWarning(ev))
 			}
@@ -709,25 +719,22 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 				return nil, err
 			}
 		}
-		// All analyses read the merged view: acknowledged prefixes of every
-		// partition plus max-merged consumer cursors, materialized as a
-		// standalone in-memory broker.
-		view, err := s.clu.ReadView()
-		if err != nil {
-			return nil, fmt.Errorf("core: cluster read view: %w", err)
-		}
-		art.Broker = view
+	}
+	// All analyses read the bus's view: the broker itself, or for a cluster
+	// the acknowledged prefixes of every partition plus max-merged consumer
+	// cursors, materialized as a standalone in-memory broker.
+	var err error
+	if art.Broker, err = s.bus.ReadView(); err != nil {
+		return nil, fmt.Errorf("core: read view: %w", err)
 	}
 	for _, rt := range s.runtimes {
 		art.DarshanLogs = append(art.DarshanLogs, rt.Snapshot())
 	}
-	if cfg.LiveMonitor && s.clu != nil {
-		// Cluster runs attach the monitor to the merged read view once the
-		// acknowledged prefixes are final; the Summary still satisfies the
-		// live/post-mortem equivalence invariant.
-		s.monitor = live.NewMonitor(art.Broker, cfg.LiveOptions)
-		slots := cfg.Platform.Nodes * cfg.Dask.WorkersPerNode * cfg.Dask.ThreadsPerWorker
-		s.monitor.Aggregator().SetMeta(wf.Name(), cfg.Seed, slots)
+	if cfg.LiveMonitor && s.monitor == nil {
+		// Not attached before the run — a cluster: attach to the merged read
+		// view now that the acknowledged prefixes are final; the Summary
+		// still satisfies the live/post-mortem equivalence invariant.
+		s.attachMonitor(art.Broker)
 	}
 	if s.monitor != nil {
 		sum := s.monitor.Finish(art.DarshanLogs, (end - start).Seconds())
@@ -758,11 +765,7 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 		// Make the data directory self-describing: with metadata.json next
 		// to topics/ (or cluster.json), perfrecup can analyze the event log
 		// post-mortem without the JSONL run directory.
-		if s.clu != nil {
-			if err := s.clu.Sync(); err != nil {
-				return nil, err
-			}
-		} else if err := s.broker.Sync(); err != nil {
+		if err := s.bus.Sync(); err != nil {
 			return nil, err
 		}
 		if s.frontier != nil {
@@ -867,14 +870,8 @@ func (s *Session) Close() error {
 		s.stopCheckpoint()
 		s.stopCheckpoint = nil
 	}
-	if s.clu != nil {
-		if err := s.clu.Close(); err != nil {
-			errs = append(errs, err)
-		}
-		s.clu = nil
-	}
-	if s.ownBroker && s.broker != nil {
-		if err := s.broker.Close(); err != nil {
+	if s.ownBus {
+		if err := s.bus.Close(); err != nil {
 			errs = append(errs, err)
 		}
 	}

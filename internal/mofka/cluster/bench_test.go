@@ -10,9 +10,9 @@ import (
 // The cluster benchmarks quantify the price of quorum replication relative
 // to a standalone broker on the identical workload: one producer pushing
 // pre-encoded provenance-sized events (a ~200-byte metadata document plus a
-// 64-byte payload) in batches of 128 across 4 partitions.
-//
-//	make bench-cluster    # runs both and records BENCH_cluster.json
+// 64-byte payload) in batches of 128 across 4 partitions. They are for
+// measuring while working on the replication path; the figures the docs
+// quote are bench/e2e's cluster.push_rf{1,2,3}_ns_per_event.
 
 var benchMeta = []byte(`{"task":"process_image","worker":3,"hostname":"nid00123","submitted":12.5,"started":13.1,"finished":14.9,"status":"done","nbytes":1048576,"deps":["t-000120","t-000121"]}`)
 

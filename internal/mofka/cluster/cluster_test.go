@@ -19,7 +19,7 @@ func newTestCluster(t *testing.T, brokers, rf int) *Cluster {
 	return c
 }
 
-func pushN(t *testing.T, ct *ClusterTopic, n int, opts mofka.ProducerOptions) *Producer {
+func pushN(t *testing.T, ct *ClusterTopic, n int, opts mofka.ProducerOptions) *mofka.Producer {
 	t.Helper()
 	p := ct.NewProducer(opts)
 	for i := 0; i < n; i++ {

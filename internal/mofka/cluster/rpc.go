@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -127,27 +126,16 @@ func (c *Cluster) RegisterRPCs(ep *mercury.Endpoint) {
 		for i, m := range pr.Metas {
 			metas[i] = m
 		}
-		epoch := pr.Epoch
-		epochless := epoch == 0
-		if epochless {
-			// Epoch-less clients (plain mofka.Remote) always take the current
-			// route; their retries are not idempotent, which matches the
-			// single-broker contract they were written against.
-			cur, err := c.Epoch(pr.Topic, pr.Partition)
-			if err != nil {
-				return nil, err
-			}
-			epoch = cur
+		// Epoch-less clients (plain mofka.Remote) always take the current
+		// route — epoch 0 is never current, so the first try only learns it —
+		// and have no fence-retry semantics of their own, so an election that
+		// lands mid-push is absorbed here. Their retries are not idempotent,
+		// which matches the single-broker contract they were written against.
+		appendBatch := c.Append
+		if pr.Epoch == 0 {
+			appendBatch = c.appendRefreshing
 		}
-		cur, err := c.Append(pr.Topic, pr.Partition, pr.Producer, pr.Seq, epoch, metas, pr.Datas)
-		// An election can land between the epoch read above and the append.
-		// Epoch-less clients have no fence-retry semantics, so absorb the
-		// transient here: Append returns the current epoch alongside
-		// ErrFenced, which is exactly the refreshed route to retry with.
-		for retries := 0; epochless && errors.Is(err, ErrFenced) && retries < 5; retries++ {
-			epoch = cur
-			cur, err = c.Append(pr.Topic, pr.Partition, pr.Producer, pr.Seq, epoch, metas, pr.Datas)
-		}
+		cur, err := appendBatch(pr.Topic, pr.Partition, pr.Producer, pr.Seq, pr.Epoch, metas, pr.Datas)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package mofka
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -78,135 +77,6 @@ func TestProduceConsumeRoundTrip(t *testing.T) {
 		if string(ev.Data) != fmt.Sprintf("payload-%d", i) {
 			t.Fatalf("event %d data = %q", i, ev.Data)
 		}
-	}
-}
-
-func TestEventsInvisibleUntilFlush(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	p := tp.NewProducer(ProducerOptions{BatchSize: 100})
-	p.Push(Metadata{"x": 1}, nil)
-	c, _ := tp.NewConsumer(ConsumerOptions{})
-	if _, ok, _ := c.Pull(); ok {
-		t.Fatal("unflushed event visible")
-	}
-	p.Flush()
-	if _, ok, _ := c.Pull(); !ok {
-		t.Fatal("flushed event invisible")
-	}
-}
-
-func TestBatchSizeTriggersAutoFlush(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	p := tp.NewProducer(ProducerOptions{BatchSize: 5})
-	for i := 0; i < 5; i++ {
-		p.Push(Metadata{"i": i}, nil)
-	}
-	if n := tp.Events(); n != 5 {
-		t.Fatalf("events after size trigger = %d, want 5", n)
-	}
-	_, flushes := p.Stats()
-	if flushes != 1 {
-		t.Fatalf("flushes = %d", flushes)
-	}
-}
-
-func TestMaxBatchBytesTriggersAutoFlush(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	p := tp.NewProducer(ProducerOptions{BatchSize: 1000, MaxBatchBytes: 100})
-	p.Push(Metadata{}, make([]byte, 150))
-	if n := tp.Events(); n != 1 {
-		t.Fatalf("events after byte trigger = %d", n)
-	}
-}
-
-func TestRoundRobinPartitioning(t *testing.T) {
-	_, tp := newTopic(t, "t", 4)
-	p := tp.NewProducer(ProducerOptions{BatchSize: 1})
-	for i := 0; i < 8; i++ {
-		p.Push(Metadata{"i": i}, nil)
-	}
-	for i := 0; i < 4; i++ {
-		part, _ := tp.Partition(i)
-		if part.Length() != 2 {
-			t.Fatalf("partition %d length = %d, want 2", i, part.Length())
-		}
-	}
-}
-
-func TestCustomPartitioner(t *testing.T) {
-	_, tp := newTopic(t, "t", 2)
-	p := tp.NewProducer(ProducerOptions{
-		BatchSize:   1,
-		Partitioner: func(meta []byte, n int) int { return len(meta) % n },
-	})
-	p.Push(Metadata{"a": 1}, nil)
-	p.Flush()
-	total := tp.Events()
-	if total != 1 {
-		t.Fatalf("events = %d", total)
-	}
-}
-
-func TestBadPartitionerRejected(t *testing.T) {
-	_, tp := newTopic(t, "t", 2)
-	p := tp.NewProducer(ProducerOptions{Partitioner: func([]byte, int) int { return 7 }})
-	if err := p.Push(Metadata{}, nil); !errors.Is(err, ErrNoPartition) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestValidatorRejectsBadMetadata(t *testing.T) {
-	b := NewStandaloneBroker()
-	tp, err := b.CreateTopic(TopicConfig{
-		Name: "validated",
-		Validator: func(meta []byte) error {
-			if len(meta) < 5 {
-				return errors.New("too small")
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := tp.NewProducer(ProducerOptions{})
-	if err := p.PushRaw([]byte(`{}`), nil); !errors.Is(err, ErrInvalidEvent) {
-		t.Fatalf("validator not applied: %v", err)
-	}
-	if err := p.PushRaw([]byte(`{"ok":1}`), nil); err != nil {
-		t.Fatalf("valid event rejected: %v", err)
-	}
-}
-
-func TestPushAfterCloseFails(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	p := tp.NewProducer(ProducerOptions{})
-	p.Push(Metadata{"i": 1}, nil)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := tp.Events(); n != 1 {
-		t.Fatalf("Close did not flush: events = %d", n)
-	}
-	if err := p.Push(Metadata{"i": 2}, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("push after close: %v", err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatalf("double close: %v", err)
-	}
-}
-
-func TestBackgroundFlusher(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	p := tp.NewProducer(ProducerOptions{BatchSize: 1000, FlushInterval: 5 * time.Millisecond})
-	defer p.Close()
-	p.Push(Metadata{"x": 1}, nil)
-	deadline := time.Now().Add(2 * time.Second)
-	for tp.Events() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background flusher never shipped the event")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -347,59 +217,6 @@ func TestPullBlockingTimesOut(t *testing.T) {
 	}
 	if time.Since(start) < 25*time.Millisecond {
 		t.Fatal("returned before timeout")
-	}
-}
-
-func TestConcurrentProducers(t *testing.T) {
-	_, tp := newTopic(t, "t", 4)
-	p := tp.NewProducer(ProducerOptions{BatchSize: 16})
-	var wg sync.WaitGroup
-	const goroutines, per = 8, 250
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if err := p.Push(Metadata{"g": g, "i": i}, []byte{byte(i)}); err != nil {
-					t.Errorf("push: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	p.Flush()
-	if n := tp.Events(); n != goroutines*per {
-		t.Fatalf("events = %d, want %d", n, goroutines*per)
-	}
-	c, _ := tp.NewConsumer(ConsumerOptions{})
-	evs, err := c.Drain()
-	if err != nil || len(evs) != goroutines*per {
-		t.Fatalf("drained %d, err %v", len(evs), err)
-	}
-}
-
-func TestPerPartitionOrderingPreserved(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	p := tp.NewProducer(ProducerOptions{BatchSize: 7})
-	const n = 100
-	for i := 0; i < n; i++ {
-		p.Push(Metadata{"seq": i}, nil)
-	}
-	p.Flush()
-	c, _ := tp.NewConsumer(ConsumerOptions{})
-	evs, _ := c.Drain()
-	if len(evs) != n {
-		t.Fatalf("got %d events", len(evs))
-	}
-	for i, ev := range evs {
-		m, _ := ev.ParseMetadata()
-		if int(m["seq"].(float64)) != i {
-			t.Fatalf("event %d has seq %v: ordering broken", i, m["seq"])
-		}
-		if ev.ID != uint64(i) {
-			t.Fatalf("event %d has ID %d", i, ev.ID)
-		}
 	}
 }
 

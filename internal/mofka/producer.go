@@ -63,16 +63,29 @@ func (o *ProducerOptions) setDefaults() {
 	}
 }
 
-// Producer pushes events into a topic with batching. Safe for concurrent
-// use.
+// BatchSink lands one sealed batch on its partition: the one decision that
+// differs between deployments. A standalone topic appends to the partition;
+// a cluster topic (internal/mofka/cluster) runs a quorum append, with seq —
+// the batch's per-partition sequence number, from 1, fixed when it was
+// sealed — making a retry idempotent. The producer calls it once per attempt
+// on a batch, never per event, and never concurrently; metas and datas are
+// only valid during the call.
+type BatchSink func(partition int, seq uint64, metas, datas [][]byte) error
+
+// Producer pushes events into a topic with batching: the one implementation
+// of seal, ship, retry, bounded backlog and degraded mode, whatever the
+// deployment behind its sink. A batch that fails stays queued and is retried
+// with the same sequence number. Safe for concurrent use.
 type Producer struct {
-	topic *Topic
+	valid Validator
+	sink  BatchSink
 	opts  ProducerOptions
 
 	mu       sync.Mutex
-	open     []Batch   // per-partition batch accepting new events
-	queues   [][]Batch // per-partition FIFO of sealed, unshipped batches
-	spare    []Batch   // shipped batches, emptied, whose memory the next ones reuse
+	open     []batch   // per-partition batch accepting new events
+	queues   [][]batch // per-partition FIFO of sealed, unshipped batches
+	spare    []batch   // shipped batches, emptied, whose memory the next ones reuse
+	nextSeq  []uint64  // per-partition, next sequence number to assign
 	rr       int
 	closed   bool
 	degraded bool
@@ -81,28 +94,29 @@ type Producer struct {
 	dropped  uint64
 
 	// shipMu serializes shipping so a partition's batches land in seal
-	// order even under concurrent pushers. It also guards views.
+	// (and therefore sequence) order even under concurrent pushers. It also
+	// guards views, and whatever state the sink keeps.
 	shipMu sync.Mutex
-	views  [][]byte // reused backing of the metadata views handed to append
+	views  [][]byte // reused backing of the metadata views handed to the sink
 
 	stopFlusher chan struct{}
 	flusherDone chan struct{}
 }
 
-// Batch accumulates the events of one producer batch. Metadata is copied
+// batch accumulates the events of one producer batch. Metadata is copied
 // once, back to back into one arena, rather than into a slice per event;
 // Reset empties the batch and keeps the memory, so a producer that recycles
-// its shipped batches stops allocating per event. The cluster producer
-// (internal/mofka/cluster) builds its batches with it too.
-type Batch struct {
+// its shipped batches stops allocating per event.
+type batch struct {
 	arena []byte
 	ends  []int // ends[i] is where event i's metadata stops in arena
 	datas [][]byte
 	bytes int64
+	seq   uint64 // set when the batch is sealed
 }
 
 // Add copies one event into the batch.
-func (b *Batch) Add(metadata, data []byte) {
+func (b *batch) Add(metadata, data []byte) {
 	b.arena = append(b.arena, metadata...)
 	b.ends = append(b.ends, len(b.arena))
 	b.datas = append(b.datas, append([]byte(nil), data...))
@@ -110,15 +124,15 @@ func (b *Batch) Add(metadata, data []byte) {
 }
 
 // Len is the number of events in the batch.
-func (b *Batch) Len() int { return len(b.ends) }
+func (b *batch) Len() int { return len(b.ends) }
 
 // DataBytes is the payload bytes the batch holds.
-func (b *Batch) DataBytes() int64 { return b.bytes }
+func (b *batch) DataBytes() int64 { return b.bytes }
 
 // Metas returns each event's metadata as a view into the arena, valid until
 // the next Add or Reset, built on scratch's backing array when it is large
 // enough.
-func (b *Batch) Metas(scratch [][]byte) [][]byte {
+func (b *batch) Metas(scratch [][]byte) [][]byte {
 	metas := scratch[:0]
 	start := 0
 	for _, end := range b.ends {
@@ -129,22 +143,37 @@ func (b *Batch) Metas(scratch [][]byte) [][]byte {
 }
 
 // Datas returns each event's payload.
-func (b *Batch) Datas() [][]byte { return b.datas }
+func (b *batch) Datas() [][]byte { return b.datas }
 
 // Reset empties the batch for reuse.
-func (b *Batch) Reset() {
+func (b *batch) Reset() {
 	clear(b.datas)
-	*b = Batch{arena: b.arena[:0], ends: b.ends[:0], datas: b.datas[:0]}
+	*b = batch{arena: b.arena[:0], ends: b.ends[:0], datas: b.datas[:0]}
 }
 
-// NewProducer creates a producer for the topic.
+// NewProducer creates a producer for the topic; its sink appends straight to
+// the topic's partitions (a single broker has no use for sequence numbers).
 func (t *Topic) NewProducer(opts ProducerOptions) *Producer {
+	return NewProducer(len(t.partitions), t.cfg.Validator, opts, func(partition int, _ uint64, metas, datas [][]byte) error {
+		return t.partitions[partition].appendBatch(metas, datas)
+	})
+}
+
+// NewProducer creates a producer over partitions partitions whose sealed
+// batches reach them through sink. valid, when non-nil, checks every pushed
+// event's metadata.
+func NewProducer(partitions int, valid Validator, opts ProducerOptions, sink BatchSink) *Producer {
 	opts.setDefaults()
 	p := &Producer{
-		topic:  t,
-		opts:   opts,
-		open:   make([]Batch, len(t.partitions)),
-		queues: make([][]Batch, len(t.partitions)),
+		valid:   valid,
+		sink:    sink,
+		opts:    opts,
+		open:    make([]batch, partitions),
+		queues:  make([][]batch, partitions),
+		nextSeq: make([]uint64, partitions),
+	}
+	for i := range p.nextSeq {
+		p.nextSeq[i] = 1
 	}
 	if opts.FlushInterval > 0 {
 		p.stopFlusher = make(chan struct{})
@@ -178,8 +207,8 @@ func (p *Producer) Push(metadata Metadata, data []byte) error {
 
 // PushRaw enqueues one event with pre-encoded JSON metadata.
 func (p *Producer) PushRaw(metadata, data []byte) error {
-	if v := p.topic.cfg.Validator; v != nil {
-		if err := v(metadata); err != nil {
+	if p.valid != nil {
+		if err := p.valid(metadata); err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalidEvent, err)
 		}
 	}
@@ -190,14 +219,14 @@ func (p *Producer) PushRaw(metadata, data []byte) error {
 	}
 	var idx int
 	if p.opts.Partitioner != nil {
-		idx = p.opts.Partitioner(metadata, len(p.topic.partitions))
-		if idx < 0 || idx >= len(p.topic.partitions) {
+		idx = p.opts.Partitioner(metadata, len(p.open))
+		if idx < 0 || idx >= len(p.open) {
 			p.mu.Unlock()
-			return fmt.Errorf("%w: partitioner chose %d of %d", ErrNoPartition, idx, len(p.topic.partitions))
+			return fmt.Errorf("%w: partitioner chose %d of %d", ErrNoPartition, idx, len(p.open))
 		}
 	} else {
 		idx = p.rr
-		p.rr = (p.rr + 1) % len(p.topic.partitions)
+		p.rr = (p.rr + 1) % len(p.open)
 	}
 	b := &p.open[idx]
 	b.Add(metadata, data)
@@ -213,14 +242,16 @@ func (p *Producer) PushRaw(metadata, data []byte) error {
 	return nil
 }
 
-// sealLocked moves partition idx's open batch onto its shipping queue.
-// Callers hold p.mu.
+// sealLocked moves partition idx's open batch onto its shipping queue,
+// assigning the batch its per-partition sequence number. Callers hold p.mu.
 func (p *Producer) sealLocked(idx int) {
 	if p.open[idx].Len() == 0 {
 		return
 	}
+	p.open[idx].seq = p.nextSeq[idx]
+	p.nextSeq[idx]++
 	p.queues[idx] = append(p.queues[idx], p.open[idx])
-	p.open[idx] = Batch{}
+	p.open[idx] = batch{}
 	if n := len(p.spare); n > 0 {
 		p.open[idx], p.spare = p.spare[n-1], p.spare[:n-1]
 	}
@@ -234,7 +265,7 @@ func (p *Producer) sealLocked(idx int) {
 func (p *Producer) ship() error {
 	p.shipMu.Lock()
 	var firstErr error
-	for idx := range p.topic.partitions {
+	for idx := range p.queues {
 		if err := p.drainPartition(idx); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -276,10 +307,10 @@ func (p *Producer) drainPartition(idx int) error {
 			p.enforceBound(idx)
 			return err
 		}
-		// The broker copied what it keeps, so the batch's memory is free for
-		// the next one (one spare per partition is all sealing can use).
+		// The sink's side copied what it keeps, so the batch's memory is free
+		// for the next one (one spare per partition is all sealing can use).
 		p.mu.Lock()
-		p.queues[idx][0] = Batch{}
+		p.queues[idx][0] = batch{}
 		p.queues[idx] = p.queues[idx][1:]
 		if len(p.spare) < len(p.open) {
 			b.Reset()
@@ -289,13 +320,15 @@ func (p *Producer) drainPartition(idx int) error {
 	}
 }
 
-// appendWithRetry runs under shipMu.
-func (p *Producer) appendWithRetry(idx int, b Batch) error {
+// appendWithRetry hands one batch to the sink, backing off and retrying a
+// failure up to FlushRetries times with the same sequence number. It runs
+// under shipMu.
+func (p *Producer) appendWithRetry(idx int, b batch) error {
 	backoff := p.opts.RetryBackoff
 	p.views = b.Metas(p.views)
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = p.topic.partitions[idx].appendBatch(p.views, b.Datas())
+		err = p.sink(idx, b.seq, p.views, b.Datas())
 		if err == nil || attempt >= p.opts.FlushRetries {
 			return err
 		}
@@ -313,7 +346,7 @@ func (p *Producer) enforceBound(idx int) {
 		p.dropped += uint64(p.queues[idx][i].Len())
 	}
 	if over > 0 {
-		p.queues[idx] = append([]Batch(nil), p.queues[idx][over:]...)
+		p.queues[idx] = append([]batch(nil), p.queues[idx][over:]...)
 	}
 	p.mu.Unlock()
 }
@@ -366,8 +399,8 @@ func (p *Producer) Backlog() int {
 	return n
 }
 
-// Stats reports events pushed, batches flushed, and events dropped under
-// backlog pressure, for overhead ablations.
+// Stats reports events pushed and batches sealed, for overhead ablations;
+// Dropped has the events lost to backlog pressure.
 func (p *Producer) Stats() (pushed, flushes uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

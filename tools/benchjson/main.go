@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` text output on stdin into a
 // stable JSON document on stdout, so benchmark results can be checked in
-// and diffed across changes (see `make bench-cluster` and
-// BENCH_cluster.json). Only standard benchmark result lines are parsed;
+// and diffed across changes (see `make bench-proxy` and
+// BENCH_proxystore.json). Only standard benchmark result lines are parsed;
 // everything else (PASS, ok, warm-up noise) is ignored.
 package main
 
