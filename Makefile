@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test tier1 race bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume fuzz whatif speculate verify
+.PHONY: build vet lint test tier1 race bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath fuzz whatif speculate verify
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,20 @@ resume:
 	$(GO) test -race -run 'TestResume|TestSchedulerKillAtTask|TestSessionClose|TestRandomDAGsSurviveSchedulerKill' ./internal/core/
 	$(GO) test -count=1 -run 'TestResumeEquivalence' ./internal/workloads/
 
+# Read-path gate: the allocation budget of a post-mortem open and a live
+# replay (per event of a seeded imageprocessing data dir; not under -race,
+# which allocates on its own), typed ingest against the map API over every
+# event of the seeded runs, and — race-enabled — the post-mortem-open suite
+# against its serial reference (standalone and cluster dirs, torn, corrupt,
+# lagging, killed; each segment opened once), one cursor-store rewrite per
+# CommitBatch, the malformed-event regressions and frontier reconstruction
+# against the reference open.
+readpath:
+	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestTypedIngestMatchesMapIngest' ./internal/workloads/
+	$(GO) test -race -run 'TestPostMortemOpen|TestCommitBatchRewritesCursorStoreOnce' ./internal/mofka/ ./internal/mofka/cluster/
+	$(GO) test -race -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent' ./internal/live/
+	$(GO) test -race -run 'TestReconstructDeterministicAndEqualsReferenceOpen' ./internal/resume/
+
 # What-if validation: self-replay of the unchanged scenario on the seeded
 # ImageProcessing and xgboost runs must predict the measured makespan within
 # +/-10%, the critical path must attribute >=95% of it to named categories,
@@ -118,12 +132,16 @@ bench-speculation:
 # recovery and must keep exactly the valid frame prefix. Event codec:
 # arbitrary bytes into every typed decoder must never panic, must be accepted
 # exactly when encoding/json accepts them, decode to what Parse over a decoded
-# map gives, and re-encode to bytes that decode to the same record.
+# map gives, and re-encode to bytes that decode to the same record. Live
+# ingest: for any topic and bytes, the typed entry point and the map API both
+# reject or leave equal snapshots.
 fuzz:
 	$(GO) test -run 'FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALRecover' -fuzztime 20s ./internal/mofka/wal/
 	$(GO) test -run 'FuzzCodec' ./internal/provenance/
 	$(GO) test -run '^$$' -fuzz 'FuzzCodec' -fuzztime 20s ./internal/provenance/
+	$(GO) test -run 'FuzzIngest' ./internal/live/
+	$(GO) test -run '^$$' -fuzz 'FuzzIngest' -fuzztime 20s ./internal/live/
 
 # The repo's end-to-end benchmark (bench/e2e, a module of its own): all four
 # workloads twice, the spread judged against BENCHMARK.json's bounds. Minutes,
@@ -137,4 +155,4 @@ bench-e2e-smoke:
 		$(GO) run -C bench/e2e . -workload $$w -smoke || exit 1; done
 
 # Everything CI runs.
-verify: tier1 lint race chaos cluster property resume fuzz whatif speculate
+verify: tier1 lint race chaos cluster property resume readpath fuzz whatif speculate

@@ -416,152 +416,103 @@ func (a *Aggregator) worker(name string) *WorkerStats {
 	return w
 }
 
-// IngestEvent feeds one provenance event. partition is the Mofka partition
-// the event came from; events of one partition must be fed in partition
-// order (both the live pull loop and the post-mortem replay guarantee this).
-func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) {
-	a.mu.Lock()
-	var raised []Anomaly
-	a.events++
+// Ingest feeds one provenance event from its stored metadata bytes, decoded
+// once with the typed codec. partition is the Mofka partition the event came
+// from; events of one partition must be fed in partition order (both the live
+// pull loop and the post-mortem replay guarantee this). Metadata that is not
+// a JSON object (or null) is rejected and leaves the aggregates untouched —
+// also on the topics that are only counted, which the codec's cursor still
+// walks.
+func (a *Aggregator) Ingest(topic string, partition int, metadata []byte) error {
 	switch topic {
 	case provenance.TopicTransitions:
-		t := provenance.ParseTransition(m)
-		a.transitions++
-		if f := string(t.From); f != "" {
-			a.occupancy[f]--
+		t, err := provenance.DecodeTransition(metadata)
+		if err != nil {
+			return err
 		}
-		if to := string(t.To); to != "" {
-			a.occupancy[to]++
-		}
+		a.ingestTransition(t)
 	case provenance.TopicExecutions:
-		e := provenance.ParseExecution(m)
-		dur := (e.Stop - e.Start).Seconds()
-		a.tasks++
-		l := a.lane(topic, partition)
-		l.execSeconds += dur
-		l.workerExec[e.Worker] += dur
-		a.worker(e.Worker).Tasks++
-		g := dask.KeyPrefix(e.Key)
-		acc := a.groups[g]
-		if acc == nil {
-			acc = &groupAcc{}
-			a.groups[g] = acc
+		e, err := provenance.DecodeExecution(metadata)
+		if err != nil {
+			return err
 		}
-		acc.count++
-		if len(acc.samples) < a.opts.GroupSampleCap {
-			acc.samples = append(acc.samples, dur)
-		}
-		key := string(e.Key)
-		if prev, ok := a.critDur[key]; ok || len(a.critDur) < a.opts.CritPathTaskCap {
-			// Max-combine so a re-executed task (worker crash) contributes
-			// its longest attempt regardless of arrival order.
-			if dur > prev {
-				a.critDur[key] = dur
-			}
-		}
-		stop := e.Stop.Seconds()
-		if b := a.windows.bucket(stop); b != nil {
-			b.TasksFinished++
-			b.ComputeSeconds += dur
-		}
-		raised = a.detect.onDuration(g, dur, stop)
+		a.ingestExecution(partition, e)
 	case provenance.TopicTransfers:
-		t := provenance.ParseTransfer(m)
-		a.transfers++
-		a.transferBytes += t.Bytes
-		a.lane(topic, partition).commSeconds += (t.Stop - t.Start).Seconds()
-		a.worker(t.From).TransferOutBytes += t.Bytes
-		a.worker(t.To).TransferInBytes += t.Bytes
-		if b := a.windows.bucket(t.Stop.Seconds()); b != nil {
-			b.Transfers++
-			b.TransferBytes += t.Bytes
+		t, err := provenance.DecodeTransfer(metadata)
+		if err != nil {
+			return err
 		}
+		a.ingestTransfer(partition, t)
 	case provenance.TopicWarnings:
-		w := provenance.ParseWarning(m)
-		kind := string(w.Kind)
-		a.warnings[kind]++
-		a.worker(w.Worker).Warnings++
-		at := w.At.Seconds()
-		if w.Kind.IsRecovery() && len(a.recovery) < a.opts.RecoveryEventCap {
-			a.recovery = append(a.recovery, RecoveryEvent{
-				At: at, Kind: kind, Worker: w.Worker, Message: w.Message,
-			})
+		w, err := provenance.DecodeWarning(metadata)
+		if err != nil {
+			return err
 		}
-		if strings.HasPrefix(kind, "cluster_") && len(a.cluster) < a.opts.RecoveryEventCap {
-			a.cluster = append(a.cluster, RecoveryEvent{
-				At: at, Kind: kind, Worker: w.Worker, Message: w.Message,
-			})
-		}
-		a.windows.addWarning(at, kind)
-		raised = a.detect.onWarning(kind, w.Worker, at)
+		a.ingestWarning(w)
 	case provenance.TopicProxy:
-		e := provenance.ParseProxyEvent(m)
-		if a.proxy == nil {
-			a.proxy = &ProxyStats{}
+		e, err := provenance.DecodeProxyEvent(metadata)
+		if err != nil {
+			return err
 		}
-		p := a.proxy
-		switch e.Op {
-		case dask.ProxyOpPublish:
-			p.Publishes++
-			p.PublishedBytes += e.Bytes
-			p.ResidentBytes += e.Bytes
-		case dask.ProxyOpResolve:
-			p.Resolves++
-			p.ResolvedBytes += e.Bytes
-			a.lane(topic, partition).resolveSeconds += e.ResolveLatency.Seconds()
-		case dask.ProxyOpMiss:
-			p.Misses++
-		case dask.ProxyOpFree:
-			p.Frees++
-			p.ResidentBytes -= e.Bytes
-		case dask.ProxyOpReclaim:
-			p.Reclaims++
-			p.ReclaimedBytes += e.Bytes
-			p.ResidentBytes -= e.Bytes
-		}
-		if e.Resident > p.PeakResidentBytes {
-			p.PeakResidentBytes = e.Resident
-		}
+		a.ingestProxy(partition, e)
 	case provenance.TopicSpeculation:
-		e := provenance.ParseSpeculationEvent(m)
-		if a.spec == nil {
-			a.spec = &SpeculationStats{}
+		e, err := provenance.DecodeSpeculation(metadata)
+		if err != nil {
+			return err
 		}
-		switch e.Kind {
-		case dask.SpecLaunched:
-			a.spec.Launched++
-		case dask.SpecWon:
-			a.spec.Won++
-		case dask.SpecCancelled:
-			a.spec.Cancelled++
-		case dask.SpecFailed:
-			a.spec.Failed++
-		case dask.SpecPromoted:
-			a.spec.Promoted++
-		case dask.SpecRetry:
-			a.spec.Retries++
-		case dask.SpecBudgetExhausted:
-			a.spec.BudgetExhausted++
-		}
-		if e.Wasted > 0 {
-			a.lane(topic, partition).wastedSeconds += e.Wasted.Seconds()
-		}
+		a.ingestSpeculation(partition, e)
 	case provenance.TopicTaskMeta:
-		a.submitted++
-		tm := provenance.ParseTaskMeta(m)
-		key := string(tm.Key)
-		if _, ok := a.critDeps[key]; !ok && len(tm.Deps) > 0 && len(a.critDeps) < a.opts.CritPathTaskCap {
-			deps := make([]string, len(tm.Deps))
-			for i, d := range tm.Deps {
-				deps[i] = string(d)
-			}
-			a.critDeps[key] = deps
+		tm, err := provenance.DecodeTaskMeta(metadata)
+		if err != nil {
+			return err
 		}
+		a.ingestTaskMeta(tm)
 	case provenance.TopicGraphs:
-		if provenance.Str(m, "event") == "done" {
-			a.graphsDone++
+		g, err := provenance.DecodeGraphEvent(metadata)
+		if err != nil {
+			return err
 		}
+		a.ingestGraphEvent(g.Event)
+	default:
+		if err := provenance.Validate(metadata); err != nil {
+			return err
+		}
+		a.ingestCounted()
 	}
+	return nil
+}
+
+// IngestEvent is Ingest for an event already decoded into the map API. It
+// survives only because bench/e2e compiles against it (DESIGN §14): nothing
+// in the program calls it, and it holds no aggregation rule of its own —
+// Parse<T> and the handlers Ingest uses.
+func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) {
+	switch topic {
+	case provenance.TopicTransitions:
+		a.ingestTransition(provenance.ParseTransition(m))
+	case provenance.TopicExecutions:
+		a.ingestExecution(partition, provenance.ParseExecution(m))
+	case provenance.TopicTransfers:
+		a.ingestTransfer(partition, provenance.ParseTransfer(m))
+	case provenance.TopicWarnings:
+		a.ingestWarning(provenance.ParseWarning(m))
+	case provenance.TopicProxy:
+		a.ingestProxy(partition, provenance.ParseProxyEvent(m))
+	case provenance.TopicSpeculation:
+		a.ingestSpeculation(partition, provenance.ParseSpeculationEvent(m))
+	case provenance.TopicTaskMeta:
+		a.ingestTaskMeta(provenance.ParseTaskMeta(m))
+	case provenance.TopicGraphs:
+		a.ingestGraphEvent(provenance.Str(m, "event"))
+	default:
+		a.ingestCounted()
+	}
+}
+
+// raise closes an ingest step begun with a.mu.Lock(): it records the
+// anomalies the step raised, unlocks, and notifies the subscribers with the
+// aggregator unlocked.
+func (a *Aggregator) raise(raised []Anomaly) {
 	a.anomalies = append(a.anomalies, raised...)
 	subs := a.subs
 	a.mu.Unlock()
@@ -570,6 +521,183 @@ func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) 
 			fn(an)
 		}
 	}
+}
+
+// ingestCounted takes an event of a topic with no aggregate beyond Events.
+func (a *Aggregator) ingestCounted() {
+	a.mu.Lock()
+	a.events++
+	a.mu.Unlock()
+}
+
+func (a *Aggregator) ingestTransition(t dask.Transition) {
+	a.mu.Lock()
+	a.events++
+	a.transitions++
+	if f := string(t.From); f != "" {
+		a.occupancy[f]--
+	}
+	if to := string(t.To); to != "" {
+		a.occupancy[to]++
+	}
+	a.mu.Unlock()
+}
+
+func (a *Aggregator) ingestExecution(partition int, e dask.TaskExecution) {
+	a.mu.Lock()
+	a.events++
+	dur := (e.Stop - e.Start).Seconds()
+	a.tasks++
+	l := a.lane(provenance.TopicExecutions, partition)
+	l.execSeconds += dur
+	l.workerExec[e.Worker] += dur
+	a.worker(e.Worker).Tasks++
+	g := dask.KeyPrefix(e.Key)
+	acc := a.groups[g]
+	if acc == nil {
+		acc = &groupAcc{}
+		a.groups[g] = acc
+	}
+	acc.count++
+	if len(acc.samples) < a.opts.GroupSampleCap {
+		acc.samples = append(acc.samples, dur)
+	}
+	key := string(e.Key)
+	if prev, ok := a.critDur[key]; ok || len(a.critDur) < a.opts.CritPathTaskCap {
+		// Max-combine so a re-executed task (worker crash) contributes
+		// its longest attempt regardless of arrival order.
+		if dur > prev {
+			a.critDur[key] = dur
+		}
+	}
+	stop := e.Stop.Seconds()
+	if b := a.windows.bucket(stop); b != nil {
+		b.TasksFinished++
+		b.ComputeSeconds += dur
+	}
+	a.raise(a.detect.onDuration(g, dur, stop))
+}
+
+func (a *Aggregator) ingestTransfer(partition int, t dask.Transfer) {
+	a.mu.Lock()
+	a.events++
+	a.transfers++
+	a.transferBytes += t.Bytes
+	a.lane(provenance.TopicTransfers, partition).commSeconds += (t.Stop - t.Start).Seconds()
+	a.worker(t.From).TransferOutBytes += t.Bytes
+	a.worker(t.To).TransferInBytes += t.Bytes
+	if b := a.windows.bucket(t.Stop.Seconds()); b != nil {
+		b.Transfers++
+		b.TransferBytes += t.Bytes
+	}
+	a.mu.Unlock()
+}
+
+func (a *Aggregator) ingestWarning(w dask.Warning) {
+	a.mu.Lock()
+	a.events++
+	kind := string(w.Kind)
+	a.warnings[kind]++
+	a.worker(w.Worker).Warnings++
+	at := w.At.Seconds()
+	if w.Kind.IsRecovery() && len(a.recovery) < a.opts.RecoveryEventCap {
+		a.recovery = append(a.recovery, RecoveryEvent{
+			At: at, Kind: kind, Worker: w.Worker, Message: w.Message,
+		})
+	}
+	if strings.HasPrefix(kind, "cluster_") && len(a.cluster) < a.opts.RecoveryEventCap {
+		a.cluster = append(a.cluster, RecoveryEvent{
+			At: at, Kind: kind, Worker: w.Worker, Message: w.Message,
+		})
+	}
+	a.windows.addWarning(at, kind)
+	a.raise(a.detect.onWarning(kind, w.Worker, at))
+}
+
+func (a *Aggregator) ingestProxy(partition int, e dask.ProxyEvent) {
+	a.mu.Lock()
+	a.events++
+	if a.proxy == nil {
+		a.proxy = &ProxyStats{}
+	}
+	p := a.proxy
+	switch e.Op {
+	case dask.ProxyOpPublish:
+		p.Publishes++
+		p.PublishedBytes += e.Bytes
+		p.ResidentBytes += e.Bytes
+	case dask.ProxyOpResolve:
+		p.Resolves++
+		p.ResolvedBytes += e.Bytes
+		a.lane(provenance.TopicProxy, partition).resolveSeconds += e.ResolveLatency.Seconds()
+	case dask.ProxyOpMiss:
+		p.Misses++
+	case dask.ProxyOpFree:
+		p.Frees++
+		p.ResidentBytes -= e.Bytes
+	case dask.ProxyOpReclaim:
+		p.Reclaims++
+		p.ReclaimedBytes += e.Bytes
+		p.ResidentBytes -= e.Bytes
+	}
+	if e.Resident > p.PeakResidentBytes {
+		p.PeakResidentBytes = e.Resident
+	}
+	a.mu.Unlock()
+}
+
+func (a *Aggregator) ingestSpeculation(partition int, e dask.SpeculationEvent) {
+	a.mu.Lock()
+	a.events++
+	if a.spec == nil {
+		a.spec = &SpeculationStats{}
+	}
+	switch e.Kind {
+	case dask.SpecLaunched:
+		a.spec.Launched++
+	case dask.SpecWon:
+		a.spec.Won++
+	case dask.SpecCancelled:
+		a.spec.Cancelled++
+	case dask.SpecFailed:
+		a.spec.Failed++
+	case dask.SpecPromoted:
+		a.spec.Promoted++
+	case dask.SpecRetry:
+		a.spec.Retries++
+	case dask.SpecBudgetExhausted:
+		a.spec.BudgetExhausted++
+	}
+	if e.Wasted > 0 {
+		a.lane(provenance.TopicSpeculation, partition).wastedSeconds += e.Wasted.Seconds()
+	}
+	a.mu.Unlock()
+}
+
+func (a *Aggregator) ingestTaskMeta(tm dask.TaskMeta) {
+	a.mu.Lock()
+	a.events++
+	a.submitted++
+	key := string(tm.Key)
+	if _, ok := a.critDeps[key]; !ok && len(tm.Deps) > 0 && len(a.critDeps) < a.opts.CritPathTaskCap {
+		deps := make([]string, len(tm.Deps))
+		for i, d := range tm.Deps {
+			deps[i] = string(d)
+		}
+		a.critDeps[key] = deps
+	}
+	a.mu.Unlock()
+}
+
+// ingestGraphEvent takes a graph lifecycle event, of which only "done" is
+// aggregated.
+func (a *Aggregator) ingestGraphEvent(event string) {
+	a.mu.Lock()
+	a.events++
+	if event == "done" {
+		a.graphsDone++
+	}
+	a.mu.Unlock()
 }
 
 // IngestDarshanLog folds one per-worker Darshan log into the I/O aggregates:
@@ -597,14 +725,7 @@ func (a *Aggregator) IngestDarshanLog(l *darshan.Log) {
 			raised = append(raised, a.ingestIOSegmentLocked(host, s.Length, s.End)...)
 		}
 	}
-	a.anomalies = append(a.anomalies, raised...)
-	subs := a.subs
-	a.mu.Unlock()
-	for _, an := range raised {
-		for _, fn := range subs {
-			fn(an)
-		}
-	}
+	a.raise(raised)
 }
 
 // IngestIOSegment feeds one I/O trace segment (worker label, byte length,
@@ -613,15 +734,7 @@ func (a *Aggregator) IngestDarshanLog(l *darshan.Log) {
 // stream I/O observations before a full Darshan log is available.
 func (a *Aggregator) IngestIOSegment(worker string, bytes int64, end float64) {
 	a.mu.Lock()
-	raised := a.ingestIOSegmentLocked(worker, bytes, end)
-	a.anomalies = append(a.anomalies, raised...)
-	subs := a.subs
-	a.mu.Unlock()
-	for _, an := range raised {
-		for _, fn := range subs {
-			fn(an)
-		}
-	}
+	a.raise(a.ingestIOSegmentLocked(worker, bytes, end))
 }
 
 func (a *Aggregator) ingestIOSegmentLocked(worker string, bytes int64, end float64) []Anomaly {

@@ -65,6 +65,9 @@ type Monitor struct {
 	emitter   *mofka.Producer
 	emitDead  bool
 	commitOff bool
+	// badTopics holds the topics a skipped malformed event was already
+	// logged for. Only the sweeping goroutine touches it.
+	badTopics map[string]bool
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -82,6 +85,7 @@ func NewMonitor(b *mofka.Broker, opts MonitorOptions) *Monitor {
 		consumers: make(map[string]*mofka.Consumer),
 		lags:      make(map[string]uint64),
 		commitOff: opts.DisableCommit,
+		badTopics: make(map[string]bool),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -209,6 +213,9 @@ func (m *Monitor) sweep() int {
 			continue
 		}
 		for {
+			// Private copies, not Consumer.Scan's lent bytes: decoding under
+			// the collection's read lock held the run's appender up four to
+			// five times longer (EXPERIMENTS.md, "Read-path host cost").
 			evs, err := c.PullBatch(m.opts.BatchSize)
 			if err != nil {
 				m.logf("live: pull %s: %v", topic, err)
@@ -219,7 +226,12 @@ func (m *Monitor) sweep() int {
 			}
 			total += len(evs)
 			for _, ev := range evs {
-				m.agg.IngestEvent(topic, ev.Partition, provenance.MustParse(ev))
+				// An event that does not decode is skipped, not fatal: the
+				// cursor still moves past it with the rest of the batch.
+				if err := ingest(m.agg, topic, ev.Partition, ev.ID, ev.Metadata); err != nil && !m.badTopics[topic] {
+					m.badTopics[topic] = true
+					m.logf("%v (skipped, with any later one on this topic)", err)
+				}
 			}
 			if !m.commitOff {
 				if err := c.CommitBatch(evs); err != nil {

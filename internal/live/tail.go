@@ -29,14 +29,24 @@ func ReplayBroker(b *mofka.Broker, agg *Aggregator) error {
 			if err != nil {
 				return fmt.Errorf("live: replay %s[%d]: %w", topic, p, err)
 			}
-			evs, err := c.Drain()
+			// Scan lends the stored bytes: each event is decoded once,
+			// straight from them.
+			err = c.Scan(func(partition int, id uint64, metadata []byte) error {
+				return ingest(agg, topic, partition, id, metadata)
+			})
 			if err != nil {
 				return fmt.Errorf("live: replay %s[%d]: %w", topic, p, err)
 			}
-			for _, ev := range evs {
-				agg.IngestEvent(topic, ev.Partition, provenance.MustParse(ev))
-			}
 		}
+	}
+	return nil
+}
+
+// ingest feeds one event to the aggregator, naming the event in the error
+// when its metadata does not decode.
+func ingest(agg *Aggregator, topic string, partition int, id uint64, metadata []byte) error {
+	if err := agg.Ingest(topic, partition, metadata); err != nil {
+		return fmt.Errorf("live: corrupt event %s[%d]/%d: %w", topic, partition, id, err)
 	}
 	return nil
 }
@@ -300,9 +310,13 @@ func (t *RemoteTailer) sweep() error {
 					break
 				}
 				for _, ev := range evs {
-					t.agg.IngestEvent(topic, p, provenance.MustParse(ev))
+					// Step past the event first: one that does not decode
+					// is reported once, not on every sweep.
+					t.next[k] = ev.ID + 1
+					if err := ingest(t.agg, topic, p, ev.ID, ev.Metadata); err != nil {
+						return err
+					}
 				}
-				t.next[k] = evs[len(evs)-1].ID + 1
 			}
 		}
 	}

@@ -110,16 +110,7 @@ func (b *Broker) CreateTopic(cfg TopicConfig) (*Topic, error) {
 	if _, ok := b.topics[cfg.Name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrTopicExists, cfg.Name)
 	}
-	t := &Topic{broker: b, cfg: cfg}
-	for i := 0; i < cfg.Partitions; i++ {
-		p := &Partition{
-			topic: t,
-			index: i,
-			docs:  b.meta.Collection(fmt.Sprintf("topic/%s/p%04d", cfg.Name, i)),
-		}
-		p.cond = sync.NewCond(&p.mu)
-		t.partitions = append(t.partitions, p)
-	}
+	t := b.buildTopic(cfg)
 	// Record the topic in the KV space so it is discoverable post-mortem.
 	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
@@ -133,6 +124,22 @@ func (b *Broker) CreateTopic(cfg TopicConfig) (*Topic, error) {
 	b.meta.Put("topics/"+cfg.Name, cfgJSON)
 	b.topics[cfg.Name] = t
 	return t, nil
+}
+
+// buildTopic builds a topic with empty partitions on b's document store; the
+// caller registers it.
+func (b *Broker) buildTopic(cfg TopicConfig) *Topic {
+	t := &Topic{broker: b, cfg: cfg}
+	for i := 0; i < cfg.Partitions; i++ {
+		p := &Partition{
+			topic: t,
+			index: i,
+			docs:  b.meta.Collection(fmt.Sprintf("topic/%s/p%04d", cfg.Name, i)),
+		}
+		p.cond = sync.NewCond(&p.mu)
+		t.partitions = append(t.partitions, p)
+	}
+	return t
 }
 
 // OpenTopic returns an existing topic.
@@ -239,15 +246,18 @@ func (b *Broker) Sync() error {
 // broker the cursor is also persisted to the sidecar store, so it survives a
 // restart.
 func (b *Broker) CommitCursor(consumer, topic string, partition int, next uint64) error {
-	key := cursorKey(consumer, topic, partition)
-	val, err := json.Marshal(next)
-	if err != nil {
-		return fmt.Errorf("mofka: encode cursor %s: %w", key, err)
+	return b.commitCursors([]wal.Cursor{{Key: cursorKey(consumer, topic, partition), Next: next}})
+}
+
+// commitCursors records several cursors; the sidecar store is rewritten once
+// for all of them.
+func (b *Broker) commitCursors(cursors []wal.Cursor) error {
+	for _, c := range cursors {
+		b.meta.Put("cursor/"+c.Key, strconv.AppendUint(nil, c.Next, 10))
 	}
-	b.meta.Put("cursor/"+key, val)
 	if b.cursors != nil {
-		if err := b.cursors.Set(key, next); err != nil {
-			return fmt.Errorf("mofka: persist cursor %s: %w", key, err)
+		if err := b.cursors.SetBatch(cursors); err != nil {
+			return fmt.Errorf("mofka: persist cursors: %w", err)
 		}
 	}
 	return nil
@@ -390,6 +400,15 @@ func (p *Partition) appendBatch(metas [][]byte, datas [][]byte) error {
 	if err := p.topic.broker.injectAppendFault(p.topic.cfg.Name, p.index); err != nil {
 		return err
 	}
+	return p.publish(metas, datas, false)
+}
+
+// publish is the one batch step behind both a live append and the recovery
+// of a partition from its log (recovered: the events are already on disk, so
+// nothing is written there, and a read-only or closed broker still takes
+// them). Disk bytes are no more trusted than a producer's: admission runs
+// over every event either way.
+func (p *Partition) publish(metas [][]byte, datas [][]byte, recovered bool) error {
 	// Admission comes before anything is written anywhere: one invalid event
 	// refuses the whole batch and leaves no region, no WAL record, no
 	// document behind.
@@ -414,11 +433,13 @@ func (p *Partition) appendBatch(metas [][]byte, datas [][]byte) error {
 	// producers — replaying the log reproduces the exact live stream.
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	if p.topic.broker.readOnly {
-		return fmt.Errorf("%w: broker is read-only (post-mortem)", ErrClosed)
+	if !recovered {
+		if p.closed {
+			return ErrClosed
+		}
+		if p.topic.broker.readOnly {
+			return fmt.Errorf("%w: broker is read-only (post-mortem)", ErrClosed)
+		}
 	}
 	// The envelopes share one arena, which the document store takes over
 	// without copying.
@@ -434,7 +455,7 @@ func (p *Partition) appendBatch(metas [][]byte, datas [][]byte) error {
 		arena = appendEnvelope(arena, metas[i], uint64(region), offsets[i], int64(len(datas[i])))
 		docs[i] = arena[start:len(arena):len(arena)]
 	}
-	if p.log != nil {
+	if p.log != nil && !recovered {
 		recs := make([]wal.Record, len(metas))
 		for i := range metas {
 			recs[i] = wal.Record{Meta: metas[i], Data: datas[i]}

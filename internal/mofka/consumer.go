@@ -2,8 +2,9 @@ package mofka
 
 import (
 	"fmt"
-	"sort"
 	"time"
+
+	"taskprov/internal/mofka/wal"
 )
 
 // ConsumerOptions configures a subscription.
@@ -230,10 +231,11 @@ func (c *Consumer) Commit(ev Event) error {
 }
 
 // CommitBatch durably records a whole batch of processed events with one
-// cursor write per distinct partition (not one per event): for each
-// partition represented in the batch, the highest event ID wins. Batch
-// consumers (PullBatch/Drain users) should prefer this over per-event
-// Commit — on a durable broker every commit is an fsynced sidecar write.
+// cursor-store write for the batch (not one per event, nor one per
+// partition): for each partition represented in the batch, the highest event
+// ID wins. Batch consumers (PullBatch/Drain users) should prefer this over
+// per-event Commit — on a durable broker every commit is an fsynced sidecar
+// rewrite.
 func (c *Consumer) CommitBatch(evs []Event) error {
 	if c.opts.Name == "" {
 		return fmt.Errorf("mofka: anonymous consumer cannot commit")
@@ -241,23 +243,22 @@ func (c *Consumer) CommitBatch(evs []Event) error {
 	if len(evs) == 0 {
 		return nil
 	}
-	high := make(map[int]uint64, 2)
+	high := make([]uint64, len(c.topic.partitions))
 	for _, ev := range evs {
+		if ev.Partition < 0 || ev.Partition >= len(high) {
+			return fmt.Errorf("%w: %s[%d]", ErrNoPartition, c.topic.cfg.Name, ev.Partition)
+		}
 		if next := ev.ID + 1; next > high[ev.Partition] {
 			high[ev.Partition] = next
 		}
 	}
-	parts := make([]int, 0, len(high))
-	for p := range high {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	for _, p := range parts {
-		if err := c.topic.broker.CommitCursor(c.opts.Name, c.topic.cfg.Name, p, high[p]); err != nil {
-			return err
+	var cursors []wal.Cursor
+	for p, next := range high {
+		if next > 0 {
+			cursors = append(cursors, wal.Cursor{Key: cursorKey(c.opts.Name, c.topic.cfg.Name, p), Next: next})
 		}
 	}
-	return nil
+	return c.topic.broker.commitCursors(cursors)
 }
 
 // Progress returns the next unread offset for a partition.

@@ -2,12 +2,13 @@ package mofka
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"taskprov/internal/mochi/bedrock"
 	"taskprov/internal/mofka/wal"
@@ -88,8 +89,9 @@ func partitionDir(dataDir, name string, index int) string {
 }
 
 // attachDataDir wires the durable backend into a freshly built broker:
-// loads persisted cursors, recovers every topic directory (config + WAL
-// replay), and leaves writable logs attached for subsequent appends.
+// loads persisted cursors, recovers every topic directory (config + one pass
+// over each partition's WAL), and leaves writable logs attached for
+// subsequent appends.
 func (b *Broker) attachDataDir(opts Options) error {
 	b.dataDir = opts.DataDir
 	b.readOnly = opts.ReadOnly
@@ -116,101 +118,234 @@ func (b *Broker) attachDataDir(opts Options) error {
 		b.cursors = cs
 	}
 
-	topicsRoot := filepath.Join(opts.DataDir, "topics")
-	entries, err := os.ReadDir(topicsRoot)
+	names, err := topicDirs(opts.DataDir)
+	if err != nil {
+		return err
+	}
+	var parts []*Partition
+	for _, name := range names {
+		cfg, cfgBytes, err := readTopicConfig(opts.DataDir, name)
+		if err != nil {
+			return err
+		}
+		t := b.buildTopic(cfg)
+		parts = append(parts, t.partitions...)
+		b.meta.Put("topics/"+cfg.Name, cfgBytes)
+		b.topics[cfg.Name] = t
+	}
+	err = inParallel(len(parts), func(i int) error {
+		p := parts[i]
+		l, err := p.recoverFrom(opts.DataDir, b.walOpts)
+		if err != nil {
+			return err
+		}
+		if !b.readOnly {
+			p.log = l
+			return nil
+		}
+		// A read-only recovery never appends, but a failed close still
+		// signals something wrong with the log files — surface it.
+		if err := l.Close(); err != nil {
+			return fmt.Errorf("mofka: close recovered log %s[%d]: %w", p.topic.cfg.Name, p.index, err)
+		}
+		return nil
+	})
+	if err != nil {
+		for _, p := range parts {
+			if p.log != nil {
+				_ = p.log.Close() // the recovery failure is the error that matters
+			}
+		}
+	}
+	return err
+}
+
+// topicDirs lists the topic directories of a data dir in name order; a data
+// dir without a topics directory holds none.
+func topicDirs(dataDir string) ([]string, error) {
+	entries, err := os.ReadDir(filepath.Join(dataDir, "topics"))
 	if os.IsNotExist(err) {
-		return nil // fresh data dir
+		return nil, nil // fresh data dir
 	}
 	if err != nil {
-		return fmt.Errorf("mofka: scan topics: %w", err)
+		return nil, fmt.Errorf("mofka: scan topics: %w", err)
 	}
+	var names []string
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+		if e.IsDir() {
+			names = append(names, e.Name())
 		}
-		if err := b.recoverTopic(e.Name()); err != nil {
+	}
+	return names, nil
+}
+
+// readTopicConfig loads and checks one topic directory's topic.json.
+func readTopicConfig(dataDir, name string) (TopicConfig, []byte, error) {
+	cfgBytes, err := os.ReadFile(filepath.Join(topicDir(dataDir, name), "topic.json"))
+	if err != nil {
+		return TopicConfig{}, nil, fmt.Errorf("mofka: recover topic %s: %w", name, err)
+	}
+	var cfg TopicConfig
+	if err := json.Unmarshal(cfgBytes, &cfg); err != nil {
+		return TopicConfig{}, nil, fmt.Errorf("mofka: recover topic %s: corrupt topic.json: %w", name, err)
+	}
+	if cfg.Name != name {
+		return TopicConfig{}, nil, fmt.Errorf("mofka: topic dir %q holds config for %q", name, cfg.Name)
+	}
+	if cfg.Partitions <= 0 {
+		cfg.Partitions = 1
+	}
+	return cfg, cfgBytes, nil
+}
+
+// recoverFrom rebuilds the partition from its log under dataDir, so the
+// consumer API serves exactly the persisted stream: the log's one validating
+// pass over its segments hands the records over by the batch, and each batch
+// goes through publish. It returns the opened log.
+func (p *Partition) recoverFrom(dataDir string, opts wal.Options) (*wal.Log, error) {
+	var metas, datas [][]byte
+	l, err := wal.OpenReplay(partitionDir(dataDir, p.topic.cfg.Name, p.index), opts, func(recs []wal.Record) error {
+		metas, datas = metas[:0], datas[:0]
+		for _, r := range recs {
+			metas = append(metas, r.Meta)
+			datas = append(datas, r.Data)
+		}
+		return p.publish(metas, datas, true)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mofka: recover %s[%d]: %w", p.topic.cfg.Name, p.index, err)
+	}
+	return l, nil
+}
+
+// inParallel runs job(0) … job(n-1) on up to GOMAXPROCS goroutines and
+// returns the failure with the lowest index. Jobs start in index order and
+// none starts once one has failed, so which failure that is does not depend
+// on scheduling.
+func inParallel(n int, job func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if errs[i] = job(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// recoverTopic rebuilds one topic from its on-disk directory: the config
-// comes from topic.json, then each partition's WAL replays into the
-// in-memory stores so the consumer API serves exactly the persisted stream.
-func (b *Broker) recoverTopic(name string) error {
-	cfgBytes, err := os.ReadFile(filepath.Join(topicDir(b.dataDir, name), "topic.json"))
-	if err != nil {
-		return fmt.Errorf("mofka: recover topic %s: %w", name, err)
+// OpenPostMortemReplicas opens the data directories of several brokers that
+// hold replicas of the same partitions and merges them into one in-memory
+// view, without modifying anything on disk. Every replica log is validated
+// in full — interior corruption in any of them fails the load — but only one
+// per partition is published: the longest (replica logs are
+// prefix-consistent, so it holds every event of the others), the earliest
+// directory winning a tie. A topic's configuration comes from the first
+// directory holding it, and for every consumer cursor the maximum across the
+// directories' cursor stores wins.
+func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
+	view := NewStandaloneBroker()
+	type replicaLog struct {
+		dir    string
+		part   *Partition // of the view
+		length uint64
 	}
-	var cfg TopicConfig
-	if err := json.Unmarshal(cfgBytes, &cfg); err != nil {
-		return fmt.Errorf("mofka: recover topic %s: corrupt topic.json: %w", name, err)
-	}
-	if cfg.Name != name {
-		return fmt.Errorf("mofka: topic dir %q holds config for %q", name, cfg.Name)
-	}
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = 1
-	}
-
-	t := &Topic{broker: b, cfg: cfg}
-	for i := 0; i < cfg.Partitions; i++ {
-		p := &Partition{
-			topic: t,
-			index: i,
-			docs:  b.meta.Collection(fmt.Sprintf("topic/%s/p%04d", cfg.Name, i)),
-		}
-		p.cond = sync.NewCond(&p.mu)
-		l, err := wal.Open(partitionDir(b.dataDir, name, i), b.walOpts)
+	var logs []replicaLog
+	cursors := make(map[CursorEntry]uint64)
+	for _, dir := range dataDirs {
+		cs, err := wal.OpenCursorStore(filepath.Join(dir, "cursors.json"))
 		if err != nil {
-			return fmt.Errorf("mofka: recover %s[%d]: %w", name, i, err)
+			return nil, err
 		}
-		var ingestErr error
-		replayErr := l.Replay(0, func(_ uint64, rec wal.Record) bool {
-			ingestErr = p.ingest(rec.Meta, rec.Data)
-			return ingestErr == nil
-		})
-		if replayErr == nil {
-			replayErr = ingestErr
-		}
-		if replayErr != nil {
-			err := fmt.Errorf("mofka: replay %s[%d]: %w", name, i, replayErr)
-			return errors.Join(err, l.Close())
-		}
-		if b.readOnly {
-			// A read-only recovery never appends, but a failed close still
-			// signals something wrong with the log files — surface it.
-			if err := l.Close(); err != nil {
-				return fmt.Errorf("mofka: close recovered log %s[%d]: %w", name, i, err)
+		for key, next := range cs.All() {
+			if ent, ok := parseCursorKey(key); ok && next > cursors[ent] {
+				cursors[ent] = next
 			}
-		} else {
-			p.log = l
 		}
-		t.partitions = append(t.partitions, p)
+		names, err := topicDirs(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, name := range names {
+			cfg, _, err := readTopicConfig(dir, name)
+			if err != nil {
+				return nil, err
+			}
+			t, err := view.OpenOrCreateTopic(cfg)
+			if err != nil {
+				return nil, err
+			}
+			for i := 0; i < min(cfg.Partitions, len(t.partitions)); i++ {
+				logs = append(logs, replicaLog{dir: dir, part: t.partitions[i]})
+			}
+		}
 	}
-	b.meta.Put("topics/"+cfg.Name, cfgBytes)
-	b.topics[cfg.Name] = t
-	return nil
-}
 
-// ingest publishes one already-durable event into the in-memory stores
-// (the WAL-replay path; no WAL append, no broadcast needed at recovery).
-func (p *Partition) ingest(meta, data []byte) error {
-	if err := checkMetadata(meta); err != nil {
-		return err
+	walOpts := wal.Options{ReadOnly: true}
+	err := inParallel(len(logs), func(i int) error {
+		r := &logs[i]
+		name, index := r.part.topic.cfg.Name, r.part.index
+		l, err := wal.OpenReplay(partitionDir(r.dir, name, index), walOpts, func(recs []wal.Record) error {
+			r.length += uint64(len(recs))
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("mofka: validate %s[%d] in %s: %w", name, index, r.dir, err)
+		}
+		return l.Close()
+	})
+	if err != nil {
+		return nil, err
 	}
-	var region uint64
-	if len(data) > 0 {
-		region = uint64(p.topic.broker.data.CreateWrite(data))
+
+	donors := make(map[*Partition]replicaLog)
+	var order []*Partition
+	for _, r := range logs {
+		d, seen := donors[r.part]
+		if !seen {
+			order = append(order, r.part)
+		}
+		if !seen || r.length > d.length {
+			donors[r.part] = r
+		}
 	}
-	size := int64(len(data))
-	doc := appendEnvelope(make([]byte, 0, envelopeLen(meta, region, 0, size)), meta, region, 0, size)
-	p.mu.Lock()
-	p.docs.StoreBatch([][]byte{doc})
-	p.length++
-	p.mu.Unlock()
-	return nil
+	err = inParallel(len(order), func(i int) error {
+		d := donors[order[i]]
+		if d.length == 0 {
+			return nil
+		}
+		l, err := d.part.recoverFrom(d.dir, walOpts)
+		if err != nil {
+			return err
+		}
+		return l.Close()
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ent, next := range cursors {
+		if err := view.CommitCursor(ent.Consumer, ent.Topic, ent.Partition, next); err != nil {
+			return nil, err
+		}
+	}
+	return view, nil
 }
 
 // persistTopic writes a new topic's config and opens its partition logs.

@@ -12,7 +12,8 @@ import (
 // broker's event log, so Commit/LoadCursor survive restarts. The whole map
 // is rewritten atomically (temp file + fsync + rename) on every update —
 // cursors are tiny and commits are rare compared to appends, so simplicity
-// wins over an incremental format.
+// wins over an incremental format; a commit that moves several cursors is
+// still one update (SetBatch).
 type CursorStore struct {
 	path string
 
@@ -37,11 +38,21 @@ func OpenCursorStore(path string) (*CursorStore, error) {
 	return s, nil
 }
 
-// Set records a cursor and persists the store durably.
-func (s *CursorStore) Set(key string, next uint64) error {
+// Cursor is one committed position: the key of a (consumer, topic,
+// partition) and the consumer's next unread offset there.
+type Cursor struct {
+	Key  string
+	Next uint64
+}
+
+// SetBatch records cursors and persists the store durably once: one rewrite,
+// one fsync, however many keys moved.
+func (s *CursorStore) SetBatch(cursors []Cursor) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[key] = next
+	for _, c := range cursors {
+		s.m[c.Key] = c.Next
+	}
 	return s.flushLocked()
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 )
 
 // On-disk record framing. Every record is length-prefixed and checksummed so
@@ -61,46 +62,126 @@ func appendFrame(buf []byte, rec Record) []byte {
 	return buf
 }
 
-// readRecord decodes the next record from r. It returns io.EOF at a clean
-// end of stream and errTorn for a record that is incomplete or fails its
-// checksum — the caller decides whether that is a truncatable tail or
-// interior corruption.
-func readRecord(r io.Reader, maxRecordBytes int) (Record, int64, error) {
-	var hdr [recordHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, 0, io.EOF
-		}
-		return Record{}, 0, errTorn // short header: torn tail
+// parseFrame decodes the frame at the start of b without copying: the
+// record's Meta and Data alias b. It returns errShort, with the byte count it
+// needs, when b ends before the frame does, and errTorn for a frame whose
+// length field, checksum or metadata length is invalid — the caller decides
+// whether that is a truncatable tail or interior corruption.
+func parseFrame(b []byte, maxRecordBytes int) (rec Record, n int, err error) {
+	if len(b) < recordHeaderSize {
+		return Record{}, recordHeaderSize, errShort
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if n < payloadMinSize || int(n) > maxRecordBytes {
+	plen := binary.LittleEndian.Uint32(b[0:4])
+	want := binary.LittleEndian.Uint32(b[4:8])
+	if plen < payloadMinSize || int64(plen) > int64(maxRecordBytes) {
 		return Record{}, 0, errTorn
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Record{}, 0, errTorn
+	n = recordHeaderSize + int(plen)
+	if len(b) < n {
+		return Record{}, n, errShort
 	}
+	payload := b[recordHeaderSize:n]
 	if crc32.Checksum(payload, crcTable) != want {
 		return Record{}, 0, errTorn
 	}
 	mlen := binary.LittleEndian.Uint32(payload[0:4])
-	if int(mlen) > len(payload)-payloadMinSize {
+	if int64(mlen) > int64(len(payload)-payloadMinSize) {
 		return Record{}, 0, errTorn
 	}
-	meta := payload[payloadMinSize : payloadMinSize+mlen]
-	data := payload[payloadMinSize+mlen:]
-	if len(data) == 0 {
-		data = nil
+	cut := payloadMinSize + int(mlen)
+	rec.Meta = payload[payloadMinSize:cut:cut]
+	if cut < len(payload) {
+		rec.Data = payload[cut:len(payload):len(payload)]
 	}
-	return Record{Meta: meta, Data: data}, recordHeaderSize + int64(n), nil
+	return rec, n, nil
+}
+
+// frameReader reads segment files frame by frame through one buffer, reused
+// from segment to segment and sized to the segment (at most readBlock, more
+// only for a frame that is itself larger).
+type frameReader struct {
+	maxRecordBytes int
+	buf            []byte
+	recs           []Record
+}
+
+const readBlock = 1 << 20
+
+// read opens the segment at path, reads its first size bytes once and
+// validates every frame in them, passing the records to visit in batches, in
+// order. The records alias the read buffer and are valid only during the
+// call. It returns how many records visit accepted and the byte length of
+// the frames holding them. err is errTorn when the bytes after that prefix
+// are not a whole valid frame, visit's error when it returns one, or an I/O
+// error.
+func (fr *frameReader) read(path string, size int64, visit func([]Record) error) (records uint64, valid int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, fmt.Errorf("wal: open segment: %w", err)
+	}
+	defer func() { _ = f.Close() }() // read-only open
+	if want := int(min(size, readBlock)); len(fr.buf) < want {
+		fr.buf = make([]byte, want)
+	}
+	buf := fr.buf
+	start, end := 0, 0 // buf[start:end] is read and not yet parsed
+	for {
+		recs, parsed := fr.recs[:0], 0
+		var rec Record
+		var n int
+		var perr error
+		for {
+			if rec, n, perr = parseFrame(buf[start+parsed:end], fr.maxRecordBytes); perr != nil {
+				break
+			}
+			recs = append(recs, rec)
+			parsed += n
+		}
+		fr.recs = recs
+		if len(recs) > 0 {
+			if err := visit(recs); err != nil {
+				return records, valid, err
+			}
+			records += uint64(len(recs))
+			valid += int64(parsed)
+			start += parsed
+		}
+		if perr == errTorn {
+			return records, valid, errTorn
+		}
+		// The buffer ends inside a frame: move the fragment to the front
+		// and read on, into a larger buffer when the frame needs one.
+		if size == 0 {
+			if start < end {
+				return records, valid, errTorn
+			}
+			return records, valid, nil
+		}
+		if n > len(buf) {
+			buf = append(make([]byte, 0, n), buf[start:end]...)[:n]
+			fr.buf = buf
+		} else {
+			copy(buf, buf[start:end])
+		}
+		start, end = 0, end-start
+		got, err := io.ReadFull(f, buf[end:end+int(min(int64(len(buf)-end), size))])
+		end += got
+		size -= int64(got)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			size = 0 // the file is shorter than its directory entry said
+		} else if err != nil {
+			return records, valid, fmt.Errorf("wal: read segment %s: %w", path, err)
+		}
+	}
 }
 
 // errTorn marks a record that could not be fully decoded. At the tail of the
 // newest segment it means a torn write; anywhere else it is promoted to
-// ErrCorrupt.
-var errTorn = errors.New("wal: torn record")
+// ErrCorrupt. errShort is parseFrame asking for more bytes.
+var (
+	errTorn  = errors.New("wal: torn record")
+	errShort = errors.New("wal: short buffer")
+)
 
 func corruptAt(path string, off int64, err error) error {
 	return fmt.Errorf("%w: %s at byte %d: %v", ErrCorrupt, path, off, err)

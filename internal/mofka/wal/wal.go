@@ -12,6 +12,7 @@ package wal
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -131,6 +132,17 @@ type Log struct {
 // truncated at the last valid frame, and the next append offset is rebuilt
 // from the surviving records.
 func Open(dir string, opts Options) (*Log, error) {
+	return OpenReplay(dir, opts, func([]Record) error { return nil })
+}
+
+// OpenReplay is Open that also hands every record the log holds to visit, in
+// offset order and in batches, during the one validating pass recovery makes
+// over the segments — so a caller that rebuilds state from the log reads each
+// segment once. The records alias the read buffer: they are valid only
+// during the call. An error from visit fails the open. On a log with interior
+// corruption visit has seen the records before the corrupt frame by the time
+// OpenReplay returns ErrCorrupt.
+func OpenReplay(dir string, opts Options, visit func(recs []Record) error) (*Log, error) {
 	opts.setDefaults()
 	l := &Log{dir: dir, opts: opts}
 	if !opts.ReadOnly {
@@ -138,7 +150,7 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: open %s: %w", dir, err)
 		}
 	}
-	if err := l.recover(); err != nil {
+	if err := l.recover(visit); err != nil {
 		return nil, err
 	}
 	if !opts.ReadOnly {
@@ -149,9 +161,10 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// recover enumerates segments, validates them, truncates a torn tail (unless
-// read-only), and computes first/next offsets.
-func (l *Log) recover() error {
+// recover enumerates segments, validates them in one pass that also feeds
+// visit, truncates a torn tail (unless read-only), and computes first/next
+// offsets.
+func (l *Log) recover(visit func([]Record) error) error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		if os.IsNotExist(err) && l.opts.ReadOnly {
@@ -180,11 +193,16 @@ func (l *Log) recover() error {
 		})
 	}
 	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].base < l.segs[j].base })
+	fr := frameReader{maxRecordBytes: l.opts.MaxRecordBytes}
 	for i := range l.segs {
 		s := &l.segs[i]
-		last := i == len(l.segs)-1
-		records, validSize, err := l.scanSegment(s.path, last)
-		if err != nil {
+		records, validSize, err := fr.read(s.path, s.size, visit)
+		// A torn frame is tolerated only in the newest segment; elsewhere
+		// it is interior corruption.
+		if err == errTorn && i < len(l.segs)-1 {
+			return corruptAt(s.path, validSize, err)
+		}
+		if err != nil && err != errTorn {
 			return err
 		}
 		if validSize < s.size {
@@ -206,32 +224,6 @@ func (l *Log) recover() error {
 		l.next = s.base + s.records
 	}
 	return nil
-}
-
-// scanSegment walks a segment's frames, returning the record count and the
-// byte length of the valid prefix. A torn frame is tolerated only in the
-// newest segment (tail=true); elsewhere it is interior corruption.
-func (l *Log) scanSegment(path string, tail bool) (records uint64, validSize int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: open segment: %w", err)
-	}
-	defer func() { _ = f.Close() }() // read-only open
-	r := bufio.NewReaderSize(f, 1<<20)
-	for {
-		_, n, err := readRecord(r, l.opts.MaxRecordBytes)
-		if err == io.EOF {
-			return records, validSize, nil
-		}
-		if err != nil {
-			if tail {
-				return records, validSize, nil // torn tail, caller truncates
-			}
-			return 0, 0, corruptAt(path, validSize, err)
-		}
-		records++
-		validSize += n
-	}
 }
 
 // openActive positions the writer at the newest segment, starting a fresh
@@ -422,7 +414,7 @@ func (l *Log) TruncateTo(n uint64) error {
 			continue
 		}
 		if s.base+s.records > n {
-			size, err := l.frameBoundary(s.path, n-s.base)
+			size, err := l.frameBoundary(s, n-s.base)
 			if err != nil {
 				return err
 			}
@@ -441,24 +433,31 @@ func (l *Log) TruncateTo(n uint64) error {
 	return l.openActive()
 }
 
-// frameBoundary returns the byte length of path's first k frames.
-func (l *Log) frameBoundary(path string, k uint64) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: open segment: %w", err)
-	}
-	defer func() { _ = f.Close() }() // read-only open
-	r := bufio.NewReaderSize(f, 1<<20)
+// frameBoundary returns the byte length of s's first k frames.
+func (l *Log) frameBoundary(s *segment, k uint64) (int64, error) {
+	fr := frameReader{maxRecordBytes: l.opts.MaxRecordBytes}
 	var size int64
-	for i := uint64(0); i < k; i++ {
-		_, n, err := readRecord(r, l.opts.MaxRecordBytes)
-		if err != nil {
-			return 0, corruptAt(path, size, err)
+	_, valid, err := fr.read(s.path, s.size, func(recs []Record) error {
+		for _, r := range recs {
+			if k == 0 {
+				return errStop
+			}
+			size += frameSize(r)
+			k--
 		}
-		size += n
+		return nil
+	})
+	if err != nil && err != errStop {
+		return 0, corruptAt(s.path, valid, err)
+	}
+	if k > 0 {
+		return 0, corruptAt(s.path, valid, io.ErrUnexpectedEOF)
 	}
 	return size, nil
 }
+
+// errStop is how a frameReader visitor ends the read early.
+var errStop = errors.New("wal: stop")
 
 func (l *Log) syncLocked() error {
 	if err := l.w.Flush(); err != nil {
@@ -484,7 +483,8 @@ func (l *Log) Sync() error {
 // Replay calls fn for every record with offset >= from, in offset order,
 // until fn returns false. Offsets below the retention horizon are skipped
 // (replay starts at FirstOffset). Replay sees every record appended before
-// the call, including unsynced ones.
+// the call, including unsynced ones. The record's bytes alias the read
+// buffer and are valid only during the call.
 func (l *Log) Replay(from uint64, fn func(off uint64, rec Record) bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -493,35 +493,32 @@ func (l *Log) Replay(from uint64, fn func(off uint64, rec Record) bool) error {
 			return fmt.Errorf("wal: flush before replay: %w", err)
 		}
 	}
+	fr := frameReader{maxRecordBytes: l.opts.MaxRecordBytes}
 	for _, s := range l.segs {
 		if s.base+s.records <= from {
 			continue
 		}
-		f, err := os.Open(s.path)
+		off := s.base
+		// s.size is the validated prefix length from recovery, so a torn
+		// tail left on disk by a read-only open is never read here.
+		_, read, err := fr.read(s.path, s.size, func(recs []Record) error {
+			for _, rec := range recs {
+				if off >= from && !fn(off, rec) {
+					return errStop
+				}
+				off++
+			}
+			return nil
+		})
+		if err == errStop {
+			return nil
+		}
+		if err == errTorn {
+			return corruptAt(s.path, read, err)
+		}
 		if err != nil {
 			return fmt.Errorf("wal: replay: %w", err)
 		}
-		r := bufio.NewReaderSize(f, 1<<20)
-		off := s.base
-		var read int64
-		// s.size is the validated prefix length from recovery, so a torn
-		// tail left on disk by a read-only open is never read here.
-		for read < s.size {
-			rec, n, err := readRecord(r, l.opts.MaxRecordBytes)
-			if err != nil {
-				_ = f.Close()
-				return corruptAt(s.path, read, err)
-			}
-			read += n
-			if off >= from {
-				if !fn(off, rec) {
-					_ = f.Close()
-					return nil
-				}
-			}
-			off++
-		}
-		_ = f.Close() // read-only open
 	}
 	return nil
 }

@@ -383,10 +383,10 @@ func TestCursorStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Set("analysis/task-executions/p0000", 42); err != nil {
+	if err := s.SetBatch([]Cursor{{Key: "analysis/task-executions/p0000", Next: 41}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Set("analysis/task-executions/p0001", 7); err != nil {
+	if err := s.SetBatch([]Cursor{{Key: "analysis/task-executions/p0000", Next: 42}, {Key: "analysis/task-executions/p0001", Next: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := s.Get("analysis/task-executions/p0000"); !ok || v != 42 {

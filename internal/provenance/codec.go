@@ -738,6 +738,18 @@ func DecodeIOTrace(b []byte) (IOTrace, error) {
 	return r, d.end()
 }
 
+// Validate accepts exactly the metadata every Decode<T> accepts — a JSON
+// object or null with nothing after it — without building a record: the check
+// for a consumer that only counts a topic's events.
+func Validate(b []byte) error {
+	d := dec{b: b}
+	for ok := d.top(); ok && d.more('}'); {
+		d.key()
+		d.skip()
+	}
+	return d.end()
+}
+
 // Drain decodes every event of a topic, once, straight from the stored
 // bytes, in the order a consumer's Drain delivers them.
 func Drain[T any](b *mofka.Broker, topic string, decode func([]byte) (T, error)) ([]T, error) {

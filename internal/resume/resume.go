@@ -73,6 +73,15 @@ func Reconstruct(dataDir string) (*State, error) {
 	if !IsRunDir(dataDir) {
 		return nil, fmt.Errorf("resume: %s holds no durable event log", dataDir)
 	}
+	open := mofka.OpenPostMortem
+	if mcluster.IsClusterDir(dataDir) {
+		open = mcluster.OpenPostMortem
+	}
+	return reconstruct(dataDir, open)
+}
+
+// reconstruct is Reconstruct over the log as open loads it.
+func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error)) (*State, error) {
 	lineage, err := LoadLineage(dataDir)
 	if err != nil {
 		return nil, err
@@ -110,12 +119,7 @@ func Reconstruct(dataDir string) (*State, error) {
 		cp.AtSeconds = -1 // replay everything
 	}
 
-	var broker *mofka.Broker
-	if mcluster.IsClusterDir(dataDir) {
-		broker, err = mcluster.OpenPostMortem(dataDir)
-	} else {
-		broker, err = mofka.OpenPostMortem(dataDir)
-	}
+	broker, err := open(dataDir)
 	if err != nil {
 		return nil, fmt.Errorf("resume: open log: %w", err)
 	}

@@ -9,9 +9,11 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"taskprov/internal/core"
+	"taskprov/internal/live"
 	"taskprov/internal/mofka"
 	"taskprov/internal/provenance"
 )
@@ -53,6 +55,70 @@ func checkTopicCodec[T any](t *testing.T, art *core.RunArtifacts, topic string,
 	return len(raws)
 }
 
+var seededWorkflows = []string{"imageprocessing", "resnet152", "xgboost"}
+
+// seededRuns keeps the seed-5 run of each workflow for the tests that only
+// read its events, so the corpus is produced once per test binary.
+var seededRuns struct {
+	sync.Mutex
+	arts map[string]*core.RunArtifacts
+}
+
+func seededRun(t *testing.T, name string) *core.RunArtifacts {
+	t.Helper()
+	seededRuns.Lock()
+	defer seededRuns.Unlock()
+	if seededRuns.arts[name] == nil {
+		if seededRuns.arts == nil {
+			seededRuns.arts = make(map[string]*core.RunArtifacts)
+		}
+		seededRuns.arts[name] = runOnce(t, name, 5)
+	}
+	return seededRuns.arts[name]
+}
+
+// TestTypedIngestMatchesMapIngest feeds every event of the seeded runs to two
+// live aggregators — one through Ingest, straight from the stored bytes, one
+// through IngestEvent over the decoded map — in the replay's order, and
+// requires equal snapshots: the typed read path changes no summary.
+func TestTypedIngestMatchesMapIngest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full workflow runs")
+	}
+	for _, name := range seededWorkflows {
+		art := seededRun(t, name)
+		typed, mapped := live.NewAggregator(live.AggregatorOptions{}), live.NewAggregator(live.AggregatorOptions{})
+		for _, topic := range art.Broker.Topics() {
+			tp, err := art.Broker.OpenTopic(topic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := tp.NewConsumer(mofka.ConsumerOptions{NoData: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = c.Scan(func(partition int, id uint64, metadata []byte) error {
+				m, err := mofka.DecodeMetadata(metadata)
+				if err != nil {
+					return err
+				}
+				mapped.IngestEvent(topic, partition, m)
+				return typed.Ingest(topic, partition, metadata)
+			})
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, topic, err)
+			}
+		}
+		got, want := typed.Snapshot(), mapped.Snapshot()
+		if got.Events != art.Collector.TotalEvents() || got.Tasks == 0 {
+			t.Fatalf("%s: ingested %d events (%d tasks), the collector pushed %d", name, got.Events, got.Tasks, art.Collector.TotalEvents())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: typed and map ingest disagree:\n typed %+v\n   map %+v", name, got, want)
+		}
+	}
+}
+
 // TestCodecOnSeededRuns runs each workflow once and checks every event it
 // collected (the proxy and speculation topics stay empty in default sessions;
 // the provenance package's hostile-input tests cover their codecs).
@@ -60,8 +126,8 @@ func TestCodecOnSeededRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow runs")
 	}
-	for _, name := range []string{"imageprocessing", "resnet152", "xgboost"} {
-		art := runOnce(t, name, 5)
+	for _, name := range seededWorkflows {
+		art := seededRun(t, name)
 		n := checkTopicCodec(t, art, core.TopicTaskMeta, provenance.DecodeTaskMeta, provenance.ParseTaskMeta, provenance.AppendTaskMeta, provenance.TaskMetaEvent)
 		n += checkTopicCodec(t, art, core.TopicTransitions, provenance.DecodeTransition, provenance.ParseTransition, provenance.AppendTransition, provenance.TransitionEvent)
 		n += checkTopicCodec(t, art, core.TopicExecutions, provenance.DecodeExecution, provenance.ParseExecution, provenance.AppendExecution, provenance.ExecutionEvent)
