@@ -53,11 +53,16 @@ chaos:
 		./internal/chaos/ ./internal/dask/ ./internal/core/ ./internal/perfrecup/ ./internal/live/
 
 # The sharded, replicated cluster suites, race-enabled: placement, quorum
-# replication, failover/fencing, consumer groups, and the end-to-end cluster
-# sessions (broker kill mid-workflow, zero acknowledged loss, deterministic
-# failover timeline).
+# replication, failover/fencing (a remote replica member included), consumer
+# groups, and the end-to-end cluster sessions (broker kill mid-workflow, zero
+# acknowledged loss, deterministic failover timeline). The log service's
+# contract lives here too, in the one package that can build every
+# deployment: the conformance table over broker, cluster and a Remote to
+# each, and the wire golden — named on a line of their own, uncached, so a
+# rename cannot drop them from the gate.
 cluster:
 	$(GO) test -race ./internal/mofka/cluster/
+	$(GO) test -race -count=1 -run 'TestServiceConformance|TestWireGolden|TestRemoteMember' ./internal/mofka/cluster/
 	$(GO) test -race -run 'TestCluster' ./internal/core/
 
 # Property push, race-enabled: random DAGs through the scheduler (exactly
@@ -142,6 +147,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzCodec' -fuzztime 20s ./internal/provenance/
 	$(GO) test -run 'FuzzIngest' ./internal/live/
 	$(GO) test -run '^$$' -fuzz 'FuzzIngest' -fuzztime 20s ./internal/live/
+	$(GO) test -run 'FuzzServe' ./internal/mofka/
+	$(GO) test -run '^$$' -fuzz 'FuzzServe' -fuzztime 20s ./internal/mofka/
 
 # The repo's end-to-end benchmark (bench/e2e, a module of its own): all four
 # workloads twice, the spread judged against BENCHMARK.json's bounds. Minutes,

@@ -109,7 +109,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	broker.RegisterRPCs(dep.Endpoint())
+	mofka.Serve(dep.Endpoint(), broker.Service())
 	durability := "in-memory"
 	if *dataDir != "" {
 		durability = fmt.Sprintf("durable log %s (fsync=%s, %d topics recovered)",

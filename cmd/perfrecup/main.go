@@ -26,7 +26,6 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/darshan"
-	"taskprov/internal/mofka"
 	"taskprov/internal/mofka/cluster"
 	"taskprov/internal/perfrecup"
 	"taskprov/internal/perfrecup/frame"
@@ -106,7 +105,7 @@ func usage() {
 // (cluster.json + node-NN/ replica logs) — the latter two load post-mortem
 // straight from the on-disk event logs.
 func load(dir string) (*core.RunArtifacts, error) {
-	if cluster.IsClusterDir(dir) || mofka.IsDataDir(dir) {
+	if cluster.IsLogDir(dir) {
 		return perfrecup.LoadEventLog(dir)
 	}
 	return core.LoadDir(dir)

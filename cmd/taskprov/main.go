@@ -314,7 +314,7 @@ func cmdResume(args []string) error {
 // (<dir>.old-<n>, first free n) so the run can start fresh. Returns the new
 // name, or "" when dir held no event log.
 func moveAsideDataDir(dir string) (string, error) {
-	if !mofka.IsDataDir(dir) && !cluster.IsClusterDir(dir) {
+	if !cluster.IsLogDir(dir) {
 		return "", nil
 	}
 	for n := 1; ; n++ {
@@ -426,7 +426,7 @@ func cmdWhatIf(args []string, out io.Writer) error {
 	}
 	var art *core.RunArtifacts
 	var err error
-	if cluster.IsClusterDir(*runDir) || mofka.IsDataDir(*runDir) {
+	if cluster.IsLogDir(*runDir) {
 		art, err = perfrecup.LoadEventLog(*runDir)
 	} else {
 		art, err = core.LoadDir(*runDir)

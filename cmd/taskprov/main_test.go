@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	"taskprov/internal/live"
 	"taskprov/internal/mofka"
+	"taskprov/internal/mofka/cluster"
 	"taskprov/internal/whatif"
 )
 
@@ -132,28 +134,72 @@ func TestCmdRunForceAndWatch(t *testing.T) {
 	}
 
 	// watch -once -json over the new log prints a parseable Summary.
-	stdout := os.Stdout
-	pr, pw, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = pw
-	watchErr := cmdWatch([]string{"-data-dir", runWAL, "-once", "-json"}, nil)
-	_ = pw.Close()
-	os.Stdout = stdout
-	raw, err := io.ReadAll(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if watchErr != nil {
-		t.Fatal(watchErr)
-	}
+	raw := watchOnceJSON(t, runWAL)
 	var sum live.Summary
 	if err := json.Unmarshal(raw, &sum); err != nil {
 		t.Fatalf("watch -json output unparseable: %v\n%s", err, raw)
 	}
 	if sum.Tasks == 0 || sum.Workflow != "imageprocessing" {
 		t.Fatalf("watch summary = %+v", sum)
+	}
+}
+
+// watchOnceJSON is what `taskprov watch -data-dir dir -once -json` prints.
+func watchOnceJSON(t *testing.T, dir string) []byte {
+	t.Helper()
+	stdout := os.Stdout
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = pw
+	printed := make(chan []byte)
+	go func() {
+		raw, _ := io.ReadAll(pr)
+		printed <- raw
+	}()
+	watchErr := cmdWatch([]string{"-data-dir", dir, "-once", "-json"}, nil)
+	_ = pw.Close()
+	os.Stdout = stdout
+	raw := <-printed
+	if watchErr != nil {
+		t.Fatal(watchErr)
+	}
+	return raw
+}
+
+// TestCmdWatchClusterDataDir: watch -data-dir takes a sharded cluster
+// directory as it takes a single broker's, and prints exactly the summary a
+// post-mortem replay of the same directory gives.
+func TestCmdWatchClusterDataDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full workflow run")
+	}
+	out, wal := t.TempDir(), t.TempDir()
+	err := cmdRun([]string{"-workflow", "imageprocessing", "-seed", "11", "-out", out, "-data-dir", wal,
+		"-cluster", "3", "-replication", "2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(wal, "imageprocessing-0011")
+	if !cluster.IsClusterDir(dir) {
+		t.Fatalf("%s is not a cluster dir", dir)
+	}
+	want, err := live.ReplayDataDir(dir, live.AggregatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantJSON bytes.Buffer
+	enc := json.NewEncoder(&wantJSON)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	if got := watchOnceJSON(t, dir); !bytes.Equal(got, wantJSON.Bytes()) {
+		t.Fatalf("watch -once -json differs from live.ReplayDataDir of the same dir:\n%s\nwant:\n%s", got, wantJSON.Bytes())
+	}
+	if want.Tasks == 0 || want.Workflow != "imageprocessing" {
+		t.Fatalf("summary = %+v", want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"taskprov/internal/darshan"
 	"taskprov/internal/dask"
+	"taskprov/internal/live"
 	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
 	"taskprov/internal/pfs"
@@ -238,46 +239,74 @@ func TestCollectorCounts(t *testing.T) {
 var _ = platform.Polaris
 var _ = pfs.Lustre
 
+// TestInSituMonitor is the paper's in situ consumption mode: a live.Monitor
+// attached to an external broker BEFORE the run consumes events as the
+// producer flushes them, and once finished has seen exactly what a
+// post-mortem drain of the same broker sees.
 func TestInSituMonitor(t *testing.T) {
-	// Start the monitor BEFORE the run: it consumes events live as the
-	// producer flushes them, and after Stop has seen exactly what a
-	// post-mortem drain sees.
 	broker := mofka.NewStandaloneBroker()
-	mon, err := NewInSituMonitor(broker)
+	mon := live.NewMonitor(broker, live.MonitorOptions{DisableEmit: true})
+	art, err := RunOnBroker(testSession(21), &toyWorkflow{files: 10}, broker)
 	if err != nil {
+		mon.Stop()
 		t.Fatal(err)
 	}
-	cfg := testSession(21)
-	art, err := RunOnBroker(cfg, &toyWorkflow{files: 10}, broker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon.Stop()
-	if got := mon.EventCount(TopicExecutions); got != 11 {
-		t.Fatalf("in-situ executions = %d, want 11", got)
+	sum := mon.Finish(art.DarshanLogs, art.WallTime.Seconds())
+	if sum.Tasks != 11 {
+		t.Fatalf("in-situ executions = %d, want 11", sum.Tasks)
 	}
 	post, err := provenance.Drain(art.Broker, TopicTransitions, provenance.DecodeTransition)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mon.EventCount(TopicTransitions); got != int64(len(post)) {
-		t.Fatalf("in-situ transitions = %d, post-mortem = %d", got, len(post))
+	if sum.Transitions != int64(len(post)) {
+		t.Fatalf("in-situ transitions = %d, post-mortem = %d", sum.Transitions, len(post))
 	}
-	key, dur := mon.LongestTask()
-	if key == "" || dur <= 0 {
-		t.Fatalf("longest task = %q, %v", key, dur)
+	var events int64
+	for _, name := range AllTopics() {
+		if tp, err := art.Broker.OpenTopic(name); err == nil {
+			events += int64(tp.Events())
+		}
 	}
-	if !strings.Contains(mon.Snapshot(), "task-executions") {
-		t.Fatalf("snapshot = %q", mon.Snapshot())
+	if sum.Events != events {
+		t.Fatalf("in-situ events = %d, the broker holds %d", sum.Events, events)
 	}
 }
 
+// runToyThrough runs the toy workflow on a bare simulated cluster whose
+// provenance goes through c; during, when set, runs beside it as a process of
+// its own.
+func runToyThrough(c *Collector, seed uint64, files int, during func(p *sim.Proc)) {
+	cfg := testSession(seed)
+	k := sim.NewKernel(cfg.Seed)
+	plat := platform.New(k, cfg.Platform)
+	fsys := pfs.New(k, cfg.PFS)
+	px := posixio.NewFS(fsys)
+	cluster := dask.NewCluster(k, plat, px, cfg.Dask, nil)
+	c.SetClock(k.Now)
+	cluster.AddSchedulerPlugin(c.SchedulerPlugin())
+	cluster.AddWorkerPlugin(c.WorkerPlugin())
+	wf := &toyWorkflow{files: files}
+	wf.Stage(&Env{Kernel: k, Platform: plat, PFS: fsys, FS: px, Cluster: cluster})
+	cluster.Start()
+	k.Go(func(p *sim.Proc) {
+		cl := cluster.Client()
+		cl.WaitForWorkers(p, len(cluster.Workers()))
+		wf.Run(p, cl, nil)
+		k.Stop()
+	})
+	if during != nil {
+		k.Go(during)
+	}
+	k.Run()
+}
+
 func TestRemoteCollectorOverTCP(t *testing.T) {
-	// A real mofkad-style broker behind TCP receives the provenance stream;
-	// analysis pulls it back over the same wire.
+	// A real mofkad-style broker behind TCP receives the provenance stream
+	// from the one Collector; analysis pulls it back over the same wire.
 	broker := mofka.NewStandaloneBroker()
 	ep := mercury.NewEndpoint("mofkad")
-	broker.RegisterRPCs(ep)
+	mofka.Serve(ep, broker.Service())
 	srv, err := mercury.Serve(ep, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -289,31 +318,14 @@ func TestRemoteCollectorOverTCP(t *testing.T) {
 	}
 	defer func() { _ = cli.Close() }()
 	remote := mofka.NewRemote(cli)
-	rc, err := NewRemoteCollector(remote, 16)
+	rc, err := NewCollector(mofka.ServiceTopics(remote), mofka.ProducerOptions{BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cfg := testSession(33)
-	cfg.DisableCollection = true // the remote collector replaces the local one
-	k := sim.NewKernel(cfg.Seed)
-	plat := platform.New(k, cfg.Platform)
-	fsys := pfs.New(k, cfg.PFS)
-	px := posixio.NewFS(fsys)
-	cluster := dask.NewCluster(k, plat, px, cfg.Dask, nil)
-	cluster.AddSchedulerPlugin(rc.SchedulerPlugin())
-	cluster.AddWorkerPlugin(rc.WorkerPlugin())
-	wf := &toyWorkflow{files: 9}
-	wf.Stage(&Env{Kernel: k, Platform: plat, PFS: fsys, FS: px, Cluster: cluster})
-	cluster.Start()
-	k.Go(func(p *sim.Proc) {
-		cl := cluster.Client()
-		cl.WaitForWorkers(p, len(cluster.Workers()))
-		wf.Run(p, cl, nil)
-		k.Stop()
-	})
-	k.Run()
-	rc.Flush()
+	runToyThrough(rc, 33, 9, nil)
+	if err := rc.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	// All executions arrived on the remote broker.
 	evs, err := remote.Pull(TopicExecutions, 0, 0, 1000, false)
@@ -327,9 +339,74 @@ func TestRemoteCollectorOverTCP(t *testing.T) {
 	if got := len(evs) + len(evs2); got != 10 {
 		t.Fatalf("remote executions = %d, want 10", got)
 	}
-	pushed, flushes := rc.Stats()
-	if pushed < 10 || flushes == 0 {
-		t.Fatalf("stats = %d pushed, %d flushes", pushed, flushes)
+	if rc.EventCount(TopicExecutions) != 10 || rc.TotalEvents() < 20 {
+		t.Fatalf("collector counted %d executions, %d events", rc.EventCount(TopicExecutions), rc.TotalEvents())
+	}
+}
+
+// TestRemoteCollectorSurvivesEndpointOutage: the remote log goes away
+// mid-run and comes back. The collector's producers degrade, buffer, and
+// recover — the episode is on the warnings topic — and every event the
+// plugins pushed is on the broker at the end. (The collector this replaced
+// printed the failed push and dropped the batch.)
+func TestRemoteCollectorSurvivesEndpointOutage(t *testing.T) {
+	const addr = "local://mofkad"
+	broker := mofka.NewStandaloneBroker()
+	reg := mercury.NewRegistry()
+	mofka.Serve(reg.Listen(addr), broker.Service())
+	rc, err := NewCollector(mofka.ServiceTopics(mofka.NewRemote(reg.Bind(addr))),
+		mofka.ProducerOptions{BatchSize: 4, FlushRetries: 1, RetryBackoff: time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The outage is cut out of the middle of the event stream, whenever in
+	// virtual time that falls.
+	until := func(p *sim.Proc, events int64) {
+		for rc.TotalEvents() < events {
+			p.Sleep(sim.Milliseconds(1))
+		}
+	}
+	runToyThrough(rc, 34, 24, func(p *sim.Proc) {
+		until(p, 50)
+		reg.Close(addr)
+		until(p, 150)
+		mofka.Serve(reg.Listen(addr), broker.Service())
+	})
+	if err := rc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var landed int64
+	for _, name := range AllTopics() {
+		tp, err := broker.OpenTopic(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		landed += int64(tp.Events())
+	}
+	if landed != rc.TotalEvents() {
+		t.Fatalf("broker holds %d events, the collector pushed %d", landed, rc.TotalEvents())
+	}
+	warns, err := provenance.Drain(broker, TopicWarnings, provenance.DecodeWarning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded, recovered := 0, 0
+	for _, w := range warns {
+		if w.Kind != dask.WarnProducerDegraded {
+			continue
+		}
+		switch {
+		case strings.Contains(w.Message, "degraded (buffering)"):
+			degraded++
+		case strings.Contains(w.Message, "dropped="):
+			t.Errorf("events lost to the outage: %s", w.Message)
+		case strings.Contains(w.Message, "recovered after"):
+			recovered++
+		}
+	}
+	if degraded == 0 || recovered != degraded {
+		t.Fatalf("%d degraded and %d recovered episodes on the warnings topic, want equal and > 0", degraded, recovered)
 	}
 }
 

@@ -41,12 +41,14 @@ type Collector struct {
 }
 
 // NewCollector creates the topics (2 partitions each, as a small Mofka
-// deployment would) and producers on the given bus — a standalone broker or
-// a sharded, replicated cluster (internal/mofka/cluster). Producers report
-// degraded episodes (broker unreachable, events buffering) back through the
-// collector, which records them on the warnings topic as
+// deployment would) and producers on the given log — a session's own bus
+// (a standalone broker or a sharded, replicated cluster), or, through
+// mofka.ServiceTopics, any mofka.Service: typically a mofkad on another
+// node, where analysis consumers run while the workflow executes. Producers
+// report degraded episodes (log unreachable, events buffering) back through
+// the collector, which records them on the warnings topic as
 // producer_degraded events.
-func NewCollector(bus mofka.Bus, opts mofka.ProducerOptions) (*Collector, error) {
+func NewCollector(log mofka.TopicOpener, opts mofka.ProducerOptions) (*Collector, error) {
 	c := &Collector{
 		producers:       make(map[string]*mofka.Producer),
 		events:          make(map[string]int64),
@@ -54,7 +56,7 @@ func NewCollector(bus mofka.Bus, opts mofka.ProducerOptions) (*Collector, error)
 		droppedReported: make(map[string]uint64),
 	}
 	for _, name := range AllTopics() {
-		t, err := bus.EnsureTopic(mofka.TopicConfig{Name: name, Partitions: 2})
+		t, err := log.EnsureTopic(mofka.TopicConfig{Name: name, Partitions: 2})
 		if err != nil {
 			return nil, fmt.Errorf("core: create topic %s: %w", name, err)
 		}
@@ -62,7 +64,7 @@ func NewCollector(bus mofka.Bus, opts mofka.ProducerOptions) (*Collector, error)
 		topic := name
 		topicOpts.OnDegraded = func(err error) { c.producerDegraded(topic, err) }
 		topicOpts.OnRecovered = func() { c.producerRecovered(topic) }
-		c.producers[name] = t.Producer(topicOpts)
+		c.producers[name] = t.NewProducer(topicOpts)
 	}
 	return c, nil
 }

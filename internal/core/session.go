@@ -526,7 +526,7 @@ func (s *Session) openBus(external *mofka.Broker) error {
 		// existing log would silently merge both runs' provenance. A resumed
 		// session is the sanctioned exception — it continues the same run,
 		// and the durable brokers recover the log appendable.
-		if s.resumeState == nil && (mcluster.IsClusterDir(cfg.MofkaDataDir) || mofka.IsDataDir(cfg.MofkaDataDir)) {
+		if s.resumeState == nil && mcluster.IsLogDir(cfg.MofkaDataDir) {
 			return fmt.Errorf("core: data dir %s already holds an event log (one directory per run; use ResumeFrom to continue it)", cfg.MofkaDataDir)
 		}
 		pol, err := wal.ParseSyncPolicy(cfg.MofkaSyncPolicy)

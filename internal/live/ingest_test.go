@@ -113,7 +113,7 @@ func TestRemoteTailerReportsMalformedEventOnce(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	seedWithMalformed(t, b, 8)
 	reg := mercury.NewRegistry()
-	b.RegisterRPCs(reg.Listen("local://mofka"))
+	mofka.Serve(reg.Listen("local://mofka"), b.Service())
 	tl := &RemoteTailer{
 		remote: mofka.NewRemote(reg.Bind("local://mofka")),
 		agg:    NewAggregator(AggregatorOptions{}),

@@ -73,11 +73,7 @@ type dirMetadata struct {
 // directory (cluster.json + node-NN/) is merged into one view first, the way
 // perfrecup.LoadEventLog opens it.
 func ReplayDataDir(dir string, opts AggregatorOptions) (Summary, error) {
-	open := mofka.OpenPostMortem
-	if cluster.IsClusterDir(dir) {
-		open = cluster.OpenPostMortem
-	}
-	b, err := open(dir)
+	b, err := cluster.OpenLog(dir)
 	if err != nil {
 		return Summary{}, fmt.Errorf("live: open %s: %w", dir, err)
 	}
@@ -136,7 +132,8 @@ func (o TailOptions) withDefaults() TailOptions {
 // O(log size) per tick, the price of staying read-only against a directory
 // another process is actively writing (no shared cursor state, no risk of
 // perturbing the run). For the paper-scale logs this is milliseconds; for
-// production-scale logs attach to the broker with a RemoteTailer instead.
+// production-scale logs attach to the broker with a RemoteTailer instead. A
+// sharded cluster directory tails the same way (see ReplayDataDir).
 type WALTailer struct {
 	dir  string
 	opts TailOptions
@@ -157,7 +154,7 @@ type WALTailer struct {
 // so the returned tailer always serves a real snapshot (the refresh error,
 // if any, is surfaced; a dir mid-first-write may legitimately be empty).
 func TailWAL(dir string, opts TailOptions) (*WALTailer, error) {
-	if !mofka.IsDataDir(dir) {
+	if !cluster.IsLogDir(dir) {
 		return nil, fmt.Errorf("live: %s is not a Mofka data dir", dir)
 	}
 	t := &WALTailer{
@@ -244,11 +241,11 @@ func (t *WALTailer) Stop() {
 	<-t.done
 }
 
-// RemoteTailer attaches to a running mofkad broker over Mercury RPC and
-// pulls provenance topics incrementally into a persistent aggregator — the
-// "consumer group on a live deployment" mode of taskprov watch.
+// RemoteTailer attaches to a running log service — a mofkad broker or cluster
+// gateway over Mercury RPC, as taskprov watch -broker does — and pulls
+// provenance topics incrementally into a persistent aggregator.
 type RemoteTailer struct {
-	remote *mofka.Remote
+	remote mofka.Service
 	opts   TailOptions
 	agg    *Aggregator
 
@@ -259,9 +256,9 @@ type RemoteTailer struct {
 	done     chan struct{}
 }
 
-// TailRemote starts tailing a remote broker. One synchronous sweep runs
-// before returning so the first snapshot is already populated.
-func TailRemote(r *mofka.Remote, opts TailOptions) (*RemoteTailer, error) {
+// TailRemote starts tailing a log service. One synchronous sweep runs before
+// returning so the first snapshot is already populated.
+func TailRemote(r mofka.Service, opts TailOptions) (*RemoteTailer, error) {
 	t := &RemoteTailer{
 		remote: r,
 		opts:   opts.withDefaults(),

@@ -1,14 +1,20 @@
 package mofka
 
+import "fmt"
+
 // Bus is the event-log deployment a run publishes its provenance through,
 // with the lifecycle its owner drives. Two implementations exist: a
 // standalone Broker (via Broker.Bus) and a sharded, replicated cluster
 // (internal/mofka/cluster). Defining the interface here — in the leaf
 // package both sides already import — lets internal/core target either
 // deployment without an import cycle and without branching on which it got.
+//
+// A Bus is owned and in-process: its producers bind straight to the
+// deployment's append, with no request to encode. Service is the other seam —
+// the nine operations anyone may speak to a log, its owner or not, over the
+// wire or not.
 type Bus interface {
-	// EnsureTopic opens the topic, creating it if absent.
-	EnsureTopic(cfg TopicConfig) (BusTopic, error)
+	TopicOpener
 	// SetAppendFault installs (nil clears) a hook that can fail appends, for
 	// fault injection.
 	SetAppendFault(f func(topic string, partition int) error)
@@ -22,13 +28,19 @@ type Bus interface {
 	Close() error
 }
 
-// BusTopic is one named event stream reachable through a Bus.
+// TopicOpener is what a publisher needs of the log it writes to: every Bus
+// is one, and ServiceTopics makes one of any Service.
+type TopicOpener interface {
+	// EnsureTopic opens the topic, creating it if absent.
+	EnsureTopic(cfg TopicConfig) (BusTopic, error)
+}
+
+// BusTopic is one named event stream a publisher has opened. What differs
+// between deployments is only the sink its producers' sealed batches ship
+// through.
 type BusTopic interface {
-	Name() string
-	PartitionCount() int
-	// Producer creates the topic's batching publisher. What differs between
-	// deployments is only the sink its sealed batches ship through.
-	Producer(opts ProducerOptions) *Producer
+	// NewProducer creates a batching publisher for the topic.
+	NewProducer(opts ProducerOptions) *Producer
 }
 
 // Bus adapts the broker to the Bus interface.
@@ -41,13 +53,39 @@ func (bb brokerBus) EnsureTopic(cfg TopicConfig) (BusTopic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return brokerBusTopic{t}, nil
+	return t, nil
 }
 
 func (bb brokerBus) ReadView() (*Broker, error) { return bb.Broker, nil }
 
-type brokerBusTopic struct{ t *Topic }
+// ServiceTopics publishes through a Service someone else owns — typically a
+// Remote: topics open with CreateTopic and TopicInfo, and a producer's sealed
+// batches ship with PushBatch, so an unreachable service degrades the
+// producer (buffer, retry, bounded backlog) exactly as a failing local append
+// does.
+func ServiceTopics(svc Service) TopicOpener { return serviceTopics{svc} }
 
-func (bt brokerBusTopic) Name() string                            { return bt.t.Name() }
-func (bt brokerBusTopic) PartitionCount() int                     { return bt.t.Partitions() }
-func (bt brokerBusTopic) Producer(opts ProducerOptions) *Producer { return bt.t.NewProducer(opts) }
+type serviceTopics struct{ svc Service }
+
+func (st serviceTopics) EnsureTopic(cfg TopicConfig) (BusTopic, error) {
+	if err := st.svc.CreateTopic(cfg); err != nil {
+		return nil, err
+	}
+	parts, _, err := st.svc.TopicInfo(cfg.Name)
+	if err != nil {
+		return nil, fmt.Errorf("mofka: topic %s: %w", cfg.Name, err)
+	}
+	return serviceTopic{svc: st.svc, cfg: cfg, partitions: parts}, nil
+}
+
+type serviceTopic struct {
+	svc        Service
+	cfg        TopicConfig
+	partitions int
+}
+
+func (t serviceTopic) NewProducer(opts ProducerOptions) *Producer {
+	return NewProducer(t.partitions, t.cfg.Validator, opts, func(partition int, _ uint64, metas, datas [][]byte) error {
+		return t.svc.PushBatch(t.cfg.Name, partition, metas, datas)
+	})
+}

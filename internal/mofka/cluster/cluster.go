@@ -28,6 +28,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -140,6 +141,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// replica is one member's copy of the event store: the log service every
+// deployment speaks, plus what shuts the member down. A local node's is its
+// broker's view, a joined member's a mofka.Remote over its connection; the
+// replication layer drives both through the same nine operations and cannot
+// tell which it holds.
+type replica struct {
+	mofka.Service
+	io.Closer
+}
+
 // node is one broker member of the cluster.
 type node struct {
 	id          int
@@ -232,7 +243,7 @@ func (c *Cluster) addLocalNode(i int) (*node, error) {
 	}
 	n := &node{
 		id:    i,
-		rep:   localReplica{b},
+		rep:   replica{b.Service(), b},
 		local: b,
 		alive: true,
 	}
@@ -442,7 +453,7 @@ func (c *Cluster) RestartBroker(id int) error {
 	// Join the membership group first, then publish the node mutation in one
 	// critical section: the sweeper goroutine reads n.member and n.alive
 	// under c.mu and must never observe a half-updated node.
-	rep := localReplica{b}
+	rep := replica{b.Service(), b}
 	member := c.group.Join(fmt.Sprintf("broker-%d#%d", id, inc), c.cfg.Clock())
 	c.mu.Lock()
 	n.local = b
@@ -460,7 +471,7 @@ func (c *Cluster) RestartBroker(id int) error {
 	for _, ps := range parts {
 		ps.mu.Lock()
 		// The rejoined replica must know the topic before catch-up appends.
-		if err := rep.ensureTopic(c.topicConfig(ps.topic)); err != nil {
+		if err := rep.CreateTopic(c.topicConfig(ps.topic)); err != nil {
 			ps.mu.Unlock()
 			return fmt.Errorf("cluster: restart node %d: %w", id, err)
 		}
@@ -479,8 +490,8 @@ func (c *Cluster) RestartBroker(id int) error {
 			cut = t
 		}
 		delete(ps.trustedLen, id)
-		if ln, lerr := rep.length(ps.topic, ps.index); lerr == nil && ln > cut {
-			if terr := rep.truncate(ps.topic, ps.index, cut); terr != nil {
+		if ln, lerr := rep.PartitionLength(ps.topic, ps.index); lerr == nil && ln > cut {
+			if terr := truncateLocal(b, ps.topic, ps.index, cut); terr != nil {
 				ps.mu.Unlock()
 				return fmt.Errorf("cluster: restart node %d: truncate %s[%d]: %w", id, ps.topic, ps.index, terr)
 			}
@@ -496,6 +507,21 @@ func (c *Cluster) RestartBroker(id int) error {
 	}
 	c.health.emit(evs)
 	return nil
+}
+
+// truncateLocal drops b's events of (topic, part) with offset >= n. Only the
+// restart path needs it — RestartBroker rejects remote members — so it is
+// not an operation of the log service.
+func truncateLocal(b *mofka.Broker, topic string, part int, n uint64) error {
+	t, err := b.OpenTopic(topic)
+	if err != nil {
+		return err
+	}
+	p, err := t.Partition(part)
+	if err != nil {
+		return err
+	}
+	return p.TruncateTo(n)
 }
 
 // partitionsOfLocked returns every partition whose replica set includes
@@ -579,7 +605,7 @@ func (c *Cluster) Close() error {
 	c.mu.Unlock()
 	var firstErr error
 	for _, n := range nodes {
-		if err := n.rep.close(); err != nil && firstErr == nil {
+		if err := n.rep.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -626,7 +652,7 @@ func (c *Cluster) pingRemotes(now time.Time) {
 	}
 	c.mu.Unlock()
 	for _, p := range probes {
-		if p.rep.ping() == nil {
+		if p.rep.Ping() == nil {
 			c.group.Heartbeat(p.member, now)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
 )
 
@@ -276,45 +275,5 @@ func TestReadViewMatchesCluster(t *testing.T) {
 				t.Fatalf("partition %d event %d differs between view and cluster", pi, i)
 			}
 		}
-	}
-}
-
-func TestGatewayRemoteCompat(t *testing.T) {
-	c := newTestCluster(t, 3, 2)
-	reg := mercury.NewRegistry()
-	ep := reg.Listen("local://cluster-gw")
-	c.RegisterRPCs(ep)
-
-	remote := mofka.NewRemote(reg.Bind("local://cluster-gw"))
-	if err := remote.CreateTopic(mofka.TopicConfig{Name: "wire", Partitions: 2}); err != nil {
-		t.Fatalf("remote create: %v", err)
-	}
-	if err := remote.PushBatch("wire", 0, [][]byte{[]byte(`{"k":1}`)}, [][]byte{[]byte("d")}); err != nil {
-		t.Fatalf("remote push: %v", err)
-	}
-	evs, err := remote.Pull("wire", 0, 0, 10, true)
-	if err != nil {
-		t.Fatalf("remote pull: %v", err)
-	}
-	if len(evs) != 1 || string(evs[0].Metadata) != `{"k":1}` || string(evs[0].Data) != "d" {
-		t.Fatalf("remote pull returned %+v", evs)
-	}
-	if err := remote.Commit("cons", "wire", 0, 1); err != nil {
-		t.Fatalf("remote commit: %v", err)
-	}
-	next, err := remote.Cursor("cons", "wire", 0)
-	if err != nil || next != 1 {
-		t.Fatalf("remote cursor: %d, %v", next, err)
-	}
-	n, err := remote.PartitionLength("wire", 0)
-	if err != nil || n != 1 {
-		t.Fatalf("remote partition length: %d, %v", n, err)
-	}
-	if err := remote.Ping(); err != nil {
-		t.Fatalf("remote ping: %v", err)
-	}
-	topics, err := remote.Topics()
-	if err != nil || len(topics) != 1 || topics[0] != "wire" {
-		t.Fatalf("remote topics: %v, %v", topics, err)
 	}
 }

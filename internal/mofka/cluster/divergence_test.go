@@ -147,18 +147,18 @@ func TestRestartDiscardsUnackedDivergentTail(t *testing.T) {
 	}
 }
 
-// probeFailReplica wraps a replica so its length probe can be made to fail,
-// simulating a transient RPC error against a remote member.
-type probeFailReplica struct {
-	replica
+// probeFailService wraps a replica's log service so its length probe can be
+// made to fail, simulating a transient RPC error against a remote member.
+type probeFailService struct {
+	mofka.Service
 	fail *bool
 }
 
-func (p probeFailReplica) length(topic string, part int) (uint64, error) {
+func (p probeFailService) PartitionLength(topic string, part int) (uint64, error) {
 	if *p.fail {
 		return 0, errors.New("injected probe failure")
 	}
-	return p.replica.length(topic, part)
+	return p.Service.PartitionLength(topic, part)
 }
 
 // TestElectSkipsUnprobeableReplica: a replica whose length probe fails
@@ -185,7 +185,7 @@ func TestElectSkipsUnprobeableReplica(t *testing.T) {
 	// leader dies.
 	fail := true
 	c.mu.Lock()
-	c.nodes[second].rep = probeFailReplica{c.nodes[second].rep, &fail}
+	c.nodes[second].rep.Service = probeFailService{c.nodes[second].rep.Service, &fail}
 	c.mu.Unlock()
 	if err := c.KillBroker(leader); err != nil {
 		t.Fatal(err)

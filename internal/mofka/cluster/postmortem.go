@@ -74,8 +74,7 @@ func loadClusterMeta(dataDir string) (clusterMeta, bool, error) {
 }
 
 // IsClusterDir reports whether dir looks like a durable cluster data
-// directory. perfrecup's loader dispatches on it before trying the
-// single-broker and event-log formats.
+// directory.
 func IsClusterDir(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, clusterMetaFile))
 	return err == nil
@@ -111,4 +110,18 @@ func OpenPostMortem(dataDir string) (*mofka.Broker, error) {
 		return nil, fmt.Errorf("cluster: load %s: %w", dataDir, err)
 	}
 	return view, nil
+}
+
+// IsLogDir reports whether dir holds a durable event log of either
+// deployment: a cluster's directory or a single broker's.
+func IsLogDir(dir string) bool { return IsClusterDir(dir) || mofka.IsDataDir(dir) }
+
+// OpenLog opens the durable event log in dir for analysis, whichever
+// deployment wrote it — the one post-mortem opener every reader (perfrecup,
+// live, resume) goes through. Nothing on disk is modified.
+func OpenLog(dir string) (*mofka.Broker, error) {
+	if IsClusterDir(dir) {
+		return OpenPostMortem(dir)
+	}
+	return mofka.OpenPostMortem(dir)
 }

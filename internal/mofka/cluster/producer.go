@@ -16,16 +16,8 @@ type ClusterTopic struct {
 	parts int
 }
 
-// Name returns the topic name.
-func (t *ClusterTopic) Name() string { return t.name }
-
 // PartitionCount returns the topic's partition count.
 func (t *ClusterTopic) PartitionCount() int { return t.parts }
-
-// Producer creates a replicated producer; see NewProducer.
-func (t *ClusterTopic) Producer(opts mofka.ProducerOptions) *mofka.Producer {
-	return t.NewProducer(opts)
-}
 
 // producerSeq is the global producer-id source; ids only need to be unique
 // within a process, and a plain counter keeps them deterministic.

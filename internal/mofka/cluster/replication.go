@@ -116,7 +116,7 @@ func (c *Cluster) EnsureTopic(cfg mofka.TopicConfig) (*ClusterTopic, error) {
 	// Create the topic on every member outside c.mu (remote members mean a
 	// network round-trip per node).
 	for i, rep := range reps {
-		if err := rep.ensureTopic(cfg); err != nil {
+		if err := rep.CreateTopic(cfg); err != nil {
 			return nil, fmt.Errorf("cluster: create %s on node %d: %w", cfg.Name, i, err)
 		}
 	}
@@ -197,7 +197,7 @@ func (c *Cluster) replicaOf(id int) (replica, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if id < 0 || id >= len(c.nodes) {
-		return nil, false
+		return replica{}, false
 	}
 	return c.nodes[id].rep, c.nodes[id].alive
 }
@@ -260,14 +260,14 @@ func (c *Cluster) appendLocked(ps *partState, producer string, seq uint64, epoch
 	// acknowledged without re-appending.
 	leaderHas := producer != "" && ps.appliedSeq(ps.leader, producer) >= seq
 	if !leaderHas {
-		if err := leaderRep.append(ps.topic, ps.index, metas, datas); err != nil {
+		if err := leaderRep.PushBatch(ps.topic, ps.index, metas, datas); err != nil {
 			return ps.epoch, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
 		}
 		if producer != "" {
 			ps.setApplied(ps.leader, producer, seq)
 		}
 	}
-	leaderLen, err := leaderRep.length(ps.topic, ps.index)
+	leaderLen, err := leaderRep.PartitionLength(ps.topic, ps.index)
 	if err != nil {
 		return ps.epoch, evs, err
 	}
@@ -289,13 +289,13 @@ func (c *Cluster) appendLocked(ps *partState, producer string, seq uint64, epoch
 			acks++
 			continue
 		}
-		flen, err := rep.length(ps.topic, ps.index)
+		flen, err := rep.PartitionLength(ps.topic, ps.index)
 		if err != nil {
 			continue // replica unreachable: no ack
 		}
 		switch {
 		case !leaderHas && flen == leaderLen-batch:
-			if err := rep.append(ps.topic, ps.index, metas, datas); err != nil {
+			if err := rep.PushBatch(ps.topic, ps.index, metas, datas); err != nil {
 				continue
 			}
 		default:
@@ -361,7 +361,7 @@ func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) 
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrNoNode, donor)
 	}
-	have, err := dstRep.length(ps.topic, ps.index)
+	have, err := dstRep.PartitionLength(ps.topic, ps.index)
 	if err != nil {
 		return 0, err
 	}
@@ -371,7 +371,7 @@ func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) 
 		if n > c.cfg.CatchUpBatch {
 			n = c.cfg.CatchUpBatch
 		}
-		evs, err := donorRep.read(ps.topic, ps.index, have, n, true)
+		evs, err := donorRep.Pull(ps.topic, ps.index, have, n, true)
 		if err != nil {
 			return copied, err
 		}
@@ -384,7 +384,7 @@ func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) 
 			metas[i] = ev.Metadata
 			datas[i] = ev.Data
 		}
-		if err := dstRep.append(ps.topic, ps.index, metas, datas); err != nil {
+		if err := dstRep.PushBatch(ps.topic, ps.index, metas, datas); err != nil {
 			return copied, err
 		}
 		have += uint64(len(evs))
@@ -429,7 +429,7 @@ func (c *Cluster) electLocked(ps *partState) []Event {
 	lengths := make(map[int]uint64, len(alive))
 	for _, r := range alive {
 		rep, _ := c.replicaOf(r)
-		n, err := rep.length(ps.topic, ps.index)
+		n, err := rep.PartitionLength(ps.topic, ps.index)
 		if err != nil {
 			continue
 		}
@@ -549,7 +549,7 @@ func (c *Cluster) readLocked(ps *partState, from uint64, max int, withData bool)
 	if avail := ps.acked - from; uint64(max) > avail {
 		max = int(avail)
 	}
-	return rep.read(ps.topic, ps.index, from, max, withData)
+	return rep.Pull(ps.topic, ps.index, from, max, withData)
 }
 
 // Length returns the partition's acknowledged length — what consumers can
@@ -593,7 +593,7 @@ func (c *Cluster) CommitCursor(consumer, topic string, part int, next uint64) er
 		if !ok {
 			continue
 		}
-		if err := rep.commitCursor(consumer, topic, part, next); err != nil {
+		if err := rep.Commit(consumer, topic, part, next); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -627,7 +627,7 @@ func (c *Cluster) LoadCursor(consumer, topic string, part int) uint64 {
 		if !ok {
 			continue
 		}
-		if n, err := rep.loadCursor(consumer, topic, part); err == nil && n > max {
+		if n, err := rep.Cursor(consumer, topic, part); err == nil && n > max {
 			max = n
 		}
 	}
@@ -679,7 +679,7 @@ func (c *Cluster) recoverTopics() error {
 	var evs []Event
 	for _, ts := range states {
 		for _, rep := range reps {
-			if err := rep.ensureTopic(ts.cfg); err != nil {
+			if err := rep.CreateTopic(ts.cfg); err != nil {
 				return err
 			}
 		}

@@ -9,11 +9,9 @@ import (
 	"taskprov/internal/mofka"
 )
 
-// The gateway exposes a cluster on a Mercury endpoint under the same RPC
-// names a standalone broker uses ("mofka.push", "mofka.pull", ...), so an
-// unmodified mofka.Remote client talks to a clustered mofkad transparently:
-// pushes replicate with quorum acknowledgement, pulls serve the
-// acknowledged prefix, cursor commits replicate to every alive replica.
+// The gateway exposes a cluster on a Mercury endpoint as the same
+// mofka.Service a standalone broker is served as, so an unmodified
+// mofka.Remote client talks to a clustered mofkad transparently.
 // Cluster-aware clients get additional RPCs: "cluster.join" registers
 // another broker process as a replica member, "cluster.info" reports
 // membership and placement, and pushes may carry producer/seq/epoch fields
@@ -25,47 +23,6 @@ const (
 	rpcInfo   = "cluster.info"
 	rpcHealth = "cluster.health"
 )
-
-// gatewayPushRequest is wire-compatible with the broker's push request; the
-// extra fields are absent (zero) when a plain mofka.Remote pushes.
-type gatewayPushRequest struct {
-	Topic     string            `json:"topic"`
-	Partition int               `json:"partition"`
-	Metas     []json.RawMessage `json:"metas"`
-	Datas     [][]byte          `json:"datas"`
-	Producer  string            `json:"producer,omitempty"`
-	Seq       uint64            `json:"seq,omitempty"`
-	Epoch     uint64            `json:"epoch,omitempty"`
-}
-
-type gatewayPushResponse struct {
-	Epoch uint64 `json:"epoch"`
-}
-
-type gatewayPullRequest struct {
-	Topic     string `json:"topic"`
-	Partition int    `json:"partition"`
-	From      uint64 `json:"from"`
-	Max       int    `json:"max"`
-	WithData  bool   `json:"with_data"`
-}
-
-type gatewayPullResponse struct {
-	Events []mofka.Event `json:"events"`
-}
-
-type gatewayCursorRequest struct {
-	Consumer  string `json:"consumer"`
-	Topic     string `json:"topic"`
-	Partition int    `json:"partition"`
-	Next      uint64 `json:"next"`
-}
-
-type gatewayTopicInfo struct {
-	Name       string `json:"name"`
-	Partitions int    `json:"partitions"`
-	Events     uint64 `json:"events"`
-}
 
 type joinRequest struct {
 	Address string `json:"address"`
@@ -83,109 +40,81 @@ type InfoResponse struct {
 	Placement []PlacementView `json:"placement"`
 }
 
-// RegisterRPCs exposes the cluster on a Mercury endpoint.
+// Service returns the cluster as a mofka.Service: pushes replicate with
+// quorum acknowledgement, pulls and lengths serve the acknowledged prefix,
+// cursor commits land on every alive replica.
+func (c *Cluster) Service() mofka.Service { return clusterService{c} }
+
+type clusterService struct{ c *Cluster }
+
+func (s clusterService) CreateTopic(cfg mofka.TopicConfig) error {
+	_, err := s.c.EnsureTopic(cfg)
+	return err
+}
+
+func (s clusterService) Topics() ([]string, error) { return s.c.Topics(), nil }
+
+func (s clusterService) TopicInfo(name string) (int, uint64, error) {
+	t, err := s.c.Topic(name)
+	if err != nil {
+		return 0, 0, err
+	}
+	var events uint64
+	for p := 0; p < t.PartitionCount(); p++ {
+		n, err := s.c.Length(name, p)
+		if err != nil {
+			return 0, 0, err
+		}
+		events += n
+	}
+	return t.PartitionCount(), events, nil
+}
+
+func (s clusterService) PushBatch(topic string, part int, metas, datas [][]byte) error {
+	_, err := s.PushFenced(topic, part, "", 0, 0, metas, datas)
+	return err
+}
+
+// PushFenced is the push mofka.Serve hands a request's producer, seq and
+// epoch fields to. Epoch-less clients (plain mofka.Remote) always take the
+// current route — epoch 0 is never current, so the first try only learns it —
+// and have no fence-retry semantics of their own, so an election that lands
+// mid-push is absorbed here. Their retries are not idempotent, which matches
+// the single-broker contract they were written against.
+func (s clusterService) PushFenced(topic string, part int, producer string, seq, epoch uint64, metas, datas [][]byte) (uint64, error) {
+	if epoch == 0 {
+		return s.c.appendRefreshing(topic, part, producer, seq, epoch, metas, datas)
+	}
+	return s.c.Append(topic, part, producer, seq, epoch, metas, datas)
+}
+
+func (s clusterService) Pull(topic string, part int, from uint64, max int, withData bool) ([]mofka.Event, error) {
+	return s.c.Read(topic, part, from, max, withData)
+}
+
+func (s clusterService) Commit(consumer, topic string, part int, next uint64) error {
+	return s.c.CommitCursor(consumer, topic, part, next)
+}
+
+func (s clusterService) Cursor(consumer, topic string, part int) (uint64, error) {
+	return s.c.LoadCursor(consumer, topic, part), nil
+}
+
+func (s clusterService) PartitionLength(topic string, part int) (uint64, error) {
+	return s.c.Length(topic, part)
+}
+
+func (s clusterService) Ping() error {
+	if s.c.IsClosed() {
+		return ErrClosed
+	}
+	return nil
+}
+
+// RegisterRPCs exposes the cluster on a Mercury endpoint: the log service,
+// and the RPCs only a cluster has.
 func (c *Cluster) RegisterRPCs(ep *mercury.Endpoint) {
-	ep.Register("mofka.create_topic", func(req []byte) ([]byte, error) {
-		var cfg mofka.TopicConfig
-		if err := json.Unmarshal(req, &cfg); err != nil {
-			return nil, err
-		}
-		if _, err := c.EnsureTopic(cfg); err != nil {
-			return nil, err
-		}
-		return []byte(`{}`), nil
-	})
-	ep.Register("mofka.topics", func([]byte) ([]byte, error) {
-		return json.Marshal(c.Topics())
-	})
-	ep.Register("mofka.topic_info", func(req []byte) ([]byte, error) {
-		var name string
-		if err := json.Unmarshal(req, &name); err != nil {
-			return nil, err
-		}
-		t, err := c.Topic(name)
-		if err != nil {
-			return nil, err
-		}
-		var events uint64
-		for p := 0; p < t.PartitionCount(); p++ {
-			n, err := c.Length(name, p)
-			if err != nil {
-				return nil, err
-			}
-			events += n
-		}
-		return json.Marshal(gatewayTopicInfo{Name: name, Partitions: t.PartitionCount(), Events: events})
-	})
-	ep.Register("mofka.push", func(req []byte) ([]byte, error) {
-		var pr gatewayPushRequest
-		if err := json.Unmarshal(req, &pr); err != nil {
-			return nil, err
-		}
-		metas := make([][]byte, len(pr.Metas))
-		for i, m := range pr.Metas {
-			metas[i] = m
-		}
-		// Epoch-less clients (plain mofka.Remote) always take the current
-		// route — epoch 0 is never current, so the first try only learns it —
-		// and have no fence-retry semantics of their own, so an election that
-		// lands mid-push is absorbed here. Their retries are not idempotent,
-		// which matches the single-broker contract they were written against.
-		appendBatch := c.Append
-		if pr.Epoch == 0 {
-			appendBatch = c.appendRefreshing
-		}
-		cur, err := appendBatch(pr.Topic, pr.Partition, pr.Producer, pr.Seq, pr.Epoch, metas, pr.Datas)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(gatewayPushResponse{Epoch: cur})
-	})
-	ep.Register("mofka.pull", func(req []byte) ([]byte, error) {
-		var pr gatewayPullRequest
-		if err := json.Unmarshal(req, &pr); err != nil {
-			return nil, err
-		}
-		evs, err := c.Read(pr.Topic, pr.Partition, pr.From, pr.Max, pr.WithData)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(gatewayPullResponse{Events: evs})
-	})
-	ep.Register("mofka.commit", func(req []byte) ([]byte, error) {
-		var cr gatewayCursorRequest
-		if err := json.Unmarshal(req, &cr); err != nil {
-			return nil, err
-		}
-		if err := c.CommitCursor(cr.Consumer, cr.Topic, cr.Partition, cr.Next); err != nil {
-			return nil, err
-		}
-		return []byte(`{}`), nil
-	})
-	ep.Register("mofka.cursor", func(req []byte) ([]byte, error) {
-		var cr gatewayCursorRequest
-		if err := json.Unmarshal(req, &cr); err != nil {
-			return nil, err
-		}
-		return json.Marshal(c.LoadCursor(cr.Consumer, cr.Topic, cr.Partition))
-	})
-	ep.Register("mofka.partition_info", func(req []byte) ([]byte, error) {
-		var pr gatewayPullRequest
-		if err := json.Unmarshal(req, &pr); err != nil {
-			return nil, err
-		}
-		n, err := c.Length(pr.Topic, pr.Partition)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(n)
-	})
-	ep.Register("mofka.ping", func([]byte) ([]byte, error) {
-		if c.IsClosed() {
-			return nil, ErrClosed
-		}
-		return []byte(`{}`), nil
-	})
+	mofka.Serve(ep, c.Service())
 	ep.Register(rpcJoin, func(req []byte) ([]byte, error) {
 		var jr joinRequest
 		if err := json.Unmarshal(req, &jr); err != nil {
@@ -219,12 +148,18 @@ func (c *Cluster) AddRemote(addr string) (int, error) {
 	if addr == "" {
 		return 0, fmt.Errorf("cluster: join needs an address")
 	}
-	rep, err := dialReplica(addr)
+	cl, err := mercury.Dial(addr)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	if err := rep.ping(); err != nil {
-		_ = rep.close() // probe failed; connection is dead anyway
+	return c.addMember(addr, replica{mofka.NewRemote(cl), cl})
+}
+
+// addMember is AddRemote once the member's log service is in hand, however
+// it is reached.
+func (c *Cluster) addMember(addr string, rep replica) (int, error) {
+	if err := rep.Ping(); err != nil {
+		_ = rep.Close() // probe failed; connection is dead anyway
 		return 0, fmt.Errorf("cluster: probe %s: %w", addr, err)
 	}
 
@@ -236,7 +171,7 @@ func (c *Cluster) AddRemote(addr string) (int, error) {
 	if c.closed {
 		c.mu.Unlock()
 		c.group.Leave(member)
-		_ = rep.close()
+		_ = rep.Close()
 		return 0, ErrClosed
 	}
 	id := len(c.nodes)
@@ -250,7 +185,7 @@ func (c *Cluster) AddRemote(addr string) (int, error) {
 	}
 	c.mu.Unlock()
 	for _, cfg := range cfgs {
-		if err := rep.ensureTopic(cfg); err != nil {
+		if err := rep.CreateTopic(cfg); err != nil {
 			return id, fmt.Errorf("cluster: replicate topic %s to %s: %w", cfg.Name, addr, err)
 		}
 	}

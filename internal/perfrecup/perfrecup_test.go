@@ -155,6 +155,33 @@ func TestAttributeIOToTasks(t *testing.T) {
 	}
 }
 
+// TestLineageIOMatchesJoin: a task's lineage lists the segments the
+// (hostname, pthread, time) join attributes to it, no more and no fewer.
+func TestLineageIOMatchesJoin(t *testing.T) {
+	art := miniRun(t)
+	att, err := AttributeIOToTasks(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := make(map[string]int)
+	for i, keys := 0, att.Col("key"); i < att.NRows(); i++ {
+		joined[keys.Str(i)]++
+	}
+	execs, err := ExecutionsView(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, keys := 0, execs.Col("key"); i < execs.NRows(); i++ {
+		l, err := BuildLineage(art, keys.Str(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.IO) != joined[l.Key] {
+			t.Errorf("%s: lineage lists %d I/O records, the join attributes %d", l.Key, len(l.IO), joined[l.Key])
+		}
+	}
+}
+
 func TestTaskIOSummary(t *testing.T) {
 	art := miniRun(t)
 	sum, err := TaskIOSummary(art)

@@ -7,7 +7,6 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/darshan"
-	"taskprov/internal/mofka"
 	"taskprov/internal/mofka/cluster"
 	"taskprov/internal/sim"
 )
@@ -33,13 +32,7 @@ import (
 // partition wins, which by the quorum protocol's prefix-consistency is a
 // superset of every acknowledged event.
 func LoadEventLog(dataDir string) (*core.RunArtifacts, error) {
-	var broker *mofka.Broker
-	var err error
-	if cluster.IsClusterDir(dataDir) {
-		broker, err = cluster.OpenPostMortem(dataDir)
-	} else {
-		broker, err = mofka.OpenPostMortem(dataDir)
-	}
+	broker, err := cluster.OpenLog(dataDir)
 	if err != nil {
 		return nil, fmt.Errorf("perfrecup: open event log %s: %w", dataDir, err)
 	}

@@ -59,25 +59,15 @@ type State struct {
 	Frontier *Checkpoint
 }
 
-// IsRunDir reports whether dir holds a resumable durable event log (single
-// broker or sharded cluster).
-func IsRunDir(dir string) bool {
-	return mcluster.IsClusterDir(dir) || mofka.IsDataDir(dir)
-}
-
 // Reconstruct replays dataDir's provenance into a resumable State: lineage
 // is read (and validated — a completed run refuses), the frontier checkpoint
 // is loaded, and the WAL tail newer than the checkpoint is applied on top.
 // The log is opened read-only; nothing on disk changes.
 func Reconstruct(dataDir string) (*State, error) {
-	if !IsRunDir(dataDir) {
+	if !mcluster.IsLogDir(dataDir) {
 		return nil, fmt.Errorf("resume: %s holds no durable event log", dataDir)
 	}
-	open := mofka.OpenPostMortem
-	if mcluster.IsClusterDir(dataDir) {
-		open = mcluster.OpenPostMortem
-	}
-	return reconstruct(dataDir, open)
+	return reconstruct(dataDir, mcluster.OpenLog)
 }
 
 // reconstruct is Reconstruct over the log as open loads it.

@@ -420,46 +420,22 @@ func (m *Model) extractGraphs(metaByKey map[string]metaRec, graphEvents []proven
 }
 
 // joinIO attributes DXT segments to tasks by (hostname, thread id, time
-// window) — the same fusion perfrecup performs — accumulating per-task I/O
-// seconds.
+// window) — provenance.ThreadWindows, the fusion perfrecup performs —
+// accumulating per-task I/O seconds.
 func (m *Model) joinIO(logs []*darshan.Log) {
 	if len(logs) == 0 {
 		return
 	}
-	type window struct {
-		start, stop float64
-		task        int
-	}
-	byThread := make(map[string][]window)
-	tkey := func(host string, tid uint64) string {
-		return fmt.Sprintf("%s\x00%d", host, tid)
-	}
+	var windows provenance.ThreadWindows
 	for i := range m.Tasks {
 		t := &m.Tasks[i]
-		k := tkey(t.Hostname, t.ThreadID)
-		byThread[k] = append(byThread[k], window{start: t.Start, stop: t.Stop, task: i})
-	}
-	for _, ws := range byThread {
-		sort.Slice(ws, func(a, b int) bool { return ws[a].start < ws[b].start })
+		windows.Add(t.Hostname, t.ThreadID, t.Start, t.Stop, i)
 	}
 	for _, l := range logs {
 		for _, rec := range l.Records {
 			for _, s := range rec.DXT {
-				ws := byThread[tkey(l.Job.Hostname, uint64(s.TID))]
-				lo, hi := 0, len(ws)
-				for lo < hi {
-					mid := (lo + hi) / 2
-					if ws[mid].start <= s.Start {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
-				}
-				if lo > 0 {
-					w := ws[lo-1]
-					if s.Start <= w.stop {
-						m.Tasks[w.task].IOSeconds += s.End - s.Start
-					}
+				if task, ok := windows.Find(l.Job.Hostname, uint64(s.TID), s.Start); ok {
+					m.Tasks[task].IOSeconds += s.End - s.Start
 				}
 			}
 		}
