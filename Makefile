@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test tier1 race bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath fuzz whatif speculate verify
+.PHONY: build vet lint test tier1 race bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath durable fuzz whatif speculate verify
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,20 @@ readpath:
 	$(GO) test -race -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent' ./internal/live/
 	$(GO) test -race -run 'TestReconstructDeterministicAndEqualsReferenceOpen' ./internal/resume/
 
+# Durable write-path gate, race-enabled and uncached: the commit contract
+# behind a held or failing fsync (nothing visible, counted or acknowledged
+# before an fsync covering it returned; a failed fsync poisons the log and
+# leaves no duplicated frame; a quorum append's replica fsyncs overlap), eight
+# concurrent pushers on one durable partition, one seeded session storing the
+# same bytes under every fsync policy (standalone and clustered, healthy and
+# with a faulty log), no goroutine left behind by a crashed durable session,
+# and the WAL recovery corpus. The allocation pins of the lean writer run
+# without -race, which allocates on its own.
+durable:
+	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestFailedFsyncPoisonsLog|TestQuorumAppendOverlapsReplicaFsyncs|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover' ./internal/mofka/wal/
+	$(GO) test -race -count=1 -run 'TestSyncPolicyLeavesSameBytes|TestCrashedSessionsLeaveNoGoroutines' ./internal/core/
+	$(GO) test -count=1 -run 'TestOpenDurableBrokerAllocatesLittle|TestAppendBatchAllocatesNothing' ./internal/mofka/wal/
+
 # What-if validation: self-replay of the unchanged scenario on the seeded
 # ImageProcessing and xgboost runs must predict the measured makespan within
 # +/-10%, the critical path must attribute >=95% of it to named categories,
@@ -162,4 +176,4 @@ bench-e2e-smoke:
 		$(GO) run -C bench/e2e . -workload $$w -smoke || exit 1; done
 
 # Everything CI runs.
-verify: tier1 lint race chaos cluster property resume readpath fuzz whatif speculate
+verify: tier1 lint race chaos cluster property resume readpath durable fuzz whatif speculate

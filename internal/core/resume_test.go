@@ -399,7 +399,9 @@ func TestResumeRefusals(t *testing.T) {
 // TestCrashedSessionsLeaveNoGoroutines: a chaos-killed coordinator stops the
 // kernel with the client and every executing task parked mid-body. Closing
 // the session (Run does, on a crash) must unwind them all; repeated crashed
-// runs leave the goroutine count where it started.
+// runs leave the goroutine count where it started — on a durable broker and
+// on a durable cluster too, where closing the session is also what stops
+// each broker's committer.
 func TestCrashedSessionsLeaveNoGoroutines(t *testing.T) {
 	const seed, runs = 11, 8
 	baseArt, err := Run(resumeTestSession(seed), &resumeWorkflow{graphs: 2, width: 8})
@@ -408,22 +410,37 @@ func TestCrashedSessionsLeaveNoGoroutines(t *testing.T) {
 	}
 	killAt := time.Duration(float64(baseArt.WallTime) * 0.3)
 
-	before := runtime.NumGoroutine()
-	for i := 0; i < runs; i++ {
-		cfg := resumeTestSession(seed)
-		cfg.ChaosSpec = fmt.Sprintf("scheduler at=%s", killAt)
-		_, err := Run(cfg, &resumeWorkflow{graphs: 2, width: 8})
-		var crash *CrashError
-		if !errors.As(err, &crash) {
-			t.Fatalf("run %d: expected CrashError, got %v", i, err)
-		}
-	}
-	// Goroutines that were told to stop may take a moment to be gone.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before %d crashed sessions, %d after", before, runs, after)
+	for _, tc := range []struct {
+		name      string
+		configure func(t *testing.T, cfg *SessionConfig)
+	}{
+		{"in-memory", func(*testing.T, *SessionConfig) {}},
+		{"durable", func(t *testing.T, cfg *SessionConfig) { cfg.MofkaDataDir = t.TempDir() }},
+		{"durable-cluster", func(t *testing.T, cfg *SessionConfig) {
+			cfg.MofkaDataDir = t.TempDir()
+			cfg.ClusterBrokers, cfg.ClusterReplication = 3, 2
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for i := 0; i < runs; i++ {
+				cfg := resumeTestSession(seed)
+				tc.configure(t, &cfg)
+				cfg.ChaosSpec = fmt.Sprintf("scheduler at=%s", killAt)
+				_, err := Run(cfg, &resumeWorkflow{graphs: 2, width: 8})
+				var crash *CrashError
+				if !errors.As(err, &crash) {
+					t.Fatalf("run %d: expected CrashError, got %v", i, err)
+				}
+			}
+			// Goroutines that were told to stop may take a moment to be gone.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%d goroutines before %d crashed sessions, %d after", before, runs, after)
+			}
+		})
 	}
 }

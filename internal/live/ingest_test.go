@@ -82,6 +82,10 @@ func seedWithMalformed(t *testing.T, b *mofka.Broker, tasks int) {
 	if err := p.PushRaw(exec("load-9000", "w0", 1, 2).Encode(), nil); err != nil {
 		t.Fatal(err)
 	}
+	// On a durable broker a shipped batch is visible once committed.
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestReplayReportsMalformedEvent: an event whose metadata is JSON but not an

@@ -18,9 +18,9 @@ type MonitorOptions struct {
 	ConsumerName string
 	// PollInterval is the idle sleep between pull sweeps. Default 10ms.
 	PollInterval time.Duration
-	// BatchSize is the per-topic pull granularity; one cursor commit per
-	// batch per partition (Consumer.CommitBatch), not one per event.
-	// Default 256.
+	// BatchSize is the per-topic pull granularity. Cursors are committed
+	// once per topic per sweep (Consumer.CommitBatch), however many batches
+	// the sweep pulled. Default 256.
 	BatchSize int
 	// DisableEmit turns off producing anomalies into the
 	// provenance.TopicAnomalies topic (they still appear in snapshots).
@@ -203,15 +203,20 @@ func (m *Monitor) consumer(topic string) *mofka.Consumer {
 	return c
 }
 
-// sweep pulls one batch from every attached topic. It returns the number of
-// events ingested.
+// sweep pulls everything unread from every attached topic, batch by batch,
+// and commits each topic's cursors once, after its events were ingested: a
+// commit on a durable broker is an fsynced rewrite of the cursor store, which
+// queues on the same journal as the log's own fsyncs. It returns the number
+// of events ingested.
 func (m *Monitor) sweep() int {
 	total := 0
+	var newest []mofka.Event // per partition of the topic, the last event ingested
 	for _, topic := range provenance.AllTopics() {
 		c := m.consumer(topic)
 		if c == nil {
 			continue
 		}
+		newest = newest[:0]
 		for {
 			// Private copies, not Consumer.Scan's lent bytes: decoding under
 			// the collection's read lock held the run's appender up four to
@@ -232,15 +237,24 @@ func (m *Monitor) sweep() int {
 					m.badTopics[topic] = true
 					m.logf("%v (skipped, with any later one on this topic)", err)
 				}
-			}
-			if !m.commitOff {
-				if err := c.CommitBatch(evs); err != nil {
-					m.commitOff = true
-					m.logf("live: cursor commits disabled: %v", err)
+				i := 0
+				for i < len(newest) && newest[i].Partition != ev.Partition {
+					i++
+				}
+				if i == len(newest) {
+					newest = append(newest, ev)
+				} else {
+					newest[i] = ev
 				}
 			}
 			if len(evs) < m.opts.BatchSize {
 				break
+			}
+		}
+		if !m.commitOff {
+			if err := c.CommitBatch(newest); err != nil {
+				m.commitOff = true
+				m.logf("live: cursor commits disabled: %v", err)
 			}
 		}
 		m.recordLag(topic, c)
@@ -285,6 +299,15 @@ func (m *Monitor) Stop() {
 func (m *Monitor) Finish(logs []*darshan.Log, wallSeconds float64) Summary {
 	m.Stop()
 	for m.sweep() > 0 {
+	}
+	m.mu.Lock()
+	emitter := m.emitter
+	m.mu.Unlock()
+	if emitter != nil {
+		// The last anomalies raised are in the topic when Finish returns.
+		if err := emitter.Flush(); err != nil {
+			m.logf("live: anomaly emission: %v", err)
+		}
 	}
 	for _, l := range logs {
 		m.agg.IngestDarshanLog(l)

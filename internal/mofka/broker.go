@@ -43,6 +43,10 @@ type Broker struct {
 	topics      map[string]*Topic
 	closed      bool
 	appendFault func(topic string, partition int) error
+
+	// commits fsyncs and publishes what the partitions of a broker whose logs
+	// fsync per batch have staged; idle on every other broker.
+	commits committer
 }
 
 // SetAppendFault installs (or, with nil, removes) a fault hook consulted at
@@ -184,8 +188,9 @@ func cursorKey(consumer, topic string, partition int) string {
 }
 
 // Close shuts the broker down: every partition is marked closed (waking any
-// consumer blocked in PullBlocking, which then returns ErrClosed), and
-// durable logs are flushed, fsynced, and closed. Reads of already-published
+// consumer blocked in PullBlocking, which then returns ErrClosed), batches
+// still awaiting their commit are committed, durable logs are fsynced and
+// closed, and the committer goroutine has exited when Close returns. Reads of already-published
 // events keep working after Close — post-mortem draining of an in-memory
 // broker is still valid — but appends and topic creation fail with
 // ErrClosed. Close is idempotent.
@@ -209,6 +214,7 @@ func (b *Broker) Close() error {
 			}
 		}
 	}
+	b.commits.close()
 	return errors.Join(errs...)
 }
 
@@ -220,8 +226,9 @@ func (b *Broker) IsClosed() bool {
 	return b.closed
 }
 
-// Sync forces every durable partition log to stable storage (a no-op for
-// in-memory brokers) without closing anything.
+// Sync commits every batch submitted so far and forces every durable
+// partition log to stable storage (a no-op for in-memory brokers) without
+// closing anything.
 func (b *Broker) Sync() error {
 	b.mu.RLock()
 	topics := make([]*Topic, 0, len(b.topics))
@@ -233,6 +240,9 @@ func (b *Broker) Sync() error {
 	for _, t := range topics {
 		for _, p := range t.partitions {
 			if p.log != nil {
+				p.mu.Lock()
+				p.awaitCommitsLocked()
+				p.mu.Unlock()
 				if err := p.log.Sync(); err != nil {
 					errs = append(errs, err)
 				}
@@ -370,51 +380,64 @@ type Partition struct {
 	log   *wal.Log // durable backend; nil for in-memory partitions
 
 	mu     sync.Mutex
-	cond   *sync.Cond
-	length uint64
+	cond   *sync.Cond    // length grew, staged shrank, or the partition closed
+	length uint64        // committed events: what consumers observe
+	staged []stagedBatch // submitted, awaiting the committer, in offset order
+	queued bool          // on the committer's queue
 	closed bool
 }
 
 // Index returns the partition's index within its topic.
 func (p *Partition) Index() int { return p.index }
 
-// Length returns the number of events appended so far.
+// Length returns the number of events committed so far: a batch submitted to
+// a log that fsyncs per batch counts once its fsync has returned.
 func (p *Partition) Length() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.length
 }
 
-// appendBatch persists a batch: payloads are concatenated into one Warabi
-// region; each event's envelope goes into the Yokan collection. On a durable
-// partition the batch is appended (and synced, per policy) to the on-disk
-// log before it becomes visible, so every event a consumer can observe is
-// also recoverable.
-func (p *Partition) appendBatch(metas [][]byte, datas [][]byte) error {
+// Submit is the first half of an append, on the caller's goroutine and in
+// caller order: the fault hook and admission accept or refuse the batch, its
+// payloads become one Warabi region and its events envelopes, and on a
+// durable partition its frames are written to the log, which fixes its
+// offsets. What remains is the commit — the fsync that covers the batch,
+// then its documents stored, the length advanced and waiting consumers woken,
+// in submit order — so that every event a consumer can observe is also
+// recoverable. An in-memory partition, and a log whose policy does not fsync
+// per batch, commit before Submit returns (a nil Commit). A log that does
+// hands the commit to the broker's committer, whose one fsync covers every
+// batch staged on the partition since the last; Submit then blocks only
+// while maxStaged batches are staged ahead of it.
+//
+// An error means nothing of the batch was kept. Everything a caller can
+// decide on is reported here; Commit.Wait can only report a failed fsync.
+func (p *Partition) Submit(metas [][]byte, datas [][]byte) (*Commit, error) {
 	if len(metas) != len(datas) {
-		return fmt.Errorf("%w: %d metadata for %d data payloads", ErrInvalidEvent, len(metas), len(datas))
+		return nil, fmt.Errorf("%w: %d metadata for %d data payloads", ErrInvalidEvent, len(metas), len(datas))
 	}
 	if len(metas) == 0 {
-		return nil
+		return nil, nil
 	}
 	if err := p.topic.broker.injectAppendFault(p.topic.cfg.Name, p.index); err != nil {
-		return err
+		return nil, err
 	}
-	return p.publish(metas, datas, false)
+	return p.admit(metas, datas, false)
 }
 
-// publish is the one batch step behind both a live append and the recovery
-// of a partition from its log (recovered: the events are already on disk, so
-// nothing is written there, and a read-only or closed broker still takes
-// them). Disk bytes are no more trusted than a producer's: admission runs
-// over every event either way.
-func (p *Partition) publish(metas [][]byte, datas [][]byte, recovered bool) error {
+// admit is the one batch step behind both a live append and the recovery of
+// a partition from its log (recovered: the events are already on disk, so
+// nothing is written there, the commit is immediate, and a read-only or
+// closed broker still takes them). Disk bytes are no more trusted than a
+// producer's: admission runs over every event either way.
+func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Commit, error) {
 	// Admission comes before anything is written anywhere: one invalid event
 	// refuses the whole batch and leaves no region, no WAL record, no
 	// document behind.
 	for i := range metas {
 		if err := checkMetadata(metas[i]); err != nil {
-			return fmt.Errorf("mofka: event %d of a batch for %s[%d]: %w", i, p.topic.cfg.Name, p.index, err)
+			return nil, fmt.Errorf("mofka: event %d of a batch for %s[%d]: %w", i, p.topic.cfg.Name, p.index, err)
 		}
 	}
 	var total int64
@@ -428,22 +451,26 @@ func (p *Partition) publish(metas [][]byte, datas [][]byte, recovered bool) erro
 		blob = append(blob, d...)
 	}
 
-	// The whole publish happens under the partition lock so WAL offsets and
+	// The whole submit happens under the partition lock so WAL offsets and
 	// in-memory event IDs assign in the same order across concurrent
 	// producers — replaying the log reproduces the exact live stream.
+	b := p.topic.broker
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for len(p.staged) >= maxStaged && !p.closed {
+		p.cond.Wait()
+	}
 	if !recovered {
 		if p.closed {
-			return ErrClosed
+			return nil, ErrClosed
 		}
-		if p.topic.broker.readOnly {
-			return fmt.Errorf("%w: broker is read-only (post-mortem)", ErrClosed)
+		if b.readOnly {
+			return nil, fmt.Errorf("%w: broker is read-only (post-mortem)", ErrClosed)
 		}
 	}
 	// The envelopes share one arena, which the document store takes over
 	// without copying.
-	region := p.topic.broker.data.CreateWrite(blob)
+	region := b.data.CreateWrite(blob)
 	size := 0
 	for i := range metas {
 		size += envelopeLen(metas[i], uint64(region), offsets[i], int64(len(datas[i])))
@@ -460,24 +487,54 @@ func (p *Partition) publish(metas [][]byte, datas [][]byte, recovered bool) erro
 		for i := range metas {
 			recs[i] = wal.Record{Meta: metas[i], Data: datas[i]}
 		}
-		if _, err := p.log.AppendBatch(recs); err != nil {
+		// Only a log that fsyncs per batch has a commit worth taking off the
+		// caller's goroutine; the other policies sync, when they do, inline.
+		stage := b.walOpts.Sync == wal.SyncBatch
+		var err error
+		if stage {
+			_, err = p.log.WriteBatch(recs)
+		} else {
+			_, err = p.log.AppendBatch(recs)
+		}
+		if err != nil {
 			err = fmt.Errorf("mofka: wal append %s[%d]: %w", p.topic.cfg.Name, p.index, err)
-			return errors.Join(err, p.topic.broker.data.Destroy(region))
+			return nil, errors.Join(err, b.data.Destroy(region))
+		}
+		if stage {
+			c := &Commit{done: make(chan struct{})}
+			p.staged = append(p.staged, stagedBatch{docs: docs, region: region, commit: c})
+			if !p.queued {
+				p.queued = true
+				b.commits.enqueue(p)
+			}
+			return c, nil
 		}
 	}
 	p.docs.StoreBatch(docs)
 	p.length += uint64(len(docs))
 	p.cond.Broadcast()
-	return nil
+	return nil, nil
 }
 
 // Append publishes a batch of pre-encoded events directly to this partition,
-// bypassing producer batching. It is the replication entry point: the
-// cluster layer (internal/mofka/cluster) uses it to apply a leader's batch
-// to follower replicas and to copy suffixes during catch-up, so replicated
-// partitions carry byte-identical streams.
+// bypassing producer batching, and returns once it is committed: Submit, then
+// the wait. It is the replication entry point: the cluster layer
+// (internal/mofka/cluster) uses it to copy suffixes during catch-up, so
+// replicated partitions carry byte-identical streams.
 func (p *Partition) Append(metas [][]byte, datas [][]byte) error {
-	return p.appendBatch(metas, datas)
+	c, err := p.Submit(metas, datas)
+	if err != nil {
+		return err
+	}
+	return c.Wait()
+}
+
+// awaitCommitsLocked blocks until no submitted batch awaits its commit.
+// Callers hold p.mu, which the wait releases.
+func (p *Partition) awaitCommitsLocked() {
+	for len(p.staged) > 0 {
+		p.cond.Wait()
+	}
 }
 
 // TruncateTo discards every event with ID >= n, so the next appended event
@@ -495,6 +552,7 @@ func (p *Partition) TruncateTo(n uint64) error {
 	if p.topic.broker.readOnly {
 		return fmt.Errorf("%w: broker is read-only (post-mortem)", ErrClosed)
 	}
+	p.awaitCommitsLocked()
 	if n >= p.length {
 		return nil
 	}
@@ -630,8 +688,9 @@ func (p *Partition) isClosed() bool {
 	return p.closed
 }
 
-// close marks the partition closed, wakes every blocked consumer, and syncs
-// and closes the durable log (if any).
+// close marks the partition closed, wakes every blocked consumer and
+// submitter, waits for the batches already submitted to commit, and syncs and
+// closes the durable log (if any).
 func (p *Partition) close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -640,6 +699,7 @@ func (p *Partition) close() error {
 	}
 	p.closed = true
 	p.cond.Broadcast()
+	p.awaitCommitsLocked()
 	log := p.log
 	p.mu.Unlock()
 	if log != nil {

@@ -85,7 +85,7 @@ type serviceTopic struct {
 }
 
 func (t serviceTopic) NewProducer(opts ProducerOptions) *Producer {
-	return NewProducer(t.partitions, t.cfg.Validator, opts, func(partition int, _ uint64, metas, datas [][]byte) error {
-		return t.svc.PushBatch(t.cfg.Name, partition, metas, datas)
+	return NewProducer(t.partitions, t.cfg.Validator, opts, func(partition int, _ uint64, metas, datas [][]byte) (*Commit, error) {
+		return nil, t.svc.PushBatch(t.cfg.Name, partition, metas, datas)
 	})
 }

@@ -28,7 +28,9 @@ var producerSeq atomic.Uint64
 // each sealed batch with a quorum append. The batch's sequence number makes
 // the retry idempotent — replicas that already hold it acknowledge without
 // re-appending — so a retry across a leader change neither loses nor
-// duplicates events.
+// duplicates events. The sink returns once the quorum holds the batch
+// durably, so it has no commit for the producer to wait on: the overlap of
+// the replicas' fsyncs is inside the append, not across batches.
 func (t *ClusterTopic) NewProducer(opts mofka.ProducerOptions) *mofka.Producer {
 	t.c.mu.Lock()
 	var valid mofka.Validator
@@ -40,10 +42,10 @@ func (t *ClusterTopic) NewProducer(opts mofka.ProducerOptions) *mofka.Producer {
 	// Per-partition cached fencing epoch (0 = unknown). The producer never
 	// runs its sink concurrently, so the cache needs no lock of its own.
 	epochs := make([]uint64, t.parts)
-	return mofka.NewProducer(t.parts, valid, opts, func(part int, seq uint64, metas, datas [][]byte) error {
+	return mofka.NewProducer(t.parts, valid, opts, func(part int, seq uint64, metas, datas [][]byte) (*mofka.Commit, error) {
 		cur, err := t.c.appendRefreshing(t.name, part, id, seq, epochs[part], metas, datas)
 		epochs[part] = cur
-		return err
+		return nil, err
 	})
 }
 

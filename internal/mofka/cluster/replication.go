@@ -256,27 +256,44 @@ func (c *Cluster) appendLocked(ps *partState, producer string, seq uint64, epoch
 	leaderRep, _ := c.replicaOf(ps.leader)
 	batch := uint64(len(metas))
 
-	// Leader first. Dedup: a retried batch the leader already holds is
-	// acknowledged without re-appending.
-	leaderHas := producer != "" && ps.appliedSeq(ps.leader, producer) >= seq
-	if !leaderHas {
-		if err := leaderRep.PushBatch(ps.topic, ps.index, metas, datas); err != nil {
-			return ps.epoch, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
-		}
-		if producer != "" {
-			ps.setApplied(ps.leader, producer, seq)
-		}
-	}
+	// The batch is submitted to the leader and then to the lock-step
+	// followers, in rank order, and only then waited for on all of them: each
+	// replica's broker fsyncs on its own goroutine, so the replicas' fsyncs
+	// overlap and the append costs one fsync latency, not one per replica.
+	// Every decision — dedup, fault, fence, lock-step or lagging — is made at
+	// submit, in the order it always was; waiting decides nothing.
+	//
+	// Lengths are the settled ones, read before anything is submitted: every
+	// appendLocked waits for what it submitted before it returns, so nothing
+	// is in flight on this partition now, whereas a length probed after a
+	// submit may or may not count that batch yet.
 	leaderLen, err := leaderRep.PartitionLength(ps.topic, ps.index)
 	if err != nil {
 		return ps.epoch, evs, err
 	}
 
+	// Leader first. Dedup: a retried batch the leader already holds is
+	// acknowledged without re-appending.
+	leaderHas := producer != "" && ps.appliedSeq(ps.leader, producer) >= seq
+	var leaderCommit *mofka.Commit
+	if !leaderHas {
+		if leaderCommit, err = submitBatch(leaderRep, ps.topic, ps.index, metas, datas); err != nil {
+			return ps.epoch, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
+		}
+		leaderLen += batch
+	}
+
 	// Followers, rank order. A follower in lockstep takes the batch
 	// directly; a lagging one (it missed an earlier quorum-failed batch, or
 	// it just rejoined) is first healed to the leader's full prefix —
-	// preserving prefix consistency — which delivers this batch too.
-	acks := 1
+	// preserving prefix consistency — which delivers this batch too, once the
+	// leader's commit has made it readable there.
+	type submitted struct {
+		node   int
+		commit *mofka.Commit
+	}
+	var inFlight []submitted
+	acks := 0
 	for _, r := range alive {
 		if r == ps.leader {
 			continue
@@ -293,29 +310,51 @@ func (c *Cluster) appendLocked(ps *partState, producer string, seq uint64, epoch
 		if err != nil {
 			continue // replica unreachable: no ack
 		}
-		switch {
-		case !leaderHas && flen == leaderLen-batch:
-			if err := rep.PushBatch(ps.topic, ps.index, metas, datas); err != nil {
-				continue
+		if !leaderHas && flen == leaderLen-batch {
+			if fc, err := submitBatch(rep, ps.topic, ps.index, metas, datas); err == nil {
+				inFlight = append(inFlight, submitted{r, fc})
 			}
-		default:
-			copied, err := c.syncReplicaLocked(ps, r, ps.leader, leaderLen)
-			if err != nil {
-				continue
-			}
-			if copied > 0 {
-				evs = append(evs, Event{
-					Kind: EventCatchUp, Node: r, Topic: ps.topic, Partition: ps.index,
-					Epoch: ps.epoch, At: c.cfg.NowSeconds(),
-					Detail: fmt.Sprintf("copied %d events from node %d", copied, ps.leader),
-				})
-			}
+			continue
+		}
+		if leaderCommit.Wait() != nil {
+			break // reported below
+		}
+		copied, err := c.syncReplicaLocked(ps, r, ps.leader, leaderLen)
+		if err != nil {
+			continue
+		}
+		if copied > 0 {
+			evs = append(evs, Event{
+				Kind: EventCatchUp, Node: r, Topic: ps.topic, Partition: ps.index,
+				Epoch: ps.epoch, At: c.cfg.NowSeconds(),
+				Detail: fmt.Sprintf("copied %d events from node %d", copied, ps.leader),
+			})
 		}
 		if producer != "" {
 			ps.setApplied(r, producer, seq)
 		}
 		acks++
 	}
+
+	// Nothing submitted is left in flight past this point, whatever the
+	// outcome.
+	err = leaderCommit.Wait()
+	for _, s := range inFlight {
+		if s.commit.Wait() != nil {
+			continue
+		}
+		if producer != "" {
+			ps.setApplied(s.node, producer, seq)
+		}
+		acks++
+	}
+	if err != nil {
+		return ps.epoch, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
+	}
+	if !leaderHas && producer != "" {
+		ps.setApplied(ps.leader, producer, seq)
+	}
+	acks++
 
 	if acks < c.cfg.Quorum {
 		evs = append(evs, Event{
@@ -332,6 +371,16 @@ func (c *Cluster) appendLocked(ps *partState, producer string, seq uint64, epoch
 		ps.acked = leaderLen
 	}
 	return ps.epoch, evs, nil
+}
+
+// submitBatch lands a batch on one replica's log: submitted, to be waited
+// for, where the replica's service has the two halves (a local broker); a
+// synchronous push otherwise (a remote member), with nothing left to wait for.
+func submitBatch(rep replica, topic string, part int, metas, datas [][]byte) (*mofka.Commit, error) {
+	if sub, ok := rep.Service.(mofka.BatchSubmitter); ok {
+		return sub.SubmitBatch(topic, part, metas, datas)
+	}
+	return nil, rep.PushBatch(topic, part, metas, datas)
 }
 
 // aliveReplicas returns the partition's alive replica node ids in rank

@@ -201,7 +201,7 @@ func readTopicConfig(dataDir, name string) (TopicConfig, []byte, error) {
 // recoverFrom rebuilds the partition from its log under dataDir, so the
 // consumer API serves exactly the persisted stream: the log's one validating
 // pass over its segments hands the records over by the batch, and each batch
-// goes through publish. It returns the opened log.
+// goes through admit. It returns the opened log.
 func (p *Partition) recoverFrom(dataDir string, opts wal.Options) (*wal.Log, error) {
 	var metas, datas [][]byte
 	l, err := wal.OpenReplay(partitionDir(dataDir, p.topic.cfg.Name, p.index), opts, func(recs []wal.Record) error {
@@ -210,7 +210,8 @@ func (p *Partition) recoverFrom(dataDir string, opts wal.Options) (*wal.Log, err
 			metas = append(metas, r.Meta)
 			datas = append(datas, r.Data)
 		}
-		return p.publish(metas, datas, true)
+		_, err := p.admit(metas, datas, true)
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mofka: recover %s[%d]: %w", p.topic.cfg.Name, p.index, err)

@@ -159,6 +159,10 @@ func TestDurableAppendsAfterRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A shipped batch is visible once committed; Flush is the wait for that.
+	if err := p2.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	evs := drainAll(t, b2, "t")
 	if len(evs) != 10 {
 		t.Fatalf("events after recovered append = %d", len(evs))

@@ -7,7 +7,12 @@ import (
 )
 
 // ProducerOptions tunes batching. Mofka's real producer batches events and
-// ships them with background threads; the same knobs exist here.
+// ships them with background threads; the same knobs exist here, and the
+// background is the broker's: a sealed batch is submitted on the pushing
+// goroutine — so what becomes of it (accepted, retried, buffered, dropped)
+// never depends on host timing — and where the log fsyncs per batch the
+// fsync runs behind the push, the producer moving on to the next batch
+// meanwhile. Flush and Close are where the producer waits for it.
 type ProducerOptions struct {
 	// BatchSize flushes a partition's pending batch when it reaches this
 	// many events. Default 128.
@@ -64,13 +69,20 @@ func (o *ProducerOptions) setDefaults() {
 }
 
 // BatchSink lands one sealed batch on its partition: the one decision that
-// differs between deployments. A standalone topic appends to the partition;
+// differs between deployments. A standalone topic submits to the partition;
 // a cluster topic (internal/mofka/cluster) runs a quorum append, with seq —
 // the batch's per-partition sequence number, from 1, fixed when it was
 // sealed — making a retry idempotent. The producer calls it once per attempt
 // on a batch, never per event, and never concurrently; metas and datas are
 // only valid during the call.
-type BatchSink func(partition int, seq uint64, metas, datas [][]byte) error
+//
+// An error means the batch was not taken and is the producer's to retry. Nil
+// means it was, at fixed offsets, and the Commit beside it is the wait for
+// its durability: nil when the sink returns only once the batch is durable
+// (a quorum append, a remote push) or as durable as it will get (an
+// in-memory partition). A partition's commits complete in submit order, so
+// the producer keeps the latest per partition and waits in Flush and Close.
+type BatchSink func(partition int, seq uint64, metas, datas [][]byte) (*Commit, error)
 
 // Producer pushes events into a topic with batching: the one implementation
 // of seal, ship, retry, bounded backlog and degraded mode, whatever the
@@ -95,9 +107,10 @@ type Producer struct {
 
 	// shipMu serializes shipping so a partition's batches land in seal
 	// (and therefore sequence) order even under concurrent pushers. It also
-	// guards views, and whatever state the sink keeps.
-	shipMu sync.Mutex
-	views  [][]byte // reused backing of the metadata views handed to the sink
+	// guards views and commits, and whatever state the sink keeps.
+	shipMu  sync.Mutex
+	views   [][]byte  // reused backing of the metadata views handed to the sink
+	commits []*Commit // per partition, the latest shipped batch's durability wait
 
 	stopFlusher chan struct{}
 	flusherDone chan struct{}
@@ -154,8 +167,8 @@ func (b *batch) Reset() {
 // NewProducer creates a producer for the topic; its sink appends straight to
 // the topic's partitions (a single broker has no use for sequence numbers).
 func (t *Topic) NewProducer(opts ProducerOptions) *Producer {
-	return NewProducer(len(t.partitions), t.cfg.Validator, opts, func(partition int, _ uint64, metas, datas [][]byte) error {
-		return t.partitions[partition].appendBatch(metas, datas)
+	return NewProducer(len(t.partitions), t.cfg.Validator, opts, func(partition int, _ uint64, metas, datas [][]byte) (*Commit, error) {
+		return t.partitions[partition].Submit(metas, datas)
 	})
 }
 
@@ -171,6 +184,7 @@ func NewProducer(partitions int, valid Validator, opts ProducerOptions, sink Bat
 		open:    make([]batch, partitions),
 		queues:  make([][]batch, partitions),
 		nextSeq: make([]uint64, partitions),
+		commits: make([]*Commit, partitions),
 	}
 	for i := range p.nextSeq {
 		p.nextSeq[i] = 1
@@ -199,8 +213,8 @@ func (p *Producer) flushLoop() {
 
 // Push enqueues one event. The metadata and data slices are copied (the
 // metadata once, into its batch's arena). The event becomes visible to
-// consumers after its batch flushes (by size trigger, interval, Flush, or
-// Close).
+// consumers once its batch has shipped (by size trigger, interval, Flush, or
+// Close) and committed; Flush and Close wait for that.
 func (p *Producer) Push(metadata Metadata, data []byte) error {
 	return p.PushRaw(metadata.Encode(), data)
 }
@@ -328,7 +342,11 @@ func (p *Producer) appendWithRetry(idx int, b batch) error {
 	p.views = b.Metas(p.views)
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = p.sink(idx, b.seq, p.views, b.Datas())
+		var c *Commit
+		c, err = p.sink(idx, b.seq, p.views, b.Datas())
+		if err == nil && c != nil {
+			p.commits[idx] = c
+		}
 		if err == nil || attempt >= p.opts.FlushRetries {
 			return err
 		}
@@ -351,15 +369,27 @@ func (p *Producer) enforceBound(idx int) {
 	p.mu.Unlock()
 }
 
-// Flush seals and ships every pending batch. On error the unshipped batches
-// remain queued for the next attempt; the first append error is returned.
+// Flush seals and ships every pending batch and returns once every batch
+// shipped so far is durable. On error the unshipped batches remain queued for
+// the next attempt; the first append error is returned, or else the first
+// failed commit's (a failed fsync: those events are lost, and the partition's
+// log refuses whatever is shipped next).
 func (p *Producer) Flush() error {
 	p.mu.Lock()
 	for i := range p.open {
 		p.sealLocked(i)
 	}
 	p.mu.Unlock()
-	return p.ship()
+	err := p.ship()
+	for i := range p.commits {
+		p.shipMu.Lock()
+		c := p.commits[i]
+		p.shipMu.Unlock()
+		if werr := c.Wait(); err == nil {
+			err = werr
+		}
+	}
+	return err
 }
 
 // Close flushes pending events and stops the background flusher. Further

@@ -38,6 +38,16 @@ type Service interface {
 	Ping() error
 }
 
+// BatchSubmitter is what a Service adds when a push has two halves (see
+// Partition.Submit): SubmitBatch returns once the batch is admitted and its
+// offsets are fixed, with the wait for its commit. PushBatch on such a
+// service is SubmitBatch followed by the wait. A caller that lands one batch
+// on several logs — the cluster's quorum append — submits to all of them
+// before it waits on any, so their fsyncs run side by side.
+type BatchSubmitter interface {
+	SubmitBatch(topic string, partition int, metas, datas [][]byte) (*Commit, error)
+}
+
 // fencedPusher is what a Service adds when its pushes can carry a producer
 // id, a batch sequence number and a leadership epoch (the cluster's
 // idempotent, fenced append). Serve hands such a service the three fields of
@@ -197,11 +207,19 @@ func (s brokerService) TopicInfo(name string) (int, uint64, error) {
 }
 
 func (s brokerService) PushBatch(topic string, partition int, metas, datas [][]byte) error {
-	p, err := s.partition(topic, partition)
+	c, err := s.SubmitBatch(topic, partition, metas, datas)
 	if err != nil {
 		return err
 	}
-	return p.appendBatch(metas, datas)
+	return c.Wait()
+}
+
+func (s brokerService) SubmitBatch(topic string, partition int, metas, datas [][]byte) (*Commit, error) {
+	p, err := s.partition(topic, partition)
+	if err != nil {
+		return nil, err
+	}
+	return p.Submit(metas, datas)
 }
 
 func (s brokerService) Pull(topic string, partition int, from uint64, max int, withData bool) ([]Event, error) {

@@ -43,22 +43,17 @@ func frameSize(r Record) int64 {
 	return recordHeaderSize + payloadMinSize + int64(len(r.Meta)) + int64(len(r.Data))
 }
 
-// appendFrame encodes rec into buf and returns the extended slice.
+// appendFrame encodes rec into buf and returns the extended slice. The frame
+// is laid out in place and checksummed there, in one pass over the payload.
 func appendFrame(buf []byte, rec Record) []byte {
-	n := payloadMinSize + len(rec.Meta) + len(rec.Data)
-	var mlen [4]byte
-	binary.LittleEndian.PutUint32(mlen[:], uint32(len(rec.Meta)))
-	crc := crc32.Update(0, crcTable, mlen[:])
-	crc = crc32.Update(crc, crcTable, rec.Meta)
-	crc = crc32.Update(crc, crcTable, rec.Data)
-
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, mlen[:]...)
+	start := len(buf)
+	buf = append(buf, make([]byte, recordHeaderSize+payloadMinSize)...)
+	payload := start + recordHeaderSize
+	binary.LittleEndian.PutUint32(buf[payload:], uint32(len(rec.Meta)))
 	buf = append(buf, rec.Meta...)
 	buf = append(buf, rec.Data...)
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-payload))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[payload:], crcTable))
 	return buf
 }
 

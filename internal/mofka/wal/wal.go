@@ -11,7 +11,6 @@
 package wal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -28,17 +27,22 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncBatch fsyncs after every appended batch: a flushed producer batch
-	// is crash-durable when AppendBatch returns. The default.
+	// SyncBatch makes every appended batch crash-durable before AppendBatch
+	// returns: an fsync covers it, its own or the one a concurrent append's
+	// batch shares with it. The default.
 	SyncBatch SyncPolicy = iota
-	// SyncInterval flushes every batch to the OS but fsyncs at most once per
+	// SyncInterval writes every batch to the OS but fsyncs at most once per
 	// SyncEvery (amortized durability: a crash can lose the last interval).
 	SyncInterval
 	// SyncNever leaves syncing to the OS page cache (and Close/Sync calls).
 	// Fastest; a machine crash can lose recent batches, a process crash
-	// cannot (data is flushed to the kernel on every batch).
+	// cannot (data is written to the kernel on every batch).
 	SyncNever
 )
+
+// fsync forces a segment file to stable storage. It is a variable only so
+// that tests can hold an fsync back or fail it.
+var fsync = (*os.File).Sync
 
 // ParseSyncPolicy maps the CLI spellings (batch|interval|never) to a policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
@@ -112,19 +116,34 @@ type segment struct {
 
 // Log is a segmented append-only record log rooted at one directory. All
 // methods are safe for concurrent use; appends are serialized.
+//
+// An append is two steps. WriteBatch frames a batch and hands it to the OS
+// with one write, which fixes its offsets; Sync makes everything written so
+// far durable, with the fsync running outside the log's mutex so that the
+// next batches are written while the disk is busy and share the next fsync.
+// AppendBatch is the two together, under the configured policy. A write or
+// an fsync that fails poisons the log: what reached stable storage is no
+// longer known, so every later append and sync reports the same error.
 type Log struct {
 	dir  string
 	opts Options
 
+	// syncMu is held across every fsync of the active segment and by whatever
+	// closes or replaces that file (rotation, TruncateTo, Close), so the file
+	// under an in-flight fsync stays open. Taken before mu, never under it.
+	syncMu sync.Mutex
+
 	mu       sync.Mutex
 	segs     []segment // ordered by base; last is active (when writable)
 	active   *os.File
-	w        *bufio.Writer
+	buf      []byte // the frames of the batch being written, reused
 	next     uint64 // offset the next appended record receives
+	durable  uint64 // records below this offset are on stable storage
 	first    uint64 // offset of the oldest retained record
 	torn     int64  // bytes discarded (or skipped, read-only) at open
 	lastSync time.Time
 	closed   bool
+	err      error // sticky: set by a failed write or fsync
 }
 
 // Open opens (creating if needed) the log in dir, recovering from any torn
@@ -153,6 +172,7 @@ func OpenReplay(dir string, opts Options, visit func(recs []Record) error) (*Log
 	if err := l.recover(visit); err != nil {
 		return nil, err
 	}
+	l.durable = l.next
 	if !opts.ReadOnly {
 		if err := l.openActive(); err != nil {
 			return nil, err
@@ -238,20 +258,16 @@ func (l *Log) openActive() error {
 		return fmt.Errorf("wal: reopen active segment: %w", err)
 	}
 	l.active = f
-	l.w = bufio.NewWriterSize(f, 1<<20)
 	return nil
 }
 
-// rotateLocked closes the active segment and starts a new one based at the
-// next offset, then applies retention. Callers hold l.mu (or are inside
-// Open, before the log is shared).
+// rotateLocked syncs and closes the active segment and starts a new one
+// based at the next offset, then applies retention. Callers hold l.syncMu
+// and l.mu (or are inside Open, before the log is shared).
 func (l *Log) rotateLocked() error {
 	if l.active != nil {
-		if err := l.w.Flush(); err != nil {
-			return fmt.Errorf("wal: flush on rotate: %w", err)
-		}
-		if err := l.active.Sync(); err != nil {
-			return fmt.Errorf("wal: sync on rotate: %w", err)
+		if err := l.syncActiveLocked(); err != nil {
+			return err
 		}
 		if err := l.active.Close(); err != nil {
 			return fmt.Errorf("wal: close on rotate: %w", err)
@@ -264,7 +280,6 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
 	l.active = f
-	l.w = bufio.NewWriterSize(f, 1<<20)
 	l.segs = append(l.segs, segment{base: l.next, path: path, mtime: time.Now()})
 	l.applyRetentionLocked()
 	return nil
@@ -304,63 +319,99 @@ func (l *Log) applyRetentionLocked() {
 	}
 }
 
-// AppendBatch appends records as one batch, returning the offset assigned to
-// the first record (subsequent records take consecutive offsets). Durability
-// follows the configured sync policy.
-func (l *Log) AppendBatch(recs []Record) (first uint64, err error) {
+// maxKeptBuf bounds the frame buffer a log keeps between batches; a larger
+// one (a catch-up chunk with payloads) is let go after its write.
+const maxKeptBuf = 1 << 20
+
+// WriteBatch appends records as one batch without waiting for stable
+// storage, whatever the policy: the frames are handed to the OS with one
+// write and the offset of the first is returned (subsequent records take
+// consecutive offsets). A later Sync, rotation or Close makes them durable.
+func (l *Log) WriteBatch(recs []Record) (first uint64, err error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	first, full, err := l.writeLocked(recs)
+	l.mu.Unlock()
+	if err != nil || !full {
+		return first, err
+	}
+	if err := l.rotateFull(); err != nil {
+		return 0, err
+	}
+	return first, nil
+}
+
+// writeLocked is WriteBatch under l.mu; full reports that the active segment
+// has reached its size threshold.
+func (l *Log) writeLocked(recs []Record) (first uint64, full bool, err error) {
 	if l.closed {
-		return 0, fmt.Errorf("wal: %s: log closed", l.dir)
+		return 0, false, fmt.Errorf("wal: %s: log closed", l.dir)
 	}
 	if l.opts.ReadOnly {
-		return 0, fmt.Errorf("wal: %s: log is read-only", l.dir)
+		return 0, false, fmt.Errorf("wal: %s: log is read-only", l.dir)
+	}
+	if l.err != nil {
+		return 0, false, l.err
 	}
 	if len(recs) == 0 {
-		return l.next, nil
+		return l.next, false, nil
 	}
-	first = l.next
-	var buf []byte
-	var bytes int64
+	buf := l.buf[:0]
 	for _, r := range recs {
 		if fs := frameSize(r); fs-recordHeaderSize > int64(l.opts.MaxRecordBytes) {
-			return 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes %d", fs, l.opts.MaxRecordBytes)
+			return 0, false, fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes %d", fs, l.opts.MaxRecordBytes)
 		}
-		buf = appendFrame(buf[:0], r)
-		if _, err := l.w.Write(buf); err != nil {
-			return 0, fmt.Errorf("wal: append: %w", err)
-		}
-		bytes += int64(len(buf))
+		buf = appendFrame(buf, r)
 	}
+	if l.buf = buf[:0]; cap(buf) > maxKeptBuf {
+		l.buf = nil
+	}
+	if _, err := l.active.Write(buf); err != nil {
+		// A short write leaves part of a frame in the file; anything written
+		// after it would sit behind a torn record.
+		l.err = fmt.Errorf("wal: %s: append: %w", l.dir, err)
+		return 0, false, l.err
+	}
+	first = l.next
 	l.next += uint64(len(recs))
 	s := &l.segs[len(l.segs)-1]
 	s.records += uint64(len(recs))
-	s.size += bytes
+	s.size += int64(len(buf))
 	s.mtime = time.Now()
+	return first, s.size >= l.opts.SegmentBytes, nil
+}
 
+// rotateFull rotates the active segment if it is (still) over the size
+// threshold, waiting out an fsync in flight on it.
+func (l *Log) rotateFull() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed || l.segs[len(l.segs)-1].size < l.opts.SegmentBytes {
+		return nil // closed, or rotated by a concurrent append, meanwhile
+	}
+	if err := l.rotateLocked(); err != nil && l.err == nil {
+		l.err = err // no active segment is left to append to
+	}
+	return l.err
+}
+
+// AppendBatch appends records as one batch, returning the offset assigned to
+// the first record (subsequent records take consecutive offsets). It returns
+// once the batch is as durable as the configured sync policy makes it.
+func (l *Log) AppendBatch(recs []Record) (first uint64, err error) {
+	first, err = l.WriteBatch(recs)
+	if err != nil || len(recs) == 0 {
+		return first, err
+	}
 	switch l.opts.Sync {
 	case SyncBatch:
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
+		err = l.sync(0)
 	case SyncInterval:
-		if err := l.w.Flush(); err != nil {
-			return 0, fmt.Errorf("wal: flush: %w", err)
-		}
-		if time.Since(l.lastSync) >= l.opts.SyncEvery {
-			if err := l.syncLocked(); err != nil {
-				return 0, err
-			}
-		}
-	case SyncNever:
-		if err := l.w.Flush(); err != nil {
-			return 0, fmt.Errorf("wal: flush: %w", err)
-		}
+		err = l.sync(l.opts.SyncEvery)
 	}
-	if s.size >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
+	if err != nil {
+		return 0, err
 	}
 	return first, nil
 }
@@ -379,6 +430,8 @@ func (l *Log) Append(rec Record) (uint64, error) {
 // this to drop a rejoining replica's unacknowledged divergent tail before
 // catch-up.
 func (l *Log) TruncateTo(n uint64) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -386,6 +439,9 @@ func (l *Log) TruncateTo(n uint64) error {
 	}
 	if l.opts.ReadOnly {
 		return fmt.Errorf("wal: %s: log is read-only", l.dir)
+	}
+	if l.err != nil {
+		return l.err
 	}
 	if n >= l.next {
 		return nil
@@ -396,13 +452,13 @@ func (l *Log) TruncateTo(n uint64) error {
 	// The cut lands in (or removes) the active segment: settle it on disk
 	// and close it, then do the surgery, then reopen for appends.
 	if l.active != nil {
-		if err := l.syncLocked(); err != nil {
+		if err := l.syncActiveLocked(); err != nil {
 			return err
 		}
 		if err := l.active.Close(); err != nil {
 			return fmt.Errorf("wal: close before truncate: %w", err)
 		}
-		l.active, l.w = nil, nil
+		l.active = nil
 	}
 	for len(l.segs) > 0 {
 		s := &l.segs[len(l.segs)-1]
@@ -426,7 +482,7 @@ func (l *Log) TruncateTo(n uint64) error {
 		}
 		break
 	}
-	l.next = n
+	l.next, l.durable = n, n
 	if len(l.segs) == 0 {
 		l.first = n
 	}
@@ -459,25 +515,51 @@ func (l *Log) frameBoundary(s *segment, k uint64) (int64, error) {
 // errStop is how a frameReader visitor ends the read early.
 var errStop = errors.New("wal: stop")
 
-func (l *Log) syncLocked() error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+// syncActiveLocked fsyncs the active segment with l.syncMu and l.mu held:
+// the fsync of a rotation, a truncation or Close, which must not race a
+// write. A failure poisons the log.
+func (l *Log) syncActiveLocked() error {
+	if l.err != nil {
+		return l.err
 	}
-	if err := l.active.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+	return l.syncedLocked(l.next, fsync(l.active))
+}
+
+// syncedLocked records the outcome of an fsync that covered every record
+// below upTo: the durable watermark moves there, or the log is poisoned.
+func (l *Log) syncedLocked(upTo uint64, err error) error {
+	if err != nil {
+		l.err = fmt.Errorf("wal: %s: fsync: %w", l.dir, err)
+		return l.err
 	}
-	l.lastSync = time.Now()
+	l.durable, l.lastSync = upTo, time.Now()
 	return nil
 }
 
 // Sync forces all appended records to stable storage regardless of policy.
-func (l *Log) Sync() error {
+// The fsync runs without l.mu, so batches written meanwhile are not held up
+// (they are covered by the next Sync, or by this one if they beat it to the
+// disk); when everything written is durable already there is nothing to do.
+func (l *Log) Sync() error { return l.sync(0) }
+
+// sync is Sync, skipped when minAge is positive and the last fsync is more
+// recent than that.
+func (l *Log) sync(minAge time.Duration) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	if l.err != nil || l.closed || l.active == nil || l.durable == l.next ||
+		(minAge > 0 && time.Since(l.lastSync) < minAge) {
+		err := l.err
+		l.mu.Unlock()
+		return err
+	}
+	f, target := l.active, l.next
+	l.mu.Unlock()
+	err := fsync(f)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed || l.active == nil {
-		return nil
-	}
-	return l.syncLocked()
+	return l.syncedLocked(target, err)
 }
 
 // Replay calls fn for every record with offset >= from, in offset order,
@@ -488,11 +570,6 @@ func (l *Log) Sync() error {
 func (l *Log) Replay(from uint64, fn func(off uint64, rec Record) bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.w != nil {
-		if err := l.w.Flush(); err != nil {
-			return fmt.Errorf("wal: flush before replay: %w", err)
-		}
-	}
 	fr := frameReader{maxRecordBytes: l.opts.MaxRecordBytes}
 	for _, s := range l.segs {
 		if s.base+s.records <= from {
@@ -523,9 +600,11 @@ func (l *Log) Replay(from uint64, fn func(off uint64, rec Record) bool) error {
 	return nil
 }
 
-// Close flushes and fsyncs outstanding appends and closes the active
-// segment. Further appends fail.
+// Close fsyncs outstanding appends and closes the active segment. Further
+// appends fail. A poisoned log reports what poisoned it.
 func (l *Log) Close() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -533,9 +612,9 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	if l.active == nil {
-		return nil
+		return l.err
 	}
-	if err := l.syncLocked(); err != nil {
+	if err := l.syncActiveLocked(); err != nil {
 		_ = l.active.Close() // the sync failure is the error that matters
 		return err
 	}
