@@ -46,11 +46,14 @@ bench-proxy:
 
 # Seeded, deterministic fault-injection and recovery suites, race-enabled:
 # the chaos plan parser/controller, the scheduler crash-recovery tests
-# (including the crash-vs-baseline property test), and the end-to-end
-# degraded sessions in core/perfrecup/live.
+# (including the crash-vs-baseline property test and the kill x -speculate
+# regression: a hedge candidate on a dead, not yet evicted worker, on both
+# data planes), the end-to-end degraded sessions in core/perfrecup/live, and
+# the command lines that used to abort the process.
 chaos:
-	$(GO) test -race -run 'TestParse|TestArm|TestEmptyPlan|TestWorkerCrash|TestLostKey|TestWorkerRestart|TestRepeatedCrash|TestCrash|TestChaos|TestRecoveryTimeline|TestAggregatorRecovery' \
+	$(GO) test -race -run 'TestParse|TestArm|TestEmptyPlan|TestWorkerCrash|TestLostKey|TestWorkerRestart|TestRepeatedCrash|TestCrash|TestHedgeOnDeadWorkerLosesNoTask|TestEmptyHolderSnapshotSurrenders|TestChaos|TestRecoveryTimeline|TestAggregatorRecovery' \
 		./internal/chaos/ ./internal/dask/ ./internal/core/ ./internal/perfrecup/ ./internal/live/
+	$(GO) test -race -run 'TestCmdRunSurvivesKillWithSpeculation' ./cmd/taskprov/
 
 # The sharded, replicated cluster suites, race-enabled: placement, quorum
 # replication, failover/fencing (a remote replica member included), consumer
@@ -66,10 +69,14 @@ cluster:
 	$(GO) test -race -run 'TestCluster' ./internal/core/
 
 # Property push, race-enabled: random DAGs through the scheduler (exactly
-# once, dependency order, determinism) and random kill/restart schedules
-# under the proxy data plane (holder/refcount/quiescence invariants).
+# once, dependency order, determinism), random kill/restart schedules under
+# the proxy data plane (holder/refcount/quiescence invariants), the chaos
+# directives crossed two at a time with hedging on
+# (TestRandomDAGsSurvivePairedFaultsWithSpeculation, which fails if no trial
+# puts a hedge candidate on a dead, unevicted worker), and a source pick that
+# does not depend on map order.
 property:
-	$(GO) test -race -run 'TestRandomDAG' ./internal/dask/ ./internal/core/
+	$(GO) test -race -run 'TestRandomDAG|TestSourcePickIndependentOfHolderOrder' ./internal/dask/ ./internal/core/
 
 # Run-resumption gate, race-enabled: kill -9 of the whole session at three
 # points of a seeded run (plus random DAGs at random kill points, plus the
@@ -128,12 +135,13 @@ bench-whatif:
 # arm paths, the hedged-execution acceptance run (speculation must recover
 # >=40% of the makespan a factor-8 brownout costs, with exactly one execution
 # record per key and the proxy footprint back at baseline), random DAGs under
-# brownouts and kills, bounded retry storms, heartbeat-jitter desync, and the
-# speculation views/lanes.
+# brownouts and kills (both data planes, and the chaos directives two at a
+# time), the hedge-on-a-dead-worker regression, bounded retry storms,
+# heartbeat-jitter desync, and the speculation views/lanes.
 speculate:
 	$(GO) test -race -run 'TestParseEveryDirective|TestUnknownDirectiveListsAll|TestParseSlowNetErrors|TestArmSlowdowns|TestArmLinkFaults' ./internal/chaos/
 	$(GO) test -race -run 'TestBrownoutSpeculationAcceptance|TestHeartbeatJitterDesynchronizesMultiRestart|TestRetryStormBoundedUnderChaos' ./internal/core/
-	$(GO) test -race -run 'TestRandomDAGsSurviveBrownoutsWithSpeculation' ./internal/dask/
+	$(GO) test -race -run 'TestRandomDAGsSurviveBrownoutsWithSpeculation|TestRandomDAGsSurvivePairedFaultsWithSpeculation|TestHedgeOnDeadWorkerLosesNoTask' ./internal/dask/
 	$(GO) test -race -run 'TestRetry' ./internal/mochi/mercury/
 	$(GO) test -race -run 'TestAggregatorSpeculationLane|TestStragglerDetectorAdvisor' ./internal/live/
 	$(GO) test -race -run 'TestSpeculationTimeline' ./internal/perfrecup/
@@ -153,7 +161,8 @@ bench-speculation:
 # exactly when encoding/json accepts them, decode to what Parse over a decoded
 # map gives, and re-encode to bytes that decode to the same record. Live
 # ingest: for any topic and bytes, the typed entry point and the map API both
-# reject or leave equal snapshots.
+# reject or leave equal snapshots. Chaos specs: no spec panics the parser, and
+# an accepted plan arms against a small cluster without panicking.
 fuzz:
 	$(GO) test -run 'FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALRecover' -fuzztime 20s ./internal/mofka/wal/
@@ -163,6 +172,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzIngest' -fuzztime 20s ./internal/live/
 	$(GO) test -run 'FuzzServe' ./internal/mofka/
 	$(GO) test -run '^$$' -fuzz 'FuzzServe' -fuzztime 20s ./internal/mofka/
+	$(GO) test -run 'FuzzParse' ./internal/chaos/
+	$(GO) test -run '^$$' -fuzz 'FuzzParse' -fuzztime 20s ./internal/chaos/
 
 # The repo's end-to-end benchmark (bench/e2e, a module of its own): all four
 # workloads twice, the spread judged against BENCHMARK.json's bounds. Minutes,

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -42,6 +43,45 @@ func TestCmdRunWritesArtifacts(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(runDir, p)); err != nil {
 			t.Fatalf("missing artifact %s: %v", p, err)
 		}
+	}
+}
+
+// TestCmdRunSurvivesKillWithSpeculation: the command lines that used to abort
+// the process with "dependency … has no holders" (ROADMAP item 1a — one worker
+// kill with hedging on, on either data plane, and the full recipe) exit 0 and
+// write a run dir whose warnings name the rescheduled tasks.
+func TestCmdRunSurvivesKillWithSpeculation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full workflow runs")
+	}
+	for _, tc := range []struct {
+		name string
+		seed int
+		args []string
+	}{
+		{"direct-seed7", 7, []string{"-chaos", "kill worker=2 at=6s restart=4s", "-speculate"}},
+		{"direct-seed11", 11, []string{"-chaos", "kill worker=2 at=6s restart=4s", "-speculate"}},
+		{"roadmap", 7, []string{"-proxy-threshold", "1048576", "-cluster", "3", "-replication", "2",
+			"-chaos", "kill worker=2 at=6s restart=4s; slow worker=1 at=2s factor=6", "-speculate"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := append([]string{"-workflow", "imageprocessing", "-seed", fmt.Sprint(tc.seed), "-out", dir}, tc.args...)
+			if err := cmdRun(args); err != nil {
+				t.Fatal(err)
+			}
+			runDir := filepath.Join(dir, fmt.Sprintf("imageprocessing-%04d", tc.seed))
+			if _, err := os.Stat(filepath.Join(runDir, "metadata.json")); err != nil {
+				t.Fatalf("no run dir: %v", err)
+			}
+			warnings, err := os.ReadFile(filepath.Join(runDir, "mofka", "warnings.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(warnings, []byte(`"kind":"task_rescheduled"`)) {
+				t.Error("warnings name no rescheduled task")
+			}
+		})
 	}
 }
 

@@ -42,9 +42,6 @@ func newClient(c *Cluster, node *platform.Node) *Client {
 	}
 }
 
-// Node returns the node the client runs on.
-func (cl *Client) Node() *platform.Node { return cl.node }
-
 // WaitForWorkers blocks the client process until n workers have connected
 // (distributed.Client.wait_for_workers).
 func (cl *Client) WaitForWorkers(p *sim.Proc, n int) {
@@ -124,9 +121,6 @@ func (cl *Client) graphDone(graphID int, errMsg string) {
 		w()
 	}
 }
-
-// GraphDone reports whether the graph has completed.
-func (cl *Client) GraphDone(graphID int) bool { return cl.done[graphID] }
 
 // GraphError returns the failure message of a completed graph ("" when it
 // succeeded), like gathering an erred future raises in Dask.

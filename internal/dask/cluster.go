@@ -70,9 +70,6 @@ func NewCluster(k *sim.Kernel, plat *platform.Cluster, fs *posixio.FS, cfg Confi
 	return c
 }
 
-// Kernel returns the simulation kernel.
-func (c *Cluster) Kernel() *sim.Kernel { return c.kernel }
-
 // Config returns the normalized configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 

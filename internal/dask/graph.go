@@ -140,9 +140,6 @@ func (g *Graph) AddExternal(k TaskKey) {
 	g.order = nil
 }
 
-// External reports whether k was declared as a cross-graph dependency.
-func (g *Graph) External(k TaskKey) bool { return g.externals[k] }
-
 // Add inserts a task. It panics on duplicate keys — graphs are built by
 // generators, so a duplicate is a programming error.
 func (g *Graph) Add(spec *TaskSpec) {

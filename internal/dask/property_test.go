@@ -301,28 +301,230 @@ func TestRandomDAGsSurviveWorkerKills(t *testing.T) {
 	}
 }
 
+// hedgedTrial is one random-DAG run with hedged execution on, under whatever
+// fault schedule the test arms on it.
+type hedgedTrial struct {
+	NopWorkerPlugin
+	env *testEnv
+	// killed: some worker dies during the run, so recovery recomputation is a
+	// legitimate source of repeated execution records.
+	killed bool
+	// fetchKills are kills waiting for a fetch from their victim to begin.
+	fetchKills []fetchKill
+	// deadHedgeCandidates counts (task, speculation tick) pairs where the
+	// task was a hedge candidate on a dead worker the scheduler had not
+	// evicted yet.
+	deadHedgeCandidates int
+}
+
+type fetchKill struct {
+	rank      int
+	notBefore sim.Time
+}
+
+func newHedgedTrial(seed uint64, cfg Config) *hedgedTrial {
+	cfg.Speculation.Enabled = true
+	cfg.Speculation.MinRuntime = sim.Milliseconds(50)
+	cfg.Speculation.SlowFactor = 1.5
+	tr := &hedgedTrial{env: newEnv(seed, cfg)}
+	tr.env.c.AddWorkerPlugin(tr)
+	tr.env.k.Every(tr.env.c.cfg.Speculation.Interval, tr.countDeadHedgeCandidates)
+	return tr
+}
+
+func (tr *hedgedTrial) countDeadHedgeCandidates() {
+	s := tr.env.c.scheduler
+	now := tr.env.k.Now()
+	for _, ts := range s.tasks {
+		if ts.live != 1 {
+			continue
+		}
+		wh, elapsed := s.workers[ts.attempts[0].rank], now-ts.attempts[0].startedAt
+		if wh.connected && !wh.w.alive && elapsed >= s.c.cfg.Speculation.MinRuntime &&
+			s.isStraggler(ts.spec.Prefix(), elapsed) {
+			tr.deadHedgeCandidates++
+		}
+	}
+}
+
+// killOnFetchFrom kills worker rank as soon as, at or after notBefore,
+// another worker starts fetching a dependency only rank holds.
+func (tr *hedgedTrial) killOnFetchFrom(rank int, notBefore sim.Time) {
+	tr.fetchKills = append(tr.fetchKills, fetchKill{rank, notBefore})
+}
+
+// WorkerTransition implements WorkerPlugin: it fires the pending
+// killOnFetchFrom kills.
+func (tr *hedgedTrial) WorkerTransition(x Transition) {
+	if x.To != WStateFetching {
+		return
+	}
+	s := tr.env.c.scheduler
+	for i, fk := range tr.fetchKills {
+		victim := s.workers[fk.rank].w
+		if x.At < fk.notBefore || x.Location == victim.addr {
+			continue
+		}
+		for _, d := range s.tasks[x.Key].spec.Deps {
+			if _, held := s.tasks[d].whoHas[fk.rank]; held && len(s.tasks[d].whoHas) == 1 {
+				tr.fetchKills = append(tr.fetchKills[:i], tr.fetchKills[i+1:]...)
+				tr.env.k.After(sim.Microseconds(200), func() { tr.env.c.KillWorker(fk.rank) })
+				return
+			}
+		}
+	}
+}
+
+// run drives the graph to completion and then quiesces past the fault
+// schedule. arm is called at graph start and returns when the schedule's last
+// event fires.
+func (tr *hedgedTrial) run(t *testing.T, g *Graph, arm func(start sim.Time) sim.Time) {
+	env := tr.env
+	env.runWorkflow(func(p *sim.Proc, cl *Client) {
+		lastEvent := arm(p.Now())
+		cl.SubmitAndWait(p, g)
+		if e := cl.GraphError(1); e != "" {
+			t.Errorf("graph erred: %s", e)
+		}
+		settle := env.c.cfg.WorkerTTL + sim.Seconds(2)
+		deadline := lastEvent + settle
+		if d := deadline - env.k.Now(); d > settle {
+			p.Sleep(d)
+		} else {
+			p.Sleep(settle)
+		}
+	})
+}
+
+// check asserts the invariants every hedged run must end with — no task
+// stranded, every in-memory key on a live holder, every speculative launch
+// settled exactly once, duplicate execution records only for hedged keys,
+// and the proxy store's refcount/delta balance — and returns the number of
+// speculative launches.
+func (tr *hedgedTrial) check(t *testing.T, g *Graph) (launched int) {
+	env, killed := tr.env, tr.killed
+
+	// No task stranded; every in-memory key has a live holder.
+	sched := env.c.Scheduler()
+	for _, k := range g.Keys() {
+		switch st := sched.TaskState(k); st {
+		case StateMemory:
+			holders := 0
+			for _, w := range env.c.Workers() {
+				if w.Alive() && w.HasData(k) {
+					holders++
+				}
+			}
+			if holders == 0 {
+				t.Errorf("task %s in memory with no live holder", k)
+			}
+		case StateWaiting, StateProcessing:
+			t.Errorf("task %s stuck in %q after quiescence", k, st)
+		}
+	}
+
+	// Speculation bookkeeping: every launch settles exactly once, and
+	// every win cancels exactly one loser.
+	var won, cancelled, failed, promoted int
+	hedged := map[TaskKey]bool{}
+	for _, ev := range env.rec.specEvents {
+		switch ev.Kind {
+		case SpecLaunched:
+			launched++
+			hedged[ev.Key] = true
+		case SpecWon:
+			won++
+		case SpecCancelled:
+			cancelled++
+		case SpecFailed:
+			failed++
+		case SpecPromoted:
+			promoted++
+		}
+	}
+	if launched != won+failed+promoted {
+		t.Errorf("speculation launches unsettled: launched %d, won %d, failed %d, promoted %d",
+			launched, won, failed, promoted)
+	}
+	if cancelled != won {
+		t.Errorf("win/cancel pairing broken: won %d, cancelled %d", won, cancelled)
+	}
+
+	// Execution records: every key ran. In kill-free trials a key only
+	// executes more than once if it was actually hedged (recovery
+	// recomputation is the one other legitimate source of duplicates).
+	execsPerKey := map[TaskKey]int{}
+	for _, e := range env.rec.execs {
+		execsPerKey[e.Key]++
+	}
+	for _, k := range g.Keys() {
+		n := execsPerKey[k]
+		if n == 0 {
+			t.Errorf("task %s never executed", k)
+			continue
+		}
+		if n > 1 && !hedged[k] && !killed {
+			t.Errorf("task %s executed %d times without speculation or recovery", k, n)
+		}
+	}
+
+	// Proxy-store invariants: refcounts non-negative, owners alive,
+	// and the published/released/resident delta balance holds — a
+	// cancelled loser whose publish leaked would break it.
+	store := env.c.ProxyStore()
+	if store == nil {
+		return launched
+	}
+	for _, key := range store.Keys() {
+		if refs := store.Refs(key); refs < 0 {
+			t.Errorf("blob %s has negative refcount %d", key, refs)
+		}
+		ref, ok := store.Resolve(key)
+		if !ok {
+			continue
+		}
+		if w := env.c.Workers()[ref.Owner]; !w.Alive() {
+			t.Errorf("blob %s owned by dead worker %d", key, ref.Owner)
+		}
+	}
+	st := env.c.ProxyStats()
+	if st.Resident < 0 {
+		t.Errorf("negative resident bytes: %+v", st)
+	}
+	var published, released int64
+	for _, ev := range env.rec.proxyEvents {
+		switch ev.Op {
+		case ProxyOpPublish:
+			published += ev.Bytes
+		case ProxyOpFree, ProxyOpReclaim:
+			released += ev.Bytes
+		}
+	}
+	if published != released+st.Resident {
+		t.Errorf("resident delta stream unbalanced: published %d, released %d, resident %d",
+			published, released, st.Resident)
+	}
+	return launched
+}
+
 // TestRandomDAGsSurviveBrownoutsWithSpeculation is the gray-failure property:
-// random DAGs run with the pass-by-reference data plane AND hedged execution
-// enabled while a random brownout schedule degrades workers (sometimes healing
-// them, sometimes mixing in a kill/restart). Whatever the schedule: the graph
-// completes, no task is stranded, every speculative launch settles exactly
-// once (won, failed, or promoted), duplicate execution records only exist for
-// keys that were actually hedged, and the proxy store's refcount/delta
-// balance reconciles — cancelled losers never publish visible outputs.
+// random DAGs run with hedged execution enabled — on the pass-by-reference
+// data plane (trialNN) and on the direct one (direct/trialNN) — while a random
+// brownout schedule degrades workers (sometimes healing them, sometimes
+// mixing in a kill/restart). Whatever the schedule: the graph completes, no
+// task is stranded, every speculative launch settles exactly once (won,
+// failed, or promoted), duplicate execution records only exist for keys that
+// were actually hedged, and the proxy store's refcount/delta balance
+// reconciles — cancelled losers never publish visible outputs.
 func TestRandomDAGsSurviveBrownoutsWithSpeculation(t *testing.T) {
 	const trials = 8
 	totalLaunched := 0
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			seed := uint64(8000 + trial)
+	trial := func(seed uint64, cfg Config) func(t *testing.T) {
+		return func(t *testing.T) {
 			gen := sim.NewRNG(seed).Split("brownout")
 			g := randomDAG(1, gen.Split("dag"), gen.IntBetween(3, 5), 8)
-			cfg := proxyCfg(1 << 17)
-			cfg.Speculation.Enabled = true
-			cfg.Speculation.MinRuntime = sim.Milliseconds(50)
-			cfg.Speculation.SlowFactor = 1.5
-			env := newEnv(seed, cfg)
+			tr := newHedgedTrial(seed, cfg)
+			env := tr.env
 
 			// One or two workers brown out at random times by 4-10x; some
 			// heal, some stay degraded for the rest of the run.
@@ -346,8 +548,8 @@ func TestRandomDAGsSurviveBrownoutsWithSpeculation(t *testing.T) {
 				}
 			}
 			// Half the trials also lose a (different) worker outright.
-			killed := gen.Bool(0.5)
-			if killed {
+			tr.killed = gen.Bool(0.5)
+			if tr.killed {
 				r := ranks[len(ranks)-1]
 				killAt := sim.Seconds(gen.Uniform(1, 5))
 				restartAt := killAt + sim.Seconds(gen.Uniform(2, 4))
@@ -358,121 +560,21 @@ func TestRandomDAGsSurviveBrownoutsWithSpeculation(t *testing.T) {
 				}
 			}
 
-			env.runWorkflow(func(p *sim.Proc, cl *Client) {
-				cl.SubmitAndWait(p, g)
-				if e := cl.GraphError(1); e != "" {
-					t.Errorf("graph erred: %s", e)
-				}
-				settle := env.c.cfg.WorkerTTL + sim.Seconds(2)
-				deadline := lastEvent + settle
-				if d := deadline - env.k.Now(); d > settle {
-					p.Sleep(d)
-				} else {
-					p.Sleep(settle)
-				}
-			})
-
-			// No task stranded; every in-memory key has a live holder.
-			sched := env.c.Scheduler()
-			for _, k := range g.Keys() {
-				switch st := sched.TaskState(k); st {
-				case StateMemory:
-					holders := 0
-					for _, w := range env.c.Workers() {
-						if w.Alive() && w.HasData(k) {
-							holders++
-						}
-					}
-					if holders == 0 {
-						t.Errorf("task %s in memory with no live holder", k)
-					}
-				case StateWaiting, StateProcessing:
-					t.Errorf("task %s stuck in %q after quiescence", k, st)
-				}
-			}
-
-			// Speculation bookkeeping: every launch settles exactly once, and
-			// every win cancels exactly one loser.
-			var launched, won, cancelled, failed, promoted int
-			hedged := map[TaskKey]bool{}
-			for _, ev := range env.rec.specEvents {
-				switch ev.Kind {
-				case SpecLaunched:
-					launched++
-					hedged[ev.Key] = true
-				case SpecWon:
-					won++
-				case SpecCancelled:
-					cancelled++
-				case SpecFailed:
-					failed++
-				case SpecPromoted:
-					promoted++
-				}
-			}
-			if launched != won+failed+promoted {
-				t.Errorf("speculation launches unsettled: launched %d, won %d, failed %d, promoted %d",
-					launched, won, failed, promoted)
-			}
-			if cancelled != won {
-				t.Errorf("win/cancel pairing broken: won %d, cancelled %d", won, cancelled)
-			}
-			totalLaunched += launched
-
-			// Execution records: every key ran. In kill-free trials a key only
-			// executes more than once if it was actually hedged (recovery
-			// recomputation is the one other legitimate source of duplicates).
-			execsPerKey := map[TaskKey]int{}
-			for _, e := range env.rec.execs {
-				execsPerKey[e.Key]++
-			}
-			for _, k := range g.Keys() {
-				n := execsPerKey[k]
-				if n == 0 {
-					t.Errorf("task %s never executed", k)
-					continue
-				}
-				if n > 1 && !hedged[k] && !killed {
-					t.Errorf("task %s executed %d times without speculation or recovery", k, n)
-				}
-			}
-
-			// Proxy-store invariants: refcounts non-negative, owners alive,
-			// and the published/released/resident delta balance holds — a
-			// cancelled loser whose publish leaked would break it.
-			store := env.c.ProxyStore()
-			for _, key := range store.Keys() {
-				if refs := store.Refs(key); refs < 0 {
-					t.Errorf("blob %s has negative refcount %d", key, refs)
-				}
-				ref, ok := store.Resolve(key)
-				if !ok {
-					continue
-				}
-				if w := env.c.Workers()[ref.Owner]; !w.Alive() {
-					t.Errorf("blob %s owned by dead worker %d", key, ref.Owner)
-				}
-			}
-			st := env.c.ProxyStats()
-			if st.Resident < 0 {
-				t.Errorf("negative resident bytes: %+v", st)
-			}
-			var published, released int64
-			for _, ev := range env.rec.proxyEvents {
-				switch ev.Op {
-				case ProxyOpPublish:
-					published += ev.Bytes
-				case ProxyOpFree, ProxyOpReclaim:
-					released += ev.Bytes
-				}
-			}
-			if published != released+st.Resident {
-				t.Errorf("resident delta stream unbalanced: published %d, released %d, resident %d",
-					published, released, st.Resident)
-			}
-		})
+			tr.run(t, g, func(sim.Time) sim.Time { return lastEvent })
+			totalLaunched += tr.check(t, g)
+		}
+	}
+	for i := 0; i < trials; i++ {
+		t.Run(fmt.Sprintf("trial%02d", i), trial(uint64(8000+i), proxyCfg(1<<17)))
 	}
 	if totalLaunched == 0 {
 		t.Fatal("no trial launched a speculation — the schedule no longer exercises hedging")
+	}
+	totalLaunched = 0
+	for i := 0; i < trials; i++ {
+		t.Run(fmt.Sprintf("direct/trial%02d", i), trial(uint64(8100+i), smallCfg()))
+	}
+	if totalLaunched == 0 {
+		t.Fatal("no direct-plane trial launched a speculation — the schedule no longer exercises hedging")
 	}
 }

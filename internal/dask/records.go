@@ -12,7 +12,6 @@ const (
 	StateProcessing TaskState = "processing"
 	StateMemory     TaskState = "memory"
 	StateErred      TaskState = "erred"
-	StateForgotten  TaskState = "forgotten"
 )
 
 // Worker-side task states.

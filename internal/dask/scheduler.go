@@ -88,19 +88,15 @@ type schedTask struct {
 	waitingOn  map[TaskKey]struct{}
 	dependents []TaskKey
 
-	whoHas       map[int]struct{} // worker ranks holding the result
-	processingOn int              // rank, valid in StateProcessing
-	size         int64
+	whoHas map[int]struct{} // worker ranks holding the result
+	size   int64
 
-	// startedAt is when the current primary assignment was dispatched — the
-	// speculation tick measures elapsed runtime against it.
-	startedAt sim.Time
-	// speculating marks a live duplicate (hedged) attempt on speculativeOn,
-	// dispatched specStartedAt; the first attempt to report wins and the
-	// other is cancelled (see speculate.go).
-	speculating   bool
-	speculativeOn int
-	specStartedAt sim.Time
+	// attempts holds the task's live dispatches; live counts them and is
+	// nonzero exactly while the task is in StateProcessing. Slot 0 is the
+	// attempt provenance calls the primary, slot 1 the hedged duplicate; the
+	// first attempt to report wins and the other is cancelled.
+	attempts [2]attempt
+	live     int
 
 	// viaProxy marks a result published to the proxy store: dependents
 	// receive a reference instead of a payload, and the blob's refcount
@@ -129,6 +125,25 @@ type schedTask struct {
 	// outstanding count twice.
 	completedOnce bool
 }
+
+// attempt is one dispatch of a task to a worker.
+type attempt struct {
+	rank      int
+	startedAt sim.Time
+}
+
+// slotOn returns the slot of the task's live attempt on rank, or -1.
+func (ts *schedTask) slotOn(rank int) int {
+	for i := 0; i < ts.live; i++ {
+		if ts.attempts[i].rank == rank {
+			return i
+		}
+	}
+	return -1
+}
+
+// hedged reports whether a duplicate attempt is in flight beside the primary.
+func (ts *schedTask) hedged() bool { return ts.live == 2 }
 
 type workerHandle struct {
 	w          *Worker
@@ -198,9 +213,6 @@ func (s *Scheduler) registerWorkers(ws []*Worker) {
 		})
 	}
 }
-
-// Node returns the platform node hosting the scheduler.
-func (s *Scheduler) Node() *platform.Node { return s.node }
 
 // Steals reports how many tasks were successfully work-stolen so far.
 func (s *Scheduler) Steals() int { return s.stealCount }
@@ -349,43 +361,25 @@ func (s *Scheduler) evictWorker(wh *workerHandle, reason string) {
 	// the recovery event sequence must reproduce exactly per seed.
 	var affected []*schedTask
 	for _, ts := range s.tasks {
-		_, holds := ts.whoHas[wh.rank]
-		if holds || (ts.state == StateProcessing && ts.processingOn == wh.rank) ||
-			(ts.speculating && ts.speculativeOn == wh.rank) {
+		if _, holds := ts.whoHas[wh.rank]; holds || ts.slotOn(wh.rank) >= 0 {
 			affected = append(affected, ts)
 		}
 	}
 	sort.Slice(affected, func(i, j int) bool { return affected[i].priority < affected[j].priority })
 
 	for _, ts := range affected {
-		if ts.speculating && ts.speculativeOn == wh.rank {
-			// The duplicate attempt died with its worker; the primary
-			// continues alone. (Handle bookkeeping was zeroed above.)
-			s.clearSpeculation(ts, "duplicate attempt's worker died")
-			continue
-		}
 		if _, holds := ts.whoHas[wh.rank]; holds {
-			delete(ts.whoHas, wh.rank)
-			if len(ts.whoHas) == 0 && ts.state == StateMemory {
-				if s.needed(ts) {
-					s.emitRecovery(WarnKeyRecomputed, addr, host,
-						fmt.Sprintf("key %s lost its last replica; recomputing", ts.spec.Key))
-					s.recomputeKey(ts)
-				} else {
-					s.transition(ts, StateReleased, "lost-data")
-				}
-			}
+			s.dropReplica(ts, wh)
 			continue
 		}
-		if ts.speculating {
-			// The primary died while a duplicate is in flight: the duplicate
-			// is promoted to sole attempt — exactly the scenario hedging
-			// exists for, so no requeue and no suspicion charge.
-			s.promoteSpeculative(ts, "primary attempt's worker died")
+		// An attempt died with the worker. A hedged task carries on with its
+		// other attempt — exactly the scenario hedging exists for, so no
+		// requeue and no suspicion charge.
+		if s.attemptLost(ts, wh.rank, "'s worker died") {
 			continue
 		}
-		// Processing on the dead worker: requeue, unless this task has now
-		// killed its host too many times to be trusted.
+		// Requeue, unless this task has now killed its host too many times to
+		// be trusted.
 		ts.suspicious++
 		if ts.suspicious > s.c.cfg.AllowedFailures {
 			s.markErred(ts, fmt.Sprintf("worker died %d times while running it", ts.suspicious))
@@ -396,6 +390,23 @@ func (s *Scheduler) evictWorker(wh *workerHandle, reason string) {
 		s.rescheduleTask(ts, "worker-lost")
 	}
 	s.drainQueued()
+}
+
+// dropReplica forgets wh's replica of a key. An in-memory key that loses its
+// last replica is recomputed from its dependencies if anything still needs
+// it, and released otherwise.
+func (s *Scheduler) dropReplica(ts *schedTask, wh *workerHandle) {
+	delete(ts.whoHas, wh.rank)
+	if len(ts.whoHas) > 0 || ts.state != StateMemory {
+		return
+	}
+	if !s.needed(ts) {
+		s.transition(ts, StateReleased, "lost-data")
+		return
+	}
+	s.emitRecovery(WarnKeyRecomputed, wh.w.addr, wh.w.node.Hostname,
+		fmt.Sprintf("key %s lost its last replica; recomputing", ts.spec.Key))
+	s.recomputeKey(ts)
 }
 
 // needed reports whether a task's result must exist: it is a graph output
@@ -461,10 +472,10 @@ func (s *Scheduler) reviveReleased(ts *schedTask) {
 	}
 }
 
-// rescheduleTask requeues a task whose assignment died under it. Its
-// dependency refcounts are still held (the task never finished), so only the
-// waiting set is rebuilt against current data locations.
-func (s *Scheduler) rescheduleTask(ts *schedTask, stimulus string) {
+// awaitDeps rebuilds a task's waiting set against current data locations,
+// reviving dependencies that were released in the meantime. The task's
+// dependency refcounts are still held (it never finished).
+func (s *Scheduler) awaitDeps(ts *schedTask) {
 	ts.waitingOn = make(map[TaskKey]struct{})
 	for _, d := range ts.spec.Deps {
 		dt := s.tasks[d]
@@ -477,69 +488,54 @@ func (s *Scheduler) rescheduleTask(ts *schedTask, stimulus string) {
 			s.reviveReleased(dt)
 		}
 	}
+}
+
+// rescheduleTask requeues a task whose last attempt died under it.
+func (s *Scheduler) rescheduleTask(ts *schedTask, stimulus string) {
+	s.awaitDeps(ts)
 	s.transition(ts, StateWaiting, stimulus)
 	if len(ts.waitingOn) == 0 {
 		s.maybeSchedule(ts)
 	}
 }
 
-// handleMissingData processes a worker's report that a dependency fetch from
-// srcRank failed because the source process died: the dead source is
-// scrubbed from the affected keys' replica sets (recomputing any key that
-// lost its last replica) and the surrendered tasks are rescheduled.
+// handleMissingData processes a worker's report that it surrendered tasks
+// because a dependency fetch failed: the source process died (srcRank), or
+// the assignment named no holder at all (srcRank < 0). A dead source is
+// dropped from the surrendered tasks' dependency replica sets (recomputing
+// any key that lost its last replica) and the tasks are rescheduled.
 func (s *Scheduler) handleMissingData(rank, srcRank int, keys []TaskKey) {
 	wh := s.workers[rank]
-	src := s.workers[srcRank]
+	what := "was assigned a dependency no worker holds"
+	var deadSrc *workerHandle
+	if srcRank >= 0 {
+		what = "lost a dependency source mid-fetch"
+		if src := s.workers[srcRank]; !src.w.alive {
+			deadSrc = src
+		}
+	}
 	for _, k := range keys {
 		ts, ok := s.tasks[k]
-		if !ok || ts.state != StateProcessing {
+		if !ok || ts.slotOn(rank) < 0 {
 			continue
 		}
-		if ts.speculating && ts.speculativeOn == rank {
-			// The duplicate attempt surrendered mid-fetch; the primary
-			// continues alone. The dead source is still scrubbed from the
-			// dependency replica sets.
-			s.clearSpeculation(ts, "duplicate attempt lost a dependency source mid-fetch")
-			s.scrubDeadSource(ts, src)
-			continue
+		survives := s.attemptLost(ts, rank, " "+what)
+		if deadSrc != nil {
+			for _, d := range ts.spec.Deps {
+				dt := s.tasks[d]
+				if _, held := dt.whoHas[deadSrc.rank]; held {
+					s.dropReplica(dt, deadSrc)
+				}
+			}
 		}
-		if ts.processingOn != rank {
-			continue
-		}
-		delete(wh.processing, k)
-		wh.occupancy -= s.estimate(ts.spec.Prefix())
-		if wh.occupancy < 0 {
-			wh.occupancy = 0
-		}
-		s.scrubDeadSource(ts, src)
-		if ts.speculating {
-			// The primary surrendered while a duplicate is in flight: promote
-			// the duplicate instead of rescheduling alongside it.
-			s.promoteSpeculative(ts, "primary attempt lost a dependency source mid-fetch")
+		if survives {
 			continue
 		}
 		s.emitRecovery(WarnTaskRescheduled, wh.w.addr, wh.w.node.Hostname,
-			fmt.Sprintf("task %s lost a dependency source mid-fetch; rescheduling", k))
+			fmt.Sprintf("task %s %s; rescheduling", k, what))
 		s.rescheduleTask(ts, "missing-data")
 	}
 	s.drainQueued()
-}
-
-// scrubDeadSource removes a dead source worker from a surrendered task's
-// dependency replica sets, recomputing any key that lost its last replica.
-func (s *Scheduler) scrubDeadSource(ts *schedTask, src *workerHandle) {
-	for _, d := range ts.spec.Deps {
-		dt := s.tasks[d]
-		if _, held := dt.whoHas[src.rank]; !held || src.w.alive {
-			continue
-		}
-		delete(dt.whoHas, src.rank)
-		if len(dt.whoHas) == 0 && dt.state == StateMemory && s.needed(dt) {
-			s.emitRecovery(WarnKeyRecomputed, src.w.addr, src.w.node.Hostname,
-				fmt.Sprintf("key %s lost its last replica; recomputing", dt.spec.Key))
-			s.recomputeKey(dt)
-		}
-	}
 }
 
 // ConnectedWorkers reports how many workers completed their handshake.
@@ -578,14 +574,13 @@ func (s *Scheduler) handleGraph(g *Graph) {
 			panic(fmt.Sprintf("dask: task %q resubmitted in graph %d", k, g.ID))
 		}
 		ts := &schedTask{
-			spec:          spec,
-			graphID:       g.ID,
-			state:         StateReleased,
-			priority:      s.nextPriority,
-			waitingOn:     make(map[TaskKey]struct{}),
-			whoHas:        make(map[int]struct{}),
-			isOutput:      leaves[k],
-			speculativeOn: -1,
+			spec:      spec,
+			graphID:   g.ID,
+			state:     StateReleased,
+			priority:  s.nextPriority,
+			waitingOn: make(map[TaskKey]struct{}),
+			whoHas:    make(map[int]struct{}),
+			isOutput:  leaves[k],
 		}
 		s.nextPriority++
 		s.tasks[k] = ts
@@ -684,28 +679,71 @@ func (s *Scheduler) transition(ts *schedTask, to TaskState, stimulus string) {
 	})
 }
 
-// decideWorker reproduces Dask's placement heuristic: minimize estimated
-// start time = occupancy per thread + cost of fetching the dependencies the
-// candidate does not hold; near-ties break randomly (a deliberate source of
-// run-to-run placement variability, as in Dask's worker_objective).
-func (s *Scheduler) decideWorker(ts *schedTask) *workerHandle {
-	allowed := func(wh *workerHandle) bool {
-		if !wh.connected {
-			return false
-		}
-		if len(ts.spec.Restrictions) == 0 {
-			return true
-		}
-		for _, r := range ts.spec.Restrictions {
-			if r == wh.w.addr {
-				return true
-			}
-		}
+// allowed reports whether a task may be placed on a worker at all: the
+// worker is connected and the task's restrictions (if any) name it.
+func allowed(ts *schedTask, wh *workerHandle) bool {
+	if !wh.connected {
 		return false
 	}
+	if len(ts.spec.Restrictions) == 0 {
+		return true
+	}
+	for _, r := range ts.spec.Restrictions {
+		if r == wh.w.addr {
+			return true
+		}
+	}
+	return false
+}
+
+// placeAmong reproduces Dask's worker_objective over the candidate workers:
+// minimize estimated start time = occupancy per thread + cost of fetching the
+// dependencies the candidate does not hold; near-ties break randomly (a
+// deliberate source of run-to-run placement variability). Returns nil when
+// there is no candidate.
+func (s *Scheduler) placeAmong(ts *schedTask, candidate func(*workerHandle) bool) *workerHandle {
 	// Planning bandwidth mirrors distributed's default 100 MB/s estimate:
 	// transfer avoidance dominates placement for large dependencies.
 	const netBW = 100e6
+	best := []*workerHandle(nil)
+	bestScore := math.Inf(1)
+	for _, wh := range s.workers {
+		if !candidate(wh) {
+			continue
+		}
+		fetch := int64(0)
+		missing := 0
+		for _, d := range ts.spec.Deps {
+			dt := s.tasks[d]
+			if dt == nil {
+				continue
+			}
+			if _, has := dt.whoHas[wh.rank]; !has {
+				fetch += dt.size
+				missing++
+			}
+		}
+		score := wh.occupancy.Seconds()/float64(s.c.cfg.ThreadsPerWorker) +
+			float64(fetch)/netBW + 0.01*float64(missing)
+		switch {
+		case score < bestScore-1e-9:
+			bestScore = score
+			best = best[:0]
+			best = append(best, wh)
+		case score <= bestScore+1e-9:
+			best = append(best, wh)
+		}
+	}
+	if len(best) == 0 {
+		return nil
+	}
+	return best[s.rng.Intn(len(best))]
+}
+
+// decideWorker is the placement policy for a task's first attempt: root
+// tasks go to any unsaturated worker, tasks with dependencies to a worker
+// already holding some of that data.
+func (s *Scheduler) decideWorker(ts *schedTask) *workerHandle {
 	isRoot := len(ts.spec.Deps) == 0
 	// Like Dask's decide_worker, tasks with dependencies choose among the
 	// workers already holding some of that data; balance is restored by
@@ -748,45 +786,15 @@ func (s *Scheduler) decideWorker(ts *schedTask) *workerHandle {
 			}
 		}
 	}
-	best := []*workerHandle(nil)
-	bestScore := math.Inf(1)
-	for _, wh := range s.workers {
-		if !allowed(wh) {
-			continue
+	return s.placeAmong(ts, func(wh *workerHandle) bool {
+		if !allowed(ts, wh) {
+			return false
 		}
 		if isRoot && len(wh.processing) >= s.saturationLimit() {
-			continue // withhold root tasks from saturated workers
+			return false // withhold root tasks from saturated workers
 		}
-		if len(holders) > 0 && !holders[wh.rank] {
-			continue
-		}
-		fetch := int64(0)
-		missing := 0
-		for _, d := range ts.spec.Deps {
-			dt := s.tasks[d]
-			if dt == nil {
-				continue
-			}
-			if _, has := dt.whoHas[wh.rank]; !has {
-				fetch += dt.size
-				missing++
-			}
-		}
-		score := wh.occupancy.Seconds()/float64(s.c.cfg.ThreadsPerWorker) +
-			float64(fetch)/netBW + 0.01*float64(missing)
-		switch {
-		case score < bestScore-1e-9:
-			bestScore = score
-			best = best[:0]
-			best = append(best, wh)
-		case score <= bestScore+1e-9:
-			best = append(best, wh)
-		}
-	}
-	if len(best) == 0 {
-		return nil
-	}
-	return best[s.rng.Intn(len(best))]
+		return len(holders) == 0 || holders[wh.rank]
+	})
 }
 
 func (s *Scheduler) maybeSchedule(ts *schedTask) {
@@ -827,35 +835,99 @@ func (s *Scheduler) drainQueued() {
 	}
 }
 
+// assign launches a waiting task's first attempt on the chosen worker.
 func (s *Scheduler) assign(ts *schedTask, wh *workerHandle, stimulus string) {
-	ts.processingOn = wh.rank
-	ts.startedAt = s.c.kernel.Now()
-	wh.processing[ts.spec.Key] = struct{}{}
-	wh.occupancy += s.estimate(ts.spec.Prefix())
+	if !s.launch(ts, wh) {
+		// A dependency lost its last replica after the task's waiting set
+		// emptied (it was stolen, retried or parked meanwhile): wait for the
+		// recomputation, which reschedules the task when it lands.
+		s.awaitDeps(ts)
+		return
+	}
 	s.transition(ts, StateProcessing, stimulus)
-	s.sendAssignment(ts, wh)
 }
 
-// sendAssignment ships a task's compute-task message (spec, priority, and
-// dependency locations/references) to a worker — shared by primary
-// assignments and speculative duplicates.
-func (s *Scheduler) sendAssignment(ts *schedTask, wh *workerHandle) {
+// launch starts one more attempt of ts on wh: it records the attempt, enters
+// it in the worker's processing/occupancy ledger, and ships the compute-task
+// message (spec, priority, and dependency locations/references). Every
+// attempt — first, stolen, or hedged duplicate — starts here, and none starts
+// unless each dependency is in memory on a registered holder the worker can
+// fetch it from; launch then returns false having done nothing.
+func (s *Scheduler) launch(ts *schedTask, wh *workerHandle) bool {
 	deps := make([]depInfo, 0, len(ts.spec.Deps))
+	proxyRefs := int64(0)
 	for _, d := range ts.spec.Deps {
 		dt := s.tasks[d]
+		if dt.state != StateMemory || len(dt.whoHas) == 0 {
+			return false
+		}
 		holders := make([]int, 0, len(dt.whoHas))
 		for r := range dt.whoHas {
 			holders = append(holders, r)
 		}
+		// The worker indexes the snapshot with an RNG draw: rank order keeps
+		// its source pick independent of map iteration order.
+		sort.Ints(holders)
 		deps = append(deps, depInfo{key: d, size: dt.size, holders: holders, viaProxy: dt.viaProxy})
 		if dt.viaProxy {
-			// The assignment carries a proxy reference instead of a payload
-			// location set the worker must pull through eagerly.
-			s.c.addControlBytes(s.c.cfg.ProxyRefBytes)
+			proxyRefs++
 		}
 	}
+	ts.attempts[ts.live] = attempt{rank: wh.rank, startedAt: s.c.kernel.Now()}
+	ts.live++
+	wh.processing[ts.spec.Key] = struct{}{}
+	wh.occupancy += s.estimate(ts.spec.Prefix())
+	// A proxied dependency rides the message as a reference instead of a
+	// payload location set the worker must pull through eagerly.
+	s.c.addControlBytes(proxyRefs * s.c.cfg.ProxyRefBytes)
 	a := assignment{spec: ts.spec, graphID: ts.graphID, priority: ts.priority, deps: deps}
 	s.c.control(s.node, wh.w.node, func() { wh.w.handleAssign(a) })
+	return true
+}
+
+// endAttempt retires ts's attempt on rank and takes it off that worker's
+// processing/occupancy ledger; a surviving duplicate moves up to slot 0. An
+// evicted worker's ledger was already reset wholesale.
+func (s *Scheduler) endAttempt(ts *schedTask, rank int) {
+	if ts.slotOn(rank) == 0 {
+		ts.attempts[0] = ts.attempts[1]
+	}
+	ts.live--
+	wh := s.workers[rank]
+	if !wh.connected {
+		return
+	}
+	delete(wh.processing, ts.spec.Key)
+	wh.occupancy -= s.estimate(ts.spec.Prefix())
+	if wh.occupancy < 0 {
+		wh.occupancy = 0
+	}
+}
+
+// attemptLost ends ts's attempt on rank because it can no longer produce the
+// result — what says why, worded to follow "primary attempt" (" erred: …",
+// "'s worker died") — and reports whether the task carries on regardless. A
+// hedged task does, with its other attempt alone: a lost duplicate fails the
+// speculation, a lost primary promotes the duplicate, and hedging being an
+// optimization, neither costs a retry. Otherwise the task is left with no
+// attempt, for the caller to reschedule or err.
+func (s *Scheduler) attemptLost(ts *schedTask, rank int, what string) bool {
+	hedged := ts.hedged()
+	if hedged {
+		kind, role := SpecPromoted, "primary"
+		if ts.slotOn(rank) == 1 {
+			kind, role = SpecFailed, "duplicate"
+		}
+		s.emitSpeculation(SpeculationEvent{
+			Kind: kind, Key: ts.spec.Key,
+			Primary:   s.workers[ts.attempts[0].rank].w.addr,
+			Duplicate: s.workers[ts.attempts[1].rank].w.addr,
+			Detail:    role + " attempt" + what, At: s.c.kernel.Now(),
+		})
+		s.specInFlight--
+	}
+	s.endAttempt(ts, rank)
+	return hedged
 }
 
 // handleErred processes a worker's task-failure report: the task is
@@ -864,28 +936,10 @@ func (s *Scheduler) sendAssignment(ts *schedTask, wh *workerHandle) {
 // eventually completes the graph with an error.
 func (s *Scheduler) handleErred(rank int, key TaskKey, msg string) {
 	ts, ok := s.tasks[key]
-	if !ok || ts.state != StateProcessing {
+	if !ok || ts.slotOn(rank) < 0 {
 		return
 	}
-	if ts.speculating && ts.speculativeOn == rank {
-		// The duplicate attempt erred; the primary continues alone. Hedging
-		// is an optimization, so a duplicate failure never errs the task.
-		s.clearSpeculation(ts, fmt.Sprintf("duplicate attempt erred: %s", msg))
-		return
-	}
-	if ts.processingOn != rank {
-		return
-	}
-	wh := s.workers[rank]
-	delete(wh.processing, key)
-	wh.occupancy -= s.estimate(ts.spec.Prefix())
-	if wh.occupancy < 0 {
-		wh.occupancy = 0
-	}
-	if ts.speculating {
-		// The primary erred while a duplicate is in flight: promote the
-		// duplicate to sole attempt instead of burning a retry.
-		s.promoteSpeculative(ts, fmt.Sprintf("primary attempt erred: %s", msg))
+	if s.attemptLost(ts, rank, " erred: "+msg) {
 		return
 	}
 	if ts.retries < ts.spec.MaxRetries {
@@ -947,13 +1001,10 @@ func (s *Scheduler) finishGraphTask(graphID int) {
 // a result published to the proxy store instead of shipped directly.
 func (s *Scheduler) handleFinished(rank int, key TaskKey, size int64, dur sim.Time, proxied bool) {
 	ts, ok := s.tasks[key]
-	if !ok || ts.state != StateProcessing {
+	if !ok || ts.slotOn(rank) < 0 {
 		return // stale report (e.g. task was stolen mid-flight)
 	}
-	if ts.processingOn != rank && !(ts.speculating && ts.speculativeOn == rank) {
-		return // neither the primary nor the live duplicate attempt
-	}
-	if ts.speculating {
+	if ts.hedged() {
 		if proxied {
 			if ref, ok := s.c.proxy.lookup(key); ok && ref.Owner != rank {
 				// Both attempts raced to publish and the store's
@@ -966,12 +1017,8 @@ func (s *Scheduler) handleFinished(rank int, key TaskKey, size int64, dur sim.Ti
 		}
 		s.settleSpeculation(ts, rank)
 	}
+	s.endAttempt(ts, rank)
 	wh := s.workers[rank]
-	delete(wh.processing, key)
-	wh.occupancy -= s.estimate(ts.spec.Prefix())
-	if wh.occupancy < 0 {
-		wh.occupancy = 0
-	}
 	pfx := ts.spec.Prefix()
 	if _, ok := s.prefixDur[pfx]; !ok {
 		s.prefixDur[pfx] = &durAvg{}
@@ -1157,7 +1204,7 @@ func (s *Scheduler) stealTick() {
 		var pick *schedTask
 		for k := range victim.processing {
 			ts := s.tasks[k]
-			if len(ts.spec.Restrictions) > 0 || s.stealing[k] || ts.speculating {
+			if len(ts.spec.Restrictions) > 0 || s.stealing[k] || ts.hedged() {
 				// Speculated tasks are pinned: moving either attempt would
 				// race the first-completion-wins settlement.
 				continue
@@ -1195,14 +1242,10 @@ func (s *Scheduler) stealResponse(key TaskKey, victim, thief *workerHandle, ok b
 		return
 	}
 	ts := s.tasks[key]
-	if ts == nil || ts.state != StateProcessing || ts.processingOn != victim.rank {
+	if ts == nil || ts.slotOn(victim.rank) != 0 {
 		return
 	}
-	delete(victim.processing, key)
-	victim.occupancy -= s.estimate(ts.spec.Prefix())
-	if victim.occupancy < 0 {
-		victim.occupancy = 0
-	}
+	s.endAttempt(ts, victim.rank)
 	// The task visibly returns to waiting, so the captured transition chain
 	// stays well-formed.
 	s.transition(ts, StateWaiting, "stolen")

@@ -2,7 +2,6 @@ package dask
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"taskprov/internal/sim"
@@ -90,9 +89,6 @@ func (s *Scheduler) emitSpeculation(ev SpeculationEvent) {
 	}
 }
 
-// SpeculativeLaunches reports how many duplicate attempts were dispatched.
-func (s *Scheduler) SpeculativeLaunches() int { return s.specLaunches }
-
 // speculationTick scans processing tasks for stragglers and hedges them,
 // bounded by the in-flight cap and the per-run budget. Candidates are
 // examined in priority order so the decision sequence reproduces per seed.
@@ -104,13 +100,13 @@ func (s *Scheduler) speculationTick() {
 	now := s.c.kernel.Now()
 	var cands []*schedTask
 	for _, ts := range s.tasks {
-		if ts.state != StateProcessing || ts.speculating || s.stealing[ts.spec.Key] {
+		if ts.live != 1 || s.stealing[ts.spec.Key] {
 			continue
 		}
-		if !s.workers[ts.processingOn].connected {
+		if !s.workers[ts.attempts[0].rank].connected {
 			continue // eviction is about to recover it anyway
 		}
-		elapsed := now - ts.startedAt
+		elapsed := now - ts.attempts[0].startedAt
 		if elapsed < cfg.MinRuntime {
 			continue
 		}
@@ -128,117 +124,48 @@ func (s *Scheduler) speculationTick() {
 	}
 }
 
-// decideDuplicate picks the worker for a duplicate attempt: any connected
-// worker other than the primary (restrictions permitting), scored with the
-// same occupancy + fetch-cost objective as decideWorker. Returns nil when no
-// second worker is available.
-func (s *Scheduler) decideDuplicate(ts *schedTask) *workerHandle {
-	const netBW = 100e6
-	allowed := func(wh *workerHandle) bool {
-		if len(ts.spec.Restrictions) == 0 {
-			return true
-		}
-		for _, r := range ts.spec.Restrictions {
-			if r == wh.w.addr {
-				return true
-			}
-		}
-		return false
-	}
-	var best []*workerHandle
-	bestScore := math.Inf(1)
-	for _, wh := range s.workers {
-		if !wh.connected || wh.rank == ts.processingOn || !allowed(wh) {
-			continue
-		}
-		fetch := int64(0)
-		missing := 0
-		for _, d := range ts.spec.Deps {
-			dt := s.tasks[d]
-			if dt == nil {
-				continue
-			}
-			if _, has := dt.whoHas[wh.rank]; !has {
-				fetch += dt.size
-				missing++
-			}
-		}
-		score := wh.occupancy.Seconds()/float64(s.c.cfg.ThreadsPerWorker) +
-			float64(fetch)/netBW + 0.01*float64(missing)
-		switch {
-		case score < bestScore-1e-9:
-			bestScore = score
-			best = best[:0]
-			best = append(best, wh)
-		case score <= bestScore+1e-9:
-			best = append(best, wh)
-		}
-	}
-	if len(best) == 0 {
-		return nil
-	}
-	return best[s.rng.Intn(len(best))]
-}
-
 // speculate launches a duplicate attempt of a flagged straggler on a second
-// worker. The task stays in StateProcessing on its primary; the duplicate
-// rides the same assignment path, and whichever attempt reports first wins.
+// worker: any allowed worker other than the primary's, by the placement
+// objective. The task stays in StateProcessing; whichever attempt reports
+// first wins. Nothing happens when no second worker is available or the
+// launch is refused (the straggler sits on a dead, not yet evicted worker and
+// a dependency died with it — eviction will reschedule the task).
 func (s *Scheduler) speculate(ts *schedTask, now sim.Time) {
-	wh := s.decideDuplicate(ts)
-	if wh == nil {
+	primary := s.workers[ts.attempts[0].rank]
+	wh := s.placeAmong(ts, func(wh *workerHandle) bool { return wh != primary && allowed(ts, wh) })
+	if wh == nil || !s.launch(ts, wh) {
 		return
 	}
-	primary := s.workers[ts.processingOn]
-	ts.speculating = true
-	ts.speculativeOn = wh.rank
-	ts.specStartedAt = now
 	s.specInFlight++
 	s.specLaunches++
-	wh.processing[ts.spec.Key] = struct{}{}
-	wh.occupancy += s.estimate(ts.spec.Prefix())
 	s.emitSpeculation(SpeculationEvent{
 		Kind: SpecLaunched, Key: ts.spec.Key,
 		Primary: primary.w.addr, Duplicate: wh.w.addr,
-		Detail: fmt.Sprintf("straggling for %s on %s", (now - ts.startedAt).String(), primary.w.addr),
+		Detail: fmt.Sprintf("straggling for %s on %s", (now - ts.attempts[0].startedAt).String(), primary.w.addr),
 		At:     now,
 	})
-	s.sendAssignment(ts, wh)
 }
 
-// settleSpeculation resolves a speculated task in favor of the attempt on
-// winnerRank: the losing attempt's bookkeeping is undone, the win/cancel
-// event pair is emitted, and a cancel message fences the loser worker-side.
-// Called from handleFinished before the normal completion path runs.
+// settleSpeculation resolves a hedged task in favor of the attempt on
+// winnerRank: the losing attempt is ended, the win/cancel event pair is
+// emitted, and a cancel message fences the loser worker-side. Called from
+// handleFinished before the normal completion path ends the winner.
 func (s *Scheduler) settleSpeculation(ts *schedTask, winnerRank int) {
 	key := ts.spec.Key
 	now := s.c.kernel.Now()
-	primaryAddr := s.workers[ts.processingOn].w.addr
-	dupAddr := s.workers[ts.speculativeOn].w.addr
-	loserRank := ts.speculativeOn
-	loserStart := ts.specStartedAt
-	if winnerRank == ts.speculativeOn {
-		loserRank = ts.processingOn
-		loserStart = ts.startedAt
-		// The surviving attempt is now the task's only attempt.
-		ts.processingOn = winnerRank
-		ts.startedAt = ts.specStartedAt
-	}
-	ts.speculating = false
-	ts.speculativeOn = -1
+	primaryAddr := s.workers[ts.attempts[0].rank].w.addr
+	dupAddr := s.workers[ts.attempts[1].rank].w.addr
+	loser := ts.attempts[1-ts.slotOn(winnerRank)]
+	s.endAttempt(ts, loser.rank)
 	s.specInFlight--
-	lw := s.workers[loserRank]
-	delete(lw.processing, key)
-	lw.occupancy -= s.estimate(ts.spec.Prefix())
-	if lw.occupancy < 0 {
-		lw.occupancy = 0
-	}
+	lw := s.workers[loser.rank]
 	s.emitSpeculation(SpeculationEvent{
 		Kind: SpecWon, Key: key, Primary: primaryAddr, Duplicate: dupAddr,
 		Winner: s.workers[winnerRank].w.addr, At: now,
 	})
 	s.emitSpeculation(SpeculationEvent{
 		Kind: SpecCancelled, Key: key, Primary: primaryAddr, Duplicate: dupAddr,
-		Wasted: now - loserStart,
+		Wasted: now - loser.startedAt,
 		Detail: fmt.Sprintf("losing attempt on %s cancelled", lw.w.addr),
 		At:     now,
 	})
@@ -246,46 +173,4 @@ func (s *Scheduler) settleSpeculation(ts *schedTask, winnerRank int) {
 		w := lw.w
 		s.c.control(s.node, w.node, func() { w.handleCancel(key) })
 	}
-}
-
-// clearSpeculation abandons a task's duplicate attempt (it erred, its worker
-// died, or it surrendered mid-fetch); the primary attempt continues alone.
-// The duplicate's handle bookkeeping is undone unless its worker was already
-// evicted (eviction zeroes the handle wholesale).
-func (s *Scheduler) clearSpeculation(ts *schedTask, detail string) {
-	key := ts.spec.Key
-	lw := s.workers[ts.speculativeOn]
-	if lw.connected {
-		delete(lw.processing, key)
-		lw.occupancy -= s.estimate(ts.spec.Prefix())
-		if lw.occupancy < 0 {
-			lw.occupancy = 0
-		}
-	}
-	s.emitSpeculation(SpeculationEvent{
-		Kind: SpecFailed, Key: key,
-		Primary:   s.workers[ts.processingOn].w.addr,
-		Duplicate: lw.w.addr,
-		Detail:    detail, At: s.c.kernel.Now(),
-	})
-	ts.speculating = false
-	ts.speculativeOn = -1
-	s.specInFlight--
-}
-
-// promoteSpeculative makes a task's duplicate attempt its only attempt after
-// the primary died or surrendered. The caller has already undone the
-// primary's handle bookkeeping; the task stays in StateProcessing.
-func (s *Scheduler) promoteSpeculative(ts *schedTask, detail string) {
-	s.emitSpeculation(SpeculationEvent{
-		Kind: SpecPromoted, Key: ts.spec.Key,
-		Primary:   s.workers[ts.processingOn].w.addr,
-		Duplicate: s.workers[ts.speculativeOn].w.addr,
-		Detail:    detail, At: s.c.kernel.Now(),
-	})
-	ts.processingOn = ts.speculativeOn
-	ts.startedAt = ts.specStartedAt
-	ts.speculating = false
-	ts.speculativeOn = -1
-	s.specInFlight--
 }

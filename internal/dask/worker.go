@@ -35,7 +35,6 @@ type wTask struct {
 	priority int
 	state    TaskState
 	missing  int // dependency fetches still in flight
-	stolen   bool
 	// cancelled marks a losing speculative attempt: when the executing body
 	// finishes it discards its result instead of storing, publishing, or
 	// reporting it — the worker-side half of the attempt fence.
@@ -64,10 +63,9 @@ type Worker struct {
 	fetching    map[TaskKey][]*wTask
 	peers       map[int]bool // worker ranks we already hold a connection to
 
-	memBytes     int64
-	gcAccum      int64
-	gcBusyUntil  sim.Time
-	blockedUntil sim.Time // event loop blocked through this time
+	memBytes    int64
+	gcAccum     int64
+	gcBusyUntil sim.Time
 
 	rng     *sim.RNG
 	started bool
@@ -84,9 +82,6 @@ type Worker struct {
 	// being degraded (thermal throttle, noisy neighbor), so it survives
 	// process kill/restart cycles.
 	slowFactor float64
-
-	executedCount int
-	transferCount int
 }
 
 func newWorker(c *Cluster, rank int, node *platform.Node, tracer posixio.Tracer) *Worker {
@@ -117,9 +112,6 @@ func (w *Worker) Rank() int { return w.rank }
 // Hostname returns the hostname of the node the worker runs on.
 func (w *Worker) Hostname() string { return w.node.Hostname }
 
-// Node returns the platform node.
-func (w *Worker) Node() *platform.Node { return w.node }
-
 // ThreadID returns the global "pthread ID" of the worker's thread slot,
 // unique across the whole job so Darshan DXT records can be joined
 // unambiguously.
@@ -129,16 +121,6 @@ func (w *Worker) ThreadID(slot int) uint64 {
 
 // MemoryBytes reports bytes of task results currently held.
 func (w *Worker) MemoryBytes() int64 { return w.memBytes }
-
-// Executed reports how many tasks this worker completed.
-func (w *Worker) Executed() int { return w.executedCount }
-
-// TransfersReceived reports how many incoming dependency transfers landed.
-func (w *Worker) TransfersReceived() int { return w.transferCount }
-
-// EventLoopBlockedUntil reports the latest time through which a GIL-holding
-// task body has wedged the worker's event loop.
-func (w *Worker) EventLoopBlockedUntil() sim.Time { return w.blockedUntil }
 
 // HasData reports whether the worker holds key's result.
 func (w *Worker) HasData(key TaskKey) bool {
@@ -178,7 +160,7 @@ func (w *Worker) kill() {
 	w.fetching = make(map[TaskKey][]*wTask)
 	w.peers = make(map[int]bool)
 	w.memBytes, w.gcAccum = 0, 0
-	w.gcBusyUntil, w.blockedUntil = 0, 0
+	w.gcBusyUntil = 0
 	w.freeThreads = w.freeThreads[:0]
 	for t := 0; t < w.c.cfg.ThreadsPerWorker; t++ {
 		w.freeThreads = append(w.freeThreads, t)
@@ -252,11 +234,7 @@ func (w *Worker) handleAssign(a assignment) {
 			continue
 		}
 		wt.missing++
-		if d.viaProxy {
-			w.fetchProxy(d, wt)
-		} else {
-			w.fetchDep(d, wt)
-		}
+		w.fetch(d, wt)
 	}
 	if wt.missing == 0 {
 		w.makeReady(wt, "all-deps-local")
@@ -265,21 +243,19 @@ func (w *Worker) handleAssign(a assignment) {
 	}
 }
 
-// fetchDep pulls one dependency from a holder. Concurrent requests for the
-// same key share one transfer.
-func (w *Worker) fetchDep(d depInfo, wt *wTask) {
+// fetch pulls one dependency's payload from a worker holding it; concurrent
+// demands for the same key share one transfer.
+func (w *Worker) fetch(d depInfo, wt *wTask) {
 	if waiters, inFlight := w.fetching[d.key]; inFlight {
 		w.fetching[d.key] = append(waiters, wt)
 		return
 	}
 	w.fetching[d.key] = []*wTask{wt}
-	if len(d.holders) == 0 {
-		// The holder set can be empty if the dep was produced on this very
-		// worker and freed concurrently; treat as fatal inconsistency.
-		panic("dask: dependency " + string(d.key) + " has no holders")
+	demand := w.c.kernel.Now()
+	src, size, ok := w.source(d)
+	if !ok {
+		return
 	}
-	src := w.c.workers[d.holders[w.rng.Intn(len(d.holders))]]
-	start := w.c.kernel.Now()
 	inc, srcInc := w.incarnation, src.incarnation
 	// First contact with this peer pays connection establishment; later
 	// transfers reuse the connection. This makes small transfers early in
@@ -297,7 +273,8 @@ func (w *Worker) fetchDep(d depInfo, wt *wTask) {
 			w.abortFetch(d.key, src.rank)
 			return
 		}
-		w.c.plat.Transfer(src.node, w.node, d.size, func(sim.Time) {
+		wireStart := w.c.kernel.Now()
+		w.c.plat.Transfer(src.node, w.node, size, func(sim.Time) {
 			if !w.alive || w.incarnation != inc {
 				return
 			}
@@ -308,15 +285,20 @@ func (w *Worker) fetchDep(d depInfo, wt *wTask) {
 				return
 			}
 			stop := w.c.kernel.Now()
-			w.data[d.key] = d.size
-			w.memBytes += d.size
-			w.transferCount++
+			w.data[d.key] = size
+			w.memBytes += size
 			rec := Transfer{
-				Key: d.key, From: src.addr, To: w.addr, Bytes: d.size,
-				Start: start, Stop: stop, SameNode: src.node == w.node,
+				Key: d.key, From: src.addr, To: w.addr, Bytes: size,
+				Start: demand, Stop: stop, SameNode: src.node == w.node,
+			}
+			if d.viaProxy {
+				rec.Start, rec.ViaProxy, rec.ResolveLatency = wireStart, true, stop-demand
 			}
 			for _, p := range w.c.workerPlugins {
 				p.TransferReceived(rec)
+			}
+			if d.viaProxy {
+				w.c.proxy.resolved(d.key, w.addr, size, stop-demand)
 			}
 			waiters := w.fetching[d.key]
 			delete(w.fetching, d.key)
@@ -330,89 +312,42 @@ func (w *Worker) fetchDep(d depInfo, wt *wTask) {
 	})
 }
 
-// fetchProxy resolves a proxied dependency: it looks the reference up in the
-// store, then pulls the payload peer-to-peer from the blob's owner. A
-// dangling reference (blob reclaimed after the owner died) or a stale owner
-// incarnation falls back to the missing-data recovery path, exactly like a
-// direct fetch from a crashed holder. Concurrent demands for the same key
-// share one transfer through the same fetching map as direct fetches.
-func (w *Worker) fetchProxy(d depInfo, wt *wTask) {
-	if waiters, inFlight := w.fetching[d.key]; inFlight {
-		w.fetching[d.key] = append(waiters, wt)
-		return
-	}
-	w.fetching[d.key] = []*wTask{wt}
+// source picks the worker to pull a dependency from and learns the payload's
+// size. A direct dependency comes from one of the holders the assignment
+// named. A proxied one is resolved in the store and comes from the blob's
+// owner, fenced to the incarnation that published it; a dangling reference
+// (blob reclaimed after the owner died) takes the same missing-data recovery
+// path as a holder that crashed. ok is false when there is no source: the
+// tasks waiting on the fetch have been surrendered.
+func (w *Worker) source(d depInfo) (src *Worker, size int64, ok bool) {
 	if len(d.holders) == 0 {
-		panic("dask: proxied dependency " + string(d.key) + " has no holders")
+		// Scheduler.launch never ships such an assignment; were one to arrive,
+		// the task cannot run here and is handed back.
+		w.abortFetch(d.key, -1)
+		return nil, 0, false
 	}
-	demand := w.c.kernel.Now()
-	ref, ok := w.c.proxy.resolve(d.key, w.addr)
-	if !ok {
-		// Dangling reference: the blob was reclaimed (its owner died and the
-		// scheduler swept it) between assignment and first use.
+	if !d.viaProxy {
+		return w.c.workers[d.holders[w.rng.Intn(len(d.holders))]], d.size, true
+	}
+	ref, found := w.c.proxy.resolve(d.key, w.addr)
+	if !found {
 		w.abortFetch(d.key, d.holders[0])
-		return
+		return nil, 0, false
 	}
-	src := w.c.workers[ref.Owner]
+	src = w.c.workers[ref.Owner]
 	if !src.alive || src.incarnation != ref.Incarnation || !src.HasData(d.key) {
-		// The reference is fenced to the publishing incarnation; a restarted
-		// owner no longer holds the payload.
+		// A restarted owner no longer holds the payload.
 		w.abortFetch(d.key, src.rank)
-		return
+		return nil, 0, false
 	}
-	inc, srcInc := w.incarnation, src.incarnation
-	setup := sim.Time(0)
-	if !w.peers[src.rank] {
-		w.peers[src.rank] = true
-		setup = w.rng.JitterTime(w.c.cfg.ConnectionSetup, 0.4)
-	}
-	w.c.kernel.After(setup, func() {
-		if !w.alive || w.incarnation != inc {
-			return
-		}
-		if !src.alive || src.incarnation != srcInc || !src.HasData(d.key) {
-			w.abortFetch(d.key, src.rank)
-			return
-		}
-		wireStart := w.c.kernel.Now()
-		w.c.plat.Transfer(src.node, w.node, ref.Size, func(sim.Time) {
-			if !w.alive || w.incarnation != inc {
-				return
-			}
-			if !src.alive || src.incarnation != srcInc {
-				w.abortFetch(d.key, src.rank)
-				return
-			}
-			stop := w.c.kernel.Now()
-			w.data[d.key] = ref.Size
-			w.memBytes += ref.Size
-			w.transferCount++
-			rec := Transfer{
-				Key: d.key, From: src.addr, To: w.addr, Bytes: ref.Size,
-				Start: wireStart, Stop: stop, SameNode: src.node == w.node,
-				ViaProxy: true, ResolveLatency: stop - demand,
-			}
-			for _, p := range w.c.workerPlugins {
-				p.TransferReceived(rec)
-			}
-			w.c.proxy.resolved(d.key, w.addr, ref.Size, stop-demand)
-			waiters := w.fetching[d.key]
-			delete(w.fetching, d.key)
-			for _, waiter := range waiters {
-				waiter.missing--
-				if waiter.missing == 0 && w.tasks[waiter.spec.Key] == waiter {
-					w.makeReady(waiter, "deps-arrived")
-				}
-			}
-		})
-	})
+	return src, ref.Size, true
 }
 
 // abortFetch gives up on an in-flight dependency fetch whose source worker
-// crashed. The tasks waiting on the dependency cannot run here with the
-// holder snapshot they were assigned, so the worker surrenders them and
-// reports the dead source; the scheduler re-plans them against surviving
-// replicas (or recomputes the lost key).
+// crashed (srcRank < 0: the assignment named no source). The tasks waiting on
+// the dependency cannot run here with the holder snapshot they were assigned,
+// so the worker surrenders them and reports the dead source; the scheduler
+// re-plans them against surviving replicas (or recomputes the lost key).
 func (w *Worker) abortFetch(key TaskKey, srcRank int) {
 	waiters := w.fetching[key]
 	delete(w.fetching, key)
@@ -486,7 +421,7 @@ func (w *Worker) resolveLazy(wt *wTask) {
 	wt.missing = len(needed)
 	w.transition(wt, WStateFetching, "proxy-resolve")
 	for _, d := range needed {
-		w.fetchProxy(d, wt)
+		w.fetch(d, wt)
 	}
 }
 
@@ -545,7 +480,6 @@ func (w *Worker) execute(wt *wTask, slot int) {
 		w.data[wt.spec.Key] = ctx.outputSize
 		w.memBytes += ctx.outputSize
 		w.transition(wt, WStateMemory, "task-done")
-		w.executedCount++
 		rec := TaskExecution{
 			Key: wt.spec.Key, Worker: w.addr, Hostname: w.node.Hostname,
 			ThreadID: tid, Start: start, Stop: stop,
@@ -615,8 +549,27 @@ func (w *Worker) handleFree(key TaskKey) {
 	}
 }
 
+// withdraw takes a task that has not started executing off this worker and
+// reports whether it could: a ready task leaves the queue; one still waiting
+// on dependencies is dropped, and its in-flight transfers simply land as
+// cached data.
+func (w *Worker) withdraw(wt *wTask, stimulus string) bool {
+	switch wt.state {
+	case WStateReady:
+		if !w.ready.remove(wt) {
+			return false
+		}
+	case WStateWaiting, WStateFetching:
+	default:
+		return false
+	}
+	delete(w.tasks, wt.spec.Key)
+	w.transition(wt, StateReleased, stimulus)
+	return true
+}
+
 // handleCancel withdraws a losing speculative attempt. A queued attempt is
-// removed like a stolen task; an executing attempt is flagged so its body
+// withdrawn like a stolen task; an executing attempt is flagged so its body
 // discards the result on completion; an attempt that already reached memory
 // (the cancel raced the completion report, which the scheduler drops) has
 // its stray local replica freed. The proxy-store publish of a raced loser is
@@ -633,46 +586,23 @@ func (w *Worker) handleCancel(key TaskKey) {
 	switch wt.state {
 	case WStateExecuting:
 		wt.cancelled = true
-		return
-	case WStateReady:
-		if !w.ready.remove(wt) {
-			return
-		}
-	case WStateWaiting, WStateFetching:
-		// In-flight dependency transfers simply land as cached data.
-		wt.stolen = true
 	case WStateMemory:
 		if size, held := w.data[key]; held {
 			delete(w.data, key)
 			w.memBytes -= size
 		}
+		delete(w.tasks, key)
+		w.transition(wt, StateReleased, "speculation-cancelled")
+	default:
+		w.withdraw(wt, "speculation-cancelled")
 	}
-	delete(w.tasks, key)
-	w.transition(wt, StateReleased, "speculation-cancelled")
 }
 
 // handleStealRequest reports whether the task could be surrendered (it must
 // still be queued, not executing or done).
 func (w *Worker) handleStealRequest(key TaskKey) bool {
 	wt, ok := w.tasks[key]
-	if !ok || !w.alive {
-		return false
-	}
-	switch wt.state {
-	case WStateReady:
-		if !w.ready.remove(wt) {
-			return false
-		}
-	case WStateWaiting, WStateFetching:
-		// Surrender before execution; any in-flight dep transfers simply
-		// land as cached data.
-		wt.stolen = true
-	default:
-		return false
-	}
-	delete(w.tasks, key)
-	w.transition(wt, StateReleased, "steal-request")
-	return true
+	return ok && w.alive && w.withdraw(wt, "steal-request")
 }
 
 // noteEventLoopBlocked records that a task body held the worker's event
@@ -682,9 +612,6 @@ func (w *Worker) handleStealRequest(key TaskKey) bool {
 // episode (concurrent holders each delay the loop in turn).
 func (w *Worker) noteEventLoopBlocked(from, to sim.Time) {
 	thr := w.c.cfg.EventLoopMonitorThreshold
-	if to > w.blockedUntil {
-		w.blockedUntil = to
-	}
 	inc := w.incarnation
 	for t := from + thr; t <= to; t += thr {
 		at := t
@@ -718,22 +645,6 @@ type TaskContext struct {
 	// filesystem effects.
 	wrotePaths []string
 }
-
-// Key returns the executing task's key.
-func (ctx *TaskContext) Key() TaskKey { return ctx.spec.Key }
-
-// ThreadID returns the executing thread's global ID (the "pthread ID" that
-// also appears in Darshan DXT records).
-func (ctx *TaskContext) ThreadID() uint64 { return ctx.tid }
-
-// Worker returns the address of the executing worker.
-func (ctx *TaskContext) Worker() string { return ctx.w.addr }
-
-// Hostname returns the executing node's hostname.
-func (ctx *TaskContext) Hostname() string { return ctx.w.node.Hostname }
-
-// Now returns the current virtual time.
-func (ctx *TaskContext) Now() sim.Time { return ctx.proc.Now() }
 
 // Proc returns the simulation process executing this task, for use with
 // blocking primitives like posixio file methods.
@@ -840,6 +751,3 @@ func (ctx *TaskContext) Measure(fn func()) {
 // return promptly afterwards. The scheduler will retry the task up to its
 // MaxRetries before marking it erred.
 func (ctx *TaskContext) Fail(msg string) { ctx.failure = msg }
-
-// Failed reports whether Fail was called.
-func (ctx *TaskContext) Failed() bool { return ctx.failure != "" }
