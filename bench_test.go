@@ -554,21 +554,21 @@ func BenchmarkLiveAggregation(b *testing.B) {
 		key := dask.TaskKey(fmt.Sprintf("getitem-%04d", i))
 		worker := fmt.Sprintf("10.0.0.%d:9000", i%8)
 		at := float64(i) * 0.05
-		mix = append(mix, in{core.TopicExecutions, i % 2, provenance.ExecutionEvent(dask.TaskExecution{
+		mix = append(mix, in{provenance.TopicExecutions, i % 2, provenance.ExecutionEvent(dask.TaskExecution{
 			Key: key, Worker: worker, Hostname: fmt.Sprintf("nid%05d", i%4),
 			Start: sim.Seconds(at), Stop: sim.Seconds(at + 0.8), OutputSize: 1 << 16, GraphID: 1,
 		})})
-		mix = append(mix, in{core.TopicTransitions, i % 2, provenance.TransitionEvent(dask.Transition{
+		mix = append(mix, in{provenance.TopicTransitions, i % 2, provenance.TransitionEvent(dask.Transition{
 			Key: key, From: "processing", To: "memory", At: sim.Seconds(at + 0.8),
 		})})
 		if i%4 == 0 {
-			mix = append(mix, in{core.TopicTransfers, i % 2, provenance.TransferEvent(dask.Transfer{
+			mix = append(mix, in{provenance.TopicTransfers, i % 2, provenance.TransferEvent(dask.Transfer{
 				Key: key, From: worker, To: "10.0.0.9:9000", Bytes: 1 << 20,
 				Start: sim.Seconds(at), Stop: sim.Seconds(at + 0.01),
 			})})
 		}
 		if i%16 == 0 {
-			mix = append(mix, in{core.TopicWarnings, i % 2, provenance.WarningEvent(dask.Warning{
+			mix = append(mix, in{provenance.TopicWarnings, i % 2, provenance.WarningEvent(dask.Warning{
 				Kind: dask.WarnEventLoop, Worker: worker, At: sim.Seconds(at), Duration: sim.Seconds(1.2),
 			})})
 		}

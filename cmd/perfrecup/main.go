@@ -26,7 +26,6 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/darshan"
-	"taskprov/internal/mofka/cluster"
 	"taskprov/internal/perfrecup"
 	"taskprov/internal/perfrecup/frame"
 	"taskprov/internal/whatif"
@@ -99,18 +98,6 @@ func usage() {
 	fmt.Fprintf(os.Stderr, "usage: perfrecup <%s> <run dir...> [flags]\n", commandList)
 }
 
-// load accepts all artifact layouts: a run directory written by
-// cmd/taskprov (metadata.json + mofka/*.jsonl), a durable broker data
-// directory (topics/ + segment files), or a sharded cluster directory
-// (cluster.json + node-NN/ replica logs) — the latter two load post-mortem
-// straight from the on-disk event logs.
-func load(dir string) (*core.RunArtifacts, error) {
-	if cluster.IsLogDir(dir) {
-		return perfrecup.LoadEventLog(dir)
-	}
-	return core.LoadDir(dir)
-}
-
 func cmdTable1(dirs []string) error {
 	type agg struct {
 		graphs, tasks, files       int
@@ -120,7 +107,7 @@ func cmdTable1(dirs []string) error {
 	byWorkflow := map[string]*agg{}
 	var order []string
 	for _, dir := range dirs {
-		art, err := load(dir)
+		art, err := perfrecup.Load(dir)
 		if err != nil {
 			return err
 		}
@@ -172,7 +159,7 @@ func cmdPhases(dirs []string) error {
 	byWorkflow := map[string][]perfrecup.PhaseBreakdown{}
 	var order []string
 	for _, dir := range dirs {
-		art, err := load(dir)
+		art, err := perfrecup.Load(dir)
 		if err != nil {
 			return err
 		}
@@ -202,7 +189,7 @@ func cmdIOTimeline(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	art, err := load(dir)
+	art, err := perfrecup.Load(dir)
 	if err != nil {
 		return err
 	}
@@ -215,7 +202,7 @@ func cmdIOTimeline(args []string) error {
 }
 
 func cmdComm(args []string) error {
-	art, err := load(args[0])
+	art, err := perfrecup.Load(args[0])
 	if err != nil {
 		return err
 	}
@@ -234,7 +221,7 @@ func cmdTasks(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	art, err := load(dir)
+	art, err := perfrecup.Load(dir)
 	if err != nil {
 		return err
 	}
@@ -253,7 +240,7 @@ func cmdWarnings(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	art, err := load(dir)
+	art, err := perfrecup.Load(dir)
 	if err != nil {
 		return err
 	}
@@ -273,7 +260,7 @@ func cmdLineage(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	art, err := load(dir)
+	art, err := perfrecup.Load(dir)
 	if err != nil {
 		return err
 	}
@@ -334,7 +321,7 @@ func cmdExport(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown view %q (valid: %s)", *view, strings.Join(exportViewNames, "|"))
 	}
-	art, err := load(dir)
+	art, err := perfrecup.Load(dir)
 	if err != nil {
 		return err
 	}
@@ -355,7 +342,7 @@ func cmdWindow(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	art, err := load(dir)
+	art, err := perfrecup.Load(dir)
 	if err != nil {
 		return err
 	}
@@ -377,11 +364,11 @@ func cmdCompare(args []string) error {
 	if len(args) < 2 {
 		return fmt.Errorf("compare needs two run directories")
 	}
-	a, err := load(args[0])
+	a, err := perfrecup.Load(args[0])
 	if err != nil {
 		return err
 	}
-	b, err := load(args[1])
+	b, err := perfrecup.Load(args[1])
 	if err != nil {
 		return err
 	}
@@ -401,7 +388,7 @@ func cmdDarshan(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	art, err := load(dir)
+	art, err := perfrecup.Load(dir)
 	if err != nil {
 		return err
 	}
@@ -419,7 +406,7 @@ func cmdSVG(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	art, err := load(dir)
+	art, err := perfrecup.Load(dir)
 	if err != nil {
 		return err
 	}
@@ -464,7 +451,7 @@ func cmdCorrelate(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	art, err := load(dir)
+	art, err := perfrecup.Load(dir)
 	if err != nil {
 		return err
 	}
@@ -478,7 +465,7 @@ func cmdCorrelate(args []string) error {
 
 // cmdHeatmap prints the merged Darshan HEATMAP module across workers.
 func cmdHeatmap(args []string) error {
-	art, err := load(args[0])
+	art, err := perfrecup.Load(args[0])
 	if err != nil {
 		return err
 	}
@@ -497,7 +484,7 @@ func cmdHeatmap(args []string) error {
 // cmdCluster prints the Mofka cluster-health lane: the replication and
 // failover timeline a sharded run recorded on its warnings topic.
 func cmdCluster(args []string) error {
-	art, err := load(args[0])
+	art, err := perfrecup.Load(args[0])
 	if err != nil {
 		return err
 	}
@@ -518,7 +505,7 @@ func cmdCluster(args []string) error {
 // counts, blob bytes, the store's resident footprint over time, and the
 // demand-to-arrival resolution latency distribution.
 func cmdProxy(args []string) error {
-	art, err := load(args[0])
+	art, err := perfrecup.Load(args[0])
 	if err != nil {
 		return err
 	}
@@ -588,7 +575,7 @@ func cmdProxy(args []string) error {
 // first-completion winners, cancelled losers with their wasted runtime,
 // promotions, RPC retries, and retry-budget denials.
 func cmdSpeculate(args []string) error {
-	art, err := load(args[0])
+	art, err := perfrecup.Load(args[0])
 	if err != nil {
 		return err
 	}
@@ -618,7 +605,7 @@ func maxFloat(xs []float64) float64 {
 // cmdCritPath prints the run's critical path: makespan attribution by
 // category, the heaviest chain steps, and the full chain.
 func cmdCritPath(args []string) error {
-	art, err := load(args[0])
+	art, err := perfrecup.Load(args[0])
 	if err != nil {
 		return err
 	}
@@ -643,7 +630,7 @@ func cmdWhatIf(args []string) error {
 	if len(scenarios) == 0 {
 		scenarios = scenarioFlags{whatif.Scenario{}}
 	}
-	art, err := load(dir)
+	art, err := perfrecup.Load(dir)
 	if err != nil {
 		return err
 	}
@@ -685,7 +672,7 @@ func (f *scenarioFlags) Set(v string) error {
 
 // cmdMetadata prints the run's layered provenance chart (Fig. 1).
 func cmdMetadata(args []string) error {
-	art, err := load(args[0])
+	art, err := perfrecup.Load(args[0])
 	if err != nil {
 		return err
 	}

@@ -424,13 +424,7 @@ func cmdWhatIf(args []string, out io.Writer) error {
 	if *runDir == "" {
 		return fmt.Errorf("whatif: missing -run DIR")
 	}
-	var art *core.RunArtifacts
-	var err error
-	if cluster.IsLogDir(*runDir) {
-		art, err = perfrecup.LoadEventLog(*runDir)
-	} else {
-		art, err = core.LoadDir(*runDir)
-	}
+	art, err := perfrecup.Load(*runDir)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"taskprov/internal/core"
 	"taskprov/internal/live"
 	"taskprov/internal/mofka"
 	"taskprov/internal/mofka/cluster"
@@ -83,6 +84,38 @@ func TestCmdRunSurvivesKillWithSpeculation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCmdRejectsRPCDirective: "rpc" was a chaos directive run and resume
+// accepted and never armed. A spec that carries it is refused when the flags
+// are checked — by the unknown-directive error, which names the valid ones —
+// before a data dir is created or touched.
+func TestCmdRejectsRPCDirective(t *testing.T) {
+	refused := func(err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal(`-chaos "rpc op=drop" accepted`)
+		}
+		for _, want := range []string{`unknown directive "rpc"`, "kill", "broker", "scheduler", "wal", "slow", "net"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %s", err, want)
+			}
+		}
+	}
+	out, data := t.TempDir(), filepath.Join(t.TempDir(), "data")
+	refused(cmdRun([]string{"-workflow", "imageprocessing", "-seed", "3", "-out", out, "-data-dir", data,
+		"-chaos", "kill worker=2 at=6s; rpc op=drop"}))
+	if _, err := os.Stat(data); !os.IsNotExist(err) {
+		t.Errorf("a refused run left a data dir behind (%v)", err)
+	}
+
+	// resume checks its -chaos the same way, ahead of opening the log.
+	crashed := t.TempDir()
+	meta := core.RunMetadata{Workflow: "imageprocessing", JobID: "imageprocessing-0003", Seed: 3}
+	if err := os.WriteFile(filepath.Join(crashed, "metadata.json"), core.EncodeMetadata(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused(cmdResume([]string{"-out", out, "-chaos", "rpc op=error count=1000", crashed}))
 }
 
 func TestCmdRunValidation(t *testing.T) {

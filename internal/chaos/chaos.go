@@ -1,12 +1,11 @@
 // Package chaos is the deterministic fault-injection subsystem: a chaos plan
 // parsed from a compact spec string schedules worker crashes and restarts at
-// simulated times, Mercury RPC faults (drop / delay / error) through a
-// registry interceptor, and broker append (WAL/disk) failures through the
+// simulated times, and broker append (WAL/disk) failures through the
 // broker's fault hook.
 //
 // Determinism is the design center. Worker kills fire at exact virtual
-// times on the simulation kernel; RPC and append faults are count-based
-// (fault the Nth matching call), so the same seed and spec reproduce the
+// times on the simulation kernel; append faults are count-based (fault the
+// Nth matching call), so the same seed and spec reproduce the
 // identical failure — and recovery — event sequence on every run.
 //
 // Spec grammar (statements separated by ';', fields by whitespace):
@@ -14,7 +13,6 @@
 //	kill worker=N at=DUR [restart=DUR]
 //	broker node=N at=DUR [restart=DUR]
 //	scheduler at=DUR | at-task=KEY
-//	rpc [addr=S] [rpc=S] op=drop|delay|error [after=N] [count=N] [delay=DUR]
 //	wal [topic=S] [partition=N] [after=N] [count=N]
 //	slow worker=N at=DUR factor=F [until=DUR]
 //	net src=N dst=M factor=F [at=DUR] [until=DUR]
@@ -28,12 +26,10 @@
 // process (scheduler, client, and every worker die together, taking
 // unflushed producer batches with them) either at a virtual time or the
 // moment the named task's execution completes; the run can afterwards be
-// continued from its data dir with `taskprov resume`. "rpc" faults
-// in-process RPCs whose destination address and RPC name match (omitted
-// matchers accept anything): after skips that many matching calls first,
-// count bounds how many calls are faulted (default 1), and op=delay sleeps
-// delay before proceeding. "wal" fails batch appends on matching topic /
-// partition the same way.
+// continued from its data dir with `taskprov resume`. "wal" fails batch
+// appends on matching topic / partition (omitted matchers accept anything):
+// after skips that many matching appends first, and count bounds how many
+// are failed (default 1).
 //
 // The last two directives inject gray failures — brownouts rather than
 // crashes. "slow" dilates worker N's task compute and I/O service times by
@@ -59,18 +55,7 @@ import (
 	"sync"
 	"time"
 
-	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/sim"
-)
-
-// Op is an RPC fault operation.
-type Op string
-
-// RPC fault operations.
-const (
-	OpDrop  Op = "drop"  // fail with mercury.ErrTimeout, as if the peer vanished
-	OpDelay Op = "delay" // sleep Delay, then dispatch normally
-	OpError Op = "error" // fail with a RemoteError, as if the handler errored
 )
 
 // Kill crashes a worker at a virtual time, optionally restarting it.
@@ -86,16 +71,6 @@ type BrokerKill struct {
 	Node    int
 	At      time.Duration
 	Restart time.Duration // delay after the kill; 0 = never restart
-}
-
-// RPCFault faults in-process RPC dispatch for matching calls.
-type RPCFault struct {
-	Addr  string // exact destination address; "" matches any
-	RPC   string // exact RPC name; "" matches any
-	Op    Op
-	After int           // matching calls to pass through before faulting
-	Count int           // matching calls to fault (default 1)
-	Delay time.Duration // for OpDelay
 }
 
 // WALFault fails broker batch appends for matching partitions.
@@ -142,7 +117,6 @@ type Plan struct {
 	Kills      []Kill
 	Brokers    []BrokerKill
 	Schedulers []SchedulerKill
-	RPCs       []RPCFault
 	WALs       []WALFault
 	Slows      []Slow
 	Nets       []NetFault
@@ -150,12 +124,6 @@ type Plan struct {
 	// Spec is the original specification string, kept for provenance
 	// metadata so a degraded run records what was injected into it.
 	Spec string
-}
-
-// Empty reports whether the plan injects nothing.
-func (p *Plan) Empty() bool {
-	return p == nil || (len(p.Kills) == 0 && len(p.Brokers) == 0 && len(p.Schedulers) == 0 &&
-		len(p.RPCs) == 0 && len(p.WALs) == 0 && len(p.Slows) == 0 && len(p.Nets) == 0)
 }
 
 // directives is the parser dispatch table: one entry per grammar directive.
@@ -166,7 +134,6 @@ var directives = map[string]func(kv fieldSet, p *Plan) error{
 	"kill":      parseKill,
 	"broker":    parseBroker,
 	"scheduler": parseScheduler,
-	"rpc":       parseRPC,
 	"wal":       parseWAL,
 	"slow":      parseSlow,
 	"net":       parseNet,
@@ -262,36 +229,6 @@ func parseScheduler(kv fieldSet, p *Plan) error {
 		return fmt.Errorf("chaos: scheduler requires exactly one of at=DURATION or at-task=KEY")
 	}
 	p.Schedulers = append(p.Schedulers, sk)
-	return nil
-}
-
-func parseRPC(kv fieldSet, p *Plan) error {
-	f := RPCFault{Count: 1}
-	f.Addr = kv.take("addr")
-	f.RPC = kv.take("rpc")
-	f.Op = Op(kv.take("op"))
-	if err := kv.intField("after", &f.After); err != nil {
-		return err
-	}
-	if err := kv.intField("count", &f.Count); err != nil {
-		return err
-	}
-	if err := kv.durField("delay", &f.Delay); err != nil {
-		return err
-	}
-	switch f.Op {
-	case OpDrop, OpError:
-	case OpDelay:
-		if f.Delay <= 0 {
-			return fmt.Errorf("chaos: rpc op=delay requires delay=DURATION")
-		}
-	default:
-		return fmt.Errorf("chaos: rpc requires op=drop|delay|error, got %q", f.Op)
-	}
-	if f.Count <= 0 {
-		return fmt.Errorf("chaos: rpc count must be positive")
-	}
-	p.RPCs = append(p.RPCs, f)
 	return nil
 }
 
@@ -485,8 +422,6 @@ type Controller struct {
 	plan *Plan
 
 	mu      sync.Mutex
-	rpcSeen []int
-	rpcUsed []int
 	walSeen []int
 	walUsed []int
 }
@@ -499,15 +434,10 @@ func NewController(plan *Plan) *Controller {
 	}
 	return &Controller{
 		plan:    plan,
-		rpcSeen: make([]int, len(plan.RPCs)),
-		rpcUsed: make([]int, len(plan.RPCs)),
 		walSeen: make([]int, len(plan.WALs)),
 		walUsed: make([]int, len(plan.WALs)),
 	}
 }
-
-// Plan returns the armed plan.
-func (c *Controller) Plan() *Plan { return c.plan }
 
 // ArmWorkerFaults schedules the plan's kills and restarts on the simulation
 // kernel against a cluster with the given worker count. Call before
@@ -617,44 +547,6 @@ func (c *Controller) TaskTriggeredSchedulerKills() []SchedulerKill {
 		}
 	}
 	return out
-}
-
-// ArmRegistry installs the plan's RPC faults as the registry's dispatch
-// interceptor. A no-op when the plan has no RPC faults.
-func (c *Controller) ArmRegistry(reg *mercury.Registry) {
-	if len(c.plan.RPCs) == 0 {
-		return
-	}
-	reg.SetInterceptor(func(addr, rpc string, req []byte, next mercury.Handler) ([]byte, error) {
-		for i := range c.plan.RPCs {
-			f := &c.plan.RPCs[i]
-			if f.Addr != "" && f.Addr != addr {
-				continue
-			}
-			if f.RPC != "" && f.RPC != rpc {
-				continue
-			}
-			c.mu.Lock()
-			c.rpcSeen[i]++
-			fire := c.rpcSeen[i] > f.After && c.rpcUsed[i] < f.Count
-			if fire {
-				c.rpcUsed[i]++
-			}
-			c.mu.Unlock()
-			if !fire {
-				continue
-			}
-			switch f.Op {
-			case OpDrop:
-				return nil, fmt.Errorf("%w: chaos dropped %q to %s", mercury.ErrTimeout, rpc, addr)
-			case OpError:
-				return nil, &mercury.RemoteError{Msg: fmt.Sprintf("chaos: injected failure for %q on %s", rpc, addr)}
-			case OpDelay:
-				time.Sleep(f.Delay)
-			}
-		}
-		return next(req)
-	})
 }
 
 // ArmBroker installs the plan's WAL/append faults on the broker. A no-op

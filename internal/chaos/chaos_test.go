@@ -1,13 +1,12 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/sim"
 )
 
@@ -23,15 +22,15 @@ func TestParseKill(t *testing.T) {
 }
 
 func TestParseMultiStatement(t *testing.T) {
-	p, err := Parse("kill worker=0 at=10s; rpc rpc=mofka.append op=error after=5 count=2; wal topic=warnings partition=1")
+	p, err := Parse("kill worker=0 at=10s; slow worker=1 at=2s factor=6; wal topic=warnings partition=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Kills) != 1 || len(p.RPCs) != 1 || len(p.WALs) != 1 {
+	if len(p.Kills) != 1 || len(p.Slows) != 1 || len(p.WALs) != 1 {
 		t.Fatalf("got %+v", p)
 	}
-	if f := p.RPCs[0]; f.RPC != "mofka.append" || f.Op != OpError || f.After != 5 || f.Count != 2 {
-		t.Fatalf("rpc fault %+v", f)
+	if f := p.Slows[0]; f.Worker != 1 || f.At != 2*time.Second || f.Factor != 6 {
+		t.Fatalf("slow fault %+v", f)
 	}
 	if f := p.WALs[0]; f.Topic != "warnings" || f.Partition != 1 || f.Count != 1 {
 		t.Fatalf("wal fault %+v", f)
@@ -44,8 +43,8 @@ func TestParseEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", spec, err)
 		}
-		if !p.Empty() {
-			t.Fatalf("%q: expected empty plan", spec)
+		if !reflect.DeepEqual(*p, Plan{Spec: p.Spec}) {
+			t.Fatalf("%q: expected empty plan, got %+v", spec, p)
 		}
 	}
 }
@@ -60,9 +59,6 @@ func TestParseErrors(t *testing.T) {
 		"kill worker=one at=2s",       // malformed int
 		"kill worker=1 at=fast",       // malformed duration
 		"kill worker",                 // not key=value
-		"rpc op=explode",              // unknown op
-		"rpc op=delay",                // delay op without delay
-		"rpc op=drop count=0",         // non-positive count
 		"wal count=-1",                // non-positive count
 	} {
 		if _, err := Parse(spec); err == nil {
@@ -115,52 +111,6 @@ func TestArmWorkerFaultsValidatesRank(t *testing.T) {
 	}
 }
 
-func TestArmRegistryCountBased(t *testing.T) {
-	p, err := Parse("rpc rpc=echo op=error after=1 count=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := mercury.NewRegistry()
-	ep := reg.Listen("svc")
-	ep.Register("echo", func(req []byte) ([]byte, error) { return req, nil })
-	ep.Register("other", func(req []byte) ([]byte, error) { return req, nil })
-	NewController(p).ArmRegistry(reg)
-
-	call := func(rpc string) error {
-		_, err := reg.Call("svc", rpc, nil)
-		return err
-	}
-	// Call 1 passes (after=1), calls 2 and 3 fault (count=2), call 4 passes.
-	results := []error{call("echo"), call("echo"), call("echo"), call("echo")}
-	for i, wantErr := range []bool{false, true, true, false} {
-		if (results[i] != nil) != wantErr {
-			t.Fatalf("call %d: err=%v want error=%v", i+1, results[i], wantErr)
-		}
-	}
-	var re *mercury.RemoteError
-	if !errors.As(results[1], &re) {
-		t.Fatalf("injected error should be a RemoteError, got %T", results[1])
-	}
-	// Non-matching RPC name is never faulted.
-	if err := call("other"); err != nil {
-		t.Fatalf("other rpc faulted: %v", err)
-	}
-}
-
-func TestArmRegistryDrop(t *testing.T) {
-	p, _ := Parse("rpc op=drop")
-	reg := mercury.NewRegistry()
-	reg.Listen("svc").Register("echo", func(req []byte) ([]byte, error) { return req, nil })
-	NewController(p).ArmRegistry(reg)
-	_, err := reg.Call("svc", "echo", nil)
-	if !errors.Is(err, mercury.ErrTimeout) {
-		t.Fatalf("drop should surface as ErrTimeout, got %v", err)
-	}
-	if _, err := reg.Call("svc", "echo", nil); err != nil {
-		t.Fatalf("count=1 exhausted, call should pass: %v", err)
-	}
-}
-
 type fakeBroker struct{ hook func(string, int) error }
 
 func (f *fakeBroker) SetAppendFault(fn func(string, int) error) { f.hook = fn }
@@ -193,11 +143,8 @@ func TestArmBroker(t *testing.T) {
 }
 
 func TestEmptyPlanArmsNothing(t *testing.T) {
-	c := NewController(nil)
-	reg := mercury.NewRegistry()
-	c.ArmRegistry(reg)
 	b := &fakeBroker{}
-	c.ArmBroker(b)
+	NewController(nil).ArmBroker(b)
 	if b.hook != nil {
 		t.Fatal("empty plan should not install a broker hook")
 	}
@@ -305,16 +252,6 @@ func TestParseEveryDirective(t *testing.T) {
 				}
 			},
 		},
-		"rpc": {
-			spec: "rpc addr=node1 rpc=mofka.append op=delay after=2 count=5 delay=300ms",
-			check: func(t *testing.T, p *Plan) {
-				want := RPCFault{Addr: "node1", RPC: "mofka.append", Op: OpDelay,
-					After: 2, Count: 5, Delay: 300 * time.Millisecond}
-				if len(p.RPCs) != 1 || p.RPCs[0] != want {
-					t.Fatalf("rpcs %+v", p.RPCs)
-				}
-			},
-		},
 		"wal": {
 			spec: "wal topic=executions partition=2 after=7 count=3",
 			check: func(t *testing.T, p *Plan) {
@@ -366,15 +303,19 @@ func TestParseEveryDirective(t *testing.T) {
 }
 
 // TestUnknownDirectiveListsAll checks the dispatch-table error advertises
-// every directive, so the grammar's inventory cannot silently drift.
+// every directive, so the grammar's inventory cannot silently drift. "rpc"
+// was a directive no program ever armed: a spec that still carries it must be
+// refused the same way, not accepted and ignored.
 func TestUnknownDirectiveListsAll(t *testing.T) {
-	_, err := Parse("explode worker=1 at=2s")
-	if err == nil {
-		t.Fatal("expected unknown-directive error")
-	}
-	for name := range directives {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not mention directive %q", err, name)
+	for _, spec := range []string{"explode worker=1 at=2s", "rpc op=drop", "kill worker=1 at=2s; rpc op=error count=1000"} {
+		_, err := Parse(spec)
+		if err == nil {
+			t.Fatalf("%q: expected unknown-directive error", spec)
+		}
+		for name := range directives {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%q: error %q does not mention directive %q", spec, err, name)
+			}
 		}
 	}
 }

@@ -5,23 +5,23 @@ import (
 	"regexp"
 	"testing"
 
-	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/sim"
 )
 
 // docSpecs are the chaos specs the documentation shows that are not spelled
 // as a `-chaos "…"` argument (FuzzParse picks those up from the files
-// themselves): README's composed plan and one instance of every line of
-// DESIGN §8's and §13's grammar.
+// themselves): README's composed plan and an instance of every line of
+// DESIGN §8's and §13's grammar, the wal and net lines also with their
+// optional fields left out.
 var docSpecs = []string{
-	"kill worker=0 at=10s; rpc rpc=mofka.append op=error count=3; wal topic=warnings after=100 count=5",
+	"kill worker=0 at=10s; wal topic=warnings after=100 count=5",
 	"kill worker=1 at=5s",
-	"rpc addr=svc rpc=mofka.append op=delay after=2 count=4 delay=5ms",
-	"rpc op=drop",
 	"wal topic=task-transitions partition=0 after=3 count=40",
+	"wal partition=1 count=2",
 	"scheduler at-task=imread-fc00afccf84e",
 	"slow worker=1 at=2s factor=6 until=3s",
 	"net src=0 dst=1 factor=4 at=5s until=3s",
+	"net src=0 dst=1 factor=4",
 	"broker node=1 at=3s",
 }
 
@@ -82,7 +82,6 @@ func FuzzParse(f *testing.F) {
 		_ = c.ArmClusterFaults(k, cl)
 		c.ArmSchedulerFaults(k, func(SchedulerKill) { k.Stop() })
 		_ = c.TaskTriggeredSchedulerKills()
-		c.ArmRegistry(mercury.NewRegistry())
 		c.ArmBroker(cl)
 		if cl.hook != nil {
 			for i := 0; i < 3; i++ {

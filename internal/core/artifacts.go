@@ -149,21 +149,8 @@ func LoadDir(dir string) (*RunArtifacts, error) {
 	}
 	art := &RunArtifacts{Meta: meta, Broker: mofka.NewStandaloneBroker()}
 
-	dlogs, err := filepath.Glob(filepath.Join(dir, "darshan", "*.darshan"))
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range dlogs {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		l, err := darshan.ReadLog(f)
-		_ = f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", p, err)
-		}
-		art.DarshanLogs = append(art.DarshanLogs, l)
+	if art.DarshanLogs, err = darshan.ReadDir(filepath.Join(dir, "darshan")); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	topics, err := filepath.Glob(filepath.Join(dir, "mofka", "*.jsonl"))

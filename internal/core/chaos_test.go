@@ -62,7 +62,7 @@ func chaosRun(t *testing.T, seed uint64) (*RunArtifacts, []dask.Warning) {
 	if wf.graphErr != "" {
 		t.Fatalf("graph erred under chaos: %s", wf.graphErr)
 	}
-	warns, err := provenance.Drain(art.Broker, TopicWarnings, provenance.DecodeWarning)
+	warns, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		t.Fatal(err)
 	}

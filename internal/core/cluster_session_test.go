@@ -142,7 +142,7 @@ func TestClusterChaosFailover(t *testing.T) {
 	// Zero acknowledged-event loss: every provenance topic matches the
 	// no-crash run event for event (the views perfrecup builds are pure
 	// functions of these streams, so view equality follows).
-	for _, topic := range []string{TopicTaskMeta, TopicTransitions, TopicExecutions, TopicTransfers, TopicGraphs, TopicSteals} {
+	for _, topic := range []string{provenance.TopicTaskMeta, provenance.TopicTransitions, provenance.TopicExecutions, provenance.TopicTransfers, provenance.TopicGraphs, provenance.TopicSteals} {
 		got := drainJSON(t, crash, topic)
 		want := drainJSON(t, baseline, topic)
 		if len(got) != len(want) {
@@ -157,7 +157,7 @@ func TestClusterChaosFailover(t *testing.T) {
 
 	// The failover story is on the warnings topic: broker death, leader
 	// elections away from the dead node, the rejoin, and replica catch-up.
-	metas, err := provenance.Drain(crash.Broker, TopicWarnings, provenance.DecodeWarning)
+	metas, err := provenance.Drain(crash.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestClusterChaosFailover(t *testing.T) {
 		t.Fatalf("no leader elections recorded (kinds: %v)", kinds)
 	}
 	// No worker was harmed: the dask-level warning stream matches baseline.
-	bmetas, err := provenance.Drain(baseline.Broker, TopicWarnings, provenance.DecodeWarning)
+	bmetas, err := provenance.Drain(baseline.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"taskprov/internal/darshan"
 	"taskprov/internal/dask"
 	"taskprov/internal/live"
-	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
 	"taskprov/internal/pfs"
 	"taskprov/internal/platform"
@@ -112,7 +111,7 @@ func TestEventStreamsDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trans, err := provenance.Drain(art.Broker, TopicTransitions, provenance.DecodeTransition)
+	trans, err := provenance.Drain(art.Broker, provenance.TopicTransitions, provenance.DecodeTransition)
 	if err != nil || len(trans) == 0 {
 		t.Fatalf("transitions = %d, %v", len(trans), err)
 	}
@@ -121,7 +120,7 @@ func TestEventStreamsDecode(t *testing.T) {
 			t.Fatalf("bad transition: %+v", tr)
 		}
 	}
-	execs, err := provenance.Drain(art.Broker, TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
 	if err != nil || len(execs) != 9 {
 		t.Fatalf("executions = %d, %v", len(execs), err)
 	}
@@ -130,7 +129,7 @@ func TestEventStreamsDecode(t *testing.T) {
 			t.Fatalf("bad execution: %+v", e)
 		}
 	}
-	metas, err := provenance.Drain(art.Broker, TopicTaskMeta, provenance.DecodeTaskMeta)
+	metas, err := provenance.Drain(art.Broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta)
 	if err != nil || len(metas) != 9 {
 		t.Fatalf("task metas = %d, %v", len(metas), err)
 	}
@@ -227,8 +226,8 @@ func TestCollectorCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if art.Collector.EventCount(TopicExecutions) != 6 {
-		t.Fatalf("execution events = %d", art.Collector.EventCount(TopicExecutions))
+	if art.Collector.EventCount(provenance.TopicExecutions) != 6 {
+		t.Fatalf("execution events = %d", art.Collector.EventCount(provenance.TopicExecutions))
 	}
 	if art.Collector.TotalEvents() < 20 {
 		t.Fatalf("total events = %d", art.Collector.TotalEvents())
@@ -255,7 +254,7 @@ func TestInSituMonitor(t *testing.T) {
 	if sum.Tasks != 11 {
 		t.Fatalf("in-situ executions = %d, want 11", sum.Tasks)
 	}
-	post, err := provenance.Drain(art.Broker, TopicTransitions, provenance.DecodeTransition)
+	post, err := provenance.Drain(art.Broker, provenance.TopicTransitions, provenance.DecodeTransition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,150 +262,13 @@ func TestInSituMonitor(t *testing.T) {
 		t.Fatalf("in-situ transitions = %d, post-mortem = %d", sum.Transitions, len(post))
 	}
 	var events int64
-	for _, name := range AllTopics() {
+	for _, name := range provenance.AllTopics() {
 		if tp, err := art.Broker.OpenTopic(name); err == nil {
 			events += int64(tp.Events())
 		}
 	}
 	if sum.Events != events {
 		t.Fatalf("in-situ events = %d, the broker holds %d", sum.Events, events)
-	}
-}
-
-// runToyThrough runs the toy workflow on a bare simulated cluster whose
-// provenance goes through c; during, when set, runs beside it as a process of
-// its own.
-func runToyThrough(c *Collector, seed uint64, files int, during func(p *sim.Proc)) {
-	cfg := testSession(seed)
-	k := sim.NewKernel(cfg.Seed)
-	plat := platform.New(k, cfg.Platform)
-	fsys := pfs.New(k, cfg.PFS)
-	px := posixio.NewFS(fsys)
-	cluster := dask.NewCluster(k, plat, px, cfg.Dask, nil)
-	c.SetClock(k.Now)
-	cluster.AddSchedulerPlugin(c.SchedulerPlugin())
-	cluster.AddWorkerPlugin(c.WorkerPlugin())
-	wf := &toyWorkflow{files: files}
-	wf.Stage(&Env{Kernel: k, Platform: plat, PFS: fsys, FS: px, Cluster: cluster})
-	cluster.Start()
-	k.Go(func(p *sim.Proc) {
-		cl := cluster.Client()
-		cl.WaitForWorkers(p, len(cluster.Workers()))
-		wf.Run(p, cl, nil)
-		k.Stop()
-	})
-	if during != nil {
-		k.Go(during)
-	}
-	k.Run()
-}
-
-func TestRemoteCollectorOverTCP(t *testing.T) {
-	// A real mofkad-style broker behind TCP receives the provenance stream
-	// from the one Collector; analysis pulls it back over the same wire.
-	broker := mofka.NewStandaloneBroker()
-	ep := mercury.NewEndpoint("mofkad")
-	mofka.Serve(ep, broker.Service())
-	srv, err := mercury.Serve(ep, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-	cli, err := mercury.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cli.Close() }()
-	remote := mofka.NewRemote(cli)
-	rc, err := NewCollector(mofka.ServiceTopics(remote), mofka.ProducerOptions{BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runToyThrough(rc, 33, 9, nil)
-	if err := rc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// All executions arrived on the remote broker.
-	evs, err := remote.Pull(TopicExecutions, 0, 0, 1000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs2, err := remote.Pull(TopicExecutions, 1, 0, 1000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(evs) + len(evs2); got != 10 {
-		t.Fatalf("remote executions = %d, want 10", got)
-	}
-	if rc.EventCount(TopicExecutions) != 10 || rc.TotalEvents() < 20 {
-		t.Fatalf("collector counted %d executions, %d events", rc.EventCount(TopicExecutions), rc.TotalEvents())
-	}
-}
-
-// TestRemoteCollectorSurvivesEndpointOutage: the remote log goes away
-// mid-run and comes back. The collector's producers degrade, buffer, and
-// recover — the episode is on the warnings topic — and every event the
-// plugins pushed is on the broker at the end. (The collector this replaced
-// printed the failed push and dropped the batch.)
-func TestRemoteCollectorSurvivesEndpointOutage(t *testing.T) {
-	const addr = "local://mofkad"
-	broker := mofka.NewStandaloneBroker()
-	reg := mercury.NewRegistry()
-	mofka.Serve(reg.Listen(addr), broker.Service())
-	rc, err := NewCollector(mofka.ServiceTopics(mofka.NewRemote(reg.Bind(addr))),
-		mofka.ProducerOptions{BatchSize: 4, FlushRetries: 1, RetryBackoff: time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The outage is cut out of the middle of the event stream, whenever in
-	// virtual time that falls.
-	until := func(p *sim.Proc, events int64) {
-		for rc.TotalEvents() < events {
-			p.Sleep(sim.Milliseconds(1))
-		}
-	}
-	runToyThrough(rc, 34, 24, func(p *sim.Proc) {
-		until(p, 50)
-		reg.Close(addr)
-		until(p, 150)
-		mofka.Serve(reg.Listen(addr), broker.Service())
-	})
-	if err := rc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	var landed int64
-	for _, name := range AllTopics() {
-		tp, err := broker.OpenTopic(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		landed += int64(tp.Events())
-	}
-	if landed != rc.TotalEvents() {
-		t.Fatalf("broker holds %d events, the collector pushed %d", landed, rc.TotalEvents())
-	}
-	warns, err := provenance.Drain(broker, TopicWarnings, provenance.DecodeWarning)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degraded, recovered := 0, 0
-	for _, w := range warns {
-		if w.Kind != dask.WarnProducerDegraded {
-			continue
-		}
-		switch {
-		case strings.Contains(w.Message, "degraded (buffering)"):
-			degraded++
-		case strings.Contains(w.Message, "dropped="):
-			t.Errorf("events lost to the outage: %s", w.Message)
-		case strings.Contains(w.Message, "recovered after"):
-			recovered++
-		}
-	}
-	if degraded == 0 || recovered != degraded {
-		t.Fatalf("%d degraded and %d recovered episodes on the warnings topic, want equal and > 0", degraded, recovered)
 	}
 }
 
@@ -426,12 +288,12 @@ func TestSynthesizedLogs(t *testing.T) {
 	if err != nil || len(workers) == 0 {
 		t.Fatalf("workers = %v, %v", workers, err)
 	}
-	wl, err := RenderWorkerLog(art, workers[0])
+	wls, err := RenderWorkerLogs(art, workers[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(wl, "Start worker at "+workers[0]) {
-		t.Fatalf("worker log:\n%s", wl)
+	if !strings.Contains(wls[0], "Start worker at "+workers[0]) {
+		t.Fatalf("worker log:\n%s", wls[0])
 	}
 	// WriteDir persists them.
 	dir := filepath.Join(t.TempDir(), "run")
@@ -484,7 +346,7 @@ func TestOnlineIOTracer(t *testing.T) {
 	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	metas, err := provenance.Drain(broker, TopicIOTrace, provenance.DecodeIOTrace)
+	metas, err := provenance.Drain(broker, provenance.TopicIOTrace, provenance.DecodeIOTrace)
 	if err != nil || len(metas) != 4 {
 		t.Fatalf("streamed events = %d, %v", len(metas), err)
 	}
@@ -507,7 +369,7 @@ func TestOnlineIOTracer(t *testing.T) {
 	if log.TotalOps() != 2 {
 		t.Fatalf("inner darshan ops = %d", log.TotalOps())
 	}
-	if fr, ok := log.Record("/f"); !ok || len(fr.DXT) != 2 {
+	if len(log.Records) != 1 || log.Records[0].Path != "/f" || len(log.Records[0].DXT) != 2 {
 		t.Fatal("inner darshan DXT missing")
 	}
 }
@@ -549,7 +411,7 @@ func TestOnlineIOTracerEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	metas, err := provenance.Drain(broker, TopicIOTrace, provenance.DecodeIOTrace)
+	metas, err := provenance.Drain(broker, provenance.TopicIOTrace, provenance.DecodeIOTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,8 +423,7 @@ func TestOnlineIOTracerEndToEnd(t *testing.T) {
 	}
 	var darshanRW int64
 	for _, rt := range runtimes {
-		_, r, w := rt.Totals()
-		darshanRW += r + w
+		darshanRW += rt.Snapshot().TotalOps()
 	}
 	if int64(streamedRW) != darshanRW {
 		t.Fatalf("streamed %d read/write events, darshan has %d", streamedRW, darshanRW)
@@ -595,7 +456,7 @@ func TestCollectorAllocationBudget(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := provenance.Drain(broker, TopicTransitions, provenance.DecodeTransition)
+	got, err := provenance.Drain(broker, provenance.TopicTransitions, provenance.DecodeTransition)
 	if err != nil || len(got) != 1024+64*64+1 || got[len(got)-1] != tr {
 		t.Fatalf("drained %d transitions (%v), last %+v", len(got), err, got[len(got)-1])
 	}
@@ -615,7 +476,7 @@ func TestCollectorReportsDroppedEvents(t *testing.T) {
 	plugin := c.SchedulerPlugin()
 	episode := func(events int) {
 		broker.SetAppendFault(func(topic string, _ int) error {
-			if topic == TopicTransitions {
+			if topic == provenance.TopicTransitions {
 				return errors.New("disk on fire")
 			}
 			return nil
@@ -630,7 +491,7 @@ func TestCollectorReportsDroppedEvents(t *testing.T) {
 	}
 	episode(8) // 4 per partition: 2 stay queued, 2 are dropped
 	episode(2) // 1 per partition: fits the backlog
-	warns, err := provenance.Drain(broker, TopicWarnings, provenance.DecodeWarning)
+	warns, err := provenance.Drain(broker, provenance.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		t.Fatal(err)
 	}

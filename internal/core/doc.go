@@ -14,26 +14,5 @@
 // The event schema itself — topic names and the typed codec — lives in
 // internal/provenance so that stream consumers that core itself depends on
 // (the live monitoring subsystem, internal/live) can share it without an
-// import cycle. This file re-exports the topic names.
+// import cycle.
 package core
-
-import "taskprov/internal/provenance"
-
-// Mofka topic names used by the provenance plugins (see
-// internal/provenance).
-const (
-	TopicTaskMeta    = provenance.TopicTaskMeta
-	TopicTransitions = provenance.TopicTransitions
-	TopicExecutions  = provenance.TopicExecutions
-	TopicTransfers   = provenance.TopicTransfers
-	TopicWarnings    = provenance.TopicWarnings
-	TopicHeartbeats  = provenance.TopicHeartbeats
-	TopicSteals      = provenance.TopicSteals
-	TopicGraphs      = provenance.TopicGraphs
-	TopicProxy       = provenance.TopicProxy
-	TopicSpeculation = provenance.TopicSpeculation
-	TopicAnomalies   = provenance.TopicAnomalies
-)
-
-// AllTopics lists every topic the plugins produce into.
-func AllTopics() []string { return provenance.AllTopics() }

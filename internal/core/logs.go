@@ -34,7 +34,7 @@ func renderLines(lines []logLine) string {
 // submissions, task erred events, steals, and graph completions.
 func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 	var lines []logLine
-	metas, err := provenance.Drain(art.Broker, TopicTaskMeta, provenance.DecodeTaskMeta)
+	metas, err := provenance.Drain(art.Broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta)
 	if err != nil {
 		return "", err
 	}
@@ -52,7 +52,7 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 		lines = append(lines, logLine{at, fmt.Sprintf(
 			"INFO  - Receive graph %d (%d tasks) from client", id, graphCount[id])})
 	}
-	trans, err := provenance.Drain(art.Broker, TopicTransitions, provenance.DecodeTransition)
+	trans, err := provenance.Drain(art.Broker, provenance.TopicTransitions, provenance.DecodeTransition)
 	if err != nil {
 		return "", err
 	}
@@ -69,7 +69,7 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 				"WARN  - Retrying task %s after failure", tr.Key)})
 		}
 	}
-	steals, err := provenance.Drain(art.Broker, TopicSteals, provenance.DecodeSteal)
+	steals, err := provenance.Drain(art.Broker, provenance.TopicSteals, provenance.DecodeSteal)
 	if err != nil {
 		return "", err
 	}
@@ -77,7 +77,7 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 		lines = append(lines, logLine{s.At.Seconds(), fmt.Sprintf(
 			"INFO  - Moving task %s from %s to %s (work stealing)", s.Key, s.Victim, s.Thief)})
 	}
-	graphs, err := provenance.Drain(art.Broker, TopicGraphs, provenance.DecodeGraphEvent)
+	graphs, err := provenance.Drain(art.Broker, provenance.TopicGraphs, provenance.DecodeGraphEvent)
 	if err != nil {
 		return "", err
 	}
@@ -87,18 +87,9 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 	return renderLines(lines), nil
 }
 
-// RenderWorkerLog produces one worker's textual log: its warnings in the
-// exact phrasing Dask workers emit (the strings log-scrapers match on).
-func RenderWorkerLog(art *RunArtifacts, worker string) (string, error) {
-	logs, err := RenderWorkerLogs(art, []string{worker})
-	if err != nil {
-		return "", err
-	}
-	return logs[0], nil
-}
-
-// RenderWorkerLogs produces the logs of the given workers, in their order,
-// from one pass over the warnings and executions topics.
+// RenderWorkerLogs produces the textual logs of the given workers, in their
+// order, from one pass over the warnings and executions topics: the warnings
+// in the exact phrasing Dask workers emit (the strings log-scrapers match on).
 func RenderWorkerLogs(art *RunArtifacts, workers []string) ([]string, error) {
 	type bucket struct {
 		lines    []logLine
@@ -108,7 +99,7 @@ func RenderWorkerLogs(art *RunArtifacts, workers []string) ([]string, error) {
 	for _, w := range workers {
 		buckets[w] = &bucket{}
 	}
-	warns, err := provenance.Drain(art.Broker, TopicWarnings, provenance.DecodeWarning)
+	warns, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +119,7 @@ func RenderWorkerLogs(art *RunArtifacts, workers []string) ([]string, error) {
 			b.lines = append(b.lines, logLine{w.At.Seconds(), "WARN  - " + w.Message})
 		}
 	}
-	execs, err := provenance.Drain(art.Broker, TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +139,7 @@ func RenderWorkerLogs(art *RunArtifacts, workers []string) ([]string, error) {
 
 // WorkerAddrs lists the worker addresses observed in the run.
 func (a *RunArtifacts) WorkerAddrs() ([]string, error) {
-	execs, err := provenance.Drain(a.Broker, TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(a.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +147,7 @@ func (a *RunArtifacts) WorkerAddrs() ([]string, error) {
 	for _, e := range execs {
 		set[e.Worker] = true
 	}
-	hbs, err := provenance.Drain(a.Broker, TopicHeartbeats, provenance.DecodeHeartbeat)
+	hbs, err := provenance.Drain(a.Broker, provenance.TopicHeartbeats, provenance.DecodeHeartbeat)
 	if err != nil {
 		return nil, err
 	}

@@ -132,9 +132,6 @@ type InstrumentationConfig struct {
 	SpeculationMax      int     `json:"speculation_max,omitempty"`
 	SpeculationQuantile float64 `json:"speculation_quantile,omitempty"`
 	SpeculationBudget   int     `json:"speculation_budget,omitempty"`
-	// RetryBudget is the per-run Mercury retry allowance (0 when the adaptive
-	// retry layer was not engaged).
-	RetryBudget int `json:"retry_budget,omitempty"`
 }
 
 // EncodeMetadata serializes run metadata as pretty JSON.

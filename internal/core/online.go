@@ -8,9 +8,6 @@ import (
 	"taskprov/internal/provenance"
 )
 
-// TopicIOTrace is the Mofka topic the online I/O tracer publishes to.
-const TopicIOTrace = provenance.TopicIOTrace
-
 // OnlineIOTracer implements the paper's future-work plan to "shift to
 // capturing Darshan records and pushing them to Mofka at runtime to have a
 // fully online system": it wraps a per-worker posixio.Tracer (normally the
@@ -26,9 +23,9 @@ type OnlineIOTracer struct {
 }
 
 // NewOnlineIOTracer wraps inner (which may be nil for stream-only tracing)
-// with a live Mofka feed on broker's TopicIOTrace topic.
+// with a live Mofka feed on broker's provenance.TopicIOTrace topic.
 func NewOnlineIOTracer(broker *mofka.Broker, opts mofka.ProducerOptions, inner posixio.Tracer, rank int, hostname string) (*OnlineIOTracer, error) {
-	t, err := broker.OpenOrCreateTopic(mofka.TopicConfig{Name: TopicIOTrace, Partitions: 2})
+	t, err := broker.OpenOrCreateTopic(mofka.TopicConfig{Name: provenance.TopicIOTrace, Partitions: 2})
 	if err != nil {
 		return nil, fmt.Errorf("core: online tracer topic: %w", err)
 	}

@@ -41,10 +41,8 @@ type Collector struct {
 }
 
 // NewCollector creates the topics (2 partitions each, as a small Mofka
-// deployment would) and producers on the given log — a session's own bus
-// (a standalone broker or a sharded, replicated cluster), or, through
-// mofka.ServiceTopics, any mofka.Service: typically a mofkad on another
-// node, where analysis consumers run while the workflow executes. Producers
+// deployment would) and producers on the given log — a session's own bus,
+// a standalone broker or a sharded, replicated cluster. Producers
 // report degraded episodes (log unreachable, events buffering) back through
 // the collector, which records them on the warnings topic as
 // producer_degraded events.
@@ -55,7 +53,7 @@ func NewCollector(log mofka.TopicOpener, opts mofka.ProducerOptions) (*Collector
 		degradedSince:   make(map[string]sim.Time),
 		droppedReported: make(map[string]uint64),
 	}
-	for _, name := range AllTopics() {
+	for _, name := range provenance.AllTopics() {
 		t, err := log.EnsureTopic(mofka.TopicConfig{Name: name, Partitions: 2})
 		if err != nil {
 			return nil, fmt.Errorf("core: create topic %s: %w", name, err)
@@ -114,11 +112,11 @@ func (c *Collector) producerRecovered(topic string) {
 }
 
 func (c *Collector) pushWarning(w dask.Warning) {
-	c.push(TopicWarnings, provenance.AppendWarning(c.buf[:0], w))
+	c.push(provenance.TopicWarnings, provenance.AppendWarning(c.buf[:0], w))
 }
 
 func (c *Collector) pushSpeculation(ev dask.SpeculationEvent) {
-	c.push(TopicSpeculation, provenance.AppendSpeculation(c.buf[:0], ev))
+	c.push(provenance.TopicSpeculation, provenance.AppendSpeculation(c.buf[:0], ev))
 }
 
 // push publishes one event, encoded into c.buf by its caller. Structural
@@ -176,34 +174,34 @@ func graphDone(id int, at sim.Time) provenance.GraphEvent {
 type schedPlugin struct{ c *Collector }
 
 func (p *schedPlugin) TaskAdded(m dask.TaskMeta) {
-	p.c.push(TopicTaskMeta, provenance.AppendTaskMeta(p.c.buf[:0], m))
+	p.c.push(provenance.TopicTaskMeta, provenance.AppendTaskMeta(p.c.buf[:0], m))
 }
 func (p *schedPlugin) SchedulerTransition(t dask.Transition) {
-	p.c.push(TopicTransitions, provenance.AppendTransition(p.c.buf[:0], t))
+	p.c.push(provenance.TopicTransitions, provenance.AppendTransition(p.c.buf[:0], t))
 }
 func (p *schedPlugin) GraphDone(id int, at sim.Time) {
-	p.c.push(TopicGraphs, provenance.AppendGraphEvent(p.c.buf[:0], graphDone(id, at)))
+	p.c.push(provenance.TopicGraphs, provenance.AppendGraphEvent(p.c.buf[:0], graphDone(id, at)))
 }
 func (p *schedPlugin) Stolen(ev dask.StealEvent) {
-	p.c.push(TopicSteals, provenance.AppendSteal(p.c.buf[:0], ev))
+	p.c.push(provenance.TopicSteals, provenance.AppendSteal(p.c.buf[:0], ev))
 }
 func (p *schedPlugin) Speculation(ev dask.SpeculationEvent) { p.c.pushSpeculation(ev) }
 
 type workerPlugin struct{ c *Collector }
 
 func (p *workerPlugin) WorkerTransition(t dask.Transition) {
-	p.c.push(TopicTransitions, provenance.AppendTransition(p.c.buf[:0], t))
+	p.c.push(provenance.TopicTransitions, provenance.AppendTransition(p.c.buf[:0], t))
 }
 func (p *workerPlugin) TaskExecuted(rec dask.TaskExecution) {
-	p.c.push(TopicExecutions, provenance.AppendExecution(p.c.buf[:0], rec))
+	p.c.push(provenance.TopicExecutions, provenance.AppendExecution(p.c.buf[:0], rec))
 }
 func (p *workerPlugin) TransferReceived(rec dask.Transfer) {
-	p.c.push(TopicTransfers, provenance.AppendTransfer(p.c.buf[:0], rec))
+	p.c.push(provenance.TopicTransfers, provenance.AppendTransfer(p.c.buf[:0], rec))
 }
 func (p *workerPlugin) WorkerWarning(w dask.Warning) { p.c.pushWarning(w) }
 func (p *workerPlugin) Heartbeat(m dask.WorkerMetrics) {
-	p.c.push(TopicHeartbeats, provenance.AppendHeartbeat(p.c.buf[:0], m))
+	p.c.push(provenance.TopicHeartbeats, provenance.AppendHeartbeat(p.c.buf[:0], m))
 }
 func (p *workerPlugin) ProxyEvent(ev dask.ProxyEvent) {
-	p.c.push(TopicProxy, provenance.AppendProxyEvent(p.c.buf[:0], ev))
+	p.c.push(provenance.TopicProxy, provenance.AppendProxyEvent(p.c.buf[:0], ev))
 }

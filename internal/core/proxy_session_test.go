@@ -11,8 +11,8 @@ import (
 // anomalies topic only exists when online detection is enabled); the
 // deterministic-replay regression compares all of them.
 var proxyReplayTopics = []string{
-	TopicTaskMeta, TopicTransitions, TopicExecutions, TopicTransfers,
-	TopicWarnings, TopicHeartbeats, TopicSteals, TopicGraphs, TopicProxy,
+	provenance.TopicTaskMeta, provenance.TopicTransitions, provenance.TopicExecutions, provenance.TopicTransfers,
+	provenance.TopicWarnings, provenance.TopicHeartbeats, provenance.TopicSteals, provenance.TopicGraphs, provenance.TopicProxy,
 }
 
 // TestProxySessionDeterministicReplay: the same seeded session with the
@@ -47,7 +47,7 @@ func TestProxySessionDeterministicReplay(t *testing.T) {
 	}
 	// The proxy plane actually engaged: the streams being identical would be
 	// vacuous if nothing was proxied.
-	if n := len(drainJSON(t, a, TopicProxy)); n == 0 {
+	if n := len(drainJSON(t, a, provenance.TopicProxy)); n == 0 {
 		t.Fatal("no proxy events recorded")
 	}
 }
@@ -72,7 +72,7 @@ func TestProxyClusterChaosAcceptance(t *testing.T) {
 		if wf.graphErr != "" {
 			t.Fatalf("graph erred under %q: %s", chaosSpec, wf.graphErr)
 		}
-		evs, err := provenance.Drain(art.Broker, TopicProxy, provenance.DecodeProxyEvent)
+		evs, err := provenance.Drain(art.Broker, provenance.TopicProxy, provenance.DecodeProxyEvent)
 		if err != nil {
 			t.Fatal(err)
 		}

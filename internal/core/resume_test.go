@@ -112,7 +112,7 @@ func resumeTestSession(seed uint64) SessionConfig {
 // the output size of each key's latest record.
 func drainExecs(t *testing.T, art *RunArtifacts) (counts map[dask.TaskKey]int, sizes map[dask.TaskKey]int64) {
 	t.Helper()
-	metas, err := provenance.Drain(art.Broker, TopicExecutions, provenance.DecodeExecution)
+	metas, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestResumeEquivalence(t *testing.T) {
 			if art.Meta.Attempt != 2 || art.Meta.ResumedFrom != 1 {
 				t.Fatalf("metadata attempt = %d resumed_from = %d", art.Meta.Attempt, art.Meta.ResumedFrom)
 			}
-			warns, err := provenance.Drain(art.Broker, TopicWarnings, provenance.DecodeWarning)
+			warns, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"taskprov/internal/darshan"
 	"taskprov/internal/dask"
 	"taskprov/internal/live"
-	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
 	mcluster "taskprov/internal/mofka/cluster"
 	"taskprov/internal/mofka/wal"
@@ -80,13 +78,6 @@ type SessionConfig struct {
 	// attempt fencing. When Enabled it overrides Dask.Speculation; every
 	// decision lands on the "speculation" provenance topic.
 	Speculation dask.SpeculationConfig
-
-	// RetryBudget is the per-run allowance of Mercury RPC retries handed to
-	// every caller the session wraps (WrapCaller): under a gray failure the
-	// adaptive retry policy spends at most this many extra calls run-wide,
-	// then degrades to clean errors. 0 means DefaultRetryBudget; negative
-	// grants none.
-	RetryBudget int
 
 	// MofkaDataDir, when set, backs the run's broker with the durable
 	// segmented event log rooted there (internal/mofka/wal): every
@@ -192,6 +183,9 @@ func (cfg SessionConfig) Validate() error {
 		if sp.MinRuntime < 0 || sp.Interval < 0 {
 			return fmt.Errorf("core: negative speculation duration (min_runtime=%v interval=%v)", sp.MinRuntime, sp.Interval)
 		}
+	}
+	if _, err := chaos.Parse(cfg.ChaosSpec); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if cfg.ResumeFrom != "" {
 		if cfg.DisableCollection {
@@ -324,9 +318,6 @@ type Session struct {
 
 	frontier       *frontierPlugin
 	stopCheckpoint func()
-
-	retryBudget  *mercury.RetryBudget
-	retryEngaged bool
 
 	attempt     int
 	resumedFrom int
@@ -623,7 +614,7 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 		}
 		meta := s.buildMeta(0, 0)
 		p := filepath.Join(cfg.MofkaDataDir, "metadata.json")
-		if err := os.WriteFile(p, EncodeMetadata(meta), 0o644); err != nil {
+		if err := wal.WriteFileAtomic(p, EncodeMetadata(meta)); err != nil {
 			return nil, fmt.Errorf("core: persist metadata: %w", err)
 		}
 	}
@@ -777,7 +768,7 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 			return nil, err
 		}
 		p := filepath.Join(cfg.MofkaDataDir, "metadata.json")
-		if err := os.WriteFile(p, EncodeMetadata(art.Meta), 0o644); err != nil {
+		if err := wal.WriteFileAtomic(p, EncodeMetadata(art.Meta)); err != nil {
 			return nil, fmt.Errorf("core: persist metadata: %w", err)
 		}
 		if err := art.WriteDarshanLogs(cfg.MofkaDataDir); err != nil {
@@ -829,9 +820,6 @@ func (s *Session) buildMeta(start, end sim.Time) RunMetadata {
 		m.Instrumentation.SpeculationMax = sp.MaxConcurrent
 		m.Instrumentation.SpeculationQuantile = sp.Quantile
 		m.Instrumentation.SpeculationBudget = sp.Budget
-	}
-	if n := s.retryBudgetSize(); n > 0 {
-		m.Instrumentation.RetryBudget = n
 	}
 	if s.attempt > 1 {
 		m.Attempt = s.attempt
@@ -963,7 +951,7 @@ func (a *RunArtifacts) TotalPosixOps() int64 {
 // TotalCommunications counts incoming inter-worker transfers — Table I's
 // "Communications".
 func (a *RunArtifacts) TotalCommunications() (int64, error) {
-	t, err := a.Broker.OpenTopic(TopicTransfers)
+	t, err := a.Broker.OpenTopic(provenance.TopicTransfers)
 	if err != nil {
 		return 0, err
 	}
@@ -985,7 +973,7 @@ func (a *RunArtifacts) DistinctFiles() int {
 // DistinctTasks counts tasks registered at the scheduler — Table I's
 // "Distinct tasks".
 func (a *RunArtifacts) DistinctTasks() (int, error) {
-	metas, err := provenance.Drain(a.Broker, TopicTaskMeta, provenance.DecodeTaskMeta)
+	metas, err := provenance.Drain(a.Broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta)
 	if err != nil {
 		return 0, err
 	}
@@ -1000,7 +988,7 @@ func (a *RunArtifacts) DistinctTasks() (int, error) {
 // graphs". Distinct by graph ID: a resumed run's merged stream can carry a
 // graph's done event from more than one attempt.
 func (a *RunArtifacts) TaskGraphs() (int, error) {
-	graphs, err := provenance.Drain(a.Broker, TopicGraphs, provenance.DecodeGraphEvent)
+	graphs, err := provenance.Drain(a.Broker, provenance.TopicGraphs, provenance.DecodeGraphEvent)
 	if err != nil {
 		return 0, err
 	}

@@ -1,15 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
-	"taskprov/internal/chaos"
 	"taskprov/internal/dask"
-	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
@@ -61,7 +57,7 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 	if wf.graphErr != "" {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
-	evs, err := provenance.Drain(art.Broker, TopicSpeculation, provenance.DecodeSpeculation)
+	evs, err := provenance.Drain(art.Broker, provenance.TopicSpeculation, provenance.DecodeSpeculation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +68,7 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 // bytes from the run's proxy event stream (publish minus free/reclaim).
 func proxyFinalResident(t *testing.T, art *RunArtifacts) int64 {
 	t.Helper()
-	metas, err := provenance.Drain(art.Broker, TopicProxy, provenance.DecodeProxyEvent)
+	metas, err := provenance.Drain(art.Broker, provenance.TopicProxy, provenance.DecodeProxyEvent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +131,7 @@ func TestBrownoutSpeculationAcceptance(t *testing.T) {
 
 	// Zero duplicate side effects: exactly one winning execution record per
 	// task key — a cancelled loser never reports its execution.
-	metas, err := provenance.Drain(hedged.Broker, TopicExecutions, provenance.DecodeExecution)
+	metas, err := provenance.Drain(hedged.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +191,7 @@ func TestHeartbeatJitterDesynchronizesMultiRestart(t *testing.T) {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
 
-	metas, err := provenance.Drain(art.Broker, TopicHeartbeats, provenance.DecodeHeartbeat)
+	metas, err := provenance.Drain(art.Broker, provenance.TopicHeartbeats, provenance.DecodeHeartbeat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,87 +222,6 @@ func TestHeartbeatJitterDesynchronizesMultiRestart(t *testing.T) {
 		if len(ws) > 1 {
 			t.Errorf("synchronized post-restart heartbeats at %v from %v", at, ws)
 		}
-	}
-}
-
-// TestRetryStormBoundedUnderChaos points the session's adaptive retry layer
-// at an endpoint whose every call is chaos-dropped: total retries must stay
-// within the configured per-run budget, every call must fail cleanly (with
-// both the budget sentinel and the underlying timeout observable), the storm
-// must land on the speculation provenance topic, and nothing hangs.
-func TestRetryStormBoundedUnderChaos(t *testing.T) {
-	const budget = 5
-	cfg := testSession(9)
-	cfg.RetryBudget = budget
-	s, err := NewSession(cfg, &toyWorkflow{files: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reg := mercury.NewRegistry()
-	reg.Listen("badnode").Register("echo", func(req []byte) ([]byte, error) { return req, nil })
-	plan, err := chaos.Parse("rpc addr=badnode op=drop count=1000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos.NewController(plan).ArmRegistry(reg)
-
-	rc := s.WrapCaller(reg.Bind("badnode"), "badnode")
-	rc.Sleep = func(time.Duration) {}
-
-	var lastErr error
-	for i := 0; i < 10; i++ {
-		if _, lastErr = rc.Call("echo", nil); lastErr == nil {
-			t.Fatal("call through a total brownout succeeded")
-		}
-	}
-	st := rc.Stats()
-	if st.Retries > budget {
-		t.Fatalf("retries %d exceed budget %d", st.Retries, budget)
-	}
-	if st.BudgetDenied == 0 {
-		t.Fatal("budget never denied a retry — storm was not bounded by the budget")
-	}
-	if s.RetryBudgetRemaining() != 0 {
-		t.Fatalf("budget remaining %d after storm", s.RetryBudgetRemaining())
-	}
-	if !errors.Is(lastErr, mercury.ErrRetryBudgetExhausted) {
-		t.Fatalf("budget sentinel not surfaced: %v", lastErr)
-	}
-	if !errors.Is(lastErr, mercury.ErrTimeout) {
-		t.Fatalf("underlying timeout not surfaced: %v", lastErr)
-	}
-
-	// The storm is part of the run's record: finish the (fault-free)
-	// workflow and drain the speculation topic.
-	art, err := s.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	metas, err := provenance.Drain(art.Broker, TopicSpeculation, provenance.DecodeSpeculation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var retries, denied int64
-	for _, ev := range metas {
-		switch ev.Kind {
-		case dask.SpecRetry:
-			retries++
-			if ev.Primary != "badnode" || ev.Detail == "" {
-				t.Errorf("retry event incomplete: %+v", ev)
-			}
-		case dask.SpecBudgetExhausted:
-			denied++
-		}
-	}
-	if retries != st.Retries {
-		t.Errorf("provenance records %d retries, caller stats say %d", retries, st.Retries)
-	}
-	if denied != st.BudgetDenied {
-		t.Errorf("provenance records %d budget denials, caller stats say %d", denied, st.BudgetDenied)
-	}
-	if n := art.Meta.Instrumentation.RetryBudget; n != budget {
-		t.Errorf("metadata retry budget = %d, want %d", n, budget)
 	}
 }
 

@@ -173,9 +173,6 @@ func NewRuntime(cfg Config) *Runtime {
 
 var _ posixio.Tracer = (*Runtime)(nil)
 
-// Config returns the runtime's configuration.
-func (r *Runtime) Config() Config { return r.cfg }
-
 // record returns the file's record, creating it if the record table has
 // room. It returns nil once the table is full (the operation goes
 // unobserved, as in Darshan when its record memory is exhausted).
@@ -324,35 +321,6 @@ func (r *Runtime) CloseEvent(rec posixio.OpRecord) {
 	if ts := rec.End.Seconds(); ts > fr.Counters.CloseEnd {
 		fr.Counters.CloseEnd = ts
 	}
-}
-
-// Totals reports process-wide operation counts.
-func (r *Runtime) Totals() (opens, reads, writes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.totalOpens, r.totalReads, r.totalWrites
-}
-
-// DXTSamplingActive reports whether adaptive sampling has engaged.
-func (r *Runtime) DXTSamplingActive() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dxtSampling
-}
-
-// DXTDropped reports how many trace segments were lost to the buffer limit.
-func (r *Runtime) DXTDropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dxtDropped
-}
-
-// RecordsDropped reports operations lost because the file record table was
-// full.
-func (r *Runtime) RecordsDropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.recordsDropped
 }
 
 // Snapshot produces the immutable log of everything recorded so far, sorted

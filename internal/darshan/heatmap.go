@@ -65,18 +65,6 @@ func (h *Heatmap) fold() {
 	h.BinSeconds *= 2
 }
 
-// TotalBytes returns the cumulative read and write bytes.
-func (h *Heatmap) TotalBytes() (read, write int64) {
-	for i := range h.ReadBytes {
-		read += h.ReadBytes[i]
-		write += h.WriteBytes[i]
-	}
-	return read, write
-}
-
-// Span returns the covered time range in seconds.
-func (h *Heatmap) Span() float64 { return h.BinSeconds * float64(len(h.ReadBytes)) }
-
 // clone deep-copies the heatmap.
 func (h *Heatmap) clone() *Heatmap {
 	if h == nil {

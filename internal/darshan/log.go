@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 )
 
 // Op is a DXT operation type.
@@ -57,16 +59,6 @@ type Log struct {
 	Job     JobHeader
 	Records []FileRecord
 	Heatmap *Heatmap // nil when the HEATMAP module was disabled
-}
-
-// Record returns the record for path, if present.
-func (l *Log) Record(path string) (FileRecord, bool) {
-	for _, r := range l.Records {
-		if r.Path == path {
-			return r, true
-		}
-	}
-	return FileRecord{}, false
 }
 
 // TotalOps sums reads+writes across all records from the POSIX counters
@@ -256,6 +248,29 @@ func (rd *reader) str() string {
 }
 func (rd *reader) bool() bool { return rd.u8() != 0 }
 
+// ReadDir parses every *.darshan log in dir, in file-name (so rank) order. A
+// directory that does not exist holds no logs.
+func ReadDir(dir string) ([]*Log, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.darshan"))
+	if err != nil {
+		return nil, err
+	}
+	var logs []*Log
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			return nil, err
+		}
+		l, err := ReadLog(f)
+		_ = f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("darshan: %s: %w", p, err)
+		}
+		logs = append(logs, l)
+	}
+	return logs, nil
+}
+
 // maxRecords guards against corrupt record counts during parsing.
 const maxRecords = 1 << 22
 
@@ -290,13 +305,13 @@ func ReadLog(r io.Reader) (*Log, error) {
 		if nb > maxRecords {
 			return nil, fmt.Errorf("%w: implausible heatmap bins %d", ErrBadLog, nb)
 		}
-		h.ReadBytes = make([]int64, nb)
-		h.WriteBytes = make([]int64, nb)
-		for i := range h.ReadBytes {
-			h.ReadBytes[i] = rd.i64()
+		// Grown as the bins arrive, not sized from the count: a few corrupt
+		// bytes must not allocate megabytes.
+		for i := uint32(0); i < nb && rd.err == nil; i++ {
+			h.ReadBytes = append(h.ReadBytes, rd.i64())
 		}
-		for i := range h.WriteBytes {
-			h.WriteBytes[i] = rd.i64()
+		for i := uint32(0); i < nb && rd.err == nil; i++ {
+			h.WriteBytes = append(h.WriteBytes, rd.i64())
 		}
 		l.Heatmap = h
 	}

@@ -101,7 +101,7 @@ func TestHedgeOnDeadWorkerLosesNoTask(t *testing.T) {
 				t.Errorf("execution records %v, but the scheduler took results %v", execs, finished)
 			}
 			for k := range execs {
-				if st := env.c.Scheduler().TaskState(k); st != StateMemory {
+				if st := env.c.scheduler.TaskState(k); st != StateMemory {
 					t.Errorf("%s ended in %q, want memory", k, st)
 				}
 			}
@@ -274,7 +274,7 @@ func TestRandomDAGsSurvivePairedFaultsWithSpeculation(t *testing.T) {
 							cfg = proxyCfg(1 << 17)
 						}
 						tr := newHedgedTrial(seed, cfg)
-						ranks := gen.Perm(len(tr.env.c.Workers()))
+						ranks := perm(gen, len(tr.env.c.Workers()))
 						tr.run(t, g, func(start sim.Time) sim.Time {
 							last := first.arm(tr, gen, ranks[0], start)
 							if l := second.arm(tr, gen, ranks[1], start); l > last {

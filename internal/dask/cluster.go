@@ -76,14 +76,8 @@ func (c *Cluster) Config() Config { return c.cfg }
 // Client returns the cluster's client handle.
 func (c *Cluster) Client() *Client { return c.client }
 
-// Scheduler returns the scheduler handle.
-func (c *Cluster) Scheduler() *Scheduler { return c.scheduler }
-
 // Workers returns the workers in rank order.
 func (c *Cluster) Workers() []*Worker { return c.workers }
-
-// FS returns the POSIX layer workers perform I/O through (may be nil).
-func (c *Cluster) FS() *posixio.FS { return c.fs }
 
 // AddSchedulerPlugin attaches a scheduler observer. Must be called before
 // Start.

@@ -47,7 +47,11 @@ type testEnv struct {
 
 func newEnv(seed uint64, cfg Config) *testEnv {
 	k := sim.NewKernel(seed)
-	pcfg := platform.Small()
+	pcfg := platform.Polaris()
+	pcfg.Name = "test-sim"
+	pcfg.Nodes = 2
+	pcfg.CoresPerNode = 8
+	pcfg.Switches = 2
 	pcfg.NodeSpeedCV = 0
 	plat := platform.New(k, pcfg)
 	fcfg := pfs.Lustre()
@@ -107,7 +111,7 @@ func TestDiamondExecutes(t *testing.T) {
 		t.Fatalf("graphsDone = %v", env.rec.graphsDone)
 	}
 	// join must be scheduled in memory.
-	if !env.c.Scheduler().HasInMemory("join-04") {
+	if !env.c.scheduler.HasInMemory("join-04") {
 		t.Fatal("join result not in memory")
 	}
 	// Execution respects dependencies: join starts after left & right stop.
@@ -340,11 +344,11 @@ func TestWorkStealingMovesQueuedTasks(t *testing.T) {
 	env.runWorkflow(func(p *sim.Proc, cl *Client) {
 		cl.SubmitAndWait(p, g)
 	})
-	if env.c.Scheduler().Steals() == 0 {
+	if env.c.scheduler.stealCount == 0 {
 		t.Fatal("no work stealing on a pathologically imbalanced graph")
 	}
-	if len(env.rec.steals) != env.c.Scheduler().Steals() {
-		t.Fatalf("plugin steals = %d, scheduler = %d", len(env.rec.steals), env.c.Scheduler().Steals())
+	if len(env.rec.steals) != env.c.scheduler.stealCount {
+		t.Fatalf("plugin steals = %d, scheduler = %d", len(env.rec.steals), env.c.scheduler.stealCount)
 	}
 	// Every task still ran exactly once.
 	seen := map[TaskKey]int{}
@@ -376,7 +380,7 @@ func TestStealingDisabled(t *testing.T) {
 	env.runWorkflow(func(p *sim.Proc, cl *Client) {
 		cl.SubmitAndWait(p, g)
 	})
-	if env.c.Scheduler().Steals() != 0 {
+	if env.c.scheduler.stealCount != 0 {
 		t.Fatal("stealing occurred while disabled")
 	}
 }
@@ -397,7 +401,7 @@ func TestMultiGraphCrossDependency(t *testing.T) {
 		g2.AddExternal("train-data-01")
 		cl.SubmitAndWait(p, g2)
 	})
-	if !env.c.Scheduler().HasInMemory("model-01") {
+	if !env.c.scheduler.HasInMemory("model-01") {
 		t.Fatal("second graph result missing")
 	}
 	if len(env.rec.graphsDone) != 2 {
@@ -481,7 +485,7 @@ func TestTaskIOThroughContext(t *testing.T) {
 	env.runWorkflow(func(p *sim.Proc, cl *Client) {
 		cl.SubmitAndWait(p, g)
 	})
-	file := env.c.FS().PFS().Lookup("/lus/out/data.bin")
+	file := env.c.fs.PFS().Lookup("/lus/out/data.bin")
 	if file == nil || file.Size != 4<<20 {
 		t.Fatalf("file = %+v", file)
 	}
@@ -520,7 +524,7 @@ func TestRefcountReleaseFreesWorkerMemory(t *testing.T) {
 	})
 	var totalMem int64
 	for _, w := range env.c.Workers() {
-		totalMem += w.MemoryBytes()
+		totalMem += w.memBytes
 	}
 	// Only the 8-byte output should remain (transfers may duplicate it).
 	if totalMem > 1<<20 {
@@ -590,7 +594,7 @@ func TestRootTaskWithholding(t *testing.T) {
 	env.k.Go(func(p *sim.Proc) {
 		for i := 0; i < 200; i++ {
 			p.Sleep(sim.Milliseconds(100))
-			for _, wh := range env.c.Scheduler().workers {
+			for _, wh := range env.c.scheduler.workers {
 				if n := len(wh.processing); n > maxAssigned {
 					maxAssigned = n
 				}
@@ -600,7 +604,7 @@ func TestRootTaskWithholding(t *testing.T) {
 	env.runWorkflow(func(p *sim.Proc, cl *Client) {
 		cl.SubmitAndWait(p, g)
 	})
-	limit := env.c.Scheduler().saturationLimit()
+	limit := env.c.scheduler.saturationLimit()
 	if maxAssigned > limit {
 		t.Fatalf("worker held %d assigned root tasks, limit %d", maxAssigned, limit)
 	}
@@ -653,7 +657,7 @@ func TestStealBatchingKeepsAccounting(t *testing.T) {
 	env.runWorkflow(func(p *sim.Proc, cl *Client) {
 		cl.SubmitAndWait(p, g)
 	})
-	s := env.c.Scheduler()
+	s := env.c.scheduler
 	// All in-flight steal accounting must have drained.
 	if len(s.stealing) != 0 {
 		t.Fatalf("stealing map not drained: %v", s.stealing)

@@ -27,7 +27,7 @@ func TestTaskFailureMarksGraphErred(t *testing.T) {
 			t.Errorf("error = %q", cl.GraphError(1))
 		}
 	})
-	s := env.c.Scheduler()
+	s := env.c.scheduler
 	if s.TaskState("boom-02") != StateErred {
 		t.Fatalf("boom state = %s", s.TaskState("boom-02"))
 	}
@@ -70,7 +70,7 @@ func TestTaskRetriesThenSucceeds(t *testing.T) {
 	if attempts != 3 {
 		t.Fatalf("attempts = %d, want 3", attempts)
 	}
-	if !env.c.Scheduler().HasInMemory("flaky-01") {
+	if !env.c.scheduler.HasInMemory("flaky-01") {
 		t.Fatal("retried task not in memory")
 	}
 	// The retry stimuli appear in the scheduler transition stream.
@@ -130,7 +130,7 @@ func TestFailureDoesNotLeakThreads(t *testing.T) {
 	for _, w := range env.c.Workers() {
 		if len(w.freeThreads) != env.c.Config().ThreadsPerWorker {
 			t.Fatalf("worker %d has %d free threads, want %d",
-				w.Rank(), len(w.freeThreads), env.c.Config().ThreadsPerWorker)
+				w.rank, len(w.freeThreads), env.c.Config().ThreadsPerWorker)
 		}
 	}
 }

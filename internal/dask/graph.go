@@ -269,18 +269,6 @@ func sortKeys(ks []TaskKey) {
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 }
 
-// Roots returns tasks with no dependencies, sorted.
-func (g *Graph) Roots() []TaskKey {
-	var out []TaskKey
-	for k, t := range g.tasks {
-		if len(t.Deps) == 0 {
-			out = append(out, k)
-		}
-	}
-	sortKeys(out)
-	return out
-}
-
 // Leaves returns tasks with no dependents, sorted. These are the graph's
 // outputs, which stay in distributed memory until the client releases them.
 func (g *Graph) Leaves() []TaskKey {

@@ -94,8 +94,8 @@ func TestRandomDAGsScheduleCorrectly(t *testing.T) {
 
 		// Every leaf ends in scheduler-side memory.
 		for _, k := range g.Leaves() {
-			if env.c.Scheduler().TaskState(k) != StateMemory {
-				t.Fatalf("seed %d: leaf %s in state %s", seed, k, env.c.Scheduler().TaskState(k))
+			if env.c.scheduler.TaskState(k) != StateMemory {
+				t.Fatalf("seed %d: leaf %s in state %s", seed, k, env.c.scheduler.TaskState(k))
 			}
 		}
 	}
@@ -124,6 +124,18 @@ func TestRandomDAGDeterminism(t *testing.T) {
 	}
 }
 
+// roots lists a graph's tasks with no dependencies, sorted.
+func roots(g *Graph) []TaskKey {
+	var out []TaskKey
+	for k, t := range g.tasks {
+		if len(t.Deps) == 0 {
+			out = append(out, k)
+		}
+	}
+	sortKeys(out)
+	return out
+}
+
 // TestRandomDAGWithIO mixes I/O-performing tasks into random DAGs and
 // checks Darshan-visible effects stay consistent with execution.
 func TestRandomDAGWithIO(t *testing.T) {
@@ -132,7 +144,8 @@ func TestRandomDAGWithIO(t *testing.T) {
 	env := newEnv(seed, smallCfg())
 	g := randomDAG(1, gen, 4, 6)
 	// Augment: every root also writes a file.
-	for i, k := range g.Roots() {
+	rootKeys := roots(g)
+	for i, k := range rootKeys {
 		spec, _ := g.Task(k)
 		path := fmt.Sprintf("/lus/prop/out-%02d", i)
 		inner := spec.EstDuration
@@ -150,10 +163,9 @@ func TestRandomDAGWithIO(t *testing.T) {
 	env.runWorkflow(func(p *sim.Proc, cl *Client) {
 		cl.SubmitAndWait(p, g)
 	})
-	roots := len(g.Roots())
-	files := env.c.FS().PFS().List("/lus/prop")
-	if len(files) != roots {
-		t.Fatalf("files = %d, want %d", len(files), roots)
+	files := env.c.fs.PFS().List("/lus/prop")
+	if len(files) != len(rootKeys) {
+		t.Fatalf("files = %d, want %d", len(files), len(rootKeys))
 	}
 }
 
@@ -216,7 +228,7 @@ func TestRandomDAGsSurviveWorkerKills(t *testing.T) {
 			// few seconds later so per-task retry budgets are never exhausted
 			// (a task can lose its worker at most once per victim).
 			kills := gen.IntBetween(1, 2)
-			ranks := gen.Perm(len(env.c.Workers()))[:kills]
+			ranks := perm(gen, len(env.c.Workers()))[:kills]
 			var lastRestart sim.Time
 			for _, r := range ranks {
 				r := r
@@ -246,13 +258,13 @@ func TestRandomDAGsSurviveWorkerKills(t *testing.T) {
 				}
 			})
 
-			sched := env.c.Scheduler()
+			sched := env.c.scheduler
 			for _, k := range g.Keys() {
 				switch st := sched.TaskState(k); st {
 				case StateMemory:
 					holders := 0
 					for _, w := range env.c.Workers() {
-						if w.Alive() && w.HasData(k) {
+						if w.alive && w.HasData(k) {
 							holders++
 						}
 					}
@@ -276,7 +288,7 @@ func TestRandomDAGsSurviveWorkerKills(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if w := env.c.Workers()[ref.Owner]; !w.Alive() {
+				if w := env.c.Workers()[ref.Owner]; !w.alive {
 					t.Errorf("blob %s owned by dead worker %d", key, ref.Owner)
 				}
 			}
@@ -405,13 +417,13 @@ func (tr *hedgedTrial) check(t *testing.T, g *Graph) (launched int) {
 	env, killed := tr.env, tr.killed
 
 	// No task stranded; every in-memory key has a live holder.
-	sched := env.c.Scheduler()
+	sched := env.c.scheduler
 	for _, k := range g.Keys() {
 		switch st := sched.TaskState(k); st {
 		case StateMemory:
 			holders := 0
 			for _, w := range env.c.Workers() {
-				if w.Alive() && w.HasData(k) {
+				if w.alive && w.HasData(k) {
 					holders++
 				}
 			}
@@ -483,7 +495,7 @@ func (tr *hedgedTrial) check(t *testing.T, g *Graph) (launched int) {
 		if !ok {
 			continue
 		}
-		if w := env.c.Workers()[ref.Owner]; !w.Alive() {
+		if w := env.c.Workers()[ref.Owner]; !w.alive {
 			t.Errorf("blob %s owned by dead worker %d", key, ref.Owner)
 		}
 	}
@@ -529,7 +541,7 @@ func TestRandomDAGsSurviveBrownoutsWithSpeculation(t *testing.T) {
 			// One or two workers brown out at random times by 4-10x; some
 			// heal, some stay degraded for the rest of the run.
 			slows := gen.IntBetween(1, 2)
-			ranks := gen.Perm(len(env.c.Workers()))
+			ranks := perm(gen, len(env.c.Workers()))
 			var lastEvent sim.Time
 			for i := 0; i < slows; i++ {
 				r := ranks[i]

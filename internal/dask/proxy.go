@@ -113,15 +113,6 @@ func (pp *proxyPlane) reclaimWorker(rank int, addr string) (blobs int, bytes int
 	return len(refs), bytes
 }
 
-// ProxyStore exposes the cluster's pass-by-reference store (nil when
-// disabled) for tests and session artifacts.
-func (c *Cluster) ProxyStore() *proxystore.Store {
-	if c.proxy == nil {
-		return nil
-	}
-	return c.proxy.store
-}
-
 // ProxyStats returns a snapshot of proxy-store counters (zero when the
 // store is disabled).
 func (c *Cluster) ProxyStats() proxystore.Stats {

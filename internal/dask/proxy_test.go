@@ -159,7 +159,7 @@ func TestProxyCrashRecovers(t *testing.T) {
 			t.Errorf("graph erred: %s", e)
 		}
 	})
-	if !env.c.Scheduler().HasInMemory("sink-00") {
+	if !env.c.scheduler.HasInMemory("sink-00") {
 		t.Fatal("sink result missing")
 	}
 

@@ -225,11 +225,12 @@ const (
 	// SpecPromoted: the primary attempt's worker died while a duplicate was
 	// in flight; the duplicate was promoted to sole attempt.
 	SpecPromoted = "promoted"
-	// SpecRetry: one RPC retry under the adaptive retry policy (produced by
-	// the session's retry observer, not the scheduler).
+	// SpecRetry: one RPC retry under the adaptive retry policy of the Mercury
+	// retry layer. That layer is gone and nothing emits the kind any more;
+	// it stays in the vocabulary because logs written by older builds carry it.
 	SpecRetry = "retry"
 	// SpecBudgetExhausted: a retry was denied because the per-run retry
-	// budget drained; the call surfaced a clean error instead of storming.
+	// budget drained. Read side only, like SpecRetry.
 	SpecBudgetExhausted = "budget_exhausted"
 )
 

@@ -57,9 +57,9 @@ func TestWorkerCrashRecovers(t *testing.T) {
 		}
 	})
 
-	s := env.c.Scheduler()
-	if s.LostWorkers() != 1 {
-		t.Fatalf("LostWorkers = %d, want 1", s.LostWorkers())
+	s := env.c.scheduler
+	if s.lostCount != 1 {
+		t.Fatalf("LostWorkers = %d, want 1", s.lostCount)
 	}
 	if !s.HasInMemory("sink-00") {
 		t.Fatal("sink result missing")
@@ -117,7 +117,7 @@ func TestLostKeyRecomputed(t *testing.T) {
 	if recomputed == 0 {
 		t.Fatal("key_recomputed warned but no task executed twice")
 	}
-	if !env.c.Scheduler().HasInMemory("sink-00") {
+	if !env.c.scheduler.HasInMemory("sink-00") {
 		t.Fatal("sink result missing")
 	}
 }
@@ -165,7 +165,7 @@ func TestRepeatedCrashMarksTaskErred(t *testing.T) {
 	cfg.AllowedFailures = 1
 	env := newEnv(3, cfg)
 	victim := 1
-	addr := workerAddr(env.c.Workers()[victim].Hostname(), victim)
+	addr := workerAddr(env.c.Workers()[victim].node.Hostname, victim)
 
 	g := NewGraph(1)
 	g.Add(&TaskSpec{
@@ -183,7 +183,7 @@ func TestRepeatedCrashMarksTaskErred(t *testing.T) {
 			t.Error("graph error not surfaced for repeatedly crashed task")
 		}
 	})
-	if st := env.c.Scheduler().TaskState("pinned-01"); st != StateErred {
+	if st := env.c.scheduler.TaskState("pinned-01"); st != StateErred {
 		t.Fatalf("pinned task state = %s, want erred", st)
 	}
 }
@@ -222,7 +222,7 @@ func TestCrashWithStealingRetries(t *testing.T) {
 			t.Errorf("graph erred: %s", e)
 		}
 	})
-	if !env.c.Scheduler().HasInMemory("gather-00") {
+	if !env.c.scheduler.HasInMemory("gather-00") {
 		t.Fatal("gather result missing")
 	}
 	for i := 0; i < 24; i += 6 {
@@ -261,7 +261,7 @@ func TestCrashPropertyResultsMatchBaseline(t *testing.T) {
 			})
 			o := outcome{leaves: make(map[TaskKey]bool), err: errMsg}
 			for _, k := range g.Leaves() {
-				o.leaves[k] = env.c.Scheduler().HasInMemory(k)
+				o.leaves[k] = env.c.scheduler.HasInMemory(k)
 			}
 			return o
 		}

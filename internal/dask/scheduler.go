@@ -214,24 +214,6 @@ func (s *Scheduler) registerWorkers(ws []*Worker) {
 	}
 }
 
-// Steals reports how many tasks were successfully work-stolen so far.
-func (s *Scheduler) Steals() int { return s.stealCount }
-
-// TaskState reports the scheduler-side state of a task ("" if unknown).
-func (s *Scheduler) TaskState(k TaskKey) TaskState {
-	ts, ok := s.tasks[k]
-	if !ok {
-		return ""
-	}
-	return ts.state
-}
-
-// HasInMemory reports whether the task's result is in distributed memory.
-func (s *Scheduler) HasInMemory(k TaskKey) bool {
-	ts, ok := s.tasks[k]
-	return ok && ts.state == StateMemory
-}
-
 func (s *Scheduler) start() {
 	if s.started {
 		return
@@ -320,9 +302,6 @@ func (s *Scheduler) emitRecovery(kind WarningKind, worker, hostname, msg string)
 		p.WorkerWarning(w)
 	}
 }
-
-// LostWorkers reports how many worker evictions the scheduler performed.
-func (s *Scheduler) LostWorkers() int { return s.lostCount }
 
 // evictWorker removes a dead worker from the cluster's working set: its SSG
 // membership is dropped, its in-memory replicas are forgotten (keys whose

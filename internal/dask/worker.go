@@ -106,12 +106,6 @@ func newWorker(c *Cluster, rank int, node *platform.Node, tracer posixio.Tracer)
 // Addr returns the worker's Dask-style address.
 func (w *Worker) Addr() string { return w.addr }
 
-// Rank returns the worker's index within the cluster.
-func (w *Worker) Rank() int { return w.rank }
-
-// Hostname returns the hostname of the node the worker runs on.
-func (w *Worker) Hostname() string { return w.node.Hostname }
-
 // ThreadID returns the global "pthread ID" of the worker's thread slot,
 // unique across the whole job so Darshan DXT records can be joined
 // unambiguously.
@@ -119,18 +113,11 @@ func (w *Worker) ThreadID(slot int) uint64 {
 	return uint64((w.rank+1)*1000 + slot)
 }
 
-// MemoryBytes reports bytes of task results currently held.
-func (w *Worker) MemoryBytes() int64 { return w.memBytes }
-
 // HasData reports whether the worker holds key's result.
 func (w *Worker) HasData(key TaskKey) bool {
 	_, ok := w.data[key]
 	return ok
 }
-
-// Alive reports whether the worker process is up (true unless killed by
-// fault injection and not yet restarted).
-func (w *Worker) Alive() bool { return w.alive }
 
 // start connects to the scheduler and begins heartbeats.
 func (w *Worker) start() {
@@ -746,8 +733,3 @@ func (ctx *TaskContext) Measure(fn func()) {
 	}
 	ctx.proc.Sleep(sim.Time(elapsed))
 }
-
-// Fail marks the task as failed with the given message; the body should
-// return promptly afterwards. The scheduler will retry the task up to its
-// MaxRetries before marking it erred.
-func (ctx *TaskContext) Fail(msg string) { ctx.failure = msg }

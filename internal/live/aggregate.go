@@ -147,7 +147,8 @@ type ProxyStats struct {
 // SpeculationStats aggregates the speculation provenance topic: the hedged
 // execution lane (duplicate attempts launched, winners, cancelled and failed
 // losers, promotions) plus the adaptive-retry lane (retries sent, budget
-// denials). Counters commute; WastedSeconds — the virtual time cancelled
+// denials — only logs of builds that had a Mercury retry layer carry those;
+// the fields stay so their summaries keep their shape). Counters commute; WastedSeconds — the virtual time cancelled
 // losing attempts had been running — is summed per (topic, partition) lane so
 // the figure is deterministic regardless of consumption order.
 type SpeculationStats struct {
@@ -726,15 +727,6 @@ func (a *Aggregator) IngestDarshanLog(l *darshan.Log) {
 		}
 	}
 	a.raise(raised)
-}
-
-// IngestIOSegment feeds one I/O trace segment (worker label, byte length,
-// end time) into the windows and the bandwidth-collapse detector without
-// touching the cumulative counter totals. It exists for live sources that
-// stream I/O observations before a full Darshan log is available.
-func (a *Aggregator) IngestIOSegment(worker string, bytes int64, end float64) {
-	a.mu.Lock()
-	a.raise(a.ingestIOSegmentLocked(worker, bytes, end))
 }
 
 func (a *Aggregator) ingestIOSegmentLocked(worker string, bytes int64, end float64) []Anomaly {

@@ -7,7 +7,6 @@ import (
 
 	"taskprov/internal/dask"
 	"taskprov/internal/mofka"
-	"taskprov/internal/provenance"
 )
 
 // Anomaly kinds raised by the online detectors.
@@ -34,18 +33,6 @@ func (a Anomaly) Event() mofka.Metadata {
 	return mofka.Metadata{
 		"kind": a.Kind, "subject": a.Subject, "at": a.At,
 		"value": a.Value, "limit": a.Limit, "detail": a.Detail,
-	}
-}
-
-// ParseAnomaly decodes metadata written by Anomaly.Event.
-func ParseAnomaly(m mofka.Metadata) Anomaly {
-	return Anomaly{
-		Kind:    provenance.Str(m, "kind"),
-		Subject: provenance.Str(m, "subject"),
-		At:      provenance.Num(m, "at"),
-		Value:   provenance.Num(m, "value"),
-		Limit:   provenance.Num(m, "limit"),
-		Detail:  provenance.Str(m, "detail"),
 	}
 }
 

@@ -90,20 +90,11 @@ func ReplayDataDir(dir string, opts AggregatorOptions) (Summary, error) {
 		agg.SetMeta(meta.Workflow, meta.Seed, slots)
 		agg.SetWall(meta.WallSeconds)
 	}
-	logs, err := filepath.Glob(filepath.Join(dir, "darshan", "*.darshan"))
+	logs, err := darshan.ReadDir(filepath.Join(dir, "darshan"))
 	if err != nil {
-		return Summary{}, err
+		return Summary{}, fmt.Errorf("live: %w", err)
 	}
-	for _, p := range logs {
-		f, err := os.Open(p)
-		if err != nil {
-			return Summary{}, err
-		}
-		l, err := darshan.ReadLog(f)
-		_ = f.Close()
-		if err != nil {
-			return Summary{}, fmt.Errorf("live: %s: %w", p, err)
-		}
+	for _, l := range logs {
 		agg.IngestDarshanLog(l)
 	}
 	return agg.Snapshot(), nil
@@ -140,7 +131,6 @@ type WALTailer struct {
 
 	mu    sync.Mutex
 	last  Summary
-	err   error
 	seen  int // anomalies already forwarded to subscribers
 	subs  []chan Anomaly
 	ready bool
@@ -194,10 +184,8 @@ func (t *WALTailer) Refresh() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err != nil {
-		t.err = err
 		return err
 	}
-	t.err = nil
 	t.last = snap
 	t.ready = true
 	for ; t.seen < len(snap.Anomalies); t.seen++ {
@@ -216,14 +204,6 @@ func (t *WALTailer) Snapshot() Summary {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.last
-}
-
-// Err returns the most recent refresh error, nil when the last refresh
-// succeeded.
-func (t *WALTailer) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
 }
 
 // SubscribeAnomalies implements Source.
@@ -273,10 +253,6 @@ func TailRemote(r mofka.Service, opts TailOptions) (*RemoteTailer, error) {
 	go t.loop()
 	return t, nil
 }
-
-// Aggregator exposes the underlying aggregator (e.g. to SetMeta from run
-// metadata known out of band).
-func (t *RemoteTailer) Aggregator() *Aggregator { return t.agg }
 
 // sweep pulls everything new from every provenance topic on the remote.
 func (t *RemoteTailer) sweep() error {

@@ -129,9 +129,6 @@ func Deploy(cfg Config, reg *mercury.Registry) (*Deployment, error) {
 	return d, nil
 }
 
-// Config returns the deployment's configuration.
-func (d *Deployment) Config() Config { return d.cfg }
-
 // Endpoint returns the Mercury endpoint services register RPCs on.
 func (d *Deployment) Endpoint() *mercury.Endpoint { return d.endpoint }
 
@@ -146,15 +143,6 @@ func (d *Deployment) Addr() string {
 
 // Group returns the named SSG group, or nil if not configured.
 func (d *Deployment) Group(name string) *ssg.Group { return d.groups[name] }
-
-// SelfCaller returns a Caller that reaches this deployment's own endpoint,
-// regardless of transport.
-func (d *Deployment) SelfCaller() (mercury.Caller, error) {
-	if d.server != nil {
-		return mercury.Dial(d.server.Addr())
-	}
-	return d.registry.Bind(d.cfg.Address), nil
-}
 
 // Shutdown stops network listeners and unregisters local endpoints.
 func (d *Deployment) Shutdown() {

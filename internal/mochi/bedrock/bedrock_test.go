@@ -58,11 +58,7 @@ func TestDeployLocal(t *testing.T) {
 
 	// Endpoint is reachable through the registry.
 	d.Endpoint().Register("ping", func(req []byte) ([]byte, error) { return []byte("pong"), nil })
-	c, err := d.SelfCaller()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.Call("ping", nil)
+	resp, err := reg.Call(d.Addr(), "ping", nil)
 	if err != nil || string(resp) != "pong" {
 		t.Fatalf("ping = %q, %v", resp, err)
 	}
@@ -84,11 +80,11 @@ func TestDeployTCP(t *testing.T) {
 	if d.Addr() == "127.0.0.1:0" || d.Addr() == "" {
 		t.Fatalf("Addr not resolved: %q", d.Addr())
 	}
-	c, err := d.SelfCaller()
+	c, err := mercury.Dial(d.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.(*mercury.Client).Close()
+	defer c.Close()
 	resp, err := c.Call("ping", nil)
 	if err != nil || string(resp) != "pong" {
 		t.Fatalf("ping over TCP = %q, %v", resp, err)
@@ -118,9 +114,9 @@ func TestSSGGroupThresholdsApplied(t *testing.T) {
 	defer d.Shutdown()
 	g := d.Group("fast")
 	now := time.Now()
-	id := g.Join("m0", now)
+	g.Join("m0", now)
 	g.Sweep(now.Add(15 * time.Millisecond))
-	if m, _ := g.Lookup(id); m.State.String() != "suspect" {
-		t.Fatalf("state = %v, want suspect (thresholds not applied)", m.State)
+	if ms := g.Members(); len(ms) != 1 || ms[0].State.String() != "suspect" {
+		t.Fatalf("members = %+v, want one suspect (thresholds not applied)", ms)
 	}
 }

@@ -6,6 +6,7 @@
 package mercury
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -50,9 +51,6 @@ func NewEndpoint(addr string) *Endpoint {
 	return &Endpoint{addr: addr, handlers: make(map[string]Handler)}
 }
 
-// Addr returns the endpoint's address label.
-func (e *Endpoint) Addr() string { return e.addr }
-
 // Register installs a handler for the RPC name, replacing any previous one.
 func (e *Endpoint) Register(name string, h Handler) {
 	e.mu.Lock()
@@ -71,17 +69,10 @@ func (e *Endpoint) dispatch(name string, req []byte) ([]byte, error) {
 	return h(req)
 }
 
-// Interceptor is middleware around in-process RPC dispatch: it receives the
-// destination address, the RPC name, the request, and a next function that
-// performs the real dispatch. Fault injection installs interceptors to drop,
-// delay, or fail calls without the endpoints' knowledge.
-type Interceptor func(addr, rpc string, req []byte, next Handler) ([]byte, error)
-
 // Registry resolves in-process addresses to endpoints.
 type Registry struct {
-	mu          sync.RWMutex
-	endpoints   map[string]*Endpoint
-	interceptor Interceptor
+	mu        sync.RWMutex
+	endpoints map[string]*Endpoint
 }
 
 // NewRegistry creates an empty in-process address space.
@@ -107,41 +98,15 @@ func (r *Registry) Close(addr string) {
 	r.mu.Unlock()
 }
 
-// SetInterceptor installs (or, with nil, removes) the registry's dispatch
-// middleware. There is at most one; chains compose inside the interceptor.
-func (r *Registry) SetInterceptor(i Interceptor) {
-	r.mu.Lock()
-	r.interceptor = i
-	r.mu.Unlock()
-}
-
 // Call performs an in-process RPC to addr.
 func (r *Registry) Call(addr, rpc string, req []byte) ([]byte, error) {
 	r.mu.RLock()
 	e := r.endpoints[addr]
-	icpt := r.interceptor
 	r.mu.RUnlock()
-	next := func(req []byte) ([]byte, error) {
-		if e == nil {
-			return nil, fmt.Errorf("%w: %s", ErrNoEndpoint, addr)
-		}
-		return e.dispatch(rpc, req)
+	if e == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNoEndpoint, addr)
 	}
-	if icpt != nil {
-		return icpt(addr, rpc, req, next)
-	}
-	return next(req)
-}
-
-// Addrs lists the registered endpoint addresses.
-func (r *Registry) Addrs() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []string
-	for a := range r.endpoints {
-		out = append(out, a)
-	}
-	return out
+	return e.dispatch(rpc, req)
 }
 
 // ---- TCP transport ----
@@ -154,7 +119,10 @@ func (r *Registry) Addrs() []string {
 // One request/response pair at a time per connection; clients that need
 // concurrency open multiple connections.
 
-const maxFrame = 64 << 20 // 64 MiB guards against corrupt length prefixes
+const (
+	maxFrame   = 64 << 20 // 64 MiB guards against corrupt length prefixes
+	frameChunk = 64 << 10 // what a frame's length prefix may allocate up front
+)
 
 func writeFrame(w io.Writer, b []byte) error {
 	var hdr [4]byte
@@ -175,11 +143,18 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("mercury: frame of %d bytes exceeds limit", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	// The prefix is the peer's claim: a frame up to frameChunk is read into one
+	// allocation of its size, a larger one grows as its bytes arrive, so a
+	// four-byte header cannot cost 64 MiB. (The MinRead of slack lets the
+	// buffer see the end of the frame without growing.)
+	buf := bytes.NewBuffer(make([]byte, 0, min(int(n), frameChunk)+bytes.MinRead))
+	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	return b, nil
+	return buf.Bytes(), nil
 }
 
 // Server serves an endpoint's handlers over TCP.

@@ -108,9 +108,6 @@ func NewGroup(name string, cfg Config) *Group {
 	return &Group{name: name, cfg: cfg, members: make(map[MemberID]*Member)}
 }
 
-// Name returns the group name.
-func (g *Group) Name() string { return g.name }
-
 // Observe registers an observer for membership events.
 func (g *Group) Observe(o Observer) {
 	g.mu.Lock()
@@ -238,48 +235,4 @@ func (g *Group) Members() []Member {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Alive returns the snapshot of members currently in the Alive state.
-func (g *Group) AliveMembers() []Member {
-	var out []Member
-	for _, m := range g.Members() {
-		if m.State == Alive {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// Lookup returns the member with the given ID.
-func (g *Group) Lookup(id MemberID) (Member, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	m, ok := g.members[id]
-	if !ok {
-		return Member{}, false
-	}
-	return *m, true
-}
-
-// Size returns the number of non-removed members (any state).
-func (g *Group) Size() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.members)
-}
-
-// RunSweeper drives Sweep with wall-clock time every interval until stop is
-// closed. It is the daemon-mode driver; simulations call Sweep directly.
-func (g *Group) RunSweeper(interval time.Duration, stop <-chan struct{}) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case now := <-t.C:
-			g.Sweep(now)
-		case <-stop:
-			return
-		}
-	}
 }

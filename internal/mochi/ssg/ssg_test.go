@@ -12,6 +12,16 @@ func cfg() Config {
 	return Config{SuspectAfter: 2 * time.Second, DeadAfter: 5 * time.Second}
 }
 
+// lookup returns the member with the given ID from a Members snapshot.
+func lookup(g *Group, id MemberID) (Member, bool) {
+	for _, m := range g.Members() {
+		if m.ID == id {
+			return m, true
+		}
+	}
+	return Member{}, false
+}
+
 func TestJoinLeaveMembership(t *testing.T) {
 	g := NewGroup("workers", cfg())
 	a := g.Join("node0:1234", t0)
@@ -19,8 +29,8 @@ func TestJoinLeaveMembership(t *testing.T) {
 	if a == b {
 		t.Fatal("duplicate member IDs")
 	}
-	if g.Size() != 2 {
-		t.Fatalf("Size = %d", g.Size())
+	if n := len(g.Members()); n != 2 {
+		t.Fatalf("%d members", n)
 	}
 	if !g.Leave(a) || g.Leave(a) {
 		t.Fatal("Leave semantics wrong")
@@ -36,7 +46,7 @@ func TestHeartbeatKeepsAlive(t *testing.T) {
 	id := g.Join("n0", t0)
 	g.Heartbeat(id, t0.Add(1*time.Second))
 	g.Sweep(t0.Add(2500 * time.Millisecond)) // 1.5s silent < SuspectAfter
-	m, _ := g.Lookup(id)
+	m, _ := lookup(g, id)
 	if m.State != Alive {
 		t.Fatalf("state = %v, want alive", m.State)
 	}
@@ -51,13 +61,13 @@ func TestSuspectThenDead(t *testing.T) {
 	if n := g.Sweep(t0.Add(3 * time.Second)); n != 1 {
 		t.Fatalf("first sweep changes = %d", n)
 	}
-	if m, _ := g.Lookup(id); m.State != Suspect {
+	if m, _ := lookup(g, id); m.State != Suspect {
 		t.Fatalf("state = %v, want suspect", m.State)
 	}
 	if n := g.Sweep(t0.Add(6 * time.Second)); n != 1 {
 		t.Fatalf("second sweep changes = %d", n)
 	}
-	if m, _ := g.Lookup(id); m.State != Dead {
+	if m, _ := lookup(g, id); m.State != Dead {
 		t.Fatalf("state = %v, want dead", m.State)
 	}
 	if len(events) != 2 || events[0].Kind != EventSuspect || events[1].Kind != EventFail {
@@ -69,7 +79,7 @@ func TestAliveStraightToDead(t *testing.T) {
 	g := NewGroup("g", cfg())
 	id := g.Join("n0", t0)
 	g.Sweep(t0.Add(10 * time.Second))
-	if m, _ := g.Lookup(id); m.State != Dead {
+	if m, _ := lookup(g, id); m.State != Dead {
 		t.Fatalf("long-silent member state = %v, want dead", m.State)
 	}
 }
@@ -87,7 +97,7 @@ func TestSuspectRevivesOnHeartbeat(t *testing.T) {
 	if !g.Heartbeat(id, t0.Add(3500*time.Millisecond)) {
 		t.Fatal("heartbeat rejected for suspect member")
 	}
-	if m, _ := g.Lookup(id); m.State != Alive {
+	if m, _ := lookup(g, id); m.State != Alive {
 		t.Fatalf("state = %v after revival", m.State)
 	}
 	if rejoins != 1 {
@@ -115,26 +125,12 @@ func TestObserverSeesJoinLeave(t *testing.T) {
 	}
 }
 
-func TestAliveMembersFilters(t *testing.T) {
-	g := NewGroup("g", cfg())
-	a := g.Join("n0", t0)
-	g.Join("n1", t0.Add(4*time.Second))
-	g.Sweep(t0.Add(4 * time.Second)) // a silent 4s -> suspect
-	alive := g.AliveMembers()
-	if len(alive) != 1 || alive[0].Address != "n1" {
-		t.Fatalf("alive = %+v", alive)
-	}
-	if m, _ := g.Lookup(a); m.State != Suspect {
-		t.Fatalf("a state = %v", m.State)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	g := NewGroup("g", Config{})
 	id := g.Join("n0", t0)
 	// Defaults should apply: not dead instantly.
 	g.Sweep(t0.Add(time.Millisecond))
-	if m, _ := g.Lookup(id); m.State != Alive {
+	if m, _ := lookup(g, id); m.State != Alive {
 		t.Fatalf("instant sweep changed state to %v", m.State)
 	}
 }
@@ -170,24 +166,12 @@ func TestConcurrentHeartbeats(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if len(g.AliveMembers()) != 16 {
-		t.Fatalf("alive = %d, want 16", len(g.AliveMembers()))
+	for _, m := range g.Members() {
+		if m.State != Alive {
+			t.Fatalf("member %d is %v, want alive", m.ID, m.State)
+		}
 	}
-}
-
-func TestRunSweeperStops(t *testing.T) {
-	g := NewGroup("g", cfg())
-	stop := make(chan struct{})
-	doneCh := make(chan struct{})
-	go func() {
-		g.RunSweeper(time.Millisecond, stop)
-		close(doneCh)
-	}()
-	time.Sleep(5 * time.Millisecond)
-	close(stop)
-	select {
-	case <-doneCh:
-	case <-time.After(time.Second):
-		t.Fatal("RunSweeper did not stop")
+	if n := len(g.Members()); n != 16 {
+		t.Fatalf("%d members, want 16", n)
 	}
 }

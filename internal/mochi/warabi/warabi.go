@@ -34,8 +34,7 @@ type Target struct {
 }
 
 type region struct {
-	data      []byte
-	persisted bool
+	data []byte
 }
 
 // NewTarget creates an empty target.
@@ -43,45 +42,16 @@ func NewTarget(name string) *Target {
 	return &Target{name: name, regions: make(map[RegionID]*region)}
 }
 
-// Name returns the target's diagnostic name.
-func (t *Target) Name() string { return t.name }
-
-// Create allocates a region of the given size and returns its ID.
-func (t *Target) Create(size int64) RegionID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id := t.nextID
-	t.nextID++
-	t.regions[id] = &region{data: make([]byte, size)}
-	return id
-}
-
-// CreateWrite allocates a region exactly fitting data, writes it, and marks
-// it persisted. This is the fast path Mofka uses for event batches.
+// CreateWrite allocates a region exactly fitting data and writes it: one
+// region per event batch.
 func (t *Target) CreateWrite(data []byte) RegionID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := t.nextID
 	t.nextID++
-	t.regions[id] = &region{data: append([]byte(nil), data...), persisted: true}
+	t.regions[id] = &region{data: append([]byte(nil), data...)}
 	t.bytesWritten += int64(len(data))
 	return id
-}
-
-// Write copies data into the region at offset.
-func (t *Target) Write(id RegionID, offset int64, data []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r, ok := t.regions[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoRegion, id)
-	}
-	if offset < 0 || offset+int64(len(data)) > int64(len(r.data)) {
-		return fmt.Errorf("%w: write [%d,%d) in region of %d", ErrOutOfBounds, offset, offset+int64(len(data)), len(r.data))
-	}
-	copy(r.data[offset:], data)
-	t.bytesWritten += int64(len(data))
-	return nil
 }
 
 // Read returns size bytes of the region starting at offset.
@@ -99,42 +69,6 @@ func (t *Target) Read(id RegionID, offset, size int64) ([]byte, error) {
 	return append([]byte(nil), r.data[offset:offset+size]...), nil
 }
 
-// ReadAll returns the region's full contents.
-func (t *Target) ReadAll(id RegionID) ([]byte, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r, ok := t.regions[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoRegion, id)
-	}
-	t.bytesRead.Add(int64(len(r.data)))
-	return append([]byte(nil), r.data...), nil
-}
-
-// Persist marks the region durable (a no-op flush in this in-memory model,
-// but tracked so tests can assert the producer's flush discipline).
-func (t *Target) Persist(id RegionID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r, ok := t.regions[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoRegion, id)
-	}
-	r.persisted = true
-	return nil
-}
-
-// Persisted reports whether the region has been persisted.
-func (t *Target) Persisted(id RegionID) (bool, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r, ok := t.regions[id]
-	if !ok {
-		return false, fmt.Errorf("%w: %d", ErrNoRegion, id)
-	}
-	return r.persisted, nil
-}
-
 // Destroy releases the region.
 func (t *Target) Destroy(id RegionID) error {
 	t.mu.Lock()
@@ -144,17 +78,6 @@ func (t *Target) Destroy(id RegionID) error {
 	}
 	delete(t.regions, id)
 	return nil
-}
-
-// Size returns a region's size in bytes.
-func (t *Target) Size(id RegionID) (int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r, ok := t.regions[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoRegion, id)
-	}
-	return int64(len(r.data)), nil
 }
 
 // Stats reports the number of live regions and cumulative bytes moved.
@@ -183,15 +106,4 @@ func (p *Provider) Target(name string) *Target {
 		p.targets[name] = t
 	}
 	return t
-}
-
-// Names lists existing targets.
-func (p *Provider) Names() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []string
-	for n := range p.targets {
-		out = append(out, n)
-	}
-	return out
 }

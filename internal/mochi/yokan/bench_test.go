@@ -25,11 +25,11 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-func BenchmarkCollectionStore(b *testing.B) {
+func BenchmarkCollectionStoreBatch(b *testing.B) {
 	c := NewDatabase("bench").Collection("docs")
 	doc := []byte(`{"key":"('getitem-abc',63)","from":"waiting","to":"processing"}`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Store(doc)
+		c.StoreBatch([][]byte{doc})
 	}
 }

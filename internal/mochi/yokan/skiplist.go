@@ -3,12 +3,11 @@ package yokan
 import "math/rand"
 
 // skiplist is an ordered map from string keys to byte-slice values with
-// O(log n) expected insert/lookup/delete. It is not safe for concurrent use;
+// O(log n) expected insert/lookup. It is not safe for concurrent use;
 // Database provides the locking.
 type skiplist struct {
 	head  *skipnode
 	level int
-	size  int
 	rng   *rand.Rand
 }
 
@@ -51,8 +50,8 @@ func (s *skiplist) findPredecessors(key string, update []*skipnode) *skipnode {
 	return x.next[0]
 }
 
-// put inserts or replaces key. It reports whether the key was new.
-func (s *skiplist) put(key string, value []byte) bool {
+// put inserts or replaces key.
+func (s *skiplist) put(key string, value []byte) {
 	update := make([]*skipnode, maxLevel)
 	for i := s.level; i < maxLevel; i++ {
 		update[i] = s.head
@@ -60,7 +59,7 @@ func (s *skiplist) put(key string, value []byte) bool {
 	n := s.findPredecessors(key, update)
 	if n != nil && n.key == key {
 		n.value = value
-		return false
+		return
 	}
 	lvl := s.randomLevel()
 	if lvl > s.level {
@@ -71,8 +70,6 @@ func (s *skiplist) put(key string, value []byte) bool {
 		node.next[i] = update[i].next[i]
 		update[i].next[i] = node
 	}
-	s.size++
-	return true
 }
 
 // get returns the value for key.
@@ -84,32 +81,7 @@ func (s *skiplist) get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// del removes key, reporting whether it existed.
-func (s *skiplist) del(key string) bool {
-	update := make([]*skipnode, maxLevel)
-	for i := s.level; i < maxLevel; i++ {
-		update[i] = s.head
-	}
-	n := s.findPredecessors(key, update)
-	if n == nil || n.key != key {
-		return false
-	}
-	for i := 0; i < s.level; i++ {
-		if update[i].next[i] == n {
-			update[i].next[i] = n.next[i]
-		}
-	}
-	for s.level > 1 && s.head.next[s.level-1] == nil {
-		s.level--
-	}
-	s.size--
-	return true
-}
-
 // seek returns the first node with key >= from.
 func (s *skiplist) seek(from string) *skipnode {
 	return s.findPredecessors(from, nil)
 }
-
-// first returns the smallest node.
-func (s *skiplist) first() *skipnode { return s.head.next[0] }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"taskprov/internal/mochi/bedrock"
 	"taskprov/internal/mochi/warabi"
@@ -187,8 +186,7 @@ func cursorKey(consumer, topic string, partition int) string {
 	return fmt.Sprintf("%s/%s/p%04d", consumer, topic, partition)
 }
 
-// Close shuts the broker down: every partition is marked closed (waking any
-// consumer blocked in PullBlocking, which then returns ErrClosed), batches
+// Close shuts the broker down: every partition is marked closed, batches
 // still awaiting their commit are committed, durable logs are fsynced and
 // closed, and the committer goroutine has exited when Close returns. Reads of already-published
 // events keep working after Close — post-mortem draining of an in-memory
@@ -346,9 +344,6 @@ type Topic struct {
 	partitions []*Partition
 }
 
-// Name returns the topic name.
-func (t *Topic) Name() string { return t.cfg.Name }
-
 // Config returns the topic's creation-time configuration.
 func (t *Topic) Config() TopicConfig { return t.cfg }
 
@@ -386,9 +381,6 @@ type Partition struct {
 	queued bool          // on the committer's queue
 	closed bool
 }
-
-// Index returns the partition's index within its topic.
-func (p *Partition) Index() int { return p.index }
 
 // Length returns the number of events committed so far: a batch submitted to
 // a log that fsyncs per batch counts once its fsync has returned.
@@ -566,14 +558,6 @@ func (p *Partition) TruncateTo(n uint64) error {
 	return nil
 }
 
-// ReadFrom returns up to max events starting at offset from. It is the
-// exported counterpart of the consumer read path, used by replication
-// catch-up and by post-mortem mergers that need raw partition access without
-// consumer state.
-func (p *Partition) ReadFrom(from uint64, max int, withData bool) ([]Event, error) {
-	return p.read(from, max, withData)
-}
-
 // read returns up to max events starting at offset from. withData controls
 // whether payloads are fetched from Warabi (Mofka's data-selection feature).
 func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
@@ -654,43 +638,9 @@ func (p *Partition) scan(from uint64, max int, visit func(id uint64, metadata []
 	return err
 }
 
-// waitForLength blocks until the partition holds more than n events, the
-// partition closes, or the deadline passes, and reports whether new events
-// are available. A Broker.Close broadcast wakes waiters immediately.
-func (p *Partition) waitForLength(n uint64, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.length <= n {
-		if p.closed {
-			return false
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return false
-		}
-		// sync.Cond has no timed wait; poll with a short-lived waker.
-		waker := time.AfterFunc(remaining, func() {
-			p.mu.Lock()
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		})
-		p.cond.Wait()
-		waker.Stop()
-	}
-	return true
-}
-
-// isClosed reports whether the partition has been closed by Broker.Close.
-func (p *Partition) isClosed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
-}
-
-// close marks the partition closed, wakes every blocked consumer and
-// submitter, waits for the batches already submitted to commit, and syncs and
-// closes the durable log (if any).
+// close marks the partition closed, wakes every blocked submitter, waits for
+// the batches already submitted to commit, and syncs and closes the durable
+// log (if any).
 func (p *Partition) close() error {
 	p.mu.Lock()
 	if p.closed {

@@ -1,7 +1,5 @@
 package mofka
 
-import "fmt"
-
 // Bus is the event-log deployment a run publishes its provenance through,
 // with the lifecycle its owner drives. Two implementations exist: a
 // standalone Broker (via Broker.Bus) and a sharded, replicated cluster
@@ -28,8 +26,8 @@ type Bus interface {
 	Close() error
 }
 
-// TopicOpener is what a publisher needs of the log it writes to: every Bus
-// is one, and ServiceTopics makes one of any Service.
+// TopicOpener is what a publisher needs of the log it writes to; every Bus
+// is one.
 type TopicOpener interface {
 	// EnsureTopic opens the topic, creating it if absent.
 	EnsureTopic(cfg TopicConfig) (BusTopic, error)
@@ -57,35 +55,3 @@ func (bb brokerBus) EnsureTopic(cfg TopicConfig) (BusTopic, error) {
 }
 
 func (bb brokerBus) ReadView() (*Broker, error) { return bb.Broker, nil }
-
-// ServiceTopics publishes through a Service someone else owns — typically a
-// Remote: topics open with CreateTopic and TopicInfo, and a producer's sealed
-// batches ship with PushBatch, so an unreachable service degrades the
-// producer (buffer, retry, bounded backlog) exactly as a failing local append
-// does.
-func ServiceTopics(svc Service) TopicOpener { return serviceTopics{svc} }
-
-type serviceTopics struct{ svc Service }
-
-func (st serviceTopics) EnsureTopic(cfg TopicConfig) (BusTopic, error) {
-	if err := st.svc.CreateTopic(cfg); err != nil {
-		return nil, err
-	}
-	parts, _, err := st.svc.TopicInfo(cfg.Name)
-	if err != nil {
-		return nil, fmt.Errorf("mofka: topic %s: %w", cfg.Name, err)
-	}
-	return serviceTopic{svc: st.svc, cfg: cfg, partitions: parts}, nil
-}
-
-type serviceTopic struct {
-	svc        Service
-	cfg        TopicConfig
-	partitions int
-}
-
-func (t serviceTopic) NewProducer(opts ProducerOptions) *Producer {
-	return NewProducer(t.partitions, t.cfg.Validator, opts, func(partition int, _ uint64, metas, datas [][]byte) (*Commit, error) {
-		return nil, t.svc.PushBatch(t.cfg.Name, partition, metas, datas)
-	})
-}

@@ -274,12 +274,8 @@ func (c *Cluster) AliveBrokers() []int {
 	return out
 }
 
-// Group exposes the SSG membership group (discovery, observers).
-func (c *Cluster) Group() *ssg.Group { return c.group }
-
-// NodeBroker returns local node i's broker (nil for remote members) — the
-// hook chaos uses to arm per-replica append faults and tests use to inspect
-// replica state.
+// NodeBroker returns local node i's broker (nil for remote members), for
+// tests to inspect and fault one replica.
 func (c *Cluster) NodeBroker(i int) *mofka.Broker {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -259,11 +259,7 @@ func TestReadViewMatchesCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vp, err := vt.Partition(pi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vevs, err := vp.ReadFrom(0, 1024, true)
+		vevs, err := view.Service().Pull("tasks", pi, 0, 1024, true)
 		if err != nil {
 			t.Fatal(err)
 		}

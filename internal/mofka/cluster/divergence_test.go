@@ -105,15 +105,7 @@ func TestRestartDiscardsUnackedDivergentTail(t *testing.T) {
 	// restarted node's durable log.
 	for _, pv := range c.Placement() {
 		for _, r := range pv.Replicas {
-			bt, err := c.NodeBroker(r).OpenTopic("t")
-			if err != nil {
-				t.Fatal(err)
-			}
-			bp, err := bt.Partition(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			evs, err := bp.ReadFrom(0, 16, true)
+			evs, err := c.NodeBroker(r).Service().Pull("t", 0, 0, 16, true)
 			if err != nil {
 				t.Fatal(err)
 			}

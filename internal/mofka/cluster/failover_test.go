@@ -83,10 +83,13 @@ func TestProducerSurvivesLeaderKillAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	degraded, recovered := 0, 0
 	p := ct.NewProducer(mofka.ProducerOptions{
 		BatchSize:    8,
 		FlushRetries: 1,
 		RetryBackoff: time.Millisecond,
+		OnDegraded:   func(error) { degraded++ },
+		OnRecovered:  func() { recovered++ },
 	})
 
 	for i := 0; i < 100; i++ {
@@ -121,8 +124,8 @@ func TestProducerSurvivesLeaderKillAndRestart(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatalf("post-restart flush: %v", err)
 	}
-	if p.Degraded() {
-		t.Error("producer still degraded after restart and successful flush")
+	if degraded == 0 || recovered != degraded {
+		t.Errorf("producer degraded %d times and recovered %d after restart and successful flush", degraded, recovered)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatalf("close: %v", err)

@@ -26,14 +26,10 @@ const (
 	// EventUnderReplicated: a partition's alive replica count fell below
 	// quorum; appends fail with ErrUnavailable until a member returns.
 	EventUnderReplicated = "cluster_under_replicated"
-	// EventGroupRebalance: a consumer group's partition assignment changed;
-	// Detail names the group and generation.
-	EventGroupRebalance = "cluster_group_rebalance"
 )
 
 // Event is one cluster-health observation. Events are recorded in emission
-// order and fanned out to observers; internal/core republishes them into
-// the provenance warnings topic.
+// order; internal/core republishes them into the provenance warnings topic.
 type Event struct {
 	Kind      string  `json:"kind"`
 	Node      int     `json:"node"`      // broker id, or new leader for elections; -1 when not node-scoped
@@ -44,14 +40,10 @@ type Event struct {
 	Detail    string  `json:"detail"`
 }
 
-// healthLog accumulates events and fans them out to observers. emit is
-// always called after cluster/partition locks are released, so observers
-// may call back into the cluster (e.g. publish a warning event through a
-// cluster producer) without deadlocking.
+// healthLog accumulates events.
 type healthLog struct {
 	mu     sync.Mutex
 	events []Event
-	obs    []func(Event)
 }
 
 func newHealthLog() *healthLog { return &healthLog{} }
@@ -62,19 +54,6 @@ func (h *healthLog) emit(evs []Event) {
 	}
 	h.mu.Lock()
 	h.events = append(h.events, evs...)
-	var obs []func(Event)
-	obs = append(obs, h.obs...)
-	h.mu.Unlock()
-	for _, ev := range evs {
-		for _, o := range obs {
-			o(ev)
-		}
-	}
-}
-
-func (h *healthLog) subscribe(fn func(Event)) {
-	h.mu.Lock()
-	h.obs = append(h.obs, fn)
 	h.mu.Unlock()
 }
 
@@ -86,7 +65,3 @@ func (h *healthLog) snapshot() []Event {
 
 // Events returns every health event recorded so far, in emission order.
 func (c *Cluster) Events() []Event { return c.health.snapshot() }
-
-// OnEvent registers an observer called synchronously (outside cluster
-// locks) for every subsequent health event.
-func (c *Cluster) OnEvent(fn func(Event)) { c.health.subscribe(fn) }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"taskprov/internal/mofka"
+	"taskprov/internal/mofka/wal"
 )
 
 // Durable cluster layout:
@@ -39,23 +40,7 @@ func writeClusterMeta(dataDir string, m clusterMeta) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dataDir, ".tmp-cluster-*")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = os.Remove(tmp.Name()) }()
-	if _, err := tmp.Write(b); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dataDir, clusterMetaFile))
+	return wal.WriteFileAtomic(filepath.Join(dataDir, clusterMetaFile), b)
 }
 
 func loadClusterMeta(dataDir string) (clusterMeta, bool, error) {
@@ -69,6 +54,12 @@ func loadClusterMeta(dataDir string) (clusterMeta, bool, error) {
 	var m clusterMeta
 	if err := json.Unmarshal(b, &m); err != nil {
 		return clusterMeta{}, false, fmt.Errorf("cluster: corrupt %s: %w", clusterMetaFile, err)
+	}
+	// The shape sizes loops over node directories: hold it to what a cluster
+	// could have written.
+	shape := Config{Brokers: m.Brokers, ReplicationFactor: m.ReplicationFactor, Quorum: m.Quorum}
+	if err := shape.Validate(); err != nil || m.Brokers == 0 {
+		return clusterMeta{}, false, fmt.Errorf("cluster: corrupt %s: implausible shape %+v", clusterMetaFile, m)
 	}
 	return m, true, nil
 }

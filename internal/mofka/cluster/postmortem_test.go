@@ -167,7 +167,7 @@ func checkView(t *testing.T, b *mofka.Broker, want refView) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			evs, err := p.ReadFrom(0, 0, true)
+			evs, err := b.Service().Pull(name, pi, 0, 0, true)
 			if err != nil {
 				t.Fatalf("%s[%d]: %v", name, pi, err)
 			}

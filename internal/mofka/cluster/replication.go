@@ -613,17 +613,6 @@ func (c *Cluster) Length(topic string, part int) (uint64, error) {
 	return ps.acked, nil
 }
 
-// Epoch returns the partition's current fencing epoch.
-func (c *Cluster) Epoch(topic string, part int) (uint64, error) {
-	ps, err := c.partition(topic, part)
-	if err != nil {
-		return 0, err
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.epoch, nil
-}
-
 // CommitCursor durably records a consumer's next-unread offset on every
 // alive replica of the partition, so the cursor survives any single broker
 // loss exactly as the events do.

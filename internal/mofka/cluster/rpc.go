@@ -222,25 +222,3 @@ func JoinRemote(gatewayAddr, selfAddr string, timeout time.Duration) (int, error
 	}
 	return jr.Node, nil
 }
-
-// Info fetches cluster membership/placement from a gateway — the client
-// side of "cluster.info".
-func Info(gatewayAddr string, timeout time.Duration) (*InfoResponse, error) {
-	cl, err := mercury.Dial(gatewayAddr)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = cl.Close() }()
-	if timeout > 0 {
-		cl.SetTimeout(timeout)
-	}
-	resp, err := cl.Call(rpcInfo, []byte(`{}`))
-	if err != nil {
-		return nil, err
-	}
-	var info InfoResponse
-	if err := json.Unmarshal(resp, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
-}

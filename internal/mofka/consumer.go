@@ -2,7 +2,6 @@ package mofka
 
 import (
 	"fmt"
-	"time"
 
 	"taskprov/internal/mofka/wal"
 )
@@ -10,7 +9,7 @@ import (
 // ConsumerOptions configures a subscription.
 type ConsumerOptions struct {
 	// Name identifies the consumer for cursor commits. Required for
-	// Commit/resume semantics; anonymous consumers start at 0 every time.
+	// CommitBatch/resume semantics; anonymous consumers start at 0 every time.
 	Name string
 	// Partitions restricts the subscription; nil means all partitions.
 	Partitions []int
@@ -144,51 +143,6 @@ func (c *Consumer) Pull() (Event, bool, error) {
 	return ev, true, nil
 }
 
-// PullBlocking behaves like Pull but waits up to timeout for a new event,
-// supporting in-situ consumption while the producer is live. When the broker
-// closes, PullBlocking drains any events that already landed and then
-// returns ErrClosed promptly instead of waiting out the timeout.
-func (c *Consumer) PullBlocking(timeout time.Duration) (Event, bool, error) {
-	ev, ok, err := c.Pull()
-	if ok || err != nil {
-		return ev, ok, err
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		// Closed broker: no new events can arrive. Serve whatever was
-		// published before the close, then report closure.
-		closed := true
-		for _, pi := range c.parts {
-			if !c.topic.partitions[pi].isClosed() {
-				closed = false
-				break
-			}
-		}
-		if closed {
-			ev, ok, err := c.Pull()
-			if ok || err != nil {
-				return ev, ok, err
-			}
-			return Event{}, false, ErrClosed
-		}
-		// Wait on whichever subscribed partition might grow.
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return Event{}, false, nil
-		}
-		per := remaining / time.Duration(len(c.parts))
-		if per <= 0 {
-			per = time.Millisecond
-		}
-		for _, pi := range c.parts {
-			p := c.topic.partitions[pi]
-			if p.waitForLength(c.next[pi], per) {
-				return c.Pull()
-			}
-		}
-	}
-}
-
 // PullBatch returns up to max unread events (possibly fewer, empty at end of
 // stream).
 func (c *Consumer) PullBatch(max int) ([]Event, error) {
@@ -221,21 +175,10 @@ func (c *Consumer) Drain() ([]Event, error) {
 	}
 }
 
-// Commit durably records that every event up to and including ev has been
-// processed by this (named) consumer.
-func (c *Consumer) Commit(ev Event) error {
-	if c.opts.Name == "" {
-		return fmt.Errorf("mofka: anonymous consumer cannot commit")
-	}
-	return c.topic.broker.CommitCursor(c.opts.Name, c.topic.cfg.Name, ev.Partition, ev.ID+1)
-}
-
 // CommitBatch durably records a whole batch of processed events with one
 // cursor-store write for the batch (not one per event, nor one per
 // partition): for each partition represented in the batch, the highest event
-// ID wins. Batch consumers (PullBatch/Drain users) should prefer this over
-// per-event Commit — on a durable broker every commit is an fsynced sidecar
-// rewrite.
+// ID wins — on a durable broker every commit is an fsynced sidecar rewrite.
 func (c *Consumer) CommitBatch(evs []Event) error {
 	if c.opts.Name == "" {
 		return fmt.Errorf("mofka: anonymous consumer cannot commit")
@@ -261,9 +204,6 @@ func (c *Consumer) CommitBatch(evs []Event) error {
 	return c.topic.broker.commitCursors(cursors)
 }
 
-// Progress returns the next unread offset for a partition.
-func (c *Consumer) Progress(partition int) uint64 { return c.next[partition] }
-
 // Lag reports, per subscribed partition, how many published events this
 // consumer has not pulled yet (events buffered internally but not yet
 // returned by Pull still count as lag — they have not been delivered).
@@ -283,13 +223,4 @@ func (c *Consumer) Lag() map[int]uint64 {
 		}
 	}
 	return out
-}
-
-// TotalLag sums Lag across subscribed partitions.
-func (c *Consumer) TotalLag() uint64 {
-	var n uint64
-	for _, lag := range c.Lag() {
-		n += lag
-	}
-	return n
 }

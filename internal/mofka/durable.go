@@ -360,7 +360,7 @@ func (b *Broker) persistTopic(t *Topic, cfgJSON []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("mofka: topic dir %s: %w", name, err)
 	}
-	if err := atomicWriteFile(filepath.Join(dir, "topic.json"), cfgJSON); err != nil {
+	if err := wal.WriteFileAtomic(filepath.Join(dir, "topic.json"), cfgJSON); err != nil {
 		return fmt.Errorf("mofka: persist topic %s: %w", name, err)
 	}
 	for _, p := range t.partitions {
@@ -371,25 +371,4 @@ func (b *Broker) persistTopic(t *Topic, cfgJSON []byte) error {
 		p.log = l
 	}
 	return nil
-}
-
-// atomicWriteFile installs data at path via temp file + fsync + rename.
-func atomicWriteFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = os.Remove(tmp.Name()) }() // no-op after the rename
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

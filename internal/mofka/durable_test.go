@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"taskprov/internal/mofka/wal"
 )
@@ -72,7 +71,7 @@ func TestDurableRecoveryAcrossRestart(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("pull %d: ok=%v err=%v", i, ok, err)
 		}
-		if err := c.Commit(ev); err != nil {
+		if err := c.CommitBatch([]Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,48 +220,8 @@ func TestDurableSurvivesTornTail(t *testing.T) {
 	}
 }
 
-// TestBrokerCloseUnblocksPullBlocking is the goroutine-leak fix: a blocked
-// consumer must return ErrClosed promptly on Close instead of waiting out
-// its (long) timeout.
-func TestBrokerCloseUnblocksPullBlocking(t *testing.T) {
-	b := NewStandaloneBroker()
-	tp, err := b.CreateTopic(TopicConfig{Name: "t", Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := tp.NewConsumer(ConsumerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type result struct {
-		ok  bool
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		_, ok, err := c.PullBlocking(30 * time.Second)
-		done <- result{ok, err}
-	}()
-	time.Sleep(20 * time.Millisecond) // let the consumer block
-	start := time.Now()
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-done:
-		if r.ok || !errors.Is(r.err, ErrClosed) {
-			t.Fatalf("PullBlocking after Close: ok=%v err=%v, want ErrClosed", r.ok, r.err)
-		}
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("PullBlocking took %v to notice Close", elapsed)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("PullBlocking still blocked 5s after Close")
-	}
-}
-
-// TestCloseDrainsBufferedEventsFirst: events published before Close must
-// still be served by PullBlocking before it reports ErrClosed.
+// TestCloseDrainsBufferedEventsFirst: events published before Close are
+// still served to a consumer of the closed broker, then the stream ends.
 func TestCloseDrainsBufferedEventsFirst(t *testing.T) {
 	b := NewStandaloneBroker()
 	tp, _ := b.CreateTopic(TopicConfig{Name: "t"})
@@ -271,15 +230,15 @@ func TestCloseDrainsBufferedEventsFirst(t *testing.T) {
 	p.Close()
 	b.Close()
 	c, _ := tp.NewConsumer(ConsumerOptions{})
-	ev, ok, err := c.PullBlocking(time.Second)
+	ev, ok, err := c.Pull()
 	if err != nil || !ok {
 		t.Fatalf("pre-close event not served: ok=%v err=%v", ok, err)
 	}
 	if len(ev.Metadata) == 0 {
 		t.Fatal("empty event")
 	}
-	if _, ok, err := c.PullBlocking(time.Second); ok || !errors.Is(err, ErrClosed) {
-		t.Fatalf("after drain: ok=%v err=%v, want ErrClosed", ok, err)
+	if _, ok, err := c.Pull(); ok || err != nil {
+		t.Fatalf("after drain: ok=%v err=%v, want the end of the stream", ok, err)
 	}
 }
 
@@ -309,7 +268,7 @@ func TestPostMortemOpenIsReadOnly(t *testing.T) {
 	}
 	c, _ := tp.NewConsumer(ConsumerOptions{Name: "mon"})
 	ev, _, _ := c.Pull()
-	c.Commit(ev)
+	c.CommitBatch([]Event{ev})
 	b.Close()
 	// Torn tail, as left by a crash.
 	segs, _ := filepath.Glob(filepath.Join(dir, "topics", "t", "p0000", "*.seg"))

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 func newTopic(t *testing.T, name string, parts int) (*Broker, *Topic) {
@@ -140,7 +139,7 @@ func TestCommitAndResume(t *testing.T) {
 		if !ok {
 			t.Fatal("pull failed")
 		}
-		if err := c1.Commit(ev); err != nil {
+		if err := c1.CommitBatch([]Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +161,7 @@ func TestCommitAndResume(t *testing.T) {
 func TestAnonymousCommitFails(t *testing.T) {
 	_, tp := newTopic(t, "t", 1)
 	c, _ := tp.NewConsumer(ConsumerOptions{})
-	if err := c.Commit(Event{}); err == nil {
+	if err := c.CommitBatch([]Event{{}}); err == nil {
 		t.Fatal("anonymous commit succeeded")
 	}
 }
@@ -183,40 +182,8 @@ func TestPullBatchAndProgress(t *testing.T) {
 	if len(rest) != 5 {
 		t.Fatalf("rest = %d", len(rest))
 	}
-	if c.Progress(0) != 25 {
-		t.Fatalf("progress = %d", c.Progress(0))
-	}
-}
-
-func TestPullBlockingSeesLiveEvents(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	c, _ := tp.NewConsumer(ConsumerOptions{})
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		p := tp.NewProducer(ProducerOptions{})
-		p.Push(Metadata{"live": true}, nil)
-		p.Flush()
-	}()
-	ev, ok, err := c.PullBlocking(2 * time.Second)
-	if err != nil || !ok {
-		t.Fatalf("PullBlocking: ok=%v err=%v", ok, err)
-	}
-	m, _ := ev.ParseMetadata()
-	if m["live"] != true {
-		t.Fatalf("metadata = %v", m)
-	}
-}
-
-func TestPullBlockingTimesOut(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	c, _ := tp.NewConsumer(ConsumerOptions{})
-	start := time.Now()
-	_, ok, err := c.PullBlocking(30 * time.Millisecond)
-	if err != nil || ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if time.Since(start) < 25*time.Millisecond {
-		t.Fatal("returned before timeout")
+	if lag := c.Lag()[0]; lag != 0 {
+		t.Fatalf("lag = %d after reading everything", lag)
 	}
 }
 

@@ -410,25 +410,6 @@ func (p *Producer) Close() error {
 	return p.Flush()
 }
 
-// Degraded reports whether the producer is currently buffering because
-// appends fail.
-func (p *Producer) Degraded() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.degraded
-}
-
-// Backlog reports the number of sealed batches still awaiting shipment.
-func (p *Producer) Backlog() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for i := range p.queues {
-		n += len(p.queues[i])
-	}
-	return n
-}
-
 // Stats reports events pushed and batches sealed, for overhead ablations;
 // Dropped has the events lost to backlog pressure.
 func (p *Producer) Stats() (pushed, flushes uint64) {

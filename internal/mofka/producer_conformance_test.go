@@ -123,11 +123,7 @@ func landed(t *testing.T, bus mofka.Bus, topic string) [][]mofka.Event {
 	}
 	out := make([][]mofka.Event, tp.Partitions())
 	for i := range out {
-		part, err := tp.Partition(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[i], err = part.ReadFrom(0, int(part.Length()), true); err != nil {
+		if out[i], err = view.Service().Pull(topic, i, 0, 0, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -360,8 +356,8 @@ func testDegradedBoundRecovery(t *testing.T, d deployment) {
 	if err := p.Flush(); !errors.Is(err, errInjected) {
 		t.Fatalf("flush under fault err = %v, want %v", err, errInjected)
 	}
-	if !p.Degraded() || p.Backlog() != 2 || p.Dropped() != 3 {
-		t.Fatalf("degraded=%v backlog=%d dropped=%d, want true, the bound of 2, 3", p.Degraded(), p.Backlog(), p.Dropped())
+	if p.Dropped() != 3 {
+		t.Fatalf("dropped=%d, want 3 (five batches against a backlog bound of 2)", p.Dropped())
 	}
 	if degraded != 1 || recovered != 0 {
 		t.Fatalf("OnDegraded fired %d times, OnRecovered %d, want 1, 0", degraded, recovered)
@@ -374,8 +370,8 @@ func testDegradedBoundRecovery(t *testing.T, d deployment) {
 	if err := p.Flush(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	if p.Degraded() || p.Backlog() != 0 || p.Dropped() != 3 {
-		t.Fatalf("degraded=%v backlog=%d dropped=%d after recovery", p.Degraded(), p.Backlog(), p.Dropped())
+	if p.Dropped() != 3 {
+		t.Fatalf("dropped=%d after recovery", p.Dropped())
 	}
 	if degraded != 1 || recovered != 1 {
 		t.Fatalf("OnDegraded fired %d times, OnRecovered %d, want 1, 1", degraded, recovered)
@@ -392,7 +388,9 @@ func testDegradedBoundRecovery(t *testing.T, d deployment) {
 func testOutageNeitherLosesNorDuplicates(t *testing.T, d deployment) {
 	for _, o := range d.outages {
 		tp := openTopic(t, d.bus, mofka.TopicConfig{Name: o.name, Partitions: 4})
-		p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 8, FlushRetries: 1, RetryBackoff: time.Millisecond})
+		degraded, recovered := 0, 0
+		p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 8, FlushRetries: 1, RetryBackoff: time.Millisecond,
+			OnDegraded: func(error) { degraded++ }, OnRecovered: func() { recovered++ }})
 		push := func(from, to int) (failed bool) {
 			for i := from; i < to; i++ {
 				// A shipping error is reported, the event buffered all the same.
@@ -407,15 +405,15 @@ func testOutageNeitherLosesNorDuplicates(t *testing.T, d deployment) {
 		if !push(100, 200) {
 			t.Fatalf("%s: nothing failed during the outage", o.name)
 		}
-		if !p.Degraded() {
-			t.Fatalf("%s: producer not degraded during the outage", o.name)
+		if degraded != 1 || recovered != 0 {
+			t.Fatalf("%s: producer degraded %d times and recovered %d during the outage, want 1, 0", o.name, degraded, recovered)
 		}
 		o.heal(t)
 		if err := p.Close(); err != nil {
 			t.Fatalf("%s: close after the outage: %v", o.name, err)
 		}
-		if p.Degraded() || p.Dropped() != 0 {
-			t.Fatalf("%s: degraded=%v dropped=%d after the backlog drained", o.name, p.Degraded(), p.Dropped())
+		if recovered != 1 || p.Dropped() != 0 {
+			t.Fatalf("%s: recovered=%d dropped=%d after the backlog drained", o.name, recovered, p.Dropped())
 		}
 		seen := make(map[int]bool)
 		for pi, evs := range landed(t, d.bus, o.name) {

@@ -44,37 +44,6 @@ func TestRemoteOverTCP(t *testing.T) {
 	}
 }
 
-// TestServiceTopicsPublishesThroughAnyService: a producer opened through
-// ServiceTopics batches locally and lands its batches with PushBatch, spread
-// over the partitions TopicInfo reported.
-func TestServiceTopicsPublishesThroughAnyService(t *testing.T) {
-	b := NewStandaloneBroker()
-	reg := mercury.NewRegistry()
-	Serve(reg.Listen("local://mofka"), b.Service())
-	bt, err := ServiceTopics(NewRemote(reg.Bind("local://mofka"))).EnsureTopic(TopicConfig{Name: "t", Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := bt.NewProducer(ProducerOptions{BatchSize: 4})
-	for i := 0; i < 10; i++ {
-		if err := p.Push(Metadata{"i": i}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tp, err := b.OpenTopic("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if part, _ := tp.Partition(i); part.Length() != 5 {
-			t.Errorf("t[%d] holds %d events, want 5", i, part.Length())
-		}
-	}
-}
-
 // fencedBroker is a broker service that also takes the fenced push, so the
 // fuzzer reaches both of Serve's push paths without the cluster package.
 type fencedBroker struct{ Service }

@@ -56,14 +56,6 @@ func (s *CursorStore) SetBatch(cursors []Cursor) error {
 	return s.flushLocked()
 }
 
-// Get returns a committed cursor.
-func (s *CursorStore) Get(key string) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[key]
-	return v, ok
-}
-
 // All returns a copy of every committed cursor.
 func (s *CursorStore) All() map[string]uint64 {
 	s.mu.Lock()
@@ -75,8 +67,8 @@ func (s *CursorStore) All() map[string]uint64 {
 	return out
 }
 
-// flushLocked writes the map to a temp file, fsyncs it, and renames it over
-// the store path, so a crash mid-write leaves the previous version intact.
+// flushLocked installs the map over the store path atomically, so a crash
+// mid-write leaves the previous version intact.
 func (s *CursorStore) flushLocked() error {
 	b, err := json.Marshal(s.m)
 	if err != nil {
@@ -86,23 +78,7 @@ func (s *CursorStore) flushLocked() error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("wal: cursor store dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".cursors-*")
-	if err != nil {
-		return fmt.Errorf("wal: cursor temp file: %w", err)
-	}
-	defer func() { _ = os.Remove(tmp.Name()) }() // no-op after the rename
-	if _, err := tmp.Write(b); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("wal: write cursors: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("wal: sync cursors: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wal: close cursor temp: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
+	if err := WriteFileAtomic(s.path, b); err != nil {
 		return fmt.Errorf("wal: install cursors: %w", err)
 	}
 	return nil

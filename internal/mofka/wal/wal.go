@@ -416,11 +416,6 @@ func (l *Log) AppendBatch(recs []Record) (first uint64, err error) {
 	return first, nil
 }
 
-// Append appends a single record (a one-record batch).
-func (l *Log) Append(rec Record) (uint64, error) {
-	return l.AppendBatch([]Record{rec})
-}
-
 // TruncateTo discards every record with offset >= n, so the next appended
 // record receives offset n. Segments based entirely above the cut are
 // deleted, the segment containing the cut is truncated at the exact frame
@@ -621,35 +616,10 @@ func (l *Log) Close() error {
 	return l.active.Close()
 }
 
-// Dir returns the log's root directory.
-func (l *Log) Dir() string { return l.dir }
-
 // NextOffset returns the offset the next appended record would receive —
 // equivalently, the number of records ever appended (before retention).
 func (l *Log) NextOffset() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.next
-}
-
-// FirstOffset returns the offset of the oldest retained record.
-func (l *Log) FirstOffset() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.first
-}
-
-// Segments returns the current number of on-disk segments.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
-}
-
-// TornBytes reports how many bytes of torn tail the open-time recovery
-// discarded (or, read-only, skipped) — 0 after a clean shutdown.
-func (l *Log) TornBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.torn
 }

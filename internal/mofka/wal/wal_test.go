@@ -402,7 +402,7 @@ func TestCursorStore(t *testing.T) {
 		t.Fatalf("reloaded cursors = %v", all)
 	}
 	// No leftover temp files from the atomic writes.
-	leftovers, _ := filepath.Glob(filepath.Join(dir, ".cursors-*"))
+	leftovers, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
 	if len(leftovers) != 0 {
 		t.Fatalf("temp files left behind: %v", leftovers)
 	}

@@ -2,7 +2,6 @@ package frame
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -33,66 +32,4 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a header-bearing CSV into a frame, inferring each column's
-// type: int64 if every value parses as an integer, else float64 if every
-// value parses as a number, else bool if every value is true/false, else
-// string.
-func ReadCSV(r io.Reader) (*Frame, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("frame: read csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("frame: empty csv")
-	}
-	header := rows[0]
-	data := rows[1:]
-	cols := make([]*Series, len(header))
-	for i, name := range header {
-		allInt, allFloat, allBool := true, true, true
-		for _, row := range data {
-			v := row[i]
-			if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-				allInt = false
-			}
-			if _, err := strconv.ParseFloat(v, 64); err != nil {
-				allFloat = false
-			}
-			if v != "true" && v != "false" {
-				allBool = false
-			}
-		}
-		switch {
-		case len(data) > 0 && allInt:
-			s := &Series{name: name, dtype: Int}
-			for _, row := range data {
-				n, _ := strconv.ParseInt(row[i], 10, 64)
-				s.ints = append(s.ints, n)
-			}
-			cols[i] = s
-		case len(data) > 0 && allFloat:
-			s := &Series{name: name, dtype: Float}
-			for _, row := range data {
-				x, _ := strconv.ParseFloat(row[i], 64)
-				s.flts = append(s.flts, x)
-			}
-			cols[i] = s
-		case len(data) > 0 && allBool:
-			s := &Series{name: name, dtype: Bool}
-			for _, row := range data {
-				s.bools = append(s.bools, row[i] == "true")
-			}
-			cols[i] = s
-		default:
-			s := &Series{name: name, dtype: String}
-			for _, row := range data {
-				s.strs = append(s.strs, row[i])
-			}
-			cols[i] = s
-		}
-	}
-	return New(cols...)
 }

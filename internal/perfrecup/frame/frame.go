@@ -72,9 +72,6 @@ func Bools(name string, vals ...bool) *Series {
 // Name returns the column name.
 func (s *Series) Name() string { return s.name }
 
-// Dtype returns the column type.
-func (s *Series) Dtype() Dtype { return s.dtype }
-
 // Len returns the number of elements.
 func (s *Series) Len() int {
 	switch s.dtype {
@@ -373,33 +370,6 @@ func (f *Frame) SortBy(name string, desc bool) *Frame {
 		return less(idx[i], idx[j])
 	})
 	return f.Take(idx)
-}
-
-// Concat appends frames with identical schemas (names, order, dtypes).
-func Concat(frames ...*Frame) (*Frame, error) {
-	if len(frames) == 0 {
-		return MustNew(), nil
-	}
-	first := frames[0]
-	out := make([]*Series, first.NCols())
-	for i, c := range first.cols {
-		out[i] = &Series{name: c.name, dtype: c.dtype}
-	}
-	for _, f := range frames {
-		if f.NCols() != first.NCols() {
-			return nil, fmt.Errorf("frame: concat schema mismatch: %v vs %v", f.Columns(), first.Columns())
-		}
-		for i, c := range f.cols {
-			if c.name != out[i].name || c.dtype != out[i].dtype {
-				return nil, fmt.Errorf("frame: concat column %d mismatch: %s/%v vs %s/%v",
-					i, c.name, c.dtype, out[i].name, out[i].dtype)
-			}
-			for r := 0; r < c.Len(); r++ {
-				out[i].appendValue(c, r)
-			}
-		}
-	}
-	return New(out...)
 }
 
 // String renders a compact preview (up to 10 rows) for debugging.

@@ -69,7 +69,7 @@ type LineageIO struct {
 func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	l := &Lineage{Key: key, Prefix: dask.KeyPrefix(dask.TaskKey(key)), Group: dask.KeyGroup(dask.TaskKey(key))}
 
-	metas, err := provenance.Drain(art.Broker, core.TopicTaskMeta, provenance.DecodeTaskMeta)
+	metas, err := provenance.Drain(art.Broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		return nil, fmt.Errorf("perfrecup: task %q not found in run %s", key, art.Meta.JobID)
 	}
 
-	trans, err := provenance.Drain(art.Broker, core.TopicTransitions, provenance.DecodeTransition)
+	trans, err := provenance.Drain(art.Broker, provenance.TopicTransitions, provenance.DecodeTransition)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	}
 	sort.Slice(l.States, func(a, b int) bool { return l.States[a].At < l.States[b].At })
 
-	execs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	transfers, err := provenance.Drain(art.Broker, core.TopicTransfers, provenance.DecodeTransfer)
+	transfers, err := provenance.Drain(art.Broker, provenance.TopicTransfers, provenance.DecodeTransfer)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	steals, err := provenance.Drain(art.Broker, core.TopicSteals, provenance.DecodeSteal)
+	steals, err := provenance.Drain(art.Broker, provenance.TopicSteals, provenance.DecodeSteal)
 	if err != nil {
 		return nil, err
 	}

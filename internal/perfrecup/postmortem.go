@@ -11,6 +11,17 @@ import (
 	"taskprov/internal/sim"
 )
 
+// Load reads a run from either layout taskprov writes: a run directory
+// (metadata.json + mofka/*.jsonl, RunArtifacts.WriteDir) through core.LoadDir,
+// or a durable data directory — a broker's topics/ or a cluster's
+// cluster.json — post-mortem, straight from the on-disk event logs.
+func Load(dir string) (*core.RunArtifacts, error) {
+	if cluster.IsLogDir(dir) {
+		return LoadEventLog(dir)
+	}
+	return core.LoadDir(dir)
+}
+
 // LoadEventLog builds run artifacts directly from a durable Mofka data
 // directory (a broker started with -data-dir, or a run with
 // SessionConfig.MofkaDataDir set) — no live broker and no JSONL export
@@ -47,21 +58,8 @@ func LoadEventLog(dataDir string) (*core.RunArtifacts, error) {
 		art.WallTime = sim.Seconds(meta.WallSeconds)
 	}
 
-	dlogs, err := filepath.Glob(filepath.Join(dataDir, "darshan", "*.darshan"))
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range dlogs {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		l, err := darshan.ReadLog(f)
-		_ = f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("perfrecup: %s: %w", p, err)
-		}
-		art.DarshanLogs = append(art.DarshanLogs, l)
+	if art.DarshanLogs, err = darshan.ReadDir(filepath.Join(dataDir, "darshan")); err != nil {
+		return nil, fmt.Errorf("perfrecup: %w", err)
 	}
 	return art, nil
 }

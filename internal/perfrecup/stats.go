@@ -31,10 +31,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// CV returns the coefficient of variation (std/mean), the paper's
-// normalized variability measure. Zero mean yields NaN.
-func CV(xs []float64) float64 { return Std(xs) / Mean(xs) }
-
 // MinMax returns the extremes (NaNs for empty input).
 func MinMax(xs []float64) (lo, hi float64) {
 	if len(xs) == 0 {
@@ -152,16 +148,6 @@ func NewHistogram(xs []float64, lo, hi float64, nbins int) Histogram {
 		h.Counts[b]++
 	}
 	return h
-}
-
-// BinEdges returns the lower edge of each bin.
-func (h Histogram) BinEdges() []float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	out := make([]float64, len(h.Counts))
-	for i := range out {
-		out[i] = h.Lo + float64(i)*width
-	}
-	return out
 }
 
 // Total returns the total count across bins.

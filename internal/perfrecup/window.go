@@ -53,7 +53,7 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 	w := WindowStats{From: from, To: to, Warnings: map[string]int{}}
 
-	execs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		return w, err
 	}
@@ -95,7 +95,7 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		}
 	}
 
-	transfers, err := provenance.Drain(art.Broker, core.TopicTransfers, provenance.DecodeTransfer)
+	transfers, err := provenance.Drain(art.Broker, provenance.TopicTransfers, provenance.DecodeTransfer)
 	if err != nil {
 		return w, err
 	}
@@ -109,7 +109,7 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		w.CommSeconds += ov
 	}
 
-	warns, err := provenance.Drain(art.Broker, core.TopicWarnings, provenance.DecodeWarning)
+	warns, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		return w, err
 	}
@@ -157,7 +157,7 @@ type ScheduleComparison struct {
 func CompareSchedules(a, b *core.RunArtifacts) (ScheduleComparison, error) {
 	var out ScheduleComparison
 	load := func(art *core.RunArtifacts) (map[string]dask.TaskExecution, error) {
-		execs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
+		execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
 		if err != nil {
 			return nil, err
 		}

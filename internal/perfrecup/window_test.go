@@ -40,9 +40,9 @@ func windowArt(t *testing.T, execs []dask.TaskExecution, transfers []dask.Transf
 	for _, w := range warns {
 		wm = append(wm, provenance.AppendWarning(nil, w))
 	}
-	push(core.TopicExecutions, em)
-	push(core.TopicTransfers, tm)
-	push(core.TopicWarnings, wm)
+	push(provenance.TopicExecutions, em)
+	push(provenance.TopicTransfers, tm)
+	push(provenance.TopicWarnings, wm)
 	return &core.RunArtifacts{Broker: b}
 }
 

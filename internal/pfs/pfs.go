@@ -28,7 +28,6 @@ type Config struct {
 	OSTBandwidth float64 // bytes/s per OST as seen by this job
 
 	OpenLatency  sim.Time // metadata server round trip for open/create
-	MetaLatency  sim.Time // other metadata ops (stat, unlink)
 	ReadLatency  sim.Time // fixed per-read overhead
 	WriteLatency sim.Time // fixed per-write overhead
 	LatencyCV    float64  // lognormal jitter on all latencies
@@ -50,7 +49,6 @@ func Lustre() Config {
 		StripeCount:           4,
 		OSTBandwidth:          2e9,
 		OpenLatency:           sim.Microseconds(400),
-		MetaLatency:           sim.Microseconds(250),
 		ReadLatency:           sim.Microseconds(120),
 		WriteLatency:          sim.Microseconds(180),
 		LatencyCV:             0.35,
@@ -80,7 +78,7 @@ type FileSystem struct {
 	lat     *sim.RNG
 	noise   *sim.RNG
 
-	reads, writes, opens, metas int64
+	reads, writes, opens int64
 }
 
 // New builds a file system on kernel k. If cfg.InterferenceLoad > 0, a
@@ -110,9 +108,6 @@ func New(k *sim.Kernel, cfg Config) *FileSystem {
 	}
 	return fs
 }
-
-// Config returns the configuration the file system was built from.
-func (fs *FileSystem) Config() Config { return fs.cfg }
 
 // startInterference injects background bursts so that, on average, each OST
 // spends InterferenceLoad of its time serving foreign traffic.
@@ -173,30 +168,6 @@ func (fs *FileSystem) Open(p string, done func(*File)) {
 	fs.kernel.After(fs.lat.JitterTime(fs.cfg.OpenLatency, fs.cfg.LatencyCV), func() {
 		if done != nil {
 			done(fs.files[p])
-		}
-	})
-}
-
-// Stat resolves file metadata without the cost of a full open.
-func (fs *FileSystem) Stat(p string, done func(*File)) {
-	fs.metas++
-	p = Normalize(p)
-	fs.kernel.After(fs.lat.JitterTime(fs.cfg.MetaLatency, fs.cfg.LatencyCV), func() {
-		if done != nil {
-			done(fs.files[p])
-		}
-	})
-}
-
-// Unlink removes a file from the namespace.
-func (fs *FileSystem) Unlink(p string, done func(existed bool)) {
-	fs.metas++
-	p = Normalize(p)
-	fs.kernel.After(fs.lat.JitterTime(fs.cfg.MetaLatency, fs.cfg.LatencyCV), func() {
-		_, ok := fs.files[p]
-		delete(fs.files, p)
-		if done != nil {
-			done(ok)
 		}
 	})
 }
@@ -326,11 +297,6 @@ func (fs *FileSystem) List(prefix string) []string {
 // Lookup returns the file at path p without paying simulated latency; it is
 // a synchronous accessor for tests and analysis code, not a modeled op.
 func (fs *FileSystem) Lookup(p string) *File { return fs.files[Normalize(p)] }
-
-// Counts reports cumulative operation counts (reads, writes, opens, metas).
-func (fs *FileSystem) Counts() (reads, writes, opens, metas int64) {
-	return fs.reads, fs.writes, fs.opens, fs.metas
-}
 
 // Describe returns the storage metadata for the provenance chart.
 func (fs *FileSystem) Describe() Description {

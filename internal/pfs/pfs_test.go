@@ -14,29 +14,22 @@ func quiet() Config {
 	return c
 }
 
-func TestCreateOpenStatUnlink(t *testing.T) {
+func TestCreateOpen(t *testing.T) {
 	k := sim.NewKernel(1)
 	fs := New(k, quiet())
-	var created, opened, stated *File
-	var gone bool
+	var created, opened *File
 	fs.Create("/data/a.img", func(f *File) {
 		created = f
 		fs.Open("/data/a.img", func(f *File) {
 			opened = f
-			fs.Stat("/data/a.img", func(f *File) {
-				stated = f
-				fs.Unlink("/data/a.img", func(existed bool) {
-					gone = existed
-				})
-			})
 		})
 	})
 	k.Run()
-	if created == nil || opened != created || stated != created || !gone {
-		t.Fatalf("lifecycle failed: created=%v opened=%v stated=%v gone=%v", created, opened, stated, gone)
+	if created == nil || opened != created {
+		t.Fatalf("lifecycle failed: created=%v opened=%v", created, opened)
 	}
-	if fs.Lookup("/data/a.img") != nil {
-		t.Fatal("file still present after unlink")
+	if fs.Lookup("/data/a.img") != created {
+		t.Fatal("created file not in the namespace")
 	}
 }
 
@@ -218,13 +211,12 @@ func TestCountsAccumulate(t *testing.T) {
 	fs.Create("/f", func(f *File) {
 		fs.Write(f, 0, 10, func(int64) {
 			fs.Read(f, 0, 10, nil)
-			fs.Stat("/f", nil)
 		})
 	})
 	k.Run()
-	r, w, o, m := fs.Counts()
-	if r != 1 || w != 1 || o != 1 || m != 1 {
-		t.Fatalf("counts = %d %d %d %d", r, w, o, m)
+	r, w, o := fs.Counts()
+	if r != 1 || w != 1 || o != 1 {
+		t.Fatalf("counts = %d %d %d", r, w, o)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 )
 
 // Config describes a cluster model. The zero value is not useful; start from
-// Polaris() or Small() and override fields.
+// Polaris() and override fields.
 type Config struct {
 	Name         string // platform name recorded in provenance metadata
 	Nodes        int    // number of allocated compute nodes
@@ -67,16 +67,6 @@ func Polaris() Config {
 		NodeSpeedCV:        0.02,
 		MessageOverhead:    sim.Microseconds(150),
 	}
-}
-
-// Small returns a tiny configuration convenient for unit tests.
-func Small() Config {
-	c := Polaris()
-	c.Name = "test-sim"
-	c.Nodes = 2
-	c.CoresPerNode = 8
-	c.Switches = 2
-	return c
 }
 
 // Node is one allocated compute node.
@@ -146,20 +136,11 @@ func New(k *sim.Kernel, cfg Config) *Cluster {
 	return c
 }
 
-// Config returns the configuration the cluster was built from.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// Kernel returns the simulation kernel the cluster is bound to.
-func (c *Cluster) Kernel() *sim.Kernel { return c.kernel }
-
 // Nodes returns the allocated nodes in ID order.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // Node returns the node with the given ID.
 func (c *Cluster) Node(id int) *Node { return c.nodes[id] }
-
-// SameNode reports whether two nodes are the same physical node.
-func SameNode(a, b *Node) bool { return a == b }
 
 // SetLinkFactor installs (or, with factor <= 1, clears) a service-time
 // multiplier on the directed link src → dst. Transfers on a degraded link
@@ -236,10 +217,6 @@ func (c *Cluster) Transfer(from, to *Node, size int64, done func(elapsed sim.Tim
 func (n *Node) ComputeDuration(nominal sim.Time) sim.Time {
 	return sim.Time(float64(nominal) / n.Speed)
 }
-
-// NICServer exposes the node's inbound NIC resource (used by tests and by
-// the PFS model to co-locate I/O traffic with communication traffic).
-func (n *Node) NICServer() *sim.SharedServer { return n.nic }
 
 // Describe returns the hardware metadata captured in the provenance chart's
 // hardware-infrastructure layer (Fig. 1 of the paper).

@@ -19,7 +19,7 @@ func TestNewClusterShape(t *testing.T) {
 		if n.Hostname == "" {
 			t.Errorf("node %d missing hostname", i)
 		}
-		if n.Switch < 0 || n.Switch >= c.Config().Switches {
+		if n.Switch < 0 || n.Switch >= c.cfg.Switches {
 			t.Errorf("node %d switch %d out of range", i, n.Switch)
 		}
 		if n.Speed < 0.5 || n.Speed > 1.5 {

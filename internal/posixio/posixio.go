@@ -114,15 +114,6 @@ func (fs *FS) Open(p *sim.Proc, tracer Tracer, tid uint64, path string, flags in
 	return f, nil
 }
 
-// Path returns the canonical path of the open file.
-func (f *File) Path() string { return f.path }
-
-// Size returns the file's current size.
-func (f *File) Size() int64 { return f.file.Size }
-
-// Offset returns the descriptor's current file offset.
-func (f *File) Offset() int64 { return f.offset }
-
 // Pread reads size bytes at offset off, blocking the process until the I/O
 // completes. It returns the number of bytes actually read (clamped at EOF).
 func (f *File) Pread(p *sim.Proc, off, size int64) int64 {
@@ -165,29 +156,6 @@ func (f *File) Write(p *sim.Proc, size int64) int64 {
 	n := f.Pwrite(p, f.offset, size)
 	f.offset += n
 	return n
-}
-
-// Seek whence values (POSIX).
-const (
-	SeekSet = 0
-	SeekCur = 1
-	SeekEnd = 2
-)
-
-// Lseek repositions the descriptor offset and returns the new offset.
-func (f *File) Lseek(off int64, whence int) int64 {
-	switch whence {
-	case SeekSet:
-		f.offset = off
-	case SeekCur:
-		f.offset += off
-	case SeekEnd:
-		f.offset = f.file.Size + off
-	}
-	if f.offset < 0 {
-		f.offset = 0
-	}
-	return f.offset
 }
 
 // Close releases the descriptor. Closing twice is a no-op.

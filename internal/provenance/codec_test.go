@@ -131,7 +131,7 @@ func hostileExecutions() []dask.TaskExecution {
 
 func hostileTransfers() []dask.Transfer {
 	var p pick
-	out := []dask.Transfer{{}, {ViaProxy: true}, {ResolveLatency: sim.Second}, {ViaProxy: true, ResolveLatency: sim.Millisecond}}
+	out := []dask.Transfer{{}, {ViaProxy: true}, {ResolveLatency: sim.Second}, {ViaProxy: true, ResolveLatency: sim.Milliseconds(1)}}
 	for i := 0; i < hostileRounds; i++ {
 		out = append(out, dask.Transfer{Key: p.key(), From: p.str(), To: p.str(), Bytes: p.int64(),
 			Start: p.time(), Stop: p.time(), SameNode: p.bool(), ViaProxy: i%2 == 0, ResolveLatency: p.time()})
@@ -579,7 +579,7 @@ func TestDrain(t *testing.T) {
 	p := topic.NewProducer(mofka.ProducerOptions{BatchSize: 7})
 	const n = 500
 	for i := 0; i < n; i++ {
-		ev := dask.StealEvent{Key: dask.TaskKey(fmt.Sprintf("k-%03d", i)), Victim: "v", Thief: "t", At: sim.Time(i) * sim.Millisecond}
+		ev := dask.StealEvent{Key: dask.TaskKey(fmt.Sprintf("k-%03d", i)), Victim: "v", Thief: "t", At: sim.Time(i) * sim.Milliseconds(1)}
 		if err := p.PushRaw(AppendSteal(nil, ev), nil); err != nil {
 			t.Fatal(err)
 		}

@@ -70,9 +70,6 @@ func New() *Store {
 	return &Store{provider: warabi.NewProvider(), blobs: make(map[string]*blob)}
 }
 
-// Provider exposes the underlying Warabi provider (tests inspect targets).
-func (s *Store) Provider() *warabi.Provider { return s.provider }
-
 // Publish registers key's payload as a blob owned by worker rank owner at
 // the given incarnation, replacing any previous blob for the key (a
 // recomputed key republishes under its new producer). The returned Ref is
@@ -232,13 +229,6 @@ func (s *Store) ResidentBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats.Resident
-}
-
-// Len reports the number of live blobs.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.blobs)
 }
 
 // Keys returns the live blob keys in sorted order.

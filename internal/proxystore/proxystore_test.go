@@ -15,11 +15,11 @@ func TestPublishResolveRoundTrip(t *testing.T) {
 	if !ok || got != ref {
 		t.Fatalf("resolve = %+v, %v", got, ok)
 	}
-	if s.ResidentBytes() != 64<<20 || s.Len() != 1 {
-		t.Fatalf("resident = %d, live = %d", s.ResidentBytes(), s.Len())
+	if s.ResidentBytes() != 64<<20 || s.Stats().Live != 1 {
+		t.Fatalf("resident = %d, live = %d", s.ResidentBytes(), s.Stats().Live)
 	}
 	// The manifest region is tiny regardless of the logical payload size.
-	target := s.Provider().Target("worker-003")
+	target := s.provider.Target("worker-003")
 	if regions, written, _ := target.Stats(); regions != 1 || written > 1024 {
 		t.Fatalf("manifest footprint: %d regions, %d bytes", regions, written)
 	}
@@ -45,11 +45,11 @@ func TestRefcountDrainDestroysBlob(t *testing.T) {
 	if !freed || size != 1<<20 {
 		t.Fatalf("final release: freed=%v size=%d", freed, size)
 	}
-	if s.ResidentBytes() != 0 || s.Len() != 0 {
-		t.Fatalf("resident = %d, live = %d", s.ResidentBytes(), s.Len())
+	if s.ResidentBytes() != 0 || s.Stats().Live != 0 {
+		t.Fatalf("resident = %d, live = %d", s.ResidentBytes(), s.Stats().Live)
 	}
 	// The backing region is gone too.
-	if regions, _, _ := s.Provider().Target("worker-000").Stats(); regions != 0 {
+	if regions, _, _ := s.provider.Target("worker-000").Stats(); regions != 0 {
 		t.Fatalf("leaked %d regions", regions)
 	}
 }
@@ -76,7 +76,7 @@ func TestReleaseNeverNegative(t *testing.T) {
 func TestRetainAbsentIsNoop(t *testing.T) {
 	s := New()
 	s.Retain("ghost", 5)
-	if s.Len() != 0 || s.Refs("ghost") != 0 {
+	if s.Stats().Live != 0 || s.Refs("ghost") != 0 {
 		t.Fatal("retain materialized a blob")
 	}
 }
@@ -123,8 +123,8 @@ func TestReclaimWorker(t *testing.T) {
 			t.Fatalf("reclaim refs not sorted by key: %v", refs)
 		}
 	}
-	if s.Len() != 3 || s.ResidentBytes() != 300 {
-		t.Fatalf("live = %d, resident = %d", s.Len(), s.ResidentBytes())
+	if s.Stats().Live != 3 || s.ResidentBytes() != 300 {
+		t.Fatalf("live = %d, resident = %d", s.Stats().Live, s.ResidentBytes())
 	}
 	// Worker 1's blobs now miss; worker 0's still resolve.
 	if _, ok := s.Resolve("k-1"); ok {

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 
 	"taskprov/internal/dask"
+	"taskprov/internal/mofka/wal"
 )
 
 // CheckpointFile is the frontier checkpoint's file name inside a run's data
@@ -82,7 +83,7 @@ func WriteCheckpoint(dataDir string, cp *Checkpoint) error {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return fmt.Errorf("resume: checkpoint dir: %w", err)
 	}
-	if err := atomicWriteFile(filepath.Join(dataDir, CheckpointFile), b); err != nil {
+	if err := wal.WriteFileAtomic(filepath.Join(dataDir, CheckpointFile), b); err != nil {
 		return fmt.Errorf("resume: write checkpoint: %w", err)
 	}
 	return nil
@@ -109,25 +110,4 @@ func LoadCheckpoint(dataDir string) (*Checkpoint, error) {
 		cp.Tasks = make(map[string]FrontierTask)
 	}
 	return &cp, nil
-}
-
-// atomicWriteFile installs data at path via temp file + fsync + rename.
-func atomicWriteFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = os.Remove(tmp.Name()) }() // no-op after the rename
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

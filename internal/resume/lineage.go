@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"taskprov/internal/mofka/wal"
 )
 
 // LineageFile is the attempt-lineage record's file name inside a run's data
@@ -106,7 +108,7 @@ func writeLineage(dataDir string, l Lineage) error {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return fmt.Errorf("resume: lineage dir: %w", err)
 	}
-	if err := atomicWriteFile(filepath.Join(dataDir, LineageFile), b); err != nil {
+	if err := wal.WriteFileAtomic(filepath.Join(dataDir, LineageFile), b); err != nil {
 		return fmt.Errorf("resume: write lineage: %w", err)
 	}
 	return nil

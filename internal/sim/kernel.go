@@ -15,14 +15,6 @@ type Event struct {
 	cancel bool
 }
 
-// At reports the virtual time the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
-
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired (or was already cancelled) is a no-op. The event stays queued until
-// its time comes; Kernel.Unschedule removes one at once.
-func (e *Event) Cancel() { e.cancel = true }
-
 // before orders events by (time, sequence). The sequence number makes the
 // ordering of simultaneous events deterministic: they fire in scheduling
 // order.

@@ -247,7 +247,7 @@ func TestKernelOrderProperty(t *testing.T) {
 		)
 		// A coarse grid of times makes ties, which only the sequence number
 		// breaks.
-		when := func() Time { return k.Now() + Time(rng.Intn(8))*Millisecond }
+		when := func() Time { return k.Now() + Time(rng.Intn(8))*Milliseconds(1) }
 		for phase := 0; phase < 6; phase++ {
 			for op := 0; op < 40; op++ {
 				var m *model
@@ -273,8 +273,8 @@ func TestKernelOrderProperty(t *testing.T) {
 					m.at, m.seq, m.queued, m.cancelled = when(), seq, true, false
 					seq++
 					k.Reschedule(m.ev, m.at)
-					if m.ev.At() != m.at {
-						t.Fatalf("program %d: At() = %v after Reschedule to %v", prog, m.ev.At(), m.at)
+					if m.ev.at != m.at {
+						t.Fatalf("program %d: At() = %v after Reschedule to %v", prog, m.ev.at, m.at)
 					}
 				default:
 					k.Unschedule(m.ev)
@@ -291,7 +291,7 @@ func TestKernelOrderProperty(t *testing.T) {
 				t.Fatalf("program %d phase %d: Pending() = %d, %d events are queued", prog, phase, k.Pending(), pending)
 			}
 
-			deadline := k.Now() + Time(rng.Intn(6))*Millisecond
+			deadline := k.Now() + Time(rng.Intn(6))*Milliseconds(1)
 			last := phase == 5
 			var due []int
 			for id, m := range events {

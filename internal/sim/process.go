@@ -32,9 +32,6 @@ type Proc struct {
 // procKilled is what park panics with when Kernel.Close unwinds the process.
 type procKilled struct{}
 
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.Now() }
 
@@ -126,7 +123,3 @@ func (p *Proc) Await(start func(done func())) {
 	start(p.resume)
 	p.park()
 }
-
-// Yield suspends the process until the next zero-delay event slot, letting
-// other already-scheduled events at the current timestamp run first.
-func (p *Proc) Yield() { p.Sleep(0) }

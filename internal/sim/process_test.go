@@ -103,7 +103,7 @@ func TestManyProcsComplete(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		i := i
 		k.Go(func(p *Proc) {
-			p.Sleep(Time(i) * Millisecond)
+			p.Sleep(Time(i) * Milliseconds(1))
 			p.Await(func(d func()) { s.Submit(float64(10+i), d) })
 			done++
 		})
@@ -119,7 +119,7 @@ func TestProcYield(t *testing.T) {
 	var log []string
 	k.Go(func(p *Proc) {
 		log = append(log, "p1-start")
-		p.Yield()
+		p.Sleep(0)
 		log = append(log, "p1-after-yield")
 	})
 	k.Go(func(p *Proc) {
@@ -236,7 +236,7 @@ func TestProcAllocBudget(t *testing.T) {
 	start := func(done func()) { s.Submit(1, done) }
 	n := run(func(p *Proc) {
 		if s == nil {
-			s = NewSharedServer(p.Kernel(), "dev", 1, 0)
+			s = NewSharedServer(p.k, "dev", 1, 0)
 		}
 		p.Await(start)
 	})

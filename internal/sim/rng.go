@@ -39,14 +39,8 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Float64 returns a uniform draw in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
-
 // Intn returns a uniform draw in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
-// Int63 returns a uniform non-negative int64.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // Uniform returns a uniform draw in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.r.Float64() }
@@ -75,16 +69,6 @@ func (g *RNG) LogNormalMean(mean, cv float64) float64 {
 // Exponential returns an exponential draw with the given mean.
 func (g *RNG) Exponential(mean float64) float64 { return g.r.ExpFloat64() * mean }
 
-// Pareto returns a bounded Pareto draw with shape alpha and minimum xmin.
-// Used for occasional long-tail stragglers.
-func (g *RNG) Pareto(xmin, alpha float64) float64 {
-	u := g.r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return xmin / math.Pow(1-u, 1/alpha)
-}
-
 // IntBetween returns a uniform integer in [lo, hi] inclusive.
 func (g *RNG) IntBetween(lo, hi int) int {
 	if hi <= lo {
@@ -92,12 +76,6 @@ func (g *RNG) IntBetween(lo, hi int) int {
 	}
 	return lo + g.r.Intn(hi-lo+1)
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }

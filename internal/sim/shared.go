@@ -44,17 +44,6 @@ func NewSharedServer(k *Kernel, name string, capacity, perJobCap float64) *Share
 	return s
 }
 
-// Name returns the server's diagnostic name.
-func (s *SharedServer) Name() string { return s.name }
-
-// Active reports the number of in-flight jobs.
-func (s *SharedServer) Active() int { return len(s.jobs) }
-
-// UnitsServed reports the cumulative units delivered to completed-or-running
-// jobs so far (advanced lazily; call after Submit/completion events for an
-// up-to-date figure).
-func (s *SharedServer) UnitsServed() float64 { return s.busyUnits }
-
 // rate returns the per-job service rate given the current job count.
 func (s *SharedServer) rate() float64 {
 	n := len(s.jobs)

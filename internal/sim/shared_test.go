@@ -103,11 +103,11 @@ func TestSharedServerUtilizationAccounting(t *testing.T) {
 	s.Submit(30, nil)
 	s.Submit(70, nil)
 	k.Run()
-	if math.Abs(s.UnitsServed()-100) > 1e-6 {
-		t.Fatalf("UnitsServed = %v, want 100", s.UnitsServed())
+	if math.Abs(s.busyUnits-100) > 1e-6 {
+		t.Fatalf("UnitsServed = %v, want 100", s.busyUnits)
 	}
-	if s.Active() != 0 {
-		t.Fatalf("Active = %d after drain", s.Active())
+	if len(s.jobs) != 0 {
+		t.Fatalf("Active = %d after drain", len(s.jobs))
 	}
 }
 
@@ -125,7 +125,7 @@ func TestSharedServerManyJobsConservation(t *testing.T) {
 	var recs []*rec
 	var total float64
 	for i := 0; i < 50; i++ {
-		r := &rec{size: g.Uniform(1, 500), arrive: Time(g.Intn(1000)) * Millisecond}
+		r := &rec{size: g.Uniform(1, 500), arrive: Time(g.Intn(1000)) * Milliseconds(1)}
 		total += r.size
 		recs = append(recs, r)
 		k.At(r.arrive, func() {
@@ -142,8 +142,8 @@ func TestSharedServerManyJobsConservation(t *testing.T) {
 			t.Fatalf("job finished faster than capacity: %+v (min %v)", r, minDur)
 		}
 	}
-	if math.Abs(s.UnitsServed()-total) > 1e-3 {
-		t.Fatalf("UnitsServed = %v, want %v", s.UnitsServed(), total)
+	if math.Abs(s.busyUnits-total) > 1e-3 {
+		t.Fatalf("UnitsServed = %v, want %v", s.busyUnits, total)
 	}
 }
 
@@ -243,7 +243,7 @@ func TestSharedServerGoldenTrace(t *testing.T) {
 	}
 	sizes := []float64{0, 1, 4096, 4096, 1 << 20, 1 << 20, 3.5e6, 1e7, 1e8}
 	for i := 0; i < 300; i++ {
-		at := Time(rng.Intn(200)) * Millisecond // coarse grid: many bursts
+		at := Time(rng.Intn(200)) * Milliseconds(1) // coarse grid: many bursts
 		burst := 1 + rng.Intn(3)
 		for b := 0; b < burst; b++ {
 			s := servers[rng.Intn(2)]
@@ -259,8 +259,8 @@ func TestSharedServerGoldenTrace(t *testing.T) {
 		t.Fatalf("trace = %s\n want   %s", got, want)
 	}
 	for _, s := range servers {
-		if s.Active() != 0 {
-			t.Fatalf("%s still has %d jobs", s.Name(), s.Active())
+		if len(s.jobs) != 0 {
+			t.Fatalf("%s still has %d jobs", s.name, len(s.jobs))
 		}
 	}
 	if k.Pending() != 0 {

@@ -21,11 +21,8 @@ type Time time.Duration
 
 // Common virtual durations.
 const (
-	Nanosecond  Time = Time(time.Nanosecond)
 	Microsecond Time = Time(time.Microsecond)
-	Millisecond Time = Time(time.Millisecond)
 	Second      Time = Time(time.Second)
-	Minute      Time = Time(time.Minute)
 )
 
 // Seconds converts a floating-point number of seconds into a virtual Time.
@@ -39,9 +36,6 @@ func Microseconds(us float64) Time { return Time(us * float64(time.Microsecond))
 
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
-
-// Duration converts t to a time.Duration of the same magnitude.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // String formats the time as seconds with microsecond precision, e.g. "12.345678s".
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }

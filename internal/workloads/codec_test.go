@@ -128,16 +128,16 @@ func TestCodecOnSeededRuns(t *testing.T) {
 	}
 	for _, name := range seededWorkflows {
 		art := seededRun(t, name)
-		n := checkTopicCodec(t, art, core.TopicTaskMeta, provenance.DecodeTaskMeta, provenance.ParseTaskMeta, provenance.AppendTaskMeta, provenance.TaskMetaEvent)
-		n += checkTopicCodec(t, art, core.TopicTransitions, provenance.DecodeTransition, provenance.ParseTransition, provenance.AppendTransition, provenance.TransitionEvent)
-		n += checkTopicCodec(t, art, core.TopicExecutions, provenance.DecodeExecution, provenance.ParseExecution, provenance.AppendExecution, provenance.ExecutionEvent)
-		n += checkTopicCodec(t, art, core.TopicTransfers, provenance.DecodeTransfer, provenance.ParseTransfer, provenance.AppendTransfer, provenance.TransferEvent)
-		n += checkTopicCodec(t, art, core.TopicWarnings, provenance.DecodeWarning, provenance.ParseWarning, provenance.AppendWarning, provenance.WarningEvent)
-		n += checkTopicCodec(t, art, core.TopicHeartbeats, provenance.DecodeHeartbeat, provenance.ParseHeartbeat, provenance.AppendHeartbeat, provenance.HeartbeatEvent)
-		n += checkTopicCodec(t, art, core.TopicSteals, provenance.DecodeSteal, provenance.ParseSteal, provenance.AppendSteal, provenance.StealEventMeta)
-		n += checkTopicCodec(t, art, core.TopicProxy, provenance.DecodeProxyEvent, provenance.ParseProxyEvent, provenance.AppendProxyEvent, provenance.ProxyEventMeta)
-		n += checkTopicCodec(t, art, core.TopicSpeculation, provenance.DecodeSpeculation, provenance.ParseSpeculationEvent, provenance.AppendSpeculation, provenance.SpeculationEventMeta)
-		n += checkTopicCodec(t, art, core.TopicGraphs, provenance.DecodeGraphEvent,
+		n := checkTopicCodec(t, art, provenance.TopicTaskMeta, provenance.DecodeTaskMeta, provenance.ParseTaskMeta, provenance.AppendTaskMeta, provenance.TaskMetaEvent)
+		n += checkTopicCodec(t, art, provenance.TopicTransitions, provenance.DecodeTransition, provenance.ParseTransition, provenance.AppendTransition, provenance.TransitionEvent)
+		n += checkTopicCodec(t, art, provenance.TopicExecutions, provenance.DecodeExecution, provenance.ParseExecution, provenance.AppendExecution, provenance.ExecutionEvent)
+		n += checkTopicCodec(t, art, provenance.TopicTransfers, provenance.DecodeTransfer, provenance.ParseTransfer, provenance.AppendTransfer, provenance.TransferEvent)
+		n += checkTopicCodec(t, art, provenance.TopicWarnings, provenance.DecodeWarning, provenance.ParseWarning, provenance.AppendWarning, provenance.WarningEvent)
+		n += checkTopicCodec(t, art, provenance.TopicHeartbeats, provenance.DecodeHeartbeat, provenance.ParseHeartbeat, provenance.AppendHeartbeat, provenance.HeartbeatEvent)
+		n += checkTopicCodec(t, art, provenance.TopicSteals, provenance.DecodeSteal, provenance.ParseSteal, provenance.AppendSteal, provenance.StealEventMeta)
+		n += checkTopicCodec(t, art, provenance.TopicProxy, provenance.DecodeProxyEvent, provenance.ParseProxyEvent, provenance.AppendProxyEvent, provenance.ProxyEventMeta)
+		n += checkTopicCodec(t, art, provenance.TopicSpeculation, provenance.DecodeSpeculation, provenance.ParseSpeculationEvent, provenance.AppendSpeculation, provenance.SpeculationEventMeta)
+		n += checkTopicCodec(t, art, provenance.TopicGraphs, provenance.DecodeGraphEvent,
 			func(m mofka.Metadata) provenance.GraphEvent {
 				return provenance.GraphEvent{GraphID: int(provenance.Num(m, "graph_id")), Event: provenance.Str(m, "event"), At: provenance.Num(m, "at")}
 			},
@@ -220,7 +220,7 @@ func legacyWorkerLog(t *testing.T, art *core.RunArtifacts, worker string) string
 		text string
 	}
 	var lines []line
-	warns, err := provenance.Drain(art.Broker, core.TopicWarnings, provenance.DecodeWarning)
+	warns, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func legacyWorkerLog(t *testing.T, art *core.RunArtifacts, worker string) string
 			lines = append(lines, line{w.At.Seconds(), "WARN  - " + w.Message})
 		}
 	}
-	execs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,14 +85,6 @@ func (w *ImageProcessing) Stage(env *core.Env) {
 	}
 }
 
-// ExpectedTasks returns the total task count across the three graphs.
-func (w *ImageProcessing) ExpectedTasks() int {
-	return 3*w.totalChunks + 6*w.NumImages + 1
-}
-
-// ExpectedFiles returns the distinct file count (inputs + shards + report).
-func (w *ImageProcessing) ExpectedFiles() int { return w.NumImages + w.Shards + 1 }
-
 // Run implements core.Workflow: three sequential graphs.
 func (w *ImageProcessing) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 	cl.SubmitAndWait(p, w.graph1())

@@ -54,13 +54,6 @@ func (w *ResNet152) Stage(env *core.Env) {
 	}
 }
 
-// ExpectedTasks returns the graph's task count: load + transform per image,
-// predict per batch, one summary.
-func (w *ResNet152) ExpectedTasks() int {
-	batches := (w.NumImages + w.BatchSize - 1) / w.BatchSize
-	return 2*w.NumImages + batches + 1
-}
-
 // Run implements core.Workflow: one task graph, submitted at once.
 func (w *ResNet152) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 	g := dask.NewGraph(1)

@@ -59,13 +59,6 @@ func TestImageProcessingTableI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
 	}
-	w := NewImageProcessing()
-	if got := w.ExpectedTasks(); got != TableI["imageprocessing"].DistinctTasks {
-		t.Fatalf("ExpectedTasks = %d", got)
-	}
-	if got := w.ExpectedFiles(); got != TableI["imageprocessing"].DistinctFiles {
-		t.Fatalf("ExpectedFiles = %d", got)
-	}
 	art := runOnce(t, "imageprocessing", 1)
 	checkTableI(t, "imageprocessing", art)
 	// Wall time "around one hundred seconds" (paper §IV-C): accept a wide
@@ -78,10 +71,6 @@ func TestImageProcessingTableI(t *testing.T) {
 func TestResNet152TableI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
-	}
-	w := NewResNet152()
-	if got := w.ExpectedTasks(); got != TableI["resnet152"].DistinctTasks {
-		t.Fatalf("ExpectedTasks = %d", got)
 	}
 	art := runOnce(t, "resnet152", 1)
 	checkTableI(t, "resnet152", art)
@@ -106,16 +95,12 @@ func TestXGBoostTableI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
 	}
-	w := NewXGBoost()
-	if got := w.ExpectedTasks(); got != TableI["xgboost"].DistinctTasks {
-		t.Fatalf("ExpectedTasks = %d", got)
-	}
 	art := runOnce(t, "xgboost", 1)
 	checkTableI(t, "xgboost", art)
 
 	// Fig. 7: a burst of unresponsive-event-loop warnings early in the run,
 	// correlated with the read_parquet-fused-assign tasks.
-	warns, err := provenance.Drain(art.Broker, core.TopicWarnings, provenance.DecodeWarning)
+	warns, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +123,7 @@ func TestXGBoostTableI(t *testing.T) {
 
 	// Fig. 6: the read_parquet-fused-assign outputs exceed Dask's
 	// recommended 128 MB.
-	execs, err := provenance.Drain(art.Broker, core.TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,19 +98,6 @@ func (w *XGBoost) testKey(m int) dask.TaskKey {
 	return dask.TaskKey(fmt.Sprintf("concat-test-%s", pseudoHash("concat-test", m)))
 }
 
-// ExpectedTasks returns the total task count across all 74 graphs.
-func (w *XGBoost) ExpectedTasks() int {
-	total := 0
-	for m := 0; m < w.Months; m++ {
-		p := w.parts(m)
-		total += 1 + 3*p + p/2 + 2
-		if m == w.Months-1 {
-			total += 2
-		}
-	}
-	return total + (8*8 + 1) + 62
-}
-
 // Run implements core.Workflow: months are submitted eagerly (the client
 // builds them back to back); training and prediction wait on the results.
 func (w *XGBoost) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
