@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test tier1 race bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath durable fuzz whatif speculate verify
+.PHONY: build vet lint test tier1 race bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath durable simcost fuzz whatif speculate verify
 
 build:
 	$(GO) build ./...
@@ -115,6 +115,24 @@ durable:
 	$(GO) test -race -count=1 -run 'TestSyncPolicyLeavesSameBytes|TestCrashedSessionsLeaveNoGoroutines' ./internal/core/
 	$(GO) test -count=1 -run 'TestOpenDurableBrokerAllocatesLittle|TestAppendBatchAllocatesNothing' ./internal/mofka/wal/
 
+# Simulator host-cost gate, uncached and not under -race (which allocates on
+# its own): a simulated message costs no malloc — a recycled kernel timer, a
+# transfer through its latency hop and the receiving NIC, the free-keys
+# broadcast — a process started on a kernel with an idle one costs its body
+# closure, a collection-off imageprocessing session stays inside its mallocs
+# per task, a stale resume of a finished process panics by name, the kernel
+# against its sort-by-(time, sequence) model with recycled and owned events
+# interleaved, and a striped PFS operation submits in stripe order. Then one
+# iteration of each kernel benchmark, so a signature change cannot leave them
+# uncompiled.
+simcost:
+	$(GO) test -count=1 -run 'TestKernelAllocBudget|TestProcAllocBudget|TestProcStaleResumePanics|TestKernelOrderProperty|TestKernelCloseUnwindsParkedProcs|TestSharedServerGoldenTrace' ./internal/sim/
+	$(GO) test -count=1 -run 'TestTransferAllocatesNothing' ./internal/platform/
+	$(GO) test -count=1 -run 'TestStripedFanoutSubmitsInStripeOrder' ./internal/pfs/
+	$(GO) test -count=1 -run 'TestFreeKeysBroadcastAllocatesNothing' ./internal/dask/
+	$(GO) test -count=1 -run 'TestSimOnlyAllocBudget' ./internal/workloads/
+	$(GO) test -run '^$$' -bench 'BenchmarkProcSwitch|BenchmarkKernelEventThroughput|BenchmarkSharedServer' -benchtime 1x ./internal/sim/
+
 # What-if validation: self-replay of the unchanged scenario on the seeded
 # ImageProcessing and xgboost runs must predict the measured makespan within
 # +/-10%, the critical path must attribute >=95% of it to named categories,
@@ -198,4 +216,4 @@ bench-e2e-smoke:
 		$(GO) run -C bench/e2e . -workload $$w -smoke || exit 1; done
 
 # Everything CI runs.
-verify: tier1 lint race chaos cluster property resume readpath durable fuzz whatif speculate
+verify: tier1 lint race chaos cluster property resume readpath durable simcost fuzz whatif speculate

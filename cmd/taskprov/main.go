@@ -17,12 +17,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -66,7 +69,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  taskprov run -workflow <name> [-seed N] [-runs N] [-out DIR] [-data-dir DIR] [-force] [-cluster N] [-replication N] [-quorum N] [-live] [-live-http ADDR] [-chaos SPEC] [-speculate] [-speculate-quantile Q] [-proxy-threshold BYTES] [-proxy-prefetch] [-no-dxt] [-no-collect] [-no-steal]
+  taskprov run -workflow <name> [-seed N] [-runs N] [-out DIR] [-data-dir DIR] [-force] [-cluster N] [-replication N] [-quorum N] [-live] [-live-http ADDR] [-chaos SPEC] [-speculate] [-speculate-quantile Q] [-proxy-threshold BYTES] [-proxy-prefetch] [-no-dxt] [-no-collect] [-no-steal] [-cpuprofile FILE] [-memprofile FILE]
   taskprov resume [-out DIR] [-fsync POLICY] [-chaos SPEC] DATA_DIR
   taskprov watch (-data-dir DIR | -broker ADDR) [-http ADDR] [-interval DUR] [-once] [-json]
   taskprov whatif -run DIR [-scenario SPEC]... [-critpath] [-json]
@@ -83,7 +86,39 @@ func cmdList() error {
 	return nil
 }
 
-func cmdRun(args []string) error {
+// startProfiles begins a CPU profile of this process into cpuFile and returns
+// the function that ends it and writes the allocs profile (every allocation
+// since process start, by site) to memFile. An empty name skips that profile.
+func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var cpuErr error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			cpuErr = cpu.Close()
+		}
+		if memFile == "" {
+			return cpuErr
+		}
+		mem, err := os.Create(memFile)
+		if err != nil {
+			return errors.Join(cpuErr, err)
+		}
+		runtime.GC() // the profile lags the heap by one collection
+		return errors.Join(cpuErr, pprof.Lookup("allocs").WriteTo(mem, 0), mem.Close())
+	}, nil
+}
+
+func cmdRun(args []string) (err error) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	workflow := fs.String("workflow", "", "workflow name (see `taskprov list`)")
 	seed := fs.Uint64("seed", 1, "base run seed")
@@ -105,9 +140,20 @@ func cmdRun(args []string) error {
 	noDXT := fs.Bool("no-dxt", false, "disable Darshan DXT tracing")
 	noCollect := fs.Bool("no-collect", false, "disable all instrumentation (overhead ablation)")
 	noSteal := fs.Bool("no-steal", false, "disable work stealing (scheduling ablation)")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the runs to FILE")
+	memProfile := fs.String("memprofile", "", "write a pprof allocs profile of the runs to FILE")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	if *workflow == "" {
 		return fmt.Errorf("missing -workflow")
 	}

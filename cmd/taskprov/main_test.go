@@ -47,6 +47,55 @@ func TestCmdRunWritesArtifacts(t *testing.T) {
 	}
 }
 
+// TestCmdRunProfiles: -cpuprofile and -memprofile write both profiles and
+// change nothing the run writes — the run dir is byte for byte the one the
+// same command leaves without them.
+func TestCmdRunProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full workflow runs")
+	}
+	tmp := t.TempDir()
+	cpu, mem := filepath.Join(tmp, "cpu.pprof"), filepath.Join(tmp, "mem.pprof")
+	plain, profiled := filepath.Join(tmp, "plain"), filepath.Join(tmp, "profiled")
+	run := []string{"-workflow", "imageprocessing", "-seed", "2", "-out"}
+	if err := cmdRun(append(run[:len(run):len(run)], plain)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdRun(append(run[:len(run):len(run)], profiled, "-cpuprofile", cpu, "-memprofile", mem)); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", filepath.Base(p), err)
+		}
+	}
+	tree := func(root string) map[string]string {
+		files := map[string]string{}
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			rel, _ := filepath.Rel(root, path)
+			files[rel] = string(data)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	want, got := tree(plain), tree(profiled)
+	if len(want) < 10 || len(got) != len(want) {
+		t.Fatalf("%d files without the flags, %d with them", len(want), len(got))
+	}
+	for rel, data := range want {
+		if got[rel] != data {
+			t.Errorf("%s differs under the profile flags", rel)
+		}
+	}
+}
+
 // TestCmdRunSurvivesKillWithSpeculation: the command lines that used to abort
 // the process with "dependency … has no holders" (ROADMAP item 1a — one worker
 // kill with hedging on, on either data plane, and the full recipe) exit 0 and

@@ -145,7 +145,7 @@ func (c *Cluster) SetSpeculationAdvisor(adv SpeculationAdvisor) {
 // handle on arrival.
 func (c *Cluster) control(from, to *platform.Node, handle func()) {
 	c.addControlBytes(c.cfg.ControlMessageBytes)
-	c.plat.Transfer(from, to, c.cfg.ControlMessageBytes, func(sim.Time) { handle() })
+	c.plat.Transfer(from, to, c.cfg.ControlMessageBytes, handle)
 }
 
 // addControlBytes charges n bytes to the scheduler control path.

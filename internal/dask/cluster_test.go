@@ -680,3 +680,42 @@ func TestStealBatchingKeepsAccounting(t *testing.T) {
 		t.Fatalf("distinct executed = %d", len(seen))
 	}
 }
+
+// TestFreeKeysBroadcastAllocatesNothing: releasing a key sends one free-keys
+// message to every connected worker — more than half of a run's control
+// messages — and once the scheduler, the platform and the kernel have their
+// recycled structs, the whole broadcast (send, latency hop, NIC, delivery,
+// the worker dropping its replica) costs no malloc.
+func TestFreeKeysBroadcastAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel(1)
+	plat := platform.New(k, platform.Polaris())
+	c := NewCluster(k, plat, nil, DefaultConfig(), nil)
+	s := c.scheduler
+	for _, wh := range s.workers {
+		wh.connected = true // no Start: no heartbeat or steal loop to stop
+	}
+	const key, size = TaskKey("x-0"), 1 << 20
+	ts := &schedTask{spec: &TaskSpec{Key: key}, whoHas: map[int]struct{}{}}
+	s.tasks[key] = ts
+	broadcast := func() {
+		ts.state = StateMemory
+		for _, w := range c.workers {
+			ts.whoHas[w.rank] = struct{}{}
+			w.data[key] = size
+		}
+		s.release(ts)
+		k.Run()
+	}
+	broadcast() // warm-up: free lists and scratch reach their steady size
+	if n := testing.AllocsPerRun(200, broadcast); n != 0 {
+		t.Errorf("free-keys broadcast to %d workers: %v allocs, budget 0", len(c.workers), n)
+	}
+	for _, w := range c.workers {
+		if w.HasData(key) {
+			t.Errorf("worker %d still holds the released key", w.rank)
+		}
+	}
+	if ts.state != StateReleased || len(ts.whoHas) != 0 {
+		t.Errorf("after release: state %q, %d holders", ts.state, len(ts.whoHas))
+	}
+}

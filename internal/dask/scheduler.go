@@ -60,10 +60,29 @@ type Scheduler struct {
 	specInFlight int
 	specLaunches int
 
+	freeMsgs []*freeMsg // delivered free-keys messages, reused LIFO
+
 	nextPriority int
 	stealCount   int
 	lostCount    int
 	started      bool
+}
+
+// freeMsg is one free-keys message on its way to one worker. The broadcast is
+// more than half of all control traffic (a message per connected worker per
+// released key), so it travels as a recycled struct whose deliver method
+// value is bound once instead of as a closure per message.
+type freeMsg struct {
+	s       *Scheduler
+	w       *Worker
+	key     TaskKey
+	deliver func()
+}
+
+func (m *freeMsg) arrive() {
+	w, key := m.w, m.key
+	m.s.freeMsgs = append(m.s.freeMsgs, m)
+	w.handleFree(key)
 }
 
 // saturationLimit is how many assigned-but-unfinished tasks a worker may
@@ -1056,13 +1075,20 @@ func (s *Scheduler) release(ts *schedTask) {
 		if !wh.connected {
 			continue
 		}
-		w := wh.w
 		if _, holds := ts.whoHas[wh.rank]; holds {
 			wh.memory -= ts.size
 		}
-		s.c.control(s.node, w.node, func() { w.handleFree(key) })
+		var m *freeMsg
+		if n := len(s.freeMsgs); n > 0 {
+			m, s.freeMsgs = s.freeMsgs[n-1], s.freeMsgs[:n-1]
+		} else {
+			m = &freeMsg{s: s}
+			m.deliver = m.arrive
+		}
+		m.w, m.key = wh.w, key
+		s.c.control(s.node, wh.w.node, m.deliver)
 	}
-	ts.whoHas = make(map[int]struct{})
+	clear(ts.whoHas)
 	if ts.viaProxy {
 		// The refcount drain above normally destroyed the blob already; this
 		// covers paths that free a key without draining references.
@@ -1127,7 +1153,7 @@ func (s *Scheduler) handleGather(key TaskKey, deliver func(size int64)) {
 		s.c.addControlBytes(s.c.cfg.ProxyRefBytes)
 		s.c.control(s.node, s.c.client.node, func() {
 			demand := s.c.kernel.Now()
-			s.c.plat.Transfer(owner.w.node, s.c.client.node, size, func(sim.Time) {
+			s.c.plat.Transfer(owner.w.node, s.c.client.node, size, func() {
 				stop := s.c.kernel.Now()
 				rec := Transfer{
 					Key: key, From: owner.w.addr, To: "client", Bytes: size,
@@ -1144,9 +1170,9 @@ func (s *Scheduler) handleGather(key TaskKey, deliver func(size int64)) {
 		return
 	}
 	s.c.addControlBytes(size)
-	s.c.plat.Transfer(owner.w.node, s.node, size, func(sim.Time) {
+	s.c.plat.Transfer(owner.w.node, s.node, size, func() {
 		s.c.addControlBytes(size)
-		s.c.plat.Transfer(s.node, s.c.client.node, size, func(sim.Time) {
+		s.c.plat.Transfer(s.node, s.c.client.node, size, func() {
 			deliver(size)
 		})
 	})

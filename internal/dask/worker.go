@@ -261,7 +261,7 @@ func (w *Worker) fetch(d depInfo, wt *wTask) {
 			return
 		}
 		wireStart := w.c.kernel.Now()
-		w.c.plat.Transfer(src.node, w.node, size, func(sim.Time) {
+		w.c.plat.Transfer(src.node, w.node, size, func() {
 			if !w.alive || w.incarnation != inc {
 				return
 			}

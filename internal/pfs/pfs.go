@@ -77,6 +77,7 @@ type FileSystem struct {
 	nextOST int
 	lat     *sim.RNG
 	noise   *sim.RNG
+	parts   []ostPart // ostsFor's result, overwritten by the next call
 
 	reads, writes, opens int64
 }
@@ -172,13 +173,18 @@ func (fs *FileSystem) Open(p string, done func(*File)) {
 	})
 }
 
+// ostPart is one OST's share of a striped byte range.
+type ostPart struct {
+	ost   *sim.SharedServer
+	bytes float64
+}
+
 // ostsFor returns the OST servers and per-OST byte counts touched by the
-// byte range [off, off+size) of file f under its stripe layout.
-func (fs *FileSystem) ostsFor(f *File, off, size int64) map[*sim.SharedServer]float64 {
-	out := make(map[*sim.SharedServer]float64)
-	if size <= 0 {
-		return out
-	}
+// byte range [off, off+size) of file f under its stripe layout, in the order
+// the range first touches them: the order fanout submits in, so it must not
+// vary from run to run. The slice is valid until the next call.
+func (fs *FileSystem) ostsFor(f *File, off, size int64) []ostPart {
+	out := fs.parts[:0]
 	ss := fs.cfg.StripeSize
 	for remaining, cur := size, off; remaining > 0; {
 		stripe := cur / ss
@@ -188,10 +194,18 @@ func (fs *FileSystem) ostsFor(f *File, off, size int64) map[*sim.SharedServer]fl
 		if n > inStripe {
 			n = inStripe
 		}
-		out[ost] += float64(n)
+		i := 0
+		for i < len(out) && out[i].ost != ost {
+			i++
+		}
+		if i == len(out) {
+			out = append(out, ostPart{ost: ost})
+		}
+		out[i].bytes += float64(n)
 		cur += n
 		remaining -= n
 	}
+	fs.parts = out
 	return out
 }
 
@@ -250,13 +264,14 @@ func (fs *FileSystem) fanout(f *File, off, size int64, done func()) {
 		return
 	}
 	left := len(parts)
-	for ost, bytes := range parts {
-		ost.Submit(bytes, func() {
-			left--
-			if left == 0 {
-				done()
-			}
-		})
+	arrived := func() {
+		left--
+		if left == 0 {
+			done()
+		}
+	}
+	for _, p := range parts {
+		p.ost.Submit(p.bytes, arrived)
 	}
 }
 

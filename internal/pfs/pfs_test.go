@@ -1,6 +1,8 @@
 package pfs
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -102,10 +104,10 @@ func TestStripingSpreadsAcrossOSTs(t *testing.T) {
 		t.Fatalf("8MiB over 4 stripes of 1MiB touched %d OSTs, want 4", len(parts))
 	}
 	var total float64
-	for _, b := range parts {
-		total += b
-		if b != 2<<20 {
-			t.Errorf("uneven stripe share: %v", b)
+	for _, p := range parts {
+		total += p.bytes
+		if p.bytes != 2<<20 {
+			t.Errorf("uneven stripe share: %v", p.bytes)
 		}
 	}
 	if total != 8<<20 {
@@ -124,8 +126,8 @@ func TestStripingPartialRange(t *testing.T) {
 	// (ost1), then... wait: [500,1000) on stripe0, [1000,1700) on stripe1.
 	parts := fs.ostsFor(f, 500, 1200)
 	var total float64
-	for _, b := range parts {
-		total += b
+	for _, p := range parts {
+		total += p.bytes
 	}
 	if total != 1200 {
 		t.Fatalf("partial range bytes = %v, want 1200", total)
@@ -288,8 +290,8 @@ func TestStripingConservationProperty(t *testing.T) {
 	prop := func(off uint32, size uint16) bool {
 		parts := fs.ostsFor(f, int64(off), int64(size))
 		var total float64
-		for _, b := range parts {
-			total += b
+		for _, p := range parts {
+			total += p.bytes
 		}
 		if total != float64(size) {
 			return false
@@ -326,5 +328,36 @@ func TestReadNeverExceedsFileSize(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStripedFanoutSubmitsInStripeOrder: a striped operation charges its OSTs
+// in the order the byte range first touches them, never in map order — the
+// order of the Submits is the order of the OSTs' completion events when they
+// land on one nanosecond. One read queued on OST A and one on OST B, then an
+// equal share on each from one read striped over both: all four jobs finish
+// at the same instant, A's completion event was armed before B's by the
+// striped read, and so the read on A reports first, every time.
+func TestStripedFanoutSubmitsInStripeOrder(t *testing.T) {
+	cfg := quiet()
+	cfg.StripeCount = 2
+	stripe := cfg.StripeSize
+	for run := 0; run < 64; run++ {
+		k := sim.NewKernel(1)
+		fs := New(k, cfg)
+		f := fs.CreateNow("/f", 2*stripe)
+		var order []string
+		read := func(name string, off, size int64) {
+			fs.Read(f, off, size, func(int64) { order = append(order, fmt.Sprintf("%s@%d", name, k.Now())) })
+		}
+		read("A", 0, stripe)
+		read("B", stripe, stripe)
+		read("AB", 0, 2*stripe)
+		k.Run()
+		at := k.Now()
+		want := []string{fmt.Sprintf("A@%d", at), fmt.Sprintf("B@%d", at), fmt.Sprintf("AB@%d", at)}
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("run %d: reads completed as %v, want %v", run, order, want)
+		}
 	}
 }

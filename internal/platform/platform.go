@@ -93,6 +93,27 @@ type Cluster struct {
 	// on that link take f times longer (degraded cable, congested uplink —
 	// the gray-failure analogue of a kill). Factor 1 entries are removed.
 	linkFactor map[[2]int]float64
+
+	free []*transfer // messages past their latency hop, reused LIFO
+}
+
+// transfer is one message between its latency hop and the receiving server:
+// what arrive needs, kept in a recycled struct so that a message costs no
+// closure. arrive is the method value, bound once per struct.
+type transfer struct {
+	c      *Cluster
+	server *sim.SharedServer
+	bytes  float64
+	done   func()
+	arrive func()
+}
+
+// land hands the message to the receiving server, once its latency has passed.
+func (t *transfer) land() {
+	server, bytes, done := t.server, t.bytes, t.done
+	t.done = nil // whatever it captured is not the free list's to keep
+	t.c.free = append(t.c.free, t)
+	server.Submit(bytes, done)
 }
 
 // New builds a cluster on kernel k. Node-to-switch placement and per-node
@@ -182,13 +203,12 @@ func (c *Cluster) latency(from, to *Node) sim.Time {
 	return c.lat.JitterTime(base, c.cfg.LatencyCV)
 }
 
-// Transfer models moving size bytes from node `from` to node `to`. The done
-// callback receives the total elapsed virtual time once the last byte lands.
-// Inter-node transfers share the receiver's NIC; intra-node transfers share
-// the node's memory bandwidth. A zero-size transfer still pays latency and
-// software overhead (matching small control messages).
-func (c *Cluster) Transfer(from, to *Node, size int64, done func(elapsed sim.Time)) {
-	start := c.kernel.Now()
+// Transfer models moving size bytes from node `from` to node `to`; done (nil
+// for none) is called once the last byte lands. Inter-node transfers share
+// the receiver's NIC; intra-node transfers share the node's memory bandwidth.
+// A zero-size transfer still pays latency and software overhead (matching
+// small control messages).
+func (c *Cluster) Transfer(from, to *Node, size int64, done func()) {
 	lat := c.latency(from, to) + c.cfg.MessageOverhead
 	server := to.nic
 	if from == to {
@@ -203,13 +223,15 @@ func (c *Cluster) Transfer(from, to *Node, size int64, done func(elapsed sim.Tim
 		lat = sim.Time(float64(lat) * f)
 		bytes *= f
 	}
-	c.kernel.After(lat, func() {
-		server.Submit(bytes, func() {
-			if done != nil {
-				done(c.kernel.Now() - start)
-			}
-		})
-	})
+	var t *transfer
+	if n := len(c.free); n > 0 {
+		t, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		t = &transfer{c: c}
+		t.arrive = t.land
+	}
+	t.server, t.bytes, t.done = server, bytes, done
+	c.kernel.After(lat, t.arrive)
 }
 
 // ComputeDuration scales a nominal task duration by the executing node's

@@ -65,8 +65,8 @@ func TestTransferIntraVsInterNode(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(k, cfg)
 	var intra, inter sim.Time
-	c.Transfer(c.Node(0), c.Node(0), 1<<30, func(e sim.Time) { intra = e })
-	c.Transfer(c.Node(0), c.Node(1), 1<<30, func(e sim.Time) { inter = e })
+	c.Transfer(c.Node(0), c.Node(0), 1<<30, func() { intra = k.Now() })
+	c.Transfer(c.Node(0), c.Node(1), 1<<30, func() { inter = k.Now() })
 	k.Run()
 	if intra == 0 || inter == 0 {
 		t.Fatal("transfers did not complete")
@@ -86,7 +86,7 @@ func TestTransferZeroSizePaysLatencyOnly(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(k, cfg)
 	var e sim.Time
-	c.Transfer(c.Node(0), c.Node(1), 0, func(d sim.Time) { e = d })
+	c.Transfer(c.Node(0), c.Node(1), 0, func() { e = k.Now() })
 	k.Run()
 	want := cfg.MessageOverhead
 	if e < want || e > want+cfg.CrossSwitchLatency*2 {
@@ -101,14 +101,14 @@ func TestConcurrentTransfersShareNIC(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(k, cfg)
 	var alone sim.Time
-	c.Transfer(c.Node(0), c.Node(1), 1<<30, func(e sim.Time) { alone = e })
+	c.Transfer(c.Node(0), c.Node(1), 1<<30, func() { alone = k.Now() })
 	k.Run()
 
 	k2 := sim.NewKernel(1)
 	c2 := New(k2, cfg)
 	var with1, with2 sim.Time
-	c2.Transfer(c2.Node(0), c2.Node(1), 1<<30, func(e sim.Time) { with1 = e })
-	c2.Transfer(c2.Node(0), c2.Node(1), 1<<30, func(e sim.Time) { with2 = e })
+	c2.Transfer(c2.Node(0), c2.Node(1), 1<<30, func() { with1 = k2.Now() })
+	c2.Transfer(c2.Node(0), c2.Node(1), 1<<30, func() { with2 = k2.Now() })
 	k2.Run()
 	if with1 < alone*3/2 || with2 < alone*3/2 {
 		t.Fatalf("concurrent transfers (%v, %v) not slowed vs alone (%v)", with1, with2, alone)
@@ -173,4 +173,29 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	New(sim.NewKernel(1), Config{})
+}
+
+// TestTransferAllocatesNothing: a control-sized message — latency hop, then
+// the receiving NIC — costs no malloc once the cluster, the kernel and the
+// server have their recycled structs: the budget every scheduler/worker
+// message of a run is held to.
+func TestTransferAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel(1)
+	c := New(k, Polaris())
+	arrived := 0
+	done := func() { arrived++ }
+	send := func() {
+		c.Transfer(c.Node(0), c.Node(1), 1024, done)
+		c.Transfer(c.Node(1), c.Node(1), 1024, done)
+		c.Transfer(c.Node(0), c.Node(1), 0, done)
+		k.Run()
+	}
+	send() // warm-up: free lists and scratch reach their steady size
+	arrived = 0
+	if n := testing.AllocsPerRun(500, send); n != 0 {
+		t.Errorf("three transfers to completion: %v allocs, budget 0", n)
+	}
+	if arrived != 3*501 {
+		t.Errorf("%d of %d transfers arrived", arrived, 3*501)
+	}
 }

@@ -5,14 +5,16 @@ import (
 	"math"
 )
 
-// Event is a scheduled callback. It is returned by the scheduling methods so
-// callers can cancel it before it fires, or move it with Kernel.Reschedule.
+// Event is a scheduled callback. A timer that must be moved or cancelled is an
+// Event its caller owns and arms with Kernel.Reschedule and Kernel.Unschedule
+// (SharedServer's completion, a Proc's wake-up, Every's tick); At and After
+// schedule fire-and-forget events the kernel owns and recycles.
 type Event struct {
 	at     Time
 	seq    uint64
 	fn     func()
-	pos    int // 1-based position in the kernel's heap; 0 while not queued
-	cancel bool
+	pos    int  // 1-based position in the kernel's heap; 0 while not queued
+	pooled bool // the kernel's own: back on its free list once fired
 }
 
 // before orders events by (time, sequence). The sequence number makes the
@@ -32,7 +34,9 @@ type Kernel struct {
 	stopped bool
 	steps   uint64
 	rng     *RNG
-	procs   []*Proc // started and not yet finished, for Close
+	free    []*Event // fired At/After events, reused LIFO
+	procs   []*Proc  // every process with a coroutine, for Close
+	idle    []*Proc  // those whose body returned, reused LIFO by Go
 }
 
 // NewKernel returns a kernel at virtual time zero whose root RNG is seeded
@@ -119,16 +123,16 @@ func (k *Kernel) fix(i int) {
 	}
 }
 
-// Reschedule makes e — queued, fired or cancelled — fire at the absolute
-// virtual time t, in place: nothing is allocated and no dead entry stays in
-// the queue. It consumes one sequence number, so among simultaneous events e
-// fires where a freshly scheduled event would. The caller owns e and must
-// not share it with another kernel. Scheduling in the past panics.
+// Reschedule makes e — queued or not — fire at the absolute virtual time t,
+// in place: nothing is allocated and no dead entry stays in the queue. It
+// consumes one sequence number, so among simultaneous events e fires where a
+// freshly scheduled event would. The caller owns e and must not share it with
+// another kernel. Scheduling in the past panics.
 func (k *Kernel) Reschedule(e *Event, t Time) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	e.at, e.seq, e.cancel = t, k.seq, false
+	e.at, e.seq = t, k.seq
 	k.seq++
 	if e.pos == 0 {
 		k.heap = append(k.heap, e)
@@ -139,29 +143,36 @@ func (k *Kernel) Reschedule(e *Event, t Time) {
 }
 
 // Unschedule removes e from the queue so that it does not fire; an event that
-// is not queued is left alone. Unlike Cancel it leaves nothing behind, and e
-// can be armed again with Reschedule.
+// is not queued is left alone. It leaves nothing behind, and e can be armed
+// again with Reschedule.
 func (k *Kernel) Unschedule(e *Event) {
 	if e.pos != 0 {
 		k.removeAt(e.pos - 1)
 	}
 }
 
-// At schedules fn to run at the absolute virtual time t. Scheduling in the
-// past panics: it indicates a causality bug in the caller.
-func (k *Kernel) At(t Time, fn func()) *Event {
-	e := &Event{fn: fn}
+// At schedules fn to run once at the absolute virtual time t, fire and
+// forget: the event is the kernel's, taken from its free list and put back
+// when it fires. Scheduling in the past panics: it indicates a causality bug
+// in the caller.
+func (k *Kernel) At(t Time, fn func()) {
+	var e *Event
+	if n := len(k.free); n > 0 {
+		e, k.free = k.free[n-1], k.free[:n-1]
+	} else {
+		e = &Event{pooled: true}
+	}
+	e.fn = fn
 	k.Reschedule(e, t)
-	return e
 }
 
-// After schedules fn to run d after the current virtual time. Negative delays
-// are clamped to zero.
-func (k *Kernel) After(d Time, fn func()) *Event {
+// After schedules fn to run once d after the current virtual time. Negative
+// delays are clamped to zero.
+func (k *Kernel) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return k.At(k.now+d, fn)
+	k.At(k.now+d, fn)
 }
 
 // Stop makes Run return after the currently firing event completes.
@@ -176,20 +187,18 @@ func (k *Kernel) Every(d Time, fn func()) (stop func()) {
 		panic(fmt.Sprintf("sim: Every with non-positive period %v", d))
 	}
 	stopped := false
-	var schedule func()
-	schedule = func() {
-		k.After(d, func() {
-			if stopped {
-				return
-			}
-			fn()
-			if !stopped {
-				schedule()
-			}
-		})
+	tick := &Event{}
+	tick.fn = func() {
+		fn()
+		if !stopped {
+			k.Reschedule(tick, k.now+d)
+		}
 	}
-	schedule()
-	return func() { stopped = true }
+	k.Reschedule(tick, k.now+d)
+	return func() {
+		stopped = true
+		k.Unschedule(tick)
+	}
 }
 
 // fire pops and runs events in (time, sequence) order until the next one is
@@ -202,12 +211,16 @@ func (k *Kernel) fire(deadline Time) {
 			break
 		}
 		k.removeAt(0)
-		if e.cancel {
-			continue
-		}
 		k.now = e.at
 		k.steps++
-		e.fn()
+		fn := e.fn
+		if e.pooled {
+			// Back before the callback, so an After from inside it reuses
+			// this event; nothing outside the kernel holds a pooled event.
+			e.fn = nil
+			k.free = append(k.free, e)
+		}
+		fn()
 	}
 }
 
@@ -229,6 +242,5 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 	return k.now
 }
 
-// Pending reports the number of queued events; ones cancelled with
-// Event.Cancel count until their time comes.
+// Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return len(k.heap) }

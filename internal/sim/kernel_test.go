@@ -54,11 +54,15 @@ func TestKernelAfterAndNow(t *testing.T) {
 func TestKernelCancel(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
-	e := k.After(Second, func() { fired = true })
-	e.Cancel()
+	e := &Event{fn: func() { fired = true }}
+	k.Reschedule(e, Second)
+	k.Unschedule(e)
 	k.Run()
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("unscheduled event fired")
+	}
+	if k.Pending() != 0 || k.Steps() != 0 {
+		t.Fatalf("unscheduled event left %d pending, %d steps", k.Pending(), k.Steps())
 	}
 }
 
@@ -220,27 +224,29 @@ func TestKernelEveryNonPositivePeriodPanics(t *testing.T) {
 	NewKernel(1).Every(0, func() {})
 }
 
-// TestKernelOrderProperty drives random programs of At, After, Cancel,
-// Reschedule and Unschedule, interleaved with RunUntil, against a model that
-// knows nothing about heaps: the events that fire in each stretch are the
-// queued, uncancelled ones due by the deadline, in the order a sort by
-// (time, sequence number) gives, where every At, After and Reschedule takes
-// the next sequence number. Steps counts exactly the fired events, and
-// Pending the queued ones — a rescheduled or unscheduled timer leaves no dead
-// entry behind, a cancelled one stays until its time comes.
+// TestKernelOrderProperty drives random programs of fire-and-forget At and
+// After, and of Reschedule and Unschedule on events the test owns, interleaved
+// with RunUntil, against a model that knows nothing about heaps or free
+// lists: the callbacks that run in each stretch are those of the queued
+// events due by the deadline, in the order a sort by (time, sequence number)
+// gives, where every At, After and Reschedule takes the next sequence number.
+// Every callback carries its own id, so a recycled Event that fires a stale
+// callback, fires twice or not at all shows as a wrong id in the order. Steps
+// counts exactly the fired events, and Pending the queued ones — a moved or
+// unscheduled timer leaves no dead entry behind.
 func TestKernelOrderProperty(t *testing.T) {
 	type model struct {
-		ev        *Event
-		at        Time
-		seq       uint64
-		queued    bool
-		cancelled bool
+		ev     *Event // nil: fire-and-forget, the kernel's
+		at     Time
+		seq    uint64
+		queued bool
 	}
 	for prog := 0; prog < 300; prog++ {
 		rng := rand.New(rand.NewSource(int64(prog)))
 		k := NewKernel(1)
 		var (
 			events []*model
+			owned  []*model
 			seq    uint64
 			fired  []int
 			steps  uint64
@@ -251,30 +257,33 @@ func TestKernelOrderProperty(t *testing.T) {
 		for phase := 0; phase < 6; phase++ {
 			for op := 0; op < 40; op++ {
 				var m *model
-				if len(events) > 0 {
-					m = events[rng.Intn(len(events))]
+				if len(owned) > 0 {
+					m = owned[rng.Intn(len(owned))]
 				}
 				switch c := rng.Intn(10); {
-				case c < 4 || m == nil:
+				case c < 3:
 					id := len(events)
 					m = &model{at: when(), seq: seq, queued: true}
 					fn := func() { fired = append(fired, id) }
 					if c%2 == 0 {
-						m.ev = k.At(m.at, fn)
+						k.At(m.at, fn)
 					} else {
-						m.ev = k.After(m.at-k.Now(), fn)
+						k.After(m.at-k.Now(), fn)
 					}
 					seq++
 					events = append(events, m)
-				case c < 6:
-					m.ev.Cancel()
-					m.cancelled = m.queued
-				case c < 9:
-					m.at, m.seq, m.queued, m.cancelled = when(), seq, true, false
+				case c < 5 || m == nil:
+					id := len(events)
+					m = &model{ev: &Event{fn: func() { fired = append(fired, id) }}}
+					events = append(events, m)
+					owned = append(owned, m)
+					fallthrough
+				case c < 8:
+					m.at, m.seq, m.queued = when(), seq, true
 					seq++
 					k.Reschedule(m.ev, m.at)
 					if m.ev.at != m.at {
-						t.Fatalf("program %d: At() = %v after Reschedule to %v", prog, m.ev.at, m.at)
+						t.Fatalf("program %d: at = %v after Reschedule to %v", prog, m.ev.at, m.at)
 					}
 				default:
 					k.Unschedule(m.ev)
@@ -297,9 +306,7 @@ func TestKernelOrderProperty(t *testing.T) {
 			for id, m := range events {
 				if m.queued && (last || m.at <= deadline) {
 					m.queued = false
-					if !m.cancelled {
-						due = append(due, id)
-					}
+					due = append(due, id)
 				}
 			}
 			sort.Slice(due, func(i, j int) bool {
@@ -332,7 +339,8 @@ func TestKernelOrderProperty(t *testing.T) {
 // TestKernelRescheduleInThePastPanics: Reschedule checks causality as At does.
 func TestKernelRescheduleInThePastPanics(t *testing.T) {
 	k := NewKernel(1)
-	e := k.At(Seconds(9), func() {})
+	e := &Event{fn: func() {}}
+	k.Reschedule(e, Seconds(9))
 	k.RunUntil(Seconds(5))
 	defer func() {
 		if recover() == nil {
@@ -342,18 +350,34 @@ func TestKernelRescheduleInThePastPanics(t *testing.T) {
 	k.Reschedule(e, Seconds(1))
 }
 
-// TestKernelAllocBudget: scheduling costs the Event and nothing else; moving
-// an event costs nothing.
+// TestKernelAllocBudget: in steady state neither a fire-and-forget event nor
+// moving an owned one costs a malloc — At and After take their Event from the
+// kernel's free list, whether the callback chains the next one or not.
 func TestKernelAllocBudget(t *testing.T) {
 	k := NewKernel(1)
 	fn := func() {}
 	if n := testing.AllocsPerRun(1000, func() {
+		k.After(Microsecond, fn)
 		k.At(k.Now()+Microsecond, fn)
 		k.Run()
-	}); n > 1 {
-		t.Errorf("Kernel.At + firing: %v allocs, budget 1", n)
+	}); n != 0 {
+		t.Errorf("Kernel.After + At + firing: %v allocs, budget 0", n)
 	}
-	e := k.After(Second, fn)
+	var chain func()
+	left := 0
+	chain = func() {
+		if left--; left > 0 {
+			k.After(Microsecond, chain)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		left = 10
+		k.After(Microsecond, chain)
+		k.Run()
+	}); n != 0 {
+		t.Errorf("chain of 10 After: %v allocs, budget 0", n)
+	}
+	e := &Event{fn: fn}
 	if n := testing.AllocsPerRun(1000, func() {
 		k.Reschedule(e, k.Now()+Microsecond)
 		k.Run()

@@ -20,13 +20,12 @@ import "iter"
 // memory accesses on either side of it.
 type Proc struct {
 	k      *Kernel
-	body   func(p *Proc)
+	body   func(p *Proc)           // nil while the process is idle, between two bodies
 	yield  func(struct{}) bool     // process -> kernel: parked
 	next   func() (struct{}, bool) // kernel -> process: run until parked or finished
 	stop   func()                  // kernel -> process: unwind (Kernel.Close)
 	resume func()                  // resumeFromEvent, bound once
 	wake   Event                   // start, then Sleep's timer: a process sleeps on one at a time
-	slot   int                     // index in k.procs
 }
 
 // procKilled is what park panics with when Kernel.Close unwinds the process.
@@ -36,17 +35,26 @@ type procKilled struct{}
 func (p *Proc) Now() Time { return p.k.Now() }
 
 // Go starts fn as a new simulation process at the current virtual time (it
-// begins executing in a zero-delay event). When fn returns the process ends.
-// A panic in fn surfaces from Kernel.Run with its original value.
+// begins executing in a zero-delay event). When fn returns the process ends;
+// its coroutine stays parked on the kernel's idle list, where the next Go
+// finds it, until Kernel.Close. A panic in fn surfaces from Kernel.Run with
+// its original value.
 func (k *Kernel) Go(fn func(p *Proc)) {
-	p := &Proc{k: k, body: fn}
-	p.resume = p.resumeFromEvent
-	p.wake.fn = p.resume
+	var p *Proc
+	if n := len(k.idle); n > 0 {
+		p, k.idle = k.idle[n-1], k.idle[:n-1]
+	} else {
+		p = &Proc{k: k}
+		p.resume = p.resumeFromEvent
+		p.wake.fn = p.resume
+	}
+	p.body = fn
 	k.Reschedule(&p.wake, k.now)
 }
 
 // start creates the coroutine, in the process's first event so that a process
-// the kernel never reaches costs no goroutine.
+// the kernel never reaches costs no goroutine. The coroutine outlives the
+// body: it runs one, parks idle, and runs the next one Go hands it.
 func (p *Proc) start() {
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -57,9 +65,13 @@ func (p *Proc) start() {
 				}
 			}
 		}()
-		p.body(p)
+		for {
+			p.body(p)
+			p.body = nil
+			p.k.idle = append(p.k.idle, p)
+			p.park()
+		}
 	})
-	p.slot = len(p.k.procs)
 	p.k.procs = append(p.k.procs, p)
 }
 
@@ -75,32 +87,29 @@ func (p *Proc) park() {
 // the process and holds the kernel until the process parks again or
 // finishes.
 func (p *Proc) resumeFromEvent() {
+	if p.body == nil {
+		// A completion delivered twice, or a timer that outlived its body:
+		// running on would hand the wake-up to whichever body comes next.
+		panic("sim: resume of a process whose body has returned")
+	}
 	if p.next == nil {
 		p.start()
 	}
-	if _, parked := p.next(); parked {
-		return
-	}
-	k := p.k
-	last := len(k.procs) - 1
-	k.procs[p.slot] = k.procs[last]
-	k.procs[p.slot].slot = p.slot
-	k.procs[last] = nil
-	k.procs = k.procs[:last]
+	p.next()
 }
 
-// Close unwinds every process that is still parked — a run that ended in
-// Stop, or with processes waiting on events that never came, leaves them
-// behind — so their goroutines exit and release what they hold. Deferred
-// calls in the process bodies run. Call it after Run has returned; the kernel
-// must not be run again.
+// Close unwinds every process that is still parked — idle between bodies, or
+// left behind by a run that ended in Stop or with processes waiting on events
+// that never came — so their goroutines exit and release what they hold.
+// Deferred calls in the process bodies run. Call it after Run has returned;
+// the kernel must not be run again.
 func (k *Kernel) Close() {
 	for len(k.procs) > 0 {
 		p := k.procs[len(k.procs)-1]
 		k.procs = k.procs[:len(k.procs)-1]
 		p.stop()
 	}
-	k.procs = nil
+	k.procs, k.idle = nil, nil
 }
 
 // Sleep suspends the process for d of virtual time.

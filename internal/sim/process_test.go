@@ -169,9 +169,10 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 }
 
 // TestKernelCloseUnwindsParkedProcs: processes left parked when the run ends
-// — asleep past a Stop, or awaiting a completion that never comes — are
-// unwound by Close: their deferred calls run (even ones that park again),
-// nothing after the park does, and their goroutines are gone.
+// — asleep past a Stop, awaiting a completion that never comes, or idle since
+// their body returned — are unwound by Close: their deferred calls run (even
+// ones that park again), nothing after the park does, and their goroutines
+// are gone.
 func TestKernelCloseUnwindsParkedProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel(1)
@@ -199,8 +200,8 @@ func TestKernelCloseUnwindsParkedProcs(t *testing.T) {
 	if finished != 2 || deferred != 2 {
 		t.Fatalf("before Close: %d finished, %d deferred calls ran", finished, deferred)
 	}
-	if n := runtime.NumGoroutine(); n != before+8 {
-		t.Fatalf("%d goroutines with 8 processes parked, %d before", n, before)
+	if n := runtime.NumGoroutine(); n != before+10 {
+		t.Fatalf("%d goroutines with 8 processes parked and 2 idle, %d before", n, before)
 	}
 	k.Close()
 	k.Close() // idempotent
@@ -214,7 +215,9 @@ func TestKernelCloseUnwindsParkedProcs(t *testing.T) {
 
 // TestProcAllocBudget: the switch itself allocates nothing, and Sleep re-arms
 // the process's own timer, so a sleeping loop runs malloc-free; Await pays
-// only for what the awaited operation allocates (here the job).
+// only for what the awaited operation allocates; and starting a body on a
+// kernel that has an idle process costs the body's closure and nothing else —
+// no Proc, no coroutine, no goroutine.
 func TestProcAllocBudget(t *testing.T) {
 	const rounds = 1000
 	run := func(body func(p *Proc)) float64 {
@@ -229,8 +232,8 @@ func TestProcAllocBudget(t *testing.T) {
 		k.Close()
 		return n
 	}
-	if n := run(func(p *Proc) { p.Sleep(Second) }); n > 2 {
-		t.Errorf("Sleep round trip: %v allocs, budget 2", n)
+	if n := run(func(p *Proc) { p.Sleep(Second) }); n != 0 {
+		t.Errorf("Sleep round trip: %v allocs, budget 0", n)
 	}
 	var s *SharedServer
 	start := func(done func()) { s.Submit(1, done) }
@@ -240,7 +243,51 @@ func TestProcAllocBudget(t *testing.T) {
 		}
 		p.Await(start)
 	})
-	if n > 2 {
-		t.Errorf("Await(Submit) to completion: %v allocs, budget 2", n)
+	if n != 0 {
+		t.Errorf("Await(Submit) to completion: %v allocs, budget 0", n)
 	}
+
+	k := NewKernel(1)
+	defer k.Close()
+	before := runtime.NumGoroutine()
+	ran := 0
+	n = testing.AllocsPerRun(rounds, func() {
+		k.Go(func(p *Proc) {
+			p.Sleep(Second)
+			ran++
+		})
+		k.Run()
+	})
+	if n > 1 {
+		t.Errorf("Go of a body on a kernel with an idle process: %v allocs, budget 1 (the closure)", n)
+	}
+	if ran != rounds+1 {
+		t.Errorf("%d bodies ran to their end, want %d", ran, rounds+1)
+	}
+	if g := runtime.NumGoroutine(); g != before+1 {
+		t.Errorf("%d goroutines serve %d bodies run one after another, want 1", g-before, ran)
+	}
+}
+
+// TestProcStaleResumePanics: a completion delivered to a process whose body
+// has already returned — an Await whose done fires twice — is a bug in the
+// caller, and the kernel says so instead of waking whatever body the
+// recycled process runs next.
+func TestProcStaleResumePanics(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	k.Go(func(p *Proc) {
+		p.Await(func(done func()) {
+			k.After(Second, done)
+			k.After(Seconds(2), done)
+		})
+	})
+	defer func() {
+		const want = "sim: resume of a process whose body has returned"
+		if r := recover(); r != want {
+			t.Fatalf("recovered %v, want %q", r, want)
+		}
+	}()
+	k.Run()
+	t.Fatal("Run returned")
 }

@@ -18,18 +18,17 @@ type SharedServer struct {
 	// jobs is kept in submission order: completion callbacks for jobs that
 	// finish at the same instant must fire in a reproducible order, so the
 	// server never iterates a map to find them.
-	jobs       []*SharedJob
+	jobs       []sharedJob
+	finished   []func() // complete's scratch, kept between completions
 	lastUpdate Time
 	completion Event   // the one timer, moved in place as the job set changes
 	busyUnits  float64 // total units served, for utilization accounting
 }
 
-// SharedJob is one unit of work in flight on a SharedServer.
-type SharedJob struct {
-	srv       *SharedServer
+// sharedJob is one unit of work in flight on a SharedServer.
+type sharedJob struct {
 	remaining float64
 	done      func()
-	started   Time
 }
 
 // NewSharedServer creates a processor-sharing server with the given total
@@ -63,7 +62,8 @@ func (s *SharedServer) advance() {
 	dt := (now - s.lastUpdate).Seconds()
 	if dt > 0 {
 		r := s.rate()
-		for _, j := range s.jobs {
+		for i := range s.jobs {
+			j := &s.jobs[i]
 			served := r * dt
 			if served > j.remaining {
 				served = j.remaining
@@ -106,45 +106,48 @@ func (s *SharedServer) reschedule() {
 func (s *SharedServer) complete() {
 	s.advance()
 	eps := s.rate()*2e-9 + 1e-9
-	var finished []*SharedJob
+	// The scratch is taken for the duration and given back at the end, so
+	// whatever the callbacks do to this server finds no half-used slice.
+	finished := s.finished[:0]
+	s.finished = nil
 	live := s.jobs[:0]
 	for _, j := range s.jobs {
-		if j.remaining <= eps {
-			finished = append(finished, j)
-		} else {
+		switch {
+		case j.remaining > eps:
 			live = append(live, j)
+		case j.done != nil:
+			finished = append(finished, j.done)
 		}
 	}
-	for i := len(live); i < len(s.jobs); i++ {
-		s.jobs[i] = nil
-	}
+	clear(s.jobs[len(live):])
 	s.jobs = live
 	s.reschedule()
 	// Callbacks run after internal state is consistent so they may submit
 	// new jobs to this same server.
-	for _, j := range finished {
-		if j.done != nil {
-			j.done()
-		}
+	for _, done := range finished {
+		done()
 	}
+	clear(finished)
+	s.finished = finished
 }
+
+// nop stands in for a zero-work job's missing callback: the job still takes
+// its zero-delay event.
+func nop() {}
 
 // Submit enqueues work units on the server; done is called (in a later event)
 // when the job's work has been fully served. Zero or negative work completes
 // after a zero-delay event, preserving the "callbacks never run inline"
 // property.
-func (s *SharedServer) Submit(units float64, done func()) *SharedJob {
-	j := &SharedJob{srv: s, remaining: units, done: done, started: s.k.Now()}
+func (s *SharedServer) Submit(units float64, done func()) {
 	if units <= 0 {
-		s.k.After(0, func() {
-			if j.done != nil {
-				j.done()
-			}
-		})
-		return j
+		if done == nil {
+			done = nop
+		}
+		s.k.After(0, done)
+		return
 	}
 	s.advance()
-	s.jobs = append(s.jobs, j)
+	s.jobs = append(s.jobs, sharedJob{remaining: units, done: done})
 	s.reschedule()
-	return j
 }
