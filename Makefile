@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test tier1 race bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath durable simcost fuzz whatif speculate verify
+.PHONY: build vet lint test tier1 race bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate verify
 
 build:
 	$(GO) build ./...
@@ -133,6 +133,19 @@ simcost:
 	$(GO) test -count=1 -run 'TestSimOnlyAllocBudget' ./internal/workloads/
 	$(GO) test -run '^$$' -bench 'BenchmarkProcSwitch|BenchmarkKernelEventThroughput|BenchmarkSharedServer' -benchtime 1x ./internal/sim/
 
+# Collection host-cost gate, uncached and not under -race (which allocates on
+# its own): the collector's mallocs per event, the recovery warning of a
+# producer that drains during the final Flush shipped whatever the map order,
+# the broker's one admission pass — no malloc per event on a sample of every
+# topic, Partition.Append of a default batch at its pinned count, the whole
+# batch refused for one invalid event, encoding/json's stored form for what is
+# not in it, and the pass against json.Valid over its seed corpus. Then one
+# iteration of the admission benchmark, so it cannot go uncompiled.
+collectcost:
+	$(GO) test -count=1 -run 'TestCollectorAllocationBudget|TestFlushShipsRecoveryWarning' ./internal/core/
+	$(GO) test -count=1 -run 'TestAdmissionReadsAndAllocatesPerBatch|TestAppendRejectsInvalidMetadata|TestAppendStoresCompactedMetadata|FuzzAdmission' ./internal/mofka/
+	$(GO) test -run '^$$' -bench 'BenchmarkAdmit' -benchtime 1x ./internal/mofka/
+
 # What-if validation: self-replay of the unchanged scenario on the seeded
 # ImageProcessing and xgboost runs must predict the measured makespan within
 # +/-10%, the critical path must attribute >=95% of it to named categories,
@@ -182,10 +195,13 @@ bench-speculation:
 # an accepted plan arms against a small cluster without panicking. Darshan
 # logs and Mercury TCP frames: arbitrary bytes never panic the reader, cost
 # memory in proportion to the bytes that arrived (no count or length prefix is
-# an allocation size), and what is accepted re-encodes to the same bytes. Data
-# dir sidecars (checkpoint.json, attempts.json, cluster.json): loading them and
-# reconstructing a resume state over them never panics or spins on a number
-# the file supplied.
+# an allocation size), and what is accepted re-encodes to the same bytes.
+# Broker admission: the one pass accepts exactly what json.Valid accepts and
+# calls stored exactly what json.Compact + json.HTMLEscape leave alone, the
+# envelope around it splits back, and splitEnvelope never panics and re-frames
+# what it accepts. Data dir sidecars (checkpoint.json, attempts.json,
+# cluster.json): loading them and reconstructing a resume state over them
+# never panics or spins on a number the file supplied.
 fuzz:
 	$(GO) test -run 'FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALRecover' -fuzztime 20s ./internal/mofka/wal/
@@ -195,6 +211,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzIngest' -fuzztime 20s ./internal/live/
 	$(GO) test -run 'FuzzServe' ./internal/mofka/
 	$(GO) test -run '^$$' -fuzz 'FuzzServe' -fuzztime 20s ./internal/mofka/
+	$(GO) test -run 'FuzzAdmission' ./internal/mofka/
+	$(GO) test -run '^$$' -fuzz 'FuzzAdmission' -fuzztime 20s ./internal/mofka/
 	$(GO) test -run 'FuzzParse' ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz 'FuzzParse' -fuzztime 20s ./internal/chaos/
 	$(GO) test -run 'FuzzReadLog' ./internal/darshan/
@@ -216,4 +234,4 @@ bench-e2e-smoke:
 		$(GO) run -C bench/e2e . -workload $$w -smoke || exit 1; done
 
 # Everything CI runs.
-verify: tier1 lint race chaos cluster property resume readpath durable simcost fuzz whatif speculate
+verify: tier1 lint race chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate

@@ -509,3 +509,48 @@ func TestCollectorReportsDroppedEvents(t *testing.T) {
 		t.Fatalf("recovery warnings = %q, want %q", recovered, want)
 	}
 }
+
+// TestFlushShipsRecoveryWarning: a producer whose backlog drains during the
+// final Flush reports its recovery — and how many events the gap cost — on the
+// warnings topic, and that warning ships with the same Flush whatever order a
+// map of producers would have been ranged in.
+func TestFlushShipsRecoveryWarning(t *testing.T) {
+	for trial := 0; trial < 64; trial++ {
+		broker := mofka.NewStandaloneBroker()
+		c, err := NewCollector(broker.Bus(), mofka.ProducerOptions{FlushRetries: 1, RetryBackoff: time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		broker.SetAppendFault(func(topic string, _ int) error {
+			if topic == provenance.TopicTransitions {
+				return errors.New("disk on fire")
+			}
+			return nil
+		})
+		plugin := c.SchedulerPlugin()
+		for i := 0; i < 300; i++ {
+			plugin.SchedulerTransition(dask.Transition{Key: "k", From: dask.StateWaiting, To: dask.StateProcessing})
+		}
+		broker.SetAppendFault(nil)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		warns, err := provenance.Drain(broker, provenance.TopicWarnings, provenance.DecodeWarning)
+		if err != nil {
+			t.Fatal(err)
+		}
+		degraded, recovered := 0, 0
+		for _, w := range warns {
+			switch {
+			case w.Kind != dask.WarnProducerDegraded:
+			case strings.Contains(w.Message, "degraded (buffering)"):
+				degraded++
+			case strings.Contains(w.Message, "recovered after"):
+				recovered++
+			}
+		}
+		if degraded != 1 || recovered != 1 {
+			t.Fatalf("trial %d: %d degraded and %d recovered warnings shipped, want one of each: %+v", trial, degraded, recovered, warns)
+		}
+	}
+}

@@ -136,10 +136,13 @@ func (c *Collector) push(topic string, metadata []byte) {
 	}
 }
 
-// Flush ships all pending producer batches (call at end of run).
+// Flush ships all pending producer batches (call at end of run), topic by
+// topic in AllTopics order and the warnings topic once more at the end: a
+// producer whose backlog drains here reports its recovery there, and what a
+// session stores must not depend on the order a map is ranged in.
 func (c *Collector) Flush() error {
-	for name, p := range c.producers {
-		if err := p.Flush(); err != nil {
+	for _, name := range append(provenance.AllTopics(), provenance.TopicWarnings) {
+		if err := c.producers[name].Flush(); err != nil {
 			return fmt.Errorf("core: flush %s: %w", name, err)
 		}
 	}

@@ -93,7 +93,7 @@ func (db *Database) Collection(name string) *Collection {
 type Collection struct {
 	name string
 	mu   sync.RWMutex
-	docs [][]byte // a nil entry is no document
+	docs [][]byte
 }
 
 // StoreBatch appends documents in order and returns the first one's ID. The
@@ -119,16 +119,13 @@ func (c *Collection) TruncateTo(n uint64) {
 	}
 }
 
-// Iter calls fn for each live document with ID >= from, in ID order, until
+// Iter calls fn for each document with ID >= from, in ID order, until
 // fn returns false or max documents have been visited (max <= 0: no limit).
 func (c *Collection) Iter(from uint64, max int, fn func(id uint64, doc []byte) bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	visited := 0
 	for id := from; id < uint64(len(c.docs)); id++ {
-		if c.docs[id] == nil {
-			continue
-		}
 		if !fn(id, c.docs[id]) {
 			return
 		}

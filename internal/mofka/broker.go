@@ -426,10 +426,24 @@ func (p *Partition) Submit(metas [][]byte, datas [][]byte) (*Commit, error) {
 func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Commit, error) {
 	// Admission comes before anything is written anywhere: one invalid event
 	// refuses the whole batch and leaves no region, no WAL record, no
-	// document behind.
-	for i := range metas {
-		if err := checkMetadata(metas[i]); err != nil {
-			return nil, fmt.Errorf("mofka: event %d of a batch for %s[%d]: %w", i, p.topic.cfg.Name, p.index, err)
+	// document behind. The same pass tells which events are not yet in the
+	// form the broker stores, one bit each — on the stack up to a producer's
+	// default batch of 128.
+	var inline [2]uint64
+	rewrite := inline[:]
+	if len(metas) > 64*len(inline) {
+		rewrite = make([]uint64, (len(metas)+63)/64)
+	}
+	for i, m := range metas {
+		if len(m) == 0 {
+			continue // stored as null
+		}
+		valid, stored := scanMetadata(m)
+		if !valid {
+			return nil, fmt.Errorf("mofka: event %d of a batch for %s[%d]: %w: metadata is not valid JSON", i, p.topic.cfg.Name, p.index, ErrInvalidEvent)
+		}
+		if !stored {
+			rewrite[i/64] |= 1 << (i % 64)
 		}
 	}
 	var total int64
@@ -471,7 +485,13 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 	docs := make([][]byte, len(metas))
 	for i := range metas {
 		start := len(arena)
-		arena = appendEnvelope(arena, metas[i], uint64(region), offsets[i], int64(len(datas[i])))
+		m := metas[i]
+		if len(m) == 0 {
+			m = nullMetadata
+		} else if rewrite[i/64]&(1<<(i%64)) != 0 {
+			m = storedForm(m)
+		}
+		arena = appendEnvelope(arena, m, uint64(region), offsets[i], int64(len(datas[i])))
 		docs[i] = arena[start:len(arena):len(arena)]
 	}
 	if p.log != nil && !recovered {

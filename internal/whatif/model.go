@@ -26,6 +26,7 @@ import (
 	"taskprov/internal/dask"
 	"taskprov/internal/mofka"
 	"taskprov/internal/provenance"
+	"taskprov/internal/sim"
 )
 
 // Input bundles everything the extractor reads: the provenance broker (a
@@ -253,19 +254,23 @@ func Extract(in Input) (*Model, error) {
 	}
 
 	// Deterministic task order: by measured start, then key.
-	keys := make([]string, 0, len(execByKey))
-	for k := range execByKey {
-		keys = append(keys, k)
+	type started struct {
+		start sim.Time
+		key   string
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		ea, eb := execByKey[keys[a]], execByKey[keys[b]]
-		if ea.Start != eb.Start {
-			return ea.Start < eb.Start
+	order := make([]started, 0, len(execByKey))
+	for k, e := range execByKey {
+		order = append(order, started{e.Start, k})
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if order[a].start != order[b].start {
+			return order[a].start < order[b].start
 		}
-		return keys[a] < keys[b]
+		return order[a].key < order[b].key
 	})
 	end := in.StartSeconds
-	for _, k := range keys {
+	for _, o := range order {
+		k := o.key
 		e := execByKey[k]
 		meta := metaByKey[k]
 		t := Task{
