@@ -87,19 +87,27 @@ resume:
 	$(GO) test -race -run 'TestResume|TestSchedulerKillAtTask|TestSessionClose|TestRandomDAGsSurviveSchedulerKill' ./internal/core/
 	$(GO) test -count=1 -run 'TestResumeEquivalence' ./internal/workloads/
 
-# Read-path gate: the allocation budget of a post-mortem open and a live
-# replay (per event of a seeded imageprocessing data dir; not under -race,
-# which allocates on its own), typed ingest against the map API over every
-# event of the seeded runs, and — race-enabled — the post-mortem-open suite
-# against its serial reference (standalone and cluster dirs, torn, corrupt,
-# lagging, killed; each segment opened once), one cursor-store rewrite per
-# CommitBatch, the malformed-event regressions and frontier reconstruction
-# against the reference open.
+# Read-path gate, uncached. Not under -race, which allocates on its own: the
+# allocation budgets of a post-mortem open, a live replay and whatif.Extract
+# (per event of a seeded run), typed ingest against the map API over every
+# event of the seeded runs, the interning decoder (a warm decoder allocates
+# nothing but a record's slices and free text, and reads what a fresh one
+# reads), number's exact fast path against ParseFloat, the codec against the
+# map API over hostile inputs and FuzzCodec's corpus, the straggler fit
+# against the sorting one, and one iteration of BenchmarkDecode so it cannot
+# go uncompiled. Race-enabled: the post-mortem-open suite against its serial
+# reference (standalone and cluster dirs, torn, corrupt, lagging, killed;
+# each segment opened once), one cursor-store rewrite per CommitBatch, the
+# malformed-event regressions, two goroutines ingesting into one aggregator,
+# and frontier reconstruction against the reference open.
 readpath:
-	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestTypedIngestMatchesMapIngest' ./internal/workloads/
-	$(GO) test -race -run 'TestPostMortemOpen|TestCommitBatchRewritesCursorStoreOnce' ./internal/mofka/ ./internal/mofka/cluster/
-	$(GO) test -race -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent' ./internal/live/
-	$(GO) test -race -run 'TestReconstructDeterministicAndEqualsReferenceOpen' ./internal/resume/
+	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestTypedIngestMatchesMapIngest' ./internal/workloads/
+	$(GO) test -count=1 -run 'TestDecoderInternsOnlyNovelStrings|TestExactFloatMatchesParseFloat|TestCodecMatchesMapAPI|FuzzCodec' ./internal/provenance/
+	$(GO) test -count=1 -run 'TestStragglerFitMatchesSortReference' ./internal/live/
+	$(GO) test -run '^$$' -bench 'BenchmarkDecode' -benchtime 1x ./internal/provenance/
+	$(GO) test -race -count=1 -run 'TestPostMortemOpen|TestCommitBatchRewritesCursorStoreOnce' ./internal/mofka/ ./internal/mofka/cluster/
+	$(GO) test -race -count=1 -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent|TestAggregatorConcurrentIngest' ./internal/live/
+	$(GO) test -race -count=1 -run 'TestReconstructDeterministicAndEqualsReferenceOpen' ./internal/resume/
 
 # Durable write-path gate, race-enabled and uncached: the commit contract
 # behind a held or failing fsync (nothing visible, counted or acknowledged

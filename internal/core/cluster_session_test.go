@@ -40,7 +40,7 @@ func clusterRun(t *testing.T, seed uint64, chaosSpec string) *RunArtifacts {
 // event.
 func drainJSON(t *testing.T, art *RunArtifacts, topic string) []string {
 	t.Helper()
-	out, err := provenance.Drain(art.Broker, topic, func(b []byte) (string, error) { return string(b), nil })
+	out, err := provenance.Drain(new(provenance.Decoder), art.Broker, topic, func(_ *provenance.Decoder, b []byte) (string, error) { return string(b), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestClusterChaosFailover(t *testing.T) {
 
 	// The failover story is on the warnings topic: broker death, leader
 	// elections away from the dead node, the rejoin, and replica catch-up.
-	metas, err := provenance.Drain(crash.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
+	metas, err := provenance.Drain(new(provenance.Decoder), crash.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestClusterChaosFailover(t *testing.T) {
 		t.Fatalf("no leader elections recorded (kinds: %v)", kinds)
 	}
 	// No worker was harmed: the dask-level warning stream matches baseline.
-	bmetas, err := provenance.Drain(baseline.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
+	bmetas, err := provenance.Drain(new(provenance.Decoder), baseline.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestEventStreamsDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trans, err := provenance.Drain(art.Broker, provenance.TopicTransitions, provenance.DecodeTransition)
+	trans, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
 	if err != nil || len(trans) == 0 {
 		t.Fatalf("transitions = %d, %v", len(trans), err)
 	}
@@ -120,7 +120,7 @@ func TestEventStreamsDecode(t *testing.T) {
 			t.Fatalf("bad transition: %+v", tr)
 		}
 	}
-	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil || len(execs) != 9 {
 		t.Fatalf("executions = %d, %v", len(execs), err)
 	}
@@ -129,7 +129,7 @@ func TestEventStreamsDecode(t *testing.T) {
 			t.Fatalf("bad execution: %+v", e)
 		}
 	}
-	metas, err := provenance.Drain(art.Broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta)
+	metas, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
 	if err != nil || len(metas) != 9 {
 		t.Fatalf("task metas = %d, %v", len(metas), err)
 	}
@@ -254,7 +254,7 @@ func TestInSituMonitor(t *testing.T) {
 	if sum.Tasks != 11 {
 		t.Fatalf("in-situ executions = %d, want 11", sum.Tasks)
 	}
-	post, err := provenance.Drain(art.Broker, provenance.TopicTransitions, provenance.DecodeTransition)
+	post, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestOnlineIOTracer(t *testing.T) {
 	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	metas, err := provenance.Drain(broker, provenance.TopicIOTrace, provenance.DecodeIOTrace)
+	metas, err := provenance.Drain(new(provenance.Decoder), broker, provenance.TopicIOTrace, (*provenance.Decoder).IOTrace)
 	if err != nil || len(metas) != 4 {
 		t.Fatalf("streamed events = %d, %v", len(metas), err)
 	}
@@ -411,7 +411,7 @@ func TestOnlineIOTracerEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	metas, err := provenance.Drain(broker, provenance.TopicIOTrace, provenance.DecodeIOTrace)
+	metas, err := provenance.Drain(new(provenance.Decoder), broker, provenance.TopicIOTrace, (*provenance.Decoder).IOTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestCollectorAllocationBudget(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := provenance.Drain(broker, provenance.TopicTransitions, provenance.DecodeTransition)
+	got, err := provenance.Drain(new(provenance.Decoder), broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
 	if err != nil || len(got) != 1024+64*64+1 || got[len(got)-1] != tr {
 		t.Fatalf("drained %d transitions (%v), last %+v", len(got), err, got[len(got)-1])
 	}
@@ -491,7 +491,7 @@ func TestCollectorReportsDroppedEvents(t *testing.T) {
 	}
 	episode(8) // 4 per partition: 2 stay queued, 2 are dropped
 	episode(2) // 1 per partition: fits the backlog
-	warns, err := provenance.Drain(broker, provenance.TopicWarnings, provenance.DecodeWarning)
+	warns, err := provenance.Drain(new(provenance.Decoder), broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestFlushShipsRecoveryWarning(t *testing.T) {
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		warns, err := provenance.Drain(broker, provenance.TopicWarnings, provenance.DecodeWarning)
+		warns, err := provenance.Drain(new(provenance.Decoder), broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,8 @@ func renderLines(lines []logLine) string {
 // submissions, task erred events, steals, and graph completions.
 func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 	var lines []logLine
-	metas, err := provenance.Drain(art.Broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta)
+	var dec provenance.Decoder
+	metas, err := provenance.Drain(&dec, art.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
 	if err != nil {
 		return "", err
 	}
@@ -52,7 +53,7 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 		lines = append(lines, logLine{at, fmt.Sprintf(
 			"INFO  - Receive graph %d (%d tasks) from client", id, graphCount[id])})
 	}
-	trans, err := provenance.Drain(art.Broker, provenance.TopicTransitions, provenance.DecodeTransition)
+	trans, err := provenance.Drain(&dec, art.Broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
 	if err != nil {
 		return "", err
 	}
@@ -69,7 +70,7 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 				"WARN  - Retrying task %s after failure", tr.Key)})
 		}
 	}
-	steals, err := provenance.Drain(art.Broker, provenance.TopicSteals, provenance.DecodeSteal)
+	steals, err := provenance.Drain(&dec, art.Broker, provenance.TopicSteals, (*provenance.Decoder).Steal)
 	if err != nil {
 		return "", err
 	}
@@ -77,7 +78,7 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 		lines = append(lines, logLine{s.At.Seconds(), fmt.Sprintf(
 			"INFO  - Moving task %s from %s to %s (work stealing)", s.Key, s.Victim, s.Thief)})
 	}
-	graphs, err := provenance.Drain(art.Broker, provenance.TopicGraphs, provenance.DecodeGraphEvent)
+	graphs, err := provenance.Drain(&dec, art.Broker, provenance.TopicGraphs, (*provenance.Decoder).GraphEvent)
 	if err != nil {
 		return "", err
 	}
@@ -99,7 +100,8 @@ func RenderWorkerLogs(art *RunArtifacts, workers []string) ([]string, error) {
 	for _, w := range workers {
 		buckets[w] = &bucket{}
 	}
-	warns, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
+	var dec provenance.Decoder
+	warns, err := provenance.Drain(&dec, art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +121,7 @@ func RenderWorkerLogs(art *RunArtifacts, workers []string) ([]string, error) {
 			b.lines = append(b.lines, logLine{w.At.Seconds(), "WARN  - " + w.Message})
 		}
 	}
-	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(&dec, art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +141,8 @@ func RenderWorkerLogs(art *RunArtifacts, workers []string) ([]string, error) {
 
 // WorkerAddrs lists the worker addresses observed in the run.
 func (a *RunArtifacts) WorkerAddrs() ([]string, error) {
-	execs, err := provenance.Drain(a.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	var dec provenance.Decoder
+	execs, err := provenance.Drain(&dec, a.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +150,7 @@ func (a *RunArtifacts) WorkerAddrs() ([]string, error) {
 	for _, e := range execs {
 		set[e.Worker] = true
 	}
-	hbs, err := provenance.Drain(a.Broker, provenance.TopicHeartbeats, provenance.DecodeHeartbeat)
+	hbs, err := provenance.Drain(&dec, a.Broker, provenance.TopicHeartbeats, (*provenance.Decoder).Heartbeat)
 	if err != nil {
 		return nil, err
 	}

@@ -72,7 +72,7 @@ func TestProxyClusterChaosAcceptance(t *testing.T) {
 		if wf.graphErr != "" {
 			t.Fatalf("graph erred under %q: %s", chaosSpec, wf.graphErr)
 		}
-		evs, err := provenance.Drain(art.Broker, provenance.TopicProxy, provenance.DecodeProxyEvent)
+		evs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicProxy, (*provenance.Decoder).ProxyEvent)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -973,7 +973,7 @@ func (a *RunArtifacts) DistinctFiles() int {
 // DistinctTasks counts tasks registered at the scheduler — Table I's
 // "Distinct tasks".
 func (a *RunArtifacts) DistinctTasks() (int, error) {
-	metas, err := provenance.Drain(a.Broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta)
+	metas, err := provenance.Drain(new(provenance.Decoder), a.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
 	if err != nil {
 		return 0, err
 	}
@@ -988,7 +988,7 @@ func (a *RunArtifacts) DistinctTasks() (int, error) {
 // graphs". Distinct by graph ID: a resumed run's merged stream can carry a
 // graph's done event from more than one attempt.
 func (a *RunArtifacts) TaskGraphs() (int, error) {
-	graphs, err := provenance.Drain(a.Broker, provenance.TopicGraphs, provenance.DecodeGraphEvent)
+	graphs, err := provenance.Drain(new(provenance.Decoder), a.Broker, provenance.TopicGraphs, (*provenance.Decoder).GraphEvent)
 	if err != nil {
 		return 0, err
 	}

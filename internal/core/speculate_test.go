@@ -57,7 +57,7 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 	if wf.graphErr != "" {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
-	evs, err := provenance.Drain(art.Broker, provenance.TopicSpeculation, provenance.DecodeSpeculation)
+	evs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicSpeculation, (*provenance.Decoder).Speculation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 // bytes from the run's proxy event stream (publish minus free/reclaim).
 func proxyFinalResident(t *testing.T, art *RunArtifacts) int64 {
 	t.Helper()
-	metas, err := provenance.Drain(art.Broker, provenance.TopicProxy, provenance.DecodeProxyEvent)
+	metas, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicProxy, (*provenance.Decoder).ProxyEvent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestBrownoutSpeculationAcceptance(t *testing.T) {
 
 	// Zero duplicate side effects: exactly one winning execution record per
 	// task key — a cancelled loser never reports its execution.
-	metas, err := provenance.Drain(hedged.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	metas, err := provenance.Drain(new(provenance.Decoder), hedged.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestHeartbeatJitterDesynchronizesMultiRestart(t *testing.T) {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
 
-	metas, err := provenance.Drain(art.Broker, provenance.TopicHeartbeats, provenance.DecodeHeartbeat)
+	metas, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicHeartbeats, (*provenance.Decoder).Heartbeat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,6 +295,9 @@ type groupAcc struct {
 type Aggregator struct {
 	mu   sync.Mutex
 	opts AggregatorOptions
+	// dec decodes every event Ingest takes, under mu; its table holds the
+	// run's names for the aggregator's lifetime.
+	dec provenance.Decoder
 
 	workflow    string
 	seed        uint64
@@ -418,69 +421,79 @@ func (a *Aggregator) worker(name string) *WorkerStats {
 }
 
 // Ingest feeds one provenance event from its stored metadata bytes, decoded
-// once with the typed codec. partition is the Mofka partition the event came
-// from; events of one partition must be fed in partition order (both the live
-// pull loop and the post-mortem replay guarantee this). Metadata that is not
-// a JSON object (or null) is rejected and leaves the aggregates untouched —
-// also on the topics that are only counted, which the codec's cursor still
-// walks.
+// once by the aggregator's own decoder. partition is the Mofka partition the
+// event came from; events of one partition must be fed in partition order
+// (both the live pull loop and the post-mortem replay guarantee this).
+// Metadata that is not a JSON object (or null) is rejected and leaves the
+// aggregates untouched — also on the topics that are only counted, which the
+// codec's cursor still walks.
 func (a *Aggregator) Ingest(topic string, partition int, metadata []byte) error {
+	a.mu.Lock()
+	raised, err := a.ingest(topic, partition, metadata)
+	if err != nil {
+		a.mu.Unlock()
+		return err
+	}
+	a.events++
+	a.raise(raised)
+	return nil
+}
+
+// ingest decodes one event and hands it to its topic's handler. The decoder
+// is the aggregator's, so the caller holds a.mu.
+func (a *Aggregator) ingest(topic string, partition int, metadata []byte) ([]Anomaly, error) {
+	x := &a.dec
 	switch topic {
 	case provenance.TopicTransitions:
-		t, err := provenance.DecodeTransition(metadata)
-		if err != nil {
-			return err
+		t, err := x.Transition(metadata)
+		if err == nil {
+			a.ingestTransition(t)
 		}
-		a.ingestTransition(t)
+		return nil, err
 	case provenance.TopicExecutions:
-		e, err := provenance.DecodeExecution(metadata)
+		e, err := x.Execution(metadata)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		a.ingestExecution(partition, e)
+		return a.ingestExecution(partition, e), nil
 	case provenance.TopicTransfers:
-		t, err := provenance.DecodeTransfer(metadata)
-		if err != nil {
-			return err
+		t, err := x.Transfer(metadata)
+		if err == nil {
+			a.ingestTransfer(partition, t)
 		}
-		a.ingestTransfer(partition, t)
+		return nil, err
 	case provenance.TopicWarnings:
-		w, err := provenance.DecodeWarning(metadata)
+		w, err := x.Warning(metadata)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		a.ingestWarning(w)
+		return a.ingestWarning(w), nil
 	case provenance.TopicProxy:
-		e, err := provenance.DecodeProxyEvent(metadata)
-		if err != nil {
-			return err
+		e, err := x.ProxyEvent(metadata)
+		if err == nil {
+			a.ingestProxy(partition, e)
 		}
-		a.ingestProxy(partition, e)
+		return nil, err
 	case provenance.TopicSpeculation:
-		e, err := provenance.DecodeSpeculation(metadata)
-		if err != nil {
-			return err
+		e, err := x.Speculation(metadata)
+		if err == nil {
+			a.ingestSpeculation(partition, e)
 		}
-		a.ingestSpeculation(partition, e)
+		return nil, err
 	case provenance.TopicTaskMeta:
-		tm, err := provenance.DecodeTaskMeta(metadata)
-		if err != nil {
-			return err
+		tm, err := x.TaskMeta(metadata)
+		if err == nil {
+			a.ingestTaskMeta(tm)
 		}
-		a.ingestTaskMeta(tm)
+		return nil, err
 	case provenance.TopicGraphs:
-		g, err := provenance.DecodeGraphEvent(metadata)
-		if err != nil {
-			return err
+		g, err := x.GraphEvent(metadata)
+		if err == nil {
+			a.ingestGraphEvent(g.Event)
 		}
-		a.ingestGraphEvent(g.Event)
-	default:
-		if err := provenance.Validate(metadata); err != nil {
-			return err
-		}
-		a.ingestCounted()
+		return nil, err
 	}
-	return nil
+	return nil, x.Validate(metadata)
 }
 
 // IngestEvent is Ingest for an event already decoded into the map API. It
@@ -488,15 +501,18 @@ func (a *Aggregator) Ingest(topic string, partition int, metadata []byte) error 
 // in the program calls it, and it holds no aggregation rule of its own —
 // Parse<T> and the handlers Ingest uses.
 func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) {
+	a.mu.Lock()
+	a.events++
+	var raised []Anomaly
 	switch topic {
 	case provenance.TopicTransitions:
 		a.ingestTransition(provenance.ParseTransition(m))
 	case provenance.TopicExecutions:
-		a.ingestExecution(partition, provenance.ParseExecution(m))
+		raised = a.ingestExecution(partition, provenance.ParseExecution(m))
 	case provenance.TopicTransfers:
 		a.ingestTransfer(partition, provenance.ParseTransfer(m))
 	case provenance.TopicWarnings:
-		a.ingestWarning(provenance.ParseWarning(m))
+		raised = a.ingestWarning(provenance.ParseWarning(m))
 	case provenance.TopicProxy:
 		a.ingestProxy(partition, provenance.ParseProxyEvent(m))
 	case provenance.TopicSpeculation:
@@ -505,9 +521,8 @@ func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) 
 		a.ingestTaskMeta(provenance.ParseTaskMeta(m))
 	case provenance.TopicGraphs:
 		a.ingestGraphEvent(provenance.Str(m, "event"))
-	default:
-		a.ingestCounted()
 	}
+	a.raise(raised)
 }
 
 // raise closes an ingest step begun with a.mu.Lock(): it records the
@@ -524,16 +539,10 @@ func (a *Aggregator) raise(raised []Anomaly) {
 	}
 }
 
-// ingestCounted takes an event of a topic with no aggregate beyond Events.
-func (a *Aggregator) ingestCounted() {
-	a.mu.Lock()
-	a.events++
-	a.mu.Unlock()
-}
+// The per-record handlers below run with a.mu held, after the caller counted
+// the event; the two that feed a detector return what it raised.
 
 func (a *Aggregator) ingestTransition(t dask.Transition) {
-	a.mu.Lock()
-	a.events++
 	a.transitions++
 	if f := string(t.From); f != "" {
 		a.occupancy[f]--
@@ -541,12 +550,9 @@ func (a *Aggregator) ingestTransition(t dask.Transition) {
 	if to := string(t.To); to != "" {
 		a.occupancy[to]++
 	}
-	a.mu.Unlock()
 }
 
-func (a *Aggregator) ingestExecution(partition int, e dask.TaskExecution) {
-	a.mu.Lock()
-	a.events++
+func (a *Aggregator) ingestExecution(partition int, e dask.TaskExecution) []Anomaly {
 	dur := (e.Stop - e.Start).Seconds()
 	a.tasks++
 	l := a.lane(provenance.TopicExecutions, partition)
@@ -576,12 +582,10 @@ func (a *Aggregator) ingestExecution(partition int, e dask.TaskExecution) {
 		b.TasksFinished++
 		b.ComputeSeconds += dur
 	}
-	a.raise(a.detect.onDuration(g, dur, stop))
+	return a.detect.onDuration(g, dur, stop)
 }
 
 func (a *Aggregator) ingestTransfer(partition int, t dask.Transfer) {
-	a.mu.Lock()
-	a.events++
 	a.transfers++
 	a.transferBytes += t.Bytes
 	a.lane(provenance.TopicTransfers, partition).commSeconds += (t.Stop - t.Start).Seconds()
@@ -591,12 +595,9 @@ func (a *Aggregator) ingestTransfer(partition int, t dask.Transfer) {
 		b.Transfers++
 		b.TransferBytes += t.Bytes
 	}
-	a.mu.Unlock()
 }
 
-func (a *Aggregator) ingestWarning(w dask.Warning) {
-	a.mu.Lock()
-	a.events++
+func (a *Aggregator) ingestWarning(w dask.Warning) []Anomaly {
 	kind := string(w.Kind)
 	a.warnings[kind]++
 	a.worker(w.Worker).Warnings++
@@ -612,12 +613,10 @@ func (a *Aggregator) ingestWarning(w dask.Warning) {
 		})
 	}
 	a.windows.addWarning(at, kind)
-	a.raise(a.detect.onWarning(kind, w.Worker, at))
+	return a.detect.onWarning(kind, w.Worker, at)
 }
 
 func (a *Aggregator) ingestProxy(partition int, e dask.ProxyEvent) {
-	a.mu.Lock()
-	a.events++
 	if a.proxy == nil {
 		a.proxy = &ProxyStats{}
 	}
@@ -644,12 +643,9 @@ func (a *Aggregator) ingestProxy(partition int, e dask.ProxyEvent) {
 	if e.Resident > p.PeakResidentBytes {
 		p.PeakResidentBytes = e.Resident
 	}
-	a.mu.Unlock()
 }
 
 func (a *Aggregator) ingestSpeculation(partition int, e dask.SpeculationEvent) {
-	a.mu.Lock()
-	a.events++
 	if a.spec == nil {
 		a.spec = &SpeculationStats{}
 	}
@@ -672,12 +668,9 @@ func (a *Aggregator) ingestSpeculation(partition int, e dask.SpeculationEvent) {
 	if e.Wasted > 0 {
 		a.lane(provenance.TopicSpeculation, partition).wastedSeconds += e.Wasted.Seconds()
 	}
-	a.mu.Unlock()
 }
 
 func (a *Aggregator) ingestTaskMeta(tm dask.TaskMeta) {
-	a.mu.Lock()
-	a.events++
 	a.submitted++
 	key := string(tm.Key)
 	if _, ok := a.critDeps[key]; !ok && len(tm.Deps) > 0 && len(a.critDeps) < a.opts.CritPathTaskCap {
@@ -687,18 +680,14 @@ func (a *Aggregator) ingestTaskMeta(tm dask.TaskMeta) {
 		}
 		a.critDeps[key] = deps
 	}
-	a.mu.Unlock()
 }
 
 // ingestGraphEvent takes a graph lifecycle event, of which only "done" is
 // aggregated.
 func (a *Aggregator) ingestGraphEvent(event string) {
-	a.mu.Lock()
-	a.events++
 	if event == "done" {
 		a.graphsDone++
 	}
-	a.mu.Unlock()
 }
 
 // IngestDarshanLog folds one per-worker Darshan log into the I/O aggregates:

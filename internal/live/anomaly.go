@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -86,12 +87,20 @@ func (c AnomalyConfig) withDefaults() AnomalyConfig {
 }
 
 // stragglerAcc tracks one task group's duration distribution for the robust
-// z-score. The median/MAD pair is recomputed every recomputeEvery inserts
-// (sorting a capped copy), a standard streaming compromise: the reference
-// distribution trails the stream slightly but each insert stays O(1)
-// amortized.
+// z-score. The median/MAD pair is refit every recomputeEvery inserts, a
+// standard streaming compromise: the reference distribution trails the
+// stream slightly. A fit costs O(n) moves and O(log n) probes, not a sort:
+// the samples are kept sorted, the ones added since the last fit are merged
+// in, the median is read by index, and the MAD — the median of |x − median|
+// — is a k-th smallest over the two runs of deviations on either side of the
+// median, each already in order (x ≤ median gives fl(median − x), which
+// equals the fl(|x − median|) a sort of deviations would see because IEEE
+// rounding is symmetric, and it grows as x falls; x ≥ median gives
+// fl(x − median)). The result is the float64 a sort of the samples and then
+// of their deviations gives.
 type stragglerAcc struct {
-	samples  []float64
+	sorted   []float64 // the samples up to the last fit, ascending
+	pending  []float64 // the samples since
 	sinceFit int
 	median   float64
 	mad      float64
@@ -105,22 +114,58 @@ const (
 	madEpsilon     = 1e-9
 )
 
-func (s *stragglerAcc) fit() {
-	sorted := append([]float64(nil), s.samples...)
-	sort.Float64s(sorted)
-	s.median = sorted[len(sorted)/2]
-	dev := make([]float64, len(sorted))
-	for i, v := range sorted {
-		d := v - s.median
-		if d < 0 {
-			d = -d
-		}
-		dev[i] = d
+func (s *stragglerAcc) samples() int { return len(s.sorted) + len(s.pending) }
+
+// add takes one duration and refits when due: the first time the group has
+// minSamples, then every recomputeEvery inserts. A group past stragglerCap
+// stops taking samples, and a fit with nothing new to merge is skipped.
+func (s *stragglerAcc) add(d float64, minSamples int) {
+	if s.samples() < stragglerCap {
+		s.pending = append(s.pending, d)
 	}
-	sort.Float64s(dev)
-	s.mad = dev[len(dev)/2]
-	s.fitted = true
-	s.sinceFit = 0
+	s.sinceFit++
+	if !s.fitted && s.samples() >= minSamples || s.sinceFit >= recomputeEvery {
+		if len(s.pending) > 0 {
+			s.fit()
+		}
+		s.sinceFit = 0
+	}
+}
+
+func (s *stragglerAcc) fit() {
+	sort.Float64s(s.pending)
+	// Merge from the back, so the sorted run moves at most once.
+	i, j := len(s.sorted)-1, len(s.pending)-1
+	s.sorted = append(s.sorted, s.pending...)
+	for k := len(s.sorted) - 1; j >= 0; k-- {
+		if i >= 0 && s.sorted[i] > s.pending[j] {
+			s.sorted[k] = s.sorted[i]
+			i--
+		} else {
+			s.sorted[k] = s.pending[j]
+			j--
+		}
+	}
+	s.pending = s.pending[:0]
+
+	v := s.sorted
+	m := len(v) / 2
+	med := v[m]
+	below := func(j int) float64 { return med - v[m-1-j] } // j < m, ascending
+	above := func(j int) float64 { return v[m+j] - med }   // j < len(v)-m, ascending
+	// The MAD is the m-th smallest deviation (from 0), so the m+1 smallest
+	// are the first a of below and the first m+1-a of above, for the least a
+	// whose next below is no smaller than the last above taken.
+	lo, hi := max(0, 2*m+1-len(v)), m
+	a := lo + sort.Search(hi-lo, func(t int) bool {
+		a := lo + t
+		return below(a) >= above(m-a)
+	})
+	mad := above(m - a)
+	if a > 0 {
+		mad = math.Max(mad, below(a-1))
+	}
+	s.median, s.mad, s.fitted = med, mad, true
 }
 
 // StragglerDetector exposes the online MAD straggler model as a standalone
@@ -154,13 +199,7 @@ func (d *StragglerDetector) Observe(group string, seconds float64) {
 		s = &stragglerAcc{}
 		d.groups[group] = s
 	}
-	if len(s.samples) < stragglerCap {
-		s.samples = append(s.samples, seconds)
-	}
-	s.sinceFit++
-	if !s.fitted && len(s.samples) >= d.cfg.StragglerMinSamples || s.sinceFit >= recomputeEvery {
-		s.fit()
-	}
+	s.add(seconds, d.cfg.StragglerMinSamples)
 }
 
 // Straggler reports whether a task of the group that has already run for
@@ -170,7 +209,7 @@ func (d *StragglerDetector) Straggler(group string, elapsedSeconds float64) bool
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := d.groups[group]
-	if s == nil || !s.fitted || len(s.samples) < d.cfg.StragglerMinSamples {
+	if s == nil || !s.fitted || s.samples() < d.cfg.StragglerMinSamples {
 		return false
 	}
 	if elapsedSeconds <= s.median {
@@ -229,7 +268,7 @@ func (d *detectors) onDuration(group string, dur, at float64) []Anomaly {
 		d.stragglers[group] = s
 	}
 	var out []Anomaly
-	if s.fitted && len(s.samples) >= d.cfg.StragglerMinSamples {
+	if s.fitted && s.samples() >= d.cfg.StragglerMinSamples {
 		dev := dur - s.median
 		if dev < 0 {
 			dev = -dev
@@ -243,13 +282,7 @@ func (d *detectors) onDuration(group string, dur, at float64) []Anomaly {
 			})
 		}
 	}
-	if len(s.samples) < stragglerCap {
-		s.samples = append(s.samples, dur)
-	}
-	s.sinceFit++
-	if !s.fitted && len(s.samples) >= d.cfg.StragglerMinSamples || s.sinceFit >= recomputeEvery {
-		s.fit()
-	}
+	s.add(dur, d.cfg.StragglerMinSamples)
 	return out
 }
 

@@ -177,3 +177,64 @@ func TestMonitorSkipsMalformedEvent(t *testing.T) {
 		t.Fatalf("cursors cover %d of %d executions: the malformed ones held them back", committed, tp.Events())
 	}
 }
+
+// TestAggregatorConcurrentIngest: two goroutines feed one aggregator — and so
+// its one decoder — a partition each, and the snapshot is the sequential
+// replay's. Run under -race it also checks the decoder is guarded.
+func TestAggregatorConcurrentIngest(t *testing.T) {
+	b := mofka.NewStandaloneBroker()
+	seedBroker(t, b, 200)
+	type event struct {
+		topic    string
+		metadata []byte
+	}
+	var parts [2][]event
+	for _, topic := range b.Topics() {
+		tp, err := b.OpenTopic(topic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := tp.NewConsumer(mofka.ConsumerOptions{NoData: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.Scan(func(partition int, _ uint64, metadata []byte) error {
+			parts[partition] = append(parts[partition], event{topic, append([]byte(nil), metadata...)})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(parts[0]) == 0 || len(parts[1]) == 0 {
+		t.Fatalf("seeded partitions hold %d and %d events", len(parts[0]), len(parts[1]))
+	}
+	concurrent := NewAggregator(AggregatorOptions{})
+	var wg sync.WaitGroup
+	errs := make([]error, len(parts))
+	for p := range parts {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for _, ev := range parts[p] {
+				if err := concurrent.Ingest(ev.topic, p, ev.metadata); err != nil {
+					errs[p] = err
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sequential := NewAggregator(AggregatorOptions{})
+	if err := ReplayBroker(b, sequential); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stripped(concurrent.Snapshot()), stripped(sequential.Snapshot()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent ingest:\n%+v\nsequential replay:\n%+v", got, want)
+	}
+}

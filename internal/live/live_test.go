@@ -340,7 +340,9 @@ func TestMonitorEmitsAnomalies(t *testing.T) {
 		t.Fatal("no anomaly on subscription channel")
 	}
 	m.Stop()
-	metas, err := provenance.Drain(b, provenance.TopicAnomalies, mofka.DecodeMetadata)
+	metas, err := provenance.Drain(new(provenance.Decoder), b, provenance.TopicAnomalies, func(_ *provenance.Decoder, b []byte) (mofka.Metadata, error) {
+		return mofka.DecodeMetadata(b)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // (at, kind, worker, message) so the view is deterministic regardless of
 // partition drain order. Empty for single-broker runs.
 func ClusterTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
+	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,8 @@ type PrefixShare struct {
 // Correlate computes the report from one run's artifacts.
 func Correlate(art *core.RunArtifacts, binSeconds float64) (CorrelationReport, error) {
 	rep := CorrelationReport{BinSeconds: binSeconds}
-	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	var dec provenance.Decoder
+	execs, err := provenance.Drain(&dec, art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		return rep, err
 	}
@@ -93,7 +94,7 @@ func Correlate(art *core.RunArtifacts, binSeconds float64) (CorrelationReport, e
 			longActive[b] += overlap(r.start, r.stop, float64(b)*binSeconds, float64(b+1)*binSeconds)
 		}
 	}
-	warns, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
+	warns, err := provenance.Drain(&dec, art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 	if err != nil {
 		return rep, err
 	}

@@ -69,7 +69,8 @@ type LineageIO struct {
 func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	l := &Lineage{Key: key, Prefix: dask.KeyPrefix(dask.TaskKey(key)), Group: dask.KeyGroup(dask.TaskKey(key))}
 
-	metas, err := provenance.Drain(art.Broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta)
+	var dec provenance.Decoder
+	metas, err := provenance.Drain(&dec, art.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +90,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		return nil, fmt.Errorf("perfrecup: task %q not found in run %s", key, art.Meta.JobID)
 	}
 
-	trans, err := provenance.Drain(art.Broker, provenance.TopicTransitions, provenance.DecodeTransition)
+	trans, err := provenance.Drain(&dec, art.Broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +104,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	}
 	sort.Slice(l.States, func(a, b int) bool { return l.States[a].At < l.States[b].At })
 
-	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(&dec, art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +119,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	transfers, err := provenance.Drain(art.Broker, provenance.TopicTransfers, provenance.DecodeTransfer)
+	transfers, err := provenance.Drain(&dec, art.Broker, provenance.TopicTransfers, (*provenance.Decoder).Transfer)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +132,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	steals, err := provenance.Drain(art.Broker, provenance.TopicSteals, provenance.DecodeSteal)
+	steals, err := provenance.Drain(&dec, art.Broker, provenance.TopicSteals, (*provenance.Decoder).Steal)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 // ExecutionsView tabulates task executions: one row per executed task with
 // its placement, thread, window, and output size.
 func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // TransitionsView tabulates every captured state transition.
 func TransitionsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(art.Broker, provenance.TopicTransitions, provenance.DecodeTransition)
+	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +93,7 @@ func TransitionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // TransfersView tabulates inter-worker dependency transfers.
 func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(art.Broker, provenance.TopicTransfers, provenance.DecodeTransfer)
+	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTransfers, (*provenance.Decoder).Transfer)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
 // blob's logical size and the store's resident footprint after the
 // operation — the raw series behind the live resident-bytes lane.
 func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(art.Broker, provenance.TopicProxy, provenance.DecodeProxyEvent)
+	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicProxy, (*provenance.Decoder).ProxyEvent)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +173,7 @@ func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // WarningsView tabulates runtime warnings (unresponsive event loop, GC).
 func WarningsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
+	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +275,7 @@ func PosixView(art *core.RunArtifacts) (*frame.Frame, error) {
 // TaskMetaView tabulates the static task metadata (key, prefix, group,
 // graph, dependency count).
 func TaskMetaView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(art.Broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta)
+	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +306,7 @@ func TaskMetaView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // HeartbeatsView tabulates worker heartbeat samples.
 func HeartbeatsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(art.Broker, provenance.TopicHeartbeats, provenance.DecodeHeartbeat)
+	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicHeartbeats, (*provenance.Decoder).Heartbeat)
 	if err != nil {
 		return nil, err
 	}

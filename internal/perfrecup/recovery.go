@@ -16,7 +16,7 @@ import (
 // (at, kind, worker, message) so the view is deterministic regardless of
 // partition drain order. Empty for fault-free runs.
 func RecoveryTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
+	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ import (
 // (at, kind, key, duplicate, detail) so the view is deterministic regardless
 // of partition drain order. Empty for runs without speculation or retries.
 func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(art.Broker, provenance.TopicSpeculation, provenance.DecodeSpeculation)
+	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicSpeculation, (*provenance.Decoder).Speculation)
 	if err != nil {
 		return nil, err
 	}

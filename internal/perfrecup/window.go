@@ -53,7 +53,8 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 	w := WindowStats{From: from, To: to, Warnings: map[string]int{}}
 
-	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	var dec provenance.Decoder
+	execs, err := provenance.Drain(&dec, art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		return w, err
 	}
@@ -95,7 +96,7 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		}
 	}
 
-	transfers, err := provenance.Drain(art.Broker, provenance.TopicTransfers, provenance.DecodeTransfer)
+	transfers, err := provenance.Drain(&dec, art.Broker, provenance.TopicTransfers, (*provenance.Decoder).Transfer)
 	if err != nil {
 		return w, err
 	}
@@ -109,7 +110,7 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		w.CommSeconds += ov
 	}
 
-	warns, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
+	warns, err := provenance.Drain(&dec, art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 	if err != nil {
 		return w, err
 	}
@@ -156,8 +157,9 @@ type ScheduleComparison struct {
 // CompareSchedules compares two runs' task executions.
 func CompareSchedules(a, b *core.RunArtifacts) (ScheduleComparison, error) {
 	var out ScheduleComparison
+	var dec provenance.Decoder
 	load := func(art *core.RunArtifacts) (map[string]dask.TaskExecution, error) {
-		execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+		execs, err := provenance.Drain(&dec, art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // The typed codec: Append<T> writes a record's canonical JSON onto a buffer
-// and Decode<T> reads it back, neither touching map[string]any or reflect.
+// and Decoder.<T> reads it back, neither touching map[string]any or reflect.
 //
 // Canonical means exactly the bytes json.Marshal emits for the mofka.Metadata
 // the <T>Event builders above construct — members sorted by name, strings
@@ -23,10 +23,10 @@ import (
 // bench/e2e, a module this repo's changes may not edit, compiles against
 // them).
 //
-// Decode<T> is Parse<T> composed with mofka.DecodeMetadata: an absent member
-// or one of the wrong type leaves the zero value, unknown members are skipped,
-// the last of duplicate members wins, and numbers go through float64 exactly
-// as they do by way of a decoded map. Malformed JSON is an error.
+// Decoder.<T> is Parse<T> composed with mofka.DecodeMetadata: an absent
+// member or one of the wrong type leaves the zero value, unknown members are
+// skipped, the last of duplicate members wins, and numbers go through float64
+// exactly as they do by way of a decoded map. Malformed JSON is an error.
 
 // GraphEvent is one record of the graph-events topic. At stays the stored
 // float of virtual seconds rather than a sim.Time: the consumers compare it
@@ -421,27 +421,51 @@ func AppendIOTrace(dst []byte, r IOTrace) []byte {
 
 // ---- decoding ----
 
+// Decoder reads stored event metadata into typed records, one method per
+// record type. A string that names something — a task key or dependency, a
+// worker or host address, a state, stimulus, location, prefix, group, kind,
+// op or path — comes from the decoder's table: the first time the decoder
+// meets it, it is copied out of the input, and every later decode returns
+// that copy, so reading a run's events allocates per distinct name rather
+// than per event. Free text (Warning.Message, SpeculationEvent.Detail) is
+// copied every time, which keeps the table bounded by the run's names.
+//
+// The table lives as long as the Decoder: give one to each analysis, shared
+// by every topic it drains, or to an aggregator for its lifetime — never to
+// the package. The zero value is ready to use. A Decoder is not safe for
+// concurrent use.
+type Decoder struct {
+	d dec
+}
+
+// begin points the decoder's cursor at one document, keeping the table and
+// the unescape scratch.
+func (x *Decoder) begin(b []byte) *dec {
+	x.d = dec{b: b, buf: x.d.buf, strs: x.d.strs}
+	return &x.d
+}
+
 func (d *dec) seconds() sim.Time { return sim.Seconds(d.num()) }
 
-// DecodeTaskMeta decodes metadata written by AppendTaskMeta.
-func DecodeTaskMeta(b []byte) (dask.TaskMeta, error) {
+// TaskMeta decodes metadata written by AppendTaskMeta.
+func (x *Decoder) TaskMeta(b []byte) (dask.TaskMeta, error) {
 	var m dask.TaskMeta
-	d := dec{b: b}
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		switch string(d.key()) {
 		case "key":
-			m.Key = dask.TaskKey(d.str())
+			m.Key = dask.TaskKey(d.ident())
 		case "prefix":
-			m.Prefix = d.str()
+			m.Prefix = d.ident()
 		case "group":
-			m.Group = d.str()
+			m.Group = d.ident()
 		case "graph_id":
 			m.GraphID = int(d.num())
 		case "deps":
 			m.Deps = nil
 			if d.open('[') {
 				for d.more(']') {
-					if s, ok := d.strOK(); ok {
+					if s, ok := d.identOK(); ok {
 						m.Deps = append(m.Deps, dask.TaskKey(s))
 					}
 				}
@@ -455,22 +479,22 @@ func DecodeTaskMeta(b []byte) (dask.TaskMeta, error) {
 	return m, d.end()
 }
 
-// DecodeTransition decodes metadata written by AppendTransition.
-func DecodeTransition(b []byte) (dask.Transition, error) {
+// Transition decodes metadata written by AppendTransition.
+func (x *Decoder) Transition(b []byte) (dask.Transition, error) {
 	var t dask.Transition
-	d := dec{b: b}
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		switch string(d.key()) {
 		case "key":
-			t.Key = dask.TaskKey(d.str())
+			t.Key = dask.TaskKey(d.ident())
 		case "from":
-			t.From = dask.TaskState(d.str())
+			t.From = dask.TaskState(d.ident())
 		case "to":
-			t.To = dask.TaskState(d.str())
+			t.To = dask.TaskState(d.ident())
 		case "stimulus":
-			t.Stimulus = d.str()
+			t.Stimulus = d.ident()
 		case "location":
-			t.Location = d.str()
+			t.Location = d.ident()
 		case "at":
 			t.At = d.seconds()
 		default:
@@ -480,18 +504,18 @@ func DecodeTransition(b []byte) (dask.Transition, error) {
 	return t, d.end()
 }
 
-// DecodeExecution decodes metadata written by AppendExecution.
-func DecodeExecution(b []byte) (dask.TaskExecution, error) {
+// Execution decodes metadata written by AppendExecution.
+func (x *Decoder) Execution(b []byte) (dask.TaskExecution, error) {
 	var e dask.TaskExecution
-	d := dec{b: b}
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		switch string(d.key()) {
 		case "key":
-			e.Key = dask.TaskKey(d.str())
+			e.Key = dask.TaskKey(d.ident())
 		case "worker":
-			e.Worker = d.str()
+			e.Worker = d.ident()
 		case "hostname":
-			e.Hostname = d.str()
+			e.Hostname = d.ident()
 		case "thread_id":
 			e.ThreadID = uint64(d.num())
 		case "start":
@@ -513,7 +537,7 @@ func DecodeExecution(b []byte) (dask.TaskExecution, error) {
 					for d.more('}') {
 						switch string(d.key()) {
 						case "path":
-							f.Path = d.str()
+							f.Path = d.ident()
 						case "size_after":
 							f.SizeAfter = int64(d.num())
 						default:
@@ -530,18 +554,18 @@ func DecodeExecution(b []byte) (dask.TaskExecution, error) {
 	return e, d.end()
 }
 
-// DecodeTransfer decodes metadata written by AppendTransfer.
-func DecodeTransfer(b []byte) (dask.Transfer, error) {
+// Transfer decodes metadata written by AppendTransfer.
+func (x *Decoder) Transfer(b []byte) (dask.Transfer, error) {
 	var t dask.Transfer
-	d := dec{b: b}
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		switch string(d.key()) {
 		case "key":
-			t.Key = dask.TaskKey(d.str())
+			t.Key = dask.TaskKey(d.ident())
 		case "from":
-			t.From = d.str()
+			t.From = d.ident()
 		case "to":
-			t.To = d.str()
+			t.To = d.ident()
 		case "bytes":
 			t.Bytes = int64(d.num())
 		case "start":
@@ -561,18 +585,18 @@ func DecodeTransfer(b []byte) (dask.Transfer, error) {
 	return t, d.end()
 }
 
-// DecodeProxyEvent decodes metadata written by AppendProxyEvent.
-func DecodeProxyEvent(b []byte) (dask.ProxyEvent, error) {
+// ProxyEvent decodes metadata written by AppendProxyEvent.
+func (x *Decoder) ProxyEvent(b []byte) (dask.ProxyEvent, error) {
 	var e dask.ProxyEvent
-	d := dec{b: b}
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		switch string(d.key()) {
 		case "op":
-			e.Op = d.str()
+			e.Op = d.ident()
 		case "key":
-			e.Key = dask.TaskKey(d.str())
+			e.Key = dask.TaskKey(d.ident())
 		case "worker":
-			e.Worker = d.str()
+			e.Worker = d.ident()
 		case "bytes":
 			e.Bytes = int64(d.num())
 		case "resident":
@@ -588,18 +612,18 @@ func DecodeProxyEvent(b []byte) (dask.ProxyEvent, error) {
 	return e, d.end()
 }
 
-// DecodeWarning decodes metadata written by AppendWarning.
-func DecodeWarning(b []byte) (dask.Warning, error) {
+// Warning decodes metadata written by AppendWarning.
+func (x *Decoder) Warning(b []byte) (dask.Warning, error) {
 	var w dask.Warning
-	d := dec{b: b}
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		switch string(d.key()) {
 		case "kind":
-			w.Kind = dask.WarningKind(d.str())
+			w.Kind = dask.WarningKind(d.ident())
 		case "worker":
-			w.Worker = d.str()
+			w.Worker = d.ident()
 		case "hostname":
-			w.Hostname = d.str()
+			w.Hostname = d.ident()
 		case "at":
 			w.At = d.seconds()
 		case "duration":
@@ -613,14 +637,14 @@ func DecodeWarning(b []byte) (dask.Warning, error) {
 	return w, d.end()
 }
 
-// DecodeHeartbeat decodes metadata written by AppendHeartbeat.
-func DecodeHeartbeat(b []byte) (dask.WorkerMetrics, error) {
+// Heartbeat decodes metadata written by AppendHeartbeat.
+func (x *Decoder) Heartbeat(b []byte) (dask.WorkerMetrics, error) {
 	var m dask.WorkerMetrics
-	d := dec{b: b}
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		switch string(d.key()) {
 		case "worker":
-			m.Worker = d.str()
+			m.Worker = d.ident()
 		case "at":
 			m.At = d.seconds()
 		case "memory":
@@ -636,18 +660,18 @@ func DecodeHeartbeat(b []byte) (dask.WorkerMetrics, error) {
 	return m, d.end()
 }
 
-// DecodeSteal decodes metadata written by AppendSteal.
-func DecodeSteal(b []byte) (dask.StealEvent, error) {
+// Steal decodes metadata written by AppendSteal.
+func (x *Decoder) Steal(b []byte) (dask.StealEvent, error) {
 	var s dask.StealEvent
-	d := dec{b: b}
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		switch string(d.key()) {
 		case "key":
-			s.Key = dask.TaskKey(d.str())
+			s.Key = dask.TaskKey(d.ident())
 		case "victim":
-			s.Victim = d.str()
+			s.Victim = d.ident()
 		case "thief":
-			s.Thief = d.str()
+			s.Thief = d.ident()
 		case "at":
 			s.At = d.seconds()
 		default:
@@ -657,22 +681,22 @@ func DecodeSteal(b []byte) (dask.StealEvent, error) {
 	return s, d.end()
 }
 
-// DecodeSpeculation decodes metadata written by AppendSpeculation.
-func DecodeSpeculation(b []byte) (dask.SpeculationEvent, error) {
+// Speculation decodes metadata written by AppendSpeculation.
+func (x *Decoder) Speculation(b []byte) (dask.SpeculationEvent, error) {
 	var e dask.SpeculationEvent
-	d := dec{b: b}
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		switch string(d.key()) {
 		case "kind":
-			e.Kind = d.str()
+			e.Kind = d.ident()
 		case "key":
-			e.Key = dask.TaskKey(d.str())
+			e.Key = dask.TaskKey(d.ident())
 		case "primary":
-			e.Primary = d.str()
+			e.Primary = d.ident()
 		case "duplicate":
-			e.Duplicate = d.str()
+			e.Duplicate = d.ident()
 		case "winner":
-			e.Winner = d.str()
+			e.Winner = d.ident()
 		case "wasted":
 			e.Wasted = d.seconds()
 		case "attempt":
@@ -688,16 +712,16 @@ func DecodeSpeculation(b []byte) (dask.SpeculationEvent, error) {
 	return e, d.end()
 }
 
-// DecodeGraphEvent decodes metadata written by AppendGraphEvent.
-func DecodeGraphEvent(b []byte) (GraphEvent, error) {
+// GraphEvent decodes metadata written by AppendGraphEvent.
+func (x *Decoder) GraphEvent(b []byte) (GraphEvent, error) {
 	var g GraphEvent
-	d := dec{b: b}
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		switch string(d.key()) {
 		case "graph_id":
 			g.GraphID = int(d.num())
 		case "event":
-			g.Event = d.str()
+			g.Event = d.ident()
 		case "at":
 			g.At = d.num()
 		default:
@@ -707,20 +731,20 @@ func DecodeGraphEvent(b []byte) (GraphEvent, error) {
 	return g, d.end()
 }
 
-// DecodeIOTrace decodes metadata written by AppendIOTrace.
-func DecodeIOTrace(b []byte) (IOTrace, error) {
+// IOTrace decodes metadata written by AppendIOTrace.
+func (x *Decoder) IOTrace(b []byte) (IOTrace, error) {
 	var r IOTrace
-	d := dec{b: b}
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		switch string(d.key()) {
 		case "op":
-			r.Op = d.str()
+			r.Op = d.ident()
 		case "rank":
 			r.Rank = int(d.num())
 		case "hostname":
-			r.Hostname = d.str()
+			r.Hostname = d.ident()
 		case "path":
-			r.Path = d.str()
+			r.Path = d.ident()
 		case "thread_id":
 			r.ThreadID = uint64(d.num())
 		case "offset":
@@ -738,11 +762,11 @@ func DecodeIOTrace(b []byte) (IOTrace, error) {
 	return r, d.end()
 }
 
-// Validate accepts exactly the metadata every Decode<T> accepts — a JSON
+// Validate accepts exactly the metadata every record method accepts — a JSON
 // object or null with nothing after it — without building a record: the check
 // for a consumer that only counts a topic's events.
-func Validate(b []byte) error {
-	d := dec{b: b}
+func (x *Decoder) Validate(b []byte) error {
+	d := x.begin(b)
 	for ok := d.top(); ok && d.more('}'); {
 		d.key()
 		d.skip()
@@ -750,9 +774,9 @@ func Validate(b []byte) error {
 	return d.end()
 }
 
-// Drain decodes every event of a topic, once, straight from the stored
-// bytes, in the order a consumer's Drain delivers them.
-func Drain[T any](b *mofka.Broker, topic string, decode func([]byte) (T, error)) ([]T, error) {
+// Drain decodes every event of a topic with x, once, straight from the
+// stored bytes, in the order a consumer's Drain delivers them.
+func Drain[T any](x *Decoder, b *mofka.Broker, topic string, decode func(*Decoder, []byte) (T, error)) ([]T, error) {
 	t, err := b.OpenTopic(topic)
 	if err != nil {
 		return nil, err
@@ -763,7 +787,7 @@ func Drain[T any](b *mofka.Broker, topic string, decode func([]byte) (T, error))
 	}
 	out := make([]T, 0, t.Events())
 	err = c.Scan(func(partition int, id uint64, metadata []byte) error {
-		rec, err := decode(metadata)
+		rec, err := decode(x, metadata)
 		if err != nil {
 			return fmt.Errorf("provenance: corrupt event %s[%d]/%d: %w", topic, partition, id, err)
 		}

@@ -19,22 +19,22 @@ import (
 type codec[T any] struct {
 	name   string
 	append func([]byte, T) []byte
-	decode func([]byte) (T, error)
+	decode func(*Decoder, []byte) (T, error)
 	event  func(T) mofka.Metadata
 	parse  func(mofka.Metadata) T
 }
 
 var (
-	taskMetaCodec    = codec[dask.TaskMeta]{"task-meta", AppendTaskMeta, DecodeTaskMeta, TaskMetaEvent, ParseTaskMeta}
-	transitionCodec  = codec[dask.Transition]{"transition", AppendTransition, DecodeTransition, TransitionEvent, ParseTransition}
-	executionCodec   = codec[dask.TaskExecution]{"execution", AppendExecution, DecodeExecution, ExecutionEvent, ParseExecution}
-	transferCodec    = codec[dask.Transfer]{"transfer", AppendTransfer, DecodeTransfer, TransferEvent, ParseTransfer}
-	proxyCodec       = codec[dask.ProxyEvent]{"proxy", AppendProxyEvent, DecodeProxyEvent, ProxyEventMeta, ParseProxyEvent}
-	warningCodec     = codec[dask.Warning]{"warning", AppendWarning, DecodeWarning, WarningEvent, ParseWarning}
-	heartbeatCodec   = codec[dask.WorkerMetrics]{"heartbeat", AppendHeartbeat, DecodeHeartbeat, HeartbeatEvent, ParseHeartbeat}
-	stealCodec       = codec[dask.StealEvent]{"steal", AppendSteal, DecodeSteal, StealEventMeta, ParseSteal}
-	speculationCodec = codec[dask.SpeculationEvent]{"speculation", AppendSpeculation, DecodeSpeculation, SpeculationEventMeta, ParseSpeculationEvent}
-	graphCodec       = codec[GraphEvent]{"graph-event", AppendGraphEvent, DecodeGraphEvent,
+	taskMetaCodec    = codec[dask.TaskMeta]{"task-meta", AppendTaskMeta, (*Decoder).TaskMeta, TaskMetaEvent, ParseTaskMeta}
+	transitionCodec  = codec[dask.Transition]{"transition", AppendTransition, (*Decoder).Transition, TransitionEvent, ParseTransition}
+	executionCodec   = codec[dask.TaskExecution]{"execution", AppendExecution, (*Decoder).Execution, ExecutionEvent, ParseExecution}
+	transferCodec    = codec[dask.Transfer]{"transfer", AppendTransfer, (*Decoder).Transfer, TransferEvent, ParseTransfer}
+	proxyCodec       = codec[dask.ProxyEvent]{"proxy", AppendProxyEvent, (*Decoder).ProxyEvent, ProxyEventMeta, ParseProxyEvent}
+	warningCodec     = codec[dask.Warning]{"warning", AppendWarning, (*Decoder).Warning, WarningEvent, ParseWarning}
+	heartbeatCodec   = codec[dask.WorkerMetrics]{"heartbeat", AppendHeartbeat, (*Decoder).Heartbeat, HeartbeatEvent, ParseHeartbeat}
+	stealCodec       = codec[dask.StealEvent]{"steal", AppendSteal, (*Decoder).Steal, StealEventMeta, ParseSteal}
+	speculationCodec = codec[dask.SpeculationEvent]{"speculation", AppendSpeculation, (*Decoder).Speculation, SpeculationEventMeta, ParseSpeculationEvent}
+	graphCodec       = codec[GraphEvent]{"graph-event", AppendGraphEvent, (*Decoder).GraphEvent,
 		func(g GraphEvent) mofka.Metadata {
 			return mofka.Metadata{"graph_id": g.GraphID, "event": g.Event, "at": g.At}
 		},
@@ -43,7 +43,7 @@ var (
 		}}
 	// The online tracer's map form, as core.OnlineIOTracer built it before
 	// the codec.
-	ioTraceCodec = codec[IOTrace]{"io-trace", AppendIOTrace, DecodeIOTrace,
+	ioTraceCodec = codec[IOTrace]{"io-trace", AppendIOTrace, (*Decoder).IOTrace,
 		func(r IOTrace) mofka.Metadata {
 			return mofka.Metadata{
 				"op": r.Op, "rank": r.Rank, "hostname": r.Hostname,
@@ -240,8 +240,9 @@ func hostileIOTraces() []IOTrace {
 }
 
 // checkCodec holds one type's typed pair to its map pair: the encoder byte
-// for byte, the decoder record for record, on every given record.
-func checkCodec[T any](t *testing.T, c codec[T], recs []T) {
+// for byte, the decoder record for record, on every given record. x is
+// shared by every record, so most of them decode with names interned before.
+func checkCodec[T any](t *testing.T, x *Decoder, c codec[T], recs []T) {
 	t.Run(c.name, func(t *testing.T) {
 		var buf []byte
 		for _, r := range recs {
@@ -250,7 +251,7 @@ func checkCodec[T any](t *testing.T, c codec[T], recs []T) {
 			if !bytes.Equal(buf, want) {
 				t.Fatalf("%+v\nappend: %s\n   map: %s", r, buf, want)
 			}
-			got, err := c.decode(buf)
+			got, err := c.decode(x, buf)
 			if err != nil {
 				t.Fatalf("decode %s: %v", buf, err)
 			}
@@ -266,19 +267,20 @@ func checkCodec[T any](t *testing.T, c codec[T], recs []T) {
 }
 
 // TestCodecMatchesMapAPI is the byte-identity and decode-equivalence pin of
-// every record type over hostile inputs.
+// every record type over hostile inputs, all read by one decoder.
 func TestCodecMatchesMapAPI(t *testing.T) {
-	checkCodec(t, taskMetaCodec, hostileTaskMetas())
-	checkCodec(t, transitionCodec, hostileTransitions())
-	checkCodec(t, executionCodec, hostileExecutions())
-	checkCodec(t, transferCodec, hostileTransfers())
-	checkCodec(t, proxyCodec, hostileProxyEvents())
-	checkCodec(t, warningCodec, hostileWarnings())
-	checkCodec(t, heartbeatCodec, hostileHeartbeats())
-	checkCodec(t, stealCodec, hostileSteals())
-	checkCodec(t, speculationCodec, hostileSpeculations())
-	checkCodec(t, graphCodec, hostileGraphEvents())
-	checkCodec(t, ioTraceCodec, hostileIOTraces())
+	x := new(Decoder)
+	checkCodec(t, x, taskMetaCodec, hostileTaskMetas())
+	checkCodec(t, x, transitionCodec, hostileTransitions())
+	checkCodec(t, x, executionCodec, hostileExecutions())
+	checkCodec(t, x, transferCodec, hostileTransfers())
+	checkCodec(t, x, proxyCodec, hostileProxyEvents())
+	checkCodec(t, x, warningCodec, hostileWarnings())
+	checkCodec(t, x, heartbeatCodec, hostileHeartbeats())
+	checkCodec(t, x, stealCodec, hostileSteals())
+	checkCodec(t, x, speculationCodec, hostileSpeculations())
+	checkCodec(t, x, graphCodec, hostileGraphEvents())
+	checkCodec(t, x, ioTraceCodec, hostileIOTraces())
 }
 
 // TestGraphDoneMatchesMapBuilder pins the one graph event the plugins emit
@@ -298,7 +300,7 @@ func roundTrip[T any](t *testing.T, c codec[T], recs ...T) {
 	t.Run(c.name, func(t *testing.T) {
 		for _, r := range recs {
 			b := c.append(nil, r)
-			got, err := c.decode(b)
+			got, err := c.decode(new(Decoder), b)
 			if err != nil {
 				t.Fatalf("decode %s: %v", b, err)
 			}
@@ -389,6 +391,7 @@ func TestAppendSecondsMatchesAppendFloat(t *testing.T) {
 // a map: absent and mistyped members are zero, unknown ones are skipped, the
 // last duplicate wins, whitespace and escaped member names are fine.
 func TestDecodeLenient(t *testing.T) {
+	var x Decoder
 	for _, tc := range []struct {
 		in   string
 		want dask.TaskMeta
@@ -403,7 +406,7 @@ func TestDecodeLenient(t *testing.T) {
 		{`{"key":"😀 \ud83d x \udc00A \/"}`, dask.TaskMeta{Key: "😀 � x �A /"}},
 		{"{\"key\":\"a\xffb\"}", dask.TaskMeta{Key: "a�b"}},
 	} {
-		got, err := DecodeTaskMeta([]byte(tc.in))
+		got, err := x.TaskMeta([]byte(tc.in))
 		if err != nil || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: %+v, %v; want %+v", tc.in, got, err, tc.want)
 		}
@@ -411,11 +414,11 @@ func TestDecodeLenient(t *testing.T) {
 			t.Errorf("%s: typed %+v, map %+v", tc.in, got, spec)
 		}
 	}
-	e, err := DecodeExecution([]byte(`{"files":[1,{"path":"/a","size_after":3,"x":0},"s",{}],"via":1}`))
+	e, err := x.Execution([]byte(`{"files":[1,{"path":"/a","size_after":3,"x":0},"s",{}],"via":1}`))
 	if want := (dask.TaskExecution{Files: []dask.FileEffect{{Path: "/a", SizeAfter: 3}, {}}}); err != nil || !reflect.DeepEqual(e, want) {
 		t.Errorf("files: %+v, %v", e, err)
 	}
-	tr, err := DecodeTransfer([]byte(`{"same_node":1,"via_proxy":true,"via_proxy":"yes"}`))
+	tr, err := x.Transfer([]byte(`{"same_node":1,"via_proxy":true,"via_proxy":"yes"}`))
 	if err != nil || tr != (dask.Transfer{}) {
 		t.Errorf("booleans: %+v, %v", tr, err)
 	}
@@ -456,20 +459,22 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// decodeAll runs every decoder over b and returns their errors by name.
+// decodeAll runs every decoder method over b, on one decoder, and returns
+// their errors by name.
 func decodeAll(b []byte) map[string]error {
+	var x Decoder
 	errs := make(map[string]error)
-	_, errs["task-meta"] = DecodeTaskMeta(b)
-	_, errs["transition"] = DecodeTransition(b)
-	_, errs["execution"] = DecodeExecution(b)
-	_, errs["transfer"] = DecodeTransfer(b)
-	_, errs["proxy"] = DecodeProxyEvent(b)
-	_, errs["warning"] = DecodeWarning(b)
-	_, errs["heartbeat"] = DecodeHeartbeat(b)
-	_, errs["steal"] = DecodeSteal(b)
-	_, errs["speculation"] = DecodeSpeculation(b)
-	_, errs["graph-event"] = DecodeGraphEvent(b)
-	_, errs["io-trace"] = DecodeIOTrace(b)
+	_, errs["task-meta"] = x.TaskMeta(b)
+	_, errs["transition"] = x.Transition(b)
+	_, errs["execution"] = x.Execution(b)
+	_, errs["transfer"] = x.Transfer(b)
+	_, errs["proxy"] = x.ProxyEvent(b)
+	_, errs["warning"] = x.Warning(b)
+	_, errs["heartbeat"] = x.Heartbeat(b)
+	_, errs["steal"] = x.Steal(b)
+	_, errs["speculation"] = x.Speculation(b)
+	_, errs["graph-event"] = x.GraphEvent(b)
+	_, errs["io-trace"] = x.IOTrace(b)
 	return errs
 }
 
@@ -508,13 +513,20 @@ func sameRecord(a, b reflect.Value) bool {
 }
 
 // fuzzCodec is FuzzCodec's body for one type: the decoder accepts exactly
-// what decoding to a map accepts and agrees with Parse on it, and what it
-// accepts re-encodes to bytes that decode to the same record.
-func fuzzCodec[T any](t *testing.T, c codec[T], in []byte) {
-	got, err := c.decode(in)
+// what decoding to a map accepts and agrees with Parse on it, what it accepts
+// re-encodes to bytes that decode to the same record, and warm — a decoder
+// that has read other events, this one among them under other types — reads
+// it exactly as a fresh decoder does, twice over.
+func fuzzCodec[T any](t *testing.T, warm *Decoder, c codec[T], in []byte) {
+	got, err := c.decode(new(Decoder), in)
 	m, mapErr := mofka.DecodeMetadata(in)
 	if (err == nil) != (mapErr == nil) {
 		t.Fatalf("%s: %q: typed decoder says %v, encoding/json says %v", c.name, in, err, mapErr)
+	}
+	for i := 0; i < 2; i++ {
+		if w, werr := c.decode(warm, in); (werr == nil) != (err == nil) || !reflect.DeepEqual(w, got) {
+			t.Fatalf("%s: %q: a warm decoder reads %+v (%v), a fresh one %+v (%v)", c.name, in, w, werr, got, err)
+		}
 	}
 	if err != nil {
 		return
@@ -531,7 +543,7 @@ func fuzzCodec[T any](t *testing.T, c codec[T], in []byte) {
 		tr.ResolveLatency = 0
 	}
 	again := c.append(nil, got)
-	back, err := c.decode(again)
+	back, err := c.decode(new(Decoder), again)
 	if err != nil {
 		t.Fatalf("%s: %q re-encoded to %q, which does not decode: %v", c.name, in, again, err)
 	}
@@ -541,30 +553,38 @@ func fuzzCodec[T any](t *testing.T, c codec[T], in []byte) {
 }
 
 // FuzzCodec feeds arbitrary bytes to every decoder: none may panic, and each
-// must stand in the relation fuzzCodec states to encoding/json and to its own
-// encoder.
+// must stand in the relation fuzzCodec states to encoding/json, to its own
+// encoder and to a decoder that has read other events first.
 func FuzzCodec(f *testing.F) {
 	for _, s := range []string{`null`, `{}`, `{"key":"a","at":1.5,"deps":["b"],"graph_id":3}`, `{"files":[{"path":"/a","size_after":1}],"thread_id":18446744073709551615}`,
 		`{"via_proxy":true,"resolve_latency":0.035,"same_node":false}`, `{"kind":"retry","attempt":2,"wasted":1e-7}`, `{"event":"done","at":1e21,"graph_id":-1}`,
-		`{"key":"😀 <>&","at":-0}`, `{"at":1.091797652072e3}`, ` { "a" : [ 1 , { "b" : null } ] } `, `{"key":"a"`, `[1]`} {
+		`{"key":"😀 <>&","at":-0}`, `{"at":1.091797652072e3}`, ` { "a" : [ 1 , { "b" : null } ] } `, `{"key":"a"`, `[1]`,
+		`{"key":"('x-\"q\"', 0)","deps":["\u65e5\u672c","a\u2028b"]}`} {
 		f.Add([]byte(s))
 	}
 	add := func(b []byte) { f.Add(append([]byte(nil), b...)) }
 	add(AppendExecution(nil, hostileExecutions()[7]))
 	add(AppendTaskMeta(nil, hostileTaskMetas()[9]))
 	add(AppendSpeculation(nil, hostileSpeculations()[127]))
+	// The unrelated event every warm decoder reads first: escaped and
+	// non-ASCII names, so its table and unescape scratch are not empty.
+	unrelated := AppendTaskMeta(nil, dask.TaskMeta{Key: `('x-"q"', 0)`, Prefix: "x", Group: "日本", Deps: []dask.TaskKey{"a\u2028b", "<k>"}})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		fuzzCodec(t, taskMetaCodec, in)
-		fuzzCodec(t, transitionCodec, in)
-		fuzzCodec(t, executionCodec, in)
-		fuzzCodec(t, transferCodec, in)
-		fuzzCodec(t, proxyCodec, in)
-		fuzzCodec(t, warningCodec, in)
-		fuzzCodec(t, heartbeatCodec, in)
-		fuzzCodec(t, stealCodec, in)
-		fuzzCodec(t, speculationCodec, in)
-		fuzzCodec(t, graphCodec, in)
-		fuzzCodec(t, ioTraceCodec, in)
+		warm := new(Decoder)
+		if _, err := warm.TaskMeta(unrelated); err != nil {
+			t.Fatal(err)
+		}
+		fuzzCodec(t, warm, taskMetaCodec, in)
+		fuzzCodec(t, warm, transitionCodec, in)
+		fuzzCodec(t, warm, executionCodec, in)
+		fuzzCodec(t, warm, transferCodec, in)
+		fuzzCodec(t, warm, proxyCodec, in)
+		fuzzCodec(t, warm, warningCodec, in)
+		fuzzCodec(t, warm, heartbeatCodec, in)
+		fuzzCodec(t, warm, stealCodec, in)
+		fuzzCodec(t, warm, speculationCodec, in)
+		fuzzCodec(t, warm, graphCodec, in)
+		fuzzCodec(t, warm, ioTraceCodec, in)
 	})
 }
 
@@ -587,7 +607,7 @@ func TestDrain(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Drain(b, TopicSteals, DecodeSteal)
+	got, err := Drain(new(Decoder), b, TopicSteals, (*Decoder).Steal)
 	if err != nil || len(got) != n {
 		t.Fatalf("drained %d, %v", len(got), err)
 	}
@@ -604,7 +624,7 @@ func TestDrain(t *testing.T) {
 			t.Fatalf("event %d: typed drain has %+v, consumer drain %+v", i, got[i], want)
 		}
 	}
-	if _, err := Drain(b, "no-such-topic", DecodeSteal); err == nil {
+	if _, err := Drain(new(Decoder), b, "no-such-topic", (*Decoder).Steal); err == nil {
 		t.Fatal("drain of a missing topic succeeded")
 	}
 	// Valid JSON that is not an event object gets past the broker and must
@@ -616,7 +636,7 @@ func TestDrain(t *testing.T) {
 	if err := part.Append([][]byte{[]byte(`[1,2]`)}, [][]byte{nil}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Drain(b, TopicSteals, DecodeSteal); err == nil {
+	if _, err := Drain(new(Decoder), b, TopicSteals, (*Decoder).Steal); err == nil {
 		t.Fatal("drain over a non-object event succeeded")
 	}
 }

@@ -20,6 +20,9 @@ var errSyntax = errors.New("invalid JSON")
 // what Str/Num on a decoded map do. The first error sticks: every later call
 // is a no-op that reports "no more members", so decoders need no error
 // plumbing until end.
+//
+// A Decoder keeps one dec for all the events it reads: buf and strs outlive
+// the document, everything else is reset per event.
 type dec struct {
 	b     []byte
 	i     int
@@ -27,6 +30,8 @@ type dec struct {
 	first bool   // the cursor sits right after a container's opening bracket
 	depth int    // containers currently open
 	buf   []byte // scratch for strings that need unescaping
+	// strs interns the strings ident returns: each is its own key.
+	strs map[string]string
 }
 
 func (d *dec) fail(what string) {
@@ -71,11 +76,12 @@ func (d *dec) top() bool {
 }
 
 // end checks that nothing but whitespace follows the document and returns
-// the sticky error.
+// the sticky error. It lets go of the input, which the cursor outlives.
 func (d *dec) end() error {
 	if d.ws(); d.err == nil && d.i < len(d.b) {
 		d.fail("trailing data")
 	}
+	d.b = nil
 	return d.err
 }
 
@@ -147,26 +153,49 @@ func (d *dec) key() []byte {
 	return k
 }
 
-// str reads one value, returning it when it is a string and "" otherwise.
+// str reads one value, returning a copy of it when it is a string and ""
+// otherwise.
 func (d *dec) str() string {
-	s, _ := d.strOK()
+	b, _ := d.strBytes()
+	return string(b)
+}
+
+// ident is str for a string that names something — a key, a worker, a
+// state: the table's copy, made the first time the cursor met the string.
+func (d *dec) ident() string {
+	s, _ := d.identOK()
 	return s
 }
 
-// strOK is str that also reports whether the value was a string.
-func (d *dec) strOK() (string, bool) {
+// identOK is ident that also reports whether the value was a string.
+func (d *dec) identOK() (string, bool) {
+	b, ok := d.strBytes()
+	if len(b) == 0 {
+		return "", ok
+	}
+	if s, hit := d.strs[string(b)]; hit {
+		return s, true
+	}
+	if d.strs == nil {
+		d.strs = make(map[string]string)
+	}
+	s := string(b)
+	d.strs[s] = s
+	return s, true
+}
+
+// strBytes reads one value, returning its decoded bytes (valid until the next
+// string is read) when it is a string.
+func (d *dec) strBytes() ([]byte, bool) {
 	if d.err != nil {
-		return "", false
+		return nil, false
 	}
 	if d.peek() != '"' {
 		d.skip()
-		return "", false
+		return nil, false
 	}
 	b := d.stringBytes()
-	if d.err != nil {
-		return "", false
-	}
-	return string(b), true
+	return b, d.err == nil
 }
 
 // num reads one value, returning it when it is a number and 0 otherwise.
@@ -236,21 +265,34 @@ func (d *dec) literal(lit string) bool {
 	return true
 }
 
+// exactPow10 holds the powers of ten number's fast path divides by; every
+// one is a float64 exactly.
+var exactPow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
 // number scans a number by the JSON grammar and converts it the way
 // encoding/json converts numbers bound for an interface: ParseFloat, with a
 // value out of float64's range an error.
+//
+// A literal of at most 15 digits and no exponent — every number the encoders
+// write short of a huge integer — skips ParseFloat: its digits are an integer
+// below 10^15 < 2^53 and its fraction length k ≤ 15, so both the integer and
+// 10^k are exact float64s, and their one IEEE division is the correctly
+// rounded quotient, which is what ParseFloat returns (Clinger's fast path).
 func (d *dec) number() float64 {
 	start := d.i
 	b := d.b
 	i := d.i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var mant uint64 // wraps past 19 digits, and then goes unused
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && b[i] >= '1' && b[i] <= '9':
 		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			mant = mant*10 + uint64(b[i]-'0')
 			i++
 		}
 	default:
@@ -258,28 +300,41 @@ func (d *dec) number() float64 {
 		d.fail("invalid number")
 		return 0
 	}
+	digits, frac := i-start, 0
 	if i < len(b) && b[i] == '.' {
 		i++
-		digits := i
+		fracStart := i
 		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			mant = mant*10 + uint64(b[i]-'0')
 			i++
 		}
-		if i == digits {
+		if frac = i - fracStart; frac == 0 {
 			d.i = i
 			d.fail("invalid number")
 			return 0
 		}
+	}
+	if neg {
+		digits--
+	}
+	if digits+frac <= 15 && (i == len(b) || b[i] != 'e' && b[i] != 'E') {
+		d.i = i
+		f := float64(mant) / exactPow10[frac]
+		if neg {
+			f = -f
+		}
+		return f
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		digits := i
+		expStart := i
 		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
 			i++
 		}
-		if i == digits {
+		if i == expStart {
 			d.i = i
 			d.fail("invalid number")
 			return 0
@@ -295,6 +350,16 @@ func (d *dec) number() float64 {
 	return f
 }
 
+// stringStop marks the bytes a string scan must look at: the closing quote,
+// an escape, a control byte and the bytes of a multi-byte rune. Every other
+// byte costs one lookup.
+var stringStop = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c == '"' || c == '\\' || c < 0x20 || c >= utf8.RuneSelf
+	}
+	return t
+}()
+
 // stringBytes reads the string the cursor is on (d.b[d.i] == '"') and returns
 // its decoded bytes: a slice of the input when the string holds no escapes
 // and is valid UTF-8, else the scratch buffer.
@@ -303,6 +368,9 @@ func (d *dec) stringBytes() []byte {
 	start := d.i + 1
 	high := false
 	for j := start; j < len(b); j++ {
+		if !stringStop[b[j]] {
+			continue
+		}
 		switch c := b[j]; {
 		case c == '"':
 			d.i = j + 1

@@ -133,7 +133,9 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 	for key, t := range cp.Tasks {
 		tasks[key] = doneTask{graph: t.GraphID, size: t.Size, stop: t.StopSeconds, files: t.Files}
 	}
-	execs, err := provenance.Drain(broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	// One decoder for every topic read below: they name the same tasks.
+	var dec provenance.Decoder
+	execs, err := provenance.Drain(&dec, broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		return nil, fmt.Errorf("resume: executions: %w", err)
 	}
@@ -161,7 +163,7 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 	for _, b := range cp.Blobs {
 		blobs[b.Key] = &blobState{residual: 1, owner: b.Owner, size: b.Size, at: cp.AtSeconds}
 	}
-	proxyEvents, err := provenance.Drain(broker, provenance.TopicProxy, provenance.DecodeProxyEvent)
+	proxyEvents, err := provenance.Drain(&dec, broker, provenance.TopicProxy, (*provenance.Decoder).ProxyEvent)
 	if err != nil {
 		return nil, fmt.Errorf("resume: proxy events: %w", err)
 	}
@@ -226,7 +228,7 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 			}
 		}
 	}
-	graphEvents, err := provenance.Drain(broker, provenance.TopicGraphs, provenance.DecodeGraphEvent)
+	graphEvents, err := provenance.Drain(&dec, broker, provenance.TopicGraphs, (*provenance.Decoder).GraphEvent)
 	if err != nil {
 		return nil, fmt.Errorf("resume: graph events: %w", err)
 	}
@@ -267,12 +269,12 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 
 	// The remaining topics only contribute to the clock frontier.
 	for _, err := range []error{
-		latest(&maxAt, broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta, func(r dask.TaskMeta) sim.Time { return r.At }),
-		latest(&maxAt, broker, provenance.TopicTransitions, provenance.DecodeTransition, func(r dask.Transition) sim.Time { return r.At }),
-		latest(&maxAt, broker, provenance.TopicTransfers, provenance.DecodeTransfer, func(r dask.Transfer) sim.Time { return r.Stop }),
-		latest(&maxAt, broker, provenance.TopicWarnings, provenance.DecodeWarning, func(r dask.Warning) sim.Time { return r.At }),
-		latest(&maxAt, broker, provenance.TopicHeartbeats, provenance.DecodeHeartbeat, func(r dask.WorkerMetrics) sim.Time { return r.At }),
-		latest(&maxAt, broker, provenance.TopicSteals, provenance.DecodeSteal, func(r dask.StealEvent) sim.Time { return r.At }),
+		latest(&maxAt, &dec, broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta, func(r dask.TaskMeta) sim.Time { return r.At }),
+		latest(&maxAt, &dec, broker, provenance.TopicTransitions, (*provenance.Decoder).Transition, func(r dask.Transition) sim.Time { return r.At }),
+		latest(&maxAt, &dec, broker, provenance.TopicTransfers, (*provenance.Decoder).Transfer, func(r dask.Transfer) sim.Time { return r.Stop }),
+		latest(&maxAt, &dec, broker, provenance.TopicWarnings, (*provenance.Decoder).Warning, func(r dask.Warning) sim.Time { return r.At }),
+		latest(&maxAt, &dec, broker, provenance.TopicHeartbeats, (*provenance.Decoder).Heartbeat, func(r dask.WorkerMetrics) sim.Time { return r.At }),
+		latest(&maxAt, &dec, broker, provenance.TopicSteals, (*provenance.Decoder).Steal, func(r dask.StealEvent) sim.Time { return r.At }),
 	} {
 		if err != nil {
 			return nil, fmt.Errorf("resume: %w", err)
@@ -315,8 +317,8 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 
 // latest raises maxAt to the newest timestamp, in virtual seconds, among a
 // topic's events. A topic minimal logs do not have contributes nothing.
-func latest[T any](maxAt *float64, broker *mofka.Broker, topic string, decode func([]byte) (T, error), at func(T) sim.Time) error {
-	recs, err := provenance.Drain(broker, topic, decode)
+func latest[T any](maxAt *float64, dec *provenance.Decoder, broker *mofka.Broker, topic string, decode func(*provenance.Decoder, []byte) (T, error), at func(T) sim.Time) error {
+	recs, err := provenance.Drain(dec, broker, topic, decode)
 	if errors.Is(err, mofka.ErrNoTopic) {
 		return nil
 	}

@@ -197,19 +197,21 @@ func Extract(in Input) (*Model, error) {
 	if in.Broker == nil {
 		return nil, fmt.Errorf("whatif: nil broker")
 	}
-	metas, err := provenance.Drain(in.Broker, provenance.TopicTaskMeta, provenance.DecodeTaskMeta)
+	// One decoder for the four topics: they name the same tasks and workers.
+	var dec provenance.Decoder
+	metas, err := provenance.Drain(&dec, in.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
 	if err != nil {
 		return nil, fmt.Errorf("whatif: task-meta: %w", err)
 	}
-	execs, err := provenance.Drain(in.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(&dec, in.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		return nil, fmt.Errorf("whatif: executions: %w", err)
 	}
-	transfers, err := provenance.Drain(in.Broker, provenance.TopicTransfers, provenance.DecodeTransfer)
+	transfers, err := provenance.Drain(&dec, in.Broker, provenance.TopicTransfers, (*provenance.Decoder).Transfer)
 	if err != nil {
 		return nil, fmt.Errorf("whatif: transfers: %w", err)
 	}
-	graphEvents, err := provenance.Drain(in.Broker, provenance.TopicGraphs, provenance.DecodeGraphEvent)
+	graphEvents, err := provenance.Drain(&dec, in.Broker, provenance.TopicGraphs, (*provenance.Decoder).GraphEvent)
 	if err != nil {
 		return nil, fmt.Errorf("whatif: graph-events: %w", err)
 	}

@@ -20,13 +20,13 @@ import (
 
 // checkTopicCodec holds the typed codec to the map API on every stored event
 // of one topic: the bytes are what encoding/json writes for their content,
-// Decode agrees with Parse over a decoded map, and the two encoders agree on
-// the decoded record.
-func checkTopicCodec[T any](t *testing.T, art *core.RunArtifacts, topic string,
-	decode func([]byte) (T, error), parse func(mofka.Metadata) T,
+// the decoder agrees with Parse over a decoded map, and the two encoders agree
+// on the decoded record.
+func checkTopicCodec[T any](t *testing.T, art *core.RunArtifacts, dec *provenance.Decoder, topic string,
+	decode func(*provenance.Decoder, []byte) (T, error), parse func(mofka.Metadata) T,
 	appendTo func([]byte, T) []byte, event func(T) mofka.Metadata) int {
 	t.Helper()
-	raws, err := provenance.Drain(art.Broker, topic, func(b []byte) ([]byte, error) {
+	raws, err := provenance.Drain(new(provenance.Decoder), art.Broker, topic, func(_ *provenance.Decoder, b []byte) ([]byte, error) {
 		return append([]byte(nil), b...), nil
 	})
 	if err != nil {
@@ -40,7 +40,7 @@ func checkTopicCodec[T any](t *testing.T, art *core.RunArtifacts, topic string,
 		if canon := m.Encode(); !bytes.Equal(raw, canon) {
 			t.Fatalf("%s[%d] is not canonical:\nstored %s\n  json %s", topic, i, raw, canon)
 		}
-		rec, err := decode(raw)
+		rec, err := decode(dec, raw)
 		if err != nil {
 			t.Fatalf("%s[%d]: decode %s: %v", topic, i, raw, err)
 		}
@@ -78,9 +78,10 @@ func seededRun(t *testing.T, name string) *core.RunArtifacts {
 }
 
 // TestTypedIngestMatchesMapIngest feeds every event of the seeded runs to two
-// live aggregators — one through Ingest, straight from the stored bytes, one
-// through IngestEvent over the decoded map — in the replay's order, and
-// requires equal snapshots: the typed read path changes no summary.
+// live aggregators — one through Ingest, straight from the stored bytes by
+// the aggregator's one interning decoder, one through IngestEvent over the
+// decoded map — in the replay's order, and requires equal snapshots: the
+// typed read path changes no summary.
 func TestTypedIngestMatchesMapIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow runs")
@@ -128,16 +129,19 @@ func TestCodecOnSeededRuns(t *testing.T) {
 	}
 	for _, name := range seededWorkflows {
 		art := seededRun(t, name)
-		n := checkTopicCodec(t, art, provenance.TopicTaskMeta, provenance.DecodeTaskMeta, provenance.ParseTaskMeta, provenance.AppendTaskMeta, provenance.TaskMetaEvent)
-		n += checkTopicCodec(t, art, provenance.TopicTransitions, provenance.DecodeTransition, provenance.ParseTransition, provenance.AppendTransition, provenance.TransitionEvent)
-		n += checkTopicCodec(t, art, provenance.TopicExecutions, provenance.DecodeExecution, provenance.ParseExecution, provenance.AppendExecution, provenance.ExecutionEvent)
-		n += checkTopicCodec(t, art, provenance.TopicTransfers, provenance.DecodeTransfer, provenance.ParseTransfer, provenance.AppendTransfer, provenance.TransferEvent)
-		n += checkTopicCodec(t, art, provenance.TopicWarnings, provenance.DecodeWarning, provenance.ParseWarning, provenance.AppendWarning, provenance.WarningEvent)
-		n += checkTopicCodec(t, art, provenance.TopicHeartbeats, provenance.DecodeHeartbeat, provenance.ParseHeartbeat, provenance.AppendHeartbeat, provenance.HeartbeatEvent)
-		n += checkTopicCodec(t, art, provenance.TopicSteals, provenance.DecodeSteal, provenance.ParseSteal, provenance.AppendSteal, provenance.StealEventMeta)
-		n += checkTopicCodec(t, art, provenance.TopicProxy, provenance.DecodeProxyEvent, provenance.ParseProxyEvent, provenance.AppendProxyEvent, provenance.ProxyEventMeta)
-		n += checkTopicCodec(t, art, provenance.TopicSpeculation, provenance.DecodeSpeculation, provenance.ParseSpeculationEvent, provenance.AppendSpeculation, provenance.SpeculationEventMeta)
-		n += checkTopicCodec(t, art, provenance.TopicGraphs, provenance.DecodeGraphEvent,
+		// One decoder for the whole run, as an analysis holds one: every
+		// topic is read with the names the topics before it interned.
+		dec := new(provenance.Decoder)
+		n := checkTopicCodec(t, art, dec, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta, provenance.ParseTaskMeta, provenance.AppendTaskMeta, provenance.TaskMetaEvent)
+		n += checkTopicCodec(t, art, dec, provenance.TopicTransitions, (*provenance.Decoder).Transition, provenance.ParseTransition, provenance.AppendTransition, provenance.TransitionEvent)
+		n += checkTopicCodec(t, art, dec, provenance.TopicExecutions, (*provenance.Decoder).Execution, provenance.ParseExecution, provenance.AppendExecution, provenance.ExecutionEvent)
+		n += checkTopicCodec(t, art, dec, provenance.TopicTransfers, (*provenance.Decoder).Transfer, provenance.ParseTransfer, provenance.AppendTransfer, provenance.TransferEvent)
+		n += checkTopicCodec(t, art, dec, provenance.TopicWarnings, (*provenance.Decoder).Warning, provenance.ParseWarning, provenance.AppendWarning, provenance.WarningEvent)
+		n += checkTopicCodec(t, art, dec, provenance.TopicHeartbeats, (*provenance.Decoder).Heartbeat, provenance.ParseHeartbeat, provenance.AppendHeartbeat, provenance.HeartbeatEvent)
+		n += checkTopicCodec(t, art, dec, provenance.TopicSteals, (*provenance.Decoder).Steal, provenance.ParseSteal, provenance.AppendSteal, provenance.StealEventMeta)
+		n += checkTopicCodec(t, art, dec, provenance.TopicProxy, (*provenance.Decoder).ProxyEvent, provenance.ParseProxyEvent, provenance.AppendProxyEvent, provenance.ProxyEventMeta)
+		n += checkTopicCodec(t, art, dec, provenance.TopicSpeculation, (*provenance.Decoder).Speculation, provenance.ParseSpeculationEvent, provenance.AppendSpeculation, provenance.SpeculationEventMeta)
+		n += checkTopicCodec(t, art, dec, provenance.TopicGraphs, (*provenance.Decoder).GraphEvent,
 			func(m mofka.Metadata) provenance.GraphEvent {
 				return provenance.GraphEvent{GraphID: int(provenance.Num(m, "graph_id")), Event: provenance.Str(m, "event"), At: provenance.Num(m, "at")}
 			},
@@ -220,7 +224,7 @@ func legacyWorkerLog(t *testing.T, art *core.RunArtifacts, worker string) string
 		text string
 	}
 	var lines []line
-	warns, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
+	warns, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +243,7 @@ func legacyWorkerLog(t *testing.T, art *core.RunArtifacts, worker string) string
 			lines = append(lines, line{w.At.Seconds(), "WARN  - " + w.Message})
 		}
 	}
-	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		t.Fatal(err)
 	}

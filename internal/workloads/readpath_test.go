@@ -22,14 +22,16 @@ func mallocs(f func()) float64 {
 // TestReadPathAllocationBudget guards the read side the way
 // TestCollectorAllocationBudget guards the write side: per event of a seeded
 // imageprocessing data dir, opening it post-mortem and replaying it through
-// the live aggregator stay within half again of what the typed, one-pass
-// read path measured when it landed (0.022 and 4.80; the record-at-a-time
-// open cost 5.0, the map-decoding replay 31.1).
+// the live aggregator stay within their budgets: half again of the typed,
+// one-pass open when it landed (0.022; the record-at-a-time open cost 5.0),
+// and for the replay, whose decoder interns names, under twice what it
+// measured then (0.26; 4.80 when every string was copied, 31.1 decoding to
+// maps).
 func TestReadPathAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
 	}
-	const openBudget, replayBudget = 0.033, 7.2
+	const openBudget, replayBudget = 0.033, 0.5
 	wf, err := New("imageprocessing")
 	if err != nil {
 		t.Fatal(err)
@@ -73,5 +75,39 @@ func TestReadPathAllocationBudget(t *testing.T) {
 	}
 	if replay/events > replayBudget {
 		t.Errorf("ReplayBroker costs %.3f allocations per event, budget %v", replay/events, replayBudget)
+	}
+}
+
+// TestExtractAllocationBudget pins what the end-of-run whatif.Extract
+// allocates per event of a seeded xgboost run. It drains four topics whose
+// task keys are unique within each, so only one decoder shared across the
+// four interns a key once rather than four times; a decoder per topic would
+// show here before it showed in collect-mem's bytes per event. The budgets
+// are a tenth over what one shared decoder measured (139.3 B and 0.421
+// mallocs per event); copying every string, Extract made 146.8 B and 1.013.
+func TestExtractAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full workflow run")
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const bytesBudget, mallocsBudget = 153, 0.46
+	art := seededRun(t, "xgboost")
+	events := float64(art.Collector.TotalEvents())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := art.ExtractModel(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / events
+	mallocs := float64(after.Mallocs-before.Mallocs) / events
+	t.Logf("whatif.Extract over %v events: %.1f B and %.3f mallocs per event", events, bytes, mallocs)
+	if bytes > bytesBudget {
+		t.Errorf("whatif.Extract allocates %.1f B per event, budget %v", bytes, bytesBudget)
+	}
+	if mallocs > mallocsBudget {
+		t.Errorf("whatif.Extract makes %.3f mallocs per event, budget %v", mallocs, mallocsBudget)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // latest output size.
 func execSummary(t *testing.T, art *core.RunArtifacts) (counts map[dask.TaskKey]int, sizes map[dask.TaskKey]int64) {
 	t.Helper()
-	metas, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	metas, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestXGBoostTableI(t *testing.T) {
 
 	// Fig. 7: a burst of unresponsive-event-loop warnings early in the run,
 	// correlated with the read_parquet-fused-assign tasks.
-	warns, err := provenance.Drain(art.Broker, provenance.TopicWarnings, provenance.DecodeWarning)
+	warns, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestXGBoostTableI(t *testing.T) {
 
 	// Fig. 6: the read_parquet-fused-assign outputs exceed Dask's
 	// recommended 128 MB.
-	execs, err := provenance.Drain(art.Broker, provenance.TopicExecutions, provenance.DecodeExecution)
+	execs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
 	if err != nil {
 		t.Fatal(err)
 	}

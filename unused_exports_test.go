@@ -103,7 +103,7 @@ var programless = map[string]string{
 	"internal/mochi/mercury.Registry.Bind":      "fake transport: a Caller onto one address of the in-process Registry",
 	"internal/core.NewOnlineIOTracer":           "paper §VI: fully-online I/O capture, a library mode no SessionConfig reaches yet (ROADMAP)",
 	"internal/core.OnlineIOTracer.Flush":        "paper §VI: ships the online tracer's pending batches",
-	"internal/provenance.DecodeIOTrace":         "paper §VI: the typed reader of the online tracer's io-trace topic",
+	"internal/provenance.Decoder.IOTrace":       "paper §VI: the typed reader of the online tracer's io-trace topic",
 }
 
 // citedBenchmarks collects the Benchmark names DESIGN.md §4 and
