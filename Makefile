@@ -112,16 +112,25 @@ readpath:
 # Durable write-path gate, race-enabled and uncached: the commit contract
 # behind a held or failing fsync (nothing visible, counted or acknowledged
 # before an fsync covering it returned; a failed fsync poisons the log and
-# leaves no duplicated frame; a quorum append's replica fsyncs overlap), eight
-# concurrent pushers on one durable partition, one seeded session storing the
-# same bytes under every fsync policy (standalone and clustered, healthy and
-# with a faulty log), no goroutine left behind by a crashed durable session,
-# and the WAL recovery corpus. The allocation pins of the lean writer run
-# without -race, which allocates on its own.
+# leaves no duplicated frame), the pipelined quorum append (a producer ships
+# past batches awaiting their quorum, none acknowledged before both fsyncs
+# return; a kill settles what is in flight and heals nothing; a failed
+# follower fsync fails its batches and under-replicates the next append),
+# eight concurrent pushers on one durable partition, one seeded session
+# storing the same bytes under every fsync policy (standalone and clustered,
+# healthy and with a faulty log), no goroutine left behind by a crashed
+# durable session, the frontier checkpoint in json.Marshal's exact bytes, and
+# the WAL recovery corpus. The allocation pins of the lean writer and of a
+# rewritten checkpoint run without -race, which allocates on its own. Then one
+# iteration of the durable quorum-append benchmark, so it cannot go
+# uncompiled.
 durable:
-	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestFailedFsyncPoisonsLog|TestQuorumAppendOverlapsReplicaFsyncs|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover' ./internal/mofka/wal/
+	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestFailedFsyncPoisonsLog|TestQuorumAckIsPipelined|TestKillSettlesInFlightQuorum|TestFailedFollowerFsyncFailsQuorum|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -race -count=1 -run 'TestSyncPolicyLeavesSameBytes|TestCrashedSessionsLeaveNoGoroutines' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestCheckpointEncodingMatchesJSON|FuzzSidecars' ./internal/resume/
 	$(GO) test -count=1 -run 'TestOpenDurableBrokerAllocatesLittle|TestAppendBatchAllocatesNothing' ./internal/mofka/wal/
+	$(GO) test -count=1 -run 'TestCheckpointAllocationsIndependentOfFrontier' ./internal/resume/
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterPushBatch/brokers=3/rf=2/sync-batch' -benchtime 1x ./internal/mofka/cluster/
 
 # Simulator host-cost gate, uncached and not under -race (which allocates on
 # its own): a simulated message costs no malloc — a recycled kernel timer, a

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"taskprov/internal/dask"
@@ -11,42 +12,34 @@ import (
 )
 
 // frontierPlugin observes the run and maintains the completion frontier the
-// periodic checkpoint snapshots: completed tasks (with their file effects),
-// graph done marks, and live proxy-store blobs. It is both a scheduler and a
-// worker plugin. On a resumed session it starts from the reconstructed
-// frontier so checkpoints keep covering prior attempts' work.
+// periodic checkpoint writes: completed tasks (with their file effects),
+// graph done marks, and live proxy-store blobs. It keeps the frontier in the
+// checkpoint's own form — per-graph counts kept as tasks complete, blobs in
+// key order — so a checkpoint is written from it as it stands, without a
+// copy. It is both a scheduler and a worker plugin. On a resumed session it
+// starts from the reconstructed frontier so checkpoints keep covering prior
+// attempts' work.
 type frontierPlugin struct {
 	dask.NopSchedulerPlugin
 	dask.NopWorkerPlugin
 
-	mu      sync.Mutex
-	attempt int
-	tasks   map[string]resume.FrontierTask
-	done    map[int]bool
-	blobs   map[string]resume.FrontierBlob
+	mu sync.Mutex
+	cp *resume.Checkpoint
 }
 
 func newFrontierPlugin(attempt int, seed *resume.Checkpoint) *frontierPlugin {
-	f := &frontierPlugin{
-		attempt: attempt,
-		tasks:   make(map[string]resume.FrontierTask),
-		done:    make(map[int]bool),
-		blobs:   make(map[string]resume.FrontierBlob),
-	}
+	f := &frontierPlugin{cp: resume.NewCheckpoint(attempt)}
 	if seed != nil {
 		for key, t := range seed.Tasks {
-			f.tasks[key] = t
+			f.putTask(key, t)
 		}
 		for id, g := range seed.Graphs {
-			if !g.Done {
-				continue
-			}
-			if n, err := strconv.Atoi(id); err == nil {
-				f.done[n] = true
+			if n, err := strconv.Atoi(id); err == nil && g.Done {
+				f.GraphDone(n, 0)
 			}
 		}
 		for _, b := range seed.Blobs {
-			f.blobs[b.Key] = b
+			f.putBlob(b)
 		}
 	}
 	return f
@@ -57,19 +50,49 @@ func newFrontierPlugin(attempt int, seed *resume.Checkpoint) *frontierPlugin {
 func (f *frontierPlugin) TaskExecuted(e dask.TaskExecution) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.tasks[string(e.Key)] = resume.FrontierTask{
+	f.putTask(string(e.Key), resume.FrontierTask{
 		GraphID:     e.GraphID,
 		Size:        e.OutputSize,
 		StopSeconds: e.Stop.Seconds(),
 		Files:       e.Files,
+	})
+}
+
+// putTask sets a task's entry, keeping the per-graph completed counts those
+// of the task set. Caller holds f.mu.
+func (f *frontierPlugin) putTask(key string, t resume.FrontierTask) {
+	old, seen := f.cp.Tasks[key]
+	f.cp.Tasks[key] = t
+	if seen && old.GraphID == t.GraphID {
+		return
 	}
+	if seen {
+		f.count(old.GraphID, -1)
+	}
+	f.count(t.GraphID, 1)
+}
+
+// count moves graph id's completed count by d. A graph with nothing
+// completed and no done mark has no entry.
+func (f *frontierPlugin) count(id, d int) {
+	k := strconv.Itoa(id)
+	g := f.cp.Graphs[k]
+	g.Completed += d
+	if g == (resume.GraphFrontier{}) {
+		delete(f.cp.Graphs, k)
+		return
+	}
+	f.cp.Graphs[k] = g
 }
 
 // GraphDone marks a graph's done event as emitted.
-func (f *frontierPlugin) GraphDone(id int, at sim.Time) {
+func (f *frontierPlugin) GraphDone(id int, _ sim.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.done[id] = true
+	k := strconv.Itoa(id)
+	g := f.cp.Graphs[k]
+	g.Done = true
+	f.cp.Graphs[k] = g
 }
 
 // ProxyEvent tracks blob residency: publishes add (or replace) a blob, frees
@@ -79,41 +102,39 @@ func (f *frontierPlugin) ProxyEvent(e dask.ProxyEvent) {
 	defer f.mu.Unlock()
 	switch e.Op {
 	case dask.ProxyOpPublish:
-		f.blobs[string(e.Key)] = resume.FrontierBlob{
+		f.putBlob(resume.FrontierBlob{
 			Key:   string(e.Key),
 			Owner: dask.RankFromAddr(e.Worker),
 			Size:  e.Bytes,
-		}
+		})
 	case dask.ProxyOpFree, dask.ProxyOpReclaim:
-		delete(f.blobs, string(e.Key))
+		if i, ok := f.blob(string(e.Key)); ok {
+			f.cp.Blobs = slices.Delete(f.cp.Blobs, i, i+1)
+		}
 	}
 }
 
-// snapshot materializes the frontier as a checkpoint taken at virtual time
-// at. Per-graph completed counts are derived from the task set.
-func (f *frontierPlugin) snapshot(at sim.Time) *resume.Checkpoint {
+// blob finds key among the blobs, which stay in key order.
+func (f *frontierPlugin) blob(key string) (int, bool) {
+	return slices.BinarySearchFunc(f.cp.Blobs, key, func(b resume.FrontierBlob, key string) int {
+		return strings.Compare(b.Key, key)
+	})
+}
+
+// putBlob adds b, or replaces the blob of its key.
+func (f *frontierPlugin) putBlob(b resume.FrontierBlob) {
+	if i, ok := f.blob(b.Key); ok {
+		f.cp.Blobs[i] = b
+	} else {
+		f.cp.Blobs = slices.Insert(f.cp.Blobs, i, b)
+	}
+}
+
+// write installs the frontier as dataDir's checkpoint, taken at virtual time
+// at.
+func (f *frontierPlugin) write(dataDir string, at sim.Time) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cp := resume.NewCheckpoint(f.attempt)
-	cp.AtSeconds = at.Seconds()
-	for key, t := range f.tasks {
-		cp.Tasks[key] = t
-		g := cp.Graphs[strconv.Itoa(t.GraphID)]
-		g.Completed++
-		cp.Graphs[strconv.Itoa(t.GraphID)] = g
-	}
-	for id := range f.done {
-		g := cp.Graphs[strconv.Itoa(id)]
-		g.Done = true
-		cp.Graphs[strconv.Itoa(id)] = g
-	}
-	keys := make([]string, 0, len(f.blobs))
-	for key := range f.blobs {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		cp.Blobs = append(cp.Blobs, f.blobs[key])
-	}
-	return cp
+	f.cp.AtSeconds = at.Seconds()
+	return resume.WriteCheckpoint(dataDir, f.cp)
 }

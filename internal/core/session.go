@@ -649,7 +649,7 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 			interval = DefaultCheckpointInterval
 		}
 		s.stopCheckpoint = k.Every(sim.Time(interval), func() {
-			if err := resume.WriteCheckpoint(cfg.MofkaDataDir, s.frontier.snapshot(k.Now())); err != nil && s.collector != nil {
+			if err := s.frontier.write(cfg.MofkaDataDir, k.Now()); err != nil && s.collector != nil {
 				s.collector.pushWarning(dask.Warning{
 					Kind: dask.WarnCheckpointFailed, Worker: "scheduler",
 					At: k.Now(), Message: err.Error(),
@@ -760,7 +760,7 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 			return nil, err
 		}
 		if s.frontier != nil {
-			if err := resume.WriteCheckpoint(cfg.MofkaDataDir, s.frontier.snapshot(k.Now())); err != nil {
+			if err := s.frontier.write(cfg.MofkaDataDir, k.Now()); err != nil {
 				return nil, err
 			}
 		}

@@ -513,7 +513,7 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 			return nil, errors.Join(err, b.data.Destroy(region))
 		}
 		if stage {
-			c := &Commit{done: make(chan struct{})}
+			c := NewCommit()
 			p.staged = append(p.staged, stagedBatch{docs: docs, region: region, commit: c})
 			if !p.queued {
 				p.queued = true

@@ -46,18 +46,30 @@ func BenchmarkStandalonePushBatch(b *testing.B) {
 }
 
 // BenchmarkClusterPushBatch measures quorum-replicated appends at several
-// deployment shapes.
+// deployment shapes, in memory, and the default shape on durable nodes that
+// fsync every batch — where the producer ships batch n+1 while batch n
+// awaits its quorum's fsyncs.
 func BenchmarkClusterPushBatch(b *testing.B) {
 	for _, shape := range []struct {
 		brokers, rf int
+		syncBatch   bool
 	}{
-		{3, 1}, // sharding only: no replication
-		{3, 2}, // the default: leader + 1 follower, quorum 2
-		{3, 3}, // full replication, quorum 2
-		{5, 3}, // wider cluster, quorum 2
+		{3, 1, false}, // sharding only: no replication
+		{3, 2, false}, // the default: leader + 1 follower, quorum 2
+		{3, 3, false}, // full replication, quorum 2
+		{5, 3, false}, // wider cluster, quorum 2
+		{3, 2, true},  // the default on disk
 	} {
-		b.Run(fmt.Sprintf("brokers=%d/rf=%d", shape.brokers, shape.rf), func(b *testing.B) {
-			c, err := New(Config{Brokers: shape.brokers, ReplicationFactor: shape.rf})
+		name := fmt.Sprintf("brokers=%d/rf=%d", shape.brokers, shape.rf)
+		cfg := Config{Brokers: shape.brokers, ReplicationFactor: shape.rf}
+		if shape.syncBatch {
+			name += "/sync-batch"
+		}
+		b.Run(name, func(b *testing.B) {
+			if shape.syncBatch {
+				cfg.DataDir = b.TempDir()
+			}
+			c, err := New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -68,6 +80,7 @@ func BenchmarkClusterPushBatch(b *testing.B) {
 			}
 			p := ct.NewProducer(mofka.ProducerOptions{BatchSize: 128})
 			defer p.Close()
+			b.ReportAllocs()
 			benchPush(b, p.PushRaw, p.Flush)
 		})
 	}

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -175,6 +174,10 @@ type Cluster struct {
 	closed bool
 
 	health *healthLog
+
+	// settlers counts the goroutines that settle quorum appends once their
+	// replicas' fsyncs have returned; Close waits for them.
+	settlers sync.WaitGroup
 }
 
 // New builds (or, when Config.DataDir already holds a cluster, reopens) a
@@ -393,8 +396,10 @@ func (c *Cluster) failNode(id int, reason string) {
 	for _, ps := range parts {
 		ps.mu.Lock()
 		// Freeze the dead node's trustworthy prefix before reconciliation:
-		// everything it holds beyond the current acknowledged watermark is an
-		// unreplicated tail that must not survive a later restart.
+		// everything it holds beyond the acknowledged watermark — taken once
+		// what is in flight has settled — is an unreplicated tail that must
+		// not survive a later restart.
+		c.settleLocked(ps, nil)
 		if ps.trustedLen == nil {
 			ps.trustedLen = make(map[int]uint64)
 		}
@@ -466,6 +471,8 @@ func (c *Cluster) RestartBroker(id int) error {
 	}}
 	for _, ps := range parts {
 		ps.mu.Lock()
+		c.settleLocked(ps, nil)
+		delete(ps.broken, id) // a new broker, whose log takes appends again
 		// The rejoined replica must know the topic before catch-up appends.
 		if err := rep.CreateTopic(c.topicConfig(ps.topic)); err != nil {
 			ps.mu.Unlock()
@@ -521,27 +528,17 @@ func truncateLocal(b *mofka.Broker, topic string, part int, n uint64) error {
 }
 
 // partitionsOfLocked returns every partition whose replica set includes
-// node id, sorted by (topic, index) so failover walks partitions in a
-// deterministic order (map iteration would randomize the event timeline).
-// Caller holds c.mu.
+// node id, in (topic, index) order so failover walks partitions in a
+// deterministic order. Caller holds c.mu.
 func (c *Cluster) partitionsOfLocked(id int) []*partState {
 	var out []*partState
-	for _, ts := range c.topics {
+	for _, ts := range c.topicStatesLocked() {
 		for _, ps := range ts.parts {
-			for _, r := range ps.replicas {
-				if r == id {
-					out = append(out, ps)
-					break
-				}
+			if rankOf(ps.replicas, id) >= 0 {
+				out = append(out, ps)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].topic != out[j].topic {
-			return out[i].topic < out[j].topic
-		}
-		return out[i].index < out[j].index
-	})
 	return out
 }
 
@@ -588,8 +585,9 @@ func (c *Cluster) Sync() error {
 	return firstErr
 }
 
-// Close shuts every node down (flushing and fsyncing durable logs) and
-// marks the cluster closed. Idempotent.
+// Close shuts every node down (flushing and fsyncing durable logs), waits
+// for the quorum appends in flight to settle, and marks the cluster closed.
+// Idempotent.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -605,6 +603,7 @@ func (c *Cluster) Close() error {
 			firstErr = err
 		}
 	}
+	c.settlers.Wait()
 	return firstErr
 }
 

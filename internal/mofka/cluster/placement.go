@@ -80,7 +80,7 @@ type PlacementView struct {
 func (c *Cluster) Placement() []PlacementView {
 	c.mu.Lock()
 	var parts []*partState
-	for _, ts := range c.topics {
+	for _, ts := range c.topicStatesLocked() {
 		parts = append(parts, ts.parts...)
 	}
 	c.mu.Unlock()
@@ -97,11 +97,5 @@ func (c *Cluster) Placement() []PlacementView {
 		})
 		ps.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Topic != out[j].Topic {
-			return out[i].Topic < out[j].Topic
-		}
-		return out[i].Partition < out[j].Partition
-	})
 	return out
 }

@@ -28,9 +28,11 @@ var producerSeq atomic.Uint64
 // each sealed batch with a quorum append. The batch's sequence number makes
 // the retry idempotent — replicas that already hold it acknowledge without
 // re-appending — so a retry across a leader change neither loses nor
-// duplicates events. The sink returns once the quorum holds the batch
-// durably, so it has no commit for the producer to wait on: the overlap of
-// the replicas' fsyncs is inside the append, not across batches.
+// duplicates events. The sink is the submit half of the quorum append: it
+// returns with the commit that completes once the quorum's fsyncs have
+// returned, which the producer keeps, as it does a standalone partition's,
+// and waits for in Flush and Close — so it ships batch n+1 while batch n
+// awaits its quorum.
 func (t *ClusterTopic) NewProducer(opts mofka.ProducerOptions) *mofka.Producer {
 	t.c.mu.Lock()
 	var valid mofka.Validator
@@ -43,9 +45,9 @@ func (t *ClusterTopic) NewProducer(opts mofka.ProducerOptions) *mofka.Producer {
 	// runs its sink concurrently, so the cache needs no lock of its own.
 	epochs := make([]uint64, t.parts)
 	return mofka.NewProducer(t.parts, valid, opts, func(part int, seq uint64, metas, datas [][]byte) (*mofka.Commit, error) {
-		cur, err := t.c.appendRefreshing(t.name, part, id, seq, epochs[part], metas, datas)
+		cur, commit, err := t.c.submitRefreshing(t.name, part, id, seq, epochs[part], metas, datas)
 		epochs[part] = cur
-		return nil, err
+		return commit, err
 	})
 }
 
@@ -53,16 +55,16 @@ func (t *ClusterTopic) NewProducer(opts mofka.ProducerOptions) *mofka.Producer {
 // fresh epoch before reporting ErrFenced to its caller.
 const maxFenceRefreshes = 5
 
-// appendRefreshing is Append for callers that follow the route: ErrFenced
+// submitRefreshing is submit for callers that follow the route: ErrFenced
 // means the epoch they hold is stale, not that the append failed, so it is
 // retried at once with the current epoch that rides on the error return. An
 // append still fenced after maxFenceRefreshes tries is an election storm;
 // the caller gets the ErrFenced and treats it as any other failed attempt.
-func (c *Cluster) appendRefreshing(topic string, part int, producer string, seq, epoch uint64, metas, datas [][]byte) (cur uint64, err error) {
+func (c *Cluster) submitRefreshing(topic string, part int, producer string, seq, epoch uint64, metas, datas [][]byte) (cur uint64, commit *mofka.Commit, err error) {
 	for refreshes := 0; ; refreshes++ {
-		cur, err = c.Append(topic, part, producer, seq, epoch, metas, datas)
+		cur, commit, err = c.submit(topic, part, producer, seq, epoch, metas, datas)
 		if !errors.Is(err, ErrFenced) || refreshes >= maxFenceRefreshes {
-			return cur, err
+			return cur, commit, err
 		}
 		epoch = cur
 	}

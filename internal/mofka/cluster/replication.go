@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -28,7 +30,22 @@ type partState struct {
 	replicas []int // node ids, rendezvous rank order; [0] is preferred leader
 	leader   int   // current leader node id, -1 when no replica is alive
 	epoch    uint64
-	acked    uint64 // acknowledged high-water mark: consumers see [0, acked)
+
+	// acked is the acknowledged high-water mark, what Read and Length serve:
+	// consumers see [0, acked). It advances only as quorum appends settle, in
+	// submit order.
+	acked uint64
+	// ends holds each replica's log-end, by rank: what its log will hold once
+	// everything submitted to it has committed. Submit moves it and lock-step
+	// compares it; unknownEnd means it is probed, once nothing is in flight.
+	ends []uint64
+	// inflight holds the quorum appends submitted and not yet settled, in
+	// submit order.
+	inflight []*quorumAppend
+	// broken marks the replicas an fsync failed on since they last restarted:
+	// their log refuses every append, and their acknowledgements stop
+	// counting. Lazily allocated.
+	broken map[int]bool
 
 	// applied tracks, per replica node and producer id, the highest
 	// replicated batch sequence number — the dedup table that makes
@@ -72,6 +89,35 @@ func (ps *partState) copyApplied(dst, src int) {
 		m[k] = v
 	}
 	ps.applied[dst] = m
+}
+
+// unknownEnd is the log-end of a replica that has to be probed.
+const unknownEnd = math.MaxUint64
+
+// forgetEnds marks every replica's log-end unknown.
+func (ps *partState) forgetEnds() {
+	for i := range ps.ends {
+		ps.ends[i] = unknownEnd
+	}
+}
+
+// setEnd records replica node's log-end.
+func (ps *partState) setEnd(node int, n uint64) { ps.ends[rankOf(ps.replicas, node)] = n }
+
+// logEndLocked returns replica node's log-end, probing it when it is
+// unknown: once everything in flight on the partition has settled, what the
+// replica has committed is all its log holds. Caller holds ps.mu.
+func (c *Cluster) logEndLocked(ps *partState, rep replica, node int) (uint64, error) {
+	if n := ps.ends[rankOf(ps.replicas, node)]; n != unknownEnd {
+		return n, nil
+	}
+	c.settleLocked(ps, nil)
+	n, err := rep.PartitionLength(ps.topic, ps.index)
+	if err != nil {
+		return 0, err
+	}
+	ps.setEnd(node, n)
+	return n, nil
 }
 
 // EnsureTopic opens the topic cluster-wide, creating it if absent: the
@@ -144,14 +190,17 @@ func (c *Cluster) buildTopicStateLocked(cfg mofka.TopicConfig, nodes int) *topic
 				break
 			}
 		}
-		ts.parts = append(ts.parts, &partState{
+		ps := &partState{
 			topic:    cfg.Name,
 			index:    i,
 			replicas: set,
 			leader:   leader,
 			epoch:    1,
+			ends:     make([]uint64, len(set)),
 			applied:  make(map[int]map[string]uint64),
-		})
+		}
+		ps.forgetEnds()
+		ts.parts = append(ts.parts, ps)
 	}
 	return ts
 }
@@ -203,8 +252,9 @@ func (c *Cluster) replicaOf(id int) (replica, bool) {
 }
 
 // Append replicates one producer batch into (topic, part) with quorum
-// acknowledgement. producer/seq implement idempotent retry: a batch the
-// cluster has already applied to a replica is acknowledged there without
+// acknowledgement and returns once it is acknowledged: submit, then the wait
+// for the quorum's fsyncs. producer/seq implement idempotent retry: a batch
+// the cluster has already applied to a replica is acknowledged there without
 // re-appending, so producers may retry freely across failures and leader
 // changes. epoch is the producer's cached fencing epoch; a stale value
 // fails with ErrFenced and the current epoch is returned for the retry.
@@ -212,24 +262,50 @@ func (c *Cluster) replicaOf(id int) (replica, bool) {
 //
 // The returned epoch is always the partition's current epoch.
 func (c *Cluster) Append(topic string, part int, producer string, seq uint64, epoch uint64, metas, datas [][]byte) (uint64, error) {
-	ps, err := c.partition(topic, part)
+	cur, commit, err := c.submit(topic, part, producer, seq, epoch, metas, datas)
 	if err != nil {
-		return 0, err
+		return cur, err
 	}
-	ps.mu.Lock()
-	curEpoch, evs, err := c.appendLocked(ps, producer, seq, epoch, metas, datas)
-	ps.mu.Unlock()
-	c.health.emit(evs)
-	return curEpoch, err
+	return cur, commit.Wait()
 }
 
-func (c *Cluster) appendLocked(ps *partState, producer string, seq uint64, epoch uint64, metas, datas [][]byte) (uint64, []Event, error) {
+// submit is the first half of Append: it returns once every decision about
+// the batch is taken, with the wait for the quorum's fsyncs (see
+// submitLocked).
+func (c *Cluster) submit(topic string, part int, producer string, seq, epoch uint64, metas, datas [][]byte) (uint64, *mofka.Commit, error) {
+	ps, err := c.partition(topic, part)
+	if err != nil {
+		return 0, nil, err
+	}
+	ps.mu.Lock()
+	cur, commit, evs, err := c.submitLocked(ps, producer, seq, epoch, metas, datas)
+	ps.mu.Unlock()
+	c.health.emit(evs)
+	return cur, commit, err
+}
+
+// submitLocked takes every decision of a quorum append on the caller's
+// goroutine, in a fixed order — fence, availability, dedup, lock-step or
+// lagging — and the health events with their timestamps. The
+// batch goes to the leader and then to the followers in rank order, and
+// nothing waits for an fsync: each replica's broker fsyncs on its own
+// goroutine, so the replicas' fsyncs overlap with each other and with the
+// caller's next batch. Lock-step compares log-ends, which submit keeps; only
+// a lagging follower waits, healed to the leader's full prefix once what is
+// in flight has committed.
+//
+// Fewer than a quorum of replicas taking the batch refuses the append with
+// ErrUnavailable. Otherwise the commit returned completes once their fsyncs
+// have returned, behind every append submitted to the partition before it;
+// all it can add to what submit decided is a failed fsync. A nil commit is
+// an append that settled at once. Caller holds ps.mu.
+func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch uint64, metas, datas [][]byte) (uint64, *mofka.Commit, []Event, error) {
 	var evs []Event
 	if c.IsClosed() {
-		return ps.epoch, nil, ErrClosed
+		return ps.epoch, nil, nil, ErrClosed
 	}
 	if epoch != ps.epoch {
-		return ps.epoch, nil, fmt.Errorf("%w: have epoch %d, current %d", ErrFenced, epoch, ps.epoch)
+		return ps.epoch, nil, nil, fmt.Errorf("%w: have epoch %d, current %d", ErrFenced, epoch, ps.epoch)
 	}
 	// A leader that died without a detected failure (remote member crash
 	// between sweeps) surfaces here: elect before appending. If no alive
@@ -239,9 +315,9 @@ func (c *Cluster) appendLocked(ps *partState, producer string, seq uint64, epoch
 	if ps.leader < 0 || !c.nodeAlive(ps.leader) {
 		evs = append(evs, c.electLocked(ps)...)
 		if ps.leader < 0 || !c.nodeAlive(ps.leader) {
-			return ps.epoch, evs, ErrUnavailable
+			return ps.epoch, nil, evs, ErrUnavailable
 		}
-		return ps.epoch, evs, fmt.Errorf("%w: leader changed", ErrFenced)
+		return ps.epoch, nil, evs, fmt.Errorf("%w: leader changed", ErrFenced)
 	}
 	alive := ps.aliveReplicas(c)
 	if len(alive) < c.cfg.Quorum {
@@ -250,50 +326,40 @@ func (c *Cluster) appendLocked(ps *partState, producer string, seq uint64, epoch
 			Epoch: ps.epoch, At: c.cfg.NowSeconds(),
 			Detail: fmt.Sprintf("%d alive of %d replicas, quorum %d", len(alive), len(ps.replicas), c.cfg.Quorum),
 		})
-		return ps.epoch, evs, ErrUnavailable
+		return ps.epoch, nil, evs, ErrUnavailable
 	}
 
 	leaderRep, _ := c.replicaOf(ps.leader)
 	batch := uint64(len(metas))
-
-	// The batch is submitted to the leader and then to the lock-step
-	// followers, in rank order, and only then waited for on all of them: each
-	// replica's broker fsyncs on its own goroutine, so the replicas' fsyncs
-	// overlap and the append costs one fsync latency, not one per replica.
-	// Every decision — dedup, fault, fence, lock-step or lagging — is made at
-	// submit, in the order it always was; waiting decides nothing.
-	//
-	// Lengths are the settled ones, read before anything is submitted: every
-	// appendLocked waits for what it submitted before it returns, so nothing
-	// is in flight on this partition now, whereas a length probed after a
-	// submit may or may not count that batch yet.
-	leaderLen, err := leaderRep.PartitionLength(ps.topic, ps.index)
+	leaderEnd, err := c.logEndLocked(ps, leaderRep, ps.leader)
 	if err != nil {
-		return ps.epoch, evs, err
+		return ps.epoch, nil, evs, err
 	}
 
 	// Leader first. Dedup: a retried batch the leader already holds is
 	// acknowledged without re-appending.
+	q := &quorumAppend{}
+	q.acks = q.inline[:0]
 	leaderHas := producer != "" && ps.appliedSeq(ps.leader, producer) >= seq
 	var leaderCommit *mofka.Commit
 	if !leaderHas {
-		if leaderCommit, err = submitBatch(leaderRep, ps.topic, ps.index, metas, datas); err != nil {
-			return ps.epoch, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
+		if leaderCommit, err = ps.submitTo(leaderRep, ps.leader, metas, datas); err != nil {
+			return ps.epoch, nil, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
 		}
-		leaderLen += batch
+		leaderEnd += batch
+		if producer != "" {
+			ps.setApplied(ps.leader, producer, seq)
+		}
 	}
+	q.acks = append(q.acks, replicaAck{ps.leader, leaderCommit})
+	q.end = leaderEnd
 
 	// Followers, rank order. A follower in lockstep takes the batch
 	// directly; a lagging one (it missed an earlier quorum-failed batch, or
 	// it just rejoined) is first healed to the leader's full prefix —
 	// preserving prefix consistency — which delivers this batch too, once the
 	// leader's commit has made it readable there.
-	type submitted struct {
-		node   int
-		commit *mofka.Commit
-	}
-	var inFlight []submitted
-	acks := 0
+	var leaderErr error
 	for _, r := range alive {
 		if r == ps.leader {
 			continue
@@ -303,23 +369,26 @@ func (c *Cluster) appendLocked(ps *partState, producer string, seq uint64, epoch
 			continue
 		}
 		if producer != "" && ps.appliedSeq(r, producer) >= seq {
-			acks++
+			q.acks = append(q.acks, replicaAck{node: r})
 			continue
 		}
-		flen, err := rep.PartitionLength(ps.topic, ps.index)
+		end, err := c.logEndLocked(ps, rep, r)
 		if err != nil {
 			continue // replica unreachable: no ack
 		}
-		if !leaderHas && flen == leaderLen-batch {
-			if fc, err := submitBatch(rep, ps.topic, ps.index, metas, datas); err == nil {
-				inFlight = append(inFlight, submitted{r, fc})
+		if !leaderHas && end == leaderEnd-batch {
+			if fc, err := ps.submitTo(rep, r, metas, datas); err == nil {
+				q.acks = append(q.acks, replicaAck{r, fc})
+				if producer != "" {
+					ps.setApplied(r, producer, seq)
+				}
 			}
 			continue
 		}
-		if leaderCommit.Wait() != nil {
+		if leaderErr = leaderCommit.Wait(); leaderErr != nil {
 			break // reported below
 		}
-		copied, err := c.syncReplicaLocked(ps, r, ps.leader, leaderLen)
+		copied, err := c.syncReplicaLocked(ps, r, ps.leader, leaderEnd)
 		if err != nil {
 			continue
 		}
@@ -333,54 +402,175 @@ func (c *Cluster) appendLocked(ps *partState, producer string, seq uint64, epoch
 		if producer != "" {
 			ps.setApplied(r, producer, seq)
 		}
-		acks++
+		q.acks = append(q.acks, replicaAck{node: r})
 	}
 
-	// Nothing submitted is left in flight past this point, whatever the
-	// outcome.
-	err = leaderCommit.Wait()
-	for _, s := range inFlight {
-		if s.commit.Wait() != nil {
-			continue
-		}
-		if producer != "" {
-			ps.setApplied(s.node, producer, seq)
-		}
-		acks++
-	}
-	if err != nil {
-		return ps.epoch, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
-	}
-	if !leaderHas && producer != "" {
-		ps.setApplied(ps.leader, producer, seq)
-	}
-	acks++
-
-	if acks < c.cfg.Quorum {
+	// Refused or not, the batch is in flight wherever it was taken, and
+	// settles in its turn.
+	q.refused = leaderErr != nil || len(q.acks) < c.cfg.Quorum
+	commit, err := c.trackLocked(ps, q)
+	switch {
+	case leaderErr != nil:
+		return ps.epoch, nil, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, leaderErr)
+	case q.refused:
 		evs = append(evs, Event{
 			Kind: EventUnderReplicated, Node: ps.leader, Topic: ps.topic, Partition: ps.index,
 			Epoch: ps.epoch, At: c.cfg.NowSeconds(),
-			Detail: fmt.Sprintf("append reached %d of %d quorum acks", acks, c.cfg.Quorum),
+			Detail: fmt.Sprintf("append reached %d of %d quorum acks", len(q.acks), c.cfg.Quorum),
 		})
-		return ps.epoch, evs, ErrUnavailable
+		return ps.epoch, nil, evs, ErrUnavailable
 	}
-	// Quorum holds the leader's entire prefix (every acking follower was
-	// either in lockstep or fully healed), so the whole leader log is now
-	// acknowledged.
-	if leaderLen > ps.acked {
-		ps.acked = leaderLen
-	}
-	return ps.epoch, evs, nil
+	return ps.epoch, commit, evs, err
 }
 
-// submitBatch lands a batch on one replica's log: submitted, to be waited
-// for, where the replica's service has the two halves (a local broker); a
-// synchronous push otherwise (a remote member), with nothing left to wait for.
-func submitBatch(rep replica, topic string, part int, metas, datas [][]byte) (*mofka.Commit, error) {
-	if sub, ok := rep.Service.(mofka.BatchSubmitter); ok {
-		return sub.SubmitBatch(topic, part, metas, datas)
+// submitTo lands a batch on one replica and moves the replica's log-end past
+// it. A local broker's service takes it in two halves: submitted here, with
+// its commit to wait for. A remote member's push is synchronous, nothing left
+// to wait for — and after a failed one, what its log holds is unknown.
+// Caller holds ps.mu.
+func (ps *partState) submitTo(rep replica, node int, metas, datas [][]byte) (*mofka.Commit, error) {
+	sub, halves := rep.Service.(mofka.BatchSubmitter)
+	var commit *mofka.Commit
+	var err error
+	if halves {
+		commit, err = sub.SubmitBatch(ps.topic, ps.index, metas, datas)
+	} else {
+		err = rep.PushBatch(ps.topic, ps.index, metas, datas)
 	}
-	return nil, rep.PushBatch(topic, part, metas, datas)
+	i := rankOf(ps.replicas, node)
+	switch {
+	case err == nil:
+		ps.ends[i] += uint64(len(metas))
+	case !halves:
+		ps.ends[i] = unknownEnd
+	}
+	return commit, err
+}
+
+// quorumAppend is one batch between the two halves of a quorum append: in
+// flight on the replicas counted at submit, whose fsyncs settle it.
+type quorumAppend struct {
+	acks   []replicaAck // the replicas counted at submit; [0] is the leader
+	inline [3]replicaAck
+	end    uint64 // the leader's log-end with the batch: acknowledged when it settles
+	// refused is an append submit already failed: settling it only confirms
+	// the replicas it reached.
+	refused bool
+	commit  *mofka.Commit // what its appender waits on; nil when refused
+	settled bool          // guarded by ps.mu
+}
+
+// replicaAck is one replica's acknowledgement of a batch: pending on its
+// commit, or (nil) durable when counted — a dedup, a catch-up, a remote push.
+type replicaAck struct {
+	node   int
+	commit *mofka.Commit
+}
+
+// waits reports whether any replica's commit is still to be waited for.
+func (q *quorumAppend) waits() bool {
+	for _, a := range q.acks {
+		if a.commit != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// trackLocked hands a submitted append to settlement. One with nothing to
+// wait for and nothing ahead of it settles at once — an in-memory cluster, a
+// log that does not fsync per batch. Any other joins the partition's
+// in-flight appends; unless it was refused, it gets the commit its appender
+// waits on and a goroutine that settles it once its replicas' fsyncs have
+// returned. Each waits on a batch staged on a replica's log, so a
+// partition's staging bound also bounds them. Caller holds ps.mu.
+func (c *Cluster) trackLocked(ps *partState, q *quorumAppend) (*mofka.Commit, error) {
+	if len(ps.inflight) == 0 && !q.waits() {
+		return nil, c.settle(ps, q)
+	}
+	if !q.refused {
+		q.commit = mofka.NewCommit()
+		c.settlers.Add(1)
+		go c.settleWhenCommitted(ps, q)
+	}
+	ps.inflight = append(ps.inflight, q)
+	return q.commit, nil
+}
+
+// settleWhenCommitted waits, holding no lock, until q's replicas have
+// committed, then settles the partition's appends up to q.
+func (c *Cluster) settleWhenCommitted(ps *partState, q *quorumAppend) {
+	defer c.settlers.Done()
+	for _, a := range q.acks {
+		_ = a.commit.Wait() // the outcome is read where q settles
+	}
+	ps.mu.Lock()
+	if !q.settled {
+		c.settleLocked(ps, q)
+	}
+	ps.mu.Unlock()
+}
+
+// settleLocked settles the partition's in-flight appends in submit order, up
+// to and including last — all of them when last is nil — waiting for their
+// replicas' commits. Whatever reads settled state (a length probe, an
+// election, a catch-up, a kill's or a restart's watermark) calls it first.
+// Caller holds ps.mu, which the broker commits it waits for never need.
+func (c *Cluster) settleLocked(ps *partState, last *quorumAppend) {
+	for len(ps.inflight) > 0 {
+		q := ps.inflight[0]
+		n := copy(ps.inflight, ps.inflight[1:])
+		ps.inflight[n] = nil
+		ps.inflight = ps.inflight[:n]
+		err := c.settle(ps, q)
+		if q.commit != nil {
+			q.commit.Complete(err)
+		}
+		if q == last {
+			return
+		}
+	}
+}
+
+// settle is the second half of q, in its turn: its replicas' commits have
+// returned. A replica whose fsync failed is broken from then on, and only
+// replicas that are not count. A quorum of them acknowledges the leader's log
+// up to q's end (every acking follower was in lockstep or fully healed, so it
+// holds the leader's entire prefix); anything less is the append's error.
+// Caller holds ps.mu.
+func (c *Cluster) settle(ps *partState, q *quorumAppend) error {
+	q.settled = true
+	acks := 0
+	var leaderErr, fsyncErr error
+	for i, a := range q.acks {
+		if err := a.commit.Wait(); err != nil {
+			if ps.broken == nil {
+				ps.broken = make(map[int]bool)
+			}
+			ps.broken[a.node] = true
+			if i == 0 {
+				leaderErr = err
+			}
+			if fsyncErr == nil {
+				fsyncErr = err
+			}
+		} else if !ps.broken[a.node] {
+			acks++
+		}
+	}
+	switch {
+	case q.refused:
+		return nil
+	case leaderErr != nil:
+		return fmt.Errorf("cluster: leader %d append %s[%d]: %w", q.acks[0].node, ps.topic, ps.index, leaderErr)
+	case acks < c.cfg.Quorum:
+		return errors.Join(fmt.Errorf("%w: %s[%d]: append reached %d of %d quorum acks",
+			ErrUnavailable, ps.topic, ps.index, acks, c.cfg.Quorum), fsyncErr)
+	}
+	if q.end > ps.acked {
+		ps.acked = q.end
+	}
+	return nil
 }
 
 // aliveReplicas returns the partition's alive replica node ids in rank
@@ -397,10 +587,10 @@ func (ps *partState) aliveReplicas(c *Cluster) []int {
 
 // syncReplicaLocked copies the partition's events from donor to dst in
 // CatchUpBatch chunks until dst holds the donor's prefix [0, want), and
-// adopts the donor's dedup table. dst's current length is probed fresh here
-// rather than trusted from the caller — a stale or defaulted value would
-// re-append events dst already holds, duplicating them. Caller holds ps.mu.
-// Returns the number of events copied.
+// adopts the donor's dedup table. dst's current length is probed fresh here,
+// once what is in flight has settled, rather than trusted from the caller — a
+// stale or defaulted value would re-append events dst already holds,
+// duplicating them. Caller holds ps.mu. Returns the number of events copied.
 func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) (uint64, error) {
 	dstRep, ok := c.replicaOf(dst)
 	if !ok {
@@ -410,6 +600,8 @@ func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) 
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrNoNode, donor)
 	}
+	c.settleLocked(ps, nil)
+	ps.setEnd(dst, unknownEnd)
 	have, err := dstRep.PartitionLength(ps.topic, ps.index)
 	if err != nil {
 		return 0, err
@@ -439,6 +631,7 @@ func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) 
 		have += uint64(len(evs))
 		copied += uint64(len(evs))
 	}
+	ps.setEnd(dst, have)
 	if copied > 0 || have == want {
 		ps.copyApplied(dst, donor)
 	}
@@ -455,6 +648,10 @@ func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) 
 func (c *Cluster) electLocked(ps *partState) []Event {
 	var evs []Event
 	now := c.cfg.NowSeconds()
+	// Reconciliation reads settled state: every log-end is probed afresh
+	// once what is in flight has committed.
+	c.settleLocked(ps, nil)
+	ps.forgetEnds()
 	alive := ps.aliveReplicas(c)
 	if len(alive) == 0 {
 		if ps.leader >= 0 {
@@ -483,6 +680,7 @@ func (c *Cluster) electLocked(ps *partState) []Event {
 			continue
 		}
 		lengths[r] = n
+		ps.setEnd(r, n)
 		if donor < 0 || n > donorLen {
 			donor, donorLen = r, n
 		}
@@ -736,19 +934,16 @@ func (c *Cluster) recoverTopics() error {
 // every committed cursor. Post-run analysis (perfrecup views, the live
 // monitor's final replay, provenance.Drain) works on the view unchanged —
 // the cluster looks exactly like the single broker those tools were built
-// for.
+// for. What is in flight settles first, so the view is the same whenever
+// the fsyncs returned.
 func (c *Cluster) ReadView() (*mofka.Broker, error) {
 	view := mofka.NewStandaloneBroker()
 	c.mu.Lock()
-	states := make([]*topicState, 0, len(c.topics))
-	for _, ts := range c.topics {
-		states = append(states, ts)
-	}
+	states := c.topicStatesLocked()
 	c.mu.Unlock()
 
 	for _, ts := range states {
-		cfg := ts.cfg
-		vt, err := view.CreateTopic(cfg)
+		vt, err := view.CreateTopic(ts.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -758,6 +953,7 @@ func (c *Cluster) ReadView() (*mofka.Broker, error) {
 				return nil, err
 			}
 			ps.mu.Lock()
+			c.settleLocked(ps, nil)
 			var from uint64
 			for {
 				evs, err := c.readLocked(ps, from, c.cfg.CatchUpBatch, true)
@@ -793,23 +989,45 @@ func (c *Cluster) ReadView() (*mofka.Broker, error) {
 		}
 	}
 	c.mu.Unlock()
-	type ckey struct {
-		consumer, topic string
-		part            int
-	}
-	cursors := make(map[ckey]uint64)
+	var cursors []mofka.CursorEntry
 	for _, b := range locals {
-		for _, cur := range b.Cursors() {
-			k := ckey{cur.Consumer, cur.Topic, cur.Partition}
-			if cur.Next > cursors[k] {
-				cursors[k] = cur.Next
+		cursors = append(cursors, b.Cursors()...)
+	}
+	// In key order, each key's largest offset first: the one committed.
+	sort.Slice(cursors, func(i, j int) bool {
+		a, b := cursors[i], cursors[j]
+		if a.Consumer != b.Consumer {
+			return a.Consumer < b.Consumer
+		}
+		if a.Topic != b.Topic {
+			return a.Topic < b.Topic
+		}
+		if a.Partition != b.Partition {
+			return a.Partition < b.Partition
+		}
+		return a.Next > b.Next
+	})
+	for i, cur := range cursors {
+		if i > 0 {
+			if prev := cursors[i-1]; prev.Consumer == cur.Consumer && prev.Topic == cur.Topic && prev.Partition == cur.Partition {
+				continue // a smaller offset of the key committed just before
 			}
 		}
-	}
-	for k, next := range cursors {
-		if err := view.CommitCursor(k.consumer, k.topic, k.part, next); err != nil {
+		if err := view.CommitCursor(cur.Consumer, cur.Topic, cur.Partition, cur.Next); err != nil {
 			return nil, err
 		}
 	}
 	return view, nil
+}
+
+// topicStatesLocked returns every topic's state in name order: what acts on
+// all topics goes in it, so that no map order reaches a member, a view or a
+// failover timeline. Caller holds c.mu.
+func (c *Cluster) topicStatesLocked() []*topicState {
+	out := make([]*topicState, 0, len(c.topics))
+	for _, ts := range c.topics {
+		out = append(out, ts)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].cfg.Name < out[j].cfg.Name })
+	return out
 }

@@ -82,10 +82,14 @@ func (s clusterService) PushBatch(topic string, part int, metas, datas [][]byte)
 // mid-push is absorbed here. Their retries are not idempotent, which matches
 // the single-broker contract they were written against.
 func (s clusterService) PushFenced(topic string, part int, producer string, seq, epoch uint64, metas, datas [][]byte) (uint64, error) {
-	if epoch == 0 {
-		return s.c.appendRefreshing(topic, part, producer, seq, epoch, metas, datas)
+	if epoch != 0 {
+		return s.c.Append(topic, part, producer, seq, epoch, metas, datas)
 	}
-	return s.c.Append(topic, part, producer, seq, epoch, metas, datas)
+	cur, commit, err := s.c.submitRefreshing(topic, part, producer, seq, epoch, metas, datas)
+	if err != nil {
+		return cur, err
+	}
+	return cur, commit.Wait()
 }
 
 func (s clusterService) Pull(topic string, part int, from uint64, max int, withData bool) ([]mofka.Event, error) {
@@ -180,7 +184,7 @@ func (c *Cluster) addMember(addr string, rep replica) (int, error) {
 	// Replicate existing topic definitions so the member can serve future
 	// catch-up reads and cursor commits for topics it will host.
 	cfgs := make([]mofka.TopicConfig, 0, len(c.topics))
-	for _, ts := range c.topics {
+	for _, ts := range c.topicStatesLocked() {
 		cfgs = append(cfgs, ts.cfg)
 	}
 	c.mu.Unlock()

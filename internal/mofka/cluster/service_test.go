@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -183,6 +184,46 @@ func TestServiceConformance(t *testing.T) {
 				svc, shutdown := d.open(t)
 				c.run(t, svc, shutdown)
 			})
+		}
+	}
+}
+
+// topicRecorder is a joining member's log service that records the topics
+// the cluster creates on it.
+type topicRecorder struct {
+	mofka.Service
+	created []string
+}
+
+func (r *topicRecorder) Ping() error  { return nil }
+func (r *topicRecorder) Close() error { return nil }
+
+func (r *topicRecorder) CreateTopic(cfg mofka.TopicConfig) error {
+	r.created = append(r.created, cfg.Name)
+	return nil
+}
+
+// TestJoinCreatesTopicsInNameOrder: a member that joins is sent the
+// cluster's existing topics in name order, on every run — not in the order
+// the cluster's topic map happens to range in.
+func TestJoinCreatesTopicsInNameOrder(t *testing.T) {
+	var names []string
+	for i := 0; i < 16; i++ {
+		names = append(names, fmt.Sprintf("topic-%02d", i*7%16))
+	}
+	for run := 0; run < 20; run++ {
+		c := newTestCluster(t, 2, 1)
+		for _, name := range names {
+			if _, err := c.EnsureTopic(mofka.TopicConfig{Name: name}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := &topicRecorder{}
+		if _, err := c.addMember("local://recorder", replica{rec, rec}); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.created) != len(names) || !sort.StringsAreSorted(rec.created) {
+			t.Fatalf("run %d: the joining member was sent %v", run, rec.created)
 		}
 	}
 }

@@ -18,6 +18,18 @@ type Commit struct {
 	err  error // written before done is closed
 }
 
+// NewCommit returns a commit that is complete once Complete is called: the
+// wait a deployment hands out for a batch whose durability it settles itself
+// (a partition's committer, the cluster's quorum append).
+func NewCommit() *Commit { return &Commit{done: make(chan struct{})} }
+
+// Complete ends the wait with err, the batch's outcome. It is called exactly
+// once, by whoever settles the batch.
+func (c *Commit) Complete(err error) {
+	c.err = err
+	close(c.done)
+}
+
 // Wait blocks until the batch is durable and visible, or is known never to
 // become so: it returns the fsync's error, after which the partition's log
 // refuses every further append. Safe to call more than once and from any
@@ -133,8 +145,7 @@ func (p *Partition) commitStaged() {
 			p.docs.StoreBatch(s.docs)
 			p.length += uint64(len(s.docs))
 		}
-		s.commit.err = err
-		close(s.commit.done)
+		s.commit.Complete(err)
 	}
 	rest := copy(p.staged, p.staged[n:])
 	clear(p.staged[rest:])

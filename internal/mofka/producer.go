@@ -78,10 +78,11 @@ func (o *ProducerOptions) setDefaults() {
 //
 // An error means the batch was not taken and is the producer's to retry. Nil
 // means it was, at fixed offsets, and the Commit beside it is the wait for
-// its durability: nil when the sink returns only once the batch is durable
-// (a quorum append, a remote push) or as durable as it will get (an
-// in-memory partition). A partition's commits complete in submit order, so
-// the producer keeps the latest per partition and waits in Flush and Close.
+// its durability — a partition's fsync, a quorum's fsyncs — nil when the
+// sink returns only once the batch is as durable as it will get (an
+// in-memory partition, a log that does not fsync per batch). A partition's
+// commits complete in submit order, so the producer keeps the latest per
+// partition and waits in Flush and Close.
 type BatchSink func(partition int, seq uint64, metas, datas [][]byte) (*Commit, error)
 
 // Producer pushes events into a topic with batching: the one implementation

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,14 +22,17 @@ import (
 // unexported.
 
 // fsyncGate stands in for the fsync of segment files: it counts them, and
-// can hold every one back until released or fail them.
+// can hold every one back until released or fail them — all of them, or
+// those of the files under one path. A held fsync fails or not as the gate
+// says when it is released.
 type fsyncGate struct {
 	calls   atomic.Int64
 	entered chan struct{} // one token per fsync that found the gate shut
 
-	mu   sync.Mutex
-	shut chan struct{} // non-nil while held; closed by release
-	err  error
+	mu     sync.Mutex
+	shut   chan struct{} // non-nil while held; closed by release
+	err    error
+	failIn string // the path fragment err is confined to; "" for every file
 }
 
 func newFsyncGate(t *testing.T) *fsyncGate {
@@ -37,12 +41,18 @@ func newFsyncGate(t *testing.T) *fsyncGate {
 	t.Cleanup(wal.SetFsync(func(f *os.File) error {
 		g.calls.Add(1)
 		g.mu.Lock()
-		shut, err := g.shut, g.err
+		shut := g.shut
 		g.mu.Unlock()
 		if shut != nil {
 			g.entered <- struct{}{}
 			<-shut
 		}
+		g.mu.Lock()
+		err := g.err
+		if !strings.Contains(f.Name(), g.failIn) {
+			err = nil
+		}
+		g.mu.Unlock()
 		if err != nil {
 			return err
 		}
@@ -51,22 +61,30 @@ func newFsyncGate(t *testing.T) *fsyncGate {
 	return g
 }
 
-func (g *fsyncGate) hold() {
+// hold shuts the gate until release. A test that ends with it shut releases
+// it on the way out, so that whatever its cleanups close can commit.
+func (g *fsyncGate) hold(t *testing.T) {
 	g.mu.Lock()
 	g.shut = make(chan struct{})
 	g.mu.Unlock()
+	t.Cleanup(g.release)
 }
 
 func (g *fsyncGate) release() {
 	g.mu.Lock()
-	close(g.shut)
-	g.shut = nil
-	g.mu.Unlock()
+	defer g.mu.Unlock()
+	if g.shut != nil {
+		close(g.shut)
+		g.shut = nil
+	}
 }
 
-func (g *fsyncGate) failWith(err error) {
+func (g *fsyncGate) failWith(err error) { g.failUnder(err, "") }
+
+// failUnder fails with err the fsyncs of the files whose path contains in.
+func (g *fsyncGate) failUnder(err error, in string) {
 	g.mu.Lock()
-	g.err = err
+	g.err, g.failIn = err, in
 	g.mu.Unlock()
 }
 
@@ -100,7 +118,7 @@ func awaitDone(t *testing.T, what string, done <-chan struct{}) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatalf("%s still blocked after the fsync was released", what)
+		t.Fatalf("%s still blocked after 10 s", what)
 	}
 }
 
@@ -165,7 +183,7 @@ func TestCommitWaitsForFsync(t *testing.T) {
 		}
 	}
 
-	g.hold()
+	g.hold(t)
 	batches := 0
 
 	// A size-triggered ship submits and moves on; Flush is where the
@@ -314,54 +332,185 @@ func TestFailedFsyncPoisonsLog(t *testing.T) {
 	checkStream(t, evs) // the producer's events in order, none twice
 }
 
-// TestQuorumAppendOverlapsReplicaFsyncs: a quorum append is acknowledged, and
-// counted, only after the fsyncs of its replicas returned — and those run
-// side by side, each on its own broker's committer.
-func TestQuorumAppendOverlapsReplicaFsyncs(t *testing.T) {
-	g := newFsyncGate(t)
-	c, err := cluster.New(cluster.Config{Brokers: 3, ReplicationFactor: 2, DataDir: t.TempDir()})
+// durableCluster is a 3-broker RF2 cluster in dir, closed when the test
+// ends, with one single-partition topic, and that partition's follower.
+func durableCluster(t *testing.T, dir string) (*cluster.Cluster, *cluster.ClusterTopic, int) {
+	t.Helper()
+	c, err := cluster.New(cluster.Config{Brokers: 3, ReplicationFactor: 2, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { _ = c.Close() })
 	ct, err := c.EnsureTopic(mofka.TopicConfig{Name: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c, ct, c.Placement()[0].Replicas[1]
+}
+
+// unacknowledged fails the test if the cluster acknowledges any event of t.
+func unacknowledged(t *testing.T, c *cluster.Cluster, when string) {
+	t.Helper()
+	if n, err := c.Length("t", 0); err != nil || n != 0 {
+		t.Fatalf("%s: Cluster.Length = %d (%v), want 0", when, n, err)
+	}
+	if evs, err := c.Read("t", 0, 0, 100, true); err != nil || len(evs) != 0 {
+		t.Fatalf("%s: Cluster.Read = %d events (%v), want none", when, len(evs), err)
+	}
+}
+
+// TestQuorumAckIsPipelined: a producer on a durable cluster ships a batch
+// while the ones before it await their quorum. With every fsync held, the
+// size-triggered ships return, the cluster acknowledges none of them and
+// Flush blocks; once the fsyncs return, every event is acknowledged, in
+// order, none twice.
+func TestQuorumAckIsPipelined(t *testing.T) {
+	g := newFsyncGate(t)
+	c, ct, _ := durableCluster(t, t.TempDir())
 	prod := ct.NewProducer(mofka.ProducerOptions{BatchSize: 2})
 
-	g.hold()
-	acked := make(chan struct{})
-	var ackErr error
+	g.hold(t)
+	const ships = 3
+	shipped := make(chan struct{})
+	var shipErr error
 	go func() {
-		defer close(acked)
-		for i := 0; i < 2 && ackErr == nil; i++ {
-			ackErr = prod.PushRaw(tagged("producer", i), nil)
+		defer close(shipped)
+		for i := 0; i < 2*ships && shipErr == nil; i++ {
+			shipErr = prod.PushRaw(tagged("producer", i), nil)
 		}
 	}()
-	// Leader and follower are both in their fsync before either returns.
+	// Leader and follower are both in their fsync of the first batch.
 	g.awaitEntered(t, 2)
-	stillBlocked(t, "the quorum append", acked)
-	for node := 0; node < 3; node++ {
-		nt, err := c.NodeBroker(node).OpenTopic("t")
-		if err != nil {
+	awaitDone(t, "the ships behind a held fsync", shipped)
+	if shipErr != nil {
+		t.Fatal(shipErr)
+	}
+	unacknowledged(t, c, "with the fsyncs held")
+	flushed := make(chan struct{})
+	var flushErr error
+	go func() { defer close(flushed); flushErr = prod.Flush() }()
+	stillBlocked(t, "Producer.Flush", flushed)
+	unacknowledged(t, c, "with Flush waiting")
+
+	g.release()
+	awaitDone(t, "Producer.Flush", flushed)
+	if flushErr != nil {
+		t.Fatal(flushErr)
+	}
+	if n, err := c.Length("t", 0); err != nil || n != 2*ships {
+		t.Fatalf("Cluster.Length = %d (%v) after Flush, want %d", n, err, 2*ships)
+	}
+	evs, err := c.Read("t", 0, 0, 100, true)
+	if err != nil || len(evs) != 2*ships {
+		t.Fatalf("Cluster.Read = %d events (%v), want %d", len(evs), err, 2*ships)
+	}
+	checkStream(t, evs)
+}
+
+// TestKillSettlesInFlightQuorum: a kill waits out the quorum appends in
+// flight before it freezes the dead replica's trusted prefix and re-elects,
+// so killing the follower while its fsyncs are held heals nothing — there is
+// no catch-up — and every batch that settled is served post-mortem.
+func TestKillSettlesInFlightQuorum(t *testing.T) {
+	g := newFsyncGate(t)
+	dir := t.TempDir()
+	c, ct, follower := durableCluster(t, dir)
+	prod := ct.NewProducer(mofka.ProducerOptions{BatchSize: 2})
+
+	g.hold(t)
+	const events = 6
+	for i := 0; i < events; i++ {
+		if err := prod.PushRaw(tagged("producer", i), nil); err != nil {
 			t.Fatal(err)
 		}
-		if n := nt.Events(); n != 0 {
-			t.Fatalf("node %d counts %d events before its fsync returned", node, n)
+	}
+	g.awaitEntered(t, 2)
+	killed := make(chan struct{})
+	var killErr error
+	go func() { defer close(killed); killErr = c.KillBroker(follower) }()
+	stillBlocked(t, "KillBroker", killed)
+	g.release()
+	awaitDone(t, "KillBroker", killed)
+	if killErr != nil {
+		t.Fatal(killErr)
+	}
+	// Everything shipped settled before the kill: acknowledged by both.
+	if err := prod.Flush(); err != nil {
+		t.Fatalf("Flush of the batches the kill found in flight: %v", err)
+	}
+	acked, err := c.Length("t", 0)
+	if err != nil || acked != events {
+		t.Fatalf("Cluster.Length = %d (%v), want %d", acked, err, events)
+	}
+	for _, ev := range c.Events() {
+		if ev.Kind == cluster.EventCatchUp {
+			t.Fatalf("the kill healed a replica: %+v", ev)
 		}
 	}
-	// (Cluster.Length and Read wait for the append itself: they take the
-	// partition's replication lock, which the append holds until its replicas
-	// have committed.)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	pm, err := cluster.OpenPostMortem(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pm.Close()
+	pt, err := pm.OpenTopic("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons, err := pt.NewConsumer(mofka.ConsumerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := cons.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(evs)) < acked {
+		t.Fatalf("post-mortem serves %d events, %d were acknowledged", len(evs), acked)
+	}
+	checkStream(t, evs)
+}
+
+// TestFailedFollowerFsyncFailsQuorum: a follower fsync that was held and
+// then failed fails the quorum appends it covers — Flush returns the
+// failure, the cluster never acknowledges their events — and the next append
+// finds the follower's log refusing it: under-replicated.
+func TestFailedFollowerFsyncFailsQuorum(t *testing.T) {
+	g := newFsyncGate(t)
+	c, ct, follower := durableCluster(t, t.TempDir())
+	prod := ct.NewProducer(mofka.ProducerOptions{BatchSize: 2, FlushRetries: 1, RetryBackoff: time.Microsecond})
+
+	g.hold(t)
+	for i := 0; i < 2; i++ {
+		if err := prod.PushRaw(tagged("producer", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.awaitEntered(t, 2)
+	boom := errors.New("injected follower fsync failure")
+	g.failUnder(boom, fmt.Sprintf("node-%02d%c", follower, os.PathSeparator))
 	g.release()
-	awaitDone(t, "the quorum append", acked)
-	if ackErr != nil {
-		t.Fatal(ackErr)
+	if err := prod.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("Flush over a failed follower fsync = %v, want the injected error", err)
 	}
-	if n, err := c.Length("t", 0); err != nil || n != 2 {
-		t.Fatalf("Cluster.Length = %d (%v) after the quorum append, want 2", n, err)
+	unacknowledged(t, c, "after the failed fsync")
+
+	for i := 2; i < 4; i++ {
+		err := prod.PushRaw(tagged("producer", i), nil)
+		if i == 3 && !errors.Is(err, cluster.ErrUnavailable) {
+			t.Fatalf("the append after the failure = %v, want ErrUnavailable", err)
+		}
 	}
+	unacknowledged(t, c, "after the next append")
+	for _, ev := range c.Events() {
+		if ev.Kind == cluster.EventUnderReplicated && ev.Topic == "t" {
+			return
+		}
+	}
+	t.Fatalf("no %s event after the follower's log was poisoned: %+v", cluster.EventUnderReplicated, c.Events())
 }
 
 // TestConcurrentPushBatchKeepsOrder: eight callers on one durable partition,

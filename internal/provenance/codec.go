@@ -67,8 +67,9 @@ var plain = func() (t [utf8.RuneSelf]bool) {
 	return t
 }()
 
-// appendString appends s as a JSON string, escaped as encoding/json does.
-func appendString(dst []byte, s string) []byte {
+// AppendString appends s as a JSON string, escaped as encoding/json does
+// (HTML escaping on).
+func AppendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -120,9 +121,9 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// appendFloat appends f in encoding/json's float64 form. Like
+// AppendFloat appends f in encoding/json's float64 form. Like
 // Metadata.Encode it panics on NaN and infinities, which no virtual time is.
-func appendFloat(dst []byte, f float64) []byte {
+func AppendFloat(dst []byte, f float64) []byte {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		panic(fmt.Sprintf("provenance: unencodable float %v", f))
 	}
@@ -152,7 +153,7 @@ func appendSeconds(dst []byte, t sim.Time) []byte {
 		if t == 0 {
 			return append(dst, '0')
 		}
-		return appendFloat(dst, t.Seconds())
+		return AppendFloat(dst, t.Seconds())
 	}
 	const second = int64(sim.Second)
 	dst = strconv.AppendInt(dst, int64(t)/second, 10)
@@ -189,16 +190,16 @@ func AppendTaskMeta(dst []byte, m dask.TaskMeta) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(dst, string(d))
+		dst = AppendString(dst, string(d))
 	}
 	dst = append(dst, `],"graph_id":`...)
 	dst = strconv.AppendInt(dst, int64(m.GraphID), 10)
 	dst = append(dst, `,"group":`...)
-	dst = appendString(dst, m.Group)
+	dst = AppendString(dst, m.Group)
 	dst = append(dst, `,"key":`...)
-	dst = appendString(dst, string(m.Key))
+	dst = AppendString(dst, string(m.Key))
 	dst = append(dst, `,"prefix":`...)
-	dst = appendString(dst, m.Prefix)
+	dst = AppendString(dst, m.Prefix)
 	return append(dst, '}')
 }
 
@@ -207,15 +208,15 @@ func AppendTransition(dst []byte, t dask.Transition) []byte {
 	dst = append(dst, `{"at":`...)
 	dst = appendSeconds(dst, t.At)
 	dst = append(dst, `,"from":`...)
-	dst = appendString(dst, string(t.From))
+	dst = AppendString(dst, string(t.From))
 	dst = append(dst, `,"key":`...)
-	dst = appendString(dst, string(t.Key))
+	dst = AppendString(dst, string(t.Key))
 	dst = append(dst, `,"location":`...)
-	dst = appendString(dst, t.Location)
+	dst = AppendString(dst, t.Location)
 	dst = append(dst, `,"stimulus":`...)
-	dst = appendString(dst, t.Stimulus)
+	dst = AppendString(dst, t.Stimulus)
 	dst = append(dst, `,"to":`...)
-	dst = appendString(dst, string(t.To))
+	dst = AppendString(dst, string(t.To))
 	return append(dst, '}')
 }
 
@@ -230,7 +231,7 @@ func AppendExecution(dst []byte, e dask.TaskExecution) []byte {
 				dst = append(dst, ',')
 			}
 			dst = append(dst, `{"path":`...)
-			dst = appendString(dst, f.Path)
+			dst = AppendString(dst, f.Path)
 			dst = append(dst, `,"size_after":`...)
 			dst = strconv.AppendInt(dst, f.SizeAfter, 10)
 			dst = append(dst, '}')
@@ -240,9 +241,9 @@ func AppendExecution(dst []byte, e dask.TaskExecution) []byte {
 	dst = append(dst, `"graph_id":`...)
 	dst = strconv.AppendInt(dst, int64(e.GraphID), 10)
 	dst = append(dst, `,"hostname":`...)
-	dst = appendString(dst, e.Hostname)
+	dst = AppendString(dst, e.Hostname)
 	dst = append(dst, `,"key":`...)
-	dst = appendString(dst, string(e.Key))
+	dst = AppendString(dst, string(e.Key))
 	dst = append(dst, `,"output_size":`...)
 	dst = strconv.AppendInt(dst, e.OutputSize, 10)
 	dst = append(dst, `,"start":`...)
@@ -252,7 +253,7 @@ func AppendExecution(dst []byte, e dask.TaskExecution) []byte {
 	dst = append(dst, `,"thread_id":`...)
 	dst = strconv.AppendUint(dst, e.ThreadID, 10)
 	dst = append(dst, `,"worker":`...)
-	dst = appendString(dst, e.Worker)
+	dst = AppendString(dst, e.Worker)
 	return append(dst, '}')
 }
 
@@ -262,9 +263,9 @@ func AppendTransfer(dst []byte, t dask.Transfer) []byte {
 	dst = append(dst, `{"bytes":`...)
 	dst = strconv.AppendInt(dst, t.Bytes, 10)
 	dst = append(dst, `,"from":`...)
-	dst = appendString(dst, t.From)
+	dst = AppendString(dst, t.From)
 	dst = append(dst, `,"key":`...)
-	dst = appendString(dst, string(t.Key))
+	dst = AppendString(dst, string(t.Key))
 	if t.ViaProxy {
 		dst = append(dst, `,"resolve_latency":`...)
 		dst = appendSeconds(dst, t.ResolveLatency)
@@ -276,7 +277,7 @@ func AppendTransfer(dst []byte, t dask.Transfer) []byte {
 	dst = append(dst, `,"stop":`...)
 	dst = appendSeconds(dst, t.Stop)
 	dst = append(dst, `,"to":`...)
-	dst = appendString(dst, t.To)
+	dst = AppendString(dst, t.To)
 	if t.ViaProxy {
 		dst = append(dst, `,"via_proxy":true`...)
 	}
@@ -290,15 +291,15 @@ func AppendProxyEvent(dst []byte, e dask.ProxyEvent) []byte {
 	dst = append(dst, `,"bytes":`...)
 	dst = strconv.AppendInt(dst, e.Bytes, 10)
 	dst = append(dst, `,"key":`...)
-	dst = appendString(dst, string(e.Key))
+	dst = AppendString(dst, string(e.Key))
 	dst = append(dst, `,"op":`...)
-	dst = appendString(dst, e.Op)
+	dst = AppendString(dst, e.Op)
 	dst = append(dst, `,"resident":`...)
 	dst = strconv.AppendInt(dst, e.Resident, 10)
 	dst = append(dst, `,"resolve_latency":`...)
 	dst = appendSeconds(dst, e.ResolveLatency)
 	dst = append(dst, `,"worker":`...)
-	dst = appendString(dst, e.Worker)
+	dst = AppendString(dst, e.Worker)
 	return append(dst, '}')
 }
 
@@ -309,13 +310,13 @@ func AppendWarning(dst []byte, w dask.Warning) []byte {
 	dst = append(dst, `,"duration":`...)
 	dst = appendSeconds(dst, w.Duration)
 	dst = append(dst, `,"hostname":`...)
-	dst = appendString(dst, w.Hostname)
+	dst = AppendString(dst, w.Hostname)
 	dst = append(dst, `,"kind":`...)
-	dst = appendString(dst, string(w.Kind))
+	dst = AppendString(dst, string(w.Kind))
 	dst = append(dst, `,"message":`...)
-	dst = appendString(dst, w.Message)
+	dst = AppendString(dst, w.Message)
 	dst = append(dst, `,"worker":`...)
-	dst = appendString(dst, w.Worker)
+	dst = AppendString(dst, w.Worker)
 	return append(dst, '}')
 }
 
@@ -330,7 +331,7 @@ func AppendHeartbeat(dst []byte, m dask.WorkerMetrics) []byte {
 	dst = append(dst, `,"ready":`...)
 	dst = strconv.AppendInt(dst, int64(m.Ready), 10)
 	dst = append(dst, `,"worker":`...)
-	dst = appendString(dst, m.Worker)
+	dst = AppendString(dst, m.Worker)
 	return append(dst, '}')
 }
 
@@ -339,11 +340,11 @@ func AppendSteal(dst []byte, s dask.StealEvent) []byte {
 	dst = append(dst, `{"at":`...)
 	dst = appendSeconds(dst, s.At)
 	dst = append(dst, `,"key":`...)
-	dst = appendString(dst, string(s.Key))
+	dst = AppendString(dst, string(s.Key))
 	dst = append(dst, `,"thief":`...)
-	dst = appendString(dst, s.Thief)
+	dst = AppendString(dst, s.Thief)
 	dst = append(dst, `,"victim":`...)
-	dst = appendString(dst, s.Victim)
+	dst = AppendString(dst, s.Victim)
 	return append(dst, '}')
 }
 
@@ -358,21 +359,21 @@ func AppendSpeculation(dst []byte, e dask.SpeculationEvent) []byte {
 	}
 	if e.Detail != "" {
 		dst = append(dst, `,"detail":`...)
-		dst = appendString(dst, e.Detail)
+		dst = AppendString(dst, e.Detail)
 	}
 	if e.Duplicate != "" {
 		dst = append(dst, `,"duplicate":`...)
-		dst = appendString(dst, e.Duplicate)
+		dst = AppendString(dst, e.Duplicate)
 	}
 	if e.Key != "" {
 		dst = append(dst, `,"key":`...)
-		dst = appendString(dst, string(e.Key))
+		dst = AppendString(dst, string(e.Key))
 	}
 	dst = append(dst, `,"kind":`...)
-	dst = appendString(dst, e.Kind)
+	dst = AppendString(dst, e.Kind)
 	if e.Primary != "" {
 		dst = append(dst, `,"primary":`...)
-		dst = appendString(dst, e.Primary)
+		dst = AppendString(dst, e.Primary)
 	}
 	if e.Wasted != 0 {
 		dst = append(dst, `,"wasted":`...)
@@ -380,7 +381,7 @@ func AppendSpeculation(dst []byte, e dask.SpeculationEvent) []byte {
 	}
 	if e.Winner != "" {
 		dst = append(dst, `,"winner":`...)
-		dst = appendString(dst, e.Winner)
+		dst = AppendString(dst, e.Winner)
 	}
 	return append(dst, '}')
 }
@@ -388,9 +389,9 @@ func AppendSpeculation(dst []byte, e dask.SpeculationEvent) []byte {
 // AppendGraphEvent appends g's canonical event metadata to dst.
 func AppendGraphEvent(dst []byte, g GraphEvent) []byte {
 	dst = append(dst, `{"at":`...)
-	dst = appendFloat(dst, g.At)
+	dst = AppendFloat(dst, g.At)
 	dst = append(dst, `,"event":`...)
-	dst = appendString(dst, g.Event)
+	dst = AppendString(dst, g.Event)
 	dst = append(dst, `,"graph_id":`...)
 	dst = strconv.AppendInt(dst, int64(g.GraphID), 10)
 	return append(dst, '}')
@@ -403,13 +404,13 @@ func AppendIOTrace(dst []byte, r IOTrace) []byte {
 	dst = append(dst, `,"end":`...)
 	dst = appendSeconds(dst, r.End)
 	dst = append(dst, `,"hostname":`...)
-	dst = appendString(dst, r.Hostname)
+	dst = AppendString(dst, r.Hostname)
 	dst = append(dst, `,"offset":`...)
 	dst = strconv.AppendInt(dst, r.Offset, 10)
 	dst = append(dst, `,"op":`...)
-	dst = appendString(dst, r.Op)
+	dst = AppendString(dst, r.Op)
 	dst = append(dst, `,"path":`...)
-	dst = appendString(dst, r.Path)
+	dst = AppendString(dst, r.Path)
 	dst = append(dst, `,"rank":`...)
 	dst = strconv.AppendInt(dst, int64(r.Rank), 10)
 	dst = append(dst, `,"start":`...)

@@ -366,7 +366,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // the general one, at the edges and over random times on both sides of them.
 func TestAppendSecondsMatchesAppendFloat(t *testing.T) {
 	check := func(ts sim.Time) {
-		got, want := appendSeconds(nil, ts), appendFloat(nil, ts.Seconds())
+		got, want := appendSeconds(nil, ts), AppendFloat(nil, ts.Seconds())
 		if !bytes.Equal(got, want) {
 			t.Fatalf("time %d: %s, encoding/json writes %s", ts, got, want)
 		}

@@ -14,11 +14,15 @@ package resume
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 
 	"taskprov/internal/dask"
 	"taskprov/internal/mofka/wal"
+	"taskprov/internal/provenance"
 )
 
 // CheckpointFile is the frontier checkpoint's file name inside a run's data
@@ -61,6 +65,11 @@ type Checkpoint struct {
 	Graphs    map[string]GraphFrontier `json:"graphs"`
 	Tasks     map[string]FrontierTask  `json:"tasks"`
 	Blobs     []FrontierBlob           `json:"blobs,omitempty"`
+
+	// What WriteCheckpoint reuses from one write of the checkpoint to the
+	// next: the encoded bytes, and the map keys being sorted.
+	buf  []byte
+	keys []string
 }
 
 // NewCheckpoint returns an empty checkpoint for the given attempt.
@@ -74,12 +83,15 @@ func NewCheckpoint(attempt int) *Checkpoint {
 
 // WriteCheckpoint atomically installs the checkpoint in dataDir (temp file +
 // fsync + rename), so a crash mid-write leaves the previous checkpoint
-// intact.
+// intact. The bytes are json.Marshal's, appended without reflection into a
+// buffer the checkpoint keeps for its next write: a periodic checkpoint
+// allocates nothing in proportion to the frontier.
 func WriteCheckpoint(dataDir string, cp *Checkpoint) error {
-	b, err := json.Marshal(cp)
+	b, err := cp.appendJSON(cp.buf[:0])
 	if err != nil {
 		return fmt.Errorf("resume: encode checkpoint: %w", err)
 	}
+	cp.buf = b
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return fmt.Errorf("resume: checkpoint dir: %w", err)
 	}
@@ -87,6 +99,117 @@ func WriteCheckpoint(dataDir string, cp *Checkpoint) error {
 		return fmt.Errorf("resume: write checkpoint: %w", err)
 	}
 	return nil
+}
+
+// appendJSON appends the checkpoint as json.Marshal encodes it: members in
+// declaration order, map keys sorted byte-wise (graph "10" before "2"),
+// strings escaped as encoding/json does with HTML escaping on, omitempty
+// honoured, a nil map as null, and NaN or an infinity refused.
+func (cp *Checkpoint) appendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"attempt":`...)
+	dst = strconv.AppendInt(dst, int64(cp.Attempt), 10)
+	dst = append(dst, `,"at_seconds":`...)
+	dst, err := appendFloat(dst, cp.AtSeconds)
+	if err != nil {
+		return nil, err
+	}
+
+	dst = append(dst, `,"graphs":`...)
+	cp.keys = sortedKeys(cp.keys, cp.Graphs)
+	if cp.Graphs == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '{')
+		for i, k := range cp.keys {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			g := cp.Graphs[k]
+			dst = provenance.AppendString(dst, k)
+			dst = append(dst, `:{"completed":`...)
+			dst = strconv.AppendInt(dst, int64(g.Completed), 10)
+			dst = append(dst, `,"done":`...)
+			dst = strconv.AppendBool(dst, g.Done)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, '}')
+	}
+
+	dst = append(dst, `,"tasks":`...)
+	cp.keys = sortedKeys(cp.keys, cp.Tasks)
+	if cp.Tasks == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '{')
+		for i, k := range cp.keys {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			t := cp.Tasks[k]
+			dst = provenance.AppendString(dst, k)
+			dst = append(dst, `:{"graph_id":`...)
+			dst = strconv.AppendInt(dst, int64(t.GraphID), 10)
+			dst = append(dst, `,"size":`...)
+			dst = strconv.AppendInt(dst, t.Size, 10)
+			dst = append(dst, `,"stop_seconds":`...)
+			if dst, err = appendFloat(dst, t.StopSeconds); err != nil {
+				return nil, err
+			}
+			if len(t.Files) > 0 {
+				dst = append(dst, `,"files":[`...)
+				for j, fe := range t.Files {
+					if j > 0 {
+						dst = append(dst, ',')
+					}
+					dst = append(dst, `{"path":`...)
+					dst = provenance.AppendString(dst, fe.Path)
+					dst = append(dst, `,"size_after":`...)
+					dst = strconv.AppendInt(dst, fe.SizeAfter, 10)
+					dst = append(dst, '}')
+				}
+				dst = append(dst, ']')
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, '}')
+	}
+
+	if len(cp.Blobs) > 0 {
+		dst = append(dst, `,"blobs":[`...)
+		for i, b := range cp.Blobs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"key":`...)
+			dst = provenance.AppendString(dst, b.Key)
+			dst = append(dst, `,"owner":`...)
+			dst = strconv.AppendInt(dst, int64(b.Owner), 10)
+			dst = append(dst, `,"size":`...)
+			dst = strconv.AppendInt(dst, b.Size, 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+// sortedKeys returns m's keys in byte-wise order, in keys' backing array.
+func sortedKeys[V any](keys []string, m map[string]V) []string {
+	keys = keys[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// appendFloat is provenance.AppendFloat, with json.Marshal's refusal of
+// what JSON has no number for.
+func appendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, fmt.Errorf("unsupported value: %v", f)
+	}
+	return provenance.AppendFloat(dst, f), nil
 }
 
 // LoadCheckpoint reads dataDir's frontier checkpoint. A missing file is not

@@ -20,7 +20,8 @@ var sidecars = []string{resume.CheckpointFile, resume.LineageFile, "cluster.json
 // cluster.json, loading them and reconstructing a resume state over them
 // returns — a state or an error — without panicking, and without sizing a
 // loop from a number the file supplied (an implausible cluster shape is
-// refused). What a loader accepts it writes back to an equal file. The seeds
+// refused). What a loader accepts it writes back to an equal file — a
+// checkpoint in exactly json.Marshal's bytes. The seeds
 // in testdata/sidecars are the files seeded `taskprov run -data-dir` runs left
 // (the checkpoint cut down to a few tasks and blobs).
 func FuzzSidecars(f *testing.F) {
@@ -54,6 +55,13 @@ func FuzzSidecars(f *testing.F) {
 			again := t.TempDir()
 			if err := resume.WriteCheckpoint(again, cp); err != nil {
 				t.Fatal(err)
+			}
+			written, err := os.ReadFile(filepath.Join(again, resume.CheckpointFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := mustJSON(t, cp); !bytes.Equal(written, want) {
+				t.Fatalf("WriteCheckpoint's bytes differ from json.Marshal's:\n%s\n%s", written, want)
 			}
 			back, err := resume.LoadCheckpoint(again)
 			if err != nil {
