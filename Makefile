@@ -94,15 +94,22 @@ resume:
 # nothing but a record's slices and free text, and reads what a fresh one
 # reads), number's exact fast path against ParseFloat, the codec against the
 # map API over hostile inputs and FuzzCodec's corpus, the straggler fit
-# against the sorting one, and one iteration of BenchmarkDecode so it cannot
-# go uncompiled. Race-enabled: the post-mortem-open suite against its serial
-# reference (standalone and cluster dirs, torn, corrupt, lagging, killed;
-# each segment opened once), one cursor-store rewrite per CommitBatch, the
-# malformed-event regressions, two goroutines ingesting into one aggregator,
-# and frontier reconstruction against the reference open.
+# against the sorting one, one iteration of BenchmarkDecode so it cannot go
+# uncompiled, provenance.Records (a warm read allocates nothing and returns
+# the same array, an append is read, records nobody holds are reclaimed, a
+# missing topic is ErrNoTopic), every reader of a run's shared records
+# leaving them unchanged, and the scheduler log's order of simultaneous
+# graphs. Race-enabled: two goroutines reading one Records, the
+# post-mortem-open suite against its serial reference (standalone and cluster
+# dirs, torn, corrupt, lagging, killed; each segment opened once), one
+# cursor-store rewrite per CommitBatch, the malformed-event regressions, two
+# goroutines ingesting into one aggregator, and frontier reconstruction
+# against the reference open.
 readpath:
-	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestTypedIngestMatchesMapIngest' ./internal/workloads/
-	$(GO) test -count=1 -run 'TestDecoderInternsOnlyNovelStrings|TestExactFloatMatchesParseFloat|TestCodecMatchesMapAPI|FuzzCodec' ./internal/provenance/
+	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestTypedIngestMatchesMapIngest|TestSharedRecordsStayUnchanged' ./internal/workloads/
+	$(GO) test -count=1 -run 'TestDecoderInternsOnlyNovelStrings|TestExactFloatMatchesParseFloat|TestCodecMatchesMapAPI|FuzzCodec|TestDrain|TestRecordsReuseUntilAppend|TestRecordsReleasedWhenUnheld|TestRecordsMissingTopic' ./internal/provenance/
+	$(GO) test -race -count=1 -run 'TestRecordsConcurrentReads' ./internal/provenance/
+	$(GO) test -count=1 -run 'TestSchedulerLogOrdersSimultaneousGraphs' ./internal/core/
 	$(GO) test -count=1 -run 'TestStragglerFitMatchesSortReference' ./internal/live/
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode' -benchtime 1x ./internal/provenance/
 	$(GO) test -race -count=1 -run 'TestPostMortemOpen|TestCommitBatchRewritesCursorStoreOnce' ./internal/mofka/ ./internal/mofka/cluster/

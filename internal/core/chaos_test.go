@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"taskprov/internal/dask"
-	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -62,7 +61,7 @@ func chaosRun(t *testing.T, seed uint64) (*RunArtifacts, []dask.Warning) {
 	if wf.graphErr != "" {
 		t.Fatalf("graph erred under chaos: %s", wf.graphErr)
 	}
-	warns, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
+	warns, err := art.Records().Warnings()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestEventStreamsDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trans, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
+	trans, err := art.Records().Transitions()
 	if err != nil || len(trans) == 0 {
 		t.Fatalf("transitions = %d, %v", len(trans), err)
 	}
@@ -120,7 +120,7 @@ func TestEventStreamsDecode(t *testing.T) {
 			t.Fatalf("bad transition: %+v", tr)
 		}
 	}
-	execs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	execs, err := art.Records().Executions()
 	if err != nil || len(execs) != 9 {
 		t.Fatalf("executions = %d, %v", len(execs), err)
 	}
@@ -129,7 +129,7 @@ func TestEventStreamsDecode(t *testing.T) {
 			t.Fatalf("bad execution: %+v", e)
 		}
 	}
-	metas, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
+	metas, err := art.Records().TaskMeta()
 	if err != nil || len(metas) != 9 {
 		t.Fatalf("task metas = %d, %v", len(metas), err)
 	}
@@ -254,7 +254,7 @@ func TestInSituMonitor(t *testing.T) {
 	if sum.Tasks != 11 {
 		t.Fatalf("in-situ executions = %d, want 11", sum.Tasks)
 	}
-	post, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
+	post, err := art.Records().Transitions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestOnlineIOTracer(t *testing.T) {
 	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	metas, err := provenance.Drain(new(provenance.Decoder), broker, provenance.TopicIOTrace, (*provenance.Decoder).IOTrace)
+	metas, err := ioTraces(t, broker)
 	if err != nil || len(metas) != 4 {
 		t.Fatalf("streamed events = %d, %v", len(metas), err)
 	}
@@ -411,7 +411,7 @@ func TestOnlineIOTracerEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	metas, err := provenance.Drain(new(provenance.Decoder), broker, provenance.TopicIOTrace, (*provenance.Decoder).IOTrace)
+	metas, err := ioTraces(t, broker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestCollectorAllocationBudget(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := provenance.Drain(new(provenance.Decoder), broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
+	got, err := provenance.NewRecords(broker).Transitions()
 	if err != nil || len(got) != 1024+64*64+1 || got[len(got)-1] != tr {
 		t.Fatalf("drained %d transitions (%v), last %+v", len(got), err, got[len(got)-1])
 	}
@@ -491,7 +491,7 @@ func TestCollectorReportsDroppedEvents(t *testing.T) {
 	}
 	episode(8) // 4 per partition: 2 stay queued, 2 are dropped
 	episode(2) // 1 per partition: fits the backlog
-	warns, err := provenance.Drain(new(provenance.Decoder), broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
+	warns, err := provenance.NewRecords(broker).Warnings()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestFlushShipsRecoveryWarning(t *testing.T) {
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		warns, err := provenance.Drain(new(provenance.Decoder), broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
+		warns, err := provenance.NewRecords(broker).Warnings()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -552,5 +552,83 @@ func TestFlushShipsRecoveryWarning(t *testing.T) {
 		if degraded != 1 || recovered != 1 {
 			t.Fatalf("trial %d: %d degraded and %d recovered warnings shipped, want one of each: %+v", trial, degraded, recovered, warns)
 		}
+	}
+}
+
+// storedEvents reads every event of a topic, metadata only, in the order a
+// consumer's Drain delivers them.
+func storedEvents(t *testing.T, broker *mofka.Broker, topic string) []mofka.Event {
+	t.Helper()
+	tp, err := broker.OpenTopic(topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := tp.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := c.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+// ioTraces decodes the online tracer's io-trace topic.
+func ioTraces(t *testing.T, broker *mofka.Broker) ([]provenance.IOTrace, error) {
+	t.Helper()
+	dec := new(provenance.Decoder)
+	var out []provenance.IOTrace
+	for _, ev := range storedEvents(t, broker, provenance.TopicIOTrace) {
+		rec, err := dec.IOTrace(ev.Metadata)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
+
+// TestSchedulerLogOrdersSimultaneousGraphs: graphs submitted at the same
+// instant reach the scheduler log in graph-id order, so the stored log is the
+// same on every render.
+func TestSchedulerLogOrdersSimultaneousGraphs(t *testing.T) {
+	broker := mofka.NewStandaloneBroker()
+	for _, name := range provenance.AllTopics() {
+		if _, err := broker.CreateTopic(mofka.TopicConfig{Name: name, Partitions: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tp, err := broker.OpenTopic(provenance.TopicTaskMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 16})
+	for g := 1; g <= 8; g++ {
+		for i := 0; i < g; i++ {
+			tm := dask.TaskMeta{Key: dask.TaskKey(fmt.Sprintf("t-%d-%d", g, i)), Prefix: "t", GraphID: g, At: sim.Seconds(1)}
+			if err := p.PushRaw(provenance.AppendTaskMeta(nil, tm), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := RenderSchedulerLog(&RunArtifacts{Broker: broker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		got, err := RenderSchedulerLog(&RunArtifacts{Broker: broker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != first {
+			t.Fatalf("render %d differs:\n%s\nfirst:\n%s", i, got, first)
+		}
+	}
+	if i1, i2 := strings.Index(first, "Receive graph 1 "), strings.Index(first, "Receive graph 2 "); i1 < 0 || i2 < i1 {
+		t.Fatalf("graphs out of id order:\n%s", first)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"taskprov/internal/provenance"
 )
 
 // The paper's job-layer provenance keeps the raw scheduler and worker logs
@@ -34,26 +32,31 @@ func renderLines(lines []logLine) string {
 // submissions, task erred events, steals, and graph completions.
 func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 	var lines []logLine
-	var dec provenance.Decoder
-	metas, err := provenance.Drain(&dec, art.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
+	recs := art.Records()
+	metas, err := recs.TaskMeta()
 	if err != nil {
 		return "", err
 	}
-	graphSeen := map[int]bool{}
 	graphCount := map[int]int{}
 	graphAt := map[int]float64{}
 	for _, tm := range metas {
-		graphCount[tm.GraphID]++
-		if !graphSeen[tm.GraphID] {
-			graphSeen[tm.GraphID] = true
+		if graphCount[tm.GraphID] == 0 {
 			graphAt[tm.GraphID] = tm.At.Seconds()
 		}
+		graphCount[tm.GraphID]++
 	}
-	for id, at := range graphAt {
-		lines = append(lines, logLine{at, fmt.Sprintf(
+	// Graph ids in order, so graphs submitted at the same instant keep one
+	// order through the stable sort by time.
+	ids := make([]int, 0, len(graphAt))
+	for id := range graphAt {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		lines = append(lines, logLine{graphAt[id], fmt.Sprintf(
 			"INFO  - Receive graph %d (%d tasks) from client", id, graphCount[id])})
 	}
-	trans, err := provenance.Drain(&dec, art.Broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
+	trans, err := recs.Transitions()
 	if err != nil {
 		return "", err
 	}
@@ -70,7 +73,7 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 				"WARN  - Retrying task %s after failure", tr.Key)})
 		}
 	}
-	steals, err := provenance.Drain(&dec, art.Broker, provenance.TopicSteals, (*provenance.Decoder).Steal)
+	steals, err := recs.Steals()
 	if err != nil {
 		return "", err
 	}
@@ -78,7 +81,7 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 		lines = append(lines, logLine{s.At.Seconds(), fmt.Sprintf(
 			"INFO  - Moving task %s from %s to %s (work stealing)", s.Key, s.Victim, s.Thief)})
 	}
-	graphs, err := provenance.Drain(&dec, art.Broker, provenance.TopicGraphs, (*provenance.Decoder).GraphEvent)
+	graphs, err := recs.Graphs()
 	if err != nil {
 		return "", err
 	}
@@ -100,8 +103,8 @@ func RenderWorkerLogs(art *RunArtifacts, workers []string) ([]string, error) {
 	for _, w := range workers {
 		buckets[w] = &bucket{}
 	}
-	var dec provenance.Decoder
-	warns, err := provenance.Drain(&dec, art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
+	recs := art.Records()
+	warns, err := recs.Warnings()
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +124,7 @@ func RenderWorkerLogs(art *RunArtifacts, workers []string) ([]string, error) {
 			b.lines = append(b.lines, logLine{w.At.Seconds(), "WARN  - " + w.Message})
 		}
 	}
-	execs, err := provenance.Drain(&dec, art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	execs, err := recs.Executions()
 	if err != nil {
 		return nil, err
 	}
@@ -141,8 +144,8 @@ func RenderWorkerLogs(art *RunArtifacts, workers []string) ([]string, error) {
 
 // WorkerAddrs lists the worker addresses observed in the run.
 func (a *RunArtifacts) WorkerAddrs() ([]string, error) {
-	var dec provenance.Decoder
-	execs, err := provenance.Drain(&dec, a.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	recs := a.Records()
+	execs, err := recs.Executions()
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +153,7 @@ func (a *RunArtifacts) WorkerAddrs() ([]string, error) {
 	for _, e := range execs {
 		set[e.Worker] = true
 	}
-	hbs, err := provenance.Drain(&dec, a.Broker, provenance.TopicHeartbeats, (*provenance.Decoder).Heartbeat)
+	hbs, err := recs.Heartbeats()
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 
 	"taskprov/internal/dask"
 	"taskprov/internal/posixio"
-	"taskprov/internal/provenance"
 	"taskprov/internal/resume"
 	"taskprov/internal/sim"
 )
@@ -112,7 +111,7 @@ func resumeTestSession(seed uint64) SessionConfig {
 // the output size of each key's latest record.
 func drainExecs(t *testing.T, art *RunArtifacts) (counts map[dask.TaskKey]int, sizes map[dask.TaskKey]int64) {
 	t.Helper()
-	metas, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	metas, err := art.Records().Executions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestResumeEquivalence(t *testing.T) {
 			if art.Meta.Attempt != 2 || art.Meta.ResumedFrom != 1 {
 				t.Fatalf("metadata attempt = %d resumed_from = %d", art.Meta.Attempt, art.Meta.ResumedFrom)
 			}
-			warns, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
+			warns, err := art.Records().Warnings()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"taskprov/internal/chaos"
@@ -287,6 +288,23 @@ type RunArtifacts struct {
 	Files map[string]int64
 
 	WallTime sim.Time
+
+	recordsMu sync.Mutex
+	records   *provenance.Records // Broker's, bound by Records
+	recordsOf *mofka.Broker
+}
+
+// Records is the run's provenance as typed records, decoded once per topic
+// and shared by every analysis of these artifacts while one of them holds
+// it (provenance.Records). It is bound to Broker on first use and rebound
+// when Broker is replaced.
+func (a *RunArtifacts) Records() *provenance.Records {
+	a.recordsMu.Lock()
+	defer a.recordsMu.Unlock()
+	if a.records == nil || a.recordsOf != a.Broker {
+		a.records, a.recordsOf = provenance.NewRecords(a.Broker), a.Broker
+	}
+	return a.records
 }
 
 // Session is one instrumented run's lifecycle, split so callers can hold it:
@@ -748,7 +766,7 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 		// The critical-path digest rides on every instrumented run; an
 		// extraction failure (e.g. a chaos run that lost its stream) just
 		// leaves it nil.
-		if model, err := whatif.Extract(art.WhatIfInput()); err == nil {
+		if model, err := art.ExtractModel(); err == nil {
 			art.CritPath = model.CriticalPath().Summarize()
 		}
 	}
@@ -973,7 +991,7 @@ func (a *RunArtifacts) DistinctFiles() int {
 // DistinctTasks counts tasks registered at the scheduler — Table I's
 // "Distinct tasks".
 func (a *RunArtifacts) DistinctTasks() (int, error) {
-	metas, err := provenance.Drain(new(provenance.Decoder), a.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
+	metas, err := a.Records().TaskMeta()
 	if err != nil {
 		return 0, err
 	}
@@ -988,7 +1006,7 @@ func (a *RunArtifacts) DistinctTasks() (int, error) {
 // graphs". Distinct by graph ID: a resumed run's merged stream can carry a
 // graph's done event from more than one attempt.
 func (a *RunArtifacts) TaskGraphs() (int, error) {
-	graphs, err := provenance.Drain(new(provenance.Decoder), a.Broker, provenance.TopicGraphs, (*provenance.Decoder).GraphEvent)
+	graphs, err := a.Records().Graphs()
 	if err != nil {
 		return 0, err
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"taskprov/internal/dask"
-	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -57,7 +56,7 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 	if wf.graphErr != "" {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
-	evs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicSpeculation, (*provenance.Decoder).Speculation)
+	evs, err := art.Records().Speculation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 // bytes from the run's proxy event stream (publish minus free/reclaim).
 func proxyFinalResident(t *testing.T, art *RunArtifacts) int64 {
 	t.Helper()
-	metas, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicProxy, (*provenance.Decoder).ProxyEvent)
+	metas, err := art.Records().Proxy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestBrownoutSpeculationAcceptance(t *testing.T) {
 
 	// Zero duplicate side effects: exactly one winning execution record per
 	// task key — a cancelled loser never reports its execution.
-	metas, err := provenance.Drain(new(provenance.Decoder), hedged.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	metas, err := hedged.Records().Executions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestHeartbeatJitterDesynchronizesMultiRestart(t *testing.T) {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
 
-	metas, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicHeartbeats, (*provenance.Decoder).Heartbeat)
+	metas, err := art.Records().Heartbeats()
 	if err != nil {
 		t.Fatal(err)
 	}

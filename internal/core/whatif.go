@@ -3,13 +3,13 @@ package core
 import "taskprov/internal/whatif"
 
 // WhatIfInput adapts the run's artifacts into the whatif extractor's input:
-// the provenance broker, the Darshan logs for the I/O join, and the
-// metadata fields that form the model's baseline configuration. It works
-// for live artifacts, WAL replays, and post-mortem loads alike — whatever
-// populated the RunArtifacts.
+// the run's decoded provenance records, the Darshan logs for the I/O join,
+// and the metadata fields that form the model's baseline configuration. It
+// works for live artifacts, WAL replays, and post-mortem loads alike —
+// whatever populated the RunArtifacts.
 func (a *RunArtifacts) WhatIfInput() whatif.Input {
 	return whatif.Input{
-		Broker:              a.Broker,
+		Records:             a.Records(),
 		DarshanLogs:         a.DarshanLogs,
 		Workflow:            a.Meta.Workflow,
 		Seed:                a.Meta.Seed,

@@ -340,14 +340,20 @@ func TestMonitorEmitsAnomalies(t *testing.T) {
 		t.Fatal("no anomaly on subscription channel")
 	}
 	m.Stop()
-	metas, err := provenance.Drain(new(provenance.Decoder), b, provenance.TopicAnomalies, func(_ *provenance.Decoder, b []byte) (mofka.Metadata, error) {
-		return mofka.DecodeMetadata(b)
-	})
+	topic, err := b.OpenTopic(provenance.TopicAnomalies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(metas) != 1 || ParseAnomaly(metas[0]).Subject != "w0" {
-		t.Fatalf("anomalies topic = %v", metas)
+	c, err := topic.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := c.Drain()
+	if err != nil || len(evs) != 1 {
+		t.Fatalf("anomalies topic = %d events, %v", len(evs), err)
+	}
+	if m, err := evs[0].ParseMetadata(); err != nil || ParseAnomaly(m).Subject != "w0" {
+		t.Fatalf("anomaly event %s: %v", evs[0].Metadata, err)
 	}
 }
 

@@ -932,7 +932,7 @@ func (c *Cluster) recoverTopics() error {
 // ReadView materializes the cluster's acknowledged state as a standalone
 // in-memory broker: every topic, every partition's acknowledged prefix, and
 // every committed cursor. Post-run analysis (perfrecup views, the live
-// monitor's final replay, provenance.Drain) works on the view unchanged —
+// monitor's final replay, provenance.Records) works on the view unchanged —
 // the cluster looks exactly like the single broker those tools were built
 // for. What is in flight settles first, so the view is the same whenever
 // the fsyncs returned.

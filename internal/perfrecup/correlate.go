@@ -7,7 +7,6 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
-	"taskprov/internal/provenance"
 )
 
 // CorrelationReport is the paper's §IV-D3 analysis: quantifying the
@@ -42,8 +41,7 @@ type PrefixShare struct {
 // Correlate computes the report from one run's artifacts.
 func Correlate(art *core.RunArtifacts, binSeconds float64) (CorrelationReport, error) {
 	rep := CorrelationReport{BinSeconds: binSeconds}
-	var dec provenance.Decoder
-	execs, err := provenance.Drain(&dec, art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	execs, err := art.Records().Executions()
 	if err != nil {
 		return rep, err
 	}
@@ -94,7 +92,7 @@ func Correlate(art *core.RunArtifacts, binSeconds float64) (CorrelationReport, e
 			longActive[b] += overlap(r.start, r.stop, float64(b)*binSeconds, float64(b+1)*binSeconds)
 		}
 	}
-	warns, err := provenance.Drain(&dec, art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
+	warns, err := art.Records().Warnings()
 	if err != nil {
 		return rep, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
-	"taskprov/internal/provenance"
 )
 
 // Lineage is the full provenance record of one task (Fig. 8): identity,
@@ -69,8 +68,7 @@ type LineageIO struct {
 func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	l := &Lineage{Key: key, Prefix: dask.KeyPrefix(dask.TaskKey(key)), Group: dask.KeyGroup(dask.TaskKey(key))}
 
-	var dec provenance.Decoder
-	metas, err := provenance.Drain(&dec, art.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
+	metas, err := art.Records().TaskMeta()
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +88,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		return nil, fmt.Errorf("perfrecup: task %q not found in run %s", key, art.Meta.JobID)
 	}
 
-	trans, err := provenance.Drain(&dec, art.Broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
+	trans, err := art.Records().Transitions()
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +102,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	}
 	sort.Slice(l.States, func(a, b int) bool { return l.States[a].At < l.States[b].At })
 
-	execs, err := provenance.Drain(&dec, art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	execs, err := art.Records().Executions()
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +117,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	transfers, err := provenance.Drain(&dec, art.Broker, provenance.TopicTransfers, (*provenance.Decoder).Transfer)
+	transfers, err := art.Records().Transfers()
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +130,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	steals, err := provenance.Drain(&dec, art.Broker, provenance.TopicSteals, (*provenance.Decoder).Steal)
+	steals, err := art.Records().Steals()
 	if err != nil {
 		return nil, err
 	}

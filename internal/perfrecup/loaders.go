@@ -10,13 +10,12 @@ import (
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
 	"taskprov/internal/perfrecup/frame"
-	"taskprov/internal/provenance"
 )
 
 // ExecutionsView tabulates task executions: one row per executed task with
 // its placement, thread, window, and output size.
 func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	recs, err := art.Records().Executions()
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +61,7 @@ func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // TransitionsView tabulates every captured state transition.
 func TransitionsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTransitions, (*provenance.Decoder).Transition)
+	recs, err := art.Records().Transitions()
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +92,7 @@ func TransitionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // TransfersView tabulates inter-worker dependency transfers.
 func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTransfers, (*provenance.Decoder).Transfer)
+	recs, err := art.Records().Transfers()
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +138,7 @@ func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
 // blob's logical size and the store's resident footprint after the
 // operation — the raw series behind the live resident-bytes lane.
 func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicProxy, (*provenance.Decoder).ProxyEvent)
+	recs, err := art.Records().Proxy()
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +172,7 @@ func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // WarningsView tabulates runtime warnings (unresponsive event loop, GC).
 func WarningsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
+	recs, err := art.Records().Warnings()
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +274,7 @@ func PosixView(art *core.RunArtifacts) (*frame.Frame, error) {
 // TaskMetaView tabulates the static task metadata (key, prefix, group,
 // graph, dependency count).
 func TaskMetaView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
+	recs, err := art.Records().TaskMeta()
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +305,7 @@ func TaskMetaView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // HeartbeatsView tabulates worker heartbeat samples.
 func HeartbeatsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicHeartbeats, (*provenance.Decoder).Heartbeat)
+	recs, err := art.Records().Heartbeats()
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/perfrecup/frame"
-	"taskprov/internal/provenance"
 )
 
 // RecoveryTimelineView tabulates the run's failure/recovery timeline: every
@@ -16,7 +15,7 @@ import (
 // (at, kind, worker, message) so the view is deterministic regardless of
 // partition drain order. Empty for fault-free runs.
 func RecoveryTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
+	recs, err := art.Records().Warnings()
 	if err != nil {
 		return nil, err
 	}

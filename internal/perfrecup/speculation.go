@@ -7,7 +7,6 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/perfrecup/frame"
-	"taskprov/internal/provenance"
 )
 
 // SpeculationTimelineView tabulates the run's hedged-execution and
@@ -17,7 +16,7 @@ import (
 // (at, kind, key, duplicate, detail) so the view is deterministic regardless
 // of partition drain order. Empty for runs without speculation or retries.
 func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	recs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicSpeculation, (*provenance.Decoder).Speculation)
+	recs, err := art.Records().Speculation()
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
-	"taskprov/internal/provenance"
 )
 
 // WindowStats is the paper's "zooming through a specific time period"
@@ -53,8 +52,7 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 	w := WindowStats{From: from, To: to, Warnings: map[string]int{}}
 
-	var dec provenance.Decoder
-	execs, err := provenance.Drain(&dec, art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	execs, err := art.Records().Executions()
 	if err != nil {
 		return w, err
 	}
@@ -96,7 +94,7 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		}
 	}
 
-	transfers, err := provenance.Drain(&dec, art.Broker, provenance.TopicTransfers, (*provenance.Decoder).Transfer)
+	transfers, err := art.Records().Transfers()
 	if err != nil {
 		return w, err
 	}
@@ -110,7 +108,7 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		w.CommSeconds += ov
 	}
 
-	warns, err := provenance.Drain(&dec, art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
+	warns, err := art.Records().Warnings()
 	if err != nil {
 		return w, err
 	}
@@ -157,9 +155,8 @@ type ScheduleComparison struct {
 // CompareSchedules compares two runs' task executions.
 func CompareSchedules(a, b *core.RunArtifacts) (ScheduleComparison, error) {
 	var out ScheduleComparison
-	var dec provenance.Decoder
 	load := func(art *core.RunArtifacts) (map[string]dask.TaskExecution, error) {
-		execs, err := provenance.Drain(&dec, art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+		execs, err := art.Records().Executions()
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@ import (
 	"unicode/utf8"
 
 	"taskprov/internal/dask"
-	"taskprov/internal/mofka"
 	"taskprov/internal/sim"
 )
 
@@ -773,27 +772,4 @@ func (x *Decoder) Validate(b []byte) error {
 		d.skip()
 	}
 	return d.end()
-}
-
-// Drain decodes every event of a topic with x, once, straight from the
-// stored bytes, in the order a consumer's Drain delivers them.
-func Drain[T any](x *Decoder, b *mofka.Broker, topic string, decode func(*Decoder, []byte) (T, error)) ([]T, error) {
-	t, err := b.OpenTopic(topic)
-	if err != nil {
-		return nil, err
-	}
-	c, err := t.NewConsumer(mofka.ConsumerOptions{NoData: true})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, 0, t.Events())
-	err = c.Scan(func(partition int, id uint64, metadata []byte) error {
-		rec, err := decode(x, metadata)
-		if err != nil {
-			return fmt.Errorf("provenance: corrupt event %s[%d]/%d: %w", topic, partition, id, err)
-		}
-		out = append(out, rec)
-		return nil
-	})
-	return out, err
 }

@@ -2,7 +2,6 @@ package provenance
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -588,26 +587,18 @@ func FuzzCodec(f *testing.F) {
 	})
 }
 
-// TestDrain: typed drain delivers a topic's events once each, in the order
-// Consumer.Drain does, and reports a corrupt event as an error naming it.
+// TestDrain: a Records accessor delivers a topic's events once each, in the
+// order Consumer.Drain does, and reports a corrupt event as an error naming
+// it.
 func TestDrain(t *testing.T) {
-	b := mofka.NewStandaloneBroker()
-	topic, err := b.CreateTopic(mofka.TopicConfig{Name: TopicSteals, Partitions: 3})
+	const n = 500
+	b, _ := stealBroker(t, n)
+	topic, err := b.OpenTopic(TopicSteals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := topic.NewProducer(mofka.ProducerOptions{BatchSize: 7})
-	const n = 500
-	for i := 0; i < n; i++ {
-		ev := dask.StealEvent{Key: dask.TaskKey(fmt.Sprintf("k-%03d", i)), Victim: "v", Thief: "t", At: sim.Time(i) * sim.Milliseconds(1)}
-		if err := p.PushRaw(AppendSteal(nil, ev), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Drain(new(Decoder), b, TopicSteals, (*Decoder).Steal)
+	recs := NewRecords(b)
+	got, err := recs.Steals()
 	if err != nil || len(got) != n {
 		t.Fatalf("drained %d, %v", len(got), err)
 	}
@@ -624,7 +615,7 @@ func TestDrain(t *testing.T) {
 			t.Fatalf("event %d: typed drain has %+v, consumer drain %+v", i, got[i], want)
 		}
 	}
-	if _, err := Drain(new(Decoder), b, "no-such-topic", (*Decoder).Steal); err == nil {
+	if _, err := recs.Transfers(); err == nil {
 		t.Fatal("drain of a missing topic succeeded")
 	}
 	// Valid JSON that is not an event object gets past the broker and must
@@ -636,7 +627,7 @@ func TestDrain(t *testing.T) {
 	if err := part.Append([][]byte{[]byte(`[1,2]`)}, [][]byte{nil}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Drain(new(Decoder), b, TopicSteals, (*Decoder).Steal); err == nil {
+	if _, err := recs.Steals(); err == nil {
 		t.Fatal("drain over a non-object event succeeded")
 	}
 }

@@ -3,12 +3,13 @@
 // that turns the dask record types into Mofka event metadata and back.
 //
 // The codec comes twice. codec.go holds the typed pair every producer and
-// consumer in the repository uses — Append<T> onto a reusable buffer,
-// Decode<T> and Drain[T] straight from the stored bytes. This file holds the
-// map pair it replaced — <T>Event builders of mofka.Metadata and Parse<T> over
-// a decoded map — which has no production caller left: it is the executable
-// specification the codec tests pin the typed pair to, byte for byte, and the
-// API bench/e2e (a module of its own) compiles against.
+// consumer in the repository uses — Append<T> onto a reusable buffer and
+// Decoder.<T> straight from the stored bytes (records.go serves a broker's
+// topics through one Decoder). This file holds the map pair it replaced —
+// <T>Event builders of mofka.Metadata and Parse<T> over a decoded map — which
+// has no production caller left: it is the executable specification the codec
+// tests pin the typed pair to, byte for byte, and the API bench/e2e (a module
+// of its own) compiles against.
 //
 // It is deliberately a leaf package (no dependency on internal/core or
 // internal/perfrecup) so that every consumer of the stream — the in-run

@@ -133,9 +133,8 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 	for key, t := range cp.Tasks {
 		tasks[key] = doneTask{graph: t.GraphID, size: t.Size, stop: t.StopSeconds, files: t.Files}
 	}
-	// One decoder for every topic read below: they name the same tasks.
-	var dec provenance.Decoder
-	execs, err := provenance.Drain(&dec, broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	recs := provenance.NewRecords(broker)
+	execs, err := recs.Executions()
 	if err != nil {
 		return nil, fmt.Errorf("resume: executions: %w", err)
 	}
@@ -163,7 +162,7 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 	for _, b := range cp.Blobs {
 		blobs[b.Key] = &blobState{residual: 1, owner: b.Owner, size: b.Size, at: cp.AtSeconds}
 	}
-	proxyEvents, err := provenance.Drain(&dec, broker, provenance.TopicProxy, (*provenance.Decoder).ProxyEvent)
+	proxyEvents, err := recs.Proxy()
 	if err != nil {
 		return nil, fmt.Errorf("resume: proxy events: %w", err)
 	}
@@ -228,7 +227,7 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 			}
 		}
 	}
-	graphEvents, err := provenance.Drain(&dec, broker, provenance.TopicGraphs, (*provenance.Decoder).GraphEvent)
+	graphEvents, err := recs.Graphs()
 	if err != nil {
 		return nil, fmt.Errorf("resume: graph events: %w", err)
 	}
@@ -269,12 +268,12 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 
 	// The remaining topics only contribute to the clock frontier.
 	for _, err := range []error{
-		latest(&maxAt, &dec, broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta, func(r dask.TaskMeta) sim.Time { return r.At }),
-		latest(&maxAt, &dec, broker, provenance.TopicTransitions, (*provenance.Decoder).Transition, func(r dask.Transition) sim.Time { return r.At }),
-		latest(&maxAt, &dec, broker, provenance.TopicTransfers, (*provenance.Decoder).Transfer, func(r dask.Transfer) sim.Time { return r.Stop }),
-		latest(&maxAt, &dec, broker, provenance.TopicWarnings, (*provenance.Decoder).Warning, func(r dask.Warning) sim.Time { return r.At }),
-		latest(&maxAt, &dec, broker, provenance.TopicHeartbeats, (*provenance.Decoder).Heartbeat, func(r dask.WorkerMetrics) sim.Time { return r.At }),
-		latest(&maxAt, &dec, broker, provenance.TopicSteals, (*provenance.Decoder).Steal, func(r dask.StealEvent) sim.Time { return r.At }),
+		latest(&maxAt, recs.TaskMeta, func(r dask.TaskMeta) sim.Time { return r.At }),
+		latest(&maxAt, recs.Transitions, func(r dask.Transition) sim.Time { return r.At }),
+		latest(&maxAt, recs.Transfers, func(r dask.Transfer) sim.Time { return r.Stop }),
+		latest(&maxAt, recs.Warnings, func(r dask.Warning) sim.Time { return r.At }),
+		latest(&maxAt, recs.Heartbeats, func(r dask.WorkerMetrics) sim.Time { return r.At }),
+		latest(&maxAt, recs.Steals, func(r dask.StealEvent) sim.Time { return r.At }),
 	} {
 		if err != nil {
 			return nil, fmt.Errorf("resume: %w", err)
@@ -317,8 +316,8 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 
 // latest raises maxAt to the newest timestamp, in virtual seconds, among a
 // topic's events. A topic minimal logs do not have contributes nothing.
-func latest[T any](maxAt *float64, dec *provenance.Decoder, broker *mofka.Broker, topic string, decode func(*provenance.Decoder, []byte) (T, error), at func(T) sim.Time) error {
-	recs, err := provenance.Drain(dec, broker, topic, decode)
+func latest[T any](maxAt *float64, read func() ([]T, error), at func(T) sim.Time) error {
+	recs, err := read()
 	if errors.Is(err, mofka.ErrNoTopic) {
 		return nil
 	}

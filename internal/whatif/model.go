@@ -24,17 +24,16 @@ import (
 
 	"taskprov/internal/darshan"
 	"taskprov/internal/dask"
-	"taskprov/internal/mofka"
 	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
-// Input bundles everything the extractor reads: the provenance broker (a
-// live run's broker, a WAL replay, or a cluster read view — they all
-// materialize as *mofka.Broker), the Darshan logs for the I/O join, and the
-// run-metadata fields the model needs as its baseline configuration.
+// Input bundles everything the extractor reads: the run's decoded provenance
+// records (of a live run's broker, a WAL replay, or a cluster read view), the
+// Darshan logs for the I/O join, and the run-metadata fields the model needs
+// as its baseline configuration.
 type Input struct {
-	Broker      *mofka.Broker
+	Records     *provenance.Records
 	DarshanLogs []*darshan.Log
 
 	Workflow string
@@ -190,28 +189,26 @@ func (m *Model) graphIndex(id int) int {
 	return -1
 }
 
-// Extract drains the provenance topics and fits the model. It fails only on
+// Extract reads the provenance records and fits the model. It fails only on
 // broker errors or an empty run; partial streams (no transfers, no DXT)
 // degrade to zero-cost categories.
 func Extract(in Input) (*Model, error) {
-	if in.Broker == nil {
-		return nil, fmt.Errorf("whatif: nil broker")
+	if in.Records == nil {
+		return nil, fmt.Errorf("whatif: nil records")
 	}
-	// One decoder for the four topics: they name the same tasks and workers.
-	var dec provenance.Decoder
-	metas, err := provenance.Drain(&dec, in.Broker, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta)
+	metas, err := in.Records.TaskMeta()
 	if err != nil {
 		return nil, fmt.Errorf("whatif: task-meta: %w", err)
 	}
-	execs, err := provenance.Drain(&dec, in.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	execs, err := in.Records.Executions()
 	if err != nil {
 		return nil, fmt.Errorf("whatif: executions: %w", err)
 	}
-	transfers, err := provenance.Drain(&dec, in.Broker, provenance.TopicTransfers, (*provenance.Decoder).Transfer)
+	transfers, err := in.Records.Transfers()
 	if err != nil {
 		return nil, fmt.Errorf("whatif: transfers: %w", err)
 	}
-	graphEvents, err := provenance.Drain(&dec, in.Broker, provenance.TopicGraphs, (*provenance.Decoder).GraphEvent)
+	graphEvents, err := in.Records.Graphs()
 	if err != nil {
 		return nil, fmt.Errorf("whatif: graph-events: %w", err)
 	}

@@ -270,6 +270,6 @@ func TestReplayEmptyModel(t *testing.T) {
 
 func TestExtractNilBroker(t *testing.T) {
 	if _, err := Extract(Input{}); err == nil {
-		t.Fatal("nil broker should fail")
+		t.Fatal("nil records should fail")
 	}
 }

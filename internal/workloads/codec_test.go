@@ -26,13 +26,20 @@ func checkTopicCodec[T any](t *testing.T, art *core.RunArtifacts, dec *provenanc
 	decode func(*provenance.Decoder, []byte) (T, error), parse func(mofka.Metadata) T,
 	appendTo func([]byte, T) []byte, event func(T) mofka.Metadata) int {
 	t.Helper()
-	raws, err := provenance.Drain(new(provenance.Decoder), art.Broker, topic, func(_ *provenance.Decoder, b []byte) ([]byte, error) {
-		return append([]byte(nil), b...), nil
-	})
+	tp, err := art.Broker.OpenTopic(topic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, raw := range raws {
+	c, err := tp.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := c.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range evs {
+		raw := ev.Metadata
 		m, err := mofka.DecodeMetadata(raw)
 		if err != nil {
 			t.Fatalf("%s[%d]: %v", topic, i, err)
@@ -52,7 +59,7 @@ func checkTopicCodec[T any](t *testing.T, art *core.RunArtifacts, dec *provenanc
 			t.Fatalf("%s[%d]: append %s, map encoder %s", topic, i, got, want)
 		}
 	}
-	return len(raws)
+	return len(evs)
 }
 
 var seededWorkflows = []string{"imageprocessing", "resnet152", "xgboost"}
@@ -129,8 +136,8 @@ func TestCodecOnSeededRuns(t *testing.T) {
 	}
 	for _, name := range seededWorkflows {
 		art := seededRun(t, name)
-		// One decoder for the whole run, as an analysis holds one: every
-		// topic is read with the names the topics before it interned.
+		// One decoder for the whole run, as provenance.Records holds one:
+		// every topic is read with the names the topics before it interned.
 		dec := new(provenance.Decoder)
 		n := checkTopicCodec(t, art, dec, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta, provenance.ParseTaskMeta, provenance.AppendTaskMeta, provenance.TaskMetaEvent)
 		n += checkTopicCodec(t, art, dec, provenance.TopicTransitions, (*provenance.Decoder).Transition, provenance.ParseTransition, provenance.AppendTransition, provenance.TransitionEvent)
@@ -224,7 +231,7 @@ func legacyWorkerLog(t *testing.T, art *core.RunArtifacts, worker string) string
 		text string
 	}
 	var lines []line
-	warns, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
+	warns, err := art.Records().Warnings()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +250,7 @@ func legacyWorkerLog(t *testing.T, art *core.RunArtifacts, worker string) string
 			lines = append(lines, line{w.At.Seconds(), "WARN  - " + w.Message})
 		}
 	}
-	execs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	execs, err := art.Records().Executions()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
-	"taskprov/internal/provenance"
 	"taskprov/internal/resume"
 )
 
@@ -17,7 +16,7 @@ import (
 // latest output size.
 func execSummary(t *testing.T, art *core.RunArtifacts) (counts map[dask.TaskKey]int, sizes map[dask.TaskKey]int64) {
 	t.Helper()
-	metas, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	metas, err := art.Records().Executions()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
-	"taskprov/internal/provenance"
 )
 
 func runOnce(t *testing.T, name string, seed uint64) *core.RunArtifacts {
@@ -100,7 +99,7 @@ func TestXGBoostTableI(t *testing.T) {
 
 	// Fig. 7: a burst of unresponsive-event-loop warnings early in the run,
 	// correlated with the read_parquet-fused-assign tasks.
-	warns, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicWarnings, (*provenance.Decoder).Warning)
+	warns, err := art.Records().Warnings()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestXGBoostTableI(t *testing.T) {
 
 	// Fig. 6: the read_parquet-fused-assign outputs exceed Dask's
 	// recommended 128 MB.
-	execs, err := provenance.Drain(new(provenance.Decoder), art.Broker, provenance.TopicExecutions, (*provenance.Decoder).Execution)
+	execs, err := art.Records().Executions()
 	if err != nil {
 		t.Fatal(err)
 	}
