@@ -126,17 +126,27 @@ readpath:
 # eight concurrent pushers on one durable partition, one seeded session
 # storing the same bytes under every fsync policy (standalone and clustered,
 # healthy and with a faulty log), no goroutine left behind by a crashed
-# durable session, the frontier checkpoint in json.Marshal's exact bytes, and
-# the WAL recovery corpus. The allocation pins of the lean writer and of a
-# rewritten checkpoint run without -race, which allocates on its own. Then one
-# iteration of the durable quorum-append benchmark, so it cannot go
-# uncompiled.
+# durable session, the frontier checkpoint in json.Marshal's exact bytes, the
+# WAL recovery corpus, the cluster's read view (shared from local leaders,
+# pulled from a remote one, apart from the cluster once taken, through a
+# restart's truncation too), a partition sharing another's events, and the
+# paged document store against a plain slice. The allocation pins of the lean
+# writer, of a durable partition's append, of a rewritten checkpoint, of the
+# read view and of the paged store run without -race, which allocates on its
+# own. Then one iteration of the durable quorum-append benchmark, so it cannot
+# go uncompiled.
 durable:
 	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestFailedFsyncPoisonsLog|TestQuorumAckIsPipelined|TestKillSettlesInFlightQuorum|TestFailedFollowerFsyncFailsQuorum|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -race -count=1 -run 'TestSyncPolicyLeavesSameBytes|TestCrashedSessionsLeaveNoGoroutines' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCheckpointEncodingMatchesJSON|FuzzSidecars' ./internal/resume/
+	$(GO) test -race -count=1 -run 'TestReadViewMatchesCluster' ./internal/mofka/cluster/
+	$(GO) test -race -count=1 -run 'TestShareFromKeepsItsOwnIndex' ./internal/mofka/
+	$(GO) test -race -count=1 -run 'TestCollectionMatchesSliceModelProperty' ./internal/mochi/yokan/
 	$(GO) test -count=1 -run 'TestOpenDurableBrokerAllocatesLittle|TestAppendBatchAllocatesNothing' ./internal/mofka/wal/
 	$(GO) test -count=1 -run 'TestCheckpointAllocationsIndependentOfFrontier' ./internal/resume/
+	$(GO) test -count=1 -run 'TestReadViewAllocatesPerPage' ./internal/mofka/cluster/
+	$(GO) test -count=1 -run 'TestAdmissionReadsAndAllocatesPerBatch' ./internal/mofka/
+	$(GO) test -count=1 -run 'TestCollectionAllocatesPerPage' ./internal/mochi/yokan/
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterPushBatch/brokers=3/rf=2/sync-batch' -benchtime 1x ./internal/mofka/cluster/
 
 # Simulator host-cost gate, uncached and not under -race (which allocates on
@@ -225,7 +235,10 @@ bench-speculation:
 # envelope around it splits back, and splitEnvelope never panics and re-frames
 # what it accepts. Data dir sidecars (checkpoint.json, attempts.json,
 # cluster.json): loading them and reconstructing a resume state over them
-# never panics or spins on a number the file supplied.
+# never panics or spins on a number the file supplied. Cluster gateway
+# requests (cluster.join, cluster.info, cluster.health): no body panics a
+# handler or draws an answer that is not JSON, a join that does not decode or
+# names no address is refused, and the nine log RPCs still work afterwards.
 fuzz:
 	$(GO) test -run 'FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALRecover' -fuzztime 20s ./internal/mofka/wal/
@@ -245,6 +258,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 20s ./internal/mochi/mercury/
 	$(GO) test -run 'FuzzSidecars' ./internal/resume/
 	$(GO) test -run '^$$' -fuzz 'FuzzSidecars' -fuzztime 20s ./internal/resume/
+	$(GO) test -run 'FuzzClusterRPCs' ./internal/mofka/cluster/
+	$(GO) test -run '^$$' -fuzz 'FuzzClusterRPCs' -fuzztime 20s ./internal/mofka/cluster/
 
 # The repo's end-to-end benchmark (bench/e2e, a module of its own): all four
 # workloads twice, the spread judged against BENCHMARK.json's bounds. Minutes,

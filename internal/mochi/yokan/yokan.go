@@ -6,6 +6,7 @@
 package yokan
 
 import (
+	"slices"
 	"strings"
 	"sync"
 )
@@ -93,29 +94,52 @@ func (db *Database) Collection(name string) *Collection {
 type Collection struct {
 	name string
 	mu   sync.RWMutex
-	docs [][]byte
+	// pages holds document id in pages[id/pageSize][id%pageSize]. A page is
+	// allocated whole when the first document lands in it and never moves, so
+	// storing a document never copies the ones before it; only the directory
+	// of page pointers grows by copying.
+	pages []*[pageSize][]byte
+	n     uint64
 }
+
+// pageSize is how many documents one page holds: 12 KiB of slice headers. A
+// partition holding a few events pays one page; one holding tens of thousands
+// pays one allocation per 512 of them.
+const pageSize = 512
 
 // StoreBatch appends documents in order and returns the first one's ID. The
 // documents are not copied: the collection takes ownership, and the caller
-// must not write to them afterwards.
+// must not write to them afterwards. The slice holding them is the caller's
+// again once StoreBatch returns.
 func (c *Collection) StoreBatch(docs [][]byte) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	first := uint64(len(c.docs))
-	c.docs = append(c.docs, docs...)
+	first := c.n
+	if need := int((c.n+uint64(len(docs))+pageSize-1)/pageSize) - len(c.pages); need > 0 {
+		c.pages = slices.Grow(c.pages, need)
+	}
+	for len(docs) > 0 {
+		i := int(c.n / pageSize)
+		if i == len(c.pages) {
+			c.pages = append(c.pages, new([pageSize][]byte))
+		}
+		k := copy(c.pages[i][c.n%pageSize:], docs)
+		docs = docs[k:]
+		c.n += uint64(k)
+	}
 	return first
 }
 
 // TruncateTo discards every document with ID >= n; the next StoreBatch
 // assigns IDs starting at n again. This is the in-memory counterpart of event-log
 // truncation: the replication layer uses it to drop a replica's divergent
-// tail so offsets stay dense.
+// tail so offsets stay dense. The pages stay, for the documents stored next.
 func (c *Collection) TruncateTo(n uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n < uint64(len(c.docs)) {
-		c.docs = c.docs[:n]
+	for ; c.n > n; c.n-- {
+		id := c.n - 1
+		c.pages[id/pageSize][id%pageSize] = nil
 	}
 }
 
@@ -124,13 +148,15 @@ func (c *Collection) TruncateTo(n uint64) {
 func (c *Collection) Iter(from uint64, max int, fn func(id uint64, doc []byte) bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	visited := 0
-	for id := from; id < uint64(len(c.docs)); id++ {
-		if !fn(id, c.docs[id]) {
-			return
-		}
-		visited++
-		if max > 0 && visited >= max {
+	if from >= c.n {
+		return
+	}
+	end := c.n
+	if max > 0 && uint64(max) < end-from {
+		end = from + uint64(max)
+	}
+	for id := from; id < end; id++ {
+		if !fn(id, c.pages[id/pageSize][id%pageSize]) {
 			return
 		}
 	}

@@ -3,7 +3,10 @@ package yokan
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -146,6 +149,123 @@ func TestCollectionIterBounds(t *testing.T) {
 	c.Iter(0, 0, func(uint64, []byte) bool { count++; return count < 3 })
 	if count != 3 {
 		t.Fatalf("early stop visited %d", count)
+	}
+}
+
+// TestCollectionMatchesSliceModelProperty: random programs of StoreBatch,
+// TruncateTo and Iter, with batches, cuts and reads that cross page
+// boundaries, see exactly what a plain slice of the same documents holds, and
+// a truncated slot keeps no document alive.
+func TestCollectionMatchesSliceModelProperty(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// edge is a count within one document of a page boundary.
+		edge := func(pages int) int { return max(0, pageSize*pages+rng.Intn(3)-1) }
+		c := NewDatabase("model").Collection("c")
+		var model [][]byte
+		stored := 0
+		for op := 0; op < 40; op++ {
+			switch rng.Intn(3) {
+			case 0:
+				n := rng.Intn(2*pageSize + 2)
+				if rng.Intn(2) == 0 { // the batch ends at a page boundary
+					n = edge(len(model)/pageSize+1+rng.Intn(2)) - len(model)
+				}
+				docs := make([][]byte, n)
+				for i := range docs {
+					docs[i] = []byte(strconv.Itoa(stored))
+					stored++
+				}
+				if first := c.StoreBatch(docs); first != uint64(len(model)) {
+					t.Fatalf("seed %d op %d: batch stored at %d, model holds %d", seed, op, first, len(model))
+				}
+				model = append(model, docs...)
+			case 1:
+				n := rng.Intn(len(model) + pageSize)
+				if rng.Intn(2) == 0 { // the cut is at a page boundary
+					n = edge(rng.Intn(len(model)/pageSize + 1))
+				}
+				c.TruncateTo(uint64(n))
+				if n < len(model) {
+					model = model[:n]
+				}
+			case 2:
+				from := rng.Intn(len(model) + 2)
+				if rng.Intn(2) == 0 {
+					from = edge(rng.Intn(len(model)/pageSize + 1))
+				}
+				max := rng.Intn(2*pageSize+2) - 1
+				stop := 1 + rng.Intn(3*pageSize)
+				var got [][]byte
+				c.Iter(uint64(from), max, func(id uint64, doc []byte) bool {
+					if id != uint64(from+len(got)) {
+						t.Fatalf("seed %d op %d: Iter visited id %d after %d documents from %d", seed, op, id, len(got), from)
+					}
+					got = append(got, doc)
+					return len(got) < stop
+				})
+				var want [][]byte
+				if from < len(model) {
+					want = model[from:]
+				}
+				if max > 0 && max < len(want) {
+					want = want[:max]
+				}
+				if stop < len(want) {
+					want = want[:stop]
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d op %d: Iter(%d, %d) stopping after %d visited %d documents, want %d", seed, op, from, max, stop, len(got), len(want))
+				}
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("seed %d op %d: document %d reads %q, want %q", seed, op, from+i, got[i], want[i])
+					}
+				}
+			}
+			for id := c.n; id < uint64(len(c.pages))*pageSize; id++ {
+				if c.pages[id/pageSize][id%pageSize] != nil {
+					t.Fatalf("seed %d op %d: slot %d past the end (%d) still holds a document", seed, op, id, c.n)
+				}
+			}
+		}
+		if c.n != uint64(len(model)) {
+			t.Fatalf("seed %d: collection holds %d documents, model %d", seed, c.n, len(model))
+		}
+	}
+}
+
+// TestCollectionAllocatesPerPage: storing k pages of documents in one batch
+// allocates the k pages and one directory; in a producer's batches of 128, the
+// directory grows by doubling on top of that. No document costs an
+// allocation, and none is ever copied again.
+func TestCollectionAllocatesPerPage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pin; the race detector allocates on its own")
+	}
+	const k = 5
+	docs := make([][]byte, k*pageSize)
+	for i := range docs {
+		docs[i] = []byte{byte(i)}
+	}
+	for _, batch := range []int{len(docs), 128} {
+		const runs = 10
+		fresh := make([]Collection, runs+1) // AllocsPerRun warms up once
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			c := &fresh[next]
+			next++
+			for i := 0; i < len(docs); i += batch {
+				c.StoreBatch(docs[i:min(i+batch, len(docs))])
+			}
+		})
+		limit := float64(k + 1)
+		if batch < pageSize {
+			limit += float64(bits.Len(k))
+		}
+		if allocs > limit {
+			t.Errorf("storing %d pages in batches of %d allocates %v times, want at most %v", k, batch, allocs, limit)
+		}
 	}
 }
 

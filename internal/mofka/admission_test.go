@@ -8,6 +8,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"taskprov/internal/mofka/wal"
 )
 
 // checkMetadata is what TestSplitEnvelope asks of its inputs before it frames
@@ -85,14 +87,14 @@ func admissionSample(tb testing.TB) [][]byte {
 // appendAllocsPerBatch is what Partition.Append of a 128-event batch without
 // payloads allocates on an in-memory broker, measured on the commit before
 // admission became one pass (testing.AllocsPerRun, which rounds down): the
-// offsets, the region, the envelope arena, the documents — the store's growth
-// is a fraction of one. Admission adds nothing.
+// offsets, the region, the envelope arena, the documents — the store's pages
+// are a fraction of one. Admission adds nothing.
 const appendAllocsPerBatch = 4
 
 // TestAdmissionReadsAndAllocatesPerBatch: the admission pass allocates nothing
 // for any event the repo's encoders produce, calls each of them stored, and a
 // default-size batch costs Partition.Append no more mallocs than before the
-// pass remembered its answers.
+// pass remembered its answers, on an in-memory and on a durable partition.
 func TestAdmissionReadsAndAllocatesPerBatch(t *testing.T) {
 	sample := admissionSample(t)
 	if len(sample) < 12 || !bytes.Contains(sample[2], []byte(`"('getitem-`)) || !bytes.HasPrefix(sample[len(sample)-1], []byte(strings.Repeat(`{"d":`, 40))) {
@@ -107,19 +109,31 @@ func TestAdmissionReadsAndAllocatesPerBatch(t *testing.T) {
 		}
 	}
 
-	_, tp := newTopic(t, "t", 1)
-	p := tp.partitions[0]
 	metas, datas := make([][]byte, 128), make([][]byte, 128)
 	for i := range metas {
 		metas[i] = sample[i%len(sample)]
 	}
-	perBatch := testing.AllocsPerRun(200, func() {
-		if err := p.Append(metas, datas); err != nil {
+	// A durable partition frames the batch for its log in a slice it keeps,
+	// so its log costs the append nothing either.
+	durable, err := NewDurableBroker(Options{DataDir: t.TempDir(), WAL: wal.Options{Sync: wal.SyncNever}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	for name, b := range map[string]*Broker{"memory": NewStandaloneBroker(), "durable": durable} {
+		tp, err := b.CreateTopic(TopicConfig{Name: "t", Partitions: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if perBatch > appendAllocsPerBatch {
-		t.Fatalf("Append of a %d-event batch allocates %v times, %d before admission was one pass", len(metas), perBatch, appendAllocsPerBatch)
+		p := tp.partitions[0]
+		perBatch := testing.AllocsPerRun(200, func() {
+			if err := p.Append(metas, datas); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perBatch > appendAllocsPerBatch {
+			t.Fatalf("%s: Append of a %d-event batch allocates %v times, %d before admission was one pass", name, len(metas), perBatch, appendAllocsPerBatch)
+		}
 	}
 }
 

@@ -138,6 +138,7 @@ func (b *Broker) buildTopic(cfg TopicConfig) *Topic {
 			topic: t,
 			index: i,
 			docs:  b.meta.Collection(fmt.Sprintf("topic/%s/p%04d", cfg.Name, i)),
+			data:  b.data,
 		}
 		p.cond = sync.NewCond(&p.mu)
 		t.partitions = append(t.partitions, p)
@@ -380,6 +381,12 @@ type Partition struct {
 	staged []stagedBatch // submitted, awaiting the committer, in offset order
 	queued bool          // on the committer's queue
 	closed bool
+	// data holds the payload regions the envelopes name: the broker's target,
+	// or the one a shared partition's events were stored with (ShareFrom).
+	data *warabi.Target
+	// recs frames a batch for the log; empty between batches, so it pins no
+	// payload.
+	recs []wal.Record
 }
 
 // Length returns the number of events committed so far: a batch submitted to
@@ -476,7 +483,7 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 	}
 	// The envelopes share one arena, which the document store takes over
 	// without copying.
-	region := b.data.CreateWrite(blob)
+	region := p.data.CreateWrite(blob)
 	size := 0
 	for i := range metas {
 		size += envelopeLen(metas[i], uint64(region), offsets[i], int64(len(datas[i])))
@@ -495,22 +502,24 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 		docs[i] = arena[start:len(arena):len(arena)]
 	}
 	if p.log != nil && !recovered {
-		recs := make([]wal.Record, len(metas))
 		for i := range metas {
-			recs[i] = wal.Record{Meta: metas[i], Data: datas[i]}
+			p.recs = append(p.recs, wal.Record{Meta: metas[i], Data: datas[i]})
 		}
 		// Only a log that fsyncs per batch has a commit worth taking off the
 		// caller's goroutine; the other policies sync, when they do, inline.
+		// Either way the log copies the frames into its own buffer.
 		stage := b.walOpts.Sync == wal.SyncBatch
 		var err error
 		if stage {
-			_, err = p.log.WriteBatch(recs)
+			_, err = p.log.WriteBatch(p.recs)
 		} else {
-			_, err = p.log.AppendBatch(recs)
+			_, err = p.log.AppendBatch(p.recs)
 		}
+		clear(p.recs)
+		p.recs = p.recs[:0]
 		if err != nil {
 			err = fmt.Errorf("mofka: wal append %s[%d]: %w", p.topic.cfg.Name, p.index, err)
-			return nil, errors.Join(err, b.data.Destroy(region))
+			return nil, errors.Join(err, p.data.Destroy(region))
 		}
 		if stage {
 			c := NewCommit()
@@ -539,6 +548,44 @@ func (p *Partition) Append(metas [][]byte, datas [][]byte) error {
 		return err
 	}
 	return c.Wait()
+}
+
+// ShareFrom makes p, an empty in-memory partition, hold the first n committed
+// events of src without storing them again: a stored envelope never changes
+// once committed (the collection owns it, and truncation only drops it), so
+// p's documents are src's, header by header, and p reads payloads from src's
+// Warabi target. Nothing is admitted again, and what src appends or truncates
+// later changes src's index, not p's. Payloads appended to p afterwards land
+// in src's target, unreferenced by src. The cluster's read view is built this
+// way.
+func (p *Partition) ShareFrom(src *Partition, n uint64) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.log != nil || p.length != 0 || len(p.staged) != 0 {
+		return fmt.Errorf("mofka: share into %s[%d]: not an empty in-memory partition", p.topic.cfg.Name, p.index)
+	}
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	if n > src.length {
+		return fmt.Errorf("mofka: share %d events of %s[%d], which has committed %d", n, src.topic.cfg.Name, src.index, src.length)
+	}
+	if n == 0 {
+		return nil
+	}
+	// Headers go over a chunk at a time; the collection copies them into its
+	// pages.
+	chunk := make([][]byte, 0, min(n, 1024))
+	src.docs.Iter(0, int(n), func(_ uint64, doc []byte) bool {
+		if chunk = append(chunk, doc); len(chunk) == cap(chunk) {
+			p.docs.StoreBatch(chunk)
+			chunk = chunk[:0]
+		}
+		return true
+	})
+	p.docs.StoreBatch(chunk)
+	p.data = src.data
+	p.length = n
+	return nil
 }
 
 // awaitCommitsLocked blocks until no submitted batch awaits its commit.
@@ -591,7 +638,9 @@ func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
 // every payload; otherwise only events whose metadata it accepts carry
 // data. The events' metadata are private copies, cut from one arena per call.
 func (p *Partition) readSelect(from uint64, max int, selector func([]byte) bool) ([]Event, error) {
-	length := p.Length()
+	p.mu.Lock()
+	length, target := p.length, p.data
+	p.mu.Unlock()
 	if from >= length {
 		return nil, nil
 	}
@@ -617,7 +666,7 @@ func (p *Partition) readSelect(from uint64, max int, selector func([]byte) bool)
 			Metadata:  arena[start:],
 		}
 		if (selector == nil || selector(ev.Metadata)) && size > 0 {
-			data, err := p.topic.broker.data.Read(warabi.RegionID(region), offset, size)
+			data, err := target.Read(warabi.RegionID(region), offset, size)
 			if err != nil {
 				readErr = fmt.Errorf("mofka: data for event %d: %w", id, err)
 				return false

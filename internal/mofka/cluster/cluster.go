@@ -277,8 +277,9 @@ func (c *Cluster) AliveBrokers() []int {
 	return out
 }
 
-// NodeBroker returns local node i's broker (nil for remote members), for
-// tests to inspect and fault one replica.
+// NodeBroker returns local node i's broker (nil for remote members): what
+// ReadView shares a local leader's events from, and what tests inspect and
+// fault one replica through.
 func (c *Cluster) NodeBroker(i int) *mofka.Broker {
 	c.mu.Lock()
 	defer c.mu.Unlock()

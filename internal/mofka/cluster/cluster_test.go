@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
 )
 
@@ -227,49 +228,248 @@ func TestEnsureTopicValidation(t *testing.T) {
 	}
 }
 
-func TestReadViewMatchesCluster(t *testing.T) {
-	c := newTestCluster(t, 3, 2)
-	ct, err := c.EnsureTopic(mofka.TopicConfig{Name: "tasks", Partitions: 2})
+// fillTopic creates topic name with parts partitions on c and pushes n events,
+// each with a payload.
+func fillTopic(t *testing.T, c *Cluster, name string, parts, n int) {
+	t.Helper()
+	ct, err := c.EnsureTopic(mofka.TopicConfig{Name: name, Partitions: parts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pushN(t, ct, 50, mofka.ProducerOptions{BatchSize: 8})
-	defer p.Close()
-	if err := c.CommitCursor("grp", "tasks", 1, 7); err != nil {
+	if err := pushN(t, ct, n, mofka.ProducerOptions{BatchSize: 8}).Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	view, err := c.ReadView()
-	if err != nil {
-		t.Fatalf("ReadView: %v", err)
-	}
-	vt, err := view.OpenTopic("tasks")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := vt.Events(), uint64(50); got != want {
-		t.Fatalf("view holds %d events, want %d", got, want)
-	}
-	if got := view.LoadCursor("grp", "tasks", 1); got != 7 {
-		t.Fatalf("view cursor %d, want 7", got)
-	}
-	// Per-partition contents equal the cluster's acked reads.
-	for pi := 0; pi < 2; pi++ {
-		cevs, err := c.Read("tasks", pi, 0, 1024, true)
-		if err != nil {
-			t.Fatal(err)
+// pullAll reads every event of every partition of topic through svc.
+func pullAll(t *testing.T, svc mofka.Service, topic string, parts int) [][]mofka.Event {
+	t.Helper()
+	out := make([][]mofka.Event, parts)
+	for pi := range out {
+		for {
+			evs, err := svc.Pull(topic, pi, uint64(len(out[pi])), 1024, true)
+			if err != nil {
+				t.Fatalf("pull %s[%d]: %v", topic, pi, err)
+			}
+			if len(evs) == 0 {
+				break
+			}
+			out[pi] = append(out[pi], evs...)
 		}
-		vevs, err := view.Service().Pull("tasks", pi, 0, 1024, true)
-		if err != nil {
-			t.Fatal(err)
+	}
+	return out
+}
+
+func sameEvents(t *testing.T, what string, got, want [][]mofka.Event) {
+	t.Helper()
+	for pi := range want {
+		if len(got[pi]) != len(want[pi]) {
+			t.Fatalf("%s: partition %d holds %d events, want %d", what, pi, len(got[pi]), len(want[pi]))
 		}
-		if len(cevs) != len(vevs) {
-			t.Fatalf("partition %d: view %d events, cluster %d", pi, len(vevs), len(cevs))
-		}
-		for i := range cevs {
-			if string(cevs[i].Metadata) != string(vevs[i].Metadata) || string(cevs[i].Data) != string(vevs[i].Data) {
-				t.Fatalf("partition %d event %d differs between view and cluster", pi, i)
+		for i, w := range want[pi] {
+			if g := got[pi][i]; g.ID != w.ID || string(g.Metadata) != string(w.Metadata) || string(g.Data) != string(w.Data) {
+				t.Fatalf("%s: partition %d event %d reads %d %s %q, want %d %s %q", what, pi, i, g.ID, g.Metadata, g.Data, w.ID, w.Metadata, w.Data)
 			}
 		}
+	}
+}
+
+// TestReadViewMatchesCluster: a read view holds every partition's
+// acknowledged prefix, payloads and cursors included, as the cluster serves
+// it — shared from a local leader, pulled from a remote one — and from then on
+// the two go separate ways: what either side appends, and what a restart
+// truncates, stays on its own side.
+func TestReadViewMatchesCluster(t *testing.T) {
+	cases := []struct {
+		name  string
+		parts int // of topic "tasks"
+		// open builds a cluster holding "tasks", and returns what happens to
+		// it or to the view once the view is taken (nil: nothing). The view
+		// must still read then what it read at first.
+		open func(t *testing.T) (*Cluster, func(t *testing.T, c *Cluster, view *mofka.Broker))
+	}{
+		{"payloads through the leader's target", 2, func(t *testing.T) (*Cluster, func(*testing.T, *Cluster, *mofka.Broker)) {
+			c := newTestCluster(t, 3, 2)
+			fillTopic(t, c, "tasks", 2, 50)
+			return c, nil
+		}},
+		{"appends to the view stay in the view", 2, func(t *testing.T) (*Cluster, func(*testing.T, *Cluster, *mofka.Broker)) {
+			c := newTestCluster(t, 3, 2)
+			fillTopic(t, c, "tasks", 2, 50)
+			fillTopic(t, c, "other", 1, 10)
+			return c, func(t *testing.T, c *Cluster, view *mofka.Broker) {
+				lengths := func() (out []uint64) {
+					for i := 0; i < c.Brokers(); i++ {
+						n, err := c.NodeBroker(i).Service().PartitionLength("other", 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out = append(out, n)
+					}
+					return out
+				}
+				before := lengths()
+				meta, data := [][]byte{[]byte(`{"view":1}`)}, [][]byte{[]byte("view-only")}
+				if err := view.Service().CreateTopic(mofka.TopicConfig{Name: "view-topic", Partitions: 1}); err != nil {
+					t.Fatal(err)
+				}
+				for _, topic := range []string{"view-topic", "other"} {
+					if err := view.Service().PushBatch(topic, 0, meta, data); err != nil {
+						t.Fatal(err)
+					}
+					evs := pullAll(t, view.Service(), topic, 1)[0]
+					if last := evs[len(evs)-1]; string(last.Metadata) != string(meta[0]) || string(last.Data) != string(data[0]) {
+						t.Fatalf("the view's %s ends with %s %q", topic, last.Metadata, last.Data)
+					}
+				}
+				if topics := c.Topics(); fmt.Sprint(topics) != "[other tasks]" {
+					t.Fatalf("cluster topics %v after the view created one", topics)
+				}
+				if n, err := c.Length("other", 0); err != nil || n != 10 {
+					t.Fatalf("cluster holds %d events of other, %v; want 10", n, err)
+				}
+				if after := lengths(); fmt.Sprint(after) != fmt.Sprint(before) {
+					t.Fatalf("brokers hold %v events of other after the view's append, %v before", after, before)
+				}
+			}
+		}},
+		{"cluster appends after the view", 2, func(t *testing.T) (*Cluster, func(*testing.T, *Cluster, *mofka.Broker)) {
+			c := newTestCluster(t, 3, 2)
+			fillTopic(t, c, "tasks", 2, 50)
+			return c, func(t *testing.T, c *Cluster, _ *mofka.Broker) {
+				fillTopic(t, c, "tasks", 2, 30)
+				if n := len(drainAll(t, c, "tasks", 2)); n != 80 {
+					t.Fatalf("cluster holds %d events, want 80", n)
+				}
+			}
+		}},
+		{"a restart truncating the old leader's tail", 1, func(t *testing.T) (*Cluster, func(*testing.T, *Cluster, *mofka.Broker)) {
+			// As TestRestartDiscardsUnackedDivergentTail: A is acknowledged,
+			// B lands on the leader's log alone.
+			c, err := New(Config{Brokers: 3, ReplicationFactor: 3, Quorum: 2, DataDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			if _, err := c.EnsureTopic(mofka.TopicConfig{Name: "tasks", Partitions: 1}); err != nil {
+				t.Fatal(err)
+			}
+			leader := leaderOf(t, c, "tasks", 0)
+			if err := appendRaw(t, c, "tasks", 0, "A"); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < c.Brokers(); i++ {
+				if i != leader {
+					c.NodeBroker(i).SetAppendFault(func(string, int) error { return errors.New("injected wal fault") })
+				}
+			}
+			if err := appendRaw(t, c, "tasks", 0, "B"); !errors.Is(err, ErrUnavailable) {
+				t.Fatalf("append B: %v, want ErrUnavailable", err)
+			}
+			c.SetAppendFault(nil)
+			return c, func(t *testing.T, c *Cluster, _ *mofka.Broker) {
+				if err := c.KillBroker(leader); err != nil {
+					t.Fatal(err)
+				}
+				if err := appendRaw(t, c, "tasks", 0, "C"); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.RestartBroker(leader); err != nil {
+					t.Fatal(err)
+				}
+				truncated := false
+				for _, ev := range c.Events() {
+					truncated = truncated || ev.Kind == EventLogTruncated && ev.Node == leader
+				}
+				if got := tagsOf(t, drainAll(t, c, "tasks", 1)); !truncated || fmt.Sprint(got) != "[A C]" {
+					t.Fatalf("after the restart the cluster serves %v, truncated %v; want [A C], true", got, truncated)
+				}
+			}
+		}},
+		{"a remote leader's partitions are pulled", 8, func(t *testing.T) (*Cluster, func(*testing.T, *Cluster, *mofka.Broker)) {
+			// As TestRemoteMemberReplicationAndFailover: a member reached only
+			// through the log service it serves.
+			c, err := New(Config{Brokers: 2, ReplicationFactor: 2, Quorum: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			const addr = "local://member"
+			member := mofka.NewStandaloneBroker()
+			reg := mercury.NewRegistry()
+			mofka.Serve(reg.Listen(addr), member.Service())
+			id, err := c.addMember(addr, replica{mofka.NewRemote(reg.Bind(addr)), member})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillTopic(t, c, "tasks", 8, 200)
+			led := 0
+			for _, pv := range c.Placement() {
+				if pv.Leader == id && pv.Acked > 0 {
+					led++
+				}
+			}
+			if led == 0 {
+				t.Fatal("the member leads no partition holding events; the case needs one")
+			}
+			// The member goes away: what the view pulled from it is the view's.
+			return c, func(*testing.T, *Cluster, *mofka.Broker) { reg.Close(addr) }
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, after := tc.open(t)
+			if err := c.CommitCursor("grp", "tasks", tc.parts-1, 7); err != nil {
+				t.Fatal(err)
+			}
+			want := pullAll(t, c.Service(), "tasks", tc.parts)
+			payloads := 0
+			for _, evs := range want {
+				for _, ev := range evs {
+					if len(ev.Data) > 0 {
+						payloads++
+					}
+				}
+			}
+			if payloads == 0 {
+				t.Fatal("the cluster holds no event with a payload")
+			}
+			view, err := c.ReadView()
+			if err != nil {
+				t.Fatalf("ReadView: %v", err)
+			}
+			sameEvents(t, "view", pullAll(t, view.Service(), "tasks", tc.parts), want)
+			if got := view.LoadCursor("grp", "tasks", tc.parts-1); got != 7 {
+				t.Fatalf("view cursor %d, want 7", got)
+			}
+			if after != nil {
+				after(t, c, view)
+				sameEvents(t, "view afterwards", pullAll(t, view.Service(), "tasks", tc.parts), want)
+			}
+		})
+	}
+}
+
+// TestReadViewAllocatesPerPage: a view of a local cluster costs allocations
+// per partition and per page of documents, not per event.
+func TestReadViewAllocatesPerPage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pin; the race detector allocates on its own")
+	}
+	c := newTestCluster(t, 3, 2)
+	const parts = 4
+	allocs := func() float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := c.ReadView(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	fillTopic(t, c, "tasks", parts, 2000)
+	small := allocs()
+	fillTopic(t, c, "tasks", parts, 6000)
+	large := allocs()
+	if perEvent := (large - small) / 6000; perEvent >= 0.01 {
+		t.Fatalf("ReadView allocates %.3f times per event (%v over 2 000 events, %v over 8 000)", perEvent, small, large)
 	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package cluster
+
+// raceEnabled: the race detector allocates on its own, so allocation pins
+// are skipped under it.
+const raceEnabled = true

@@ -935,7 +935,8 @@ func (c *Cluster) recoverTopics() error {
 // monitor's final replay, provenance.Records) works on the view unchanged —
 // the cluster looks exactly like the single broker those tools were built
 // for. What is in flight settles first, so the view is the same whenever
-// the fsyncs returned.
+// the fsyncs returned. Appends to the view stay in the view, and nothing
+// the cluster does afterwards reaches it.
 func (c *Cluster) ReadView() (*mofka.Broker, error) {
 	view := mofka.NewStandaloneBroker()
 	c.mu.Lock()
@@ -954,29 +955,11 @@ func (c *Cluster) ReadView() (*mofka.Broker, error) {
 			}
 			ps.mu.Lock()
 			c.settleLocked(ps, nil)
-			var from uint64
-			for {
-				evs, err := c.readLocked(ps, from, c.cfg.CatchUpBatch, true)
-				if err != nil {
-					ps.mu.Unlock()
-					return nil, err
-				}
-				if len(evs) == 0 {
-					break
-				}
-				metas := make([][]byte, len(evs))
-				datas := make([][]byte, len(evs))
-				for i, ev := range evs {
-					metas[i] = ev.Metadata
-					datas[i] = ev.Data
-				}
-				if err := vp.Append(metas, datas); err != nil {
-					ps.mu.Unlock()
-					return nil, err
-				}
-				from += uint64(len(evs))
-			}
+			err = c.viewLocked(ps, vp)
 			ps.mu.Unlock()
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -1018,6 +1001,46 @@ func (c *Cluster) ReadView() (*mofka.Broker, error) {
 		}
 	}
 	return view, nil
+}
+
+// viewLocked gives vp, a partition of a read view, the acknowledged prefix of
+// ps. A local leader's committed envelopes are shared, not stored again
+// (mofka.Partition.ShareFrom): one copy of each event per replica, whatever
+// reads it. A remote member's events exist in this process only as they
+// arrive over the wire, so a partition it leads is pulled a catch-up batch at
+// a time and admitted into vp like any other outside bytes. Caller holds
+// ps.mu, after settleLocked.
+func (c *Cluster) viewLocked(ps *partState, vp *mofka.Partition) error {
+	if ps.acked > 0 && ps.leader >= 0 {
+		if local := c.NodeBroker(ps.leader); local != nil {
+			t, err := local.OpenTopic(ps.topic)
+			if err != nil {
+				return err
+			}
+			lp, err := t.Partition(ps.index)
+			if err != nil {
+				return err
+			}
+			return vp.ShareFrom(lp, ps.acked)
+		}
+	}
+	var from uint64
+	for {
+		evs, err := c.readLocked(ps, from, c.cfg.CatchUpBatch, true)
+		if err != nil || len(evs) == 0 {
+			return err
+		}
+		metas := make([][]byte, len(evs))
+		datas := make([][]byte, len(evs))
+		for i, ev := range evs {
+			metas[i] = ev.Metadata
+			datas[i] = ev.Data
+		}
+		if err := vp.Append(metas, datas); err != nil {
+			return err
+		}
+		from += uint64(len(evs))
+	}
 }
 
 // topicStatesLocked returns every topic's state in name order: what acts on

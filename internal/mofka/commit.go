@@ -140,7 +140,7 @@ func (p *Partition) commitStaged() {
 			// Nothing of a failed group becomes visible. Its frames may be in
 			// the file all the same, which is why the log now refuses appends:
 			// a retry would write them a second time.
-			_ = p.topic.broker.data.Destroy(s.region) // the fsync failure is the error that matters
+			_ = p.data.Destroy(s.region) // the fsync failure is the error that matters
 		} else {
 			p.docs.StoreBatch(s.docs)
 			p.length += uint64(len(s.docs))

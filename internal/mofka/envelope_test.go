@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -283,6 +284,64 @@ func TestEventsArePrivateCopies(t *testing.T) {
 	evs[0].Metadata = append(evs[0].Metadata, "XXXXXXXX"...)
 	if want := (Metadata{"i": 1}).Encode(); !bytes.Equal(evs[1].Metadata, want) {
 		t.Fatalf("appending to event 0 reached event 1: %q", evs[1].Metadata)
+	}
+}
+
+// TestShareFromKeepsItsOwnIndex: a partition that shares another's committed
+// events reads them, payloads included, through the source's target; a
+// truncation and new appends at the source, and appends to the sharer, each
+// stay on their own side. A partition that is not empty, or a prefix the
+// source has not committed, is refused.
+func TestShareFromKeepsItsOwnIndex(t *testing.T) {
+	_, stp := newTopic(t, "t", 1)
+	src := stp.partitions[0]
+	meta := func(who string, i int) []byte { return []byte(fmt.Sprintf(`{"who":%q,"i":%d}`, who, i)) }
+	var metas, datas [][]byte
+	for i := 0; i < 1500; i++ { // three pages' worth
+		metas = append(metas, meta("src", i))
+		datas = append(datas, []byte(fmt.Sprint("payload-", i)))
+	}
+	if err := src.Append(metas, datas); err != nil {
+		t.Fatal(err)
+	}
+	const shared = 1200
+	view, vtp := newTopic(t, "t", 1)
+	dst := vtp.partitions[0]
+	if err := dst.ShareFrom(src, uint64(len(metas)+1)); err == nil {
+		t.Fatal("ShareFrom past the source's committed length succeeded")
+	}
+	if err := dst.ShareFrom(src, shared); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.ShareFrom(src, 1); err == nil {
+		t.Fatal("ShareFrom into a partition that holds events succeeded")
+	}
+
+	// The source drops its tail and grows again; the sharer appends its own.
+	if err := src.TruncateTo(1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Append([][]byte{meta("src-after", 0)}, [][]byte{[]byte("new")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Append([][]byte{meta("dst", 0)}, [][]byte{[]byte("mine")}); err != nil {
+		t.Fatal(err)
+	}
+
+	evs := drainAll(t, view, "t")
+	if len(evs) != shared+1 {
+		t.Fatalf("sharer holds %d events, want %d", len(evs), shared+1)
+	}
+	for i, ev := range evs[:shared] {
+		if !bytes.Equal(ev.Metadata, metas[i]) || !bytes.Equal(ev.Data, datas[i]) {
+			t.Fatalf("shared event %d reads %s / %q", i, ev.Metadata, ev.Data)
+		}
+	}
+	if last := evs[shared]; !bytes.Equal(last.Metadata, meta("dst", 0)) || string(last.Data) != "mine" {
+		t.Fatalf("sharer's own event reads %s / %q", last.Metadata, last.Data)
+	}
+	if n := src.Length(); n != 1001 {
+		t.Fatalf("source holds %d events after its truncation and append, want 1001", n)
 	}
 }
 

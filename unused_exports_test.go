@@ -92,18 +92,17 @@ func TestNoUnusedExports(t *testing.T) {
 // and the one constant that is vocabulary of a facade method.
 var programless = map[string]string{
 	// Accessors read by tests of behaviour that stays.
-	"internal/dask.Client.GraphError":           "accessor: how the dask, core and workloads suites see that a graph erred, or that a recovery path did not make one err",
-	"internal/mochi/bedrock.Deployment.Group":   "accessor: the bedrock suite checks that the SSG groups a config names are instantiated with its thresholds",
-	"internal/mochi/warabi.Target.Stats":        "accessor: the mofka and proxystore suites check through it that a refused batch or a drained blob leaves no region behind",
-	"internal/mofka/cluster.Cluster.NodeBroker": "accessor: the cluster and wal suites inspect and fault one replica's broker (divergence, catch-up, the commit contract)",
-	"internal/mofka/wal.Log.NextOffset":         "accessor: the mofka envelope suite compares a partition's length with its log's next offset; the wal suites read it throughout",
-	"internal/proxystore.Store.Keys":            "accessor: the dask attempt suite lists the live blobs to check the store drains to the no-fault baseline",
-	"internal/perfrecup/frame.Inner":            "facade vocabulary: the zero value of Frame.Join's kind argument, and Frame is aliased by the root package; no program inner-joins",
-	"internal/mochi/mercury.NewRegistry":        "fake transport: the in-process address space every RPC-level suite (service conformance, wire golden, live tailer, bedrock) runs over",
-	"internal/mochi/mercury.Registry.Bind":      "fake transport: a Caller onto one address of the in-process Registry",
-	"internal/core.NewOnlineIOTracer":           "paper §VI: fully-online I/O capture, a library mode no SessionConfig reaches yet (ROADMAP)",
-	"internal/core.OnlineIOTracer.Flush":        "paper §VI: ships the online tracer's pending batches",
-	"internal/provenance.Decoder.IOTrace":       "paper §VI: the typed reader of the online tracer's io-trace topic",
+	"internal/dask.Client.GraphError":         "accessor: how the dask, core and workloads suites see that a graph erred, or that a recovery path did not make one err",
+	"internal/mochi/bedrock.Deployment.Group": "accessor: the bedrock suite checks that the SSG groups a config names are instantiated with its thresholds",
+	"internal/mochi/warabi.Target.Stats":      "accessor: the mofka and proxystore suites check through it that a refused batch or a drained blob leaves no region behind",
+	"internal/mofka/wal.Log.NextOffset":       "accessor: the mofka envelope suite compares a partition's length with its log's next offset; the wal suites read it throughout",
+	"internal/proxystore.Store.Keys":          "accessor: the dask attempt suite lists the live blobs to check the store drains to the no-fault baseline",
+	"internal/perfrecup/frame.Inner":          "facade vocabulary: the zero value of Frame.Join's kind argument, and Frame is aliased by the root package; no program inner-joins",
+	"internal/mochi/mercury.NewRegistry":      "fake transport: the in-process address space every RPC-level suite (service conformance, wire golden, live tailer, bedrock) runs over",
+	"internal/mochi/mercury.Registry.Bind":    "fake transport: a Caller onto one address of the in-process Registry",
+	"internal/core.NewOnlineIOTracer":         "paper §VI: fully-online I/O capture, a library mode no SessionConfig reaches yet (ROADMAP)",
+	"internal/core.OnlineIOTracer.Flush":      "paper §VI: ships the online tracer's pending batches",
+	"internal/provenance.Decoder.IOTrace":     "paper §VI: the typed reader of the online tracer's io-trace topic",
 }
 
 // citedBenchmarks collects the Benchmark names DESIGN.md §4 and
