@@ -379,6 +379,7 @@ func (kv fieldSet) unused() error {
 	for k := range kv {
 		keys = append(keys, k)
 	}
+	sort.Strings(keys)
 	return fmt.Errorf("unknown field(s) %s", strings.Join(keys, ", "))
 }
 

@@ -320,6 +320,22 @@ func TestUnknownDirectiveListsAll(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldsListedInOrder: a spec with several unknown fields is
+// refused with them in name order, the same message every time, not in the
+// order a map hands them out.
+func TestUnknownFieldsListedInOrder(t *testing.T) {
+	const spec = "kill worker=1 at=1s foo=1 bar=2 baz=3"
+	for i := 0; i < 50; i++ {
+		_, err := Parse(spec)
+		if err == nil {
+			t.Fatalf("%q: expected an unknown-field error", spec)
+		}
+		if !strings.Contains(err.Error(), "unknown field(s) bar, baz, foo") {
+			t.Fatalf("parse %d of %q: %v, want the unknown fields as bar, baz, foo", i, spec, err)
+		}
+	}
+}
+
 func TestParseSlowNetErrors(t *testing.T) {
 	for _, spec := range []string{
 		"slow at=5s factor=2",             // missing worker

@@ -244,7 +244,7 @@ var _ = pfs.Lustre
 // post-mortem drain of the same broker sees.
 func TestInSituMonitor(t *testing.T) {
 	broker := mofka.NewStandaloneBroker()
-	mon := live.NewMonitor(broker, live.MonitorOptions{DisableEmit: true})
+	mon := live.NewMonitor(broker, live.MonitorOptions{})
 	art, err := RunOnBroker(testSession(21), &toyWorkflow{files: 10}, broker)
 	if err != nil {
 		mon.Stop()
@@ -463,12 +463,13 @@ func TestCollectorAllocationBudget(t *testing.T) {
 }
 
 // TestCollectorReportsDroppedEvents: provenance lost to the bounded backlog
-// during a producer's degraded episode is counted on the warning that closes
-// the episode; an episode that dropped nothing keeps the plain message.
+// (64 batches per partition) during a producer's degraded episode is counted
+// on the warning that closes the episode; an episode that dropped nothing
+// keeps the plain message.
 func TestCollectorReportsDroppedEvents(t *testing.T) {
 	broker := mofka.NewStandaloneBroker()
 	c, err := NewCollector(broker.Bus(), mofka.ProducerOptions{
-		BatchSize: 1, FlushRetries: 1, RetryBackoff: time.Microsecond, MaxPendingBatches: 2,
+		BatchSize: 1, FlushRetries: 1, RetryBackoff: time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -489,8 +490,8 @@ func TestCollectorReportsDroppedEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	episode(8) // 4 per partition: 2 stay queued, 2 are dropped
-	episode(2) // 1 per partition: fits the backlog
+	episode(2 * 66) // 66 per partition: 64 stay queued, 2 are dropped
+	episode(2)      // 1 per partition: fits the backlog
 	warns, err := provenance.NewRecords(broker).Warnings()
 	if err != nil {
 		t.Fatal(err)

@@ -101,14 +101,6 @@ type SessionConfig struct {
 	// ResumeFrom.
 	ResumeFrom string
 
-	// CheckpointInterval is the period of the lightweight frontier
-	// checkpoint (completed-task high-water marks per graph plus live blob
-	// residency) written next to the durable event log, so resume cost is
-	// O(crash tail), not O(run). Zero means the 5s default; negative
-	// disables periodic checkpointing (resume then replays the whole WAL).
-	// Ignored without MofkaDataDir/ResumeFrom.
-	CheckpointInterval time.Duration
-
 	// ClusterBrokers, when > 0, backs the provenance stream with a sharded,
 	// replicated Mofka cluster of that many broker replicas instead of a
 	// single broker (internal/mofka/cluster): topic partitions spread over
@@ -141,8 +133,6 @@ type SessionConfig struct {
 	// snapshot/metrics/SSE endpoints on this address for the duration of
 	// the run (e.g. "127.0.0.1:9090").
 	LiveHTTPAddr string
-	// LiveOptions tunes the monitor (zero value = defaults).
-	LiveOptions live.MonitorOptions
 }
 
 // Validate rejects impossible session configurations with a clear error
@@ -226,9 +216,11 @@ func DefaultSessionConfig(jobID string, seed uint64) SessionConfig {
 	}
 }
 
-// DefaultCheckpointInterval is the frontier-checkpoint period used when
-// SessionConfig.CheckpointInterval is zero.
-const DefaultCheckpointInterval = 5 * time.Second
+// checkpointInterval is the virtual-time period of the lightweight frontier
+// checkpoint (completed-task high-water marks per graph plus live blob
+// residency) a durable run writes next to its event log, so resume cost is
+// O(crash tail), not O(run).
+const checkpointInterval = 5 * sim.Second
 
 // CrashError is returned by a session whose coordinator was killed by the
 // chaos "scheduler" directive: the whole process is modeled as dying with
@@ -413,7 +405,7 @@ func NewSession(cfg SessionConfig, wf Workflow, broker *mofka.Broker) (*Session,
 	// the monitor's anomaly lane runs) in addition to its built-in quantile
 	// policy.
 	if cfg.Dask.Speculation.Enabled {
-		s.cluster.SetSpeculationAdvisor(live.NewStragglerDetector(cfg.LiveOptions.Aggregator.Anomaly))
+		s.cluster.SetSpeculationAdvisor(live.NewStragglerDetector())
 	}
 
 	if err := s.openBus(broker); err != nil {
@@ -575,7 +567,7 @@ func (s *Session) openBus(external *mofka.Broker) error {
 // attachMonitor starts the live monitor on the broker.
 func (s *Session) attachMonitor(b *mofka.Broker) {
 	cfg := s.cfg
-	s.monitor = live.NewMonitor(b, cfg.LiveOptions)
+	s.monitor = live.NewMonitor(b, live.MonitorOptions{})
 	slots := cfg.Platform.Nodes * cfg.Dask.WorkersPerNode * cfg.Dask.ThreadsPerWorker
 	s.monitor.Aggregator().SetMeta(s.wf.Name(), cfg.Seed, slots)
 }
@@ -661,12 +653,8 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 		}
 	}
 
-	if s.frontier != nil && cfg.CheckpointInterval >= 0 {
-		interval := cfg.CheckpointInterval
-		if interval == 0 {
-			interval = DefaultCheckpointInterval
-		}
-		s.stopCheckpoint = k.Every(sim.Time(interval), func() {
+	if s.frontier != nil {
+		s.stopCheckpoint = k.Every(checkpointInterval, func() {
 			if err := s.frontier.write(cfg.MofkaDataDir, k.Now()); err != nil && s.collector != nil {
 				s.collector.pushWarning(dask.Warning{
 					Kind: dask.WarnCheckpointFailed, Worker: "scheduler",

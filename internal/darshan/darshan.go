@@ -41,12 +41,6 @@ type Config struct {
 	// not tracked at all. Zero means DefaultMaxFileRecords.
 	MaxFileRecords int
 
-	// HeatmapDisabled turns off the always-on HEATMAP module (time-binned
-	// read/write byte counts, Darshan >= 3.4).
-	HeatmapDisabled bool
-	// HeatmapBins sets the heatmap width (0 = DefaultHeatmapBins).
-	HeatmapBins int
-
 	// DXTAdaptiveSampling implements the paper's future-work idea of
 	// "dynamically adjusting our data capture in response to changes in
 	// workflow behavior": once the DXT buffer falls below a quarter of its
@@ -165,9 +159,7 @@ func NewRuntime(cfg Config) *Runtime {
 		dxtBudget:  cfg.DXTBufferSegments,
 		dxtInitial: cfg.DXTBufferSegments,
 	}
-	if !cfg.HeatmapDisabled {
-		r.heatmap = newHeatmap(cfg.HeatmapBins)
-	}
+	r.heatmap = newHeatmap(DefaultHeatmapBins)
 	return r
 }
 
@@ -248,9 +240,7 @@ func (r *Runtime) ReadEvent(rec posixio.OpRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.touchClock(rec.Start, rec.End)
-	if r.heatmap != nil {
-		r.heatmap.add(rec.End.Seconds(), rec.Bytes, false)
-	}
+	r.heatmap.add(rec.End.Seconds(), rec.Bytes, false)
 	fr := r.record(rec.Path)
 	if fr == nil {
 		return
@@ -281,9 +271,7 @@ func (r *Runtime) WriteEvent(rec posixio.OpRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.touchClock(rec.Start, rec.End)
-	if r.heatmap != nil {
-		r.heatmap.add(rec.End.Seconds(), rec.Bytes, true)
-	}
+	r.heatmap.add(rec.End.Seconds(), rec.Bytes, true)
 	fr := r.record(rec.Path)
 	if fr == nil {
 		return

@@ -24,9 +24,6 @@ type Heatmap struct {
 // newHeatmap creates a heatmap with the given bin count and an initial bin
 // width of 0.1s.
 func newHeatmap(bins int) *Heatmap {
-	if bins <= 0 {
-		bins = DefaultHeatmapBins
-	}
 	return &Heatmap{
 		BinSeconds: 0.1,
 		ReadBytes:  make([]int64, bins),
@@ -67,9 +64,6 @@ func (h *Heatmap) fold() {
 
 // clone deep-copies the heatmap.
 func (h *Heatmap) clone() *Heatmap {
-	if h == nil {
-		return nil
-	}
 	return &Heatmap{
 		BinSeconds: h.BinSeconds,
 		ReadBytes:  append([]int64(nil), h.ReadBytes...),

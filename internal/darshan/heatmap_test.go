@@ -83,7 +83,7 @@ func TestHeatmapMerge(t *testing.T) {
 }
 
 func TestHeatmapRuntimeIntegrationAndRoundTrip(t *testing.T) {
-	r := NewRuntime(Config{JobID: "j", Hostname: "n0", DXTEnabled: true, HeatmapBins: 8})
+	r := NewRuntime(Config{JobID: "j", Hostname: "n0", DXTEnabled: true})
 	r.ReadEvent(op("/f", 1, 0, 4096, 0.0, 0.05))
 	r.WriteEvent(op("/f", 1, 0, 1024, 0.2, 0.25))
 	log := r.Snapshot()
@@ -108,23 +108,6 @@ func TestHeatmapRuntimeIntegrationAndRoundTrip(t *testing.T) {
 	gr, gw := got.Heatmap.TotalBytes()
 	if gr != rd || gw != wr {
 		t.Fatalf("round trip totals = %d, %d", gr, gw)
-	}
-}
-
-func TestHeatmapDisabled(t *testing.T) {
-	r := NewRuntime(Config{JobID: "j", HeatmapDisabled: true})
-	r.ReadEvent(op("/f", 1, 0, 10, 0, 1))
-	log := r.Snapshot()
-	if log.Heatmap != nil {
-		t.Fatal("disabled heatmap present")
-	}
-	var buf bytes.Buffer
-	if err := log.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLog(&buf)
-	if err != nil || got.Heatmap != nil {
-		t.Fatalf("round trip: %v, %+v", err, got.Heatmap)
 	}
 }
 

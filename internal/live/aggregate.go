@@ -36,49 +36,41 @@ import (
 
 // AggregatorOptions tunes the streaming aggregation.
 type AggregatorOptions struct {
-	// WindowSeconds is the width of one live time window (sim clock).
-	// Default 10s.
-	WindowSeconds float64
-	// Windows is how many trailing windows the ring keeps. Default 6.
-	Windows int
-	// GroupSampleCap bounds the per-group duration sample set used for
-	// quantiles. Past the cap new samples are dropped (Count keeps
-	// counting; GroupStats.Sampled records how many samples back the
-	// quantiles). Default 1<<20.
-	GroupSampleCap int
-	// RecoveryEventCap bounds the retained recovery timeline (worker-lost,
-	// task-rescheduled, key-recomputed, … events). Past the cap new events
-	// are dropped from the timeline but still counted in Warnings.
-	// Default 4096.
-	RecoveryEventCap int
-	// CritPathTaskCap bounds the per-task records (durations, dependency
-	// lists) backing the CriticalPathSeconds lane; past the cap new tasks
-	// stop contributing and the lane becomes a lower bound over the
-	// retained prefix. Default 1<<20.
-	CritPathTaskCap int
-	// Anomaly configures the online detectors.
-	Anomaly AnomalyConfig
+	// DisableAnomalies turns the online detectors off.
+	DisableAnomalies bool
+
+	// recoveryEventCap bounds the retained recovery timeline (worker-lost,
+	// task-rescheduled, key-recomputed, … events) and the cluster-health
+	// lane; past the cap new events are dropped from them but still counted
+	// in Warnings. critPathTaskCap bounds the per-task records (durations,
+	// dependency lists) backing the CriticalPathSeconds lane; past the cap
+	// new tasks stop contributing and the lane becomes a lower bound over the
+	// retained prefix. Defaults 4096 and 1<<20; only this package's tests set
+	// them.
+	recoveryEventCap int
+	critPathTaskCap  int
 }
 
 func (o AggregatorOptions) withDefaults() AggregatorOptions {
-	if o.WindowSeconds <= 0 {
-		o.WindowSeconds = 10
+	if o.recoveryEventCap <= 0 {
+		o.recoveryEventCap = 4096
 	}
-	if o.Windows <= 0 {
-		o.Windows = 6
+	if o.critPathTaskCap <= 0 {
+		o.critPathTaskCap = 1 << 20
 	}
-	if o.GroupSampleCap <= 0 {
-		o.GroupSampleCap = 1 << 20
-	}
-	if o.RecoveryEventCap <= 0 {
-		o.RecoveryEventCap = 4096
-	}
-	if o.CritPathTaskCap <= 0 {
-		o.CritPathTaskCap = 1 << 20
-	}
-	o.Anomaly = o.Anomaly.withDefaults()
 	return o
 }
+
+const (
+	// windowSeconds is the width of one live time window (sim clock), and
+	// windowCount how many trailing windows the ring keeps.
+	windowSeconds = 10.0
+	windowCount   = 6
+	// groupSampleCap bounds the per-group duration sample set used for
+	// quantiles. Past the cap new samples are dropped (Count keeps counting;
+	// GroupStats.Sampled records how many samples back the quantiles).
+	groupSampleCap = 1 << 20
+)
 
 // GroupStats summarizes the duration distribution of one task group. Tasks
 // are grouped by dask.KeyPrefix — the same grouping perfrecup's per-prefix
@@ -238,15 +230,14 @@ type Summary struct {
 
 	// Recovery is the failure/recovery timeline, sorted by (At, Kind,
 	// Worker, Message) so it is identical for live and post-mortem replays
-	// regardless of partition consumption order. Capped at
-	// AggregatorOptions.RecoveryEventCap.
+	// regardless of partition consumption order. Capped at 4096 events.
 	Recovery []RecoveryEvent `json:"recovery,omitempty"`
 
 	// ClusterHealth is the Mofka cluster's replication/failover lane:
 	// warnings whose kind carries the "cluster_" prefix (broker dead,
 	// leader elected, catch-up, under-replication, group rebalance; see
-	// internal/mofka/cluster). Sorted like Recovery, capped at
-	// RecoveryEventCap, empty for single-broker runs.
+	// internal/mofka/cluster). Sorted like Recovery, capped like it, empty
+	// for single-broker runs.
 	ClusterHealth []RecoveryEvent `json:"cluster_health,omitempty"`
 
 	// Proxy is the pass-by-reference data-plane lane; nil when the run
@@ -324,7 +315,7 @@ type Aggregator struct {
 
 	// critDur/critDeps back the CriticalPathSeconds lane: per-task
 	// execution duration (max-combined, so re-executions commute) and
-	// dependency lists, both capped at CritPathTaskCap.
+	// dependency lists, both capped at critPathTaskCap.
 	critDur  map[string]float64
 	critDeps map[string][]string
 
@@ -358,9 +349,9 @@ func NewAggregator(opts AggregatorOptions) *Aggregator {
 		warnings:  make(map[string]int),
 		critDur:   make(map[string]float64),
 		critDeps:  make(map[string][]string),
-		windows:   newWindowRing(opts.WindowSeconds, opts.Windows),
+		windows:   newWindowRing(windowSeconds, windowCount),
 	}
-	a.detect = newDetectors(opts.Anomaly, opts.WindowSeconds)
+	a.detect = newDetectors(opts.DisableAnomalies)
 	return a
 }
 
@@ -566,11 +557,11 @@ func (a *Aggregator) ingestExecution(partition int, e dask.TaskExecution) []Anom
 		a.groups[g] = acc
 	}
 	acc.count++
-	if len(acc.samples) < a.opts.GroupSampleCap {
+	if len(acc.samples) < groupSampleCap {
 		acc.samples = append(acc.samples, dur)
 	}
 	key := string(e.Key)
-	if prev, ok := a.critDur[key]; ok || len(a.critDur) < a.opts.CritPathTaskCap {
+	if prev, ok := a.critDur[key]; ok || len(a.critDur) < a.opts.critPathTaskCap {
 		// Max-combine so a re-executed task (worker crash) contributes
 		// its longest attempt regardless of arrival order.
 		if dur > prev {
@@ -602,12 +593,12 @@ func (a *Aggregator) ingestWarning(w dask.Warning) []Anomaly {
 	a.warnings[kind]++
 	a.worker(w.Worker).Warnings++
 	at := w.At.Seconds()
-	if w.Kind.IsRecovery() && len(a.recovery) < a.opts.RecoveryEventCap {
+	if w.Kind.IsRecovery() && len(a.recovery) < a.opts.recoveryEventCap {
 		a.recovery = append(a.recovery, RecoveryEvent{
 			At: at, Kind: kind, Worker: w.Worker, Message: w.Message,
 		})
 	}
-	if strings.HasPrefix(kind, "cluster_") && len(a.cluster) < a.opts.RecoveryEventCap {
+	if strings.HasPrefix(kind, "cluster_") && len(a.cluster) < a.opts.recoveryEventCap {
 		a.cluster = append(a.cluster, RecoveryEvent{
 			At: at, Kind: kind, Worker: w.Worker, Message: w.Message,
 		})
@@ -673,7 +664,7 @@ func (a *Aggregator) ingestSpeculation(partition int, e dask.SpeculationEvent) {
 func (a *Aggregator) ingestTaskMeta(tm dask.TaskMeta) {
 	a.submitted++
 	key := string(tm.Key)
-	if _, ok := a.critDeps[key]; !ok && len(tm.Deps) > 0 && len(a.critDeps) < a.opts.CritPathTaskCap {
+	if _, ok := a.critDeps[key]; !ok && len(tm.Deps) > 0 && len(a.critDeps) < a.opts.critPathTaskCap {
 		deps := make([]string, len(tm.Deps))
 		for i, d := range tm.Deps {
 			deps[i] = string(d)

@@ -7,7 +7,7 @@ import (
 	"sync"
 
 	"taskprov/internal/dask"
-	"taskprov/internal/mofka"
+	"taskprov/internal/provenance"
 )
 
 // Anomaly kinds raised by the online detectors.
@@ -29,62 +29,44 @@ type Anomaly struct {
 	Detail  string  `json:"detail"`
 }
 
-// Event encodes the anomaly as Mofka event metadata.
-func (a Anomaly) Event() mofka.Metadata {
-	return mofka.Metadata{
-		"kind": a.Kind, "subject": a.Subject, "at": a.At,
-		"value": a.Value, "limit": a.Limit, "detail": a.Detail,
-	}
+// appendEvent appends the anomaly as the metadata of an anomalies-topic
+// event: the bytes json.Marshal makes of a mofka.Metadata holding the six
+// fields, keys in its sorted order. Like it, it panics on a value that is NaN
+// or infinite.
+func (a Anomaly) appendEvent(dst []byte) []byte {
+	dst = append(dst, `{"at":`...)
+	dst = provenance.AppendFloat(dst, a.At)
+	dst = append(dst, `,"detail":`...)
+	dst = provenance.AppendString(dst, a.Detail)
+	dst = append(dst, `,"kind":`...)
+	dst = provenance.AppendString(dst, a.Kind)
+	dst = append(dst, `,"limit":`...)
+	dst = provenance.AppendFloat(dst, a.Limit)
+	dst = append(dst, `,"subject":`...)
+	dst = provenance.AppendString(dst, a.Subject)
+	dst = append(dst, `,"value":`...)
+	dst = provenance.AppendFloat(dst, a.Value)
+	return append(dst, '}')
 }
 
-// AnomalyConfig tunes the online detectors.
-type AnomalyConfig struct {
-	// Disable turns all detectors off.
-	Disable bool
-
-	// StragglerMinSamples is how many durations a task group needs before
-	// the robust z-score is trusted. Default 16.
-	StragglerMinSamples int
-	// StragglerZ is the MAD-based robust z-score threshold. Default 3.5
-	// (Iglewicz & Hoaglin's conventional cutoff).
-	StragglerZ float64
-
-	// StreakLen flags a worker after this many consecutive
-	// unresponsive-event-loop warnings... Default 5.
-	StreakLen int
-	// StreakGapSeconds ...no more than this far apart (sim clock).
-	// Default 30.
-	StreakGapSeconds float64
-
-	// CollapseFraction flags a worker whose per-window I/O volume drops
-	// below this fraction of its previous window. Default 0.25.
-	CollapseFraction float64
-	// CollapseMinBytes is the minimum previous-window volume for the
-	// collapse comparison to be meaningful. Default 1 MiB.
-	CollapseMinBytes int64
-}
-
-func (c AnomalyConfig) withDefaults() AnomalyConfig {
-	if c.StragglerMinSamples <= 0 {
-		c.StragglerMinSamples = 16
-	}
-	if c.StragglerZ <= 0 {
-		c.StragglerZ = 3.5
-	}
-	if c.StreakLen <= 0 {
-		c.StreakLen = 5
-	}
-	if c.StreakGapSeconds <= 0 {
-		c.StreakGapSeconds = 30
-	}
-	if c.CollapseFraction <= 0 {
-		c.CollapseFraction = 0.25
-	}
-	if c.CollapseMinBytes <= 0 {
-		c.CollapseMinBytes = 1 << 20
-	}
-	return c
-}
+// The online detectors' thresholds.
+const (
+	// stragglerMinSamples is how many durations a task group needs before
+	// the robust z-score is trusted, and stragglerZ the MAD-based robust
+	// z-score threshold (Iglewicz & Hoaglin's conventional cutoff).
+	stragglerMinSamples = 16
+	stragglerZ          = 3.5
+	// streakLen flags a worker after this many consecutive
+	// unresponsive-event-loop warnings no more than streakGapSeconds apart
+	// (sim clock).
+	streakLen        = 5
+	streakGapSeconds = 30.0
+	// collapseFraction flags a worker whose per-window I/O volume drops
+	// below this fraction of its previous window, when that window moved at
+	// least collapseMinBytes.
+	collapseFraction = 0.25
+	collapseMinBytes = 1 << 20
+)
 
 // stragglerAcc tracks one task group's duration distribution for the robust
 // z-score. The median/MAD pair is refit every recomputeEvery inserts, a
@@ -173,21 +155,16 @@ func (s *stragglerAcc) fit() {
 // dask.SpeculationAdvisor): completed task durations feed Observe, and
 // Straggler asks whether a still-running task's elapsed time is already an
 // outlier against its group's robust z-score — the same |d − median| /
-// (1.4826·MAD + ε) ≥ StragglerZ test the monitor's anomaly lane applies to
+// (1.4826·MAD + ε) ≥ stragglerZ test the monitor's anomaly lane applies to
 // completed durations. Safe for concurrent use.
 type StragglerDetector struct {
 	mu     sync.Mutex
-	cfg    AnomalyConfig
 	groups map[string]*stragglerAcc
 }
 
-// NewStragglerDetector builds a detector with the given thresholds (zero
-// value = the monitor's defaults).
-func NewStragglerDetector(cfg AnomalyConfig) *StragglerDetector {
-	return &StragglerDetector{
-		cfg:    cfg.withDefaults(),
-		groups: make(map[string]*stragglerAcc),
-	}
+// NewStragglerDetector builds a detector with the monitor's thresholds.
+func NewStragglerDetector() *StragglerDetector {
+	return &StragglerDetector{groups: make(map[string]*stragglerAcc)}
 }
 
 // Observe feeds one completed duration into the group's distribution.
@@ -199,7 +176,7 @@ func (d *StragglerDetector) Observe(group string, seconds float64) {
 		s = &stragglerAcc{}
 		d.groups[group] = s
 	}
-	s.add(seconds, d.cfg.StragglerMinSamples)
+	s.add(seconds, stragglerMinSamples)
 }
 
 // Straggler reports whether a task of the group that has already run for
@@ -209,14 +186,14 @@ func (d *StragglerDetector) Straggler(group string, elapsedSeconds float64) bool
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := d.groups[group]
-	if s == nil || !s.fitted || s.samples() < d.cfg.StragglerMinSamples {
+	if s == nil || !s.fitted || s.samples() < stragglerMinSamples {
 		return false
 	}
 	if elapsedSeconds <= s.median {
 		return false
 	}
 	z := (elapsedSeconds - s.median) / (madConsistency*s.mad + madEpsilon)
-	return z >= d.cfg.StragglerZ
+	return z >= stragglerZ
 }
 
 // streakAcc tracks consecutive event-loop warnings per worker.
@@ -237,29 +214,27 @@ type collapseAcc struct {
 // detectors holds all online anomaly state. Methods are called with the
 // Aggregator's lock held and return the anomalies raised (if any).
 type detectors struct {
-	cfg         AnomalyConfig
-	windowWidth float64
+	disabled bool
 
 	stragglers map[string]*stragglerAcc
 	streaks    map[string]*streakAcc
 	collapse   map[string]*collapseAcc
 }
 
-func newDetectors(cfg AnomalyConfig, windowWidth float64) *detectors {
+func newDetectors(disabled bool) *detectors {
 	return &detectors{
-		cfg:         cfg.withDefaults(),
-		windowWidth: windowWidth,
-		stragglers:  make(map[string]*stragglerAcc),
-		streaks:     make(map[string]*streakAcc),
-		collapse:    make(map[string]*collapseAcc),
+		disabled:   disabled,
+		stragglers: make(map[string]*stragglerAcc),
+		streaks:    make(map[string]*streakAcc),
+		collapse:   make(map[string]*collapseAcc),
 	}
 }
 
 // onDuration observes one task duration for its group and flags stragglers:
-// |d − median| / (1.4826·MAD + ε) ≥ StragglerZ once the group has enough
+// |d − median| / (1.4826·MAD + ε) ≥ stragglerZ once the group has enough
 // samples.
 func (d *detectors) onDuration(group string, dur, at float64) []Anomaly {
-	if d.cfg.Disable {
+	if d.disabled {
 		return nil
 	}
 	s := d.stragglers[group]
@@ -268,29 +243,29 @@ func (d *detectors) onDuration(group string, dur, at float64) []Anomaly {
 		d.stragglers[group] = s
 	}
 	var out []Anomaly
-	if s.fitted && s.samples() >= d.cfg.StragglerMinSamples {
+	if s.fitted && s.samples() >= stragglerMinSamples {
 		dev := dur - s.median
 		if dev < 0 {
 			dev = -dev
 		}
 		z := dev / (madConsistency*s.mad + madEpsilon)
-		if z >= d.cfg.StragglerZ && dur > s.median {
+		if z >= stragglerZ && dur > s.median {
 			out = append(out, Anomaly{
 				Kind: AnomalyStraggler, Subject: group, At: at,
-				Value: z, Limit: d.cfg.StragglerZ,
+				Value: z, Limit: stragglerZ,
 				Detail: fmt.Sprintf("task took %.3fs vs group median %.3fs (robust z=%.1f)", dur, s.median, z),
 			})
 		}
 	}
-	s.add(dur, d.cfg.StragglerMinSamples)
+	s.add(dur, stragglerMinSamples)
 	return out
 }
 
 // onWarning observes one runtime warning and flags unresponsive-event-loop
-// streaks: StreakLen consecutive warnings on one worker, no more than
-// StreakGapSeconds apart.
+// streaks: streakLen consecutive warnings on one worker, no more than
+// streakGapSeconds apart.
 func (d *detectors) onWarning(kind, worker string, at float64) []Anomaly {
-	if d.cfg.Disable || kind != string(dask.WarnEventLoop) {
+	if d.disabled || kind != string(dask.WarnEventLoop) {
 		return nil
 	}
 	s := d.streaks[worker]
@@ -298,46 +273,46 @@ func (d *detectors) onWarning(kind, worker string, at float64) []Anomaly {
 		s = &streakAcc{}
 		d.streaks[worker] = s
 	}
-	if s.len > 0 && at-s.lastAt > d.cfg.StreakGapSeconds {
+	if s.len > 0 && at-s.lastAt > streakGapSeconds {
 		s.len = 0
 	}
 	s.len++
 	s.lastAt = at
-	if s.len == d.cfg.StreakLen {
+	if s.len == streakLen {
 		an := Anomaly{
 			Kind: AnomalyEventLoopStreak, Subject: worker, At: at,
-			Value: float64(s.len), Limit: float64(d.cfg.StreakLen),
-			Detail: fmt.Sprintf("%d consecutive unresponsive-event-loop warnings within %.0fs gaps", s.len, d.cfg.StreakGapSeconds),
+			Value: float64(s.len), Limit: streakLen,
+			Detail: fmt.Sprintf("%d consecutive unresponsive-event-loop warnings within %.0fs gaps", s.len, streakGapSeconds),
 		}
-		s.len = 0 // restart so sustained streaks re-fire per StreakLen block
+		s.len = 0 // restart so sustained streaks re-fire per streakLen block
 		return []Anomaly{an}
 	}
 	return nil
 }
 
 // onIO observes one I/O segment and flags bandwidth collapse: a worker whose
-// just-closed window moved less than CollapseFraction of the window before
-// it (and that baseline was at least CollapseMinBytes).
+// just-closed window moved less than collapseFraction of the window before
+// it (and that baseline was at least collapseMinBytes).
 func (d *detectors) onIO(worker string, bytes int64, end float64) []Anomaly {
-	if d.cfg.Disable || end < 0 {
+	if d.disabled || end < 0 {
 		return nil
 	}
 	c := d.collapse[worker]
 	if c == nil {
-		c = &collapseAcc{epoch: int64(end / d.windowWidth)}
+		c = &collapseAcc{epoch: int64(end / windowSeconds)}
 		d.collapse[worker] = c
 	}
-	epoch := int64(end / d.windowWidth)
+	epoch := int64(end / windowSeconds)
 	var out []Anomaly
 	for c.epoch < epoch {
 		// Close out c.epoch: compare against the window before it.
-		if c.prevValid && c.prev >= d.cfg.CollapseMinBytes {
+		if c.prevValid && c.prev >= collapseMinBytes {
 			ratio := float64(c.cur) / float64(c.prev)
-			if ratio < d.cfg.CollapseFraction {
+			if ratio < collapseFraction {
 				out = append(out, Anomaly{
 					Kind: AnomalyIOCollapse, Subject: worker,
-					At:    float64(c.epoch+1) * d.windowWidth,
-					Value: ratio, Limit: d.cfg.CollapseFraction,
+					At:    float64(c.epoch+1) * windowSeconds,
+					Value: ratio, Limit: collapseFraction,
 					Detail: fmt.Sprintf("window I/O fell to %d B from %d B (%.0f%%)", c.cur, c.prev, ratio*100),
 				})
 			}

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"taskprov/internal/dask"
 	"taskprov/internal/mofka"
@@ -74,7 +73,7 @@ func (staticSource) SubscribeAnomalies() <-chan Anomaly { return make(chan Anoma
 // lag map).
 func TestConsumerLagSurfaced(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
-	m := NewMonitor(b, MonitorOptions{PollInterval: time.Millisecond})
+	m := NewMonitor(b, MonitorOptions{})
 	// Take over sweeping deterministically: the loop is stopped, the test
 	// drives sweeps by hand.
 	m.Stop()

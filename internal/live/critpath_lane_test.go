@@ -115,10 +115,10 @@ func TestCriticalPathLaneReexecution(t *testing.T) {
 	}
 }
 
-// TestCriticalPathLaneCap: past CritPathTaskCap the lane stops growing but
+// TestCriticalPathLaneCap: past critPathTaskCap the lane stops growing but
 // stays well-defined.
 func TestCriticalPathLaneCap(t *testing.T) {
-	a := NewAggregator(AggregatorOptions{CritPathTaskCap: 2})
+	a := NewAggregator(AggregatorOptions{critPathTaskCap: 2})
 	for i, k := range []string{"a", "b", "c", "d"} {
 		a.IngestEvent(provenance.TopicExecutions, 0, provenance.ExecutionEvent(dask.TaskExecution{
 			Key: dask.TaskKey(k), Worker: "w0", Hostname: "n0",

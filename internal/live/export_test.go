@@ -14,7 +14,7 @@ func (a *Aggregator) IngestIOSegment(worker string, bytes int64, end float64) {
 	a.raise(a.ingestIOSegmentLocked(worker, bytes, end))
 }
 
-// ParseAnomaly decodes metadata written by Anomaly.Event.
+// ParseAnomaly decodes the metadata of an anomalies-topic event.
 func ParseAnomaly(m mofka.Metadata) Anomaly {
 	return Anomaly{
 		Kind:    provenance.Str(m, "kind"),

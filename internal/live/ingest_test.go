@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
@@ -144,7 +143,7 @@ func TestMonitorSkipsMalformedEvent(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	var mu sync.Mutex
 	var logged []string
-	m := NewMonitor(b, MonitorOptions{PollInterval: time.Millisecond, Logf: func(format string, args ...any) {
+	m := NewMonitor(b, MonitorOptions{Logf: func(format string, args ...any) {
 		mu.Lock()
 		logged = append(logged, fmt.Sprintf(format, args...))
 		mu.Unlock()

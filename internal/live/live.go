@@ -12,48 +12,31 @@ import (
 
 // MonitorOptions configures a Monitor.
 type MonitorOptions struct {
-	// ConsumerName names the monitor's consumer group for cursor commits;
-	// on a durable broker a restarted monitor resumes where it left off.
-	// Default "live-monitor".
-	ConsumerName string
-	// PollInterval is the idle sleep between pull sweeps. Default 10ms.
-	PollInterval time.Duration
-	// BatchSize is the per-topic pull granularity. Cursors are committed
-	// once per topic per sweep (Consumer.CommitBatch), however many batches
-	// the sweep pulled. Default 256.
-	BatchSize int
-	// DisableEmit turns off producing anomalies into the
-	// provenance.TopicAnomalies topic (they still appear in snapshots).
-	// Emission also auto-disables when the broker rejects appends, e.g.
-	// post-mortem read-only brokers.
-	DisableEmit bool
-	// DisableCommit turns off cursor commits (anonymous tailing).
-	DisableCommit bool
-	// Aggregator tunes windows and detectors.
-	Aggregator AggregatorOptions
 	// Logf, when set, receives one-line operational notices (emission
 	// disabled, commit failures).
 	Logf func(format string, args ...any)
 }
 
-func (o MonitorOptions) withDefaults() MonitorOptions {
-	if o.ConsumerName == "" {
-		o.ConsumerName = "live-monitor"
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 10 * time.Millisecond
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 256
-	}
-	return o
-}
+const (
+	// consumerName names the monitor's consumer group for cursor commits; on
+	// a durable broker a restarted monitor resumes where it left off.
+	consumerName = "live-monitor"
+	// pollInterval is the idle sleep between pull sweeps.
+	pollInterval = 10 * time.Millisecond
+	// pullBatch is the per-topic pull granularity. Cursors are committed once
+	// per topic per sweep (Consumer.CommitBatch), however many batches the
+	// sweep pulled.
+	pullBatch = 256
+)
 
 // Monitor attaches a consumer group to a broker's provenance topics and
 // streams them through an Aggregator while the run is in flight. One
 // background goroutine sweeps all topics; topics are attached lazily as they
 // appear on the broker, so the monitor may be started before the collector
-// creates them.
+// creates them. Every anomaly the detectors raise is also emitted into the
+// provenance.TopicAnomalies topic, until the broker refuses an append (a
+// post-mortem read-only broker does); every sweep commits the monitor's
+// cursors, until a commit fails.
 type Monitor struct {
 	broker *mofka.Broker
 	opts   MonitorOptions
@@ -77,14 +60,12 @@ type Monitor struct {
 // NewMonitor starts monitoring the broker. The returned monitor is already
 // running; call Finish (complete runs) or Stop (abandon) exactly once.
 func NewMonitor(b *mofka.Broker, opts MonitorOptions) *Monitor {
-	opts = opts.withDefaults()
 	m := &Monitor{
 		broker:    b,
 		opts:      opts,
-		agg:       NewAggregator(opts.Aggregator),
+		agg:       NewAggregator(AggregatorOptions{}),
 		consumers: make(map[string]*mofka.Consumer),
 		lags:      make(map[string]uint64),
-		commitOff: opts.DisableCommit,
 		badTopics: make(map[string]bool),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -154,9 +135,6 @@ func (m *Monitor) logf(format string, args ...any) {
 // publish is the aggregator's anomaly callback: emit into the anomalies
 // topic (snapshot/SSE delivery happens via the aggregator itself).
 func (m *Monitor) publish(a Anomaly) {
-	if m.opts.DisableEmit {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.emitDead {
@@ -171,7 +149,7 @@ func (m *Monitor) publish(a Anomaly) {
 		}
 		m.emitter = t.NewProducer(mofka.ProducerOptions{BatchSize: 1})
 	}
-	if err := m.emitter.Push(a.Event(), nil); err != nil {
+	if err := m.emitter.PushRaw(a.appendEvent(nil), nil); err != nil {
 		m.emitDead = true
 		m.logf("live: anomaly emission disabled: %v", err)
 	}
@@ -190,10 +168,10 @@ func (m *Monitor) consumer(topic string) *mofka.Consumer {
 		return nil // not created yet
 	}
 	c, err := t.NewConsumer(mofka.ConsumerOptions{
-		Name:          m.opts.ConsumerName,
+		Name:          consumerName,
 		NoData:        true,
-		FromCommitted: !m.opts.DisableCommit,
-		Prefetch:      m.opts.BatchSize,
+		FromCommitted: true,
+		Prefetch:      pullBatch,
 	})
 	if err != nil {
 		m.logf("live: subscribe %s: %v", topic, err)
@@ -221,7 +199,7 @@ func (m *Monitor) sweep() int {
 			// Private copies, not Consumer.Scan's lent bytes: decoding under
 			// the collection's read lock held the run's appender up four to
 			// five times longer (EXPERIMENTS.md, "Read-path host cost").
-			evs, err := c.PullBatch(m.opts.BatchSize)
+			evs, err := c.PullBatch(pullBatch)
 			if err != nil {
 				m.logf("live: pull %s: %v", topic, err)
 				break
@@ -247,7 +225,7 @@ func (m *Monitor) sweep() int {
 					newest[i] = ev
 				}
 			}
-			if len(evs) < m.opts.BatchSize {
+			if len(evs) < pullBatch {
 				break
 			}
 		}
@@ -280,7 +258,7 @@ func (m *Monitor) loop() {
 			select {
 			case <-m.stop:
 				return
-			case <-time.After(m.opts.PollInterval):
+			case <-time.After(pollInterval):
 			}
 		}
 	}
@@ -318,5 +296,5 @@ func (m *Monitor) Finish(logs []*darshan.Log, wallSeconds float64) Summary {
 
 // String identifies the monitor in logs.
 func (m *Monitor) String() string {
-	return fmt.Sprintf("live.Monitor(%s)", m.opts.ConsumerName)
+	return fmt.Sprintf("live.Monitor(%s)", consumerName)
 }

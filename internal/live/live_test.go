@@ -1,9 +1,11 @@
 package live
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -180,7 +182,7 @@ func TestStragglerDetector(t *testing.T) {
 }
 
 func TestEventLoopStreakDetector(t *testing.T) {
-	a := NewAggregator(AggregatorOptions{Anomaly: AnomalyConfig{StreakLen: 3, StreakGapSeconds: 10}})
+	a := NewAggregator(AggregatorOptions{})
 	var got []Anomaly
 	a.OnAnomaly(func(an Anomaly) { got = append(got, an) })
 	warn := func(worker string, at float64) {
@@ -188,14 +190,17 @@ func TestEventLoopStreakDetector(t *testing.T) {
 			Kind: dask.WarnEventLoop, Worker: worker, At: sim.Seconds(at), Duration: sim.Seconds(2),
 		}))
 	}
-	warn("w0", 0)
-	warn("w0", 5)
-	warn("w0", 100) // gap > 10s resets the streak
-	warn("w0", 104)
+	// A streak is 5 warnings on one worker, each within 30 s of the last.
+	for _, at := range []float64{0, 10, 20, 30} {
+		warn("w0", at)
+	}
+	for _, at := range []float64{100, 110, 120, 130} { // the 70 s gap resets the streak
+		warn("w0", at)
+	}
 	if len(got) != 0 {
 		t.Fatalf("streak should have reset, got %v", got)
 	}
-	warn("w0", 108)
+	warn("w0", 140)
 	if len(got) != 1 || got[0].Kind != AnomalyEventLoopStreak || got[0].Subject != "w0" {
 		t.Fatalf("anomalies = %v", got)
 	}
@@ -211,7 +216,7 @@ func TestEventLoopStreakDetector(t *testing.T) {
 }
 
 func TestIOCollapseDetector(t *testing.T) {
-	a := NewAggregator(AggregatorOptions{WindowSeconds: 10})
+	a := NewAggregator(AggregatorOptions{})
 	var got []Anomaly
 	a.OnAnomaly(func(an Anomaly) { got = append(got, an) })
 	a.IngestIOSegment("w0", 2<<20, 5)  // window [0,10): 2 MiB
@@ -229,10 +234,43 @@ func TestIOCollapseDetector(t *testing.T) {
 	}
 }
 
+// TestAnomalyEventRoundTrip: an anomalies-topic event's metadata is the bytes
+// json.Marshal makes of a mofka.Metadata holding the same six fields —
+// escapes and float forms included — and decodes back to the anomaly; a
+// value that is not finite panics, as the map's encoding does.
 func TestAnomalyEventRoundTrip(t *testing.T) {
-	in := Anomaly{Kind: AnomalyStraggler, Subject: "load", At: 12.5, Value: 4.2, Limit: 3.5, Detail: "d"}
-	if out := ParseAnomaly(in.Event()); out != in {
-		t.Fatalf("round trip: %+v != %+v", out, in)
+	for _, in := range []Anomaly{
+		{Kind: AnomalyStraggler, Subject: "load", At: 12.5, Value: 4.2, Limit: 3.5, Detail: "d"},
+		{Kind: AnomalyIOCollapse, Subject: "tcp://n1:40001", Value: 1e-7, Limit: 1e-6, Detail: "a<b & c>d"},
+		{Kind: AnomalyEventLoopStreak, Subject: "w\u2028x\u2029", At: 1e21, Value: 9.999999e20, Limit: 5, Detail: `say "hi" \ back`},
+		{Subject: "wörker 日本", At: -0.000001, Value: -1e21, Limit: 123456789.125, Detail: "tab\tnew\nline\x01"},
+	} {
+		got := in.appendEvent(nil)
+		want, err := json.Marshal(mofka.Metadata{
+			"kind": in.Kind, "subject": in.Subject, "at": in.At,
+			"value": in.Value, "limit": in.Limit, "detail": in.Detail,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%+v:\n got %s\nwant %s", in, got, want)
+		}
+		if m, err := mofka.DecodeMetadata(got); err != nil || ParseAnomaly(m) != in {
+			t.Errorf("%s decodes to %+v (%v), want %+v", got, ParseAnomaly(m), err, in)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, a := range []Anomaly{{At: bad}, {Value: bad}, {Limit: bad}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%+v encoded without a panic", a)
+					}
+				}()
+				a.appendEvent(nil)
+			}()
+		}
 	}
 }
 
@@ -289,7 +327,7 @@ func seedBroker(t *testing.T, b *mofka.Broker, tasks int) {
 
 func TestMonitorEqualsReplay(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
-	m := NewMonitor(b, MonitorOptions{PollInterval: time.Millisecond})
+	m := NewMonitor(b, MonitorOptions{})
 	seedBroker(t, b, 120)
 	liveSum := m.Finish(nil, 40)
 
@@ -313,17 +351,14 @@ func TestMonitorEqualsReplay(t *testing.T) {
 // topic (as provenance) and on the subscription channel.
 func TestMonitorEmitsAnomalies(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
-	m := NewMonitor(b, MonitorOptions{
-		PollInterval: time.Millisecond,
-		Aggregator:   AggregatorOptions{Anomaly: AnomalyConfig{StreakLen: 3, StreakGapSeconds: 5}},
-	})
+	m := NewMonitor(b, MonitorOptions{})
 	ch := m.SubscribeAnomalies()
 	tp, err := b.OpenOrCreateTopic(mofka.TopicConfig{Name: provenance.TopicWarnings, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 1})
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 5; i++ { // one streak
 		err := p.Push(provenance.WarningEvent(dask.Warning{
 			Kind: dask.WarnEventLoop, Worker: "w0", At: sim.Seconds(float64(i)), Duration: sim.Seconds(2),
 		}), nil)
@@ -360,14 +395,14 @@ func TestMonitorEmitsAnomalies(t *testing.T) {
 func TestMonitorResumesFromCommitted(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	seedBroker(t, b, 30)
-	m1 := NewMonitor(b, MonitorOptions{PollInterval: time.Millisecond})
+	m1 := NewMonitor(b, MonitorOptions{})
 	s1 := m1.Finish(nil, 10)
 	if s1.Tasks != 30 {
 		t.Fatalf("first monitor tasks = %d", s1.Tasks)
 	}
 	// A second monitor under the same consumer name starts where the first
 	// committed: nothing left to read.
-	m2 := NewMonitor(b, MonitorOptions{PollInterval: time.Millisecond})
+	m2 := NewMonitor(b, MonitorOptions{})
 	s2 := m2.Finish(nil, 10)
 	if s2.Events != 0 {
 		t.Fatalf("resumed monitor re-read %d events", s2.Events)
@@ -376,7 +411,7 @@ func TestMonitorResumesFromCommitted(t *testing.T) {
 
 func TestHTTPEndpoints(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
-	m := NewMonitor(b, MonitorOptions{PollInterval: time.Millisecond})
+	m := NewMonitor(b, MonitorOptions{})
 	seedBroker(t, b, 60)
 	m.Finish(nil, 20)
 
@@ -423,7 +458,7 @@ func TestHTTPEndpoints(t *testing.T) {
 
 func TestSSEStream(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
-	m := NewMonitor(b, MonitorOptions{PollInterval: time.Millisecond})
+	m := NewMonitor(b, MonitorOptions{})
 	defer m.Stop()
 	srv := httptest.NewServer(NewServer(m))
 	defer srv.Close()
@@ -457,7 +492,7 @@ func TestConcurrentProducersMonitorAndReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := NewMonitor(b, MonitorOptions{PollInterval: time.Millisecond})
+	m := NewMonitor(b, MonitorOptions{})
 	srv := httptest.NewServer(NewServer(m))
 	defer srv.Close()
 
@@ -609,7 +644,7 @@ func TestAggregatorRecoveryLane(t *testing.T) {
 }
 
 func TestAggregatorRecoveryLaneCapped(t *testing.T) {
-	a := NewAggregator(AggregatorOptions{RecoveryEventCap: 2})
+	a := NewAggregator(AggregatorOptions{recoveryEventCap: 2})
 	for i := 0; i < 5; i++ {
 		a.IngestEvent(provenance.TopicWarnings, 0, provenance.WarningEvent(dask.Warning{
 			Kind: dask.WarnTaskRescheduled, At: sim.Seconds(float64(i)),
@@ -704,7 +739,7 @@ func TestAggregatorSpeculationLane(t *testing.T) {
 // elapsed runtime far beyond the prefix's distribution, and never retracting
 // a verdict as elapsed grows.
 func TestStragglerDetectorAdvisor(t *testing.T) {
-	d := NewStragglerDetector(AnomalyConfig{})
+	d := NewStragglerDetector()
 	// Too few samples: never a straggler.
 	for i := 0; i < 4; i++ {
 		d.Observe("work", 1.0)

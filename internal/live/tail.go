@@ -104,8 +104,6 @@ func ReplayDataDir(dir string, opts AggregatorOptions) (Summary, error) {
 type TailOptions struct {
 	// Interval between refreshes. Default 1s.
 	Interval time.Duration
-	// Aggregator tunes windows and detectors.
-	Aggregator AggregatorOptions
 	// Logf receives one-line refresh failures (transient while a run is
 	// mid-write).
 	Logf func(format string, args ...any)
@@ -180,7 +178,7 @@ func (t *WALTailer) loop() {
 // ones already forwarded go to subscribers (the replay is deterministic, so
 // the anomaly list is prefix-stable while the log only appends).
 func (t *WALTailer) Refresh() error {
-	snap, err := ReplayDataDir(t.dir, t.opts.Aggregator)
+	snap, err := ReplayDataDir(t.dir, AggregatorOptions{})
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err != nil {
@@ -242,7 +240,7 @@ func TailRemote(r mofka.Service, opts TailOptions) (*RemoteTailer, error) {
 	t := &RemoteTailer{
 		remote: r,
 		opts:   opts.withDefaults(),
-		agg:    NewAggregator(opts.Aggregator),
+		agg:    NewAggregator(AggregatorOptions{}),
 		next:   make(map[laneKey]uint64),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -181,6 +182,18 @@ func (b *Broker) Topics() []string {
 	return out
 }
 
+// topicsLocked returns the topics in name order, so that what is done to each
+// in turn — and the errors joined from it — does not follow map order.
+// Callers hold b.mu.
+func (b *Broker) topicsLocked() []*Topic {
+	topics := make([]*Topic, 0, len(b.topics))
+	for _, t := range b.topics {
+		topics = append(topics, t)
+	}
+	slices.SortFunc(topics, func(x, y *Topic) int { return strings.Compare(x.cfg.Name, y.cfg.Name) })
+	return topics
+}
+
 // cursorKey is the per-(consumer, topic, partition) identifier shared by the
 // in-memory KV space and the on-disk cursor sidecar.
 func cursorKey(consumer, topic string, partition int) string {
@@ -200,10 +213,7 @@ func (b *Broker) Close() error {
 		return nil
 	}
 	b.closed = true
-	topics := make([]*Topic, 0, len(b.topics))
-	for _, t := range b.topics {
-		topics = append(topics, t)
-	}
+	topics := b.topicsLocked()
 	b.mu.Unlock()
 	var errs []error
 	for _, t := range topics {
@@ -230,10 +240,7 @@ func (b *Broker) IsClosed() bool {
 // closing anything.
 func (b *Broker) Sync() error {
 	b.mu.RLock()
-	topics := make([]*Topic, 0, len(b.topics))
-	for _, t := range b.topics {
-		topics = append(topics, t)
-	}
+	topics := b.topicsLocked()
 	b.mu.RUnlock()
 	var errs []error
 	for _, t := range topics {
@@ -627,17 +634,8 @@ func (p *Partition) TruncateTo(n uint64) error {
 
 // read returns up to max events starting at offset from. withData controls
 // whether payloads are fetched from Warabi (Mofka's data-selection feature).
+// The events' metadata are private copies, cut from one arena per call.
 func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
-	if withData {
-		return p.readSelect(from, max, nil)
-	}
-	return p.readSelect(from, max, func([]byte) bool { return false })
-}
-
-// readSelect is read with per-event data selection: selector nil fetches
-// every payload; otherwise only events whose metadata it accepts carry
-// data. The events' metadata are private copies, cut from one arena per call.
-func (p *Partition) readSelect(from uint64, max int, selector func([]byte) bool) ([]Event, error) {
 	p.mu.Lock()
 	length, target := p.length, p.data
 	p.mu.Unlock()
@@ -665,7 +663,7 @@ func (p *Partition) readSelect(from uint64, max int, selector func([]byte) bool)
 			ID:        id,
 			Metadata:  arena[start:],
 		}
-		if (selector == nil || selector(ev.Metadata)) && size > 0 {
+		if withData && size > 0 {
 			data, err := target.Read(warabi.RegionID(region), offset, size)
 			if err != nil {
 				readErr = fmt.Errorf("mofka: data for event %d: %w", id, err)

@@ -73,19 +73,21 @@ type Config struct {
 	// WAL tunes the per-node durable logs.
 	WAL wal.Options
 
-	// SSG tunes the membership group's failure detection (heartbeat
-	// timeouts for the daemon path).
-	SSG ssg.Config
-	// Clock is the liveness clock for SSG bookkeeping. Default time.Now.
-	Clock func() time.Time
 	// NowSeconds timestamps health events (virtual seconds inside a
 	// simulation, seconds since cluster start otherwise).
 	NowSeconds func() float64
 
-	// CatchUpBatch is the event batch size used when healing a lagging
-	// replica from a donor. Default 256.
-	CatchUpBatch int
+	// membership tunes the SSG group's failure detection (heartbeat timeouts
+	// for the daemon path; default ssg's), and clock is the liveness clock
+	// for its bookkeeping (default time.Now). Only this package's tests set
+	// either: tighter timeouts, and a clock they move by hand.
+	membership ssg.Config
+	clock      func() time.Time
 }
+
+// catchUpBatch is the event batch size used when healing a lagging replica
+// from a donor.
+const catchUpBatch = 256
 
 func (c Config) withDefaults() Config {
 	if c.Brokers <= 0 {
@@ -103,11 +105,8 @@ func (c Config) withDefaults() Config {
 	if c.Quorum > c.ReplicationFactor {
 		c.Quorum = c.ReplicationFactor
 	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-	if c.CatchUpBatch <= 0 {
-		c.CatchUpBatch = 256
+	if c.clock == nil {
+		c.clock = time.Now
 	}
 	return c
 }
@@ -190,13 +189,13 @@ func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:    cfg,
-		group:  ssg.NewGroup("mofka-cluster", cfg.SSG),
-		start:  cfg.Clock(),
+		group:  ssg.NewGroup("mofka-cluster", cfg.membership),
+		start:  cfg.clock(),
 		topics: make(map[string]*topicState),
 		health: newHealthLog(),
 	}
 	if c.cfg.NowSeconds == nil {
-		c.cfg.NowSeconds = func() float64 { return c.cfg.Clock().Sub(c.start).Seconds() }
+		c.cfg.NowSeconds = func() float64 { return c.cfg.clock().Sub(c.start).Seconds() }
 	}
 	reopen := false
 	if cfg.DataDir != "" {
@@ -250,7 +249,7 @@ func (c *Cluster) addLocalNode(i int) (*node, error) {
 		local: b,
 		alive: true,
 	}
-	n.member = c.group.Join(fmt.Sprintf("broker-%d", i), c.cfg.Clock())
+	n.member = c.group.Join(fmt.Sprintf("broker-%d", i), c.cfg.clock())
 	c.mu.Lock()
 	c.nodes = append(c.nodes, n)
 	c.mu.Unlock()
@@ -311,7 +310,7 @@ func (c *Cluster) nodeAlive(id int) bool {
 // sweeper calls it each interval (remote members heartbeat through the ping
 // RPC).
 func (c *Cluster) Heartbeat() {
-	now := c.cfg.Clock()
+	now := c.cfg.clock()
 	c.mu.Lock()
 	members := make([]ssg.MemberID, 0, len(c.nodes))
 	for _, n := range c.nodes {
@@ -373,7 +372,7 @@ func (c *Cluster) KillBroker(id int) error {
 		return fmt.Errorf("cluster: broker %d already dead", id)
 	}
 	c.mu.Unlock()
-	c.group.Fail(n.member, c.cfg.Clock())
+	c.group.Fail(n.member, c.cfg.clock())
 	c.failNode(id, "killed")
 	return nil
 }
@@ -456,7 +455,7 @@ func (c *Cluster) RestartBroker(id int) error {
 	// critical section: the sweeper goroutine reads n.member and n.alive
 	// under c.mu and must never observe a half-updated node.
 	rep := replica{b.Service(), b}
-	member := c.group.Join(fmt.Sprintf("broker-%d#%d", id, inc), c.cfg.Clock())
+	member := c.group.Join(fmt.Sprintf("broker-%d#%d", id, inc), c.cfg.clock())
 	c.mu.Lock()
 	n.local = b
 	n.rep = rep

@@ -200,8 +200,8 @@ func TestSweepDrivenFailover(t *testing.T) {
 	c, err := New(Config{
 		Brokers:           3,
 		ReplicationFactor: 3,
-		SSG:               ssg.Config{SuspectAfter: time.Second, DeadAfter: 2 * time.Second},
-		Clock:             func() time.Time { return now },
+		membership:        ssg.Config{SuspectAfter: time.Second, DeadAfter: 2 * time.Second},
+		clock:             func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"taskprov/internal/mofka"
@@ -258,7 +260,7 @@ func fill(t *testing.T, b *mofka.Broker, name string, pi, n int, payload bool) {
 // segments, with two cursors committed.
 func standaloneDir(t *testing.T, dir string) {
 	t.Helper()
-	b, err := mofka.NewDurableBroker(mofka.Options{DataDir: dir, WAL: wal.Options{SegmentBytes: 700, Sync: wal.SyncNever}})
+	b, err := mofka.NewDurableBroker(mofka.Options{DataDir: dir, WAL: wal.Options{Sync: wal.SyncNever}})
 	must(t, err)
 	_, err = b.CreateTopic(mofka.TopicConfig{Name: "a", Partitions: 2})
 	must(t, err)
@@ -271,6 +273,7 @@ func standaloneDir(t *testing.T, dir string) {
 	must(t, b.CommitCursor("mon", "a", 0, 17))
 	must(t, b.CommitCursor("mon", "b", 1, 4))
 	must(t, b.Close())
+	resegment(t, dir, 700)
 }
 
 // clusterDir writes a 3-broker RF2 cluster dir in small segments; killAt > 0
@@ -279,7 +282,7 @@ func standaloneDir(t *testing.T, dir string) {
 func clusterDir(t *testing.T, dir string, killAt int) {
 	t.Helper()
 	c, err := New(Config{Brokers: 3, ReplicationFactor: 2, Quorum: 1, DataDir: dir,
-		WAL: wal.Options{SegmentBytes: 700, Sync: wal.SyncNever}})
+		WAL: wal.Options{Sync: wal.SyncNever}})
 	must(t, err)
 	ct, err := c.EnsureTopic(mofka.TopicConfig{Name: "tasks", Partitions: 3})
 	must(t, err)
@@ -294,6 +297,39 @@ func clusterDir(t *testing.T, dir string, killAt int) {
 	must(t, p.Close())
 	must(t, c.CommitCursor("grp", "tasks", 1, 9))
 	must(t, c.Close())
+	resegment(t, dir, 700)
+}
+
+// resegment cuts every segment under root into segments of about max bytes,
+// at frame boundaries and each named by its first offset: the directory a log
+// that rotated at max would have left. A log rotates at 64 MiB, and the cases
+// need many segments of a few hundred bytes.
+func resegment(t *testing.T, root string, max int) {
+	t.Helper()
+	var segs []string
+	must(t, filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".seg") {
+			segs = append(segs, path)
+		}
+		return err
+	}))
+	for _, path := range segs {
+		raw, err := os.ReadFile(path)
+		must(t, err)
+		base, err := strconv.ParseUint(strings.TrimSuffix(filepath.Base(path), ".seg"), 10, 64)
+		must(t, err)
+		must(t, os.Remove(path))
+		for len(raw) > 0 {
+			cut, frames := 0, uint64(0)
+			for cut < max && cut+8 <= len(raw) {
+				cut += 8 + int(binary.LittleEndian.Uint32(raw[cut:])) // u32 payload length, u32 CRC, payload
+				frames++
+			}
+			cut = min(cut, len(raw))
+			must(t, os.WriteFile(filepath.Join(filepath.Dir(path), fmt.Sprintf("%020d.seg", base)), raw[:cut], 0o644))
+			raw, base = raw[cut:], base+frames
+		}
+	}
 }
 
 // segmentsOf lists a partition directory's segments, oldest first, failing

@@ -34,17 +34,11 @@ var producerSeq atomic.Uint64
 // and waits for in Flush and Close — so it ships batch n+1 while batch n
 // awaits its quorum.
 func (t *ClusterTopic) NewProducer(opts mofka.ProducerOptions) *mofka.Producer {
-	t.c.mu.Lock()
-	var valid mofka.Validator
-	if ts, ok := t.c.topics[t.name]; ok {
-		valid = ts.cfg.Validator
-	}
-	t.c.mu.Unlock()
 	id := fmt.Sprintf("producer-%d", producerSeq.Add(1))
 	// Per-partition cached fencing epoch (0 = unknown). The producer never
 	// runs its sink concurrently, so the cache needs no lock of its own.
 	epochs := make([]uint64, t.parts)
-	return mofka.NewProducer(t.parts, valid, opts, func(part int, seq uint64, metas, datas [][]byte) (*mofka.Commit, error) {
+	return mofka.NewProducer(t.parts, opts, func(part int, seq uint64, metas, datas [][]byte) (*mofka.Commit, error) {
 		cur, commit, err := t.c.submitRefreshing(t.name, part, id, seq, epochs[part], metas, datas)
 		epochs[part] = cur
 		return commit, err

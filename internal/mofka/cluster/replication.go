@@ -586,7 +586,7 @@ func (ps *partState) aliveReplicas(c *Cluster) []int {
 }
 
 // syncReplicaLocked copies the partition's events from donor to dst in
-// CatchUpBatch chunks until dst holds the donor's prefix [0, want), and
+// catchUpBatch chunks until dst holds the donor's prefix [0, want), and
 // adopts the donor's dedup table. dst's current length is probed fresh here,
 // once what is in flight has settled, rather than trusted from the caller — a
 // stale or defaulted value would re-append events dst already holds,
@@ -609,8 +609,8 @@ func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) 
 	var copied uint64
 	for have < want {
 		n := int(want - have)
-		if n > c.cfg.CatchUpBatch {
-			n = c.cfg.CatchUpBatch
+		if n > catchUpBatch {
+			n = catchUpBatch
 		}
 		evs, err := donorRep.Pull(ps.topic, ps.index, have, n, true)
 		if err != nil {
@@ -1026,7 +1026,7 @@ func (c *Cluster) viewLocked(ps *partState, vp *mofka.Partition) error {
 	}
 	var from uint64
 	for {
-		evs, err := c.readLocked(ps, from, c.cfg.CatchUpBatch, true)
+		evs, err := c.readLocked(ps, from, catchUpBatch, true)
 		if err != nil || len(evs) == 0 {
 			return err
 		}

@@ -170,7 +170,7 @@ func (c *Cluster) addMember(addr string, rep replica) (int, error) {
 	// Join the membership group before publishing the node: the sweeper
 	// goroutine reads n.member under c.mu, so the node must be fully formed
 	// when it becomes visible in c.nodes.
-	member := c.group.Join(addr, c.cfg.Clock())
+	member := c.group.Join(addr, c.cfg.clock())
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

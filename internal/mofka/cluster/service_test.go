@@ -237,8 +237,8 @@ func TestRemoteMemberReplicationAndFailover(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c, err := New(Config{
 		Brokers: 2, ReplicationFactor: 2, Quorum: 2,
-		SSG:   ssg.Config{SuspectAfter: time.Second, DeadAfter: 2 * time.Second},
-		Clock: func() time.Time { return now },
+		membership: ssg.Config{SuspectAfter: time.Second, DeadAfter: 2 * time.Second},
+		clock:      func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,10 +16,6 @@ type ConsumerOptions struct {
 	// NoData skips fetching payloads (Mofka's data-selection feature):
 	// events arrive with Data == nil. Metadata-only analysis passes use it.
 	NoData bool
-	// DataSelector, when set, is consulted per event with the metadata
-	// bytes; payloads are only fetched for events it accepts (Mofka's
-	// fine-grained data selection). Ignored when NoData is set.
-	DataSelector func(metadata []byte) bool
 	// Prefetch is the per-partition pull granularity for PullBatch and the
 	// internal read-ahead. Default 64.
 	Prefetch int
@@ -80,11 +76,7 @@ func (c *Consumer) roundRobin(read func(pi int, p *Partition) (progressed bool, 
 // subscribed partitions.
 func (c *Consumer) fill() error {
 	_, err := c.roundRobin(func(pi int, p *Partition) (bool, error) {
-		sel := c.opts.DataSelector
-		if c.opts.NoData {
-			sel = func([]byte) bool { return false }
-		}
-		evs, err := p.readSelect(c.next[pi], c.opts.Prefetch, sel)
+		evs, err := p.read(c.next[pi], c.opts.Prefetch, !c.opts.NoData)
 		if err != nil || len(evs) == 0 {
 			return false, err
 		}

@@ -27,8 +27,8 @@ type Options struct {
 	// and cursor persisted there (truncating torn segment tails left by a
 	// crash).
 	DataDir string
-	// WAL tunes the per-partition logs (segment size, fsync policy,
-	// retention). Zero values take the wal package defaults.
+	// WAL tunes the per-partition logs (the fsync policy). Zero values take
+	// the wal package defaults.
 	WAL wal.Options
 	// ReadOnly opens the data directory for post-mortem analysis: events
 	// replay into memory, but nothing on disk is appended, truncated, or

@@ -1,10 +1,14 @@
 package mofka
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"taskprov/internal/mofka/wal"
@@ -312,30 +316,88 @@ func TestDurableTopicNameValidation(t *testing.T) {
 	}
 }
 
-// TestDurableWALOptionsRespected: segment size and retention flow through to
-// the partition logs.
+// TestDurableWALOptionsRespected: the sync policy flows through to the
+// partition logs — only a log that fsyncs per batch hands its commit to the
+// committer — and a partition recovers a log of many segments.
 func TestDurableWALOptionsRespected(t *testing.T) {
-	dir := t.TempDir()
-	b, err := NewDurableBroker(Options{
-		DataDir: dir,
-		WAL:     wal.Options{SegmentBytes: 256, Sync: wal.SyncNever},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, policy := range []wal.SyncPolicy{wal.SyncBatch, wal.SyncNever} {
+		b, err := NewDurableBroker(Options{DataDir: t.TempDir(), WAL: wal.Options{Sync: policy}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp, _ := b.CreateTopic(TopicConfig{Name: "t"})
+		c, err := tp.partitions[0].Submit([][]byte{[]byte(`{}`)}, [][]byte{nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if staged := c != nil; staged != (policy == wal.SyncBatch) {
+			t.Fatalf("policy %d: Submit staged a commit: %v", policy, staged)
+		}
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		b.Close()
 	}
+
+	dir := t.TempDir()
+	b := newDurable(t, dir)
 	tp, _ := b.CreateTopic(TopicConfig{Name: "t"})
 	p := tp.NewProducer(ProducerOptions{BatchSize: 1})
 	for i := 0; i < 50; i++ {
 		p.Push(Metadata{"i": i, "pad": "xxxxxxxxxxxxxxxx"}, nil)
 	}
 	b.Close()
+	resegment(t, dir, 256)
 	segs, _ := filepath.Glob(filepath.Join(dir, "topics", "t", "p0000", "*.seg"))
 	if len(segs) < 3 {
-		t.Fatalf("SegmentBytes not honored: %d segments", len(segs))
+		t.Fatalf("want a log of several segments, have %d", len(segs))
 	}
 	b2 := newDurable(t, dir)
 	defer b2.Close()
 	if evs := drainAll(t, b2, "t"); len(evs) != 50 {
 		t.Fatalf("recovered %d events across segments", len(evs))
+	}
+}
+
+// resegment cuts every segment under root into segments of about max bytes,
+// at frame boundaries and each named by its first offset: the directory a log
+// that rotated at max would have left. A log rotates at 64 MiB, and the cases
+// that need many segments hold a few kilobytes.
+func resegment(t *testing.T, root string, max int) {
+	t.Helper()
+	var segs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".seg") {
+			segs = append(segs, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range segs {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := strconv.ParseUint(strings.TrimSuffix(filepath.Base(path), ".seg"), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		for len(raw) > 0 {
+			cut, frames := 0, uint64(0)
+			for cut < max && cut+8 <= len(raw) {
+				cut += 8 + int(binary.LittleEndian.Uint32(raw[cut:])) // u32 payload length, u32 CRC, payload
+				frames++
+			}
+			cut = min(cut, len(raw))
+			if err := os.WriteFile(filepath.Join(filepath.Dir(path), fmt.Sprintf("%020d.seg", base)), raw[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			raw, base = raw[cut:], base+frames
+		}
 	}
 }

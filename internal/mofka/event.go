@@ -365,10 +365,6 @@ func scanLiteral(b []byte, i int, lit string) int {
 	return i + len(lit)
 }
 
-// Validator checks event metadata on push. It is Mofka's schema-validation
-// hook; a nil validator accepts everything.
-type Validator func(metadata []byte) error
-
 // MaxPartitions bounds TopicConfig.Partitions. Real Mofka deployments shard
 // a topic across at most a few partitions per broker; four thousand is far
 // past any sane layout and a near-certain sign of a miscomputed or corrupt
@@ -379,8 +375,4 @@ const MaxPartitions = 4096
 type TopicConfig struct {
 	Name       string `json:"name"`
 	Partitions int    `json:"partitions"`
-
-	// Validator runs on every pushed event's metadata (not serialized; RPC
-	// deployments validate broker-side only if installed there).
-	Validator Validator `json:"-"`
 }

@@ -57,7 +57,7 @@ func fileEvents(t *testing.T, dirs []string, count, between uint32, suffix strin
 // multi-partition data dir is opened exactly once.
 func TestPostMortemOpenReadsEachSegmentOnce(t *testing.T) {
 	dir := t.TempDir()
-	b, err := NewDurableBroker(Options{DataDir: dir, WAL: wal.Options{SegmentBytes: 512, Sync: wal.SyncNever}})
+	b, err := NewDurableBroker(Options{DataDir: dir, WAL: wal.Options{Sync: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +79,7 @@ func TestPostMortemOpenReadsEachSegmentOnce(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
+	resegment(t, dir, 512)
 	segs, err := filepath.Glob(filepath.Join(dir, "topics", "t", "p*", "*.seg"))
 	if err != nil || len(segs) < 9 {
 		t.Fatalf("want a multi-segment log in every partition, have %d segments (%v)", len(segs), err)

@@ -208,48 +208,3 @@ func TestEmptyTopicNameRejected(t *testing.T) {
 		t.Fatal("empty topic name accepted")
 	}
 }
-
-func TestConsumerDataSelector(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	p := tp.NewProducer(ProducerOptions{})
-	for i := 0; i < 10; i++ {
-		p.Push(Metadata{"i": i}, []byte(fmt.Sprintf("payload-%d", i)))
-	}
-	p.Flush()
-	c, err := tp.NewConsumer(ConsumerOptions{
-		DataSelector: func(meta []byte) bool {
-			m, _ := DecodeMetadata(meta)
-			return int(m["i"].(float64))%2 == 0
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, err := c.Drain()
-	if err != nil || len(evs) != 10 {
-		t.Fatalf("drained %d, %v", len(evs), err)
-	}
-	for i, ev := range evs {
-		if i%2 == 0 && string(ev.Data) != fmt.Sprintf("payload-%d", i) {
-			t.Fatalf("selected event %d missing data: %q", i, ev.Data)
-		}
-		if i%2 == 1 && ev.Data != nil {
-			t.Fatalf("unselected event %d carries data", i)
-		}
-	}
-}
-
-func TestNoDataOverridesSelector(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	p := tp.NewProducer(ProducerOptions{})
-	p.Push(Metadata{"x": 1}, []byte("payload"))
-	p.Flush()
-	c, _ := tp.NewConsumer(ConsumerOptions{
-		NoData:       true,
-		DataSelector: func([]byte) bool { return true },
-	})
-	ev, ok, err := c.Pull()
-	if err != nil || !ok || ev.Data != nil {
-		t.Fatalf("NoData did not win: %v %v %q", ok, err, ev.Data)
-	}
-}

@@ -1,32 +1,22 @@
 package mofka
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
 
 // ProducerOptions tunes batching. Mofka's real producer batches events and
-// ships them with background threads; the same knobs exist here, and the
-// background is the broker's: a sealed batch is submitted on the pushing
-// goroutine — so what becomes of it (accepted, retried, buffered, dropped)
-// never depends on host timing — and where the log fsyncs per batch the
-// fsync runs behind the push, the producer moving on to the next batch
-// meanwhile. Flush and Close are where the producer waits for it.
+// ships them with background threads; here the background is the broker's: a
+// sealed batch is submitted on the pushing goroutine — so what becomes of it
+// (accepted, retried, buffered, dropped) never depends on host timing — and
+// where the log fsyncs per batch the fsync runs behind the push, the producer
+// moving on to the next batch meanwhile. Flush and Close are where the
+// producer waits for it. Events go to the partitions round-robin, Mofka's
+// default.
 type ProducerOptions struct {
 	// BatchSize flushes a partition's pending batch when it reaches this
-	// many events. Default 128.
+	// many events (or maxBatchBytes of payload). Default 128.
 	BatchSize int
-	// MaxBatchBytes flushes when pending payload bytes reach this size.
-	// Default 4 MiB.
-	MaxBatchBytes int64
-	// FlushInterval, when positive, starts a background goroutine flushing
-	// all partitions periodically. Zero (default) means size-triggered and
-	// manual flushes only — the deterministic mode simulations use.
-	FlushInterval time.Duration
-	// Partitioner picks the partition for an event. The default cycles
-	// round-robin, matching Mofka's default.
-	Partitioner func(metadata []byte, partitions int) int
 
 	// FlushRetries is how many times a failing batch append is retried
 	// in-line (with exponential backoff starting at RetryBackoff) before the
@@ -36,12 +26,6 @@ type ProducerOptions struct {
 	// RetryBackoff is the initial backoff between in-line retries,
 	// doubling each attempt. Default 5ms.
 	RetryBackoff time.Duration
-	// MaxPendingBatches bounds the per-partition backlog of sealed but
-	// unshipped batches accumulated while the broker is unreachable. Beyond
-	// the bound the oldest batches are dropped (counted by Stats), trading
-	// provenance completeness for bounded memory — degraded, not wedged.
-	// Default 64.
-	MaxPendingBatches int
 	// OnDegraded fires once when the producer starts buffering because
 	// appends fail persistently; OnRecovered fires once when the backlog
 	// later drains completely. Both are invoked without internal locks held,
@@ -54,19 +38,24 @@ func (o *ProducerOptions) setDefaults() {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 128
 	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 4 << 20
-	}
 	if o.FlushRetries <= 0 {
 		o.FlushRetries = 3
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 5 * time.Millisecond
 	}
-	if o.MaxPendingBatches <= 0 {
-		o.MaxPendingBatches = 64
-	}
 }
+
+const (
+	// maxBatchBytes seals a partition's pending batch once its payloads reach
+	// this size, whatever its event count.
+	maxBatchBytes = 4 << 20
+	// maxPendingBatches bounds the per-partition backlog of sealed but
+	// unshipped batches accumulated while the broker is unreachable. Beyond
+	// the bound the oldest batches are dropped (counted by Dropped), trading
+	// provenance completeness for bounded memory — degraded, not wedged.
+	maxPendingBatches = 64
+)
 
 // BatchSink lands one sealed batch on its partition: the one decision that
 // differs between deployments. A standalone topic submits to the partition;
@@ -90,9 +79,8 @@ type BatchSink func(partition int, seq uint64, metas, datas [][]byte) (*Commit, 
 // deployment behind its sink. A batch that fails stays queued and is retried
 // with the same sequence number. Safe for concurrent use.
 type Producer struct {
-	valid Validator
-	sink  BatchSink
-	opts  ProducerOptions
+	sink BatchSink
+	opts ProducerOptions
 
 	mu       sync.Mutex
 	open     []batch   // per-partition batch accepting new events
@@ -112,9 +100,6 @@ type Producer struct {
 	shipMu  sync.Mutex
 	views   [][]byte  // reused backing of the metadata views handed to the sink
 	commits []*Commit // per partition, the latest shipped batch's durability wait
-
-	stopFlusher chan struct{}
-	flusherDone chan struct{}
 }
 
 // batch accumulates the events of one producer batch. Metadata is copied
@@ -168,18 +153,16 @@ func (b *batch) Reset() {
 // NewProducer creates a producer for the topic; its sink appends straight to
 // the topic's partitions (a single broker has no use for sequence numbers).
 func (t *Topic) NewProducer(opts ProducerOptions) *Producer {
-	return NewProducer(len(t.partitions), t.cfg.Validator, opts, func(partition int, _ uint64, metas, datas [][]byte) (*Commit, error) {
+	return NewProducer(len(t.partitions), opts, func(partition int, _ uint64, metas, datas [][]byte) (*Commit, error) {
 		return t.partitions[partition].Submit(metas, datas)
 	})
 }
 
 // NewProducer creates a producer over partitions partitions whose sealed
-// batches reach them through sink. valid, when non-nil, checks every pushed
-// event's metadata.
-func NewProducer(partitions int, valid Validator, opts ProducerOptions, sink BatchSink) *Producer {
+// batches reach them through sink.
+func NewProducer(partitions int, opts ProducerOptions, sink BatchSink) *Producer {
 	opts.setDefaults()
 	p := &Producer{
-		valid:   valid,
 		sink:    sink,
 		opts:    opts,
 		open:    make([]batch, partitions),
@@ -190,63 +173,30 @@ func NewProducer(partitions int, valid Validator, opts ProducerOptions, sink Bat
 	for i := range p.nextSeq {
 		p.nextSeq[i] = 1
 	}
-	if opts.FlushInterval > 0 {
-		p.stopFlusher = make(chan struct{})
-		p.flusherDone = make(chan struct{})
-		go p.flushLoop()
-	}
 	return p
-}
-
-func (p *Producer) flushLoop() {
-	defer close(p.flusherDone)
-	tick := time.NewTicker(p.opts.FlushInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			_ = p.Flush() // periodic flush retries next tick
-		case <-p.stopFlusher:
-			return
-		}
-	}
 }
 
 // Push enqueues one event. The metadata and data slices are copied (the
 // metadata once, into its batch's arena). The event becomes visible to
-// consumers once its batch has shipped (by size trigger, interval, Flush, or
-// Close) and committed; Flush and Close wait for that.
+// consumers once its batch has shipped (by size trigger, Flush, or Close) and
+// committed; Flush and Close wait for that.
 func (p *Producer) Push(metadata Metadata, data []byte) error {
 	return p.PushRaw(metadata.Encode(), data)
 }
 
 // PushRaw enqueues one event with pre-encoded JSON metadata.
 func (p *Producer) PushRaw(metadata, data []byte) error {
-	if p.valid != nil {
-		if err := p.valid(metadata); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidEvent, err)
-		}
-	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	var idx int
-	if p.opts.Partitioner != nil {
-		idx = p.opts.Partitioner(metadata, len(p.open))
-		if idx < 0 || idx >= len(p.open) {
-			p.mu.Unlock()
-			return fmt.Errorf("%w: partitioner chose %d of %d", ErrNoPartition, idx, len(p.open))
-		}
-	} else {
-		idx = p.rr
-		p.rr = (p.rr + 1) % len(p.open)
-	}
+	idx := p.rr
+	p.rr = (p.rr + 1) % len(p.open)
 	b := &p.open[idx]
 	b.Add(metadata, data)
 	p.pushed++
-	needFlush := b.Len() >= p.opts.BatchSize || b.DataBytes() >= p.opts.MaxBatchBytes
+	needFlush := b.Len() >= p.opts.BatchSize || b.DataBytes() >= maxBatchBytes
 	if needFlush {
 		p.sealLocked(idx)
 	}
@@ -275,7 +225,7 @@ func (p *Producer) sealLocked(idx int) {
 
 // ship drains every partition's sealed-batch queue, retrying failures with
 // backoff. Batches that still cannot be appended stay queued (bounded by
-// MaxPendingBatches) for the next flush — a broker outage degrades the
+// maxPendingBatches) for the next flush — a broker outage degrades the
 // producer instead of losing whole batches. Returns the first append error.
 func (p *Producer) ship() error {
 	p.shipMu.Lock()
@@ -357,10 +307,10 @@ func (p *Producer) appendWithRetry(idx int, b batch) error {
 }
 
 // enforceBound drops partition idx's oldest queued batches past
-// MaxPendingBatches, counting the dropped events.
+// maxPendingBatches, counting the dropped events.
 func (p *Producer) enforceBound(idx int) {
 	p.mu.Lock()
-	over := len(p.queues[idx]) - p.opts.MaxPendingBatches
+	over := len(p.queues[idx]) - maxPendingBatches
 	for i := 0; i < over; i++ {
 		p.dropped += uint64(p.queues[idx][i].Len())
 	}
@@ -393,9 +343,9 @@ func (p *Producer) Flush() error {
 	return err
 }
 
-// Close flushes pending events and stops the background flusher. Further
-// pushes fail with ErrClosed. If the final flush fails, its first error is
-// returned and any still-unshipped batches are abandoned with the producer.
+// Close flushes pending events. Further pushes fail with ErrClosed. If the
+// final flush fails, its first error is returned and any still-unshipped
+// batches are abandoned with the producer.
 func (p *Producer) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -404,10 +354,6 @@ func (p *Producer) Close() error {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	if p.stopFlusher != nil {
-		close(p.stopFlusher)
-		<-p.flusherDone
-	}
 	return p.Flush()
 }
 
@@ -420,7 +366,7 @@ func (p *Producer) Stats() (pushed, flushes uint64) {
 }
 
 // Dropped reports events discarded because the degraded-mode backlog
-// exceeded MaxPendingBatches.
+// exceeded maxPendingBatches.
 func (p *Producer) Dropped() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -17,13 +17,6 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	return l.AppendBatch([]Record{rec})
 }
 
-// FirstOffset returns the offset of the oldest retained record.
-func (l *Log) FirstOffset() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.first
-}
-
 // Segments returns the current number of on-disk segments.
 func (l *Log) Segments() int {
 	l.mu.Lock()

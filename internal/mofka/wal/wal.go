@@ -1,13 +1,13 @@
 // Package wal is a durable, segment-based, append-only event log: the
 // on-disk backend behind Mofka partitions. Records are length-prefixed and
 // CRC32-C-checked, appends are batched with a configurable fsync policy,
-// segments rotate at a size threshold with count/byte/age-based retention,
-// and opening a log recovers from crashes by truncating a torn tail and
-// rebuilding the next append offset from what survives on disk.
+// segments rotate at a size threshold and are kept for good, and opening a
+// log recovers from crashes by truncating a torn tail and rebuilding the next
+// append offset from what survives on disk.
 //
 // One Log corresponds to one Mofka partition: offsets are dense from the
-// first retained record and equal the partition's event IDs, so a replayed
-// log reconstructs the exact event stream a live broker served.
+// first record and equal the partition's event IDs, so a replayed log
+// reconstructs the exact event stream a live broker served.
 package wal
 
 import (
@@ -32,7 +32,7 @@ const (
 	// batch shares with it. The default.
 	SyncBatch SyncPolicy = iota
 	// SyncInterval writes every batch to the OS but fsyncs at most once per
-	// SyncEvery (amortized durability: a crash can lose the last interval).
+	// syncEvery (amortized durability: a crash can lose the last interval).
 	SyncInterval
 	// SyncNever leaves syncing to the OS page cache (and Close/Sync calls).
 	// Fastest; a machine crash can lose recent batches, a process crash
@@ -57,48 +57,32 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return SyncBatch, fmt.Errorf("wal: unknown sync policy %q (want batch|interval|never)", s)
 }
 
-// Retention bounds how many closed segments are kept. Zero values mean
-// unlimited; the active segment is never deleted.
-type Retention struct {
-	// MaxSegments caps the total number of segments (including active).
-	MaxSegments int
-	// MaxBytes caps the total on-disk size across segments.
-	MaxBytes int64
-	// MaxAge drops closed segments whose newest record is older than this.
-	MaxAge time.Duration
-}
+// syncEvery is the SyncInterval period.
+const syncEvery = 100 * time.Millisecond
 
-// Options tunes a log. The zero value is usable: 64 MiB segments, SyncBatch,
-// unlimited retention.
+// Options tunes a log. The zero value is usable: SyncBatch, 64 MiB segments.
 type Options struct {
-	// SegmentBytes rotates the active segment once it reaches this size.
-	// Default 64 MiB.
-	SegmentBytes int64
 	// Sync selects the fsync policy (default SyncBatch).
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval period (default 100ms).
-	SyncEvery time.Duration
-	// Retention bounds segment count/bytes/age (default: keep everything).
-	Retention Retention
-	// MaxRecordBytes is the framing sanity bound (default 64 MiB). Records
-	// larger than this are rejected on append and treated as corruption on
-	// read.
-	MaxRecordBytes int
 	// ReadOnly opens the log for replay only: a torn tail is skipped but NOT
 	// truncated on disk, and appends fail. Post-mortem analysis uses this so
 	// inspection never mutates the evidence.
 	ReadOnly bool
+
+	// segmentBytes rotates the active segment once it reaches this size
+	// (default 64 MiB), and maxRecordBytes is the framing sanity bound
+	// (default 64 MiB): a larger record is refused on append and is
+	// corruption on read. Only this package's tests set either.
+	segmentBytes   int64
+	maxRecordBytes int
 }
 
 func (o *Options) setDefaults() {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 64 << 20
 	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = 64 << 20
+	if o.maxRecordBytes <= 0 {
+		o.maxRecordBytes = 64 << 20
 	}
 }
 
@@ -111,7 +95,6 @@ type segment struct {
 	path    string
 	records uint64
 	size    int64
-	mtime   time.Time
 }
 
 // Log is a segmented append-only record log rooted at one directory. All
@@ -139,7 +122,6 @@ type Log struct {
 	buf      []byte // the frames of the batch being written, reused
 	next     uint64 // offset the next appended record receives
 	durable  uint64 // records below this offset are on stable storage
-	first    uint64 // offset of the oldest retained record
 	torn     int64  // bytes discarded (or skipped, read-only) at open
 	lastSync time.Time
 	closed   bool
@@ -182,8 +164,8 @@ func OpenReplay(dir string, opts Options, visit func(recs []Record) error) (*Log
 }
 
 // recover enumerates segments, validates them in one pass that also feeds
-// visit, truncates a torn tail (unless read-only), and computes first/next
-// offsets.
+// visit, truncates a torn tail (unless read-only), and computes the next
+// offset.
 func (l *Log) recover(visit func([]Record) error) error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -206,14 +188,13 @@ func (l *Log) recover(visit func([]Record) error) error {
 			return fmt.Errorf("wal: stat %s: %w", name, err)
 		}
 		l.segs = append(l.segs, segment{
-			base:  base,
-			path:  filepath.Join(l.dir, name),
-			size:  info.Size(),
-			mtime: info.ModTime(),
+			base: base,
+			path: filepath.Join(l.dir, name),
+			size: info.Size(),
 		})
 	}
 	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].base < l.segs[j].base })
-	fr := frameReader{maxRecordBytes: l.opts.MaxRecordBytes}
+	fr := frameReader{maxRecordBytes: l.opts.maxRecordBytes}
 	for i := range l.segs {
 		s := &l.segs[i]
 		records, validSize, err := fr.read(s.path, s.size, visit)
@@ -238,9 +219,6 @@ func (l *Log) recover(visit func([]Record) error) error {
 			s.size = validSize
 		}
 		s.records = records
-		if i == 0 {
-			l.first = s.base
-		}
 		l.next = s.base + s.records
 	}
 	return nil
@@ -249,7 +227,7 @@ func (l *Log) recover(visit func([]Record) error) error {
 // openActive positions the writer at the newest segment, starting a fresh
 // one when the log is empty or the newest is already over the size limit.
 func (l *Log) openActive() error {
-	if len(l.segs) == 0 || l.segs[len(l.segs)-1].size >= l.opts.SegmentBytes {
+	if len(l.segs) == 0 || l.segs[len(l.segs)-1].size >= l.opts.segmentBytes {
 		return l.rotateLocked()
 	}
 	s := &l.segs[len(l.segs)-1]
@@ -262,8 +240,8 @@ func (l *Log) openActive() error {
 }
 
 // rotateLocked syncs and closes the active segment and starts a new one
-// based at the next offset, then applies retention. Callers hold l.syncMu
-// and l.mu (or are inside Open, before the log is shared).
+// based at the next offset. Callers hold l.syncMu and l.mu (or are inside
+// Open, before the log is shared).
 func (l *Log) rotateLocked() error {
 	if l.active != nil {
 		if err := l.syncActiveLocked(); err != nil {
@@ -272,7 +250,6 @@ func (l *Log) rotateLocked() error {
 		if err := l.active.Close(); err != nil {
 			return fmt.Errorf("wal: close on rotate: %w", err)
 		}
-		l.segs[len(l.segs)-1].mtime = time.Now()
 	}
 	path := filepath.Join(l.dir, fmt.Sprintf("%020d%s", l.next, segSuffix))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
@@ -280,43 +257,8 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
 	l.active = f
-	l.segs = append(l.segs, segment{base: l.next, path: path, mtime: time.Now()})
-	l.applyRetentionLocked()
+	l.segs = append(l.segs, segment{base: l.next, path: path})
 	return nil
-}
-
-// applyRetentionLocked deletes the oldest closed segments that exceed the
-// retention bounds. The active segment is never deleted, so at least the
-// newest data always survives.
-func (l *Log) applyRetentionLocked() {
-	ret := l.opts.Retention
-	if ret.MaxSegments <= 0 && ret.MaxBytes <= 0 && ret.MaxAge <= 0 {
-		return
-	}
-	total := int64(0)
-	for _, s := range l.segs {
-		total += s.size
-	}
-	for len(l.segs) > 1 {
-		drop := false
-		oldest := l.segs[0]
-		if ret.MaxSegments > 0 && len(l.segs) > ret.MaxSegments {
-			drop = true
-		}
-		if ret.MaxBytes > 0 && total > ret.MaxBytes {
-			drop = true
-		}
-		if ret.MaxAge > 0 && time.Since(oldest.mtime) > ret.MaxAge {
-			drop = true
-		}
-		if !drop {
-			return
-		}
-		_ = os.Remove(oldest.path) // retention is best-effort
-		total -= oldest.size
-		l.segs = l.segs[1:]
-		l.first = l.segs[0].base
-	}
 }
 
 // maxKeptBuf bounds the frame buffer a log keeps between batches; a larger
@@ -357,8 +299,8 @@ func (l *Log) writeLocked(recs []Record) (first uint64, full bool, err error) {
 	}
 	buf := l.buf[:0]
 	for _, r := range recs {
-		if fs := frameSize(r); fs-recordHeaderSize > int64(l.opts.MaxRecordBytes) {
-			return 0, false, fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes %d", fs, l.opts.MaxRecordBytes)
+		if fs := frameSize(r); fs-recordHeaderSize > int64(l.opts.maxRecordBytes) {
+			return 0, false, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", fs, l.opts.maxRecordBytes)
 		}
 		buf = appendFrame(buf, r)
 	}
@@ -376,8 +318,7 @@ func (l *Log) writeLocked(recs []Record) (first uint64, full bool, err error) {
 	s := &l.segs[len(l.segs)-1]
 	s.records += uint64(len(recs))
 	s.size += int64(len(buf))
-	s.mtime = time.Now()
-	return first, s.size >= l.opts.SegmentBytes, nil
+	return first, s.size >= l.opts.segmentBytes, nil
 }
 
 // rotateFull rotates the active segment if it is (still) over the size
@@ -387,7 +328,7 @@ func (l *Log) rotateFull() error {
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed || l.segs[len(l.segs)-1].size < l.opts.SegmentBytes {
+	if l.closed || l.segs[len(l.segs)-1].size < l.opts.segmentBytes {
 		return nil // closed, or rotated by a concurrent append, meanwhile
 	}
 	if err := l.rotateLocked(); err != nil && l.err == nil {
@@ -408,7 +349,7 @@ func (l *Log) AppendBatch(recs []Record) (first uint64, err error) {
 	case SyncBatch:
 		err = l.sync(0)
 	case SyncInterval:
-		err = l.sync(l.opts.SyncEvery)
+		err = l.sync(syncEvery)
 	}
 	if err != nil {
 		return 0, err
@@ -420,10 +361,9 @@ func (l *Log) AppendBatch(recs []Record) (first uint64, err error) {
 // record receives offset n. Segments based entirely above the cut are
 // deleted, the segment containing the cut is truncated at the exact frame
 // boundary, and the log is repositioned for appends before TruncateTo
-// returns. n >= NextOffset is a no-op; truncating below the retention
-// horizon or on a read-only log is an error. The replication layer uses
-// this to drop a rejoining replica's unacknowledged divergent tail before
-// catch-up.
+// returns. n >= NextOffset is a no-op; truncating a read-only log is an
+// error. The replication layer uses this to drop a rejoining replica's
+// unacknowledged divergent tail before catch-up.
 func (l *Log) TruncateTo(n uint64) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -440,9 +380,6 @@ func (l *Log) TruncateTo(n uint64) error {
 	}
 	if n >= l.next {
 		return nil
-	}
-	if n < l.first {
-		return fmt.Errorf("wal: truncate to %d below retention horizon %d", n, l.first)
 	}
 	// The cut lands in (or removes) the active segment: settle it on disk
 	// and close it, then do the surgery, then reopen for appends.
@@ -478,15 +415,12 @@ func (l *Log) TruncateTo(n uint64) error {
 		break
 	}
 	l.next, l.durable = n, n
-	if len(l.segs) == 0 {
-		l.first = n
-	}
 	return l.openActive()
 }
 
 // frameBoundary returns the byte length of s's first k frames.
 func (l *Log) frameBoundary(s *segment, k uint64) (int64, error) {
-	fr := frameReader{maxRecordBytes: l.opts.MaxRecordBytes}
+	fr := frameReader{maxRecordBytes: l.opts.maxRecordBytes}
 	var size int64
 	_, valid, err := fr.read(s.path, s.size, func(recs []Record) error {
 		for _, r := range recs {
@@ -558,14 +492,13 @@ func (l *Log) sync(minAge time.Duration) error {
 }
 
 // Replay calls fn for every record with offset >= from, in offset order,
-// until fn returns false. Offsets below the retention horizon are skipped
-// (replay starts at FirstOffset). Replay sees every record appended before
-// the call, including unsynced ones. The record's bytes alias the read
+// until fn returns false. Replay sees every record appended before the call,
+// including unsynced ones. The record's bytes alias the read
 // buffer and are valid only during the call.
 func (l *Log) Replay(from uint64, fn func(off uint64, rec Record) bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	fr := frameReader{maxRecordBytes: l.opts.MaxRecordBytes}
+	fr := frameReader{maxRecordBytes: l.opts.maxRecordBytes}
 	for _, s := range l.segs {
 		if s.base+s.records <= from {
 			continue
@@ -617,7 +550,7 @@ func (l *Log) Close() error {
 }
 
 // NextOffset returns the offset the next appended record would receive —
-// equivalently, the number of records ever appended (before retention).
+// equivalently, the number of records ever appended.
 func (l *Log) NextOffset() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) *Log {
@@ -29,13 +28,9 @@ func rec(i int) Record {
 func collect(t *testing.T, l *Log, from uint64) []Record {
 	t.Helper()
 	var out []Record
-	start := uint64(0)
 	err := l.Replay(from, func(off uint64, r Record) bool {
-		if len(out) == 0 {
-			start = off // the horizon may be past `from` when retention dropped segments
-		}
-		if off != start+uint64(len(out)) {
-			t.Fatalf("offset %d out of order (want %d)", off, start+uint64(len(out)))
+		if off != from+uint64(len(out)) {
+			t.Fatalf("offset %d out of order (want %d)", off, from+uint64(len(out)))
 		}
 		out = append(out, Record{
 			Meta: append([]byte(nil), r.Meta...),
@@ -234,7 +229,7 @@ func TestReadOnlyOpenDoesNotTruncate(t *testing.T) {
 
 func TestInteriorCorruptionIsAnError(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{SegmentBytes: 256})
+	l := mustOpen(t, dir, Options{segmentBytes: 256})
 	for i := 0; i < 50; i++ {
 		if _, err := l.Append(rec(i)); err != nil {
 			t.Fatal(err)
@@ -269,7 +264,7 @@ func glob(t *testing.T, dir string) []string {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{SegmentBytes: 512})
+	l := mustOpen(t, dir, Options{segmentBytes: 512})
 	defer l.Close()
 	for i := 0; i < 100; i++ {
 		if _, err := l.Append(rec(i)); err != nil {
@@ -284,50 +279,10 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-func TestRetentionMaxSegments(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{SegmentBytes: 512, Retention: Retention{MaxSegments: 3}})
-	defer l.Close()
-	for i := 0; i < 200; i++ {
-		if _, err := l.Append(rec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := l.Segments(); n > 3 {
-		t.Fatalf("segments = %d, want <= 3", n)
-	}
-	first := l.FirstOffset()
-	if first == 0 {
-		t.Fatal("retention never advanced FirstOffset")
-	}
-	got := collect(t, l, 0) // from 0 silently starts at the horizon
-	if uint64(len(got)) != l.NextOffset()-first {
-		t.Fatalf("replayed %d, want %d", len(got), l.NextOffset()-first)
-	}
-	if !bytes.Equal(got[0].Meta, rec(int(first)).Meta) {
-		t.Fatalf("replay horizon starts at %q, want record %d", got[0].Meta, first)
-	}
-}
-
-func TestRetentionMaxAge(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{SegmentBytes: 256, Retention: Retention{MaxAge: time.Nanosecond}})
-	defer l.Close()
-	for i := 0; i < 60; i++ {
-		if _, err := l.Append(rec(i)); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Microsecond)
-	}
-	if n := l.Segments(); n > 2 {
-		t.Fatalf("age retention kept %d segments", n)
-	}
-}
-
 func TestSyncPolicies(t *testing.T) {
 	for _, p := range []SyncPolicy{SyncBatch, SyncInterval, SyncNever} {
 		dir := t.TempDir()
-		l := mustOpen(t, dir, Options{Sync: p, SyncEvery: time.Millisecond})
+		l := mustOpen(t, dir, Options{Sync: p})
 		if _, err := l.AppendBatch([]Record{rec(0), rec(1)}); err != nil {
 			t.Fatalf("policy %d: %v", p, err)
 		}
@@ -369,7 +324,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 }
 
 func TestOversizeRecordRejected(t *testing.T) {
-	l := mustOpen(t, t.TempDir(), Options{MaxRecordBytes: 64})
+	l := mustOpen(t, t.TempDir(), Options{maxRecordBytes: 64})
 	defer l.Close()
 	if _, err := l.Append(Record{Meta: []byte("{}"), Data: make([]byte, 128)}); err == nil {
 		t.Fatal("oversize record accepted")
@@ -419,7 +374,7 @@ func TestCursorStoreCorruptFileErrors(t *testing.T) {
 }
 
 func TestConcurrentAppendReplay(t *testing.T) {
-	l := mustOpen(t, t.TempDir(), Options{Sync: SyncNever, SegmentBytes: 4096})
+	l := mustOpen(t, t.TempDir(), Options{Sync: SyncNever, segmentBytes: 4096})
 	defer l.Close()
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
@@ -447,7 +402,7 @@ func TestTruncateTo(t *testing.T) {
 	dir := t.TempDir()
 	// Small segments so the truncation point and whole-segment removal are
 	// both exercised.
-	l := mustOpen(t, dir, Options{SegmentBytes: 256})
+	l := mustOpen(t, dir, Options{segmentBytes: 256})
 	for i := 0; i < 40; i++ {
 		if _, err := l.Append(rec(i)); err != nil {
 			t.Fatal(err)
@@ -493,7 +448,7 @@ func TestTruncateTo(t *testing.T) {
 	}
 
 	// The truncation is durable: a reopen sees the clamped log, not the tail.
-	r := mustOpen(t, dir, Options{SegmentBytes: 256})
+	r := mustOpen(t, dir, Options{segmentBytes: 256})
 	defer r.Close()
 	if got := r.NextOffset(); got != 18 {
 		t.Fatalf("reopened NextOffset = %d, want 18", got)
@@ -509,7 +464,7 @@ func TestTruncateTo(t *testing.T) {
 
 func TestTruncateToWholeLogAndReadOnly(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{SegmentBytes: 128})
+	l := mustOpen(t, dir, Options{segmentBytes: 128})
 	for i := 0; i < 10; i++ {
 		if _, err := l.Append(rec(i)); err != nil {
 			t.Fatal(err)

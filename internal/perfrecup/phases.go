@@ -39,7 +39,7 @@ type PhaseBreakdown struct {
 // implementation of the phase definitions, which is what makes the
 // live/post-mortem equivalence invariant checkable at all.
 func Phases(art *core.RunArtifacts) (PhaseBreakdown, error) {
-	sum, err := LiveReplay(art, live.AggregatorOptions{Anomaly: live.AnomalyConfig{Disable: true}})
+	sum, err := LiveReplay(art, live.AggregatorOptions{DisableAnomalies: true})
 	if err != nil {
 		return PhaseBreakdown{Workflow: art.Meta.Workflow, Seed: art.Meta.Seed}, err
 	}

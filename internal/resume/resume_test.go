@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
@@ -79,7 +78,7 @@ func (chained) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 	}
 }
 
-// killedDir runs the workflow into dir with the coordinator killed at 5 s
+// killedDir runs the workflow into dir with the coordinator killed at 6 s
 // of virtual time, on a standalone broker or a 3-broker RF2 cluster.
 func killedDir(t *testing.T, dir string, brokers int) {
 	t.Helper()
@@ -90,11 +89,11 @@ func killedDir(t *testing.T, dir string, brokers int) {
 	cfg.Dask.ThreadsPerWorker = 2
 	cfg.Dask.ProxyThresholdBytes = 256 << 10
 	// Small batches, so most of the log is flushed when the kill lands (the
-	// unflushed tails die with the producers), and a checkpoint before it.
+	// unflushed tails die with the producers), and the 5 s checkpoint before
+	// it.
 	cfg.MofkaBatchSize = 4
-	cfg.CheckpointInterval = time.Second
 	cfg.MofkaDataDir = dir
-	cfg.ChaosSpec = "scheduler at=5000ms"
+	cfg.ChaosSpec = "scheduler at=6000ms"
 	if brokers > 1 {
 		cfg.ClusterBrokers, cfg.ClusterReplication = brokers, 2
 	}

@@ -39,7 +39,7 @@ func TestMakefileGatesSelectTests(t *testing.T) {
 				if len(patterns) > 0 {
 					t.Fatalf("%q selects by name over a package wildcard; name the packages", cmd)
 				}
-			case strings.HasPrefix(w, "./"):
+			case w == "." || strings.HasPrefix(w, "./"):
 				pkgs = append(pkgs, w)
 			}
 		}
