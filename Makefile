@@ -55,7 +55,7 @@ bench-proxy:
 # data planes), the end-to-end degraded sessions in core/perfrecup/live, and
 # the command lines that used to abort the process.
 chaos:
-	$(GO) test -race -run 'TestParse|TestArm|TestEmptyPlan|TestWorkerCrash|TestLostKey|TestWorkerRestart|TestRepeatedCrash|TestCrash|TestHedgeOnDeadWorkerLosesNoTask|TestEmptyHolderSnapshotSurrenders|TestChaos|TestRecoveryTimeline|TestAggregatorRecovery' \
+	$(GO) test -race -run 'TestParse|TestArm|TestPlanCheck|TestEmptyPlan|TestWorkerCrash|TestLostKey|TestWorkerRestart|TestRepeatedCrash|TestCrash|TestHedgeOnDeadWorkerLosesNoTask|TestEmptyHolderSnapshotSurrenders|TestChaos|TestRecoveryTimeline|TestAggregatorRecovery' \
 		./internal/chaos/ ./internal/dask/ ./internal/core/ ./internal/perfrecup/ ./internal/live/
 	$(GO) test -race -run 'TestCmdRunSurvivesKillWithSpeculation' ./cmd/taskprov/
 
@@ -86,9 +86,11 @@ property:
 # points of a seeded run (plus random DAGs at random kill points, plus the
 # paper workloads), resumed from the durable provenance log — merged outputs
 # and graph results must be identical to an uninterrupted run, with no task
-# re-executed whose output was still resolvable.
+# re-executed whose output was still resolvable. A session whose build fails
+# at any stage unwinds what the earlier stages acquired: no goroutine left,
+# no port held.
 resume:
-	$(GO) test -race -run 'TestResume|TestSchedulerKillAtTask|TestSessionClose|TestRandomDAGsSurviveSchedulerKill' ./internal/core/
+	$(GO) test -race -run 'TestResume|TestSchedulerKillAtTask|TestSessionCloseIdempotent|TestSessionCloseUnwindsEveryStage|TestRandomDAGsSurviveSchedulerKill' ./internal/core/
 	$(GO) test -count=1 -run 'TestResumeEquivalence' ./internal/workloads/
 
 # Read-path gate, uncached. Not under -race, which allocates on its own: the

@@ -14,12 +14,14 @@
 //	perfrecup lineage  runs/xgboost-0001 -key "('getitem__get_categories-...', 63)"  (Fig. 8)
 //	perfrecup export   runs/xgboost-0001 -view executions > executions.csv
 //	perfrecup critpath runs/xgboost-0001             (bottleneck attribution)
-//	perfrecup whatif   runs/xgboost-0001 -scenario "workers=16 net=0.5"
+//	perfrecup whatif   runs/xgboost-0001 -scenario "workers=16 net=0.5" [-json]
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -79,7 +81,7 @@ func main() {
 	case "critpath":
 		err = cmdCritPath(args)
 	case "whatif":
-		err = cmdWhatIf(args)
+		err = cmdWhatIf(args, os.Stdout)
 	default:
 		fmt.Fprintf(os.Stderr, "perfrecup: unknown command %q (valid: %s)\n", cmd, commandList)
 		os.Exit(2)
@@ -618,11 +620,13 @@ func cmdCritPath(args []string) error {
 }
 
 // cmdWhatIf replays the run's calibrated model under perturbed scenarios
-// and prints the predicted makespan deltas. -scenario may repeat.
-func cmdWhatIf(args []string) error {
+// and prints the predicted makespan deltas to out, as a report or, with
+// -json, as the replay results. -scenario may repeat.
+func cmdWhatIf(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("whatif", flag.ContinueOnError)
 	var scenarios scenarioFlags
 	fs.Var(&scenarios, "scenario", `scenario spec, repeatable (e.g. "workers=8 net=0.5", "proxy=off", "baseline")`)
+	asJSON := fs.Bool("json", false, "print the replay results as JSON")
 	dir := args[0]
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
@@ -646,8 +650,13 @@ func cmdWhatIf(args []string) error {
 		}
 		results = append(results, r)
 	}
-	fmt.Print(perfrecup.RenderWhatIf(model, results))
-	return nil
+	if *asJSON {
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		return enc.Encode(results)
+	}
+	_, err = fmt.Fprint(out, perfrecup.RenderWhatIf(model, results))
+	return err
 }
 
 // scenarioFlags collects repeated -scenario values.

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"taskprov/internal/core"
+	"taskprov/internal/whatif"
 	"taskprov/internal/workloads"
 )
 
@@ -58,7 +61,7 @@ func TestCLICommands(t *testing.T) {
 	if err := cmdCritPath([]string{dir}); err != nil {
 		t.Fatalf("critpath: %v", err)
 	}
-	if err := cmdWhatIf([]string{dir, "-scenario", "baseline", "-scenario", "net=0.5 pfs=2"}); err != nil {
+	if err := cmdWhatIf([]string{dir, "-scenario", "baseline", "-scenario", "net=0.5 pfs=2"}, os.Stdout); err != nil {
 		t.Fatalf("whatif: %v", err)
 	}
 	for _, view := range []string{"executions", "transitions", "transfers", "warnings", "dxt", "posix", "taskmeta", "heartbeats", "taskio", "critpath"} {
@@ -106,7 +109,7 @@ func TestCLILineageValidation(t *testing.T) {
 	if !strings.Contains(err.Error(), "valid:") || !strings.Contains(err.Error(), "critpath") {
 		t.Fatalf("unknown-view error does not list valid views: %v", err)
 	}
-	if err := cmdWhatIf([]string{dir, "-scenario", "workers=0"}); err == nil {
+	if err := cmdWhatIf([]string{dir, "-scenario", "workers=0"}, io.Discard); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 }
@@ -148,5 +151,59 @@ func TestCLIWindowCompareDarshanSVG(t *testing.T) {
 	}
 	if err := cmdMetadata([]string{dir}); err != nil {
 		t.Fatalf("metadata: %v", err)
+	}
+}
+
+// TestCLIWhatIf replays scenarios from a run dir and, as JSON, from the
+// run's durable data dir; a missing dir is an error, not an exit.
+func TestCLIWhatIf(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full workflow run")
+	}
+	wf, err := workloads.New("imageprocessing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	cfg := workloads.DefaultSession("imageprocessing", "imageprocessing-0009", 9)
+	cfg.MofkaDataDir = filepath.Join(tmp, "data")
+	art, err := core.Run(cfg, wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDir := filepath.Join(tmp, "imageprocessing-0009")
+	if err := art.WriteDir(runDir); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf strings.Builder
+	if err := cmdWhatIf([]string{runDir, "-scenario", "baseline", "-scenario", "workers=2 threads=1"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"what-if replay", "baseline", "workers=2 threads=1"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("whatif output missing %q:\n%s", want, buf.String())
+		}
+	}
+
+	var jsonBuf strings.Builder
+	if err := cmdWhatIf([]string{cfg.MofkaDataDir, "-json"}, &jsonBuf); err != nil {
+		t.Fatal(err)
+	}
+	var results []whatif.Result
+	if err := json.Unmarshal([]byte(jsonBuf.String()), &results); err != nil {
+		t.Fatalf("whatif -json unparseable: %v\n%s", err, jsonBuf.String())
+	}
+	if len(results) != 1 || results[0].Scenario != "baseline" {
+		t.Fatalf("whatif -json results = %+v", results)
+	}
+	// Self-replay of the unchanged configuration stays within the validation
+	// tolerance.
+	if d := results[0].DeltaFraction; d < -0.10 || d > 0.10 {
+		t.Errorf("baseline self-replay off by %.1f%%", 100*d)
+	}
+
+	if err := cmdWhatIf([]string{filepath.Join(tmp, "nope")}, io.Discard); err == nil {
+		t.Fatal("whatif on missing dir accepted")
 	}
 }

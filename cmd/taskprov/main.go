@@ -11,7 +11,6 @@
 //	taskprov resume runs-wal/xgb-0001
 //	taskprov watch -data-dir runs-wal/xgb-0001 -http 127.0.0.1:9090
 //	taskprov watch -broker 127.0.0.1:7777 -once
-//	taskprov whatif -run runs/xgb-0001 -scenario "workers=16 net=0.5"
 //	taskprov list
 package main
 
@@ -20,13 +19,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 	"time"
 
@@ -36,7 +33,6 @@ import (
 	"taskprov/internal/mofka"
 	"taskprov/internal/mofka/cluster"
 	"taskprov/internal/perfrecup"
-	"taskprov/internal/whatif"
 	"taskprov/internal/workloads"
 )
 
@@ -53,8 +49,6 @@ func main() {
 		err = cmdResume(os.Args[2:])
 	case "watch":
 		err = cmdWatch(os.Args[2:], nil)
-	case "whatif":
-		err = cmdWhatIf(os.Args[2:], os.Stdout)
 	case "list":
 		err = cmdList()
 	default:
@@ -72,7 +66,6 @@ func usage() {
   taskprov run -workflow <name> [-seed N] [-runs N] [-out DIR] [-data-dir DIR] [-force] [-cluster N] [-replication N] [-quorum N] [-live] [-live-http ADDR] [-chaos SPEC] [-speculate] [-speculate-quantile Q] [-proxy-threshold BYTES] [-proxy-prefetch] [-no-dxt] [-no-collect] [-no-steal] [-cpuprofile FILE] [-memprofile FILE]
   taskprov resume [-out DIR] [-fsync POLICY] [-chaos SPEC] DATA_DIR
   taskprov watch (-data-dir DIR | -broker ADDR) [-http ADDR] [-interval DUR] [-once] [-json]
-  taskprov whatif -run DIR [-scenario SPEC]... [-critpath] [-json]
   taskprov list`)
 }
 
@@ -157,32 +150,14 @@ func cmdRun(args []string) (err error) {
 	if *workflow == "" {
 		return fmt.Errorf("missing -workflow")
 	}
-	// Validate flag inputs up front: absurd values fail with one clear
-	// error here instead of a confusing failure mid-run (core.Run validates
-	// the full SessionConfig again per run).
 	if *runs < 1 {
 		return fmt.Errorf("-runs %d: need at least 1", *runs)
 	}
 	if *runs > 10000 {
 		return fmt.Errorf("-runs %d is absurd (max 10000)", *runs)
 	}
-	if *clusterN < 0 || *replication < 0 || *quorum < 0 {
-		return fmt.Errorf("-cluster/-replication/-quorum must be >= 0")
-	}
-	if *clusterN == 0 && (*replication != 0 || *quorum != 0) {
-		return fmt.Errorf("-replication/-quorum need -cluster N")
-	}
-	if *proxyThreshold < 0 {
-		return fmt.Errorf("-proxy-threshold must be >= 0")
-	}
-	if *proxyPrefetch && *proxyThreshold == 0 {
-		return fmt.Errorf("-proxy-prefetch needs -proxy-threshold BYTES")
-	}
 	if *specQuantile != 0 && !*speculate {
 		return fmt.Errorf("-speculate-quantile needs -speculate")
-	}
-	if *specQuantile < 0 || *specQuantile >= 1 {
-		return fmt.Errorf("-speculate-quantile %g: need 0 <= q < 1", *specQuantile)
 	}
 	for r := 0; r < *runs; r++ {
 		s := *seed + uint64(r)
@@ -197,15 +172,6 @@ func cmdRun(args []string) (err error) {
 		if *dataDir != "" {
 			cfg.MofkaDataDir = filepath.Join(*dataDir, jobID)
 			cfg.MofkaSyncPolicy = *fsync
-			if *force {
-				moved, err := moveAsideDataDir(cfg.MofkaDataDir)
-				if err != nil {
-					return err
-				}
-				if moved != "" {
-					fmt.Printf("taskprov: moved stale event log %s -> %s\n", cfg.MofkaDataDir, moved)
-				}
-			}
 		}
 		if *noSteal {
 			cfg.Dask.WorkStealing = false
@@ -222,8 +188,19 @@ func cmdRun(args []string) (err error) {
 		cfg.ClusterBrokers = *clusterN
 		cfg.ClusterReplication = *replication
 		cfg.ClusterQuorum = *quorum
+		// The configuration is refused, if at all, before a stale log is
+		// moved aside: a refused flag leaves the data dir as it was.
 		if err := cfg.Validate(); err != nil {
 			return err
+		}
+		if *force && cfg.MofkaDataDir != "" {
+			moved, err := moveAsideDataDir(cfg.MofkaDataDir)
+			if err != nil {
+				return err
+			}
+			if moved != "" {
+				fmt.Printf("taskprov: moved stale event log %s -> %s\n", cfg.MofkaDataDir, moved)
+			}
 		}
 		art, err := core.Run(cfg, wf)
 		if err != nil {
@@ -322,6 +299,7 @@ func cmdResume(args []string) error {
 	cfg.Dask.ProxyPrefetch = meta.DaskConfig.ProxyPrefetch
 	cfg.ClusterBrokers = meta.Instrumentation.ClusterBrokers
 	cfg.ClusterReplication = meta.Instrumentation.ClusterReplication
+	cfg.ClusterQuorum = meta.Instrumentation.ClusterQuorum
 	if meta.Instrumentation.SpeculationEnabled {
 		cfg.Speculation.Enabled = true
 		cfg.Speculation.MaxConcurrent = meta.Instrumentation.SpeculationMax
@@ -451,85 +429,6 @@ func cmdWatch(args []string, started chan<- string) error {
 			}
 		}
 	}
-}
-
-// cmdWhatIf loads a finished run (run dir, durable data dir, or cluster
-// dir), extracts the calibrated whatif model, and replays it under the
-// requested scenarios — self-replay ("baseline") when none are given. out
-// receives the report (tests pass a buffer).
-func cmdWhatIf(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("whatif", flag.ContinueOnError)
-	runDir := fs.String("run", "", "run directory, durable Mofka data dir, or cluster dir")
-	var scenarios scenarioFlags
-	fs.Var(&scenarios, "scenario", `scenario spec, repeatable: "workers=8 threads=4 net=0.5 pfs=2 proxy=1048576|off steal=on|off" (default baseline self-replay)`)
-	critpath := fs.Bool("critpath", false, "also print the run's critical-path report")
-	asJSON := fs.Bool("json", false, "print replay results as JSON")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *runDir == "" {
-		return fmt.Errorf("whatif: missing -run DIR")
-	}
-	art, err := perfrecup.Load(*runDir)
-	if err != nil {
-		return err
-	}
-	model, err := art.ExtractModel()
-	if err != nil {
-		return err
-	}
-	if len(scenarios) == 0 {
-		scenarios = scenarioFlags{whatif.Scenario{}}
-	}
-	var results []*whatif.Result
-	for _, s := range scenarios {
-		r, err := model.Replay(s)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-	}
-	if *asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			return err
-		}
-	} else {
-		if _, err := fmt.Fprint(out, perfrecup.RenderWhatIf(model, results)); err != nil {
-			return err
-		}
-	}
-	if *critpath {
-		rep, err := perfrecup.RenderCritPath(art)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprint(out, rep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scenarioFlags collects repeated -scenario values.
-type scenarioFlags []whatif.Scenario
-
-func (f *scenarioFlags) String() string {
-	parts := make([]string, len(*f))
-	for i, s := range *f {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, "; ")
-}
-
-func (f *scenarioFlags) Set(v string) error {
-	s, err := whatif.ParseScenario(v)
-	if err != nil {
-		return err
-	}
-	*f = append(*f, s)
-	return nil
 }
 
 func printSnapshot(s live.Summary, asJSON bool) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,7 +15,6 @@ import (
 	"taskprov/internal/live"
 	"taskprov/internal/mofka"
 	"taskprov/internal/mofka/cluster"
-	"taskprov/internal/whatif"
 )
 
 func TestCmdList(t *testing.T) {
@@ -325,58 +325,100 @@ func TestCmdWatchClusterDataDir(t *testing.T) {
 	}
 }
 
-// TestCmdWhatIf covers the whatif subcommand end to end: run a workflow,
-// persist it, and replay scenarios from the run directory and the WAL.
-func TestCmdWhatIf(t *testing.T) {
+// TestCmdRunRefusedLeavesNoLog: a -chaos spec naming a worker, broker node
+// or broker cluster the run does not have is refused before the run's data
+// dir is created, so the same command without it then runs into that dir
+// instead of being refused for the log the refused one left.
+func TestCmdRunRefusedLeavesNoLog(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full workflow run")
+		t.Skip("full workflow runs")
 	}
-	out, wal := t.TempDir(), t.TempDir()
-	err := cmdRun([]string{
-		"-workflow", "imageprocessing", "-seed", "9", "-out", out, "-data-dir", wal,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name, chaos, want string
+		args              []string
+	}{
+		{"worker", "kill worker=99 at=1s", "kill worker=99 but cluster has 8 workers", nil},
+		{"broker-node", "broker node=7 at=1s", "broker node=7 but cluster has 3 brokers", []string{"-cluster", "3", "-replication", "2"}},
+		{"broker-standalone", "broker node=1 at=1s", "requires ClusterBrokers > 0", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, data := t.TempDir(), t.TempDir()
+			args := append([]string{"-workflow", "imageprocessing", "-seed", "3", "-out", out, "-data-dir", data}, tc.args...)
+			err := cmdRun(append(args[:len(args):len(args)], "-chaos", tc.chaos))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("-chaos %q: error %v, want one saying %q", tc.chaos, err, tc.want)
+			}
+			runDir := filepath.Join(data, "imageprocessing-0003")
+			if _, err := os.Stat(runDir); !os.IsNotExist(err) {
+				t.Fatalf("the refused run left %s behind (%v)", runDir, err)
+			}
+			if err := cmdRun(args); err != nil {
+				t.Fatalf("the same command without -chaos: %v", err)
+			}
+		})
 	}
-	runDir := filepath.Join(out, "imageprocessing-0009")
+}
 
-	var buf strings.Builder
-	err = cmdWhatIf([]string{"-run", runDir,
-		"-scenario", "baseline", "-scenario", "workers=2 threads=1", "-critpath"}, &buf)
+// TestCmdRunForceValidatesFirst: -force moves a stale log aside only for a
+// run it will start; a refused configuration leaves the log where it was.
+func TestCmdRunForceValidatesFirst(t *testing.T) {
+	data := t.TempDir()
+	runDir := filepath.Join(data, "imageprocessing-0003")
+	b, err := mofka.NewDurableBroker(mofka.Options{DataDir: runDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := buf.String()
-	for _, want := range []string{"what-if replay", "baseline", "workers=2 threads=1", "critical path"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("whatif output missing %q:\n%s", want, got)
+	if _, err := b.OpenOrCreateTopic(mofka.TopicConfig{Name: "t", Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = cmdRun([]string{"-workflow", "imageprocessing", "-seed", "3", "-out", t.TempDir(), "-data-dir", data,
+		"-force", "-chaos", "rpc op=drop"})
+	if err == nil {
+		t.Fatal(`-force -chaos "rpc op=drop" accepted`)
+	}
+	if !mofka.IsDataDir(runDir) {
+		t.Error("the refused run moved the existing log away")
+	}
+	if _, err := os.Stat(runDir + ".old-1"); !os.IsNotExist(err) {
+		t.Errorf("the refused run made %s.old-1 (%v)", runDir, err)
+	}
+}
+
+// TestCmdResumeKeepsQuorum: a crashed cluster run's -quorum is recorded in
+// its metadata and restored by resume, which reopens the cluster with the
+// quorum its cluster.json holds (a different one is refused).
+func TestCmdResumeKeepsQuorum(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full workflow runs")
+	}
+	out, data := t.TempDir(), t.TempDir()
+	err := cmdRun([]string{"-workflow", "imageprocessing", "-seed", "3", "-out", out, "-data-dir", data,
+		"-cluster", "3", "-replication", "3", "-quorum", "1", "-chaos", "scheduler at=30s"})
+	var crash *core.CrashError
+	if !errors.As(err, &crash) {
+		t.Fatalf("crashed run: %v, want a CrashError", err)
+	}
+	dir := filepath.Join(data, "imageprocessing-0003")
+	if err := cmdResume([]string{"-out", out, dir}); err != nil {
+		t.Fatal(err)
+	}
+	for _, meta := range []string{filepath.Join(dir, "metadata.json"), filepath.Join(out, "imageprocessing-0003", "metadata.json")} {
+		raw, err := os.ReadFile(meta)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// -json emits parseable results, and the WAL dir loads identically.
-	var jsonBuf strings.Builder
-	walDir := filepath.Join(wal, "imageprocessing-0009")
-	if err := cmdWhatIf([]string{"-run", walDir, "-json"}, &jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	var results []whatif.Result
-	if err := json.Unmarshal([]byte(jsonBuf.String()), &results); err != nil {
-		t.Fatalf("whatif -json unparseable: %v\n%s", err, jsonBuf.String())
-	}
-	if len(results) != 1 || results[0].Scenario != "baseline" {
-		t.Fatalf("whatif -json results = %+v", results)
-	}
-	// Self-replay of the unchanged configuration stays within the validation
-	// tolerance.
-	if d := results[0].DeltaFraction; d < -0.10 || d > 0.10 {
-		t.Errorf("baseline self-replay off by %.1f%%", 100*d)
-	}
-
-	// Bad inputs fail instead of exiting.
-	if err := cmdWhatIf([]string{"-scenario", "baseline"}, io.Discard); err == nil {
-		t.Fatal("whatif without -run accepted")
-	}
-	if err := cmdWhatIf([]string{"-run", filepath.Join(t.TempDir(), "nope")}, io.Discard); err == nil {
-		t.Fatal("whatif on missing dir accepted")
+		var m struct {
+			Attempt         int
+			Instrumentation map[string]any
+		}
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		if q := m.Instrumentation["cluster_quorum"]; q != 1.0 || m.Attempt != 2 {
+			t.Errorf("%s: attempt %d, cluster_quorum %v; want the resumed attempt 2 at quorum 1", meta, m.Attempt, q)
+		}
 	}
 }

@@ -412,7 +412,6 @@ type AppendFaulter interface {
 // ability to crash and restart broker replicas by node id.
 // *cluster.Cluster satisfies it.
 type BrokerKiller interface {
-	Brokers() int
 	KillBroker(id int) error
 	RestartBroker(id int) error
 }
@@ -440,50 +439,68 @@ func NewController(plan *Plan) *Controller {
 	}
 }
 
-// ArmWorkerFaults schedules the plan's kills and restarts on the simulation
-// kernel against a cluster with the given worker count. Call before
-// kernel.Run.
-func (c *Controller) ArmWorkerFaults(k *sim.Kernel, cl WorkerKiller, workers int) error {
-	for _, kill := range c.plan.Kills {
+// Check refuses a plan that names a target the run does not have: a worker
+// rank, a platform node or a broker replica outside the run's shape (brokers
+// is 0 when the run has no broker cluster). A session checks its plan against
+// the shape its configuration fixes while validating it, before anything is
+// built, so the arm functions below cannot fail.
+func (p *Plan) Check(workers, nodes, brokers int) error {
+	for _, kill := range p.Kills {
 		if kill.Worker >= workers {
 			return fmt.Errorf("chaos: kill worker=%d but cluster has %d workers", kill.Worker, workers)
 		}
+	}
+	for _, slow := range p.Slows {
+		if slow.Worker >= workers {
+			return fmt.Errorf("chaos: slow worker=%d but cluster has %d workers", slow.Worker, workers)
+		}
+	}
+	for _, nf := range p.Nets {
+		if nf.Src >= nodes || nf.Dst >= nodes {
+			return fmt.Errorf("chaos: net src=%d dst=%d but platform has %d nodes", nf.Src, nf.Dst, nodes)
+		}
+	}
+	if len(p.Brokers) > 0 && brokers == 0 {
+		return fmt.Errorf("chaos broker directive requires ClusterBrokers > 0")
+	}
+	for _, bk := range p.Brokers {
+		if bk.Node >= brokers {
+			return fmt.Errorf("chaos: broker node=%d but cluster has %d brokers", bk.Node, brokers)
+		}
+	}
+	return nil
+}
+
+// ArmWorkerFaults schedules the plan's kills and restarts on the simulation
+// kernel. Call before kernel.Run.
+func (c *Controller) ArmWorkerFaults(k *sim.Kernel, cl WorkerKiller) {
+	for _, kill := range c.plan.Kills {
 		kk := kill
 		k.At(sim.Time(kk.At), func() { cl.KillWorker(kk.Worker) })
 		if kk.Restart > 0 {
 			k.At(sim.Time(kk.At+kk.Restart), func() { cl.RestartWorker(kk.Worker) })
 		}
 	}
-	return nil
 }
 
 // ArmSlowdowns schedules the plan's worker brownouts on the simulation
-// kernel against a cluster with the given worker count. Like kills, onsets
-// fire at exact virtual times, so the same spec degrades the same task
-// executions on every run. Call before kernel.Run.
-func (c *Controller) ArmSlowdowns(k *sim.Kernel, cl WorkerSlower, workers int) error {
+// kernel. Like kills, onsets fire at exact virtual times, so the same spec
+// degrades the same task executions on every run. Call before kernel.Run.
+func (c *Controller) ArmSlowdowns(k *sim.Kernel, cl WorkerSlower) {
 	for _, slow := range c.plan.Slows {
-		if slow.Worker >= workers {
-			return fmt.Errorf("chaos: slow worker=%d but cluster has %d workers", slow.Worker, workers)
-		}
 		ss := slow
 		k.At(sim.Time(ss.At), func() { cl.SlowWorker(ss.Worker, ss.Factor) })
 		if ss.Until > 0 {
 			k.At(sim.Time(ss.At+ss.Until), func() { cl.ClearSlowdown(ss.Worker) })
 		}
 	}
-	return nil
 }
 
-// ArmLinkFaults schedules the plan's link degradations against a platform
-// with the given node count. Faults with no onset time take effect
-// immediately; healed links are restored at exact virtual times. Call before
-// kernel.Run.
-func (c *Controller) ArmLinkFaults(k *sim.Kernel, net LinkDegrader, nodes int) error {
+// ArmLinkFaults schedules the plan's link degradations. Faults with no onset
+// time take effect immediately; healed links are restored at exact virtual
+// times. Call before kernel.Run.
+func (c *Controller) ArmLinkFaults(k *sim.Kernel, net LinkDegrader) {
 	for _, nf := range c.plan.Nets {
-		if nf.Src >= nodes || nf.Dst >= nodes {
-			return fmt.Errorf("chaos: net src=%d dst=%d but platform has %d nodes", nf.Src, nf.Dst, nodes)
-		}
 		n := nf
 		if n.At > 0 {
 			k.At(sim.Time(n.At), func() { net.SetLinkFactor(n.Src, n.Dst, n.Factor) })
@@ -494,28 +511,21 @@ func (c *Controller) ArmLinkFaults(k *sim.Kernel, net LinkDegrader, nodes int) e
 			k.At(sim.Time(n.At+n.Until), func() { net.SetLinkFactor(n.Src, n.Dst, 1) })
 		}
 	}
-	return nil
 }
 
 // ArmClusterFaults schedules the plan's broker-replica kills and restarts
 // on the simulation kernel against a sharded Mofka cluster. Kill/restart
-// errors are ignored at fire time (killing an already-dead node is a no-op
-// by design: two overlapping broker directives must not abort the run).
-// Call before kernel.Run.
-func (c *Controller) ArmClusterFaults(k *sim.Kernel, cl BrokerKiller) error {
+// errors are ignored at fire time: an unknown broker cannot get past Check,
+// and killing an already-dead node is a no-op by design (two overlapping
+// broker directives must not abort the run). Call before kernel.Run.
+func (c *Controller) ArmClusterFaults(k *sim.Kernel, cl BrokerKiller) {
 	for _, bk := range c.plan.Brokers {
-		if bk.Node >= cl.Brokers() {
-			return fmt.Errorf("chaos: broker node=%d but cluster has %d brokers", bk.Node, cl.Brokers())
-		}
 		b := bk
-		// Kill/restart errors (unknown broker, already down) cannot happen
-		// past the range check above; ignore them explicitly.
 		k.At(sim.Time(b.At), func() { _ = cl.KillBroker(b.Node) })
 		if b.Restart > 0 {
 			k.At(sim.Time(b.At+b.Restart), func() { _ = cl.RestartBroker(b.Node) })
 		}
 	}
-	return nil
 }
 
 // ArmSchedulerFaults schedules the plan's time-triggered coordinator kills
@@ -538,13 +548,13 @@ func (c *Controller) ArmSchedulerFaults(k *sim.Kernel, crash func(kill Scheduler
 }
 
 // TaskTriggeredSchedulerKills returns the coordinator kills that fire on a
-// named task's completion, for the session to arm against its execution
-// stream.
-func (c *Controller) TaskTriggeredSchedulerKills() []SchedulerKill {
-	var out []SchedulerKill
+// named task's completion, keyed by task, for the session to arm against its
+// execution stream.
+func (c *Controller) TaskTriggeredSchedulerKills() map[string]SchedulerKill {
+	out := make(map[string]SchedulerKill)
 	for _, sk := range c.plan.Schedulers {
 		if sk.AtTask != "" {
-			out = append(out, sk)
+			out[sk.AtTask] = sk
 		}
 	}
 	return out

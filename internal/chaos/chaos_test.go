@@ -92,22 +92,13 @@ func TestArmWorkerFaults(t *testing.T) {
 	}
 	k := sim.NewKernel(1)
 	cl := &fakeCluster{}
-	if err := NewController(p).ArmWorkerFaults(k, cl, 4); err != nil {
-		t.Fatal(err)
-	}
+	NewController(p).ArmWorkerFaults(k, cl)
 	k.Run()
 	if len(cl.kills) != 2 || cl.kills[0] != 0 || cl.kills[1] != 2 {
 		t.Fatalf("kills %v", cl.kills)
 	}
 	if len(cl.restarts) != 1 || cl.restarts[0] != 2 {
 		t.Fatalf("restarts %v", cl.restarts)
-	}
-}
-
-func TestArmWorkerFaultsValidatesRank(t *testing.T) {
-	p, _ := Parse("kill worker=8 at=5s")
-	if err := NewController(p).ArmWorkerFaults(sim.NewKernel(1), &fakeCluster{}, 8); err == nil {
-		t.Fatal("expected rank-out-of-range error")
 	}
 }
 
@@ -195,7 +186,7 @@ func TestArmSchedulerFaults(t *testing.T) {
 	if len(fired) != 2 || fired[0].At != 5*time.Second || fired[1].At != 9*time.Second {
 		t.Fatalf("fired %+v", fired)
 	}
-	if tt := c.TaskTriggeredSchedulerKills(); len(tt) != 1 || tt[0].AtTask != "k1" {
+	if tt := c.TaskTriggeredSchedulerKills(); len(tt) != 1 || tt["k1"].AtTask != "k1" {
 		t.Fatalf("task-triggered %+v", tt)
 	}
 }
@@ -373,9 +364,7 @@ func TestArmSlowdowns(t *testing.T) {
 	}
 	k := sim.NewKernel(1)
 	sl := &fakeSlower{}
-	if err := NewController(p).ArmSlowdowns(k, sl, 4); err != nil {
-		t.Fatal(err)
-	}
+	NewController(p).ArmSlowdowns(k, sl)
 	k.Run()
 	want := []string{"slow 0 x2", "slow 2 x8", "clear 2"}
 	if len(sl.events) != len(want) {
@@ -385,13 +374,6 @@ func TestArmSlowdowns(t *testing.T) {
 		if sl.events[i] != want[i] {
 			t.Fatalf("events %v, want %v", sl.events, want)
 		}
-	}
-}
-
-func TestArmSlowdownsValidatesRank(t *testing.T) {
-	p, _ := Parse("slow worker=4 at=5s factor=2")
-	if err := NewController(p).ArmSlowdowns(sim.NewKernel(1), &fakeSlower{}, 4); err == nil {
-		t.Fatal("expected rank-out-of-range error")
 	}
 }
 
@@ -410,9 +392,7 @@ func TestArmLinkFaults(t *testing.T) {
 	}
 	k := sim.NewKernel(1)
 	n := &fakeNet{}
-	if err := NewController(p).ArmLinkFaults(k, n, 2); err != nil {
-		t.Fatal(err)
-	}
+	NewController(p).ArmLinkFaults(k, n)
 	// The onset-less fault degrades immediately, before the kernel runs.
 	if len(n.events) != 1 || n.events[0] != "1->0 x2" {
 		t.Fatalf("pre-run events %v", n.events)
@@ -429,9 +409,33 @@ func TestArmLinkFaults(t *testing.T) {
 	}
 }
 
-func TestArmLinkFaultsValidatesNodes(t *testing.T) {
-	p, _ := Parse("net src=0 dst=2 factor=2")
-	if err := NewController(p).ArmLinkFaults(sim.NewKernel(1), &fakeNet{}, 2); err == nil {
-		t.Fatal("expected node-out-of-range error")
+// TestPlanCheck: a plan naming a worker, node or broker the run's shape does
+// not have is refused by Check, with the target and the shape in the error;
+// one inside the shape passes.
+func TestPlanCheck(t *testing.T) {
+	const workers, nodes, brokers = 8, 2, 3
+	for _, tc := range []struct {
+		spec    string
+		brokers int
+		want    string // "" = accepted
+	}{
+		{"kill worker=7 at=5s; slow worker=0 at=1s factor=2; net src=1 dst=0 factor=2; broker node=2 at=1s", brokers, ""},
+		{"kill worker=8 at=5s", brokers, "chaos: kill worker=8 but cluster has 8 workers"},
+		{"slow worker=8 at=5s factor=2", brokers, "chaos: slow worker=8 but cluster has 8 workers"},
+		{"net src=0 dst=2 factor=2", brokers, "chaos: net src=0 dst=2 but platform has 2 nodes"},
+		{"broker node=3 at=1s", brokers, "chaos: broker node=3 but cluster has 3 brokers"},
+		{"broker node=0 at=1s", 0, "chaos broker directive requires ClusterBrokers > 0"},
+	} {
+		p, err := Parse(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = p.Check(workers, nodes, tc.brokers)
+		if tc.want == "" && err != nil {
+			t.Errorf("%q: refused: %v", tc.spec, err)
+		}
+		if tc.want != "" && (err == nil || err.Error() != tc.want) {
+			t.Errorf("%q: error %v, want %q", tc.spec, err, tc.want)
+		}
 	}
 }

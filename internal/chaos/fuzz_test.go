@@ -27,8 +27,8 @@ var docSpecs = []string{
 
 // smallCluster is everything a plan can be armed against, sized like the
 // smallest deployment; a rank, node or broker id outside it indexes out of
-// range, so an accepted plan that the arm functions' range checks let through
-// with a bad target panics here as it would in a session.
+// range, so a plan that Check lets through with a bad target panics here as
+// it would in a session.
 type smallCluster struct {
 	workers [4]float64 // slow factor; 0 = dead
 	links   [2][2]float64
@@ -43,7 +43,6 @@ func (c *smallCluster) ClearSlowdown(rank int)              { c.workers[rank] = 
 func (c *smallCluster) SetLinkFactor(src, dst int, f float64) {
 	c.links[src][dst] = f
 }
-func (c *smallCluster) Brokers() int               { return len(c.brokers) }
 func (c *smallCluster) KillBroker(id int) error    { c.brokers[id] = false; return nil }
 func (c *smallCluster) RestartBroker(id int) error { c.brokers[id] = true; return nil }
 func (c *smallCluster) SetAppendFault(h func(topic string, partition int) error) {
@@ -51,9 +50,8 @@ func (c *smallCluster) SetAppendFault(h func(topic string, partition int) error)
 }
 
 // FuzzParse: no spec, however malformed, panics the parser, and a plan the
-// parser accepts arms against a small cluster and runs to the end of its
-// schedule without panicking (an arm function may refuse it with an error —
-// a target the cluster does not have).
+// parser accepts and Check passes against a small cluster's shape arms
+// against that cluster and runs to the end of its schedule without panicking.
 func FuzzParse(f *testing.F) {
 	for _, s := range docSpecs {
 		f.Add(s)
@@ -73,13 +71,16 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		cl := &smallCluster{}
+		if plan.Check(len(cl.workers), len(cl.links), len(cl.brokers)) != nil {
+			return
+		}
 		c := NewController(plan)
 		k := sim.NewKernel(1)
-		cl := &smallCluster{}
-		_ = c.ArmWorkerFaults(k, cl, len(cl.workers))
-		_ = c.ArmSlowdowns(k, cl, len(cl.workers))
-		_ = c.ArmLinkFaults(k, cl, len(cl.links))
-		_ = c.ArmClusterFaults(k, cl)
+		c.ArmWorkerFaults(k, cl)
+		c.ArmSlowdowns(k, cl)
+		c.ArmLinkFaults(k, cl)
+		c.ArmClusterFaults(k, cl)
 		c.ArmSchedulerFaults(k, func(SchedulerKill) { k.Stop() })
 		_ = c.TaskTriggeredSchedulerKills()
 		c.ArmBroker(cl)

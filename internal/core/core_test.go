@@ -245,7 +245,13 @@ var _ = pfs.Lustre
 func TestInSituMonitor(t *testing.T) {
 	broker := mofka.NewStandaloneBroker()
 	mon := live.NewMonitor(broker, live.MonitorOptions{})
-	art, err := RunOnBroker(testSession(21), &toyWorkflow{files: 10}, broker)
+	s, err := NewSession(testSession(21), &toyWorkflow{files: 10}, broker)
+	if err != nil {
+		mon.Stop()
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	art, err := s.Execute()
 	if err != nil {
 		mon.Stop()
 		t.Fatal(err)

@@ -27,9 +27,10 @@ type frontierPlugin struct {
 	cp *resume.Checkpoint
 }
 
-func newFrontierPlugin(attempt int, seed *resume.Checkpoint) *frontierPlugin {
+func newFrontierPlugin(attempt int, resumed *resume.State) *frontierPlugin {
 	f := &frontierPlugin{cp: resume.NewCheckpoint(attempt)}
-	if seed != nil {
+	if resumed != nil {
+		seed := resumed.Frontier
 		for key, t := range seed.Tasks {
 			f.putTask(key, t)
 		}

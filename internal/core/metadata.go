@@ -117,10 +117,11 @@ type InstrumentationConfig struct {
 	// MofkaDataDir is the durable event-log directory, empty when the run's
 	// provenance stream was in-memory only.
 	MofkaDataDir string `json:"mofka_data_dir,omitempty"`
-	// ClusterBrokers/ClusterReplication record the sharded Mofka deployment
-	// shape (internal/mofka/cluster); zero for single-broker runs.
+	// ClusterBrokers/Replication/Quorum record the sharded Mofka deployment
+	// (internal/mofka/cluster) as configured; zero for a single broker or a default.
 	ClusterBrokers     int `json:"cluster_brokers,omitempty"`
 	ClusterReplication int `json:"cluster_replication,omitempty"`
+	ClusterQuorum      int `json:"cluster_quorum,omitempty"`
 	// Chaos is the fault-injection spec the run was executed under (see
 	// internal/chaos), empty for fault-free runs. Recording it makes
 	// degraded runs self-describing post-mortem.

@@ -3,8 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"net"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -364,6 +367,92 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	// Published events stay readable after Close.
 	if n, err := art.DistinctTasks(); err != nil || n == 0 {
 		t.Fatalf("post-Close read: %d tasks, %v", n, err)
+	}
+}
+
+// TestSessionCloseUnwindsEveryStage: a session whose build fails at a stage
+// releases what the stages before it acquired — the kernel and cluster of
+// substrate, the bus of openBus, the live monitor of attachLive — so no
+// goroutine outlives the failed NewSession and the port it was to serve on
+// is free again.
+func TestSessionCloseUnwindsEveryStage(t *testing.T) {
+	// withLog leaves a finished durable run (on a cluster when clustered) in
+	// a fresh dir, closing its session.
+	withLog := func(t *testing.T, clustered bool) string {
+		cfg := testSession(8)
+		cfg.MofkaDataDir = filepath.Join(t.TempDir(), "run")
+		if clustered {
+			cfg.ClusterBrokers, cfg.ClusterReplication = 3, 2
+		}
+		s, err := NewSession(cfg, &toyWorkflow{files: 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return cfg.MofkaDataDir
+	}
+	// held is the listener the attachLive row's endpoint collides with.
+	var held net.Listener
+	for _, tc := range []struct {
+		stage     string
+		want      string // in the error, naming the stage that failed
+		configure func(t *testing.T, cfg *SessionConfig)
+	}{
+		{"openBus", "already holds an event log", func(t *testing.T, cfg *SessionConfig) {
+			cfg.MofkaDataDir = withLog(t, false)
+		}},
+		{"substrate", "holds no durable event log", func(t *testing.T, cfg *SessionConfig) {
+			cfg.ResumeFrom = t.TempDir()
+		}},
+		{"attachLive", "live: listen", func(t *testing.T, cfg *SessionConfig) {
+			var err error
+			if held, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			cfg.MofkaDataDir = filepath.Join(t.TempDir(), "run")
+			cfg.LiveMonitor, cfg.LiveHTTPAddr = true, held.Addr().String()
+		}},
+		{"openBus-cluster-rf2", "already holds an event log", func(t *testing.T, cfg *SessionConfig) {
+			cfg.MofkaDataDir = withLog(t, true)
+			cfg.ClusterBrokers, cfg.ClusterReplication = 3, 2
+		}},
+	} {
+		t.Run(tc.stage, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := testSession(9)
+			tc.configure(t, &cfg)
+			s, err := NewSession(cfg, &toyWorkflow{files: 2}, nil)
+			if err == nil || s != nil {
+				t.Fatalf("NewSession = %v, %v; want it refused", s, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not come from %s (want %q)", err, tc.stage, tc.want)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%d goroutines before the failed NewSession, %d after", before, after)
+			}
+			if cfg.LiveHTTPAddr == "" {
+				return
+			}
+			// Once the test lets its listener go, nothing holds the port.
+			if err := held.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", cfg.LiveHTTPAddr)
+			if err != nil {
+				t.Fatalf("port %s still taken after the failed NewSession: %v", cfg.LiveHTTPAddr, err)
+			}
+			_ = ln.Close()
+		})
 	}
 }
 

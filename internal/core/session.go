@@ -84,7 +84,7 @@ type SessionConfig struct {
 	// segmented event log rooted there (internal/mofka/wal): every
 	// provenance event is crash-safe on disk and the directory can be
 	// analyzed post-mortem with perfrecup, without JSONL export. Ignored
-	// when an external broker is passed to RunOnBroker.
+	// when an external broker is passed to NewSession.
 	MofkaDataDir string
 	// MofkaSyncPolicy selects the event log's fsync policy: "batch"
 	// (default), "interval", or "never". See wal.ParseSyncPolicy.
@@ -109,7 +109,7 @@ type SessionConfig struct {
 	// partitions over to surviving replicas without losing acknowledged
 	// events. RunArtifacts.Broker then holds the cluster's merged read view
 	// and RunArtifacts.Cluster the live cluster handle. Incompatible with an
-	// external broker passed to RunOnBroker.
+	// external broker passed to NewSession.
 	ClusterBrokers int
 	// ClusterReplication is the replica count per partition (0 = the
 	// cluster default, 2 capped at the broker count). Must be <=
@@ -137,53 +137,68 @@ type SessionConfig struct {
 
 // Validate rejects impossible session configurations with a clear error
 // before any resource is built — negative or absurd knob values surface
-// here instead of as confusing failures mid-run. Run/RunOnBroker call it
-// first; commands should call it right after flag parsing.
+// here instead of as confusing failures mid-run, and before a data dir is
+// touched. NewSession calls it first; commands should call it right after
+// flag parsing.
 func (cfg SessionConfig) Validate() error {
+	_, err := cfg.check()
+	return err
+}
+
+// check is Validate returning the parsed chaos plan, checked against the
+// run's shape so that arming it cannot fail.
+func (cfg SessionConfig) check() (*chaos.Plan, error) {
 	if cfg.MofkaBatchSize < 0 {
-		return fmt.Errorf("core: negative Mofka batch size %d", cfg.MofkaBatchSize)
+		return nil, fmt.Errorf("core: negative Mofka batch size %d", cfg.MofkaBatchSize)
 	}
 	if cfg.MofkaBatchSize > 1<<20 {
-		return fmt.Errorf("core: Mofka batch size %d is absurd (max %d)", cfg.MofkaBatchSize, 1<<20)
+		return nil, fmt.Errorf("core: Mofka batch size %d is absurd (max %d)", cfg.MofkaBatchSize, 1<<20)
 	}
 	if cfg.DXTBufferSegments < 0 {
-		return fmt.Errorf("core: negative DXT buffer segments %d", cfg.DXTBufferSegments)
+		return nil, fmt.Errorf("core: negative DXT buffer segments %d", cfg.DXTBufferSegments)
 	}
 	if cfg.DarshanMaxFileRecords < 0 {
-		return fmt.Errorf("core: negative Darshan max file records %d", cfg.DarshanMaxFileRecords)
+		return nil, fmt.Errorf("core: negative Darshan max file records %d", cfg.DarshanMaxFileRecords)
 	}
 	if cfg.ClusterBrokers < 0 {
-		return fmt.Errorf("core: negative cluster broker count %d", cfg.ClusterBrokers)
+		return nil, fmt.Errorf("core: negative cluster broker count %d", cfg.ClusterBrokers)
 	}
 	if cfg.Dask.ProxyThresholdBytes < 0 {
-		return fmt.Errorf("core: negative proxy threshold %d", cfg.Dask.ProxyThresholdBytes)
+		return nil, fmt.Errorf("core: negative proxy threshold %d", cfg.Dask.ProxyThresholdBytes)
 	}
 	if cfg.Dask.ProxyThresholdBytes == 0 && cfg.Dask.ProxyPrefetch {
-		return fmt.Errorf("core: ProxyPrefetch requires a positive ProxyThresholdBytes")
+		return nil, fmt.Errorf("core: ProxyPrefetch requires a positive ProxyThresholdBytes")
 	}
 	if cfg.ClusterBrokers == 0 && (cfg.ClusterReplication != 0 || cfg.ClusterQuorum != 0) {
-		return fmt.Errorf("core: cluster replication/quorum set without ClusterBrokers")
+		return nil, fmt.Errorf("core: cluster replication/quorum set without ClusterBrokers")
 	}
 	if sp := cfg.Speculation; sp.Enabled {
 		if sp.Quantile < 0 || sp.Quantile >= 1 {
-			return fmt.Errorf("core: speculation quantile %v outside [0, 1)", sp.Quantile)
+			return nil, fmt.Errorf("core: speculation quantile %v outside [0, 1)", sp.Quantile)
 		}
 		if sp.MaxConcurrent < 0 || sp.Budget < 0 {
-			return fmt.Errorf("core: negative speculation bound (max_concurrent=%d budget=%d)", sp.MaxConcurrent, sp.Budget)
+			return nil, fmt.Errorf("core: negative speculation bound (max_concurrent=%d budget=%d)", sp.MaxConcurrent, sp.Budget)
 		}
 		if sp.MinRuntime < 0 || sp.Interval < 0 {
-			return fmt.Errorf("core: negative speculation duration (min_runtime=%v interval=%v)", sp.MinRuntime, sp.Interval)
+			return nil, fmt.Errorf("core: negative speculation duration (min_runtime=%v interval=%v)", sp.MinRuntime, sp.Interval)
 		}
 	}
-	if _, err := chaos.Parse(cfg.ChaosSpec); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if _, err := wal.ParseSyncPolicy(cfg.MofkaSyncPolicy); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	plan, err := chaos.Parse(cfg.ChaosSpec)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if err := plan.Check(cfg.Platform.Nodes*cfg.Dask.WorkersPerNode, cfg.Platform.Nodes, cfg.ClusterBrokers); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if cfg.ResumeFrom != "" {
 		if cfg.DisableCollection {
-			return fmt.Errorf("core: ResumeFrom requires collection (resume is reconstructed from the provenance stream)")
+			return nil, fmt.Errorf("core: ResumeFrom requires collection (resume is reconstructed from the provenance stream)")
 		}
 		if cfg.MofkaDataDir != "" && cfg.MofkaDataDir != cfg.ResumeFrom {
-			return fmt.Errorf("core: ResumeFrom %s conflicts with MofkaDataDir %s (a resumed session appends to the dir it resumes from)", cfg.ResumeFrom, cfg.MofkaDataDir)
+			return nil, fmt.Errorf("core: ResumeFrom %s conflicts with MofkaDataDir %s (a resumed session appends to the dir it resumes from)", cfg.ResumeFrom, cfg.MofkaDataDir)
 		}
 	}
 	if cfg.ClusterBrokers > 0 {
@@ -193,13 +208,13 @@ func (cfg SessionConfig) Validate() error {
 			Quorum:            cfg.ClusterQuorum,
 		}
 		if err := ccfg.Validate(); err != nil {
-			return fmt.Errorf("core: %w", err)
+			return nil, fmt.Errorf("core: %w", err)
 		}
 		if cfg.LiveHTTPAddr != "" {
-			return fmt.Errorf("core: the live HTTP endpoint requires a standalone broker (cluster runs attach the monitor to the merged read view after the run)")
+			return nil, fmt.Errorf("core: the live HTTP endpoint requires a standalone broker (cluster runs attach the monitor to the merged read view after the run)")
 		}
 	}
-	return nil
+	return plan, nil
 }
 
 // DefaultSessionConfig mirrors the paper's setup: Polaris-like platform with
@@ -299,97 +314,108 @@ func (a *RunArtifacts) Records() *provenance.Records {
 	return a.records
 }
 
-// Session is one instrumented run's lifecycle, split so callers can hold it:
-// NewSession builds every component (kernel, platform, cluster, broker,
-// collector, chaos, checkpointer), Execute stages and runs the workflow, and
-// Close releases what the session owns. Run/RunOnBroker wrap the three for
-// the common case.
+// Session is one instrumented run's lifecycle, split so callers can hold it.
+// NewSession builds the run in stages (substrate, openBus, instrument,
+// armChaos, attachLive) and Execute runs it in stages (beginAttempt, run,
+// collect, persist). A stage that acquires something registers its undo
+// with onClose; Close runs them, so a failed build, a crashed run and a
+// finished one unwind the same way. Run wraps the three for the common case.
 type Session struct {
 	cfg SessionConfig
 	wf  Workflow
 
-	k       *sim.Kernel
-	plat    *platform.Cluster
-	fsys    *pfs.FileSystem
-	px      *posixio.FS
-	cluster *dask.Cluster
+	env *Env // the substrate: kernel, platform, PFS, POSIX layer, cluster
 
 	// bus is the event log the run publishes through, whichever deployment
 	// it is; clu is the same cluster again, non-nil only for a sharded run,
-	// for the steps no standalone broker has. ownBus says Close closes it.
+	// for the steps no standalone broker has.
 	bus       mofka.Bus
-	ownBus    bool
 	clu       *mcluster.Cluster
 	collector *Collector
 	runtimes  []*darshan.Runtime
+	frontier  *frontierPlugin
 
-	monitor *live.Monitor
-	liveSrv *live.Server
+	monitor   *live.Monitor
+	closeLive func() error // the live HTTP endpoint's undo, run early by collect
 
-	frontier       *frontierPlugin
-	stopCheckpoint func()
-
-	attempt     int
-	resumedFrom int
+	attempt     int // the incarnation this session runs as
 	resumeState *resume.State
+	killed      *CrashError // set by crash
 
-	crashed bool
-	crashAt sim.Time
-
-	closed bool
+	undos []func() error
 }
 
 // NewSession validates the configuration and constructs every component of
 // the run without starting it. On error the partially-constructed session is
 // closed before returning. The optional external broker shares the event
 // stream with in-situ consumers; nil creates a private one.
-func NewSession(cfg SessionConfig, wf Workflow, broker *mofka.Broker) (*Session, error) {
-	if err := cfg.Validate(); err != nil {
+func NewSession(cfg SessionConfig, wf Workflow, broker *mofka.Broker) (_ *Session, err error) {
+	plan, err := cfg.check()
+	if err != nil {
 		return nil, err
 	}
-	if broker != nil && cfg.ClusterBrokers > 0 {
-		return nil, fmt.Errorf("core: ClusterBrokers is incompatible with an external broker")
+	if broker != nil && (cfg.ClusterBrokers > 0 || cfg.ResumeFrom != "") {
+		return nil, fmt.Errorf("core: ClusterBrokers and ResumeFrom are incompatible with an external broker")
 	}
-	if broker != nil && cfg.ResumeFrom != "" {
-		return nil, fmt.Errorf("core: ResumeFrom is incompatible with an external broker")
-	}
-
-	s := &Session{cfg: cfg, wf: wf, attempt: 1}
 	if cfg.Speculation.Enabled {
 		// The session-level policy is authoritative: project it onto the
 		// scheduler's config before the cluster is built.
-		s.cfg.Dask.Speculation = cfg.Speculation
+		cfg.Dask.Speculation = cfg.Speculation
 	}
+	s := &Session{cfg: cfg, wf: wf}
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, s.Close())
+		}
+	}()
+	if err = s.substrate(); err != nil {
+		return nil, err
+	}
+	if err = s.openBus(broker); err != nil {
+		return nil, err
+	}
+	if err = s.instrument(); err != nil {
+		return nil, err
+	}
+	s.armChaos(plan)
+	if err = s.attachLive(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// onClose registers undo for Close, which runs the undos in reverse order.
+func (s *Session) onClose(undo func() error) { s.undos = append(s.undos, undo) }
+
+// substrate is the build stage for the simulated machine and its WMS: a
+// resumed run's reconstructed frontier, the kernel, platform, PFS, a Darshan
+// runtime per worker process, and the Dask cluster.
+func (s *Session) substrate() error {
+	cfg := s.cfg
+	k := sim.NewKernel(cfg.Seed)
+	s.env, s.attempt = &Env{Kernel: k, RNG: k.RNG("workflow")}, 1
 	if cfg.ResumeFrom != "" {
 		st, err := resume.Reconstruct(cfg.ResumeFrom)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s.resumeState = st
-		s.attempt = st.Attempt
-		s.resumedFrom = st.ResumedFrom
+		s.resumeState, s.attempt = st, st.Attempt
 		s.cfg.MofkaDataDir = cfg.ResumeFrom
-	}
-	cfg = s.cfg
-
-	s.k = sim.NewKernel(cfg.Seed)
-	if s.resumeState != nil {
 		// Fast-forward the virtual clock past every surviving event of the
 		// crashed attempts before anything is scheduled, so the merged
 		// provenance timeline stays monotonic across the attempt boundary.
-		s.k.RunUntil(s.resumeState.ResumeBase)
+		k.RunUntil(st.ResumeBase)
 	}
-	s.plat = platform.New(s.k, cfg.Platform)
-	s.fsys = pfs.New(s.k, cfg.PFS)
-	s.px = posixio.NewFS(s.fsys)
+	s.env.Platform = platform.New(k, cfg.Platform)
+	s.env.PFS = pfs.New(k, cfg.PFS)
+	s.env.FS = posixio.NewFS(s.env.PFS)
 
-	// Darshan runtime per worker process.
 	tracers := dask.TracerFactory(nil)
 	if !cfg.DisableCollection {
 		tracers = func(rank int, hostname string) posixio.Tracer {
 			rt := darshan.NewRuntime(darshan.Config{
 				JobID: cfg.JobID, Rank: rank, Hostname: hostname,
-				Exe:        wf.Name(),
+				Exe:        s.wf.Name(),
 				DXTEnabled: cfg.DarshanDXT, DXTBufferSegments: cfg.DXTBufferSegments,
 				MaxFileRecords: cfg.DarshanMaxFileRecords,
 			})
@@ -397,117 +423,16 @@ func NewSession(cfg SessionConfig, wf Workflow, broker *mofka.Broker) (*Session,
 			return rt
 		}
 	}
-
-	s.cluster = dask.NewCluster(s.k, s.plat, s.px, cfg.Dask, tracers)
+	s.env.Cluster = dask.NewCluster(k, s.env.Platform, s.env.FS, cfg.Dask, tracers)
 
 	// Speculation closes the detect→act loop: the scheduler's speculation
 	// tick consults the live straggler detector (the same MAD robust-z model
 	// the monitor's anomaly lane runs) in addition to its built-in quantile
 	// policy.
 	if cfg.Dask.Speculation.Enabled {
-		s.cluster.SetSpeculationAdvisor(live.NewStragglerDetector())
+		s.env.Cluster.SetSpeculationAdvisor(live.NewStragglerDetector())
 	}
-
-	if err := s.openBus(broker); err != nil {
-		_ = s.Close()
-		return nil, err
-	}
-
-	if !cfg.DisableCollection {
-		var err error
-		// Resilience: a broker hiccup degrades the producers (bounded
-		// buffering + quick in-line retries) instead of failing the run.
-		popts := mofka.ProducerOptions{
-			BatchSize:    cfg.MofkaBatchSize,
-			FlushRetries: 2,
-			RetryBackoff: time.Millisecond,
-		}
-		s.collector, err = NewCollector(s.bus, popts)
-		if err != nil {
-			_ = s.Close()
-			return nil, err
-		}
-		s.collector.SetClock(s.k.Now)
-		s.cluster.AddSchedulerPlugin(s.collector.SchedulerPlugin())
-		s.cluster.AddWorkerPlugin(s.collector.WorkerPlugin())
-	}
-
-	// The frontier checkpointer rides along whenever the run is durable: it
-	// observes completions and blob residency and periodically snapshots
-	// them next to the event log, bounding a future resume's WAL replay.
-	if cfg.MofkaDataDir != "" && !cfg.DisableCollection {
-		var seed *resume.Checkpoint
-		if s.resumeState != nil {
-			seed = s.resumeState.Frontier
-		}
-		s.frontier = newFrontierPlugin(s.attempt, seed)
-		s.cluster.AddSchedulerPlugin(s.frontier)
-		s.cluster.AddWorkerPlugin(s.frontier)
-	}
-
-	// Arm fault injection before anything starts so kills scheduled at early
-	// virtual times land deterministically.
-	if cfg.ChaosSpec != "" {
-		plan, err := chaos.Parse(cfg.ChaosSpec)
-		if err != nil {
-			_ = s.Close()
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		ctl := chaos.NewController(plan)
-		if err := ctl.ArmWorkerFaults(s.k, s.cluster, len(s.cluster.Workers())); err != nil {
-			_ = s.Close()
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if err := ctl.ArmSlowdowns(s.k, s.cluster, len(s.cluster.Workers())); err != nil {
-			_ = s.Close()
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if err := ctl.ArmLinkFaults(s.k, s.plat, cfg.Platform.Nodes); err != nil {
-			_ = s.Close()
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if s.clu != nil {
-			if err := ctl.ArmClusterFaults(s.k, s.clu); err != nil {
-				_ = s.Close()
-				return nil, fmt.Errorf("core: %w", err)
-			}
-		} else if len(plan.Brokers) > 0 {
-			_ = s.Close()
-			return nil, fmt.Errorf("core: chaos broker directive requires ClusterBrokers > 0")
-		}
-		ctl.ArmBroker(s.bus)
-		ctl.ArmSchedulerFaults(s.k, s.crash)
-		if kills := ctl.TaskTriggeredSchedulerKills(); len(kills) > 0 {
-			byKey := make(map[string]chaos.SchedulerKill, len(kills))
-			for _, kk := range kills {
-				byKey[kk.AtTask] = kk
-			}
-			s.cluster.AddWorkerPlugin(&taskKillPlugin{kills: byKey, crash: s.crash})
-		}
-	}
-
-	// Live monitoring: attach the streaming aggregator to the broker before
-	// the run starts, so it consumes the provenance topics while the
-	// workflow executes. Its final aggregates equal the post-mortem
-	// PERFRECUP views (the equivalence invariant, see internal/live). Only a
-	// standalone broker's read view is live (it is the broker); a cluster run
-	// attaches in Execute, to the merged view of the finished run.
-	if cfg.LiveMonitor && s.clu == nil {
-		view, err := s.bus.ReadView()
-		if err != nil {
-			_ = s.Close()
-			return nil, err
-		}
-		s.attachMonitor(view)
-		if cfg.LiveHTTPAddr != "" {
-			s.liveSrv, err = live.Serve(cfg.LiveHTTPAddr, s.monitor)
-			if err != nil {
-				_ = s.Close()
-				return nil, err
-			}
-		}
-	}
-	return s, nil
+	return nil
 }
 
 // openBus is the build stage for the event log the provenance stream
@@ -530,37 +455,114 @@ func (s *Session) openBus(external *mofka.Broker) error {
 		if s.resumeState == nil && mcluster.IsLogDir(cfg.MofkaDataDir) {
 			return fmt.Errorf("core: data dir %s already holds an event log (one directory per run; use ResumeFrom to continue it)", cfg.MofkaDataDir)
 		}
-		pol, err := wal.ParseSyncPolicy(cfg.MofkaSyncPolicy)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
+		pol, _ := wal.ParseSyncPolicy(cfg.MofkaSyncPolicy) // check refused a bad one
 		opts = mofka.Options{DataDir: cfg.MofkaDataDir, WAL: wal.Options{Sync: pol}}
 	}
-	if cfg.ClusterBrokers > 0 {
+	switch {
+	case cfg.ClusterBrokers > 0:
 		// Health events are timestamped with virtual time so the failover
 		// timeline lines up with the rest of the provenance stream.
 		clu, err := mcluster.New(mcluster.Config{
 			Brokers:           cfg.ClusterBrokers,
 			ReplicationFactor: cfg.ClusterReplication,
 			Quorum:            cfg.ClusterQuorum,
-			NowSeconds:        func() float64 { return s.k.Now().Seconds() },
+			NowSeconds:        func() float64 { return s.env.Kernel.Now().Seconds() },
 			DataDir:           opts.DataDir,
 			WAL:               opts.WAL,
 		})
 		if err != nil {
 			return err
 		}
-		s.clu, s.bus, s.ownBus = clu, clu.Bus(), true
-		return nil
-	}
-	broker := mofka.NewStandaloneBroker()
-	if opts.DataDir != "" {
-		var err error
-		if broker, err = mofka.NewDurableBroker(opts); err != nil {
+		s.clu, s.bus = clu, clu.Bus()
+	case opts.DataDir != "":
+		broker, err := mofka.NewDurableBroker(opts)
+		if err != nil {
 			return err
 		}
+		s.bus = broker.Bus()
+	default:
+		s.bus = mofka.NewStandaloneBroker().Bus()
 	}
-	s.bus, s.ownBus = broker.Bus(), true
+	s.onClose(s.bus.Close)
+	return nil
+}
+
+// instrument is the build stage for collection: the collector's provenance
+// plugins and, on a durable run, the frontier checkpointer, which bounds a
+// future resume's WAL replay.
+func (s *Session) instrument() error {
+	cfg := s.cfg
+	if cfg.DisableCollection {
+		return nil
+	}
+	// Resilience: a broker hiccup degrades the producers (bounded buffering +
+	// quick in-line retries) instead of failing the run.
+	popts := mofka.ProducerOptions{
+		BatchSize:    cfg.MofkaBatchSize,
+		FlushRetries: 2,
+		RetryBackoff: time.Millisecond,
+	}
+	var err error
+	if s.collector, err = NewCollector(s.bus, popts); err != nil {
+		return err
+	}
+	s.collector.SetClock(s.env.Kernel.Now)
+	s.env.Cluster.AddSchedulerPlugin(s.collector.SchedulerPlugin())
+	s.env.Cluster.AddWorkerPlugin(s.collector.WorkerPlugin())
+	if cfg.MofkaDataDir != "" {
+		s.frontier = newFrontierPlugin(s.attempt, s.resumeState)
+		s.env.Cluster.AddSchedulerPlugin(s.frontier)
+		s.env.Cluster.AddWorkerPlugin(s.frontier)
+	}
+	return nil
+}
+
+// armChaos is the build stage for fault injection, armed before anything
+// starts so kills scheduled at early virtual times land deterministically.
+// Validate checked the plan against the run's shape: arming cannot fail.
+func (s *Session) armChaos(plan *chaos.Plan) {
+	if s.cfg.ChaosSpec == "" {
+		return
+	}
+	ctl := chaos.NewController(plan)
+	ctl.ArmWorkerFaults(s.env.Kernel, s.env.Cluster)
+	ctl.ArmSlowdowns(s.env.Kernel, s.env.Cluster)
+	ctl.ArmLinkFaults(s.env.Kernel, s.env.Platform)
+	if s.clu != nil {
+		ctl.ArmClusterFaults(s.env.Kernel, s.clu)
+	}
+	ctl.ArmBroker(s.bus)
+	ctl.ArmSchedulerFaults(s.env.Kernel, s.crash)
+	if kills := ctl.TaskTriggeredSchedulerKills(); len(kills) > 0 {
+		s.env.Cluster.AddWorkerPlugin(&taskKillPlugin{kills: kills, crash: s.crash})
+	}
+}
+
+// attachLive is the build stage for the live monitor, attached before the
+// run so it consumes the provenance topics while the workflow executes, and
+// its HTTP endpoint. Only a standalone broker's read view is live (it is the
+// broker); a cluster run attaches in collect, to the merged view of the
+// finished run.
+func (s *Session) attachLive() error {
+	if !s.cfg.LiveMonitor || s.clu != nil {
+		return nil
+	}
+	view, err := s.bus.ReadView()
+	if err != nil {
+		return err
+	}
+	s.attachMonitor(view)
+	if s.cfg.LiveHTTPAddr == "" {
+		return nil
+	}
+	srv, err := live.Serve(s.cfg.LiveHTTPAddr, s.monitor)
+	if err != nil {
+		return err
+	}
+	// The endpoint serves for the run; collect closes it, and closing it
+	// again at Close is harmless.
+	s.closeLive = srv.Close
+	s.onClose(srv.Close)
 	return nil
 }
 
@@ -568,22 +570,21 @@ func (s *Session) openBus(external *mofka.Broker) error {
 func (s *Session) attachMonitor(b *mofka.Broker) {
 	cfg := s.cfg
 	s.monitor = live.NewMonitor(b, live.MonitorOptions{})
+	s.onClose(func() error { s.monitor.Stop(); return nil })
 	slots := cfg.Platform.Nodes * cfg.Dask.WorkersPerNode * cfg.Dask.ThreadsPerWorker
 	s.monitor.Aggregator().SetMeta(s.wf.Name(), cfg.Seed, slots)
 }
 
 // crash is the coordinator-kill hook: the chaos "scheduler" directive calls
 // it (possibly more than once — the first kill wins) to model kill -9 of the
-// whole session. It freezes the virtual clock and stops the kernel; Execute
-// then surfaces a CrashError without flushing producers, so events buffered
-// in unflushed batches are lost exactly as a real SIGKILL would lose them.
+// whole session. It records the CrashError and stops the kernel; Execute
+// returns it without flushing producers, so events buffered in unflushed
+// batches are lost exactly as a real SIGKILL would lose them.
 func (s *Session) crash(chaos.SchedulerKill) {
-	if s.crashed {
-		return
+	if s.killed == nil {
+		s.killed = &CrashError{At: s.env.Kernel.Now(), DataDir: s.cfg.MofkaDataDir, Attempt: s.attempt}
+		s.env.Kernel.Stop()
 	}
-	s.crashed = true
-	s.crashAt = s.k.Now()
-	s.k.Stop()
 }
 
 // taskKillPlugin fires a coordinator kill when a named task's execution
@@ -606,30 +607,47 @@ func (p *taskKillPlugin) TaskExecuted(e dask.TaskExecution) {
 // ResumeFrom). Execute does not close the session — on success the returned
 // artifacts keep the broker readable, and Close remains the caller's.
 func (s *Session) Execute() (*RunArtifacts, error) {
-	cfg, wf, k := s.cfg, s.wf, s.k
-
-	// The attempt lineage is the fencing record between incarnations:
-	// appended (uncompleted) before anything runs, completed only at clean
-	// end. A crash leaves the open entry behind as evidence. The partial
-	// metadata written alongside makes a crashed dir self-describing, so
-	// taskprov resume can rebuild this configuration from it.
-	if cfg.MofkaDataDir != "" {
-		_, err := resume.AppendAttempt(cfg.MofkaDataDir, resume.Attempt{
-			Attempt:      s.attempt,
-			ResumedFrom:  s.resumedFrom,
-			StartSeconds: k.Now().Seconds(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		meta := s.buildMeta(0, 0)
-		p := filepath.Join(cfg.MofkaDataDir, "metadata.json")
-		if err := wal.WriteFileAtomic(p, EncodeMetadata(meta)); err != nil {
-			return nil, fmt.Errorf("core: persist metadata: %w", err)
-		}
+	if err := s.beginAttempt(); err != nil {
+		return nil, err
 	}
+	start, end, err := s.run()
+	if err != nil {
+		return nil, err
+	}
+	art, err := s.collect(start, end)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.persist(art); err != nil {
+		return nil, err
+	}
+	return art, nil
+}
 
-	env := &Env{Kernel: k, Platform: s.plat, PFS: s.fsys, FS: s.px, Cluster: s.cluster, RNG: k.RNG("workflow")}
+// beginAttempt is the execute stage that appends this attempt to the
+// lineage, the fencing record between incarnations (completed only at clean
+// end, so a crash leaves it open), and writes the partial metadata from
+// which taskprov resume rebuilds this configuration.
+func (s *Session) beginAttempt() error {
+	if s.cfg.MofkaDataDir == "" {
+		return nil
+	}
+	a := resume.Attempt{Attempt: s.attempt, StartSeconds: s.env.Kernel.Now().Seconds()}
+	if s.resumeState != nil {
+		a.ResumedFrom = s.resumeState.ResumedFrom
+	}
+	if _, err := resume.AppendAttempt(s.cfg.MofkaDataDir, a); err != nil {
+		return err
+	}
+	return s.writeMeta(s.buildMeta(0, 0))
+}
+
+// run is the execute stage that stages the inputs, seeds a resumed frontier,
+// and runs the kernel, with the checkpoint ticker, until the workflow's
+// client returns. A coordinator kill returns its *CrashError — kill -9: no
+// flush, no final checkpoint, no lineage completion.
+func (s *Session) run() (start, end sim.Time, err error) {
+	k, wf, env := s.env.Kernel, s.wf, s.env
 	wf.Stage(env)
 
 	if st := s.resumeState; st != nil {
@@ -639,23 +657,22 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 		// memoized tasks' outputs exist without re-running them. Tasks whose
 		// records were lost re-run and redo their I/O themselves.
 		for _, fe := range st.FileEffects {
-			s.fsys.CreateNow(fe.Path, fe.SizeAfter)
+			s.env.PFS.CreateNow(fe.Path, fe.SizeAfter)
 		}
-		s.cluster.SeedResume(st.Memos, st.DoneGraphs)
-		if s.collector != nil {
-			s.collector.pushWarning(dask.Warning{
-				Kind:   dask.WarnSessionResumed,
-				Worker: "scheduler",
-				At:     k.Now(),
-				Message: fmt.Sprintf("attempt %d resumed from attempt %d: %d tasks memoized, %d graphs already done",
-					s.attempt, s.resumedFrom, len(st.Memos), len(st.DoneGraphs)),
-			})
-		}
+		s.env.Cluster.SeedResume(st.Memos, st.DoneGraphs)
+		s.collector.pushWarning(dask.Warning{ // a resumed run always collects (Validate)
+			Kind:   dask.WarnSessionResumed,
+			Worker: "scheduler",
+			At:     k.Now(),
+			Message: fmt.Sprintf("attempt %d resumed from attempt %d: %d tasks memoized, %d graphs already done",
+				st.Attempt, st.ResumedFrom, len(st.Memos), len(st.DoneGraphs)),
+		})
 	}
 
+	stopCheckpoints := func() {}
 	if s.frontier != nil {
-		s.stopCheckpoint = k.Every(checkpointInterval, func() {
-			if err := s.frontier.write(cfg.MofkaDataDir, k.Now()); err != nil && s.collector != nil {
+		stopCheckpoints = k.Every(checkpointInterval, func() {
+			if err := s.frontier.write(s.cfg.MofkaDataDir, k.Now()); err != nil && s.collector != nil {
 				s.collector.pushWarning(dask.Warning{
 					Kind: dask.WarnCheckpointFailed, Worker: "scheduler",
 					At: k.Now(), Message: err.Error(),
@@ -664,37 +681,36 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 		})
 	}
 
-	s.cluster.Start()
-	var start, end sim.Time
+	s.env.Cluster.Start()
 	finished := false
 	k.Go(func(p *sim.Proc) {
-		cl := s.cluster.Client()
+		cl := s.env.Cluster.Client()
 		start = p.Now()
-		cl.WaitForWorkers(p, len(s.cluster.Workers()))
+		cl.WaitForWorkers(p, len(s.env.Cluster.Workers()))
 		wf.Run(p, cl, env)
 		end = p.Now()
 		finished = true
 		k.Stop()
 	})
 	k.Run()
-	if s.stopCheckpoint != nil {
-		s.stopCheckpoint()
-		s.stopCheckpoint = nil
-	}
-	if s.crashed {
-		// kill -9: no flush, no final checkpoint, no lineage completion.
-		// Whatever the producers had batched but not appended is gone.
-		return nil, &CrashError{At: s.crashAt, DataDir: cfg.MofkaDataDir, Attempt: s.attempt}
+	stopCheckpoints()
+	if s.killed != nil {
+		return 0, 0, s.killed
 	}
 	if !finished {
-		return nil, fmt.Errorf("core: workflow %q deadlocked at %v (%d events pending)", wf.Name(), k.Now(), k.Pending())
+		return 0, 0, fmt.Errorf("core: workflow %q deadlocked at %v (%d events pending)", wf.Name(), k.Now(), k.Pending())
 	}
+	return start, end, nil
+}
 
+// collect is the execute stage that flushes the provenance and assembles
+// the finished run's artifacts.
+func (s *Session) collect(start, end sim.Time) (*RunArtifacts, error) {
 	if s.resumeState != nil {
 		// Blobs revived for the resumed frontier but never demanded by the
 		// remaining work are swept now, emitting their frees into the stream,
 		// so merged residency drains to the uninterrupted baseline.
-		s.cluster.ReleaseResumeOrphans()
+		s.env.Cluster.ReleaseResumeOrphans()
 	}
 
 	art := &RunArtifacts{Collector: s.collector, Cluster: s.clu, WallTime: end - start}
@@ -727,7 +743,7 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 	for _, rt := range s.runtimes {
 		art.DarshanLogs = append(art.DarshanLogs, rt.Snapshot())
 	}
-	if cfg.LiveMonitor && s.monitor == nil {
+	if s.cfg.LiveMonitor && s.monitor == nil {
 		// Not attached before the run — a cluster: attach to the merged read
 		// view now that the acknowledged prefixes are final; the Summary
 		// still satisfies the live/post-mortem equivalence invariant.
@@ -736,21 +752,19 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 	if s.monitor != nil {
 		sum := s.monitor.Finish(art.DarshanLogs, (end - start).Seconds())
 		art.Live = &sum
-		if s.liveSrv != nil {
-			if err := s.liveSrv.Close(); err != nil {
+		if s.closeLive != nil {
+			if err := s.closeLive(); err != nil {
 				return nil, err
 			}
-			s.liveSrv = nil
 		}
-		s.monitor = nil
 	}
 	art.Meta = s.buildMeta(start, end)
-	art.Proxy = s.cluster.ProxyStats()
+	art.Proxy = s.env.Cluster.ProxyStats()
 	art.Files = make(map[string]int64)
-	for _, p := range s.fsys.List("/") {
-		art.Files[p] = s.fsys.Lookup(p).Size
+	for _, p := range s.env.PFS.List("/") {
+		art.Files[p] = s.env.PFS.Lookup(p).Size
 	}
-	if !cfg.DisableCollection {
+	if !s.cfg.DisableCollection {
 		// The critical-path digest rides on every instrumented run; an
 		// extraction failure (e.g. a chaos run that lost its stream) just
 		// leaves it nil.
@@ -758,30 +772,43 @@ func (s *Session) Execute() (*RunArtifacts, error) {
 			art.CritPath = model.CriticalPath().Summarize()
 		}
 	}
-	if cfg.MofkaDataDir != "" {
-		// Make the data directory self-describing: with metadata.json next
-		// to topics/ (or cluster.json), perfrecup can analyze the event log
-		// post-mortem without the JSONL run directory.
-		if err := s.bus.Sync(); err != nil {
-			return nil, err
-		}
-		if s.frontier != nil {
-			if err := s.frontier.write(cfg.MofkaDataDir, k.Now()); err != nil {
-				return nil, err
-			}
-		}
-		if err := resume.CompleteAttempt(cfg.MofkaDataDir, s.attempt, end.Seconds()); err != nil {
-			return nil, err
-		}
-		p := filepath.Join(cfg.MofkaDataDir, "metadata.json")
-		if err := wal.WriteFileAtomic(p, EncodeMetadata(art.Meta)); err != nil {
-			return nil, fmt.Errorf("core: persist metadata: %w", err)
-		}
-		if err := art.WriteDarshanLogs(cfg.MofkaDataDir); err != nil {
-			return nil, fmt.Errorf("core: persist darshan logs: %w", err)
+	return art, nil
+}
+
+// persist is the execute stage that completes a durable run's data dir and
+// makes it self-describing, so perfrecup can analyze it post-mortem without
+// the JSONL run directory.
+func (s *Session) persist(art *RunArtifacts) error {
+	dir := s.cfg.MofkaDataDir
+	if dir == "" {
+		return nil
+	}
+	if err := s.bus.Sync(); err != nil {
+		return err
+	}
+	if s.frontier != nil {
+		if err := s.frontier.write(dir, s.env.Kernel.Now()); err != nil {
+			return err
 		}
 	}
-	return art, nil
+	if err := resume.CompleteAttempt(dir, s.attempt, art.Meta.EndSeconds); err != nil {
+		return err
+	}
+	if err := s.writeMeta(art.Meta); err != nil {
+		return err
+	}
+	if err := art.WriteDarshanLogs(dir); err != nil {
+		return fmt.Errorf("core: persist darshan logs: %w", err)
+	}
+	return nil
+}
+
+// writeMeta writes the data dir's metadata.json.
+func (s *Session) writeMeta(m RunMetadata) error {
+	if err := wal.WriteFileAtomic(filepath.Join(s.cfg.MofkaDataDir, "metadata.json"), EncodeMetadata(m)); err != nil {
+		return fmt.Errorf("core: persist metadata: %w", err)
+	}
+	return nil
 }
 
 // buildMeta assembles the run's metadata chart; zero start/end produce the
@@ -797,8 +824,8 @@ func (s *Session) buildMeta(start, end sim.Time) RunMetadata {
 		JobID:    cfg.JobID,
 		Workflow: s.wf.Name(),
 		Seed:     cfg.Seed,
-		Platform: s.plat.Describe(),
-		Storage:  s.fsys.Describe(),
+		Platform: s.env.Platform.Describe(),
+		Storage:  s.env.PFS.Describe(),
 		Software: DefaultSoftwareStack(),
 		Job: JobConfig{
 			Nodes:            cfg.Platform.Nodes,
@@ -807,7 +834,7 @@ func (s *Session) buildMeta(start, end sim.Time) RunMetadata {
 			Queue:            "prod",
 			Script:           jobScript(cfg, s.wf.Name()),
 		},
-		DaskConfig: DescribeDaskConfig(s.cluster.Config()),
+		DaskConfig: DescribeDaskConfig(s.env.Cluster.Config()),
 		Instrumentation: InstrumentationConfig{
 			DXTEnabled:         cfg.DarshanDXT,
 			DXTBufferSegments:  dxtBuf,
@@ -815,89 +842,59 @@ func (s *Session) buildMeta(start, end sim.Time) RunMetadata {
 			MofkaDataDir:       cfg.MofkaDataDir,
 			ClusterBrokers:     cfg.ClusterBrokers,
 			ClusterReplication: cfg.ClusterReplication,
+			ClusterQuorum:      cfg.ClusterQuorum,
 			Chaos:              cfg.ChaosSpec,
 		},
 		StartSeconds: start.Seconds(),
 		EndSeconds:   end.Seconds(),
 		WallSeconds:  (end - start).Seconds(),
 	}
-	if sp := s.cluster.Config().Speculation; sp.Enabled {
+	if sp := s.env.Cluster.Config().Speculation; sp.Enabled {
 		m.Instrumentation.SpeculationEnabled = true
 		m.Instrumentation.SpeculationMax = sp.MaxConcurrent
 		m.Instrumentation.SpeculationQuantile = sp.Quantile
 		m.Instrumentation.SpeculationBudget = sp.Budget
 	}
-	if s.attempt > 1 {
-		m.Attempt = s.attempt
-		m.ResumedFrom = s.resumedFrom
+	if st := s.resumeState; st != nil {
+		m.Attempt, m.ResumedFrom = st.Attempt, st.ResumedFrom
 	}
 	return m
 }
 
-// Close releases everything the session owns: the simulated processes a
-// crashed or deadlocked run left parked, the live endpoint and monitor, the
-// checkpoint ticker, and — when the session created them — the broker or
-// broker cluster (closing a durable broker fsyncs acknowledged events;
-// already-published events remain readable, see mofka.Broker.Close). It is
-// idempotent, safe on a partially-constructed session, and joins every
-// close error.
+// Close releases everything the session acquired: the simulated processes a
+// crashed or deadlocked run left parked, then each stage's undo in reverse
+// order — the live endpoint and monitor, and, when the session created it,
+// the broker or broker cluster (closing a durable broker fsyncs acknowledged
+// events; already-published events remain readable, see mofka.Broker.Close).
+// It is idempotent (an undo runs once), safe on a partially-constructed
+// session, and joins every undo's error.
 func (s *Session) Close() error {
-	if s == nil || s.closed {
+	if s == nil {
 		return nil
 	}
-	s.closed = true
-	if s.k != nil {
-		s.k.Close()
+	if s.env != nil {
+		s.env.Kernel.Close()
 	}
 	var errs []error
-	if s.liveSrv != nil {
-		if err := s.liveSrv.Close(); err != nil {
-			errs = append(errs, err)
-		}
-		s.liveSrv = nil
-	}
-	if s.monitor != nil {
-		s.monitor.Stop()
-		s.monitor = nil
-	}
-	if s.stopCheckpoint != nil {
-		s.stopCheckpoint()
-		s.stopCheckpoint = nil
-	}
-	if s.ownBus {
-		if err := s.bus.Close(); err != nil {
-			errs = append(errs, err)
-		}
+	for ; len(s.undos) > 0; s.undos = s.undos[:len(s.undos)-1] {
+		errs = append(errs, s.undos[len(s.undos)-1]())
 	}
 	return errors.Join(errs...)
 }
 
 // Run executes the workflow under full instrumentation and returns the run's
-// artifacts.
+// artifacts. On error — including a chaos coordinator kill — the session is
+// closed (releasing durable WAL handles so a resume can reopen the data dir
+// in the same process); on success it is left open so the returned
+// artifacts' broker remains fully usable.
 func Run(cfg SessionConfig, wf Workflow) (*RunArtifacts, error) {
-	return RunOnBroker(cfg, wf, nil)
-}
-
-// RunOnBroker is Run with an externally supplied Mofka broker, so in-situ
-// consumers (started before the run, possibly in other goroutines or behind
-// a TCP endpoint) share the event stream. A nil broker creates a private
-// in-memory one.
-//
-// On error — including a chaos coordinator kill — the session is closed
-// (releasing durable WAL handles so a resume can reopen the data dir in the
-// same process); on success it is left open so the returned artifacts'
-// broker remains fully usable.
-func RunOnBroker(cfg SessionConfig, wf Workflow, broker *mofka.Broker) (*RunArtifacts, error) {
-	s, err := NewSession(cfg, wf, broker)
+	s, err := NewSession(cfg, wf, nil)
 	if err != nil {
 		return nil, err
 	}
 	art, err := s.Execute()
 	if err != nil {
-		if cerr := s.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		return nil, err
+		return nil, errors.Join(err, s.Close())
 	}
 	return art, nil
 }

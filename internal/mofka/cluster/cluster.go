@@ -68,7 +68,9 @@ type Config struct {
 	// standard broker data directory under <DataDir>/node-<NN>, and
 	// cluster.json at the root records the deployment shape. Reopening a
 	// cluster on an existing DataDir recovers every node's log and heals
-	// replica divergence (a kill -9 mid-append leaves laggards).
+	// replica divergence (a kill -9 mid-append leaves laggards); a reopen
+	// whose effective shape (brokers, replication factor, quorum) differs
+	// is refused.
 	DataDir string
 	// WAL tunes the per-node durable logs.
 	WAL wal.Options
@@ -204,9 +206,9 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		if existing {
-			if shape.Brokers != cfg.Brokers || shape.ReplicationFactor != cfg.ReplicationFactor {
-				return nil, fmt.Errorf("cluster: %s was deployed with %d brokers rf=%d, reopened with %d rf=%d",
-					cfg.DataDir, shape.Brokers, shape.ReplicationFactor, cfg.Brokers, cfg.ReplicationFactor)
+			if shape.Brokers != cfg.Brokers || shape.ReplicationFactor != cfg.ReplicationFactor || shape.Quorum != cfg.Quorum {
+				return nil, fmt.Errorf("cluster: %s was deployed with %d brokers rf=%d quorum=%d, reopened with %d rf=%d quorum=%d",
+					cfg.DataDir, shape.Brokers, shape.ReplicationFactor, shape.Quorum, cfg.Brokers, cfg.ReplicationFactor, cfg.Quorum)
 			}
 			reopen = true
 		} else if err := writeClusterMeta(cfg.DataDir, clusterMeta{

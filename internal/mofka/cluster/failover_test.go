@@ -308,9 +308,13 @@ func TestDurableClusterCrashReopen(t *testing.T) {
 			}
 		}
 	}
-	// Reopening with a different shape is rejected.
+	// Reopening with a different shape is rejected, a different effective
+	// quorum included (the default for RF2 is 2).
 	if _, err := New(Config{Brokers: 4, ReplicationFactor: 2, DataDir: dir}); err == nil {
 		t.Error("shape mismatch on reopen accepted")
+	}
+	if _, err := New(Config{Brokers: 3, ReplicationFactor: 2, Quorum: 1, DataDir: dir}); err == nil {
+		t.Error("quorum mismatch on reopen accepted")
 	}
 }
 
