@@ -102,6 +102,28 @@ func TestArmWorkerFaults(t *testing.T) {
 	}
 }
 
+// checkRefuses asserts that Check refuses spec against the shape with
+// exactly want, and accepts it once the shape grows by one in every dimension.
+func checkRefuses(t *testing.T, spec string, workers, nodes, brokers int, want string) {
+	t.Helper()
+	p, err := Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Check(workers, nodes, brokers); err == nil || err.Error() != want {
+		t.Fatalf("%q: error %v, want %q", spec, err, want)
+	}
+	if err := p.Check(workers+1, nodes+1, brokers+1); err != nil {
+		t.Fatalf("%q: refused in a larger shape: %v", spec, err)
+	}
+}
+
+// A kill of a rank the run does not have is refused by Check, before a
+// session arms it.
+func TestArmWorkerFaultsValidatesRank(t *testing.T) {
+	checkRefuses(t, "kill worker=8 at=5s", 8, 2, 0, "chaos: kill worker=8 but cluster has 8 workers")
+}
+
 type fakeBroker struct{ hook func(string, int) error }
 
 func (f *fakeBroker) SetAppendFault(fn func(string, int) error) { f.hook = fn }
@@ -377,6 +399,12 @@ func TestArmSlowdowns(t *testing.T) {
 	}
 }
 
+// A brownout of a rank the run does not have is refused by Check, before a
+// session arms it.
+func TestArmSlowdownsValidatesRank(t *testing.T) {
+	checkRefuses(t, "slow worker=4 at=5s factor=2", 4, 2, 0, "chaos: slow worker=4 but cluster has 4 workers")
+}
+
 type fakeNet struct {
 	events []string
 }
@@ -409,9 +437,16 @@ func TestArmLinkFaults(t *testing.T) {
 	}
 }
 
-// TestPlanCheck: a plan naming a worker, node or broker the run's shape does
-// not have is refused by Check, with the target and the shape in the error;
-// one inside the shape passes.
+// A link fault naming a node the platform does not have is refused by Check,
+// before a session arms it.
+func TestArmLinkFaultsValidatesNodes(t *testing.T) {
+	checkRefuses(t, "net src=0 dst=2 factor=2", 8, 2, 0, "chaos: net src=0 dst=2 but platform has 2 nodes")
+}
+
+// TestPlanCheck: a plan inside the run's shape passes Check; a broker
+// directive naming a replica the cluster does not have, or given to a run
+// with no broker cluster, is refused. The worker and node refusals are
+// tested next to the arm functions they guard.
 func TestPlanCheck(t *testing.T) {
 	const workers, nodes, brokers = 8, 2, 3
 	for _, tc := range []struct {
@@ -420,9 +455,6 @@ func TestPlanCheck(t *testing.T) {
 		want    string // "" = accepted
 	}{
 		{"kill worker=7 at=5s; slow worker=0 at=1s factor=2; net src=1 dst=0 factor=2; broker node=2 at=1s", brokers, ""},
-		{"kill worker=8 at=5s", brokers, "chaos: kill worker=8 but cluster has 8 workers"},
-		{"slow worker=8 at=5s factor=2", brokers, "chaos: slow worker=8 but cluster has 8 workers"},
-		{"net src=0 dst=2 factor=2", brokers, "chaos: net src=0 dst=2 but platform has 2 nodes"},
 		{"broker node=3 at=1s", brokers, "chaos: broker node=3 but cluster has 3 brokers"},
 		{"broker node=0 at=1s", 0, "chaos broker directive requires ClusterBrokers > 0"},
 	} {
