@@ -104,28 +104,32 @@ resume:
 # uncompiled, provenance.Records (a warm read allocates nothing and returns
 # the same array, an append is read, records nobody holds are reclaimed, a
 # missing topic is ErrNoTopic), every reader of a run's shared records
-# leaving them unchanged, and the scheduler log's order of simultaneous
-# graphs. Race-enabled: two goroutines reading one Records, the
-# post-mortem-open suite against its serial reference (standalone and cluster
-# dirs, torn, corrupt, lagging, killed; each segment opened once), one
-# cursor-store rewrite per CommitBatch, the malformed-event regressions, two
-# goroutines ingesting into one aggregator, and frontier reconstruction
+# leaving them unchanged, the scheduler log's order of simultaneous graphs,
+# and a -live run's stored bytes and Summary as a function of the seed (a
+# small DAG, then the three paper workflows). Race-enabled: two goroutines
+# reading one Records, the post-mortem-open suite against its serial
+# reference (standalone and cluster dirs, torn, corrupt, lagging, killed;
+# each segment opened once), one cursor-store rewrite per CommitBatch, the
+# malformed-event regressions, two goroutines ingesting into one aggregator,
+# a monitor swept from a host ticker ending at the replay, its commits, SSE
+# clients that leave no subscription behind, and frontier reconstruction
 # against the reference open.
 readpath:
 	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestTypedIngestMatchesMapIngest|TestSharedRecordsStayUnchanged' ./internal/workloads/
 	$(GO) test -count=1 -run 'TestDecoderInternsOnlyNovelStrings|TestExactFloatMatchesParseFloat|TestCodecMatchesMapAPI|FuzzCodec|TestDrain|TestRecordsReuseUntilAppend|TestRecordsReleasedWhenUnheld|TestRecordsMissingTopic' ./internal/provenance/
 	$(GO) test -race -count=1 -run 'TestRecordsConcurrentReads' ./internal/provenance/
 	$(GO) test -count=1 -run 'TestSchedulerLogOrdersSimultaneousGraphs' ./internal/core/
-	$(GO) test -count=1 -run 'TestStragglerFitMatchesSortReference' ./internal/live/
+	$(GO) test -count=1 -run 'TestStragglerFitMatchesSortReference|TestLiveBytesFollowSeed' ./internal/live/ -paper-workflows
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode' -benchtime 1x ./internal/provenance/
 	$(GO) test -race -count=1 -run 'TestPostMortemOpen|TestCommitBatchRewritesCursorStoreOnce' ./internal/mofka/ ./internal/mofka/cluster/
-	$(GO) test -race -count=1 -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent|TestAggregatorConcurrentIngest' ./internal/live/
+	$(GO) test -race -count=1 -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent|TestAggregatorConcurrentIngest|TestMonitorSweptFromHostTicker|TestMonitorResumesFromCommitted|TestSSEClientsUnsubscribe' ./internal/live/
 	$(GO) test -race -count=1 -run 'TestReconstructDeterministicAndEqualsReferenceOpen' ./internal/resume/
 
 # Durable write-path gate, race-enabled and uncached: the commit contract
 # behind a held or failing fsync (nothing visible, counted or acknowledged
 # before an fsync covering it returned; a failed fsync poisons the log and
-# leaves no duplicated frame), the pipelined quorum append (a producer ships
+# leaves no duplicated frame; a producer's wait for what it shipped seals
+# nothing), the pipelined quorum append (a producer ships
 # past batches awaiting their quorum, none acknowledged before both fsyncs
 # return; a kill settles what is in flight and heals nothing; a failed
 # follower fsync fails its batches and under-replicates the next append),
@@ -142,7 +146,7 @@ readpath:
 # own. Then one iteration of the durable quorum-append benchmark, so it cannot
 # go uncompiled.
 durable:
-	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestFailedFsyncPoisonsLog|TestQuorumAckIsPipelined|TestKillSettlesInFlightQuorum|TestFailedFollowerFsyncFailsQuorum|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover' ./internal/mofka/wal/
+	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestWaitShippedSealsNothing|TestFailedFsyncPoisonsLog|TestQuorumAckIsPipelined|TestKillSettlesInFlightQuorum|TestFailedFollowerFsyncFailsQuorum|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -race -count=1 -run 'TestSyncPolicyLeavesSameBytes|TestCrashedSessionsLeaveNoGoroutines' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCheckpointEncodingMatchesJSON|FuzzSidecars' ./internal/resume/
 	$(GO) test -race -count=1 -run 'TestReadViewMatchesCluster' ./internal/mofka/cluster/

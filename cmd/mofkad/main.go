@@ -127,10 +127,16 @@ func main() {
 	}
 
 	var monitor *live.Monitor
+	var sweeps <-chan time.Time // nil, so never ready, without -live
 	if *liveMon {
 		monitor = live.NewMonitor(broker, live.MonitorOptions{
 			Logf: func(format string, a ...any) { fmt.Fprintf(os.Stderr, "mofkad: "+format+"\n", a...) },
 		})
+		// The producers are other processes, on no clock of this one: a host
+		// ticker drives the monitor.
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		sweeps = tick.C
 		if *liveHTTP != "" {
 			srv, err := live.Serve(*liveHTTP, monitor)
 			if err != nil {
@@ -145,16 +151,26 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	for running := true; running; {
+		select {
+		case <-sig:
+			running = false
+		case <-sweeps:
+			if monitor.Sweep() > 0 {
+				monitor.Commit()
+			}
+		}
+	}
 	fmt.Println("mofkad: shutting down")
+	if monitor != nil {
+		// The monitor takes what is left, partial chunks included, and
+		// commits its cursors while the broker still takes writes.
+		monitor.Finish(nil, 0)
+	}
 	// Flush and fsync every partition log before the process exits, so a
 	// clean shutdown loses nothing regardless of the fsync policy.
 	if err := broker.Close(); err != nil {
 		fatal(err)
-	}
-	if monitor != nil {
-		// Broker is closed: the monitor drains what's left and exits.
-		monitor.Stop()
 	}
 }
 

@@ -247,13 +247,11 @@ func TestInSituMonitor(t *testing.T) {
 	mon := live.NewMonitor(broker, live.MonitorOptions{})
 	s, err := NewSession(testSession(21), &toyWorkflow{files: 10}, broker)
 	if err != nil {
-		mon.Stop()
 		t.Fatal(err)
 	}
 	defer func() { _ = s.Close() }()
 	art, err := s.Execute()
 	if err != nil {
-		mon.Stop()
 		t.Fatal(err)
 	}
 	sum := mon.Finish(art.DarshanLogs, art.WallTime.Seconds())

@@ -149,6 +149,14 @@ func (c *Collector) Flush() error {
 	return nil
 }
 
+// waitShipped returns once every batch shipped so far is readable, whatever
+// the fsync policy and its timing; a failed commit is Flush's to report.
+func (c *Collector) waitShipped() {
+	for _, name := range provenance.AllTopics() {
+		_ = c.producers[name].WaitShipped()
+	}
+}
+
 // EventCount reports how many events were pushed to a topic.
 func (c *Collector) EventCount(topic string) int64 { return c.events[topic] }
 

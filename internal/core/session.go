@@ -566,11 +566,10 @@ func (s *Session) attachLive() error {
 	return nil
 }
 
-// attachMonitor starts the live monitor on the broker.
+// attachMonitor attaches the live monitor to the broker; run sweeps it.
 func (s *Session) attachMonitor(b *mofka.Broker) {
 	cfg := s.cfg
 	s.monitor = live.NewMonitor(b, live.MonitorOptions{})
-	s.onClose(func() error { s.monitor.Stop(); return nil })
 	slots := cfg.Platform.Nodes * cfg.Dask.WorkersPerNode * cfg.Dask.ThreadsPerWorker
 	s.monitor.Aggregator().SetMeta(s.wf.Name(), cfg.Seed, slots)
 }
@@ -643,9 +642,10 @@ func (s *Session) beginAttempt() error {
 }
 
 // run is the execute stage that stages the inputs, seeds a resumed frontier,
-// and runs the kernel, with the checkpoint ticker, until the workflow's
-// client returns. A coordinator kill returns its *CrashError — kill -9: no
-// flush, no final checkpoint, no lineage completion.
+// and runs the kernel, with the checkpoint ticker and the live monitor's
+// sweeps, until the workflow's client returns. A coordinator kill returns its
+// *CrashError — kill -9: no flush, no final checkpoint, no lineage
+// completion.
 func (s *Session) run() (start, end sim.Time, err error) {
 	k, wf, env := s.env.Kernel, s.wf, s.env
 	wf.Stage(env)
@@ -669,16 +669,23 @@ func (s *Session) run() (start, end sim.Time, err error) {
 		})
 	}
 
-	stopCheckpoints := func() {}
+	var tickers []func()
 	if s.frontier != nil {
-		stopCheckpoints = k.Every(checkpointInterval, func() {
+		tickers = append(tickers, k.Every(checkpointInterval, func() {
 			if err := s.frontier.write(s.cfg.MofkaDataDir, k.Now()); err != nil && s.collector != nil {
 				s.collector.pushWarning(dask.Warning{
 					Kind: dask.WarnCheckpointFailed, Worker: "scheduler",
 					At: k.Now(), Message: err.Error(),
 				})
 			}
-		})
+		}))
+	}
+	if s.monitor != nil && s.collector != nil {
+		// At every window boundary the monitor takes what has shipped.
+		tickers = append(tickers, k.Every(sim.Seconds(live.WindowSeconds), func() {
+			s.collector.waitShipped()
+			s.monitor.Sweep()
+		}))
 	}
 
 	s.env.Cluster.Start()
@@ -693,7 +700,9 @@ func (s *Session) run() (start, end sim.Time, err error) {
 		k.Stop()
 	})
 	k.Run()
-	stopCheckpoints()
+	for _, stop := range tickers {
+		stop()
+	}
 	if s.killed != nil {
 		return 0, 0, s.killed
 	}
@@ -863,7 +872,7 @@ func (s *Session) buildMeta(start, end sim.Time) RunMetadata {
 
 // Close releases everything the session acquired: the simulated processes a
 // crashed or deadlocked run left parked, then each stage's undo in reverse
-// order — the live endpoint and monitor, and, when the session created it,
+// order — the live endpoint, and, when the session created it,
 // the broker or broker cluster (closing a durable broker fsyncs acknowledged
 // events; already-published events remain readable, see mofka.Broker.Close).
 // It is idempotent (an undo runs once), safe on a partially-constructed

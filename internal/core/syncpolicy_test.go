@@ -12,8 +12,7 @@ import (
 
 // storedBytes reads what a run left in its data dir that the fsync policy
 // must not influence: every segment file and every cursor store, keyed by
-// path below root. The anomalies topic is left out — the live monitor
-// publishes it from its own goroutine, in arrival order.
+// path below root.
 func storedBytes(t *testing.T, root string) map[string]string {
 	t.Helper()
 	out := map[string]string{}
@@ -22,8 +21,7 @@ func storedBytes(t *testing.T, root string) map[string]string {
 			return err
 		}
 		rel, _ := filepath.Rel(root, path)
-		if strings.Contains(rel, provenance.TopicAnomalies) ||
-			(!strings.HasSuffix(rel, ".seg") && d.Name() != "cursors.json") {
+		if !strings.HasSuffix(rel, ".seg") && d.Name() != "cursors.json" {
 			return nil
 		}
 		b, err := os.ReadFile(path)

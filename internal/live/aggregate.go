@@ -12,17 +12,21 @@
 // delegates to this package (see perfrecup.LiveReplay), so there is exactly
 // one implementation of the aggregate definitions.
 //
-// Determinism despite streaming: a live monitor interleaves partitions in
-// whatever order batches arrive, while a post-mortem replay walks them
-// sequentially. Integer counters commute, but float addition does not, so
-// every float accumulator is kept per (topic, partition) "lane" — within a
-// partition event order is fixed — and lanes are merged in sorted key order
-// only at Snapshot time. Per-group duration statistics are computed from
-// sorted copies of the sample sets. The result: byte-identical summaries
-// regardless of consumption order.
+// Determinism despite streaming: the monitor and the replay hand the
+// aggregator each topic in one order (chunks round-robin across its
+// partitions, see Monitor), and each piece of state whose result depends on
+// order is fed by one topic — the straggler fit and window compute sums by
+// executions, the streak detector by warnings, the collapse detector by the
+// Darshan logs in rank order. Across topics, and across partitions, nothing
+// depends on order: integer counters commute, every float accumulator is
+// kept per (topic, partition) "lane" and lanes are merged in sorted key order
+// at Snapshot, per-group duration statistics come from sorted copies of the
+// sample sets, and timelines and anomalies are sorted.
 package live
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -62,9 +66,10 @@ func (o AggregatorOptions) withDefaults() AggregatorOptions {
 }
 
 const (
-	// windowSeconds is the width of one live time window (sim clock), and
-	// windowCount how many trailing windows the ring keeps.
-	windowSeconds = 10.0
+	// WindowSeconds is the width of one live time window (sim clock), and of
+	// a session's sweep period; windowCount how many trailing windows the
+	// ring keeps.
+	WindowSeconds = 10.0
 	windowCount   = 6
 	// groupSampleCap bounds the per-group duration sample set used for
 	// quantiles. Past the cap new samples are dropped (Count keeps counting;
@@ -176,9 +181,7 @@ type HostIOStats struct {
 }
 
 // Summary is one consistent snapshot of the live aggregates. For a completed
-// run it must equal the post-mortem PERFRECUP views (Windows and Anomalies
-// excepted: windows are a bounded trailing ring and anomaly emission depends
-// on arrival order, so both are observability surfaces, not invariants).
+// run every field equals the post-mortem replay's.
 type Summary struct {
 	Workflow    string  `json:"workflow,omitempty"`
 	Seed        uint64  `json:"seed,omitempty"`
@@ -255,8 +258,10 @@ type Summary struct {
 	// fully drained).
 	ConsumerLag map[string]uint64 `json:"consumer_lag,omitempty"`
 
-	Windows   []WindowSnapshot `json:"windows,omitempty"`
-	Anomalies []Anomaly        `json:"anomalies,omitempty"`
+	Windows []WindowSnapshot `json:"windows,omitempty"`
+	// Anomalies is every finding of the online detectors, sorted by (At,
+	// Kind, Subject, Detail, Value) — not in the order they were raised.
+	Anomalies []Anomaly `json:"anomalies,omitempty"`
 }
 
 // laneKey identifies one per-(topic, partition) float accumulator lane.
@@ -333,7 +338,9 @@ type Aggregator struct {
 	windows   *windowRing
 	detect    *detectors
 	anomalies []Anomaly
-	subs      []func(Anomaly)
+	// subs is replaced on every change, never edited in place, so raise can
+	// walk the slice it read after letting go of the lock.
+	subs []*func(Anomaly)
 }
 
 // NewAggregator builds an empty aggregator.
@@ -349,7 +356,7 @@ func NewAggregator(opts AggregatorOptions) *Aggregator {
 		warnings:  make(map[string]int),
 		critDur:   make(map[string]float64),
 		critDeps:  make(map[string][]string),
-		windows:   newWindowRing(windowSeconds, windowCount),
+		windows:   newWindowRing(WindowSeconds, windowCount),
 	}
 	a.detect = newDetectors(opts.DisableAnomalies)
 	return a
@@ -357,24 +364,31 @@ func NewAggregator(opts AggregatorOptions) *Aggregator {
 
 // OnAnomaly registers fn to be called (with the aggregator unlocked) for
 // every anomaly the detectors raise. Must be called before ingestion starts.
-func (a *Aggregator) OnAnomaly(fn func(Anomaly)) {
+func (a *Aggregator) OnAnomaly(fn func(Anomaly)) { a.subscribe(&fn) }
+
+func (a *Aggregator) subscribe(fn *func(Anomaly)) {
 	a.mu.Lock()
-	a.subs = append(a.subs, fn)
+	a.subs = append(a.subs[:len(a.subs):len(a.subs)], fn)
 	a.mu.Unlock()
 }
 
 // SubscribeAnomalies returns a buffered channel carrying every anomaly
-// raised from now on; slow receivers lose anomalies rather than stalling
-// ingestion.
-func (a *Aggregator) SubscribeAnomalies() <-chan Anomaly {
+// raised from now on, and the function that ends the subscription; slow
+// receivers lose anomalies rather than stalling ingestion.
+func (a *Aggregator) SubscribeAnomalies() (<-chan Anomaly, func()) {
 	ch := make(chan Anomaly, 64)
-	a.OnAnomaly(func(an Anomaly) {
+	send := func(an Anomaly) {
 		select {
 		case ch <- an:
 		default:
 		}
-	})
-	return ch
+	}
+	a.subscribe(&send)
+	return ch, func() {
+		a.mu.Lock()
+		a.subs = slices.DeleteFunc(slices.Clone(a.subs), func(fn *func(Anomaly)) bool { return fn == &send })
+		a.mu.Unlock()
+	}
 }
 
 // SetMeta records run identity and the thread-slot divisor used for the
@@ -414,7 +428,7 @@ func (a *Aggregator) worker(name string) *WorkerStats {
 // Ingest feeds one provenance event from its stored metadata bytes, decoded
 // once by the aggregator's own decoder. partition is the Mofka partition the
 // event came from; events of one partition must be fed in partition order
-// (both the live pull loop and the post-mortem replay guarantee this).
+// (both the monitor and the post-mortem replay guarantee this).
 // Metadata that is not a JSON object (or null) is rejected and leaves the
 // aggregates untouched — also on the topics that are only counted, which the
 // codec's cursor still walks.
@@ -525,7 +539,7 @@ func (a *Aggregator) raise(raised []Anomaly) {
 	a.mu.Unlock()
 	for _, an := range raised {
 		for _, fn := range subs {
-			fn(an)
+			(*fn)(an)
 		}
 	}
 }
@@ -870,7 +884,13 @@ func (a *Aggregator) Snapshot() Summary {
 	s.CriticalPathSeconds = whatif.LongestChainSeconds(a.critDur, a.critDeps)
 
 	s.Windows = a.windows.snapshot()
-	s.Anomalies = append([]Anomaly(nil), a.anomalies...)
+	if len(a.anomalies) > 0 {
+		s.Anomalies = slices.Clone(a.anomalies)
+		slices.SortFunc(s.Anomalies, func(x, y Anomaly) int {
+			return cmp.Or(cmp.Compare(x.At, y.At), cmp.Compare(x.Kind, y.Kind),
+				cmp.Compare(x.Subject, y.Subject), cmp.Compare(x.Detail, y.Detail), cmp.Compare(x.Value, y.Value))
+		})
+	}
 	return s
 }
 
@@ -878,19 +898,10 @@ func (a *Aggregator) Snapshot() Summary {
 // Worker, Message): identical for live and post-mortem replays regardless
 // of partition consumption order.
 func sortedTimeline(evs []RecoveryEvent) []RecoveryEvent {
-	out := append([]RecoveryEvent(nil), evs...)
-	sort.Slice(out, func(i, j int) bool {
-		ri, rj := out[i], out[j]
-		if ri.At != rj.At {
-			return ri.At < rj.At
-		}
-		if ri.Kind != rj.Kind {
-			return ri.Kind < rj.Kind
-		}
-		if ri.Worker != rj.Worker {
-			return ri.Worker < rj.Worker
-		}
-		return ri.Message < rj.Message
+	out := slices.Clone(evs)
+	slices.SortFunc(out, func(x, y RecoveryEvent) int {
+		return cmp.Or(cmp.Compare(x.At, y.At), cmp.Compare(x.Kind, y.Kind),
+			cmp.Compare(x.Worker, y.Worker), cmp.Compare(x.Message, y.Message))
 	})
 	return out
 }

@@ -299,10 +299,10 @@ func (d *detectors) onIO(worker string, bytes int64, end float64) []Anomaly {
 	}
 	c := d.collapse[worker]
 	if c == nil {
-		c = &collapseAcc{epoch: int64(end / windowSeconds)}
+		c = &collapseAcc{epoch: int64(end / WindowSeconds)}
 		d.collapse[worker] = c
 	}
-	epoch := int64(end / windowSeconds)
+	epoch := int64(end / WindowSeconds)
 	var out []Anomaly
 	for c.epoch < epoch {
 		// Close out c.epoch: compare against the window before it.
@@ -311,7 +311,7 @@ func (d *detectors) onIO(worker string, bytes int64, end float64) []Anomaly {
 			if ratio < collapseFraction {
 				out = append(out, Anomaly{
 					Kind: AnomalyIOCollapse, Subject: worker,
-					At:    float64(c.epoch+1) * windowSeconds,
+					At:    float64(c.epoch+1) * WindowSeconds,
 					Value: ratio, Limit: collapseFraction,
 					Detail: fmt.Sprintf("window I/O fell to %d B from %d B (%.0f%%)", c.cur, c.prev, ratio*100),
 				})

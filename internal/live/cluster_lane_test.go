@@ -64,20 +64,18 @@ func TestAggregatorClusterHealthLane(t *testing.T) {
 // fields the monitor only fills under specific conditions).
 type staticSource struct{ s Summary }
 
-func (s staticSource) Snapshot() Summary                { return s.s }
-func (staticSource) SubscribeAnomalies() <-chan Anomaly { return make(chan Anomaly) }
+func (s staticSource) Snapshot() Summary { return s.s }
+func (staticSource) SubscribeAnomalies() (<-chan Anomaly, func()) {
+	return make(chan Anomaly), func() {}
+}
 
 // TestConsumerLagSurfaced: the monitor samples mofka.Consumer.Lag per
-// topic/partition into snapshots and /metrics, and drops entries back to
-// nothing once the backlog drains (so a finished run's Summary carries no
-// lag map).
+// topic/partition into snapshots and /metrics — a sweep leaves a chunk that
+// is not whole yet as lag — and drops entries back to nothing once Finish
+// drains the backlog (so a finished run's Summary carries no lag map).
 func TestConsumerLagSurfaced(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	m := NewMonitor(b, MonitorOptions{})
-	// Take over sweeping deterministically: the loop is stopped, the test
-	// drives sweeps by hand.
-	m.Stop()
-
 	tp, err := b.OpenOrCreateTopic(mofka.TopicConfig{Name: provenance.TopicExecutions, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -89,12 +87,9 @@ func TestConsumerLagSurfaced(t *testing.T) {
 		}
 	}
 
-	// Sample lag without pulling: everything just pushed is backlog.
-	c := m.consumer(provenance.TopicExecutions)
-	if c == nil {
-		t.Fatal("no consumer for executions topic")
+	if n := m.Sweep(); n != 0 {
+		t.Fatalf("a sweep ingested %d events of chunks that are not whole", n)
 	}
-	m.recordLag(provenance.TopicExecutions, c)
 	lag := m.Snapshot().ConsumerLag
 	var total uint64
 	for key, n := range lag {
@@ -120,7 +115,8 @@ func TestConsumerLagSurfaced(t *testing.T) {
 	}
 
 	// Drain; zero-lag entries disappear entirely.
-	for m.sweep() > 0 {
+	if sum := m.Finish(nil, 10); sum.Tasks != 10 {
+		t.Fatalf("Finish ingested %d executions, want 10", sum.Tasks)
 	}
 	if lag := m.Snapshot().ConsumerLag; lag != nil {
 		t.Fatalf("lag map survives a full drain: %v", lag)

@@ -6,11 +6,14 @@
 package live_test
 
 import (
+	"flag"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"taskprov/internal/core"
@@ -19,11 +22,16 @@ import (
 	"taskprov/internal/perfrecup"
 	"taskprov/internal/posixio"
 	"taskprov/internal/sim"
+	"taskprov/internal/workloads"
 )
 
-// miniWorkflow mirrors the perfrecup test workload: 24 I/O-bound loads, one
+// miniWorkflow mirrors the perfrecup test workload: I/O-bound loads, one
 // event-loop-blocking task, a reduce, and a second graph writing the result.
-type miniWorkflow struct{ files int }
+// With straggler set, the last load computes for seconds, not milliseconds.
+type miniWorkflow struct {
+	files     int
+	straggler bool
+}
 
 func (m *miniWorkflow) Name() string { return "mini" }
 
@@ -49,7 +57,11 @@ func (m *miniWorkflow) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 				}
 				f.Read(ctx.Proc(), 4<<20)
 				f.Close(ctx.Proc())
-				ctx.Compute(sim.Milliseconds(80))
+				if m.straggler && i == m.files-1 {
+					ctx.Compute(sim.Seconds(3))
+				} else {
+					ctx.Compute(sim.Milliseconds(80))
+				}
 			},
 		})
 	}
@@ -75,16 +87,6 @@ func (m *miniWorkflow) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 		},
 	})
 	cl.SubmitAndWait(p, g2)
-}
-
-// strip drops the two surfaces the invariant excludes: trailing time
-// windows (a UI affordance over recent wall-clock) and anomaly order (the
-// online detectors see events in arrival order, replay sees canonical
-// order).
-func strip(s live.Summary) live.Summary {
-	s.Windows = nil
-	s.Anomalies = nil
-	return s
 }
 
 type liveRun struct {
@@ -142,8 +144,8 @@ func TestLiveEqualsArtifactReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(strip(*r.art.Live), strip(want)) {
-		t.Fatalf("live summary != artifact replay:\nlive:   %+v\nreplay: %+v", strip(*r.art.Live), strip(want))
+	if !reflect.DeepEqual(*r.art.Live, want) {
+		t.Fatalf("live summary != artifact replay:\nlive:   %+v\nreplay: %+v", *r.art.Live, want)
 	}
 	// Sanity: the run actually exercised every aggregate surface.
 	s := r.art.Live
@@ -174,7 +176,7 @@ func TestLiveEqualsWALReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(strip(*r.art.Live), strip(fromLog)) {
+	if !reflect.DeepEqual(*r.art.Live, fromLog) {
 		t.Fatal("live summary != replay of perfrecup.LoadEventLog artifacts")
 	}
 
@@ -182,8 +184,8 @@ func TestLiveEqualsWALReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(strip(*r.art.Live), strip(fromDir)) {
-		t.Fatalf("live summary != ReplayDataDir:\nlive: %+v\ndir:  %+v", strip(*r.art.Live), strip(fromDir))
+	if !reflect.DeepEqual(*r.art.Live, fromDir) {
+		t.Fatalf("live summary != ReplayDataDir:\nlive: %+v\ndir:  %+v", *r.art.Live, fromDir)
 	}
 }
 
@@ -219,7 +221,7 @@ func TestReplayDataDirOpensClusterDirs(t *testing.T) {
 	if clustered.Submitted != standalone.Submitted || clustered.GraphsDone != standalone.GraphsDone ||
 		clustered.ComputeSeconds != standalone.ComputeSeconds || clustered.IOOps != standalone.IOOps ||
 		clustered.WallSeconds != standalone.WallSeconds || clustered.Workflow != "mini" {
-		t.Fatalf("cluster dir summary differs from standalone:\ncluster:    %+v\nstandalone: %+v", strip(clustered), strip(standalone))
+		t.Fatalf("cluster dir summary differs from standalone:\ncluster:    %+v\nstandalone: %+v", clustered, standalone)
 	}
 }
 
@@ -264,10 +266,120 @@ func TestWatchServesCrashedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tail.Stop()
-	if !reflect.DeepEqual(strip(tail.Snapshot()), strip(*r.art.Live)) {
+	if !reflect.DeepEqual(tail.Snapshot(), *r.art.Live) {
 		t.Fatal("WAL tailer snapshot != live summary")
 	}
 	if w := tail.Snapshot().Workflow; w != "mini" {
 		t.Fatalf("workflow from metadata.json = %q", w)
+	}
+}
+
+// liveRunBytes runs wf with the live monitor into a fresh data dir under the
+// fsync policy, and returns the monitor's Summary and every file the run
+// stored, keyed by its path below the dir, with the dir's own path
+// (metadata.json records it) cut out.
+func liveRunBytes(t *testing.T, cfg core.SessionConfig, wf core.Workflow, policy string) (live.Summary, map[string]string) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "data")
+	cfg.MofkaDataDir, cfg.MofkaSyncPolicy, cfg.LiveMonitor = dir, policy, true
+	art, err := core.Run(cfg, wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		b, err := os.ReadFile(path)
+		files[rel] = strings.ReplaceAll(string(b), dir, "DIR")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *art.Live, files
+}
+
+// sameLiveRun fails unless a second run stored the same bytes and ended at
+// the same Summary as the first.
+func sameLiveRun(t *testing.T, what string, gotSum, wantSum live.Summary, got, want map[string]string) {
+	t.Helper()
+	if !reflect.DeepEqual(gotSum, wantSum) {
+		t.Errorf("%s: the live Summary differs:\n%+v\nvs\n%+v", what, gotSum, wantSum)
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s: %d stored files, want %d", what, len(got), len(want))
+	}
+	for path, b := range want {
+		if got[path] != b {
+			t.Errorf("%s: %s differs (%d bytes, want %d)", what, path, len(got[path]), len(b))
+		}
+	}
+}
+
+// checkLiveBytesFollowSeed runs wf four times — twice under -fsync batch,
+// twice under never — and holds every run to the first one's stored bytes and
+// Summary. It returns the first run's anomaly count per kind.
+func checkLiveBytesFollowSeed(t *testing.T, cfg core.SessionConfig, wf func() core.Workflow) map[string]int {
+	t.Helper()
+	sum, files := liveRunBytes(t, cfg, wf(), "batch")
+	anomalyFiles := 0
+	for path := range files {
+		if strings.Contains(path, "anomalies") {
+			anomalyFiles++
+		}
+	}
+	if anomalyFiles == 0 {
+		t.Fatal("the run stored no anomalies topic to compare")
+	}
+	for _, run := range []struct{ what, policy string }{
+		{"batch again", "batch"}, {"never", "never"}, {"never again", "never"},
+	} {
+		s, f := liveRunBytes(t, cfg, wf(), run.policy)
+		sameLiveRun(t, run.what, s, sum, f, files)
+	}
+	kinds := map[string]int{}
+	for _, a := range sum.Anomalies {
+		kinds[a.Kind]++
+	}
+	return kinds
+}
+
+// TestLiveBytesFollowSeed: a -live run's data dir is a function of the seed —
+// the anomalies topic included, which used to differ from run to run with the
+// host's timing — and so is art.Live, whatever the fsync policy.
+func TestLiveBytesFollowSeed(t *testing.T) {
+	cfg := core.DefaultSessionConfig("job-mini", 11)
+	cfg.Platform.NodeSpeedCV = 0
+	cfg.PFS.InterferenceLoad = 0
+	cfg.Dask.WorkersPerNode = 2
+	cfg.Dask.ThreadsPerWorker = 2
+	cfg.Dask.EventLoopMonitorThreshold = sim.Seconds(1)
+	kinds := checkLiveBytesFollowSeed(t, cfg, func() core.Workflow { return &miniWorkflow{files: 200, straggler: true} })
+	if kinds[live.AnomalyStraggler] == 0 || kinds[live.AnomalyEventLoopStreak] == 0 {
+		t.Fatalf("anomalies by kind = %v; the test wants a straggler and a streak", kinds)
+	}
+}
+
+var paperWorkflows = flag.Bool("paper-workflows", false, "run TestLiveBytesFollowSeedPaperWorkflows (minutes; make readpath sets it)")
+
+// TestLiveBytesFollowSeedPaperWorkflows is TestLiveBytesFollowSeed over the
+// three paper workflows at seed 3.
+func TestLiveBytesFollowSeedPaperWorkflows(t *testing.T) {
+	if !*paperWorkflows {
+		t.Skip("needs -paper-workflows")
+	}
+	for _, name := range []string{"imageprocessing", "resnet152", "xgboost"} {
+		t.Run(name, func(t *testing.T) {
+			checkLiveBytesFollowSeed(t, workloads.DefaultSession(name, "job-"+name, 3), func() core.Workflow {
+				wf, err := workloads.New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return wf
+			})
+		})
 	}
 }

@@ -14,6 +14,21 @@ func (a *Aggregator) IngestIOSegment(worker string, bytes int64, end float64) {
 	a.raise(a.ingestIOSegmentLocked(worker, bytes, end))
 }
 
+// subscribers counts the aggregator's anomaly subscribers, OnAnomaly
+// callbacks included.
+func (a *Aggregator) subscribers() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.subs)
+}
+
+// subscribers counts the tailer's anomaly subscribers.
+func (t *WALTailer) subscribers() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.subs)
+}
+
 // ParseAnomaly decodes the metadata of an anomalies-topic event.
 func ParseAnomaly(m mofka.Metadata) Anomaly {
 	return Anomaly{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 )
@@ -15,7 +14,9 @@ import (
 // attached to a running mofkad.
 type Source interface {
 	Snapshot() Summary
-	SubscribeAnomalies() <-chan Anomaly
+	// SubscribeAnomalies returns the anomalies raised from now on, and the
+	// function that ends the subscription.
+	SubscribeAnomalies() (<-chan Anomaly, func())
 }
 
 // Server exposes a Source over HTTP:
@@ -101,7 +102,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	anoms := s.src.SubscribeAnomalies()
+	anoms, unsubscribe := s.src.SubscribeAnomalies()
+	defer unsubscribe()
 	send := func(event string, v any) bool {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -227,13 +229,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		for _, a := range snap.Anomalies {
 			byKind[a.Kind]++
 		}
-		kinds := make([]string, 0, len(byKind))
-		for k := range byKind {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
 		fmt.Fprintf(&b, "# HELP taskprov_live_anomalies_total Online anomaly findings per kind.\n# TYPE taskprov_live_anomalies_total counter\n")
-		for _, k := range kinds {
+		for _, k := range sortedKeys(byKind) {
 			fmt.Fprintf(&b, "taskprov_live_anomalies_total{kind=%q} %d\n", escapeLabel(k), byKind[k])
 		}
 	}

@@ -136,9 +136,9 @@ func TestRemoteTailerReportsMalformedEventOnce(t *testing.T) {
 	}
 }
 
-// TestMonitorSkipsMalformedEvent: on the monitor's goroutine the same event
-// used to take the whole session down. It is logged once for its topic and
-// skipped; the cursor still moves past it.
+// TestMonitorSkipsMalformedEvent: in the monitor the same event used to take
+// the whole session down. It is logged once for its topic and skipped; the
+// cursor Finish commits still moves past it.
 func TestMonitorSkipsMalformedEvent(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	var mu sync.Mutex
@@ -149,6 +149,10 @@ func TestMonitorSkipsMalformedEvent(t *testing.T) {
 		mu.Unlock()
 	}})
 	seedWithMalformed(t, b, 8)
+	m.Sweep()
+	if n := b.LoadCursor("live-monitor", provenance.TopicExecutions, 0); n != 0 {
+		t.Fatalf("a sweep committed a cursor (%d): only Commit and Finish do", n)
+	}
 	sum := m.Finish(nil, 10)
 	if sum.Tasks != 9 {
 		t.Fatalf("monitor ingested %d executions, want the 9 good ones", sum.Tasks)
@@ -233,7 +237,13 @@ func TestAggregatorConcurrentIngest(t *testing.T) {
 	if err := ReplayBroker(b, sequential); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := stripped(concurrent.Snapshot()), stripped(sequential.Snapshot()); !reflect.DeepEqual(got, want) {
+	// The windows and anomalies are left out: the two goroutines interleave
+	// the partitions of a topic in whatever order the Go scheduler lets them,
+	// and the window compute sums, the straggler fit and the streak detector
+	// see that order, not the one order the monitor and the replay share.
+	got, want := concurrent.Snapshot(), sequential.Snapshot()
+	got.Windows, want.Windows, got.Anomalies, want.Anomalies = nil, nil, nil, nil
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("concurrent ingest:\n%+v\nsequential replay:\n%+v", got, want)
 	}
 }

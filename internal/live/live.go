@@ -2,8 +2,8 @@ package live
 
 import (
 	"fmt"
+	"maps"
 	"sync"
-	"time"
 
 	"taskprov/internal/darshan"
 	"taskprov/internal/mofka"
@@ -21,97 +21,89 @@ const (
 	// consumerName names the monitor's consumer group for cursor commits; on
 	// a durable broker a restarted monitor resumes where it left off.
 	consumerName = "live-monitor"
-	// pollInterval is the idle sleep between pull sweeps.
-	pollInterval = 10 * time.Millisecond
-	// pullBatch is the per-topic pull granularity. Cursors are committed once
-	// per topic per sweep (Consumer.CommitBatch), however many batches the
-	// sweep pulled.
-	pullBatch = 256
+	// chunk is the unit of a topic's ingestion order: chunk events of one
+	// partition, then chunk of the next, round-robin — what one Consumer over
+	// all partitions with Prefetch chunk hands to Scan, so ReplayBroker
+	// produces the same order.
+	chunk = 256
 )
 
-// Monitor attaches a consumer group to a broker's provenance topics and
-// streams them through an Aggregator while the run is in flight. One
-// background goroutine sweeps all topics; topics are attached lazily as they
-// appear on the broker, so the monitor may be started before the collector
-// creates them. Every anomaly the detectors raise is also emitted into the
-// provenance.TopicAnomalies topic, until the broker refuses an append (a
-// post-mortem read-only broker does); every sweep commits the monitor's
-// cursors, until a commit fails.
+// Monitor feeds a broker's provenance topics through an Aggregator while the
+// run is in flight. It starts nothing: its owner drives it from the owner's
+// own clock — a session from virtual time, at every window boundary; mofkad
+// from a host ticker. Sweep, Commit and Finish belong to that one goroutine;
+// Snapshot and SubscribeAnomalies are safe from any.
+//
+// Each topic is ingested in one order, chunk by chunk round-robin across its
+// partitions, whatever moment a sweep happens at: a sweep takes a chunk only
+// once it is whole, and Finish, when nothing more can arrive, takes the
+// partial tails in the same rotation. Every order-dependent piece of the
+// aggregates is fed by a single topic, so the final Summary is the one
+// ReplayBroker's replay of the same broker gives. Topics are attached as they
+// appear on the broker. Every anomaly the detectors raise is also emitted
+// into the provenance.TopicAnomalies topic, until the broker refuses an
+// append (a post-mortem read-only broker does).
 type Monitor struct {
 	broker *mofka.Broker
 	opts   MonitorOptions
 	agg    *Aggregator
 
-	mu        sync.Mutex
-	consumers map[string]*mofka.Consumer
-	lags      map[string]uint64 // "topic/partition" -> events not yet ingested
+	feeds     []*feed // per provenance.AllTopics() entry; nil until the topic exists
 	emitter   *mofka.Producer
 	emitDead  bool
 	commitOff bool
-	// badTopics holds the topics a skipped malformed event was already
-	// logged for. Only the sweeping goroutine touches it.
-	badTopics map[string]bool
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	mu   sync.Mutex
+	lags map[string]uint64 // "topic/partition" -> events not yet ingested
 }
 
-// NewMonitor starts monitoring the broker. The returned monitor is already
-// running; call Finish (complete runs) or Stop (abandon) exactly once.
+// feed is the monitor's consumer of one topic and its place in the rotation.
+type feed struct {
+	topic string
+	c     *mofka.Consumer
+	turn  int      // the partition whose chunk comes next
+	next  []uint64 // per partition, one past the last event ingested (0: none)
+	bad   bool     // a malformed event was logged for the topic
+}
+
+// NewMonitor attaches a monitor to the broker. Drive it with Sweep, and end
+// it with Finish once the run is complete.
 func NewMonitor(b *mofka.Broker, opts MonitorOptions) *Monitor {
 	m := &Monitor{
-		broker:    b,
-		opts:      opts,
-		agg:       NewAggregator(AggregatorOptions{}),
-		consumers: make(map[string]*mofka.Consumer),
-		lags:      make(map[string]uint64),
-		badTopics: make(map[string]bool),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		broker: b,
+		opts:   opts,
+		agg:    NewAggregator(AggregatorOptions{}),
+		feeds:  make([]*feed, len(provenance.AllTopics())),
+		lags:   make(map[string]uint64),
 	}
 	m.agg.OnAnomaly(m.publish)
-	go m.loop()
 	return m
 }
 
-// Aggregator exposes the underlying aggregator (for SetMeta and direct
-// ingestion of side-channel sources like streamed I/O segments).
+// Aggregator exposes the underlying aggregator (for SetMeta).
 func (m *Monitor) Aggregator() *Aggregator { return m.agg }
 
 // Snapshot returns the current aggregates plus the monitor's own consumer
-// lag; safe to call concurrently with the pull loop.
+// lag: per "topic/partition", the events the broker held at the end of the
+// last sweep that the monitor has not ingested (mofka.Consumer.Lag). Zero-lag
+// entries are omitted, so a drained monitor reports no lag map at all. Safe
+// to call concurrently with a sweep.
 func (m *Monitor) Snapshot() Summary {
 	s := m.agg.Snapshot()
-	s.ConsumerLag = m.ConsumerLag()
+	m.mu.Lock()
+	if len(m.lags) > 0 {
+		s.ConsumerLag = maps.Clone(m.lags)
+	}
+	m.mu.Unlock()
 	return s
 }
 
-// ConsumerLag reports, per "topic/partition", how many events the broker
-// holds that the monitor has not ingested yet (mofka.Consumer.Lag sampled
-// at the end of each sweep). Zero-lag entries are omitted — so a completed
-// run's fully-drained Finish Summary carries no lag map at all and stays
-// byte-identical to a post-mortem replay's.
-func (m *Monitor) ConsumerLag() map[string]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.lags) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(m.lags))
-	for k, v := range m.lags {
-		out[k] = v
-	}
-	return out
-}
-
-// recordLag samples one consumer's lag. Called from the sweep goroutine
-// (the consumer handle is single-goroutine); only the map is shared.
-func (m *Monitor) recordLag(topic string, c *mofka.Consumer) {
-	lag := c.Lag()
+// recordLag samples one consumer's lag; only the map is shared.
+func (m *Monitor) recordLag(f *feed) {
+	lag := f.c.Lag()
 	m.mu.Lock()
 	for part, n := range lag {
-		key := fmt.Sprintf("%s/%d", topic, part)
+		key := fmt.Sprintf("%s/%d", f.topic, part)
 		if n == 0 {
 			delete(m.lags, key)
 		} else {
@@ -122,9 +114,9 @@ func (m *Monitor) recordLag(topic string, c *mofka.Consumer) {
 }
 
 // SubscribeAnomalies returns a channel carrying every anomaly raised from
-// now on. The channel is buffered; slow receivers lose anomalies rather
-// than stalling ingestion.
-func (m *Monitor) SubscribeAnomalies() <-chan Anomaly { return m.agg.SubscribeAnomalies() }
+// now on, and the function that ends the subscription. The channel is
+// buffered; slow receivers lose anomalies rather than stalling ingestion.
+func (m *Monitor) SubscribeAnomalies() (<-chan Anomaly, func()) { return m.agg.SubscribeAnomalies() }
 
 func (m *Monitor) logf(format string, args ...any) {
 	if m.opts.Logf != nil {
@@ -132,11 +124,10 @@ func (m *Monitor) logf(format string, args ...any) {
 	}
 }
 
-// publish is the aggregator's anomaly callback: emit into the anomalies
-// topic (snapshot/SSE delivery happens via the aggregator itself).
+// publish is the aggregator's anomaly callback, run by the ingesting owner:
+// emit into the anomalies topic (snapshot/SSE delivery happens via the
+// aggregator itself).
 func (m *Monitor) publish(a Anomaly) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.emitDead {
 		return
 	}
@@ -155,13 +146,11 @@ func (m *Monitor) publish(a Anomaly) {
 	}
 }
 
-// consumer returns (creating lazily) the consumer for one provenance topic,
-// or nil while the topic does not exist yet.
-func (m *Monitor) consumer(topic string) *mofka.Consumer {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.consumers[topic]; ok {
-		return c
+// feed returns (attaching lazily) the feed of the i-th provenance topic, or
+// nil while the topic does not exist yet.
+func (m *Monitor) feed(i int, topic string) *feed {
+	if f := m.feeds[i]; f != nil {
+		return f
 	}
 	t, err := m.broker.OpenTopic(topic)
 	if err != nil {
@@ -171,130 +160,114 @@ func (m *Monitor) consumer(topic string) *mofka.Consumer {
 		Name:          consumerName,
 		NoData:        true,
 		FromCommitted: true,
-		Prefetch:      pullBatch,
+		Prefetch:      chunk,
 	})
 	if err != nil {
 		m.logf("live: subscribe %s: %v", topic, err)
 		return nil
 	}
-	m.consumers[topic] = c
-	return c
+	m.feeds[i] = &feed{topic: topic, c: c, next: make([]uint64, t.Partitions())}
+	return m.feeds[i]
 }
 
-// sweep pulls everything unread from every attached topic, batch by batch,
-// and commits each topic's cursors once, after its events were ingested: a
-// commit on a durable broker is an fsynced rewrite of the cursor store, which
-// queues on the same journal as the log's own fsyncs. It returns the number
-// of events ingested.
-func (m *Monitor) sweep() int {
+// ingest feeds one event. One that does not decode is skipped, not fatal: it
+// is logged once per topic, and the cursor still moves past it.
+func (m *Monitor) ingest(f *feed, part int, id uint64, metadata []byte) {
+	if err := ingest(m.agg, f.topic, part, id, metadata); err != nil && !f.bad {
+		f.bad = true
+		m.logf("%v (skipped, with any later one on this topic)", err)
+	}
+	f.next[part] = id + 1
+}
+
+// Sweep ingests what each topic's rotation can take now: the next chunk, as
+// long as it is whole. It returns the number of events ingested. Whatever a
+// partition's visible length depends on must be settled by the caller; a
+// session waits for its producers' shipped batches to commit first.
+func (m *Monitor) Sweep() int {
 	total := 0
-	var newest []mofka.Event // per partition of the topic, the last event ingested
-	for _, topic := range provenance.AllTopics() {
-		c := m.consumer(topic)
-		if c == nil {
+	for i, topic := range provenance.AllTopics() {
+		f := m.feed(i, topic)
+		if f == nil {
 			continue
 		}
-		newest = newest[:0]
-		for {
-			// Private copies, not Consumer.Scan's lent bytes: decoding under
-			// the collection's read lock held the run's appender up four to
-			// five times longer (EXPERIMENTS.md, "Read-path host cost").
-			evs, err := c.PullBatch(pullBatch)
+		lag := f.c.Lag()
+		for lag[f.turn] >= chunk {
+			// A whole chunk is next, so the consumer's own round-robin reads
+			// exactly it. Private copies: a broker that other processes
+			// append to keeps appending while these decode.
+			evs, err := f.c.PullBatch(chunk)
 			if err != nil {
 				m.logf("live: pull %s: %v", topic, err)
 				break
 			}
-			if len(evs) == 0 {
-				break
+			for _, ev := range evs {
+				m.ingest(f, ev.Partition, ev.ID, ev.Metadata)
 			}
 			total += len(evs)
-			for _, ev := range evs {
-				// An event that does not decode is skipped, not fatal: the
-				// cursor still moves past it with the rest of the batch.
-				if err := ingest(m.agg, topic, ev.Partition, ev.ID, ev.Metadata); err != nil && !m.badTopics[topic] {
-					m.badTopics[topic] = true
-					m.logf("%v (skipped, with any later one on this topic)", err)
-				}
-				i := 0
-				for i < len(newest) && newest[i].Partition != ev.Partition {
-					i++
-				}
-				if i == len(newest) {
-					newest = append(newest, ev)
-				} else {
-					newest[i] = ev
-				}
-			}
-			if len(evs) < pullBatch {
-				break
-			}
+			lag[f.turn] -= chunk
+			f.turn = (f.turn + 1) % len(f.next)
 		}
-		if !m.commitOff {
-			if err := c.CommitBatch(newest); err != nil {
-				m.commitOff = true
-				m.logf("live: cursor commits disabled: %v", err)
-			}
-		}
-		m.recordLag(topic, c)
+		m.recordLag(f)
 	}
 	return total
 }
 
-func (m *Monitor) loop() {
-	defer close(m.done)
-	for {
-		n := m.sweep()
-		select {
-		case <-m.stop:
-			return
-		default:
+// drain ingests everything left, partial chunks included, in the rotation
+// Sweep follows: the end of the run's order, once nothing more can arrive.
+func (m *Monitor) drain() {
+	for i, topic := range provenance.AllTopics() {
+		f := m.feed(i, topic)
+		if f == nil {
+			continue
 		}
-		if m.broker.IsClosed() && n == 0 {
-			// Broker closed and everything published before the close has
-			// been consumed: nothing more can arrive.
-			return
+		err := f.c.Scan(func(part int, id uint64, metadata []byte) error {
+			m.ingest(f, part, id, metadata)
+			return nil
+		})
+		if err != nil {
+			m.logf("live: pull %s: %v", topic, err)
 		}
-		if n == 0 {
-			select {
-			case <-m.stop:
-				return
-			case <-time.After(pollInterval):
+		m.recordLag(f)
+	}
+}
+
+// Commit records the monitor's cursors — every event ingested so far — with
+// one cursor-store write per topic, until a commit fails.
+func (m *Monitor) Commit() {
+	for _, f := range m.feeds {
+		if f == nil || m.commitOff {
+			continue
+		}
+		var last []mofka.Event
+		for part, next := range f.next {
+			if next > 0 {
+				last = append(last, mofka.Event{Partition: part, ID: next - 1})
 			}
 		}
-	}
-}
-
-// Stop halts the pull loop without draining. Idempotent.
-func (m *Monitor) Stop() {
-	m.stopOnce.Do(func() { close(m.stop) })
-	<-m.done
-}
-
-// Finish completes monitoring for a finished run: the pull loop is stopped,
-// every remaining event is drained, the run's Darshan logs are folded in,
-// the wall time is set, and the final Summary — the one the equivalence
-// invariant holds for — is returned.
-func (m *Monitor) Finish(logs []*darshan.Log, wallSeconds float64) Summary {
-	m.Stop()
-	for m.sweep() > 0 {
-	}
-	m.mu.Lock()
-	emitter := m.emitter
-	m.mu.Unlock()
-	if emitter != nil {
-		// The last anomalies raised are in the topic when Finish returns.
-		if err := emitter.Flush(); err != nil {
-			m.logf("live: anomaly emission: %v", err)
+		if err := f.c.CommitBatch(last); err != nil {
+			m.commitOff = true
+			m.logf("live: cursor commits disabled: %v", err)
 		}
 	}
+}
+
+// Finish completes monitoring for a finished run: every remaining event is
+// ingested, the cursors are committed, the run's Darshan logs are folded in,
+// the anomalies raised are flushed to their topic, the wall time is set, and
+// the final Summary — the one the equivalence invariant holds for — is
+// returned.
+func (m *Monitor) Finish(logs []*darshan.Log, wallSeconds float64) Summary {
+	m.drain()
+	m.Commit()
 	for _, l := range logs {
 		m.agg.IngestDarshanLog(l)
 	}
+	if m.emitter != nil {
+		if err := m.emitter.Flush(); err != nil {
+			m.logf("live: anomaly emission: %v", err)
+		}
+	}
 	m.agg.SetWall(wallSeconds)
 	return m.agg.Snapshot()
-}
-
-// String identifies the monitor in logs.
-func (m *Monitor) String() string {
-	return fmt.Sprintf("live.Monitor(%s)", consumerName)
 }

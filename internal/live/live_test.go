@@ -15,19 +15,11 @@ import (
 	"time"
 
 	"taskprov/internal/dask"
+	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
 	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
-
-// stripped removes the two order-dependent observability surfaces (trailing
-// windows, anomaly emission order) that the equivalence invariant explicitly
-// excludes, leaving everything that must match exactly.
-func stripped(s Summary) Summary {
-	s.Windows = nil
-	s.Anomalies = nil
-	return s
-}
 
 func TestWindowRing(t *testing.T) {
 	r := newWindowRing(10, 3)
@@ -128,9 +120,14 @@ func TestAggregatorOrderIndependence(t *testing.T) {
 			}
 		}
 	}
+	// The windows and anomalies are left out: the window compute sums and
+	// the straggler fit take the executions across partitions in the order
+	// they come, and these two orders are not the one order the monitor and
+	// the replay share.
 	s1, s2 := feed(seq), feed(alt)
-	if !reflect.DeepEqual(stripped(s1), stripped(s2)) {
-		t.Fatalf("summaries differ across consumption orders:\n%+v\nvs\n%+v", stripped(s1), stripped(s2))
+	s1.Windows, s2.Windows, s1.Anomalies, s2.Anomalies = nil, nil, nil, nil
+	if !reflect.DeepEqual(s1, s2) {
+		t.Fatalf("summaries differ across consumption orders:\n%+v\nvs\n%+v", s1, s2)
 	}
 	if s1.Tasks != 40 || s1.Transfers != 10 {
 		t.Fatalf("tasks=%d transfers=%d", s1.Tasks, s1.Transfers)
@@ -336,8 +333,8 @@ func TestMonitorEqualsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay.SetWall(40)
-	if !reflect.DeepEqual(stripped(liveSum), stripped(replay.Snapshot())) {
-		t.Fatalf("live != replay:\n%+v\nvs\n%+v", stripped(liveSum), stripped(replay.Snapshot()))
+	if !reflect.DeepEqual(liveSum, replay.Snapshot()) {
+		t.Fatalf("live != replay:\n%+v\nvs\n%+v", liveSum, replay.Snapshot())
 	}
 	if liveSum.Tasks != 120 || liveSum.Submitted != 120 {
 		t.Fatalf("tasks=%d submitted=%d", liveSum.Tasks, liveSum.Submitted)
@@ -352,7 +349,8 @@ func TestMonitorEqualsReplay(t *testing.T) {
 func TestMonitorEmitsAnomalies(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	m := NewMonitor(b, MonitorOptions{})
-	ch := m.SubscribeAnomalies()
+	ch, unsubscribe := m.SubscribeAnomalies()
+	defer unsubscribe()
 	tp, err := b.OpenOrCreateTopic(mofka.TopicConfig{Name: provenance.TopicWarnings, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -366,15 +364,15 @@ func TestMonitorEmitsAnomalies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	m.Finish(nil, 5)
 	select {
 	case an := <-ch:
 		if an.Kind != AnomalyEventLoopStreak {
 			t.Fatalf("anomaly = %+v", an)
 		}
-	case <-time.After(5 * time.Second):
+	default:
 		t.Fatal("no anomaly on subscription channel")
 	}
-	m.Stop()
 	topic, err := b.OpenTopic(provenance.TopicAnomalies)
 	if err != nil {
 		t.Fatal(err)
@@ -392,20 +390,32 @@ func TestMonitorEmitsAnomalies(t *testing.T) {
 	}
 }
 
+// TestMonitorResumesFromCommitted: a monitor under the same consumer name
+// starts where the last one committed — nothing of what a sweep ingested
+// before Commit, all of what it ingested after.
 func TestMonitorResumesFromCommitted(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
-	seedBroker(t, b, 30)
-	m1 := NewMonitor(b, MonitorOptions{})
-	s1 := m1.Finish(nil, 10)
-	if s1.Tasks != 30 {
-		t.Fatalf("first monitor tasks = %d", s1.Tasks)
+	seedBroker(t, b, 600)
+	var total int64
+	for _, name := range provenance.AllTopics() {
+		tp, err := b.OpenTopic(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += int64(tp.Events())
 	}
-	// A second monitor under the same consumer name starts where the first
-	// committed: nothing left to read.
-	m2 := NewMonitor(b, MonitorOptions{})
-	s2 := m2.Finish(nil, 10)
-	if s2.Events != 0 {
-		t.Fatalf("resumed monitor re-read %d events", s2.Events)
+	m1 := NewMonitor(b, MonitorOptions{})
+	swept := int64(m1.Sweep())
+	if swept == 0 || swept == total {
+		t.Fatalf("the sweep ingested %d of %d events; the test wants whole chunks and tails", swept, total)
+	}
+	m1.Commit()
+	if s := NewMonitor(b, MonitorOptions{}).Finish(nil, 10); s.Events != total-swept {
+		t.Fatalf("resumed monitor read %d events, want the %d past the commit", s.Events, total-swept)
+	}
+	// Finish commits too: a third monitor has nothing left to read.
+	if s := NewMonitor(b, MonitorOptions{}).Finish(nil, 10); s.Events != 0 {
+		t.Fatalf("resumed monitor re-read %d events", s.Events)
 	}
 }
 
@@ -459,7 +469,6 @@ func TestHTTPEndpoints(t *testing.T) {
 func TestSSEStream(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	m := NewMonitor(b, MonitorOptions{})
-	defer m.Stop()
 	srv := httptest.NewServer(NewServer(m))
 	defer srv.Close()
 
@@ -482,9 +491,97 @@ func TestSSEStream(t *testing.T) {
 	}
 }
 
+// sweepEvery sweeps m from a host ticker, the way mofkad drives a monitor
+// whose producers run on no clock of its own, committing after every sweep
+// that ingested something. stop ends the sweeps and reports how many events
+// they ingested.
+func sweepEvery(m *Monitor, d time.Duration) (stop func() int) {
+	quit, done := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		tick := time.NewTicker(d)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				done <- n
+				return
+			case <-tick.C:
+				if k := m.Sweep(); k > 0 {
+					n += k
+					m.Commit()
+				}
+			}
+		}
+	}()
+	return func() int { close(quit); return <-done }
+}
+
+// TestSSEClientsUnsubscribe: an /events client subscribes to the anomalies
+// for as long as its request lasts, and no longer. A long-lived mofkad -live
+// used to keep a channel, and a fan-out per later anomaly, for every client
+// it ever served.
+func TestSSEClientsUnsubscribe(t *testing.T) {
+	dir := t.TempDir()
+	b, err := mofka.NewDurableBroker(mofka.Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedBroker(t, b, 20)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tail, err := TailWAL(dir, TailOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Stop()
+	m := NewMonitor(mofka.NewStandaloneBroker(), MonitorOptions{})
+	for _, c := range []struct {
+		name        string
+		src         Source
+		subscribers func() int
+	}{
+		{"monitor", m, m.agg.subscribers},
+		{"wal-tailer", tail, tail.subscribers},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := httptest.NewServer(NewServer(c.src))
+			defer srv.Close()
+			base := c.subscribers()
+			const clients = 8
+			var bodies []io.Closer
+			for i := 0; i < clients; i++ {
+				res, err := http.Get(srv.URL + "/events")
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The first frame is sent after the handler subscribed.
+				if _, err := res.Body.Read(make([]byte, 4096)); err != nil {
+					t.Fatal(err)
+				}
+				bodies = append(bodies, res.Body)
+			}
+			if n := c.subscribers(); n != base+clients {
+				t.Fatalf("%d clients connected: %d subscribers, want %d", clients, n, base+clients)
+			}
+			for _, body := range bodies {
+				_ = body.Close()
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for c.subscribers() != base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d clients gone: %d subscribers, want the %d from before", clients, c.subscribers(), base)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+}
+
 // TestConcurrentProducersMonitorAndReaders is the -race acceptance test:
-// concurrent producers appending to the broker, the monitor pulling, and
-// HTTP snapshot readers all at once.
+// concurrent producers appending to the broker, the monitor sweeping from a
+// host ticker, and HTTP snapshot readers all at once.
 func TestConcurrentProducersMonitorAndReaders(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	for _, name := range provenance.AllTopics() {
@@ -493,6 +590,7 @@ func TestConcurrentProducersMonitorAndReaders(t *testing.T) {
 		}
 	}
 	m := NewMonitor(b, MonitorOptions{})
+	stopSweeps := sweepEvery(m, time.Millisecond)
 	srv := httptest.NewServer(NewServer(m))
 	defer srv.Close()
 
@@ -543,6 +641,7 @@ func TestConcurrentProducersMonitorAndReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	stopSweeps()
 	sum := m.Finish(nil, 100)
 	close(stopReaders)
 	readers.Wait()
@@ -555,8 +654,82 @@ func TestConcurrentProducersMonitorAndReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay.SetWall(100)
-	if !reflect.DeepEqual(stripped(sum), stripped(replay.Snapshot())) {
+	if !reflect.DeepEqual(sum, replay.Snapshot()) {
 		t.Fatal("live summary diverged from canonical replay under concurrency")
+	}
+}
+
+// TestMonitorSweptFromHostTicker is mofkad's shape: a producer in another
+// process — here a goroutine pushing through the log service, as a remote
+// client does — writes to a durable broker that fsyncs per batch, while a
+// host ticker sweeps the monitor. Which chunks each sweep found is up to the
+// host; the Summary Finish returns is the replay's all the same, anomalies
+// included.
+func TestMonitorSweptFromHostTicker(t *testing.T) {
+	b, err := mofka.NewDurableBroker(mofka.Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = b.Close() }()
+	reg := mercury.NewRegistry()
+	mofka.Serve(reg.Listen("local://mofka"), b.Service())
+	remote := mofka.NewRemote(reg.Bind("local://mofka"))
+
+	m := NewMonitor(b, MonitorOptions{})
+	stopSweeps := sweepEvery(m, time.Millisecond)
+	producers := map[string]*mofka.Producer{}
+	for _, topic := range []string{provenance.TopicExecutions, provenance.TopicWarnings} {
+		if err := remote.CreateTopic(mofka.TopicConfig{Name: topic, Partitions: 3}); err != nil {
+			t.Fatal(err)
+		}
+		producers[topic] = mofka.NewProducer(3, mofka.ProducerOptions{BatchSize: 32},
+			func(part int, _ uint64, metas, datas [][]byte) (*mofka.Commit, error) {
+				return nil, remote.PushBatch(topic, part, metas, datas)
+			})
+	}
+	for i := 0; i < 3000; i++ {
+		start := float64(i) * 0.1
+		dur := 1 + 0.01*float64(i%13)
+		if i%97 == 0 {
+			dur = 30 // a straggler
+		}
+		if err := producers[provenance.TopicExecutions].Push(exec(fmt.Sprintf("load-%05d", i), fmt.Sprintf("w%d", i%4), start, start+dur), nil); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 { // event-loop streaks on every worker
+			err := producers[provenance.TopicWarnings].Push(provenance.WarningEvent(dask.Warning{
+				Kind: dask.WarnEventLoop, Worker: fmt.Sprintf("w%d", i%3), At: sim.Seconds(start), Duration: sim.Seconds(2),
+			}), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, p := range producers {
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	swept := stopSweeps()
+	sum := m.Finish(nil, 300)
+
+	replay := NewAggregator(AggregatorOptions{})
+	if err := ReplayBroker(b, replay); err != nil {
+		t.Fatal(err)
+	}
+	replay.SetWall(300)
+	if want := replay.Snapshot(); !reflect.DeepEqual(sum, want) {
+		t.Fatalf("swept monitor != replay:\n%+v\nvs\n%+v", sum, want)
+	}
+	if swept == 0 || int64(swept) == sum.Events {
+		t.Fatalf("the ticker's sweeps ingested %d of %d events; the test wants sweeps and a tail", swept, sum.Events)
+	}
+	kinds := map[string]int{}
+	for _, a := range sum.Anomalies {
+		kinds[a.Kind]++
+	}
+	if kinds[AnomalyStraggler] == 0 || kinds[AnomalyEventLoopStreak] == 0 {
+		t.Fatalf("anomalies by kind = %v; the test wants stragglers and streaks", kinds)
 	}
 }
 
@@ -603,7 +776,7 @@ func TestWALTailerFollowsGrowingDir(t *testing.T) {
 	if err := tail.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripped(tail.Snapshot()), stripped(want)) {
+	if !reflect.DeepEqual(tail.Snapshot(), want) {
 		t.Fatal("tailer snapshot != direct replay")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,28 +16,26 @@ import (
 )
 
 // ReplayBroker feeds every provenance event already on the broker through
-// the aggregator, walking each topic partition by partition in offset order
-// — the canonical deterministic order the equivalence invariant is defined
-// against.
+// the aggregator, topic by topic, each in the order a Monitor ingests it —
+// chunks round-robin across the partitions — which is the order the
+// equivalence invariant is defined against.
 func ReplayBroker(b *mofka.Broker, agg *Aggregator) error {
 	for _, topic := range provenance.AllTopics() {
 		t, err := b.OpenTopic(topic)
 		if err != nil {
 			continue // topic never created on this broker
 		}
-		for p := 0; p < t.Partitions(); p++ {
-			c, err := t.NewConsumer(mofka.ConsumerOptions{NoData: true, Partitions: []int{p}})
-			if err != nil {
-				return fmt.Errorf("live: replay %s[%d]: %w", topic, p, err)
-			}
-			// Scan lends the stored bytes: each event is decoded once,
-			// straight from them.
-			err = c.Scan(func(partition int, id uint64, metadata []byte) error {
-				return ingest(agg, topic, partition, id, metadata)
-			})
-			if err != nil {
-				return fmt.Errorf("live: replay %s[%d]: %w", topic, p, err)
-			}
+		c, err := t.NewConsumer(mofka.ConsumerOptions{NoData: true, Prefetch: chunk})
+		if err != nil {
+			return fmt.Errorf("live: replay %s: %w", topic, err)
+		}
+		// Scan lends the stored bytes: each event is decoded once, straight
+		// from them.
+		err = c.Scan(func(partition int, id uint64, metadata []byte) error {
+			return ingest(agg, topic, partition, id, metadata)
+		})
+		if err != nil {
+			return fmt.Errorf("live: replay %s: %w", topic, err)
 		}
 	}
 	return nil
@@ -127,15 +126,12 @@ type WALTailer struct {
 	dir  string
 	opts TailOptions
 
-	mu    sync.Mutex
-	last  Summary
-	seen  int // anomalies already forwarded to subscribers
-	subs  []chan Anomaly
-	ready bool
+	mu   sync.Mutex
+	last Summary
+	seen int // anomalies already forwarded to subscribers
+	subs []chan Anomaly
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	poller
 }
 
 // TailWAL starts tailing a data dir. The first refresh happens synchronously
@@ -145,38 +141,17 @@ func TailWAL(dir string, opts TailOptions) (*WALTailer, error) {
 	if !cluster.IsLogDir(dir) {
 		return nil, fmt.Errorf("live: %s is not a Mofka data dir", dir)
 	}
-	t := &WALTailer{
-		dir:  dir,
-		opts: opts.withDefaults(),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	t := &WALTailer{dir: dir, opts: opts.withDefaults()}
 	if err := t.Refresh(); err != nil {
 		return nil, err
 	}
-	go t.loop()
+	t.start(t.opts, "tail "+dir, t.Refresh)
 	return t, nil
 }
 
-func (t *WALTailer) loop() {
-	defer close(t.done)
-	tick := time.NewTicker(t.opts.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-tick.C:
-			if err := t.Refresh(); err != nil && t.opts.Logf != nil {
-				t.opts.Logf("live: tail %s: %v", t.dir, err)
-			}
-		}
-	}
-}
-
-// Refresh rebuilds the snapshot from the directory now. Anomalies beyond the
-// ones already forwarded go to subscribers (the replay is deterministic, so
-// the anomaly list is prefix-stable while the log only appends).
+// Refresh rebuilds the snapshot from the directory now. Anomalies beyond as
+// many as were already forwarded go to subscribers (the list is sorted by
+// time, and a log that only appends mostly adds later findings).
 func (t *WALTailer) Refresh() error {
 	snap, err := ReplayDataDir(t.dir, AggregatorOptions{})
 	t.mu.Lock()
@@ -185,7 +160,6 @@ func (t *WALTailer) Refresh() error {
 		return err
 	}
 	t.last = snap
-	t.ready = true
 	for ; t.seen < len(snap.Anomalies); t.seen++ {
 		for _, ch := range t.subs {
 			select {
@@ -205,18 +179,16 @@ func (t *WALTailer) Snapshot() Summary {
 }
 
 // SubscribeAnomalies implements Source.
-func (t *WALTailer) SubscribeAnomalies() <-chan Anomaly {
+func (t *WALTailer) SubscribeAnomalies() (<-chan Anomaly, func()) {
 	ch := make(chan Anomaly, 64)
 	t.mu.Lock()
 	t.subs = append(t.subs, ch)
 	t.mu.Unlock()
-	return ch
-}
-
-// Stop halts the refresh loop.
-func (t *WALTailer) Stop() {
-	t.stopOnce.Do(func() { close(t.stop) })
-	<-t.done
+	return ch, func() {
+		t.mu.Lock()
+		t.subs = slices.DeleteFunc(t.subs, func(c chan Anomaly) bool { return c == ch })
+		t.mu.Unlock()
+	}
 }
 
 // RemoteTailer attaches to a running log service — a mofkad broker or cluster
@@ -229,9 +201,7 @@ type RemoteTailer struct {
 
 	next map[laneKey]uint64
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	poller
 }
 
 // TailRemote starts tailing a log service. One synchronous sweep runs before
@@ -242,13 +212,11 @@ func TailRemote(r mofka.Service, opts TailOptions) (*RemoteTailer, error) {
 		opts:   opts.withDefaults(),
 		agg:    NewAggregator(AggregatorOptions{}),
 		next:   make(map[laneKey]uint64),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
 	if err := t.sweep(); err != nil {
 		return nil, err
 	}
-	go t.loop()
+	t.start(t.opts, "remote tail", t.sweep)
 	return t, nil
 }
 
@@ -258,12 +226,8 @@ func (t *RemoteTailer) sweep() error {
 	if err != nil {
 		return err
 	}
-	want := make(map[string]bool, len(provenance.AllTopics()))
-	for _, n := range provenance.AllTopics() {
-		want[n] = true
-	}
 	for _, topic := range topics {
-		if !want[topic] {
+		if !slices.Contains(provenance.AllTopics(), topic) {
 			continue
 		}
 		parts, _, err := t.remote.TopicInfo(topic)
@@ -294,30 +258,45 @@ func (t *RemoteTailer) sweep() error {
 	return nil
 }
 
-func (t *RemoteTailer) loop() {
-	defer close(t.done)
-	tick := time.NewTicker(t.opts.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-tick.C:
-			if err := t.sweep(); err != nil && t.opts.Logf != nil {
-				t.opts.Logf("live: remote tail: %v", err)
-			}
-		}
-	}
-}
-
 // Snapshot implements Source.
 func (t *RemoteTailer) Snapshot() Summary { return t.agg.Snapshot() }
 
 // SubscribeAnomalies implements Source.
-func (t *RemoteTailer) SubscribeAnomalies() <-chan Anomaly { return t.agg.SubscribeAnomalies() }
+func (t *RemoteTailer) SubscribeAnomalies() (<-chan Anomaly, func()) {
+	return t.agg.SubscribeAnomalies()
+}
 
-// Stop halts the sweep loop.
-func (t *RemoteTailer) Stop() {
-	t.stopOnce.Do(func() { close(t.stop) })
-	<-t.done
+// poller is a tailer's host-time refresh: the tailers watch a run from
+// outside it, on no clock of the run's.
+type poller struct {
+	stopOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{}
+}
+
+// start calls refresh every opts.Interval on a goroutine of its own, logging
+// its failures under what, until Stop.
+func (p *poller) start(opts TailOptions, what string, refresh func() error) {
+	p.stop, p.done = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(p.done)
+		tick := time.NewTicker(opts.Interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-p.stop:
+				return
+			case <-tick.C:
+				if err := refresh(); err != nil && opts.Logf != nil {
+					opts.Logf("live: %s: %v", what, err)
+				}
+			}
+		}
+	}()
+}
+
+// Stop halts the refreshes.
+func (p *poller) Stop() {
+	p.stopOnce.Do(func() { close(p.stop) })
+	<-p.done
 }

@@ -227,8 +227,7 @@ func (b *Broker) Close() error {
 	return errors.Join(errs...)
 }
 
-// IsClosed reports whether Close has been called. Long-lived consumers (the
-// live monitor's pull loop) use it as their exit condition.
+// IsClosed reports whether Close has been called.
 func (b *Broker) IsClosed() bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()

@@ -11,8 +11,6 @@ type ConsumerOptions struct {
 	// Name identifies the consumer for cursor commits. Required for
 	// CommitBatch/resume semantics; anonymous consumers start at 0 every time.
 	Name string
-	// Partitions restricts the subscription; nil means all partitions.
-	Partitions []int
 	// NoData skips fetching payloads (Mofka's data-selection feature):
 	// events arrive with Data == nil. Metadata-only analysis passes use it.
 	NoData bool
@@ -24,46 +22,38 @@ type ConsumerOptions struct {
 	FromCommitted bool
 }
 
-// Consumer pulls events from a topic. It is single-goroutine by design
-// (like a Mofka consumer handle); create one per analysis thread.
+// Consumer pulls events from every partition of a topic. It is
+// single-goroutine by design (like a Mofka consumer handle); create one per
+// analysis thread.
 type Consumer struct {
 	topic *Topic
 	opts  ConsumerOptions
-	parts []int
-	next  map[int]uint64 // next unread offset per partition
+	next  []uint64 // next unread offset per partition
 	buf   []Event
 	rr    int
 }
 
-// NewConsumer subscribes to the topic.
+// NewConsumer subscribes to the topic. It does not fail; the error result is
+// kept for the callers that compile against it (bench/e2e).
 func (t *Topic) NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 	if opts.Prefetch <= 0 {
 		opts.Prefetch = 64
 	}
-	parts := opts.Partitions
-	if parts == nil {
-		for i := range t.partitions {
-			parts = append(parts, i)
-		}
-	}
-	c := &Consumer{topic: t, opts: opts, parts: parts, next: make(map[int]uint64)}
-	for _, i := range parts {
-		if i < 0 || i >= len(t.partitions) {
-			return nil, fmt.Errorf("%w: %s[%d]", ErrNoPartition, t.cfg.Name, i)
-		}
-		if opts.FromCommitted && opts.Name != "" {
+	c := &Consumer{topic: t, opts: opts, next: make([]uint64, len(t.partitions))}
+	if opts.FromCommitted && opts.Name != "" {
+		for i := range c.next {
 			c.next[i] = t.broker.LoadCursor(opts.Name, t.cfg.Name, i)
 		}
 	}
 	return c, nil
 }
 
-// roundRobin offers the subscribed partitions to read, one after the other
-// from where the last call stopped, until one of them yields events. Both
-// fill and Scan step through it, which is what makes their orders agree.
+// roundRobin offers the partitions to read, one after the other from where
+// the last call stopped, until one of them yields events. Both fill and Scan
+// step through it, which is what makes their orders agree.
 func (c *Consumer) roundRobin(read func(pi int, p *Partition) (progressed bool, err error)) (bool, error) {
-	for range c.parts {
-		pi := c.parts[c.rr%len(c.parts)]
+	for range c.next {
+		pi := c.rr % len(c.next)
 		c.rr++
 		if progressed, err := read(pi, c.topic.partitions[pi]); progressed || err != nil {
 			return progressed, err
@@ -196,17 +186,17 @@ func (c *Consumer) CommitBatch(evs []Event) error {
 	return c.topic.broker.commitCursors(cursors)
 }
 
-// Lag reports, per subscribed partition, how many published events this
-// consumer has not pulled yet (events buffered internally but not yet
-// returned by Pull still count as lag — they have not been delivered).
+// Lag reports, per partition, how many published events this consumer has
+// not pulled yet (events buffered internally but not yet returned by Pull
+// still count as lag — they have not been delivered).
 func (c *Consumer) Lag() map[int]uint64 {
-	buffered := make(map[int]uint64, len(c.parts))
+	buffered := make(map[int]uint64, len(c.next))
 	for _, ev := range c.buf {
 		buffered[ev.Partition]++
 	}
-	out := make(map[int]uint64, len(c.parts))
-	for _, pi := range c.parts {
-		length := c.topic.partitions[pi].Length()
+	out := make(map[int]uint64, len(c.next))
+	for pi, p := range c.topic.partitions {
+		length := p.Length()
 		delivered := c.next[pi] - buffered[pi]
 		if length > delivered {
 			out[pi] = length - delivered

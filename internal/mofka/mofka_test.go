@@ -97,34 +97,6 @@ func TestConsumerNoData(t *testing.T) {
 	}
 }
 
-func TestConsumerPartitionSubset(t *testing.T) {
-	_, tp := newTopic(t, "t", 4)
-	p := tp.NewProducer(ProducerOptions{BatchSize: 1})
-	for i := 0; i < 8; i++ {
-		p.Push(Metadata{"i": i}, nil)
-	}
-	c, err := tp.NewConsumer(ConsumerOptions{Partitions: []int{1, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, _ := c.Drain()
-	if len(evs) != 4 {
-		t.Fatalf("subset consumer got %d events, want 4", len(evs))
-	}
-	for _, ev := range evs {
-		if ev.Partition != 1 && ev.Partition != 3 {
-			t.Fatalf("event from partition %d", ev.Partition)
-		}
-	}
-}
-
-func TestConsumerInvalidPartition(t *testing.T) {
-	_, tp := newTopic(t, "t", 2)
-	if _, err := tp.NewConsumer(ConsumerOptions{Partitions: []int{5}}); !errors.Is(err, ErrNoPartition) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestCommitAndResume(t *testing.T) {
 	b, tp := newTopic(t, "t", 1)
 	p := tp.NewProducer(ProducerOptions{})

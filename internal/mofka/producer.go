@@ -332,6 +332,17 @@ func (p *Producer) Flush() error {
 	}
 	p.mu.Unlock()
 	err := p.ship()
+	if werr := p.WaitShipped(); err == nil {
+		err = werr
+	}
+	return err
+}
+
+// WaitShipped returns once every batch shipped so far is committed — durable
+// and visible to consumers — with the first failed commit's error. It seals
+// nothing, so batch boundaries stay where the pushes put them.
+func (p *Producer) WaitShipped() error {
+	var err error
 	for i := range p.commits {
 		p.shipMu.Lock()
 		c := p.commits[i]

@@ -257,6 +257,39 @@ func TestCommitWaitsForFsync(t *testing.T) {
 	}
 }
 
+// TestWaitShippedSealsNothing: Producer.WaitShipped — what a session waits on
+// before its live monitor sweeps — returns once the batches shipped so far
+// are visible, and leaves the open batch open.
+func TestWaitShippedSealsNothing(t *testing.T) {
+	g := newFsyncGate(t)
+	b, tp := durableTopic(t, t.TempDir(), "t")
+	defer b.Close()
+	part, err := tp.Partition(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.hold(t)
+	prod := tp.NewProducer(mofka.ProducerOptions{BatchSize: 4})
+	for i := 0; i < 6; i++ { // one batch ships, two events stay open
+		if err := prod.PushRaw(tagged("producer", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.awaitEntered(t, 1)
+	waited := make(chan struct{})
+	var waitErr error
+	go func() { defer close(waited); waitErr = prod.WaitShipped() }()
+	stillBlocked(t, "Producer.WaitShipped", waited)
+	g.release()
+	awaitDone(t, "Producer.WaitShipped", waited)
+	if n := part.Length(); waitErr != nil || n != 4 {
+		t.Fatalf("WaitShipped: %v, then Length = %d, want the shipped batch's 4", waitErr, n)
+	}
+	if err := prod.Flush(); err != nil || part.Length() != 6 {
+		t.Fatalf("Flush: %v, then Length = %d, want 6", err, part.Length())
+	}
+}
+
 func TestFailedFsyncPoisonsLog(t *testing.T) {
 	g := newFsyncGate(t)
 	dir := t.TempDir()
