@@ -10,12 +10,13 @@ build:
 # module of its own, which go vet ./... does not enter) as well. Then the
 # root meta-tests, over one type-check of the tree, so a violation fails
 # fast: every export has a program caller, every option field a program
-# setter, and no range over a map lets its order reach what a program does.
+# setter, every session knob a place in metadata.json that reads back, and no
+# range over a map lets its order reach what a program does.
 vet:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
-	$(GO) test -count=1 -run 'TestNoUnusedExports|TestEveryKnobIsSet|TestMapRangeOrder' .
+	$(GO) test -count=1 -run 'TestNoUnusedExports|TestEveryKnobIsSet|TestEveryKnobIsRecorded|TestMapRangeOrder' .
 
 # Static analysis beyond vet; staticcheck runs when the binary is on PATH
 # (CI installs it, bare dev machines skip cleanly rather than failing).

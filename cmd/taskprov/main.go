@@ -182,8 +182,8 @@ func cmdRun(args []string) (err error) {
 		cfg.LiveHTTPAddr = *liveHTTP
 		cfg.ChaosSpec = *chaosSpec
 		if *speculate {
-			cfg.Speculation.Enabled = true
-			cfg.Speculation.Quantile = *specQuantile
+			cfg.Dask.Speculation.Enabled = true
+			cfg.Dask.Speculation.Quantile = *specQuantile
 		}
 		cfg.ClusterBrokers = *clusterN
 		cfg.ClusterReplication = *replication
@@ -259,12 +259,13 @@ func cmdRun(args []string) (err error) {
 }
 
 // cmdResume continues a crashed run from its durable event log: the run's
-// own metadata.json rebuilds the workflow and session configuration, the
-// provenance stream is replayed to reconstruct the completion frontier, and
-// a new session incarnation appends to the same data dir until the workflow
-// finishes. The crashed attempt's chaos spec is deliberately NOT re-armed —
-// the point of resuming is to get past the fault — but -chaos can inject
-// fresh faults into the resumed attempt (which can itself be resumed).
+// own metadata.json alone rebuilds the workflow and session configuration
+// (core.ConfigFromMetadata), the provenance stream is replayed to
+// reconstruct the completion frontier, and a new session incarnation appends
+// to the same data dir until the workflow finishes. The crashed attempt's
+// chaos spec is deliberately NOT re-armed — the point of resuming is to get
+// past the fault — but -chaos can inject fresh faults into the resumed
+// attempt (which can itself be resumed).
 func cmdResume(args []string) error {
 	fs := flag.NewFlagSet("resume", flag.ExitOnError)
 	out := fs.String("out", "runs", "output directory for the completed run's artifacts")
@@ -290,25 +291,11 @@ func cmdResume(args []string) error {
 		return fmt.Errorf("resume: %w", err)
 	}
 
-	// Rebuild the session the crashed run was started with, from its own
-	// metadata — same workflow, seed, and data-plane knobs.
-	cfg := workloads.DefaultSession(meta.Workflow, meta.JobID, meta.Seed)
-	cfg.DarshanDXT = meta.Instrumentation.DXTEnabled
-	cfg.Dask.WorkStealing = meta.DaskConfig.WorkStealing
-	cfg.Dask.ProxyThresholdBytes = meta.DaskConfig.ProxyThresholdBytes
-	cfg.Dask.ProxyPrefetch = meta.DaskConfig.ProxyPrefetch
-	cfg.ClusterBrokers = meta.Instrumentation.ClusterBrokers
-	cfg.ClusterReplication = meta.Instrumentation.ClusterReplication
-	cfg.ClusterQuorum = meta.Instrumentation.ClusterQuorum
-	if meta.Instrumentation.SpeculationEnabled {
-		cfg.Speculation.Enabled = true
-		cfg.Speculation.MaxConcurrent = meta.Instrumentation.SpeculationMax
-		cfg.Speculation.Quantile = meta.Instrumentation.SpeculationQuantile
-		cfg.Speculation.Budget = meta.Instrumentation.SpeculationBudget
+	cfg, err := core.ConfigFromMetadata(meta)
+	if err != nil {
+		return fmt.Errorf("resume: %s/metadata.json: %w", dir, err)
 	}
-	cfg.MofkaSyncPolicy = *fsync
-	cfg.ResumeFrom = dir
-	cfg.ChaosSpec = *chaosSpec
+	cfg.MofkaSyncPolicy, cfg.ResumeFrom, cfg.ChaosSpec = *fsync, dir, *chaosSpec
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

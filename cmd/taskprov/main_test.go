@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"taskprov/internal/live"
 	"taskprov/internal/mofka"
 	"taskprov/internal/mofka/cluster"
+	"taskprov/internal/workloads"
 )
 
 func TestCmdList(t *testing.T) {
@@ -160,7 +162,7 @@ func TestCmdRejectsRPCDirective(t *testing.T) {
 
 	// resume checks its -chaos the same way, ahead of opening the log.
 	crashed := t.TempDir()
-	meta := core.RunMetadata{Workflow: "imageprocessing", JobID: "imageprocessing-0003", Seed: 3}
+	meta := workloads.DefaultSession("imageprocessing", "imageprocessing-0003", 3).Metadata("imageprocessing")
 	if err := os.WriteFile(filepath.Join(crashed, "metadata.json"), core.EncodeMetadata(meta), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -389,21 +391,45 @@ func TestCmdRunForceValidatesFirst(t *testing.T) {
 
 // TestCmdResumeKeepsQuorum: a crashed cluster run's -quorum is recorded in
 // its metadata and restored by resume, which reopens the cluster with the
-// quorum its cluster.json holds (a different one is refused).
+// quorum its cluster.json holds (a different one is refused). So is every
+// other knob of the run: the resumed attempt records the configuration the
+// crashed one did, less the fault.
 func TestCmdResumeKeepsQuorum(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow runs")
 	}
 	out, data := t.TempDir(), t.TempDir()
 	err := cmdRun([]string{"-workflow", "imageprocessing", "-seed", "3", "-out", out, "-data-dir", data,
-		"-cluster", "3", "-replication", "3", "-quorum", "1", "-chaos", "scheduler at=30s"})
+		"-cluster", "3", "-replication", "3", "-quorum", "1", "-live", "-speculate", "-no-steal",
+		"-chaos", "scheduler at=30s"})
 	var crash *core.CrashError
 	if !errors.As(err, &crash) {
 		t.Fatalf("crashed run: %v, want a CrashError", err)
 	}
 	dir := filepath.Join(data, "imageprocessing-0003")
+	recorded := func() core.SessionConfig {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(dir, "metadata.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := core.DecodeMetadata(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := core.ConfigFromMetadata(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	crashed := recorded()
 	if err := cmdResume([]string{"-out", out, dir}); err != nil {
 		t.Fatal(err)
+	}
+	crashed.ChaosSpec = ""
+	if resumed := recorded(); !reflect.DeepEqual(resumed, crashed) {
+		t.Errorf("the resumed attempt records\n%+v\nthe crashed one recorded\n%+v", resumed, crashed)
 	}
 	for _, meta := range []string{filepath.Join(dir, "metadata.json"), filepath.Join(out, "imageprocessing-0003", "metadata.json")} {
 		raw, err := os.ReadFile(meta)

@@ -54,7 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nreloaded run: workflow=%s seed=%d platform=%s wall=%.1fs\n",
-		loaded.Meta.Workflow, loaded.Meta.Seed, loaded.Meta.Platform.Platform, loaded.Meta.WallSeconds)
+		loaded.Meta.Workflow, loaded.Meta.Seed, loaded.Meta.Platform.Name, loaded.Meta.WallSeconds)
 
 	// Fuse Darshan DXT with task executions on (hostname, pthread ID,
 	// timestamps) and summarize I/O per task category.

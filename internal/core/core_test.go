@@ -98,7 +98,7 @@ func TestRunProducesArtifacts(t *testing.T) {
 	if m.Platform.Nodes != 2 || m.Storage.OSTs == 0 || m.Software.OS == "" {
 		t.Fatalf("metadata incomplete: %+v", m)
 	}
-	if m.Job.Script == "" || m.DaskConfig.HeartbeatIntervalSec <= 0 {
+	if m.Job.Script == "" || m.DaskConfig.HeartbeatInterval <= 0 {
 		t.Fatalf("job/dask layers incomplete: %+v", m)
 	}
 	if m.WallSeconds <= 0 {

@@ -15,23 +15,28 @@ import (
 // hardware-infrastructure layer, the system-software/job-configuration
 // layer, and the application layer's static configuration. Everything a
 // reproducibility study needs to re-create or explain the run's context.
+//
+// It is also the run's configuration record: SessionConfig.Metadata writes
+// every knob that shapes what the run stores into it, and ConfigFromMetadata
+// reads them back, so a run is resumed or rerun from its metadata.json alone.
 type RunMetadata struct {
 	// Identity.
 	JobID    string `json:"job_id"`
 	Workflow string `json:"workflow"`
 	Seed     uint64 `json:"seed"`
 
-	// Hardware infrastructure layer.
+	// Hardware infrastructure layer: the platform model and where its nodes
+	// landed, and the storage model.
 	Platform platform.Description `json:"platform"`
-	Storage  pfs.Description      `json:"storage"`
+	Storage  pfs.Config           `json:"storage"`
 
 	// System software and job configuration layer.
 	Software SoftwareStack `json:"software"`
 	Job      JobConfig     `json:"job"`
 
-	// Application layer: WMS configuration (distributed.yaml) and the
-	// instrumentation configuration.
-	DaskConfig      DaskConfigDescription `json:"dask_config"`
+	// Application layer: WMS configuration (distributed.yaml, the speculation
+	// policy included) and the instrumentation configuration.
+	DaskConfig      dask.Config           `json:"dask_config"`
 	Instrumentation InstrumentationConfig `json:"instrumentation"`
 
 	// Outcome.
@@ -70,41 +75,12 @@ func DefaultSoftwareStack() SoftwareStack {
 	}
 }
 
-// JobConfig is the job-scheduler layer: requested/allocated resources.
+// JobConfig is the job-scheduler layer: the queue and the batch script. The
+// resources it requests are the platform's nodes and the Dask config's
+// workers and threads, recorded once, in those models.
 type JobConfig struct {
-	Nodes            int    `json:"nodes"`
-	WorkersPerNode   int    `json:"workers_per_node"`
-	ThreadsPerWorker int    `json:"threads_per_worker"`
-	Queue            string `json:"queue"`
-	Script           string `json:"script"`
-}
-
-// DaskConfigDescription is the serializable subset of the WMS config (the
-// distributed.yaml values the paper lists: timeouts, heartbeat interval,
-// communication settings).
-type DaskConfigDescription struct {
-	HeartbeatIntervalSec   float64 `json:"heartbeat_interval_sec"`
-	WorkStealing           bool    `json:"work_stealing"`
-	StealIntervalSec       float64 `json:"steal_interval_sec"`
-	EventLoopThresholdSec  float64 `json:"event_loop_threshold_sec"`
-	DefaultTaskDurationSec float64 `json:"default_task_duration_sec"`
-	// ProxyThresholdBytes/ProxyPrefetch record the pass-by-reference data
-	// plane configuration; zero threshold means direct transfers only.
-	ProxyThresholdBytes int64 `json:"proxy_threshold_bytes,omitempty"`
-	ProxyPrefetch       bool  `json:"proxy_prefetch,omitempty"`
-}
-
-// DescribeDaskConfig extracts the serializable view of a dask.Config.
-func DescribeDaskConfig(c dask.Config) DaskConfigDescription {
-	return DaskConfigDescription{
-		HeartbeatIntervalSec:   c.HeartbeatInterval.Seconds(),
-		WorkStealing:           c.WorkStealing,
-		StealIntervalSec:       c.StealInterval.Seconds(),
-		EventLoopThresholdSec:  c.EventLoopMonitorThreshold.Seconds(),
-		DefaultTaskDurationSec: c.DefaultTaskDuration.Seconds(),
-		ProxyThresholdBytes:    c.ProxyThresholdBytes,
-		ProxyPrefetch:          c.ProxyPrefetch,
-	}
+	Queue  string `json:"queue"`
+	Script string `json:"script"`
 }
 
 // InstrumentationConfig records how collection itself was configured —
@@ -126,13 +102,85 @@ type InstrumentationConfig struct {
 	// internal/chaos), empty for fault-free runs. Recording it makes
 	// degraded runs self-describing post-mortem.
 	Chaos string `json:"chaos,omitempty"`
-	// Speculation records the hedged-execution policy the run was executed
-	// under (zero when speculation was off), so a speculation timeline is
-	// interpretable post-mortem without the session config.
-	SpeculationEnabled  bool    `json:"speculation_enabled,omitempty"`
-	SpeculationMax      int     `json:"speculation_max,omitempty"`
-	SpeculationQuantile float64 `json:"speculation_quantile,omitempty"`
-	SpeculationBudget   int     `json:"speculation_budget,omitempty"`
+	// DarshanMaxFileRecords caps each process's Darshan file record table.
+	DarshanMaxFileRecords int `json:"darshan_max_file_records"`
+	// CollectionDisabled marks an overhead-ablation run that collected
+	// nothing; LiveMonitor a run whose live monitor published the
+	// anomalies topic.
+	CollectionDisabled bool `json:"collection_disabled,omitempty"`
+	LiveMonitor        bool `json:"live_monitor,omitempty"`
+}
+
+// Metadata is the record a run of the named workflow under cfg writes to
+// metadata.json, less what only the run itself adds: where the platform
+// placed its nodes, the outcome and the resume attempt. ConfigFromMetadata
+// is its inverse; the two are the one mapping between a configuration and
+// its record, and TestEveryKnobIsRecorded holds every SessionConfig field to
+// it.
+func (cfg SessionConfig) Metadata(workflow string) RunMetadata {
+	return RunMetadata{
+		JobID:    cfg.JobID,
+		Workflow: workflow,
+		Seed:     cfg.Seed,
+		Platform: platform.Description{Config: cfg.Platform},
+		Storage:  cfg.PFS,
+		Software: DefaultSoftwareStack(),
+		Job: JobConfig{
+			Queue:  "prod",
+			Script: jobScript(cfg, workflow),
+		},
+		DaskConfig: cfg.Dask,
+		Instrumentation: InstrumentationConfig{
+			DXTEnabled:            cfg.DarshanDXT,
+			DXTBufferSegments:     cfg.DXTBufferSegments,
+			MofkaBatchSize:        cfg.MofkaBatchSize,
+			MofkaDataDir:          cfg.MofkaDataDir,
+			ClusterBrokers:        cfg.ClusterBrokers,
+			ClusterReplication:    cfg.ClusterReplication,
+			ClusterQuorum:         cfg.ClusterQuorum,
+			Chaos:                 cfg.ChaosSpec,
+			DarshanMaxFileRecords: cfg.DarshanMaxFileRecords,
+			CollectionDisabled:    cfg.DisableCollection,
+			LiveMonitor:           cfg.LiveMonitor,
+		},
+	}
+}
+
+// ConfigFromMetadata rebuilds the configuration a run recorded with
+// SessionConfig.Metadata, from the record alone. What the record leaves to
+// whoever reruns it comes back zero: where the run writes (MofkaDataDir,
+// ResumeFrom), how often its log is fsynced (MofkaSyncPolicy, which stores
+// the same bytes under every policy) and where it serves (LiveHTTPAddr). A
+// record that names no platform or storage model to rebuild the run on is
+// refused.
+func ConfigFromMetadata(m RunMetadata) (SessionConfig, error) {
+	if m.Platform.Nodes <= 0 || m.Platform.NICBandwidth <= 0 || m.Storage.OSTs <= 0 {
+		return SessionConfig{}, fmt.Errorf("core: the metadata of run %q records no platform and storage model to rebuild it on", m.JobID)
+	}
+	in := m.Instrumentation
+	return SessionConfig{
+		JobID:                 m.JobID,
+		Seed:                  m.Seed,
+		Platform:              m.Platform.Config,
+		PFS:                   m.Storage,
+		Dask:                  m.DaskConfig,
+		DarshanDXT:            in.DXTEnabled,
+		DXTBufferSegments:     in.DXTBufferSegments,
+		DarshanMaxFileRecords: in.DarshanMaxFileRecords,
+		MofkaBatchSize:        in.MofkaBatchSize,
+		ChaosSpec:             in.Chaos,
+		ClusterBrokers:        in.ClusterBrokers,
+		ClusterReplication:    in.ClusterReplication,
+		ClusterQuorum:         in.ClusterQuorum,
+		DisableCollection:     in.CollectionDisabled,
+		LiveMonitor:           in.LiveMonitor,
+	}, nil
+}
+
+// ThreadSlots is the run's thread-slot count, nodes × workers/node ×
+// threads/worker: the divisor of the live aggregates' per-slot averages.
+func (m RunMetadata) ThreadSlots() int {
+	return m.Platform.Nodes * m.DaskConfig.WorkersPerNode * m.DaskConfig.ThreadsPerWorker
 }
 
 // EncodeMetadata serializes run metadata as pretty JSON.
@@ -161,13 +209,13 @@ func (m RunMetadata) RenderChart() string {
 	fmt.Fprintf(&b, "provenance chart — %s (workflow %s, seed %d)\n", m.JobID, m.Workflow, m.Seed)
 	fmt.Fprintf(&b, "├─ hardware infrastructure\n")
 	fmt.Fprintf(&b, "│   ├─ platform: %s (%d nodes × %d cores, %d GPUs/node, %d switches)\n",
-		m.Platform.Platform, m.Platform.Nodes, m.Platform.CoresPerNode,
+		m.Platform.Name, m.Platform.Nodes, m.Platform.CoresPerNode,
 		m.Platform.GPUsPerNode, m.Platform.Switches)
 	for _, n := range m.Platform.NodeList {
 		fmt.Fprintf(&b, "│   │   ├─ %s on switch %d (speed %.3f)\n", n.Hostname, n.Switch, n.Speed)
 	}
 	fmt.Fprintf(&b, "│   └─ storage: %s (%d OSTs, stripe %d×%dB, %.1f GB/s/OST)\n",
-		m.Storage.Mount, m.Storage.OSTs, m.Storage.StripeCount, m.Storage.StripeSize,
+		m.Storage.Name, m.Storage.OSTs, m.Storage.StripeCount, m.Storage.StripeSize,
 		m.Storage.OSTBandwidth/1e9)
 	fmt.Fprintf(&b, "├─ system software & job configuration\n")
 	fmt.Fprintf(&b, "│   ├─ os: %s\n", m.Software.OS)
@@ -181,15 +229,15 @@ func (m RunMetadata) RenderChart() string {
 		fmt.Fprintf(&b, "│   ├─ package: %s %s\n", k, m.Software.Packages[k])
 	}
 	fmt.Fprintf(&b, "│   ├─ job: %d nodes × %d workers × %d threads, queue %s\n",
-		m.Job.Nodes, m.Job.WorkersPerNode, m.Job.ThreadsPerWorker, m.Job.Queue)
+		m.Platform.Nodes, m.DaskConfig.WorkersPerNode, m.DaskConfig.ThreadsPerWorker, m.Job.Queue)
 	fmt.Fprintf(&b, "│   └─ job script:\n")
 	for _, line := range strings.Split(strings.TrimRight(m.Job.Script, "\n"), "\n") {
 		fmt.Fprintf(&b, "│       %s\n", line)
 	}
 	fmt.Fprintf(&b, "└─ application layer\n")
 	fmt.Fprintf(&b, "    ├─ distributed.yaml: heartbeat %.3fs, stealing %v (%.3fs), loop-monitor %.1fs\n",
-		m.DaskConfig.HeartbeatIntervalSec, m.DaskConfig.WorkStealing,
-		m.DaskConfig.StealIntervalSec, m.DaskConfig.EventLoopThresholdSec)
+		m.DaskConfig.HeartbeatInterval.Seconds(), m.DaskConfig.WorkStealing,
+		m.DaskConfig.StealInterval.Seconds(), m.DaskConfig.EventLoopMonitorThreshold.Seconds())
 	durable := ""
 	if m.Instrumentation.MofkaDataDir != "" {
 		durable = fmt.Sprintf(", durable log %s", m.Instrumentation.MofkaDataDir)

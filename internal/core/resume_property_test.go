@@ -115,9 +115,8 @@ func TestRandomDAGsSurviveSchedulerKill(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			rcfg := testSession(seed)
-			rcfg.Dask.ProxyThresholdBytes = 128 << 10
-			rcfg.ResumeFrom = dir
+			rcfg := recordedConfig(t, dir)
+			rcfg.ChaosSpec, rcfg.ResumeFrom = "", dir
 			resumed := &randomResumeWorkflow{seed: seed, graphs: 2}
 			art, err := Run(rcfg, resumed)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -107,6 +108,27 @@ func (r *resumeWorkflow) Run(p *sim.Proc, cl *dask.Client, env *Env) {
 func resumeTestSession(seed uint64) SessionConfig {
 	cfg := testSession(seed)
 	cfg.Dask.ProxyThresholdBytes = 256 << 10
+	// The default reference size, spelled out: the record holds the Dask
+	// config as the run built it, and TestResumeEquivalence compares the two.
+	cfg.Dask.ProxyRefBytes = 128
+	return cfg
+}
+
+// recordedConfig is the configuration the metadata.json in dir records.
+func recordedConfig(t *testing.T, dir string) SessionConfig {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, "metadata.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := DecodeMetadata(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ConfigFromMetadata(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return cfg
 }
 
@@ -183,8 +205,13 @@ func TestResumeEquivalence(t *testing.T) {
 				t.Fatalf("reconstructed attempt = %d", pre.Attempt)
 			}
 
-			rcfg := resumeTestSession(seed)
-			rcfg.ResumeFrom = dir
+			// The resumed session is rebuilt from the crashed run's record
+			// alone, and is the session the test configured, less the fault.
+			rcfg, want := recordedConfig(t, dir), resumeTestSession(seed)
+			if want.ChaosSpec = cfg.ChaosSpec; !reflect.DeepEqual(rcfg, want) {
+				t.Fatalf("metadata.json rebuilds\n%+v\nthe crashed run was\n%+v", rcfg, want)
+			}
+			rcfg.ChaosSpec, rcfg.ResumeFrom = "", dir
 			resumed := &resumeWorkflow{graphs: 3, width: 8}
 			art, err := Run(rcfg, resumed)
 			if err != nil {

@@ -72,14 +72,6 @@ type SessionConfig struct {
 	// and spec reproduce the identical failure and recovery event sequence.
 	ChaosSpec string
 
-	// Speculation enables and tunes speculative (hedged) execution of
-	// straggling tasks: the scheduler subscribes to the live straggler
-	// detector (internal/live MAD z-scores) and launches a bounded number of
-	// duplicate attempts; first completion wins, the loser is cancelled with
-	// attempt fencing. When Enabled it overrides Dask.Speculation; every
-	// decision lands on the "speculation" provenance topic.
-	Speculation dask.SpeculationConfig
-
 	// MofkaDataDir, when set, backs the run's broker with the durable
 	// segmented event log rooted there (internal/mofka/wal): every
 	// provenance event is crash-safe on disk and the directory can be
@@ -96,7 +88,7 @@ type SessionConfig struct {
 	// against surviving proxy-store blobs, and the session appends to the
 	// same data dir as a new attempt (recorded in attempts.json). The
 	// session must otherwise be configured identically to the crashed one
-	// (same seed, platform, workflow — taskprov resume rebuilds this from
+	// (same seed, platform, workflow — ConfigFromMetadata rebuilds this from
 	// the dir's metadata.json). MofkaDataDir, if also set, must equal
 	// ResumeFrom.
 	ResumeFrom string
@@ -172,7 +164,7 @@ func (cfg SessionConfig) check() (*chaos.Plan, error) {
 	if cfg.ClusterBrokers == 0 && (cfg.ClusterReplication != 0 || cfg.ClusterQuorum != 0) {
 		return nil, fmt.Errorf("core: cluster replication/quorum set without ClusterBrokers")
 	}
-	if sp := cfg.Speculation; sp.Enabled {
+	if sp := cfg.Dask.Speculation; sp.Enabled {
 		if sp.Quantile < 0 || sp.Quantile >= 1 {
 			return nil, fmt.Errorf("core: speculation quantile %v outside [0, 1)", sp.Quantile)
 		}
@@ -218,16 +210,19 @@ func (cfg SessionConfig) check() (*chaos.Plan, error) {
 }
 
 // DefaultSessionConfig mirrors the paper's setup: Polaris-like platform with
-// 2 worker nodes, Lustre-like storage, 4 workers/node x 8 threads, DXT on.
+// 2 worker nodes, Lustre-like storage, 4 workers/node x 8 threads, DXT on
+// with Darshan's default buffers.
 func DefaultSessionConfig(jobID string, seed uint64) SessionConfig {
 	return SessionConfig{
-		JobID:          jobID,
-		Seed:           seed,
-		Platform:       platform.Polaris(),
-		PFS:            pfs.Lustre(),
-		Dask:           dask.DefaultConfig(),
-		DarshanDXT:     true,
-		MofkaBatchSize: 64,
+		JobID:                 jobID,
+		Seed:                  seed,
+		Platform:              platform.Polaris(),
+		PFS:                   pfs.Lustre(),
+		Dask:                  dask.DefaultConfig(),
+		DarshanDXT:            true,
+		DXTBufferSegments:     darshan.DefaultDXTBufferSegments,
+		DarshanMaxFileRecords: darshan.DefaultMaxFileRecords,
+		MofkaBatchSize:        64,
 	}
 }
 
@@ -356,11 +351,6 @@ func NewSession(cfg SessionConfig, wf Workflow, broker *mofka.Broker) (_ *Sessio
 	}
 	if broker != nil && (cfg.ClusterBrokers > 0 || cfg.ResumeFrom != "") {
 		return nil, fmt.Errorf("core: ClusterBrokers and ResumeFrom are incompatible with an external broker")
-	}
-	if cfg.Speculation.Enabled {
-		// The session-level policy is authoritative: project it onto the
-		// scheduler's config before the cluster is built.
-		cfg.Dask.Speculation = cfg.Speculation
 	}
 	s := &Session{cfg: cfg, wf: wf}
 	defer func() {
@@ -568,10 +558,8 @@ func (s *Session) attachLive() error {
 
 // attachMonitor attaches the live monitor to the broker; run sweeps it.
 func (s *Session) attachMonitor(b *mofka.Broker) {
-	cfg := s.cfg
 	s.monitor = live.NewMonitor(b, live.MonitorOptions{})
-	slots := cfg.Platform.Nodes * cfg.Dask.WorkersPerNode * cfg.Dask.ThreadsPerWorker
-	s.monitor.Aggregator().SetMeta(s.wf.Name(), cfg.Seed, slots)
+	s.monitor.Aggregator().SetMeta(s.wf.Name(), s.cfg.Seed, s.buildMeta(0, 0).ThreadSlots())
 }
 
 // crash is the coordinator-kill hook: the chaos "scheduler" directive calls
@@ -820,50 +808,16 @@ func (s *Session) writeMeta(m RunMetadata) error {
 	return nil
 }
 
-// buildMeta assembles the run's metadata chart; zero start/end produce the
-// partial record written at session start (WallSeconds 0 marks it
-// in-progress for post-mortem readers).
+// buildMeta assembles the run's metadata chart: its configuration record,
+// with the platform, storage and Dask models as built — where the nodes
+// landed, and what each model defaulted, the speculation policy included —
+// and the outcome. Zero start/end produce the partial record written at
+// session start (WallSeconds 0 marks it in-progress for post-mortem readers).
 func (s *Session) buildMeta(start, end sim.Time) RunMetadata {
-	cfg := s.cfg
-	dxtBuf := cfg.DXTBufferSegments
-	if dxtBuf <= 0 {
-		dxtBuf = darshan.DefaultDXTBufferSegments
-	}
-	m := RunMetadata{
-		JobID:    cfg.JobID,
-		Workflow: s.wf.Name(),
-		Seed:     cfg.Seed,
-		Platform: s.env.Platform.Describe(),
-		Storage:  s.env.PFS.Describe(),
-		Software: DefaultSoftwareStack(),
-		Job: JobConfig{
-			Nodes:            cfg.Platform.Nodes,
-			WorkersPerNode:   cfg.Dask.WorkersPerNode,
-			ThreadsPerWorker: cfg.Dask.ThreadsPerWorker,
-			Queue:            "prod",
-			Script:           jobScript(cfg, s.wf.Name()),
-		},
-		DaskConfig: DescribeDaskConfig(s.env.Cluster.Config()),
-		Instrumentation: InstrumentationConfig{
-			DXTEnabled:         cfg.DarshanDXT,
-			DXTBufferSegments:  dxtBuf,
-			MofkaBatchSize:     cfg.MofkaBatchSize,
-			MofkaDataDir:       cfg.MofkaDataDir,
-			ClusterBrokers:     cfg.ClusterBrokers,
-			ClusterReplication: cfg.ClusterReplication,
-			ClusterQuorum:      cfg.ClusterQuorum,
-			Chaos:              cfg.ChaosSpec,
-		},
-		StartSeconds: start.Seconds(),
-		EndSeconds:   end.Seconds(),
-		WallSeconds:  (end - start).Seconds(),
-	}
-	if sp := s.env.Cluster.Config().Speculation; sp.Enabled {
-		m.Instrumentation.SpeculationEnabled = true
-		m.Instrumentation.SpeculationMax = sp.MaxConcurrent
-		m.Instrumentation.SpeculationQuantile = sp.Quantile
-		m.Instrumentation.SpeculationBudget = sp.Budget
-	}
+	m := s.cfg.Metadata(s.wf.Name())
+	m.Platform, m.Storage = s.env.Platform.Describe(), s.env.PFS.Describe()
+	m.DaskConfig = s.env.Cluster.Config()
+	m.StartSeconds, m.EndSeconds, m.WallSeconds = start.Seconds(), end.Seconds(), (end - start).Seconds()
 	if st := s.resumeState; st != nil {
 		m.Attempt, m.ResumedFrom = st.Attempt, st.ResumedFrom
 	}

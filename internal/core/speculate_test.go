@@ -47,7 +47,7 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 	cfg := testSession(seed)
 	cfg.ChaosSpec = chaosSpec
 	cfg.Dask.ProxyThresholdBytes = 1 << 18
-	cfg.Speculation.Enabled = speculate
+	cfg.Dask.Speculation.Enabled = speculate
 	wf := &brownoutWorkflow{width: 8}
 	art, err := Run(cfg, wf)
 	if err != nil {
@@ -167,9 +167,8 @@ func TestBrownoutSpeculationAcceptance(t *testing.T) {
 	}
 
 	// The run's metadata records the policy the timeline ran under.
-	inst := hedged.Meta.Instrumentation
-	if !inst.SpeculationEnabled || inst.SpeculationMax == 0 || inst.SpeculationQuantile == 0 {
-		t.Errorf("speculation policy missing from metadata: %+v", inst)
+	if sp := hedged.Meta.DaskConfig.Speculation; !sp.Enabled || sp.MaxConcurrent == 0 || sp.Quantile == 0 {
+		t.Errorf("speculation policy missing from metadata: %+v", sp)
 	}
 }
 
@@ -235,7 +234,7 @@ func BenchmarkBrownoutSpeculation(b *testing.B) {
 			cfg := testSession(42)
 			cfg.ChaosSpec = "slow worker=1 at=100ms factor=8"
 			cfg.Dask.ProxyThresholdBytes = 1 << 18
-			cfg.Speculation.Enabled = speculate
+			cfg.Dask.Speculation.Enabled = speculate
 			wf := &brownoutWorkflow{width: 8}
 			art, err := Run(cfg, wf)
 			if err != nil {

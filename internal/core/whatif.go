@@ -13,9 +13,9 @@ func (a *RunArtifacts) WhatIfInput() whatif.Input {
 		DarshanLogs:         a.DarshanLogs,
 		Workflow:            a.Meta.Workflow,
 		Seed:                a.Meta.Seed,
-		Nodes:               a.Meta.Job.Nodes,
-		WorkersPerNode:      a.Meta.Job.WorkersPerNode,
-		ThreadsPerWorker:    a.Meta.Job.ThreadsPerWorker,
+		Nodes:               a.Meta.Platform.Nodes,
+		WorkersPerNode:      a.Meta.DaskConfig.WorkersPerNode,
+		ThreadsPerWorker:    a.Meta.DaskConfig.ThreadsPerWorker,
 		StealEnabled:        a.Meta.DaskConfig.WorkStealing,
 		ProxyThresholdBytes: a.Meta.DaskConfig.ProxyThresholdBytes,
 		StartSeconds:        a.Meta.StartSeconds,

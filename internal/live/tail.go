@@ -57,11 +57,13 @@ type dirMetadata struct {
 	Workflow    string  `json:"workflow"`
 	Seed        uint64  `json:"seed"`
 	WallSeconds float64 `json:"wall_seconds"`
-	Job         struct {
-		Nodes            int `json:"nodes"`
+	Platform    struct {
+		Nodes int `json:"nodes"`
+	} `json:"platform"`
+	Dask struct {
 		WorkersPerNode   int `json:"workers_per_node"`
 		ThreadsPerWorker int `json:"threads_per_worker"`
-	} `json:"job"`
+	} `json:"dask_config"`
 }
 
 // ReplayDataDir builds live aggregates post-mortem from a durable Mofka data
@@ -85,7 +87,7 @@ func ReplayDataDir(dir string, opts AggregatorOptions) (Summary, error) {
 		if err := json.Unmarshal(raw, &meta); err != nil {
 			return Summary{}, fmt.Errorf("live: %s/metadata.json: %w", dir, err)
 		}
-		slots := meta.Job.Nodes * meta.Job.WorkersPerNode * meta.Job.ThreadsPerWorker
+		slots := meta.Platform.Nodes * meta.Dask.WorkersPerNode * meta.Dask.ThreadsPerWorker
 		agg.SetMeta(meta.Workflow, meta.Seed, slots)
 		agg.SetWall(meta.WallSeconds)
 	}

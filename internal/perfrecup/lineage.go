@@ -146,7 +146,7 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	// exactly the segments AttributeIOToTasks gives it. (Asking the segment
 	// to end inside the window too loses a task's last write when the two
 	// float seconds round a nanosecond apart.)
-	mount := art.Meta.Storage.Mount
+	mount := art.Meta.Storage.Name
 	for _, dl := range art.DarshanLogs {
 		if dl.Job.Hostname != l.Hostname {
 			continue

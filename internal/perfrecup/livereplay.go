@@ -19,8 +19,7 @@ func LiveReplay(art *core.RunArtifacts, opts live.AggregatorOptions) (live.Summa
 	for _, l := range art.DarshanLogs {
 		agg.IngestDarshanLog(l)
 	}
-	slots := art.Meta.Job.Nodes * art.Meta.Job.WorkersPerNode * art.Meta.Job.ThreadsPerWorker
-	agg.SetMeta(art.Meta.Workflow, art.Meta.Seed, slots)
+	agg.SetMeta(art.Meta.Workflow, art.Meta.Seed, art.Meta.ThreadSlots())
 	agg.SetWall(art.Meta.WallSeconds)
 	return agg.Snapshot(), nil
 }

@@ -40,7 +40,7 @@ func TestSpeculationTimelineView(t *testing.T) {
 		cfg.Dask.WorkersPerNode = 2
 		cfg.Dask.ThreadsPerWorker = 2
 		cfg.ChaosSpec = "slow worker=1 at=100ms factor=8"
-		cfg.Speculation.Enabled = true
+		cfg.Dask.Speculation.Enabled = true
 		art, err := core.Run(cfg, &slowableWorkflow{width: 8})
 		if err != nil {
 			t.Fatal(err)

@@ -18,25 +18,26 @@ import (
 	"taskprov/internal/sim"
 )
 
-// Config describes a file system model.
+// Config describes a file system model. Its JSON form is the storage layer
+// of a run's metadata.json, durations in nanoseconds.
 type Config struct {
-	Name        string // mount name recorded in provenance, e.g. "/lus/grand"
-	OSTs        int    // object storage targets
-	StripeSize  int64  // bytes per stripe unit
-	StripeCount int    // OSTs a new file is striped across
+	Name        string `json:"mount"`        // mount name recorded in provenance, e.g. "/lus/grand"
+	OSTs        int    `json:"osts"`         // object storage targets
+	StripeSize  int64  `json:"stripe_size"`  // bytes per stripe unit
+	StripeCount int    `json:"stripe_count"` // OSTs a new file is striped across
 
-	OSTBandwidth float64 // bytes/s per OST as seen by this job
+	OSTBandwidth float64 `json:"ost_bandwidth"` // bytes/s per OST as seen by this job
 
-	OpenLatency  sim.Time // metadata server round trip for open/create
-	ReadLatency  sim.Time // fixed per-read overhead
-	WriteLatency sim.Time // fixed per-write overhead
-	LatencyCV    float64  // lognormal jitter on all latencies
+	OpenLatency  sim.Time `json:"open_latency_ns"`  // metadata server round trip for open/create
+	ReadLatency  sim.Time `json:"read_latency_ns"`  // fixed per-read overhead
+	WriteLatency sim.Time `json:"write_latency_ns"` // fixed per-write overhead
+	LatencyCV    float64  `json:"latency_cv"`       // lognormal jitter on all latencies
 
 	// Interference models other jobs sharing the PFS: background work is
 	// injected into random OSTs as a Poisson process. InterferenceLoad is
 	// the average fraction of each OST's bandwidth consumed (0 disables).
-	InterferenceLoad      float64
-	InterferenceBurstMean float64 // mean bytes per background burst
+	InterferenceLoad      float64 `json:"interference_load"`
+	InterferenceBurstMean float64 `json:"interference_burst_mean"` // mean bytes per background burst
 }
 
 // Lustre returns a configuration modeled on the paper's Lustre file systems,
@@ -313,22 +314,6 @@ func (fs *FileSystem) List(prefix string) []string {
 // a synchronous accessor for tests and analysis code, not a modeled op.
 func (fs *FileSystem) Lookup(p string) *File { return fs.files[Normalize(p)] }
 
-// Describe returns the storage metadata for the provenance chart.
-func (fs *FileSystem) Describe() Description {
-	return Description{
-		Mount:        fs.cfg.Name,
-		OSTs:         fs.cfg.OSTs,
-		StripeSize:   fs.cfg.StripeSize,
-		StripeCount:  fs.cfg.StripeCount,
-		OSTBandwidth: fs.cfg.OSTBandwidth,
-	}
-}
-
-// Description is the serializable PFS metadata.
-type Description struct {
-	Mount        string  `json:"mount"`
-	OSTs         int     `json:"osts"`
-	StripeSize   int64   `json:"stripe_size"`
-	StripeCount  int     `json:"stripe_count"`
-	OSTBandwidth float64 `json:"ost_bandwidth"`
-}
+// Describe returns the storage metadata for the provenance chart: the model
+// as built, with the stripe layout New defaulted.
+func (fs *FileSystem) Describe() Config { return fs.cfg }

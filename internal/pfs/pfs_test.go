@@ -273,7 +273,7 @@ func TestDescribe(t *testing.T) {
 	k := sim.NewKernel(1)
 	fs := New(k, quiet())
 	d := fs.Describe()
-	if d.Mount != "/lus/grand" || d.OSTs != 16 || d.StripeCount != 4 {
+	if d.Name != "/lus/grand" || d.OSTs != 16 || d.StripeCount != 4 {
 		t.Fatalf("Describe = %+v", d)
 	}
 }

@@ -17,34 +17,35 @@ import (
 )
 
 // Config describes a cluster model. The zero value is not useful; start from
-// Polaris() and override fields.
+// Polaris() and override fields. Its JSON form is the hardware layer of a
+// run's metadata.json, durations in nanoseconds.
 type Config struct {
-	Name         string // platform name recorded in provenance metadata
-	Nodes        int    // number of allocated compute nodes
-	CoresPerNode int
-	MemPerNode   int64 // bytes
-	GPUsPerNode  int
-	Switches     int // leaf switches nodes are randomly attached to
+	Name         string `json:"platform"` // platform name recorded in provenance metadata
+	Nodes        int    `json:"nodes"`    // number of allocated compute nodes
+	CoresPerNode int    `json:"cores_per_node"`
+	MemPerNode   int64  `json:"mem_per_node"` // bytes
+	GPUsPerNode  int    `json:"gpus_per_node"`
+	Switches     int    `json:"switches"` // leaf switches nodes are randomly attached to
 
 	// Network timing. Latency is sampled per message with lognormal jitter
 	// (LatencyCV); bandwidth is shared on the receiver NIC.
-	IntraNodeLatency   sim.Time
-	SameSwitchLatency  sim.Time
-	CrossSwitchLatency sim.Time
-	LatencyCV          float64
+	IntraNodeLatency   sim.Time `json:"intra_node_latency_ns"`
+	SameSwitchLatency  sim.Time `json:"same_switch_latency_ns"`
+	CrossSwitchLatency sim.Time `json:"cross_switch_latency_ns"`
+	LatencyCV          float64  `json:"latency_cv"`
 
-	NICBandwidth       float64 // bytes/s per node NIC (inter-node transfers)
-	IntraNodeBandwidth float64 // bytes/s for on-node transfers (memory copy)
-	BandwidthCV        float64 // per-transfer multiplicative jitter
+	NICBandwidth       float64 `json:"nic_bandwidth"`        // bytes/s per node NIC (inter-node transfers)
+	IntraNodeBandwidth float64 `json:"intra_node_bandwidth"` // bytes/s for on-node transfers (memory copy)
+	BandwidthCV        float64 `json:"bandwidth_cv"`         // per-transfer multiplicative jitter
 
 	// NodeSpeedCV spreads a per-node compute speed factor around 1.0,
 	// modeling the paper's observation that "allocated nodes may vary in
 	// performance".
-	NodeSpeedCV float64
+	NodeSpeedCV float64 `json:"node_speed_cv"`
 
 	// MessageOverhead is the fixed software cost added to every transfer
 	// (serialization, event-loop dispatch).
-	MessageOverhead sim.Time
+	MessageOverhead sim.Time `json:"message_overhead_ns"`
 }
 
 // Polaris returns a configuration modeled on the ALCF Polaris system used in
@@ -241,16 +242,10 @@ func (n *Node) ComputeDuration(nominal sim.Time) sim.Time {
 }
 
 // Describe returns the hardware metadata captured in the provenance chart's
-// hardware-infrastructure layer (Fig. 1 of the paper).
+// hardware-infrastructure layer (Fig. 1 of the paper): the model as built,
+// and where its nodes landed.
 func (c *Cluster) Describe() Description {
-	d := Description{
-		Platform:     c.cfg.Name,
-		Nodes:        len(c.nodes),
-		CoresPerNode: c.cfg.CoresPerNode,
-		MemPerNode:   c.cfg.MemPerNode,
-		GPUsPerNode:  c.cfg.GPUsPerNode,
-		Switches:     c.cfg.Switches,
-	}
+	d := Description{Config: c.cfg}
 	for _, n := range c.nodes {
 		d.NodeList = append(d.NodeList, NodeDescription{
 			Hostname: n.Hostname, Switch: n.Switch, Speed: n.Speed,
@@ -259,15 +254,11 @@ func (c *Cluster) Describe() Description {
 	return d
 }
 
-// Description is the serializable hardware-layer metadata.
+// Description is the serializable hardware-layer metadata: the platform
+// model, then the allocation drawn from it.
 type Description struct {
-	Platform     string            `json:"platform"`
-	Nodes        int               `json:"nodes"`
-	CoresPerNode int               `json:"cores_per_node"`
-	MemPerNode   int64             `json:"mem_per_node"`
-	GPUsPerNode  int               `json:"gpus_per_node"`
-	Switches     int               `json:"switches"`
-	NodeList     []NodeDescription `json:"node_list"`
+	Config
+	NodeList []NodeDescription `json:"node_list"`
 }
 
 // NodeDescription records one node's placement and measured speed factor.

@@ -136,7 +136,7 @@ func TestDescribeCapturesTopology(t *testing.T) {
 	cfg.Nodes = 4
 	c := New(k, cfg)
 	d := c.Describe()
-	if d.Platform != cfg.Name || d.Nodes != 4 || len(d.NodeList) != 4 {
+	if d.Name != cfg.Name || d.Nodes != 4 || len(d.NodeList) != 4 {
 		t.Fatalf("Describe() = %+v", d)
 	}
 	if d.CoresPerNode != 32 || d.GPUsPerNode != 4 {

@@ -3,6 +3,9 @@ package workloads
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -68,8 +71,24 @@ func killAndResume(t *testing.T, name string, seed uint64, frac float64, baseArt
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := DefaultSession(name, "job-"+name, seed)
-	rcfg.ResumeFrom = dir
+	// Resume rebuilds the session from the crashed run's record alone.
+	b, err := os.ReadFile(filepath.Join(dir, "metadata.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := core.DecodeMetadata(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg, err := core.ConfigFromMetadata(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultSession(name, "job-"+name, seed)
+	if want.ChaosSpec = cfg.ChaosSpec; !reflect.DeepEqual(rcfg, want) {
+		t.Fatalf("%s: metadata.json rebuilds\n%+v\nthe crashed run was\n%+v", name, rcfg, want)
+	}
+	rcfg.ChaosSpec, rcfg.ResumeFrom = "", dir
 	art, err := core.Run(rcfg, rwf)
 	if err != nil {
 		t.Fatalf("%s resume after kill at %.0f%%: %v", name, 100*frac, err)
