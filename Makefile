@@ -164,7 +164,8 @@ durable:
 # its own): a simulated message costs no malloc — a recycled kernel timer, a
 # transfer through its latency hop and the receiving NIC, the free-keys
 # broadcast — a process started on a kernel with an idle one costs its body
-# closure, a collection-off imageprocessing session stays inside its mallocs
+# closure, registering a graph costs its slab and arenas and no malloc per
+# task, a collection-off imageprocessing session stays inside its mallocs
 # per task, a stale resume of a finished process panics by name, the kernel
 # against its sort-by-(time, sequence) model with recycled and owned events
 # interleaved, and a striped PFS operation submits in stripe order. Then one
@@ -174,7 +175,7 @@ simcost:
 	$(GO) test -count=1 -run 'TestKernelAllocBudget|TestProcAllocBudget|TestProcStaleResumePanics|TestKernelOrderProperty|TestKernelCloseUnwindsParkedProcs|TestSharedServerGoldenTrace' ./internal/sim/
 	$(GO) test -count=1 -run 'TestTransferAllocatesNothing' ./internal/platform/
 	$(GO) test -count=1 -run 'TestStripedFanoutSubmitsInStripeOrder' ./internal/pfs/
-	$(GO) test -count=1 -run 'TestFreeKeysBroadcastAllocatesNothing' ./internal/dask/
+	$(GO) test -count=1 -run 'TestFreeKeysBroadcastAllocatesNothing|TestRegisterGraphAllocatesPerGraph' ./internal/dask/
 	$(GO) test -count=1 -run 'TestSimOnlyAllocBudget' ./internal/workloads/
 	$(GO) test -run '^$$' -bench 'BenchmarkProcSwitch|BenchmarkKernelEventThroughput|BenchmarkSharedServer' -benchtime 1x ./internal/sim/
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -33,8 +34,29 @@ func (w *randomResumeWorkflow) Run(p *sim.Proc, cl *dask.Client, env *Env) {
 		g := randomResumeGraph(gid, gen.Split(fmt.Sprintf("g%d", gid)))
 		cl.SubmitAndWait(p, g)
 		w.errs = append(w.errs, cl.GraphError(gid))
-		w.gathered = append(w.gathered, cl.Gather(p, g.Leaves()))
+		w.gathered = append(w.gathered, cl.Gather(p, graphLeaves(g)))
 	}
+}
+
+// graphLeaves returns the graph's outputs, the keys no task of it depends
+// on, sorted.
+func graphLeaves(g *dask.Graph) []dask.TaskKey {
+	used := map[dask.TaskKey]bool{}
+	keys := g.Keys()
+	for _, k := range keys {
+		spec, _ := g.Task(k)
+		for _, d := range spec.Deps {
+			used[d] = true
+		}
+	}
+	var out []dask.TaskKey
+	for _, k := range keys {
+		if !used[k] {
+			out = append(out, k)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // randomResumeGraph builds one layered random DAG with keys namespaced by

@@ -53,7 +53,7 @@ func hedgeOnDeadWorkerRun(t *testing.T, cfg Config, kill bool) *testEnv {
 			Restrictions: []string{b.Addr()}})
 		if kill {
 			env.k.After(sim.Milliseconds(300), func() {
-				_, onA := env.c.scheduler.workers[a.rank].processing["stay-02"]
+				onA := env.c.scheduler.workers[a.rank].runs("stay-02")
 				midFetch = onA && len(b.fetching["src-01"]) > 0
 				env.c.KillWorker(a.rank)
 			})
@@ -165,22 +165,27 @@ func TestEmptyHolderSnapshotSurrenders(t *testing.T) {
 	}
 }
 
-// TestSourcePickIndependentOfHolderOrder: with two registered holders of a
-// key, the consumer's source pick must be a function of the seed — not of the
-// order Go ranges over the scheduler's holder set.
+// TestSourcePickIndependentOfHolderOrder: with several registered holders of
+// a key, the consumer's source pick must be a function of the seed — not of
+// the order the holders were registered in.
 func TestSourcePickIndependentOfHolderOrder(t *testing.T) {
-	source := func() string {
+	source := func(run int) string {
 		env := newEnv(9, smallCfg())
 		env.runWorkflow(func(p *sim.Proc, cl *Client) {
 			g1 := NewGraph(1)
 			g1.Add(&TaskSpec{Key: "src-01", EstDuration: sim.Milliseconds(20), OutputSize: 1 << 20})
 			cl.SubmitAndWait(p, g1)
-			// Register every worker but the last as a holder.
+			// Register every worker but the last as a holder, in ascending
+			// rank order on even runs and descending on odd ones.
 			ws := env.c.Workers()
-			for _, w := range ws[:len(ws)-1] {
+			for i := range ws[:len(ws)-1] {
+				w := ws[i]
+				if run%2 == 1 {
+					w = ws[len(ws)-2-i]
+				}
 				if !w.HasData("src-01") {
 					w.data["src-01"] = 1 << 20
-					env.c.scheduler.tasks["src-01"].whoHas[w.rank] = struct{}{}
+					env.c.scheduler.tasks["src-01"].addHolder(w.rank)
 				}
 			}
 			g2 := NewGraph(2)
@@ -192,11 +197,12 @@ func TestSourcePickIndependentOfHolderOrder(t *testing.T) {
 		if len(env.rec.transfers) != 1 {
 			t.Fatalf("transfers = %v, want one fetch of src-01", env.rec.transfers)
 		}
+		checkSchedulerInvariants(t, env.c.scheduler)
 		return env.rec.transfers[0].From
 	}
-	first := source()
-	for i := 0; i < 16; i++ {
-		if got := source(); got != first {
+	first := source(0)
+	for i := 1; i <= 16; i++ {
+		if got := source(i); got != first {
 			t.Fatalf("run %d fetched src-01 from %s, the first run from %s", i, got, first)
 		}
 	}

@@ -3,6 +3,7 @@ package dask
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -658,9 +659,19 @@ func TestStealBatchingKeepsAccounting(t *testing.T) {
 		cl.SubmitAndWait(p, g)
 	})
 	s := env.c.scheduler
-	// All in-flight steal accounting must have drained.
-	if len(s.stealing) != 0 {
-		t.Fatalf("stealing map not drained: %v", s.stealing)
+	// All in-flight steal accounting must have drained: no task is left
+	// marked with a steal request.
+	stealing := 0
+	for _, slab := range s.slabs {
+		for i := range slab {
+			if slab[i].stealing {
+				t.Errorf("task %s still marked with a steal request in flight", slab[i].spec.Key)
+				stealing++
+			}
+		}
+	}
+	if stealing != 0 {
+		t.Fatalf("%d steal requests not drained", stealing)
 	}
 	for _, wh := range s.workers {
 		if wh.inbound != 0 || wh.outbound != 0 {
@@ -695,12 +706,16 @@ func TestFreeKeysBroadcastAllocatesNothing(t *testing.T) {
 		wh.connected = true // no Start: no heartbeat or steal loop to stop
 	}
 	const key, size = TaskKey("x-0"), 1 << 20
-	ts := &schedTask{spec: &TaskSpec{Key: key}, whoHas: map[int]struct{}{}}
+	ts := &schedTask{spec: &TaskSpec{Key: key}}
 	s.tasks[key] = ts
+	everyRank := make([]int, len(c.workers))
+	for i, w := range c.workers {
+		everyRank[i] = w.rank
+	}
 	broadcast := func() {
 		ts.state = StateMemory
+		ts.whoHas = everyRank
 		for _, w := range c.workers {
-			ts.whoHas[w.rank] = struct{}{}
 			w.data[key] = size
 		}
 		s.release(ts)
@@ -717,5 +732,48 @@ func TestFreeKeysBroadcastAllocatesNothing(t *testing.T) {
 	}
 	if ts.state != StateReleased || len(ts.whoHas) != 0 {
 		t.Errorf("after release: state %q, %d holders", ts.state, len(ts.whoHas))
+	}
+}
+
+// TestRegisterGraphAllocatesPerGraph: registering a graph allocates its task
+// slab and the arenas its dependency lists, waiting marks, first holders and
+// dependents lists are carved from — a handful of mallocs per graph — plus
+// the growth of the key index, never a map or a list per task.
+func TestRegisterGraphAllocatesPerGraph(t *testing.T) {
+	register := func(n int) uint64 {
+		k := sim.NewKernel(1)
+		c := NewCluster(k, platform.New(k, platform.Polaris()), nil, DefaultConfig(), nil)
+		// One root, a layer reading it, and a layer reading two neighbours of
+		// that: waiting marks, in-graph dependents and graph outputs. No
+		// worker is connected, so only the root is placed, and parked.
+		g := NewGraph(1)
+		g.Add(&TaskSpec{Key: "root"})
+		half := (n - 1) / 2
+		for i := 0; i < half; i++ {
+			g.Add(&TaskSpec{Key: TaskKey(fmt.Sprintf("a-%05d", i)), Deps: []TaskKey{"root"}})
+		}
+		for i := 0; i < n-1-half; i++ {
+			g.Add(&TaskSpec{Key: TaskKey(fmt.Sprintf("b-%05d", i)), Deps: []TaskKey{
+				TaskKey(fmt.Sprintf("a-%05d", i%half)), TaskKey(fmt.Sprintf("a-%05d", (i+1)%half)),
+			}})
+		}
+		if err := g.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.scheduler.handleGraph(g)
+		runtime.ReadMemStats(&after)
+		if got := c.scheduler.TaskState("b-00000"); got != StateWaiting {
+			t.Fatalf("b-00000 is %q after registration, want waiting", got)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := register(64), register(4096)
+	t.Logf("registering 64 tasks: %d mallocs; 4096 tasks: %d mallocs", small, large)
+	// The key index (a Go map) grows in a logarithmic number of steps; the
+	// rest is per graph. One malloc per task would be 4032 more.
+	if large-small > 64 {
+		t.Errorf("registering 4096 tasks costs %d mallocs more than 64 tasks, budget 64", large-small)
 	}
 }

@@ -1,6 +1,10 @@
 package dask
 
-import "taskprov/internal/proxystore"
+import (
+	"sort"
+
+	"taskprov/internal/proxystore"
+)
 
 // Observers the in-package tests read scheduler and store state through, and
 // the one seam they fail a task body with: no workload's task ever fails, so
@@ -24,6 +28,25 @@ func (s *Scheduler) TaskState(k TaskKey) TaskState {
 	return ts.state
 }
 
+// Leaves returns tasks with no dependents, sorted. These are the graph's
+// outputs, which stay in distributed memory until the client releases them.
+func (g *Graph) Leaves() []TaskKey {
+	hasDependent := make(map[TaskKey]bool)
+	for _, t := range g.tasks {
+		for _, d := range t.Deps {
+			hasDependent[d] = true
+		}
+	}
+	var out []TaskKey
+	for k := range g.tasks {
+		if !hasDependent[k] {
+			out = append(out, k)
+		}
+	}
+	sortKeys(out)
+	return out
+}
+
 // HasInMemory reports whether the task's result is in distributed memory.
 func (s *Scheduler) HasInMemory(k TaskKey) bool {
 	ts, ok := s.tasks[k]
@@ -34,3 +57,7 @@ func (s *Scheduler) HasInMemory(k TaskKey) bool {
 // return promptly afterwards. The scheduler will retry the task up to its
 // MaxRetries before marking it erred.
 func (ctx *TaskContext) Fail(msg string) { ctx.failure = msg }
+
+func sortKeys(ks []TaskKey) {
+	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+}

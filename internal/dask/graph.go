@@ -14,7 +14,6 @@ package dask
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"taskprov/internal/sim"
@@ -263,27 +262,4 @@ func (h *keyHeap) pop() TaskKey {
 		s[i] = k
 	}
 	return top
-}
-
-func sortKeys(ks []TaskKey) {
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-}
-
-// Leaves returns tasks with no dependents, sorted. These are the graph's
-// outputs, which stay in distributed memory until the client releases them.
-func (g *Graph) Leaves() []TaskKey {
-	hasDependent := make(map[TaskKey]bool)
-	for _, t := range g.tasks {
-		for _, d := range t.Deps {
-			hasDependent[d] = true
-		}
-	}
-	var out []TaskKey
-	for k := range g.tasks {
-		if !hasDependent[k] {
-			out = append(out, k)
-		}
-	}
-	sortKeys(out)
-	return out
 }

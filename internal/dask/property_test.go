@@ -98,6 +98,7 @@ func TestRandomDAGsScheduleCorrectly(t *testing.T) {
 				t.Fatalf("seed %d: leaf %s in state %s", seed, k, env.c.scheduler.TaskState(k))
 			}
 		}
+		checkSchedulerInvariants(t, env.c.scheduler)
 	}
 }
 
@@ -309,6 +310,7 @@ func TestRandomDAGsSurviveWorkerKills(t *testing.T) {
 				t.Errorf("resident delta stream unbalanced: published %d, released %d, resident %d",
 					published, released, st.Resident)
 			}
+			checkSchedulerInvariants(t, sched)
 		})
 	}
 }
@@ -377,8 +379,8 @@ func (tr *hedgedTrial) WorkerTransition(x Transition) {
 		if x.At < fk.notBefore || x.Location == victim.addr {
 			continue
 		}
-		for _, d := range s.tasks[x.Key].spec.Deps {
-			if _, held := s.tasks[d].whoHas[fk.rank]; held && len(s.tasks[d].whoHas) == 1 {
+		for _, dt := range s.tasks[x.Key].deps {
+			if dt.holds(fk.rank) && len(dt.whoHas) == 1 {
 				tr.fetchKills = append(tr.fetchKills[:i], tr.fetchKills[i+1:]...)
 				tr.env.k.After(sim.Microseconds(200), func() { tr.env.c.KillWorker(fk.rank) })
 				return
@@ -418,6 +420,7 @@ func (tr *hedgedTrial) check(t *testing.T, g *Graph) (launched int) {
 
 	// No task stranded; every in-memory key has a live holder.
 	sched := env.c.scheduler
+	checkSchedulerInvariants(t, sched)
 	for _, k := range g.Keys() {
 		switch st := sched.TaskState(k); st {
 		case StateMemory:

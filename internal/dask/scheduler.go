@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"taskprov/internal/mochi/ssg"
@@ -19,7 +18,11 @@ type Scheduler struct {
 	c    *Cluster
 	node *platform.Node
 
+	// tasks finds a task by key (worker reports and gathers name keys);
+	// slabs holds the tasks themselves, one slab per registered graph in
+	// registration order, so walking the slabs visits tasks in priority order.
 	tasks   map[TaskKey]*schedTask
+	slabs   [][]schedTask
 	workers []*workerHandle
 	graphs  map[int]*graphState
 
@@ -31,8 +34,11 @@ type Scheduler struct {
 	// priority.
 	queued rootHeap
 
-	// stealing tracks keys with an in-flight steal request.
-	stealing map[TaskKey]bool
+	// holderMark and best are decideWorker's and placeAmong's scratch: a
+	// mark per worker rank for the candidate holders, and the tied-best
+	// candidates. Neither is live across calls.
+	holderMark []bool
+	best       []*workerHandle
 
 	// group is the SSG membership group the scheduler maintains over its
 	// workers: heartbeats feed it, and a liveness sweep declares silent
@@ -104,10 +110,22 @@ type schedTask struct {
 	priority int
 	retries  int
 
-	waitingOn  map[TaskKey]struct{}
-	dependents []TaskKey
+	// deps parallels spec.Deps with each dependency resolved once at graph
+	// registration (nil only for a memoized task's dependency that was never
+	// registered). waiting marks, per entry of deps, a dependency the task is
+	// still waiting on; nWaiting counts the marks, so the waiting set is empty
+	// exactly when nWaiting is zero.
+	deps       []*schedTask
+	waiting    []bool
+	nWaiting   int
+	dependents []*schedTask
 
-	whoHas map[int]struct{} // worker ranks holding the result
+	// whoHas lists the ranks of the workers holding the result, ascending.
+	// An assignment ships it as the dependency's holder snapshot, so it is
+	// never written in place once it has an element: addHolder and dropHolder
+	// build a new slice. The one exception is the empty slot of capacity one
+	// a task gets at registration, which its first holder fills.
+	whoHas []int
 	size   int64
 
 	// attempts holds the task's live dispatches; live counts them and is
@@ -143,6 +161,76 @@ type schedTask struct {
 	// that finishes (or erres) again must not decrement the graph's
 	// outstanding count twice.
 	completedOnce bool
+	// stealing marks a task with an in-flight steal request.
+	stealing bool
+}
+
+// await marks every entry of ts.deps that is dt as waited on; marking a
+// dependency already waited on changes nothing.
+func (ts *schedTask) await(dt *schedTask) {
+	for i, d := range ts.deps {
+		if d == dt && !ts.waiting[i] {
+			ts.waiting[i] = true
+			ts.nWaiting++
+		}
+	}
+}
+
+// arrived clears ts's waiting marks on dt; a dependency not waited on
+// changes nothing.
+func (ts *schedTask) arrived(dt *schedTask) {
+	for i, d := range ts.deps {
+		if d == dt && ts.waiting[i] {
+			ts.waiting[i] = false
+			ts.nWaiting--
+		}
+	}
+}
+
+// holds reports whether the worker of rank holds the task's result.
+func (ts *schedTask) holds(rank int) bool {
+	for _, r := range ts.whoHas {
+		if r == rank {
+			return true
+		}
+	}
+	return false
+}
+
+// addHolder records rank as a holder of the result, keeping whoHas
+// ascending.
+func (ts *schedTask) addHolder(rank int) {
+	i := 0
+	for i < len(ts.whoHas) && ts.whoHas[i] < rank {
+		i++
+	}
+	if i < len(ts.whoHas) && ts.whoHas[i] == rank {
+		return
+	}
+	if len(ts.whoHas) < cap(ts.whoHas) {
+		// The registration slot: nothing has seen it yet.
+		ts.whoHas = append(ts.whoHas, rank)
+		return
+	}
+	h := make([]int, len(ts.whoHas)+1)
+	copy(h, ts.whoHas[:i])
+	h[i] = rank
+	copy(h[i+1:], ts.whoHas[i:])
+	ts.whoHas = h
+}
+
+// dropHolder forgets rank as a holder of the result.
+func (ts *schedTask) dropHolder(rank int) {
+	if !ts.holds(rank) {
+		return
+	}
+	h := make([]int, 0, len(ts.whoHas)-1)
+	for _, r := range ts.whoHas {
+		if r != rank {
+			h = append(h, r)
+		}
+	}
+	ts.whoHas = h
 }
 
 // attempt is one dispatch of a task to a worker.
@@ -169,7 +257,7 @@ type workerHandle struct {
 	rank       int
 	connected  bool
 	occupancy  sim.Time
-	processing map[TaskKey]struct{}
+	processing []*schedTask // tasks with a live attempt here, in no order
 	memory     int64
 
 	// SSG membership: the current incarnation's member ID, valid while
@@ -209,7 +297,6 @@ func newScheduler(c *Cluster, node *platform.Node) *Scheduler {
 		tasks:       make(map[TaskKey]*schedTask),
 		graphs:      make(map[int]*graphState),
 		prefixDur:   make(map[string]*durAvg),
-		stealing:    make(map[TaskKey]bool),
 		memberRank:  make(map[ssg.MemberID]int),
 		specSamples: make(map[string][]float64),
 		rng:         c.kernel.RNG("dask/scheduler"),
@@ -227,10 +314,9 @@ func (s *Scheduler) ssgNow() time.Time { return time.Unix(0, int64(s.c.kernel.No
 
 func (s *Scheduler) registerWorkers(ws []*Worker) {
 	for _, w := range ws {
-		s.workers = append(s.workers, &workerHandle{
-			w: w, rank: w.rank, processing: make(map[TaskKey]struct{}),
-		})
+		s.workers = append(s.workers, &workerHandle{w: w, rank: w.rank})
 	}
+	s.holderMark = make([]bool, len(s.workers))
 }
 
 func (s *Scheduler) start() {
@@ -338,7 +424,8 @@ func (s *Scheduler) evictWorker(wh *workerHandle, reason string) {
 	}
 	wh.occupancy, wh.memory = 0, 0
 	wh.inbound, wh.outbound = 0, 0
-	wh.processing = make(map[TaskKey]struct{})
+	clear(wh.processing)
+	wh.processing = wh.processing[:0]
 	s.lostCount++
 	addr, host := wh.w.addr, wh.w.node.Hostname
 	s.emitRecovery(WarnWorkerLost, addr, host,
@@ -355,18 +442,19 @@ func (s *Scheduler) evictWorker(wh *workerHandle, reason string) {
 
 	// Collect affected tasks and process them in priority order (priorities
 	// follow topological submission order, so lost dependencies are handled
-	// before the tasks that consume them). Never iterate the raw task map:
+	// before the tasks that consume them). The slabs are in priority order;
 	// the recovery event sequence must reproduce exactly per seed.
 	var affected []*schedTask
-	for _, ts := range s.tasks {
-		if _, holds := ts.whoHas[wh.rank]; holds || ts.slotOn(wh.rank) >= 0 {
-			affected = append(affected, ts)
+	for _, slab := range s.slabs {
+		for i := range slab {
+			if ts := &slab[i]; ts.holds(wh.rank) || ts.slotOn(wh.rank) >= 0 {
+				affected = append(affected, ts)
+			}
 		}
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i].priority < affected[j].priority })
 
 	for _, ts := range affected {
-		if _, holds := ts.whoHas[wh.rank]; holds {
+		if ts.holds(wh.rank) {
 			s.dropReplica(ts, wh)
 			continue
 		}
@@ -394,7 +482,7 @@ func (s *Scheduler) evictWorker(wh *workerHandle, reason string) {
 // last replica is recomputed from its dependencies if anything still needs
 // it, and released otherwise.
 func (s *Scheduler) dropReplica(ts *schedTask, wh *workerHandle) {
-	delete(ts.whoHas, wh.rank)
+	ts.dropHolder(wh.rank)
 	if len(ts.whoHas) > 0 || ts.state != StateMemory {
 		return
 	}
@@ -415,13 +503,13 @@ func (s *Scheduler) needed(ts *schedTask) bool {
 
 // addDependent registers dep edges idempotently (recovery may re-wire an
 // edge the original graph wiring already recorded).
-func addDependent(dt *schedTask, key TaskKey) {
-	for _, k := range dt.dependents {
-		if k == key {
+func addDependent(dt, ts *schedTask) {
+	for _, d := range dt.dependents {
+		if d == ts {
 			return
 		}
 	}
-	dt.dependents = append(dt.dependents, key)
+	dt.dependents = append(dt.dependents, ts)
 }
 
 // recomputeKey transitions a lost in-memory key back to waiting so it is
@@ -431,11 +519,9 @@ func addDependent(dt *schedTask, key TaskKey) {
 // otherwise they are assigned the moment their remaining deps finish and
 // fetch a key that exists nowhere.
 func (s *Scheduler) recomputeKey(ts *schedTask) {
-	key := ts.spec.Key
-	for _, dep := range ts.dependents {
-		dt := s.tasks[dep]
+	for _, dt := range ts.dependents {
 		if dt.state == StateWaiting {
-			dt.waitingOn[key] = struct{}{}
+			dt.await(ts)
 		}
 	}
 	s.transition(ts, StateReleased, "lost-data")
@@ -447,25 +533,26 @@ func (s *Scheduler) recomputeKey(ts *schedTask) {
 // freed by refcounting. Dependency refcounts are re-taken here and released
 // again when the task re-finishes, keeping the accounting symmetric.
 func (s *Scheduler) reviveReleased(ts *schedTask) {
-	ts.waitingOn = make(map[TaskKey]struct{})
-	for _, d := range ts.spec.Deps {
-		dt := s.tasks[d]
+	clear(ts.waiting)
+	ts.nWaiting = 0
+	for i, dt := range ts.deps {
 		dt.pendingDependents++
-		addDependent(dt, ts.spec.Key)
+		addDependent(dt, ts)
 		if dt.state == StateMemory {
 			if dt.viaProxy {
 				// Mirror the re-taken refcount on the live blob.
-				s.c.proxy.retain(d, 1)
+				s.c.proxy.retain(dt.spec.Key, 1)
 			}
 			continue
 		}
-		ts.waitingOn[d] = struct{}{}
+		ts.waiting[i] = true
+		ts.nWaiting++
 		if dt.state == StateReleased {
 			s.reviveReleased(dt)
 		}
 	}
 	s.transition(ts, StateWaiting, "recompute")
-	if len(ts.waitingOn) == 0 {
+	if ts.nWaiting == 0 {
 		s.maybeSchedule(ts)
 	}
 }
@@ -474,14 +561,15 @@ func (s *Scheduler) reviveReleased(ts *schedTask) {
 // reviving dependencies that were released in the meantime. The task's
 // dependency refcounts are still held (it never finished).
 func (s *Scheduler) awaitDeps(ts *schedTask) {
-	ts.waitingOn = make(map[TaskKey]struct{})
-	for _, d := range ts.spec.Deps {
-		dt := s.tasks[d]
+	clear(ts.waiting)
+	ts.nWaiting = 0
+	for i, dt := range ts.deps {
 		if dt.state == StateMemory {
 			continue
 		}
-		ts.waitingOn[d] = struct{}{}
-		addDependent(dt, ts.spec.Key)
+		ts.waiting[i] = true
+		ts.nWaiting++
+		addDependent(dt, ts)
 		if dt.state == StateReleased {
 			s.reviveReleased(dt)
 		}
@@ -492,7 +580,7 @@ func (s *Scheduler) awaitDeps(ts *schedTask) {
 func (s *Scheduler) rescheduleTask(ts *schedTask, stimulus string) {
 	s.awaitDeps(ts)
 	s.transition(ts, StateWaiting, stimulus)
-	if len(ts.waitingOn) == 0 {
+	if ts.nWaiting == 0 {
 		s.maybeSchedule(ts)
 	}
 }
@@ -519,9 +607,8 @@ func (s *Scheduler) handleMissingData(rank, srcRank int, keys []TaskKey) {
 		}
 		survives := s.attemptLost(ts, rank, " "+what)
 		if deadSrc != nil {
-			for _, d := range ts.spec.Deps {
-				dt := s.tasks[d]
-				if _, held := dt.whoHas[deadSrc.rank]; held {
+			for _, dt := range ts.deps {
+				if dt.holds(deadSrc.rank) {
 					s.dropReplica(dt, deadSrc)
 				}
 			}
@@ -555,34 +642,74 @@ func (s *Scheduler) estimate(prefix string) sim.Time {
 }
 
 // handleGraph registers a submitted graph and schedules its runnable tasks.
+// The graph's tasks live in one slab; their resolved dependencies, waiting
+// marks, first-holder slots and in-graph dependents lists are carved from
+// per-graph arenas, so registering a graph costs a handful of allocations
+// whatever its size.
 func (s *Scheduler) handleGraph(g *Graph) {
 	now := s.c.kernel.Now()
 	s.graphs[g.ID] = &graphState{remaining: g.Len()}
 
-	leaves := make(map[TaskKey]bool)
-	for _, k := range g.Leaves() {
-		leaves[k] = true
-	}
 	order := g.Keys()
-	newTasks := make([]*schedTask, 0, len(order))
-	memoized := 0
+	slab := make([]schedTask, len(order))
+	s.slabs = append(s.slabs, slab)
+	nDeps := 0
 	for _, k := range order {
+		spec, _ := g.Task(k)
+		nDeps += len(spec.Deps)
+	}
+	deps := make([]*schedTask, nDeps)
+	waiting := make([]bool, nDeps)
+	holders := make([]int, len(order))
+	// inGraph[i] counts the dependents slab[i] has inside this graph: no
+	// dependent makes it a graph output, and the count sizes its dependents
+	// list.
+	inGraph := make([]int32, len(order))
+	base, edges := s.nextPriority, 0
+	for i, k := range order {
 		spec, _ := g.Task(k)
 		if _, dup := s.tasks[k]; dup {
 			panic(fmt.Sprintf("dask: task %q resubmitted in graph %d", k, g.ID))
 		}
-		ts := &schedTask{
-			spec:      spec,
-			graphID:   g.ID,
-			state:     StateReleased,
-			priority:  s.nextPriority,
-			waitingOn: make(map[TaskKey]struct{}),
-			whoHas:    make(map[int]struct{}),
-			isOutput:  leaves[k],
+		n := len(spec.Deps)
+		ts := &slab[i]
+		*ts = schedTask{
+			spec:     spec,
+			graphID:  g.ID,
+			state:    StateReleased,
+			priority: s.nextPriority,
+			deps:     deps[:n:n],
+			waiting:  waiting[:n:n],
+			whoHas:   holders[i : i : i+1],
 		}
+		deps, waiting = deps[n:], waiting[n:]
 		s.nextPriority++
 		s.tasks[k] = ts
+		// Keys come in topological order, so a dependency inside the graph
+		// is already registered. One never registered stays nil; wiring
+		// refuses it below.
+		for j, d := range spec.Deps {
+			dt := s.tasks[d]
+			ts.deps[j] = dt
+			if dt != nil && dt.priority >= base {
+				inGraph[dt.priority-base]++
+				edges++
+			}
+		}
+	}
+	dependents := make([]*schedTask, edges)
+	for i := range slab {
+		n := int(inGraph[i])
+		slab[i].isOutput = n == 0
+		slab[i].dependents = dependents[:0:n]
+		dependents = dependents[n:]
+	}
 
+	newTasks := make([]*schedTask, 0, len(order))
+	memoized := 0
+	for i := range slab {
+		ts := &slab[i]
+		k, spec := ts.spec.Key, ts.spec
 		for _, p := range s.c.schedPlugins {
 			p.TaskAdded(TaskMeta{
 				Key: k, Prefix: spec.Prefix(), Group: spec.Group(),
@@ -603,7 +730,7 @@ func (s *Scheduler) handleGraph(g *Graph) {
 			if m.Resolvable {
 				ts.viaProxy = true
 				ts.resumePinned = true
-				ts.whoHas[m.Owner] = struct{}{}
+				ts.addHolder(m.Owner)
 				s.transition(ts, StateMemory, "resume-memo")
 				// Pin the surviving blob for the whole attempt (plus the usual
 				// output reference): the resumed run cannot predict which lost
@@ -626,27 +753,29 @@ func (s *Scheduler) handleGraph(g *Graph) {
 		newTasks = append(newTasks, ts)
 	}
 	// Wire dependencies, treating deps absent from this graph as externals
-	// that must already be in distributed memory.
+	// that must already be in distributed memory. A dependent list outgrows
+	// its arena slot only by a later graph's or a recovery's append, which
+	// the slot's capacity turns into a copy.
 	for _, ts := range newTasks {
-		for _, d := range ts.spec.Deps {
-			dt, ok := s.tasks[d]
-			if !ok {
-				panic(fmt.Sprintf("dask: task %q depends on unknown key %q", ts.spec.Key, d))
+		for i, dt := range ts.deps {
+			if dt == nil {
+				panic(fmt.Sprintf("dask: task %q depends on unknown key %q", ts.spec.Key, ts.spec.Deps[i]))
 			}
 			dt.pendingDependents++
 			if dt.state != StateMemory {
-				ts.waitingOn[d] = struct{}{}
-				dt.dependents = append(dt.dependents, ts.spec.Key)
+				ts.waiting[i] = true
+				ts.nWaiting++
+				dt.dependents = append(dt.dependents, ts)
 			} else if dt.viaProxy {
 				// Cross-graph dependency on a live blob: mirror the new
 				// dependent on its refcount.
-				s.c.proxy.retain(d, 1)
+				s.c.proxy.retain(dt.spec.Key, 1)
 			}
 		}
 	}
 	for _, ts := range newTasks {
 		s.transition(ts, StateWaiting, "update-graph")
-		if len(ts.waitingOn) == 0 {
+		if ts.nWaiting == 0 {
 			s.maybeSchedule(ts)
 		}
 	}
@@ -655,8 +784,8 @@ func (s *Scheduler) handleGraph(g *Graph) {
 	// deliberately recomputed tail. Runs after the update-graph transitions
 	// so every still-released task reachable here has completed once.
 	for _, ts := range newTasks {
-		for _, d := range ts.spec.Deps {
-			if dt := s.tasks[d]; dt.state == StateReleased && dt.completedOnce {
+		for _, dt := range ts.deps {
+			if dt.state == StateReleased && dt.completedOnce {
 				s.reviveReleased(dt)
 			}
 		}
@@ -703,7 +832,7 @@ func (s *Scheduler) placeAmong(ts *schedTask, candidate func(*workerHandle) bool
 	// Planning bandwidth mirrors distributed's default 100 MB/s estimate:
 	// transfer avoidance dominates placement for large dependencies.
 	const netBW = 100e6
-	best := []*workerHandle(nil)
+	best := s.best[:0]
 	bestScore := math.Inf(1)
 	for _, wh := range s.workers {
 		if !candidate(wh) {
@@ -711,12 +840,8 @@ func (s *Scheduler) placeAmong(ts *schedTask, candidate func(*workerHandle) bool
 		}
 		fetch := int64(0)
 		missing := 0
-		for _, d := range ts.spec.Deps {
-			dt := s.tasks[d]
-			if dt == nil {
-				continue
-			}
-			if _, has := dt.whoHas[wh.rank]; !has {
+		for _, dt := range ts.deps {
+			if dt != nil && !dt.holds(wh.rank) {
 				fetch += dt.size
 				missing++
 			}
@@ -732,6 +857,7 @@ func (s *Scheduler) placeAmong(ts *schedTask, candidate func(*workerHandle) bool
 			best = append(best, wh)
 		}
 	}
+	s.best = best
 	if len(best) == 0 {
 		return nil
 	}
@@ -747,12 +873,17 @@ func (s *Scheduler) decideWorker(ts *schedTask) *workerHandle {
 	// workers already holding some of that data; balance is restored by
 	// work stealing rather than by eager spreading. Restrictions override
 	// the candidate narrowing.
-	holders := map[int]bool{}
+	holders, nHolders := s.holderMark, 0
+	defer clear(holders)
 	if !isRoot && len(ts.spec.Restrictions) == 0 {
-		for _, d := range ts.spec.Deps {
-			if dt := s.tasks[d]; dt != nil {
-				for r := range dt.whoHas {
+		for _, dt := range ts.deps {
+			if dt == nil {
+				continue
+			}
+			for _, r := range dt.whoHas {
+				if !holders[r] {
 					holders[r] = true
+					nHolders++
 				}
 			}
 		}
@@ -762,9 +893,9 @@ func (s *Scheduler) decideWorker(ts *schedTask) *workerHandle {
 		// consumers spill away from their data and fetch it, which is
 		// where much of the cross-worker traffic in Table I comes from.
 		spillDepth := 2 * s.saturationLimit()
-		spill := len(holders) > 0
-		for r := range holders {
-			if len(s.workers[r].processing) < spillDepth {
+		spill := nHolders > 0
+		for r, held := range holders {
+			if held && len(s.workers[r].processing) < spillDepth {
 				spill = false
 				break
 			}
@@ -779,8 +910,9 @@ func (s *Scheduler) decideWorker(ts *schedTask) *workerHandle {
 					leastRank, leastOcc = wh.rank, wh.occupancy
 				}
 			}
-			if leastRank >= 0 {
+			if leastRank >= 0 && !holders[leastRank] {
 				holders[leastRank] = true
+				nHolders++
 			}
 		}
 	}
@@ -791,7 +923,7 @@ func (s *Scheduler) decideWorker(ts *schedTask) *workerHandle {
 		if isRoot && len(wh.processing) >= s.saturationLimit() {
 			return false // withhold root tasks from saturated workers
 		}
-		return len(holders) == 0 || holders[wh.rank]
+		return nHolders == 0 || holders[wh.rank]
 	})
 }
 
@@ -852,28 +984,25 @@ func (s *Scheduler) assign(ts *schedTask, wh *workerHandle, stimulus string) {
 // unless each dependency is in memory on a registered holder the worker can
 // fetch it from; launch then returns false having done nothing.
 func (s *Scheduler) launch(ts *schedTask, wh *workerHandle) bool {
-	deps := make([]depInfo, 0, len(ts.spec.Deps))
-	proxyRefs := int64(0)
-	for _, d := range ts.spec.Deps {
-		dt := s.tasks[d]
+	for _, dt := range ts.deps {
 		if dt.state != StateMemory || len(dt.whoHas) == 0 {
 			return false
 		}
-		holders := make([]int, 0, len(dt.whoHas))
-		for r := range dt.whoHas {
-			holders = append(holders, r)
-		}
-		// The worker indexes the snapshot with an RNG draw: rank order keeps
-		// its source pick independent of map iteration order.
-		sort.Ints(holders)
-		deps = append(deps, depInfo{key: d, size: dt.size, holders: holders, viaProxy: dt.viaProxy})
+	}
+	deps := make([]depInfo, 0, len(ts.deps))
+	proxyRefs := int64(0)
+	for _, dt := range ts.deps {
+		// whoHas is ascending and never written in place, so it ships as
+		// the holder snapshot itself: the worker indexes it with an RNG
+		// draw, and rank order keeps that pick a function of the seed.
+		deps = append(deps, depInfo{key: dt.spec.Key, size: dt.size, holders: dt.whoHas, viaProxy: dt.viaProxy})
 		if dt.viaProxy {
 			proxyRefs++
 		}
 	}
 	ts.attempts[ts.live] = attempt{rank: wh.rank, startedAt: s.c.kernel.Now()}
 	ts.live++
-	wh.processing[ts.spec.Key] = struct{}{}
+	wh.processing = append(wh.processing, ts)
 	wh.occupancy += s.estimate(ts.spec.Prefix())
 	// A proxied dependency rides the message as a reference instead of a
 	// payload location set the worker must pull through eagerly.
@@ -895,7 +1024,15 @@ func (s *Scheduler) endAttempt(ts *schedTask, rank int) {
 	if !wh.connected {
 		return
 	}
-	delete(wh.processing, ts.spec.Key)
+	for i, p := range wh.processing {
+		if p == ts {
+			last := len(wh.processing) - 1
+			wh.processing[i] = wh.processing[last]
+			wh.processing[last] = nil
+			wh.processing = wh.processing[:last]
+			break
+		}
+	}
 	wh.occupancy -= s.estimate(ts.spec.Prefix())
 	if wh.occupancy < 0 {
 		wh.occupancy = 0
@@ -965,8 +1102,7 @@ func (s *Scheduler) markErred(ts *schedTask, msg string) {
 		ts.completedOnce = true
 		s.finishGraphTask(ts.graphID)
 	}
-	for _, dep := range ts.dependents {
-		dt := s.tasks[dep]
+	for _, dt := range ts.dependents {
 		if dt.state == StateWaiting {
 			s.markErred(dt, fmt.Sprintf("upstream %s erred", ts.spec.Key))
 		}
@@ -1026,7 +1162,7 @@ func (s *Scheduler) handleFinished(rank int, key TaskKey, size int64, dur sim.Ti
 
 	ts.size = size
 	ts.viaProxy = proxied
-	ts.whoHas[rank] = struct{}{}
+	ts.addHolder(rank)
 	wh.memory += size
 	s.transition(ts, StateMemory, "task-finished")
 	if proxied {
@@ -1039,20 +1175,18 @@ func (s *Scheduler) handleFinished(rank int, key TaskKey, size int64, dur sim.Ti
 		s.c.proxy.retain(key, n)
 	}
 
-	for _, dep := range ts.dependents {
-		dt := s.tasks[dep]
-		delete(dt.waitingOn, key)
-		if len(dt.waitingOn) == 0 && dt.state == StateWaiting {
+	for _, dt := range ts.dependents {
+		dt.arrived(ts)
+		if dt.nWaiting == 0 && dt.state == StateWaiting {
 			s.maybeSchedule(dt)
 		}
 	}
 	// Reference counting: release inputs no longer needed by any pending
 	// dependent (and that are not graph outputs).
-	for _, d := range ts.spec.Deps {
-		dt := s.tasks[d]
+	for _, dt := range ts.deps {
 		dt.pendingDependents--
 		if dt.viaProxy {
-			s.c.proxy.release(d)
+			s.c.proxy.release(dt.spec.Key)
 		}
 		if dt.pendingDependents <= 0 && !dt.isOutput && !dt.resumePinned && !dt.clientRef && dt.state == StateMemory {
 			s.release(dt)
@@ -1075,7 +1209,7 @@ func (s *Scheduler) release(ts *schedTask) {
 		if !wh.connected {
 			continue
 		}
-		if _, holds := ts.whoHas[wh.rank]; holds {
+		if ts.holds(wh.rank) {
 			wh.memory -= ts.size
 		}
 		var m *freeMsg
@@ -1088,7 +1222,7 @@ func (s *Scheduler) release(ts *schedTask) {
 		m.w, m.key = wh.w, key
 		s.c.control(s.node, wh.w.node, m.deliver)
 	}
-	clear(ts.whoHas)
+	ts.whoHas = nil
 	if ts.viaProxy {
 		// The refcount drain above normally destroyed the blob already; this
 		// covers paths that free a key without draining references.
@@ -1124,17 +1258,11 @@ func (s *Scheduler) handleGather(key TaskKey, deliver func(size int64)) {
 		retry()
 		return
 	}
-	rank := -1
-	for r := range ts.whoHas {
-		if rank < 0 || r < rank {
-			rank = r
-		}
-	}
-	if rank < 0 {
+	if len(ts.whoHas) == 0 {
 		retry()
 		return
 	}
-	owner := s.workers[rank]
+	owner := s.workers[ts.whoHas[0]] // the lowest-ranked holder
 	if !owner.connected || !owner.w.alive {
 		// Holder died but eviction has not caught up; the recompute pass
 		// will land the key somewhere alive.
@@ -1207,9 +1335,8 @@ func (s *Scheduler) stealTick() {
 		// that we believe has not started (the victim confirms) and is not
 		// already being stolen.
 		var pick *schedTask
-		for k := range victim.processing {
-			ts := s.tasks[k]
-			if len(ts.spec.Restrictions) > 0 || s.stealing[k] || ts.hedged() {
+		for _, ts := range victim.processing {
+			if len(ts.spec.Restrictions) > 0 || ts.stealing || ts.hedged() {
 				// Speculated tasks are pinned: moving either attempt would
 				// race the first-completion-wins settlement.
 				continue
@@ -1221,20 +1348,19 @@ func (s *Scheduler) stealTick() {
 		if pick == nil {
 			return
 		}
-		key := pick.spec.Key
-		s.stealing[key] = true
+		pick.stealing = true
 		victim.outbound++
 		thief.inbound++
-		vw, tw := victim, thief
+		ts, vw, tw := pick, victim, thief
 		s.c.control(s.node, vw.w.node, func() {
-			ok := vw.w.handleStealRequest(key)
-			s.c.control(vw.w.node, s.node, func() { s.stealResponse(key, vw, tw, ok) })
+			ok := vw.w.handleStealRequest(ts.spec.Key)
+			s.c.control(vw.w.node, s.node, func() { s.stealResponse(ts, vw, tw, ok) })
 		})
 	}
 }
 
-func (s *Scheduler) stealResponse(key TaskKey, victim, thief *workerHandle, ok bool) {
-	delete(s.stealing, key)
+func (s *Scheduler) stealResponse(ts *schedTask, victim, thief *workerHandle, ok bool) {
+	ts.stealing = false
 	// Eviction zeroes the in-flight counters; a response that straddled the
 	// eviction must not push them negative.
 	if victim.outbound--; victim.outbound < 0 {
@@ -1243,11 +1369,7 @@ func (s *Scheduler) stealResponse(key TaskKey, victim, thief *workerHandle, ok b
 	if thief.inbound--; thief.inbound < 0 {
 		thief.inbound = 0
 	}
-	if !ok {
-		return
-	}
-	ts := s.tasks[key]
-	if ts == nil || ts.slotOn(victim.rank) != 0 {
+	if !ok || ts.slotOn(victim.rank) != 0 {
 		return
 	}
 	s.endAttempt(ts, victim.rank)
@@ -1263,7 +1385,7 @@ func (s *Scheduler) stealResponse(key TaskKey, victim, thief *workerHandle, ok b
 	s.stealCount++
 	now := s.c.kernel.Now()
 	for _, p := range s.c.schedPlugins {
-		p.Stolen(StealEvent{Key: key, Victim: victim.w.addr, Thief: thief.w.addr, At: now})
+		p.Stolen(StealEvent{Key: ts.spec.Key, Victim: victim.w.addr, Thief: thief.w.addr, At: now})
 	}
 	s.assign(ts, thief, "stolen")
 }

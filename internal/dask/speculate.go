@@ -99,23 +99,26 @@ func (s *Scheduler) speculationTick() {
 	}
 	now := s.c.kernel.Now()
 	var cands []*schedTask
-	for _, ts := range s.tasks {
-		if ts.live != 1 || s.stealing[ts.spec.Key] {
-			continue
+	for _, slab := range s.slabs {
+		for i := range slab {
+			ts := &slab[i]
+			if ts.live != 1 || ts.stealing {
+				continue
+			}
+			if !s.workers[ts.attempts[0].rank].connected {
+				continue // eviction is about to recover it anyway
+			}
+			elapsed := now - ts.attempts[0].startedAt
+			if elapsed < cfg.MinRuntime {
+				continue
+			}
+			if !s.isStraggler(ts.spec.Prefix(), elapsed) {
+				continue
+			}
+			cands = append(cands, ts)
 		}
-		if !s.workers[ts.attempts[0].rank].connected {
-			continue // eviction is about to recover it anyway
-		}
-		elapsed := now - ts.attempts[0].startedAt
-		if elapsed < cfg.MinRuntime {
-			continue
-		}
-		if !s.isStraggler(ts.spec.Prefix(), elapsed) {
-			continue
-		}
-		cands = append(cands, ts)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].priority < cands[j].priority })
+	// The slabs hold tasks in priority order, and so does cands.
 	for _, ts := range cands {
 		if s.specInFlight >= cfg.MaxConcurrent || s.specLaunches >= cfg.Budget {
 			return

@@ -522,14 +522,18 @@ func (w *Worker) maybeGC(newBytes int64) {
 }
 
 // handleFree releases a stored result (scheduler-driven refcount release).
+// The broadcast reaches every worker, most of which hold nothing for the key:
+// a task in memory here has its result in data, so a miss there answers it.
 func (w *Worker) handleFree(key TaskKey) {
 	if !w.alive {
 		return
 	}
-	if size, ok := w.data[key]; ok {
-		delete(w.data, key)
-		w.memBytes -= size
+	size, ok := w.data[key]
+	if !ok {
+		return
 	}
+	delete(w.data, key)
+	w.memBytes -= size
 	if wt, ok := w.tasks[key]; ok && wt.state == WStateMemory {
 		w.transition(wt, StateReleased, "free-keys")
 		delete(w.tasks, key)

@@ -100,7 +100,7 @@ func (w *ImageProcessing) graph1() *dask.Graph {
 	for i := 0; i < w.NumImages; i++ {
 		i := i
 		ci := w.chunks[i]
-		imread := dask.TaskKey(fmt.Sprintf("imread-%s", pseudoHash("imread", i)))
+		imread := dask.TaskKey("imread-" + pseudoHash("imread", i))
 		g.Add(&dask.TaskSpec{
 			Key:        imread,
 			OutputSize: int64(ci) * ipChunk,
@@ -124,12 +124,12 @@ func (w *ImageProcessing) graph1() *dask.Graph {
 		})
 		var grays []dask.TaskKey
 		for c := 0; c < ci; c++ {
-			norm := dask.TaskKey(fmt.Sprintf("normalize-%s", pseudoHash("norm", i, c)))
+			norm := dask.TaskKey("normalize-" + pseudoHash("norm", i, c))
 			g.Add(&dask.TaskSpec{
 				Key: norm, Deps: []dask.TaskKey{imread},
 				OutputSize: ipChunk, EstDuration: sim.Milliseconds(600),
 			})
-			gray := dask.TaskKey(fmt.Sprintf("grayscale-%s", pseudoHash("gray", i, c)))
+			gray := dask.TaskKey("grayscale-" + pseudoHash("gray", i, c))
 			g.Add(&dask.TaskSpec{
 				Key: gray, Deps: []dask.TaskKey{norm},
 				OutputSize: ipChunk, EstDuration: sim.Milliseconds(450),
@@ -138,7 +138,7 @@ func (w *ImageProcessing) graph1() *dask.Graph {
 		}
 		shard := w.shardPath(i % w.Shards)
 		g.Add(&dask.TaskSpec{
-			Key:        dask.TaskKey(fmt.Sprintf("store-zarr-%s", pseudoHash("store1", i))),
+			Key:        dask.TaskKey("store-zarr-" + pseudoHash("store1", i)),
 			Deps:       grays,
 			OutputSize: 8,
 			Run: func(ctx *dask.TaskContext) {
@@ -165,7 +165,7 @@ func (w *ImageProcessing) graph2() *dask.Graph {
 		i := i
 		ci := w.chunks[i]
 		shard := w.shardPath(i % w.Shards)
-		read := dask.TaskKey(fmt.Sprintf("readzarr-%s", pseudoHash("read2", i)))
+		read := dask.TaskKey("readzarr-" + pseudoHash("read2", i))
 		g.Add(&dask.TaskSpec{
 			Key:        read,
 			OutputSize: int64(ci) * ipChunk,
@@ -183,7 +183,7 @@ func (w *ImageProcessing) graph2() *dask.Graph {
 		})
 		var blurs []dask.TaskKey
 		for c := 0; c < ci; c++ {
-			blur := dask.TaskKey(fmt.Sprintf("gaussian_filter-%s", pseudoHash("blur", i, c)))
+			blur := dask.TaskKey("gaussian_filter-" + pseudoHash("blur", i, c))
 			g.Add(&dask.TaskSpec{
 				Key: blur, Deps: []dask.TaskKey{read},
 				OutputSize: ipChunk, EstDuration: sim.Milliseconds(1100),
@@ -191,7 +191,7 @@ func (w *ImageProcessing) graph2() *dask.Graph {
 			blurs = append(blurs, blur)
 		}
 		g.Add(&dask.TaskSpec{
-			Key:        dask.TaskKey(fmt.Sprintf("store-small-%s", pseudoHash("store2", i))),
+			Key:        dask.TaskKey("store-small-" + pseudoHash("store2", i)),
 			Deps:       blurs,
 			OutputSize: 8,
 			Run: func(ctx *dask.TaskContext) {
@@ -218,7 +218,7 @@ func (w *ImageProcessing) graph3() *dask.Graph {
 		i := i
 		shard := w.shardPath(i % w.Shards)
 		nReads := w.smallReads[i]
-		read := dask.TaskKey(fmt.Sprintf("readsmall-%s", pseudoHash("read3", i)))
+		read := dask.TaskKey("readsmall-" + pseudoHash("read3", i))
 		g.Add(&dask.TaskSpec{
 			Key:        read,
 			OutputSize: 96 << 10,
@@ -234,7 +234,7 @@ func (w *ImageProcessing) graph3() *dask.Graph {
 				ctx.Compute(sim.Milliseconds(60))
 			},
 		})
-		seg := dask.TaskKey(fmt.Sprintf("segment-%s", pseudoHash("seg", i)))
+		seg := dask.TaskKey("segment-" + pseudoHash("seg", i))
 		g.Add(&dask.TaskSpec{
 			Key: seg, Deps: []dask.TaskKey{read},
 			OutputSize: 2 << 20, EstDuration: sim.Milliseconds(1500),
@@ -242,7 +242,7 @@ func (w *ImageProcessing) graph3() *dask.Graph {
 		segs = append(segs, seg)
 	}
 	g.Add(&dask.TaskSpec{
-		Key:        dask.TaskKey(fmt.Sprintf("report-%s", pseudoHash("report"))),
+		Key:        dask.TaskKey("report-" + pseudoHash("report")),
 		Deps:       segs,
 		OutputSize: 256 << 10,
 		Run: func(ctx *dask.TaskContext) {

@@ -61,7 +61,7 @@ func (w *ResNet152) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 	for i := 0; i < w.NumImages; i++ {
 		i := i
 		size := w.sizes[i]
-		load := dask.TaskKey(fmt.Sprintf("load-%s", pseudoHash("load", i)))
+		load := dask.TaskKey("load-" + pseudoHash("load", i))
 		g.Add(&dask.TaskSpec{
 			Key:        load,
 			OutputSize: size,
@@ -78,7 +78,7 @@ func (w *ResNet152) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 				ctx.Compute(sim.Milliseconds(60))
 			},
 		})
-		tr := dask.TaskKey(fmt.Sprintf("transform-%s", pseudoHash("transform", i)))
+		tr := dask.TaskKey("transform-" + pseudoHash("transform", i))
 		g.Add(&dask.TaskSpec{
 			Key: tr, Deps: []dask.TaskKey{load},
 			OutputSize:  w.tensors[i], // normalized tensor
@@ -93,7 +93,7 @@ func (w *ResNet152) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 		if hi > w.NumImages {
 			hi = w.NumImages
 		}
-		pred := dask.TaskKey(fmt.Sprintf("predict-%s", pseudoHash("predict", b)))
+		pred := dask.TaskKey("predict-" + pseudoHash("predict", b))
 		g.Add(&dask.TaskSpec{
 			Key: pred, Deps: append([]dask.TaskKey(nil), transforms[lo:hi]...),
 			OutputSize:  5 << 10,
@@ -102,7 +102,7 @@ func (w *ResNet152) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 		preds = append(preds, pred)
 	}
 	g.Add(&dask.TaskSpec{
-		Key:  dask.TaskKey(fmt.Sprintf("summarize-%s", pseudoHash("summary"))),
+		Key:  dask.TaskKey("summarize-" + pseudoHash("summary")),
 		Deps: preds, OutputSize: 64 << 10, EstDuration: sim.Milliseconds(500),
 	})
 	cl.SubmitAndWait(p, g)

@@ -8,16 +8,17 @@ import (
 
 // TestSimOnlyAllocBudget holds the simulated runtime itself — kernel,
 // platform, file system, scheduler and workers, collection off — to the
-// malloc count it had when messages, timers and processes stopped allocating:
-// 36.0 per task of imageprocessing at seed 1 (it was 136.5 with an Event, a
-// job and four closures per message and a coroutine per task). bench/e2e's
+// malloc count it had when the scheduler's task table stopped keeping maps
+// per task and task keys stopped going through fmt: 21.5 per task of
+// imageprocessing at seed 1 (36.0 before that, and 136.5 with an Event, a job
+// and four closures per message and a coroutine per task). bench/e2e's
 // sim-only workload measures the same thing per provenance event, but tier-1
 // does not run it.
 func TestSimOnlyAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
 	}
-	const budget = 1.15 * 36.0
+	const budget = 1.15 * 21.5
 	wf, err := New("imageprocessing")
 	if err != nil {
 		t.Fatal(err)

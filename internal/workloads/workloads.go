@@ -16,6 +16,7 @@ package workloads
 
 import (
 	"fmt"
+	"strconv"
 
 	"taskprov/internal/core"
 	"taskprov/internal/sim"
@@ -27,23 +28,44 @@ const datasetSeed uint64 = 0xDA7A5E7
 
 // pseudoHash renders a deterministic 12-hex-digit "dask hash" for task
 // keys (wide enough that birthday collisions across ~10^4 keys are
-// negligible).
-func pseudoHash(parts ...any) string {
-	h := uint64(1469598103934665603)
-	for _, p := range parts {
-		for _, b := range []byte(fmt.Sprint(p)) {
-			h ^= uint64(b)
-			h *= 1099511628211
-		}
-		h ^= 0xFF // part separator: ("a",1,12) must differ from ("a",11,2)
+// negligible): FNV-1a over the name and then each number in decimal, every
+// part followed by a separator.
+func pseudoHash(name string, nums ...int) string {
+	h := fnvPart(1469598103934665603, name)
+	var buf [20]byte
+	for _, n := range nums {
+		h = fnvPart(h, strconv.AppendInt(buf[:0], int64(n), 10))
+	}
+	const hexDigits = "0123456789abcdef"
+	var out [12]byte
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = hexDigits[h&0xF]
+		h >>= 4
+	}
+	return string(out[:])
+}
+
+// fnvPart folds one key part into an FNV-1a hash, then the part separator:
+// ("a",1,12) must differ from ("a",11,2).
+func fnvPart[T string | []byte](h uint64, part T) uint64 {
+	for i := 0; i < len(part); i++ {
+		h ^= uint64(part[i])
 		h *= 1099511628211
 	}
-	return fmt.Sprintf("%012x", h&0xFFFFFFFFFFFF)
+	h ^= 0xFF
+	return h * 1099511628211
 }
 
 // tupleKey renders a Dask collection task key: "('name-hash', index)".
 func tupleKey(name, hash string, index int) string {
-	return fmt.Sprintf("('%s-%s', %d)", name, hash, index)
+	var buf [64]byte
+	b := append(buf[:0], "('"...)
+	b = append(b, name...)
+	b = append(b, '-')
+	b = append(b, hash...)
+	b = append(b, "', "...)
+	b = strconv.AppendInt(b, int64(index), 10)
+	return string(append(b, ')'))
 }
 
 // datasetRNG returns the fixed-structure RNG stream for a workload.

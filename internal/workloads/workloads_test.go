@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"math"
 	"testing"
 
 	"taskprov/internal/core"
@@ -189,6 +190,61 @@ func TestImageChunkBounds(t *testing.T) {
 	}
 	if sum != w.totalChunks {
 		t.Fatal("totalChunks inconsistent")
+	}
+}
+
+// TestPseudoHashGolden pins task keys to the bytes the fmt-based renderer
+// produced (fmt.Sprint of each part, fmt.Sprintf("%012x") and "('%s-%s',
+// %d)"): a key is part of every stored event, so none may move.
+func TestPseudoHashGolden(t *testing.T) {
+	hashes := []struct {
+		name string
+		nums []int
+		want string
+	}{
+		{"model", nil, "1c9e51f52e2d"},
+		{"report", nil, "5026d89f1b26"},
+		{"xgb-summary", nil, "b675092b269a"},
+		{"", nil, "24d473ccebb4"},
+		{"imread", []int{0}, "91dcb0fb4c8b"},
+		{"imread", []int{7}, "91dcb103a110"},
+		{"imread", []int{255}, "942aafb9e693"},
+		{"imread", []int{256}, "942aafb5fdbc"},
+		{"imread", []int{1000000}, "b47e7c1689fa"},
+		{"norm", []int{3, 12}, "5ad0f0b62aa8"},
+		{"gray", []int{0, 0}, "a77f667af65d"},
+		{"blur", []int{99, 31}, "ec7210aee217"},
+		{"train", []int{1, 2}, "4488f84b5bcb"},
+		{"predict", []int{4096}, "1240294ee07b"},
+		{"getitem", []int{3}, "7f960ca8febd"},
+		{"getitem", []int{17}, "5ff78b4d4284"},
+		{"predict", []int{0}, "c1356b78cadc"},
+		{"a", []int{1, 12}, "9346781c83b9"},
+		{"a", []int{11, 2}, "eba4368b8579"},
+		{"neg", []int{-1}, "a808ee8b8b33"},
+		{"neg", []int{math.MinInt64}, "09ab7ae02361"},
+		{"max", []int{math.MaxInt64}, "a0fed5436a4d"},
+	}
+	for _, c := range hashes {
+		if got := pseudoHash(c.name, c.nums...); got != c.want {
+			t.Errorf("pseudoHash(%q, %v) = %q, want %q", c.name, c.nums, got, c.want)
+		}
+	}
+	tuples := []struct {
+		name, hash string
+		index      int
+		want       string
+	}{
+		{"getitem", "7f960ca8febd", 63, "('getitem-7f960ca8febd', 63)"},
+		{"predict", "c1356b78cadc", 0, "('predict-c1356b78cadc', 0)"},
+		{"drop_by_shallow_copy", "abc", -7, "('drop_by_shallow_copy-abc', -7)"},
+		{"x", "", 1234567, "('x-', 1234567)"},
+		{"random_split_take-and-a-name-longer-than-the-stack-buffer", "0123456789ab", 12, "('random_split_take-and-a-name-longer-than-the-stack-buffer-0123456789ab', 12)"},
+	}
+	for _, c := range tuples {
+		if got := tupleKey(c.name, c.hash, c.index); got != c.want {
+			t.Errorf("tupleKey(%q, %q, %d) = %q, want %q", c.name, c.hash, c.index, got, c.want)
+		}
 	}
 }
 

@@ -86,16 +86,16 @@ func (w *XGBoost) parts(m int) int {
 
 func (w *XGBoost) trainKey(m int) dask.TaskKey {
 	if m == w.Months-1 {
-		return dask.TaskKey(fmt.Sprintf("to_frame-train-%s", pseudoHash("tf-train", m)))
+		return dask.TaskKey("to_frame-train-" + pseudoHash("tf-train", m))
 	}
-	return dask.TaskKey(fmt.Sprintf("concat-train-%s", pseudoHash("concat-train", m)))
+	return dask.TaskKey("concat-train-" + pseudoHash("concat-train", m))
 }
 
 func (w *XGBoost) testKey(m int) dask.TaskKey {
 	if m == w.Months-1 {
-		return dask.TaskKey(fmt.Sprintf("to_frame-test-%s", pseudoHash("tf-test", m)))
+		return dask.TaskKey("to_frame-test-" + pseudoHash("tf-test", m))
 	}
-	return dask.TaskKey(fmt.Sprintf("concat-test-%s", pseudoHash("concat-test", m)))
+	return dask.TaskKey("concat-test-" + pseudoHash("concat-test", m))
 }
 
 // Run implements core.Workflow: months are submitted eagerly (the client
@@ -132,7 +132,7 @@ func (w *XGBoost) monthGraph(m int) *dask.Graph {
 	size := w.fileSize[fileIdx]
 	out := w.readOut[m]
 
-	read := dask.TaskKey(fmt.Sprintf("read_parquet-fused-assign-%s", pseudoHash("read", m)))
+	read := dask.TaskKey("read_parquet-fused-assign-" + pseudoHash("read", m))
 	g.Add(&dask.TaskSpec{
 		Key:             read,
 		OutputSize:      out,
@@ -187,8 +187,8 @@ func (w *XGBoost) monthGraph(m int) *dask.Graph {
 		})
 		drops = append(drops, drop)
 	}
-	concatTrain := dask.TaskKey(fmt.Sprintf("concat-train-%s", pseudoHash("concat-train", m)))
-	concatTest := dask.TaskKey(fmt.Sprintf("concat-test-%s", pseudoHash("concat-test", m)))
+	concatTrain := dask.TaskKey("concat-train-" + pseudoHash("concat-train", m))
+	concatTest := dask.TaskKey("concat-test-" + pseudoHash("concat-test", m))
 	g.Add(&dask.TaskSpec{
 		Key: concatTrain, Deps: drops,
 		OutputSize: 250 << 20, EstDuration: sim.Milliseconds(650),
@@ -235,7 +235,7 @@ func (w *XGBoost) trainGraph() *dask.Graph {
 				deps = append(deps, key)
 				g.AddExternal(key)
 			}
-			key := dask.TaskKey(fmt.Sprintf("train-xgboost-%s", pseudoHash("train", t, th)))
+			key := dask.TaskKey("train-xgboost-" + pseudoHash("train", t, th))
 			g.Add(&dask.TaskSpec{
 				Key: key, Deps: deps,
 				OutputSize:   8 << 20, // per-thread booster partial
