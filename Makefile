@@ -182,13 +182,16 @@ simcost:
 # Collection host-cost gate, uncached and not under -race (which allocates on
 # its own): the collector's mallocs per event, the recovery warning of a
 # producer that drains during the final Flush shipped whatever the map order,
-# the broker's one admission pass — no malloc per event on a sample of every
-# topic, Partition.Append of a default batch at its pinned count, the whole
-# batch refused for one invalid event, encoding/json's stored form for what is
-# not in it, and the pass against json.Valid over its seed corpus. Then one
-# iteration of the admission benchmark, so it cannot go uncompiled.
+# a collection-on imageprocessing session inside its mallocs per task (no
+# end-of-run analysis), the broker's one admission pass — no malloc per event
+# on a sample of every topic, Partition.Append of a default batch at its
+# pinned count, the whole batch refused for one invalid event, encoding/json's
+# stored form for what is not in it, and the pass against json.Valid over its
+# seed corpus. Then one iteration of the admission benchmark, so it cannot go
+# uncompiled.
 collectcost:
 	$(GO) test -count=1 -run 'TestCollectorAllocationBudget|TestFlushShipsRecoveryWarning' ./internal/core/
+	$(GO) test -count=1 -run 'TestCollectOnAllocBudget' ./internal/workloads/
 	$(GO) test -count=1 -run 'TestAdmissionReadsAndAllocatesPerBatch|TestAppendRejectsInvalidMetadata|TestAppendStoresCompactedMetadata|FuzzAdmission' ./internal/mofka/
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmit' -benchtime 1x ./internal/mofka/
 

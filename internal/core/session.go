@@ -21,7 +21,6 @@ import (
 	"taskprov/internal/proxystore"
 	"taskprov/internal/resume"
 	"taskprov/internal/sim"
-	"taskprov/internal/whatif"
 )
 
 // Env exposes the run's substrate to workflow implementations (dataset
@@ -271,12 +270,6 @@ type RunArtifacts struct {
 	// Live is the live monitor's final Summary, set when
 	// SessionConfig.LiveMonitor was enabled.
 	Live *live.Summary
-
-	// CritPath is the whole-run critical-path digest (internal/whatif),
-	// computed at the end of every instrumented run: the makespan's
-	// attribution to compute, transfer, I/O, scheduler, and proxy time.
-	// Nil when collection was disabled.
-	CritPath *whatif.Summary
 
 	// Proxy is the final proxy-store counter snapshot (zero when the
 	// pass-by-reference plane is disabled): resume-equivalence checks
@@ -760,14 +753,6 @@ func (s *Session) collect(start, end sim.Time) (*RunArtifacts, error) {
 	art.Files = make(map[string]int64)
 	for _, p := range s.env.PFS.List("/") {
 		art.Files[p] = s.env.PFS.Lookup(p).Size
-	}
-	if !s.cfg.DisableCollection {
-		// The critical-path digest rides on every instrumented run; an
-		// extraction failure (e.g. a chaos run that lost its stream) just
-		// leaves it nil.
-		if model, err := art.ExtractModel(); err == nil {
-			art.CritPath = model.CriticalPath().Summarize()
-		}
 	}
 	return art, nil
 }

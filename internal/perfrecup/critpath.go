@@ -187,7 +187,7 @@ func CritPathSVG(art *core.RunArtifacts) (string, error) {
 	c := newCanvas(W, H)
 	c.text(mL, 24, 16, fmt.Sprintf("Task timeline with critical path — %s", model.Workflow))
 	c.text(mL, 42, 11, fmt.Sprintf("makespan %.1fs, %d chain steps, dominant: %s",
-		cp.MakespanSeconds, len(cp.Tasks), cp.Summarize().DominantCategory))
+		cp.MakespanSeconds, len(cp.Tasks), cp.Dominant()))
 
 	span := model.EndSeconds - model.StartSeconds
 	if span <= 0 {

@@ -151,6 +151,21 @@ func TestCritPathViewAndSVG(t *testing.T) {
 	if !strings.Contains(svg, "critical path") {
 		t.Error("SVG lacks the critical-path legend")
 	}
+	// The subtitle names the largest attribution bucket of the same path.
+	model, err := art.ExtractModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cats := model.CriticalPath().Categories
+	largest := 0.0
+	for _, v := range cats {
+		largest = max(largest, v)
+	}
+	_, rest, ok := strings.Cut(svg, "dominant: ")
+	named, _, _ := strings.Cut(rest, "<")
+	if v, in := cats[named]; !ok || !in || v != largest {
+		t.Errorf("SVG subtitle names %q, not the largest category of %v", named, cats)
+	}
 }
 
 // TestRenderWhatIf: the scenario table includes every requested scenario

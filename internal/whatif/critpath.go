@@ -3,7 +3,6 @@ package whatif
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Attribution categories on the critical path.
@@ -66,6 +65,18 @@ func (c *CritPath) CriticalSeconds() float64 {
 		s += c.Categories[cat]
 	}
 	return s
+}
+
+// Dominant names the largest attribution category; a tie goes to the one
+// first in Categories order.
+func (c *CritPath) Dominant() string {
+	best := ""
+	for _, cat := range Categories() {
+		if best == "" || c.Categories[cat] > c.Categories[best] {
+			best = cat
+		}
+	}
+	return best
 }
 
 // CriticalPath extracts the whole-run critical path: the chain of tasks and
@@ -413,48 +424,4 @@ func LongestChainSeconds(durations map[string]float64, deps map[string][]string)
 		}
 	}
 	return best
-}
-
-// Summary is the compact critical-path digest attached to RunArtifacts.
-type Summary struct {
-	MakespanSeconds float64            `json:"makespan_seconds"`
-	CriticalTasks   int                `json:"critical_tasks"`
-	Categories      map[string]float64 `json:"categories"`
-	Coverage        float64            `json:"coverage"`
-	// DominantCategory is the largest attribution bucket.
-	DominantCategory string `json:"dominant_category"`
-}
-
-// Summarize condenses a critical path into the RunArtifacts digest.
-func (c *CritPath) Summarize() *Summary {
-	s := &Summary{
-		MakespanSeconds: c.MakespanSeconds,
-		CriticalTasks:   len(c.Tasks),
-		Categories:      map[string]float64{},
-		Coverage:        c.Coverage,
-	}
-	best := ""
-	for _, cat := range Categories() {
-		v := c.Categories[cat]
-		s.Categories[cat] = v
-		if best == "" || v > s.Categories[best] {
-			best = cat
-		}
-	}
-	s.DominantCategory = best
-	return s
-}
-
-// String renders the digest as one line.
-func (s *Summary) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "critical path %.3fs over %d tasks (", s.MakespanSeconds, s.CriticalTasks)
-	for i, cat := range Categories() {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s %.1f%%", cat, 100*s.Categories[cat]/max(s.MakespanSeconds, 1e-12))
-	}
-	b.WriteString(")")
-	return b.String()
 }

