@@ -95,9 +95,11 @@ resume:
 	$(GO) test -count=1 -run 'TestResumeEquivalence' ./internal/workloads/
 
 # Read-path gate, uncached. Not under -race, which allocates on its own: the
-# allocation budgets of a post-mortem open, a live replay and whatif.Extract
-# (per event of a seeded run), typed ingest against the map API over every
-# event of the seeded runs, the interning decoder (a warm decoder allocates
+# allocation budgets of a post-mortem open, a live replay, perfrecup.Phases
+# and whatif.Extract (per event of a seeded run), typed ingest against the
+# map API over every event of the seeded runs, Phases (the phase topics only)
+# bit for bit against the full replay's phase fields on the paper workflows,
+# a kill, a brownout and a cluster dir, the interning decoder (a warm decoder allocates
 # nothing but a record's slices and free text, and reads what a fresh one
 # reads), number's exact fast path against ParseFloat, the codec against the
 # map API over hostile inputs and FuzzCodec's corpus, the straggler fit
@@ -116,7 +118,7 @@ resume:
 # clients that leave no subscription behind, and frontier reconstruction
 # against the reference open.
 readpath:
-	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestTypedIngestMatchesMapIngest|TestSharedRecordsStayUnchanged' ./internal/workloads/
+	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestTypedIngestMatchesMapIngest|TestSharedRecordsStayUnchanged|TestPhasesMatchFullReplay' ./internal/workloads/
 	$(GO) test -count=1 -run 'TestDecoderInternsOnlyNovelStrings|TestExactFloatMatchesParseFloat|TestCodecMatchesMapAPI|FuzzCodec|TestDrain|TestRecordsReuseUntilAppend|TestRecordsReleasedWhenUnheld|TestRecordsMissingTopic' ./internal/provenance/
 	$(GO) test -race -count=1 -run 'TestRecordsConcurrentReads' ./internal/provenance/
 	$(GO) test -count=1 -run 'TestSchedulerLogOrdersSimultaneousGraphs' ./internal/core/
@@ -198,10 +200,10 @@ collectcost:
 # What-if validation: self-replay of the unchanged scenario on the seeded
 # ImageProcessing and xgboost runs must predict the measured makespan within
 # +/-10%, the critical path must attribute >=95% of it to named categories,
-# and the report must render byte-identically across live/WAL/post-mortem
-# loads.
+# slack must not depend on the order of the model's tasks, and the report
+# must render byte-identically across live/WAL/post-mortem loads.
 whatif:
-	$(GO) test -count=1 -run 'TestSelfReplayValidation|TestCriticalPathAttribution' ./internal/whatif/
+	$(GO) test -count=1 -run 'TestSelfReplayValidation|TestCriticalPathAttribution|TestSlackIndependentOfTaskOrder' ./internal/whatif/
 	$(GO) test -count=1 -run 'TestCritPathGoldenDeterminism|TestCriticalPathLane' ./internal/perfrecup/ ./internal/live/
 
 # Critical-path and replay cost on a 20k-task DAG, recorded as JSON

@@ -9,8 +9,9 @@
 // The correctness anchor is the live/post-mortem equivalence invariant: for
 // any completed run, the monitor's final Summary must equal the post-mortem
 // PERFRECUP views over the same artifacts. perfrecup.Phases therefore
-// delegates to this package (see perfrecup.LiveReplay), so there is exactly
-// one implementation of the aggregate definitions.
+// delegates to this package (see perfrecup.LiveReplay; Phases replays only
+// PhaseTopics through the same loop), so there is exactly one
+// implementation of the aggregate definitions.
 //
 // Determinism despite streaming: the monitor and the replay hand the
 // aggregator each topic in one order (chunks round-robin across its
@@ -442,6 +443,16 @@ func (a *Aggregator) Ingest(topic string, partition int, metadata []byte) error 
 	a.events++
 	a.raise(raised)
 	return nil
+}
+
+// PhaseTopics lists the topics Summary's phase fields are computed from.
+// With the Darshan logs and the run's meta they determine IOSeconds,
+// CommSeconds, ComputeSeconds (and their Raw sums), Tasks, Transfers, IOOps
+// and ThreadSlots: ingestExecution and ingestTransfer are the only handlers
+// that touch those fields or the execSeconds/commSeconds lanes, so a replay
+// of these topics alone (ReplayTopics) gives them exactly.
+func PhaseTopics() []string {
+	return []string{provenance.TopicExecutions, provenance.TopicTransfers}
 }
 
 // ingest decodes one event and hands it to its topic's handler. The decoder

@@ -20,7 +20,15 @@ import (
 // chunks round-robin across the partitions — which is the order the
 // equivalence invariant is defined against.
 func ReplayBroker(b *mofka.Broker, agg *Aggregator) error {
-	for _, topic := range provenance.AllTopics() {
+	return ReplayTopics(b, agg, provenance.AllTopics())
+}
+
+// ReplayTopics is ReplayBroker over the named topics only: each one is fed
+// in the same order, to the same handlers, into the same lanes, so a
+// Summary field computed from those topics alone (PhaseTopics) comes out
+// bit for bit as the full replay's.
+func ReplayTopics(b *mofka.Broker, agg *Aggregator, topics []string) error {
+	for _, topic := range topics {
 		t, err := b.OpenTopic(topic)
 		if err != nil {
 			continue // topic never created on this broker

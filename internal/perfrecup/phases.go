@@ -38,8 +38,14 @@ type PhaseBreakdown struct {
 // thread-slot count); PERFRECUP and the live monitor thereby share one
 // implementation of the phase definitions, which is what makes the
 // live/post-mortem equivalence invariant checkable at all.
+//
+// Only the topics the phase fields are computed from (live.PhaseTopics:
+// executions and transfers) are replayed, with the Darshan logs and the
+// run's meta: the same handlers fill the same lanes as LiveReplay's, so
+// every figure here is bit for bit the full replay's. A corrupt event on
+// another topic is therefore not reported here; LiveReplay reports it.
 func Phases(art *core.RunArtifacts) (PhaseBreakdown, error) {
-	sum, err := LiveReplay(art, live.AggregatorOptions{DisableAnomalies: true})
+	sum, err := replay(art, live.AggregatorOptions{DisableAnomalies: true}, live.PhaseTopics())
 	if err != nil {
 		return PhaseBreakdown{Workflow: art.Meta.Workflow, Seed: art.Meta.Seed}, err
 	}

@@ -348,7 +348,10 @@ func (m *Model) depEdgeSeconds(d, i int) float64 {
 	return 0
 }
 
-// topoOrder returns a deterministic topological order (Kahn by task index).
+// topoOrder returns a deterministic topological order: Kahn's algorithm
+// with a FIFO ready queue, seeded in task-index order. Slack's passes take
+// a max over deps and a min over dependents, both exact, so any topological
+// order gives the same float64s.
 func (m *Model) topoOrder() []int {
 	n := len(m.Tasks)
 	indeg := make([]int, n)
@@ -365,21 +368,16 @@ func (m *Model) topoOrder() []int {
 			queue = append(queue, i)
 		}
 	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		// Pop the smallest index for determinism.
-		sort.Ints(queue)
-		i := queue[0]
-		queue = queue[1:]
-		order = append(order, i)
-		for _, j := range out[i] {
+	// The queue is the order: entries before k have been popped.
+	for k := 0; k < len(queue); k++ {
+		for _, j := range out[queue[k]] {
 			indeg[j]--
 			if indeg[j] == 0 {
 				queue = append(queue, j)
 			}
 		}
 	}
-	return order
+	return queue
 }
 
 // LongestChainSeconds is the pure dependency-chain lower bound over a set of

@@ -3,6 +3,7 @@ package whatif
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -272,4 +273,78 @@ func TestExtractNilBroker(t *testing.T) {
 	if _, err := Extract(Input{}); err == nil {
 		t.Fatal("nil records should fail")
 	}
+}
+
+// TestSlackIndependentOfTaskOrder: Slack's forward pass takes a max over a
+// task's deps and its backward pass a min over its dependents, both exact,
+// so the topological order topoOrder hands them cannot show. The model's
+// task indices are permuted (deps and measured transfers remapped), which
+// makes index order no longer topological, and every key must keep its
+// slack bit for bit.
+func TestSlackIndependentOfTaskOrder(t *testing.T) {
+	const width = 6
+	m := syntheticModel(12, width, 4, 2)
+	// Uneven durations, a second dep from the neighbouring column and
+	// measured cross-worker transfers give both passes real maxima and
+	// minima to take.
+	for i := range m.Tasks {
+		tk := &m.Tasks[i]
+		tk.Stop = tk.Start + 0.5 + float64(i*7%5)/3
+		if len(tk.Deps) > 0 {
+			d := tk.Deps[0]
+			tk.Deps = append(tk.Deps, d-d%width+(d+1)%width)
+		}
+		for _, d := range tk.Deps {
+			if m.Tasks[d].Worker != tk.Worker {
+				m.Transfers[EdgeKey{Task: d, To: tk.Worker}] = Edge{Task: d, To: tk.Worker, Seconds: 0.003 + 0.01*float64(d%7)}
+			}
+		}
+	}
+	want := m.Slack()
+	zero, positive := 0, 0
+	for _, s := range want {
+		if s == 0 {
+			zero++
+		} else {
+			positive++
+		}
+	}
+	if zero == 0 || positive == 0 {
+		t.Fatalf("degenerate slack: %d zero, %d positive", zero, positive)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 4; trial++ {
+		got := permuteTasks(m, rng.Perm(len(m.Tasks))).Slack()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d slack entries, want %d", trial, len(got), len(want))
+		}
+		for k, w := range want {
+			if g, ok := got[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("trial %d: slack of %s is %v, want %v", trial, k, g, w)
+			}
+		}
+	}
+}
+
+// permuteTasks returns m with task i moved to index perm[i], its deps, index
+// and measured transfers remapped to match.
+func permuteTasks(m *Model, perm []int) *Model {
+	p := *m
+	p.Tasks = make([]Task, len(m.Tasks))
+	p.Index = make(map[string]int, len(m.Tasks))
+	p.Transfers = make(map[EdgeKey]Edge, len(m.Transfers))
+	for i, tk := range m.Tasks {
+		deps := make([]int, len(tk.Deps))
+		for j, d := range tk.Deps {
+			deps[j] = perm[d]
+		}
+		tk.Deps = deps
+		p.Tasks[perm[i]] = tk
+		p.Index[tk.Key] = perm[i]
+	}
+	for k, e := range m.Transfers {
+		k.Task, e.Task = perm[k.Task], perm[e.Task]
+		p.Transfers[k] = e
+	}
+	return &p
 }

@@ -8,6 +8,7 @@ import (
 	"taskprov/internal/core"
 	"taskprov/internal/live"
 	"taskprov/internal/mofka"
+	"taskprov/internal/perfrecup"
 	"taskprov/internal/provenance"
 	"taskprov/internal/whatif"
 )
@@ -28,12 +29,14 @@ func mallocs(f func()) float64 {
 // one-pass open when it landed (0.022; the record-at-a-time open cost 5.0),
 // and for the replay, whose decoder interns names, under twice what it
 // measured then (0.26; 4.80 when every string was copied, 31.1 decoding to
-// maps).
+// maps). perfrecup.Phases over the loaded dir, counted per event of the
+// whole dir, stays within half again of what replaying only the phase
+// topics measured (0.091); replaying every topic, as it used to, costs 0.26.
 func TestReadPathAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
 	}
-	const openBudget, replayBudget = 0.033, 0.5
+	const openBudget, replayBudget, phasesBudget = 0.033, 0.5, 0.14
 	wf, err := New("imageprocessing")
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +72,15 @@ func TestReadPathAllocationBudget(t *testing.T) {
 	if got := agg.Snapshot().Events; float64(got) != events {
 		t.Fatalf("replayed %d of %v events", got, events)
 	}
-	t.Logf("%v events: %.3f allocations per event opened, %.3f per event replayed", events, open/events, replay/events)
+	art, err := perfrecup.LoadEventLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := mallocs(func() { _, err = perfrecup.Phases(art) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%v events: %.3f allocations per event opened, %.3f per event replayed, %.3f per event for Phases", events, open/events, replay/events, phases/events)
 	// Under the race detector the admission check's pooled JSON scanner
 	// allocates about every other event; the open's own count is not visible.
 	if open/events > openBudget && !raceEnabled {
@@ -77,6 +88,9 @@ func TestReadPathAllocationBudget(t *testing.T) {
 	}
 	if replay/events > replayBudget {
 		t.Errorf("ReplayBroker costs %.3f allocations per event, budget %v", replay/events, replayBudget)
+	}
+	if phases/events > phasesBudget {
+		t.Errorf("perfrecup.Phases costs %.3f allocations per event of the dir, budget %v", phases/events, phasesBudget)
 	}
 }
 
