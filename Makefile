@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test tier1 race bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate verify
+.PHONY: build vet lint test tier1 race paper bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate verify
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,13 @@ tier1:
 # the whole tree under the race detector.
 race:
 	$(GO) test -race ./...
+
+# The paper's evaluation (§IV): TestPaperClaims asserts every shape claim
+# and known delta of EXPERIMENTS.md over seeds 1-4 of each workflow, one
+# subtest per artifact (-run TestPaperClaims/Fig5 picks one), and logs each
+# figure block as cmd/perfrecup prints it. Tier-1 runs it too; this prints.
+paper:
+	$(GO) test -count=1 -run TestPaperClaims -v ./internal/workloads
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

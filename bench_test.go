@@ -1,408 +1,20 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§IV), plus ablations for the design choices DESIGN.md calls
-// out. Each benchmark runs the relevant instrumented workflow(s) and prints
-// the same rows/series the paper reports, so
-//
-//	go test -bench=. -benchmem
-//
-// regenerates the full evaluation. Run counts follow the paper (10 runs for
-// ImageProcessing/ResNet152, 50 for XGBOOST) scaled down by default; set
-// TASKPROV_FULL=1 for the paper's full counts.
+// Host-cost benchmarks of the event path: the Mofka producer by batch size,
+// the durable log's append and replay, and the live aggregator's ingest.
+// The paper's evaluation itself (Table I, Figs. 3–8, footnote 9 and the
+// design ablations) is TestPaperClaims in internal/workloads.
 package taskprov_test
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
 
-	"taskprov/internal/core"
 	"taskprov/internal/dask"
 	"taskprov/internal/live"
 	"taskprov/internal/mofka"
 	"taskprov/internal/mofka/wal"
-	"taskprov/internal/perfrecup"
 	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
-	"taskprov/internal/workloads"
 )
-
-// runsFor scales the paper's run counts down for CI unless TASKPROV_FULL is
-// set.
-func runsFor(name string) int {
-	full := workloads.Runs(name)
-	if os.Getenv("TASKPROV_FULL") != "" {
-		return full
-	}
-	if full >= 50 {
-		return 8
-	}
-	return 4
-}
-
-// runWorkflow executes one seeded, instrumented run.
-func runWorkflow(b *testing.B, name string, seed uint64) *core.RunArtifacts {
-	b.Helper()
-	wf, err := workloads.New(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := workloads.DefaultSession(name, fmt.Sprintf("%s-%04d", name, seed), seed)
-	art, err := core.Run(cfg, wf)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return art
-}
-
-// runsParallel executes n seeded runs of a workflow across CPU cores (the
-// variability studies are embarrassingly parallel: one kernel per run).
-func runsParallel(b *testing.B, name string, n int) []*core.RunArtifacts {
-	b.Helper()
-	out := make([]*core.RunArtifacts, n)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			wf, err := workloads.New(name)
-			if err == nil {
-				cfg := workloads.DefaultSession(name, fmt.Sprintf("%s-%04d", name, i+1), uint64(i+1))
-				out[i], err = core.Run(cfg, wf)
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		b.Fatal(firstErr)
-	}
-	return out
-}
-
-var printOnce sync.Map
-
-// once prints a section exactly once per benchmark name across b.N
-// iterations.
-func once(name, body string) {
-	if _, loaded := printOnce.LoadOrStore(name, true); !loaded {
-		fmt.Printf("\n===== %s =====\n%s\n", name, body)
-	}
-}
-
-// BenchmarkTableI regenerates Table I: workflow characteristics with
-// min-max ranges over the multi-run study.
-func BenchmarkTableI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var body string
-		body += fmt.Sprintf("%-16s %-11s %-14s %-14s %-13s %s\n",
-			"Workflows", "Task graphs", "Distinct tasks", "Distinct files", "I/O operation", "Communications")
-		for _, name := range workloads.Names() {
-			arts := runsParallel(b, name, runsFor(name))
-			var graphs, tasks, files int
-			opsLo, opsHi := int64(1<<62), int64(0)
-			comLo, comHi := int64(1<<62), int64(0)
-			for _, art := range arts {
-				graphs, _ = art.TaskGraphs()
-				tasks, _ = art.DistinctTasks()
-				files = art.DistinctFiles()
-				ops := art.TotalIOOps()
-				comms, _ := art.TotalCommunications()
-				if ops < opsLo {
-					opsLo = ops
-				}
-				if ops > opsHi {
-					opsHi = ops
-				}
-				if comms < comLo {
-					comLo = comms
-				}
-				if comms > comHi {
-					comHi = comms
-				}
-			}
-			t := workloads.TableI[name]
-			body += fmt.Sprintf("%-16s %-11d %-14d %-14d %d-%-7d %d-%d   (paper: %d-%d io, %d-%d comm, %d runs)\n",
-				name, graphs, tasks, files, opsLo, opsHi, comLo, comHi,
-				t.IOOpsLow, t.IOOpsHigh, t.CommsLow, t.CommsHigh, len(arts))
-		}
-		once("Table I — Workflow Characteristics", body)
-	}
-}
-
-// BenchmarkFigure3 regenerates Fig. 3: normalized time per phase (I/O,
-// communication, computation, total wall) with cross-run variability.
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var stats []perfrecup.PhaseStats
-		for _, name := range workloads.Names() {
-			arts := runsParallel(b, name, runsFor(name))
-			var runs []perfrecup.PhaseBreakdown
-			for _, art := range arts {
-				ph, err := perfrecup.Phases(art)
-				if err != nil {
-					b.Fatal(err)
-				}
-				runs = append(runs, ph)
-			}
-			stats = append(stats, perfrecup.AggregatePhases(runs))
-		}
-		once("Figure 3 — Relative time per phase with variability", perfrecup.RenderPhaseStats(stats))
-	}
-}
-
-// BenchmarkFigure4 regenerates Fig. 4: the ImageProcessing per-thread I/O
-// timeline (three read phases each followed by a write phase).
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		art := runWorkflow(b, "imageprocessing", uint64(i+1))
-		timeline, err := perfrecup.IOTimeline(art, 110, 1<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once("Figure 4 — Per-thread I/O of ImageProcessing over time", timeline)
-	}
-}
-
-// BenchmarkFigure5 regenerates Fig. 5: ResNet152 interworker communication
-// time versus transfer size, inter- vs intra-node.
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		art := runWorkflow(b, "resnet152", uint64(i+1))
-		buckets, err := perfrecup.CommScatter(art)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once("Figure 5 — ResNet152 communication time vs size", perfrecup.RenderCommScatter(buckets))
-	}
-}
-
-// BenchmarkFigure6 regenerates Fig. 6: the XGBOOST parallel-coordinates
-// task chart (elapsed time, category, thread, output size, duration).
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		art := runWorkflow(b, "xgboost", uint64(i+1))
-		pc, err := perfrecup.ParallelCoords(art)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once("Figure 6 — XGBOOST parallel-coordinates task view", perfrecup.RenderParallelCoords(pc, 15))
-	}
-}
-
-// BenchmarkFigure7 regenerates Fig. 7: the XGBOOST warning distribution
-// over time (unresponsive event loop + GC).
-func BenchmarkFigure7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		art := runWorkflow(b, "xgboost", uint64(i+1))
-		h, err := perfrecup.WarningHistogram(art, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		body := perfrecup.RenderWarningHistogram(h, 100)
-		loop := h[string(dask.WarnEventLoop)]
-		early := 0
-		for j, c := range loop.Counts {
-			if float64(j)*100 < 500 {
-				early += c
-			}
-		}
-		body += fmt.Sprintf("\nevent-loop warnings in first 500s: %d (paper: 297)\n", early)
-		once("Figure 7 — XGBOOST warning distribution", body)
-	}
-}
-
-// BenchmarkFigure8 regenerates Fig. 8: the provenance summary of a
-// getitem__get_categories task.
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		art := runWorkflow(b, "xgboost", uint64(i+1))
-		pc, err := perfrecup.ParallelCoords(art)
-		if err != nil {
-			b.Fatal(err)
-		}
-		key := ""
-		for r := 0; r < pc.NRows(); r++ {
-			k := pc.Col("key").Str(r)
-			if dask.KeyPrefix(dask.TaskKey(k)) == "getitem__get_categories" {
-				key = k
-				break
-			}
-		}
-		if key == "" {
-			b.Fatal("no getitem__get_categories task")
-		}
-		l, err := perfrecup.BuildLineage(art, key)
-		if err != nil {
-			b.Fatal(err)
-		}
-		body := l.Render()
-		// Also show an I/O-bearing task's lineage: a fused parquet read,
-		// whose summary includes the high-fidelity PFS records.
-		for r := 0; r < pc.NRows(); r++ {
-			k := pc.Col("key").Str(r)
-			if dask.KeyPrefix(dask.TaskKey(k)) == "read_parquet-fused-assign" {
-				rl, err := perfrecup.BuildLineage(art, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				body += "\n" + rl.Render()
-				break
-			}
-		}
-		once("Figure 8 — Task provenance summary", body)
-	}
-}
-
-// BenchmarkAblationWorkStealing measures the scheduling ablation: work
-// stealing on vs off for ImageProcessing (communication count spread and
-// wall time).
-func BenchmarkAblationWorkStealing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var body string
-		for _, stealing := range []bool{true, false} {
-			wf, _ := workloads.New("imageprocessing")
-			cfg := workloads.DefaultSession("imageprocessing", fmt.Sprintf("ip-steal-%v", stealing), uint64(i+1))
-			cfg.Dask.WorkStealing = stealing
-			art, err := core.Run(cfg, wf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			comms, _ := art.TotalCommunications()
-			body += fmt.Sprintf("work-stealing=%-5v wall=%.1fs comms=%d\n",
-				stealing, art.Meta.WallSeconds, comms)
-		}
-		once("Ablation — work stealing", body)
-	}
-}
-
-// BenchmarkAblationDXTBuffer measures the instrumentation ablation: DXT
-// buffer size vs observed I/O ops for ResNet152 (the footnote-9 effect).
-func BenchmarkAblationDXTBuffer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var body string
-		for _, buf := range []int{64, 287, 4096} {
-			wf, _ := workloads.New("resnet152")
-			cfg := workloads.DefaultSession("resnet152", fmt.Sprintf("rn-dxt-%d", buf), uint64(i+1))
-			cfg.DXTBufferSegments = buf
-			art, err := core.Run(cfg, wf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			body += fmt.Sprintf("dxt-buffer=%-6d observed-ops=%-6d actual-ops=%-6d complete=%.0f%%\n",
-				buf, art.TotalIOOps(), art.TotalPosixOps(),
-				100*float64(art.TotalIOOps())/float64(art.TotalPosixOps()))
-		}
-		once("Ablation — DXT buffer size (footnote 9)", body)
-	}
-}
-
-// BenchmarkAblationCollectionOverhead compares instrumented vs
-// uninstrumented runs (the overhead the paper leaves to future work but
-// anticipates to be negligible).
-func BenchmarkAblationCollectionOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var body string
-		for _, collect := range []bool{true, false} {
-			wf, _ := workloads.New("imageprocessing")
-			cfg := workloads.DefaultSession("imageprocessing", fmt.Sprintf("ip-col-%v", collect), uint64(i+1))
-			cfg.DisableCollection = !collect
-			art, err := core.Run(cfg, wf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			events := int64(0)
-			if art.Collector != nil {
-				events = art.Collector.TotalEvents()
-			}
-			body += fmt.Sprintf("collection=%-5v wall=%.2fs events=%d\n",
-				collect, art.Meta.WallSeconds, events)
-		}
-		once("Ablation — collection on/off", body)
-	}
-}
-
-// BenchmarkAblationGraphFusion measures Dask's linear-chain fusion on a
-// chain-heavy synthetic graph: task count, transfers, and wall time with
-// and without the optimizer.
-func BenchmarkAblationGraphFusion(b *testing.B) {
-	build := func() *dask.Graph {
-		g := dask.NewGraph(1)
-		for i := 0; i < 200; i++ {
-			read := dask.TaskKey(fmt.Sprintf("read_parquet-%04x", i))
-			assign := dask.TaskKey(fmt.Sprintf("assign-%04x", i))
-			sum := dask.TaskKey(fmt.Sprintf("sum-%04x", i))
-			g.Add(&dask.TaskSpec{Key: read, EstDuration: sim.Milliseconds(120), OutputSize: 64 << 20})
-			g.Add(&dask.TaskSpec{Key: assign, Deps: []dask.TaskKey{read}, EstDuration: sim.Milliseconds(80), OutputSize: 64 << 20})
-			g.Add(&dask.TaskSpec{Key: sum, Deps: []dask.TaskKey{assign}, EstDuration: sim.Milliseconds(40), OutputSize: 1 << 10})
-		}
-		return g
-	}
-	type fusionWF struct {
-		fuse bool
-		core.Workflow
-	}
-	_ = fusionWF{}
-	for i := 0; i < b.N; i++ {
-		var body string
-		for _, fuse := range []bool{false, true} {
-			g := build()
-			if fuse {
-				g = dask.FuseLinearChains(g, 3)
-			}
-			wf := &inlineWorkflow{name: "fusion-ablation", graph: g}
-			cfg := core.DefaultSessionConfig(fmt.Sprintf("fuse-%v", fuse), uint64(i+1))
-			art, err := core.Run(cfg, wf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			comms, _ := art.TotalCommunications()
-			tasks, _ := art.DistinctTasks()
-			body += fmt.Sprintf("fusion=%-5v tasks=%-4d wall=%.1fs comms=%d provenance-events=%d\n",
-				fuse, tasks, art.Meta.WallSeconds, comms, art.Collector.TotalEvents())
-		}
-		once("Ablation — linear-chain fusion", body)
-	}
-}
-
-// BenchmarkAblationPFSInterference measures the storage ablation: cross-
-// application PFS interference load vs ImageProcessing I/O time — the
-// variability source the paper attributes to shared storage (§III-C, citing
-// CALCioM).
-func BenchmarkAblationPFSInterference(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var body string
-		for _, load := range []float64{0, 0.15, 0.5} {
-			wf, _ := workloads.New("imageprocessing")
-			cfg := workloads.DefaultSession("imageprocessing", fmt.Sprintf("ip-noise-%.2f", load), uint64(i+1))
-			cfg.PFS.InterferenceLoad = load
-			art, err := core.Run(cfg, wf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ph, err := perfrecup.Phases(art)
-			if err != nil {
-				b.Fatal(err)
-			}
-			body += fmt.Sprintf("interference=%.2f io-time=%.1fs wall=%.1fs\n",
-				load, ph.IOSeconds, art.Meta.WallSeconds)
-		}
-		once("Ablation — PFS interference load", body)
-	}
-}
 
 // BenchmarkMofkaProducer measures raw event-streaming throughput by batch
 // size (the producer overhead knob the collector exposes).
@@ -522,18 +134,6 @@ func BenchmarkWALReplay(b *testing.B) {
 		_ = rb.Close()
 	}
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// inlineWorkflow adapts a pre-built graph to the core.Workflow interface.
-type inlineWorkflow struct {
-	name  string
-	graph *dask.Graph
-}
-
-func (w *inlineWorkflow) Name() string        { return w.name }
-func (w *inlineWorkflow) Stage(env *core.Env) {}
-func (w *inlineWorkflow) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
-	cl.SubmitAndWait(p, w.graph)
 }
 
 // BenchmarkLiveAggregation measures the live monitor's streaming-ingest

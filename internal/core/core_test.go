@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -229,8 +230,33 @@ func TestCollectorCounts(t *testing.T) {
 	if art.Collector.EventCount(provenance.TopicExecutions) != 6 {
 		t.Fatalf("execution events = %d", art.Collector.EventCount(provenance.TopicExecutions))
 	}
-	if art.Collector.TotalEvents() < 20 {
-		t.Fatalf("total events = %d", art.Collector.TotalEvents())
+	var total int64
+	for _, topic := range provenance.AllTopics() {
+		total += art.Collector.EventCount(topic)
+	}
+	if total < 20 {
+		t.Fatalf("total events = %d", total)
+	}
+}
+
+// TestRunLeavesNoParkedProcess: a successful Run closes its kernel, so the
+// goroutines of the simulated processes exit and nothing but the returned
+// artifacts holds the run, whose records stay readable.
+func TestRunLeavesNoParkedProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
+	art, err := Run(testSession(5), &toyWorkflow{files: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before Run, %d after", before, after)
+	}
+	if execs, err := art.Records().Executions(); err != nil || len(execs) != 6 {
+		t.Fatalf("after Run: %d executions, %v", len(execs), err)
 	}
 }
 

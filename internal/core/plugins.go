@@ -160,15 +160,6 @@ func (c *Collector) waitShipped() {
 // EventCount reports how many events were pushed to a topic.
 func (c *Collector) EventCount(topic string) int64 { return c.events[topic] }
 
-// TotalEvents reports the number of events pushed across all topics.
-func (c *Collector) TotalEvents() int64 {
-	var n int64
-	for _, v := range c.events {
-		n += v
-	}
-	return n
-}
-
 // SchedulerPlugin returns the dask.SchedulerPlugin that streams scheduler
 // events into Mofka.
 func (c *Collector) SchedulerPlugin() dask.SchedulerPlugin { return &schedPlugin{c} }

@@ -833,8 +833,11 @@ func (s *Session) Close() error {
 // Run executes the workflow under full instrumentation and returns the run's
 // artifacts. On error — including a chaos coordinator kill — the session is
 // closed (releasing durable WAL handles so a resume can reopen the data dir
-// in the same process); on success it is left open so the returned
-// artifacts' broker remains fully usable.
+// in the same process); on success only its kernel is, unwinding the
+// simulated processes still parked on it, so a caller that drops the
+// artifacts drops the whole run (taskprov run -runs N holds one at a time).
+// The rest is left open, so the returned artifacts' broker remains fully
+// usable.
 func Run(cfg SessionConfig, wf Workflow) (*RunArtifacts, error) {
 	s, err := NewSession(cfg, wf, nil)
 	if err != nil {
@@ -844,6 +847,7 @@ func Run(cfg SessionConfig, wf Workflow) (*RunArtifacts, error) {
 	if err != nil {
 		return nil, errors.Join(err, s.Close())
 	}
+	s.env.Kernel.Close()
 	return art, nil
 }
 

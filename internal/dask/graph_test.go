@@ -92,94 +92,6 @@ func TestLeaves(t *testing.T) {
 	}
 }
 
-func TestFuseLinearChains(t *testing.T) {
-	g := NewGraph(1)
-	ran := []string{}
-	g.Add(&TaskSpec{Key: "read_parquet-ab12", OutputSize: 10,
-		Run: func(ctx *TaskContext) { ran = append(ran, "read") }})
-	g.Add(&TaskSpec{Key: "assign-cd34", Deps: []TaskKey{"read_parquet-ab12"}, OutputSize: 200,
-		Run: func(ctx *TaskContext) { ran = append(ran, "assign") }})
-	g.Add(&TaskSpec{Key: "sum-ef56", Deps: []TaskKey{"assign-cd34"}})
-	g.Add(&TaskSpec{Key: "other-99aa"})
-
-	f := FuseLinearChains(g, 2)
-	if f.Len() != 3 {
-		t.Fatalf("fused graph has %d tasks, want 3: %v", f.Len(), f.Keys())
-	}
-	var fusedKey TaskKey
-	for _, k := range f.Keys() {
-		if strings.Contains(string(k), "fused") {
-			fusedKey = k
-		}
-	}
-	if fusedKey == "" {
-		t.Fatalf("no fused task in %v", f.Keys())
-	}
-	if KeyPrefix(fusedKey) != "read_parquet-fused-assign" {
-		t.Fatalf("fused prefix = %q (key %q)", KeyPrefix(fusedKey), fusedKey)
-	}
-	ft, _ := f.Task(fusedKey)
-	if ft.OutputSize != 200 {
-		t.Fatalf("fused output size = %d, want tail's 200", ft.OutputSize)
-	}
-	// sum must now depend on the fused task.
-	st, ok := f.Task("sum-ef56")
-	if !ok || len(st.Deps) != 1 || st.Deps[0] != fusedKey {
-		t.Fatalf("sum deps = %+v", st)
-	}
-	// The fused body runs both bodies in order.
-	ft.Run(nil)
-	if len(ran) != 2 || ran[0] != "read" || ran[1] != "assign" {
-		t.Fatalf("fused body ran %v", ran)
-	}
-}
-
-func TestFuseRespectsMaxChain(t *testing.T) {
-	g := NewGraph(1)
-	g.Add(&TaskSpec{Key: "a-01"})
-	g.Add(&TaskSpec{Key: "b-02", Deps: []TaskKey{"a-01"}})
-	g.Add(&TaskSpec{Key: "c-03", Deps: []TaskKey{"b-02"}})
-	g.Add(&TaskSpec{Key: "d-04", Deps: []TaskKey{"c-03"}})
-	if f := FuseLinearChains(g, 1); f.Len() != 4 {
-		t.Fatalf("maxChain=1 changed the graph: %d", f.Len())
-	}
-	f := FuseLinearChains(g, 4)
-	if f.Len() != 1 {
-		t.Fatalf("maxChain=4 left %d tasks: %v", f.Len(), f.Keys())
-	}
-	f2 := FuseLinearChains(g, 2)
-	if f2.Len() != 2 {
-		t.Fatalf("maxChain=2 left %d tasks: %v", f2.Len(), f2.Keys())
-	}
-}
-
-func TestFuseKeepsBranchesIntact(t *testing.T) {
-	g := NewGraph(1)
-	g.Add(&TaskSpec{Key: "src-01"})
-	g.Add(&TaskSpec{Key: "l-02", Deps: []TaskKey{"src-01"}})
-	g.Add(&TaskSpec{Key: "r-03", Deps: []TaskKey{"src-01"}})
-	f := FuseLinearChains(g, 4)
-	// src has two dependents: nothing can fuse.
-	if f.Len() != 3 {
-		t.Fatalf("branching graph fused to %d tasks", f.Len())
-	}
-}
-
-func TestFusePreservesEstimates(t *testing.T) {
-	g := NewGraph(1)
-	g.Add(&TaskSpec{Key: "a-01", EstDuration: sim.Seconds(1)})
-	g.Add(&TaskSpec{Key: "b-02", Deps: []TaskKey{"a-01"}, EstDuration: sim.Seconds(2), BlocksEventLoop: true})
-	f := FuseLinearChains(g, 2)
-	k := f.Keys()[0]
-	ft, _ := f.Task(k)
-	if ft.EstDuration != sim.Seconds(3) {
-		t.Fatalf("fused estimate = %v", ft.EstDuration)
-	}
-	if !ft.BlocksEventLoop {
-		t.Fatal("fused task lost BlocksEventLoop")
-	}
-}
-
 // finalizeTables builds what Kahn's algorithm needs whatever its frontier is:
 // in-degrees and dependents over the internal edges, and room for the order.
 func finalizeTables(g *Graph) (indeg map[TaskKey]int, dependents map[TaskKey][]TaskKey, order []TaskKey) {

@@ -111,7 +111,7 @@ func TestExtractAllocationBudget(t *testing.T) {
 	}
 	const bytesBudget, mallocsBudget = 153, 0.46
 	art := seededRun(t, "xgboost")
-	events := float64(art.Collector.TotalEvents())
+	events := float64(collected(art))
 	// The memoized run's records may still be warm (Execute extracted once),
 	// so measure a cold extract through records of its own.
 	in := art.WhatIfInput()

@@ -117,9 +117,9 @@ func Names() []string { return []string{"imageprocessing", "resnet152", "xgboost
 // named workflow: the Polaris-like platform (2 worker nodes, 4 workers per
 // node, 8 threads per worker), Lustre-like storage, and the workflow's
 // instrumentation settings. ResNet152 keeps the default-sized DXT trace
-// buffer that the paper's runs overflowed (footnote 9): 273 segments per
-// worker process reproduces the observed 2057–2302 op under-count against
-// ~5700 actual operations.
+// buffer that the paper's runs overflowed (footnote 9): 287 segments per
+// worker process reproduces the observed 2057–2302 op under-count (2296 of
+// 5615 actual operations).
 func DefaultSession(name, jobID string, seed uint64) core.SessionConfig {
 	cfg := core.DefaultSessionConfig(jobID, seed)
 	if name == "resnet152" {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"taskprov/internal/core"
-	"taskprov/internal/dask"
 )
 
 func runOnce(t *testing.T, name string, seed uint64) *core.RunArtifacts {
@@ -21,50 +20,45 @@ func runOnce(t *testing.T, name string, seed uint64) *core.RunArtifacts {
 	return art
 }
 
-func checkTableI(t *testing.T, name string, art *core.RunArtifacts) {
+// checkTableI asserts one run's Table I row: the structural counts exactly,
+// I/O operations inside the paper's range, communications within 2× of it
+// (they depend on emergent scheduling).
+func checkTableI(t *testing.T, name string, seed int, r *studyRun) {
 	t.Helper()
 	want := TableI[name]
-	graphs, err := art.TaskGraphs()
-	if err != nil || graphs != want.TaskGraphs {
-		t.Errorf("%s: task graphs = %d, want %d (%v)", name, graphs, want.TaskGraphs, err)
+	if r.graphs != want.TaskGraphs {
+		t.Errorf("%s seed %d: task graphs = %d, want %d", name, seed, r.graphs, want.TaskGraphs)
 	}
-	tasks, err := art.DistinctTasks()
-	if err != nil || tasks != want.DistinctTasks {
-		t.Errorf("%s: distinct tasks = %d, want %d (%v)", name, tasks, want.DistinctTasks, err)
+	if r.tasks != want.DistinctTasks {
+		t.Errorf("%s seed %d: distinct tasks = %d, want %d", name, seed, r.tasks, want.DistinctTasks)
 	}
-	if files := art.DistinctFiles(); files != want.DistinctFiles {
-		t.Errorf("%s: distinct files = %d, want %d", name, files, want.DistinctFiles)
+	if r.files != want.DistinctFiles {
+		t.Errorf("%s seed %d: distinct files = %d, want %d", name, seed, r.files, want.DistinctFiles)
 	}
-	if ops := art.TotalIOOps(); ops < want.IOOpsLow || ops > want.IOOpsHigh {
-		t.Errorf("%s: io ops = %d, want in [%d, %d]", name, ops, want.IOOpsLow, want.IOOpsHigh)
+	if r.ioOps < want.IOOpsLow || r.ioOps > want.IOOpsHigh {
+		t.Errorf("%s seed %d: io ops = %d, want in [%d, %d]", name, seed, r.ioOps, want.IOOpsLow, want.IOOpsHigh)
 	}
-	// Communications depend on emergent scheduling; allow a generous band
-	// around the published range (same order, same ranking across
-	// workflows is asserted separately).
-	comms, err := art.TotalCommunications()
-	if err != nil {
-		t.Fatal(err)
+	if lo, hi := want.CommsLow/2, want.CommsHigh*2; r.comms < lo || r.comms > hi {
+		t.Errorf("%s seed %d: communications = %d, want within [%d, %d] (paper: %d-%d)",
+			name, seed, r.comms, lo, hi, want.CommsLow, want.CommsHigh)
 	}
-	lo := want.CommsLow / 2
-	hi := want.CommsHigh * 2
-	if comms < lo || comms > hi {
-		t.Errorf("%s: communications = %d, want within [%d, %d] (paper: %d-%d)",
-			name, comms, lo, hi, want.CommsLow, want.CommsHigh)
-	}
-	t.Logf("%s: graphs=%d tasks=%d files=%d ops=%d comms=%d wall=%.1fs",
-		name, graphs, tasks, art.DistinctFiles(), art.TotalIOOps(), comms, art.Meta.WallSeconds)
+	t.Logf("%s seed %d: graphs=%d tasks=%d files=%d ops=%d comms=%d wall=%.1fs",
+		name, seed, r.graphs, r.tasks, r.files, r.ioOps, r.comms, r.wall)
 }
+
+// The per-workflow tests below read seed 1 from the study TestPaperClaims
+// shares, so they cost no run of their own.
 
 func TestImageProcessingTableI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
 	}
-	art := runOnce(t, "imageprocessing", 1)
-	checkTableI(t, "imageprocessing", art)
+	r := studyOf(t, "imageprocessing")[0]
+	checkTableI(t, "imageprocessing", 1, r)
 	// Wall time "around one hundred seconds" (paper §IV-C): accept a wide
 	// band, it is a simulator.
-	if w := art.Meta.WallSeconds; w < 30 || w > 300 {
-		t.Errorf("imageprocessing wall = %.1fs, want O(100s)", w)
+	if r.wall < 30 || r.wall > 300 {
+		t.Errorf("imageprocessing wall = %.1fs, want O(100s)", r.wall)
 	}
 }
 
@@ -72,21 +66,14 @@ func TestResNet152TableI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
 	}
-	art := runOnce(t, "resnet152", 1)
-	checkTableI(t, "resnet152", art)
+	r := studyOf(t, "resnet152")[0]
+	checkTableI(t, "resnet152", 1, r)
 	// The DXT truncation must actually have happened: the POSIX-counter op
-	// count exceeds the DXT-observed one and the logs are flagged partial.
-	if art.TotalPosixOps() <= art.TotalIOOps() {
-		t.Errorf("resnet152: posix ops %d <= dxt ops %d; truncation missing",
-			art.TotalPosixOps(), art.TotalIOOps())
+	// count exceeds the DXT-observed one and a log is flagged partial.
+	if r.posixOps <= r.ioOps {
+		t.Errorf("resnet152: posix ops %d <= dxt ops %d; truncation missing", r.posixOps, r.ioOps)
 	}
-	partial := false
-	for _, l := range art.DarshanLogs {
-		if l.Job.Partial && l.Job.DXTDropped > 0 {
-			partial = true
-		}
-	}
-	if !partial {
+	if !r.dxtDropped {
 		t.Error("resnet152: no darshan log flagged partial")
 	}
 }
@@ -95,54 +82,36 @@ func TestXGBoostTableI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
 	}
-	art := runOnce(t, "xgboost", 1)
-	checkTableI(t, "xgboost", art)
-
-	// Fig. 7: a burst of unresponsive-event-loop warnings early in the run,
-	// correlated with the read_parquet-fused-assign tasks.
-	warns, err := art.Records().Warnings()
-	if err != nil {
-		t.Fatal(err)
+	r := studyOf(t, "xgboost")[0]
+	checkTableI(t, "xgboost", 1, r)
+	// Fig. 7: a burst of unresponsive-event-loop warnings early in the run.
+	if r.loopWarns < 200 || r.loopWarns > 400 {
+		t.Errorf("xgboost: event-loop warnings = %d, want ~297", r.loopWarns)
 	}
-	var loopWarns int
-	var lastWarnAt float64
-	for _, w := range warns {
-		if w.Kind == dask.WarnEventLoop {
-			loopWarns++
-			if w.At.Seconds() > lastWarnAt {
-				lastWarnAt = w.At.Seconds()
-			}
-		}
+	if r.lastLoopAt > 500 {
+		t.Errorf("xgboost: event-loop warnings extend to %.0fs, want within first 500s", r.lastLoopAt)
 	}
-	if loopWarns < 200 || loopWarns > 400 {
-		t.Errorf("xgboost: event-loop warnings = %d, want ~297", loopWarns)
-	}
-	if lastWarnAt > 500 {
-		t.Errorf("xgboost: event-loop warnings extend to %.0fs, want within first 500s", lastWarnAt)
-	}
-
 	// Fig. 6: the read_parquet-fused-assign outputs exceed Dask's
 	// recommended 128 MB.
-	execs, err := art.Records().Executions()
-	if err != nil {
-		t.Fatal(err)
+	read := r.categories["read_parquet-fused-assign"]
+	if read.n == 0 {
+		t.Fatal("xgboost: no read_parquet-fused-assign executions found")
 	}
-	var readMax, readMin int64
-	for _, e := range execs {
-		if dask.KeyPrefix(e.Key) == "read_parquet-fused-assign" {
-			if readMin == 0 || e.OutputSize < readMin {
-				readMin = e.OutputSize
-			}
-			if e.OutputSize > readMax {
-				readMax = e.OutputSize
-			}
+	if read.minOut <= partitionMB {
+		t.Errorf("xgboost: smallest fused-read output = %d, want > 128MB", read.minOut)
+	}
+}
+
+func TestTableIStableAcrossSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run study")
+	}
+	// The structural metrics must be seed-invariant; the emergent ones must
+	// stay within their (generous) bands across every seed of the study.
+	for _, name := range Names() {
+		for i, r := range studyOf(t, name) {
+			checkTableI(t, name, i+1, r)
 		}
-	}
-	if readMin <= 128<<20 {
-		t.Errorf("xgboost: smallest fused-read output = %d, want > 128MB", readMin)
-	}
-	if readMax == 0 {
-		t.Error("xgboost: no read_parquet-fused-assign executions found")
 	}
 }
 
@@ -257,34 +226,5 @@ func TestPseudoHashStability(t *testing.T) {
 	}
 	if got := tupleKey("getitem", "abc123", 63); got != "('getitem-abc123', 63)" {
 		t.Fatalf("tupleKey = %q", got)
-	}
-}
-
-func TestTableIStableAcrossSeeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run study")
-	}
-	// The structural metrics must be seed-invariant; the emergent ones must
-	// stay within their (generous) bands across several seeds.
-	for seed := uint64(2); seed <= 4; seed++ {
-		for _, name := range []string{"imageprocessing", "xgboost"} {
-			art := runOnce(t, name, seed)
-			want := TableI[name]
-			tasks, _ := art.DistinctTasks()
-			if tasks != want.DistinctTasks {
-				t.Errorf("%s seed %d: tasks = %d", name, seed, tasks)
-			}
-			if f := art.DistinctFiles(); f != want.DistinctFiles {
-				t.Errorf("%s seed %d: files = %d", name, seed, f)
-			}
-			if ops := art.TotalIOOps(); ops < want.IOOpsLow || ops > want.IOOpsHigh {
-				t.Errorf("%s seed %d: ops = %d not in [%d,%d]", name, seed, ops, want.IOOpsLow, want.IOOpsHigh)
-			}
-			comms, _ := art.TotalCommunications()
-			if comms < want.CommsLow/2 || comms > want.CommsHigh*2 {
-				t.Errorf("%s seed %d: comms = %d not within 2x of [%d,%d]",
-					name, seed, comms, want.CommsLow, want.CommsHigh)
-			}
-		}
 	}
 }

@@ -12,8 +12,9 @@ import (
 // XGBoost reproduces the paper's regression-training workflow over the NYC
 // TLC High Volume For-Hire Vehicle trip records (2019–2024, 61 parquet
 // files, ~20 GiB): 72 monthly preparation graphs (whose read tasks carry the
-// fused "read_parquet-fused-assign" prefix produced by Dask's graph
-// optimization, with >128 MB partition outputs — Fig. 6), one distributed
+// "read_parquet-fused-assign" prefix Dask's graph optimization gives a read
+// fused with its consumer — the generator names the fused category itself —
+// with >128 MB partition outputs, Fig. 6), one distributed
 // training graph (one pinned trainer per worker, as xgboost.dask does), and
 // one prediction graph — Table I's 74 graphs and 10348 tasks.
 //

@@ -52,7 +52,6 @@ func TestMapRangeOrder(t *testing.T) {
 // reason.
 var orderFree = map[string]string{
 	"internal/dask/graph.go:Graph.Finalize":         "the Kahn frontier is a min-heap of keys: in whatever order dependents are listed and ready keys pushed, the smallest ready key pops next, so the order is a function of the graph",
-	"internal/dask/optimize.go:FuseLinearChains":    "the chain test only reads whether a dependents list has length 1, and a list of one has one order",
 	"internal/perfrecup/window.go:CompareSchedules": "the start times go in as pairs, and Spearman's rho over ranks that are multiples of 1/2 takes only exact sums, so the pairs' order cannot change a bit of it",
 	"bench/e2e/reference.go:diffStats":              "the order shows only in the text of a failed reference check, which fails either way; bench/e2e changes only with the benchmark itself",
 }
