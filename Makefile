@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test tier1 race paper bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate verify
+.PHONY: build vet reach lint test tier1 race paper bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate verify
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,15 @@ vet:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) test -count=1 -run 'TestNoUnusedExports|TestEveryKnobIsSet|TestEveryKnobIsRecorded|TestMapRangeOrder' .
+
+# The reach census (tools/reach/run.sh): every cmd/*, examples/* and bench/e2e
+# program built with statement coverage of every taskprov package, driven
+# through a fixed list of invocations. Fails on a function under internal/
+# that none of them runs unless REACH.txt lists it with a reason from the
+# closed set (and on a listed one that runs now or is gone, or a package no
+# program links); prints its wall time. It writes under .reach_build/.
+reach:
+	bash tools/reach/run.sh
 
 # Static analysis beyond vet; staticcheck runs when the binary is on PATH
 # (CI installs it, bare dev machines skip cleanly rather than failing).
@@ -297,4 +306,4 @@ bench-e2e-smoke:
 		$(GO) run -C bench/e2e . -workload $$w -smoke || exit 1; done
 
 # Everything CI runs.
-verify: tier1 lint race chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate
+verify: tier1 lint reach race chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate

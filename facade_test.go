@@ -5,29 +5,35 @@ import (
 	"strings"
 	"testing"
 
-	"taskprov"
+	"taskprov/internal/core"
+	"taskprov/internal/live"
+	"taskprov/internal/perfrecup"
+	"taskprov/internal/workloads"
 )
 
-// TestFacadeEndToEnd exercises the public API exactly as the README's
-// quickstart describes: run a paper workflow, persist, reload, analyze.
+// TestFacadeEndToEnd runs the whole chain a custom program inside the module
+// drives, the way examples/quickstart does: a live-monitored paper workflow,
+// live ≡ replay, persist, reload, then every post-mortem view over the
+// reloaded run. No other test runs, persists, reloads and analyzes in one
+// sequence.
 func TestFacadeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
 	}
-	wf, err := taskprov.NewWorkflow("imageprocessing")
+	wf, err := workloads.New("imageprocessing")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := taskprov.DefaultSession("imageprocessing", "facade-001", 13)
+	cfg := workloads.DefaultSession("imageprocessing", "facade-001", 13)
 	cfg.LiveMonitor = true
-	art, err := taskprov.Run(cfg, wf)
+	art, err := core.Run(cfg, wf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if art.Live == nil {
 		t.Fatal("LiveMonitor enabled but art.Live is nil")
 	}
-	ref, err := taskprov.LiveReplay(art)
+	ref, err := perfrecup.LiveReplay(art, live.AggregatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,60 +45,58 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err := art.WriteDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := taskprov.LoadRun(dir)
+	loaded, err := core.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ph, err := taskprov.Phases(loaded)
+	ph, err := perfrecup.Phases(loaded)
 	if err != nil || ph.TotalSeconds <= 0 {
 		t.Fatalf("phases = %+v, %v", ph, err)
 	}
-	stats := taskprov.AggregatePhases([]taskprov.PhaseBreakdown{ph})
+	stats := perfrecup.AggregatePhases([]perfrecup.PhaseBreakdown{ph})
 	if stats.Runs != 1 || stats.NormTotal != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 
-	timeline, err := taskprov.IOTimeline(loaded, 60, 1<<20)
+	timeline, err := perfrecup.IOTimeline(loaded, 60, 1<<20)
 	if err != nil || !strings.Contains(timeline, "tid") {
 		t.Fatalf("timeline: %v", err)
 	}
-	buckets, err := taskprov.CommScatter(loaded)
+	buckets, err := perfrecup.CommScatter(loaded)
 	if err != nil || len(buckets) == 0 {
 		t.Fatalf("comm scatter: %v", err)
 	}
-	pc, err := taskprov.ParallelCoords(loaded)
+	pc, err := perfrecup.ParallelCoords(loaded)
 	if err != nil || pc.NRows() == 0 {
 		t.Fatalf("parallel coords: %v", err)
 	}
-	hist, err := taskprov.WarningHistogram(loaded, 10)
-	if err != nil {
+	if _, err := perfrecup.WarningHistogram(loaded, 10); err != nil {
 		t.Fatalf("warnings: %v", err)
 	}
-	_ = hist
 
 	key := pc.Col("key").Str(0)
-	lin, err := taskprov.Lineage(loaded, key)
+	lin, err := perfrecup.BuildLineage(loaded, key)
 	if err != nil || lin.Worker == "" {
 		t.Fatalf("lineage: %v", err)
 	}
-	win, err := taskprov.Window(loaded, 0, ph.TotalSeconds)
+	win, err := perfrecup.Window(loaded, 0, ph.TotalSeconds)
 	if err != nil || win.TasksActive == 0 {
 		t.Fatalf("window: %+v, %v", win, err)
 	}
-	cmp, err := taskprov.CompareSchedules(loaded, loaded)
+	cmp, err := perfrecup.CompareSchedules(loaded, loaded)
 	if err != nil || cmp.SameWorker != 1 {
 		t.Fatalf("compare: %+v, %v", cmp, err)
 	}
-	rep, err := taskprov.Correlate(loaded, 10)
+	rep, err := perfrecup.Correlate(loaded, 10)
 	if err != nil || len(rep.LongTaskPrefixes) == 0 {
 		t.Fatalf("correlate: %+v, %v", rep, err)
 	}
-	att, err := taskprov.AttributeIOToTasks(loaded)
+	att, err := perfrecup.AttributeIOToTasks(loaded)
 	if err != nil || att.NRows() == 0 {
 		t.Fatalf("attribute: %v", err)
 	}
-	if len(taskprov.WorkflowNames()) != 3 {
+	if len(workloads.Names()) != 3 {
 		t.Fatal("workflow names")
 	}
 }

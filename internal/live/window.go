@@ -89,16 +89,6 @@ func (r *windowRing) addWarning(t float64, kind string) {
 	}
 }
 
-// addWorkerIO records per-worker I/O volume at time t.
-func (r *windowRing) addWorkerIO(t float64, worker string, bytes int64) {
-	if b := r.bucket(t); b != nil {
-		if b.WorkerIOBytes == nil {
-			b.WorkerIOBytes = make(map[string]int64)
-		}
-		b.WorkerIOBytes[worker] += bytes
-	}
-}
-
 // snapshot returns copies of the populated windows, oldest first.
 func (r *windowRing) snapshot() []WindowSnapshot {
 	var out []WindowSnapshot

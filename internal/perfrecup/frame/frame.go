@@ -69,9 +69,6 @@ func Bools(name string, vals ...bool) *Series {
 	return &Series{name: name, dtype: Bool, bools: vals}
 }
 
-// Name returns the column name.
-func (s *Series) Name() string { return s.name }
-
 // Len returns the number of elements.
 func (s *Series) Len() int {
 	switch s.dtype {
@@ -142,18 +139,6 @@ func (s *Series) mustBe(d Dtype) {
 	if s.dtype != d {
 		panic(fmt.Sprintf("frame: column %q is %v, not %v", s.name, s.dtype, d))
 	}
-}
-
-// IsNumeric reports whether the column supports Float().
-func (s *Series) IsNumeric() bool { return s.dtype == Int || s.dtype == Float }
-
-// Floats64 returns the column as a float slice (numeric columns only).
-func (s *Series) Floats64() []float64 {
-	out := make([]float64, s.Len())
-	for i := range out {
-		out[i] = s.Float(i)
-	}
-	return out
 }
 
 // take builds a new series from the given row indices.

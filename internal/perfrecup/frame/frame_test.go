@@ -252,58 +252,10 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUniqueStrings(t *testing.T) {
-	f := sample()
-	u := f.UniqueStrings("worker")
-	if len(u) != 3 || u[0] != "w0" || u[2] != "w2" {
-		t.Fatalf("unique = %v", u)
-	}
-}
-
-func TestFloats64AndIsNumeric(t *testing.T) {
-	f := sample()
-	d := f.Col("duration").Floats64()
-	if len(d) != 5 || d[4] != 10.5 {
-		t.Fatalf("Floats64 = %v", d)
-	}
-	if !f.Col("thread").IsNumeric() || f.Col("worker").IsNumeric() {
-		t.Fatal("IsNumeric wrong")
-	}
-}
-
 func TestStringPreview(t *testing.T) {
 	s := sample().String()
 	if !strings.Contains(s, "Frame[5x4]") || !strings.Contains(s, "worker") {
 		t.Fatalf("String() = %q", s)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	f := MustNew(
-		Strings("name", "a", "b", "c", "d"),
-		Floats("v", 1, 2, 3, 4),
-		Ints("n", 10, 20, 30, 40),
-	)
-	stats := f.Describe()
-	if len(stats) != 2 {
-		t.Fatalf("described %d columns", len(stats))
-	}
-	v := stats[0]
-	if v.Name != "v" || v.Count != 4 || v.Mean != 2.5 || v.Min != 1 || v.Max != 4 {
-		t.Fatalf("v stats = %+v", v)
-	}
-	if v.P50 != 2.5 || v.P25 != 1.75 || v.P75 != 3.25 {
-		t.Fatalf("quantiles = %+v", v)
-	}
-	if math.Abs(v.Std-math.Sqrt(5.0/3.0)) > 1e-12 {
-		t.Fatalf("std = %v", v.Std)
-	}
-	if stats[1].Name != "n" || stats[1].Mean != 25 {
-		t.Fatalf("n stats = %+v", stats[1])
-	}
-	// Empty frame safe.
-	if got := MustNew(Floats("x")).Describe(); got[0].Count != 0 {
-		t.Fatalf("empty describe = %+v", got)
 	}
 }
 

@@ -195,66 +195,6 @@ func aggregate(col *Series, rows []int, fn AggFunc) float64 {
 	}
 }
 
-// UniqueStrings returns the distinct values of a string column, sorted.
-func (f *Frame) UniqueStrings(col string) []string {
-	c := f.Col(col)
-	set := map[string]struct{}{}
-	for i := 0; i < c.Len(); i++ {
-		set[c.Str(i)] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ColumnStats summarizes one numeric column.
-type ColumnStats struct {
-	Name               string
-	Count              int
-	Mean, Std          float64
-	Min, P25, P50, P75 float64
-	Max                float64
-}
-
-// Describe computes pandas-style summary statistics for every numeric
-// column.
-func (f *Frame) Describe() []ColumnStats {
-	var out []ColumnStats
-	for _, c := range f.cols {
-		if !c.IsNumeric() {
-			continue
-		}
-		vals := c.Floats64()
-		st := ColumnStats{Name: c.Name(), Count: len(vals)}
-		if len(vals) > 0 {
-			sorted := append([]float64(nil), vals...)
-			sort.Float64s(sorted)
-			st.Min, st.Max = sorted[0], sorted[len(sorted)-1]
-			st.P25 = quantileSorted(sorted, 0.25)
-			st.P50 = quantileSorted(sorted, 0.50)
-			st.P75 = quantileSorted(sorted, 0.75)
-			sum := 0.0
-			for _, v := range vals {
-				sum += v
-			}
-			st.Mean = sum / float64(len(vals))
-			if len(vals) > 1 {
-				ss := 0.0
-				for _, v := range vals {
-					d := v - st.Mean
-					ss += d * d
-				}
-				st.Std = math.Sqrt(ss / float64(len(vals)-1))
-			}
-		}
-		out = append(out, st)
-	}
-	return out
-}
-
 // quantileSorted interpolates the q-quantile of an ascending slice.
 func quantileSorted(s []float64, q float64) float64 {
 	if len(s) == 0 {

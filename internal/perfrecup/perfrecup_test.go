@@ -104,8 +104,12 @@ func TestExecutionsView(t *testing.T) {
 			t.Fatalf("missing column %s", col)
 		}
 	}
-	if u := f.UniqueStrings("prefix"); len(u) != 4 { // load, slow-blocker, reduce, writer
-		t.Fatalf("prefixes = %v", u)
+	prefixes := map[string]bool{}
+	for c, i := f.Col("prefix"), 0; i < c.Len(); i++ {
+		prefixes[c.Str(i)] = true
+	}
+	if len(prefixes) != 4 { // load, slow-blocker, reduce, writer
+		t.Fatalf("prefixes = %v", prefixes)
 	}
 }
 

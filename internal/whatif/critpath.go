@@ -47,7 +47,6 @@ type CritTask struct {
 // tasks and waits that determined the makespan, with a category attribution
 // that sums exactly to the makespan.
 type CritPath struct {
-	GraphID         int // -1 for the whole run
 	MakespanSeconds float64
 	Tasks           []CritTask
 	Categories      map[string]float64
@@ -80,34 +79,17 @@ func (c *CritPath) Dominant() string {
 }
 
 // CriticalPath extracts the whole-run critical path: the chain of tasks and
-// waits from run start to the last task completion.
+// waits from run start to the last task completion. It walks backward from
+// the last-finishing task, at each step choosing the latest "release": the
+// dependency whose data arrived last, the previous occupant of the same
+// worker thread, or the graph submission.
 func (m *Model) CriticalPath() *CritPath {
-	return m.criticalPath(-1)
-}
+	cp := &CritPath{Categories: map[string]float64{}}
 
-// GraphCriticalPath extracts the critical path of one task graph, from its
-// submission to its last task completion.
-func (m *Model) GraphCriticalPath(graphID int) *CritPath {
-	return m.criticalPath(graphID)
-}
-
-// criticalPath walks backward from the last-finishing task, at each step
-// choosing the latest "release": the dependency whose data arrived last, the
-// previous occupant of the same worker thread, or the graph submission.
-// Restricting to graphID >= 0 scopes the walk to one graph.
-func (m *Model) criticalPath(graphID int) *CritPath {
-	cp := &CritPath{GraphID: graphID, Categories: map[string]float64{}}
-	inScope := func(i int) bool {
-		return graphID < 0 || m.Tasks[i].GraphID == graphID
-	}
-
-	// Terminal: last Stop in scope (ties: lexicographically smallest key,
-	// for determinism across event orderings).
+	// Terminal: last Stop (ties: lexicographically smallest key, for
+	// determinism across event orderings).
 	last := -1
 	for i := range m.Tasks {
-		if !inScope(i) {
-			continue
-		}
 		if last < 0 || m.Tasks[i].Stop > m.Tasks[last].Stop ||
 			(m.Tasks[i].Stop == m.Tasks[last].Stop && m.Tasks[i].Key < m.Tasks[last].Key) {
 			last = i
@@ -118,11 +100,6 @@ func (m *Model) criticalPath(graphID int) *CritPath {
 	}
 
 	base := m.StartSeconds
-	if graphID >= 0 {
-		if gi := m.graphIndex(graphID); gi >= 0 {
-			base = m.Graphs[gi].SubmitAt
-		}
-	}
 	cp.MakespanSeconds = m.Tasks[last].Stop - base
 
 	// Index the previous occupant of each (worker, thread): tasks sorted by
@@ -155,7 +132,7 @@ func (m *Model) criticalPath(graphID int) *CritPath {
 		})
 		for p := pos - 1; p >= 0; p-- {
 			j := l.tasks[p]
-			if m.Tasks[j].Stop <= m.Tasks[i].Start && inScope(j) {
+			if m.Tasks[j].Stop <= m.Tasks[i].Start {
 				return j
 			}
 		}
@@ -212,19 +189,14 @@ func (m *Model) criticalPath(graphID int) *CritPath {
 		relTime := base
 		relPred := -1
 		relReason := "start"
-		if graphID < 0 {
-			if gi := m.graphIndex(t.GraphID); gi >= 0 {
-				if s := m.Graphs[gi].SubmitAt; s > relTime {
-					relTime, relReason = s, "submit"
-					relPred = submitPred(t.GraphID)
-				}
+		if gi := m.graphIndex(t.GraphID); gi >= 0 {
+			if s := m.Graphs[gi].SubmitAt; s > relTime {
+				relTime, relReason = s, "submit"
+				relPred = submitPred(t.GraphID)
 			}
 		}
 		var relTransfer float64
 		for _, d := range t.Deps {
-			if !inScope(d) {
-				continue
-			}
 			dep := &m.Tasks[d]
 			arr := dep.Stop
 			var tp float64

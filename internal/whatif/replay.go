@@ -31,15 +31,6 @@ type Scenario struct {
 	StealEnabled *bool
 }
 
-// IsBaseline reports whether the scenario leaves the measured configuration
-// unchanged — the self-replay case.
-func (s Scenario) IsBaseline() bool {
-	return s.Workers == 0 && s.ThreadsPerWorker == 0 &&
-		(s.NetBandwidthScale == 0 || s.NetBandwidthScale == 1) &&
-		(s.PFSScale == 0 || s.PFSScale == 1) &&
-		s.ProxyThresholdBytes == 0 && s.StealEnabled == nil
-}
-
 // String renders the scenario in ParseScenario's syntax.
 func (s Scenario) String() string {
 	var parts []string

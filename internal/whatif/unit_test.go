@@ -59,14 +59,14 @@ func TestScenarioRoundTrip(t *testing.T) {
 	if back.String() != s.String() {
 		t.Fatalf("round trip %q != %q", back.String(), s.String())
 	}
-	if !(Scenario{}).IsBaseline() {
-		t.Error("zero scenario not baseline")
-	}
-	if s.IsBaseline() {
-		t.Error("perturbed scenario claims baseline")
-	}
 	if (Scenario{}).String() != "baseline" {
 		t.Errorf("baseline renders as %q", (Scenario{}).String())
+	}
+	if got := (Scenario{NetBandwidthScale: 1, PFSScale: 1}).String(); got != "baseline" {
+		t.Errorf("unit scales leave the configuration unchanged, yet render as %q", got)
+	}
+	if s.String() == "baseline" {
+		t.Error("perturbed scenario renders as baseline")
 	}
 }
 
@@ -209,10 +209,10 @@ func TestSyntheticCriticalPathAndSlack(t *testing.T) {
 	if zero < 10 {
 		t.Errorf("only %d zero-slack tasks, want >= 10", zero)
 	}
-	// Per-graph view covers the same span here (single graph).
-	gcp := m.GraphCriticalPath(1)
-	if math.Abs(gcp.MakespanSeconds-cp.MakespanSeconds) > 1e-9 {
-		t.Errorf("graph cp %g != run cp %g", gcp.MakespanSeconds, cp.MakespanSeconds)
+	// The one graph spans the whole path: its submission-to-done span is the
+	// run's critical-path makespan.
+	if g := m.Graphs[0]; math.Abs(g.DoneAt-g.SubmitAt-cp.MakespanSeconds) > 1e-9 {
+		t.Errorf("graph span %g != run cp %g", g.DoneAt-g.SubmitAt, cp.MakespanSeconds)
 	}
 }
 

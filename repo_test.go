@@ -303,6 +303,9 @@ func (r *repo) checkDir(dir string) {
 		r.check(path+"_test", fs.external)
 		r.imported[path] = plain
 	}
+	if plain == nil {
+		delete(r.imported, path) // a directory with no package, like the root
+	}
 }
 
 // funcRanges maps each function's name position to its declaration's extent.

@@ -14,13 +14,10 @@ import (
 // must be reached by a program:
 //
 //   - named, outside its own declaration, from a non-test Go file of the repo
-//     (production code of any package, cmd/*, examples/*, taskprov.go,
-//     bench/e2e), or
+//     (production code of any package, cmd/*, examples/*, bench/e2e), or
 //   - named from a Benchmark* function that DESIGN.md §4 (the experiment
 //     index) or EXPERIMENTS.md cites as how a figure or ablation is
 //     reproduced, or
-//   - a method or field of a type the root facade aliases (importers of
-//     package taskprov reach those), or
 //   - a method its type needs to satisfy an interface (called through it).
 //
 // A test is not a caller: what only tests name is deleted with those tests,
@@ -30,7 +27,6 @@ import (
 func TestNoUnusedExports(t *testing.T) {
 	r := loadRepo(t)
 	ifaces, carriers := r.interfaces(), r.carriers()
-	facade := r.facadeTypes()
 	declared := map[string]bool{}
 	var unused []string
 	for _, dir := range r.dirs {
@@ -44,7 +40,7 @@ func TestNoUnusedExports(t *testing.T) {
 		for _, e := range exportedObjects(pkg) {
 			name := filepath.ToSlash(dir) + "." + e.name
 			declared[name] = true
-			reached := r.reached[e.obj.Pos()] || facade[e.owner]
+			reached := r.reached[e.obj.Pos()]
 			if fn, ok := e.obj.(*types.Func); ok && !reached {
 				reached = satisfiesSomeInterface(fn, ifaces, carriers)
 			}
@@ -72,11 +68,12 @@ func TestNoUnusedExports(t *testing.T) {
 }
 
 // programless is the allowlist: exports no program reaches that stay anyway,
-// each with the reason. Four kinds belong here and nothing else — plain
+// each with the reason. Five kinds belong here and nothing else — plain
 // accessors that tests of surviving behaviour observe through from another
 // package (an in-package observer lives in that package's export_test.go
-// instead), the in-process fake transport, the paper's §VI online I/O tracer,
-// and the one constant that is vocabulary of a facade method.
+// instead), the reference replay those tests hold the live monitor to, the
+// in-process fake transport, the paper's §VI online I/O tracer, and the one
+// constant that is vocabulary of a method programs call.
 var programless = map[string]string{
 	// Accessors read by tests of behaviour that stays.
 	"internal/dask.Client.GraphError":         "accessor: how the dask, core and workloads suites see that a graph erred, or that a recovery path did not make one err",
@@ -84,7 +81,8 @@ var programless = map[string]string{
 	"internal/mochi/warabi.Target.Stats":      "accessor: the mofka and proxystore suites check through it that a refused batch or a drained blob leaves no region behind",
 	"internal/mofka/wal.Log.NextOffset":       "accessor: the mofka envelope suite compares a partition's length with its log's next offset; the wal suites read it throughout",
 	"internal/proxystore.Store.Keys":          "accessor: the dask attempt suite lists the live blobs to check the store drains to the no-fault baseline",
-	"internal/perfrecup/frame.Inner":          "facade vocabulary: the zero value of Frame.Join's kind argument, and Frame is aliased by the root package; no program inner-joins",
+	"internal/perfrecup.LiveReplay":           "reference: the post-mortem side of live ≡ replay that internal/live's crosscheck (TestLiveEqualsArtifactReplay, TestLiveEqualsWALReplay) and internal/workloads' TestPhasesMatchFullReplay compare against",
+	"internal/perfrecup/frame.Inner":          "vocabulary: the zero value of Frame.Join's kind argument, which the frame join tests and BenchmarkHashJoin name; the programs only left-join",
 	"internal/mochi/mercury.NewRegistry":      "fake transport: the in-process address space every RPC-level suite (service conformance, wire golden, live tailer, bedrock) runs over",
 	"internal/mochi/mercury.Registry.Bind":    "fake transport: a Caller onto one address of the in-process Registry",
 	"internal/core.NewOnlineIOTracer":         "paper §VI: fully-online I/O capture, a library mode no SessionConfig reaches yet (ROADMAP)",
@@ -130,27 +128,6 @@ func exportedObjects(pkg *types.Package) []export {
 					out = append(out, export{name + "." + f.Name(), f, tn})
 				}
 			}
-		}
-	}
-	return out
-}
-
-// facadeTypes are the internal types the root package re-exports by alias:
-// their methods and fields are the module's public API.
-func (r *repo) facadeTypes() map[*types.TypeName]bool {
-	out := map[*types.TypeName]bool{}
-	scope := r.imported["taskprov"].Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || !tn.IsAlias() {
-			continue
-		}
-		target := types.Unalias(tn.Type())
-		if p, ok := target.(*types.Pointer); ok {
-			target = p.Elem()
-		}
-		if named, ok := target.(*types.Named); ok {
-			out[named.Obj()] = true
 		}
 	}
 	return out
