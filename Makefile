@@ -155,24 +155,28 @@ readpath:
 # eight concurrent pushers on one durable partition, one seeded session
 # storing the same bytes under every fsync policy (standalone and clustered,
 # healthy and with a faulty log), no goroutine left behind by a crashed
-# durable session, the frontier checkpoint in json.Marshal's exact bytes, the
-# WAL recovery corpus, the cluster's read view (shared from local leaders,
-# pulled from a remote one, apart from the cluster once taken, through a
-# restart's truncation too), a partition sharing another's events, and the
-# paged document store against a plain slice. The allocation pins of the lean
-# writer, of a durable partition's append, of a rewritten checkpoint, of the
-# read view and of the paged store run without -race, which allocates on its
-# own. Then one iteration of the durable quorum-append benchmark, so it cannot
-# go uncompiled.
+# durable session, the frontier checkpoint in json.Marshal's exact bytes (a
+# session's, and after every step of a seeded random sequence of puts,
+# re-executions, graph moves and blob changes), what the checkpoint adds to a
+# reconstruction when unflushed batches died, the WAL recovery corpus, the
+# cluster's read view (shared from local leaders, pulled from a remote one,
+# apart from the cluster once taken, through a restart's truncation too), a
+# partition sharing another's events, and the paged document store against a
+# plain slice. The allocation pins of the lean writer, of a durable
+# partition's append, of a rewritten checkpoint (and its count of members
+# encoded: only the tasks put since the last write), of the read view and of
+# the paged store run without -race, which allocates on its own. Then one
+# iteration of the durable quorum-append benchmark, so it cannot go
+# uncompiled.
 durable:
 	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestWaitShippedSealsNothing|TestFailedFsyncPoisonsLog|TestQuorumAckIsPipelined|TestKillSettlesInFlightQuorum|TestFailedFollowerFsyncFailsQuorum|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -race -count=1 -run 'TestSyncPolicyLeavesSameBytes|TestCrashedSessionsLeaveNoGoroutines' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestCheckpointEncodingMatchesJSON|FuzzSidecars' ./internal/resume/
+	$(GO) test -race -count=1 -run 'TestCheckpointEncodingMatchesJSON|TestCheckpointEveryTickMatchesJSON|TestCheckpointSuppliesWhatUnflushedBatchesLost|FuzzSidecars' ./internal/resume/
 	$(GO) test -race -count=1 -run 'TestReadViewMatchesCluster' ./internal/mofka/cluster/
 	$(GO) test -race -count=1 -run 'TestShareFromKeepsItsOwnIndex' ./internal/mofka/
 	$(GO) test -race -count=1 -run 'TestCollectionMatchesSliceModelProperty' ./internal/mochi/yokan/
 	$(GO) test -count=1 -run 'TestOpenDurableBrokerAllocatesLittle|TestAppendBatchAllocatesNothing' ./internal/mofka/wal/
-	$(GO) test -count=1 -run 'TestCheckpointAllocationsIndependentOfFrontier' ./internal/resume/
+	$(GO) test -count=1 -run 'TestCheckpointAllocationsIndependentOfFrontier|TestCheckpointRewriteEncodesOnlyWhatChanged' ./internal/resume/
 	$(GO) test -count=1 -run 'TestReadViewAllocatesPerPage' ./internal/mofka/cluster/
 	$(GO) test -count=1 -run 'TestAdmissionReadsAndAllocatesPerBatch' ./internal/mofka/
 	$(GO) test -count=1 -run 'TestCollectionAllocatesPerPage' ./internal/mochi/yokan/

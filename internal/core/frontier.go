@@ -60,10 +60,10 @@ func (f *frontierPlugin) TaskExecuted(e dask.TaskExecution) {
 }
 
 // putTask sets a task's entry, keeping the per-graph completed counts those
-// of the task set. Caller holds f.mu.
+// of the task set. It goes through Checkpoint.PutTask, so the next write
+// encodes only the tasks set since the last. Caller holds f.mu.
 func (f *frontierPlugin) putTask(key string, t resume.FrontierTask) {
-	old, seen := f.cp.Tasks[key]
-	f.cp.Tasks[key] = t
+	old, seen := f.cp.PutTask(key, t)
 	if seen && old.GraphID == t.GraphID {
 		return
 	}

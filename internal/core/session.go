@@ -226,9 +226,10 @@ func DefaultSessionConfig(jobID string, seed uint64) SessionConfig {
 }
 
 // checkpointInterval is the virtual-time period of the lightweight frontier
-// checkpoint (completed-task high-water marks per graph plus live blob
-// residency) a durable run writes next to its event log, so resume cost is
-// O(crash tail), not O(run).
+// checkpoint (completed tasks, per-graph counts and done marks, live blob
+// residency) a durable run writes next to its event log. It bypasses
+// producer batching, so a resume learns from it the completions, done marks
+// and blob residency whose events died in unflushed batches.
 const checkpointInterval = 5 * sim.Second
 
 // CrashError is returned by a session whose coordinator was killed by the

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"taskprov/internal/core"
@@ -194,4 +196,139 @@ func TestCheckpointAllocationsIndependentOfFrontier(t *testing.T) {
 		t.Fatalf("a second checkpoint allocates %v times for 2 000 tasks, %v for 200: want the same, at most %d",
 			large, small, checkpointAllocs)
 	}
+}
+
+// TestCheckpointEveryTickMatchesJSON: a checkpoint rewritten after every
+// step of a seeded random sequence — tasks inserted, overwritten with a
+// member of the same length or of another (a re-execution), graphs moved,
+// blobs published and freed, now and then a task the encoder refuses, and
+// tasks put into or deleted from the map directly — is json.Marshal's bytes
+// at every write.
+// The sequence runs on a fresh checkpoint, on a killed run's frontier as
+// Reconstruct returns it, and on a copy of that frontier put task by task,
+// as a resumed session seeds its own.
+func TestCheckpointEveryTickMatchesJSON(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	killedDir(t, dir, 1)
+	st, err := resume.Reconstruct(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := resume.NewCheckpoint(st.Frontier.Attempt)
+	for key, task := range st.Frontier.Tasks {
+		seeded.PutTask(key, task)
+	}
+	seeded.Graphs, seeded.Blobs = st.Frontier.Graphs, st.Frontier.Blobs
+
+	for _, c := range []struct {
+		name string
+		cp   *resume.Checkpoint
+	}{
+		{"fresh", resume.NewCheckpoint(1)},
+		{"reconstructed", st.Frontier},
+		{"seeded", seeded},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			randomTicks(t, c.cp, 200, rand.New(rand.NewSource(int64(len(c.name)))))
+		})
+	}
+}
+
+// randomTicks applies ticks random steps of one to eight changes to cp,
+// checking WriteCheckpoint against json.Marshal after each.
+func randomTicks(t *testing.T, cp *resume.Checkpoint, ticks int, rng *rand.Rand) {
+	t.Helper()
+	keys := []string{"<a&b>", "line\u2028sep", "bad\xffutf8", "", "ünï"}
+	for k := range cp.Tasks {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys) // the map's order must not steer the sequence
+	task := func() resume.FrontierTask {
+		ft := resume.FrontierTask{GraphID: rng.Intn(12), Size: rng.Int63n(1 << 30), StopSeconds: float64(rng.Intn(1e6)) / 1e3}
+		if rng.Intn(4) == 0 {
+			ft.Files = []dask.FileEffect{{Path: fmt.Sprintf("/lus/out/%d", rng.Intn(1000)), SizeAfter: rng.Int63n(1 << 20)}}
+		}
+		return ft
+	}
+	refused := false
+	for tick := 0; tick < ticks; tick++ {
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			switch op := rng.Intn(20); {
+			case op < 7 || len(cp.Tasks) == 0: // a new task
+				k := fmt.Sprintf("t-%08x", rng.Uint32())
+				keys = append(keys, k)
+				cp.PutTask(k, task())
+			case op < 10: // the same member length: its graph and size digits kept
+				k := keys[rng.Intn(len(keys))]
+				if old, ok := cp.Tasks[k]; ok {
+					old.GraphID = (old.GraphID/10)*10 + rng.Intn(10)
+					cp.PutTask(k, old)
+				}
+			case op < 13: // re-executed, or a key seen before put again
+				cp.PutTask(keys[rng.Intn(len(keys))], task())
+			case op < 16: // a graph moves
+				g := fmt.Sprint(rng.Intn(12))
+				cp.Graphs[g] = resume.GraphFrontier{Completed: rng.Intn(500), Done: rng.Intn(2) == 0}
+			case op < 18: // a blob published, or freed
+				if len(cp.Blobs) > 0 && rng.Intn(2) == 0 {
+					i := rng.Intn(len(cp.Blobs))
+					cp.Blobs = append(cp.Blobs[:i:i], cp.Blobs[i+1:]...)
+				} else {
+					cp.Blobs = append(cp.Blobs, resume.FrontierBlob{Key: keys[rng.Intn(len(keys))], Owner: rng.Intn(4), Size: rng.Int63n(1 << 24)})
+				}
+			case op < 19 && !refused: // a value JSON has no number for, put right at the next tick
+				k := keys[rng.Intn(len(keys))]
+				cp.PutTask(k, resume.FrontierTask{StopSeconds: math.NaN()})
+				sameAsJSON(t, fmt.Sprintf("tick %d, NaN", tick), cp)
+				cp.PutTask(k, task())
+				refused = true
+			case op < 19: // put, then deleted behind PutTask's back
+				k := keys[rng.Intn(len(keys))]
+				cp.PutTask(k, task())
+				delete(cp.Tasks, k)
+			default: // behind PutTask's back
+				k := fmt.Sprintf("direct-%08x", rng.Uint32())
+				keys = append(keys, k)
+				cp.Tasks[k] = task()
+			}
+		}
+		cp.AtSeconds = float64(tick) * 5
+		sameAsJSON(t, fmt.Sprintf("tick %d", tick), cp)
+	}
+	if !refused {
+		t.Fatal("the sequence never refused a task")
+	}
+}
+
+// TestCheckpointRewriteEncodesOnlyWhatChanged: a checkpoint of 2 000 tasks,
+// written once, encodes on its next write exactly the tasks put since: k
+// new ones, one overwritten in place, none at all.
+func TestCheckpointRewriteEncodesOnlyWhatChanged(t *testing.T) {
+	cp, dir := frontier(2000), t.TempDir()
+	write := func() int {
+		t.Helper()
+		if err := resume.WriteCheckpoint(dir, cp); err != nil {
+			t.Fatal(err)
+		}
+		return resume.EncodedMembers(cp)
+	}
+	if n := write(); n != 2000 {
+		t.Fatalf("the first write encoded %d members, want all 2000", n)
+	}
+	if n := write(); n != 0 {
+		t.Fatalf("a write with nothing put encoded %d members", n)
+	}
+	for _, k := range []int{1, 7, 64} {
+		for i := 0; i < k; i++ {
+			cp.PutTask(fmt.Sprintf("added-%d-%03d", k, i), resume.FrontierTask{GraphID: 4, Size: 1, StopSeconds: 99})
+		}
+		if n := write(); n != k {
+			t.Fatalf("a write after putting %d tasks encoded %d members", k, n)
+		}
+	}
+	cp.PutTask("added-1-000", resume.FrontierTask{GraphID: 5, Size: 1, StopSeconds: 99})
+	if n := write(); n != 1 {
+		t.Fatalf("a write after overwriting one task encoded %d members", n)
+	}
+	sameAsJSON(t, "after the rewrites", cp)
 }

@@ -53,7 +53,7 @@ type State struct {
 	// every surviving event of the crashed one.
 	ResumeBase sim.Time
 
-	// Frontier is the merged completion frontier (checkpoint ∪ WAL tail) the
+	// Frontier is the merged completion frontier (checkpoint ∪ log) the
 	// resumed session seeds its own checkpointer with, so an attempt-3 resume
 	// still sees attempt-1 completions.
 	Frontier *Checkpoint
@@ -61,8 +61,10 @@ type State struct {
 
 // Reconstruct replays dataDir's provenance into a resumable State: lineage
 // is read (and validated — a completed run refuses), the frontier checkpoint
-// is loaded, and the WAL tail newer than the checkpoint is applied on top.
-// The log is opened read-only; nothing on disk changes.
+// is loaded, and every execution, graph and clock record of the log is
+// merged with it; of the proxy events only those after the checkpoint's
+// snapshot time are replayed over its blob set. The log is opened
+// read-only; nothing on disk changes.
 func Reconstruct(dataDir string) (*State, error) {
 	if !mcluster.IsLogDir(dataDir) {
 		return nil, fmt.Errorf("resume: %s holds no durable event log", dataDir)
@@ -97,13 +99,10 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 	if err != nil {
 		return nil, err
 	}
-	if cp != nil && cp.Attempt != prior.Attempt {
-		// A checkpoint from an older incarnation (the newer one crashed
-		// before its first tick): still valid — it summarizes a prefix of
-		// the same merged log — but events after its snapshot time span more
-		// than one attempt, which the count-based tail replay handles.
-		_ = cp
-	}
+	// A checkpoint from an older incarnation (the newer one crashed before
+	// its first tick) is still valid: it summarizes a prefix of the same
+	// merged log, and the proxy events after its snapshot time, which span
+	// more than one attempt, are what the count-based blob replay handles.
 	if cp == nil {
 		cp = NewCheckpoint(prior.Attempt)
 		cp.AtSeconds = -1 // replay everything
@@ -122,7 +121,7 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 		ExecCounts:  make(map[dask.TaskKey]int),
 	}
 
-	// Completed tasks: checkpointed frontier plus the execution-record tail.
+	// Completed tasks: checkpointed frontier plus every execution record.
 	type doneTask struct {
 		graph int
 		size  int64
@@ -220,11 +219,8 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 	doneLogged := make(map[int]bool)
 	doneEvidenced := make(map[int]bool)
 	for id, g := range cp.Graphs {
-		if g.Done {
-			var n int
-			if _, err := fmt.Sscanf(id, "%d", &n); err == nil {
-				doneEvidenced[n] = true
-			}
+		if n, err := strconv.Atoi(id); err == nil && g.Done {
+			doneEvidenced[n] = true
 		}
 	}
 	graphEvents, err := recs.Graphs()

@@ -79,8 +79,15 @@ func (chained) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 }
 
 // killedDir runs the workflow into dir with the coordinator killed at 6 s
-// of virtual time, on a standalone broker or a 3-broker RF2 cluster.
+// of virtual time, on a standalone broker or a 3-broker RF2 cluster, with
+// producer batches of 4 events.
 func killedDir(t *testing.T, dir string, brokers int) {
+	t.Helper()
+	killedDirBatched(t, dir, brokers, 4)
+}
+
+// killedDirBatched is killedDir with producer batches of batch events.
+func killedDirBatched(t *testing.T, dir string, brokers, batch int) {
 	t.Helper()
 	cfg := core.DefaultSessionConfig("job-resume", 7)
 	cfg.Platform.NodeSpeedCV = 0
@@ -88,10 +95,10 @@ func killedDir(t *testing.T, dir string, brokers int) {
 	cfg.Dask.WorkersPerNode = 2
 	cfg.Dask.ThreadsPerWorker = 2
 	cfg.Dask.ProxyThresholdBytes = 256 << 10
-	// Small batches, so most of the log is flushed when the kill lands (the
+	// Small batches leave most of the log flushed when the kill lands (the
 	// unflushed tails die with the producers), and the 5 s checkpoint before
-	// it.
-	cfg.MofkaBatchSize = 4
+	// it; large ones leave the checkpoint fresher than the log.
+	cfg.MofkaBatchSize = batch
 	cfg.MofkaDataDir = dir
 	cfg.ChaosSpec = "scheduler at=6000ms"
 	if brokers > 1 {
@@ -207,5 +214,47 @@ func TestReconstructDeterministicAndEqualsReferenceOpen(t *testing.T) {
 				t.Fatalf("reconstruction differs from the one over the serial reference open:\n%+v\n%+v", first, ref)
 			}
 		})
+	}
+}
+
+// TestCheckpointSuppliesWhatUnflushedBatchesLost: with producer batches too
+// large to ship before the kill, the log holds less than the 5 s checkpoint
+// does. Reconstructing with checkpoint.json memoizes a task, or marks a graph
+// done, that reconstructing the same dir without it does not — the
+// checkpoint's role is the evidence that died in unflushed batches, not a
+// shorter replay.
+func TestCheckpointSuppliesWhatUnflushedBatchesLost(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	killedDirBatched(t, dir, 1, 1024)
+	with, err := resume.Reconstruct(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, resume.CheckpointFile)); err != nil {
+		t.Fatal(err)
+	}
+	without, err := resume.Reconstruct(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onlyCheckpointed []string
+	for key := range with.Memos {
+		if _, ok := without.Memos[key]; !ok {
+			onlyCheckpointed = append(onlyCheckpointed, string(key))
+		}
+	}
+	for id, g := range with.Frontier.Graphs {
+		if g.Done && !without.Frontier.Graphs[id].Done {
+			onlyCheckpointed = append(onlyCheckpointed, "graph "+id)
+		}
+	}
+	if len(onlyCheckpointed) == 0 {
+		t.Fatalf("the checkpoint added nothing to what the log gives: %d memos with it, %d without",
+			len(with.Memos), len(without.Memos))
+	}
+	for key := range without.Memos {
+		if _, ok := with.Memos[key]; !ok {
+			t.Fatalf("%s is memoized only without the checkpoint", key)
+		}
 	}
 }
