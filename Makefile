@@ -115,33 +115,41 @@ resume:
 # and whatif.Extract (per event of a seeded run), typed ingest against the
 # map API over every event of the seeded runs, Phases (the phase topics only)
 # bit for bit against the full replay's phase fields on the paper workflows,
-# a kill, a brownout and a cluster dir, the interning decoder (a warm decoder allocates
-# nothing but a record's slices and free text, and reads what a fresh one
-# reads), number's exact fast path against ParseFloat, the codec against the
-# map API over hostile inputs and FuzzCodec's corpus, the straggler fit
-# against the sorting one, one iteration of BenchmarkDecode so it cannot go
-# uncompiled, provenance.Records (a warm read allocates nothing and returns
-# the same array, an append is read, records nobody holds are reclaimed, a
-# missing topic is ErrNoTopic), every reader of a run's shared records
-# leaving them unchanged, the scheduler log's order of simultaneous graphs,
-# and a -live run's stored bytes and Summary as a function of the seed (a
-# small DAG, then the three paper workflows). Race-enabled: two goroutines
-# reading one Records, the post-mortem-open suite against its serial
-# reference (standalone and cluster dirs, torn, corrupt, lagging, killed;
-# each segment opened once), one cursor-store rewrite per CommitBatch, the
-# malformed-event regressions, two goroutines ingesting into one aggregator,
-# a monitor swept from a host ticker ending at the replay, its commits, SSE
-# clients that leave no subscription behind, and frontier reconstruction
-# against the reference open.
+# a kill, a brownout and a cluster dir, the borrowing decoder (a name the
+# input holds verbatim is a string over it, an escaped name and free text are
+# copies, a warm decoder allocates nothing but a record's slices and those
+# copies, and reads what a fresh one reads), number's exact fast path
+# against ParseFloat, the codec against the map API over hostile inputs and
+# FuzzCodec's corpus, the straggler fit against the sorting one, one
+# iteration of BenchmarkDecode so it cannot go uncompiled,
+# provenance.Records (a warm read allocates nothing and returns the same
+# array, an append is read, records nobody holds are reclaimed, a missing
+# topic is ErrNoTopic), every reader of a run's shared records leaving them
+# unchanged, the scheduler log's order of simultaneous graphs, and a -live
+# run's stored bytes and Summary as a function of the seed (a small DAG,
+# then the three paper workflows). Race-enabled: provenance.Records' and
+# live.ReplayBroker's concurrent decode against their sequential references
+# (the paper workflows, a cluster dir, a killed dir; corrupt events in both
+# partitions), two goroutines reading one Records, the post-mortem-open suite
+# against its serial reference (standalone and cluster dirs, torn, corrupt,
+# lagging, killed; each segment opened once), one cursor-store rewrite per
+# CommitBatch, stored bytes a scan lent surviving a truncate and re-append
+# (document collection and partition), the malformed-event regressions, two
+# goroutines ingesting into one aggregator, an aggregator whose ingested
+# bytes are overwritten keeping its snapshot, a monitor swept from a host
+# ticker ending at the replay, its commits, SSE clients that leave no
+# subscription behind, and frontier reconstruction against the reference
+# open.
 readpath:
 	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestTypedIngestMatchesMapIngest|TestSharedRecordsStayUnchanged|TestPhasesMatchFullReplay' ./internal/workloads/
-	$(GO) test -count=1 -run 'TestDecoderInternsOnlyNovelStrings|TestExactFloatMatchesParseFloat|TestCodecMatchesMapAPI|FuzzCodec|TestDrain|TestRecordsReuseUntilAppend|TestRecordsReleasedWhenUnheld|TestRecordsMissingTopic' ./internal/provenance/
+	$(GO) test -count=1 -run 'TestDecoderBorrowsNames|TestExactFloatMatchesParseFloat|TestCodecMatchesMapAPI|FuzzCodec|TestDrain|TestRecordsReuseUntilAppend|TestRecordsReleasedWhenUnheld|TestRecordsMissingTopic' ./internal/provenance/
+	$(GO) test -race -count=1 -run 'TestRecordsParallelMatchesSerial|TestReplayParallelMatchesSerial' ./internal/workloads/
 	$(GO) test -race -count=1 -run 'TestRecordsConcurrentReads' ./internal/provenance/
 	$(GO) test -count=1 -run 'TestSchedulerLogOrdersSimultaneousGraphs' ./internal/core/
 	$(GO) test -count=1 -run 'TestStragglerFitMatchesSortReference|TestLiveBytesFollowSeed' ./internal/live/ -paper-workflows
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode' -benchtime 1x ./internal/provenance/
-	$(GO) test -race -count=1 -run 'TestPostMortemOpen|TestCommitBatchRewritesCursorStoreOnce' ./internal/mofka/ ./internal/mofka/cluster/
-	$(GO) test -race -count=1 -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent|TestAggregatorConcurrentIngest|TestMonitorSweptFromHostTicker|TestMonitorResumesFromCommitted|TestSSEClientsUnsubscribe' ./internal/live/
+	$(GO) test -race -count=1 -run 'TestPostMortemOpen|TestCommitBatchRewritesCursorStoreOnce|TestScannedBytesSurviveTruncate|TestLentDocumentsSurviveTruncate' ./internal/mofka/ ./internal/mofka/cluster/ ./internal/mochi/yokan/
+	$(GO) test -race -count=1 -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent|TestAggregatorConcurrentIngest|TestAggregatorKeepsNoBorrowedName|TestMonitorSweptFromHostTicker|TestMonitorResumesFromCommitted|TestSSEClientsUnsubscribe' ./internal/live/
 	$(GO) test -race -count=1 -run 'TestReconstructDeterministicAndEqualsReferenceOpen' ./internal/resume/
 
 # Durable write-path gate, race-enabled and uncached: the commit contract

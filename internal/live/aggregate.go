@@ -31,6 +31,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"taskprov/internal/darshan"
 	"taskprov/internal/dask"
@@ -278,7 +279,7 @@ type lane struct {
 	execSeconds    float64
 	resolveSeconds float64 // proxy demand-to-arrival latency sums
 	wastedSeconds  float64 // cancelled speculative attempts' runtime sums
-	workerExec     map[string]float64
+	workerExec     map[string]*float64
 }
 
 // groupAcc accumulates one task group's duration samples.
@@ -289,11 +290,19 @@ type groupAcc struct {
 
 // Aggregator maintains the streaming aggregates. Safe for concurrent use:
 // one or more ingesters may feed it while snapshot readers observe it.
+//
+// The records it is fed borrow the bytes they were decoded from
+// (provenance.Decoder), which its caller may drop or reuse once the event is
+// ingested, so a name it keeps is a copy, made when the name is kept: a map
+// key on insert, a warning's kind and worker, an anomaly's subject
+// (strings.Clone), and the task keys of the critical-path lane (keep). A map
+// it writes with a name has pointer values, or is written with a copy: Go
+// stores the key an assignment is given even over an equal one already
+// there. Looking a borrowed name up allocates nothing.
 type Aggregator struct {
 	mu   sync.Mutex
 	opts AggregatorOptions
-	// dec decodes every event Ingest takes, under mu; its table holds the
-	// run's names for the aggregator's lifetime.
+	// dec decodes every event Ingest takes, under mu.
 	dec provenance.Decoder
 
 	workflow    string
@@ -313,7 +322,7 @@ type Aggregator struct {
 	ioBytes       int64
 
 	lanes     map[laneKey]*lane
-	occupancy map[string]int
+	occupancy map[string]*int
 	groups    map[string]*groupAcc
 	workers   map[string]*WorkerStats
 	hostIO    map[string]*HostIOStats
@@ -321,9 +330,11 @@ type Aggregator struct {
 
 	// critDur/critDeps back the CriticalPathSeconds lane: per-task
 	// execution duration (max-combined, so re-executions commute) and
-	// dependency lists, both capped at critPathTaskCap.
+	// dependency lists, both capped at critPathTaskCap. Their task keys are
+	// copies cut from names (keep).
 	critDur  map[string]float64
 	critDeps map[string][]string
+	names    []byte
 
 	// proxy holds the integer counters of the proxy-store lane (nil until
 	// the first proxy event); its float ResolveSeconds lives in the lanes.
@@ -350,7 +361,7 @@ func NewAggregator(opts AggregatorOptions) *Aggregator {
 	a := &Aggregator{
 		opts:      opts,
 		lanes:     make(map[laneKey]*lane),
-		occupancy: make(map[string]int),
+		occupancy: make(map[string]*int),
 		groups:    make(map[string]*groupAcc),
 		workers:   make(map[string]*WorkerStats),
 		hostIO:    make(map[string]*HostIOStats),
@@ -411,7 +422,7 @@ func (a *Aggregator) lane(topic string, part int) *lane {
 	k := laneKey{topic, part}
 	l := a.lanes[k]
 	if l == nil {
-		l = &lane{workerExec: make(map[string]float64)}
+		l = &lane{workerExec: make(map[string]*float64)}
 		a.lanes[k] = l
 	}
 	return l
@@ -421,9 +432,39 @@ func (a *Aggregator) worker(name string) *WorkerStats {
 	w := a.workers[name]
 	if w == nil {
 		w = &WorkerStats{}
-		a.workers[name] = w
+		a.workers[strings.Clone(name)] = w
 	}
 	return w
+}
+
+// namesChunk is the size of the chunks keep copies names into.
+const namesChunk = 16 << 10
+
+// keep returns a copy of name for the critical-path lane, which keeps a
+// name or more per task: copies are cut from chunks of namesChunk bytes, so
+// keeping a run's task keys costs an allocation per chunk, not per key. A
+// chunk is only appended to, never rewritten, and lives as long as a copy
+// cut from it.
+func (a *Aggregator) keep(name string) string {
+	if name == "" {
+		return ""
+	}
+	if len(name) > cap(a.names)-len(a.names) {
+		a.names = make([]byte, 0, max(namesChunk, len(name)))
+	}
+	start := len(a.names)
+	a.names = append(a.names, name...)
+	return unsafe.String(&a.names[start], len(name))
+}
+
+// add adds d to the sum m keeps for name, copying name the first time.
+func add[V int | float64](m map[string]*V, name string, d V) {
+	p := m[name]
+	if p == nil {
+		p = new(V)
+		m[strings.Clone(name)] = p
+	}
+	*p += d
 }
 
 // Ingest feeds one provenance event from its stored metadata bytes, decoded
@@ -435,7 +476,7 @@ func (a *Aggregator) worker(name string) *WorkerStats {
 // codec's cursor still walks.
 func (a *Aggregator) Ingest(topic string, partition int, metadata []byte) error {
 	a.mu.Lock()
-	raised, err := a.ingest(topic, partition, metadata)
+	raised, err := handlerOf(topic).ingest(a, partition, metadata)
 	if err != nil {
 		a.mu.Unlock()
 		return err
@@ -455,61 +496,78 @@ func PhaseTopics() []string {
 	return []string{provenance.TopicExecutions, provenance.TopicTransfers}
 }
 
-// ingest decodes one event and hands it to its topic's handler. The decoder
-// is the aggregator's, so the caller holds a.mu.
-func (a *Aggregator) ingest(topic string, partition int, metadata []byte) ([]Anomaly, error) {
-	x := &a.dec
-	switch topic {
-	case provenance.TopicTransitions:
-		t, err := x.Transition(metadata)
-		if err == nil {
-			a.ingestTransition(t)
-		}
-		return nil, err
-	case provenance.TopicExecutions:
-		e, err := x.Execution(metadata)
-		if err != nil {
-			return nil, err
-		}
-		return a.ingestExecution(partition, e), nil
-	case provenance.TopicTransfers:
-		t, err := x.Transfer(metadata)
-		if err == nil {
-			a.ingestTransfer(partition, t)
-		}
-		return nil, err
-	case provenance.TopicWarnings:
-		w, err := x.Warning(metadata)
-		if err != nil {
-			return nil, err
-		}
-		return a.ingestWarning(w), nil
-	case provenance.TopicProxy:
-		e, err := x.ProxyEvent(metadata)
-		if err == nil {
-			a.ingestProxy(partition, e)
-		}
-		return nil, err
-	case provenance.TopicSpeculation:
-		e, err := x.Speculation(metadata)
-		if err == nil {
-			a.ingestSpeculation(partition, e)
-		}
-		return nil, err
-	case provenance.TopicTaskMeta:
-		tm, err := x.TaskMeta(metadata)
-		if err == nil {
-			a.ingestTaskMeta(tm)
-		}
-		return nil, err
-	case provenance.TopicGraphs:
-		g, err := x.GraphEvent(metadata)
-		if err == nil {
-			a.ingestGraphEvent(g.Event)
-		}
+// topicHandler is one topic's way into the aggregates: an event at a time
+// (Ingest), or a whole topic of a broker (ReplayTopics).
+type topicHandler interface {
+	ingest(a *Aggregator, partition int, metadata []byte) ([]Anomaly, error)
+	replay(a *Aggregator, t *mofka.Topic, topic string) error
+}
+
+// handler pairs a topic's decode with its per-record handler, which runs with
+// a.mu held and returns what the detectors raised. A topic that is only
+// counted has no apply.
+type handler[T any] struct {
+	decode func(*provenance.Decoder, []byte) (T, error)
+	apply  func(a *Aggregator, partition int, rec T) []Anomaly
+}
+
+// ingest decodes one event with the aggregator's decoder, so the caller
+// holds a.mu, and hands it to the topic's handler.
+func (h handler[T]) ingest(a *Aggregator, partition int, metadata []byte) ([]Anomaly, error) {
+	rec, err := h.decode(&a.dec, metadata)
+	if err != nil || h.apply == nil {
 		return nil, err
 	}
-	return nil, x.Validate(metadata)
+	return h.apply(a, partition, rec), nil
+}
+
+var (
+	transitionHandler topicHandler = handler[dask.Transition]{(*provenance.Decoder).Transition,
+		func(a *Aggregator, _ int, t dask.Transition) []Anomaly { a.ingestTransition(t); return nil }}
+	executionHandler topicHandler = handler[dask.TaskExecution]{(*provenance.Decoder).Execution,
+		(*Aggregator).ingestExecution}
+	transferHandler topicHandler = handler[dask.Transfer]{(*provenance.Decoder).Transfer,
+		func(a *Aggregator, part int, t dask.Transfer) []Anomaly { a.ingestTransfer(part, t); return nil }}
+	warningHandler topicHandler = handler[dask.Warning]{(*provenance.Decoder).Warning,
+		func(a *Aggregator, _ int, w dask.Warning) []Anomaly { return a.ingestWarning(w) }}
+	proxyHandler topicHandler = handler[dask.ProxyEvent]{(*provenance.Decoder).ProxyEvent,
+		func(a *Aggregator, part int, e dask.ProxyEvent) []Anomaly { a.ingestProxy(part, e); return nil }}
+	speculationHandler topicHandler = handler[dask.SpeculationEvent]{(*provenance.Decoder).Speculation,
+		func(a *Aggregator, part int, e dask.SpeculationEvent) []Anomaly {
+			a.ingestSpeculation(part, e)
+			return nil
+		}}
+	taskMetaHandler topicHandler = handler[dask.TaskMeta]{(*provenance.Decoder).TaskMeta,
+		func(a *Aggregator, _ int, tm dask.TaskMeta) []Anomaly { a.ingestTaskMeta(tm); return nil }}
+	graphHandler topicHandler = handler[provenance.GraphEvent]{(*provenance.Decoder).GraphEvent,
+		func(a *Aggregator, _ int, g provenance.GraphEvent) []Anomaly { a.ingestGraphEvent(g.Event); return nil }}
+	// countedHandler still walks the event with the codec's cursor, so a
+	// malformed one is refused on a topic that is only counted too.
+	countedHandler topicHandler = handler[struct{}]{func(x *provenance.Decoder, b []byte) (struct{}, error) {
+		return struct{}{}, x.Validate(b)
+	}, nil}
+)
+
+func handlerOf(topic string) topicHandler {
+	switch topic {
+	case provenance.TopicTransitions:
+		return transitionHandler
+	case provenance.TopicExecutions:
+		return executionHandler
+	case provenance.TopicTransfers:
+		return transferHandler
+	case provenance.TopicWarnings:
+		return warningHandler
+	case provenance.TopicProxy:
+		return proxyHandler
+	case provenance.TopicSpeculation:
+		return speculationHandler
+	case provenance.TopicTaskMeta:
+		return taskMetaHandler
+	case provenance.TopicGraphs:
+		return graphHandler
+	}
+	return countedHandler
 }
 
 // IngestEvent is Ingest for an event already decoded into the map API. It
@@ -561,10 +619,10 @@ func (a *Aggregator) raise(raised []Anomaly) {
 func (a *Aggregator) ingestTransition(t dask.Transition) {
 	a.transitions++
 	if f := string(t.From); f != "" {
-		a.occupancy[f]--
+		add(a.occupancy, f, -1)
 	}
 	if to := string(t.To); to != "" {
-		a.occupancy[to]++
+		add(a.occupancy, to, 1)
 	}
 }
 
@@ -573,13 +631,13 @@ func (a *Aggregator) ingestExecution(partition int, e dask.TaskExecution) []Anom
 	a.tasks++
 	l := a.lane(provenance.TopicExecutions, partition)
 	l.execSeconds += dur
-	l.workerExec[e.Worker] += dur
+	add(l.workerExec, e.Worker, dur)
 	a.worker(e.Worker).Tasks++
 	g := dask.KeyPrefix(e.Key)
 	acc := a.groups[g]
 	if acc == nil {
 		acc = &groupAcc{}
-		a.groups[g] = acc
+		a.groups[strings.Clone(g)] = acc
 	}
 	acc.count++
 	if len(acc.samples) < groupSampleCap {
@@ -590,7 +648,7 @@ func (a *Aggregator) ingestExecution(partition int, e dask.TaskExecution) []Anom
 		// Max-combine so a re-executed task (worker crash) contributes
 		// its longest attempt regardless of arrival order.
 		if dur > prev {
-			a.critDur[key] = dur
+			a.critDur[a.keep(key)] = dur
 		}
 	}
 	stop := e.Stop.Seconds()
@@ -614,18 +672,20 @@ func (a *Aggregator) ingestTransfer(partition int, t dask.Transfer) {
 }
 
 func (a *Aggregator) ingestWarning(w dask.Warning) []Anomaly {
-	kind := string(w.Kind)
+	// The kind is kept in several maps and timelines, so it is copied once;
+	// warnings are few. The message is the decoder's copy already.
+	kind := strings.Clone(string(w.Kind))
 	a.warnings[kind]++
 	a.worker(w.Worker).Warnings++
 	at := w.At.Seconds()
 	if w.Kind.IsRecovery() && len(a.recovery) < a.opts.recoveryEventCap {
 		a.recovery = append(a.recovery, RecoveryEvent{
-			At: at, Kind: kind, Worker: w.Worker, Message: w.Message,
+			At: at, Kind: kind, Worker: strings.Clone(w.Worker), Message: w.Message,
 		})
 	}
 	if strings.HasPrefix(kind, "cluster_") && len(a.cluster) < a.opts.recoveryEventCap {
 		a.cluster = append(a.cluster, RecoveryEvent{
-			At: at, Kind: kind, Worker: w.Worker, Message: w.Message,
+			At: at, Kind: kind, Worker: strings.Clone(w.Worker), Message: w.Message,
 		})
 	}
 	a.windows.addWarning(at, kind)
@@ -688,13 +748,12 @@ func (a *Aggregator) ingestSpeculation(partition int, e dask.SpeculationEvent) {
 
 func (a *Aggregator) ingestTaskMeta(tm dask.TaskMeta) {
 	a.submitted++
-	key := string(tm.Key)
-	if _, ok := a.critDeps[key]; !ok && len(tm.Deps) > 0 && len(a.critDeps) < a.opts.critPathTaskCap {
+	if _, ok := a.critDeps[string(tm.Key)]; !ok && len(tm.Deps) > 0 && len(a.critDeps) < a.opts.critPathTaskCap {
 		deps := make([]string, len(tm.Deps))
 		for i, d := range tm.Deps {
-			deps[i] = string(d)
+			deps[i] = a.keep(string(d))
 		}
-		a.critDeps[key] = deps
+		a.critDeps[a.keep(string(tm.Key))] = deps
 	}
 }
 
@@ -791,7 +850,7 @@ func (a *Aggregator) Snapshot() Summary {
 		resolveSeconds += l.resolveSeconds
 		wastedSeconds += l.wastedSeconds
 		for w, v := range l.workerExec {
-			workerExec[w] += v // one lane per (topic,part): inner order free
+			workerExec[w] += *v // one lane per (topic,part): inner order free
 		}
 	}
 	if a.proxy != nil {
@@ -840,8 +899,8 @@ func (a *Aggregator) Snapshot() Summary {
 
 	s.StateOccupancy = make(map[string]int)
 	for st, n := range a.occupancy {
-		if n != 0 {
-			s.StateOccupancy[st] = n
+		if *n != 0 {
+			s.StateOccupancy[st] = *n
 		}
 	}
 

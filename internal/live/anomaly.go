@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"taskprov/internal/dask"
@@ -212,7 +213,9 @@ type collapseAcc struct {
 }
 
 // detectors holds all online anomaly state. Methods are called with the
-// Aggregator's lock held and return the anomalies raised (if any).
+// Aggregator's lock held and return the anomalies raised (if any). The names
+// they are given may borrow an event's bytes, so a name kept as a map key or
+// an anomaly's subject is a copy.
 type detectors struct {
 	disabled bool
 
@@ -240,7 +243,7 @@ func (d *detectors) onDuration(group string, dur, at float64) []Anomaly {
 	s := d.stragglers[group]
 	if s == nil {
 		s = &stragglerAcc{}
-		d.stragglers[group] = s
+		d.stragglers[strings.Clone(group)] = s
 	}
 	var out []Anomaly
 	if s.fitted && s.samples() >= stragglerMinSamples {
@@ -251,7 +254,7 @@ func (d *detectors) onDuration(group string, dur, at float64) []Anomaly {
 		z := dev / (madConsistency*s.mad + madEpsilon)
 		if z >= stragglerZ && dur > s.median {
 			out = append(out, Anomaly{
-				Kind: AnomalyStraggler, Subject: group, At: at,
+				Kind: AnomalyStraggler, Subject: strings.Clone(group), At: at,
 				Value: z, Limit: stragglerZ,
 				Detail: fmt.Sprintf("task took %.3fs vs group median %.3fs (robust z=%.1f)", dur, s.median, z),
 			})
@@ -271,7 +274,7 @@ func (d *detectors) onWarning(kind, worker string, at float64) []Anomaly {
 	s := d.streaks[worker]
 	if s == nil {
 		s = &streakAcc{}
-		d.streaks[worker] = s
+		d.streaks[strings.Clone(worker)] = s
 	}
 	if s.len > 0 && at-s.lastAt > streakGapSeconds {
 		s.len = 0
@@ -280,7 +283,7 @@ func (d *detectors) onWarning(kind, worker string, at float64) []Anomaly {
 	s.lastAt = at
 	if s.len == streakLen {
 		an := Anomaly{
-			Kind: AnomalyEventLoopStreak, Subject: worker, At: at,
+			Kind: AnomalyEventLoopStreak, Subject: strings.Clone(worker), At: at,
 			Value: float64(s.len), Limit: streakLen,
 			Detail: fmt.Sprintf("%d consecutive unresponsive-event-loop warnings within %.0fs gaps", s.len, streakGapSeconds),
 		}

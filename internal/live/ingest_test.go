@@ -1,15 +1,18 @@
 package live
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"taskprov/internal/dask"
 	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
 	"taskprov/internal/provenance"
+	"taskprov/internal/sim"
 )
 
 // ingestTopics is every topic name FuzzIngest draws from: the provenance
@@ -245,5 +248,114 @@ func TestAggregatorConcurrentIngest(t *testing.T) {
 	got.Windows, want.Windows, got.Anomalies, want.Anomalies = nil, nil, nil, nil
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("concurrent ingest:\n%+v\nsequential replay:\n%+v", got, want)
+	}
+}
+
+// TestAggregatorKeepsNoBorrowedName: every name a decoded record carries
+// points into the bytes it came from, so an aggregator fed through Ingest
+// must keep copies only. This one is fed from buffers that are overwritten
+// afterwards — every map key, critical-path task, dependency, timeline
+// entry and anomaly subject would read the scribble if one were borrowed —
+// then fed the same events again from fresh buffers: its Snapshot must stay
+// what it was and then be what an aggregator fed twice from untouched
+// buffers gives.
+func TestAggregatorKeepsNoBorrowedName(t *testing.T) {
+	type event struct {
+		topic string
+		part  int
+		b     []byte
+	}
+	var events []event
+	add := func(topic string, part int, b []byte) { events = append(events, event{topic, part, b}) }
+	// A count of warnings per worker that is no multiple of the streak's
+	// length, and a straggler before the straggler fit has its samples, make
+	// the second feed's anomalies depend on the detectors' state from the
+	// first.
+	for i := 0; i < 403; i++ {
+		key := dask.TaskKey(fmt.Sprintf("('train-%04d', %d)", i/2, i%2))
+		worker := fmt.Sprintf("tcp://10.0.0.%d:40001", i%4)
+		start := float64(i) * 0.25
+		dur := 1 + 0.01*float64(i%7)
+		if i%40 == 39 || i == 5 {
+			dur = 30 // a straggler
+		}
+		meta := dask.TaskMeta{Key: key, Prefix: "train", Group: "train", GraphID: 1, At: sim.Seconds(start)}
+		if i > 0 {
+			meta.Deps = []dask.TaskKey{dask.TaskKey(fmt.Sprintf("('train-%04d', %d)", (i-1)/2, (i-1)%2))}
+		}
+		add(provenance.TopicTaskMeta, i%2, provenance.AppendTaskMeta(nil, meta))
+		add(provenance.TopicTransitions, i%2, provenance.AppendTransition(nil, dask.Transition{Key: key, From: "waiting", To: "processing",
+			Stimulus: "compute-task", Location: worker, At: sim.Seconds(start)}))
+		add(provenance.TopicExecutions, i%2, provenance.AppendExecution(nil, dask.TaskExecution{Key: key, Worker: worker,
+			Hostname: fmt.Sprintf("nid%05d", i%4), Start: sim.Seconds(start), Stop: sim.Seconds(start + dur), GraphID: 1}))
+		add(provenance.TopicTransfers, i%2, provenance.AppendTransfer(nil, dask.Transfer{Key: key, From: worker,
+			To: fmt.Sprintf("tcp://10.0.0.%d:40001", (i+1)%4), Bytes: 4096, Start: sim.Seconds(start), Stop: sim.Seconds(start + 0.01)}))
+		add(provenance.TopicWarnings, i%2, provenance.AppendWarning(nil, dask.Warning{Kind: dask.WarnEventLoop, Worker: worker,
+			At: sim.Seconds(start), Duration: sim.Seconds(1)}))
+		if i%50 == 0 {
+			add(provenance.TopicWarnings, i%2, provenance.AppendWarning(nil, dask.Warning{Kind: dask.WarnWorkerLost, Worker: worker,
+				At: sim.Seconds(start), Message: "lost " + worker}))
+			add(provenance.TopicWarnings, i%2, provenance.AppendWarning(nil, dask.Warning{Kind: "cluster_leader_elected", Worker: "broker-1",
+				At: sim.Seconds(start), Message: "elected"}))
+		}
+		add(provenance.TopicProxy, i%2, provenance.AppendProxyEvent(nil, dask.ProxyEvent{Op: dask.ProxyOpPublish, Key: key, Worker: worker,
+			Bytes: 64, Resident: 64, At: sim.Seconds(start)}))
+		add(provenance.TopicSpeculation, i%2, provenance.AppendSpeculation(nil, dask.SpeculationEvent{Kind: dask.SpecCancelled, Key: key,
+			Primary: worker, Wasted: sim.Seconds(0.5), At: sim.Seconds(start)}))
+	}
+	feed := func(agg *Aggregator) {
+		t.Helper()
+		for _, ev := range events {
+			b := append([]byte(nil), ev.b...)
+			if err := agg.Ingest(ev.topic, ev.part, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snapshot := func(agg *Aggregator) string {
+		t.Helper()
+		b, err := json.Marshal(agg.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	scribbled := NewAggregator(AggregatorOptions{})
+	var bufs [][]byte
+	for _, ev := range events {
+		b := append([]byte(nil), ev.b...)
+		bufs = append(bufs, b)
+		if err := scribbled.Ingest(ev.topic, ev.part, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := snapshot(scribbled)
+	for _, b := range bufs {
+		for i := range b {
+			b[i] = '#'
+		}
+	}
+	if after := snapshot(scribbled); after != before {
+		t.Fatalf("overwriting the ingested bytes changed the snapshot:\nbefore %s\n after %s", before, after)
+	}
+	feed(scribbled)
+	want := NewAggregator(AggregatorOptions{})
+	feed(want)
+	feed(want)
+	if got, want := snapshot(scribbled), snapshot(want); got != want {
+		t.Fatalf("fed again after the scribble:\n got %s\nwant %s", got, want)
+	}
+	s := scribbled.Snapshot()
+	if len(s.Anomalies) == 0 || len(s.Recovery) == 0 || len(s.ClusterHealth) == 0 || s.CriticalPathSeconds == 0 ||
+		len(s.StateOccupancy) == 0 || len(s.Windows) == 0 || s.Speculation == nil || s.Proxy == nil {
+		t.Fatalf("the events left a lane empty: %+v", s)
+	}
+	kinds := map[string]bool{}
+	for _, an := range s.Anomalies {
+		kinds[an.Kind] = true
+	}
+	if !kinds[AnomalyStraggler] || !kinds[AnomalyEventLoopStreak] {
+		t.Fatalf("anomalies raised: %v, want stragglers and streaks", kinds)
 	}
 }

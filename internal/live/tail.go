@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -27,26 +28,129 @@ func ReplayBroker(b *mofka.Broker, agg *Aggregator) error {
 // in the same order, to the same handlers, into the same lanes, so a
 // Summary field computed from those topics alone (PhaseTopics) comes out
 // bit for bit as the full replay's.
+//
+// A topic's chunks (mofka.Topic.Chunks, the monitor's rotation) are decoded
+// on up to GOMAXPROCS goroutines, each with a decoder of its own, into a
+// small ring of reused chunk buffers; this goroutine applies them in the
+// rotation's order, a chunk per hold of the aggregator's lock, so the
+// aggregates see exactly the event order a sequential replay gives.
 func ReplayTopics(b *mofka.Broker, agg *Aggregator, topics []string) error {
 	for _, topic := range topics {
 		t, err := b.OpenTopic(topic)
 		if err != nil {
 			continue // topic never created on this broker
 		}
-		c, err := t.NewConsumer(mofka.ConsumerOptions{NoData: true, Prefetch: chunk})
-		if err != nil {
-			return fmt.Errorf("live: replay %s: %w", topic, err)
-		}
-		// Scan lends the stored bytes: each event is decoded once, straight
-		// from them.
-		err = c.Scan(func(partition int, id uint64, metadata []byte) error {
-			return ingest(agg, topic, partition, id, metadata)
-		})
-		if err != nil {
+		if err := handlerOf(topic).replay(agg, t, topic); err != nil {
 			return fmt.Errorf("live: replay %s: %w", topic, err)
 		}
 	}
 	return nil
+}
+
+// decodedChunk is one chunk of a replay's rotation as records. err is what
+// stopped the decode short of the chunk's end, if anything did.
+type decodedChunk[T any] struct {
+	recs  []T
+	err   error
+	ready chan struct{}
+}
+
+// replay feeds every event t holds through the aggregator, as described at
+// ReplayTopics. The ring holds two chunks per decoding goroutine, so a
+// decoder rarely waits for the applier; a topic of a single chunk, or a
+// single core, is decoded and applied in line.
+func (h handler[T]) replay(a *Aggregator, t *mofka.Topic, topic string) error {
+	chunks := t.Chunks(chunk)
+	workers := min(runtime.GOMAXPROCS(0), len(chunks))
+	if workers <= 1 {
+		var x provenance.Decoder
+		buf := decodedChunk[T]{recs: make([]T, 0, chunk)}
+		for _, c := range chunks {
+			h.decodeChunk(&x, t, topic, c, &buf)
+			if err := h.applyChunk(a, c.Part, &buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	ring := make([]decodedChunk[T], 2*workers)
+	for i := range ring {
+		ring[i] = decodedChunk[T]{recs: make([]T, 0, chunk), ready: make(chan struct{}, 1)}
+	}
+	// A chunk is queued only once the ring slot it decodes into is free:
+	// the first ring's worth now, each later one when the chunk a ring
+	// ahead of it has been applied. So at most a ring's worth is queued,
+	// and the buffer never blocks the applier.
+	jobs := make(chan int, len(ring))
+	for k := 0; k < min(len(ring), len(chunks)); k++ {
+		jobs <- k
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var x provenance.Decoder
+			for k := range jobs {
+				buf := &ring[k%len(ring)]
+				h.decodeChunk(&x, t, topic, chunks[k], buf)
+				buf.ready <- struct{}{}
+			}
+		}()
+	}
+	var err error
+	for k, c := range chunks {
+		buf := &ring[k%len(ring)]
+		<-buf.ready
+		if err = h.applyChunk(a, c.Part, buf); err != nil {
+			break
+		}
+		if next := k + len(ring); next < len(chunks) {
+			jobs <- next
+		}
+	}
+	close(jobs)
+	wg.Wait()
+	return err
+}
+
+// decodeChunk decodes chunk c of t into buf, stopping at the first event
+// that does not decode.
+func (h handler[T]) decodeChunk(x *provenance.Decoder, t *mofka.Topic, topic string, c mofka.Chunk, buf *decodedChunk[T]) {
+	buf.recs, buf.err = buf.recs[:0], nil
+	p, err := t.Partition(c.Part)
+	if err != nil {
+		buf.err = err
+		return
+	}
+	err = p.Scan(c.From, c.N, func(id uint64, metadata []byte) bool {
+		rec, err := h.decode(x, metadata)
+		if err != nil {
+			buf.err = fmt.Errorf("live: corrupt event %s[%d]/%d: %w", topic, c.Part, id, err)
+			return false
+		}
+		buf.recs = append(buf.recs, rec)
+		return true
+	})
+	if buf.err == nil {
+		buf.err = err
+	}
+}
+
+// applyChunk feeds a decoded chunk's records to the aggregator in order,
+// under one hold of its lock, then returns the error that cut the chunk
+// short, if any.
+func (h handler[T]) applyChunk(a *Aggregator, partition int, buf *decodedChunk[T]) error {
+	a.mu.Lock()
+	var raised []Anomaly
+	for _, rec := range buf.recs {
+		if h.apply != nil {
+			raised = append(raised, h.apply(a, partition, rec)...)
+		}
+		a.events++
+	}
+	a.raise(raised)
+	return buf.err
 }
 
 // ingest feeds one event to the aggregator, naming the event in the error

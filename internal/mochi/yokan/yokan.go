@@ -134,6 +134,8 @@ func (c *Collection) StoreBatch(docs [][]byte) uint64 {
 // assigns IDs starting at n again. This is the in-memory counterpart of event-log
 // truncation: the replication layer uses it to drop a replica's divergent
 // tail so offsets stay dense. The pages stay, for the documents stored next.
+// Only a page's reference to a document is dropped; the document's bytes are
+// never rewritten, so bytes Iter lent before stay as they were.
 func (c *Collection) TruncateTo(n uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -152,6 +152,40 @@ func TestCollectionIterBounds(t *testing.T) {
 	}
 }
 
+// TestLentDocumentsSurviveTruncate: bytes Iter lent keep their content
+// after TruncateTo drops their documents and a StoreBatch puts others at
+// the same IDs, which is what lets a decoded record borrow them.
+func TestLentDocumentsSurviveTruncate(t *testing.T) {
+	c := NewDatabase("t").Collection("c")
+	docs := make([][]byte, 2*pageSize)
+	for i := range docs {
+		docs[i] = []byte(fmt.Sprintf("doc-%04d", i))
+	}
+	c.StoreBatch(docs)
+	var lent [][]byte
+	c.Iter(0, 0, func(_ uint64, doc []byte) bool {
+		lent = append(lent, doc)
+		return true
+	})
+	c.TruncateTo(pageSize / 2)
+	again := make([][]byte, len(docs))
+	for i := range again {
+		again[i] = []byte(fmt.Sprintf("new-%04d", i))
+	}
+	c.StoreBatch(again)
+	for i, doc := range lent {
+		if want := fmt.Sprintf("doc-%04d", i); string(doc) != want {
+			t.Fatalf("lent document %d reads %q after truncate and re-append, want %q", i, doc, want)
+		}
+	}
+	c.Iter(pageSize/2, 1, func(_ uint64, doc []byte) bool {
+		if string(doc) != "new-0000" {
+			t.Fatalf("the re-appended document reads %q", doc)
+		}
+		return false
+	})
+}
+
 // TestCollectionMatchesSliceModelProperty: random programs of StoreBatch,
 // TruncateTo and Iter, with batches, cuts and reads that cross page
 // boundaries, see exactly what a plain slice of the same documents holds, and

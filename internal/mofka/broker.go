@@ -687,10 +687,24 @@ func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
 	return out, readErr
 }
 
-// scan visits up to max stored events from offset from (max <= 0: all of
-// them) until visit returns false. The metadata it passes is the stored
-// bytes, valid only during the call. A corrupt envelope ends the scan with an
-// error.
+// Scan visits the metadata of up to max stored events from offset from (max
+// <= 0: all of them) until visit returns false, without copying it: the bytes
+// passed are the broker's stored document. They are immutable for the
+// broker's life — do not write to them — which is what lets a decoder hand
+// out strings over them rather than copies: the document collection takes
+// ownership of a document when it is stored (yokan's StoreBatch) and nothing
+// writes to it afterwards, and truncation drops entries, it never rewrites
+// one, so even an offset stored again after TruncateTo is a new document
+// beside the old one. A corrupt envelope ends the scan with an error. It is
+// the ranged read behind provenance.Records' concurrent decode; one
+// partition may be scanned by several goroutines at once.
+func (p *Partition) Scan(from uint64, max int, visit func(id uint64, metadata []byte) bool) error {
+	return p.scan(from, max, func(id uint64, metadata []byte, _ uint64, _, _ int64) bool {
+		return visit(id, metadata)
+	})
+}
+
+// scan is Scan that also passes each event's payload location.
 func (p *Partition) scan(from uint64, max int, visit func(id uint64, metadata []byte, region uint64, offset, size int64) bool) error {
 	var err error
 	p.docs.Iter(from, max, func(id uint64, doc []byte) bool {

@@ -79,8 +79,9 @@ func (c *Consumer) fill() error {
 
 // Scan visits the metadata of every unread event, in the order Drain would
 // deliver them, without copying it: metadata is the broker's stored bytes,
-// valid only during the call and not to be written to. Payloads are not
-// fetched. It is the bulk read of analyses that decode each event once.
+// immutable for the broker's life; do not write to them (Partition.Scan says
+// why they never change). Payloads are not fetched. It is the bulk read of
+// analyses that decode each event once.
 func (c *Consumer) Scan(visit func(partition int, id uint64, metadata []byte) error) error {
 	for _, ev := range c.buf {
 		if err := visit(ev.Partition, ev.ID, ev.Metadata); err != nil {
@@ -108,6 +109,45 @@ func (c *Consumer) Scan(visit func(partition int, id uint64, metadata []byte) er
 			return err
 		}
 	}
+}
+
+// Chunk is one stretch of a topic's delivery order: N consecutive events of
+// partition Part from offset From, which a fresh consumer delivers as its
+// events Slot to Slot+N-1.
+type Chunk struct {
+	Part int
+	From uint64
+	N    int
+	Slot int
+}
+
+// Chunks cuts the events the topic holds now into the order a fresh Consumer
+// with the given Prefetch delivers them in (Drain, Scan, PullBatch):
+// prefetch events of partition 0, then of partition 1, and so on round-robin,
+// a partition that has run out dropping out of the rotation. Each partition's
+// length is taken once. It lets a reader decode the chunks on several
+// goroutines and still place, or apply, every event where Drain would.
+func (t *Topic) Chunks(prefetch int) []Chunk {
+	step := uint64(prefetch)
+	lens := make([]uint64, len(t.partitions))
+	var most, chunks uint64
+	for i, p := range t.partitions {
+		lens[i] = p.Length()
+		most = max(most, lens[i])
+		chunks += (lens[i] + step - 1) / step
+	}
+	out := make([]Chunk, 0, chunks)
+	slot := 0
+	for from := uint64(0); from < most; from += step {
+		for pi, n := range lens {
+			if from < n {
+				c := Chunk{Part: pi, From: from, N: int(min(step, n-from)), Slot: slot}
+				out = append(out, c)
+				slot += c.N
+			}
+		}
+	}
+	return out
 }
 
 // Pull returns the next event, or ok=false when no unread events exist.

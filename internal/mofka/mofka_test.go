@@ -180,3 +180,68 @@ func TestEmptyTopicNameRejected(t *testing.T) {
 		t.Fatal("empty topic name accepted")
 	}
 }
+
+// TestScannedBytesSurviveTruncate: the metadata Consumer.Scan and
+// Partition.Scan lend keep their content after the partition truncates them
+// away and takes other events at the same offsets, on an in-memory and a
+// durable broker alike: a decoded record may borrow them for the broker's
+// life.
+func TestScannedBytesSurviveTruncate(t *testing.T) {
+	durable, err := NewDurableBroker(Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	for _, b := range []*Broker{NewStandaloneBroker(), durable} {
+		tp, err := b.CreateTopic(TopicConfig{Name: "t", Partitions: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := tp.partitions[0]
+		batch := func(prefix string, n int) ([][]byte, [][]byte) {
+			var metas, datas [][]byte
+			for i := 0; i < n; i++ {
+				metas = append(metas, []byte(fmt.Sprintf(`{"key":"%s-%04d"}`, prefix, i)))
+				datas = append(datas, nil)
+			}
+			return metas, datas
+		}
+		metas, datas := batch("old", 700)
+		if err := p.Append(metas, datas); err != nil {
+			t.Fatal(err)
+		}
+		c, err := tp.NewConsumer(ConsumerOptions{NoData: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lent [][]byte
+		if err := c.Scan(func(_ int, _ uint64, metadata []byte) error {
+			lent = append(lent, metadata)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var ranged []byte
+		if err := p.Scan(650, 1, func(_ uint64, metadata []byte) bool { ranged = metadata; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.TruncateTo(100); err != nil {
+			t.Fatal(err)
+		}
+		again, datas := batch("new", 700)
+		if err := p.Append(again, datas); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range lent {
+			if string(m) != string(metas[i]) {
+				t.Fatalf("lent metadata %d reads %s after truncate and re-append, want %s", i, m, metas[i])
+			}
+		}
+		if string(ranged) != string(metas[650]) {
+			t.Fatalf("Partition.Scan's metadata reads %s, want %s", ranged, metas[650])
+		}
+		if err := p.Scan(100, 1, func(_ uint64, metadata []byte) bool { ranged = metadata; return true }); err != nil || string(ranged) != string(again[0]) {
+			t.Fatalf("offset 100 now reads %s (%v), want %s", ranged, err, again[0])
+		}
+	}
+}

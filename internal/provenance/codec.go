@@ -424,24 +424,31 @@ func AppendIOTrace(dst []byte, r IOTrace) []byte {
 // Decoder reads stored event metadata into typed records, one method per
 // record type. A string that names something — a task key or dependency, a
 // worker or host address, a state, stimulus, location, prefix, group, kind,
-// op or path — comes from the decoder's table: the first time the decoder
-// meets it, it is copied out of the input, and every later decode returns
-// that copy, so reading a run's events allocates per distinct name rather
-// than per event. Free text (Warning.Message, SpeculationEvent.Detail) is
-// copied every time, which keeps the table bounded by the run's names.
+// op or path — borrows the input: it is a string over the very bytes it was
+// decoded from, so reading a run's events copies no name. Only a name that
+// had to be unescaped (an escape, or invalid UTF-8 replaced by U+FFFD) is a
+// copy, made from the decoder's scratch. Free text (Warning.Message,
+// SpeculationEvent.Detail) is copied every time.
 //
-// The table lives as long as the Decoder: give one to each analysis, shared
-// by every topic it drains, or to an aggregator for its lifetime — never to
-// the package. The zero value is ready to use. A Decoder is not safe for
-// concurrent use.
+// The contract that makes borrowing safe is the caller's: nothing may write
+// to the bytes a record was decoded from while the record, or any name taken
+// from it, is in use. The broker's stored documents are never written once
+// stored (mofka.Partition.Scan), a PullBatch or a remote Pull returns fresh
+// copies that nobody else holds, and a reader that keeps a name past the
+// bytes' owner — the live aggregator's map keys — copies it
+// (strings.Clone). Never decode from a buffer that is refilled afterwards.
+//
+// A Decoder keeps only its unescape scratch between events, so any number of
+// them may read one topic side by side, one per goroutine; the zero value is
+// ready to use. A Decoder is not safe for concurrent use.
 type Decoder struct {
 	d dec
 }
 
-// begin points the decoder's cursor at one document, keeping the table and
-// the unescape scratch.
+// begin points the decoder's cursor at one document, keeping the unescape
+// scratch.
 func (x *Decoder) begin(b []byte) *dec {
-	x.d = dec{b: b, buf: x.d.buf, strs: x.d.strs}
+	x.d = dec{b: b, buf: x.d.buf}
 	return &x.d
 }
 

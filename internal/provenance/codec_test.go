@@ -240,7 +240,7 @@ func hostileIOTraces() []IOTrace {
 
 // checkCodec holds one type's typed pair to its map pair: the encoder byte
 // for byte, the decoder record for record, on every given record. x is
-// shared by every record, so most of them decode with names interned before.
+// shared by every record, so most of them decode with a used scratch.
 func checkCodec[T any](t *testing.T, x *Decoder, c codec[T], recs []T) {
 	t.Run(c.name, func(t *testing.T) {
 		var buf []byte
@@ -566,7 +566,7 @@ func FuzzCodec(f *testing.F) {
 	add(AppendTaskMeta(nil, hostileTaskMetas()[9]))
 	add(AppendSpeculation(nil, hostileSpeculations()[127]))
 	// The unrelated event every warm decoder reads first: escaped and
-	// non-ASCII names, so its table and unescape scratch are not empty.
+	// non-ASCII names, so its unescape scratch is not empty.
 	unrelated := AppendTaskMeta(nil, dask.TaskMeta{Key: `('x-"q"', 0)`, Prefix: "x", Group: "日本", Deps: []dask.TaskKey{"a\u2028b", "<k>"}})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		warm := new(Decoder)

@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"taskprov/internal/dask"
 	"taskprov/internal/sim"
@@ -37,35 +39,51 @@ var sampleDecoders = map[string]sampleDecoder{
 	TopicSpeculation: decodes(speculationCodec), TopicIOTrace: decodes(ioTraceCodec),
 }
 
-// perRecord counts what a decode allocates whatever the table holds: an
-// element of the record's own slices each, and a copy of its free text.
-func perRecord(rec any) int {
+// ownSlices counts the allocations a record's own slices take when decoded
+// one element at a time: an element of Deps or Files each.
+func ownSlices(rec any) int {
 	switch r := rec.(type) {
 	case dask.TaskMeta:
 		return len(r.Deps)
 	case dask.TaskExecution:
 		return len(r.Files)
-	case dask.Warning:
-		return copied(r.Message)
-	case dask.SpeculationEvent:
-		return copied(r.Detail)
 	}
 	return 0
 }
 
-func copied(text string) int {
-	if text == "" {
-		return 0
+// eachString calls fn with every string of v, found through its fields and
+// slices, and the name of the field holding it ("Warning.Message").
+func eachString(v reflect.Value, field string, fn func(field, s string)) {
+	switch v.Kind() {
+	case reflect.String:
+		fn(field, v.String())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			eachString(v.Field(i), v.Type().Name()+"."+v.Type().Field(i).Name, fn)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			eachString(v.Index(i), field, fn)
+		}
 	}
-	return 1
 }
 
-// TestDecoderInternsOnlyNovelStrings runs a sample of every record type —
-// with a tuple key, an escaped key and non-ASCII names — through one decoder
-// twice. The second pass finds every name in the table and allocates nothing
-// but the records' own slices and free text; both passes read what a fresh
-// decoder reads; and free text stays out of the table.
-func TestDecoderInternsOnlyNovelStrings(t *testing.T) {
+// aliases reports whether s lies inside b's bytes.
+func aliases(b []byte, s string) bool {
+	if len(b) == 0 || len(s) == 0 {
+		return false
+	}
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(&b[0]))
+	return p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(b))
+}
+
+// TestDecoderBorrowsNames runs a sample of every record type — with a tuple
+// key, an escaped key and non-ASCII names — through one decoder twice, each
+// record checked against what a fresh decoder reads. Every name the input
+// holds verbatim is a string over the input's own bytes; an escaped name
+// and the free text (Warning.Message, SpeculationEvent.Detail) are copies;
+// and a warm decoder allocates for nothing else but the records' own slices.
+func TestDecoderBorrowsNames(t *testing.T) {
 	raw, err := os.ReadFile("testdata/decoder_sample.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -101,22 +119,39 @@ func TestDecoderInternsOnlyNovelStrings(t *testing.T) {
 			}
 		}
 	}
+	kinds := map[string]int{}
 	for i, l := range sample {
 		rec, _ := sampleDecoders[l.topic].keep(x, l.b)
-		allowed := float64(perRecord(rec))
+		copies := 0
+		eachString(reflect.ValueOf(rec), "", func(field, s string) {
+			if s == "" {
+				return
+			}
+			free := field == "Warning.Message" || field == "SpeculationEvent.Detail"
+			escaped := !bytes.Contains(l.b, []byte(`"`+s+`"`))
+			borrowed := aliases(l.b, s)
+			switch {
+			case free:
+				kinds["free text"]++
+			case escaped:
+				kinds["escaped"]++
+			default:
+				kinds["verbatim"]++
+			}
+			if want := !free && !escaped; borrowed != want {
+				t.Errorf("line %d: %s %q borrows the input: %v, want %v", i+1, field, s, borrowed, want)
+			}
+			if !borrowed {
+				copies++
+			}
+		})
+		allowed := float64(ownSlices(rec) + copies)
 		if n := testing.AllocsPerRun(20, func() { _ = sampleDecoders[l.topic].drop(x, l.b) }); n > allowed {
-			t.Errorf("line %d (%s): a warm decoder allocates %v times, the record's slices and free text account for %v", i+1, l.topic, n, allowed)
+			t.Errorf("line %d (%s): a warm decoder allocates %v times, the record's slices and copies account for %v", i+1, l.topic, n, allowed)
 		}
 	}
-	for _, text := range []string{"event loop <blocked> for 1.5s", `slow "primary" on 日本`} {
-		if _, ok := x.d.strs[text]; ok {
-			t.Errorf("free text %q is in the table", text)
-		}
-	}
-	for _, name := range []string{`esc "quoted" <key>`, "/lus/out/ключ-0.bin", "('getitem-7f96c2', 0)", "tcp://10.0.0.2:40001"} {
-		if _, ok := x.d.strs[name]; !ok {
-			t.Errorf("name %q is not in the table", name)
-		}
+	if kinds["free text"] != 2 || kinds["escaped"] == 0 || kinds["verbatim"] == 0 {
+		t.Errorf("the sample's strings: %v, want both free texts, escaped and verbatim names", kinds)
 	}
 }
 
@@ -194,9 +229,8 @@ func decodeBenchEvents(n int) (transitions, executions [][]byte) {
 	return transitions, executions
 }
 
-// BenchmarkDecode reads a transition and an execution as stored, with a
-// fresh decoder per event (every name copied) and with one warm decoder
-// (every name a table hit).
+// BenchmarkDecode reads a transition and an execution as stored, through
+// one decoder: every name borrows the event's bytes, so neither allocates.
 func BenchmarkDecode(b *testing.B) {
 	transitions, executions := decodeBenchEvents(3000)
 	for _, tc := range []struct {
@@ -207,27 +241,14 @@ func BenchmarkDecode(b *testing.B) {
 		{"transition", transitions, func(x *Decoder, b []byte) error { _, err := x.Transition(b); return err }},
 		{"execution", executions, func(x *Decoder, b []byte) error { _, err := x.Execution(b); return err }},
 	} {
-		for _, warm := range []bool{false, true} {
-			name := tc.name + "/fresh"
-			if warm {
-				name = tc.name + "/warm"
+		b.Run(tc.name, func(b *testing.B) {
+			x := new(Decoder)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := tc.decode(x, tc.events[i%len(tc.events)]); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.Run(name, func(b *testing.B) {
-				x := new(Decoder)
-				for _, ev := range tc.events {
-					_ = tc.decode(x, ev)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if !warm {
-						x = new(Decoder)
-					}
-					if err := tc.decode(x, tc.events[i%len(tc.events)]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		})
 	}
 }

@@ -5,7 +5,7 @@
 // The codec comes twice. codec.go holds the typed pair every producer and
 // consumer in the repository uses — Append<T> onto a reusable buffer and
 // Decoder.<T> straight from the stored bytes (records.go serves a broker's
-// topics through one Decoder). This file holds the map pair it replaced —
+// topics, each decoded on several goroutines). This file holds the map pair it replaced —
 // <T>Event builders of mofka.Metadata and Parse<T> over a decoded map — which
 // has no production caller left: it is the executable specification the codec
 // tests pin the typed pair to, byte for byte, and the API bench/e2e (a module

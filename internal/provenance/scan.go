@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // maxDepth bounds container nesting, as encoding/json does.
@@ -21,8 +22,8 @@ var errSyntax = errors.New("invalid JSON")
 // is a no-op that reports "no more members", so decoders need no error
 // plumbing until end.
 //
-// A Decoder keeps one dec for all the events it reads: buf and strs outlive
-// the document, everything else is reset per event.
+// A Decoder keeps one dec for all the events it reads: buf outlives the
+// document, everything else is reset per event.
 type dec struct {
 	b     []byte
 	i     int
@@ -30,8 +31,8 @@ type dec struct {
 	first bool   // the cursor sits right after a container's opening bracket
 	depth int    // containers currently open
 	buf   []byte // scratch for strings that need unescaping
-	// strs interns the strings ident returns: each is its own key.
-	strs map[string]string
+	// unquoted: the last string read was decoded into buf, not sliced from b.
+	unquoted bool
 }
 
 func (d *dec) fail(what string) {
@@ -161,7 +162,8 @@ func (d *dec) str() string {
 }
 
 // ident is str for a string that names something — a key, a worker, a
-// state: the table's copy, made the first time the cursor met the string.
+// state: the input's own bytes when the string is a slice of them (no
+// escapes, valid UTF-8), a copy only when it had to be unescaped.
 func (d *dec) ident() string {
 	s, _ := d.identOK()
 	return s
@@ -173,15 +175,10 @@ func (d *dec) identOK() (string, bool) {
 	if len(b) == 0 {
 		return "", ok
 	}
-	if s, hit := d.strs[string(b)]; hit {
-		return s, true
+	if d.unquoted {
+		return string(b), true
 	}
-	if d.strs == nil {
-		d.strs = make(map[string]string)
-	}
-	s := string(b)
-	d.strs[s] = s
-	return s, true
+	return unsafe.String(&b[0], len(b)), true
 }
 
 // strBytes reads one value, returning its decoded bytes (valid until the next
@@ -367,6 +364,7 @@ func (d *dec) stringBytes() []byte {
 	b := d.b
 	start := d.i + 1
 	high := false
+	d.unquoted = false
 	for j := start; j < len(b); j++ {
 		if !stringStop[b[j]] {
 			continue
@@ -463,6 +461,7 @@ func hex4(b []byte) rune {
 // with encoding/json's rules: escapes resolved, a surrogate pair joined, and
 // a lone surrogate or an invalid UTF-8 byte replaced by U+FFFD.
 func (d *dec) unquote(s []byte) []byte {
+	d.unquoted = true
 	out := d.buf[:0]
 	for i := 0; i < len(s); {
 		c := s[i]

@@ -95,7 +95,7 @@ func seededRun(t *testing.T, name string) *core.RunArtifacts {
 
 // TestTypedIngestMatchesMapIngest feeds every event of the seeded runs to two
 // live aggregators — one through Ingest, straight from the stored bytes by
-// the aggregator's one interning decoder, one through IngestEvent over the
+// the aggregator's decoder, one through IngestEvent over the
 // decoded map — in the replay's order, and requires equal snapshots: the
 // typed read path changes no summary.
 func TestTypedIngestMatchesMapIngest(t *testing.T) {
@@ -145,8 +145,8 @@ func TestCodecOnSeededRuns(t *testing.T) {
 	}
 	for _, name := range seededWorkflows {
 		art := seededRun(t, name)
-		// One decoder for the whole run, as provenance.Records holds one:
-		// every topic is read with the names the topics before it interned.
+		// One decoder for the whole run: every topic is read with the
+		// scratch the topics before it left.
 		dec := new(provenance.Decoder)
 		n := checkTopicCodec(t, art, dec, provenance.TopicTaskMeta, (*provenance.Decoder).TaskMeta, provenance.ParseTaskMeta, provenance.AppendTaskMeta, provenance.TaskMetaEvent)
 		n += checkTopicCodec(t, art, dec, provenance.TopicTransitions, (*provenance.Decoder).Transition, provenance.ParseTransition, provenance.AppendTransition, provenance.TransitionEvent)

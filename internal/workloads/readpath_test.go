@@ -27,11 +27,13 @@ func mallocs(f func()) float64 {
 // imageprocessing data dir, opening it post-mortem and replaying it through
 // the live aggregator stay within their budgets: half again of the typed,
 // one-pass open when it landed (0.022; the record-at-a-time open cost 5.0),
-// and for the replay, whose decoder interns names, under twice what it
-// measured then (0.26; 4.80 when every string was copied, 31.1 decoding to
-// maps). perfrecup.Phases over the loaded dir, counted per event of the
+// and for the replay under twice what it measured when its decoder interned
+// names (0.26; 4.80 when every string was copied, 31.1 decoding to maps; with
+// names borrowed from the stored bytes and the aggregator copying the ones it
+// keeps, 0.18). perfrecup.Phases over the loaded dir, counted per event of the
 // whole dir, stays within half again of what replaying only the phase
-// topics measured (0.091); replaying every topic, as it used to, costs 0.26.
+// topics measured (0.091, 0.008 borrowing); replaying every topic, as it
+// used to, costs 0.26.
 func TestReadPathAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
@@ -96,12 +98,10 @@ func TestReadPathAllocationBudget(t *testing.T) {
 
 // TestExtractAllocationBudget pins what a cold whatif.Extract allocates per
 // event of a seeded xgboost run: the four topics it reads decoded from the
-// stored bytes through a fresh provenance.Records. Their task keys are
-// unique within each topic; that the four share one interning decoder, so a
-// key is copied once rather than four times, is now structural (Records owns
-// the one decoder), and this budget is what keeps it so. The budgets are a
-// tenth over what one shared decoder measured (139.3 B and 0.421 mallocs per
-// event); copying every string, Extract made 146.8 B and 1.013.
+// stored bytes through a fresh provenance.Records. The budgets are a tenth
+// over what one shared interning decoder measured (139.3 B and 0.421 mallocs
+// per event); copying every string, Extract made 146.8 B and 1.013, and with
+// every name borrowed from the stored bytes it makes 125.3 B and 0.335.
 func TestExtractAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
