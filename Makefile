@@ -128,18 +128,21 @@ resume:
 # unchanged, the scheduler log's order of simultaneous graphs, and a -live
 # run's stored bytes and Summary as a function of the seed (a small DAG,
 # then the three paper workflows). Race-enabled: provenance.Records' and
-# live.ReplayBroker's concurrent decode against their sequential references
+# live.ReplayBroker's concurrent decode against their one-core selves
 # (the paper workflows, a cluster dir, a killed dir; corrupt events in both
 # partitions), two goroutines reading one Records, the post-mortem-open suite
 # against its serial reference (standalone and cluster dirs, torn, corrupt,
 # lagging, killed; each segment opened once), one cursor-store rewrite per
-# CommitBatch, stored bytes a scan lent surviving a truncate and re-append
-# (document collection and partition), the malformed-event regressions, two
-# goroutines ingesting into one aggregator, an aggregator whose ingested
-# bytes are overwritten keeping its snapshot, a monitor swept from a host
-# ticker ending at the replay, its commits, SSE clients that leave no
-# subscription behind, and frontier reconstruction against the reference
-# open.
+# topic's cursor commit, stored bytes a scan lent surviving a truncate and
+# re-append (document collection and partition), the malformed-event
+# regressions, two goroutines feeding one aggregator through the chunk path,
+# an aggregator whose ingested bytes are overwritten keeping its snapshot, a
+# monitor swept from a host ticker ending at the replay, its commits, one
+# delivery order (consumer, ChunksFrom and two monitors swept at random
+# points over unevenly growing partitions, against a naive round-robin
+# model and the replay), SSE clients that leave no subscription behind and
+# an /events interval too short to serve refused, and frontier
+# reconstruction against the reference open.
 readpath:
 	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestTypedIngestMatchesMapIngest|TestSharedRecordsStayUnchanged|TestPhasesMatchFullReplay' ./internal/workloads/
 	$(GO) test -count=1 -run 'TestDecoderBorrowsNames|TestExactFloatMatchesParseFloat|TestCodecMatchesMapAPI|FuzzCodec|TestDrain|TestRecordsReuseUntilAppend|TestRecordsReleasedWhenUnheld|TestRecordsMissingTopic' ./internal/provenance/
@@ -149,7 +152,7 @@ readpath:
 	$(GO) test -count=1 -run 'TestStragglerFitMatchesSortReference|TestLiveBytesFollowSeed' ./internal/live/ -paper-workflows
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode' -benchtime 1x ./internal/provenance/
 	$(GO) test -race -count=1 -run 'TestPostMortemOpen|TestCommitBatchRewritesCursorStoreOnce|TestScannedBytesSurviveTruncate|TestLentDocumentsSurviveTruncate' ./internal/mofka/ ./internal/mofka/cluster/ ./internal/mochi/yokan/
-	$(GO) test -race -count=1 -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent|TestAggregatorConcurrentIngest|TestAggregatorKeepsNoBorrowedName|TestMonitorSweptFromHostTicker|TestMonitorResumesFromCommitted|TestSSEClientsUnsubscribe' ./internal/live/
+	$(GO) test -race -count=1 -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent|TestAggregatorConcurrentIngest|TestAggregatorKeepsNoBorrowedName|TestMonitorSweptFromHostTicker|TestMonitorResumesFromCommitted|TestOneDeliveryOrder|TestSSEClientsUnsubscribe|TestSSERejectsTinyInterval' ./internal/live/
 	$(GO) test -race -count=1 -run 'TestReconstructDeterministicAndEqualsReferenceOpen' ./internal/resume/
 
 # Durable write-path gate, race-enabled and uncached: the commit contract
@@ -198,12 +201,13 @@ durable:
 # task, a collection-off imageprocessing session stays inside its mallocs
 # per task, a stale resume of a finished process panics by name, the kernel
 # against its sort-by-(time, sequence) model with recycled and owned events
-# interleaved, and a striped PFS operation submits in stripe order. Then one
+# interleaved, a degraded link slows its own direction only and clears, and
+# a striped PFS operation submits in stripe order. Then one
 # iteration of each kernel benchmark, so a signature change cannot leave them
 # uncompiled.
 simcost:
 	$(GO) test -count=1 -run 'TestKernelAllocBudget|TestProcAllocBudget|TestProcStaleResumePanics|TestKernelOrderProperty|TestKernelCloseUnwindsParkedProcs|TestSharedServerGoldenTrace' ./internal/sim/
-	$(GO) test -count=1 -run 'TestTransferAllocatesNothing' ./internal/platform/
+	$(GO) test -count=1 -run 'TestTransferAllocatesNothing|TestSetLinkFactorSlowsOneDirection' ./internal/platform/
 	$(GO) test -count=1 -run 'TestStripedFanoutSubmitsInStripeOrder' ./internal/pfs/
 	$(GO) test -count=1 -run 'TestFreeKeysBroadcastAllocatesNothing|TestRegisterGraphAllocatesPerGraph' ./internal/dask/
 	$(GO) test -count=1 -run 'TestSimOnlyAllocBudget' ./internal/workloads/

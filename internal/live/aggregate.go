@@ -14,11 +14,11 @@
 // implementation of the aggregate definitions.
 //
 // Determinism despite streaming: the monitor and the replay hand the
-// aggregator each topic in one order (chunks round-robin across its
-// partitions, see Monitor), and each piece of state whose result depends on
-// order is fed by one topic — the straggler fit and window compute sums by
-// executions, the streak detector by warnings, the collapse detector by the
-// Darshan logs in rank order. Across topics, and across partitions, nothing
+// aggregator each topic in one order (mofka.Topic.ChunksFrom's, see
+// Monitor) through one chunk path (chunkReader), and each piece of state
+// whose result depends on order is fed by one topic — the straggler fit and
+// window compute sums by executions, the streak detector by warnings, the
+// collapse detector by the Darshan logs in rank order. Across topics, and across partitions, nothing
 // depends on order: integer counters commute, every float accumulator is
 // kept per (topic, partition) "lane" and lanes are merged in sorted key order
 // at Snapshot, per-group duration statistics come from sorted copies of the
@@ -302,8 +302,6 @@ type groupAcc struct {
 type Aggregator struct {
 	mu   sync.Mutex
 	opts AggregatorOptions
-	// dec decodes every event Ingest takes, under mu.
-	dec provenance.Decoder
 
 	workflow    string
 	seed        uint64
@@ -467,25 +465,6 @@ func add[V int | float64](m map[string]*V, name string, d V) {
 	*p += d
 }
 
-// Ingest feeds one provenance event from its stored metadata bytes, decoded
-// once by the aggregator's own decoder. partition is the Mofka partition the
-// event came from; events of one partition must be fed in partition order
-// (both the monitor and the post-mortem replay guarantee this).
-// Metadata that is not a JSON object (or null) is rejected and leaves the
-// aggregates untouched — also on the topics that are only counted, which the
-// codec's cursor still walks.
-func (a *Aggregator) Ingest(topic string, partition int, metadata []byte) error {
-	a.mu.Lock()
-	raised, err := handlerOf(topic).ingest(a, partition, metadata)
-	if err != nil {
-		a.mu.Unlock()
-		return err
-	}
-	a.events++
-	a.raise(raised)
-	return nil
-}
-
 // PhaseTopics lists the topics Summary's phase fields are computed from.
 // With the Darshan logs and the run's meta they determine IOSeconds,
 // CommSeconds, ComputeSeconds (and their Raw sums), Tasks, Transfers, IOOps
@@ -496,13 +475,6 @@ func PhaseTopics() []string {
 	return []string{provenance.TopicExecutions, provenance.TopicTransfers}
 }
 
-// topicHandler is one topic's way into the aggregates: an event at a time
-// (Ingest), or a whole topic of a broker (ReplayTopics).
-type topicHandler interface {
-	ingest(a *Aggregator, partition int, metadata []byte) ([]Anomaly, error)
-	replay(a *Aggregator, t *mofka.Topic, topic string) error
-}
-
 // handler pairs a topic's decode with its per-record handler, which runs with
 // a.mu held and returns what the detectors raised. A topic that is only
 // counted has no apply.
@@ -511,69 +483,61 @@ type handler[T any] struct {
 	apply  func(a *Aggregator, partition int, rec T) []Anomaly
 }
 
-// ingest decodes one event with the aggregator's decoder, so the caller
-// holds a.mu, and hands it to the topic's handler.
-func (h handler[T]) ingest(a *Aggregator, partition int, metadata []byte) ([]Anomaly, error) {
-	rec, err := h.decode(&a.dec, metadata)
-	if err != nil || h.apply == nil {
-		return nil, err
-	}
-	return h.apply(a, partition, rec), nil
-}
-
 var (
-	transitionHandler topicHandler = handler[dask.Transition]{(*provenance.Decoder).Transition,
+	transitionHandler = handler[dask.Transition]{(*provenance.Decoder).Transition,
 		func(a *Aggregator, _ int, t dask.Transition) []Anomaly { a.ingestTransition(t); return nil }}
-	executionHandler topicHandler = handler[dask.TaskExecution]{(*provenance.Decoder).Execution,
+	executionHandler = handler[dask.TaskExecution]{(*provenance.Decoder).Execution,
 		(*Aggregator).ingestExecution}
-	transferHandler topicHandler = handler[dask.Transfer]{(*provenance.Decoder).Transfer,
+	transferHandler = handler[dask.Transfer]{(*provenance.Decoder).Transfer,
 		func(a *Aggregator, part int, t dask.Transfer) []Anomaly { a.ingestTransfer(part, t); return nil }}
-	warningHandler topicHandler = handler[dask.Warning]{(*provenance.Decoder).Warning,
+	warningHandler = handler[dask.Warning]{(*provenance.Decoder).Warning,
 		func(a *Aggregator, _ int, w dask.Warning) []Anomaly { return a.ingestWarning(w) }}
-	proxyHandler topicHandler = handler[dask.ProxyEvent]{(*provenance.Decoder).ProxyEvent,
+	proxyHandler = handler[dask.ProxyEvent]{(*provenance.Decoder).ProxyEvent,
 		func(a *Aggregator, part int, e dask.ProxyEvent) []Anomaly { a.ingestProxy(part, e); return nil }}
-	speculationHandler topicHandler = handler[dask.SpeculationEvent]{(*provenance.Decoder).Speculation,
+	speculationHandler = handler[dask.SpeculationEvent]{(*provenance.Decoder).Speculation,
 		func(a *Aggregator, part int, e dask.SpeculationEvent) []Anomaly {
 			a.ingestSpeculation(part, e)
 			return nil
 		}}
-	taskMetaHandler topicHandler = handler[dask.TaskMeta]{(*provenance.Decoder).TaskMeta,
+	taskMetaHandler = handler[dask.TaskMeta]{(*provenance.Decoder).TaskMeta,
 		func(a *Aggregator, _ int, tm dask.TaskMeta) []Anomaly { a.ingestTaskMeta(tm); return nil }}
-	graphHandler topicHandler = handler[provenance.GraphEvent]{(*provenance.Decoder).GraphEvent,
+	graphHandler = handler[provenance.GraphEvent]{(*provenance.Decoder).GraphEvent,
 		func(a *Aggregator, _ int, g provenance.GraphEvent) []Anomaly { a.ingestGraphEvent(g.Event); return nil }}
 	// countedHandler still walks the event with the codec's cursor, so a
 	// malformed one is refused on a topic that is only counted too.
-	countedHandler topicHandler = handler[struct{}]{func(x *provenance.Decoder, b []byte) (struct{}, error) {
+	countedHandler = handler[struct{}]{func(x *provenance.Decoder, b []byte) (struct{}, error) {
 		return struct{}{}, x.Validate(b)
 	}, nil}
 )
 
-func handlerOf(topic string) topicHandler {
+// readerOf returns a new reader of topic, the one way its events reach the
+// aggregates (see chunkReader).
+func readerOf(topic string) chunkReader {
 	switch topic {
 	case provenance.TopicTransitions:
-		return transitionHandler
+		return newReader(topic, transitionHandler)
 	case provenance.TopicExecutions:
-		return executionHandler
+		return newReader(topic, executionHandler)
 	case provenance.TopicTransfers:
-		return transferHandler
+		return newReader(topic, transferHandler)
 	case provenance.TopicWarnings:
-		return warningHandler
+		return newReader(topic, warningHandler)
 	case provenance.TopicProxy:
-		return proxyHandler
+		return newReader(topic, proxyHandler)
 	case provenance.TopicSpeculation:
-		return speculationHandler
+		return newReader(topic, speculationHandler)
 	case provenance.TopicTaskMeta:
-		return taskMetaHandler
+		return newReader(topic, taskMetaHandler)
 	case provenance.TopicGraphs:
-		return graphHandler
+		return newReader(topic, graphHandler)
 	}
-	return countedHandler
+	return newReader(topic, countedHandler)
 }
 
-// IngestEvent is Ingest for an event already decoded into the map API. It
-// survives only because bench/e2e compiles against it (DESIGN §14): nothing
-// in the program calls it, and it holds no aggregation rule of its own —
-// Parse<T> and the handlers Ingest uses.
+// IngestEvent feeds one event already decoded into the map API. It survives
+// only because bench/e2e compiles against it (DESIGN §14): nothing in the
+// program calls it, and it holds no aggregation rule of its own — Parse<T>
+// and the per-record handlers the chunk path applies.
 func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) {
 	a.mu.Lock()
 	a.events++

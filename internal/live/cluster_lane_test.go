@@ -69,8 +69,8 @@ func (staticSource) SubscribeAnomalies() (<-chan Anomaly, func()) {
 	return make(chan Anomaly), func() {}
 }
 
-// TestConsumerLagSurfaced: the monitor samples mofka.Consumer.Lag per
-// topic/partition into snapshots and /metrics — a sweep leaves a chunk that
+// TestConsumerLagSurfaced: the monitor samples its lag (length less next
+// offset) per topic/partition into snapshots and /metrics — a sweep leaves a chunk that
 // is not whole yet as lag — and drops entries back to nothing once Finish
 // drains the backlog (so a finished run's Summary carries no lag map).
 func TestConsumerLagSurfaced(t *testing.T) {

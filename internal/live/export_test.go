@@ -14,6 +14,12 @@ func (a *Aggregator) IngestIOSegment(worker string, bytes int64, end float64) {
 	a.raise(a.ingestIOSegmentLocked(worker, bytes, end))
 }
 
+// ingestOne feeds one event's stored metadata through the topic's chunk
+// path, as a chunk of one event of partition part.
+func (a *Aggregator) ingestOne(topic string, part int, metadata []byte) error {
+	return readerOf(topic).events(a, part, []mofka.Event{{Metadata: metadata}})
+}
+
 // subscribers counts the aggregator's anomaly subscribers, OnAnomaly
 // callbacks included.
 func (a *Aggregator) subscribers() int {

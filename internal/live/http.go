@@ -86,6 +86,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(s.src.Snapshot()) // client gone mid-write is fine
 }
 
+// minEventsInterval is the shortest /events snapshot interval served: each
+// snapshot takes the aggregator's lock, and a stream of them in a tight
+// loop would stall the monitor's ingest.
+const minEventsInterval = 10 * time.Millisecond
+
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -94,9 +99,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	interval := time.Second
 	if v := r.URL.Query().Get("interval"); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			interval = d
+		d, err := time.ParseDuration(v)
+		if err != nil || d < minEventsInterval {
+			http.Error(w, fmt.Sprintf("interval %q: want a duration of at least %v", v, minEventsInterval), http.StatusBadRequest)
+			return
 		}
+		interval = d
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

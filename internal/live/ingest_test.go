@@ -28,7 +28,7 @@ func checkIngestEquivalence(t *testing.T, topic string, in []byte) {
 	t.Helper()
 	typed, mapped := NewAggregator(AggregatorOptions{}), NewAggregator(AggregatorOptions{})
 	for part := 0; part < 2; part++ {
-		typedErr := typed.Ingest(topic, part, in)
+		typedErr := typed.ingestOne(topic, part, in)
 		m, mapErr := mofka.DecodeMetadata(in)
 		if (typedErr == nil) != (mapErr == nil) {
 			t.Fatalf("%s: %q: typed ingest says %v, the map decoder %v", topic, in, typedErr, mapErr)
@@ -42,7 +42,7 @@ func checkIngestEquivalence(t *testing.T, topic string, in []byte) {
 	}
 }
 
-// FuzzIngest holds Aggregator.Ingest to IngestEvent∘DecodeMetadata: for any
+// FuzzIngest holds the chunk path to IngestEvent∘DecodeMetadata: for any
 // topic and any bytes, both reject — leaving the aggregates untouched — or
 // both leave equal snapshots.
 func FuzzIngest(f *testing.F) {
@@ -121,9 +121,10 @@ func TestRemoteTailerReportsMalformedEventOnce(t *testing.T) {
 	reg := mercury.NewRegistry()
 	mofka.Serve(reg.Listen("local://mofka"), b.Service())
 	tl := &RemoteTailer{
-		remote: mofka.NewRemote(reg.Bind("local://mofka")),
-		agg:    NewAggregator(AggregatorOptions{}),
-		next:   make(map[laneKey]uint64),
+		remote:  mofka.NewRemote(reg.Bind("local://mofka")),
+		agg:     NewAggregator(AggregatorOptions{}),
+		next:    make(map[laneKey]uint64),
+		readers: make(map[string]chunkReader),
 	}
 	for i, bad := range malformed {
 		err := tl.sweep()
@@ -184,46 +185,35 @@ func TestMonitorSkipsMalformedEvent(t *testing.T) {
 	}
 }
 
-// TestAggregatorConcurrentIngest: two goroutines feed one aggregator — and so
-// its one decoder — a partition each, and the snapshot is the sequential
-// replay's. Run under -race it also checks the decoder is guarded.
+// TestAggregatorConcurrentIngest: two goroutines feed one aggregator through
+// the chunk path, a partition's chunks each with readers of their own, and
+// the snapshot is the sequential replay's. Run under -race it also checks
+// that applying a chunk is guarded.
 func TestAggregatorConcurrentIngest(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	seedBroker(t, b, 200)
-	type event struct {
-		topic    string
-		metadata []byte
-	}
-	var parts [2][]event
-	for _, topic := range b.Topics() {
-		tp, err := b.OpenTopic(topic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := tp.NewConsumer(mofka.ConsumerOptions{NoData: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = c.Scan(func(partition int, _ uint64, metadata []byte) error {
-			parts[partition] = append(parts[partition], event{topic, append([]byte(nil), metadata...)})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(parts[0]) == 0 || len(parts[1]) == 0 {
-		t.Fatalf("seeded partitions hold %d and %d events", len(parts[0]), len(parts[1]))
-	}
 	concurrent := NewAggregator(AggregatorOptions{})
 	var wg sync.WaitGroup
-	errs := make([]error, len(parts))
-	for p := range parts {
+	errs := make([]error, 2)
+	counts := make([]int, 2)
+	for p := range errs {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for _, ev := range parts[p] {
-				if err := concurrent.Ingest(ev.topic, p, ev.metadata); err != nil {
+			for _, topic := range b.Topics() {
+				tp, err := b.OpenTopic(topic)
+				if err != nil {
+					errs[p] = err
+					return
+				}
+				var own []mofka.Chunk
+				for _, c := range tp.Chunks(chunk) {
+					if c.Part == p {
+						own = append(own, c)
+						counts[p] += c.N
+					}
+				}
+				if err := readerOf(topic).chunks(concurrent, tp, own); err != nil {
 					errs[p] = err
 					return
 				}
@@ -235,6 +225,9 @@ func TestAggregatorConcurrentIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if counts[0] == 0 || counts[1] == 0 {
+		t.Fatalf("seeded partitions hold %d and %d events", counts[0], counts[1])
 	}
 	sequential := NewAggregator(AggregatorOptions{})
 	if err := ReplayBroker(b, sequential); err != nil {
@@ -252,8 +245,8 @@ func TestAggregatorConcurrentIngest(t *testing.T) {
 }
 
 // TestAggregatorKeepsNoBorrowedName: every name a decoded record carries
-// points into the bytes it came from, so an aggregator fed through Ingest
-// must keep copies only. This one is fed from buffers that are overwritten
+// points into the bytes it came from, so an aggregator fed through the chunk
+// path must keep copies only. This one is fed from buffers that are overwritten
 // afterwards — every map key, critical-path task, dependency, timeline
 // entry and anomaly subject would read the scribble if one were borrowed —
 // then fed the same events again from fresh buffers: its Snapshot must stay
@@ -307,7 +300,7 @@ func TestAggregatorKeepsNoBorrowedName(t *testing.T) {
 		t.Helper()
 		for _, ev := range events {
 			b := append([]byte(nil), ev.b...)
-			if err := agg.Ingest(ev.topic, ev.part, b); err != nil {
+			if err := agg.ingestOne(ev.topic, ev.part, b); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -326,7 +319,7 @@ func TestAggregatorKeepsNoBorrowedName(t *testing.T) {
 	for _, ev := range events {
 		b := append([]byte(nil), ev.b...)
 		bufs = append(bufs, b)
-		if err := scribbled.Ingest(ev.topic, ev.part, b); err != nil {
+		if err := scribbled.ingestOne(ev.topic, ev.part, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,9 +22,8 @@ const (
 	// a durable broker a restarted monitor resumes where it left off.
 	consumerName = "live-monitor"
 	// chunk is the unit of a topic's ingestion order: chunk events of one
-	// partition, then chunk of the next, round-robin — what one Consumer over
-	// all partitions with Prefetch chunk hands to Scan, so ReplayBroker
-	// produces the same order.
+	// partition, then chunk of the next, round-robin (mofka.Topic.ChunksFrom),
+	// which ReplayTopics reads too.
 	chunk = 256
 )
 
@@ -34,11 +33,11 @@ const (
 // from a host ticker. Sweep, Commit and Finish belong to that one goroutine;
 // Snapshot and SubscribeAnomalies are safe from any.
 //
-// Each topic is ingested in one order, chunk by chunk round-robin across its
-// partitions, whatever moment a sweep happens at: a sweep takes a chunk only
-// once it is whole, and Finish, when nothing more can arrive, takes the
-// partial tails in the same rotation. Every order-dependent piece of the
-// aggregates is fed by a single topic, so the final Summary is the one
+// Each topic is ingested in one order, mofka.Topic.ChunksFrom's with chunk
+// events per turn, whatever moment a sweep happens at: a sweep takes the
+// order's leading chunks that are whole, and Finish, when nothing more can
+// arrive, takes the rest, partial tails included. Both hand them to the
+// chunk path ReplayTopics feeds, so the final Summary is the one
 // ReplayBroker's replay of the same broker gives. Topics are attached as they
 // appear on the broker. Every anomaly the detectors raise is also emitted
 // into the provenance.TopicAnomalies topic, until the broker refuses an
@@ -52,17 +51,22 @@ type Monitor struct {
 	emitter   *mofka.Producer
 	emitDead  bool
 	commitOff bool
+	// took, when set, sees every chunk the monitor hands to the aggregator,
+	// in order.
+	took func(topic string, c mofka.Chunk)
 
 	mu   sync.Mutex
 	lags map[string]uint64 // "topic/partition" -> events not yet ingested
 }
 
-// feed is the monitor's consumer of one topic and its place in the rotation.
+// feed is the monitor's place in one topic's order.
 type feed struct {
-	topic string
-	c     *mofka.Consumer
+	t     *mofka.Topic
+	r     chunkReader
+	next  []uint64 // per partition, the next offset to ingest
 	turn  int      // the partition whose chunk comes next
-	next  []uint64 // per partition, one past the last event ingested (0: none)
+	keys  []string // per partition, its "topic/partition" lag key
+	moved bool     // next moved since the last commit
 	bad   bool     // a malformed event was logged for the topic
 }
 
@@ -85,9 +89,9 @@ func (m *Monitor) Aggregator() *Aggregator { return m.agg }
 
 // Snapshot returns the current aggregates plus the monitor's own consumer
 // lag: per "topic/partition", the events the broker held at the end of the
-// last sweep that the monitor has not ingested (mofka.Consumer.Lag). Zero-lag
-// entries are omitted, so a drained monitor reports no lag map at all. Safe
-// to call concurrently with a sweep.
+// last sweep that the monitor has not ingested (the partition's length less
+// the monitor's next offset). Zero-lag entries are omitted, so a drained
+// monitor reports no lag map at all. Safe to call concurrently with a sweep.
 func (m *Monitor) Snapshot() Summary {
 	s := m.agg.Snapshot()
 	m.mu.Lock()
@@ -98,19 +102,18 @@ func (m *Monitor) Snapshot() Summary {
 	return s
 }
 
-// recordLag samples one consumer's lag; only the map is shared.
+// recordLag samples one topic's lag; only the map is shared.
 func (m *Monitor) recordLag(f *feed) {
-	lag := f.c.Lag()
 	m.mu.Lock()
-	for part, n := range lag {
-		key := fmt.Sprintf("%s/%d", f.topic, part)
-		if n == 0 {
-			delete(m.lags, key)
+	defer m.mu.Unlock()
+	for part, next := range f.next {
+		p, _ := f.t.Partition(part)
+		if length := p.Length(); length > next {
+			m.lags[f.keys[part]] = length - next
 		} else {
-			m.lags[key] = n
+			delete(m.lags, f.keys[part])
 		}
 	}
-	m.mu.Unlock()
 }
 
 // SubscribeAnomalies returns a channel carrying every anomaly raised from
@@ -147,7 +150,8 @@ func (m *Monitor) publish(a Anomaly) {
 }
 
 // feed returns (attaching lazily) the feed of the i-th provenance topic, or
-// nil while the topic does not exist yet.
+// nil while the topic does not exist yet. It starts at the monitor's
+// committed cursors, with partition 0 up next.
 func (m *Monitor) feed(i int, topic string) *feed {
 	if f := m.feeds[i]; f != nil {
 		return f
@@ -156,99 +160,74 @@ func (m *Monitor) feed(i int, topic string) *feed {
 	if err != nil {
 		return nil // not created yet
 	}
-	c, err := t.NewConsumer(mofka.ConsumerOptions{
-		Name:          consumerName,
-		NoData:        true,
-		FromCommitted: true,
-		Prefetch:      chunk,
-	})
-	if err != nil {
-		m.logf("live: subscribe %s: %v", topic, err)
-		return nil
+	f := &feed{t: t, r: readerOf(topic), next: make([]uint64, t.Partitions()), keys: make([]string, t.Partitions())}
+	for p := range f.next {
+		f.next[p] = m.broker.LoadCursor(consumerName, topic, p)
+		f.keys[p] = fmt.Sprintf("%s/%d", topic, p)
 	}
-	m.feeds[i] = &feed{topic: topic, c: c, next: make([]uint64, t.Partitions())}
-	return m.feeds[i]
+	m.feeds[i] = f
+	return f
 }
 
-// ingest feeds one event. One that does not decode is skipped, not fatal: it
-// is logged once per topic, and the cursor still moves past it.
-func (m *Monitor) ingest(f *feed, part int, id uint64, metadata []byte) {
-	if err := ingest(m.agg, f.topic, part, id, metadata); err != nil && !f.bad {
+// take hands f's order from where the feed stands to the aggregator — only
+// its leading whole chunks, each of the partition whose turn it is, when
+// whole is set — and returns the number of events taken. An event that does
+// not decode is skipped, not fatal: it is logged once per topic, and the
+// feed still moves past it.
+func (m *Monitor) take(f *feed, whole bool) int {
+	chunks := f.t.ChunksFrom(f.next, f.turn, chunk)
+	if whole {
+		n := 0
+		for n < len(chunks) && chunks[n].N == chunk && chunks[n].Part == (f.turn+n)%len(f.next) {
+			n++
+		}
+		chunks = chunks[:n]
+	}
+	if err := f.r.chunks(m.agg, f.t, chunks); err != nil && !f.bad {
 		f.bad = true
 		m.logf("%v (skipped, with any later one on this topic)", err)
 	}
-	f.next[part] = id + 1
+	events := 0
+	for _, c := range chunks {
+		if m.took != nil {
+			m.took(f.t.Config().Name, c)
+		}
+		f.next[c.Part] = c.From + uint64(c.N)
+		f.turn = (c.Part + 1) % len(f.next)
+		events += c.N
+	}
+	f.moved = f.moved || events > 0
+	m.recordLag(f)
+	return events
 }
 
-// Sweep ingests what each topic's rotation can take now: the next chunk, as
-// long as it is whole. It returns the number of events ingested. Whatever a
-// partition's visible length depends on must be settled by the caller; a
+// Sweep ingests what each topic's order can take now: its leading chunks, as
+// long as they are whole. It returns the number of events ingested. Whatever
+// a partition's visible length depends on must be settled by the caller; a
 // session waits for its producers' shipped batches to commit first.
 func (m *Monitor) Sweep() int {
 	total := 0
 	for i, topic := range provenance.AllTopics() {
-		f := m.feed(i, topic)
-		if f == nil {
-			continue
+		if f := m.feed(i, topic); f != nil {
+			total += m.take(f, true)
 		}
-		lag := f.c.Lag()
-		for lag[f.turn] >= chunk {
-			// A whole chunk is next, so the consumer's own round-robin reads
-			// exactly it. Private copies: a broker that other processes
-			// append to keeps appending while these decode.
-			evs, err := f.c.PullBatch(chunk)
-			if err != nil {
-				m.logf("live: pull %s: %v", topic, err)
-				break
-			}
-			for _, ev := range evs {
-				m.ingest(f, ev.Partition, ev.ID, ev.Metadata)
-			}
-			total += len(evs)
-			lag[f.turn] -= chunk
-			f.turn = (f.turn + 1) % len(f.next)
-		}
-		m.recordLag(f)
 	}
 	return total
 }
 
-// drain ingests everything left, partial chunks included, in the rotation
-// Sweep follows: the end of the run's order, once nothing more can arrive.
-func (m *Monitor) drain() {
-	for i, topic := range provenance.AllTopics() {
-		f := m.feed(i, topic)
-		if f == nil {
-			continue
-		}
-		err := f.c.Scan(func(part int, id uint64, metadata []byte) error {
-			m.ingest(f, part, id, metadata)
-			return nil
-		})
-		if err != nil {
-			m.logf("live: pull %s: %v", topic, err)
-		}
-		m.recordLag(f)
-	}
-}
-
 // Commit records the monitor's cursors — every event ingested so far — with
-// one cursor-store write per topic, until a commit fails.
+// one cursor-store write per topic that moved since the last commit, until a
+// commit fails.
 func (m *Monitor) Commit() {
 	for _, f := range m.feeds {
-		if f == nil || m.commitOff {
+		if f == nil || !f.moved || m.commitOff {
 			continue
 		}
-		var last []mofka.Event
-		for part, next := range f.next {
-			if next > 0 {
-				last = append(last, mofka.Event{Partition: part, ID: next - 1})
-			}
-		}
-		if err := f.c.CommitBatch(last); err != nil {
+		if err := f.t.CommitCursors(consumerName, f.next); err != nil {
 			m.commitOff = true
 			m.logf("live: cursor commits disabled: %v", err)
 		}
+		f.moved = false
 	}
 }
 
@@ -258,7 +237,11 @@ func (m *Monitor) Commit() {
 // the final Summary — the one the equivalence invariant holds for — is
 // returned.
 func (m *Monitor) Finish(logs []*darshan.Log, wallSeconds float64) Summary {
-	m.drain()
+	for i, topic := range provenance.AllTopics() {
+		if f := m.feed(i, topic); f != nil {
+			m.take(f, false)
+		}
+	}
 	m.Commit()
 	for _, l := range logs {
 		m.agg.IngestDarshanLog(l)

@@ -491,6 +491,24 @@ func TestSSEStream(t *testing.T) {
 	}
 }
 
+// TestSSERejectsTinyInterval: an /events interval that does not parse, or is
+// shorter than 10 ms, is refused before any snapshot is taken.
+func TestSSERejectsTinyInterval(t *testing.T) {
+	srv := httptest.NewServer(NewServer(NewMonitor(mofka.NewStandaloneBroker(), MonitorOptions{})))
+	defer srv.Close()
+	for _, interval := range []string{"1ns", "9ms", "0s", "-1s", "soon"} {
+		res, err := http.Get(srv.URL + "/events?interval=" + interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(res.Body)
+		_ = res.Body.Close()
+		if res.StatusCode != http.StatusBadRequest {
+			t.Fatalf("interval=%s: status %d, want 400: %s", interval, res.StatusCode, body)
+		}
+	}
+}
+
 // sweepEvery sweeps m from a host ticker, the way mofkad drives a monitor
 // whose producers run on no clock of its own, committing after every sweep
 // that ingested something. stop ends the sweeps and reports how many events

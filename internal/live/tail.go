@@ -18,7 +18,7 @@ import (
 
 // ReplayBroker feeds every provenance event already on the broker through
 // the aggregator, topic by topic, each in the order a Monitor ingests it —
-// chunks round-robin across the partitions — which is the order the
+// mofka.Topic.Chunks with chunk events per turn — which is the order the
 // equivalence invariant is defined against.
 func ReplayBroker(b *mofka.Broker, agg *Aggregator) error {
 	return ReplayTopics(b, agg, provenance.AllTopics())
@@ -27,60 +27,92 @@ func ReplayBroker(b *mofka.Broker, agg *Aggregator) error {
 // ReplayTopics is ReplayBroker over the named topics only: each one is fed
 // in the same order, to the same handlers, into the same lanes, so a
 // Summary field computed from those topics alone (PhaseTopics) comes out
-// bit for bit as the full replay's.
-//
-// A topic's chunks (mofka.Topic.Chunks, the monitor's rotation) are decoded
-// on up to GOMAXPROCS goroutines, each with a decoder of its own, into a
-// small ring of reused chunk buffers; this goroutine applies them in the
-// rotation's order, a chunk per hold of the aggregator's lock, so the
-// aggregates see exactly the event order a sequential replay gives.
+// bit for bit as the full replay's. It fails at the first event that does
+// not decode.
 func ReplayTopics(b *mofka.Broker, agg *Aggregator, topics []string) error {
 	for _, topic := range topics {
 		t, err := b.OpenTopic(topic)
 		if err != nil {
 			continue // topic never created on this broker
 		}
-		if err := handlerOf(topic).replay(agg, t, topic); err != nil {
+		if err := readerOf(topic).chunks(agg, t, t.Chunks(chunk)); err != nil {
 			return fmt.Errorf("live: replay %s: %w", topic, err)
 		}
 	}
 	return nil
 }
 
-// decodedChunk is one chunk of a replay's rotation as records. err is what
-// stopped the decode short of the chunk's end, if anything did.
+// chunkReader is the one way a topic's events reach the aggregates: a chunk
+// of consecutive events of one partition at a time, decoded from their
+// stored bytes and applied in order under one hold of the aggregator's lock.
+// An event that does not decode is skipped; the error returned names the
+// first, and what it means is the caller's to say: the replay fails, the
+// monitor logs it once and reads on, the remote tailer reports it once. A
+// reader keeps its buffers from one call to the next; it belongs to one
+// goroutine.
+type chunkReader interface {
+	// chunks feeds the given chunks of t, in their order.
+	chunks(a *Aggregator, t *mofka.Topic, chunks []mofka.Chunk) error
+	// events feeds evs, consecutive events of partition part pulled from a
+	// log service (at least one), as one chunk.
+	events(a *Aggregator, part int, evs []mofka.Event) error
+}
+
+// reader is the chunkReader of one topic, whose records are Ts.
+type reader[T any] struct {
+	h     handler[T]
+	topic string
+	ring  []decodedChunk[T]
+}
+
+func newReader[T any](topic string, h handler[T]) *reader[T] {
+	return &reader[T]{h: h, topic: topic}
+}
+
+// decodedChunk is one chunk as records, with the decoder that decoded it.
+// metas holds the chunk's stored metadata until it is decoded; err is the
+// first event that did not decode, or what cut the chunk's read short.
 type decodedChunk[T any] struct {
+	x     provenance.Decoder
+	metas [][]byte
 	recs  []T
 	err   error
 	ready chan struct{}
 }
 
-// replay feeds every event t holds through the aggregator, as described at
-// ReplayTopics. The ring holds two chunks per decoding goroutine, so a
-// decoder rarely waits for the applier; a topic of a single chunk, or a
-// single core, is decoded and applied in line.
-func (h handler[T]) replay(a *Aggregator, t *mofka.Topic, topic string) error {
-	chunks := t.Chunks(chunk)
+// slots returns the reader's first n chunk buffers, adding what it lacks.
+func (r *reader[T]) slots(n int) []decodedChunk[T] {
+	if grow := n - len(r.ring); grow > 0 {
+		r.ring = slices.Grow(r.ring, grow)
+		for range grow {
+			r.ring = append(r.ring, decodedChunk[T]{metas: make([][]byte, 0, chunk), recs: make([]T, 0, chunk), ready: make(chan struct{}, 1)})
+		}
+	}
+	return r.ring[:n]
+}
+
+// chunks decodes the chunks on up to GOMAXPROCS goroutines, into a ring of
+// two chunk buffers per goroutine, and applies them on this one in order, a
+// chunk per hold of the aggregator's lock, so the aggregates see exactly the
+// event order a sequential read gives. A chunk is queued only once the ring
+// slot it decodes into is free: the first ring's worth now, each later one
+// when the chunk a ring ahead of it has been applied. So at most a ring's
+// worth is queued, and the buffer never blocks the applier. A single chunk,
+// or a single core, is decoded and applied in line.
+func (r *reader[T]) chunks(a *Aggregator, t *mofka.Topic, chunks []mofka.Chunk) error {
+	var first error
 	workers := min(runtime.GOMAXPROCS(0), len(chunks))
 	if workers <= 1 {
-		var x provenance.Decoder
-		buf := decodedChunk[T]{recs: make([]T, 0, chunk)}
 		for _, c := range chunks {
-			h.decodeChunk(&x, t, topic, c, &buf)
-			if err := h.applyChunk(a, c.Part, &buf); err != nil {
-				return err
+			buf := &r.slots(1)[0]
+			r.read(t, c, buf)
+			if err := r.apply(a, c.Part, buf); first == nil {
+				first = err
 			}
 		}
-		return nil
+		return first
 	}
-	ring := make([]decodedChunk[T], 2*workers)
-	for i := range ring {
-		ring[i] = decodedChunk[T]{recs: make([]T, 0, chunk), ready: make(chan struct{}, 1)}
-	}
-	// A chunk is queued only once the ring slot it decodes into is free:
-	// the first ring's worth now, each later one when the chunk a ring
-	// ahead of it has been applied. So at most a ring's worth is queued,
-	// and the buffer never blocks the applier.
+	ring := r.slots(2 * workers)
 	jobs := make(chan int, len(ring))
 	for k := 0; k < min(len(ring), len(chunks)); k++ {
 		jobs <- k
@@ -90,20 +122,18 @@ func (h handler[T]) replay(a *Aggregator, t *mofka.Topic, topic string) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var x provenance.Decoder
 			for k := range jobs {
 				buf := &ring[k%len(ring)]
-				h.decodeChunk(&x, t, topic, chunks[k], buf)
+				r.read(t, chunks[k], buf)
 				buf.ready <- struct{}{}
 			}
 		}()
 	}
-	var err error
 	for k, c := range chunks {
 		buf := &ring[k%len(ring)]
 		<-buf.ready
-		if err = h.applyChunk(a, c.Part, buf); err != nil {
-			break
+		if err := r.apply(a, c.Part, buf); first == nil {
+			first = err
 		}
 		if next := k + len(ring); next < len(chunks) {
 			jobs <- next
@@ -111,55 +141,68 @@ func (h handler[T]) replay(a *Aggregator, t *mofka.Topic, topic string) error {
 	}
 	close(jobs)
 	wg.Wait()
-	return err
+	return first
 }
 
-// decodeChunk decodes chunk c of t into buf, stopping at the first event
-// that does not decode.
-func (h handler[T]) decodeChunk(x *provenance.Decoder, t *mofka.Topic, topic string, c mofka.Chunk, buf *decodedChunk[T]) {
-	buf.recs, buf.err = buf.recs[:0], nil
-	p, err := t.Partition(c.Part)
-	if err != nil {
-		buf.err = err
-		return
+func (r *reader[T]) events(a *Aggregator, part int, evs []mofka.Event) error {
+	buf := &r.slots(1)[0]
+	buf.metas = buf.metas[:0]
+	for _, ev := range evs {
+		buf.metas = append(buf.metas, ev.Metadata)
 	}
-	err = p.Scan(c.From, c.N, func(id uint64, metadata []byte) bool {
-		rec, err := h.decode(x, metadata)
-		if err != nil {
-			buf.err = fmt.Errorf("live: corrupt event %s[%d]/%d: %w", topic, c.Part, id, err)
-			return false
-		}
-		buf.recs = append(buf.recs, rec)
-		return true
-	})
+	r.decode(part, evs[0].ID, buf)
+	return r.apply(a, part, buf)
+}
+
+// read decodes chunk c of t into buf. The stored metadata Partition.Scan
+// lends are gathered first and decoded after, so the partition's read lock
+// is not held while they decode: an appender is held up no longer than by a
+// copy of the chunk.
+func (r *reader[T]) read(t *mofka.Topic, c mofka.Chunk, buf *decodedChunk[T]) {
+	buf.metas = buf.metas[:0]
+	p, err := t.Partition(c.Part)
+	if err == nil {
+		err = p.Scan(c.From, c.N, func(_ uint64, metadata []byte) bool {
+			buf.metas = append(buf.metas, metadata)
+			return true
+		})
+	}
+	r.decode(c.Part, c.From, buf)
 	if buf.err == nil {
 		buf.err = err
 	}
 }
 
-// applyChunk feeds a decoded chunk's records to the aggregator in order,
-// under one hold of its lock, then returns the error that cut the chunk
-// short, if any.
-func (h handler[T]) applyChunk(a *Aggregator, partition int, buf *decodedChunk[T]) error {
+// decode decodes buf.metas, the events of partition part from offset from,
+// into buf.recs, skipping an event that does not decode; buf.err names the
+// first such event.
+func (r *reader[T]) decode(part int, from uint64, buf *decodedChunk[T]) {
+	buf.recs, buf.err = buf.recs[:0], nil
+	for i, metadata := range buf.metas {
+		rec, err := r.h.decode(&buf.x, metadata)
+		if err != nil {
+			if buf.err == nil {
+				buf.err = fmt.Errorf("live: corrupt event %s[%d]/%d: %w", r.topic, part, from+uint64(i), err)
+			}
+			continue
+		}
+		buf.recs = append(buf.recs, rec)
+	}
+}
+
+// apply feeds a decoded chunk's records to the aggregator in order, under
+// one hold of its lock, then returns the chunk's error, if any.
+func (r *reader[T]) apply(a *Aggregator, partition int, buf *decodedChunk[T]) error {
 	a.mu.Lock()
 	var raised []Anomaly
 	for _, rec := range buf.recs {
-		if h.apply != nil {
-			raised = append(raised, h.apply(a, partition, rec)...)
+		if r.h.apply != nil {
+			raised = append(raised, r.h.apply(a, partition, rec)...)
 		}
 		a.events++
 	}
 	a.raise(raised)
 	return buf.err
-}
-
-// ingest feeds one event to the aggregator, naming the event in the error
-// when its metadata does not decode.
-func ingest(agg *Aggregator, topic string, partition int, id uint64, metadata []byte) error {
-	if err := agg.Ingest(topic, partition, metadata); err != nil {
-		return fmt.Errorf("live: corrupt event %s[%d]/%d: %w", topic, partition, id, err)
-	}
-	return nil
 }
 
 // dirMetadata is the slice of the run's metadata.json the tailer needs. The
@@ -313,7 +356,8 @@ type RemoteTailer struct {
 	opts   TailOptions
 	agg    *Aggregator
 
-	next map[laneKey]uint64
+	next    map[laneKey]uint64
+	readers map[string]chunkReader
 
 	poller
 }
@@ -322,10 +366,11 @@ type RemoteTailer struct {
 // returning so the first snapshot is already populated.
 func TailRemote(r mofka.Service, opts TailOptions) (*RemoteTailer, error) {
 	t := &RemoteTailer{
-		remote: r,
-		opts:   opts.withDefaults(),
-		agg:    NewAggregator(AggregatorOptions{}),
-		next:   make(map[laneKey]uint64),
+		remote:  r,
+		opts:    opts.withDefaults(),
+		agg:     NewAggregator(AggregatorOptions{}),
+		next:    make(map[laneKey]uint64),
+		readers: make(map[string]chunkReader),
 	}
 	if err := t.sweep(); err != nil {
 		return nil, err
@@ -334,7 +379,8 @@ func TailRemote(r mofka.Service, opts TailOptions) (*RemoteTailer, error) {
 	return t, nil
 }
 
-// sweep pulls everything new from every provenance topic on the remote.
+// sweep pulls everything new from every provenance topic on the remote,
+// partition by partition, each pulled batch fed to the aggregator as a chunk.
 func (t *RemoteTailer) sweep() error {
 	topics, err := t.remote.Topics()
 	if err != nil {
@@ -348,23 +394,26 @@ func (t *RemoteTailer) sweep() error {
 		if err != nil {
 			return err
 		}
+		r := t.readers[topic]
+		if r == nil {
+			r = readerOf(topic)
+			t.readers[topic] = r
+		}
 		for p := 0; p < parts; p++ {
 			k := laneKey{topic, p}
 			for {
-				evs, err := t.remote.Pull(topic, p, t.next[k], 256, false)
+				evs, err := t.remote.Pull(topic, p, t.next[k], chunk, false)
 				if err != nil {
 					return err
 				}
 				if len(evs) == 0 {
 					break
 				}
-				for _, ev := range evs {
-					// Step past the event first: one that does not decode
-					// is reported once, not on every sweep.
-					t.next[k] = ev.ID + 1
-					if err := ingest(t.agg, topic, p, ev.ID, ev.Metadata); err != nil {
-						return err
-					}
+				// Step past the batch first: an event in it that does not
+				// decode is reported once, not on every sweep.
+				t.next[k] = evs[len(evs)-1].ID + 1
+				if err := r.events(t.agg, p, evs); err != nil {
+					return err
 				}
 			}
 		}

@@ -2,6 +2,9 @@ package mofka
 
 import "testing"
 
+// TestCommitBatch: a topic's cursors are committed as one batch, each
+// partition's at its next offset, and what a reader resumed from them reads
+// is exactly the rest of the order.
 func TestCommitBatch(t *testing.T) {
 	b, tp := newTopic(t, "t", 3)
 	p := tp.NewProducer(ProducerOptions{})
@@ -10,7 +13,7 @@ func TestCommitBatch(t *testing.T) {
 	}
 	p.Flush()
 
-	c1, _ := tp.NewConsumer(ConsumerOptions{Name: "monitor"})
+	c1, _ := tp.NewConsumer(ConsumerOptions{})
 	evs, err := c1.PullBatch(9)
 	if err != nil {
 		t.Fatal(err)
@@ -18,42 +21,47 @@ func TestCommitBatch(t *testing.T) {
 	if len(evs) != 9 {
 		t.Fatalf("pulled %d events, want 9", len(evs))
 	}
-	if err := c1.CommitBatch(evs); err != nil {
+	// One cursor per partition, each at the highest pulled offset + 1.
+	next := make([]uint64, tp.Partitions())
+	for _, ev := range evs {
+		next[ev.Partition] = max(next[ev.Partition], ev.ID+1)
+	}
+	if err := tp.CommitCursors("monitor", next); err != nil {
 		t.Fatal(err)
 	}
-	// One cursor per partition, each at the highest acked offset + 1.
-	want := map[int]uint64{}
-	for _, ev := range evs {
-		if next := ev.ID + 1; next > want[ev.Partition] {
-			want[ev.Partition] = next
+	for part, want := range next {
+		if want == 0 {
+			t.Fatalf("the batch left partition %d out; the test wants all three", part)
 		}
-	}
-	if len(want) != 3 {
-		t.Fatalf("batch covered %d partitions, want 3", len(want))
-	}
-	for part, next := range want {
-		if got := b.LoadCursor("monitor", "t", part); got != next {
-			t.Fatalf("cursor[%d] = %d, want %d", part, got, next)
+		if got := b.LoadCursor("monitor", "t", part); got != want {
+			t.Fatalf("cursor[%d] = %d, want %d", part, got, want)
 		}
 	}
 
-	// A resumed consumer sees exactly the uncommitted remainder.
-	c2, _ := tp.NewConsumer(ConsumerOptions{Name: "monitor", FromCommitted: true})
-	rest, _ := c2.Drain()
-	if len(rest) != 12-9 {
-		t.Fatalf("resumed consumer got %d events, want 3", len(rest))
+	// A reader resumed from the cursors reads exactly the uncommitted rest.
+	resumed := make([]uint64, tp.Partitions())
+	for part := range resumed {
+		resumed[part] = b.LoadCursor("monitor", "t", part)
+	}
+	rest := 0
+	for _, c := range tp.ChunksFrom(resumed, 0, ConsumerChunk) {
+		rest += c.N
+	}
+	if rest != 12-9 {
+		t.Fatalf("resumed reader's order holds %d events, want 3", rest)
 	}
 }
 
 func TestCommitBatchEmptyAndAnonymous(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	named, _ := tp.NewConsumer(ConsumerOptions{Name: "n"})
-	if err := named.CommitBatch(nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
+	b, tp := newTopic(t, "t", 2)
+	if err := tp.CommitCursors("n", []uint64{0, 0}); err != nil {
+		t.Fatalf("nothing read: %v", err)
 	}
-	anon, _ := tp.NewConsumer(ConsumerOptions{})
-	if err := anon.CommitBatch([]Event{{}}); err == nil {
-		t.Fatal("anonymous CommitBatch succeeded")
+	if cs := b.Cursors(); len(cs) != 0 {
+		t.Fatalf("committing nothing stored cursors %v", cs)
+	}
+	if err := tp.CommitCursors("", []uint64{1, 0}); err == nil {
+		t.Fatal("anonymous commit succeeded")
 	}
 }
 

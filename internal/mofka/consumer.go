@@ -8,72 +8,117 @@ import (
 
 // ConsumerOptions configures a subscription.
 type ConsumerOptions struct {
-	// Name identifies the consumer for cursor commits. Required for
-	// CommitBatch/resume semantics; anonymous consumers start at 0 every time.
-	Name string
 	// NoData skips fetching payloads (Mofka's data-selection feature):
 	// events arrive with Data == nil. Metadata-only analysis passes use it.
 	NoData bool
-	// Prefetch is the per-partition pull granularity for PullBatch and the
-	// internal read-ahead. Default 64.
-	Prefetch int
-	// FromCommitted resumes from the consumer's committed cursors instead
-	// of offset zero.
-	FromCommitted bool
 }
 
-// Consumer pulls events from every partition of a topic. It is
+// ConsumerChunk is how many events of one partition a Consumer takes per
+// turn of its round-robin: the chunk of its delivery order.
+const ConsumerChunk = 64
+
+// Consumer pulls events from every partition of a topic, in the delivery
+// order ChunksFrom defines with ConsumerChunk events per turn. It is
 // single-goroutine by design (like a Mofka consumer handle); create one per
-// analysis thread.
+// analysis thread. A fresh consumer starts at offset zero of every
+// partition.
 type Consumer struct {
 	topic *Topic
 	opts  ConsumerOptions
-	next  []uint64 // next unread offset per partition
-	buf   []Event
-	rr    int
+	next  []uint64 // per partition, the next offset to read
+	turn  int      // the partition the rest of the order starts at
+	order []Chunk  // the order's chunks not read yet, as last computed
+	buf   []Event  // read but not pulled yet
 }
 
 // NewConsumer subscribes to the topic. It does not fail; the error result is
 // kept for the callers that compile against it (bench/e2e).
 func (t *Topic) NewConsumer(opts ConsumerOptions) (*Consumer, error) {
-	if opts.Prefetch <= 0 {
-		opts.Prefetch = 64
-	}
-	c := &Consumer{topic: t, opts: opts, next: make([]uint64, len(t.partitions))}
-	if opts.FromCommitted && opts.Name != "" {
-		for i := range c.next {
-			c.next[i] = t.broker.LoadCursor(opts.Name, t.cfg.Name, i)
-		}
-	}
-	return c, nil
+	return &Consumer{topic: t, opts: opts, next: make([]uint64, len(t.partitions))}, nil
 }
 
-// roundRobin offers the partitions to read, one after the other from where
-// the last call stopped, until one of them yields events. Both fill and Scan
-// step through it, which is what makes their orders agree.
-func (c *Consumer) roundRobin(read func(pi int, p *Partition) (progressed bool, err error)) (bool, error) {
-	for range c.next {
-		pi := c.rr % len(c.next)
-		c.rr++
-		if progressed, err := read(pi, c.topic.partitions[pi]); progressed || err != nil {
-			return progressed, err
-		}
-	}
-	return false, nil
+// Chunk is one stretch of a topic's delivery order: N consecutive events of
+// partition Part from offset From, events Slot to Slot+N-1 of the order it
+// was listed in.
+type Chunk struct {
+	Part int
+	From uint64
+	N    int
+	Slot int
 }
 
-// fill tops up the internal buffer by reading round-robin across
-// subscribed partitions.
+// ChunksFrom is the topic's delivery order, the one every reader of it
+// follows: the rest of the events the topic holds now, for a reader at
+// offset next[p] of each partition p with partition turn up next. It is
+// round-robin from partition turn, prefetch events of a partition per turn,
+// and a partition with nothing left drops out of the rotation. Each
+// partition's length is taken once. A reader that decodes the chunks on
+// several goroutines still places, or applies, every event where a
+// sequential reader would.
+func (t *Topic) ChunksFrom(next []uint64, turn, prefetch int) []Chunk {
+	step := uint64(prefetch)
+	from := make([]uint64, len(t.partitions))
+	lens := make([]uint64, len(t.partitions))
+	var chunks uint64
+	for i, p := range t.partitions {
+		from[i], lens[i] = next[i], p.Length()
+		if lens[i] > from[i] {
+			chunks += (lens[i] - from[i] + step - 1) / step
+		}
+	}
+	out := make([]Chunk, 0, chunks)
+	slot := 0
+	for pi := turn; uint64(len(out)) < chunks; pi = (pi + 1) % len(lens) {
+		if from[pi] < lens[pi] {
+			c := Chunk{Part: pi, From: from[pi], N: int(min(step, lens[pi]-from[pi])), Slot: slot}
+			out = append(out, c)
+			from[pi] += uint64(c.N)
+			slot += c.N
+		}
+	}
+	return out
+}
+
+// Chunks is ChunksFrom for a reader that has read nothing: the whole order of
+// the events the topic holds now.
+func (t *Topic) Chunks(prefetch int) []Chunk {
+	return t.ChunksFrom(make([]uint64, len(t.partitions)), 0, prefetch)
+}
+
+// chunk returns the next chunk of the consumer's order, computing the rest of
+// the order again once what was computed last has been handed out.
+func (c *Consumer) chunk() (Chunk, bool) {
+	if len(c.order) == 0 {
+		c.order = c.topic.ChunksFrom(c.next, c.turn, ConsumerChunk)
+		if len(c.order) == 0 {
+			return Chunk{}, false
+		}
+	}
+	ch := c.order[0]
+	c.order = c.order[1:]
+	c.turn = (ch.Part + 1) % len(c.next)
+	return ch, true
+}
+
+// advance records that the consumer read n events of chunk ch. A chunk read
+// short (a visitor that stopped, a truncated partition) leaves the offsets
+// the rest of the computed order assumed, so the order is computed again.
+func (c *Consumer) advance(ch Chunk, n int) {
+	c.next[ch.Part] = ch.From + uint64(n)
+	if n < ch.N {
+		c.order = nil
+	}
+}
+
+// fill reads the order's next chunk into the internal buffer.
 func (c *Consumer) fill() error {
-	_, err := c.roundRobin(func(pi int, p *Partition) (bool, error) {
-		evs, err := p.read(c.next[pi], c.opts.Prefetch, !c.opts.NoData)
-		if err != nil || len(evs) == 0 {
-			return false, err
-		}
-		c.next[pi] = evs[len(evs)-1].ID + 1
-		c.buf = append(c.buf, evs...)
-		return true, nil
-	})
+	ch, ok := c.chunk()
+	if !ok {
+		return nil
+	}
+	evs, err := c.topic.partitions[ch.Part].read(ch.From, ch.N, !c.opts.NoData)
+	c.advance(ch, len(evs))
+	c.buf = append(c.buf, evs...)
 	return err
 }
 
@@ -90,64 +135,27 @@ func (c *Consumer) Scan(visit func(partition int, id uint64, metadata []byte) er
 	}
 	c.buf = nil
 	for {
-		progressed, err := c.roundRobin(func(pi int, p *Partition) (bool, error) {
-			from := c.next[pi]
-			var visitErr error
-			err := p.scan(from, c.opts.Prefetch, func(id uint64, metadata []byte, _ uint64, _, _ int64) bool {
-				if visitErr = visit(pi, id, metadata); visitErr != nil {
-					return false
-				}
-				c.next[pi] = id + 1
-				return true
-			})
-			if visitErr != nil {
-				err = visitErr
+		ch, ok := c.chunk()
+		if !ok {
+			return nil
+		}
+		n := 0
+		var visitErr error
+		err := c.topic.partitions[ch.Part].Scan(ch.From, ch.N, func(id uint64, metadata []byte) bool {
+			if visitErr = visit(ch.Part, id, metadata); visitErr != nil {
+				return false
 			}
-			return c.next[pi] > from, err
+			n++
+			return true
 		})
-		if err != nil || !progressed {
+		c.advance(ch, n)
+		if visitErr != nil {
+			return visitErr
+		}
+		if err != nil {
 			return err
 		}
 	}
-}
-
-// Chunk is one stretch of a topic's delivery order: N consecutive events of
-// partition Part from offset From, which a fresh consumer delivers as its
-// events Slot to Slot+N-1.
-type Chunk struct {
-	Part int
-	From uint64
-	N    int
-	Slot int
-}
-
-// Chunks cuts the events the topic holds now into the order a fresh Consumer
-// with the given Prefetch delivers them in (Drain, Scan, PullBatch):
-// prefetch events of partition 0, then of partition 1, and so on round-robin,
-// a partition that has run out dropping out of the rotation. Each partition's
-// length is taken once. It lets a reader decode the chunks on several
-// goroutines and still place, or apply, every event where Drain would.
-func (t *Topic) Chunks(prefetch int) []Chunk {
-	step := uint64(prefetch)
-	lens := make([]uint64, len(t.partitions))
-	var most, chunks uint64
-	for i, p := range t.partitions {
-		lens[i] = p.Length()
-		most = max(most, lens[i])
-		chunks += (lens[i] + step - 1) / step
-	}
-	out := make([]Chunk, 0, chunks)
-	slot := 0
-	for from := uint64(0); from < most; from += step {
-		for pi, n := range lens {
-			if from < n {
-				c := Chunk{Part: pi, From: from, N: int(min(step, n-from)), Slot: slot}
-				out = append(out, c)
-				slot += c.N
-			}
-		}
-	}
-	return out
 }
 
 // Pull returns the next event, or ok=false when no unread events exist.
@@ -197,52 +205,24 @@ func (c *Consumer) Drain() ([]Event, error) {
 	}
 }
 
-// CommitBatch durably records a whole batch of processed events with one
-// cursor-store write for the batch (not one per event, nor one per
-// partition): for each partition represented in the batch, the highest event
-// ID wins — on a durable broker every commit is an fsynced sidecar rewrite.
-func (c *Consumer) CommitBatch(evs []Event) error {
-	if c.opts.Name == "" {
+// CommitCursors durably records where the named consumer stands in the
+// topic, next[p] being the next unread offset of partition p, with one
+// cursor-store write for the whole topic (not one per partition): on a
+// durable broker every commit is an fsynced sidecar rewrite. A partition
+// with nothing read (next 0) is left out; Broker.LoadCursor reads a cursor
+// back.
+func (t *Topic) CommitCursors(consumer string, next []uint64) error {
+	if consumer == "" {
 		return fmt.Errorf("mofka: anonymous consumer cannot commit")
 	}
-	if len(evs) == 0 {
+	var cursors []wal.Cursor
+	for p, n := range next {
+		if n > 0 {
+			cursors = append(cursors, wal.Cursor{Key: cursorKey(consumer, t.cfg.Name, p), Next: n})
+		}
+	}
+	if len(cursors) == 0 {
 		return nil
 	}
-	high := make([]uint64, len(c.topic.partitions))
-	for _, ev := range evs {
-		if ev.Partition < 0 || ev.Partition >= len(high) {
-			return fmt.Errorf("%w: %s[%d]", ErrNoPartition, c.topic.cfg.Name, ev.Partition)
-		}
-		if next := ev.ID + 1; next > high[ev.Partition] {
-			high[ev.Partition] = next
-		}
-	}
-	var cursors []wal.Cursor
-	for p, next := range high {
-		if next > 0 {
-			cursors = append(cursors, wal.Cursor{Key: cursorKey(c.opts.Name, c.topic.cfg.Name, p), Next: next})
-		}
-	}
-	return c.topic.broker.commitCursors(cursors)
-}
-
-// Lag reports, per partition, how many published events this consumer has
-// not pulled yet (events buffered internally but not yet returned by Pull
-// still count as lag — they have not been delivered).
-func (c *Consumer) Lag() map[int]uint64 {
-	buffered := make(map[int]uint64, len(c.next))
-	for _, ev := range c.buf {
-		buffered[ev.Partition]++
-	}
-	out := make(map[int]uint64, len(c.next))
-	for pi, p := range c.topic.partitions {
-		length := p.Length()
-		delivered := c.next[pi] - buffered[pi]
-		if length > delivered {
-			out[pi] = length - delivered
-		} else {
-			out[pi] = 0
-		}
-	}
-	return out
+	return t.broker.commitCursors(cursors)
 }

@@ -201,11 +201,11 @@ func TestConsumerScanMatchesDrain(t *testing.T) {
 	if err := prod.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	c, err := tp.NewConsumer(ConsumerOptions{Prefetch: 16})
+	c, err := tp.NewConsumer(ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := tp.NewConsumer(ConsumerOptions{Prefetch: 16})
+	ref, err := tp.NewConsumer(ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,9 +107,9 @@ func TestPostMortemOpenReadsEachSegmentOnce(t *testing.T) {
 	}
 }
 
-// TestCommitBatchRewritesCursorStoreOnce: a batch that spans three partitions
-// is one atomic install of cursors.json, not three, and the file holds what
-// three single commits would have left.
+// TestCommitBatchRewritesCursorStoreOnce: committing a topic's cursors over
+// three partitions is one atomic install of cursors.json, not three, and the
+// file holds what three single commits would have left.
 func TestCommitBatchRewritesCursorStoreOnce(t *testing.T) {
 	dir := t.TempDir()
 	b := newDurable(t, dir)
@@ -127,20 +127,12 @@ func TestCommitBatchRewritesCursorStoreOnce(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	c, err := tp.NewConsumer(ConsumerOptions{Name: "mon"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, err := c.PullBatch(12)
-	if err != nil || len(evs) != 12 {
-		t.Fatalf("pulled %d events, %v", len(evs), err)
-	}
 	installs := fileEvents(t, []string{dir}, syscall.IN_MOVED_TO, syscall.IN_CREATE, "cursors.json")
-	if err := c.CommitBatch(evs); err != nil {
+	if err := tp.CommitCursors("mon", []uint64{4, 4, 4}); err != nil {
 		t.Fatal(err)
 	}
 	if n := installs()[filepath.Join(dir, "cursors.json")]; n != 1 {
-		t.Fatalf("CommitBatch over three partitions installed cursors.json %d times, want once", n)
+		t.Fatalf("CommitCursors over three partitions installed cursors.json %d times, want once", n)
 	}
 	got, err := os.ReadFile(filepath.Join(dir, "cursors.json"))
 	if err != nil {

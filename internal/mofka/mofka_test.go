@@ -105,13 +105,13 @@ func TestCommitAndResume(t *testing.T) {
 	}
 	p.Flush()
 
-	c1, _ := tp.NewConsumer(ConsumerOptions{Name: "analysis"})
+	c1, _ := tp.NewConsumer(ConsumerOptions{})
 	for i := 0; i < 4; i++ {
 		ev, ok, _ := c1.Pull()
 		if !ok {
 			t.Fatal("pull failed")
 		}
-		if err := c1.CommitBatch([]Event{ev}); err != nil {
+		if err := tp.CommitCursors("analysis", []uint64{ev.ID + 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,21 +119,15 @@ func TestCommitAndResume(t *testing.T) {
 		t.Fatalf("cursor = %d, want 4", got)
 	}
 
-	c2, _ := tp.NewConsumer(ConsumerOptions{Name: "analysis", FromCommitted: true})
-	evs, _ := c2.Drain()
-	if len(evs) != 6 {
-		t.Fatalf("resumed consumer got %d events, want 6", len(evs))
-	}
-	m, _ := evs[0].ParseMetadata()
-	if int(m["i"].(float64)) != 4 {
-		t.Fatalf("resume started at %v", m)
+	rest := tp.ChunksFrom([]uint64{b.LoadCursor("analysis", "t", 0)}, 0, ConsumerChunk)
+	if len(rest) != 1 || rest[0].From != 4 || rest[0].N != 6 {
+		t.Fatalf("resumed order = %+v, want offsets 4 to 9", rest)
 	}
 }
 
 func TestAnonymousCommitFails(t *testing.T) {
 	_, tp := newTopic(t, "t", 1)
-	c, _ := tp.NewConsumer(ConsumerOptions{})
-	if err := c.CommitBatch([]Event{{}}); err == nil {
+	if err := tp.CommitCursors("", []uint64{1}); err == nil {
 		t.Fatal("anonymous commit succeeded")
 	}
 }
@@ -141,21 +135,21 @@ func TestAnonymousCommitFails(t *testing.T) {
 func TestPullBatchAndProgress(t *testing.T) {
 	_, tp := newTopic(t, "t", 1)
 	p := tp.NewProducer(ProducerOptions{})
-	for i := 0; i < 25; i++ {
+	for i := 0; i < ConsumerChunk+25; i++ {
 		p.Push(Metadata{"i": i}, nil)
 	}
 	p.Flush()
-	c, _ := tp.NewConsumer(ConsumerOptions{Prefetch: 10})
-	batch, err := c.PullBatch(20)
-	if err != nil || len(batch) != 20 {
+	c, _ := tp.NewConsumer(ConsumerOptions{})
+	batch, err := c.PullBatch(ConsumerChunk + 20)
+	if err != nil || len(batch) != ConsumerChunk+20 {
 		t.Fatalf("batch = %d events, %v", len(batch), err)
 	}
 	rest, _ := c.Drain()
 	if len(rest) != 5 {
 		t.Fatalf("rest = %d", len(rest))
 	}
-	if lag := c.Lag()[0]; lag != 0 {
-		t.Fatalf("lag = %d after reading everything", lag)
+	if ev, ok, err := c.Pull(); ok || err != nil {
+		t.Fatalf("pull after reading everything: %v %v %v", ev, ok, err)
 	}
 }
 

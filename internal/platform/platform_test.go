@@ -199,3 +199,39 @@ func TestTransferAllocatesNothing(t *testing.T) {
 		t.Errorf("%d of %d transfers arrived", arrived, 3*501)
 	}
 }
+
+// TestSetLinkFactorSlowsOneDirection: a factor of 4 on src → dst makes a
+// transfer on that link slower than the same transfer on the healthy
+// dst → src link; LinkFactor reports it, and a factor <= 1 clears it.
+func TestSetLinkFactorSlowsOneDirection(t *testing.T) {
+	cfg := Polaris()
+	cfg.LatencyCV = 0
+	cfg.BandwidthCV = 0
+	k := sim.NewKernel(1)
+	c := New(k, cfg)
+	src, dst := c.Node(0), c.Node(1)
+	c.SetLinkFactor(src.ID, dst.ID, 4)
+	if f := c.LinkFactor(src.ID, dst.ID); f != 4 {
+		t.Fatalf("LinkFactor(src, dst) = %v, want 4", f)
+	}
+	if f := c.LinkFactor(dst.ID, src.ID); f != 1 {
+		t.Fatalf("LinkFactor(dst, src) = %v, want 1: the factor is directed", f)
+	}
+	var degraded, healthy sim.Time
+	c.Transfer(src, dst, 1<<30, func() { degraded = k.Now() })
+	c.Transfer(dst, src, 1<<30, func() { healthy = k.Now() })
+	k.Run()
+	if healthy == 0 || degraded <= healthy {
+		t.Fatalf("1 GiB took %v on the degraded link, %v on the healthy one", degraded, healthy)
+	}
+	for _, clear := range []float64{1, 0.5} {
+		c.SetLinkFactor(src.ID, dst.ID, 4)
+		c.SetLinkFactor(src.ID, dst.ID, clear)
+		if f := c.LinkFactor(src.ID, dst.ID); f != 1 {
+			t.Fatalf("LinkFactor after SetLinkFactor(%v) = %v, want 1", clear, f)
+		}
+		if _, ok := c.linkFactor[[2]int{src.ID, dst.ID}]; ok {
+			t.Fatalf("SetLinkFactor(%v) left the entry in place", clear)
+		}
+	}
+}

@@ -85,19 +85,16 @@ func (r *Records) Speculation() ([]dask.SpeculationEvent, error) {
 	return read(r, &r.speculation, TopicSpeculation, (*Decoder).Speculation)
 }
 
-// drainChunk is the Prefetch of the consumer whose Drain order a read
-// reproduces: a consumer's default.
-const drainChunk = 64
-
 // read returns topic's records: c's while they are alive and the topic's
 // event count is the one they were decoded at, else every event decoded
 // once, straight from the stored bytes, in the order a consumer's Drain
-// delivers them. The topic's chunks of that order (mofka.Topic.Chunks) are
-// split into as many runs of about equal events as there are decoders —
-// GOMAXPROCS, or fewer for a topic of fewer chunks — and each run is decoded
-// by its own goroutine into its own slots of the result. A failed decode is
-// not kept, and the error is the first corrupt event in Drain order: the
-// runs are in that order, and each stops at its first.
+// delivers them. The topic's chunks of that order (mofka.Topic.Chunks with
+// mofka.ConsumerChunk) are split into as many runs of about equal events as
+// there are decoders — GOMAXPROCS, or fewer for a topic of fewer chunks —
+// and each run is decoded by its own goroutine into its own slots of the
+// result. A failed decode is not kept, and the error is the first corrupt
+// event in Drain order: the runs are in that order, and each stops at its
+// first.
 func read[T any](r *Records, c *decoded[T], topic string, decode func(*Decoder, []byte) (T, error)) ([]T, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -108,7 +105,7 @@ func read[T any](r *Records, c *decoded[T], topic string, decode func(*Decoder, 
 	if p := c.first.Value(); p != nil && c.events == t.Events() {
 		return unsafe.Slice(p, c.n), nil
 	}
-	chunks := t.Chunks(drainChunk)
+	chunks := t.Chunks(mofka.ConsumerChunk)
 	if len(chunks) == 0 {
 		return []T{}, nil
 	}

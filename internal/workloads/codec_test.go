@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -93,11 +94,15 @@ func seededRun(t *testing.T, name string) *core.RunArtifacts {
 	return seededRuns.arts[name]
 }
 
+// replayChunk is live's chunk: ReplayBroker applies a topic in the order
+// mofka.Topic.Chunks(replayChunk) gives.
+const replayChunk = 256
+
 // TestTypedIngestMatchesMapIngest feeds every event of the seeded runs to two
-// live aggregators — one through Ingest, straight from the stored bytes by
-// the aggregator's decoder, one through IngestEvent over the
-// decoded map — in the replay's order, and requires equal snapshots: the
-// typed read path changes no summary.
+// live aggregators — one through ReplayBroker, the chunk path that decodes
+// the stored bytes, one through IngestEvent over the decoded map, in the
+// replay's order — and requires equal snapshots: the typed read path changes
+// no summary.
 func TestTypedIngestMatchesMapIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow runs")
@@ -105,25 +110,32 @@ func TestTypedIngestMatchesMapIngest(t *testing.T) {
 	for _, name := range seededWorkflows {
 		art := seededRun(t, name)
 		typed, mapped := live.NewAggregator(live.AggregatorOptions{}), live.NewAggregator(live.AggregatorOptions{})
-		for _, topic := range art.Broker.Topics() {
+		if err := live.ReplayBroker(art.Broker, typed); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, topic := range provenance.AllTopics() {
 			tp, err := art.Broker.OpenTopic(topic)
 			if err != nil {
-				t.Fatal(err)
+				continue
 			}
-			c, err := tp.NewConsumer(mofka.ConsumerOptions{NoData: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = c.Scan(func(partition int, id uint64, metadata []byte) error {
-				m, err := mofka.DecodeMetadata(metadata)
+			for _, c := range tp.Chunks(replayChunk) {
+				p, err := tp.Partition(c.Part)
 				if err != nil {
-					return err
+					t.Fatal(err)
 				}
-				mapped.IngestEvent(topic, partition, m)
-				return typed.Ingest(topic, partition, metadata)
-			})
-			if err != nil {
-				t.Fatalf("%s: %s: %v", name, topic, err)
+				var bad error
+				err = p.Scan(c.From, c.N, func(_ uint64, metadata []byte) bool {
+					m, err := mofka.DecodeMetadata(metadata)
+					if err != nil {
+						bad = err
+						return false
+					}
+					mapped.IngestEvent(topic, c.Part, m)
+					return true
+				})
+				if err = cmp.Or(bad, err); err != nil {
+					t.Fatalf("%s: %s: %v", name, topic, err)
+				}
 			}
 		}
 		got, want := typed.Snapshot(), mapped.Snapshot()

@@ -213,29 +213,6 @@ func TestRecordsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// serialReplay is the sequential reference for live.ReplayBroker: each
-// topic drained by one consumer with the monitor's chunk, event by event
-// through Ingest.
-func serialReplay(b *mofka.Broker, agg *live.Aggregator, topics []string) error {
-	for _, topic := range topics {
-		tp, err := b.OpenTopic(topic)
-		if err != nil {
-			continue
-		}
-		c, err := tp.NewConsumer(mofka.ConsumerOptions{NoData: true, Prefetch: 256})
-		if err != nil {
-			return err
-		}
-		err = c.Scan(func(partition int, id uint64, metadata []byte) error {
-			return agg.Ingest(topic, partition, metadata)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // sameJSON fails unless got and want marshal to the same bytes: every float
 // bit for bit, since the shortest form that reads back tells any two apart.
 func sameJSON(t *testing.T, what string, got, want any) {
@@ -255,11 +232,11 @@ func sameJSON(t *testing.T, what string, got, want any) {
 
 // TestReplayParallelMatchesSerial holds live.ReplayBroker, which decodes a
 // topic's chunks on several goroutines and applies them in the monitor's
-// rotation, to event-by-event Ingest in a consumer's order: the Summary bit
-// for bit, windows and anomalies included, on the three paper workflows, a
-// cluster dir and a killed dir. perfrecup.Phases, which replays the phase
-// topics the same way, gives the same bits with several decoders as with
-// one.
+// order, to its one-core self, which decodes and applies each chunk in line:
+// the Summary bit for bit, windows and anomalies included, on the three
+// paper workflows, a cluster dir and a killed dir. perfrecup.Phases, which
+// replays the phase topics the same way, gives the same bits with several
+// decoders as with one.
 func TestReplayParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow runs")
@@ -267,11 +244,12 @@ func TestReplayParallelMatchesSerial(t *testing.T) {
 	anomalies := 0
 	for _, run := range parallelCorpus(t) {
 		want := live.NewAggregator(live.AggregatorOptions{})
-		if err := serialReplay(run.art.Broker, want, provenance.AllTopics()); err != nil {
+		var err error
+		withProcs(1, func() { err = live.ReplayBroker(run.art.Broker, want) })
+		if err != nil {
 			t.Fatalf("%s: serial replay: %v", run.name, err)
 		}
 		got := live.NewAggregator(live.AggregatorOptions{})
-		var err error
 		withProcs(splitProcs, func() { err = live.ReplayBroker(run.art.Broker, got) })
 		if err != nil {
 			t.Fatalf("%s: ReplayBroker: %v", run.name, err)
