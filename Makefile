@@ -112,7 +112,8 @@ resume:
 
 # Read-path gate, uncached. Not under -race, which allocates on its own: the
 # allocation budgets of a post-mortem open, a live replay, perfrecup.Phases
-# and whatif.Extract (per event of a seeded run), typed ingest against the
+# and whatif.Extract (per event of a seeded run), the bytes a post-mortem open
+# allocates (at most 1.75 times its segments'), typed ingest against the
 # map API over every event of the seeded runs, Phases (the phase topics only)
 # bit for bit against the full replay's phase fields on the paper workflows,
 # a kill, a brownout and a cluster dir, the borrowing decoder (a name the
@@ -134,7 +135,8 @@ resume:
 # against its serial reference (standalone and cluster dirs, torn, corrupt,
 # lagging, killed; each segment opened once), one cursor-store rewrite per
 # topic's cursor commit, stored bytes a scan lent surviving a truncate and
-# re-append (document collection and partition), the malformed-event
+# re-append (document collection and partition), the records a log's replay
+# lent surviving the open, its appends and its close, the malformed-event
 # regressions, two goroutines feeding one aggregator through the chunk path,
 # an aggregator whose ingested bytes are overwritten keeping its snapshot, a
 # monitor swept from a host ticker ending at the replay, its commits, one
@@ -144,14 +146,14 @@ resume:
 # an /events interval too short to serve refused, and frontier
 # reconstruction against the reference open.
 readpath:
-	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestTypedIngestMatchesMapIngest|TestSharedRecordsStayUnchanged|TestPhasesMatchFullReplay' ./internal/workloads/
+	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestPostMortemOpenAllocatesItsSegments|TestTypedIngestMatchesMapIngest|TestSharedRecordsStayUnchanged|TestPhasesMatchFullReplay' ./internal/workloads/
 	$(GO) test -count=1 -run 'TestDecoderBorrowsNames|TestExactFloatMatchesParseFloat|TestCodecMatchesMapAPI|FuzzCodec|TestDrain|TestRecordsReuseUntilAppend|TestRecordsReleasedWhenUnheld|TestRecordsMissingTopic' ./internal/provenance/
 	$(GO) test -race -count=1 -run 'TestRecordsParallelMatchesSerial|TestReplayParallelMatchesSerial' ./internal/workloads/
 	$(GO) test -race -count=1 -run 'TestRecordsConcurrentReads' ./internal/provenance/
 	$(GO) test -count=1 -run 'TestSchedulerLogOrdersSimultaneousGraphs' ./internal/core/
 	$(GO) test -count=1 -run 'TestStragglerFitMatchesSortReference|TestLiveBytesFollowSeed' ./internal/live/ -paper-workflows
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode' -benchtime 1x ./internal/provenance/
-	$(GO) test -race -count=1 -run 'TestPostMortemOpen|TestCommitBatchRewritesCursorStoreOnce|TestScannedBytesSurviveTruncate|TestLentDocumentsSurviveTruncate' ./internal/mofka/ ./internal/mofka/cluster/ ./internal/mochi/yokan/
+	$(GO) test -race -count=1 -run 'TestPostMortemOpen|TestCommitBatchRewritesCursorStoreOnce|TestScannedBytesSurviveTruncate|TestLentDocumentsSurviveTruncate|TestReplayedRecordsOutliveTheOpen' ./internal/mofka/ ./internal/mofka/cluster/ ./internal/mochi/yokan/ ./internal/mofka/wal/
 	$(GO) test -race -count=1 -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent|TestAggregatorConcurrentIngest|TestAggregatorKeepsNoBorrowedName|TestMonitorSweptFromHostTicker|TestMonitorResumesFromCommitted|TestOneDeliveryOrder|TestSSEClientsUnsubscribe|TestSSERejectsTinyInterval' ./internal/live/
 	$(GO) test -race -count=1 -run 'TestReconstructDeterministicAndEqualsReferenceOpen' ./internal/resume/
 
@@ -170,23 +172,26 @@ readpath:
 # session's, and after every step of a seeded random sequence of puts,
 # re-executions, graph moves and blob changes), what the checkpoint adds to a
 # reconstruction when unflushed batches died, the WAL recovery corpus, the
+# records a log's replay lent surviving its appends, rotation and close, the
 # cluster's read view (shared from local leaders, pulled from a remote one,
 # apart from the cluster once taken, through a restart's truncation too), a
-# partition sharing another's events, and the paged document store against a
-# plain slice. The allocation pins of the lean writer, of a durable
-# partition's append, of a rewritten checkpoint (and its count of members
-# encoded: only the tasks put since the last write), of the read view and of
-# the paged store run without -race, which allocates on its own. Then one
+# partition sharing another's events, a partition serving what it stored and
+# the payloads beside it (live, shared, truncated, post-mortem), and the
+# paged document store against a plain slice. The allocation pins of the lean
+# writer, of a log's open (one read buffer), of a durable partition's append,
+# of a rewritten checkpoint (and its count of members encoded: only the tasks
+# put since the last write), of the read view and of the paged store run
+# without -race, which allocates on its own. Then one
 # iteration of the durable quorum-append benchmark, so it cannot go
 # uncompiled.
 durable:
-	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestWaitShippedSealsNothing|TestFailedFsyncPoisonsLog|TestQuorumAckIsPipelined|TestKillSettlesInFlightQuorum|TestFailedFollowerFsyncFailsQuorum|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover' ./internal/mofka/wal/
+	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestWaitShippedSealsNothing|TestFailedFsyncPoisonsLog|TestQuorumAckIsPipelined|TestKillSettlesInFlightQuorum|TestFailedFollowerFsyncFailsQuorum|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover|TestReplayedRecordsOutliveTheOpen' ./internal/mofka/wal/
 	$(GO) test -race -count=1 -run 'TestSyncPolicyLeavesSameBytes|TestCrashedSessionsLeaveNoGoroutines' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCheckpointEncodingMatchesJSON|TestCheckpointEveryTickMatchesJSON|TestCheckpointSuppliesWhatUnflushedBatchesLost|FuzzSidecars' ./internal/resume/
 	$(GO) test -race -count=1 -run 'TestReadViewMatchesCluster' ./internal/mofka/cluster/
-	$(GO) test -race -count=1 -run 'TestShareFromKeepsItsOwnIndex' ./internal/mofka/
+	$(GO) test -race -count=1 -run 'TestShareFromKeepsItsOwnIndex|TestPartitionRoundTrip' ./internal/mofka/
 	$(GO) test -race -count=1 -run 'TestCollectionMatchesSliceModelProperty' ./internal/mochi/yokan/
-	$(GO) test -count=1 -run 'TestOpenDurableBrokerAllocatesLittle|TestAppendBatchAllocatesNothing' ./internal/mofka/wal/
+	$(GO) test -count=1 -run 'TestOpenDurableBrokerAllocatesLittle|TestAppendBatchAllocatesNothing|TestOpenReadsThroughOneBuffer' ./internal/mofka/wal/
 	$(GO) test -count=1 -run 'TestCheckpointAllocationsIndependentOfFrontier|TestCheckpointRewriteEncodesOnlyWhatChanged' ./internal/resume/
 	$(GO) test -count=1 -run 'TestReadViewAllocatesPerPage' ./internal/mofka/cluster/
 	$(GO) test -count=1 -run 'TestAdmissionReadsAndAllocatesPerBatch' ./internal/mofka/
@@ -220,13 +225,13 @@ simcost:
 # end-of-run analysis), the broker's one admission pass — no malloc per event
 # on a sample of every topic, Partition.Append of a default batch at its
 # pinned count, the whole batch refused for one invalid event, encoding/json's
-# stored form for what is not in it, and the pass against json.Valid over its
-# seed corpus. Then one iteration of the admission benchmark, so it cannot go
-# uncompiled.
+# stored form for what is not in it, a partition serving exactly that form and
+# its payloads, and the pass against json.Valid over its seed corpus. Then one
+# iteration of the admission benchmark, so it cannot go uncompiled.
 collectcost:
 	$(GO) test -count=1 -run 'TestCollectorAllocationBudget|TestFlushShipsRecoveryWarning' ./internal/core/
 	$(GO) test -count=1 -run 'TestCollectOnAllocBudget' ./internal/workloads/
-	$(GO) test -count=1 -run 'TestAdmissionReadsAndAllocatesPerBatch|TestAppendRejectsInvalidMetadata|TestAppendStoresCompactedMetadata|FuzzAdmission' ./internal/mofka/
+	$(GO) test -count=1 -run 'TestAdmissionReadsAndAllocatesPerBatch|TestAppendRejectsInvalidMetadata|TestAppendStoresCompactedMetadata|TestPartitionRoundTrip|FuzzAdmission' ./internal/mofka/
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmit' -benchtime 1x ./internal/mofka/
 
 # What-if validation: self-replay of the unchanged scenario on the seeded
@@ -280,9 +285,9 @@ bench-speculation:
 # memory in proportion to the bytes that arrived (no count or length prefix is
 # an allocation size), and what is accepted re-encodes to the same bytes.
 # Broker admission: the one pass accepts exactly what json.Valid accepts and
-# calls stored exactly what json.Compact + json.HTMLEscape leave alone, the
-# envelope around it splits back, and splitEnvelope never panics and re-frames
-# what it accepts. Data dir sidecars (checkpoint.json, attempts.json,
+# calls stored exactly what json.Compact + json.HTMLEscape leave alone, a
+# partition refuses the rest, and serves what it accepts in that form with its
+# payload, through a share and a truncation too. Data dir sidecars (checkpoint.json, attempts.json,
 # cluster.json): loading them and reconstructing a resume state over them
 # never panics or spins on a number the file supplied. Cluster gateway
 # requests (cluster.join, cluster.info, cluster.health): no body panics a

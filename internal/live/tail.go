@@ -162,7 +162,7 @@ func (r *reader[T]) read(t *mofka.Topic, c mofka.Chunk, buf *decodedChunk[T]) {
 	buf.metas = buf.metas[:0]
 	p, err := t.Partition(c.Part)
 	if err == nil {
-		err = p.Scan(c.From, c.N, func(_ uint64, metadata []byte) bool {
+		p.Scan(c.From, c.N, func(_ uint64, metadata []byte) bool {
 			buf.metas = append(buf.metas, metadata)
 			return true
 		})

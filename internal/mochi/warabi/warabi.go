@@ -42,14 +42,15 @@ func NewTarget(name string) *Target {
 	return &Target{name: name, regions: make(map[RegionID]*region)}
 }
 
-// CreateWrite allocates a region exactly fitting data and writes it: one
-// region per event batch.
+// CreateWrite makes data a region: one region per event batch that carries
+// payloads. The bytes are not copied: the target takes ownership, and the
+// caller must not write to them afterwards.
 func (t *Target) CreateWrite(data []byte) RegionID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := t.nextID
 	t.nextID++
-	t.regions[id] = &region{data: append([]byte(nil), data...)}
+	t.regions[id] = &region{data: data}
 	t.bytesWritten += int64(len(data))
 	return id
 }

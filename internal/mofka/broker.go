@@ -387,9 +387,12 @@ type Partition struct {
 	staged []stagedBatch // submitted, awaiting the committer, in offset order
 	queued bool          // on the committer's queue
 	closed bool
-	// data holds the payload regions the envelopes name: the broker's target,
-	// or the one a shared partition's events were stored with (ShareFrom).
-	data *warabi.Target
+	// data holds the payload regions: the broker's target, or the one a
+	// shared partition's events were stored with (ShareFrom). payloads
+	// locates them, one entry per committed batch that carried any, in
+	// offset order; an entry is never written once a list holds it.
+	data     *warabi.Target
+	payloads []payloads
 	// recs frames a batch for the log; empty between batches, so it pins no
 	// payload.
 	recs []wal.Record
@@ -405,16 +408,17 @@ func (p *Partition) Length() uint64 {
 
 // Submit is the first half of an append, on the caller's goroutine and in
 // caller order: the fault hook and admission accept or refuse the batch, its
-// payloads become one Warabi region and its events envelopes, and on a
-// durable partition its frames are written to the log, which fixes its
-// offsets. What remains is the commit — the fsync that covers the batch,
-// then its documents stored, the length advanced and waiting consumers woken,
-// in submit order — so that every event a consumer can observe is also
-// recoverable. An in-memory partition, and a log whose policy does not fsync
-// per batch, commit before Submit returns (a nil Commit). A log that does
-// hands the commit to the broker's committer, whose one fsync covers every
-// batch staged on the partition since the last; Submit then blocks only
-// while maxStaged batches are staged ahead of it.
+// payloads (if it carries any) become one Warabi region and its metadata the
+// documents the partition stores, and on a durable partition its frames are
+// written to the log, which fixes its offsets. What remains is the commit —
+// the fsync that covers the batch, then its documents stored, the length
+// advanced and waiting consumers woken, in submit order — so that every
+// event a consumer can observe is also recoverable. An in-memory partition,
+// and a log whose policy does not fsync per batch, commit before Submit
+// returns (a nil Commit). A log that does hands the commit to the broker's
+// committer, whose one fsync covers every batch staged on the partition
+// since the last; Submit then blocks only while maxStaged batches are staged
+// ahead of it.
 //
 // An error means nothing of the batch was kept. Everything a caller can
 // decide on is reported here; Commit.Wait can only report a failed fsync.
@@ -436,6 +440,12 @@ func (p *Partition) Submit(metas [][]byte, datas [][]byte) (*Commit, error) {
 // nothing is written there, the commit is immediate, and a read-only or
 // closed broker still takes them). Disk bytes are no more trusted than a
 // producer's: admission runs over every event either way.
+//
+// An event's document is its metadata in stored form (see storedForm). A
+// recovered event already in that form is stored as the very bytes the log
+// read — metas is then rewritten in place — since the log never reuses them
+// (wal.OpenReplay); a live batch's are copied into one arena, as its
+// producer reuses its memory.
 func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Commit, error) {
 	// Admission comes before anything is written anywhere: one invalid event
 	// refuses the whole batch and leaves no region, no WAL record, no
@@ -447,6 +457,7 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 	if len(metas) > 64*len(inline) {
 		rewrite = make([]uint64, (len(metas)+63)/64)
 	}
+	size := 0
 	for i, m := range metas {
 		if len(m) == 0 {
 			continue // stored as null
@@ -455,19 +466,44 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 		if !valid {
 			return nil, fmt.Errorf("mofka: event %d of a batch for %s[%d]: %w: metadata is not valid JSON", i, p.topic.cfg.Name, p.index, ErrInvalidEvent)
 		}
-		if !stored {
+		if stored {
+			size += len(m)
+		} else {
 			rewrite[i/64] |= 1 << (i % 64)
+		}
+	}
+	docs := metas
+	var arena []byte
+	if !recovered {
+		docs = make([][]byte, len(metas))
+		arena = make([]byte, 0, size)
+	}
+	for i, m := range metas {
+		switch {
+		case len(m) == 0:
+			docs[i] = nullMetadata
+		case rewrite[i/64]&(1<<(i%64)) != 0:
+			docs[i] = storedForm(m)
+		case !recovered:
+			start := len(arena)
+			arena = append(arena, m...)
+			docs[i] = arena[start:len(arena):len(arena)]
 		}
 	}
 	var total int64
 	for _, d := range datas {
 		total += int64(len(d))
 	}
-	blob := make([]byte, 0, total)
-	offsets := make([]int64, len(datas))
-	for i, d := range datas {
-		offsets[i] = int64(len(blob))
-		blob = append(blob, d...)
+	var pl payloads
+	var blob []byte
+	if total > 0 {
+		blob = make([]byte, 0, total)
+		pl.offsets = make([]int64, len(datas)+1)
+		for i, d := range datas {
+			pl.offsets[i] = int64(len(blob))
+			blob = append(blob, d...)
+		}
+		pl.offsets[len(datas)] = total
 	}
 
 	// The whole submit happens under the partition lock so WAL offsets and
@@ -487,25 +523,8 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 			return nil, fmt.Errorf("%w: broker is read-only (post-mortem)", ErrClosed)
 		}
 	}
-	// The envelopes share one arena, which the document store takes over
-	// without copying.
-	region := p.data.CreateWrite(blob)
-	size := 0
-	for i := range metas {
-		size += envelopeLen(metas[i], uint64(region), offsets[i], int64(len(datas[i])))
-	}
-	arena := make([]byte, 0, size)
-	docs := make([][]byte, len(metas))
-	for i := range metas {
-		start := len(arena)
-		m := metas[i]
-		if len(m) == 0 {
-			m = nullMetadata
-		} else if rewrite[i/64]&(1<<(i%64)) != 0 {
-			m = storedForm(m)
-		}
-		arena = appendEnvelope(arena, m, uint64(region), offsets[i], int64(len(datas[i])))
-		docs[i] = arena[start:len(arena):len(arena)]
+	if blob != nil {
+		pl.region = p.data.CreateWrite(blob)
 	}
 	if p.log != nil && !recovered {
 		for i := range metas {
@@ -525,11 +544,14 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 		p.recs = p.recs[:0]
 		if err != nil {
 			err = fmt.Errorf("mofka: wal append %s[%d]: %w", p.topic.cfg.Name, p.index, err)
-			return nil, errors.Join(err, p.data.Destroy(region))
+			if blob != nil {
+				err = errors.Join(err, p.data.Destroy(pl.region))
+			}
+			return nil, err
 		}
 		if stage {
 			c := NewCommit()
-			p.staged = append(p.staged, stagedBatch{docs: docs, region: region, commit: c})
+			p.staged = append(p.staged, stagedBatch{docs: docs, data: pl, commit: c})
 			if !p.queued {
 				p.queued = true
 				b.commits.enqueue(p)
@@ -537,10 +559,43 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 			return c, nil
 		}
 	}
-	p.docs.StoreBatch(docs)
-	p.length += uint64(len(docs))
+	p.publishLocked(docs, pl)
 	p.cond.Broadcast()
 	return nil, nil
+}
+
+// payloads locates the payloads of one committed batch that carried any:
+// event first+i's are bytes offsets[i] to offsets[i+1] of region.
+type payloads struct {
+	first   uint64
+	region  warabi.RegionID
+	offsets []int64
+}
+
+// publishLocked makes a committed batch visible to readers. Callers hold
+// p.mu.
+func (p *Partition) publishLocked(docs [][]byte, pl payloads) {
+	if pl.offsets != nil {
+		pl.first = p.length
+		p.payloads = append(p.payloads, pl)
+	}
+	p.docs.StoreBatch(docs)
+	p.length += uint64(len(docs))
+}
+
+// cutPayloads returns the payload list of the first n events of pl. It
+// writes nothing into pl, which a sharer may hold too: the entry of a batch
+// that straddles n is cut in a fresh list, and the list returned has no
+// spare capacity, so an append to it copies as well.
+func cutPayloads(pl []payloads, n uint64) []payloads {
+	k := sort.Search(len(pl), func(i int) bool { return pl[i].first >= n })
+	if k > 0 {
+		if last := pl[k-1]; last.first+uint64(len(last.offsets)-1) > n {
+			last.offsets = last.offsets[:n-last.first+1]
+			return append(pl[:k-1:k-1], last)
+		}
+	}
+	return pl[:k:k]
 }
 
 // Append publishes a batch of pre-encoded events directly to this partition,
@@ -557,13 +612,13 @@ func (p *Partition) Append(metas [][]byte, datas [][]byte) error {
 }
 
 // ShareFrom makes p, an empty in-memory partition, hold the first n committed
-// events of src without storing them again: a stored envelope never changes
+// events of src without storing them again: a stored document never changes
 // once committed (the collection owns it, and truncation only drops it), so
 // p's documents are src's, header by header, and p reads payloads from src's
-// Warabi target. Nothing is admitted again, and what src appends or truncates
-// later changes src's index, not p's. Payloads appended to p afterwards land
-// in src's target, unreferenced by src. The cluster's read view is built this
-// way.
+// Warabi target through the part of src's payload list that covers them.
+// Nothing is admitted again, and what src appends or truncates later changes
+// src's index, not p's. Payloads appended to p afterwards land in src's
+// target, unreferenced by src. The cluster's read view is built this way.
 func (p *Partition) ShareFrom(src *Partition, n uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -590,6 +645,7 @@ func (p *Partition) ShareFrom(src *Partition, n uint64) error {
 	})
 	p.docs.StoreBatch(chunk)
 	p.data = src.data
+	p.payloads = cutPayloads(src.payloads, n)
 	p.length = n
 	return nil
 }
@@ -627,28 +683,30 @@ func (p *Partition) TruncateTo(n uint64) error {
 		}
 	}
 	p.docs.TruncateTo(n)
+	p.payloads = cutPayloads(p.payloads, n)
 	p.length = n
 	return nil
 }
 
 // read returns up to max events starting at offset from. withData controls
 // whether payloads are fetched from Warabi (Mofka's data-selection feature).
-// The events' metadata are private copies, cut from one arena per call.
+// The events' metadata are private copies, cut from one arena per call. It
+// holds p.mu throughout, so that no truncation and re-append in between
+// pairs a document with another event's payload.
 func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
 	p.mu.Lock()
-	length, target := p.length, p.data
-	p.mu.Unlock()
-	if from >= length {
+	defer p.mu.Unlock()
+	if from >= p.length {
 		return nil, nil
 	}
-	n := int(length - from)
+	n := int(p.length - from)
 	if max > 0 && max < n {
 		n = max
 	}
 	out := make([]Event, 0, n)
 	var arena []byte
-	var readErr error
-	scanErr := p.scan(from, n, func(id uint64, metadata []byte, region uint64, offset, size int64) bool {
+	var err error
+	p.docs.Iter(from, n, func(id uint64, metadata []byte) bool {
 		if arena == nil {
 			// Sized from the first event, with a quarter to spare; longer
 			// events grow it.
@@ -662,20 +720,23 @@ func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
 			ID:        id,
 			Metadata:  arena[start:],
 		}
-		if withData && size > 0 {
-			data, err := target.Read(warabi.RegionID(region), offset, size)
-			if err != nil {
-				readErr = fmt.Errorf("mofka: data for event %d: %w", id, err)
-				return false
+		// The event's payload, if any, lies in the last batch that starts at
+		// or before it.
+		if pl := p.payloads; withData && len(pl) > 0 {
+			i := sort.Search(len(pl), func(i int) bool { return pl[i].first > id }) - 1
+			if i >= 0 && id-pl[i].first+1 < uint64(len(pl[i].offsets)) {
+				o := pl[i].offsets[id-pl[i].first:]
+				if o[1] > o[0] {
+					if ev.Data, err = p.data.Read(pl[i].region, o[0], o[1]-o[0]); err != nil {
+						err = fmt.Errorf("mofka: data for event %d: %w", id, err)
+						return false
+					}
+				}
 			}
-			ev.Data = data
 		}
 		out = append(out, ev)
 		return true
 	})
-	if readErr == nil {
-		readErr = scanErr
-	}
 	// Cut the metadata again now that the arena has stopped moving, each
 	// capped to its own bytes.
 	start := 0
@@ -684,38 +745,24 @@ func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
 		out[i].Metadata = arena[start:end:end]
 		start = end
 	}
-	return out, readErr
+	return out, err
 }
 
 // Scan visits the metadata of up to max stored events from offset from (max
 // <= 0: all of them) until visit returns false, without copying it: the bytes
-// passed are the broker's stored document. They are immutable for the
-// broker's life — do not write to them — which is what lets a decoder hand
-// out strings over them rather than copies: the document collection takes
-// ownership of a document when it is stored (yokan's StoreBatch) and nothing
-// writes to it afterwards, and truncation drops entries, it never rewrites
-// one, so even an offset stored again after TruncateTo is a new document
-// beside the old one. A corrupt envelope ends the scan with an error. It is
-// the ranged read behind provenance.Records' concurrent decode; one
-// partition may be scanned by several goroutines at once.
-func (p *Partition) Scan(from uint64, max int, visit func(id uint64, metadata []byte) bool) error {
-	return p.scan(from, max, func(id uint64, metadata []byte, _ uint64, _, _ int64) bool {
-		return visit(id, metadata)
-	})
-}
-
-// scan is Scan that also passes each event's payload location.
-func (p *Partition) scan(from uint64, max int, visit func(id uint64, metadata []byte, region uint64, offset, size int64) bool) error {
-	var err error
-	p.docs.Iter(from, max, func(id uint64, doc []byte) bool {
-		metadata, region, offset, size, splitErr := splitEnvelope(doc)
-		if splitErr != nil {
-			err = fmt.Errorf("mofka: corrupt envelope %d: %w", id, splitErr)
-			return false
-		}
-		return visit(id, metadata, region, offset, size)
-	})
-	return err
+// passed are the event's document, its metadata in stored form, and for an
+// event recovered from a log they lie in the segment buffer the log read. They
+// are immutable for the broker's life — do not write to them — which is what
+// lets a decoder hand out strings over them rather than copies: the document
+// collection takes ownership of a document when it is stored (yokan's
+// StoreBatch), the log never reuses a buffer it handed to recovery, nothing
+// writes to either afterwards, and truncation drops entries, it never
+// rewrites one, so even an offset stored again after TruncateTo is a new
+// document beside the old one. It is the ranged read behind
+// provenance.Records' concurrent decode; one partition may be scanned by
+// several goroutines at once.
+func (p *Partition) Scan(from uint64, max int, visit func(id uint64, metadata []byte) bool) {
+	p.docs.Iter(from, max, visit)
 }
 
 // close marks the partition closed, wakes every blocked submitter, waits for

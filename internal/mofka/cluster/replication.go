@@ -1004,7 +1004,7 @@ func (c *Cluster) ReadView() (*mofka.Broker, error) {
 }
 
 // viewLocked gives vp, a partition of a read view, the acknowledged prefix of
-// ps. A local leader's committed envelopes are shared, not stored again
+// ps. A local leader's committed documents are shared, not stored again
 // (mofka.Partition.ShareFrom): one copy of each event per replica, whatever
 // reads it. A remote member's events exist in this process only as they
 // arrive over the wire, so a partition it leads is pulled a catch-up batch at

@@ -1,10 +1,6 @@
 package mofka
 
-import (
-	"sync"
-
-	"taskprov/internal/mochi/warabi"
-)
+import "sync"
 
 // Commit is the durability wait of one submitted batch: the second half of
 // an append. Submitting a batch decides everything there is to decide about
@@ -53,7 +49,7 @@ const maxStaged = 8
 // offsets, not yet covered by an fsync.
 type stagedBatch struct {
 	docs   [][]byte
-	region warabi.RegionID
+	data   payloads
 	commit *Commit
 }
 
@@ -140,10 +136,11 @@ func (p *Partition) commitStaged() {
 			// Nothing of a failed group becomes visible. Its frames may be in
 			// the file all the same, which is why the log now refuses appends:
 			// a retry would write them a second time.
-			_ = p.data.Destroy(s.region) // the fsync failure is the error that matters
+			if s.data.offsets != nil {
+				_ = p.data.Destroy(s.data.region) // the fsync failure is the error that matters
+			}
 		} else {
-			p.docs.StoreBatch(s.docs)
-			p.length += uint64(len(s.docs))
+			p.publishLocked(s.docs, s.data)
 		}
 		s.commit.Complete(err)
 	}

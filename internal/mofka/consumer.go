@@ -140,18 +140,15 @@ func (c *Consumer) Scan(visit func(partition int, id uint64, metadata []byte) er
 			return nil
 		}
 		n := 0
-		var visitErr error
-		err := c.topic.partitions[ch.Part].Scan(ch.From, ch.N, func(id uint64, metadata []byte) bool {
-			if visitErr = visit(ch.Part, id, metadata); visitErr != nil {
+		var err error
+		c.topic.partitions[ch.Part].Scan(ch.From, ch.N, func(id uint64, metadata []byte) bool {
+			if err = visit(ch.Part, id, metadata); err != nil {
 				return false
 			}
 			n++
 			return true
 		})
 		c.advance(ch, n)
-		if visitErr != nil {
-			return visitErr
-		}
 		if err != nil {
 			return err
 		}

@@ -201,7 +201,8 @@ func readTopicConfig(dataDir, name string) (TopicConfig, []byte, error) {
 // recoverFrom rebuilds the partition from its log under dataDir, so the
 // consumer API serves exactly the persisted stream: the log's one validating
 // pass over its segments hands the records over by the batch, and each batch
-// goes through admit. It returns the opened log.
+// goes through admit, which keeps the metadata where the log read it. It
+// returns the opened log.
 func (p *Partition) recoverFrom(dataDir string, opts wal.Options) (*wal.Log, error) {
 	var metas, datas [][]byte
 	l, err := wal.OpenReplay(partitionDir(dataDir, p.topic.cfg.Name, p.index), opts, func(recs []wal.Record) error {
@@ -303,13 +304,11 @@ func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
 	err := inParallel(len(logs), func(i int) error {
 		r := &logs[i]
 		name, index := r.part.topic.cfg.Name, r.part.index
-		l, err := wal.OpenReplay(partitionDir(r.dir, name, index), walOpts, func(recs []wal.Record) error {
-			r.length += uint64(len(recs))
-			return nil
-		})
+		l, err := wal.Open(partitionDir(r.dir, name, index), walOpts)
 		if err != nil {
 			return fmt.Errorf("mofka: validate %s[%d] in %s: %w", name, index, r.dir, err)
 		}
+		r.length = l.NextOffset()
 		return l.Close()
 	})
 	if err != nil {

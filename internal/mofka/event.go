@@ -15,8 +15,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
-	"strconv"
 )
 
 // Metadata is the JSON-expressible descriptive part of an event.
@@ -54,101 +52,15 @@ type Event struct {
 // ParseMetadata decodes the event's metadata JSON.
 func (e Event) ParseMetadata() (Metadata, error) { return DecodeMetadata(e.Metadata) }
 
-// The persisted per-event index entry stored in Yokan is the JSON object
-//
-//	{"m":<metadata>,"r":<region>,"o":<offset>,"s":<size>}
-//
-// with the metadata in its stored form (see storedForm) and the data
-// payload in a Warabi region shared by the whole batch. It is framed and
-// split by hand: the broker writes and reads one per event.
-
-// nullMetadata is the stored form of an event pushed without metadata.
-var nullMetadata = []byte("null")
-
-// envelopeLen is the length of the envelope appendEnvelope writes for
-// metadata already in its stored form (empty standing for nullMetadata).
-func envelopeLen(metadata []byte, region uint64, offset, size int64) int {
-	n := len(metadata)
-	if n == 0 {
-		n = len(nullMetadata)
-	}
-	return n + len(`{"m":,"r":,"o":,"s":}`) + decimalLen(region) + decimalLen(uint64(offset)) + decimalLen(uint64(size))
-}
-
-func decimalLen(n uint64) int {
-	l := 1
-	for n >= 10 {
-		n /= 10
-		l++
-	}
-	return l
-}
-
-// appendEnvelope appends the envelope of one event around metadata in its
-// stored form (see storedForm).
-func appendEnvelope(dst, metadata []byte, region uint64, offset, size int64) []byte {
-	dst = append(dst, `{"m":`...)
-	dst = append(dst, metadata...)
-	dst = append(dst, `,"r":`...)
-	dst = strconv.AppendUint(dst, region, 10)
-	dst = append(dst, `,"o":`...)
-	dst = strconv.AppendInt(dst, offset, 10)
-	dst = append(dst, `,"s":`...)
-	dst = strconv.AppendInt(dst, size, 10)
-	return append(dst, '}')
-}
-
-// splitEnvelope takes an envelope apart. The three trailing numbers are cut
-// off the end, so metadata that itself contains `,"r":` cannot be mistaken
-// for the frame; an offset or a size no int64 holds is no frame of the
-// broker's. The metadata is a slice of doc.
-func splitEnvelope(doc []byte) (metadata []byte, region uint64, offset, size int64, err error) {
-	rest, ok := doc, len(doc) > 0 && doc[len(doc)-1] == '}'
-	if ok {
-		rest = rest[:len(rest)-1]
-	}
-	var s, o uint64
-	if ok {
-		rest, s, ok = cutTrailingNumber(rest, `,"s":`)
-	}
-	if ok {
-		rest, o, ok = cutTrailingNumber(rest, `,"o":`)
-	}
-	if ok {
-		rest, region, ok = cutTrailingNumber(rest, `,"r":`)
-	}
-	const head = `{"m":`
-	if !ok || o > math.MaxInt64 || s > math.MaxInt64 || len(rest) <= len(head) || string(rest[:len(head)]) != head {
-		return nil, 0, 0, 0, fmt.Errorf("malformed envelope %q", doc)
-	}
-	return rest[len(head):], region, int64(o), int64(s), nil
-}
-
-// cutTrailingNumber cuts label followed by decimal digits that fit a uint64
-// off the end of b.
-func cutTrailingNumber(b []byte, label string) (rest []byte, n uint64, ok bool) {
-	j := len(b)
-	for j > 0 && isDigit(b[j-1]) {
-		j--
-	}
-	if j == len(b) || j < len(label) || string(b[j-len(label):j]) != label {
-		return b, 0, false
-	}
-	for _, c := range b[j:] {
-		d := uint64(c - '0')
-		if n > (math.MaxUint64-d)/10 {
-			return b, 0, false
-		}
-		n = n*10 + d
-	}
-	return b[:j-len(label)], n, true
-}
+// nullMetadata is the stored form of an event pushed without metadata, the
+// document of every such event.
+var nullMetadata = []byte("null")[:4:4]
 
 // storedForm returns the form in which the broker stores and serves metadata
 // scanMetadata found valid but not stored: the JSON text compacted, with <, >,
-// &, U+2028 and U+2029 escaped — what marshalling the envelope through
-// encoding/json used to produce. Metadata from this repo's encoders is already
-// in that form and never comes here.
+// &, U+2028 and U+2029 escaped — what encoding/json makes of it marshalled as
+// a json.RawMessage. Metadata from this repo's encoders is already in that
+// form and never comes here.
 func storedForm(metadata []byte) []byte {
 	var compact, escaped bytes.Buffer
 	if err := json.Compact(&compact, metadata); err != nil {

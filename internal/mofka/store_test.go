@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"taskprov/internal/mofka/wal"
 )
 
 // brokerFootprint is what a rejected append must leave as it was: the
@@ -139,51 +141,133 @@ func TestAppendStoresCompactedMetadata(t *testing.T) {
 	}
 }
 
-// TestSplitEnvelope: the frame comes apart again whatever the metadata holds,
-// including text that looks like the frame's own members.
-func TestSplitEnvelope(t *testing.T) {
+// appended is the arguments of one Partition.Append.
+type appended struct{ metas, datas [][]byte }
+
+// roundTripBatches are the two batches a round trip appends, every event's
+// metadata m: one whose first and last events carry payload (none when
+// payload is empty), and one without any.
+func roundTripBatches(m, payload []byte) (withData, without appended) {
+	return appended{[][]byte{m, m, m}, [][]byte{payload, nil, payload}},
+		appended{[][]byte{m, m, m}, [][]byte{nil, nil, nil}}
+}
+
+// served checks that the one partition of tp holds exactly the events of
+// batches, in order, each served with want as its metadata and its payload as
+// appended — through Partition.Scan, and through a consumer's PullBatch.
+func served(t *testing.T, stage string, tp *Topic, want []byte, batches ...appended) {
+	t.Helper()
+	var datas [][]byte
+	for _, b := range batches {
+		datas = append(datas, b.datas...)
+	}
+	var scanned [][]byte
+	tp.partitions[0].Scan(0, 0, func(_ uint64, m []byte) bool {
+		scanned = append(scanned, m)
+		return true
+	})
+	c, err := tp.NewConsumer(ConsumerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := c.PullBatch(len(datas) + 1)
+	if err != nil || len(evs) != len(datas) || len(scanned) != len(datas) {
+		t.Fatalf("%s: pulled %d and scanned %d of %d events, %v", stage, len(evs), len(scanned), len(datas), err)
+	}
+	for i, ev := range evs {
+		if !bytes.Equal(scanned[i], want) || !bytes.Equal(ev.Metadata, want) || !bytes.Equal(ev.Data, datas[i]) {
+			t.Fatalf("%s: event %d scans as %q and pulls as %q with payload %q, want %q with %q", stage, i, scanned[i], ev.Metadata, ev.Data, want, datas[i])
+		}
+	}
+}
+
+// roundTrip appends the round trip's two batches of metadata m to an
+// in-memory partition, and checks that every event is served as want, the
+// stored form of m, with its payload as appended. The same must hold for a
+// partition sharing the first two events (ShareFrom) and for the source cut
+// back to its first (TruncateTo), once each has appended the batch without
+// payload after them; and, if durable, for a durable partition live and after
+// Close and OpenPostMortem.
+func roundTrip(t *testing.T, m, payload, want []byte, durable bool) {
+	t.Helper()
+	a, b := roundTripBatches(m, payload)
+	appendAll := func(p *Partition, batches ...appended) {
+		t.Helper()
+		for _, x := range batches {
+			if err := p.Append(x.metas, x.datas); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, tp := newTopic(t, "t", 1)
+	src := tp.partitions[0]
+	appendAll(src, a, b)
+	served(t, "appended", tp, want, a, b)
+
+	_, vtp := newTopic(t, "t", 1)
+	view := vtp.partitions[0]
+	if err := view.ShareFrom(src, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.TruncateTo(1); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(src, b)
+	appendAll(view, b)
+	served(t, "truncated", tp, want, appended{a.metas[:1], a.datas[:1]}, b)
+	served(t, "shared", vtp, want, appended{a.metas[:2], a.datas[:2]}, b)
+	if !durable {
+		return
+	}
+
+	dir := t.TempDir()
+	d, err := NewDurableBroker(Options{DataDir: dir, WAL: wal.Options{Sync: wal.SyncNever}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dtp, err := d.CreateTopic(TopicConfig{Name: "t", Partitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(dtp.partitions[0], a, b)
+	served(t, "durable", dtp, want, a, b)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pm, err := OpenPostMortem(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptp, err := pm.OpenTopic("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served(t, "post-mortem", ptp, want, a, b)
+}
+
+// TestPartitionRoundTrip: whatever admitted metadata holds — text that looks
+// like the members of the envelope the broker once wrapped it in, whitespace
+// and characters the stored form escapes, nothing at all — a partition serves
+// it in stored form with its payload, with and without payloads, live,
+// shared, truncated and post-mortem.
+func TestPartitionRoundTrip(t *testing.T) {
 	for _, meta := range []string{
-		`{}`, `null`, `7`, `"s"`, `{"k":"v"}`,
+		`{}`, `null`, `7`, `"s"`, `{"k":"v"}`, ``,
 		`{"m":{"m":1},"r":2,"o":3,"s":4}`,
 		`{"x":",\"r\":1,\"o\":2,\"s\":3}"}`,
 		`{"tail":1,"r":9,"o":8,"s":7}`,
 		`[1,{"r":5},"o",{"s":6}]`,
 		`{"deep":{"r":[{"o":{"s":"}"}}]}}`,
+		" {\n\t\"key\" : \"a b\" ,\r\n \"deps\" : [ 1 , 2 ] } ",
+		`{"html":"<a href=\"x\">&</a>","sep":"` + "\u2028 \u2029" + `"}`,
 	} {
-		for _, n := range []struct {
-			region       uint64
-			offset, size int64
-		}{{0, 0, 0}, {7, 4096, 512}, {1<<64 - 1, 1<<63 - 1, 1<<63 - 1}} {
-			if err := checkMetadata([]byte(meta)); err != nil {
-				t.Fatal(err)
-			}
-			doc := appendEnvelope([]byte("prefix"), []byte(meta), n.region, n.offset, n.size)[len("prefix"):]
-			if want := envelopeLen([]byte(meta), n.region, n.offset, n.size); len(doc) != want {
-				t.Fatalf("envelopeLen(%s) = %d, envelope is %d bytes", meta, want, len(doc))
-			}
-			// The frame is the JSON object the reflect-built envelope was.
-			var old struct {
-				M json.RawMessage `json:"m"`
-				R uint64          `json:"r"`
-				O int64           `json:"o"`
-				S int64           `json:"s"`
-			}
-			if err := json.Unmarshal(doc, &old); err != nil || string(old.M) != meta || old.R != n.region || old.O != n.offset || old.S != n.size {
-				t.Fatalf("envelope %s does not read back through encoding/json: %+v, %v", doc, old, err)
-			}
-			if again, err := json.Marshal(&old); err != nil || !bytes.Equal(again, doc) {
-				t.Fatalf("encoding/json frames %s, appendEnvelope %s (%v)", again, doc, err)
-			}
-			m, r, o, s, err := splitEnvelope(doc)
-			if err != nil || string(m) != meta || r != n.region || o != n.offset || s != n.size {
-				t.Fatalf("splitEnvelope(%s) = %s %d %d %d, %v", doc, m, r, o, s, err)
-			}
+		m := []byte(meta)
+		want := []byte("null")
+		if len(m) > 0 {
+			want = referenceStored(t, m)
 		}
-	}
-	for _, doc := range []string{``, `{}`, `{"m":}`, `{"m":1,"r":2,"o":3}`, `{"m":1,"r":2,"o":3,"s":}`, `{"m":1,"r":2,"o":3,"s":4`,
-		`{"m":1,"r":-2,"o":3,"s":4}`, `{"x":1,"r":2,"o":3,"s":4}`, `{"m":,"r":2,"o":3,"s":4}`, `{"m":1,"r":2,"o":3,"s":123456789012345678901}`} {
-		if m, _, _, _, err := splitEnvelope([]byte(doc)); err == nil {
-			t.Errorf("splitEnvelope(%q) accepted, metadata %q", doc, m)
+		for _, payload := range []string{"", "payload"} {
+			roundTrip(t, m, []byte(payload), want, true)
 		}
 	}
 }

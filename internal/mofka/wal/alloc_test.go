@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"testing"
 
@@ -67,5 +68,64 @@ func TestAppendBatchAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("policy %d: AppendBatch allocates %v times per batch, want 0", policy, allocs)
 		}
+	}
+}
+
+// TestOpenReadsThroughOneBuffer: Open validates every segment of a log
+// through one read buffer, sized to the largest, so opening a three-segment
+// log allocates less than twice its largest segment. (OpenReplay reads each
+// segment into a buffer of its own, which its visitor may keep.)
+func TestOpenReadsThroughOneBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pin; the race detector allocates on its own")
+	}
+	dir := t.TempDir()
+	opts := wal.Options{Sync: wal.SyncNever}.WithSegmentBytes(256 << 10)
+	l, err := wal.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]wal.Record, 64)
+	for i := range recs {
+		recs[i] = wal.Record{Meta: []byte(fmt.Sprintf(`{"key":"('getitem-abc', %d)","from":"waiting","to":"processing"}`, i)), Data: make([]byte, 1000)}
+	}
+	for l.Segments() < 3 {
+		if _, err := l.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, info.Size())
+	}
+	if len(entries) != 3 || largest < 256<<10 {
+		t.Fatalf("%d segments, the largest %d bytes: want three of at least 256 KiB", len(entries), largest)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, err = wal.Open(dir, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*uint64(largest) {
+		t.Fatalf("opening a log of three segments allocated %d bytes, want under twice the largest (%d)", got, largest)
 	}
 }

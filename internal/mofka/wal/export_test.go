@@ -39,3 +39,10 @@ func (s *CursorStore) Get(key string) (uint64, bool) {
 	v, ok := s.m[key]
 	return v, ok
 }
+
+// WithSegmentBytes returns o with the rotation threshold set, for the
+// external tests that need a log of several segments.
+func (o Options) WithSegmentBytes(n int64) Options {
+	o.segmentBytes = n
+	return o
+}

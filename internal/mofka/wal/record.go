@@ -91,46 +91,58 @@ func parseFrame(b []byte, maxRecordBytes int) (rec Record, n int, err error) {
 	return rec, n, nil
 }
 
-// frameReader reads segment files frame by frame through one buffer, reused
-// from segment to segment and sized to the segment (at most readBlock, more
-// only for a frame that is itself larger).
+// frameReader reads a segment file whole, into one buffer sized to it, and
+// validates every frame in it. A reader that keeps its buffers (OpenReplay's)
+// reads each segment into a buffer of its own and never writes to it again;
+// any other reuses one buffer from segment to segment.
 type frameReader struct {
 	maxRecordBytes int
+	keep           bool
 	buf            []byte
 	recs           []Record
 }
 
-const readBlock = 1 << 20
+// visitBatch is how many records read hands to visit at a time: a bound on
+// the slices a visitor builds beside the records, whatever the segment holds.
+const visitBatch = 1024
 
-// read opens the segment at path, reads its first size bytes once and
-// validates every frame in them, passing the records to visit in batches, in
-// order. The records alias the read buffer and are valid only during the
-// call. It returns how many records visit accepted and the byte length of
-// the frames holding them. err is errTorn when the bytes after that prefix
-// are not a whole valid frame, visit's error when it returns one, or an I/O
-// error.
+// read opens the segment at path, reads its first size bytes and validates
+// every frame in them, passing the records to visit in order, visitBatch at a
+// time. The records alias the read buffer: unless the reader keeps its
+// buffers they are valid only during the call, and the slice holding them is
+// reused either way. It returns how many records visit accepted and the byte
+// length of the frames holding them. err is errTorn when the bytes after that
+// prefix are not a whole valid frame, visit's error when it returns one, or
+// an I/O error.
 func (fr *frameReader) read(path string, size int64, visit func([]Record) error) (records uint64, valid int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: open segment: %w", err)
 	}
 	defer func() { _ = f.Close() }() // read-only open
-	if want := int(min(size, readBlock)); len(fr.buf) < want {
-		fr.buf = make([]byte, want)
-	}
 	buf := fr.buf
-	start, end := 0, 0 // buf[start:end] is read and not yet parsed
-	for {
+	if fr.keep || int64(len(buf)) < size {
+		buf = make([]byte, size)
+	}
+	if !fr.keep {
+		fr.buf = buf
+	}
+	// A file shorter than its directory entry said is read as far as it goes.
+	n, err := io.ReadFull(f, buf[:size])
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return 0, 0, fmt.Errorf("wal: read segment %s: %w", path, err)
+	}
+	for rest := buf[:n]; len(rest) > 0; {
 		recs, parsed := fr.recs[:0], 0
-		var rec Record
-		var n int
 		var perr error
-		for {
-			if rec, n, perr = parseFrame(buf[start+parsed:end], fr.maxRecordBytes); perr != nil {
+		for parsed < len(rest) && len(recs) < visitBatch {
+			var rec Record
+			var m int
+			if rec, m, perr = parseFrame(rest[parsed:], fr.maxRecordBytes); perr != nil {
 				break
 			}
 			recs = append(recs, rec)
-			parsed += n
+			parsed += m
 		}
 		fr.recs = recs
 		if len(recs) > 0 {
@@ -139,35 +151,13 @@ func (fr *frameReader) read(path string, size int64, visit func([]Record) error)
 			}
 			records += uint64(len(recs))
 			valid += int64(parsed)
-			start += parsed
+			rest = rest[parsed:]
 		}
-		if perr == errTorn {
+		if perr != nil {
 			return records, valid, errTorn
 		}
-		// The buffer ends inside a frame: move the fragment to the front
-		// and read on, into a larger buffer when the frame needs one.
-		if size == 0 {
-			if start < end {
-				return records, valid, errTorn
-			}
-			return records, valid, nil
-		}
-		if n > len(buf) {
-			buf = append(make([]byte, 0, n), buf[start:end]...)[:n]
-			fr.buf = buf
-		} else {
-			copy(buf, buf[start:end])
-		}
-		start, end = 0, end-start
-		got, err := io.ReadFull(f, buf[end:end+int(min(int64(len(buf)-end), size))])
-		end += got
-		size -= int64(got)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			size = 0 // the file is shorter than its directory entry said
-		} else if err != nil {
-			return records, valid, fmt.Errorf("wal: read segment %s: %w", path, err)
-		}
 	}
+	return records, valid, nil
 }
 
 // errTorn marks a record that could not be fully decoded. At the tail of the

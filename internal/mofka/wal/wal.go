@@ -131,18 +131,22 @@ type Log struct {
 // Open opens (creating if needed) the log in dir, recovering from any torn
 // tail left by a crash: the newest segment is scanned record-by-record and
 // truncated at the last valid frame, and the next append offset is rebuilt
-// from the surviving records.
+// from the surviving records. It reads every segment through one buffer,
+// sized to the largest.
 func Open(dir string, opts Options) (*Log, error) {
-	return OpenReplay(dir, opts, func([]Record) error { return nil })
+	return OpenReplay(dir, opts, nil)
 }
 
 // OpenReplay is Open that also hands every record the log holds to visit, in
 // offset order and in batches, during the one validating pass recovery makes
 // over the segments — so a caller that rebuilds state from the log reads each
-// segment once. The records alias the read buffer: they are valid only
-// during the call. An error from visit fails the open. On a log with interior
-// corruption visit has seen the records before the corrupt frame by the time
-// OpenReplay returns ErrCorrupt.
+// segment once. Each segment is read whole into a buffer of its own, which
+// the log never reuses or writes: the records alias it, and the visitor may
+// keep them (their Meta and Data bytes) for as long as it likes. The slice
+// holding them is the visitor's only during the call. An error from visit
+// fails the open. On a log with interior corruption visit has seen the
+// records before the corrupt frame by the time OpenReplay returns
+// ErrCorrupt. With a nil visit it is Open.
 func OpenReplay(dir string, opts Options, visit func(recs []Record) error) (*Log, error) {
 	opts.setDefaults()
 	l := &Log{dir: dir, opts: opts}
@@ -164,8 +168,8 @@ func OpenReplay(dir string, opts Options, visit func(recs []Record) error) (*Log
 }
 
 // recover enumerates segments, validates them in one pass that also feeds
-// visit, truncates a torn tail (unless read-only), and computes the next
-// offset.
+// visit (if not nil), truncates a torn tail (unless read-only), and computes
+// the next offset.
 func (l *Log) recover(visit func([]Record) error) error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -174,6 +178,7 @@ func (l *Log) recover(visit func([]Record) error) error {
 		}
 		return fmt.Errorf("wal: scan %s: %w", l.dir, err)
 	}
+	var largest int64
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, segSuffix) {
@@ -192,9 +197,14 @@ func (l *Log) recover(visit func([]Record) error) error {
 			path: filepath.Join(l.dir, name),
 			size: info.Size(),
 		})
+		largest = max(largest, info.Size())
 	}
 	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].base < l.segs[j].base })
-	fr := frameReader{maxRecordBytes: l.opts.maxRecordBytes}
+	fr := frameReader{maxRecordBytes: l.opts.maxRecordBytes, keep: visit != nil}
+	if visit == nil {
+		fr.buf = make([]byte, largest)
+		visit = func([]Record) error { return nil }
+	}
 	for i := range l.segs {
 		s := &l.segs[i]
 		records, validSize, err := fr.read(s.path, s.size, visit)

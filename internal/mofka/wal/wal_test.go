@@ -492,3 +492,61 @@ func TestTruncateToWholeLogAndReadOnly(t *testing.T) {
 		t.Fatal("read-only TruncateTo succeeded")
 	}
 }
+
+// TestReplayedRecordsOutliveTheOpen: the records an OpenReplay visitor keeps —
+// not copies, the Record values it was handed — still hold the segments'
+// bytes once OpenReplay has returned and once the log is closed; on a
+// writable log, also after further appends that rotate the active segment.
+func TestReplayedRecordsOutliveTheOpen(t *testing.T) {
+	dir := t.TempDir()
+	const n = 60
+	l := mustOpen(t, dir, Options{segmentBytes: 512})
+	for i := 0; i < n; i++ {
+		if _, err := l.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, kept []Record) {
+		t.Helper()
+		if len(kept) != n {
+			t.Fatalf("%s: kept %d records, want %d", stage, len(kept), n)
+		}
+		for i, r := range kept {
+			if want := rec(i); !bytes.Equal(r.Meta, want.Meta) || !bytes.Equal(r.Data, want.Data) {
+				t.Fatalf("%s: kept record %d reads %q / %q, want %q / %q", stage, i, r.Meta, r.Data, want.Meta, want.Data)
+			}
+		}
+	}
+	for _, readOnly := range []bool{true, false} {
+		var kept []Record
+		l, err := OpenReplay(dir, Options{segmentBytes: 512, ReadOnly: readOnly}, func(recs []Record) error {
+			kept = append(kept, recs...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if readOnly {
+			check("read-only, opened", kept)
+		} else {
+			check("writable, opened", kept)
+			segs := l.Segments()
+			for i := n; i < 2*n; i++ {
+				if _, err := l.Append(rec(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if l.Segments() <= segs {
+				t.Fatalf("%d segments after the appends, %d before: want a rotation", l.Segments(), segs)
+			}
+			check("writable, appended to", kept)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("read-only %v, closed", readOnly), kept)
+	}
+}

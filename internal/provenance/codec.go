@@ -438,12 +438,23 @@ func AppendIOTrace(dst []byte, r IOTrace) []byte {
 // bytes' owner — the live aggregator's map keys — copies it
 // (strings.Clone). Never decode from a buffer that is refilled afterwards.
 //
-// A Decoder keeps only its unescape scratch between events, so any number of
-// them may read one topic side by side, one per goroutine; the zero value is
-// ready to use. A Decoder is not safe for concurrent use.
+// A TaskMeta's Deps is a window of an arena the decoder owns: a 3-index
+// slice, so appending to it copies, over an array that is never written
+// where a record can see it — a full one is left to the records that hold
+// it, and the decoder starts a fresh one. Copying a Decoder value shares its
+// arena; use only one of the copies afterwards.
+//
+// A Decoder keeps only its unescape scratch and that arena between events,
+// so any number of them may read one topic side by side, one per goroutine;
+// the zero value is ready to use. A Decoder is not safe for concurrent use.
 type Decoder struct {
-	d dec
+	d    dec
+	deps []dask.TaskKey
 }
+
+// depsArena is how many dependencies one array of a decoder's arena holds,
+// unless a single task has more.
+const depsArena = 512
 
 // begin points the decoder's cursor at one document, keeping the unescape
 // scratch.
@@ -471,10 +482,20 @@ func (x *Decoder) TaskMeta(b []byte) (dask.TaskMeta, error) {
 		case "deps":
 			m.Deps = nil
 			if d.open('[') {
+				start := len(x.deps)
 				for d.more(']') {
 					if s, ok := d.identOK(); ok {
-						m.Deps = append(m.Deps, dask.TaskKey(s))
+						if len(x.deps) == cap(x.deps) {
+							n := len(x.deps) - start
+							fresh := make([]dask.TaskKey, n, max(depsArena, 2*n))
+							copy(fresh, x.deps[start:])
+							x.deps, start = fresh, 0
+						}
+						x.deps = append(x.deps, dask.TaskKey(s))
 					}
+				}
+				if n := len(x.deps); n > start {
+					m.Deps = x.deps[start:n:n]
 				}
 			}
 		case "at":

@@ -79,7 +79,9 @@ func aliases(b []byte, s string) bool {
 
 // TestDecoderBorrowsNames runs a sample of every record type — with a tuple
 // key, an escaped key and non-ASCII names — through one decoder twice, each
-// record checked against what a fresh decoder reads. Every name the input
+// record checked against what a fresh decoder reads, and the first pass's
+// records again once the second is done (task-meta dependencies live in the
+// decoder's arena, which must not be written under them). Every name the input
 // holds verbatim is a string over the input's own bytes; an escaped name
 // and the free text (Warning.Message, SpeculationEvent.Detail) are copies;
 // and a warm decoder allocates for nothing else but the records' own slices.
@@ -107,6 +109,7 @@ func TestDecoderBorrowsNames(t *testing.T) {
 	}
 
 	x := new(Decoder)
+	var first []any // pass 1's records, which pass 2 must leave as they were
 	for pass := 1; pass <= 2; pass++ {
 		for i, l := range sample {
 			got, err := sampleDecoders[l.topic].keep(x, l.b)
@@ -117,6 +120,14 @@ func TestDecoderBorrowsNames(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("pass %d, line %d: %+v, a fresh decoder reads %+v", pass, i+1, got, want)
 			}
+			if pass == 1 {
+				first = append(first, got)
+			}
+		}
+	}
+	for i, l := range sample {
+		if want, _ := sampleDecoders[l.topic].keep(new(Decoder), l.b); !reflect.DeepEqual(first[i], want) {
+			t.Fatalf("line %d: decoded first as %+v, reads %+v after the decoder went on", i+1, first[i], want)
 		}
 	}
 	kinds := map[string]int{}

@@ -147,8 +147,8 @@ func read[T any](r *Records, c *decoded[T], topic string, decode func(*Decoder, 
 }
 
 // decodeChunks decodes the events of chunks, which lie in t, into their
-// slots of out, with a decoder of its own. On a corrupt event or envelope it
-// stops, returning that event's slot and the error.
+// slots of out, with a decoder of its own. On a corrupt event it stops,
+// returning that event's slot and the error.
 func decodeChunks[T any](t *mofka.Topic, topic string, chunks []mofka.Chunk, out []T, decode func(*Decoder, []byte) (T, error)) (int, error) {
 	var x Decoder
 	for _, c := range chunks {
@@ -157,20 +157,16 @@ func decodeChunks[T any](t *mofka.Topic, topic string, chunks []mofka.Chunk, out
 			return c.Slot, err
 		}
 		slot := c.Slot
-		var bad error
-		err = p.Scan(c.From, c.N, func(id uint64, metadata []byte) bool {
-			rec, err := decode(&x, metadata)
-			if err != nil {
-				bad = fmt.Errorf("provenance: corrupt event %s[%d]/%d: %w", topic, c.Part, id, err)
+		p.Scan(c.From, c.N, func(id uint64, metadata []byte) bool {
+			var rec T
+			if rec, err = decode(&x, metadata); err != nil {
+				err = fmt.Errorf("provenance: corrupt event %s[%d]/%d: %w", topic, c.Part, id, err)
 				return false
 			}
 			out[slot] = rec
 			slot++
 			return true
 		})
-		if bad != nil {
-			return slot, bad
-		}
 		if err != nil {
 			return slot, err
 		}
