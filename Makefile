@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet reach lint test tier1 race paper bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate verify
+.PHONY: build vet reach identity lint test tier1 race paper bench bench-proxy bench-whatif bench-speculation bench-e2e bench-e2e-smoke chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate verify
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,15 @@ vet:
 # program links); prints its wall time. It writes under .reach_build/.
 reach:
 	bash tools/reach/run.sh
+
+# The identity manifest (tools/identity/run.sh): the SHA-256 of every output
+# make reach left under .reach_build/work, against IDENTITY.txt's rows. Fails
+# on a file that moved, appeared or went missing, and names it; the files its
+# header excludes (host time, ports, temporary paths) each say why. A change
+# that means to move bytes copies .reach_build/IDENTITY.txt over it. Run it
+# after make reach, whose outputs it reads.
+identity:
+	bash tools/identity/run.sh
 
 # Static analysis beyond vet; staticcheck runs when the binary is on PATH
 # (CI installs it, bare dev machines skip cleanly rather than failing).
@@ -327,4 +336,4 @@ bench-e2e-smoke:
 		$(GO) run -C bench/e2e . -workload $$w -smoke || exit 1; done
 
 # Everything CI runs.
-verify: tier1 lint reach race chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate
+verify: tier1 lint reach identity race chaos cluster property resume readpath durable simcost collectcost fuzz whatif speculate

@@ -108,11 +108,7 @@ func RenderCritPath(art *core.RunArtifacts) (string, error) {
 			t.WaitTransferSeconds + t.WaitSchedulerSeconds}
 	}
 	sort.SliceStable(ws, func(a, b int) bool { return ws[a].w > ws[b].w })
-	top := 5
-	if top > len(ws) {
-		top = len(ws)
-	}
-	if top > 0 {
+	if top := min(5, len(ws)); top > 0 {
 		fmt.Fprintf(&b, "top steps:\n")
 		for _, w := range ws[:top] {
 			t := cp.Tasks[w.i]
@@ -196,9 +192,12 @@ func CritPathSVG(art *core.RunArtifacts) (string, error) {
 	plotW := W - mL - 20
 	x := func(t float64) float64 { return mL + (t-model.StartSeconds)/span*plotW }
 
-	onChain := make(map[string]int, len(cp.Tasks))
+	// The chain's steps as TaskIDs, which index model.Tasks.
+	chain := make([]int, len(cp.Tasks))
+	onChain := make([]bool, len(model.Tasks))
 	for i, t := range cp.Tasks {
-		onChain[t.Key] = i
+		chain[i] = model.Table.ID[t.Key]
+		onChain[chain[i]] = true
 	}
 
 	// Non-critical tasks first (gray), then the chain on top (red) with its
@@ -208,7 +207,7 @@ func CritPathSVG(art *core.RunArtifacts) (string, error) {
 	}
 	for i := range model.Tasks {
 		t := &model.Tasks[i]
-		if _, ok := onChain[t.Key]; ok {
+		if onChain[i] {
 			continue
 		}
 		x0, x1 := x(t.Start), x(t.Stop)
@@ -218,11 +217,7 @@ func CritPathSVG(art *core.RunArtifacts) (string, error) {
 		c.rect(x0, rowOf(t)+2, x1-x0, rowH-4, "#bbbbbb", 0.6)
 	}
 	var px, py float64
-	for i, ct := range cp.Tasks {
-		ti, ok := model.Index[ct.Key]
-		if !ok {
-			continue
-		}
+	for i, ti := range chain {
 		t := &model.Tasks[ti]
 		x0, x1 := x(t.Start), x(t.Stop)
 		if x1-x0 < 1 {

@@ -270,10 +270,7 @@ func WarningHistogram(art *core.RunArtifacts, binSeconds float64) (map[string]Hi
 	if end <= 0 {
 		end = 1
 	}
-	nbins := int(math.Ceil(end / binSeconds))
-	if nbins < 1 {
-		nbins = 1
-	}
+	nbins := max(int(math.Ceil(end/binSeconds)), 1)
 	byKind := map[string][]float64{}
 	kindCol := wv.Col("kind")
 	atCol := wv.Col("at")
@@ -303,19 +300,12 @@ func RenderWarningHistogram(h map[string]Histogram, binSeconds float64) string {
 			if c == 0 {
 				continue
 			}
-			bar := strings.Repeat("#", minInt(c, 60))
+			bar := strings.Repeat("#", min(c, 60))
 			fmt.Fprintf(&sb, "  [%6.0fs-%6.0fs) %4d %s\n",
 				float64(i)*binSeconds, float64(i+1)*binSeconds, c, bar)
 		}
 	}
 	return sb.String()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // RenderPhaseStats formats the Fig. 3 series: normalized phase means with

@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 )
 
 // Lineage is the full provenance record of one task (Fig. 8): identity,
@@ -64,28 +65,33 @@ type LineageIO struct {
 
 // BuildLineage assembles the provenance summary of key from a run's
 // artifacts, fusing the Mofka streams with the Darshan trace exactly as the
-// paper's Fig. 8 does.
+// paper's Fig. 8 does. The placement is the key's winning execution
+// (provenance.TaskTable).
 func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	l := &Lineage{Key: key, Prefix: dask.KeyPrefix(dask.TaskKey(key)), Group: dask.KeyGroup(dask.TaskKey(key))}
 
-	metas, err := art.Records().TaskMeta()
+	tab, err := provenance.Tasks(art.Records())
 	if err != nil {
 		return nil, err
 	}
-	found := false
-	for _, tm := range metas {
-		if string(tm.Key) == key {
-			l.GraphID = tm.GraphID
-			l.SubmittedAt = tm.At.Seconds()
-			for _, d := range tm.Deps {
-				l.Deps = append(l.Deps, string(d))
-			}
-			found = true
-			break
-		}
-	}
-	if !found {
+	id, ok := tab.ID[key]
+	if !ok || tab.Meta[id] < 0 {
 		return nil, fmt.Errorf("perfrecup: task %q not found in run %s", key, art.Meta.JobID)
+	}
+	tm := &tab.Metas[tab.Meta[id]]
+	l.GraphID = tm.GraphID
+	l.SubmittedAt = tm.At.Seconds()
+	for _, d := range tm.Deps {
+		l.Deps = append(l.Deps, string(d))
+	}
+	if j := tab.Exec[id]; j >= 0 {
+		e := &tab.Execs[j]
+		l.Worker = e.Worker
+		l.Hostname = e.Hostname
+		l.ThreadID = e.ThreadID
+		l.Start = e.Start.Seconds()
+		l.Stop = e.Stop.Seconds()
+		l.OutputSize = e.OutputSize
 	}
 
 	trans, err := art.Records().Transitions()
@@ -101,21 +107,6 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 	sort.Slice(l.States, func(a, b int) bool { return l.States[a].At < l.States[b].At })
-
-	execs, err := art.Records().Executions()
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range execs {
-		if string(e.Key) == key {
-			l.Worker = e.Worker
-			l.Hostname = e.Hostname
-			l.ThreadID = e.ThreadID
-			l.Start = e.Start.Seconds()
-			l.Stop = e.Stop.Seconds()
-			l.OutputSize = e.OutputSize
-		}
-	}
 
 	transfers, err := art.Records().Transfers()
 	if err != nil {

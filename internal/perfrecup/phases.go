@@ -99,19 +99,14 @@ func AggregatePhases(runs []PhaseBreakdown) PhaseStats {
 		comm = append(comm, r.CommSeconds)
 		comp = append(comp, r.ComputeSeconds)
 		tot = append(tot, r.TotalSeconds)
-		max := r.IOSeconds
-		for _, v := range []float64{r.CommSeconds, r.ComputeSeconds, r.TotalSeconds} {
-			if v > max {
-				max = v
-			}
+		top := max(r.IOSeconds, r.CommSeconds, r.ComputeSeconds, r.TotalSeconds)
+		if top <= 0 {
+			top = 1
 		}
-		if max <= 0 {
-			max = 1
-		}
-		nio = append(nio, r.IOSeconds/max)
-		ncomm = append(ncomm, r.CommSeconds/max)
-		ncomp = append(ncomp, r.ComputeSeconds/max)
-		ntot = append(ntot, r.TotalSeconds/max)
+		nio = append(nio, r.IOSeconds/top)
+		ncomm = append(ncomm, r.CommSeconds/top)
+		ncomp = append(ncomp, r.ComputeSeconds/top)
+		ntot = append(ntot, r.TotalSeconds/top)
 	}
 	s.MeanIO, s.StdIO = Mean(io), Std(io)
 	s.MeanComm, s.StdComm = Mean(comm), Std(comm)

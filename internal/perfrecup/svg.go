@@ -3,6 +3,7 @@ package perfrecup
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"taskprov/internal/core"
@@ -126,7 +127,7 @@ func WarningHistogramSVG(h map[string]Histogram, binSeconds float64) string {
 	for k := range h {
 		kinds = append(kinds, k)
 	}
-	sortStrings(kinds)
+	slices.Sort(kinds)
 	H := 40 + bandH*float64(len(kinds)) + 30
 	c := newCanvas(W, H)
 	c.text(mL, 24, 16, "Warning distribution over time")
@@ -176,7 +177,7 @@ func IOTimelineSVG(art *core.RunArtifacts) (string, error) {
 			order = append(order, tid)
 		}
 	}
-	sortInt64s(order)
+	slices.Sort(order)
 	for i, tid := range order {
 		tids[tid] = i
 	}
@@ -270,20 +271,4 @@ func CommScatterSVG(art *core.RunArtifacts) (string, error) {
 	c.rect(mL+110, 30, 10, 10, "#2ca02c", 0.9)
 	c.text(mL+124, 39, 11, "intra-node")
 	return c.String(), nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

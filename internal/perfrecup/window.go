@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 )
 
 // WindowStats is the paper's "zooming through a specific time period"
@@ -30,22 +31,12 @@ type WindowStats struct {
 
 	Warnings map[string]int
 
-	BusiestPrefix string // task category with the most in-window compute
+	BusiestPrefix string // task category with the most in-window compute; the smaller prefix on a tie
 }
 
 // overlap returns the length of [a0,a1) ∩ [b0,b1).
 func overlap(a0, a1, b0, b1 float64) float64 {
-	lo, hi := a0, a1
-	if b0 > lo {
-		lo = b0
-	}
-	if b1 < hi {
-		hi = b1
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
+	return max(0, min(a1, b1)-max(a0, b0))
 }
 
 // Window computes WindowStats for [from, to) seconds.
@@ -75,7 +66,7 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 	}
 	best := 0.0
 	for p, v := range byPrefix {
-		if v > best {
+		if v > best || v == best && p < w.BusiestPrefix {
 			best, w.BusiestPrefix = v, p
 		}
 	}
@@ -146,41 +137,32 @@ func (w WindowStats) Render() string {
 // order or not" (§IV-D).
 type ScheduleComparison struct {
 	CommonTasks    int
-	SamePlacement  float64 // fraction of common tasks on the same worker rank order... see SameWorker
 	SameWorker     float64 // fraction executed on the same worker address
 	OrderAgreement float64 // Spearman correlation of execution start order
 	WallDeltaSec   float64 // |wallA - wallB|
 }
 
-// CompareSchedules compares two runs' task executions.
+// CompareSchedules compares two runs' task executions: each key's winning
+// execution (provenance.TaskTable) in one run against its winner in the
+// other.
 func CompareSchedules(a, b *core.RunArtifacts) (ScheduleComparison, error) {
 	var out ScheduleComparison
-	load := func(art *core.RunArtifacts) (map[string]dask.TaskExecution, error) {
-		execs, err := art.Records().Executions()
-		if err != nil {
-			return nil, err
-		}
-		m := make(map[string]dask.TaskExecution, len(execs))
-		for _, e := range execs {
-			m[string(e.Key)] = e
-		}
-		return m, nil
-	}
-	ea, err := load(a)
+	ta, err := provenance.Tasks(a.Records())
 	if err != nil {
 		return out, err
 	}
-	eb, err := load(b)
+	tb, err := provenance.Tasks(b.Records())
 	if err != nil {
 		return out, err
 	}
 	var startsA, startsB []float64
 	same := 0
-	for k, xa := range ea {
-		xb, ok := eb[k]
-		if !ok {
+	for id := 0; id < ta.Executed; id++ {
+		j, ok := tb.ID[string(ta.Key[id])]
+		if !ok || j >= tb.Executed {
 			continue
 		}
+		xa, xb := &ta.Execs[ta.Exec[id]], &tb.Execs[tb.Exec[j]]
 		out.CommonTasks++
 		if xa.Worker == xb.Worker {
 			same++
@@ -190,7 +172,6 @@ func CompareSchedules(a, b *core.RunArtifacts) (ScheduleComparison, error) {
 	}
 	if out.CommonTasks > 0 {
 		out.SameWorker = float64(same) / float64(out.CommonTasks)
-		out.SamePlacement = out.SameWorker
 	}
 	if len(startsA) >= 2 {
 		out.OrderAgreement = Spearman(startsA, startsB)

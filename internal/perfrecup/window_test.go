@@ -150,3 +150,22 @@ func TestWindowBoundaries(t *testing.T) {
 		t.Fatalf("warnings = %v", w.Warnings)
 	}
 }
+
+// TestBusiestPrefixTieGoesToSmallerPrefix: a window inside two tasks of
+// different prefixes gives both exactly to − from seconds, so the label is
+// the tie-break's, never the map order's: the smaller prefix, on every call.
+func TestBusiestPrefixTieGoesToSmallerPrefix(t *testing.T) {
+	art := windowArt(t, []dask.TaskExecution{
+		{Key: "zeta-0001", Start: sim.Seconds(0), Stop: sim.Seconds(10)},
+		{Key: "alpha-0001", Start: sim.Seconds(1), Stop: sim.Seconds(9)},
+	}, nil, nil)
+	for i := 0; i < 50; i++ {
+		w, err := Window(art, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.BusiestPrefix != "alpha" {
+			t.Fatalf("call %d: busiest prefix %q of a tied window, want \"alpha\"", i, w.BusiestPrefix)
+		}
+	}
+}

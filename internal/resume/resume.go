@@ -61,10 +61,11 @@ type State struct {
 
 // Reconstruct replays dataDir's provenance into a resumable State: lineage
 // is read (and validated — a completed run refuses), the frontier checkpoint
-// is loaded, and every execution, graph and clock record of the log is
-// merged with it; of the proxy events only those after the checkpoint's
-// snapshot time are replayed over its blob set. The log is opened
-// read-only; nothing on disk changes.
+// is loaded, and each key's winning execution — the one provenance.Tasks
+// picks, under the rule TaskTable states — and every graph and clock record
+// of the log are merged with it; of the proxy events only those after the
+// checkpoint's snapshot time are replayed over its blob set. The log is
+// opened read-only; nothing on disk changes.
 func Reconstruct(dataDir string) (*State, error) {
 	if !mcluster.IsLogDir(dataDir) {
 		return nil, fmt.Errorf("resume: %s holds no durable event log", dataDir)
@@ -121,29 +122,23 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 		ExecCounts:  make(map[dask.TaskKey]int),
 	}
 
-	// Completed tasks: checkpointed frontier plus every execution record.
-	type doneTask struct {
-		graph int
-		size  int64
-		stop  float64
-		files []dask.FileEffect
-	}
-	tasks := make(map[string]doneTask, len(cp.Tasks))
-	for key, t := range cp.Tasks {
-		tasks[key] = doneTask{graph: t.GraphID, size: t.Size, stop: t.StopSeconds, files: t.Files}
-	}
+	// Completed tasks: the checkpointed frontier, where a key's winning
+	// execution replaces its entry unless it stopped earlier (no execution
+	// of the key stopped later than the winner).
+	tasks := cp.Tasks
 	recs := provenance.NewRecords(broker)
-	execs, err := recs.Executions()
+	tab, err := provenance.Tasks(recs)
 	if err != nil {
-		return nil, fmt.Errorf("resume: executions: %w", err)
+		return nil, fmt.Errorf("resume: %w", err)
 	}
 	maxAt := cp.AtSeconds
-	for _, rec := range execs {
-		st.ExecCounts[rec.Key]++
+	for id := 0; id < tab.Executed; id++ {
+		rec := &tab.Execs[tab.Exec[id]]
+		st.ExecCounts[rec.Key] = tab.Runs[id]
 		stop := rec.Stop.Seconds()
 		maxAt = math.Max(maxAt, stop)
-		if prev, ok := tasks[string(rec.Key)]; !ok || stop >= prev.stop {
-			tasks[string(rec.Key)] = doneTask{graph: rec.GraphID, size: rec.OutputSize, stop: stop, files: rec.Files}
+		if prev, ok := tasks[string(rec.Key)]; !ok || stop >= prev.StopSeconds {
+			tasks[string(rec.Key)] = FrontierTask{GraphID: rec.GraphID, Size: rec.OutputSize, StopSeconds: stop, Files: rec.Files}
 		}
 	}
 
@@ -194,7 +189,7 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 	// batch; topics lose their tails independently) still memoizes — the
 	// publish proves completion.
 	for key, t := range tasks {
-		memo := dask.ResumeMemo{Size: t.size, Owner: -1}
+		memo := dask.ResumeMemo{Size: t.Size, Owner: -1}
 		if b := blobs[key]; b != nil && b.residual > 0 {
 			memo.Resolvable = true
 			memo.Owner = b.owner
@@ -241,25 +236,20 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 
 	// File effects in completion order: later writers win (CREATE truncates,
 	// so replay must preserve order, not take maxima).
-	type timedEffects struct {
-		stop  float64
-		key   string
-		files []dask.FileEffect
-	}
-	var ordered []timedEffects
+	var written []string
 	for key, t := range tasks {
-		if len(t.files) > 0 {
-			ordered = append(ordered, timedEffects{stop: t.stop, key: key, files: t.files})
+		if len(t.Files) > 0 {
+			written = append(written, key)
 		}
 	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].stop != ordered[j].stop {
-			return ordered[i].stop < ordered[j].stop
+	sort.Slice(written, func(i, j int) bool {
+		if a, b := tasks[written[i]].StopSeconds, tasks[written[j]].StopSeconds; a != b {
+			return a < b
 		}
-		return ordered[i].key < ordered[j].key
+		return written[i] < written[j]
 	})
-	for _, te := range ordered {
-		st.FileEffects = append(st.FileEffects, te.files...)
+	for _, key := range written {
+		st.FileEffects = append(st.FileEffects, tasks[key].Files...)
 	}
 
 	// The remaining topics only contribute to the clock frontier.
@@ -284,11 +274,11 @@ func reconstruct(dataDir string, open func(dataDir string) (*mofka.Broker, error
 	// resumed session's own checkpoints keep covering prior attempts' work.
 	fr := NewCheckpoint(st.Attempt)
 	fr.AtSeconds = st.ResumeBase.Seconds()
-	for key, t := range tasks {
-		fr.Tasks[key] = FrontierTask{GraphID: t.graph, Size: t.size, StopSeconds: t.stop, Files: t.files}
-		g := fr.Graphs[strconv.Itoa(t.graph)]
+	fr.Tasks = tasks
+	for _, t := range tasks {
+		g := fr.Graphs[strconv.Itoa(t.GraphID)]
 		g.Completed++
-		fr.Graphs[strconv.Itoa(t.graph)] = g
+		fr.Graphs[strconv.Itoa(t.GraphID)] = g
 	}
 	for id := range doneEvidenced {
 		g := fr.Graphs[strconv.Itoa(id)]

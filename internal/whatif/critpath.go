@@ -1,9 +1,6 @@
 package whatif
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Attribution categories on the critical path.
 const (
@@ -102,38 +99,37 @@ func (m *Model) CriticalPath() *CritPath {
 	base := m.StartSeconds
 	cp.MakespanSeconds = m.Tasks[last].Stop - base
 
-	// Index the previous occupant of each (worker, thread): tasks sorted by
-	// start per thread lane.
-	type lane struct{ tasks []int }
-	lanes := map[string]*lane{}
-	laneKey := func(t *Task) string { return fmt.Sprintf("%s\x00%d", t.Worker, t.ThreadID) }
-	for i := range m.Tasks {
-		lk := laneKey(&m.Tasks[i])
-		if lanes[lk] == nil {
-			lanes[lk] = &lane{}
-		}
-		lanes[lk].tasks = append(lanes[lk].tasks, i)
+	// The previous occupants of each (worker, thread): the lanes one after
+	// another, each lane's tasks by start, then key.
+	byLane := make([]int, len(m.Tasks))
+	for i := range byLane {
+		byLane[i] = i
 	}
-	for _, l := range lanes {
-		sort.Slice(l.tasks, func(a, b int) bool {
-			ta, tb := &m.Tasks[l.tasks[a]], &m.Tasks[l.tasks[b]]
-			if ta.Start != tb.Start {
-				return ta.Start < tb.Start
-			}
-			return ta.Key < tb.Key
-		})
+	sort.Slice(byLane, func(a, b int) bool {
+		ta, tb := &m.Tasks[byLane[a]], &m.Tasks[byLane[b]]
+		switch {
+		case ta.Worker != tb.Worker:
+			return ta.Worker < tb.Worker
+		case ta.ThreadID != tb.ThreadID:
+			return ta.ThreadID < tb.ThreadID
+		case ta.Start != tb.Start:
+			return ta.Start < tb.Start
+		}
+		return ta.Key < tb.Key
+	})
+	lanePos := make([]int, len(m.Tasks))
+	for p, i := range byLane {
+		lanePos[i] = p
 	}
 	prevOnLane := func(i int) int {
-		l := lanes[laneKey(&m.Tasks[i])]
-		pos := sort.Search(len(l.tasks), func(p int) bool {
-			tp := &m.Tasks[l.tasks[p]]
-			return tp.Start > m.Tasks[i].Start ||
-				(tp.Start == m.Tasks[i].Start && tp.Key >= m.Tasks[i].Key)
-		})
-		for p := pos - 1; p >= 0; p-- {
-			j := l.tasks[p]
-			if m.Tasks[j].Stop <= m.Tasks[i].Start {
-				return j
+		t := &m.Tasks[i]
+		for p := lanePos[i] - 1; p >= 0; p-- {
+			prev := &m.Tasks[byLane[p]]
+			if prev.Worker != t.Worker || prev.ThreadID != t.ThreadID {
+				break
+			}
+			if prev.Stop <= t.Start {
+				return byLane[p]
 			}
 		}
 		return -1

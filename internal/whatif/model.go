@@ -25,7 +25,6 @@ import (
 	"taskprov/internal/darshan"
 	"taskprov/internal/dask"
 	"taskprov/internal/provenance"
-	"taskprov/internal/sim"
 )
 
 // Input bundles everything the extractor reads: the run's decoded provenance
@@ -99,7 +98,7 @@ type GraphInfo struct {
 	ID           int
 	SubmitAt     float64
 	DoneAt       float64
-	Tasks        int
+	Tasks        int   // the model's tasks in the graph
 	Prereqs      []int // graph IDs done before SubmitAt
 	DelaySeconds float64
 }
@@ -148,9 +147,12 @@ type Model struct {
 	Workflow string
 	Seed     uint64
 
+	// Table is the run's task table; a task's index in Tasks is its
+	// TaskID, so Tasks holds the table's executed tasks, each with its
+	// winning execution.
+	Table  provenance.TaskTable
 	Tasks  []Task
-	Index  map[string]int // key -> task index
-	Graphs []GraphInfo    // sorted by SubmitAt, then ID
+	Graphs []GraphInfo // sorted by SubmitAt, then ID
 
 	// Transfers indexes measured transfers by (dep task, destination
 	// worker); re-executed fetches keep the longest observation.
@@ -196,13 +198,9 @@ func Extract(in Input) (*Model, error) {
 	if in.Records == nil {
 		return nil, fmt.Errorf("whatif: nil records")
 	}
-	metas, err := in.Records.TaskMeta()
+	tab, err := provenance.Tasks(in.Records)
 	if err != nil {
-		return nil, fmt.Errorf("whatif: task-meta: %w", err)
-	}
-	execs, err := in.Records.Executions()
-	if err != nil {
-		return nil, fmt.Errorf("whatif: executions: %w", err)
+		return nil, fmt.Errorf("whatif: %w", err)
 	}
 	transfers, err := in.Records.Transfers()
 	if err != nil {
@@ -212,36 +210,15 @@ func Extract(in Input) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("whatif: graph-events: %w", err)
 	}
-
-	// Executions: keep the final (max-Stop) execution of each key — a task
-	// re-executed after a worker crash contributes its surviving run.
-	execByKey := make(map[string]dask.TaskExecution, len(execs))
-	for _, e := range execs {
-		if prev, ok := execByKey[string(e.Key)]; !ok || e.Stop > prev.Stop {
-			execByKey[string(e.Key)] = e
-		}
-	}
-	if len(execByKey) == 0 {
+	if tab.Executed == 0 {
 		return nil, fmt.Errorf("whatif: run has no task executions")
-	}
-
-	// Task metadata: dependency lists and per-graph submit times.
-	metaByKey := make(map[string]metaRec, len(metas))
-	for _, tm := range metas {
-		if _, ok := metaByKey[string(tm.Key)]; ok {
-			continue // duplicate registration (re-submitted graph)
-		}
-		deps := make([]string, len(tm.Deps))
-		for i, d := range tm.Deps {
-			deps[i] = string(d)
-		}
-		metaByKey[string(tm.Key)] = metaRec{deps: deps, graphID: tm.GraphID, at: tm.At.Seconds()}
 	}
 
 	m := &Model{
 		Workflow:         in.Workflow,
 		Seed:             in.Seed,
-		Index:            make(map[string]int, len(execByKey)),
+		Table:            *tab,
+		Tasks:            make([]Task, tab.Executed),
 		Transfers:        make(map[EdgeKey]Edge),
 		WorkerHost:       make(map[string]string),
 		Nodes:            in.Nodes,
@@ -252,28 +229,16 @@ func Extract(in Input) (*Model, error) {
 		StartSeconds:     in.StartSeconds,
 	}
 
-	// Deterministic task order: by measured start, then key.
-	type started struct {
-		start sim.Time
-		key   string
-	}
-	order := make([]started, 0, len(execByKey))
-	for k, e := range execByKey {
-		order = append(order, started{e.Start, k})
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].start != order[b].start {
-			return order[a].start < order[b].start
-		}
-		return order[a].key < order[b].key
-	})
+	// Tasks: each executed task's winning execution, in TaskID order (by
+	// measured start, then key), with its executed deps — purely
+	// external/staged inputs have no execution record and impose no
+	// ordering. A dep's ID below Executed is an executed task's, and a
+	// task's deps are ascending, so those are a prefix.
 	end := in.StartSeconds
-	for _, o := range order {
-		k := o.key
-		e := execByKey[k]
-		meta := metaByKey[k]
+	for id := range m.Tasks {
+		e := &tab.Execs[tab.Exec[id]]
 		t := Task{
-			Key:         k,
+			Key:         string(e.Key),
 			Prefix:      dask.KeyPrefix(e.Key),
 			GraphID:     e.GraphID,
 			Worker:      e.Worker,
@@ -283,11 +248,14 @@ func Extract(in Input) (*Model, error) {
 			Stop:        e.Stop.Seconds(),
 			OutputBytes: e.OutputSize,
 		}
-		if meta.graphID != 0 && t.GraphID == 0 {
-			t.GraphID = meta.graphID
+		deps := tab.Deps(id)
+		if n := sort.SearchInts(deps, tab.Executed); n > 0 {
+			t.Deps = deps[:n:n]
 		}
-		m.Index[k] = len(m.Tasks)
-		m.Tasks = append(m.Tasks, t)
+		if j := tab.Meta[id]; j >= 0 && tab.Metas[j].GraphID != 0 && t.GraphID == 0 {
+			t.GraphID = tab.Metas[j].GraphID
+		}
+		m.Tasks[id] = t
 		m.WorkerHost[e.Worker] = e.Hostname
 		if t.Stop > end {
 			end = t.Stop
@@ -299,23 +267,12 @@ func Extract(in Input) (*Model, error) {
 		m.MakespanSeconds = end - in.StartSeconds
 	}
 
-	// Dependency edges (only deps that executed; purely external/staged
-	// inputs have no execution record and impose no ordering).
-	for i := range m.Tasks {
-		for _, d := range metaByKey[m.Tasks[i].Key].deps {
-			if j, ok := m.Index[d]; ok {
-				m.Tasks[i].Deps = append(m.Tasks[i].Deps, j)
-			}
-		}
-		sort.Ints(m.Tasks[i].Deps)
-	}
-
 	// Measured transfers, indexed by (dep, destination worker). A dep
 	// re-fetched after a crash keeps the longest observation, biasing the
 	// model conservative.
 	for _, tr := range transfers {
-		idx, ok := m.Index[string(tr.Key)]
-		if !ok {
+		idx, ok := tab.ID[string(tr.Key)]
+		if !ok || idx >= tab.Executed {
 			continue
 		}
 		e := Edge{
@@ -339,40 +296,18 @@ func Extract(in Input) (*Model, error) {
 	}
 	sort.Strings(m.Workers)
 
-	m.extractGraphs(metaByKey, graphEvents)
+	m.extractGraphs(graphEvents)
 	m.joinIO(in.DarshanLogs)
 	m.decomposeProxy()
 	m.fitCosts()
 	return m, nil
 }
 
-// metaRec is the per-key slice of the task-meta stream the extractor keeps.
-type metaRec struct {
-	deps    []string
-	graphID int
-	at      float64
-}
-
 // extractGraphs reconstructs the client's graph-level control flow: submit
 // time (earliest task-meta registration), completion time (graph-done event,
 // falling back to the last task stop), and the set of graphs already done at
 // submit time — the barriers the client's Wait calls impose.
-func (m *Model) extractGraphs(metaByKey map[string]metaRec, graphEvents []provenance.GraphEvent) {
-	submit := map[int]float64{}
-	count := map[int]int{}
-	lastStop := map[int]float64{}
-	for i := range m.Tasks {
-		t := &m.Tasks[i]
-		g := t.GraphID
-		at := metaByKey[t.Key].at
-		if s, ok := submit[g]; !ok || at < s {
-			submit[g] = at
-		}
-		count[g]++
-		if t.Stop > lastStop[g] {
-			lastStop[g] = t.Stop
-		}
-	}
+func (m *Model) extractGraphs(graphEvents []provenance.GraphEvent) {
 	done := map[int]float64{}
 	for _, g := range graphEvents {
 		if g.Event != provenance.GraphDone {
@@ -382,25 +317,36 @@ func (m *Model) extractGraphs(metaByKey map[string]metaRec, graphEvents []proven
 			done[g.GraphID] = g.At
 		}
 	}
-	ids := make([]int, 0, len(submit))
-	for id := range submit {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if submit[ids[a]] != submit[ids[b]] {
-			return submit[ids[a]] < submit[ids[b]]
+	index := map[int]int{} // graph ID -> position in m.Graphs
+	for i := range m.Tasks {
+		t := &m.Tasks[i]
+		at := 0.0
+		if j := m.Table.Meta[i]; j >= 0 {
+			at = m.Table.Metas[j].At.Seconds()
 		}
-		return ids[a] < ids[b]
+		gi, ok := index[t.GraphID]
+		if !ok {
+			gi = len(m.Graphs)
+			index[t.GraphID] = gi
+			m.Graphs = append(m.Graphs, GraphInfo{ID: t.GraphID, SubmitAt: at})
+		}
+		g := &m.Graphs[gi]
+		g.Tasks++
+		if at < g.SubmitAt {
+			g.SubmitAt = at
+		}
+		if _, ok := done[g.ID]; ok {
+			g.DoneAt = done[g.ID]
+		} else if t.Stop > g.DoneAt {
+			g.DoneAt = t.Stop
+		}
+	}
+	sort.Slice(m.Graphs, func(a, b int) bool {
+		if m.Graphs[a].SubmitAt != m.Graphs[b].SubmitAt {
+			return m.Graphs[a].SubmitAt < m.Graphs[b].SubmitAt
+		}
+		return m.Graphs[a].ID < m.Graphs[b].ID
 	})
-	for _, id := range ids {
-		g := GraphInfo{ID: id, SubmitAt: submit[id], Tasks: count[id]}
-		if d, ok := done[id]; ok {
-			g.DoneAt = d
-		} else {
-			g.DoneAt = lastStop[id]
-		}
-		m.Graphs = append(m.Graphs, g)
-	}
 	// Prereqs: every graph observably complete before this one's submission.
 	for i := range m.Graphs {
 		g := &m.Graphs[i]

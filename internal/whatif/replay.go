@@ -299,7 +299,7 @@ func (m *Model) Replay(s Scenario) (*Result, error) {
 	gAvail := make([]float64, len(m.Graphs))
 	gWaiters := make([][]int, len(m.Graphs)) // graph positions waiting on this graph
 	for i, g := range m.Graphs {
-		gRemaining[i] = 0
+		gRemaining[i] = g.Tasks
 		gPrereqLeft[i] = len(g.Prereqs)
 		gAvail[i] = -1
 		for _, p := range g.Prereqs {
@@ -308,11 +308,6 @@ func (m *Model) Replay(s Scenario) (*Result, error) {
 			} else {
 				gPrereqLeft[i]--
 			}
-		}
-	}
-	for i := range m.Tasks {
-		if gi, ok := gpos[m.Tasks[i].GraphID]; ok {
-			gRemaining[gi]++
 		}
 	}
 

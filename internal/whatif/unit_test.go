@@ -128,7 +128,6 @@ func TestLongestChainSeconds(t *testing.T) {
 func syntheticModel(layers, width, nw, threads int) *Model {
 	m := &Model{
 		Workflow:         "synthetic",
-		Index:            map[string]int{},
 		Transfers:        map[EdgeKey]Edge{},
 		WorkerHost:       map[string]string{},
 		Nodes:            2,
@@ -170,7 +169,6 @@ func syntheticModel(layers, width, nw, threads int) *Model {
 				IOSeconds:      0.1,
 			}
 			slotFree[slot] = t.Stop
-			m.Index[t.Key] = i
 			m.Tasks = append(m.Tasks, t)
 		}
 	}
@@ -326,12 +324,11 @@ func TestSlackIndependentOfTaskOrder(t *testing.T) {
 	}
 }
 
-// permuteTasks returns m with task i moved to index perm[i], its deps, index
-// and measured transfers remapped to match.
+// permuteTasks returns m with task i moved to index perm[i], its deps and
+// measured transfers remapped to match.
 func permuteTasks(m *Model, perm []int) *Model {
 	p := *m
 	p.Tasks = make([]Task, len(m.Tasks))
-	p.Index = make(map[string]int, len(m.Tasks))
 	p.Transfers = make(map[EdgeKey]Edge, len(m.Transfers))
 	for i, tk := range m.Tasks {
 		deps := make([]int, len(tk.Deps))
@@ -340,7 +337,6 @@ func permuteTasks(m *Model, perm []int) *Model {
 		}
 		tk.Deps = deps
 		p.Tasks[perm[i]] = tk
-		p.Index[tk.Key] = perm[i]
 	}
 	for k, e := range m.Transfers {
 		k.Task, e.Task = perm[k.Task], perm[e.Task]

@@ -25,21 +25,20 @@ func mallocs(f func()) float64 {
 
 // TestReadPathAllocationBudget guards the read side the way
 // TestCollectorAllocationBudget guards the write side: per event of a seeded
-// imageprocessing data dir, opening it post-mortem and replaying it through
-// the live aggregator stay within their budgets: half again of the typed,
-// one-pass open when it landed (0.022; the record-at-a-time open cost 5.0),
-// and for the replay under twice what it measures with its task-meta
-// dependencies in the decoder's arena (0.093; 0.26 when its decoder interned
-// names, 4.80 when every string was copied, 31.1 decoding to maps, 0.18 with
-// names borrowed from the stored bytes and a slice per event's dependencies).
-// perfrecup.Phases over the loaded dir, counted per event of the whole dir,
-// stays within half again of what replaying only the phase topics measured
-// (0.091, 0.008 borrowing); replaying every topic, as it used to, costs 0.26.
+// imageprocessing data dir, opening it post-mortem, replaying it through the
+// live aggregator and perfrecup.Phases over the loaded dir (counted per event
+// of the whole dir) stay within a tenth over what they measure under
+// GOMAXPROCS=8: 0.0221, 0.0957 and 0.0095. Decoding goes on every core, and
+// fewer cores allocate less (0.0216, 0.0927 and 0.0081 under 2). The
+// record-at-a-time open cost 5.0; the replay cost 0.26 when its decoder
+// interned names, 4.80 when every string was copied, 31.1 decoding to maps,
+// 0.18 with names borrowed and a slice per event's dependencies; Phases,
+// replaying every topic as it used to, cost 0.26.
 func TestReadPathAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
 	}
-	const openBudget, replayBudget, phasesBudget = 0.033, 0.18, 0.14
+	const openBudget, replayBudget, phasesBudget = 0.024, 0.105, 0.0104
 	wf, err := New("imageprocessing")
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +82,7 @@ func TestReadPathAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%v events: %.3f allocations per event opened, %.3f per event replayed, %.3f per event for Phases", events, open/events, replay/events, phases/events)
+	t.Logf("%v events: %.4f allocations per event opened, %.4f per event replayed, %.4f per event for Phases", events, open/events, replay/events, phases/events)
 	// Under the race detector the admission check's pooled JSON scanner
 	// allocates about every other event; the open's own count is not visible.
 	if open/events > openBudget && !raceEnabled {
@@ -100,11 +99,13 @@ func TestReadPathAllocationBudget(t *testing.T) {
 // TestExtractAllocationBudget pins what a cold whatif.Extract allocates per
 // event of a seeded xgboost run: the four topics it reads decoded from the
 // stored bytes through a fresh provenance.Records. The budgets are a tenth
-// over what it measures with every name borrowed from the stored bytes and
-// the task-meta dependencies in the decoder's arena (124.4 B and 0.213
-// mallocs per event). One shared interning decoder measured 139.3 B and
-// 0.421; copying every string, Extract made 146.8 B and 1.013; borrowing
-// names with a slice per event's dependencies, 125.3 B and 0.335.
+// over what it measures on provenance.Tasks' table, whose CSR deps are the
+// model's, under GOMAXPROCS=8 (59.1 B and 0.0092 mallocs per event; 58.7 and
+// 0.0089 under 2). Keeping its own maps of executions and registrations by
+// key, with a deps slice per task, it made 124.4 B and 0.213; one shared
+// interning decoder measured 139.3 B and 0.421; copying every string, 146.8
+// B and 1.013; borrowing names with a slice per event's dependencies, 125.3
+// B and 0.335.
 func TestExtractAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
@@ -112,7 +113,7 @@ func TestExtractAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const bytesBudget, mallocsBudget = 137, 0.234
+	const bytesBudget, mallocsBudget = 65, 0.0101
 	art := seededRun(t, "xgboost")
 	events := float64(collected(art))
 	// The memoized run's records may still be warm (Execute extracted once),
@@ -127,7 +128,7 @@ func TestExtractAllocationBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / events
 	mallocs := float64(after.Mallocs-before.Mallocs) / events
-	t.Logf("whatif.Extract over %v events: %.1f B and %.3f mallocs per event", events, bytes, mallocs)
+	t.Logf("whatif.Extract over %v events: %.1f B and %.4f mallocs per event", events, bytes, mallocs)
 	if bytes > bytesBudget {
 		t.Errorf("whatif.Extract allocates %.1f B per event, budget %v", bytes, bytesBudget)
 	}

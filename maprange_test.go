@@ -51,9 +51,8 @@ func TestMapRangeOrder(t *testing.T) {
 // look order-dependent but are not, or cannot be changed here, each with the
 // reason.
 var orderFree = map[string]string{
-	"internal/dask/graph.go:Graph.Finalize":         "the Kahn frontier is a min-heap of keys: in whatever order dependents are listed and ready keys pushed, the smallest ready key pops next, so the order is a function of the graph",
-	"internal/perfrecup/window.go:CompareSchedules": "the start times go in as pairs, and Spearman's rho over ranks that are multiples of 1/2 takes only exact sums, so the pairs' order cannot change a bit of it",
-	"bench/e2e/reference.go:diffStats":              "the order shows only in the text of a failed reference check, which fails either way; bench/e2e changes only with the benchmark itself",
+	"internal/dask/graph.go:Graph.Finalize": "the Kahn frontier is a min-heap of keys: in whatever order dependents are listed and ready keys pushed, the smallest ready key pops next, so the order is a function of the graph",
+	"bench/e2e/reference.go:diffStats":      "the order shows only in the text of a failed reference check, which fails either way; bench/e2e changes only with the benchmark itself",
 }
 
 // mapRange is one flagged range over a map: the function it is in
