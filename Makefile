@@ -122,7 +122,8 @@ resume:
 # Read-path gate, uncached. Not under -race, which allocates on its own: the
 # allocation budgets of a post-mortem open, a live replay, perfrecup.Phases
 # and whatif.Extract (per event of a seeded run), the bytes a post-mortem open
-# allocates (at most 1.75 times its segments'), typed ingest against the
+# allocates (at most 1.75 times its segments'; of a cluster dir, at most 1.75
+# times one replica set's segments'), typed ingest against the
 # map API over every event of the seeded runs, Phases (the phase topics only)
 # bit for bit against the full replay's phase fields on the paper workflows,
 # a kill, a brownout and a cluster dir, the borrowing decoder (a name the
@@ -142,7 +143,10 @@ resume:
 # (the paper workflows, a cluster dir, a killed dir; corrupt events in both
 # partitions), two goroutines reading one Records, the post-mortem-open suite
 # against its serial reference (standalone and cluster dirs, torn, corrupt,
-# lagging, killed; each segment opened once), one cursor-store rewrite per
+# lagging, killed, a torn tail on the replica with the most bytes, a replica
+# with fewer bytes but more records, nodes disagreeing on a topic's
+# partitions; each segment opened once, by a standalone open and by a merge
+# of replicas), one cursor-store rewrite per
 # topic's cursor commit, stored bytes a scan lent surviving a truncate and
 # re-append (document collection and partition), the records a log's replay
 # lent surviving the open, its appends and its close, the malformed-event
@@ -155,7 +159,7 @@ resume:
 # an /events interval too short to serve refused, and frontier
 # reconstruction against the reference open.
 readpath:
-	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestPostMortemOpenAllocatesItsSegments|TestTypedIngestMatchesMapIngest|TestSharedRecordsStayUnchanged|TestPhasesMatchFullReplay' ./internal/workloads/
+	$(GO) test -count=1 -run 'TestReadPathAllocationBudget|TestExtractAllocationBudget|TestPostMortemOpenAllocatesItsSegments|TestClusterPostMortemOpenAllocatesOneReplica|TestTypedIngestMatchesMapIngest|TestSharedRecordsStayUnchanged|TestPhasesMatchFullReplay' ./internal/workloads/
 	$(GO) test -count=1 -run 'TestDecoderBorrowsNames|TestExactFloatMatchesParseFloat|TestCodecMatchesMapAPI|FuzzCodec|TestDrain|TestRecordsReuseUntilAppend|TestRecordsReleasedWhenUnheld|TestRecordsMissingTopic' ./internal/provenance/
 	$(GO) test -race -count=1 -run 'TestRecordsParallelMatchesSerial|TestReplayParallelMatchesSerial' ./internal/workloads/
 	$(GO) test -race -count=1 -run 'TestRecordsConcurrentReads' ./internal/provenance/
@@ -181,20 +185,22 @@ readpath:
 # session's, and after every step of a seeded random sequence of puts,
 # re-executions, graph moves and blob changes), what the checkpoint adds to a
 # reconstruction when unflushed batches died, the WAL recovery corpus, the
+# windowed reader against the keeping one over its corpus, the
 # records a log's replay lent surviving its appends, rotation and close, the
 # cluster's read view (shared from local leaders, pulled from a remote one,
 # apart from the cluster once taken, through a restart's truncation too), a
 # partition sharing another's events, a partition serving what it stored and
 # the payloads beside it (live, shared, truncated, post-mortem), and the
 # paged document store against a plain slice. The allocation pins of the lean
-# writer, of a log's open (one read buffer), of a durable partition's append,
+# writer, of a log's open (one 64 KiB window, whatever the segments' sizes),
+# of a durable partition's append,
 # of a rewritten checkpoint (and its count of members encoded: only the tasks
 # put since the last write), of the read view and of the paged store run
 # without -race, which allocates on its own. Then one
 # iteration of the durable quorum-append benchmark, so it cannot go
 # uncompiled.
 durable:
-	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestWaitShippedSealsNothing|TestFailedFsyncPoisonsLog|TestQuorumAckIsPipelined|TestKillSettlesInFlightQuorum|TestFailedFollowerFsyncFailsQuorum|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover|TestReplayedRecordsOutliveTheOpen' ./internal/mofka/wal/
+	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestWaitShippedSealsNothing|TestFailedFsyncPoisonsLog|TestQuorumAckIsPipelined|TestKillSettlesInFlightQuorum|TestFailedFollowerFsyncFailsQuorum|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover|FuzzSegmentWindow|TestReplayedRecordsOutliveTheOpen' ./internal/mofka/wal/
 	$(GO) test -race -count=1 -run 'TestSyncPolicyLeavesSameBytes|TestCrashedSessionsLeaveNoGoroutines' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCheckpointEncodingMatchesJSON|TestCheckpointEveryTickMatchesJSON|TestCheckpointSuppliesWhatUnflushedBatchesLost|FuzzSidecars' ./internal/resume/
 	$(GO) test -race -count=1 -run 'TestReadViewMatchesCluster' ./internal/mofka/cluster/
@@ -283,7 +289,10 @@ bench-speculation:
 
 # Fuzzing: replay the checked-in seed corpora, then fuzz live for a short
 # burst each. WAL crash recovery: arbitrary segment bytes must never panic
-# recovery and must keep exactly the valid frame prefix. Event codec:
+# recovery and must keep exactly the valid frame prefix. WAL window: the
+# reader that keeps nothing, through a window shrunk to a few bytes, reads
+# the records, valid prefix and torn-or-clean outcome the keeping reader
+# does, in a newest segment and an older one. Event codec:
 # arbitrary bytes into every typed decoder must never panic, must be accepted
 # exactly when encoding/json accepts them, decode to what Parse over a decoded
 # map gives, and re-encode to bytes that decode to the same record. Live
@@ -305,6 +314,8 @@ bench-speculation:
 fuzz:
 	$(GO) test -run 'FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALRecover' -fuzztime 20s ./internal/mofka/wal/
+	$(GO) test -run 'FuzzSegmentWindow' ./internal/mofka/wal/
+	$(GO) test -run '^$$' -fuzz 'FuzzSegmentWindow' -fuzztime 20s ./internal/mofka/wal/
 	$(GO) test -run 'FuzzCodec' ./internal/provenance/
 	$(GO) test -run '^$$' -fuzz 'FuzzCodec' -fuzztime 20s ./internal/provenance/
 	$(GO) test -run 'FuzzIngest' ./internal/live/

@@ -663,3 +663,34 @@ func TestSchedulerLogOrdersSimultaneousGraphs(t *testing.T) {
 		t.Fatalf("graphs out of id order:\n%s", first)
 	}
 }
+
+// stuckWorkflow kills every worker, then waits on a completion nothing ever
+// signals.
+type stuckWorkflow struct{}
+
+func (stuckWorkflow) Name() string   { return "stuck" }
+func (stuckWorkflow) Stage(env *Env) {}
+func (stuckWorkflow) Run(p *sim.Proc, cl *dask.Client, env *Env) {
+	for rank := range env.Cluster.Workers() {
+		env.Cluster.KillWorker(rank)
+	}
+	p.Await(func(done func()) {})
+}
+
+// TestRunReportsDeadlock: a workflow that can never finish, in a cluster
+// where nothing ticks any more (its workers dead, no liveness sweep or work
+// stealing), leaves the kernel nothing to fire, and Run says so — which
+// workflow, at what virtual time, with how many events still queued —
+// instead of returning artifacts.
+func TestRunReportsDeadlock(t *testing.T) {
+	cfg := testSession(3)
+	cfg.Dask.WorkStealing = false
+	cfg.Dask.WorkerTTL = -1
+	art, err := Run(cfg, stuckWorkflow{})
+	if err == nil {
+		t.Fatalf("a workflow that never finishes ran to artifacts %+v", art)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `workflow "stuck" deadlocked at`) || !strings.Contains(msg, " events pending)") {
+		t.Fatalf("Run of a stuck workflow: %v, want the deadlock error", err)
+	}
+}

@@ -74,9 +74,10 @@ func IsClusterDir(dir string) bool {
 // OpenPostMortem loads a durable cluster directory for analysis without any
 // live broker process and merges it into one in-memory broker
 // (mofka.OpenPostMortemReplicas over the node directories): every replica
-// log is validated, for every partition the longest one is published, and
-// for every consumer cursor the maximum across node cursor stores wins. The
-// on-disk state is never modified.
+// log is validated and read once, for every partition the longest one is
+// published and only its bytes are kept, nodes that disagree on a topic's
+// partition count fail the load, and for every consumer cursor the maximum
+// across node cursor stores wins. The on-disk state is never modified.
 func OpenPostMortem(dataDir string) (*mofka.Broker, error) {
 	meta, ok, err := loadClusterMeta(dataDir)
 	if err != nil {

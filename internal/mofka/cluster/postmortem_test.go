@@ -27,7 +27,10 @@ import (
 
 type refEvent struct{ meta, data []byte }
 
-var errRefCorrupt = errors.New("reference: interior corruption")
+var (
+	errRefCorrupt = errors.New("reference: interior corruption")
+	errRefShape   = errors.New("reference: a topic's partition count differs between directories")
+)
 
 // refFrames cuts a segment's bytes into events and reports whether every
 // byte belonged to a valid frame.
@@ -53,6 +56,15 @@ func refFrames(b []byte) (evs []refEvent, whole bool) {
 		b = b[8+n:]
 	}
 	return evs, true
+}
+
+// refFrame frames one event with no payload, as the log does.
+func refFrame(meta string) []byte {
+	payload := binary.LittleEndian.AppendUint32(nil, uint32(len(meta)))
+	payload = append(payload, meta...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(frame, payload...)
 }
 
 // refPartition reads one partition directory: a bad frame in the newest
@@ -97,7 +109,8 @@ type refView struct {
 // refOpen reads broker data directories holding replicas of the same topics
 // (one directory: a standalone broker's) into the view a post-mortem open
 // must give: per partition the longest replica log, the earliest directory
-// on a tie; per cursor the maximum.
+// on a tie; per cursor the maximum. Directories that disagree on a topic's
+// partition count have no view.
 func refOpen(t *testing.T, dirs []string) (refView, error) {
 	t.Helper()
 	v := refView{topics: make(map[string][][]refEvent), cursors: make(map[string]uint64)}
@@ -129,7 +142,10 @@ func refOpen(t *testing.T, dirs []string) (refView, error) {
 			if v.topics[cfg.Name] == nil {
 				v.topics[cfg.Name] = make([][]refEvent, cfg.Partitions)
 			}
-			for pi := 0; pi < cfg.Partitions && pi < len(v.topics[cfg.Name]); pi++ {
+			if len(v.topics[cfg.Name]) != cfg.Partitions {
+				return refView{}, errRefShape
+			}
+			for pi := 0; pi < cfg.Partitions; pi++ {
 				evs, err := refPartition(t, filepath.Join(filepath.Dir(path), fmt.Sprintf("p%04d", pi)))
 				if err != nil {
 					return refView{}, err
@@ -391,6 +407,32 @@ func lag(t *testing.T, partDir string) {
 	must(t, os.Remove(segs[len(segs)-1]))
 }
 
+// reframe rewrites every frame of a partition directory's segments with its
+// metadata passed through edit, each segment keeping its records: a replica
+// as long as before whose bytes are its own.
+func reframe(t *testing.T, partDir string, edit func(meta []byte) []byte) {
+	t.Helper()
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for _, seg := range segmentsOf(t, partDir, 1) {
+		raw, err := os.ReadFile(seg)
+		must(t, err)
+		evs, whole := refFrames(raw)
+		if !whole {
+			t.Fatalf("%s is not whole frames", seg)
+		}
+		var out []byte
+		for _, ev := range evs {
+			meta := edit(bytes.Clone(ev.meta))
+			payload := binary.LittleEndian.AppendUint32(nil, uint32(len(meta)))
+			payload = append(append(payload, meta...), ev.data...)
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+			out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+			out = append(out, payload...)
+		}
+		must(t, os.WriteFile(seg, out, 0o644))
+	}
+}
+
 // TestPostMortemOpen holds the one-pass, partition-parallel open — of a
 // standalone data dir and of a cluster dir — to the serial reference above on
 // every shape of directory a run can leave behind, and checks that opening
@@ -402,6 +444,7 @@ func TestPostMortemOpen(t *testing.T) {
 		cluster bool
 		build   func(t *testing.T, dir string)
 		corrupt bool // the open must fail with wal.ErrCorrupt
+		shape   bool // the open must fail naming the topic and the two node directories
 	}{
 		{name: "clean multi-segment dir with payloads, an empty partition and cursors", build: standaloneDir},
 		{name: "kill -9 torn tail", build: func(t *testing.T, dir string) {
@@ -439,6 +482,31 @@ func TestPostMortemOpen(t *testing.T) {
 			lag(t, loser)
 			flipByte(t, segmentsOf(t, loser, 2)[0])
 		}},
+		{name: "RF2 cluster dir, torn tail on the replica with the most bytes", cluster: true, build: func(t *testing.T, dir string) {
+			// The later replica is as long, in as many bytes of its own;
+			// its torn tail makes it the larger, and the earlier must win.
+			clusterDir(t, dir, 0)
+			later := replicasOf(t, dir, 1)[1]
+			reframe(t, later, func(meta []byte) []byte { return bytes.ReplaceAll(meta, []byte("x"), []byte("y")) })
+			segs := segmentsOf(t, later, 1)
+			tear(t, segs[len(segs)-1])
+		}},
+		{name: "RF2 cluster dir, the replica with fewer bytes holds more records", cluster: true, build: func(t *testing.T, dir string) {
+			clusterDir(t, dir, 0)
+			bigger := replicasOf(t, dir, 2)[0]
+			reframe(t, bigger, func(meta []byte) []byte {
+				return bytes.ReplaceAll(meta, []byte("x"), []byte("xxxx"))
+			})
+			lag(t, bigger)
+		}},
+		{name: "RF2 cluster dir, a node declaring a topic with more partitions", cluster: true, shape: true, build: func(t *testing.T, dir string) {
+			clusterDir(t, dir, 0)
+			node := filepath.Join(dir, "node-01", "topics", "tasks")
+			must(t, os.WriteFile(filepath.Join(node, "topic.json"), []byte(`{"name":"tasks","partitions":4}`), 0o644))
+			must(t, os.MkdirAll(filepath.Join(node, "p0003"), 0o755))
+			must(t, os.WriteFile(filepath.Join(node, "p0003", "00000000000000000000.seg"),
+				refFrame(`{"i":0}`), 0o644))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -453,17 +521,24 @@ func TestPostMortemOpen(t *testing.T) {
 				sort.Strings(replicas)
 			}
 			want, refErr := refOpen(t, replicas)
-			if (refErr != nil) != tc.corrupt {
-				t.Fatalf("the case is mis-built: reference says %v, corrupt=%v", refErr, tc.corrupt)
+			if (refErr == errRefCorrupt) != tc.corrupt || (refErr == errRefShape) != tc.shape {
+				t.Fatalf("the case is mis-built: reference says %v, corrupt=%v shape=%v", refErr, tc.corrupt, tc.shape)
 			}
 
 			before := dirImage(t, dir)
 			b, err := open(dir)
-			if tc.corrupt {
+			switch {
+			case tc.corrupt:
 				if !errors.Is(err, wal.ErrCorrupt) {
 					t.Fatalf("open of a dir with interior corruption: %v, want wal.ErrCorrupt", err)
 				}
-			} else {
+			case tc.shape:
+				if err == nil || !strings.Contains(err.Error(), "tasks") ||
+					!strings.Contains(err.Error(), replicas[0]) || !strings.Contains(err.Error(), replicas[1]) {
+					t.Fatalf("open of nodes disagreeing on a topic's partitions: %v, want an error naming tasks, %s and %s",
+						err, replicas[0], replicas[1])
+				}
+			default:
 				must(t, err)
 				checkView(t, b, want)
 				must(t, b.Close())

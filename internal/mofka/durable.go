@@ -135,7 +135,11 @@ func (b *Broker) attachDataDir(opts Options) error {
 	}
 	err = inParallel(len(parts), func(i int) error {
 		p := parts[i]
-		l, err := p.recoverFrom(opts.DataDir, b.walOpts)
+		segs, err := wal.ListSegments(partitionDir(opts.DataDir, p.topic.cfg.Name, p.index))
+		if err != nil {
+			return err
+		}
+		l, err := p.recoverFrom(segs, b.walOpts)
 		if err != nil {
 			return err
 		}
@@ -198,14 +202,14 @@ func readTopicConfig(dataDir, name string) (TopicConfig, []byte, error) {
 	return cfg, cfgBytes, nil
 }
 
-// recoverFrom rebuilds the partition from its log under dataDir, so the
-// consumer API serves exactly the persisted stream: the log's one validating
-// pass over its segments hands the records over by the batch, and each batch
-// goes through admit, which keeps the metadata where the log read it. It
-// returns the opened log.
-func (p *Partition) recoverFrom(dataDir string, opts wal.Options) (*wal.Log, error) {
+// recoverFrom rebuilds the partition from the log segs lists, so the consumer
+// API serves exactly the persisted stream: the log's one validating pass over
+// its segments hands the records over by the batch, and each batch goes
+// through admit, which keeps the metadata where the log read it. It returns
+// the opened log.
+func (p *Partition) recoverFrom(segs wal.Segments, opts wal.Options) (*wal.Log, error) {
 	var metas, datas [][]byte
-	l, err := wal.OpenReplay(partitionDir(dataDir, p.topic.cfg.Name, p.index), opts, func(recs []wal.Record) error {
+	l, err := wal.OpenReplay(segs, opts, func(recs []wal.Record) error {
 		metas, datas = metas[:0], datas[:0]
 		for _, r := range recs {
 			metas = append(metas, r.Meta)
@@ -259,17 +263,19 @@ func inParallel(n int, job func(i int) error) error {
 // in full — interior corruption in any of them fails the load — but only one
 // per partition is published: the longest (replica logs are
 // prefix-consistent, so it holds every event of the others), the earliest
-// directory winning a tie. A topic's configuration comes from the first
-// directory holding it, and for every consumer cursor the maximum across the
-// directories' cursor stores wins.
+// directory winning a tie. Each replica's segments are read once, and only
+// the published one's are kept (see recoverLongest). A topic's configuration
+// comes from the first directory holding it, and a directory that declares
+// the topic with another partition count fails the load. For every consumer
+// cursor the maximum across the directories' cursor stores wins.
 func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
 	view := NewStandaloneBroker()
-	type replicaLog struct {
-		dir    string
-		part   *Partition // of the view
-		length uint64
+	type replicas struct {
+		part *Partition // of the view
+		dirs []string   // holding the topic, in directory order
 	}
-	var logs []replicaLog
+	var jobs []replicas
+	first := make(map[string]int) // topic → the job of its partition 0
 	cursors := make(map[CursorEntry]uint64)
 	for _, dir := range dataDirs {
 		cs, err := wal.OpenCursorStore(filepath.Join(dir, "cursors.json"))
@@ -290,52 +296,30 @@ func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
 			if err != nil {
 				return nil, err
 			}
-			t, err := view.OpenOrCreateTopic(cfg)
-			if err != nil {
-				return nil, err
+			j, seen := first[name]
+			if !seen {
+				t, err := view.CreateTopic(cfg)
+				if err != nil {
+					return nil, err
+				}
+				j = len(jobs)
+				first[name] = j
+				for _, p := range t.partitions {
+					jobs = append(jobs, replicas{part: p})
+				}
 			}
-			for i := 0; i < min(cfg.Partitions, len(t.partitions)); i++ {
-				logs = append(logs, replicaLog{dir: dir, part: t.partitions[i]})
+			if n := len(jobs[j].part.topic.partitions); cfg.Partitions != n {
+				return nil, fmt.Errorf("mofka: topic %s has %d partitions in %s but %d in %s",
+					name, n, jobs[j].dirs[0], cfg.Partitions, dir)
+			}
+			for i := range cfg.Partitions {
+				jobs[j+i].dirs = append(jobs[j+i].dirs, dir)
 			}
 		}
 	}
 
-	walOpts := wal.Options{ReadOnly: true}
-	err := inParallel(len(logs), func(i int) error {
-		r := &logs[i]
-		name, index := r.part.topic.cfg.Name, r.part.index
-		l, err := wal.Open(partitionDir(r.dir, name, index), walOpts)
-		if err != nil {
-			return fmt.Errorf("mofka: validate %s[%d] in %s: %w", name, index, r.dir, err)
-		}
-		r.length = l.NextOffset()
-		return l.Close()
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	donors := make(map[*Partition]replicaLog)
-	var order []*Partition
-	for _, r := range logs {
-		d, seen := donors[r.part]
-		if !seen {
-			order = append(order, r.part)
-		}
-		if !seen || r.length > d.length {
-			donors[r.part] = r
-		}
-	}
-	err = inParallel(len(order), func(i int) error {
-		d := donors[order[i]]
-		if d.length == 0 {
-			return nil
-		}
-		l, err := d.part.recoverFrom(d.dir, walOpts)
-		if err != nil {
-			return err
-		}
-		return l.Close()
+	err := inParallel(len(jobs), func(i int) error {
+		return jobs[i].part.recoverLongest(jobs[i].dirs)
 	})
 	if err != nil {
 		return nil, err
@@ -346,6 +330,73 @@ func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
 		}
 	}
 	return view, nil
+}
+
+// recoverLongest publishes into p, a partition of a post-mortem view, the
+// longest of its replica logs in dataDirs (the earliest directory winning a
+// tie) and validates the others. The candidate is the replica whose segments
+// hold the most bytes, the earliest directory on a tie: it is recovered
+// straight into p in its one validating pass, keeping its buffers. The others
+// are validated through the reader's window and kept nowhere. Only when one
+// of them proves longer — the candidate's tail was torn, say — or as long
+// from an earlier directory does p drop what it holds and recover that one:
+// the one case where a segment is read twice.
+func (p *Partition) recoverLongest(dataDirs []string) error {
+	name, opts := p.topic.cfg.Name, wal.Options{ReadOnly: true}
+	listings := make([]wal.Segments, len(dataDirs))
+	cand := 0
+	for i, dir := range dataDirs {
+		segs, err := wal.ListSegments(partitionDir(dir, name, p.index))
+		if err != nil {
+			return err
+		}
+		listings[i] = segs
+		if segs.Bytes() > listings[cand].Bytes() {
+			cand = i
+		}
+	}
+	length, err := p.recoverClosed(listings[cand], opts)
+	if err != nil {
+		return err
+	}
+	donor := cand
+	for i, segs := range listings {
+		if i == cand {
+			continue
+		}
+		l, err := wal.OpenReplay(segs, opts, nil)
+		if err != nil {
+			return fmt.Errorf("mofka: validate %s[%d] in %s: %w", name, p.index, dataDirs[i], err)
+		}
+		if n := l.NextOffset(); n > length || n == length && i < donor {
+			donor, length = i, n
+		}
+		if err := l.Close(); err != nil {
+			return err
+		}
+	}
+	if donor == cand {
+		return nil
+	}
+	if err := p.TruncateTo(0); err != nil {
+		return err
+	}
+	segs, err := wal.ListSegments(partitionDir(dataDirs[donor], name, p.index))
+	if err != nil {
+		return err
+	}
+	_, err = p.recoverClosed(segs, opts)
+	return err
+}
+
+// recoverClosed is recoverFrom on a read-only log that it closes, returning
+// the number of records recovered.
+func (p *Partition) recoverClosed(segs wal.Segments, opts wal.Options) (uint64, error) {
+	l, err := p.recoverFrom(segs, opts)
+	if err != nil {
+		return 0, err
+	}
+	return l.NextOffset(), l.Close()
 }
 
 // persistTopic writes a new topic's config and opens its partition logs.

@@ -71,10 +71,12 @@ func TestAppendBatchAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestOpenReadsThroughOneBuffer: Open validates every segment of a log
-// through one read buffer, sized to the largest, so opening a three-segment
-// log allocates less than twice its largest segment. (OpenReplay reads each
-// segment into a buffer of its own, which its visitor may keep.)
+// TestOpenReadsThroughOneBuffer: Open keeps nothing of what it reads, so it
+// validates every segment of a log through one window of 64 KiB: opening a
+// log of three segments of 256 KiB allocates less than the window plus
+// 16 KiB, a bound that does not grow with the segments. (It allocated just
+// under twice the largest segment while the buffer was sized to it;
+// OpenReplay with a visitor reads each segment into a buffer of its own.)
 func TestOpenReadsThroughOneBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pin; the race detector allocates on its own")
@@ -125,7 +127,10 @@ func TestOpenReadsThroughOneBuffer(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*uint64(largest) {
-		t.Fatalf("opening a log of three segments allocated %d bytes, want under twice the largest (%d)", got, largest)
+	const bound = 64<<10 + 16<<10
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("opening a log of three segments, the largest %d bytes, allocated %d bytes", largest, got)
+	if got >= bound {
+		t.Fatalf("opening a log of three segments allocated %d bytes, want under %d (the window plus 16 KiB)", got, bound)
 	}
 }

@@ -46,3 +46,11 @@ func (o Options) WithSegmentBytes(n int64) Options {
 	o.segmentBytes = n
 	return o
 }
+
+// SetReadWindow shrinks (or grows) the window a reader that keeps nothing
+// reads through, and returns what puts the real one back.
+func SetReadWindow(n int64) (restore func()) {
+	old := readWindow
+	readWindow = n
+	return func() { readWindow = old }
+}

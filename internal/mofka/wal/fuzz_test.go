@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -107,6 +108,142 @@ func FuzzWALRecover(f *testing.F) {
 		}
 		if got := l2.NextOffset(); got != n+1 {
 			t.Fatalf("reopen NextOffset %d, want %d", got, n+1)
+		}
+	})
+}
+
+// realSegment is the segment a log leaves after appending n records in
+// batches of three: the bytes a writer frames, not a test's own framing. The
+// payloads rise and fall in size, so that a frame which fits a grown window
+// straddles its end too.
+func realSegment(f *testing.F, n int) []byte {
+	dir := f.TempDir()
+	l, err := Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < n; i += 3 {
+		var batch []Record
+		for j := i; j < min(i+3, n); j++ {
+			batch = append(batch, Record{Meta: []byte(fmt.Sprintf(`{"i":%d}`, j)), Data: bytes.Repeat([]byte{byte(j)}, j*37%50)})
+		}
+		if _, err := l.AppendBatch(batch); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, fuzzSegName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return seg
+}
+
+// readOutcome is what a read-only open of the log in a directory tells: its
+// records re-framed, in offset order, how many there are and how many bytes
+// of torn tail it skipped; or the error that failed it.
+type readOutcome struct {
+	frames  []byte
+	records uint64
+	torn    int64
+	err     error
+}
+
+// readLog opens the log in dir read-only. With keep, the open's visitor
+// collects the records it keeps; without, the open validates through the
+// window and a Replay, through the window too, collects them.
+func readLog(t *testing.T, dir string, keep bool) readOutcome {
+	t.Helper()
+	segs, err := ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o readOutcome
+	collect := func(r Record) { o.frames = append(o.frames, appendFrame(nil, r)...) }
+	var visit func([]Record) error
+	if keep {
+		visit = func(recs []Record) error {
+			for _, r := range recs {
+				collect(r)
+			}
+			return nil
+		}
+	}
+	l, err := OpenReplay(segs, Options{ReadOnly: true}, visit)
+	if err != nil {
+		o.err = err
+		return o
+	}
+	defer l.Close()
+	if !keep {
+		if err := l.Replay(0, func(_ uint64, r Record) bool { collect(r); return true }); err != nil {
+			t.Fatalf("replay through the window: %v", err)
+		}
+	}
+	o.records, o.torn = l.NextOffset(), l.TornBytes()
+	return o
+}
+
+// FuzzSegmentWindow holds the reader that keeps nothing, which reads through
+// a window it slides and grows, to the one that keeps each segment whole
+// (OpenReplay with a visitor): for arbitrary segment bytes they must agree
+// on every record's bytes, on the valid prefix and on torn against clean.
+// The window is shrunk to a few bytes so that headers and payloads straddle
+// every boundary, and it grows only for a frame larger than itself. With
+// older set the bytes are planted as an older segment, followed by a clean
+// one, where a torn frame is interior corruption that both must report at
+// the same byte.
+func FuzzSegmentWindow(f *testing.F) {
+	real := realSegment(f, 14)
+	flipped := bytes.Clone(real)
+	flipped[len(flipped)/3] ^= 0x08
+	absurd := bytes.Clone(real)
+	absurd[2] = 0x7f // the first frame claims about 8 MiB
+	for _, seg := range [][]byte{real, real[:len(real)-7], flipped, absurd, real[:5], {}} {
+		f.Add(seg, uint8(0), false)
+		f.Add(seg, uint8(13), false)
+		f.Add(seg, uint8(200), true)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, window uint8, older bool) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, fuzzSegName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var newest []byte
+		if older {
+			newest = validStream(2)
+			if err := os.WriteFile(filepath.Join(dir, "00000000000000100000.seg"), newest, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kept := readLog(t, dir, true)
+		restore := SetReadWindow(int64(window%32) + 1)
+		windowed := readLog(t, dir, false)
+		restore()
+
+		if fmt.Sprint(windowed.err) != fmt.Sprint(kept.err) {
+			t.Fatalf("the windowed open says %v, the keeping one %v", windowed.err, kept.err)
+		}
+		if kept.err != nil {
+			if !older || !errors.Is(kept.err, ErrCorrupt) {
+				t.Fatalf("open failed: %v", kept.err)
+			}
+			return
+		}
+		if windowed.records != kept.records || windowed.torn != kept.torn {
+			t.Fatalf("the windowed open holds %d records and skipped %d torn bytes, the keeping one %d and %d",
+				windowed.records, windowed.torn, kept.records, kept.torn)
+		}
+		if !bytes.Equal(windowed.frames, kept.frames) {
+			t.Fatalf("the windowed reader's records re-frame to %d bytes, the keeping one's to %d",
+				len(windowed.frames), len(kept.frames))
+		}
+		// What both kept is the input's valid prefix, and the rest was torn.
+		if want := append(data[:len(data)-int(kept.torn):len(data)-int(kept.torn)], newest...); !bytes.Equal(kept.frames, want) {
+			t.Fatalf("the records re-frame to %d bytes, not the %d-byte valid prefix", len(kept.frames), len(want))
 		}
 	})
 }

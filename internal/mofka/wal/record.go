@@ -91,10 +91,14 @@ func parseFrame(b []byte, maxRecordBytes int) (rec Record, n int, err error) {
 	return rec, n, nil
 }
 
-// frameReader reads a segment file whole, into one buffer sized to it, and
-// validates every frame in it. A reader that keeps its buffers (OpenReplay's)
-// reads each segment into a buffer of its own and never writes to it again;
-// any other reuses one buffer from segment to segment.
+// frameReader reads segment files and validates every frame in them. A
+// reader that keeps its buffers (OpenReplay's with a visitor) reads each
+// segment whole into a buffer of its own, sized to it, and never writes to
+// it again. Any other reader keeps nothing of what it reads, so it reads
+// through one window it reuses from segment to segment: readWindow bytes,
+// never more than the segment holds, and grown only to hold a single frame
+// larger than the window. A frame is never cut: what is left of one at the
+// window's end slides to its front before the next read.
 type frameReader struct {
 	maxRecordBytes int
 	keep           bool
@@ -102,18 +106,22 @@ type frameReader struct {
 	recs           []Record
 }
 
+// readWindow is the window of a reader that keeps nothing. It is a variable
+// only so that tests can shrink it until frames straddle every boundary.
+var readWindow int64 = 64 << 10
+
 // visitBatch is how many records read hands to visit at a time: a bound on
 // the slices a visitor builds beside the records, whatever the segment holds.
 const visitBatch = 1024
 
 // read opens the segment at path, reads its first size bytes and validates
-// every frame in them, passing the records to visit in order, visitBatch at a
-// time. The records alias the read buffer: unless the reader keeps its
-// buffers they are valid only during the call, and the slice holding them is
-// reused either way. It returns how many records visit accepted and the byte
-// length of the frames holding them. err is errTorn when the bytes after that
-// prefix are not a whole valid frame, visit's error when it returns one, or
-// an I/O error.
+// every frame in them, passing the records to visit in order, at most
+// visitBatch at a time. The records alias the read buffer: unless the reader
+// keeps its buffers they are valid only during the call, and the slice
+// holding them is reused either way. It returns how many records visit
+// accepted and the byte length of the frames holding them. err is errTorn
+// when the bytes after that prefix are not a whole valid frame, visit's
+// error when it returns one, or an I/O error.
 func (fr *frameReader) read(path string, size int64, visit func([]Record) error) (records uint64, valid int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -121,28 +129,36 @@ func (fr *frameReader) read(path string, size int64, visit func([]Record) error)
 	}
 	defer func() { _ = f.Close() }() // read-only open
 	buf := fr.buf
-	if fr.keep || int64(len(buf)) < size {
+	if fr.keep {
 		buf = make([]byte, size)
-	}
-	if !fr.keep {
+	} else if w := min(size, readWindow); int64(len(buf)) < w {
+		buf = make([]byte, w)
 		fr.buf = buf
 	}
-	// A file shorter than its directory entry said is read as far as it goes.
-	n, err := io.ReadFull(f, buf[:size])
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return 0, 0, fmt.Errorf("wal: read segment %s: %w", path, err)
-	}
-	for rest := buf[:n]; len(rest) > 0; {
-		recs, parsed := fr.recs[:0], 0
+	left := size       // bytes of the segment not read yet
+	var start, end int // buf[start:end] is read but not yet framed
+	for {
+		if n := min(int64(len(buf)-end), left); n > 0 {
+			got, err := io.ReadFull(f, buf[end:end+int(n)])
+			end += got
+			left -= int64(got)
+			// A file shorter than its directory entry said is read as far
+			// as it goes.
+			if err == io.ErrUnexpectedEOF || err == io.EOF {
+				left = 0
+			} else if err != nil {
+				return records, valid, fmt.Errorf("wal: read segment %s: %w", path, err)
+			}
+		}
+		recs, parsed, need := fr.recs[:0], 0, 0
 		var perr error
-		for parsed < len(rest) && len(recs) < visitBatch {
+		for len(recs) < visitBatch {
 			var rec Record
-			var m int
-			if rec, m, perr = parseFrame(rest[parsed:], fr.maxRecordBytes); perr != nil {
+			if rec, need, perr = parseFrame(buf[start+parsed:end], fr.maxRecordBytes); perr != nil {
 				break
 			}
 			recs = append(recs, rec)
-			parsed += m
+			parsed += need
 		}
 		fr.recs = recs
 		if len(recs) > 0 {
@@ -151,13 +167,32 @@ func (fr *frameReader) read(path string, size int64, visit func([]Record) error)
 			}
 			records += uint64(len(recs))
 			valid += int64(parsed)
-			rest = rest[parsed:]
+			start += parsed
 		}
-		if perr != nil {
+		switch {
+		case perr == nil:
+			continue // a full batch: the window may hold more
+		case perr == errTorn:
 			return records, valid, errTorn
+		case start == end && left == 0:
+			return records, valid, nil
+		case int64(need) > int64(end-start)+left:
+			return records, valid, errTorn // the frame runs past the segment's end
 		}
+		// The next frame runs past the window's end (a keeping reader's
+		// buffer holds the whole segment, so never there): move what is read
+		// of it to the front, into a window grown to the frame's size if the
+		// frame is the larger.
+		if need > len(buf) {
+			grown := make([]byte, need)
+			copy(grown, buf[start:end])
+			buf, fr.buf = grown, grown
+		} else {
+			copy(buf, buf[start:end])
+		}
+		end -= start
+		start = 0
 	}
-	return records, valid, nil
 }
 
 // errTorn marks a record that could not be fully decoded. At the tail of the

@@ -131,28 +131,86 @@ type Log struct {
 // Open opens (creating if needed) the log in dir, recovering from any torn
 // tail left by a crash: the newest segment is scanned record-by-record and
 // truncated at the last valid frame, and the next append offset is rebuilt
-// from the surviving records. It reads every segment through one buffer,
-// sized to the largest.
+// from the surviving records. It keeps none of what it reads, so it reads
+// every segment through one bounded window (see frameReader), whatever the
+// segments' sizes.
 func Open(dir string, opts Options) (*Log, error) {
-	return OpenReplay(dir, opts, nil)
+	segs, err := ListSegments(dir)
+	if err != nil {
+		return nil, err
+	}
+	return OpenReplay(segs, opts, nil)
 }
 
-// OpenReplay is Open that also hands every record the log holds to visit, in
-// offset order and in batches, during the one validating pass recovery makes
-// over the segments — so a caller that rebuilds state from the log reads each
-// segment once. Each segment is read whole into a buffer of its own, which
-// the log never reuses or writes: the records alias it, and the visitor may
-// keep them (their Meta and Data bytes) for as long as it likes. The slice
-// holding them is the visitor's only during the call. An error from visit
-// fails the open. On a log with interior corruption visit has seen the
-// records before the corrupt frame by the time OpenReplay returns
-// ErrCorrupt. With a nil visit it is Open.
-func OpenReplay(dir string, opts Options, visit func(recs []Record) error) (*Log, error) {
+// Segments is what one read of a log directory found: its segment files,
+// oldest first, with their sizes. A caller that chooses among several logs
+// by their bytes lists each once and opens the one it picks from its
+// listing, without reading the directory again.
+type Segments struct {
+	dir  string
+	segs []segment
+}
+
+// ListSegments lists the segment files of the log in dir. A directory that
+// does not exist holds none.
+func ListSegments(dir string) (Segments, error) {
+	ls := Segments{dir: dir}
+	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return ls, nil
+	}
+	if err != nil {
+		return ls, fmt.Errorf("wal: scan %s: %w", dir, err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, segSuffix) {
+			continue
+		}
+		base, err := strconv.ParseUint(strings.TrimSuffix(name, segSuffix), 10, 64)
+		if err != nil {
+			continue // not a segment file
+		}
+		info, err := e.Info()
+		if err != nil {
+			return ls, fmt.Errorf("wal: stat %s: %w", name, err)
+		}
+		ls.segs = append(ls.segs, segment{
+			base: base,
+			path: filepath.Join(dir, name),
+			size: info.Size(),
+		})
+	}
+	sort.Slice(ls.segs, func(i, j int) bool { return ls.segs[i].base < ls.segs[j].base })
+	return ls, nil
+}
+
+// Bytes is the listed segments' total size.
+func (ls Segments) Bytes() int64 {
+	var n int64
+	for _, s := range ls.segs {
+		n += s.size
+	}
+	return n
+}
+
+// OpenReplay is Open over a listing that also hands every record the log
+// holds to visit, in offset order and in batches, during the one validating
+// pass recovery makes over the segments — so a caller that rebuilds state
+// from the log reads each segment once. Each segment is read whole into a
+// buffer of its own, which the log never reuses or writes: the records alias
+// it, and the visitor may keep them (their Meta and Data bytes) for as long
+// as it likes. The slice holding them is the visitor's only during the call.
+// An error from visit fails the open. On a log with interior corruption
+// visit has seen the records before the corrupt frame by the time OpenReplay
+// returns ErrCorrupt. With a nil visit it is Open, reading through the
+// window. The log takes the listing over: open a listing once.
+func OpenReplay(segs Segments, opts Options, visit func(recs []Record) error) (*Log, error) {
 	opts.setDefaults()
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: segs.dir, opts: opts, segs: segs.segs}
 	if !opts.ReadOnly {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("wal: open %s: %w", dir, err)
+		if err := os.MkdirAll(l.dir, 0o755); err != nil {
+			return nil, fmt.Errorf("wal: open %s: %w", l.dir, err)
 		}
 	}
 	if err := l.recover(visit); err != nil {
@@ -167,42 +225,12 @@ func OpenReplay(dir string, opts Options, visit func(recs []Record) error) (*Log
 	return l, nil
 }
 
-// recover enumerates segments, validates them in one pass that also feeds
-// visit (if not nil), truncates a torn tail (unless read-only), and computes
-// the next offset.
+// recover validates the listed segments in one pass that also feeds visit
+// (if not nil), truncates a torn tail (unless read-only), and computes the
+// next offset.
 func (l *Log) recover(visit func([]Record) error) error {
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		if os.IsNotExist(err) && l.opts.ReadOnly {
-			return nil // empty log
-		}
-		return fmt.Errorf("wal: scan %s: %w", l.dir, err)
-	}
-	var largest int64
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		base, err := strconv.ParseUint(strings.TrimSuffix(name, segSuffix), 10, 64)
-		if err != nil {
-			continue // not a segment file
-		}
-		info, err := e.Info()
-		if err != nil {
-			return fmt.Errorf("wal: stat %s: %w", name, err)
-		}
-		l.segs = append(l.segs, segment{
-			base: base,
-			path: filepath.Join(l.dir, name),
-			size: info.Size(),
-		})
-		largest = max(largest, info.Size())
-	}
-	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].base < l.segs[j].base })
 	fr := frameReader{maxRecordBytes: l.opts.maxRecordBytes, keep: visit != nil}
 	if visit == nil {
-		fr.buf = make([]byte, largest)
 		visit = func([]Record) error { return nil }
 	}
 	for i := range l.segs {

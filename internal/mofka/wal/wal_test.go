@@ -522,7 +522,11 @@ func TestReplayedRecordsOutliveTheOpen(t *testing.T) {
 	}
 	for _, readOnly := range []bool{true, false} {
 		var kept []Record
-		l, err := OpenReplay(dir, Options{segmentBytes: 512, ReadOnly: readOnly}, func(recs []Record) error {
+		segs, err := ListSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenReplay(segs, Options{segmentBytes: 512, ReadOnly: readOnly}, func(recs []Record) error {
 			kept = append(kept, recs...)
 			return nil
 		})

@@ -9,6 +9,7 @@ import (
 	"taskprov/internal/core"
 	"taskprov/internal/live"
 	"taskprov/internal/mofka"
+	"taskprov/internal/mofka/cluster"
 	"taskprov/internal/perfrecup"
 	"taskprov/internal/provenance"
 	"taskprov/internal/whatif"
@@ -161,18 +162,7 @@ func TestPostMortemOpenAllocatesItsSegments(t *testing.T) {
 	if _, err := core.Run(cfg, wf); err != nil {
 		t.Fatal(err)
 	}
-	var segBytes int64
-	err = filepath.WalkDir(filepath.Join(dir, "topics"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".seg" {
-			return err
-		}
-		info, err := d.Info()
-		segBytes += info.Size()
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	segBytes := segmentBytes(t, filepath.Join(dir, "topics"))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b, err := mofka.OpenPostMortem(dir)
@@ -188,4 +178,67 @@ func TestPostMortemOpenAllocatesItsSegments(t *testing.T) {
 	if ratio > 1.75 {
 		t.Errorf("OpenPostMortem allocates %.2f times the segment bytes it reads, budget 1.75", ratio)
 	}
+}
+
+// TestClusterPostMortemOpenAllocatesOneReplica: opening a seeded
+// imageprocessing cluster dir (three brokers, two replicas of every
+// partition) post-mortem allocates at most 1.75 times the segment bytes of
+// one replica set. The replica a partition publishes is read once, into the
+// buffers its events keep; the other is validated through a 64 KiB window
+// and kept nowhere: 1.54 times them. It allocated 3.64 times them while
+// every replica was validated through a buffer the size of its largest
+// segment and the donor was then read a second time.
+func TestClusterPostMortemOpenAllocatesOneReplica(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full workflow run")
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	wf, err := New("imageprocessing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "log")
+	cfg := DefaultSession("imageprocessing", "job-cluster-open-bytes", 1)
+	cfg.MofkaDataDir = dir
+	cfg.ClusterBrokers, cfg.ClusterReplication = 3, 2
+	if _, err := core.Run(cfg, wf); err != nil {
+		t.Fatal(err)
+	}
+	segBytes := segmentBytes(t, dir)
+	replicaSet := segBytes / int64(cfg.ClusterReplication)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b, err := cluster.OpenPostMortem(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(replicaSet)
+	t.Logf("%d topics, %d segment bytes in all: the open allocated %.2f times one replica set's %d", len(b.Topics()), segBytes, ratio, replicaSet)
+	if replicaSet < 1<<20 {
+		t.Fatalf("a replica set holds %d segment bytes, want the whole run's", replicaSet)
+	}
+	if ratio > 1.75 {
+		t.Errorf("cluster.OpenPostMortem allocates %.2f times one replica set's segment bytes, budget 1.75", ratio)
+	}
+}
+
+// segmentBytes sums the sizes of the segment files under root.
+func segmentBytes(t *testing.T, root string) int64 {
+	t.Helper()
+	var n int64
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".seg" {
+			return err
+		}
+		info, err := d.Info()
+		n += info.Size()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
