@@ -216,11 +216,13 @@ durable:
 # Simulator host-cost gate, uncached and not under -race (which allocates on
 # its own): a simulated message costs no malloc — a recycled kernel timer, a
 # transfer through its latency hop and the receiving NIC, the free-keys
-# broadcast — a process started on a kernel with an idle one costs its body
-# closure, registering a graph costs its slab and arenas and no malloc per
-# task, a collection-off imageprocessing session stays inside its mallocs
-# per task, a stale resume of a finished process panics by name, the kernel
-# against its sort-by-(time, sequence) model with recycled and owned events
+# broadcast — nor does a task's round trip (assign, fetch, execute, finish;
+# bar its wTask slab) or a POSIX read and write striped over two OSTs; a
+# process started on a kernel with an idle one costs its body closure,
+# registering a graph costs its slab and arenas and no malloc per task, a
+# collection-off imageprocessing session stays inside its mallocs per task,
+# a stale resume of a finished process panics by name, the kernel against
+# its sort-by-(time, sequence) model with recycled and owned events
 # interleaved, a degraded link slows its own direction only and clears, and
 # a striped PFS operation submits in stripe order. Then one
 # iteration of each kernel benchmark, so a signature change cannot leave them
@@ -229,7 +231,8 @@ simcost:
 	$(GO) test -count=1 -run 'TestKernelAllocBudget|TestProcAllocBudget|TestProcStaleResumePanics|TestKernelOrderProperty|TestKernelCloseUnwindsParkedProcs|TestSharedServerGoldenTrace' ./internal/sim/
 	$(GO) test -count=1 -run 'TestTransferAllocatesNothing|TestSetLinkFactorSlowsOneDirection' ./internal/platform/
 	$(GO) test -count=1 -run 'TestStripedFanoutSubmitsInStripeOrder' ./internal/pfs/
-	$(GO) test -count=1 -run 'TestFreeKeysBroadcastAllocatesNothing|TestRegisterGraphAllocatesPerGraph' ./internal/dask/
+	$(GO) test -count=1 -run 'TestPFSOpAllocatesNothing' ./internal/posixio/
+	$(GO) test -count=1 -run 'TestFreeKeysBroadcastAllocatesNothing|TestTaskRoundTripAllocatesNothing|TestRegisterGraphAllocatesPerGraph' ./internal/dask/
 	$(GO) test -count=1 -run 'TestSimOnlyAllocBudget' ./internal/workloads/
 	$(GO) test -run '^$$' -bench 'BenchmarkProcSwitch|BenchmarkKernelEventThroughput|BenchmarkSharedServer' -benchtime 1x ./internal/sim/
 
@@ -241,11 +244,13 @@ simcost:
 # on a sample of every topic, Partition.Append of a default batch at its
 # pinned count, the whole batch refused for one invalid event, encoding/json's
 # stored form for what is not in it, a partition serving exactly that form and
-# its payloads, and the pass against json.Valid over its seed corpus. Then one
+# its payloads, the pass against json.Valid over its seed corpus, and a
+# Darshan log written and read back with no malloc per word. Then one
 # iteration of the admission benchmark, so it cannot go uncompiled.
 collectcost:
 	$(GO) test -count=1 -run 'TestCollectorAllocationBudget|TestFlushShipsRecoveryWarning' ./internal/core/
 	$(GO) test -count=1 -run 'TestCollectOnAllocBudget' ./internal/workloads/
+	$(GO) test -count=1 -run 'TestLogCodecAllocationsDoNotGrowWithSegments|TestBinaryRoundTrip' ./internal/darshan/
 	$(GO) test -count=1 -run 'TestAdmissionReadsAndAllocatesPerBatch|TestAppendRejectsInvalidMetadata|TestAppendStoresCompactedMetadata|TestPartitionRoundTrip|FuzzAdmission' ./internal/mofka/
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmit' -benchtime 1x ./internal/mofka/
 

@@ -218,6 +218,53 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLogCodecAllocationsDoNotGrowWithSegments: a log's words are encoded
+// through a scratch word the writer keeps and decoded from one the reader
+// keeps, so writing a log of 2 000 DXT segments costs the mallocs one of 20
+// does, and reading it only the growth of its segment slice, which is
+// appended to rather than sized from a count a corrupt log could inflate.
+// (binary.Write and binary.Read allocated for every word: ≈10 000 mallocs
+// each way.)
+func TestLogCodecAllocationsDoNotGrowWithSegments(t *testing.T) {
+	build := func(segments int) *Log {
+		r := NewRuntime(cfg())
+		r.OpenEvent(op("/data/img-001.png", 7, 0, 0, 0.1, 0.101), false)
+		for i := 0; i < segments; i++ {
+			r.ReadEvent(op("/data/img-001.png", 7, int64(i)*4<<10, 4<<10, float64(i), float64(i)+0.3))
+		}
+		return r.Snapshot()
+	}
+	costs := func(l *Log) (write, read float64) {
+		var buf bytes.Buffer
+		if err := l.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		encoded := buf.Bytes()
+		write = testing.AllocsPerRun(20, func() {
+			buf.Reset()
+			if err := l.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		read = testing.AllocsPerRun(20, func() {
+			if _, err := ReadLog(bytes.NewReader(encoded)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return write, read
+	}
+	small, large := build(20), build(2000)
+	if n := large.TotalDXTSegments(); n != 2000 {
+		t.Fatalf("the large log holds %d DXT segments, want 2000", n)
+	}
+	sw, sr := costs(small)
+	lw, lr := costs(large)
+	t.Logf("write: %v mallocs for 20 segments, %v for 2000; read: %v and %v", sw, lw, sr, lr)
+	if lw > sw || lr > sr+16 {
+		t.Errorf("2000 DXT segments cost %v mallocs to write and %v to read, 20 cost %v and %v: want no more to write, at most 16 more to read", lw, lr, sw, sr)
+	}
+}
+
 func TestReadLogRejectsGarbage(t *testing.T) {
 	if _, err := ReadLog(bytes.NewReader([]byte("GARBAGE FILE"))); err == nil {
 		t.Fatal("garbage accepted")

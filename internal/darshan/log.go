@@ -99,6 +99,7 @@ var ErrBadLog = errors.New("darshan: not a darshan log")
 type countingWriter struct {
 	w   *bufio.Writer
 	err error
+	buf [8]byte // the word being written
 }
 
 func (cw *countingWriter) u8(v uint8) {
@@ -106,14 +107,19 @@ func (cw *countingWriter) u8(v uint8) {
 		cw.err = cw.w.WriteByte(v)
 	}
 }
+
+// u32 and u64 encode into the writer's scratch word: a word costs no
+// allocation (binary.Write boxed every one).
 func (cw *countingWriter) u32(v uint32) {
 	if cw.err == nil {
-		cw.err = binary.Write(cw.w, binary.LittleEndian, v)
+		binary.LittleEndian.PutUint32(cw.buf[:4], v)
+		_, cw.err = cw.w.Write(cw.buf[:4])
 	}
 }
 func (cw *countingWriter) u64(v uint64) {
 	if cw.err == nil {
-		cw.err = binary.Write(cw.w, binary.LittleEndian, v)
+		binary.LittleEndian.PutUint64(cw.buf[:], v)
+		_, cw.err = cw.w.Write(cw.buf[:])
 	}
 }
 func (cw *countingWriter) i64(v int64)   { cw.u64(uint64(v)) }
@@ -205,6 +211,18 @@ func (l *Log) Write(w io.Writer) error {
 type reader struct {
 	r   *bufio.Reader
 	err error
+	buf []byte // one word, then str's bytes: scratch, reused by every read
+}
+
+// read fills the first n bytes of the scratch from the stream (io.ReadFull's
+// errors, as binary.Read gave them).
+func (rd *reader) read(n int) []byte {
+	if cap(rd.buf) < n {
+		rd.buf = make([]byte, n)
+	}
+	b := rd.buf[:n]
+	_, rd.err = io.ReadFull(rd.r, b)
+	return b
 }
 
 func (rd *reader) u8() uint8 {
@@ -219,17 +237,19 @@ func (rd *reader) u32() uint32 {
 	if rd.err != nil {
 		return 0
 	}
-	var v uint32
-	rd.err = binary.Read(rd.r, binary.LittleEndian, &v)
-	return v
+	if b := rd.read(4); rd.err == nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
 }
 func (rd *reader) u64() uint64 {
 	if rd.err != nil {
 		return 0
 	}
-	var v uint64
-	rd.err = binary.Read(rd.r, binary.LittleEndian, &v)
-	return v
+	if b := rd.read(8); rd.err == nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }
 func (rd *reader) i64() int64   { return int64(rd.u64()) }
 func (rd *reader) f64() float64 { return math.Float64frombits(rd.u64()) }
@@ -242,8 +262,10 @@ func (rd *reader) str() string {
 		rd.err = fmt.Errorf("%w: oversized string (%d)", ErrBadLog, n)
 		return ""
 	}
-	b := make([]byte, n)
-	_, rd.err = io.ReadFull(rd.r, b)
+	b := rd.read(int(n))
+	if rd.err != nil {
+		return ""
+	}
 	return string(b)
 }
 func (rd *reader) bool() bool { return rd.u8() != 0 }

@@ -54,7 +54,7 @@ func hedgeOnDeadWorkerRun(t *testing.T, cfg Config, kill bool) *testEnv {
 		if kill {
 			env.k.After(sim.Milliseconds(300), func() {
 				onA := env.c.scheduler.workers[a.rank].runs("stay-02")
-				midFetch = onA && len(b.fetching["src-01"]) > 0
+				midFetch = onA && b.fetching["src-01"] != nil
 				env.c.KillWorker(a.rank)
 			})
 		}

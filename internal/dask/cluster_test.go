@@ -735,6 +735,67 @@ func TestFreeKeysBroadcastAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestTaskRoundTripAllocatesNothing: one task's whole life on the runtime —
+// the compute-task message, the fetch of a dependency held on another node
+// (connection, transfer, landing), the process that executes it, and the
+// task-finished report the scheduler handles — costs no malloc once the
+// scheduler's, worker's, platform's and kernel's recycled structs exist. The
+// one exception is the wTask, which is never reused and is carved from slabs
+// of taskSlabLen: a run of n round trips may allocate n/taskSlabLen slabs.
+func TestTaskRoundTripAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel(1)
+	plat := platform.New(k, platform.Polaris())
+	c := NewCluster(k, plat, nil, DefaultConfig(), nil)
+	s := c.scheduler
+	for _, wh := range s.workers {
+		wh.connected = true // no Start: no heartbeat or steal loop to stop
+	}
+	holder := c.workers[0]
+	var runner *Worker
+	for _, w := range c.workers {
+		if w.node != holder.node {
+			runner = w
+			break
+		}
+	}
+	if runner == nil {
+		t.Fatal("need two workers on different nodes")
+	}
+	const srcKey, size = TaskKey("src-0"), 1 << 20
+	src := &schedTask{spec: &TaskSpec{Key: srcKey}, state: StateMemory, whoHas: []int{holder.rank}, size: size, isOutput: true}
+	ts := &schedTask{
+		spec:    &TaskSpec{Key: "work-1", Deps: []TaskKey{srcKey}, EstDuration: sim.Milliseconds(5)},
+		graphID: 1, deps: []*schedTask{src}, waiting: []bool{false},
+	}
+	s.tasks[srcKey], s.tasks[ts.spec.Key] = src, ts
+	s.graphs[1] = &graphState{remaining: 1 << 30}
+	holder.data[srcKey] = size
+	holderSlot := make([]int, 0, 1)
+	wh := s.workers[runner.rank]
+	roundTrip := func() {
+		ts.state, ts.whoHas = StateWaiting, holderSlot[:0]
+		delete(runner.data, srcKey) // so the dependency is fetched again
+		s.assign(ts, wh, "test")
+		k.Run()
+	}
+	roundTrip() // warm-up: free lists, maps and scratch reach their steady size
+	if ts.state != StateMemory || !runner.HasData(srcKey) || !ts.holds(runner.rank) || len(wh.processing) != 0 {
+		t.Fatalf("after a round trip: state %q, dependency fetched %v, holders %v, %d processing",
+			ts.state, runner.HasData(srcKey), ts.whoHas, len(wh.processing))
+	}
+	const runs = 4 * taskSlabLen
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > runs/taskSlabLen {
+		t.Errorf("%d task round trips: %d mallocs, budget %d (the wTask slabs)", runs, n, runs/taskSlabLen)
+	}
+}
+
 // TestRegisterGraphAllocatesPerGraph: registering a graph allocates its task
 // slab and the arenas its dependency lists, waiting marks, first holders and
 // dependents lists are carved from — a handful of mallocs per graph — plus

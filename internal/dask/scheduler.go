@@ -66,7 +66,14 @@ type Scheduler struct {
 	specInFlight int
 	specLaunches int
 
-	freeMsgs []*freeMsg // delivered free-keys messages, reused LIFO
+	// Delivered messages, reused LIFO: free-keys, compute-task and
+	// task-finished, the three a task's life sends most.
+	freeMsgs     []*freeMsg
+	freeAssigns  []*assignMsg
+	freeFinished []*finishedMsg
+	// stealTicker is stealTick's method value, bound once: the loop re-arms
+	// itself every StealInterval for the whole run.
+	stealTicker func()
 
 	nextPriority int
 	stealCount   int
@@ -89,6 +96,55 @@ func (m *freeMsg) arrive() {
 	w, key := m.w, m.key
 	m.s.freeMsgs = append(m.s.freeMsgs, m)
 	w.handleFree(key)
+}
+
+// assignMsg is one compute-task message on its way to a worker, recycled like
+// freeMsg. Its assignment keeps its deps slice between uses: handleAssign
+// copies out the entries it keeps, so the slice is free again once it returns.
+type assignMsg struct {
+	s       *Scheduler
+	w       *Worker
+	a       assignment
+	deliver func()
+}
+
+func (m *assignMsg) arrive() {
+	m.w.handleAssign(m.a)
+	clear(m.a.deps) // drop the holder snapshots
+	m.a = assignment{deps: m.a.deps[:0]}
+	m.w = nil
+	m.s.freeAssigns = append(m.s.freeAssigns, m)
+}
+
+// finishedMsg is one task-finished report on its way to the scheduler,
+// recycled like freeMsg.
+type finishedMsg struct {
+	s       *Scheduler
+	rank    int
+	key     TaskKey
+	size    int64
+	dur     sim.Time
+	proxied bool
+	deliver func()
+}
+
+func (m *finishedMsg) arrive() {
+	rank, key, size, dur, proxied := m.rank, m.key, m.size, m.dur, m.proxied
+	m.key = ""
+	m.s.freeFinished = append(m.s.freeFinished, m)
+	m.s.handleFinished(rank, key, size, dur, proxied)
+}
+
+// reportFinished sends the task-finished report from worker rank to the
+// scheduler.
+func (s *Scheduler) reportFinished(from *platform.Node, rank int, key TaskKey, size int64, dur sim.Time, proxied bool) {
+	m := sim.PopFree(&s.freeFinished)
+	if m == nil {
+		m = &finishedMsg{s: s}
+		m.deliver = m.arrive
+	}
+	m.rank, m.key, m.size, m.dur, m.proxied = rank, key, size, dur, proxied
+	s.c.control(from, s.node, m.deliver)
 }
 
 // saturationLimit is how many assigned-but-unfinished tasks a worker may
@@ -306,6 +362,7 @@ func newScheduler(c *Cluster, node *platform.Node) *Scheduler {
 		DeadAfter:    time.Duration(c.cfg.WorkerTTL),
 	})
 	s.group.Observe(s.onMembership)
+	s.stealTicker = s.stealTick
 	return s
 }
 
@@ -325,7 +382,7 @@ func (s *Scheduler) start() {
 	}
 	s.started = true
 	if s.c.cfg.WorkStealing {
-		s.c.kernel.After(s.c.cfg.StealInterval, s.stealTick)
+		s.c.kernel.After(s.c.cfg.StealInterval, s.stealTicker)
 	}
 	if s.c.cfg.WorkerTTL > 0 {
 		// The TTL sweep period carries the same deterministic jitter as worker
@@ -989,13 +1046,17 @@ func (s *Scheduler) launch(ts *schedTask, wh *workerHandle) bool {
 			return false
 		}
 	}
-	deps := make([]depInfo, 0, len(ts.deps))
+	m := sim.PopFree(&s.freeAssigns)
+	if m == nil {
+		m = &assignMsg{s: s}
+		m.deliver = m.arrive
+	}
 	proxyRefs := int64(0)
 	for _, dt := range ts.deps {
 		// whoHas is ascending and never written in place, so it ships as
 		// the holder snapshot itself: the worker indexes it with an RNG
 		// draw, and rank order keeps that pick a function of the seed.
-		deps = append(deps, depInfo{key: dt.spec.Key, size: dt.size, holders: dt.whoHas, viaProxy: dt.viaProxy})
+		m.a.deps = append(m.a.deps, depInfo{key: dt.spec.Key, size: dt.size, holders: dt.whoHas, viaProxy: dt.viaProxy})
 		if dt.viaProxy {
 			proxyRefs++
 		}
@@ -1007,8 +1068,9 @@ func (s *Scheduler) launch(ts *schedTask, wh *workerHandle) bool {
 	// A proxied dependency rides the message as a reference instead of a
 	// payload location set the worker must pull through eagerly.
 	s.c.addControlBytes(proxyRefs * s.c.cfg.ProxyRefBytes)
-	a := assignment{spec: ts.spec, graphID: ts.graphID, priority: ts.priority, deps: deps}
-	s.c.control(s.node, wh.w.node, func() { wh.w.handleAssign(a) })
+	m.w = wh.w
+	m.a.spec, m.a.graphID, m.a.priority = ts.spec, ts.graphID, ts.priority
+	s.c.control(s.node, wh.w.node, m.deliver)
 	return true
 }
 
@@ -1212,10 +1274,8 @@ func (s *Scheduler) release(ts *schedTask) {
 		if ts.holds(wh.rank) {
 			wh.memory -= ts.size
 		}
-		var m *freeMsg
-		if n := len(s.freeMsgs); n > 0 {
-			m, s.freeMsgs = s.freeMsgs[n-1], s.freeMsgs[:n-1]
-		} else {
+		m := sim.PopFree(&s.freeMsgs)
+		if m == nil {
 			m = &freeMsg{s: s}
 			m.deliver = m.arrive
 		}
@@ -1311,7 +1371,7 @@ func (s *Scheduler) handleGather(key TaskKey, deliver func(size int64)) {
 // tick (Dask rebalances in batches), with in-flight requests tracked so the
 // same task is not stolen twice.
 func (s *Scheduler) stealTick() {
-	defer s.c.kernel.After(s.c.cfg.StealInterval, s.stealTick)
+	defer s.c.kernel.After(s.c.cfg.StealInterval, s.stealTicker)
 	threads := s.c.cfg.ThreadsPerWorker
 	for moves := 0; moves < 2*threads; moves++ {
 		var thief, victim *workerHandle

@@ -1,7 +1,8 @@
 package dask
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"taskprov/internal/pfs"
 	"taskprov/internal/platform"
@@ -28,7 +29,10 @@ type depInfo struct {
 	viaProxy bool
 }
 
-// wTask is the worker-side task state.
+// wTask is the worker-side task state. A wTask is never reused: w.tasks[key]
+// == wt is how a late callback tells whether its task is still the one in
+// flight, so the worker carves them from slabs (newTask) instead of
+// recycling them, and the task's execution context lives inside it.
 type wTask struct {
 	spec     *TaskSpec
 	graphID  int
@@ -42,6 +46,49 @@ type wTask struct {
 	// lazy holds proxied dependencies whose payloads have not been demanded
 	// yet; they resolve when the task reaches the front of the ready queue.
 	lazy []depInfo
+	ctx  TaskContext // set when the task starts executing
+}
+
+// taskSlabLen is how many wTasks a worker carves from one allocation.
+const taskSlabLen = 64
+
+// fetchOp is one dependency fetch in flight: what is fetched, from where, and
+// the tasks waiting on it. Each op has exactly one callback pending at a time
+// — the connection delay, then the transfer — and goes back on the worker's
+// free list when that callback ends it, so connect and land are method values
+// bound once. A callback of a killed incarnation still fires, and recycles its
+// op, after kill dropped the fetching map.
+type fetchOp struct {
+	w           *Worker
+	d           depInfo
+	src         *Worker
+	size        int64
+	inc, srcInc int
+	demand      sim.Time
+	wireStart   sim.Time
+	waiters     []*wTask
+	connect     func()
+	land        func()
+}
+
+// thread is one of a worker's thread slots. execute hands the slot the task
+// it starts and runs the slot's body, a method value bound once, as the
+// task's process; the body takes the task off the slot as it starts, before
+// anything can hand the slot another.
+type thread struct {
+	w    *Worker
+	slot int
+	wt   *wTask
+	inc  int
+	run  func(p *sim.Proc)
+}
+
+// heartbeatTimer is one pending heartbeat of one incarnation, recycled
+// through the worker's free list once it fires.
+type heartbeatTimer struct {
+	w    *Worker
+	inc  int
+	fire func()
 }
 
 // Worker executes tasks on a fixed pool of threads, fetches remote
@@ -59,9 +106,19 @@ type Worker struct {
 	tasks       map[TaskKey]*wTask
 	ready       taskHeap
 	freeThreads []int
+	threads     []thread // one per thread slot
 	data        map[TaskKey]int64
-	fetching    map[TaskKey][]*wTask
+	fetching    map[TaskKey]*fetchOp
 	peers       map[int]bool // worker ranks we already hold a connection to
+
+	// Recycled and carved structs of a task's life (see wTask, fetchOp,
+	// heartbeatTimer), and the two callbacks every task and heartbeat of
+	// this worker share, bound once.
+	slab        []wTask
+	freeFetches []*fetchOp
+	freeBeats   []*heartbeatTimer
+	dilation    func() float64
+	beatArrives func()
 
 	memBytes    int64
 	gcAccum     int64
@@ -90,17 +147,33 @@ func newWorker(c *Cluster, rank int, node *platform.Node, tracer posixio.Tracer)
 		addr:     workerAddr(node.Hostname, rank),
 		tasks:    make(map[TaskKey]*wTask),
 		data:     make(map[TaskKey]int64),
-		fetching: make(map[TaskKey][]*wTask),
+		fetching: make(map[TaskKey]*fetchOp),
 		peers:    make(map[int]bool),
 		alive:    true,
 		rng:      c.kernel.RNG("dask/worker/" + workerAddr(node.Hostname, rank)),
 
 		slowFactor: 1,
 	}
-	for t := 0; t < c.cfg.ThreadsPerWorker; t++ {
+	w.dilation = func() float64 { return w.slowFactor }
+	w.beatArrives = func() { w.c.scheduler.handleHeartbeat(w.rank) }
+	w.threads = make([]thread, c.cfg.ThreadsPerWorker)
+	for t := range w.threads {
+		th := &w.threads[t]
+		th.w, th.slot = w, t
+		th.run = th.body
 		w.freeThreads = append(w.freeThreads, t)
 	}
 	return w
+}
+
+// newTask carves a zeroed wTask from the worker's current slab.
+func (w *Worker) newTask() *wTask {
+	if len(w.slab) == 0 {
+		w.slab = make([]wTask, taskSlabLen)
+	}
+	wt := &w.slab[0]
+	w.slab = w.slab[1:]
+	return wt
 }
 
 // Addr returns the worker's Dask-style address.
@@ -144,7 +217,7 @@ func (w *Worker) kill() {
 	w.tasks = make(map[TaskKey]*wTask)
 	w.ready = nil
 	w.data = make(map[TaskKey]int64)
-	w.fetching = make(map[TaskKey][]*wTask)
+	w.fetching = make(map[TaskKey]*fetchOp)
 	w.peers = make(map[int]bool)
 	w.memBytes, w.gcAccum = 0, 0
 	w.gcBusyUntil = 0
@@ -170,12 +243,22 @@ func (w *Worker) scheduleHeartbeat() {
 	// batch of workers restarted at the same instant would otherwise tick —
 	// and, on the TTL side, be declared dead — in one synchronized storm.
 	period := w.rng.JitterTime(w.c.cfg.HeartbeatInterval, w.c.cfg.HeartbeatJitterCV)
-	w.c.kernel.After(period, func() {
-		if !w.alive || w.incarnation != inc {
-			return
-		}
-		w.heartbeat()
-	})
+	hb := sim.PopFree(&w.freeBeats)
+	if hb == nil {
+		hb = &heartbeatTimer{w: w}
+		hb.fire = hb.beat
+	}
+	hb.inc = inc
+	w.c.kernel.After(period, hb.fire)
+}
+
+func (hb *heartbeatTimer) beat() {
+	w, inc := hb.w, hb.inc
+	w.freeBeats = append(w.freeBeats, hb)
+	if !w.alive || w.incarnation != inc {
+		return
+	}
+	w.heartbeat()
 }
 
 func (w *Worker) heartbeat() {
@@ -187,7 +270,7 @@ func (w *Worker) heartbeat() {
 	for _, p := range w.c.workerPlugins {
 		p.Heartbeat(m)
 	}
-	w.c.control(w.node, w.c.scheduler.node, func() { w.c.scheduler.handleHeartbeat(w.rank) })
+	w.c.control(w.node, w.c.scheduler.node, w.beatArrives)
 	w.scheduleHeartbeat()
 }
 
@@ -208,7 +291,8 @@ func (w *Worker) handleAssign(a assignment) {
 		// message lands on a dead process. Eviction will requeue the task.
 		return
 	}
-	wt := &wTask{spec: a.spec, graphID: a.graphID, priority: a.priority, state: StateReleased}
+	wt := w.newTask()
+	wt.spec, wt.graphID, wt.priority, wt.state = a.spec, a.graphID, a.priority, StateReleased
 	w.tasks[a.spec.Key] = wt
 	w.transition(wt, WStateWaiting, "compute-task")
 	for _, d := range a.deps {
@@ -233,17 +317,25 @@ func (w *Worker) handleAssign(a assignment) {
 // fetch pulls one dependency's payload from a worker holding it; concurrent
 // demands for the same key share one transfer.
 func (w *Worker) fetch(d depInfo, wt *wTask) {
-	if waiters, inFlight := w.fetching[d.key]; inFlight {
-		w.fetching[d.key] = append(waiters, wt)
+	if op := w.fetching[d.key]; op != nil {
+		op.waiters = append(op.waiters, wt)
 		return
 	}
-	w.fetching[d.key] = []*wTask{wt}
-	demand := w.c.kernel.Now()
-	src, size, ok := w.source(d)
+	op := sim.PopFree(&w.freeFetches)
+	if op == nil {
+		op = &fetchOp{w: w}
+		op.connect, op.land = op.connected, op.landed
+	}
+	op.d = d
+	op.waiters = append(op.waiters, wt)
+	w.fetching[d.key] = op
+	op.demand = w.c.kernel.Now()
+	src, size, ok := w.source(op)
 	if !ok {
 		return
 	}
-	inc, srcInc := w.incarnation, src.incarnation
+	op.src, op.size = src, size
+	op.inc, op.srcInc = w.incarnation, src.incarnation
 	// First contact with this peer pays connection establishment; later
 	// transfers reuse the connection. This makes small transfers early in
 	// the run disproportionately slow (Fig. 5).
@@ -252,51 +344,76 @@ func (w *Worker) fetch(d depInfo, wt *wTask) {
 		w.peers[src.rank] = true
 		setup = w.rng.JitterTime(w.c.cfg.ConnectionSetup, 0.4)
 	}
-	w.c.kernel.After(setup, func() {
-		if !w.alive || w.incarnation != inc {
-			return
+	w.c.kernel.After(setup, op.connect)
+}
+
+// stale reports whether the incarnation that started op has died.
+func (op *fetchOp) stale() bool {
+	return !op.w.alive || op.w.incarnation != op.inc
+}
+
+// release puts op back on its worker's free list.
+func (op *fetchOp) release() {
+	clear(op.waiters)
+	op.waiters = op.waiters[:0]
+	op.d, op.src = depInfo{}, nil
+	op.w.freeFetches = append(op.w.freeFetches, op)
+}
+
+// connected runs once the connection to the source is up: the payload starts
+// across the wire, unless the source no longer holds it.
+func (op *fetchOp) connected() {
+	w, src := op.w, op.src
+	if op.stale() {
+		op.release()
+		return
+	}
+	if !src.alive || src.incarnation != op.srcInc || !src.HasData(op.d.key) {
+		w.abortFetch(op, src.rank)
+		return
+	}
+	op.wireStart = w.c.kernel.Now()
+	w.c.plat.Transfer(src.node, w.node, op.size, op.land)
+}
+
+// landed runs when the payload's last byte arrives: the result is stored and
+// every waiter whose last missing dependency this was becomes ready.
+func (op *fetchOp) landed() {
+	w, src, d, size := op.w, op.src, op.d, op.size
+	if op.stale() {
+		op.release()
+		return
+	}
+	if !src.alive || src.incarnation != op.srcInc {
+		// Source crashed mid-transfer: the stream broke before the
+		// payload fully arrived.
+		w.abortFetch(op, src.rank)
+		return
+	}
+	stop := w.c.kernel.Now()
+	w.data[d.key] = size
+	w.memBytes += size
+	rec := Transfer{
+		Key: d.key, From: src.addr, To: w.addr, Bytes: size,
+		Start: op.demand, Stop: stop, SameNode: src.node == w.node,
+	}
+	if d.viaProxy {
+		rec.Start, rec.ViaProxy, rec.ResolveLatency = op.wireStart, true, stop-op.demand
+	}
+	for _, p := range w.c.workerPlugins {
+		p.TransferReceived(rec)
+	}
+	if d.viaProxy {
+		w.c.proxy.resolved(d.key, w.addr, size, stop-op.demand)
+	}
+	delete(w.fetching, d.key)
+	for _, waiter := range op.waiters {
+		waiter.missing--
+		if waiter.missing == 0 && w.tasks[waiter.spec.Key] == waiter {
+			w.makeReady(waiter, "deps-arrived")
 		}
-		if !src.alive || src.incarnation != srcInc || !src.HasData(d.key) {
-			w.abortFetch(d.key, src.rank)
-			return
-		}
-		wireStart := w.c.kernel.Now()
-		w.c.plat.Transfer(src.node, w.node, size, func() {
-			if !w.alive || w.incarnation != inc {
-				return
-			}
-			if !src.alive || src.incarnation != srcInc {
-				// Source crashed mid-transfer: the stream broke before the
-				// payload fully arrived.
-				w.abortFetch(d.key, src.rank)
-				return
-			}
-			stop := w.c.kernel.Now()
-			w.data[d.key] = size
-			w.memBytes += size
-			rec := Transfer{
-				Key: d.key, From: src.addr, To: w.addr, Bytes: size,
-				Start: demand, Stop: stop, SameNode: src.node == w.node,
-			}
-			if d.viaProxy {
-				rec.Start, rec.ViaProxy, rec.ResolveLatency = wireStart, true, stop-demand
-			}
-			for _, p := range w.c.workerPlugins {
-				p.TransferReceived(rec)
-			}
-			if d.viaProxy {
-				w.c.proxy.resolved(d.key, w.addr, size, stop-demand)
-			}
-			waiters := w.fetching[d.key]
-			delete(w.fetching, d.key)
-			for _, waiter := range waiters {
-				waiter.missing--
-				if waiter.missing == 0 && w.tasks[waiter.spec.Key] == waiter {
-					w.makeReady(waiter, "deps-arrived")
-				}
-			}
-		})
-	})
+	}
+	op.release()
 }
 
 // source picks the worker to pull a dependency from and learns the payload's
@@ -305,12 +422,13 @@ func (w *Worker) fetch(d depInfo, wt *wTask) {
 // owner, fenced to the incarnation that published it; a dangling reference
 // (blob reclaimed after the owner died) takes the same missing-data recovery
 // path as a holder that crashed. ok is false when there is no source: the
-// tasks waiting on the fetch have been surrendered.
-func (w *Worker) source(d depInfo) (src *Worker, size int64, ok bool) {
+// tasks waiting on the fetch have been surrendered and op released.
+func (w *Worker) source(op *fetchOp) (src *Worker, size int64, ok bool) {
+	d := op.d
 	if len(d.holders) == 0 {
 		// Scheduler.launch never ships such an assignment; were one to arrive,
 		// the task cannot run here and is handed back.
-		w.abortFetch(d.key, -1)
+		w.abortFetch(op, -1)
 		return nil, 0, false
 	}
 	if !d.viaProxy {
@@ -318,13 +436,13 @@ func (w *Worker) source(d depInfo) (src *Worker, size int64, ok bool) {
 	}
 	ref, found := w.c.proxy.resolve(d.key, w.addr)
 	if !found {
-		w.abortFetch(d.key, d.holders[0])
+		w.abortFetch(op, d.holders[0])
 		return nil, 0, false
 	}
 	src = w.c.workers[ref.Owner]
 	if !src.alive || src.incarnation != ref.Incarnation || !src.HasData(d.key) {
 		// A restarted owner no longer holds the payload.
-		w.abortFetch(d.key, src.rank)
+		w.abortFetch(op, src.rank)
 		return nil, 0, false
 	}
 	return src, ref.Size, true
@@ -334,12 +452,12 @@ func (w *Worker) source(d depInfo) (src *Worker, size int64, ok bool) {
 // crashed (srcRank < 0: the assignment named no source). The tasks waiting on
 // the dependency cannot run here with the holder snapshot they were assigned,
 // so the worker surrenders them and reports the dead source; the scheduler
-// re-plans them against surviving replicas (or recomputes the lost key).
-func (w *Worker) abortFetch(key TaskKey, srcRank int) {
-	waiters := w.fetching[key]
-	delete(w.fetching, key)
+// re-plans them against surviving replicas (or recomputes the lost key). The
+// fetch ends here: op goes back on the free list.
+func (w *Worker) abortFetch(op *fetchOp, srcRank int) {
+	delete(w.fetching, op.d.key)
 	var surrendered []TaskKey
-	for _, wt := range waiters {
+	for _, wt := range op.waiters {
 		if w.tasks[wt.spec.Key] != wt {
 			continue // already stolen or surrendered via another dep
 		}
@@ -347,6 +465,7 @@ func (w *Worker) abortFetch(key TaskKey, srcRank int) {
 		w.transition(wt, StateReleased, "missing-data")
 		surrendered = append(surrendered, wt.spec.Key)
 	}
+	op.release()
 	rank := w.rank
 	w.c.control(w.node, w.c.scheduler.node, func() {
 		w.c.scheduler.handleMissingData(rank, srcRank, surrendered)
@@ -414,85 +533,91 @@ func (w *Worker) resolveLazy(wt *wTask) {
 
 func (w *Worker) execute(wt *wTask, slot int) {
 	w.transition(wt, WStateExecuting, "thread-available")
+	th := &w.threads[slot]
+	th.wt, th.inc = wt, w.incarnation
+	w.c.kernel.Go(th.run)
+}
+
+// body is a thread slot's process body: it runs the task execute handed the
+// slot and reports how it ended.
+func (th *thread) body(p *sim.Proc) {
+	w, wt, inc, slot := th.w, th.wt, th.inc, th.slot
+	th.wt = nil
+	start := p.Now()
 	tid := w.ThreadID(slot)
-	inc := w.incarnation
-	w.c.kernel.Go(func(p *sim.Proc) {
-		start := p.Now()
-		ctx := &TaskContext{w: w, proc: p, tid: tid, spec: wt.spec, outputSize: wt.spec.OutputSize}
-		if wt.spec.Run != nil {
-			wt.spec.Run(ctx)
-		} else {
-			d := wt.spec.EstDuration
-			if d <= 0 {
-				d = w.c.cfg.DefaultTaskDuration
-			}
-			ctx.Compute(d)
+	wt.ctx = TaskContext{w: w, proc: p, tid: tid, spec: wt.spec, outputSize: wt.spec.OutputSize}
+	ctx := &wt.ctx
+	if wt.spec.Run != nil {
+		wt.spec.Run(ctx)
+	} else {
+		d := wt.spec.EstDuration
+		if d <= 0 {
+			d = w.c.cfg.DefaultTaskDuration
 		}
-		stop := p.Now()
+		ctx.Compute(d)
+	}
+	stop := p.Now()
 
-		if !w.alive || w.incarnation != inc {
-			// The worker process died while the task body was running: the
-			// thread, the result, and the completion report die with it. The
-			// scheduler recovers the task through eviction.
-			return
-		}
+	if !w.alive || w.incarnation != inc {
+		// The worker process died while the task body was running: the
+		// thread, the result, and the completion report die with it. The
+		// scheduler recovers the task through eviction.
+		return
+	}
 
-		if wt.cancelled {
-			// Losing speculative attempt, cancelled while executing: discard
-			// the result without storing, publishing, or reporting it — the
-			// worker-side fence that keeps exactly one visible execution per
-			// key.
-			delete(w.tasks, wt.spec.Key)
-			w.transition(wt, StateReleased, "speculation-cancelled")
-			w.freeThreads = append(w.freeThreads, slot)
-			w.dispatch()
-			return
-		}
-
-		if ctx.failure != "" {
-			// The task body raised: report the error instead of a result
-			// (Dask's task-erred path). The thread is released; the
-			// scheduler decides between retry and erred.
-			w.transition(wt, StateErred, "task-erred")
-			delete(w.tasks, wt.spec.Key)
-			w.freeThreads = append(w.freeThreads, slot)
-			w.dispatch()
-			key, msg := wt.spec.Key, ctx.failure
-			w.c.control(w.node, w.c.scheduler.node, func() {
-				w.c.scheduler.handleErred(w.rank, key, msg)
-			})
-			return
-		}
-
-		w.data[wt.spec.Key] = ctx.outputSize
-		w.memBytes += ctx.outputSize
-		w.transition(wt, WStateMemory, "task-done")
-		rec := TaskExecution{
-			Key: wt.spec.Key, Worker: w.addr, Hostname: w.node.Hostname,
-			ThreadID: tid, Start: start, Stop: stop,
-			OutputSize: ctx.outputSize, GraphID: wt.graphID,
-			Files: ctx.fileEffects(),
-		}
-		for _, pl := range w.c.workerPlugins {
-			pl.TaskExecuted(rec)
-		}
-		w.maybeGC(ctx.outputSize)
-
+	if wt.cancelled {
+		// Losing speculative attempt, cancelled while executing: discard
+		// the result without storing, publishing, or reporting it — the
+		// worker-side fence that keeps exactly one visible execution per
+		// key.
+		delete(w.tasks, wt.spec.Key)
+		w.transition(wt, StateReleased, "speculation-cancelled")
 		w.freeThreads = append(w.freeThreads, slot)
 		w.dispatch()
-		key, size, dur := wt.spec.Key, ctx.outputSize, stop-start
-		proxied := false
-		if w.c.proxy != nil && size >= w.c.cfg.ProxyThresholdBytes {
-			// Publish the output as a pass-by-reference blob owned by this
-			// incarnation; the completion report ships only the reference.
-			proxied = true
-			w.c.proxy.publish(key, w.rank, inc, size, w.addr)
-			w.c.addControlBytes(w.c.cfg.ProxyRefBytes)
-		}
+		return
+	}
+
+	if ctx.failure != "" {
+		// The task body raised: report the error instead of a result
+		// (Dask's task-erred path). The thread is released; the
+		// scheduler decides between retry and erred.
+		w.transition(wt, StateErred, "task-erred")
+		delete(w.tasks, wt.spec.Key)
+		w.freeThreads = append(w.freeThreads, slot)
+		w.dispatch()
+		key, msg := wt.spec.Key, ctx.failure
 		w.c.control(w.node, w.c.scheduler.node, func() {
-			w.c.scheduler.handleFinished(w.rank, key, size, dur, proxied)
+			w.c.scheduler.handleErred(w.rank, key, msg)
 		})
-	})
+		return
+	}
+
+	w.data[wt.spec.Key] = ctx.outputSize
+	w.memBytes += ctx.outputSize
+	w.transition(wt, WStateMemory, "task-done")
+	rec := TaskExecution{
+		Key: wt.spec.Key, Worker: w.addr, Hostname: w.node.Hostname,
+		ThreadID: tid, Start: start, Stop: stop,
+		OutputSize: ctx.outputSize, GraphID: wt.graphID,
+		Files: ctx.fileEffects(),
+	}
+	for _, pl := range w.c.workerPlugins {
+		pl.TaskExecuted(rec)
+	}
+	w.maybeGC(ctx.outputSize)
+
+	w.freeThreads = append(w.freeThreads, slot)
+	w.dispatch()
+	key, size, dur := wt.spec.Key, ctx.outputSize, stop-start
+	proxied := false
+	if w.c.proxy != nil && size >= w.c.cfg.ProxyThresholdBytes {
+		// Publish the output as a pass-by-reference blob owned by this
+		// incarnation; the completion report ships only the reference.
+		proxied = true
+		w.c.proxy.publish(key, w.rank, inc, size, w.addr)
+		w.c.addControlBytes(w.c.cfg.ProxyRefBytes)
+	}
+	w.c.scheduler.reportFinished(w.node, w.rank, key, size, dur, proxied)
 }
 
 // maybeGC models CPython GC pressure: every GCThresholdBytes of allocation
@@ -692,8 +817,7 @@ func (ctx *TaskContext) Open(path string, flags int) (*posixio.File, error) {
 	// A browned-out worker's I/O service time dilates along with its
 	// compute; the factor is sampled per operation so a mid-task slowdown
 	// (or recovery) takes effect immediately.
-	w := ctx.w
-	f.SetDilation(func() float64 { return w.slowFactor })
+	f.SetDilation(ctx.w.dilation)
 	return f, nil
 }
 
@@ -714,7 +838,7 @@ func (ctx *TaskContext) fileEffects() []FileEffect {
 		}
 		effects = append(effects, FileEffect{Path: p, SizeAfter: size})
 	}
-	sort.Slice(effects, func(i, j int) bool { return effects[i].Path < effects[j].Path })
+	slices.SortFunc(effects, func(a, b FileEffect) int { return strings.Compare(a.Path, b.Path) })
 	return effects
 }
 

@@ -79,6 +79,8 @@ type FileSystem struct {
 	lat     *sim.RNG
 	noise   *sim.RNG
 	parts   []ostPart // ostsFor's result, overwritten by the next call
+	freeOps []*op     // finished reads and writes, reused LIFO
+	freeMDs []*mdOp   // finished opens and creates, reused LIFO
 
 	reads, writes, opens int64
 }
@@ -132,20 +134,43 @@ func (fs *FileSystem) startInterference() {
 }
 
 // Normalize cleans a path into the canonical form used as the namespace key.
+// An absolute path is cleaned as it is, without building a copy first.
 func Normalize(p string) string {
-	p = path.Clean("/" + strings.TrimPrefix(p, "/"))
-	return p
+	if !strings.HasPrefix(p, "/") {
+		p = "/" + p
+	}
+	return path.Clean(p)
 }
 
-// Create makes (or truncates) a file and lays it out round-robin over the
-// OSTs. It completes after a metadata round trip; done receives the file.
-// done must tolerate being called from a kernel event.
-func (fs *FileSystem) Create(p string, done func(*File)) {
+// mdOp is one open or create in flight: a metadata round trip, recycled like
+// op once it lands.
+type mdOp struct {
+	fs     *FileSystem
+	path   string
+	create bool
+	done   func(*File)
+	fire   func()
+}
+
+// metadata takes an mdOp off the free list and starts its round trip.
+func (fs *FileSystem) metadata(p string, create bool, done func(*File)) {
 	fs.opens++
-	p = Normalize(p)
-	fs.kernel.After(fs.lat.JitterTime(fs.cfg.OpenLatency, fs.cfg.LatencyCV), func() {
-		f, ok := fs.files[p]
-		if !ok {
+	o := sim.PopFree(&fs.freeMDs)
+	if o == nil {
+		o = &mdOp{fs: fs}
+		o.fire = o.land
+	}
+	o.path, o.create, o.done = Normalize(p), create, done
+	fs.kernel.After(fs.lat.JitterTime(fs.cfg.OpenLatency, fs.cfg.LatencyCV), o.fire)
+}
+
+func (o *mdOp) land() {
+	fs, p, create, done := o.fs, o.path, o.create, o.done
+	o.path, o.done = "", nil
+	fs.freeMDs = append(fs.freeMDs, o)
+	f := fs.files[p]
+	if create {
+		if f == nil {
 			f = &File{
 				Path:        p,
 				StripeStart: fs.nextOST,
@@ -157,22 +182,19 @@ func (fs *FileSystem) Create(p string, done func(*File)) {
 		}
 		f.Size = 0
 		f.ModifiedAt = fs.kernel.Now()
-		if done != nil {
-			done(f)
-		}
-	})
+	}
+	if done != nil {
+		done(f)
+	}
 }
 
+// Create makes (or truncates) a file and lays it out round-robin over the
+// OSTs. It completes after a metadata round trip; done receives the file.
+// done must tolerate being called from a kernel event.
+func (fs *FileSystem) Create(p string, done func(*File)) { fs.metadata(p, true, done) }
+
 // Open looks up a file; done receives nil if it does not exist.
-func (fs *FileSystem) Open(p string, done func(*File)) {
-	fs.opens++
-	p = Normalize(p)
-	fs.kernel.After(fs.lat.JitterTime(fs.cfg.OpenLatency, fs.cfg.LatencyCV), func() {
-		if done != nil {
-			done(fs.files[p])
-		}
-	})
-}
+func (fs *FileSystem) Open(p string, done func(*File)) { fs.metadata(p, false, done) }
 
 // ostPart is one OST's share of a striped byte range.
 type ostPart struct {
@@ -210,6 +232,67 @@ func (fs *FileSystem) ostsFor(f *File, off, size int64) []ostPart {
 	return out
 }
 
+// op is one read or write in flight: it waits out the operation's latency,
+// then fans out over the OSTs and completes when the last one does. It goes
+// back on the file system's free list just before done runs, so begin and
+// arrived are method values bound once and an operation allocates nothing.
+type op struct {
+	fs      *FileSystem
+	f       *File
+	off, n  int64
+	write   bool
+	left    int // OST parts still being served
+	done    func(n int64)
+	begin   func()
+	arrived func()
+}
+
+// start takes an op off the free list and waits out lat before it begins.
+func (fs *FileSystem) start(f *File, off, n int64, write bool, lat sim.Time, done func(n int64)) {
+	o := sim.PopFree(&fs.freeOps)
+	if o == nil {
+		o = &op{fs: fs}
+		o.begin, o.arrived = o.fanout, o.partDone
+	}
+	o.f, o.off, o.n, o.write, o.done = f, off, n, write, done
+	fs.kernel.After(lat, o.begin)
+}
+
+// fanout charges the byte range to every involved OST; done runs when the
+// last one completes (after a zero-delay event when the range is empty).
+func (o *op) fanout() {
+	fs, f := o.fs, o.f
+	if o.write {
+		if end := o.off + o.n; end > f.Size {
+			f.Size = end
+		}
+		f.ModifiedAt = fs.kernel.Now()
+	}
+	parts := fs.ostsFor(f, o.off, o.n)
+	if len(parts) == 0 {
+		o.left = 1
+		fs.kernel.After(0, o.arrived)
+		return
+	}
+	o.left = len(parts)
+	for _, p := range parts {
+		p.ost.Submit(p.bytes, o.arrived)
+	}
+}
+
+func (o *op) partDone() {
+	o.left--
+	if o.left > 0 {
+		return
+	}
+	n, done := o.n, o.done
+	o.f, o.done = nil, nil
+	o.fs.freeOps = append(o.fs.freeOps, o)
+	if done != nil {
+		done(n)
+	}
+}
+
 // Read models reading size bytes at offset off from f. The read is clamped
 // to the file size; done receives the number of bytes actually read once the
 // slowest involved OST finishes. Reads past EOF complete with 0 after the
@@ -225,14 +308,7 @@ func (fs *FileSystem) Read(f *File, off, size int64, done func(n int64)) {
 	} else if off+n > f.Size {
 		n = f.Size - off
 	}
-	lat := fs.lat.JitterTime(fs.cfg.ReadLatency, fs.cfg.LatencyCV)
-	fs.kernel.After(lat, func() {
-		fs.fanout(f, off, n, func() {
-			if done != nil {
-				done(n)
-			}
-		})
-	})
+	fs.start(f, off, n, false, fs.lat.JitterTime(fs.cfg.ReadLatency, fs.cfg.LatencyCV), done)
 }
 
 // Write models writing size bytes at offset off to f, extending it as
@@ -242,38 +318,7 @@ func (fs *FileSystem) Write(f *File, off, size int64, done func(n int64)) {
 	if off < 0 {
 		off = 0
 	}
-	lat := fs.lat.JitterTime(fs.cfg.WriteLatency, fs.cfg.LatencyCV)
-	fs.kernel.After(lat, func() {
-		if end := off + size; end > f.Size {
-			f.Size = end
-		}
-		f.ModifiedAt = fs.kernel.Now()
-		fs.fanout(f, off, size, func() {
-			if done != nil {
-				done(size)
-			}
-		})
-	})
-}
-
-// fanout charges the byte range to every involved OST and calls done when
-// the last one completes.
-func (fs *FileSystem) fanout(f *File, off, size int64, done func()) {
-	parts := fs.ostsFor(f, off, size)
-	if len(parts) == 0 {
-		fs.kernel.After(0, done)
-		return
-	}
-	left := len(parts)
-	arrived := func() {
-		left--
-		if left == 0 {
-			done()
-		}
-	}
-	for _, p := range parts {
-		p.ost.Submit(p.bytes, arrived)
-	}
+	fs.start(f, off, size, true, fs.lat.JitterTime(fs.cfg.WriteLatency, fs.cfg.LatencyCV), done)
 }
 
 // CreateNow synchronously places a file of the given size in the namespace

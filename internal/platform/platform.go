@@ -224,10 +224,8 @@ func (c *Cluster) Transfer(from, to *Node, size int64, done func()) {
 		lat = sim.Time(float64(lat) * f)
 		bytes *= f
 	}
-	var t *transfer
-	if n := len(c.free); n > 0 {
-		t, c.free = c.free[n-1], c.free[:n-1]
-	} else {
+	t := sim.PopFree(&c.free)
+	if t == nil {
 		t = &transfer{c: c}
 		t.arrive = t.land
 	}

@@ -44,7 +44,77 @@ type Tracer interface {
 
 // FS binds the POSIX layer to a PFS instance.
 type FS struct {
-	pfs *pfs.FileSystem
+	pfs  *pfs.FileSystem
+	free []*ioOp // finished operations, reused LIFO
+}
+
+// ioKind is what an ioOp asks of the file system.
+type ioKind uint8
+
+const (
+	ioRead ioKind = iota
+	ioWrite
+	ioOpen
+	ioCreate
+)
+
+// ioOp carries one blocking operation between the process that issues it and
+// the PFS completion that resumes it. Its method values are bound once, and it
+// goes back on the FS's free list when the process has its result, so an
+// operation allocates nothing.
+type ioOp struct {
+	fs        *FS
+	kind      ioKind
+	path      string    // open, create
+	file      *pfs.File // read, write; what open or create found
+	off, size int64
+	n         int64 // bytes read or written
+	resume    func()
+	issue     func(done func())
+	landed    func(n int64)
+	opened    func(f *pfs.File)
+}
+
+func (op *ioOp) start(done func()) {
+	op.resume = done
+	fsys := op.fs.pfs
+	switch op.kind {
+	case ioRead:
+		fsys.Read(op.file, op.off, op.size, op.landed)
+	case ioWrite:
+		fsys.Write(op.file, op.off, op.size, op.landed)
+	case ioOpen:
+		fsys.Open(op.path, op.opened)
+	case ioCreate:
+		fsys.Create(op.path, op.opened)
+	}
+}
+
+func (op *ioOp) land(n int64) {
+	op.n = n
+	op.resume()
+}
+
+func (op *ioOp) open(f *pfs.File) {
+	op.file = f
+	op.resume()
+}
+
+// await issues one operation from process p and blocks until it lands,
+// returning the file it found (open, create) or the bytes it moved (read,
+// write).
+func (fs *FS) await(p *sim.Proc, kind ioKind, path string, file *pfs.File, off, size int64) (*pfs.File, int64) {
+	op := sim.PopFree(&fs.free)
+	if op == nil {
+		op = &ioOp{fs: fs}
+		op.issue, op.landed, op.opened = op.start, op.land, op.open
+	}
+	op.kind, op.path, op.file, op.off, op.size = kind, path, file, off, size
+	p.Await(op.issue)
+	file, n := op.file, op.n
+	op.path, op.file, op.n, op.resume = "", nil, 0, nil
+	fs.free = append(fs.free, op)
+	return file, n
 }
 
 // NewFS wraps a pfs.FileSystem.
@@ -92,18 +162,12 @@ func (f *File) dilated(p *sim.Proc, start sim.Time) {
 // process for the metadata round trip.
 func (fs *FS) Open(p *sim.Proc, tracer Tracer, tid uint64, path string, flags int) (*File, error) {
 	start := p.Now()
-	var got *pfs.File
-	created := false
-	if flags&CREATE != 0 {
-		p.Await(func(done func()) {
-			fs.pfs.Create(path, func(f *pfs.File) { got = f; done() })
-		})
-		created = true
-	} else {
-		p.Await(func(done func()) {
-			fs.pfs.Open(path, func(f *pfs.File) { got = f; done() })
-		})
+	created := flags&CREATE != 0
+	kind := ioOpen
+	if created {
+		kind = ioCreate
 	}
+	got, _ := fs.await(p, kind, path, nil, 0, 0)
 	if got == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
@@ -118,10 +182,7 @@ func (fs *FS) Open(p *sim.Proc, tracer Tracer, tid uint64, path string, flags in
 // completes. It returns the number of bytes actually read (clamped at EOF).
 func (f *File) Pread(p *sim.Proc, off, size int64) int64 {
 	start := p.Now()
-	var n int64
-	p.Await(func(done func()) {
-		f.fs.pfs.Read(f.file, off, size, func(got int64) { n = got; done() })
-	})
+	_, n := f.fs.await(p, ioRead, "", f.file, off, size)
 	f.dilated(p, start)
 	if f.tracer != nil {
 		f.tracer.ReadEvent(OpRecord{Path: f.path, TID: f.tid, Offset: off, Bytes: n, Start: start, End: p.Now()})
@@ -133,10 +194,7 @@ func (f *File) Pread(p *sim.Proc, off, size int64) int64 {
 // I/O completes. It returns the number of bytes written.
 func (f *File) Pwrite(p *sim.Proc, off, size int64) int64 {
 	start := p.Now()
-	var n int64
-	p.Await(func(done func()) {
-		f.fs.pfs.Write(f.file, off, size, func(got int64) { n = got; done() })
-	})
+	_, n := f.fs.await(p, ioWrite, "", f.file, off, size)
 	f.dilated(p, start)
 	if f.tracer != nil {
 		f.tracer.WriteEvent(OpRecord{Path: f.path, TID: f.tid, Offset: off, Bytes: n, Start: start, End: p.Now()})

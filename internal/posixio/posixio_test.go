@@ -177,3 +177,39 @@ func TestConcurrentThreadsDistinctTIDs(t *testing.T) {
 		t.Fatalf("expected 4 distinct TIDs in trace, got %v", tids)
 	}
 }
+
+// TestPFSOpAllocatesNothing: a blocking read and a write, each striped over
+// two OSTs, cost no malloc once the POSIX layer's and the file system's
+// recycled operations exist — the process parks and resumes, the latency
+// event, the fan-out over both OSTs and the completions included.
+func TestPFSOpAllocatesNothing(t *testing.T) {
+	k, fs := newFS(1)
+	stripe := pfs.Lustre().StripeSize
+	fs.PFS().CreateNow("/data/striped", 4*stripe)
+	var f *File
+	k.Go(func(p *sim.Proc) {
+		var err error
+		if f, err = fs.Open(p, nil, 1, "/data/striped", RDONLY|WRONLY); err != nil {
+			t.Error(err)
+		}
+	})
+	k.Run()
+	var read, wrote int64
+	body := func(p *sim.Proc) {
+		// [stripe/2, stripe/2+stripe) starts in one stripe and ends in the
+		// next, which the layout puts on another OST.
+		read = f.Pread(p, stripe/2, stripe)
+		wrote = f.Pwrite(p, stripe/2, stripe)
+	}
+	op := func() {
+		k.Go(body)
+		k.Run()
+	}
+	op() // warm-up: free lists and scratch reach their steady size
+	if n := testing.AllocsPerRun(200, op); n != 0 {
+		t.Errorf("Pread + Pwrite over two OSTs: %v allocs, budget 0", n)
+	}
+	if read != stripe || wrote != stripe {
+		t.Errorf("read %d, wrote %d bytes, want %d each", read, wrote, stripe)
+	}
+}

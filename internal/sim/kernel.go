@@ -156,14 +156,27 @@ func (k *Kernel) Unschedule(e *Event) {
 // when it fires. Scheduling in the past panics: it indicates a causality bug
 // in the caller.
 func (k *Kernel) At(t Time, fn func()) {
-	var e *Event
-	if n := len(k.free); n > 0 {
-		e, k.free = k.free[n-1], k.free[:n-1]
-	} else {
+	e := PopFree(&k.free)
+	if e == nil {
 		e = &Event{pooled: true}
 	}
 	e.fn = fn
 	k.Reschedule(e, t)
+}
+
+// PopFree takes the most recently freed struct off a LIFO free list, or
+// returns nil when the list is empty. The simulator's recycled structs —
+// events, transfers, messages, I/O operations — live on such lists, one per
+// instance, and are pushed back with append.
+func PopFree[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	m := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return m
 }
 
 // After schedules fn to run once d after the current virtual time. Negative

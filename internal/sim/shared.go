@@ -19,7 +19,7 @@ type SharedServer struct {
 	// finish at the same instant must fire in a reproducible order, so the
 	// server never iterates a map to find them.
 	jobs       []sharedJob
-	finished   []func() // complete's scratch, kept between completions
+	finished   []func() // the callbacks advance retires, kept between completions
 	lastUpdate Time
 	completion Event   // the one timer, moved in place as the job set changes
 	busyUnits  float64 // total units served, for utilization accounting
@@ -56,14 +56,24 @@ func (s *SharedServer) rate() float64 {
 	return r
 }
 
-// advance progresses every in-flight job to the current virtual time.
-func (s *SharedServer) advance() {
+// advance progresses every in-flight job to the current virtual time and,
+// with retire set, takes out every job whose remaining work has reached
+// (numerically near) zero, appending their callbacks to s.finished. It is the
+// one pass over the jobs an event makes, so it also returns the least
+// remaining work among the jobs it kept (+Inf when it kept none), for
+// reschedule. The epsilon scales with the service rate: any residue smaller
+// than one nanosecond's worth of service is unobservable at the kernel's
+// resolution and counts as done.
+func (s *SharedServer) advance(retire bool) float64 {
 	now := s.k.Now()
 	dt := (now - s.lastUpdate).Seconds()
-	if dt > 0 {
-		r := s.rate()
-		for i := range s.jobs {
-			j := &s.jobs[i]
+	s.lastUpdate = now
+	r := s.rate()
+	eps := r*2e-9 + 1e-9
+	minRemaining := math.Inf(1)
+	kept := 0
+	for _, j := range s.jobs {
+		if dt > 0 {
 			served := r * dt
 			if served > j.remaining {
 				served = j.remaining
@@ -71,64 +81,57 @@ func (s *SharedServer) advance() {
 			j.remaining -= served
 			s.busyUnits += served
 		}
+		if retire && j.remaining <= eps {
+			if j.done != nil {
+				s.finished = append(s.finished, j.done)
+			}
+			continue
+		}
+		s.jobs[kept] = j
+		kept++
+		if j.remaining < minRemaining {
+			minRemaining = j.remaining
+		}
 	}
-	s.lastUpdate = now
+	clear(s.jobs[kept:])
+	s.jobs = s.jobs[:kept]
+	return minRemaining
 }
 
-// reschedule moves the completion event to when the job that will finish
-// soonest under the current sharing rate does (and takes it out of the queue
-// when no job is left). The ETA is rounded UP to whole nanoseconds (and at
-// least 1ns): rounding down could leave a sub-nanosecond residue of work that
-// can never be served, spinning the kernel on zero-delay events forever.
-func (s *SharedServer) reschedule() {
+// reschedule moves the completion event to when the job with minRemaining
+// work left will finish under the current sharing rate (and takes it out of
+// the queue when no job is left). The ETA is rounded UP to whole nanoseconds
+// (and at least 1ns): rounding down could leave a sub-nanosecond residue of
+// work that can never be served, spinning the kernel on zero-delay events
+// forever.
+func (s *SharedServer) reschedule(minRemaining float64) {
 	if len(s.jobs) == 0 {
 		s.k.Unschedule(&s.completion)
 		return
 	}
-	r := s.rate()
-	minRemaining := -1.0
-	for _, j := range s.jobs {
-		if minRemaining < 0 || j.remaining < minRemaining {
-			minRemaining = j.remaining
-		}
-	}
-	eta := Time(math.Ceil(minRemaining / r * 1e9))
+	eta := Time(math.Ceil(minRemaining / s.rate() * 1e9))
 	if eta < 1 {
 		eta = 1
 	}
 	s.k.Reschedule(&s.completion, s.k.now+eta)
 }
 
-// complete fires when the earliest job(s) finish; it retires every job whose
-// remaining work has reached (numerically near) zero. The epsilon scales
-// with the service rate: any residue smaller than one nanosecond's worth of
-// service is unobservable at the kernel's resolution and counts as done.
+// complete fires when the earliest job(s) finish; it retires every job that
+// is done and moves the timer to the next completion before any callback
+// runs.
 func (s *SharedServer) complete() {
-	s.advance()
-	eps := s.rate()*2e-9 + 1e-9
+	s.reschedule(s.advance(true))
 	// The scratch is taken for the duration and given back at the end, so
 	// whatever the callbacks do to this server finds no half-used slice.
-	finished := s.finished[:0]
-	s.finished = nil
-	live := s.jobs[:0]
-	for _, j := range s.jobs {
-		switch {
-		case j.remaining > eps:
-			live = append(live, j)
-		case j.done != nil:
-			finished = append(finished, j.done)
-		}
-	}
-	clear(s.jobs[len(live):])
-	s.jobs = live
-	s.reschedule()
 	// Callbacks run after internal state is consistent so they may submit
 	// new jobs to this same server.
+	finished := s.finished
+	s.finished = nil
 	for _, done := range finished {
 		done()
 	}
 	clear(finished)
-	s.finished = finished
+	s.finished = finished[:0]
 }
 
 // nop stands in for a zero-work job's missing callback: the job still takes
@@ -147,7 +150,7 @@ func (s *SharedServer) Submit(units float64, done func()) {
 		s.k.After(0, done)
 		return
 	}
-	s.advance()
+	minRemaining := min(s.advance(false), units)
 	s.jobs = append(s.jobs, sharedJob{remaining: units, done: done})
-	s.reschedule()
+	s.reschedule(minRemaining)
 }

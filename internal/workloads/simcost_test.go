@@ -8,14 +8,17 @@ import (
 
 // TestSimOnlyAllocBudget holds the simulated runtime itself — kernel,
 // platform, file system, scheduler and workers, collection off — to the
-// malloc count it had when the scheduler's task table stopped keeping maps
-// per task and task keys stopped going through fmt: 21.5 per task of
-// imageprocessing at seed 1 (36.0 before that, and 136.5 with an Event, a job
-// and four closures per message and a coroutine per task). bench/e2e's
+// malloc count it had when a task's round trip and its PFS operations
+// stopped allocating in the runtime: 7.2 per task of imageprocessing at seed
+// 1, nearly all of it the workload's graph construction (21.5 while assign,
+// fetch, execute, finish and every PFS operation built closures; 36.0 while
+// the task table kept maps per task and task keys went through fmt; 136.5
+// with an Event, a job and four closures per message and a coroutine per
+// task). bench/e2e's
 // sim-only workload measures the same thing per provenance event, but tier-1
 // does not run it.
 func TestSimOnlyAllocBudget(t *testing.T) {
-	const budget = 1.15 * 21.5
+	const budget = 1.15 * 7.2
 	cfg := DefaultSession("imageprocessing", "job-sim-budget", 1)
 	cfg.DisableCollection = true
 	if perTask := imageprocessingMallocsPerTask(t, cfg); perTask > budget {
@@ -25,13 +28,13 @@ func TestSimOnlyAllocBudget(t *testing.T) {
 
 // TestCollectOnAllocBudget holds a whole collection-on session — the
 // simulated runtime plus tracers, collector, encode, producer and broker —
-// to the malloc count it had when the session stopped fitting a what-if
-// model at the end of every instrumented run: 23.1 per task of
-// imageprocessing at seed 1 (30.7 while it did). Analysis a caller asks for
-// runs on demand from the run's records; this budget fails if it comes back
-// as an end-of-run step.
+// to the malloc count it had when the simulated runtime under it stopped
+// allocating per task: 8.4 per task of imageprocessing at seed 1 (23.1
+// before, 30.7 while the session fitted a what-if model at the end of every
+// instrumented run). Analysis a caller asks for runs on demand from the
+// run's records; this budget fails if it comes back as an end-of-run step.
 func TestCollectOnAllocBudget(t *testing.T) {
-	const budget = 1.15 * 23.1
+	const budget = 1.15 * 8.4
 	cfg := DefaultSession("imageprocessing", "job-collect-budget", 1)
 	if perTask := imageprocessingMallocsPerTask(t, cfg); perTask > budget {
 		t.Errorf("a collection-on session costs %.1f mallocs per task, budget %.1f", perTask, budget)
