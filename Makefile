@@ -219,8 +219,13 @@ durable:
 # broadcast — nor does a task's round trip (assign, fetch, execute, finish;
 # bar its wTask slab) or a POSIX read and write striped over two OSTs; a
 # process started on a kernel with an idle one costs its body closure,
-# registering a graph costs its slab and arenas and no malloc per task, a
-# collection-off imageprocessing session stays inside its mallocs per task,
+# registering a graph costs its slab and arenas and no malloc per task;
+# building a graph costs its task bodies' closures and no other malloc per
+# task (Add keeps copies of the spec and its slices, a key interned from a
+# buffer keeps its bytes), Finalize makes two mallocs whatever the task
+# count and names the first task in Add order that misses a dependency, and
+# each paper workflow's graphs build and finalize inside their mallocs per
+# task; a collection-off imageprocessing session stays inside its mallocs per task,
 # a stale resume of a finished process panics by name, the kernel against
 # its sort-by-(time, sequence) model with recycled and owned events
 # interleaved, a degraded link slows its own direction only and clears, and
@@ -232,8 +237,8 @@ simcost:
 	$(GO) test -count=1 -run 'TestTransferAllocatesNothing|TestSetLinkFactorSlowsOneDirection' ./internal/platform/
 	$(GO) test -count=1 -run 'TestStripedFanoutSubmitsInStripeOrder' ./internal/pfs/
 	$(GO) test -count=1 -run 'TestPFSOpAllocatesNothing' ./internal/posixio/
-	$(GO) test -count=1 -run 'TestFreeKeysBroadcastAllocatesNothing|TestTaskRoundTripAllocatesNothing|TestRegisterGraphAllocatesPerGraph' ./internal/dask/
-	$(GO) test -count=1 -run 'TestSimOnlyAllocBudget' ./internal/workloads/
+	$(GO) test -count=1 -run 'TestFreeKeysBroadcastAllocatesNothing|TestTaskRoundTripAllocatesNothing|TestRegisterGraphAllocatesPerGraph|TestGraphAddCopiesSpec|TestGraphKeyInterns|TestFinalizeAllocatesLinearly|TestGraphMissingDepNamesFirstInAddOrder' ./internal/dask/
+	$(GO) test -count=1 -run 'TestSimOnlyAllocBudget|TestGraphBuildAllocBudget' ./internal/workloads/
 	$(GO) test -run '^$$' -bench 'BenchmarkProcSwitch|BenchmarkKernelEventThroughput|BenchmarkSharedServer' -benchtime 1x ./internal/sim/
 
 # Collection host-cost gate, uncached and not under -race (which allocates on

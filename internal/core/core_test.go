@@ -680,8 +680,7 @@ func (stuckWorkflow) Run(p *sim.Proc, cl *dask.Client, env *Env) {
 // TestRunReportsDeadlock: a workflow that can never finish, in a cluster
 // where nothing ticks any more (its workers dead, no liveness sweep or work
 // stealing), leaves the kernel nothing to fire, and Run says so — which
-// workflow, at what virtual time, with how many events still queued —
-// instead of returning artifacts.
+// workflow, at what virtual time — instead of returning artifacts.
 func TestRunReportsDeadlock(t *testing.T) {
 	cfg := testSession(3)
 	cfg.Dask.WorkStealing = false
@@ -690,7 +689,7 @@ func TestRunReportsDeadlock(t *testing.T) {
 	if err == nil {
 		t.Fatalf("a workflow that never finishes ran to artifacts %+v", art)
 	}
-	if msg := err.Error(); !strings.Contains(msg, `workflow "stuck" deadlocked at`) || !strings.Contains(msg, " events pending)") {
+	if msg := err.Error(); !strings.Contains(msg, `workflow "stuck" deadlocked at`) {
 		t.Fatalf("Run of a stuck workflow: %v, want the deadlock error", err)
 	}
 }

@@ -31,40 +31,21 @@ func (w *randomResumeWorkflow) Stage(env *Env) {}
 func (w *randomResumeWorkflow) Run(p *sim.Proc, cl *dask.Client, env *Env) {
 	gen := sim.NewRNG(w.seed).Split("dag")
 	for gid := 1; gid <= w.graphs; gid++ {
-		g := randomResumeGraph(gid, gen.Split(fmt.Sprintf("g%d", gid)))
+		g, leaves := randomResumeGraph(gid, gen.Split(fmt.Sprintf("g%d", gid)))
 		cl.SubmitAndWait(p, g)
 		w.errs = append(w.errs, cl.GraphError(gid))
-		w.gathered = append(w.gathered, cl.Gather(p, graphLeaves(g)))
+		w.gathered = append(w.gathered, cl.Gather(p, leaves))
 	}
-}
-
-// graphLeaves returns the graph's outputs, the keys no task of it depends
-// on, sorted.
-func graphLeaves(g *dask.Graph) []dask.TaskKey {
-	used := map[dask.TaskKey]bool{}
-	keys := g.Keys()
-	for _, k := range keys {
-		spec, _ := g.Task(k)
-		for _, d := range spec.Deps {
-			used[d] = true
-		}
-	}
-	var out []dask.TaskKey
-	for _, k := range keys {
-		if !used[k] {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // randomResumeGraph builds one layered random DAG with keys namespaced by
-// graph ID and a mix of proxied and direct output sizes.
-func randomResumeGraph(gid int, rng *sim.RNG) *dask.Graph {
+// graph ID and a mix of proxied and direct output sizes. It also returns the
+// graph's outputs, the keys no task of it depends on, sorted.
+func randomResumeGraph(gid int, rng *sim.RNG) (*dask.Graph, []dask.TaskKey) {
 	g := dask.NewGraph(gid)
 	layers := rng.IntBetween(2, 4)
-	var prev []dask.TaskKey
+	var prev, all []dask.TaskKey
+	used := map[dask.TaskKey]bool{}
 	for l := 0; l < layers; l++ {
 		n := rng.IntBetween(2, 6)
 		var cur []dask.TaskKey
@@ -86,11 +67,22 @@ func randomResumeGraph(gid int, rng *sim.RNG) *dask.Graph {
 				// outputs are blobs, some direct.
 				OutputSize: int64(rng.IntBetween(16, 512)) << 10,
 			})
+			for _, d := range deps {
+				used[d] = true
+			}
 			cur = append(cur, key)
 		}
 		prev = cur
+		all = append(all, cur...)
 	}
-	return g
+	var leaves []dask.TaskKey
+	for _, k := range all {
+		if !used[k] {
+			leaves = append(leaves, k)
+		}
+	}
+	sort.Slice(leaves, func(i, j int) bool { return leaves[i] < leaves[j] })
+	return g, leaves
 }
 
 // TestRandomDAGsSurviveSchedulerKill is the resumption property test: random

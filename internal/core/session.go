@@ -689,7 +689,7 @@ func (s *Session) run() (start, end sim.Time, err error) {
 		return 0, 0, s.killed
 	}
 	if !finished {
-		return 0, 0, fmt.Errorf("core: workflow %q deadlocked at %v (%d events pending)", wf.Name(), k.Now(), k.Pending())
+		return 0, 0, fmt.Errorf("core: workflow %q deadlocked at %v", wf.Name(), k.Now())
 	}
 	return start, end, nil
 }

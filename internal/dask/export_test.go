@@ -28,18 +28,38 @@ func (s *Scheduler) TaskState(k TaskKey) TaskState {
 	return ts.state
 }
 
+// Keys returns all task keys in topological order (Finalize must have
+// succeeded, or the graph must be finalizable).
+func (g *Graph) Keys() []TaskKey {
+	order := g.topo()
+	keys := make([]TaskKey, len(order))
+	for i, t := range order {
+		keys[i] = g.spec(t).Key
+	}
+	return keys
+}
+
+// Task returns the spec for a key.
+func (g *Graph) Task(k TaskKey) (*TaskSpec, bool) {
+	i, ok := g.index[k]
+	if !ok {
+		return nil, false
+	}
+	return g.spec(i), true
+}
+
 // Leaves returns tasks with no dependents, sorted. These are the graph's
 // outputs, which stay in distributed memory until the client releases them.
 func (g *Graph) Leaves() []TaskKey {
 	hasDependent := make(map[TaskKey]bool)
-	for _, t := range g.tasks {
-		for _, d := range t.Deps {
+	for i := 0; i < g.Len(); i++ {
+		for _, d := range g.spec(int32(i)).Deps {
 			hasDependent[d] = true
 		}
 	}
 	var out []TaskKey
-	for k := range g.tasks {
-		if !hasDependent[k] {
+	for i := 0; i < g.Len(); i++ {
+		if k := g.spec(int32(i)).Key; !hasDependent[k] {
 			out = append(out, k)
 		}
 	}

@@ -14,6 +14,7 @@ package dask
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"taskprov/internal/sim"
@@ -118,148 +119,292 @@ func (t *TaskSpec) Prefix() string { return KeyPrefix(t.Key) }
 // Group returns the task's Dask group (see KeyGroup).
 func (t *TaskSpec) Group() string { return KeyGroup(t.Key) }
 
-// Graph is one task graph (the unit the client submits).
+// Graph is one task graph (the unit the client submits). It owns its tasks:
+// Add copies each spec into a chunked slab and its Deps and Restrictions
+// into per-graph arenas, Key interns key bytes into append-only chunks, and
+// Finalize works over dense indices, so building and ordering a graph costs a
+// handful of mallocs per graph, not per task.
 type Graph struct {
-	ID        int
-	tasks     map[TaskKey]*TaskSpec
+	ID int
+
+	// slab holds the specs in Add order; chunk c holds slabChunkLen(c) of
+	// them and is never reallocated, so a spec's address is stable.
+	slab      [][]TaskSpec
+	index     map[TaskKey]int32 // key -> index in Add order
 	externals map[TaskKey]bool
-	order     []TaskKey // topological order, set by Finalize
+	deps      arena[TaskKey]
+	restrict  arena[string]
+	nDeps     int             // total dependency entries, over every task
+	keys      strings.Builder // the current chunk of interned key bytes
+
+	order []int32 // topological order as indices in Add order, set by Finalize
 }
 
 // NewGraph creates an empty graph with the given ID.
 func NewGraph(id int) *Graph {
-	return &Graph{ID: id, tasks: make(map[TaskKey]*TaskSpec), externals: make(map[TaskKey]bool)}
+	return &Graph{ID: id, index: make(map[TaskKey]int32)}
+}
+
+// The slab's first chunk holds slabFirst specs; chunks double slabDoublings
+// times, and every chunk after those holds slabFirst<<slabDoublings specs.
+// Small graphs waste little of their last chunk, large ones at most one
+// chunk.
+const (
+	slabFirst     = 16
+	slabDoublings = 5
+)
+
+// slabChunkLen is the number of specs chunk c holds.
+func slabChunkLen(c int) int { return slabFirst << min(c, slabDoublings) }
+
+// slabSlot locates the spec of index i: its chunk and its offset there.
+func slabSlot(i int) (c, off int) {
+	if q := i/slabFirst + 1; q < 1<<slabDoublings {
+		c = bits.Len(uint(q)) - 1
+		return c, i - slabFirst*(1<<c-1)
+	}
+	i -= slabFirst * (1<<slabDoublings - 1)
+	const full = slabFirst << slabDoublings
+	return slabDoublings + i/full, i % full
+}
+
+// spec returns the spec of index i (in Add order).
+func (g *Graph) spec(i int32) *TaskSpec {
+	c, off := slabSlot(int(i))
+	return &g.slab[c][off]
+}
+
+// arena hands out copies of slices, carved from chunks it never reallocates:
+// a slice it returned keeps its elements, unshared, for the graph's life.
+type arena[T any] struct{ buf []T }
+
+// Arena chunks start at arenaFirst elements and double up to arenaMax; a
+// longer slice gets a chunk of its own length.
+const (
+	arenaFirst = 64
+	arenaMax   = 4096
+)
+
+// copy returns a copy of src from the arena. A nil src stays nil and an
+// empty one stays empty, so a copy reads like its source.
+func (a *arena[T]) copy(src []T) []T {
+	n := len(src)
+	if n == 0 {
+		if src == nil {
+			return nil
+		}
+		return []T{}
+	}
+	if cap(a.buf)-len(a.buf) < n {
+		size := min(max(2*cap(a.buf), arenaFirst), arenaMax)
+		a.buf = make([]T, 0, max(size, n))
+	}
+	start := len(a.buf)
+	a.buf = append(a.buf, src...)
+	return a.buf[start:len(a.buf):len(a.buf)]
+}
+
+// Key chunks start at keyChunkFirst bytes and double up to keyChunkMax.
+const (
+	keyChunkFirst = 512
+	keyChunkMax   = 16 << 10
+)
+
+// Key interns b as a task key of this graph and returns it; b is not kept,
+// so a generator can render keys into a stack buffer. The bytes are copied
+// into the graph's current key chunk, a strings.Builder that is only ever
+// appended to: the key is a substring of the chunk, and since no byte of a
+// chunk is written twice and a full chunk is replaced rather than grown, the
+// key's bytes never change for as long as the key is held.
+func (g *Graph) Key(b []byte) TaskKey {
+	if g.keys.Cap()-g.keys.Len() < len(b) {
+		size := min(max(2*g.keys.Cap(), keyChunkFirst), keyChunkMax)
+		g.keys = strings.Builder{}
+		g.keys.Grow(max(size, len(b)))
+	}
+	start := g.keys.Len()
+	g.keys.Write(b)
+	return TaskKey(g.keys.String()[start:])
 }
 
 // AddExternal declares a cross-graph dependency: a key produced by an
 // earlier graph that must already be in distributed memory at submission
 // time (a future held by the client, in Dask terms).
 func (g *Graph) AddExternal(k TaskKey) {
+	if g.externals == nil {
+		g.externals = make(map[TaskKey]bool)
+	}
 	g.externals[k] = true
 	g.order = nil
 }
 
-// Add inserts a task. It panics on duplicate keys — graphs are built by
-// generators, so a duplicate is a programming error.
+// Add inserts a copy of spec: the graph keeps none of the caller's slices,
+// so the caller may reuse spec and its Deps and Restrictions once Add
+// returns. It panics on duplicate keys — graphs are built by generators, so
+// a duplicate is a programming error.
 func (g *Graph) Add(spec *TaskSpec) {
-	if _, dup := g.tasks[spec.Key]; dup {
+	if _, dup := g.index[spec.Key]; dup {
 		panic(fmt.Sprintf("dask: duplicate task key %q in graph %d", spec.Key, g.ID))
 	}
-	g.tasks[spec.Key] = spec
+	i := len(g.index)
+	c, off := slabSlot(i)
+	if c == len(g.slab) {
+		g.slab = append(g.slab, make([]TaskSpec, slabChunkLen(c)))
+	}
+	// Field by field: copying *spec whole would hand the caller's slices to
+	// the graph.
+	g.slab[c][off] = TaskSpec{
+		Key:             spec.Key,
+		Deps:            g.deps.copy(spec.Deps),
+		Run:             spec.Run,
+		OutputSize:      spec.OutputSize,
+		EstDuration:     spec.EstDuration,
+		BlocksEventLoop: spec.BlocksEventLoop,
+		Restrictions:    g.restrict.copy(spec.Restrictions),
+		MaxRetries:      spec.MaxRetries,
+	}
+	g.index[spec.Key] = int32(i)
+	g.nDeps += len(spec.Deps)
 	g.order = nil
 }
 
-// Task returns the spec for a key.
-func (g *Graph) Task(k TaskKey) (*TaskSpec, bool) {
-	t, ok := g.tasks[k]
-	return t, ok
-}
-
 // Len returns the number of tasks.
-func (g *Graph) Len() int { return len(g.tasks) }
+func (g *Graph) Len() int { return len(g.index) }
 
-// Keys returns all task keys in topological order (Finalize must have
-// succeeded, or the graph must be finalizable).
-func (g *Graph) Keys() []TaskKey {
+// topo returns the topological order as indices in Add order, finalizing the
+// graph first if it must; an invalid graph panics.
+func (g *Graph) topo() []int32 {
 	if g.order == nil {
 		if err := g.Finalize(); err != nil {
 			panic(err)
 		}
 	}
-	return append([]TaskKey(nil), g.order...)
+	return g.order
 }
 
 // Finalize validates the graph (all dependencies present, no cycles) and
-// computes a deterministic topological order used for task priorities.
+// computes a deterministic topological order used for task priorities: of
+// the ready tasks, the one with the smallest key comes first. It works over
+// the tasks' indices in Add order; a missing dependency is reported for the
+// first task, in that order, that names one.
 func (g *Graph) Finalize() error {
-	for k, t := range g.tasks {
+	n := len(g.index)
+	// One scratch array: each dependency entry resolved to its task's index
+	// (-1 for an external), the in-degrees over internal edges, the CSR
+	// offsets of the dependents lists, the lists (at most one entry per
+	// dependency entry) and the frontier heap.
+	scratch := make([]int32, g.nDeps+n+(n+1)+g.nDeps+n)
+	resolved, scratch := scratch[:g.nDeps], scratch[g.nDeps:]
+	indeg, scratch := scratch[:n], scratch[n:]
+	start, scratch := scratch[:n+1], scratch[n+1:]
+	dependents, scratch := scratch[:g.nDeps], scratch[g.nDeps:]
+	frontier := idxHeap{g: g, s: scratch[:0:n]}
+
+	// start[j] first counts j's dependents; the running sum then makes it
+	// the end of j's list, and filling the lists backwards moves it to the
+	// list's start.
+	e := 0
+	for i := 0; i < n; i++ {
+		t := g.spec(int32(i))
 		for _, d := range t.Deps {
-			if _, ok := g.tasks[d]; !ok && !g.externals[d] {
-				return fmt.Errorf("dask: graph %d task %q depends on missing %q", g.ID, k, d)
+			j, internal := g.index[d]
+			switch {
+			case internal:
+				indeg[i]++
+				start[j]++
+			case g.externals[d]:
+				j = -1 // satisfied by definition: no edge
+			default:
+				return fmt.Errorf("dask: graph %d task %q depends on missing %q", g.ID, t.Key, d)
+			}
+			resolved[e] = j
+			e++
+		}
+	}
+	for j := 1; j <= n; j++ {
+		start[j] += start[j-1]
+	}
+	for i := n - 1; i >= 0; i-- {
+		nd := len(g.spec(int32(i)).Deps)
+		for _, j := range resolved[e-nd : e] {
+			if j >= 0 {
+				start[j]--
+				dependents[start[j]] = int32(i)
 			}
 		}
+		e -= nd
 	}
-	// Kahn's algorithm with sorted tie-breaking for determinism. External
-	// dependencies are satisfied by definition and do not contribute edges.
-	indeg := make(map[TaskKey]int, len(g.tasks))
-	dependents := make(map[TaskKey][]TaskKey, len(g.tasks))
-	for k, t := range g.tasks {
-		indeg[k] += 0
-		for _, d := range t.Deps {
-			if _, internal := g.tasks[d]; !internal {
-				continue
-			}
-			indeg[k]++
-			dependents[d] = append(dependents[d], k)
+
+	// Kahn's algorithm; popping the smallest ready key is the deterministic
+	// tie-break.
+	for i, d := range indeg {
+		if d == 0 {
+			frontier.push(int32(i))
 		}
 	}
-	// The frontier is a min-heap of ready keys: popping the smallest one is
-	// the deterministic tie-break.
-	var frontier keyHeap
-	for k, n := range indeg {
-		if n == 0 {
-			frontier.push(k)
-		}
-	}
-	order := make([]TaskKey, 0, len(g.tasks))
-	for len(frontier) > 0 {
-		k := frontier.pop()
-		order = append(order, k)
-		for _, d := range dependents[k] {
+	order := make([]int32, 0, n)
+	for len(frontier.s) > 0 {
+		i := frontier.pop()
+		order = append(order, i)
+		for _, d := range dependents[start[i]:start[i+1]] {
 			indeg[d]--
 			if indeg[d] == 0 {
 				frontier.push(d)
 			}
 		}
 	}
-	if len(order) != len(g.tasks) {
+	if len(order) != n {
 		return fmt.Errorf("dask: graph %d contains a dependency cycle", g.ID)
 	}
 	g.order = order
 	return nil
 }
 
-// keyHeap is a binary min-heap of task keys.
-type keyHeap []TaskKey
+// idxHeap is a binary min-heap of task indices, ordered by their keys.
+type idxHeap struct {
+	g *Graph
+	s []int32
+}
 
-func (h *keyHeap) push(k TaskKey) {
-	*h = append(*h, k)
-	s := *h
+func (h *idxHeap) less(a, b int32) bool { return h.g.spec(a).Key < h.g.spec(b).Key }
+
+func (h *idxHeap) push(x int32) {
+	h.s = append(h.s, x)
+	s := h.s
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if s[parent] <= k {
+		if !h.less(x, s[parent]) {
 			break
 		}
 		s[i] = s[parent]
 		i = parent
 	}
-	s[i] = k
+	s[i] = x
 }
 
-func (h *keyHeap) pop() TaskKey {
-	s := *h
+func (h *idxHeap) pop() int32 {
+	s := h.s
 	n := len(s) - 1
-	top, k := s[0], s[n]
-	s[n] = ""
-	*h = s[:n]
+	top, x := s[0], s[n]
+	h.s = s[:n]
 	i := 0
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if child+1 < n && s[child+1] < s[child] {
+		if child+1 < n && h.less(s[child+1], s[child]) {
 			child++
 		}
-		if k <= s[child] {
+		if !h.less(s[child], x) {
 			break
 		}
 		s[i] = s[child]
 		i = child
 	}
 	if n > 0 {
-		s[i] = k
+		s[i] = x
 	}
 	return top
 }

@@ -70,6 +70,74 @@ func TestGraphMissingDepDetected(t *testing.T) {
 	}
 }
 
+// TestGraphMissingDepNamesFirstInAddOrder: of several tasks that name a
+// missing dependency, the error names the first one added, and its first
+// missing dependency — whatever the keys' order.
+func TestGraphMissingDepNamesFirstInAddOrder(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		g := NewGraph(1)
+		g.Add(&TaskSpec{Key: "a"})
+		g.Add(&TaskSpec{Key: "z", Deps: []TaskKey{"a", "ghost-2", "ghost-1"}})
+		g.Add(&TaskSpec{Key: "m", Deps: []TaskKey{"ghost-0"}})
+		g.Add(&TaskSpec{Key: "b", Deps: []TaskKey{"ghost-3"}})
+		err := g.Finalize()
+		if want := `dask: graph 1 task "z" depends on missing "ghost-2"`; err == nil || err.Error() != want {
+			t.Fatalf("trial %d: Finalize = %v, want %q", trial, err, want)
+		}
+	}
+}
+
+// TestGraphAddCopiesSpec: the graph keeps copies of a spec's fields and
+// slices, so a caller that reuses its spec, its Deps or its Restrictions
+// after Add changes nothing in the graph.
+func TestGraphAddCopiesSpec(t *testing.T) {
+	g := NewGraph(1)
+	g.Add(&TaskSpec{Key: "a"})
+	g.Add(&TaskSpec{Key: "b"})
+	deps := []TaskKey{"a"}
+	restrictions := []string{"tcp://w0"}
+	spec := &TaskSpec{Key: "c", Deps: deps, Restrictions: restrictions, OutputSize: 7}
+	g.Add(spec)
+	deps[0] = "b"
+	restrictions[0] = "tcp://w1"
+	spec.Key, spec.OutputSize = "d", 9
+	spec.Deps = append(deps, "a")
+	g.Add(spec)
+
+	c, ok := g.Task("c")
+	if !ok {
+		t.Fatal("task c is gone")
+	}
+	if !reflect.DeepEqual(c.Deps, []TaskKey{"a"}) || !reflect.DeepEqual(c.Restrictions, []string{"tcp://w0"}) || c.OutputSize != 7 {
+		t.Fatalf("task c after its spec was reused: %+v", *c)
+	}
+	d, _ := g.Task("d")
+	if !reflect.DeepEqual(d.Deps, []TaskKey{"b", "a"}) || d.OutputSize != 9 {
+		t.Fatalf("task d: %+v", *d)
+	}
+	if got := g.Keys(); !reflect.DeepEqual(got, []TaskKey{"a", "b", "c", "d"}) {
+		t.Fatalf("order = %v", got)
+	}
+}
+
+// TestGraphKeyInterns: a key interned from a buffer keeps its bytes after
+// the buffer is overwritten and after the graph starts new key chunks.
+func TestGraphKeyInterns(t *testing.T) {
+	g := NewGraph(1)
+	var keys []TaskKey
+	buf := make([]byte, 0, 64)
+	for i := 0; i < 5000; i++ {
+		buf = fmt.Appendf(buf[:0], "key-%06d", i)
+		keys = append(keys, g.Key(buf))
+		buf[0] = 'X'
+	}
+	for i, k := range keys {
+		if want := TaskKey(fmt.Sprintf("key-%06d", i)); k != want {
+			t.Fatalf("key %d = %q, want %q", i, k, want)
+		}
+	}
+}
+
 func TestGraphDuplicateKeyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -95,19 +163,20 @@ func TestLeaves(t *testing.T) {
 // finalizeTables builds what Kahn's algorithm needs whatever its frontier is:
 // in-degrees and dependents over the internal edges, and room for the order.
 func finalizeTables(g *Graph) (indeg map[TaskKey]int, dependents map[TaskKey][]TaskKey, order []TaskKey) {
-	indeg = make(map[TaskKey]int, len(g.tasks))
-	dependents = make(map[TaskKey][]TaskKey, len(g.tasks))
-	for k, t := range g.tasks {
-		indeg[k] += 0
+	indeg = make(map[TaskKey]int, g.Len())
+	dependents = make(map[TaskKey][]TaskKey, g.Len())
+	for i := 0; i < g.Len(); i++ {
+		t := g.spec(int32(i))
+		indeg[t.Key] += 0
 		for _, d := range t.Deps {
-			if _, internal := g.tasks[d]; !internal {
+			if _, internal := g.index[d]; !internal {
 				continue
 			}
-			indeg[k]++
-			dependents[d] = append(dependents[d], k)
+			indeg[t.Key]++
+			dependents[d] = append(dependents[d], t.Key)
 		}
 	}
-	return indeg, dependents, make([]TaskKey, 0, len(g.tasks))
+	return indeg, dependents, make([]TaskKey, 0, g.Len())
 }
 
 // referenceOrder is Finalize as it was before the frontier became a heap:
@@ -115,10 +184,11 @@ func finalizeTables(g *Graph) (indeg map[TaskKey]int, dependents map[TaskKey][]T
 // sorted and merged into it. It is the specification of the order — task
 // priorities, and with them every virtual timestamp, follow from it.
 func referenceOrder(g *Graph) ([]TaskKey, error) {
-	for k, t := range g.tasks {
+	for i := 0; i < g.Len(); i++ {
+		t := g.spec(int32(i))
 		for _, d := range t.Deps {
-			if _, ok := g.tasks[d]; !ok && !g.externals[d] {
-				return nil, fmt.Errorf("dask: graph %d task %q depends on missing %q", g.ID, k, d)
+			if _, ok := g.index[d]; !ok && !g.externals[d] {
+				return nil, fmt.Errorf("dask: graph %d task %q depends on missing %q", g.ID, t.Key, d)
 			}
 		}
 	}
@@ -153,7 +223,7 @@ func referenceOrder(g *Graph) ([]TaskKey, error) {
 		}
 		frontier = append(append(merged, frontier...), newly...)
 	}
-	if len(order) != len(g.tasks) {
+	if len(order) != g.Len() {
 		return nil, fmt.Errorf("dask: graph %d contains a dependency cycle", g.ID)
 	}
 	return order, nil
@@ -275,21 +345,26 @@ func allocatedBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestFinalizeAllocatesLinearly: beyond its tables, Finalize allocates only
-// the frontier heap — a few bytes per task, where re-copying the sorted
-// frontier on every release cost kilobytes per task on this shape.
+// TestFinalizeAllocatesLinearly: Finalize works over dense indices, so it
+// allocates one scratch array and the order it keeps — the same two mallocs
+// for a thousand tasks as for ten thousand — and a few bytes per task, where
+// a map of dependents lists and the keys' in-degrees cost a malloc per edge.
 func TestFinalizeAllocatesLinearly(t *testing.T) {
-	const n = 10000
-	g := layeredDAG(50, n/50, 3)
-	tables := allocatedBytes(func() { finalizeTables(g) })
-	var err error
-	total := allocatedBytes(func() { err = g.Finalize() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%d tasks: Finalize allocated %d B, its tables %d B", n, total, tables)
-	if total > tables+64*n {
-		t.Fatalf("Finalize allocated %d B, %d B beyond its tables; budget %d B", total, total-tables, 64*n)
+	for _, n := range []int{1000, 10000} {
+		g := layeredDAG(50, n/50, 3)
+		var err error
+		mallocs := testing.AllocsPerRun(3, func() { err = g.Finalize() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := allocatedBytes(func() { err = g.Finalize() })
+		t.Logf("%d tasks: Finalize makes %v mallocs, %d B", n, mallocs, total)
+		if mallocs != 2 {
+			t.Errorf("%d tasks: Finalize makes %v mallocs, want 2 (its scratch and the order)", n, mallocs)
+		}
+		if total > 64*uint64(n) {
+			t.Errorf("%d tasks: Finalize allocated %d B, budget %d B", n, total, 64*n)
+		}
 	}
 }
 

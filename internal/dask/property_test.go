@@ -128,9 +128,9 @@ func TestRandomDAGDeterminism(t *testing.T) {
 // roots lists a graph's tasks with no dependencies, sorted.
 func roots(g *Graph) []TaskKey {
 	var out []TaskKey
-	for k, t := range g.tasks {
-		if len(t.Deps) == 0 {
-			out = append(out, k)
+	for i := 0; i < g.Len(); i++ {
+		if t := g.spec(int32(i)); len(t.Deps) == 0 {
+			out = append(out, t.Key)
 		}
 	}
 	sortKeys(out)

@@ -699,6 +699,7 @@ func (s *Scheduler) estimate(prefix string) sim.Time {
 }
 
 // handleGraph registers a submitted graph and schedules its runnable tasks.
+// It walks the graph's topological order and reads each spec by its index.
 // The graph's tasks live in one slab; their resolved dependencies, waiting
 // marks, first-holder slots and in-graph dependents lists are carved from
 // per-graph arenas, so registering a graph costs a handful of allocations
@@ -707,24 +708,20 @@ func (s *Scheduler) handleGraph(g *Graph) {
 	now := s.c.kernel.Now()
 	s.graphs[g.ID] = &graphState{remaining: g.Len()}
 
-	order := g.Keys()
+	order := g.topo()
 	slab := make([]schedTask, len(order))
 	s.slabs = append(s.slabs, slab)
-	nDeps := 0
-	for _, k := range order {
-		spec, _ := g.Task(k)
-		nDeps += len(spec.Deps)
-	}
-	deps := make([]*schedTask, nDeps)
-	waiting := make([]bool, nDeps)
+	deps := make([]*schedTask, g.nDeps)
+	waiting := make([]bool, g.nDeps)
 	holders := make([]int, len(order))
 	// inGraph[i] counts the dependents slab[i] has inside this graph: no
 	// dependent makes it a graph output, and the count sizes its dependents
 	// list.
 	inGraph := make([]int32, len(order))
 	base, edges := s.nextPriority, 0
-	for i, k := range order {
-		spec, _ := g.Task(k)
+	for i, t := range order {
+		spec := g.spec(t)
+		k := spec.Key
 		if _, dup := s.tasks[k]; dup {
 			panic(fmt.Sprintf("dask: task %q resubmitted in graph %d", k, g.ID))
 		}

@@ -254,6 +254,3 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 	}
 	return k.now
 }
-
-// Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return len(k.heap) }

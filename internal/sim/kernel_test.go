@@ -61,8 +61,8 @@ func TestKernelCancel(t *testing.T) {
 	if fired {
 		t.Fatal("unscheduled event fired")
 	}
-	if k.Pending() != 0 || k.Steps() != 0 {
-		t.Fatalf("unscheduled event left %d pending, %d steps", k.Pending(), k.Steps())
+	if len(k.heap) != 0 || k.Steps() != 0 {
+		t.Fatalf("unscheduled event left %d pending, %d steps", len(k.heap), k.Steps())
 	}
 }
 
@@ -94,8 +94,8 @@ func TestKernelStop(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("fired %d events after Stop at 3", count)
 	}
-	if k.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", k.Pending())
+	if len(k.heap) != 7 {
+		t.Fatalf("pending = %d, want 7", len(k.heap))
 	}
 }
 
@@ -232,7 +232,7 @@ func TestKernelEveryNonPositivePeriodPanics(t *testing.T) {
 // gives, where every At, After and Reschedule takes the next sequence number.
 // Every callback carries its own id, so a recycled Event that fires a stale
 // callback, fires twice or not at all shows as a wrong id in the order. Steps
-// counts exactly the fired events, and Pending the queued ones — a moved or
+// counts exactly the fired events, and the heap holds the queued ones — a moved or
 // unscheduled timer leaves no dead entry behind.
 func TestKernelOrderProperty(t *testing.T) {
 	type model struct {
@@ -296,8 +296,8 @@ func TestKernelOrderProperty(t *testing.T) {
 					pending++
 				}
 			}
-			if k.Pending() != pending {
-				t.Fatalf("program %d phase %d: Pending() = %d, %d events are queued", prog, phase, k.Pending(), pending)
+			if len(k.heap) != pending {
+				t.Fatalf("program %d phase %d: the heap holds %d events, %d are queued", prog, phase, len(k.heap), pending)
 			}
 
 			deadline := k.Now() + Time(rng.Intn(6))*Milliseconds(1)
@@ -330,8 +330,8 @@ func TestKernelOrderProperty(t *testing.T) {
 				t.Fatalf("program %d phase %d: Steps() = %d, %d events fired", prog, phase, k.Steps(), steps)
 			}
 		}
-		if k.Pending() != 0 {
-			t.Fatalf("program %d: %d events pending after Run", prog, k.Pending())
+		if len(k.heap) != 0 {
+			t.Fatalf("program %d: %d events pending after Run", prog, len(k.heap))
 		}
 	}
 }

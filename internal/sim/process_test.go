@@ -1,10 +1,34 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"testing"
 )
+
+// procGoroutines counts the goroutines that serve a simulated process: those
+// with a sim.(*Proc) frame on their stack. Goroutines the runtime or the race
+// detector start and stop on their own do not count, so the tests can expect
+// exact numbers.
+func procGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("taskprov/internal/sim.(*Proc)")) {
+			count++
+		}
+	}
+	return count
+}
 
 func TestProcSleepAdvancesVirtualTime(t *testing.T) {
 	k := NewKernel(1)
@@ -174,7 +198,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 // ones that park again), nothing after the park does, and their goroutines
 // are gone.
 func TestKernelCloseUnwindsParkedProcs(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := procGoroutines()
 	k := NewKernel(1)
 	var deferred, resumed, finished int
 	for i := 0; i < 10; i++ {
@@ -200,7 +224,7 @@ func TestKernelCloseUnwindsParkedProcs(t *testing.T) {
 	if finished != 2 || deferred != 2 {
 		t.Fatalf("before Close: %d finished, %d deferred calls ran", finished, deferred)
 	}
-	if n := runtime.NumGoroutine(); n != before+10 {
+	if n := procGoroutines(); n != before+10 {
 		t.Fatalf("%d goroutines with 8 processes parked and 2 idle, %d before", n, before)
 	}
 	k.Close()
@@ -208,7 +232,7 @@ func TestKernelCloseUnwindsParkedProcs(t *testing.T) {
 	if deferred != 10 || resumed != 0 {
 		t.Fatalf("after Close: %d deferred calls ran (want 10), %d bodies resumed past their park", deferred, resumed)
 	}
-	if n := runtime.NumGoroutine(); n != before {
+	if n := procGoroutines(); n != before {
 		t.Fatalf("%d goroutines after Close, %d before", n, before)
 	}
 }
@@ -249,7 +273,7 @@ func TestProcAllocBudget(t *testing.T) {
 
 	k := NewKernel(1)
 	defer k.Close()
-	before := runtime.NumGoroutine()
+	before := procGoroutines()
 	ran := 0
 	n = testing.AllocsPerRun(rounds, func() {
 		k.Go(func(p *Proc) {
@@ -264,7 +288,7 @@ func TestProcAllocBudget(t *testing.T) {
 	if ran != rounds+1 {
 		t.Errorf("%d bodies ran to their end, want %d", ran, rounds+1)
 	}
-	if g := runtime.NumGoroutine(); g != before+1 {
+	if g := procGoroutines(); g != before+1 {
 		t.Errorf("%d goroutines serve %d bodies run one after another, want 1", g-before, ran)
 	}
 }

@@ -263,7 +263,7 @@ func TestSharedServerGoldenTrace(t *testing.T) {
 			t.Fatalf("%s still has %d jobs", s.name, len(s.jobs))
 		}
 	}
-	if k.Pending() != 0 {
-		t.Fatalf("%d events left in the queue", k.Pending())
+	if len(k.heap) != 0 {
+		t.Fatalf("%d events left in the queue", len(k.heap))
 	}
 }

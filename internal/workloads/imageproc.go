@@ -22,6 +22,9 @@ type ImageProcessing struct {
 	chunks      []int // chunks (=4 MiB reads) per image
 	smallReads  []int // phase-3 reads per image (mostly 2)
 	totalChunks int
+
+	inputPaths []string // per image, formatted once
+	shardPaths []string // per output shard, formatted once
 }
 
 // Image chunk size: the 4 MiB accesses the paper observes per
@@ -62,26 +65,26 @@ func NewImageProcessing() *ImageProcessing {
 	for _, i := range []int{11, 37, 63} {
 		w.smallReads[i] = 1
 	}
+	w.inputPaths = make([]string, w.NumImages)
+	for i := range w.inputPaths {
+		w.inputPaths[i] = fmt.Sprintf("/lus/grand/bcss/images/TCGA-%04d.png", i)
+	}
+	w.shardPaths = make([]string, w.Shards)
+	for s := range w.shardPaths {
+		w.shardPaths[s] = fmt.Sprintf("/lus/grand/bcss/out/stage-%03d.zarr", s)
+	}
 	return w
 }
 
 // Name implements core.Workflow.
 func (w *ImageProcessing) Name() string { return "imageprocessing" }
 
-func (w *ImageProcessing) inputPath(i int) string {
-	return fmt.Sprintf("/lus/grand/bcss/images/TCGA-%04d.png", i)
-}
-
-func (w *ImageProcessing) shardPath(s int) string {
-	return fmt.Sprintf("/lus/grand/bcss/out/stage-%03d.zarr", s)
-}
-
 const ipReportPath = "/lus/grand/bcss/out/segmentation-report.json"
 
 // Stage implements core.Workflow: place the input images on the PFS.
 func (w *ImageProcessing) Stage(env *core.Env) {
 	for i := 0; i < w.NumImages; i++ {
-		env.PFS.CreateNow(w.inputPath(i), int64(w.chunks[i])*ipChunk)
+		env.PFS.CreateNow(w.inputPaths[i], int64(w.chunks[i])*ipChunk)
 	}
 }
 
@@ -97,15 +100,18 @@ func (w *ImageProcessing) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 // images to shard files.
 func (w *ImageProcessing) graph1() *dask.Graph {
 	g := dask.NewGraph(1)
+	var sc scratch
+	var grays []dask.TaskKey
 	for i := 0; i < w.NumImages; i++ {
 		i := i
 		ci := w.chunks[i]
-		imread := dask.TaskKey("imread-" + pseudoHash("imread", i))
+		input := w.inputPaths[i]
+		imread := hashKey(g, "imread", "imread", i)
 		g.Add(&dask.TaskSpec{
 			Key:        imread,
 			OutputSize: int64(ci) * ipChunk,
 			Run: func(ctx *dask.TaskContext) {
-				f, err := ctx.Open(w.inputPath(i), posixio.RDONLY)
+				f, err := ctx.Open(input, posixio.RDONLY)
 				if err != nil {
 					panic(err)
 				}
@@ -122,23 +128,23 @@ func (w *ImageProcessing) graph1() *dask.Graph {
 				ctx.Compute(sim.Milliseconds(250))
 			},
 		})
-		var grays []dask.TaskKey
+		grays = grays[:0]
 		for c := 0; c < ci; c++ {
-			norm := dask.TaskKey("normalize-" + pseudoHash("norm", i, c))
+			norm := hashKey(g, "normalize", "norm", i, c)
 			g.Add(&dask.TaskSpec{
-				Key: norm, Deps: []dask.TaskKey{imread},
+				Key: norm, Deps: sc.deps(imread),
 				OutputSize: ipChunk, EstDuration: sim.Milliseconds(600),
 			})
-			gray := dask.TaskKey("grayscale-" + pseudoHash("gray", i, c))
+			gray := hashKey(g, "grayscale", "gray", i, c)
 			g.Add(&dask.TaskSpec{
-				Key: gray, Deps: []dask.TaskKey{norm},
+				Key: gray, Deps: sc.deps(norm),
 				OutputSize: ipChunk, EstDuration: sim.Milliseconds(450),
 			})
 			grays = append(grays, gray)
 		}
-		shard := w.shardPath(i % w.Shards)
+		shard := w.shardPaths[i%w.Shards]
 		g.Add(&dask.TaskSpec{
-			Key:        dask.TaskKey("store-zarr-" + pseudoHash("store1", i)),
+			Key:        hashKey(g, "store-zarr", "store1", i),
 			Deps:       grays,
 			OutputSize: 8,
 			Run: func(ctx *dask.TaskContext) {
@@ -161,11 +167,13 @@ func (w *ImageProcessing) graph1() *dask.Graph {
 // write small (KB) filtered summaries — the paper's smaller phase-2 writes.
 func (w *ImageProcessing) graph2() *dask.Graph {
 	g := dask.NewGraph(2)
+	var sc scratch
+	var blurs []dask.TaskKey
 	for i := 0; i < w.NumImages; i++ {
 		i := i
 		ci := w.chunks[i]
-		shard := w.shardPath(i % w.Shards)
-		read := dask.TaskKey("readzarr-" + pseudoHash("read2", i))
+		shard := w.shardPaths[i%w.Shards]
+		read := hashKey(g, "readzarr", "read2", i)
 		g.Add(&dask.TaskSpec{
 			Key:        read,
 			OutputSize: int64(ci) * ipChunk,
@@ -181,17 +189,17 @@ func (w *ImageProcessing) graph2() *dask.Graph {
 				ctx.Compute(sim.Milliseconds(100))
 			},
 		})
-		var blurs []dask.TaskKey
+		blurs = blurs[:0]
 		for c := 0; c < ci; c++ {
-			blur := dask.TaskKey("gaussian_filter-" + pseudoHash("blur", i, c))
+			blur := hashKey(g, "gaussian_filter", "blur", i, c)
 			g.Add(&dask.TaskSpec{
-				Key: blur, Deps: []dask.TaskKey{read},
+				Key: blur, Deps: sc.deps(read),
 				OutputSize: ipChunk, EstDuration: sim.Milliseconds(1100),
 			})
 			blurs = append(blurs, blur)
 		}
 		g.Add(&dask.TaskSpec{
-			Key:        dask.TaskKey("store-small-" + pseudoHash("store2", i)),
+			Key:        hashKey(g, "store-small", "store2", i),
 			Deps:       blurs,
 			OutputSize: 8,
 			Run: func(ctx *dask.TaskContext) {
@@ -213,12 +221,13 @@ func (w *ImageProcessing) graph2() *dask.Graph {
 // task writes the final report.
 func (w *ImageProcessing) graph3() *dask.Graph {
 	g := dask.NewGraph(3)
-	var segs []dask.TaskKey
+	var sc scratch
+	segs := make([]dask.TaskKey, 0, w.NumImages)
 	for i := 0; i < w.NumImages; i++ {
 		i := i
-		shard := w.shardPath(i % w.Shards)
+		shard := w.shardPaths[i%w.Shards]
 		nReads := w.smallReads[i]
-		read := dask.TaskKey("readsmall-" + pseudoHash("read3", i))
+		read := hashKey(g, "readsmall", "read3", i)
 		g.Add(&dask.TaskSpec{
 			Key:        read,
 			OutputSize: 96 << 10,
@@ -234,15 +243,15 @@ func (w *ImageProcessing) graph3() *dask.Graph {
 				ctx.Compute(sim.Milliseconds(60))
 			},
 		})
-		seg := dask.TaskKey("segment-" + pseudoHash("seg", i))
+		seg := hashKey(g, "segment", "seg", i)
 		g.Add(&dask.TaskSpec{
-			Key: seg, Deps: []dask.TaskKey{read},
+			Key: seg, Deps: sc.deps(read),
 			OutputSize: 2 << 20, EstDuration: sim.Milliseconds(1500),
 		})
 		segs = append(segs, seg)
 	}
 	g.Add(&dask.TaskSpec{
-		Key:        dask.TaskKey("report-" + pseudoHash("report")),
+		Key:        hashKey(g, "report", "report"),
 		Deps:       segs,
 		OutputSize: 256 << 10,
 		Run: func(ctx *dask.TaskContext) {

@@ -21,8 +21,9 @@ import (
 type ResNet152 struct {
 	NumImages int
 	BatchSize int
-	sizes     []int64 // per-image file size
-	tensors   []int64 // per-image transformed tensor size
+	sizes     []int64  // per-image file size
+	tensors   []int64  // per-image transformed tensor size
+	paths     []string // per-image file path, formatted once
 }
 
 // NewResNet152 builds the generator with the calibrated dataset: 3929
@@ -32,7 +33,9 @@ func NewResNet152() *ResNet152 {
 	rng := datasetRNG("resnet152")
 	w.sizes = make([]int64, w.NumImages)
 	w.tensors = make([]int64, w.NumImages)
+	w.paths = make([]string, w.NumImages)
 	for i := range w.sizes {
+		w.paths[i] = fmt.Sprintf("/lus/grand/imagewang/val/ILSVRC-%05d.JPEG", i)
 		w.sizes[i] = int64(rng.IntBetween(80, 400)) << 10
 		// Tensor size depends on the crop/resize path the image takes.
 		w.tensors[i] = int64(rng.IntBetween(350, 1400)) << 10
@@ -43,30 +46,33 @@ func NewResNet152() *ResNet152 {
 // Name implements core.Workflow.
 func (w *ResNet152) Name() string { return "resnet152" }
 
-func (w *ResNet152) imagePath(i int) string {
-	return fmt.Sprintf("/lus/grand/imagewang/val/ILSVRC-%05d.JPEG", i)
-}
-
 // Stage implements core.Workflow.
 func (w *ResNet152) Stage(env *core.Env) {
 	for i := 0; i < w.NumImages; i++ {
-		env.PFS.CreateNow(w.imagePath(i), w.sizes[i])
+		env.PFS.CreateNow(w.paths[i], w.sizes[i])
 	}
 }
 
 // Run implements core.Workflow: one task graph, submitted at once.
 func (w *ResNet152) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
+	cl.SubmitAndWait(p, w.graph())
+}
+
+// graph builds the workflow's one graph: a load and a transform per image, a
+// predict per batch, and a summary.
+func (w *ResNet152) graph() *dask.Graph {
 	g := dask.NewGraph(1)
+	var sc scratch
 	transforms := make([]dask.TaskKey, w.NumImages)
 	for i := 0; i < w.NumImages; i++ {
-		i := i
 		size := w.sizes[i]
-		load := dask.TaskKey("load-" + pseudoHash("load", i))
+		path := w.paths[i]
+		load := hashKey(g, "load", "load", i)
 		g.Add(&dask.TaskSpec{
 			Key:        load,
 			OutputSize: size,
 			Run: func(ctx *dask.TaskContext) {
-				f, err := ctx.Open(w.imagePath(i), posixio.RDONLY)
+				f, err := ctx.Open(path, posixio.RDONLY)
 				if err != nil {
 					panic(err)
 				}
@@ -78,32 +84,32 @@ func (w *ResNet152) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 				ctx.Compute(sim.Milliseconds(60))
 			},
 		})
-		tr := dask.TaskKey("transform-" + pseudoHash("transform", i))
+		tr := hashKey(g, "transform", "transform", i)
 		g.Add(&dask.TaskSpec{
-			Key: tr, Deps: []dask.TaskKey{load},
+			Key: tr, Deps: sc.deps(load),
 			OutputSize:  w.tensors[i], // normalized tensor
 			EstDuration: sim.Milliseconds(320),
 		})
 		transforms[i] = tr
 	}
-	var preds []dask.TaskKey
+	preds := make([]dask.TaskKey, 0, (w.NumImages+w.BatchSize-1)/w.BatchSize)
 	for b := 0; b*w.BatchSize < w.NumImages; b++ {
 		lo := b * w.BatchSize
 		hi := lo + w.BatchSize
 		if hi > w.NumImages {
 			hi = w.NumImages
 		}
-		pred := dask.TaskKey("predict-" + pseudoHash("predict", b))
+		pred := hashKey(g, "predict", "predict", b)
 		g.Add(&dask.TaskSpec{
-			Key: pred, Deps: append([]dask.TaskKey(nil), transforms[lo:hi]...),
+			Key: pred, Deps: transforms[lo:hi],
 			OutputSize:  5 << 10,
 			EstDuration: sim.Milliseconds(2400),
 		})
 		preds = append(preds, pred)
 	}
 	g.Add(&dask.TaskSpec{
-		Key:  dask.TaskKey("summarize-" + pseudoHash("summary")),
+		Key:  hashKey(g, "summarize", "summary"),
 		Deps: preds, OutputSize: 64 << 10, EstDuration: sim.Milliseconds(500),
 	})
-	cl.SubmitAndWait(p, g)
+	return g
 }

@@ -19,6 +19,7 @@ import (
 	"strconv"
 
 	"taskprov/internal/core"
+	"taskprov/internal/dask"
 	"taskprov/internal/sim"
 )
 
@@ -26,11 +27,11 @@ import (
 // seed by construction.
 const datasetSeed uint64 = 0xDA7A5E7
 
-// pseudoHash renders a deterministic 12-hex-digit "dask hash" for task
-// keys (wide enough that birthday collisions across ~10^4 keys are
-// negligible): FNV-1a over the name and then each number in decimal, every
-// part followed by a separator.
-func pseudoHash(name string, nums ...int) string {
+// appendHash appends a deterministic 12-hex-digit "dask hash" for task keys
+// (wide enough that birthday collisions across ~10^4 keys are negligible):
+// FNV-1a over the name and then each number in decimal, every part followed
+// by a separator.
+func appendHash(b []byte, name string, nums ...int) []byte {
 	h := fnvPart(1469598103934665603, name)
 	var buf [20]byte
 	for _, n := range nums {
@@ -42,7 +43,7 @@ func pseudoHash(name string, nums ...int) string {
 		out[i] = hexDigits[h&0xF]
 		h >>= 4
 	}
-	return string(out[:])
+	return append(b, out[:]...)
 }
 
 // fnvPart folds one key part into an FNV-1a hash, then the part separator:
@@ -56,16 +57,44 @@ func fnvPart[T string | []byte](h uint64, part T) uint64 {
 	return h * 1099511628211
 }
 
-// tupleKey renders a Dask collection task key: "('name-hash', index)".
-func tupleKey(name, hash string, index int) string {
-	var buf [64]byte
-	b := append(buf[:0], "('"...)
+// appendTuple appends a Dask collection task key: "('name-hash', index)".
+func appendTuple[T string | []byte](b []byte, name string, hash T, index int) []byte {
+	b = append(b, "('"...)
 	b = append(b, name...)
 	b = append(b, '-')
 	b = append(b, hash...)
 	b = append(b, "', "...)
 	b = strconv.AppendInt(b, int64(index), 10)
-	return string(append(b, ')'))
+	return append(b, ')')
+}
+
+// hashKey returns the task key "prefix-<hash of name and nums>", rendered in
+// one append into a stack buffer and interned by g.
+func hashKey(g *dask.Graph, prefix, name string, nums ...int) dask.TaskKey {
+	var buf [64]byte
+	b := append(append(buf[:0], prefix...), '-')
+	return g.Key(appendHash(b, name, nums...))
+}
+
+// tupleTaskKey returns the collection task key "('name-<hash of hname and
+// hnum>', index)", rendered into a stack buffer and interned by g.
+func tupleTaskKey(g *dask.Graph, name, hname string, hnum, index int) dask.TaskKey {
+	var hash [12]byte
+	var buf [96]byte
+	return g.Key(appendTuple(buf[:0], name, appendHash(hash[:0], hname, hnum), index))
+}
+
+// scratch is a generator's dependency list, one per graph, refilled for
+// every task: Add copies a spec's Deps, so no task needs a list of its own.
+// A []dask.TaskKey literal in the spec would cost a malloc per task — Go's
+// escape analysis does not tell a struct's fields apart, so the literal
+// escapes with the spec's Run closure.
+type scratch struct{ keys []dask.TaskKey }
+
+// deps returns keys as a dependency list, in the scratch's buffer.
+func (s *scratch) deps(keys ...dask.TaskKey) []dask.TaskKey {
+	s.keys = append(s.keys[:0], keys...)
+	return s.keys
 }
 
 // datasetRNG returns the fixed-structure RNG stream for a workload.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"taskprov/internal/core"
+	"taskprov/internal/dask"
 )
 
 func runOnce(t *testing.T, name string, seed uint64) *core.RunArtifacts {
@@ -162,9 +163,18 @@ func TestImageChunkBounds(t *testing.T) {
 	}
 }
 
+// pseudoHash and tupleKey render a key's parts as strings, through the
+// appends the generators render keys with.
+func pseudoHash(name string, nums ...int) string { return string(appendHash(nil, name, nums...)) }
+
+func tupleKey(name, hash string, index int) string {
+	return string(appendTuple(nil, name, hash, index))
+}
+
 // TestPseudoHashGolden pins task keys to the bytes the fmt-based renderer
 // produced (fmt.Sprint of each part, fmt.Sprintf("%012x") and "('%s-%s',
-// %d)"): a key is part of every stored event, so none may move.
+// %d)"): a key is part of every stored event, so none may move. The keys a
+// graph interns are those bytes too.
 func TestPseudoHashGolden(t *testing.T) {
 	hashes := []struct {
 		name string
@@ -213,6 +223,20 @@ func TestPseudoHashGolden(t *testing.T) {
 	for _, c := range tuples {
 		if got := tupleKey(c.name, c.hash, c.index); got != c.want {
 			t.Errorf("tupleKey(%q, %q, %d) = %q, want %q", c.name, c.hash, c.index, got, c.want)
+		}
+	}
+	g := dask.NewGraph(1)
+	interned := []struct{ got, want dask.TaskKey }{
+		{hashKey(g, "imread", "imread", 7), "imread-91dcb103a110"},
+		{hashKey(g, "normalize", "norm", 3, 12), "normalize-5ad0f0b62aa8"},
+		{hashKey(g, "report", "report"), "report-5026d89f1b26"},
+		{tupleTaskKey(g, "getitem", "getitem", 3, 63), "('getitem-7f960ca8febd', 63)"},
+		{tupleTaskKey(g, "predict", "predict", 0, 0), "('predict-c1356b78cadc', 0)"},
+		{modelKey, "model-combine-1c9e51f52e2d"},
+	}
+	for _, c := range interned {
+		if c.got != c.want {
+			t.Errorf("interned key %q, want %q", c.got, c.want)
 		}
 	}
 }

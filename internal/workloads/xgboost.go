@@ -29,6 +29,7 @@ type XGBoost struct {
 	fileSize  []int64 // per parquet file
 	readOut   []int64 // per-month fused-read output size (>128 MiB)
 	lastParts int
+	paths     []string // per parquet file, formatted once
 	workers   []string // worker addresses, captured at Run time
 	threads   int      // threads per worker, captured at Run time
 }
@@ -38,8 +39,10 @@ func NewXGBoost() *XGBoost {
 	w := &XGBoost{Months: 72, Files: 61, Partitions: 40, lastParts: 34}
 	rng := datasetRNG("xgboost")
 	w.fileSize = make([]int64, w.Files)
+	w.paths = make([]string, w.Files)
 	for i := range w.fileSize {
 		w.fileSize[i] = int64(rng.IntBetween(280, 390)) << 20 // ~20 GiB total
+		w.paths[i] = fmt.Sprintf("/lus/grand/tlc/fhvhv_tripdata_%04d-%02d.parquet", 2019+i/12, i%12+1)
 	}
 	w.readOut = make([]int64, w.Months)
 	for m := range w.readOut {
@@ -50,12 +53,6 @@ func NewXGBoost() *XGBoost {
 
 // Name implements core.Workflow.
 func (w *XGBoost) Name() string { return "xgboost" }
-
-func (w *XGBoost) filePath(i int) string {
-	year := 2019 + i/12
-	month := i%12 + 1
-	return fmt.Sprintf("/lus/grand/tlc/fhvhv_tripdata_%04d-%02d.parquet", year, month)
-}
 
 // fileFor maps a month graph to its parquet file; late months re-read early
 // files (the tail of the dataset shares files), keeping 61 distinct files.
@@ -69,7 +66,7 @@ func (w *XGBoost) fileFor(m int) int {
 // Stage implements core.Workflow.
 func (w *XGBoost) Stage(env *core.Env) {
 	for i := 0; i < w.Files; i++ {
-		env.PFS.CreateNow(w.filePath(i), w.fileSize[i])
+		env.PFS.CreateNow(w.paths[i], w.fileSize[i])
 	}
 }
 
@@ -85,18 +82,21 @@ func (w *XGBoost) parts(m int) int {
 	return w.Partitions
 }
 
-func (w *XGBoost) trainKey(m int) dask.TaskKey {
+// trainKey names month m's training frame, interned by g: the graph that
+// produces it, or a later one that depends on it.
+func (w *XGBoost) trainKey(g *dask.Graph, m int) dask.TaskKey {
 	if m == w.Months-1 {
-		return dask.TaskKey("to_frame-train-" + pseudoHash("tf-train", m))
+		return hashKey(g, "to_frame-train", "tf-train", m)
 	}
-	return dask.TaskKey("concat-train-" + pseudoHash("concat-train", m))
+	return hashKey(g, "concat-train", "concat-train", m)
 }
 
-func (w *XGBoost) testKey(m int) dask.TaskKey {
+// testKey names month m's test frame, interned by g.
+func (w *XGBoost) testKey(g *dask.Graph, m int) dask.TaskKey {
 	if m == w.Months-1 {
-		return dask.TaskKey("to_frame-test-" + pseudoHash("tf-test", m))
+		return hashKey(g, "to_frame-test", "tf-test", m)
 	}
-	return dask.TaskKey("concat-test-" + pseudoHash("concat-test", m))
+	return hashKey(g, "concat-test", "concat-test", m)
 }
 
 // Run implements core.Workflow: months are submitted eagerly (the client
@@ -132,14 +132,16 @@ func (w *XGBoost) monthGraph(m int) *dask.Graph {
 	fileIdx := w.fileFor(m)
 	size := w.fileSize[fileIdx]
 	out := w.readOut[m]
+	path := w.paths[fileIdx]
+	var sc scratch
 
-	read := dask.TaskKey("read_parquet-fused-assign-" + pseudoHash("read", m))
+	read := hashKey(g, "read_parquet-fused-assign", "read", m)
 	g.Add(&dask.TaskSpec{
 		Key:             read,
 		OutputSize:      out,
 		BlocksEventLoop: true, // parquet decode holds the GIL
 		Run: func(ctx *dask.TaskContext) {
-			f, err := ctx.Open(w.filePath(fileIdx), posixio.RDONLY)
+			f, err := ctx.Open(path, posixio.RDONLY)
 			if err != nil {
 				panic(err)
 			}
@@ -159,37 +161,37 @@ func (w *XGBoost) monthGraph(m int) *dask.Graph {
 		},
 	})
 
-	var drops []dask.TaskKey
-	var splits []dask.TaskKey
+	drops := make([]dask.TaskKey, 0, parts/2)
+	splits := make([]dask.TaskKey, 0, parts)
 	for pi := 0; pi < parts; pi++ {
 		idx := m*w.Partitions + pi // global partition index (Fig. 8 keys)
-		getitem := dask.TaskKey(tupleKey("getitem", pseudoHash("getitem", m), idx))
+		getitem := tupleTaskKey(g, "getitem", "getitem", m, idx)
 		g.Add(&dask.TaskSpec{
-			Key: getitem, Deps: []dask.TaskKey{read},
+			Key: getitem, Deps: sc.deps(read),
 			OutputSize: 30 << 20, EstDuration: sim.Milliseconds(260),
 		})
-		cats := dask.TaskKey(tupleKey("getitem__get_categories", pseudoHash("cats", m), idx))
+		cats := tupleTaskKey(g, "getitem__get_categories", "cats", m, idx)
 		g.Add(&dask.TaskSpec{
-			Key: cats, Deps: []dask.TaskKey{getitem},
+			Key: cats, Deps: sc.deps(getitem),
 			OutputSize: 25 << 20, EstDuration: sim.Milliseconds(300),
 		})
-		split := dask.TaskKey(tupleKey("random_split_take", pseudoHash("split", m), idx))
+		split := tupleTaskKey(g, "random_split_take", "split", m, idx)
 		g.Add(&dask.TaskSpec{
-			Key: split, Deps: []dask.TaskKey{getitem, cats},
+			Key: split, Deps: sc.deps(getitem, cats),
 			OutputSize: 28 << 20, EstDuration: sim.Milliseconds(340),
 		})
 		splits = append(splits, split)
 	}
 	for j := 0; j < parts/2; j++ {
-		drop := dask.TaskKey(tupleKey("drop_by_shallow_copy", pseudoHash("drop", m), m*w.Partitions/2+j))
+		drop := tupleTaskKey(g, "drop_by_shallow_copy", "drop", m, m*w.Partitions/2+j)
 		g.Add(&dask.TaskSpec{
-			Key: drop, Deps: []dask.TaskKey{splits[2*j], splits[2*j+1]},
+			Key: drop, Deps: splits[2*j : 2*j+2],
 			OutputSize: 52 << 20, EstDuration: sim.Milliseconds(320),
 		})
 		drops = append(drops, drop)
 	}
-	concatTrain := dask.TaskKey("concat-train-" + pseudoHash("concat-train", m))
-	concatTest := dask.TaskKey("concat-test-" + pseudoHash("concat-test", m))
+	concatTrain := hashKey(g, "concat-train", "concat-train", m)
+	concatTest := hashKey(g, "concat-test", "concat-test", m)
 	g.Add(&dask.TaskSpec{
 		Key: concatTrain, Deps: drops,
 		OutputSize: 250 << 20, EstDuration: sim.Milliseconds(650),
@@ -201,11 +203,11 @@ func (w *XGBoost) monthGraph(m int) *dask.Graph {
 	if m == w.Months-1 {
 		// The short final month converts its concatenations to frames.
 		g.Add(&dask.TaskSpec{
-			Key: w.trainKey(m), Deps: []dask.TaskKey{concatTrain},
+			Key: w.trainKey(g, m), Deps: sc.deps(concatTrain),
 			OutputSize: 250 << 20, EstDuration: sim.Milliseconds(300),
 		})
 		g.Add(&dask.TaskSpec{
-			Key: w.testKey(m), Deps: []dask.TaskKey{concatTest},
+			Key: w.testKey(g, m), Deps: sc.deps(concatTest),
 			OutputSize: 80 << 20, EstDuration: sim.Milliseconds(250),
 		})
 	}
@@ -226,21 +228,22 @@ func (w *XGBoost) trainGraph() *dask.Graph {
 	// training (nthread = threads-per-worker): one pinned trainer task per
 	// thread slot, all running for the whole training phase.
 	threads := w.trainThreads()
-	var trains []dask.TaskKey
+	trains := make([]dask.TaskKey, 0, len(workers)*threads)
+	var deps []dask.TaskKey
 	slot := 0
 	for t := range workers {
 		for th := 0; th < threads; th++ {
-			var deps []dask.TaskKey
+			deps = deps[:0]
 			for m := slot; m < w.Months; m += len(workers) * threads {
-				key := w.trainKey(m)
+				key := w.trainKey(g, m)
 				deps = append(deps, key)
 				g.AddExternal(key)
 			}
-			key := dask.TaskKey("train-xgboost-" + pseudoHash("train", t, th))
+			key := hashKey(g, "train-xgboost", "train", t, th)
 			g.Add(&dask.TaskSpec{
 				Key: key, Deps: deps,
 				OutputSize:   8 << 20, // per-thread booster partial
-				Restrictions: []string{workers[t]},
+				Restrictions: workers[t : t+1],
 				Run: func(ctx *dask.TaskContext) {
 					// Native training; checkpoints go to node-local
 					// scratch, outside the instrumented PFS (so Table I's
@@ -267,26 +270,27 @@ func (w *XGBoost) trainThreads() int {
 	return 8
 }
 
-var modelKey = dask.TaskKey("model-combine-" + pseudoHash("model"))
+var modelKey = dask.TaskKey(appendHash([]byte("model-combine-"), "model"))
 
 // predictGraph builds graph 74: per-month test-set prediction plus a
 // summary writing the final report.
 func (w *XGBoost) predictGraph() *dask.Graph {
 	g := dask.NewGraph(w.Months + 2)
 	g.AddExternal(modelKey)
-	var preds []dask.TaskKey
+	var sc scratch
+	preds := make([]dask.TaskKey, 0, 61)
 	for i := 0; i < 61; i++ {
-		test := w.testKey(i)
+		test := w.testKey(g, i)
 		g.AddExternal(test)
-		key := dask.TaskKey(tupleKey("predict", pseudoHash("predict", i), i))
+		key := tupleTaskKey(g, "predict", "predict", i, i)
 		g.Add(&dask.TaskSpec{
-			Key: key, Deps: []dask.TaskKey{modelKey, test},
+			Key: key, Deps: sc.deps(modelKey, test),
 			OutputSize: 1 << 20, EstDuration: sim.Milliseconds(1500),
 		})
 		preds = append(preds, key)
 	}
 	g.Add(&dask.TaskSpec{
-		Key: dask.TaskKey("summarize-" + pseudoHash("xgb-summary")), Deps: preds,
+		Key: hashKey(g, "summarize", "xgb-summary"), Deps: preds,
 		OutputSize: 128 << 10, EstDuration: sim.Milliseconds(500),
 	})
 	return g

@@ -51,8 +51,7 @@ func TestMapRangeOrder(t *testing.T) {
 // look order-dependent but are not, or cannot be changed here, each with the
 // reason.
 var orderFree = map[string]string{
-	"internal/dask/graph.go:Graph.Finalize": "the Kahn frontier is a min-heap of keys: in whatever order dependents are listed and ready keys pushed, the smallest ready key pops next, so the order is a function of the graph",
-	"bench/e2e/reference.go:diffStats":      "the order shows only in the text of a failed reference check, which fails either way; bench/e2e changes only with the benchmark itself",
+	"bench/e2e/reference.go:diffStats": "the order shows only in the text of a failed reference check, which fails either way; bench/e2e changes only with the benchmark itself",
 }
 
 // mapRange is one flagged range over a map: the function it is in
