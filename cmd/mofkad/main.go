@@ -40,7 +40,6 @@ import (
 
 	"taskprov/internal/live"
 	"taskprov/internal/mochi/bedrock"
-	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
 	"taskprov/internal/mofka/cluster"
 	"taskprov/internal/mofka/wal"
@@ -84,14 +83,11 @@ func main() {
 			fatal(err)
 		}
 	}
-	if mercury.IsLocal(cfg.Address) {
-		fatal(fmt.Errorf("mofkad needs a TCP address, got %q", cfg.Address))
-	}
 	pol, err := wal.ParseSyncPolicy(*fsync)
 	if err != nil {
 		fatal(err)
 	}
-	dep, err := bedrock.Deploy(cfg, nil)
+	dep, err := bedrock.Deploy(cfg)
 	if err != nil {
 		fatal(err)
 	}

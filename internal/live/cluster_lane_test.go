@@ -47,7 +47,7 @@ func TestAggregatorClusterHealthLane(t *testing.T) {
 		t.Fatalf("warning histogram = %v", s.Warnings)
 	}
 
-	srv := httptest.NewServer(NewServer(staticSource{s}))
+	srv := httptest.NewServer(NewServer(staticSource{s}).mux)
 	defer srv.Close()
 	res, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -102,7 +102,7 @@ func TestConsumerLagSurfaced(t *testing.T) {
 		t.Fatalf("total lag = %d from %v, want 10", total, lag)
 	}
 
-	srv := httptest.NewServer(NewServer(m))
+	srv := httptest.NewServer(NewServer(m).mux)
 	res, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -15,10 +15,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
 	"taskprov/internal/live"
+	"taskprov/internal/mochi/mercury"
+	"taskprov/internal/mofka"
 	"taskprov/internal/perfrecup"
 	"taskprov/internal/posixio"
 	"taskprov/internal/sim"
@@ -271,6 +274,45 @@ func TestWatchServesCrashedRun(t *testing.T) {
 	}
 	if w := tail.Snapshot().Workflow; w != "mini" {
 		t.Fatalf("workflow from metadata.json = %q", w)
+	}
+}
+
+// TestTailRemoteEqualsReplayBroker: a remote tailer attached to a finished
+// run's log service, in process or across a Mercury endpoint, reads the log in
+// the order the replay does, so its first snapshot is ReplayBroker's,
+// anomalies included.
+func TestTailRemoteEqualsReplayBroker(t *testing.T) {
+	wf, err := workloads.New("imageprocessing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := core.Run(workloads.DefaultSession("imageprocessing", "job-imageprocessing", 3), wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := live.NewAggregator(live.AggregatorOptions{})
+	if err := live.ReplayBroker(art.Broker, replay); err != nil {
+		t.Fatal(err)
+	}
+	want := replay.Snapshot()
+	if len(want.Anomalies) == 0 {
+		t.Fatal("the replay raised no anomaly; the test wants some to compare")
+	}
+	ep := mercury.NewEndpoint("mofkad")
+	mofka.Serve(ep, art.Broker.Service())
+	for _, svc := range []mofka.Service{art.Broker.Service(), mofka.NewRemote(ep)} {
+		tail, err := live.TailRemote(svc, live.TailOptions{Interval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tail.Snapshot()
+		tail.Stop()
+		if len(got.Anomalies) != len(want.Anomalies) {
+			t.Errorf("%T: the tailer raised %d anomalies, the replay %d", svc, len(got.Anomalies), len(want.Anomalies))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: the tailer's first snapshot differs from the replay's", svc)
+		}
 	}
 }
 

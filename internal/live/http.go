@@ -33,8 +33,8 @@ type Server struct {
 	ln  net.Listener
 }
 
-// NewServer builds the handler without binding a port (useful for tests via
-// httptest and for embedding into an existing mux).
+// NewServer builds the server's routes without binding a port; Serve binds
+// one.
 func NewServer(src Source) *Server {
 	s := &Server{src: src, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/snapshot", s.handleSnapshot)
@@ -46,9 +46,6 @@ func NewServer(src Source) *Server {
 	})
 	return s
 }
-
-// ServeHTTP makes Server an http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Serve binds addr (e.g. "127.0.0.1:0") and serves in the background.
 func Serve(addr string, src Source) (*Server, error) {

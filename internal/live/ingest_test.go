@@ -118,13 +118,12 @@ func TestReplayReportsMalformedEvent(t *testing.T) {
 func TestRemoteTailerReportsMalformedEventOnce(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	seedWithMalformed(t, b, 8)
-	reg := mercury.NewRegistry()
-	mofka.Serve(reg.Listen("local://mofka"), b.Service())
+	ep := mercury.NewEndpoint("mofka")
+	mofka.Serve(ep, b.Service())
 	tl := &RemoteTailer{
-		remote:  mofka.NewRemote(reg.Bind("local://mofka")),
-		agg:     NewAggregator(AggregatorOptions{}),
-		next:    make(map[laneKey]uint64),
-		readers: make(map[string]chunkReader),
+		remote: mofka.NewRemote(ep),
+		agg:    NewAggregator(AggregatorOptions{}),
+		topics: make(map[string]*remoteTopic),
 	}
 	for i, bad := range malformed {
 		err := tl.sweep()

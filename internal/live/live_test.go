@@ -425,7 +425,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	seedBroker(t, b, 60)
 	m.Finish(nil, 20)
 
-	srv := httptest.NewServer(NewServer(m))
+	srv := httptest.NewServer(NewServer(m).mux)
 	defer srv.Close()
 
 	var snap Summary
@@ -469,7 +469,7 @@ func TestHTTPEndpoints(t *testing.T) {
 func TestSSEStream(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	m := NewMonitor(b, MonitorOptions{})
-	srv := httptest.NewServer(NewServer(m))
+	srv := httptest.NewServer(NewServer(m).mux)
 	defer srv.Close()
 
 	res, err := http.Get(srv.URL + "/events?interval=50ms")
@@ -494,7 +494,7 @@ func TestSSEStream(t *testing.T) {
 // TestSSERejectsTinyInterval: an /events interval that does not parse, or is
 // shorter than 10 ms, is refused before any snapshot is taken.
 func TestSSERejectsTinyInterval(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewMonitor(mofka.NewStandaloneBroker(), MonitorOptions{})))
+	srv := httptest.NewServer(NewServer(NewMonitor(mofka.NewStandaloneBroker(), MonitorOptions{})).mux)
 	defer srv.Close()
 	for _, interval := range []string{"1ns", "9ms", "0s", "-1s", "soon"} {
 		res, err := http.Get(srv.URL + "/events?interval=" + interval)
@@ -564,7 +564,7 @@ func TestSSEClientsUnsubscribe(t *testing.T) {
 		{"wal-tailer", tail, tail.subscribers},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			srv := httptest.NewServer(NewServer(c.src))
+			srv := httptest.NewServer(NewServer(c.src).mux)
 			defer srv.Close()
 			base := c.subscribers()
 			const clients = 8
@@ -609,7 +609,7 @@ func TestConcurrentProducersMonitorAndReaders(t *testing.T) {
 	}
 	m := NewMonitor(b, MonitorOptions{})
 	stopSweeps := sweepEvery(m, time.Millisecond)
-	srv := httptest.NewServer(NewServer(m))
+	srv := httptest.NewServer(NewServer(m).mux)
 	defer srv.Close()
 
 	const producers, perProducer = 4, 250
@@ -689,9 +689,9 @@ func TestMonitorSweptFromHostTicker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = b.Close() }()
-	reg := mercury.NewRegistry()
-	mofka.Serve(reg.Listen("local://mofka"), b.Service())
-	remote := mofka.NewRemote(reg.Bind("local://mofka"))
+	ep := mercury.NewEndpoint("mofka")
+	mofka.Serve(ep, b.Service())
+	remote := mofka.NewRemote(ep)
 
 	m := NewMonitor(b, MonitorOptions{})
 	stopSweeps := sweepEvery(m, time.Millisecond)

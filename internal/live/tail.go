@@ -355,22 +355,26 @@ type RemoteTailer struct {
 	remote mofka.Service
 	opts   TailOptions
 	agg    *Aggregator
-
-	next    map[laneKey]uint64
-	readers map[string]chunkReader
+	topics map[string]*remoteTopic
 
 	poller
+}
+
+// remoteTopic is where the tailer stands in one topic's delivery order.
+type remoteTopic struct {
+	r    chunkReader
+	next []uint64 // per partition, the next offset to read
+	turn int      // the partition the rest of the order starts at
 }
 
 // TailRemote starts tailing a log service. One synchronous sweep runs before
 // returning so the first snapshot is already populated.
 func TailRemote(r mofka.Service, opts TailOptions) (*RemoteTailer, error) {
 	t := &RemoteTailer{
-		remote:  r,
-		opts:    opts.withDefaults(),
-		agg:     NewAggregator(AggregatorOptions{}),
-		next:    make(map[laneKey]uint64),
-		readers: make(map[string]chunkReader),
+		remote: r,
+		opts:   opts.withDefaults(),
+		agg:    NewAggregator(AggregatorOptions{}),
+		topics: make(map[string]*remoteTopic),
 	}
 	if err := t.sweep(); err != nil {
 		return nil, err
@@ -379,46 +383,69 @@ func TailRemote(r mofka.Service, opts TailOptions) (*RemoteTailer, error) {
 	return t, nil
 }
 
-// sweep pulls everything new from every provenance topic on the remote,
-// partition by partition, each pulled batch fed to the aggregator as a chunk.
+// sweep pulls everything new from the remote in the order ReplayBroker reads
+// a log: topic by topic in provenance.AllTopics' order, each topic in its
+// delivery order (mofka.ChunkOrder over the partition lengths the remote
+// answers, from where the last sweep stopped), a chunk fed to the aggregator
+// as one. So a sweep over a finished log leaves ReplayBroker's aggregates.
 func (t *RemoteTailer) sweep() error {
-	topics, err := t.remote.Topics()
+	names, err := t.remote.Topics()
 	if err != nil {
 		return err
 	}
-	for _, topic := range topics {
-		if !slices.Contains(provenance.AllTopics(), topic) {
+	for _, topic := range provenance.AllTopics() {
+		if !slices.Contains(names, topic) {
 			continue
 		}
-		parts, _, err := t.remote.TopicInfo(topic)
-		if err != nil {
-			return err
+		rt := t.topics[topic]
+		if rt == nil {
+			parts, _, err := t.remote.TopicInfo(topic)
+			if err != nil {
+				return err
+			}
+			rt = &remoteTopic{r: readerOf(topic), next: make([]uint64, parts)}
+			t.topics[topic] = rt
 		}
-		r := t.readers[topic]
-		if r == nil {
-			r = readerOf(topic)
-			t.readers[topic] = r
+		lens := make([]uint64, len(rt.next))
+		for p := range lens {
+			if lens[p], err = t.remote.PartitionLength(topic, p); err != nil {
+				return err
+			}
 		}
-		for p := 0; p < parts; p++ {
-			k := laneKey{topic, p}
-			for {
-				evs, err := t.remote.Pull(topic, p, t.next[k], chunk, false)
-				if err != nil {
+		for _, c := range mofka.ChunkOrder(rt.next, lens, rt.turn, chunk) {
+			evs, err := t.pull(topic, c)
+			if err != nil {
+				return err
+			}
+			// Step past the chunk first: an event in it that does not decode
+			// is reported once, not on every sweep.
+			rt.next[c.Part] = c.From + uint64(len(evs))
+			rt.turn = (c.Part + 1) % len(rt.next)
+			if len(evs) > 0 {
+				if err := rt.r.events(t.agg, c.Part, evs); err != nil {
 					return err
 				}
-				if len(evs) == 0 {
-					break
-				}
-				// Step past the batch first: an event in it that does not
-				// decode is reported once, not on every sweep.
-				t.next[k] = evs[len(evs)-1].ID + 1
-				if err := r.events(t.agg, p, evs); err != nil {
-					return err
-				}
+			}
+			if len(evs) < c.N {
+				break // the rest of the order assumed this chunk whole
 			}
 		}
 	}
 	return nil
+}
+
+// pull reads chunk c of topic, pulling again while the remote answers short
+// of it; it stops early only where the partition has no more to give.
+func (t *RemoteTailer) pull(topic string, c mofka.Chunk) ([]mofka.Event, error) {
+	var evs []mofka.Event
+	for len(evs) < c.N {
+		more, err := t.remote.Pull(topic, c.Part, c.From+uint64(len(evs)), c.N-len(evs), false)
+		if err != nil || len(more) == 0 {
+			return evs, err
+		}
+		evs = append(evs, more...)
+	}
+	return evs, nil
 }
 
 // Snapshot implements Source.

@@ -19,9 +19,8 @@ import (
 
 // Config is the JSON deployment description.
 type Config struct {
-	// Address is the Mercury address the deployment listens on. Addresses
-	// with the "local://" scheme are in-process; anything else is treated
-	// as a TCP host:port to listen on.
+	// Address is the TCP host:port the deployment's Mercury endpoint
+	// listens on ("127.0.0.1:0" picks a free port).
 	Address string       `json:"address"`
 	Yokan   YokanConfig  `json:"yokan"`
 	Warabi  WarabiConfig `json:"warabi"`
@@ -77,9 +76,7 @@ func ParseConfig(data []byte) (Config, error) {
 
 // Deployment is a bootstrapped composition of microservices.
 type Deployment struct {
-	cfg      Config
 	endpoint *mercury.Endpoint
-	registry *mercury.Registry
 	server   *mercury.Server
 
 	Yokan  *yokan.Store
@@ -87,19 +84,16 @@ type Deployment struct {
 	groups map[string]*ssg.Group
 }
 
-// Deploy instantiates the configured services. For local:// addresses the
-// endpoint is registered in reg (which must be non-nil); for TCP addresses a
-// server is started and reg may be nil.
-func Deploy(cfg Config, reg *mercury.Registry) (*Deployment, error) {
+// Deploy instantiates the configured services and serves their endpoint
+// over TCP on the configured address.
+func Deploy(cfg Config) (*Deployment, error) {
 	if cfg.Address == "" {
 		return nil, fmt.Errorf("bedrock: config missing address")
 	}
 	d := &Deployment{
-		cfg:      cfg,
-		registry: reg,
-		Yokan:    yokan.NewStore(),
-		Warabi:   warabi.NewProvider(),
-		groups:   make(map[string]*ssg.Group),
+		Yokan:  yokan.NewStore(),
+		Warabi: warabi.NewProvider(),
+		groups: make(map[string]*ssg.Group),
 	}
 	for _, db := range cfg.Yokan.Databases {
 		d.Yokan.Open(db)
@@ -113,43 +107,24 @@ func Deploy(cfg Config, reg *mercury.Registry) (*Deployment, error) {
 			DeadAfter:    time.Duration(gc.DeadAfterMS) * time.Millisecond,
 		})
 	}
-	if mercury.IsLocal(cfg.Address) {
-		if reg == nil {
-			return nil, fmt.Errorf("bedrock: local address %q requires a registry", cfg.Address)
-		}
-		d.endpoint = reg.Listen(cfg.Address)
-	} else {
-		d.endpoint = mercury.NewEndpoint(cfg.Address)
-		srv, err := mercury.Serve(d.endpoint, cfg.Address)
-		if err != nil {
-			return nil, fmt.Errorf("bedrock: listen %q: %w", cfg.Address, err)
-		}
-		d.server = srv
+	d.endpoint = mercury.NewEndpoint(cfg.Address)
+	srv, err := mercury.Serve(d.endpoint, cfg.Address)
+	if err != nil {
+		return nil, fmt.Errorf("bedrock: listen %q: %w", cfg.Address, err)
 	}
+	d.server = srv
 	return d, nil
 }
 
 // Endpoint returns the Mercury endpoint services register RPCs on.
 func (d *Deployment) Endpoint() *mercury.Endpoint { return d.endpoint }
 
-// Addr returns the address clients should dial: the configured local label,
-// or the actual TCP address for network deployments.
-func (d *Deployment) Addr() string {
-	if d.server != nil {
-		return d.server.Addr()
-	}
-	return d.cfg.Address
-}
+// Addr returns the TCP address clients should dial: the configured one with
+// its port resolved.
+func (d *Deployment) Addr() string { return d.server.Addr() }
 
 // Group returns the named SSG group, or nil if not configured.
 func (d *Deployment) Group(name string) *ssg.Group { return d.groups[name] }
 
-// Shutdown stops network listeners and unregisters local endpoints.
-func (d *Deployment) Shutdown() {
-	if d.server != nil {
-		_ = d.server.Close()
-	}
-	if d.registry != nil && mercury.IsLocal(d.cfg.Address) {
-		d.registry.Close(d.cfg.Address)
-	}
-}
+// Shutdown stops the deployment's listener.
+func (d *Deployment) Shutdown() { _ = d.server.Close() }

@@ -6,11 +6,12 @@ import (
 	"time"
 
 	"taskprov/internal/mochi/mercury"
+	"taskprov/internal/mochi/ssg"
 )
 
 func TestParseConfig(t *testing.T) {
 	js := `{
-		"address": "local://svc",
+		"address": "127.0.0.1:7791",
 		"yokan": {"databases": ["meta", "index"]},
 		"warabi": {"targets": ["data"]},
 		"ssg": {"groups": [{"name": "g", "suspect_after_ms": 100, "dead_after_ms": 300}]}
@@ -19,7 +20,7 @@ func TestParseConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Address != "local://svc" || len(cfg.Yokan.Databases) != 2 {
+	if cfg.Address != "127.0.0.1:7791" || len(cfg.Yokan.Databases) != 2 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 }
@@ -33,9 +34,10 @@ func TestParseConfigErrors(t *testing.T) {
 	}
 }
 
+// TestDeployLocal: a deployment instantiates the configured services and
+// groups, and its endpoint answers a call made on it in process.
 func TestDeployLocal(t *testing.T) {
-	reg := mercury.NewRegistry()
-	d, err := Deploy(DefaultConfig("local://mofka"), reg)
+	d, err := Deploy(DefaultConfig("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,26 +54,17 @@ func TestDeployLocal(t *testing.T) {
 	if d.Group("absent") != nil {
 		t.Fatal("unexpected group")
 	}
-	if d.Addr() != "local://mofka" {
-		t.Fatalf("Addr = %q", d.Addr())
-	}
-
-	// Endpoint is reachable through the registry.
 	d.Endpoint().Register("ping", func(req []byte) ([]byte, error) { return []byte("pong"), nil })
-	resp, err := reg.Call(d.Addr(), "ping", nil)
+	resp, err := d.Endpoint().Call("ping", nil)
 	if err != nil || string(resp) != "pong" {
 		t.Fatalf("ping = %q, %v", resp, err)
 	}
 }
 
-func TestDeployLocalWithoutRegistryFails(t *testing.T) {
-	if _, err := Deploy(DefaultConfig("local://x"), nil); err == nil {
-		t.Fatal("local deploy without registry succeeded")
-	}
-}
-
+// TestDeployTCP: a deployment serves its endpoint on the resolved TCP
+// address.
 func TestDeployTCP(t *testing.T) {
-	d, err := Deploy(DefaultConfig("127.0.0.1:0"), nil)
+	d, err := Deploy(DefaultConfig("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,23 +84,19 @@ func TestDeployTCP(t *testing.T) {
 	}
 }
 
-func TestShutdownUnregistersLocal(t *testing.T) {
-	reg := mercury.NewRegistry()
-	d, err := Deploy(DefaultConfig("local://gone"), reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Shutdown()
-	if _, err := reg.Call("local://gone", "x", nil); err == nil {
-		t.Fatal("endpoint still reachable after shutdown")
+// TestDeployRefusesNonTCPAddress: an address that is no host:port, such as
+// a bare service label, fails at the listen, with an error that names it.
+func TestDeployRefusesNonTCPAddress(t *testing.T) {
+	const addr = "mofka-svc"
+	if _, err := Deploy(DefaultConfig(addr)); err == nil || !strings.Contains(err.Error(), addr) {
+		t.Fatalf("Deploy(%q) = %v, want an error naming the address", addr, err)
 	}
 }
 
 func TestSSGGroupThresholdsApplied(t *testing.T) {
-	cfg := DefaultConfig("local://svc")
+	cfg := DefaultConfig("127.0.0.1:0")
 	cfg.SSG.Groups = []SSGGroupConfig{{Name: "fast", SuspectAfterMS: 10, DeadAfterMS: 30}}
-	reg := mercury.NewRegistry()
-	d, err := Deploy(cfg, reg)
+	d, err := Deploy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +105,7 @@ func TestSSGGroupThresholdsApplied(t *testing.T) {
 	now := time.Now()
 	g.Join("m0", now)
 	g.Sweep(now.Add(15 * time.Millisecond))
-	if ms := g.Members(); len(ms) != 1 || ms[0].State.String() != "suspect" {
+	if ms := g.Members(); len(ms) != 1 || ms[0].State != ssg.Suspect {
 		t.Fatalf("members = %+v, want one suspect (thresholds not applied)", ms)
 	}
 }

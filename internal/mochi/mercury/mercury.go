@@ -1,8 +1,8 @@
 // Package mercury is a small RPC fabric inspired by the Mochi suite's
 // Mercury/Margo layer: named endpoints expose handlers, and clients call
-// them by address. Two transports are provided — an in-process registry
-// (the common case: Mofka runs in tandem with the workflow, in user space)
-// and a length-prefixed TCP wire protocol for the standalone broker daemon.
+// them by address over one transport, a length-prefixed TCP wire protocol
+// (the standalone broker daemon and its cluster members speak it). A
+// session makes no RPC: its producers append to their broker directly.
 package mercury
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"time"
 )
@@ -21,9 +20,6 @@ import (
 // response payload. Returning an error propagates a remote error string to
 // the caller.
 type Handler func(req []byte) ([]byte, error)
-
-// ErrNoEndpoint is returned when dialing an unregistered local address.
-var ErrNoEndpoint = errors.New("mercury: no such endpoint")
 
 // ErrNoRPC is returned when calling an RPC name the endpoint does not expose.
 var ErrNoRPC = errors.New("mercury: no such rpc")
@@ -39,7 +35,8 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return "mercury: remote: " + e.Msg }
 
-// Endpoint is a service-side RPC dispatch table.
+// Endpoint is a service-side RPC dispatch table. Serve puts it on the wire;
+// as a Caller it is the same dispatch without the wire.
 type Endpoint struct {
 	addr     string
 	mu       sync.RWMutex
@@ -58,59 +55,18 @@ func (e *Endpoint) Register(name string, h Handler) {
 	e.handlers[name] = h
 }
 
-// dispatch runs the handler for name.
-func (e *Endpoint) dispatch(name string, req []byte) ([]byte, error) {
+// Call runs the handler for rpc: what a Server does with each request that
+// arrives, and what makes an Endpoint a Caller.
+func (e *Endpoint) Call(rpc string, req []byte) ([]byte, error) {
 	e.mu.RLock()
-	h := e.handlers[name]
+	h := e.handlers[rpc]
 	e.mu.RUnlock()
 	if h == nil {
-		return nil, fmt.Errorf("%w: %q on %s", ErrNoRPC, name, e.addr)
+		return nil, fmt.Errorf("%w: %q on %s", ErrNoRPC, rpc, e.addr)
 	}
 	return h(req)
 }
 
-// Registry resolves in-process addresses to endpoints.
-type Registry struct {
-	mu        sync.RWMutex
-	endpoints map[string]*Endpoint
-}
-
-// NewRegistry creates an empty in-process address space.
-func NewRegistry() *Registry {
-	return &Registry{endpoints: make(map[string]*Endpoint)}
-}
-
-// Listen registers and returns a new endpoint at addr. Re-listening on an
-// occupied address replaces the previous endpoint (mirroring service
-// restart).
-func (r *Registry) Listen(addr string) *Endpoint {
-	e := NewEndpoint(addr)
-	r.mu.Lock()
-	r.endpoints[addr] = e
-	r.mu.Unlock()
-	return e
-}
-
-// Close removes the endpoint at addr.
-func (r *Registry) Close(addr string) {
-	r.mu.Lock()
-	delete(r.endpoints, addr)
-	r.mu.Unlock()
-}
-
-// Call performs an in-process RPC to addr.
-func (r *Registry) Call(addr, rpc string, req []byte) ([]byte, error) {
-	r.mu.RLock()
-	e := r.endpoints[addr]
-	r.mu.RUnlock()
-	if e == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoEndpoint, addr)
-	}
-	return e.dispatch(rpc, req)
-}
-
-// ---- TCP transport ----
-//
 // Wire format (all integers big-endian uint32):
 //
 //	request:  len(name) name len(payload) payload
@@ -209,7 +165,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		resp, herr := s.ep.dispatch(string(name), req)
+		resp, herr := s.ep.Call(string(name), req)
 		var status [1]byte
 		if herr != nil {
 			status[0] = 1
@@ -345,25 +301,7 @@ func (c *Client) Close() error {
 }
 
 // Caller abstracts "something that can issue RPCs to an address", satisfied
-// by both the in-process Registry (via Bind) and TCP clients.
+// by a TCP Client and by an Endpoint itself.
 type Caller interface {
 	Call(rpc string, req []byte) ([]byte, error)
 }
-
-// Bound is a Registry scoped to one destination address, satisfying Caller.
-type Bound struct {
-	reg  *Registry
-	addr string
-}
-
-// Bind returns a Caller that sends every RPC to addr via the registry.
-func (r *Registry) Bind(addr string) *Bound { return &Bound{reg: r, addr: addr} }
-
-// Call implements Caller.
-func (b *Bound) Call(rpc string, req []byte) ([]byte, error) {
-	return b.reg.Call(b.addr, rpc, req)
-}
-
-// IsLocal reports whether an address looks like an in-process label rather
-// than a host:port. Local labels use the "local://" scheme.
-func IsLocal(addr string) bool { return strings.HasPrefix(addr, "local://") }

@@ -4,51 +4,74 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// TestRegistryCall: a handler registered on an endpoint answers a call
+// made on that endpoint in process.
 func TestRegistryCall(t *testing.T) {
-	reg := NewRegistry()
-	ep := reg.Listen("local://svc")
+	ep := NewEndpoint("svc")
 	ep.Register("echo", func(req []byte) ([]byte, error) { return req, nil })
-	resp, err := reg.Call("local://svc", "echo", []byte("hi"))
+	resp, err := ep.Call("echo", []byte("hi"))
 	if err != nil || string(resp) != "hi" {
 		t.Fatalf("echo = %q, %v", resp, err)
 	}
 }
 
+// TestRegistryUnknownEndpointAndRPC: an RPC name the endpoint does not
+// expose is ErrNoRPC in process and a RemoteError naming ErrNoRPC over
+// TCP; once its server is closed, the endpoint's address cannot be dialled.
 func TestRegistryUnknownEndpointAndRPC(t *testing.T) {
-	reg := NewRegistry()
-	if _, err := reg.Call("local://nope", "x", nil); !errors.Is(err, ErrNoEndpoint) {
-		t.Fatalf("err = %v, want ErrNoEndpoint", err)
+	ep := NewEndpoint("svc")
+	srv, err := Serve(ep, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	reg.Listen("local://svc")
-	if _, err := reg.Call("local://svc", "x", nil); !errors.Is(err, ErrNoRPC) {
-		t.Fatalf("err = %v, want ErrNoRPC", err)
+	addr := srv.Addr()
+	cli, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ep.Call("x", nil); !errors.Is(err, ErrNoRPC) {
+		t.Fatalf("in process: err = %v, want ErrNoRPC", err)
+	}
+	var re *RemoteError
+	if _, err := cli.Call("x", nil); !errors.As(err, &re) || !strings.Contains(re.Msg, ErrNoRPC.Error()) {
+		t.Fatalf("over TCP: err = %v, want a RemoteError naming ErrNoRPC", err)
+	}
+	cli.Close()
+	srv.Close()
+	if c, err := Dial(addr); err == nil {
+		c.Close()
+		t.Fatalf("Dial(%s) after server Close succeeded", addr)
 	}
 }
 
-func TestRegistryCloseRemoves(t *testing.T) {
-	reg := NewRegistry()
-	reg.Listen("local://svc")
-	reg.Close("local://svc")
-	if _, err := reg.Call("local://svc", "x", nil); !errors.Is(err, ErrNoEndpoint) {
-		t.Fatalf("err after Close = %v", err)
-	}
-}
-
+// TestBoundCaller: an Endpoint is itself a Caller, and answers a call with
+// the same bytes as a Client dialled to the same endpoint over TCP.
 func TestBoundCaller(t *testing.T) {
-	reg := NewRegistry()
-	ep := reg.Listen("local://svc")
+	ep := NewEndpoint("svc")
 	ep.Register("double", func(req []byte) ([]byte, error) {
 		return append(req, req...), nil
 	})
-	var c Caller = reg.Bind("local://svc")
-	resp, err := c.Call("double", []byte("ab"))
-	if err != nil || string(resp) != "abab" {
-		t.Fatalf("bound call = %q, %v", resp, err)
+	srv, err := Serve(ep, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	for _, c := range []Caller{ep, cli} {
+		resp, err := c.Call("double", []byte("ab"))
+		if err != nil || string(resp) != "abab" {
+			t.Fatalf("%T: double = %q, %v", c, resp, err)
+		}
 	}
 }
 
@@ -210,12 +233,6 @@ func TestCallAfterClientClose(t *testing.T) {
 	}
 }
 
-func TestIsLocal(t *testing.T) {
-	if !IsLocal("local://svc") || IsLocal("127.0.0.1:80") {
-		t.Fatal("IsLocal misclassifies")
-	}
-}
-
 func TestServerCloseIdempotent(t *testing.T) {
 	srv, err := Serve(NewEndpoint("x"), "127.0.0.1:0")
 	if err != nil {
@@ -242,18 +259,6 @@ func TestFrameLimitRejected(t *testing.T) {
 	bad := []byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'}
 	if _, err := readFrame(bytes.NewReader(bad)); err == nil {
 		t.Fatal("oversized frame accepted")
-	}
-}
-
-func TestReListenReplacesEndpoint(t *testing.T) {
-	reg := NewRegistry()
-	a := reg.Listen("local://svc")
-	a.Register("who", func([]byte) ([]byte, error) { return []byte("a"), nil })
-	b := reg.Listen("local://svc")
-	b.Register("who", func([]byte) ([]byte, error) { return []byte("b"), nil })
-	resp, err := reg.Call("local://svc", "who", nil)
-	if err != nil || string(resp) != "b" {
-		t.Fatalf("resp = %q, %v (restart did not replace endpoint)", resp, err)
 	}
 }
 

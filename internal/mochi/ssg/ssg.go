@@ -10,7 +10,6 @@
 package ssg
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -28,20 +27,6 @@ const (
 	Suspect
 	Dead
 )
-
-// String returns the state name.
-func (s State) String() string {
-	switch s {
-	case Alive:
-		return "alive"
-	case Suspect:
-		return "suspect"
-	case Dead:
-		return "dead"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
 
 // Member is one process in a group.
 type Member struct {

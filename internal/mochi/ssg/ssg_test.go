@@ -135,12 +135,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestStateString(t *testing.T) {
-	if Alive.String() != "alive" || Suspect.String() != "suspect" || Dead.String() != "dead" {
-		t.Fatal("State.String wrong")
-	}
-}
-
 func TestConcurrentHeartbeats(t *testing.T) {
 	g := NewGroup("g", cfg())
 	ids := make([]MemberID, 16)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
 )
 
@@ -394,11 +393,9 @@ func TestReadViewMatchesCluster(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { c.Close() })
-			const addr = "local://member"
 			member := mofka.NewStandaloneBroker()
-			reg := mercury.NewRegistry()
-			mofka.Serve(reg.Listen(addr), member.Service())
-			id, err := c.addMember(addr, replica{mofka.NewRemote(reg.Bind(addr)), member})
+			addr, remote, vanish := remoteMember(t, member)
+			id, err := c.addMember(addr, replica{remote, member})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -413,7 +410,7 @@ func TestReadViewMatchesCluster(t *testing.T) {
 				t.Fatal("the member leads no partition holding events; the case needs one")
 			}
 			// The member goes away: what the view pulled from it is the view's.
-			return c, func(*testing.T, *Cluster, *mofka.Broker) { reg.Close(addr) }
+			return c, func(*testing.T, *Cluster, *mofka.Broker) { vanish() }
 		}},
 	}
 	for _, tc := range cases {

@@ -38,11 +38,10 @@ func FuzzClusterRPCs(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		const addr = "local://gateway"
-		reg := mercury.NewRegistry()
-		c.RegisterRPCs(reg.Listen(addr))
+		ep := mercury.NewEndpoint("gateway")
+		c.RegisterRPCs(ep)
 
-		resp, err := reg.Call(addr, name, req)
+		resp, err := ep.Call(name, req)
 		if err == nil && !json.Valid(resp) {
 			t.Fatalf("%s(%q) answered %q, not JSON", name, req, resp)
 		}
@@ -52,7 +51,7 @@ func FuzzClusterRPCs(f *testing.F) {
 		if got := c.Brokers(); got != 3 {
 			t.Fatalf("%s(%q) left %d members, want 3", name, req, got)
 		}
-		checkLogService(t, mofka.NewRemote(reg.Bind(addr)))
+		checkLogService(t, mofka.NewRemote(ep))
 	})
 }
 

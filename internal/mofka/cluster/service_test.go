@@ -14,7 +14,8 @@ import (
 
 // deployments are the four ways to reach the log service: a broker and a
 // cluster in process, and each of them across the wire (the broker over TCP,
-// the gateway over an in-process registry, so both transports are spoken).
+// the gateway through its endpoint's own Call, so both the wire and the
+// dispatch behind it are spoken).
 // Each returns the service and what shuts the deployment behind it down.
 var deployments = []struct {
 	name string
@@ -46,9 +47,9 @@ var deployments = []struct {
 	}},
 	{"remote-gateway", func(t *testing.T) (mofka.Service, func() error) {
 		c := newTestCluster(t, 3, 2)
-		reg := mercury.NewRegistry()
-		c.RegisterRPCs(reg.Listen("local://cluster-gw"))
-		return mofka.NewRemote(reg.Bind("local://cluster-gw")), c.Close
+		ep := mercury.NewEndpoint("cluster-gw")
+		c.RegisterRPCs(ep)
+		return mofka.NewRemote(ep), c.Close
 	}},
 }
 
@@ -219,13 +220,35 @@ func TestJoinCreatesTopicsInNameOrder(t *testing.T) {
 			}
 		}
 		rec := &topicRecorder{}
-		if _, err := c.addMember("local://recorder", replica{rec, rec}); err != nil {
+		if _, err := c.addMember("recorder", replica{rec, rec}); err != nil {
 			t.Fatal(err)
 		}
 		if len(rec.created) != len(names) || !sort.StringsAreSorted(rec.created) {
 			t.Fatalf("run %d: the joining member was sent %v", run, rec.created)
 		}
 	}
+}
+
+// remoteMember serves b over loopback TCP, as a member in another process
+// does. It returns the member's address, the log service that reaches it,
+// and what makes it vanish: after that every call to it fails.
+func remoteMember(t *testing.T, b *mofka.Broker) (addr string, svc mofka.Service, vanish func()) {
+	ep := mercury.NewEndpoint("member")
+	mofka.Serve(ep, b.Service())
+	srv, err := mercury.Serve(ep, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := mercury.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vanish = func() {
+		_ = cli.Close()
+		_ = srv.Close()
+	}
+	t.Cleanup(vanish)
+	return srv.Addr(), mofka.NewRemote(cli), vanish
 }
 
 // TestRemoteMemberReplicationAndFailover: a broker in another "process",
@@ -245,11 +268,9 @@ func TestRemoteMemberReplicationAndFailover(t *testing.T) {
 	}
 	defer c.Close()
 
-	const addr = "local://member"
 	member := mofka.NewStandaloneBroker()
-	reg := mercury.NewRegistry()
-	mofka.Serve(reg.Listen(addr), member.Service())
-	id, err := c.addMember(addr, replica{mofka.NewRemote(reg.Bind(addr)), member})
+	addr, remote, vanish := remoteMember(t, member)
+	id, err := c.addMember(addr, replica{remote, member})
 	if err != nil || id != 2 {
 		t.Fatalf("addMember = %d, %v", id, err)
 	}
@@ -295,7 +316,7 @@ func TestRemoteMemberReplicationAndFailover(t *testing.T) {
 	}
 
 	// The member's process goes away; two sweeps later SSG declares it dead.
-	reg.Close(addr)
+	vanish()
 	now = now.Add(3 * time.Second)
 	c.Heartbeat()
 	c.pingRemotes(now)

@@ -41,8 +41,7 @@ func TestWireGolden(t *testing.T) {
 	var out bytes.Buffer
 	for _, dep := range []string{"broker", "gateway"} {
 		fmt.Fprintf(&out, "== %s\n", dep)
-		reg := mercury.NewRegistry()
-		ep := reg.Listen("local://wire")
+		ep := mercury.NewEndpoint("wire")
 		var closeDep func() error
 		if dep == "broker" {
 			b := mofka.NewStandaloneBroker()
@@ -53,7 +52,7 @@ func TestWireGolden(t *testing.T) {
 			c.RegisterRPCs(ep)
 			closeDep = c.Close
 		}
-		tap := wireTap{reg.Bind("local://wire"), &out}
+		tap := wireTap{ep, &out}
 		r := mofka.NewRemote(tap)
 
 		_ = r.CreateTopic(mofka.TopicConfig{Name: "wire", Partitions: 2})

@@ -49,19 +49,30 @@ type Chunk struct {
 
 // ChunksFrom is the topic's delivery order, the one every reader of it
 // follows: the rest of the events the topic holds now, for a reader at
-// offset next[p] of each partition p with partition turn up next. It is
-// round-robin from partition turn, prefetch events of a partition per turn,
-// and a partition with nothing left drops out of the rotation. Each
-// partition's length is taken once. A reader that decodes the chunks on
-// several goroutines still places, or applies, every event where a
-// sequential reader would.
+// offset next[p] of each partition p with partition turn up next. Each
+// partition's length is taken once; ChunkOrder says what the order is. A
+// reader that decodes the chunks on several goroutines still places, or
+// applies, every event where a sequential reader would.
 func (t *Topic) ChunksFrom(next []uint64, turn, prefetch int) []Chunk {
-	step := uint64(prefetch)
-	from := make([]uint64, len(t.partitions))
 	lens := make([]uint64, len(t.partitions))
-	var chunks uint64
 	for i, p := range t.partitions {
-		from[i], lens[i] = next[i], p.Length()
+		lens[i] = p.Length()
+	}
+	return ChunkOrder(next, lens, turn, prefetch)
+}
+
+// ChunkOrder is the delivery order over partitions of lengths lens, for a
+// reader at offset next[p] of each partition p with partition turn up next:
+// round-robin from partition turn, prefetch events of a partition per turn,
+// and a partition with nothing left drops out of the rotation. A reader that
+// learns the lengths from a log service (the remote tailer) follows the
+// order a reader of the Topic does.
+func ChunkOrder(next, lens []uint64, turn, prefetch int) []Chunk {
+	step := uint64(prefetch)
+	from := make([]uint64, len(lens))
+	var chunks uint64
+	for i := range lens {
+		from[i] = next[i]
 		if lens[i] > from[i] {
 			chunks += (lens[i] - from[i] + step - 1) / step
 		}

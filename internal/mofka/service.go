@@ -111,8 +111,8 @@ type topicInfo struct {
 	Events     uint64 `json:"events"`
 }
 
-// Serve exposes svc on a Mercury endpoint, making it usable as a standalone
-// daemon (cmd/mofkad) or a shared in-process service.
+// Serve exposes svc on a Mercury endpoint, which mercury.Serve puts on TCP
+// for the standalone daemon (cmd/mofkad) and a cluster's members.
 func Serve(ep *mercury.Endpoint, svc Service) {
 	ep.Register(rpcCreateTopic, handler(func(cfg TopicConfig) (any, error) {
 		return nil, svc.CreateTopic(cfg)

@@ -92,9 +92,9 @@ func FuzzServe(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, svc := range []Service{b.Service(), fencedBroker{b.Service()}} {
-			reg := mercury.NewRegistry()
-			Serve(reg.Listen("local://fuzz"), svc)
-			resp, err := reg.Call("local://fuzz", name, req)
+			ep := mercury.NewEndpoint("fuzz")
+			Serve(ep, svc)
+			resp, err := ep.Call(name, req)
 			if err == nil && !json.Valid(resp) {
 				t.Fatalf("%s(%q) answered %q, not JSON", name, req, resp)
 			}

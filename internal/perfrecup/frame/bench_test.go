@@ -52,15 +52,3 @@ func BenchmarkSortBy(b *testing.B) {
 		f.SortBy("duration", true)
 	}
 }
-
-func BenchmarkGroupByPercentiles(b *testing.B) {
-	f := benchFrame(20000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.GroupBy("worker").Agg(
-			Agg{Col: "duration", Fn: P50},
-			Agg{Col: "duration", Fn: P95},
-			Agg{Col: "duration", Fn: P99},
-		)
-	}
-}

@@ -104,20 +104,6 @@ func (s *Series) Str(i int) string { s.mustBe(String); return s.strs[i] }
 // Bool returns element i of a Bool column.
 func (s *Series) Bool(i int) bool { s.mustBe(Bool); return s.bools[i] }
 
-// Value returns element i as an any-typed value.
-func (s *Series) Value(i int) any {
-	switch s.dtype {
-	case Int:
-		return s.ints[i]
-	case Float:
-		return s.flts[i]
-	case String:
-		return s.strs[i]
-	default:
-		return s.bools[i]
-	}
-}
-
 // keyString renders element i as a grouping/join key.
 func (s *Series) keyString(i int) string {
 	switch s.dtype {
@@ -355,21 +341,4 @@ func (f *Frame) SortBy(name string, desc bool) *Frame {
 		return less(idx[i], idx[j])
 	})
 	return f.Take(idx)
-}
-
-// String renders a compact preview (up to 10 rows) for debugging.
-func (f *Frame) String() string {
-	s := fmt.Sprintf("Frame[%dx%d]", f.NRows(), f.NCols())
-	n := f.NRows()
-	if n > 10 {
-		n = 10
-	}
-	s += fmt.Sprintf(" cols=%v", f.Columns())
-	for i := 0; i < n; i++ {
-		s += "\n "
-		for _, c := range f.cols {
-			s += fmt.Sprintf("%v\t", c.Value(i))
-		}
-	}
-	return s
 }

@@ -245,71 +245,23 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	for i, row := range rows[1:] {
 		for j, c := range f.cols {
-			if row[j] != fmt.Sprint(c.Value(i)) {
-				t.Fatalf("row %d column %s = %q, want %v", i, c.name, row[j], c.Value(i))
+			if want := fmt.Sprint(cell(c, i)); row[j] != want {
+				t.Fatalf("row %d column %s = %q, want %s", i, c.name, row[j], want)
 			}
 		}
 	}
 }
 
-func TestStringPreview(t *testing.T) {
-	s := sample().String()
-	if !strings.Contains(s, "Frame[5x4]") || !strings.Contains(s, "worker") {
-		t.Fatalf("String() = %q", s)
-	}
-}
-
-func TestGroupByPercentiles(t *testing.T) {
-	// Group "a" holds 1..100; group "b" holds a constant.
-	n := 100
-	g := make([]string, n+3)
-	v := make([]float64, n+3)
-	for i := 0; i < n; i++ {
-		g[i] = "a"
-		v[i] = float64(i + 1)
-	}
-	for i := n; i < n+3; i++ {
-		g[i] = "b"
-		v[i] = 7
-	}
-	f := MustNew(Strings("g", g...), Floats("v", v...))
-	out := f.GroupBy("g").Agg(
-		Agg{Col: "v", Fn: P50},
-		Agg{Col: "v", Fn: P95},
-		Agg{Col: "v", Fn: P99},
-	)
-	if out.NRows() != 2 {
-		t.Fatalf("rows = %d, want 2", out.NRows())
-	}
-	check := func(col string, row int, want float64) {
-		t.Helper()
-		got := out.Col(col).Float(row)
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("%s[%d] = %g, want %g", col, row, got, want)
-		}
-	}
-	// Linear interpolation over sorted 1..100: q*(n-1)+1.
-	check("v_p50", 0, 50.5)
-	check("v_p95", 0, 95.05)
-	check("v_p99", 0, 99.01)
-	check("v_p50", 1, 7)
-	check("v_p95", 1, 7)
-	check("v_p99", 1, 7)
-}
-
-func TestPercentileAggNames(t *testing.T) {
-	for fn, want := range map[AggFunc]string{P50: "p50", P95: "p95", P99: "p99"} {
-		if got := fn.String(); got != want {
-			t.Errorf("%v.String() = %q, want %q", int(fn), got, want)
-		}
-	}
-}
-
-func TestGroupByPercentileUnsorted(t *testing.T) {
-	// Percentiles must not depend on row order.
-	f := MustNew(Strings("g", "a", "a", "a", "a", "a"), Floats("v", 9, 1, 5, 3, 7))
-	out := f.GroupBy("g").Agg(Agg{Col: "v", Fn: P50, As: "med"})
-	if got := out.Col("med").Float(0); got != 5 {
-		t.Fatalf("median = %g, want 5", got)
+// cell is element i of s as its Go value.
+func cell(s *Series, i int) any {
+	switch s.dtype {
+	case Int:
+		return s.ints[i]
+	case Float:
+		return s.flts[i]
+	case String:
+		return s.strs[i]
+	default:
+		return s.bools[i]
 	}
 }

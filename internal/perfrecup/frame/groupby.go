@@ -3,7 +3,6 @@ package frame
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // AggFunc identifies a group aggregation.
@@ -18,9 +17,6 @@ const (
 	Count
 	Std // sample standard deviation
 	First
-	P50 // median
-	P95
-	P99
 )
 
 // String returns the aggregation's column-name suffix.
@@ -40,12 +36,6 @@ func (a AggFunc) String() string {
 		return "std"
 	case First:
 		return "first"
-	case P50:
-		return "p50"
-	case P95:
-		return "p95"
-	case P99:
-		return "p99"
 	default:
 		return fmt.Sprintf("agg(%d)", int(a))
 	}
@@ -182,30 +172,7 @@ func aggregate(col *Series, rows []int, fn AggFunc) float64 {
 			ss += d * d
 		}
 		return math.Sqrt(ss / float64(len(rows)-1))
-	case P50, P95, P99:
-		q := map[AggFunc]float64{P50: 0.50, P95: 0.95, P99: 0.99}[fn]
-		sorted := make([]float64, len(rows))
-		for i, r := range rows {
-			sorted[i] = col.Float(r)
-		}
-		sort.Float64s(sorted)
-		return quantileSorted(sorted, q)
 	default:
 		panic(fmt.Sprintf("frame: unknown aggregation %v", fn))
 	}
-}
-
-// quantileSorted interpolates the q-quantile of an ascending slice.
-func quantileSorted(s []float64, q float64) float64 {
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(len(s)-1)
-	lo := int(rank)
-	hi := lo + 1
-	if hi >= len(s) {
-		return s[len(s)-1]
-	}
-	w := rank - float64(lo)
-	return s[lo]*(1-w) + s[hi]*w
 }

@@ -93,6 +93,10 @@ for w in imageprocessing resnet152 xgboost; do
 done
 run run-force "$tp" run -workflow imageprocessing -seed 3 -out runs -data-dir data -force -live
 run run-cluster "$tp" run -workflow imageprocessing -seed 5 -out runs -data-dir cluster -cluster 3 -replication 2
+# A broker of the cluster dies and comes back, and appends to one topic fail
+# for a while: failover, catch-up and the degraded-producer warnings.
+run run-cluster-chaos "$tp" run -workflow imageprocessing -seed 15 -out runs -data-dir cluster-chaos -cluster 3 -replication 2 \
+	-chaos "broker node=1 at=3s restart=4s; wal topic=task-transitions after=3 count=40"
 run run-kill "$tp" run -workflow imageprocessing -seed 7 -out runs -data-dir kill -proxy-threshold 1048576 \
 	-chaos "kill worker=2 at=6s restart=4s" -speculate -live
 run run-brownout "$tp" run -workflow imageprocessing -seed 9 -out runs \
