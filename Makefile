@@ -184,13 +184,14 @@ readpath:
 # durable session, the frontier checkpoint in json.Marshal's exact bytes (a
 # session's, and after every step of a seeded random sequence of puts,
 # re-executions, graph moves and blob changes), what the checkpoint adds to a
-# reconstruction when unflushed batches died, the WAL recovery corpus, the
+# reconstruction when unflushed batches died, the WAL recovery corpus, a
+# frame whose metadata does not fill its payload read as torn, the
 # windowed reader against the keeping one over its corpus, the
 # records a log's replay lent surviving its appends, rotation and close, the
 # cluster's read view (shared from local leaders, pulled from a remote one,
 # apart from the cluster once taken, through a restart's truncation too), a
-# partition sharing another's events, a partition serving what it stored and
-# the payloads beside it (live, shared, truncated, post-mortem), and the
+# partition sharing another's events, a partition serving what it stored
+# (live, shared, truncated, post-mortem), and the
 # paged document store against a plain slice. The allocation pins of the lean
 # writer, of a log's open (one 64 KiB window, whatever the segments' sizes),
 # of a durable partition's append,
@@ -200,7 +201,7 @@ readpath:
 # iteration of the durable quorum-append benchmark, so it cannot go
 # uncompiled.
 durable:
-	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestWaitShippedSealsNothing|TestFailedFsyncPoisonsLog|TestQuorumAckIsPipelined|TestKillSettlesInFlightQuorum|TestFailedFollowerFsyncFailsQuorum|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover|FuzzSegmentWindow|TestReplayedRecordsOutliveTheOpen' ./internal/mofka/wal/
+	$(GO) test -race -count=1 -run 'TestCommitWaitsForFsync|TestWaitShippedSealsNothing|TestFailedFsyncPoisonsLog|TestQuorumAckIsPipelined|TestKillSettlesInFlightQuorum|TestFailedFollowerFsyncFailsQuorum|TestConcurrentPushBatchKeepsOrder|FuzzWALRecover|TestShortMetadataFrameIsTorn|FuzzSegmentWindow|TestReplayedRecordsOutliveTheOpen' ./internal/mofka/wal/
 	$(GO) test -race -count=1 -run 'TestSyncPolicyLeavesSameBytes|TestCrashedSessionsLeaveNoGoroutines' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCheckpointEncodingMatchesJSON|TestCheckpointEveryTickMatchesJSON|TestCheckpointSuppliesWhatUnflushedBatchesLost|FuzzSidecars' ./internal/resume/
 	$(GO) test -race -count=1 -run 'TestReadViewMatchesCluster' ./internal/mofka/cluster/
@@ -247,16 +248,17 @@ simcost:
 # a collection-on imageprocessing session inside its mallocs per task (no
 # end-of-run analysis), the broker's one admission pass — no malloc per event
 # on a sample of every topic, Partition.Append of a default batch at its
-# pinned count, the whole batch refused for one invalid event, encoding/json's
-# stored form for what is not in it, a partition serving exactly that form and
-# its payloads, the pass against json.Valid over its seed corpus, and a
+# pinned count, the whole batch refused for one invalid event, a payload
+# refused before anything is stored, encoding/json's stored form for what is
+# not in it, a partition serving exactly that form, the pass against
+# json.Valid over its seed corpus, and a
 # Darshan log written and read back with no malloc per word. Then one
 # iteration of the admission benchmark, so it cannot go uncompiled.
 collectcost:
 	$(GO) test -count=1 -run 'TestCollectorAllocationBudget|TestFlushShipsRecoveryWarning' ./internal/core/
 	$(GO) test -count=1 -run 'TestCollectOnAllocBudget' ./internal/workloads/
 	$(GO) test -count=1 -run 'TestLogCodecAllocationsDoNotGrowWithSegments|TestBinaryRoundTrip' ./internal/darshan/
-	$(GO) test -count=1 -run 'TestAdmissionReadsAndAllocatesPerBatch|TestAppendRejectsInvalidMetadata|TestAppendStoresCompactedMetadata|TestPartitionRoundTrip|FuzzAdmission' ./internal/mofka/
+	$(GO) test -count=1 -run 'TestAdmissionReadsAndAllocatesPerBatch|TestAppendRejectsInvalidMetadata|TestPayloadRefused|TestAppendStoresCompactedMetadata|TestPartitionRoundTrip|FuzzAdmission' ./internal/mofka/
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmit' -benchtime 1x ./internal/mofka/
 
 # What-if validation: self-replay of the unchanged scenario on the seeded
@@ -314,8 +316,8 @@ bench-speculation:
 # an allocation size), and what is accepted re-encodes to the same bytes.
 # Broker admission: the one pass accepts exactly what json.Valid accepts and
 # calls stored exactly what json.Compact + json.HTMLEscape leave alone, a
-# partition refuses the rest, and serves what it accepts in that form with its
-# payload, through a share and a truncation too. Data dir sidecars (checkpoint.json, attempts.json,
+# partition refuses the rest and any event offered with a payload, and serves
+# what it accepts in that form, through a share and a truncation too. Data dir sidecars (checkpoint.json, attempts.json,
 # cluster.json): loading them and reconstructing a resume state over them
 # never panics or spins on a number the file supplied. Cluster gateway
 # requests (cluster.join, cluster.info, cluster.health): no body panics a

@@ -111,8 +111,8 @@ func main() {
 		durability = fmt.Sprintf("durable log %s (fsync=%s, %d topics recovered)",
 			*dataDir, *fsync, len(broker.Topics()))
 	}
-	fmt.Printf("mofkad: serving on %s (yokan dbs: %v, warabi targets: %v, %s)\n",
-		dep.Addr(), cfg.Yokan.Databases, cfg.Warabi.Targets, durability)
+	fmt.Printf("mofkad: serving on %s (yokan dbs: %v, %s)\n",
+		dep.Addr(), cfg.Yokan.Databases, durability)
 
 	if *joinAddr != "" {
 		node, err := cluster.JoinRemote(*joinAddr, dep.Addr(), 10*time.Second)

@@ -109,7 +109,7 @@ func (a *RunArtifacts) writeTopic(dir, topic string) error {
 	if err != nil {
 		return err
 	}
-	c, err := t.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	c, err := t.NewConsumer(mofka.ConsumerOptions{})
 	if err != nil {
 		return err
 	}

@@ -594,7 +594,7 @@ func storedEvents(t *testing.T, broker *mofka.Broker, topic string) []mofka.Even
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := tp.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	c, err := tp.NewConsumer(mofka.ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,9 +137,6 @@ type Runtime struct {
 	dxtSampling    bool
 	dxtDropped     int64
 	recordsDropped int64
-	totalReads     int64
-	totalWrites    int64
-	totalOpens     int64
 	startClock     sim.Time
 	endClock       sim.Time
 	clockStarted   bool
@@ -228,7 +225,6 @@ func (r *Runtime) OpenEvent(rec posixio.OpRecord, created bool) {
 	}
 	c := &fr.Counters
 	c.Opens++
-	r.totalOpens++
 	c.MetaTime += (rec.End - rec.Start).Seconds()
 	if c.OpenStart == 0 || rec.Start.Seconds() < c.OpenStart {
 		c.OpenStart = rec.Start.Seconds()
@@ -247,7 +243,6 @@ func (r *Runtime) ReadEvent(rec posixio.OpRecord) {
 	}
 	c := &fr.Counters
 	c.Reads++
-	r.totalReads++
 	c.BytesRead += rec.Bytes
 	if end := rec.Offset + rec.Bytes; end > c.MaxByteRead {
 		c.MaxByteRead = end
@@ -278,7 +273,6 @@ func (r *Runtime) WriteEvent(rec posixio.OpRecord) {
 	}
 	c := &fr.Counters
 	c.Writes++
-	r.totalWrites++
 	c.BytesWritten += rec.Bytes
 	if end := rec.Offset + rec.Bytes; end > c.MaxByteWritten {
 		c.MaxByteWritten = end

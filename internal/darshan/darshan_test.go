@@ -154,16 +154,22 @@ func TestSnapshotSortedAndIsolated(t *testing.T) {
 	}
 }
 
+// TestTotalsAndTotalOps: the snapshot's per-file counters sum to the
+// operations the runtime saw, and TotalOps counts its reads and writes.
 func TestTotalsAndTotalOps(t *testing.T) {
 	r := NewRuntime(cfg())
 	r.OpenEvent(op("/a", 1, 0, 0, 0, 0.001), false)
 	r.ReadEvent(op("/a", 1, 0, 10, 0, 1))
 	r.WriteEvent(op("/b", 2, 0, 10, 0, 1))
-	o, rd, wr := r.Totals()
+	log := r.Snapshot()
+	var o, rd, wr int64
+	for _, rec := range log.Records {
+		o, rd, wr = o+rec.Counters.Opens, rd+rec.Counters.Reads, wr+rec.Counters.Writes
+	}
 	if o != 1 || rd != 1 || wr != 1 {
 		t.Fatalf("totals = %d %d %d", o, rd, wr)
 	}
-	if got := r.Snapshot().TotalOps(); got != 2 {
+	if got := log.TotalOps(); got != 2 {
 		t.Fatalf("TotalOps = %d", got)
 	}
 }

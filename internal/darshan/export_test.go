@@ -2,13 +2,6 @@ package darshan
 
 // Observers the in-package tests read a runtime, a heatmap and a log through.
 
-// Totals reports process-wide operation counts.
-func (r *Runtime) Totals() (opens, reads, writes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.totalOpens, r.totalReads, r.totalWrites
-}
-
 // DXTSamplingActive reports whether adaptive sampling has engaged.
 func (r *Runtime) DXTSamplingActive() bool {
 	r.mu.Lock()

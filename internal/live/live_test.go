@@ -377,7 +377,7 @@ func TestMonitorEmitsAnomalies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := topic.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	c, err := topic.NewConsumer(mofka.ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -701,8 +701,8 @@ func TestMonitorSweptFromHostTicker(t *testing.T) {
 			t.Fatal(err)
 		}
 		producers[topic] = mofka.NewProducer(3, mofka.ProducerOptions{BatchSize: 32},
-			func(part int, _ uint64, metas, datas [][]byte) (*mofka.Commit, error) {
-				return nil, remote.PushBatch(topic, part, metas, datas)
+			func(part int, _ uint64, metas [][]byte) (*mofka.Commit, error) {
+				return nil, remote.PushBatch(topic, part, metas)
 			})
 	}
 	for i := 0; i < 3000; i++ {

@@ -159,7 +159,7 @@ func checkOneDeliveryOrder(t *testing.T, seed int64) {
 	}
 	readings := map[string]*reading{}
 	for _, name := range topics {
-		c, _ := tps[name].NewConsumer(mofka.ConsumerOptions{NoData: true})
+		c, _ := tps[name].NewConsumer(mofka.ConsumerOptions{})
 		readings[name] = &reading{c: c, next: make([]uint64, tps[name].Partitions())}
 	}
 	drain := func() {
@@ -243,7 +243,7 @@ func checkOneDeliveryOrder(t *testing.T, seed int64) {
 
 		// (a) The consumer and ChunksFrom follow the model.
 		want, _ := naiveOrder(lens, zero, 0, mofka.ConsumerChunk)
-		c, _ := tp.NewConsumer(mofka.ConsumerOptions{NoData: true})
+		c, _ := tp.NewConsumer(mofka.ConsumerOptions{})
 		var scanned []pos
 		for range rng.Intn(3 * mofka.ConsumerChunk) { // leave part of a chunk buffered
 			if ev, ok, _ := c.Pull(); ok {

@@ -439,7 +439,7 @@ func (t *RemoteTailer) sweep() error {
 func (t *RemoteTailer) pull(topic string, c mofka.Chunk) ([]mofka.Event, error) {
 	var evs []mofka.Event
 	for len(evs) < c.N {
-		more, err := t.remote.Pull(topic, c.Part, c.From+uint64(len(evs)), c.N-len(evs), false)
+		more, err := t.remote.Pull(topic, c.Part, c.From+uint64(len(evs)), c.N-len(evs))
 		if err != nil || len(more) == 0 {
 			return evs, err
 		}

@@ -1,9 +1,11 @@
 // Package bedrock reimplements the role of Mochi's Bedrock bootstrapper: a
-// JSON configuration describes which microservices (Yokan databases, Warabi
-// targets, SSG groups) a process should host and under which Mercury
-// address, and Deploy instantiates them as one Deployment handle. Mofka
-// builds its brokers on top of a bedrock Deployment, exactly as the real
-// Mofka is bootstrapped by the real Bedrock.
+// JSON configuration describes which microservices (Yokan databases, SSG
+// groups) a process should host and under which Mercury address, and Deploy
+// instantiates them as one Deployment handle. Mofka builds its brokers on top
+// of a bedrock Deployment, exactly as the real Mofka is bootstrapped by the
+// real Bedrock. A broker stores events, which are their metadata, in Yokan
+// alone, so a deployment hosts no Warabi target; a configuration that still
+// lists one parses, and the section is ignored.
 package bedrock
 
 import (
@@ -13,7 +15,6 @@ import (
 
 	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mochi/ssg"
-	"taskprov/internal/mochi/warabi"
 	"taskprov/internal/mochi/yokan"
 )
 
@@ -21,20 +22,14 @@ import (
 type Config struct {
 	// Address is the TCP host:port the deployment's Mercury endpoint
 	// listens on ("127.0.0.1:0" picks a free port).
-	Address string       `json:"address"`
-	Yokan   YokanConfig  `json:"yokan"`
-	Warabi  WarabiConfig `json:"warabi"`
-	SSG     SSGConfig    `json:"ssg"`
+	Address string      `json:"address"`
+	Yokan   YokanConfig `json:"yokan"`
+	SSG     SSGConfig   `json:"ssg"`
 }
 
 // YokanConfig lists databases to create.
 type YokanConfig struct {
 	Databases []string `json:"databases"`
-}
-
-// WarabiConfig lists blob targets to create.
-type WarabiConfig struct {
-	Targets []string `json:"targets"`
 }
 
 // SSGConfig lists membership groups to create.
@@ -55,7 +50,6 @@ func DefaultConfig(address string) Config {
 	return Config{
 		Address: address,
 		Yokan:   YokanConfig{Databases: []string{"metadata"}},
-		Warabi:  WarabiConfig{Targets: []string{"data"}},
 		SSG: SSGConfig{Groups: []SSGGroupConfig{{
 			Name: "members", SuspectAfterMS: 2000, DeadAfterMS: 5000,
 		}}},
@@ -80,7 +74,6 @@ type Deployment struct {
 	server   *mercury.Server
 
 	Yokan  *yokan.Store
-	Warabi *warabi.Provider
 	groups map[string]*ssg.Group
 }
 
@@ -92,14 +85,10 @@ func Deploy(cfg Config) (*Deployment, error) {
 	}
 	d := &Deployment{
 		Yokan:  yokan.NewStore(),
-		Warabi: warabi.NewProvider(),
 		groups: make(map[string]*ssg.Group),
 	}
 	for _, db := range cfg.Yokan.Databases {
 		d.Yokan.Open(db)
-	}
-	for _, tg := range cfg.Warabi.Targets {
-		d.Warabi.Target(tg)
 	}
 	for _, gc := range cfg.SSG.Groups {
 		d.groups[gc.Name] = ssg.NewGroup(gc.Name, ssg.Config{
@@ -126,5 +115,7 @@ func (d *Deployment) Addr() string { return d.server.Addr() }
 // Group returns the named SSG group, or nil if not configured.
 func (d *Deployment) Group(name string) *ssg.Group { return d.groups[name] }
 
-// Shutdown stops the deployment's listener.
+// Shutdown stops the deployment's server: it accepts nothing more, the
+// connections it accepted are closed, and it returns once their goroutines
+// have exited.
 func (d *Deployment) Shutdown() { _ = d.server.Close() }

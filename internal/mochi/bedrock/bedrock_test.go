@@ -9,19 +9,23 @@ import (
 	"taskprov/internal/mochi/ssg"
 )
 
+// TestParseConfig: a configuration parses, and one that still has a
+// "warabi" section parses too — the section is ignored.
 func TestParseConfig(t *testing.T) {
-	js := `{
-		"address": "127.0.0.1:7791",
-		"yokan": {"databases": ["meta", "index"]},
-		"warabi": {"targets": ["data"]},
-		"ssg": {"groups": [{"name": "g", "suspect_after_ms": 100, "dead_after_ms": 300}]}
-	}`
-	cfg, err := ParseConfig([]byte(js))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Address != "127.0.0.1:7791" || len(cfg.Yokan.Databases) != 2 {
-		t.Fatalf("cfg = %+v", cfg)
+	for _, warabi := range []string{"", `"warabi": {"targets": ["data"]},`} {
+		js := `{
+			"address": "127.0.0.1:7791",
+			"yokan": {"databases": ["meta", "index"]},
+			` + warabi + `
+			"ssg": {"groups": [{"name": "g", "suspect_after_ms": 100, "dead_after_ms": 300}]}
+		}`
+		cfg, err := ParseConfig([]byte(js))
+		if err != nil {
+			t.Fatalf("%q: %v", warabi, err)
+		}
+		if cfg.Address != "127.0.0.1:7791" || len(cfg.Yokan.Databases) != 2 || len(cfg.SSG.Groups) != 1 {
+			t.Fatalf("%q: cfg = %+v", warabi, cfg)
+		}
 	}
 }
 
@@ -44,9 +48,6 @@ func TestDeployLocal(t *testing.T) {
 	defer d.Shutdown()
 	if d.Yokan.Open("metadata") == nil {
 		t.Fatal("yokan database missing")
-	}
-	if d.Warabi.Target("data") == nil {
-		t.Fatal("warabi target missing")
 	}
 	if d.Group("members") == nil {
 		t.Fatal("ssg group missing")

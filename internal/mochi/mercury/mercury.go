@@ -115,10 +115,12 @@ func readFrame(r io.Reader) ([]byte, error) {
 
 // Server serves an endpoint's handlers over TCP.
 type Server struct {
-	ep     *Endpoint
-	ln     net.Listener
-	wg     sync.WaitGroup
+	ep *Endpoint
+	ln net.Listener
+	wg sync.WaitGroup // the accept loop, and one per accepted connection
+
 	mu     sync.Mutex
+	conns  map[net.Conn]struct{} // accepted and not yet closed
 	closed bool
 }
 
@@ -130,7 +132,7 @@ func Serve(ep *Endpoint, listen string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ep: ep, ln: ln}
+	s := &Server{ep: ep, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -146,11 +148,22 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			defer func() { _ = conn.Close() }()
 			s.serveConn(conn)
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
+			_ = conn.Close()
 		}()
 	}
 }
@@ -180,8 +193,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// Close stops accepting and waits for in-flight connections to finish their
-// current request.
+// Close stops accepting, closes every connection the server accepted — a
+// client dialled before Close gets an error from its next call — and returns
+// once the accept loop and every connection's goroutine have exited: a
+// request in flight runs its handler to the end, and its answer is lost.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -189,8 +204,12 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.mu.Unlock()
 	err := s.ln.Close()
+	for conn := range s.conns {
+		_ = conn.Close()
+	}
+	s.mu.Unlock()
+	s.wg.Wait()
 	return err
 }
 

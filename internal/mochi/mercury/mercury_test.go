@@ -246,6 +246,32 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestServerCloseEndsAcceptedConnections: a client dialled before Close, and
+// answered then, gets an error from its next call once Close has returned.
+func TestServerCloseEndsAcceptedConnections(t *testing.T) {
+	ep := NewEndpoint("x")
+	ep.Register("echo", func(req []byte) ([]byte, error) { return req, nil })
+	srv, err := Serve(ep, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cli.Close() }()
+	cli.SetTimeout(5 * time.Second)
+	if resp, err := cli.Call("echo", []byte("before")); err != nil || string(resp) != "before" {
+		t.Fatalf("echo before Close = %q, %v", resp, err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := cli.Call("echo", []byte("after")); err == nil {
+		t.Fatalf("echo after Close answered %q", resp)
+	}
+}
+
 func TestFrameLimitRejected(t *testing.T) {
 	// A corrupt length prefix must not cause a giant allocation.
 	var buf bytes.Buffer

@@ -1,14 +1,13 @@
 // Package warabi reimplements the interface shape of Mochi's Warabi
 // microservice: a blob store organized as targets holding fixed regions of
-// raw bytes. Mofka stores event data payloads in Warabi regions while event
-// metadata lives in Yokan.
+// raw bytes. The proxy plane (internal/proxystore) keeps its blobs here;
+// events carry no payload, and their metadata lives in Yokan.
 package warabi
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // RegionID identifies a region within a target.
@@ -16,9 +15,6 @@ type RegionID uint64
 
 // ErrNoRegion is returned for operations on unknown or destroyed regions.
 var ErrNoRegion = errors.New("warabi: no such region")
-
-// ErrOutOfBounds is returned when an access exceeds a region's size.
-var ErrOutOfBounds = errors.New("warabi: access out of region bounds")
 
 // Target is one blob storage target. All methods are safe for concurrent
 // use.
@@ -30,7 +26,6 @@ type Target struct {
 	nextID  RegionID
 
 	bytesWritten int64
-	bytesRead    atomic.Int64 // bumped by readers holding only the read lock
 }
 
 type region struct {
@@ -42,9 +37,8 @@ func NewTarget(name string) *Target {
 	return &Target{name: name, regions: make(map[RegionID]*region)}
 }
 
-// CreateWrite makes data a region: one region per event batch that carries
-// payloads. The bytes are not copied: the target takes ownership, and the
-// caller must not write to them afterwards.
+// CreateWrite makes data a region. The bytes are not copied: the target
+// takes ownership, and the caller must not write to them afterwards.
 func (t *Target) CreateWrite(data []byte) RegionID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -53,21 +47,6 @@ func (t *Target) CreateWrite(data []byte) RegionID {
 	t.regions[id] = &region{data: data}
 	t.bytesWritten += int64(len(data))
 	return id
-}
-
-// Read returns size bytes of the region starting at offset.
-func (t *Target) Read(id RegionID, offset, size int64) ([]byte, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r, ok := t.regions[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoRegion, id)
-	}
-	if offset < 0 || offset+size > int64(len(r.data)) {
-		return nil, fmt.Errorf("%w: read [%d,%d) in region of %d", ErrOutOfBounds, offset, offset+size, len(r.data))
-	}
-	t.bytesRead.Add(size)
-	return append([]byte(nil), r.data[offset:offset+size]...), nil
 }
 
 // Destroy releases the region.
@@ -81,11 +60,11 @@ func (t *Target) Destroy(id RegionID) error {
 	return nil
 }
 
-// Stats reports the number of live regions and cumulative bytes moved.
-func (t *Target) Stats() (regions int, written, read int64) {
+// Stats reports the number of live regions and the cumulative bytes written.
+func (t *Target) Stats() (regions int, written int64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.regions), t.bytesWritten, t.bytesRead.Load()
+	return len(t.regions), t.bytesWritten
 }
 
 // Provider manages a set of named targets, like a Warabi provider.

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"taskprov/internal/mochi/bedrock"
-	"taskprov/internal/mochi/warabi"
 	"taskprov/internal/mochi/yokan"
 	"taskprov/internal/mofka/wal"
 )
@@ -23,15 +22,17 @@ var (
 	ErrNoPartition  = errors.New("mofka: no such partition")
 	ErrClosed       = errors.New("mofka: closed")
 	ErrInvalidEvent = errors.New("mofka: invalid event")
+
+	// errPayload refuses an event that carries a data payload: an event is
+	// its metadata, and bulk bytes travel on the proxy plane.
+	errPayload = fmt.Errorf("%w: an event carries no data payload", ErrInvalidEvent)
 )
 
-// Broker hosts topics on top of a bedrock deployment's Yokan and Warabi
-// services, optionally backed by a durable segmented event log (see
-// Options.DataDir and the wal package). All methods are safe for concurrent
-// use.
+// Broker hosts topics on top of a bedrock deployment's Yokan service,
+// optionally backed by a durable segmented event log (see Options.DataDir
+// and the wal package). All methods are safe for concurrent use.
 type Broker struct {
 	meta *yokan.Database
-	data *warabi.Target
 
 	// Durable backend, nil/zero for a purely in-memory broker.
 	dataDir  string
@@ -70,11 +71,10 @@ func (b *Broker) injectAppendFault(topic string, partition int) error {
 }
 
 // NewBroker builds a broker on the deployment's "metadata" Yokan database
-// and "data" Warabi target (creating them if the deployment config did not).
+// (creating it if the deployment config did not).
 func NewBroker(dep *bedrock.Deployment) *Broker {
 	return &Broker{
 		meta:   dep.Yokan.Open("metadata"),
-		data:   dep.Warabi.Target("data"),
 		topics: make(map[string]*Topic),
 	}
 }
@@ -84,7 +84,6 @@ func NewBroker(dep *bedrock.Deployment) *Broker {
 func NewStandaloneBroker() *Broker {
 	return &Broker{
 		meta:   yokan.NewDatabase("metadata"),
-		data:   warabi.NewTarget("data"),
 		topics: make(map[string]*Topic),
 	}
 }
@@ -139,7 +138,6 @@ func (b *Broker) buildTopic(cfg TopicConfig) *Topic {
 			topic: t,
 			index: i,
 			docs:  b.meta.Collection(fmt.Sprintf("topic/%s/p%04d", cfg.Name, i)),
-			data:  b.data,
 		}
 		p.cond = sync.NewCond(&p.mu)
 		t.partitions = append(t.partitions, p)
@@ -387,14 +385,8 @@ type Partition struct {
 	staged []stagedBatch // submitted, awaiting the committer, in offset order
 	queued bool          // on the committer's queue
 	closed bool
-	// data holds the payload regions: the broker's target, or the one a
-	// shared partition's events were stored with (ShareFrom). payloads
-	// locates them, one entry per committed batch that carried any, in
-	// offset order; an entry is never written once a list holds it.
-	data     *warabi.Target
-	payloads []payloads
 	// recs frames a batch for the log; empty between batches, so it pins no
-	// payload.
+	// metadata.
 	recs []wal.Record
 }
 
@@ -408,9 +400,8 @@ func (p *Partition) Length() uint64 {
 
 // Submit is the first half of an append, on the caller's goroutine and in
 // caller order: the fault hook and admission accept or refuse the batch, its
-// payloads (if it carries any) become one Warabi region and its metadata the
-// documents the partition stores, and on a durable partition its frames are
-// written to the log, which fixes its offsets. What remains is the commit —
+// metadata become the documents the partition stores, and on a durable
+// partition its frames are written to the log, which fixes its offsets. What remains is the commit —
 // the fsync that covers the batch, then its documents stored, the length
 // advanced and waiting consumers woken, in submit order — so that every
 // event a consumer can observe is also recoverable. An in-memory partition,
@@ -422,17 +413,14 @@ func (p *Partition) Length() uint64 {
 //
 // An error means nothing of the batch was kept. Everything a caller can
 // decide on is reported here; Commit.Wait can only report a failed fsync.
-func (p *Partition) Submit(metas [][]byte, datas [][]byte) (*Commit, error) {
-	if len(metas) != len(datas) {
-		return nil, fmt.Errorf("%w: %d metadata for %d data payloads", ErrInvalidEvent, len(metas), len(datas))
-	}
+func (p *Partition) Submit(metas [][]byte) (*Commit, error) {
 	if len(metas) == 0 {
 		return nil, nil
 	}
 	if err := p.topic.broker.injectAppendFault(p.topic.cfg.Name, p.index); err != nil {
 		return nil, err
 	}
-	return p.admit(metas, datas, false)
+	return p.admit(metas, false)
 }
 
 // admit is the one batch step behind both a live append and the recovery of
@@ -446,12 +434,12 @@ func (p *Partition) Submit(metas [][]byte, datas [][]byte) (*Commit, error) {
 // read — metas is then rewritten in place — since the log never reuses them
 // (wal.OpenReplay); a live batch's are copied into one arena, as its
 // producer reuses its memory.
-func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Commit, error) {
+func (p *Partition) admit(metas [][]byte, recovered bool) (*Commit, error) {
 	// Admission comes before anything is written anywhere: one invalid event
-	// refuses the whole batch and leaves no region, no WAL record, no
-	// document behind. The same pass tells which events are not yet in the
-	// form the broker stores, one bit each — on the stack up to a producer's
-	// default batch of 128.
+	// refuses the whole batch and leaves no WAL record and no document
+	// behind. The same pass tells which events are not yet in the form the
+	// broker stores, one bit each — on the stack up to a producer's default
+	// batch of 128.
 	var inline [2]uint64
 	rewrite := inline[:]
 	if len(metas) > 64*len(inline) {
@@ -490,21 +478,6 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 			docs[i] = arena[start:len(arena):len(arena)]
 		}
 	}
-	var total int64
-	for _, d := range datas {
-		total += int64(len(d))
-	}
-	var pl payloads
-	var blob []byte
-	if total > 0 {
-		blob = make([]byte, 0, total)
-		pl.offsets = make([]int64, len(datas)+1)
-		for i, d := range datas {
-			pl.offsets[i] = int64(len(blob))
-			blob = append(blob, d...)
-		}
-		pl.offsets[len(datas)] = total
-	}
 
 	// The whole submit happens under the partition lock so WAL offsets and
 	// in-memory event IDs assign in the same order across concurrent
@@ -523,12 +496,9 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 			return nil, fmt.Errorf("%w: broker is read-only (post-mortem)", ErrClosed)
 		}
 	}
-	if blob != nil {
-		pl.region = p.data.CreateWrite(blob)
-	}
 	if p.log != nil && !recovered {
-		for i := range metas {
-			p.recs = append(p.recs, wal.Record{Meta: metas[i], Data: datas[i]})
+		for _, m := range metas {
+			p.recs = append(p.recs, wal.Record{Meta: m})
 		}
 		// Only a log that fsyncs per batch has a commit worth taking off the
 		// caller's goroutine; the other policies sync, when they do, inline.
@@ -543,15 +513,11 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 		clear(p.recs)
 		p.recs = p.recs[:0]
 		if err != nil {
-			err = fmt.Errorf("mofka: wal append %s[%d]: %w", p.topic.cfg.Name, p.index, err)
-			if blob != nil {
-				err = errors.Join(err, p.data.Destroy(pl.region))
-			}
-			return nil, err
+			return nil, fmt.Errorf("mofka: wal append %s[%d]: %w", p.topic.cfg.Name, p.index, err)
 		}
 		if stage {
 			c := NewCommit()
-			p.staged = append(p.staged, stagedBatch{docs: docs, data: pl, commit: c})
+			p.staged = append(p.staged, stagedBatch{docs: docs, commit: c})
 			if !p.queued {
 				p.queued = true
 				b.commits.enqueue(p)
@@ -559,52 +525,32 @@ func (p *Partition) admit(metas [][]byte, datas [][]byte, recovered bool) (*Comm
 			return c, nil
 		}
 	}
-	p.publishLocked(docs, pl)
+	p.publishLocked(docs)
 	p.cond.Broadcast()
 	return nil, nil
 }
 
-// payloads locates the payloads of one committed batch that carried any:
-// event first+i's are bytes offsets[i] to offsets[i+1] of region.
-type payloads struct {
-	first   uint64
-	region  warabi.RegionID
-	offsets []int64
-}
-
 // publishLocked makes a committed batch visible to readers. Callers hold
 // p.mu.
-func (p *Partition) publishLocked(docs [][]byte, pl payloads) {
-	if pl.offsets != nil {
-		pl.first = p.length
-		p.payloads = append(p.payloads, pl)
-	}
+func (p *Partition) publishLocked(docs [][]byte) {
 	p.docs.StoreBatch(docs)
 	p.length += uint64(len(docs))
 }
 
-// cutPayloads returns the payload list of the first n events of pl. It
-// writes nothing into pl, which a sharer may hold too: the entry of a batch
-// that straddles n is cut in a fresh list, and the list returned has no
-// spare capacity, so an append to it copies as well.
-func cutPayloads(pl []payloads, n uint64) []payloads {
-	k := sort.Search(len(pl), func(i int) bool { return pl[i].first >= n })
-	if k > 0 {
-		if last := pl[k-1]; last.first+uint64(len(last.offsets)-1) > n {
-			last.offsets = last.offsets[:n-last.first+1]
-			return append(pl[:k-1:k-1], last)
-		}
-	}
-	return pl[:k:k]
-}
-
 // Append publishes a batch of pre-encoded events directly to this partition,
 // bypassing producer batching, and returns once it is committed: Submit, then
-// the wait. It is the replication entry point: the cluster layer
-// (internal/mofka/cluster) uses it to copy suffixes during catch-up, so
-// replicated partitions carry byte-identical streams.
+// the wait. The cluster's read view fills a partition a remote member leads
+// with it. datas must be nil or all empty — an event is its metadata, and
+// the parameter stays for the callers that compile against it (bench/e2e); a
+// non-empty payload is refused with ErrInvalidEvent before anything is
+// stored.
 func (p *Partition) Append(metas [][]byte, datas [][]byte) error {
-	c, err := p.Submit(metas, datas)
+	for _, d := range datas {
+		if len(d) > 0 {
+			return errPayload
+		}
+	}
+	c, err := p.Submit(metas)
 	if err != nil {
 		return err
 	}
@@ -614,11 +560,9 @@ func (p *Partition) Append(metas [][]byte, datas [][]byte) error {
 // ShareFrom makes p, an empty in-memory partition, hold the first n committed
 // events of src without storing them again: a stored document never changes
 // once committed (the collection owns it, and truncation only drops it), so
-// p's documents are src's, header by header, and p reads payloads from src's
-// Warabi target through the part of src's payload list that covers them.
-// Nothing is admitted again, and what src appends or truncates later changes
-// src's index, not p's. Payloads appended to p afterwards land in src's
-// target, unreferenced by src. The cluster's read view is built this way.
+// p's documents are src's, header by header. Nothing is admitted again, and
+// what src appends or truncates later changes src's index, not p's. The
+// cluster's read view is built this way.
 func (p *Partition) ShareFrom(src *Partition, n uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -644,8 +588,6 @@ func (p *Partition) ShareFrom(src *Partition, n uint64) error {
 		return true
 	})
 	p.docs.StoreBatch(chunk)
-	p.data = src.data
-	p.payloads = cutPayloads(src.payloads, n)
 	p.length = n
 	return nil
 }
@@ -662,8 +604,7 @@ func (p *Partition) awaitCommitsLocked() {
 // receives ID n. The durable log (if any) is truncated first, preserving
 // the invariant that every observable event is recoverable. The cluster
 // layer uses this to drop a restarted replica's unacknowledged divergent
-// tail before the replica rejoins replication; dropped payload regions stay
-// in Warabi but become unreachable.
+// tail before the replica rejoins replication.
 func (p *Partition) TruncateTo(n uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -683,21 +624,18 @@ func (p *Partition) TruncateTo(n uint64) error {
 		}
 	}
 	p.docs.TruncateTo(n)
-	p.payloads = cutPayloads(p.payloads, n)
 	p.length = n
 	return nil
 }
 
-// read returns up to max events starting at offset from. withData controls
-// whether payloads are fetched from Warabi (Mofka's data-selection feature).
-// The events' metadata are private copies, cut from one arena per call. It
-// holds p.mu throughout, so that no truncation and re-append in between
-// pairs a document with another event's payload.
-func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
+// read returns up to max events starting at offset from. The events'
+// metadata are private copies, cut from one arena per call. It holds p.mu
+// throughout, so that the length it reads to is the one it copies.
+func (p *Partition) read(from uint64, max int) []Event {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if from >= p.length {
-		return nil, nil
+		return nil
 	}
 	n := int(p.length - from)
 	if max > 0 && max < n {
@@ -705,7 +643,6 @@ func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
 	}
 	out := make([]Event, 0, n)
 	var arena []byte
-	var err error
 	p.docs.Iter(from, n, func(id uint64, metadata []byte) bool {
 		if arena == nil {
 			// Sized from the first event, with a quarter to spare; longer
@@ -714,27 +651,12 @@ func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
 		}
 		start := len(arena)
 		arena = append(arena, metadata...)
-		ev := Event{
+		out = append(out, Event{
 			Topic:     p.topic.cfg.Name,
 			Partition: p.index,
 			ID:        id,
 			Metadata:  arena[start:],
-		}
-		// The event's payload, if any, lies in the last batch that starts at
-		// or before it.
-		if pl := p.payloads; withData && len(pl) > 0 {
-			i := sort.Search(len(pl), func(i int) bool { return pl[i].first > id }) - 1
-			if i >= 0 && id-pl[i].first+1 < uint64(len(pl[i].offsets)) {
-				o := pl[i].offsets[id-pl[i].first:]
-				if o[1] > o[0] {
-					if ev.Data, err = p.data.Read(pl[i].region, o[0], o[1]-o[0]); err != nil {
-						err = fmt.Errorf("mofka: data for event %d: %w", id, err)
-						return false
-					}
-				}
-			}
-		}
-		out = append(out, ev)
+		})
 		return true
 	})
 	// Cut the metadata again now that the arena has stopped moving, each
@@ -745,7 +667,7 @@ func (p *Partition) read(from uint64, max int, withData bool) ([]Event, error) {
 		out[i].Metadata = arena[start:end:end]
 		start = end
 	}
-	return out, err
+	return out
 }
 
 // Scan visits the metadata of up to max stored events from offset from (max

@@ -9,21 +9,19 @@ import (
 
 // The cluster benchmarks quantify the price of quorum replication relative
 // to a standalone broker on the identical workload: one producer pushing
-// pre-encoded provenance-sized events (a ~200-byte metadata document plus a
-// 64-byte payload) in batches of 128 across 4 partitions. They are for
+// pre-encoded provenance-sized events (a ~200-byte metadata document) in
+// batches of 128 across 4 partitions. They are for
 // measuring while working on the replication path; the figures the docs
 // quote are bench/e2e's cluster.push_rf{1,2,3}_ns_per_event.
 
 var benchMeta = []byte(`{"task":"process_image","worker":3,"hostname":"nid00123","submitted":12.5,"started":13.1,"finished":14.9,"status":"done","nbytes":1048576,"deps":["t-000120","t-000121"]}`)
 
-var benchData = make([]byte, 64)
-
 func benchPush(b *testing.B, push func(meta, data []byte) error, flush func() error) {
 	b.Helper()
-	b.SetBytes(int64(len(benchMeta) + len(benchData)))
+	b.SetBytes(int64(len(benchMeta)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := push(benchMeta, benchData); err != nil {
+		if err := push(benchMeta, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

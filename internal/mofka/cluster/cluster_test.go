@@ -22,7 +22,7 @@ func pushN(t *testing.T, ct *ClusterTopic, n int, opts mofka.ProducerOptions) *m
 	t.Helper()
 	p := ct.NewProducer(opts)
 	for i := 0; i < n; i++ {
-		if err := p.Push(mofka.Metadata{"i": i}, []byte(fmt.Sprintf("payload-%d", i))); err != nil {
+		if err := p.Push(mofka.Metadata{"i": i}, nil); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
@@ -39,7 +39,7 @@ func drainAll(t *testing.T, c *Cluster, topic string, parts int) []mofka.Event {
 	for pi := 0; pi < parts; pi++ {
 		var from uint64
 		for {
-			evs, err := c.Read(topic, pi, from, 1024, true)
+			evs, err := c.Read(topic, pi, from, 1024)
 			if err != nil {
 				t.Fatalf("read %s[%d]: %v", topic, pi, err)
 			}
@@ -177,14 +177,13 @@ func TestIdempotentAppendDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	metas := [][]byte{[]byte(`{"a":1}`), []byte(`{"a":2}`)}
-	datas := [][]byte{[]byte("x"), []byte("y")}
-	epoch, err := c.Append("t", 0, "prod-1", 1, 1, metas, datas)
+	epoch, err := c.Append("t", 0, "prod-1", 1, 1, metas)
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	// Retry the same (producer, seq): must be acknowledged without growing
 	// the log.
-	if _, err := c.Append("t", 0, "prod-1", 1, epoch, metas, datas); err != nil {
+	if _, err := c.Append("t", 0, "prod-1", 1, epoch, metas); err != nil {
 		t.Fatalf("retry append: %v", err)
 	}
 	n, err := c.Length("t", 0)
@@ -201,7 +200,7 @@ func TestAppendFencing(t *testing.T) {
 	if _, err := c.EnsureTopic(mofka.TopicConfig{Name: "t", Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Append("t", 0, "p", 1, 99, [][]byte{[]byte(`{}`)}, [][]byte{nil})
+	_, err := c.Append("t", 0, "p", 1, 99, [][]byte{[]byte(`{}`)})
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale epoch append: err=%v, want ErrFenced", err)
 	}
@@ -246,7 +245,7 @@ func pullAll(t *testing.T, svc mofka.Service, topic string, parts int) [][]mofka
 	out := make([][]mofka.Event, parts)
 	for pi := range out {
 		for {
-			evs, err := svc.Pull(topic, pi, uint64(len(out[pi])), 1024, true)
+			evs, err := svc.Pull(topic, pi, uint64(len(out[pi])), 1024)
 			if err != nil {
 				t.Fatalf("pull %s[%d]: %v", topic, pi, err)
 			}
@@ -266,15 +265,15 @@ func sameEvents(t *testing.T, what string, got, want [][]mofka.Event) {
 			t.Fatalf("%s: partition %d holds %d events, want %d", what, pi, len(got[pi]), len(want[pi]))
 		}
 		for i, w := range want[pi] {
-			if g := got[pi][i]; g.ID != w.ID || string(g.Metadata) != string(w.Metadata) || string(g.Data) != string(w.Data) {
-				t.Fatalf("%s: partition %d event %d reads %d %s %q, want %d %s %q", what, pi, i, g.ID, g.Metadata, g.Data, w.ID, w.Metadata, w.Data)
+			if g := got[pi][i]; g.ID != w.ID || string(g.Metadata) != string(w.Metadata) {
+				t.Fatalf("%s: partition %d event %d reads %d %s, want %d %s", what, pi, i, g.ID, g.Metadata, w.ID, w.Metadata)
 			}
 		}
 	}
 }
 
 // TestReadViewMatchesCluster: a read view holds every partition's
-// acknowledged prefix, payloads and cursors included, as the cluster serves
+// acknowledged prefix and cursors as the cluster serves
 // it — shared from a local leader, pulled from a remote one — and from then on
 // the two go separate ways: what either side appends, and what a restart
 // truncates, stays on its own side.
@@ -287,7 +286,7 @@ func TestReadViewMatchesCluster(t *testing.T) {
 		// must still read then what it read at first.
 		open func(t *testing.T) (*Cluster, func(t *testing.T, c *Cluster, view *mofka.Broker))
 	}{
-		{"payloads through the leader's target", 2, func(t *testing.T) (*Cluster, func(*testing.T, *Cluster, *mofka.Broker)) {
+		{"documents shared from the leader", 2, func(t *testing.T) (*Cluster, func(*testing.T, *Cluster, *mofka.Broker)) {
 			c := newTestCluster(t, 3, 2)
 			fillTopic(t, c, "tasks", 2, 50)
 			return c, nil
@@ -308,17 +307,17 @@ func TestReadViewMatchesCluster(t *testing.T) {
 					return out
 				}
 				before := lengths()
-				meta, data := [][]byte{[]byte(`{"view":1}`)}, [][]byte{[]byte("view-only")}
+				meta := [][]byte{[]byte(`{"view":1}`)}
 				if err := view.Service().CreateTopic(mofka.TopicConfig{Name: "view-topic", Partitions: 1}); err != nil {
 					t.Fatal(err)
 				}
 				for _, topic := range []string{"view-topic", "other"} {
-					if err := view.Service().PushBatch(topic, 0, meta, data); err != nil {
+					if err := view.Service().PushBatch(topic, 0, meta); err != nil {
 						t.Fatal(err)
 					}
 					evs := pullAll(t, view.Service(), topic, 1)[0]
-					if last := evs[len(evs)-1]; string(last.Metadata) != string(meta[0]) || string(last.Data) != string(data[0]) {
-						t.Fatalf("the view's %s ends with %s %q", topic, last.Metadata, last.Data)
+					if last := evs[len(evs)-1]; string(last.Metadata) != string(meta[0]) {
+						t.Fatalf("the view's %s ends with %s", topic, last.Metadata)
 					}
 				}
 				if topics := c.Topics(); fmt.Sprint(topics) != "[other tasks]" {
@@ -420,17 +419,6 @@ func TestReadViewMatchesCluster(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := pullAll(t, c.Service(), "tasks", tc.parts)
-			payloads := 0
-			for _, evs := range want {
-				for _, ev := range evs {
-					if len(ev.Data) > 0 {
-						payloads++
-					}
-				}
-			}
-			if payloads == 0 {
-				t.Fatal("the cluster holds no event with a payload")
-			}
 			view, err := c.ReadView()
 			if err != nil {
 				t.Fatalf("ReadView: %v", err)

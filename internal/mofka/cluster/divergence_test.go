@@ -16,9 +16,7 @@ func appendRaw(t *testing.T, c *Cluster, topic string, part int, tag string) err
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Append(topic, part, "", 0, epoch,
-		[][]byte{[]byte(fmt.Sprintf(`{"tag":%q}`, tag))},
-		[][]byte{[]byte(tag)})
+	_, err = c.Append(topic, part, "", 0, epoch, [][]byte{[]byte(fmt.Sprintf(`{"tag":%q}`, tag))})
 	return err
 }
 
@@ -105,7 +103,7 @@ func TestRestartDiscardsUnackedDivergentTail(t *testing.T) {
 	// restarted node's durable log.
 	for _, pv := range c.Placement() {
 		for _, r := range pv.Replicas {
-			evs, err := c.NodeBroker(r).Service().Pull("t", 0, 0, 16, true)
+			evs, err := c.NodeBroker(r).Service().Pull("t", 0, 0, 16)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -93,7 +92,7 @@ func TestProducerSurvivesLeaderKillAndRestart(t *testing.T) {
 	})
 
 	for i := 0; i < 100; i++ {
-		if err := p.Push(mofka.Metadata{"seq": i}, []byte(fmt.Sprintf("d%d", i))); err != nil {
+		if err := p.Push(mofka.Metadata{"seq": i}, nil); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
@@ -113,7 +112,7 @@ func TestProducerSurvivesLeaderKillAndRestart(t *testing.T) {
 	// tolerated here, exactly like a workflow running through a broker
 	// outage.
 	for i := 100; i < 200; i++ {
-		p.Push(mofka.Metadata{"seq": i}, []byte(fmt.Sprintf("d%d", i))) //nolint:errcheck
+		p.Push(mofka.Metadata{"seq": i}, nil) //nolint:errcheck
 	}
 	p.Flush() //nolint:errcheck // expected to fail for under-replicated partitions
 

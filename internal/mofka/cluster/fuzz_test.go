@@ -65,10 +65,10 @@ func checkLogService(t *testing.T, svc mofka.Service) {
 	if err := svc.CreateTopic(mofka.TopicConfig{Name: "t", Partitions: 2}); err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if err := svc.PushBatch("t", 0, [][]byte{[]byte(`{"i":0}`)}, [][]byte{[]byte("d0")}); err != nil {
+	if err := svc.PushBatch("t", 0, [][]byte{[]byte(`{"i":0}`)}); err != nil {
 		t.Fatalf("push: %v", err)
 	}
-	if evs, err := svc.Pull("t", 0, 0, 10, true); err != nil || len(evs) != 1 || string(evs[0].Data) != "d0" {
+	if evs, err := svc.Pull("t", 0, 0, 10); err != nil || len(evs) != 1 || string(evs[0].Metadata) != `{"i":0}` {
 		t.Fatalf("pull = %+v, %v", evs, err)
 	}
 	if topics, err := svc.Topics(); err != nil || len(topics) != 1 || topics[0] != "t" {

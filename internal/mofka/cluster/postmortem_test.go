@@ -25,7 +25,7 @@ import (
 // the bytes on disk and nothing of the code under test: one file at a time,
 // one frame at a time, every replica in full.
 
-type refEvent struct{ meta, data []byte }
+type refEvent struct{ meta []byte }
 
 var (
 	errRefCorrupt = errors.New("reference: interior corruption")
@@ -48,17 +48,16 @@ func refFrames(b []byte) (evs []refEvent, whole bool) {
 		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
 			return evs, false
 		}
-		mlen := int(binary.LittleEndian.Uint32(payload[0:4]))
-		if mlen > n-4 {
-			return evs, false
+		if int(binary.LittleEndian.Uint32(payload[0:4])) != n-4 {
+			return evs, false // the metadata does not fill the payload
 		}
-		evs = append(evs, refEvent{meta: payload[4 : 4+mlen], data: payload[4+mlen:]})
+		evs = append(evs, refEvent{meta: payload[4:]})
 		b = b[8+n:]
 	}
 	return evs, true
 }
 
-// refFrame frames one event with no payload, as the log does.
+// refFrame frames one event, as the log does.
 func refFrame(meta string) []byte {
 	payload := binary.LittleEndian.AppendUint32(nil, uint32(len(meta)))
 	payload = append(payload, meta...)
@@ -93,7 +92,7 @@ func refPartition(t *testing.T, dir string) ([]refEvent, error) {
 				t.Fatalf("%s holds metadata that is not JSON: %v", seg, err)
 			}
 			json.HTMLEscape(&stored, compact.Bytes())
-			out = append(out, refEvent{meta: stored.Bytes(), data: ev.data})
+			out = append(out, refEvent{meta: stored.Bytes()})
 		}
 	}
 	return out, nil
@@ -160,7 +159,7 @@ func refOpen(t *testing.T, dirs []string) (refView, error) {
 }
 
 // checkView holds an opened broker to the reference: same topics, and per
-// partition the same dense offsets, metadata bytes and payload bytes; same
+// partition the same dense offsets and metadata bytes; same
 // cursors.
 func checkView(t *testing.T, b *mofka.Broker, want refView) {
 	t.Helper()
@@ -185,7 +184,7 @@ func checkView(t *testing.T, b *mofka.Broker, want refView) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			evs, err := b.Service().Pull(name, pi, 0, 0, true)
+			evs, err := b.Service().Pull(name, pi, 0, 0)
 			if err != nil {
 				t.Fatalf("%s[%d]: %v", name, pi, err)
 			}
@@ -198,9 +197,6 @@ func checkView(t *testing.T, b *mofka.Broker, want refView) {
 				}
 				if !bytes.Equal(ev.Metadata, ref[i].meta) {
 					t.Fatalf("%s[%d]/%d: metadata %s, reference %s", name, pi, i, ev.Metadata, ref[i].meta)
-				}
-				if !bytes.Equal(ev.Data, ref[i].data) {
-					t.Fatalf("%s[%d]/%d: payload %q, reference %q", name, pi, i, ev.Data, ref[i].data)
 				}
 			}
 		}
@@ -246,33 +242,34 @@ func must(t *testing.T, err error) {
 }
 
 // fill appends n events, in batches of 5, to partition pi of topic name,
-// with payloads when payload is set. Event 3 of every fill has metadata the
-// broker stores in a rewritten form.
-func fill(t *testing.T, b *mofka.Broker, name string, pi, n int, payload bool) {
+// whose metadata varies in length when varied is set. Event 3 of every fill
+// has metadata the broker stores in a rewritten form.
+func fill(t *testing.T, b *mofka.Broker, name string, pi, n int, varied bool) {
 	t.Helper()
 	tp, err := b.OpenTopic(name)
 	must(t, err)
 	p, err := tp.Partition(pi)
 	must(t, err)
 	for i := 0; i < n; i += 5 {
-		var metas, datas [][]byte
+		var metas [][]byte
 		for j := i; j < i+5 && j < n; j++ {
-			meta := fmt.Sprintf(`{"i":%d,"p":%d,"pad":"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"}`, j, pi)
+			pad := 32
+			if varied {
+				pad += 1 + j%40
+			}
+			meta := fmt.Sprintf(`{"i":%d,"p":%d,"pad":"%s"}`, j, pi, strings.Repeat("x", pad))
 			if j == 3 {
 				meta = fmt.Sprintf(`{ "i": %d, "note": "a<b & c>d" }`, j)
 			}
-			var data []byte
-			if payload {
-				data = bytes.Repeat([]byte{byte(j)}, 1+j%40)
-			}
-			metas, datas = append(metas, []byte(meta)), append(datas, data)
+			metas = append(metas, []byte(meta))
 		}
-		must(t, p.Append(metas, datas))
+		must(t, p.Append(metas, nil))
 	}
 }
 
 // standaloneDir writes a broker data dir: topic "a" (2 partitions, the second
-// with payloads) and topic "b" (3 partitions, the last left empty), in small
+// with events of varied length) and topic "b" (3 partitions, the last left
+// empty), in small
 // segments, with two cursors committed.
 func standaloneDir(t *testing.T, dir string) {
 	t.Helper()
@@ -308,7 +305,7 @@ func clusterDir(t *testing.T, dir string, killAt int) {
 			must(t, p.Flush())
 			must(t, c.KillBroker(leaderOf(t, c, "tasks", 0)))
 		}
-		must(t, p.Push(mofka.Metadata{"i": i, "pad": "xxxxxxxxxxxxxxxxxxxxxxxx"}, []byte(fmt.Sprintf("payload-%d", i))))
+		must(t, p.Push(mofka.Metadata{"i": i, "pad": "xxxxxxxxxxxxxxxxxxxxxxxx", "out": fmt.Sprintf("payload-%d", i)}, nil))
 	}
 	must(t, p.Close())
 	must(t, c.CommitCursor("grp", "tasks", 1, 9))
@@ -412,7 +409,6 @@ func lag(t *testing.T, partDir string) {
 // as long as before whose bytes are its own.
 func reframe(t *testing.T, partDir string, edit func(meta []byte) []byte) {
 	t.Helper()
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for _, seg := range segmentsOf(t, partDir, 1) {
 		raw, err := os.ReadFile(seg)
 		must(t, err)
@@ -422,12 +418,7 @@ func reframe(t *testing.T, partDir string, edit func(meta []byte) []byte) {
 		}
 		var out []byte
 		for _, ev := range evs {
-			meta := edit(bytes.Clone(ev.meta))
-			payload := binary.LittleEndian.AppendUint32(nil, uint32(len(meta)))
-			payload = append(append(payload, meta...), ev.data...)
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-			out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-			out = append(out, payload...)
+			out = append(out, refFrame(string(edit(bytes.Clone(ev.meta))))...)
 		}
 		must(t, os.WriteFile(seg, out, 0o644))
 	}
@@ -446,7 +437,7 @@ func TestPostMortemOpen(t *testing.T) {
 		corrupt bool // the open must fail with wal.ErrCorrupt
 		shape   bool // the open must fail naming the topic and the two node directories
 	}{
-		{name: "clean multi-segment dir with payloads, an empty partition and cursors", build: standaloneDir},
+		{name: "clean multi-segment dir, empty partition, cursors", build: standaloneDir},
 		{name: "kill -9 torn tail", build: func(t *testing.T, dir string) {
 			standaloneDir(t, dir)
 			segs := segmentsOf(t, p(dir, "topics", "a", "p0001"), 2)

@@ -38,8 +38,8 @@ func (t *ClusterTopic) NewProducer(opts mofka.ProducerOptions) *mofka.Producer {
 	// Per-partition cached fencing epoch (0 = unknown). The producer never
 	// runs its sink concurrently, so the cache needs no lock of its own.
 	epochs := make([]uint64, t.parts)
-	return mofka.NewProducer(t.parts, opts, func(part int, seq uint64, metas, datas [][]byte) (*mofka.Commit, error) {
-		cur, commit, err := t.c.submitRefreshing(t.name, part, id, seq, epochs[part], metas, datas)
+	return mofka.NewProducer(t.parts, opts, func(part int, seq uint64, metas [][]byte) (*mofka.Commit, error) {
+		cur, commit, err := t.c.submitRefreshing(t.name, part, id, seq, epochs[part], metas)
 		epochs[part] = cur
 		return commit, err
 	})
@@ -54,9 +54,9 @@ const maxFenceRefreshes = 5
 // retried at once with the current epoch that rides on the error return. An
 // append still fenced after maxFenceRefreshes tries is an election storm;
 // the caller gets the ErrFenced and treats it as any other failed attempt.
-func (c *Cluster) submitRefreshing(topic string, part int, producer string, seq, epoch uint64, metas, datas [][]byte) (cur uint64, commit *mofka.Commit, err error) {
+func (c *Cluster) submitRefreshing(topic string, part int, producer string, seq, epoch uint64, metas [][]byte) (cur uint64, commit *mofka.Commit, err error) {
 	for refreshes := 0; ; refreshes++ {
-		cur, commit, err = c.submit(topic, part, producer, seq, epoch, metas, datas)
+		cur, commit, err = c.submit(topic, part, producer, seq, epoch, metas)
 		if !errors.Is(err, ErrFenced) || refreshes >= maxFenceRefreshes {
 			return cur, commit, err
 		}

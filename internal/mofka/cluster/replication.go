@@ -261,8 +261,8 @@ func (c *Cluster) replicaOf(id int) (replica, bool) {
 // producer=="" skips sequence tracking (non-idempotent raw appends).
 //
 // The returned epoch is always the partition's current epoch.
-func (c *Cluster) Append(topic string, part int, producer string, seq uint64, epoch uint64, metas, datas [][]byte) (uint64, error) {
-	cur, commit, err := c.submit(topic, part, producer, seq, epoch, metas, datas)
+func (c *Cluster) Append(topic string, part int, producer string, seq uint64, epoch uint64, metas [][]byte) (uint64, error) {
+	cur, commit, err := c.submit(topic, part, producer, seq, epoch, metas)
 	if err != nil {
 		return cur, err
 	}
@@ -272,13 +272,13 @@ func (c *Cluster) Append(topic string, part int, producer string, seq uint64, ep
 // submit is the first half of Append: it returns once every decision about
 // the batch is taken, with the wait for the quorum's fsyncs (see
 // submitLocked).
-func (c *Cluster) submit(topic string, part int, producer string, seq, epoch uint64, metas, datas [][]byte) (uint64, *mofka.Commit, error) {
+func (c *Cluster) submit(topic string, part int, producer string, seq, epoch uint64, metas [][]byte) (uint64, *mofka.Commit, error) {
 	ps, err := c.partition(topic, part)
 	if err != nil {
 		return 0, nil, err
 	}
 	ps.mu.Lock()
-	cur, commit, evs, err := c.submitLocked(ps, producer, seq, epoch, metas, datas)
+	cur, commit, evs, err := c.submitLocked(ps, producer, seq, epoch, metas)
 	ps.mu.Unlock()
 	c.health.emit(evs)
 	return cur, commit, err
@@ -299,7 +299,7 @@ func (c *Cluster) submit(topic string, part int, producer string, seq, epoch uin
 // have returned, behind every append submitted to the partition before it;
 // all it can add to what submit decided is a failed fsync. A nil commit is
 // an append that settled at once. Caller holds ps.mu.
-func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch uint64, metas, datas [][]byte) (uint64, *mofka.Commit, []Event, error) {
+func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch uint64, metas [][]byte) (uint64, *mofka.Commit, []Event, error) {
 	var evs []Event
 	if c.IsClosed() {
 		return ps.epoch, nil, nil, ErrClosed
@@ -343,7 +343,7 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 	leaderHas := producer != "" && ps.appliedSeq(ps.leader, producer) >= seq
 	var leaderCommit *mofka.Commit
 	if !leaderHas {
-		if leaderCommit, err = ps.submitTo(leaderRep, ps.leader, metas, datas); err != nil {
+		if leaderCommit, err = ps.submitTo(leaderRep, ps.leader, metas); err != nil {
 			return ps.epoch, nil, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
 		}
 		leaderEnd += batch
@@ -377,7 +377,7 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 			continue // replica unreachable: no ack
 		}
 		if !leaderHas && end == leaderEnd-batch {
-			if fc, err := ps.submitTo(rep, r, metas, datas); err == nil {
+			if fc, err := ps.submitTo(rep, r, metas); err == nil {
 				q.acks = append(q.acks, replicaAck{r, fc})
 				if producer != "" {
 					ps.setApplied(r, producer, seq)
@@ -428,14 +428,14 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 // its commit to wait for. A remote member's push is synchronous, nothing left
 // to wait for — and after a failed one, what its log holds is unknown.
 // Caller holds ps.mu.
-func (ps *partState) submitTo(rep replica, node int, metas, datas [][]byte) (*mofka.Commit, error) {
+func (ps *partState) submitTo(rep replica, node int, metas [][]byte) (*mofka.Commit, error) {
 	sub, halves := rep.Service.(mofka.BatchSubmitter)
 	var commit *mofka.Commit
 	var err error
 	if halves {
-		commit, err = sub.SubmitBatch(ps.topic, ps.index, metas, datas)
+		commit, err = sub.SubmitBatch(ps.topic, ps.index, metas)
 	} else {
-		err = rep.PushBatch(ps.topic, ps.index, metas, datas)
+		err = rep.PushBatch(ps.topic, ps.index, metas)
 	}
 	i := rankOf(ps.replicas, node)
 	switch {
@@ -612,20 +612,14 @@ func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) 
 		if n > catchUpBatch {
 			n = catchUpBatch
 		}
-		evs, err := donorRep.Pull(ps.topic, ps.index, have, n, true)
+		evs, err := donorRep.Pull(ps.topic, ps.index, have, n)
 		if err != nil {
 			return copied, err
 		}
 		if len(evs) == 0 {
 			break
 		}
-		metas := make([][]byte, len(evs))
-		datas := make([][]byte, len(evs))
-		for i, ev := range evs {
-			metas[i] = ev.Metadata
-			datas[i] = ev.Data
-		}
-		if err := dstRep.PushBatch(ps.topic, ps.index, metas, datas); err != nil {
+		if err := dstRep.PushBatch(ps.topic, ps.index, metadataOf(evs)); err != nil {
 			return copied, err
 		}
 		have += uint64(len(evs))
@@ -772,17 +766,17 @@ func rankOf(replicas []int, node int) int {
 // Read returns up to max events of the partition's acknowledged prefix
 // starting at offset from. Unacknowledged leader-only suffixes are never
 // visible to consumers — they could be lost in a failover.
-func (c *Cluster) Read(topic string, part int, from uint64, max int, withData bool) ([]mofka.Event, error) {
+func (c *Cluster) Read(topic string, part int, from uint64, max int) ([]mofka.Event, error) {
 	ps, err := c.partition(topic, part)
 	if err != nil {
 		return nil, err
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	return c.readLocked(ps, from, max, withData)
+	return c.readLocked(ps, from, max)
 }
 
-func (c *Cluster) readLocked(ps *partState, from uint64, max int, withData bool) ([]mofka.Event, error) {
+func (c *Cluster) readLocked(ps *partState, from uint64, max int) ([]mofka.Event, error) {
 	if from >= ps.acked {
 		return nil, nil
 	}
@@ -796,7 +790,7 @@ func (c *Cluster) readLocked(ps *partState, from uint64, max int, withData bool)
 	if avail := ps.acked - from; uint64(max) > avail {
 		max = int(avail)
 	}
-	return rep.Pull(ps.topic, ps.index, from, max, withData)
+	return rep.Pull(ps.topic, ps.index, from, max)
 }
 
 // Length returns the partition's acknowledged length — what consumers can
@@ -1026,21 +1020,24 @@ func (c *Cluster) viewLocked(ps *partState, vp *mofka.Partition) error {
 	}
 	var from uint64
 	for {
-		evs, err := c.readLocked(ps, from, catchUpBatch, true)
+		evs, err := c.readLocked(ps, from, catchUpBatch)
 		if err != nil || len(evs) == 0 {
 			return err
 		}
-		metas := make([][]byte, len(evs))
-		datas := make([][]byte, len(evs))
-		for i, ev := range evs {
-			metas[i] = ev.Metadata
-			datas[i] = ev.Data
-		}
-		if err := vp.Append(metas, datas); err != nil {
+		if err := vp.Append(metadataOf(evs), nil); err != nil {
 			return err
 		}
 		from += uint64(len(evs))
 	}
+}
+
+// metadataOf returns the events' metadata: the batch that stores them again.
+func metadataOf(evs []mofka.Event) [][]byte {
+	metas := make([][]byte, len(evs))
+	for i, ev := range evs {
+		metas[i] = ev.Metadata
+	}
+	return metas
 }
 
 // topicStatesLocked returns every topic's state in name order: what acts on

@@ -70,8 +70,8 @@ func (s clusterService) TopicInfo(name string) (int, uint64, error) {
 	return t.PartitionCount(), events, nil
 }
 
-func (s clusterService) PushBatch(topic string, part int, metas, datas [][]byte) error {
-	_, err := s.PushFenced(topic, part, "", 0, 0, metas, datas)
+func (s clusterService) PushBatch(topic string, part int, metas [][]byte) error {
+	_, err := s.PushFenced(topic, part, "", 0, 0, metas)
 	return err
 }
 
@@ -81,19 +81,19 @@ func (s clusterService) PushBatch(topic string, part int, metas, datas [][]byte)
 // and have no fence-retry semantics of their own, so an election that lands
 // mid-push is absorbed here. Their retries are not idempotent, which matches
 // the single-broker contract they were written against.
-func (s clusterService) PushFenced(topic string, part int, producer string, seq, epoch uint64, metas, datas [][]byte) (uint64, error) {
+func (s clusterService) PushFenced(topic string, part int, producer string, seq, epoch uint64, metas [][]byte) (uint64, error) {
 	if epoch != 0 {
-		return s.c.Append(topic, part, producer, seq, epoch, metas, datas)
+		return s.c.Append(topic, part, producer, seq, epoch, metas)
 	}
-	cur, commit, err := s.c.submitRefreshing(topic, part, producer, seq, epoch, metas, datas)
+	cur, commit, err := s.c.submitRefreshing(topic, part, producer, seq, epoch, metas)
 	if err != nil {
 		return cur, err
 	}
 	return cur, commit.Wait()
 }
 
-func (s clusterService) Pull(topic string, part int, from uint64, max int, withData bool) ([]mofka.Event, error) {
-	return s.c.Read(topic, part, from, max, withData)
+func (s clusterService) Pull(topic string, part int, from uint64, max int) ([]mofka.Event, error) {
+	return s.c.Read(topic, part, from, max)
 }
 
 func (s clusterService) Commit(consumer, topic string, part int, next uint64) error {

@@ -69,10 +69,10 @@ func TestServiceConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		metas := [][]byte{[]byte(`{"i":0}`), []byte(`{"i":1}`)}
-		if err := svc.PushBatch("t", 0, metas, [][]byte{[]byte("d0"), []byte("d1")}); err != nil {
+		if err := svc.PushBatch("t", 0, metas); err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.PushBatch("t", 1, [][]byte{[]byte(`{"i":2}`)}, [][]byte{nil}); err != nil {
+		if err := svc.PushBatch("t", 1, [][]byte{[]byte(`{"i":2}`)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,24 +99,21 @@ func TestServiceConformance(t *testing.T) {
 		}},
 		{"push, pull with and without data", func(t *testing.T, svc mofka.Service, _ func() error) {
 			push(t, svc)
-			evs, err := svc.Pull("t", 0, 0, 10, true)
+			evs, err := svc.Pull("t", 0, 0, 10)
 			if err != nil || len(evs) != 2 {
 				t.Fatalf("Pull = %d events, %v", len(evs), err)
 			}
-			if string(evs[0].Metadata) != `{"i":0}` || string(evs[1].Data) != "d1" || evs[1].ID != 1 || evs[1].Topic != "t" {
+			if string(evs[0].Metadata) != `{"i":0}` || string(evs[1].Metadata) != `{"i":1}` || evs[1].ID != 1 || evs[1].Topic != "t" {
 				t.Fatalf("events = %+v", evs)
 			}
-			evs, err = svc.Pull("t", 0, 1, 10, false)
+			evs, err = svc.Pull("t", 0, 1, 10)
 			if err != nil || len(evs) != 1 || evs[0].ID != 1 {
 				t.Fatalf("offset pull = %+v, %v", evs, err)
 			}
-			if evs[0].Data != nil {
-				t.Fatal("withData=false returned data")
-			}
-			if evs, err = svc.Pull("t", 0, 0, 1, true); err != nil || len(evs) != 1 {
+			if evs, err = svc.Pull("t", 0, 0, 1); err != nil || len(evs) != 1 {
 				t.Fatalf("max=1 pull = %d events, %v", len(evs), err)
 			}
-			if evs, err = svc.Pull("t", 1, 5, 10, true); err != nil || len(evs) != 0 {
+			if evs, err = svc.Pull("t", 1, 5, 10); err != nil || len(evs) != 0 {
 				t.Fatalf("pull past the end = %d events, %v", len(evs), err)
 			}
 		}},
@@ -124,9 +121,9 @@ func TestServiceConformance(t *testing.T) {
 			push(t, svc)
 			for _, part := range []int{-1, 2} {
 				want := fmt.Sprintf("no such partition: t[%d]", part)
-				_, err := svc.Pull("t", part, 0, 1, false)
+				_, err := svc.Pull("t", part, 0, 1)
 				wantErr(t, "pull", err, want)
-				wantErr(t, "push", svc.PushBatch("t", part, [][]byte{[]byte(`{}`)}, [][]byte{nil}), want)
+				wantErr(t, "push", svc.PushBatch("t", part, [][]byte{[]byte(`{}`)}), want)
 				_, err = svc.PartitionLength("t", part)
 				wantErr(t, "length", err, want)
 			}
@@ -168,15 +165,14 @@ func TestServiceConformance(t *testing.T) {
 		}},
 		{"error propagation", func(t *testing.T, svc mofka.Service, _ func() error) {
 			const want = "no such topic: ghost"
-			_, err := svc.Pull("ghost", 0, 0, 1, false)
+			_, err := svc.Pull("ghost", 0, 0, 1)
 			wantErr(t, "pull", err, want)
-			wantErr(t, "push", svc.PushBatch("ghost", 0, [][]byte{[]byte(`{}`)}, [][]byte{nil}), want)
+			wantErr(t, "push", svc.PushBatch("ghost", 0, [][]byte{[]byte(`{}`)}), want)
 			_, _, err = svc.TopicInfo("ghost")
 			wantErr(t, "info", err, want)
 			_, err = svc.PartitionLength("ghost", 0)
 			wantErr(t, "length", err, want)
 			push(t, svc)
-			wantErr(t, "push of mismatched batch", svc.PushBatch("t", 0, [][]byte{[]byte(`{}`)}, nil), "invalid event")
 		}},
 	}
 	for _, d := range deployments {
@@ -333,7 +329,7 @@ func TestRemoteMemberReplicationAndFailover(t *testing.T) {
 		t.Fatalf("drained %d events after failover, %d before", len(after), len(before))
 	}
 	for i := range after {
-		if string(after[i].Metadata) != string(before[i].Metadata) || string(after[i].Data) != string(before[i].Data) {
+		if string(after[i].Metadata) != string(before[i].Metadata) {
 			t.Fatalf("event %d differs after failover", i)
 		}
 	}

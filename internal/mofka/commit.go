@@ -49,7 +49,6 @@ const maxStaged = 8
 // offsets, not yet covered by an fsync.
 type stagedBatch struct {
 	docs   [][]byte
-	data   payloads
 	commit *Commit
 }
 
@@ -131,16 +130,12 @@ func (p *Partition) commitStaged() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := range p.staged[:n] {
+		// Nothing of a failed group becomes visible. Its frames may be in the
+		// file all the same, which is why the log now refuses appends: a
+		// retry would write them a second time.
 		s := &p.staged[i]
-		if err != nil {
-			// Nothing of a failed group becomes visible. Its frames may be in
-			// the file all the same, which is why the log now refuses appends:
-			// a retry would write them a second time.
-			if s.data.offsets != nil {
-				_ = p.data.Destroy(s.data.region) // the fsync failure is the error that matters
-			}
-		} else {
-			p.publishLocked(s.docs, s.data)
+		if err == nil {
+			p.publishLocked(s.docs)
 		}
 		s.commit.Complete(err)
 	}

@@ -8,8 +8,9 @@ import (
 
 // ConsumerOptions configures a subscription.
 type ConsumerOptions struct {
-	// NoData skips fetching payloads (Mofka's data-selection feature):
-	// events arrive with Data == nil. Metadata-only analysis passes use it.
+	// NoData is accepted and has no effect: an event is its metadata, so
+	// there is no payload to skip. It stays for the callers that compile
+	// against it (bench/e2e).
 	NoData bool
 }
 
@@ -24,17 +25,16 @@ const ConsumerChunk = 64
 // partition.
 type Consumer struct {
 	topic *Topic
-	opts  ConsumerOptions
 	next  []uint64 // per partition, the next offset to read
 	turn  int      // the partition the rest of the order starts at
 	order []Chunk  // the order's chunks not read yet, as last computed
 	buf   []Event  // read but not pulled yet
 }
 
-// NewConsumer subscribes to the topic. It does not fail; the error result is
-// kept for the callers that compile against it (bench/e2e).
-func (t *Topic) NewConsumer(opts ConsumerOptions) (*Consumer, error) {
-	return &Consumer{topic: t, opts: opts, next: make([]uint64, len(t.partitions))}, nil
+// NewConsumer subscribes to the topic. It does not fail, and no option has an
+// effect; both are kept for the callers that compile against them (bench/e2e).
+func (t *Topic) NewConsumer(ConsumerOptions) (*Consumer, error) {
+	return &Consumer{topic: t, next: make([]uint64, len(t.partitions))}, nil
 }
 
 // Chunk is one stretch of a topic's delivery order: N consecutive events of
@@ -122,22 +122,21 @@ func (c *Consumer) advance(ch Chunk, n int) {
 }
 
 // fill reads the order's next chunk into the internal buffer.
-func (c *Consumer) fill() error {
+func (c *Consumer) fill() {
 	ch, ok := c.chunk()
 	if !ok {
-		return nil
+		return
 	}
-	evs, err := c.topic.partitions[ch.Part].read(ch.From, ch.N, !c.opts.NoData)
+	evs := c.topic.partitions[ch.Part].read(ch.From, ch.N)
 	c.advance(ch, len(evs))
 	c.buf = append(c.buf, evs...)
-	return err
 }
 
 // Scan visits the metadata of every unread event, in the order Drain would
 // deliver them, without copying it: metadata is the broker's stored bytes,
 // immutable for the broker's life; do not write to them (Partition.Scan says
-// why they never change). Payloads are not fetched. It is the bulk read of
-// analyses that decode each event once.
+// why they never change). It is the bulk read of analyses that decode each
+// event once.
 func (c *Consumer) Scan(visit func(partition int, id uint64, metadata []byte) error) error {
 	for _, ev := range c.buf {
 		if err := visit(ev.Partition, ev.ID, ev.Metadata); err != nil {
@@ -169,9 +168,7 @@ func (c *Consumer) Scan(visit func(partition int, id uint64, metadata []byte) er
 // Pull returns the next event, or ok=false when no unread events exist.
 func (c *Consumer) Pull() (Event, bool, error) {
 	if len(c.buf) == 0 {
-		if err := c.fill(); err != nil {
-			return Event{}, false, err
-		}
+		c.fill()
 	}
 	if len(c.buf) == 0 {
 		return Event{}, false, nil

@@ -208,14 +208,13 @@ func readTopicConfig(dataDir, name string) (TopicConfig, []byte, error) {
 // through admit, which keeps the metadata where the log read it. It returns
 // the opened log.
 func (p *Partition) recoverFrom(segs wal.Segments, opts wal.Options) (*wal.Log, error) {
-	var metas, datas [][]byte
+	var metas [][]byte
 	l, err := wal.OpenReplay(segs, opts, func(recs []wal.Record) error {
-		metas, datas = metas[:0], datas[:0]
+		metas = metas[:0]
 		for _, r := range recs {
 			metas = append(metas, r.Meta)
-			datas = append(datas, r.Data)
 		}
-		_, err := p.admit(metas, datas, true)
+		_, err := p.admit(metas, true)
 		return err
 	})
 	if err != nil {

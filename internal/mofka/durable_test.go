@@ -58,7 +58,7 @@ func TestDurableRecoveryAcrossRestart(t *testing.T) {
 
 	p := execs.NewProducer(ProducerOptions{BatchSize: 4})
 	for i := 0; i < 20; i++ {
-		if err := p.Push(Metadata{"i": i, "key": fmt.Sprintf("task-%d", i)}, []byte(fmt.Sprintf("data-%d", i))); err != nil {
+		if err := p.Push(Metadata{"i": i, "key": fmt.Sprintf("task-%d", i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestDurableRecoveryAcrossRestart(t *testing.T) {
 	for i := range liveEvents {
 		l, r := liveEvents[i], recEvents[i]
 		if l.Partition != r.Partition || l.ID != r.ID ||
-			string(l.Metadata) != string(r.Metadata) || string(l.Data) != string(r.Data) {
+			string(l.Metadata) != string(r.Metadata) {
 			t.Fatalf("event %d differs: live %+v vs recovered %+v", i, l, r)
 		}
 	}
@@ -191,7 +191,7 @@ func TestDurableSurvivesTornTail(t *testing.T) {
 	}
 	p := tp.NewProducer(ProducerOptions{BatchSize: 8})
 	for i := 0; i < 32; i++ {
-		if err := p.Push(Metadata{"i": i}, []byte("payload")); err != nil {
+		if err := p.Push(Metadata{"i": i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,8 +219,8 @@ func TestDurableSurvivesTornTail(t *testing.T) {
 	}
 	for i, ev := range evs {
 		m, err := ev.ParseMetadata()
-		if err != nil || int(m["i"].(float64)) != i || string(ev.Data) != "payload" {
-			t.Fatalf("event %d corrupt after torn-tail recovery: %v %q (%v)", i, m, ev.Data, err)
+		if err != nil || int(m["i"].(float64)) != i {
+			t.Fatalf("event %d corrupt after torn-tail recovery: %v (%v)", i, m, err)
 		}
 	}
 }
@@ -325,7 +325,7 @@ func TestDurableWALOptionsRespected(t *testing.T) {
 			t.Fatal(err)
 		}
 		tp, _ := b.CreateTopic(TopicConfig{Name: "t"})
-		c, err := tp.partitions[0].Submit([][]byte{[]byte(`{}`)}, [][]byte{nil})
+		c, err := tp.partitions[0].Submit([][]byte{[]byte(`{}`)})
 		if err != nil {
 			t.Fatal(err)
 		}

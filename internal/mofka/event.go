@@ -1,9 +1,11 @@
 // Package mofka reimplements the interface shape of the Mofka event
 // streaming service from the Mochi project: topics divided into partitions,
-// producers that push events (JSON metadata + raw data payload) with
-// batching, and consumers that pull events individually or in bulk, with
-// committed cursors. Event metadata is persisted in Yokan collections and
-// data payloads in Warabi regions, matching Mofka's actual composition.
+// producers that push events with batching, and consumers that pull events
+// individually or in bulk, with committed cursors. An event is its JSON
+// metadata, persisted in Yokan collections (and, on a durable broker, a
+// segmented log). Mofka's data payload beside an event has no counterpart
+// here: bulk bytes travel by reference on the proxy plane
+// (internal/proxystore), whose blobs Warabi stores.
 //
 // The provenance framework (internal/core) uses Mofka exactly as the paper
 // describes: the instrumented WMS is the producer, analysis tools are the
@@ -45,8 +47,7 @@ type Event struct {
 	Topic     string
 	Partition int
 	ID        uint64 // offset within the partition, dense from 0
-	Metadata  []byte // JSON
-	Data      []byte // raw payload; nil when the consumer declined data
+	Metadata  []byte // JSON, in stored form
 }
 
 // ParseMetadata decodes the event's metadata JSON.

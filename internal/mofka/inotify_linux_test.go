@@ -1,7 +1,7 @@
 package mofka
 
 import (
-	"encoding/binary"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -72,9 +72,7 @@ func TestPostMortemOpenReadsEachSegmentOnce(t *testing.T) {
 	}
 	p := tp.NewProducer(ProducerOptions{BatchSize: 4})
 	for i := 0; i < 120; i++ {
-		var data [8]byte
-		binary.LittleEndian.PutUint64(data[:], uint64(i))
-		if err := p.Push(Metadata{"i": i, "pad": "xxxxxxxxxxxxxxxxxxxxxxxx"}, data[:]); err != nil {
+		if err := p.Push(Metadata{"i": i, "pad": "xxxxxxxxxxxxxxxxxxxxxxxx", "out": fmt.Sprintf("%08x", i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package mofka
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -49,7 +50,7 @@ func TestProduceConsumeRoundTrip(t *testing.T) {
 	_, tp := newTopic(t, "t", 1)
 	p := tp.NewProducer(ProducerOptions{})
 	for i := 0; i < 10; i++ {
-		err := p.Push(Metadata{"i": i, "kind": "test"}, []byte(fmt.Sprintf("payload-%d", i)))
+		err := p.Push(Metadata{"i": i, "kind": "test"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,27 +74,29 @@ func TestProduceConsumeRoundTrip(t *testing.T) {
 		if int(m["i"].(float64)) != i {
 			t.Fatalf("event %d metadata = %v", i, m)
 		}
-		if string(ev.Data) != fmt.Sprintf("payload-%d", i) {
-			t.Fatalf("event %d data = %q", i, ev.Data)
-		}
 	}
 }
 
+// TestConsumerNoData: NoData is accepted and has no effect — an event is its
+// metadata — so a consumer with it reads what one without it reads.
 func TestConsumerNoData(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
+	_, tp := newTopic(t, "t", 2)
 	p := tp.NewProducer(ProducerOptions{})
-	p.Push(Metadata{"k": "v"}, []byte("big payload"))
+	for i := 0; i < 5; i++ {
+		p.Push(Metadata{"i": i}, nil)
+	}
 	p.Flush()
-	c, _ := tp.NewConsumer(ConsumerOptions{NoData: true})
-	ev, ok, err := c.Pull()
-	if err != nil || !ok {
-		t.Fatal(err)
+	var drained [2][]Event
+	for i, opts := range []ConsumerOptions{{}, {NoData: true}} {
+		c, _ := tp.NewConsumer(opts)
+		evs, err := c.Drain()
+		if err != nil || len(evs) != 5 {
+			t.Fatalf("%+v: drained %d events, %v", opts, len(evs), err)
+		}
+		drained[i] = evs
 	}
-	if ev.Data != nil {
-		t.Fatalf("NoData consumer got payload %q", ev.Data)
-	}
-	if len(ev.Metadata) == 0 {
-		t.Fatal("metadata missing")
+	if !reflect.DeepEqual(drained[0], drained[1]) {
+		t.Fatalf("NoData consumer read %v, default one %v", drained[1], drained[0])
 	}
 }
 
@@ -204,7 +207,7 @@ func TestScannedBytesSurviveTruncate(t *testing.T) {
 		if err := p.Append(metas, datas); err != nil {
 			t.Fatal(err)
 		}
-		c, err := tp.NewConsumer(ConsumerOptions{NoData: true})
+		c, err := tp.NewConsumer(ConsumerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

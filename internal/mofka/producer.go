@@ -15,7 +15,7 @@ import (
 // default.
 type ProducerOptions struct {
 	// BatchSize flushes a partition's pending batch when it reaches this
-	// many events (or maxBatchBytes of payload). Default 128.
+	// many events. Default 128.
 	BatchSize int
 
 	// FlushRetries is how many times a failing batch append is retried
@@ -46,24 +46,19 @@ func (o *ProducerOptions) setDefaults() {
 	}
 }
 
-const (
-	// maxBatchBytes seals a partition's pending batch once its payloads reach
-	// this size, whatever its event count.
-	maxBatchBytes = 4 << 20
-	// maxPendingBatches bounds the per-partition backlog of sealed but
-	// unshipped batches accumulated while the broker is unreachable. Beyond
-	// the bound the oldest batches are dropped (counted by Dropped), trading
-	// provenance completeness for bounded memory — degraded, not wedged.
-	maxPendingBatches = 64
-)
+// maxPendingBatches bounds the per-partition backlog of sealed but unshipped
+// batches accumulated while the broker is unreachable. Beyond the bound the
+// oldest batches are dropped (counted by Dropped), trading provenance
+// completeness for bounded memory — degraded, not wedged.
+const maxPendingBatches = 64
 
 // BatchSink lands one sealed batch on its partition: the one decision that
 // differs between deployments. A standalone topic submits to the partition;
 // a cluster topic (internal/mofka/cluster) runs a quorum append, with seq —
 // the batch's per-partition sequence number, from 1, fixed when it was
 // sealed — making a retry idempotent. The producer calls it once per attempt
-// on a batch, never per event, and never concurrently; metas and datas are
-// only valid during the call.
+// on a batch, never per event, and never concurrently; metas are only valid
+// during the call.
 //
 // An error means the batch was not taken and is the producer's to retry. Nil
 // means it was, at fixed offsets, and the Commit beside it is the wait for
@@ -72,7 +67,7 @@ const (
 // in-memory partition, a log that does not fsync per batch). A partition's
 // commits complete in submit order, so the producer keeps the latest per
 // partition and waits in Flush and Close.
-type BatchSink func(partition int, seq uint64, metas, datas [][]byte) (*Commit, error)
+type BatchSink func(partition int, seq uint64, metas [][]byte) (*Commit, error)
 
 // Producer pushes events into a topic with batching: the one implementation
 // of seal, ship, retry, bounded backlog and degraded mode, whatever the
@@ -108,25 +103,18 @@ type Producer struct {
 // its shipped batches stops allocating per event.
 type batch struct {
 	arena []byte
-	ends  []int // ends[i] is where event i's metadata stops in arena
-	datas [][]byte
-	bytes int64
+	ends  []int  // ends[i] is where event i's metadata stops in arena
 	seq   uint64 // set when the batch is sealed
 }
 
-// Add copies one event into the batch.
-func (b *batch) Add(metadata, data []byte) {
+// Add copies one event's metadata into the batch.
+func (b *batch) Add(metadata []byte) {
 	b.arena = append(b.arena, metadata...)
 	b.ends = append(b.ends, len(b.arena))
-	b.datas = append(b.datas, append([]byte(nil), data...))
-	b.bytes += int64(len(data))
 }
 
 // Len is the number of events in the batch.
 func (b *batch) Len() int { return len(b.ends) }
-
-// DataBytes is the payload bytes the batch holds.
-func (b *batch) DataBytes() int64 { return b.bytes }
 
 // Metas returns each event's metadata as a view into the arena, valid until
 // the next Add or Reset, built on scratch's backing array when it is large
@@ -141,20 +129,16 @@ func (b *batch) Metas(scratch [][]byte) [][]byte {
 	return metas
 }
 
-// Datas returns each event's payload.
-func (b *batch) Datas() [][]byte { return b.datas }
-
 // Reset empties the batch for reuse.
 func (b *batch) Reset() {
-	clear(b.datas)
-	*b = batch{arena: b.arena[:0], ends: b.ends[:0], datas: b.datas[:0]}
+	*b = batch{arena: b.arena[:0], ends: b.ends[:0]}
 }
 
 // NewProducer creates a producer for the topic; its sink appends straight to
 // the topic's partitions (a single broker has no use for sequence numbers).
 func (t *Topic) NewProducer(opts ProducerOptions) *Producer {
-	return NewProducer(len(t.partitions), opts, func(partition int, _ uint64, metas, datas [][]byte) (*Commit, error) {
-		return t.partitions[partition].Submit(metas, datas)
+	return NewProducer(len(t.partitions), opts, func(partition int, _ uint64, metas [][]byte) (*Commit, error) {
+		return t.partitions[partition].Submit(metas)
 	})
 }
 
@@ -176,16 +160,25 @@ func NewProducer(partitions int, opts ProducerOptions, sink BatchSink) *Producer
 	return p
 }
 
-// Push enqueues one event. The metadata and data slices are copied (the
-// metadata once, into its batch's arena). The event becomes visible to
-// consumers once its batch has shipped (by size trigger, Flush, or Close) and
-// committed; Flush and Close wait for that.
+// Push enqueues one event. The metadata is copied once, into its batch's
+// arena. The event becomes visible to consumers once its batch has shipped
+// (by size trigger, Flush, or Close) and committed; Flush and Close wait for
+// that. An event is its metadata: a non-empty data payload is refused with
+// ErrInvalidEvent (the parameter stays for the callers that compile against
+// it, bench/e2e).
 func (p *Producer) Push(metadata Metadata, data []byte) error {
-	return p.PushRaw(metadata.Encode(), data)
+	if len(data) > 0 {
+		return errPayload
+	}
+	return p.PushRaw(metadata.Encode(), nil)
 }
 
-// PushRaw enqueues one event with pre-encoded JSON metadata.
+// PushRaw enqueues one event with pre-encoded JSON metadata; like Push, it
+// refuses a non-empty data payload.
 func (p *Producer) PushRaw(metadata, data []byte) error {
+	if len(data) > 0 {
+		return errPayload
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -194,9 +187,9 @@ func (p *Producer) PushRaw(metadata, data []byte) error {
 	idx := p.rr
 	p.rr = (p.rr + 1) % len(p.open)
 	b := &p.open[idx]
-	b.Add(metadata, data)
+	b.Add(metadata)
 	p.pushed++
-	needFlush := b.Len() >= p.opts.BatchSize || b.DataBytes() >= maxBatchBytes
+	needFlush := b.Len() >= p.opts.BatchSize
 	if needFlush {
 		p.sealLocked(idx)
 	}
@@ -294,7 +287,7 @@ func (p *Producer) appendWithRetry(idx int, b batch) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		var c *Commit
-		c, err = p.sink(idx, b.seq, p.views, b.Datas())
+		c, err = p.sink(idx, b.seq, p.views)
 		if err == nil && c != nil {
 			p.commits[idx] = c
 		}

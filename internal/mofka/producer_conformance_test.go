@@ -2,7 +2,6 @@ package mofka_test
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -121,7 +120,7 @@ func landed(t *testing.T, bus mofka.Bus, topic string) [][]mofka.Event {
 	}
 	out := make([][]mofka.Event, tp.Partitions())
 	for i := range out {
-		if out[i], err = view.Service().Pull(topic, i, 0, 0, true); err != nil {
+		if out[i], err = view.Service().Pull(topic, i, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,13 +165,16 @@ func testSealsByCountAndByBytes(t *testing.T, d deployment) {
 		t.Fatalf("stats = %d pushed, %d flushes, want 5, 1", pushed, flushes)
 	}
 
-	// A batch seals once its payloads reach 4 MiB, however few its events.
-	byBytes := tp.NewProducer(mofka.ProducerOptions{BatchSize: 1000})
-	if err := byBytes.Push(mofka.Metadata{}, make([]byte, 4<<20)); err != nil {
+	// An event is its metadata: a push with a payload is refused and seals
+	// nothing, whatever the deployment.
+	if err := p.Push(mofka.Metadata{}, make([]byte, 4<<20)); !errors.Is(err, mofka.ErrInvalidEvent) {
+		t.Fatalf("push with a payload = %v, want ErrInvalidEvent", err)
+	}
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n := count(landed(t, d.bus, "t")); n != 6 {
-		t.Fatalf("events after byte trigger = %d, want 6", n)
+	if n := count(landed(t, d.bus, "t")); n != 5 {
+		t.Fatalf("events after a refused payload = %d, want 5", n)
 	}
 }
 
@@ -198,7 +200,7 @@ func testCloseShipsLastBatchThenErrClosed(t *testing.T, d deployment) {
 	tp := openTopic(t, d.bus, mofka.TopicConfig{Name: "t", Partitions: 1})
 	p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 128})
 	for i := 0; i < 3; i++ {
-		if err := p.Push(mofka.Metadata{"i": i}, []byte("x")); err != nil {
+		if err := p.Push(mofka.Metadata{"i": i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +223,7 @@ func testOrderAndConcurrency(t *testing.T, d deployment) {
 	one := openTopic(t, d.bus, mofka.TopicConfig{Name: "one", Partitions: 1})
 	p := one.NewProducer(mofka.ProducerOptions{BatchSize: 7})
 	for i := 0; i < 100; i++ {
-		if err := p.Push(mofka.Metadata{"seq": i}, []byte(fmt.Sprintf("payload-%d", i))); err != nil {
+		if err := p.Push(mofka.Metadata{"seq": i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,8 +235,8 @@ func testOrderAndConcurrency(t *testing.T, d deployment) {
 		t.Fatalf("got %d events, want 100", len(evs))
 	}
 	for i, ev := range evs {
-		if field(t, ev, "seq") != i || ev.ID != uint64(i) || string(ev.Data) != fmt.Sprintf("payload-%d", i) {
-			t.Fatalf("event %d: seq %d, id %d, data %q", i, field(t, ev, "seq"), ev.ID, ev.Data)
+		if field(t, ev, "seq") != i || ev.ID != uint64(i) {
+			t.Fatalf("event %d: seq %d, id %d", i, field(t, ev, "seq"), ev.ID)
 		}
 	}
 
@@ -248,7 +250,7 @@ func testOrderAndConcurrency(t *testing.T, d deployment) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := mp.Push(mofka.Metadata{"n": g*per + i}, []byte{byte(i)}); err != nil {
+				if err := mp.Push(mofka.Metadata{"n": g*per + i}, nil); err != nil {
 					t.Errorf("push: %v", err)
 					return
 				}
@@ -292,7 +294,7 @@ func testDegradedBoundRecovery(t *testing.T, d deployment) {
 	const pushed, bound = 67, 64
 	for i := 0; i < pushed; i++ {
 		// Push reports the shipping failure but must not lose the event.
-		if err := p.Push(mofka.Metadata{"i": i}, []byte("x")); !errors.Is(err, errInjected) {
+		if err := p.Push(mofka.Metadata{"i": i}, nil); !errors.Is(err, errInjected) {
 			t.Fatalf("push %d under fault err = %v, want %v", i, err, errInjected)
 		}
 	}
@@ -342,7 +344,7 @@ func testOutageNeitherLosesNorDuplicates(t *testing.T, d deployment) {
 		push := func(from, to int) (failed bool) {
 			for i := from; i < to; i++ {
 				// A shipping error is reported, the event buffered all the same.
-				failed = p.Push(mofka.Metadata{"seq": i}, []byte(fmt.Sprintf("d%d", i))) != nil || failed
+				failed = p.Push(mofka.Metadata{"seq": i}, nil) != nil || failed
 			}
 			return p.Flush() != nil || failed
 		}

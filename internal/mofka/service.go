@@ -24,9 +24,9 @@ type Service interface {
 	// TopicInfo returns a topic's partition count and its total event count.
 	TopicInfo(name string) (partitions int, events uint64, err error)
 	// PushBatch appends a batch of events to one partition.
-	PushBatch(topic string, partition int, metas, datas [][]byte) error
+	PushBatch(topic string, partition int, metas [][]byte) error
 	// Pull returns up to max events of one partition from offset from on.
-	Pull(topic string, partition int, from uint64, max int, withData bool) ([]Event, error)
+	Pull(topic string, partition int, from uint64, max int) ([]Event, error)
 	// Commit records a consumer's next-unread offset.
 	Commit(consumer, topic string, partition int, next uint64) error
 	// Cursor returns a consumer's committed offset, 0 if it never committed.
@@ -45,7 +45,7 @@ type Service interface {
 // on several logs — the cluster's quorum append — submits to all of them
 // before it waits on any, so their fsyncs run side by side.
 type BatchSubmitter interface {
-	SubmitBatch(topic string, partition int, metas, datas [][]byte) (*Commit, error)
+	SubmitBatch(topic string, partition int, metas [][]byte) (*Commit, error)
 }
 
 // fencedPusher is what a Service adds when its pushes can carry a producer
@@ -53,7 +53,7 @@ type BatchSubmitter interface {
 // idempotent, fenced append). Serve hands such a service the three fields of
 // the push request and answers with the epoch it returns.
 type fencedPusher interface {
-	PushFenced(topic string, partition int, producer string, seq, epoch uint64, metas, datas [][]byte) (current uint64, err error)
+	PushFenced(topic string, partition int, producer string, seq, epoch uint64, metas [][]byte) (current uint64, err error)
 }
 
 // The RPC names and wire structs of the nine operations: Serve decodes them,
@@ -76,7 +76,6 @@ type pushRequest struct {
 	Topic     string            `json:"topic"`
 	Partition int               `json:"partition"`
 	Metas     []json.RawMessage `json:"metas"`
-	Datas     [][]byte          `json:"datas"`
 	Producer  string            `json:"producer,omitempty"`
 	Seq       uint64            `json:"seq,omitempty"`
 	Epoch     uint64            `json:"epoch,omitempty"`
@@ -91,7 +90,6 @@ type pullRequest struct {
 	Partition int    `json:"partition"`
 	From      uint64 `json:"from"`
 	Max       int    `json:"max"`
-	WithData  bool   `json:"with_data"`
 }
 
 type pullResponse struct {
@@ -131,13 +129,13 @@ func Serve(ep *mercury.Endpoint, svc Service) {
 			metas[i] = m
 		}
 		if fenced == nil {
-			return nil, svc.PushBatch(pr.Topic, pr.Partition, metas, pr.Datas)
+			return nil, svc.PushBatch(pr.Topic, pr.Partition, metas)
 		}
-		cur, err := fenced.PushFenced(pr.Topic, pr.Partition, pr.Producer, pr.Seq, pr.Epoch, metas, pr.Datas)
+		cur, err := fenced.PushFenced(pr.Topic, pr.Partition, pr.Producer, pr.Seq, pr.Epoch, metas)
 		return pushResponse{Epoch: cur}, err
 	}))
 	ep.Register(rpcPull, handler(func(pr pullRequest) (any, error) {
-		evs, err := svc.Pull(pr.Topic, pr.Partition, pr.From, pr.Max, pr.WithData)
+		evs, err := svc.Pull(pr.Topic, pr.Partition, pr.From, pr.Max)
 		return pullResponse{Events: evs}, err
 	}))
 	ep.Register(rpcCommit, handler(func(cr commitRequest) (any, error) {
@@ -206,28 +204,28 @@ func (s brokerService) TopicInfo(name string) (int, uint64, error) {
 	return t.Partitions(), t.Events(), nil
 }
 
-func (s brokerService) PushBatch(topic string, partition int, metas, datas [][]byte) error {
-	c, err := s.SubmitBatch(topic, partition, metas, datas)
+func (s brokerService) PushBatch(topic string, partition int, metas [][]byte) error {
+	c, err := s.SubmitBatch(topic, partition, metas)
 	if err != nil {
 		return err
 	}
 	return c.Wait()
 }
 
-func (s brokerService) SubmitBatch(topic string, partition int, metas, datas [][]byte) (*Commit, error) {
+func (s brokerService) SubmitBatch(topic string, partition int, metas [][]byte) (*Commit, error) {
 	p, err := s.partition(topic, partition)
 	if err != nil {
 		return nil, err
 	}
-	return p.Submit(metas, datas)
+	return p.Submit(metas)
 }
 
-func (s brokerService) Pull(topic string, partition int, from uint64, max int, withData bool) ([]Event, error) {
+func (s brokerService) Pull(topic string, partition int, from uint64, max int) ([]Event, error) {
 	p, err := s.partition(topic, partition)
 	if err != nil {
 		return nil, err
 	}
-	return p.read(from, max, withData)
+	return p.read(from, max), nil
 }
 
 func (s brokerService) Commit(consumer, topic string, partition int, next uint64) error {
@@ -301,8 +299,8 @@ func (r *Remote) TopicInfo(name string) (partitions int, events uint64, err erro
 }
 
 // PushBatch appends a batch of events to one partition.
-func (r *Remote) PushBatch(topic string, partition int, metas [][]byte, datas [][]byte) error {
-	pr := pushRequest{Topic: topic, Partition: partition, Datas: datas}
+func (r *Remote) PushBatch(topic string, partition int, metas [][]byte) error {
+	pr := pushRequest{Topic: topic, Partition: partition}
 	for _, m := range metas {
 		pr.Metas = append(pr.Metas, m)
 	}
@@ -310,9 +308,9 @@ func (r *Remote) PushBatch(topic string, partition int, metas [][]byte, datas []
 }
 
 // Pull fetches up to max events of one partition starting at offset from.
-func (r *Remote) Pull(topic string, partition int, from uint64, max int, withData bool) ([]Event, error) {
+func (r *Remote) Pull(topic string, partition int, from uint64, max int) ([]Event, error) {
 	var resp pullResponse
-	err := r.call(rpcPull, pullRequest{Topic: topic, Partition: partition, From: from, Max: max, WithData: withData}, &resp)
+	err := r.call(rpcPull, pullRequest{Topic: topic, Partition: partition, From: from, Max: max}, &resp)
 	return resp.Events, err
 }
 

@@ -30,11 +30,11 @@ func TestRemoteOverTCP(t *testing.T) {
 	if err := r.CreateTopic(TopicConfig{Name: "net", Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.PushBatch("net", 0, [][]byte{[]byte(`{"a":1}`)}, [][]byte{[]byte("payload")}); err != nil {
+	if err := r.PushBatch("net", 0, [][]byte{[]byte(`{"a":1}`)}); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := r.Pull("net", 0, 0, 10, true)
-	if err != nil || len(evs) != 1 || string(evs[0].Data) != "payload" {
+	evs, err := r.Pull("net", 0, 0, 10)
+	if err != nil || len(evs) != 1 || string(evs[0].Metadata) != `{"a":1}` {
 		t.Fatalf("TCP pull = %+v, %v", evs, err)
 	}
 	// Broker-side view agrees.
@@ -48,8 +48,8 @@ func TestRemoteOverTCP(t *testing.T) {
 // fuzzer reaches both of Serve's push paths without the cluster package.
 type fencedBroker struct{ Service }
 
-func (f fencedBroker) PushFenced(topic string, partition int, _ string, _, epoch uint64, metas, datas [][]byte) (uint64, error) {
-	return epoch, f.PushBatch(topic, partition, metas, datas)
+func (f fencedBroker) PushFenced(topic string, partition int, _ string, _, epoch uint64, metas [][]byte) (uint64, error) {
+	return epoch, f.PushBatch(topic, partition, metas)
 }
 
 // FuzzServe: whatever bytes arrive under any of the nine RPC names, a handler
@@ -70,17 +70,17 @@ func FuzzServe(f *testing.F) {
 		`{"name":"wire","partitions":2}`,
 		`{}`,
 		`"t"`,
-		`{"topic":"t","partition":0,"metas":[{"i":0},{"i":1,"s":"aé"}],"datas":["ZDA=","ZDE="]}`,
-		`{"topic":"t","partition":0,"from":0,"max":10,"with_data":true}`,
+		`{"topic":"t","partition":0,"metas":[{"i":0},{"i":1,"s":"aé"}]}`,
+		`{"topic":"t","partition":0,"from":0,"max":10}`,
 		`{"consumer":"cons","topic":"t","partition":0,"next":2}`,
 		`{"consumer":"cons","topic":"t","partition":0,"next":0}`,
-		`{"topic":"t","partition":1,"from":0,"max":0,"with_data":false}`,
+		`{"topic":"t","partition":1,"from":0,"max":0}`,
 		`{}`,
 	} {
 		f.Add(uint8(i), []byte(req))
 	}
-	f.Add(uint8(3), []byte(`{"topic":"t","partition":1,"metas":[{"i":3}],"datas":["ZDM="],"producer":"p1","seq":1,"epoch":1}`))
-	f.Add(uint8(3), []byte(`{"topic":"t","partition":-1,"metas":[[1]],"datas":[null,null]}`))
+	f.Add(uint8(3), []byte(`{"topic":"t","partition":1,"metas":[{"i":3}],"producer":"p1","seq":1,"epoch":1}`))
+	f.Add(uint8(3), []byte(`{"topic":"t","partition":-1,"metas":[[1],null]}`))
 	f.Add(uint8(3), []byte(`{"topic":`))
 	f.Add(uint8(4), []byte(`{"topic":"t","partition":0,"from":18446744073709551615,"max":-5}`))
 	f.Add(uint8(0), []byte(`{"name":"big","partitions":100000}`))
@@ -105,7 +105,7 @@ func FuzzServe(f *testing.F) {
 		if err := b.Service().Ping(); err != nil {
 			t.Fatalf("broker unusable after %s(%q): %v", name, req, err)
 		}
-		if _, err := b.Service().Pull("t", 0, 0, 0, true); err != nil {
+		if _, err := b.Service().Pull("t", 0, 0, 0); err != nil {
 			t.Fatalf("t[0] unreadable after %s(%q): %v", name, req, err)
 		}
 	})

@@ -11,19 +11,17 @@ import (
 )
 
 // brokerFootprint is what a rejected append must leave as it was: the
-// partition's length, its WAL's next offset, and Warabi's regions and bytes.
+// partition's length, its documents and its WAL's next offset.
 type brokerFootprint struct {
-	length, walNext uint64
-	regions         int
-	written         int64
+	length, docs, walNext uint64
 }
 
-func footprint(b *Broker, p *Partition) brokerFootprint {
+func footprint(p *Partition) brokerFootprint {
 	f := brokerFootprint{length: p.Length()}
+	p.Scan(0, 0, func(uint64, []byte) bool { f.docs++; return true })
 	if p.log != nil {
 		f.walNext = p.log.NextOffset()
 	}
-	f.regions, f.written, _ = b.data.Stats()
 	return f
 }
 
@@ -39,16 +37,16 @@ func TestAppendRejectsInvalidMetadata(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := tp.partitions[0]
-			if err := p.Append([][]byte{good}, [][]byte{[]byte("payload")}); err != nil {
+			if err := p.Append([][]byte{good}, nil); err != nil {
 				t.Fatal(err)
 			}
-			before := footprint(b, p)
+			before := footprint(p)
 
-			err = p.Append([][]byte{good, []byte(bad), good}, [][]byte{nil, []byte("data"), nil})
+			err = p.Append([][]byte{good, []byte(bad), good}, nil)
 			if !errors.Is(err, ErrInvalidEvent) {
 				t.Fatalf("%s: Append(%q) = %v, want ErrInvalidEvent", name, bad, err)
 			}
-			if after := footprint(b, p); after != before {
+			if after := footprint(p); after != before {
 				t.Fatalf("%s: rejected Append(%q) left %+v, was %+v", name, bad, after, before)
 			}
 
@@ -59,7 +57,7 @@ func TestAppendRejectsInvalidMetadata(t *testing.T) {
 			if err := prod.Flush(); !errors.Is(err, ErrInvalidEvent) {
 				t.Fatalf("%s: Flush after PushRaw(%q) = %v, want ErrInvalidEvent", name, bad, err)
 			}
-			if after := footprint(b, p); after != before {
+			if after := footprint(p); after != before {
 				t.Fatalf("%s: rejected PushRaw(%q) left %+v, was %+v", name, bad, after, before)
 			}
 			if evs := drainAll(t, b, "t"); len(evs) != 1 || !bytes.Equal(evs[0].Metadata, good) {
@@ -126,7 +124,7 @@ func TestAppendStoresCompactedMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := tp.partitions[0]
-	before := footprint(b, p)
+	before := footprint(p)
 	if before.length != uint64(len(pushed)) || before.walNext != uint64(len(pushed)) {
 		t.Fatalf("footprint after %d pushes: %+v", len(pushed), before)
 	}
@@ -141,26 +139,11 @@ func TestAppendStoresCompactedMetadata(t *testing.T) {
 	}
 }
 
-// appended is the arguments of one Partition.Append.
-type appended struct{ metas, datas [][]byte }
-
-// roundTripBatches are the two batches a round trip appends, every event's
-// metadata m: one whose first and last events carry payload (none when
-// payload is empty), and one without any.
-func roundTripBatches(m, payload []byte) (withData, without appended) {
-	return appended{[][]byte{m, m, m}, [][]byte{payload, nil, payload}},
-		appended{[][]byte{m, m, m}, [][]byte{nil, nil, nil}}
-}
-
-// served checks that the one partition of tp holds exactly the events of
-// batches, in order, each served with want as its metadata and its payload as
-// appended — through Partition.Scan, and through a consumer's PullBatch.
-func served(t *testing.T, stage string, tp *Topic, want []byte, batches ...appended) {
+// served checks that the one partition of tp holds exactly n events, each
+// served with want as its metadata — through Partition.Scan, and through a
+// consumer's PullBatch.
+func served(t *testing.T, stage string, tp *Topic, want []byte, n int) {
 	t.Helper()
-	var datas [][]byte
-	for _, b := range batches {
-		datas = append(datas, b.datas...)
-	}
 	var scanned [][]byte
 	tp.partitions[0].Scan(0, 0, func(_ uint64, m []byte) bool {
 		scanned = append(scanned, m)
@@ -170,39 +153,38 @@ func served(t *testing.T, stage string, tp *Topic, want []byte, batches ...appen
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := c.PullBatch(len(datas) + 1)
-	if err != nil || len(evs) != len(datas) || len(scanned) != len(datas) {
-		t.Fatalf("%s: pulled %d and scanned %d of %d events, %v", stage, len(evs), len(scanned), len(datas), err)
+	evs, err := c.PullBatch(n + 1)
+	if err != nil || len(evs) != n || len(scanned) != n {
+		t.Fatalf("%s: pulled %d and scanned %d of %d events, %v", stage, len(evs), len(scanned), n, err)
 	}
 	for i, ev := range evs {
-		if !bytes.Equal(scanned[i], want) || !bytes.Equal(ev.Metadata, want) || !bytes.Equal(ev.Data, datas[i]) {
-			t.Fatalf("%s: event %d scans as %q and pulls as %q with payload %q, want %q with %q", stage, i, scanned[i], ev.Metadata, ev.Data, want, datas[i])
+		if !bytes.Equal(scanned[i], want) || !bytes.Equal(ev.Metadata, want) {
+			t.Fatalf("%s: event %d scans as %q and pulls as %q, want %q", stage, i, scanned[i], ev.Metadata, want)
 		}
 	}
 }
 
-// roundTrip appends the round trip's two batches of metadata m to an
+// roundTrip appends two batches of three events of metadata m to an
 // in-memory partition, and checks that every event is served as want, the
-// stored form of m, with its payload as appended. The same must hold for a
-// partition sharing the first two events (ShareFrom) and for the source cut
-// back to its first (TruncateTo), once each has appended the batch without
-// payload after them; and, if durable, for a durable partition live and after
-// Close and OpenPostMortem.
-func roundTrip(t *testing.T, m, payload, want []byte, durable bool) {
+// stored form of m. The same must hold for a partition sharing the first two
+// events (ShareFrom) and for the source cut back to its first (TruncateTo),
+// once each has appended a batch after them; and, if durable, for a durable
+// partition live and after Close and OpenPostMortem.
+func roundTrip(t *testing.T, m, want []byte, durable bool) {
 	t.Helper()
-	a, b := roundTripBatches(m, payload)
-	appendAll := func(p *Partition, batches ...appended) {
+	batch := [][]byte{m, m, m}
+	appendAll := func(p *Partition, batches int) {
 		t.Helper()
-		for _, x := range batches {
-			if err := p.Append(x.metas, x.datas); err != nil {
+		for range batches {
+			if err := p.Append(batch, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	_, tp := newTopic(t, "t", 1)
 	src := tp.partitions[0]
-	appendAll(src, a, b)
-	served(t, "appended", tp, want, a, b)
+	appendAll(src, 2)
+	served(t, "appended", tp, want, 6)
 
 	_, vtp := newTopic(t, "t", 1)
 	view := vtp.partitions[0]
@@ -212,10 +194,10 @@ func roundTrip(t *testing.T, m, payload, want []byte, durable bool) {
 	if err := src.TruncateTo(1); err != nil {
 		t.Fatal(err)
 	}
-	appendAll(src, b)
-	appendAll(view, b)
-	served(t, "truncated", tp, want, appended{a.metas[:1], a.datas[:1]}, b)
-	served(t, "shared", vtp, want, appended{a.metas[:2], a.datas[:2]}, b)
+	appendAll(src, 1)
+	appendAll(view, 1)
+	served(t, "truncated", tp, want, 4)
+	served(t, "shared", vtp, want, 5)
 	if !durable {
 		return
 	}
@@ -229,8 +211,8 @@ func roundTrip(t *testing.T, m, payload, want []byte, durable bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(dtp.partitions[0], a, b)
-	served(t, "durable", dtp, want, a, b)
+	appendAll(dtp.partitions[0], 2)
+	served(t, "durable", dtp, want, 6)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +224,13 @@ func roundTrip(t *testing.T, m, payload, want []byte, durable bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served(t, "post-mortem", ptp, want, a, b)
+	served(t, "post-mortem", ptp, want, 6)
 }
 
 // TestPartitionRoundTrip: whatever admitted metadata holds — text that looks
 // like the members of the envelope the broker once wrapped it in, whitespace
 // and characters the stored form escapes, nothing at all — a partition serves
-// it in stored form with its payload, with and without payloads, live,
-// shared, truncated and post-mortem.
+// it in stored form, live, shared, truncated and post-mortem.
 func TestPartitionRoundTrip(t *testing.T) {
 	for _, meta := range []string{
 		`{}`, `null`, `7`, `"s"`, `{"k":"v"}`, ``,
@@ -266,8 +247,55 @@ func TestPartitionRoundTrip(t *testing.T) {
 		if len(m) > 0 {
 			want = referenceStored(t, m)
 		}
-		for _, payload := range []string{"", "payload"} {
-			roundTrip(t, m, []byte(payload), want, true)
+		roundTrip(t, m, want, true)
+	}
+}
+
+// TestPayloadRefused: an event is its metadata. A data payload offered
+// through Producer.Push, Producer.PushRaw or Partition.Append is refused with
+// ErrInvalidEvent before anything is stored — no document, no WAL record, the
+// length unchanged — on an in-memory and on a durable broker; Append takes
+// nil or all-empty data.
+func TestPayloadRefused(t *testing.T) {
+	good := []byte(`{"k":1}`)
+	for name, b := range map[string]*Broker{"memory": NewStandaloneBroker(), "durable": newDurable(t, t.TempDir())} {
+		tp, err := b.CreateTopic(TopicConfig{Name: "t", Partitions: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := tp.partitions[0]
+		if err := p.Append([][]byte{good, good}, [][]byte{nil, {}}); err != nil {
+			t.Fatalf("%s: Append with empty data entries: %v", name, err)
+		}
+		before := footprint(p)
+		want := brokerFootprint{length: 2, docs: 2}
+		if name == "durable" {
+			want.walNext = 2
+		}
+		if before != want {
+			t.Fatalf("%s: footprint after one append %+v, want %+v", name, before, want)
+		}
+		prod := tp.NewProducer(ProducerOptions{BatchSize: 1})
+		for call, err := range map[string]error{
+			"Append":  p.Append([][]byte{good, good}, [][]byte{nil, []byte("x")}),
+			"PushRaw": prod.PushRaw(good, []byte("x")),
+			"Push":    prod.Push(Metadata{"k": 1}, []byte("x")),
+		} {
+			if !errors.Is(err, ErrInvalidEvent) {
+				t.Errorf("%s: %s with a payload = %v, want ErrInvalidEvent", name, call, err)
+			}
+		}
+		if err := prod.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after := footprint(p); after != before {
+			t.Fatalf("%s: a refused payload left %+v, was %+v", name, after, before)
+		}
+		if pushed, _ := prod.Stats(); pushed != 0 {
+			t.Fatalf("%s: producer counts %d refused events as pushed", name, pushed)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -278,7 +306,7 @@ func TestConsumerScanMatchesDrain(t *testing.T) {
 	_, tp := newTopic(t, "t", 3)
 	prod := tp.NewProducer(ProducerOptions{BatchSize: 5})
 	for i := 0; i < 400; i++ {
-		if err := prod.Push(Metadata{"i": i}, []byte("payload")); err != nil {
+		if err := prod.Push(Metadata{"i": i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,20 +400,18 @@ func TestEventsArePrivateCopies(t *testing.T) {
 }
 
 // TestShareFromKeepsItsOwnIndex: a partition that shares another's committed
-// events reads them, payloads included, through the source's target; a
-// truncation and new appends at the source, and appends to the sharer, each
-// stay on their own side. A partition that is not empty, or a prefix the
+// events reads them; a truncation and new appends at the source, and appends
+// to the sharer, each stay on their own side. A partition that is not empty, or a prefix the
 // source has not committed, is refused.
 func TestShareFromKeepsItsOwnIndex(t *testing.T) {
 	_, stp := newTopic(t, "t", 1)
 	src := stp.partitions[0]
 	meta := func(who string, i int) []byte { return []byte(fmt.Sprintf(`{"who":%q,"i":%d}`, who, i)) }
-	var metas, datas [][]byte
+	var metas [][]byte
 	for i := 0; i < 1500; i++ { // three pages' worth
 		metas = append(metas, meta("src", i))
-		datas = append(datas, []byte(fmt.Sprint("payload-", i)))
 	}
-	if err := src.Append(metas, datas); err != nil {
+	if err := src.Append(metas, nil); err != nil {
 		t.Fatal(err)
 	}
 	const shared = 1200
@@ -405,10 +431,10 @@ func TestShareFromKeepsItsOwnIndex(t *testing.T) {
 	if err := src.TruncateTo(1000); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Append([][]byte{meta("src-after", 0)}, [][]byte{[]byte("new")}); err != nil {
+	if err := src.Append([][]byte{meta("src-after", 0)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Append([][]byte{meta("dst", 0)}, [][]byte{[]byte("mine")}); err != nil {
+	if err := dst.Append([][]byte{meta("dst", 0)}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -417,12 +443,12 @@ func TestShareFromKeepsItsOwnIndex(t *testing.T) {
 		t.Fatalf("sharer holds %d events, want %d", len(evs), shared+1)
 	}
 	for i, ev := range evs[:shared] {
-		if !bytes.Equal(ev.Metadata, metas[i]) || !bytes.Equal(ev.Data, datas[i]) {
-			t.Fatalf("shared event %d reads %s / %q", i, ev.Metadata, ev.Data)
+		if !bytes.Equal(ev.Metadata, metas[i]) {
+			t.Fatalf("shared event %d reads %s", i, ev.Metadata)
 		}
 	}
-	if last := evs[shared]; !bytes.Equal(last.Metadata, meta("dst", 0)) || string(last.Data) != "mine" {
-		t.Fatalf("sharer's own event reads %s / %q", last.Metadata, last.Data)
+	if last := evs[shared]; !bytes.Equal(last.Metadata, meta("dst", 0)) {
+		t.Fatalf("sharer's own event reads %s", last.Metadata)
 	}
 	if n := src.Length(); n != 1001 {
 		t.Fatalf("source holds %d events after its truncation and append, want 1001", n)

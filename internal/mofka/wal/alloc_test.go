@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"taskprov/internal/mofka"
@@ -89,7 +90,7 @@ func TestOpenReadsThroughOneBuffer(t *testing.T) {
 	}
 	recs := make([]wal.Record, 64)
 	for i := range recs {
-		recs[i] = wal.Record{Meta: []byte(fmt.Sprintf(`{"key":"('getitem-abc', %d)","from":"waiting","to":"processing"}`, i)), Data: make([]byte, 1000)}
+		recs[i] = wal.Record{Meta: []byte(fmt.Sprintf(`{"key":"('getitem-abc', %d)","from":"waiting","to":"processing","pad":"%s"}`, i, strings.Repeat("x", 1000)))}
 	}
 	for l.Segments() < 3 {
 		if _, err := l.AppendBatch(recs); err != nil {

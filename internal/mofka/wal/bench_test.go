@@ -6,7 +6,7 @@ import (
 )
 
 // benchRecords builds one producer-batch worth of realistic provenance
-// events (~60-byte JSON metadata, no payload — the collector's common case).
+// events (~60-byte JSON metadata each).
 func benchRecords(n int) []Record {
 	recs := make([]Record, n)
 	for i := range recs {

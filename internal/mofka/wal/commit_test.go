@@ -207,7 +207,7 @@ func TestCommitWaitsForFsync(t *testing.T) {
 	var pushErr error
 	go func() {
 		defer close(pushed)
-		pushErr = b.Service().PushBatch("t", 0, [][]byte{tagged("service", 0), tagged("service", 1)}, [][]byte{nil, nil})
+		pushErr = b.Service().PushBatch("t", 0, [][]byte{tagged("service", 0), tagged("service", 1)})
 	}()
 	stillBlocked(t, "Service.PushBatch", pushed)
 	batches++
@@ -217,7 +217,7 @@ func TestCommitWaitsForFsync(t *testing.T) {
 	// next one blocks.
 	direct := 0
 	for ; batches < 8; batches++ {
-		if _, err := part.Submit([][]byte{tagged("direct", direct)}, [][]byte{nil}); err != nil {
+		if _, err := part.Submit([][]byte{tagged("direct", direct)}); err != nil {
 			t.Fatal(err)
 		}
 		direct++
@@ -227,7 +227,7 @@ func TestCommitWaitsForFsync(t *testing.T) {
 	go func(meta []byte) {
 		defer close(overBound)
 		var c *mofka.Commit
-		if c, overErr = part.Submit([][]byte{meta}, [][]byte{nil}); overErr == nil {
+		if c, overErr = part.Submit([][]byte{meta}); overErr == nil {
 			overErr = c.Wait()
 		}
 	}(tagged("direct", direct))
@@ -329,7 +329,7 @@ func TestFailedFsyncPoisonsLog(t *testing.T) {
 	if err := prod.Flush(); !errors.Is(err, boom) {
 		t.Fatalf("Flush after the log was poisoned = %v, want the injected error", err)
 	}
-	if err := part.Append([][]byte{tagged("direct", 0)}, [][]byte{nil}); !errors.Is(err, boom) {
+	if err := part.Append([][]byte{tagged("direct", 0)}, nil); !errors.Is(err, boom) {
 		t.Fatalf("Append after the log was poisoned = %v, want the injected error", err)
 	}
 	if n := part.Length(); n != visible {
@@ -387,7 +387,7 @@ func unacknowledged(t *testing.T, c *cluster.Cluster, when string) {
 	if n, err := c.Length("t", 0); err != nil || n != 0 {
 		t.Fatalf("%s: Cluster.Length = %d (%v), want 0", when, n, err)
 	}
-	if evs, err := c.Read("t", 0, 0, 100, true); err != nil || len(evs) != 0 {
+	if evs, err := c.Read("t", 0, 0, 100); err != nil || len(evs) != 0 {
 		t.Fatalf("%s: Cluster.Read = %d events (%v), want none", when, len(evs), err)
 	}
 }
@@ -433,7 +433,7 @@ func TestQuorumAckIsPipelined(t *testing.T) {
 	if n, err := c.Length("t", 0); err != nil || n != 2*ships {
 		t.Fatalf("Cluster.Length = %d (%v) after Flush, want %d", n, err, 2*ships)
 	}
-	evs, err := c.Read("t", 0, 0, 100, true)
+	evs, err := c.Read("t", 0, 0, 100)
 	if err != nil || len(evs) != 2*ships {
 		t.Fatalf("Cluster.Read = %d events (%v), want %d", len(evs), err, 2*ships)
 	}
@@ -560,7 +560,7 @@ func TestConcurrentPushBatchKeepsOrder(t *testing.T) {
 		go func(who string) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := svc.PushBatch("t", 0, [][]byte{tagged(who, i)}, [][]byte{nil}); err != nil {
+				if err := svc.PushBatch("t", 0, [][]byte{tagged(who, i)}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -19,7 +20,7 @@ func validStream(n int) []byte {
 	var buf []byte
 	for i := 0; i < n; i++ {
 		buf = append(buf, appendFrame(nil,
-			Record{Meta: []byte(fmt.Sprintf(`{"i":%d}`, i)), Data: bytes.Repeat([]byte{byte(i)}, 16+i)})...)
+			Record{Meta: []byte(fmt.Sprintf(`{"i":%d,"pad":"%s"}`, i, strings.Repeat("x", 16+i)))})...)
 	}
 	return buf
 }
@@ -40,6 +41,7 @@ func FuzzWALRecover(f *testing.F) {
 	huge := validStream(1)
 	huge[0], huge[1], huge[2], huge[3] = 0xff, 0xff, 0xff, 0x7f // absurd length field
 	f.Add(huge)
+	f.Add(append(validStream(2), frameWithTail([]byte(`{"i":2}`), []byte("data"))...)) // metadata short of its payload
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -114,7 +116,7 @@ func FuzzWALRecover(f *testing.F) {
 
 // realSegment is the segment a log leaves after appending n records in
 // batches of three: the bytes a writer frames, not a test's own framing. The
-// payloads rise and fall in size, so that a frame which fits a grown window
+// records rise and fall in size, so that a frame which fits a grown window
 // straddles its end too.
 func realSegment(f *testing.F, n int) []byte {
 	dir := f.TempDir()
@@ -125,7 +127,7 @@ func realSegment(f *testing.F, n int) []byte {
 	for i := 0; i < n; i += 3 {
 		var batch []Record
 		for j := i; j < min(i+3, n); j++ {
-			batch = append(batch, Record{Meta: []byte(fmt.Sprintf(`{"i":%d}`, j)), Data: bytes.Repeat([]byte{byte(j)}, j*37%50)})
+			batch = append(batch, Record{Meta: []byte(fmt.Sprintf(`{"i":%d,"pad":"%s"}`, j, strings.Repeat("x", j*37%50)))})
 		}
 		if _, err := l.AppendBatch(batch); err != nil {
 			f.Fatal(err)
@@ -190,7 +192,7 @@ func readLog(t *testing.T, dir string, keep bool) readOutcome {
 // a window it slides and grows, to the one that keeps each segment whole
 // (OpenReplay with a visitor): for arbitrary segment bytes they must agree
 // on every record's bytes, on the valid prefix and on torn against clean.
-// The window is shrunk to a few bytes so that headers and payloads straddle
+// The window is shrunk to a few bytes so that headers and records straddle
 // every boundary, and it grows only for a frame larger than itself. With
 // older set the bytes are planted as an older segment, followed by a clean
 // one, where a torn frame is interior corruption that both must report at

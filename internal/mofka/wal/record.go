@@ -14,11 +14,13 @@ import (
 //
 //	u32  payload length n (little-endian)
 //	u32  CRC32-C of the payload
-//	n    payload = u32 metadata length | metadata bytes | data bytes
+//	n    payload = u32 metadata length | metadata bytes
 //
-// The CRC covers the payload only; the length field is validated by bounds
-// checking (a corrupt length either fails the sanity bound or makes the CRC
-// check fail on the misframed payload).
+// The metadata fills the payload: n is always 4 plus the metadata length, and
+// a frame whose metadata length says otherwise is torn. The CRC covers the
+// payload only; the length field is validated by bounds checking (a corrupt
+// length either fails the sanity bound or makes the CRC check fail on the
+// misframed payload).
 const (
 	recordHeaderSize = 8
 	payloadMinSize   = 4 // the metadata-length prefix
@@ -31,16 +33,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // as a torn write; interior corruption is a real error).
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// Record is one event as persisted in the log: the JSON metadata and the raw
-// data payload.
+// Record is one event as persisted in the log: its JSON metadata.
 type Record struct {
 	Meta []byte
-	Data []byte
 }
 
 // frameSize returns the on-disk footprint of a record.
 func frameSize(r Record) int64 {
-	return recordHeaderSize + payloadMinSize + int64(len(r.Meta)) + int64(len(r.Data))
+	return recordHeaderSize + payloadMinSize + int64(len(r.Meta))
 }
 
 // appendFrame encodes rec into buf and returns the extended slice. The frame
@@ -51,17 +51,17 @@ func appendFrame(buf []byte, rec Record) []byte {
 	payload := start + recordHeaderSize
 	binary.LittleEndian.PutUint32(buf[payload:], uint32(len(rec.Meta)))
 	buf = append(buf, rec.Meta...)
-	buf = append(buf, rec.Data...)
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-payload))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[payload:], crcTable))
 	return buf
 }
 
 // parseFrame decodes the frame at the start of b without copying: the
-// record's Meta and Data alias b. It returns errShort, with the byte count it
-// needs, when b ends before the frame does, and errTorn for a frame whose
-// length field, checksum or metadata length is invalid — the caller decides
-// whether that is a truncatable tail or interior corruption.
+// record's Meta aliases b. It returns errShort, with the byte count it needs,
+// when b ends before the frame does, and errTorn for a frame whose length
+// field, checksum or metadata length is invalid — a metadata length that does
+// not fill the payload included — and the caller decides whether that is a
+// truncatable tail or interior corruption.
 func parseFrame(b []byte, maxRecordBytes int) (rec Record, n int, err error) {
 	if len(b) < recordHeaderSize {
 		return Record{}, recordHeaderSize, errShort
@@ -79,15 +79,10 @@ func parseFrame(b []byte, maxRecordBytes int) (rec Record, n int, err error) {
 	if crc32.Checksum(payload, crcTable) != want {
 		return Record{}, 0, errTorn
 	}
-	mlen := binary.LittleEndian.Uint32(payload[0:4])
-	if int64(mlen) > int64(len(payload)-payloadMinSize) {
+	if binary.LittleEndian.Uint32(payload[0:4]) != plen-payloadMinSize {
 		return Record{}, 0, errTorn
 	}
-	cut := payloadMinSize + int(mlen)
-	rec.Meta = payload[payloadMinSize:cut:cut]
-	if cut < len(payload) {
-		rec.Data = payload[cut:len(payload):len(payload)]
-	}
+	rec.Meta = payload[payloadMinSize:len(payload):len(payload)]
 	return rec, n, nil
 }
 

@@ -199,8 +199,8 @@ func (ls Segments) Bytes() int64 {
 // pass recovery makes over the segments — so a caller that rebuilds state
 // from the log reads each segment once. Each segment is read whole into a
 // buffer of its own, which the log never reuses or writes: the records alias
-// it, and the visitor may keep them (their Meta and Data bytes) for as long
-// as it likes. The slice holding them is the visitor's only during the call.
+// it, and the visitor may keep them (their Meta bytes) for as long as it
+// likes. The slice holding them is the visitor's only during the call.
 // An error from visit fails the open. On a log with interior corruption
 // visit has seen the records before the corrupt frame by the time OpenReplay
 // returns ErrCorrupt. With a nil visit it is Open, reading through the
@@ -300,7 +300,7 @@ func (l *Log) rotateLocked() error {
 }
 
 // maxKeptBuf bounds the frame buffer a log keeps between batches; a larger
-// one (a catch-up chunk with payloads) is let go after its write.
+// one (a large catch-up chunk) is let go after its write.
 const maxKeptBuf = 1 << 20
 
 // WriteBatch appends records as one batch without waiting for stable

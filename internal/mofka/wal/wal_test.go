@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,10 +21,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *Log {
 }
 
 func rec(i int) Record {
-	return Record{
-		Meta: []byte(fmt.Sprintf(`{"key":"task-%04d","at":%d.5}`, i, i)),
-		Data: []byte(fmt.Sprintf("payload-%d", i)),
-	}
+	return Record{Meta: []byte(fmt.Sprintf(`{"key":"task-%04d","at":%d.5,"out":"payload-%d"}`, i, i, i))}
 }
 
 func collect(t *testing.T, l *Log, from uint64) []Record {
@@ -32,10 +31,7 @@ func collect(t *testing.T, l *Log, from uint64) []Record {
 		if off != from+uint64(len(out)) {
 			t.Fatalf("offset %d out of order (want %d)", off, from+uint64(len(out)))
 		}
-		out = append(out, Record{
-			Meta: append([]byte(nil), r.Meta...),
-			Data: append([]byte(nil), r.Data...),
-		})
+		out = append(out, Record{Meta: append([]byte(nil), r.Meta...)})
 		return true
 	})
 	if err != nil {
@@ -66,8 +62,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	for i, r := range got {
 		want := rec(i)
-		if !bytes.Equal(r.Meta, want.Meta) || !bytes.Equal(r.Data, want.Data) {
-			t.Fatalf("record %d = %q/%q, want %q/%q", i, r.Meta, r.Data, want.Meta, want.Data)
+		if !bytes.Equal(r.Meta, want.Meta) {
+			t.Fatalf("record %d = %q, want %q", i, r.Meta, want.Meta)
 		}
 	}
 	if l.NextOffset() != 100 {
@@ -80,21 +76,62 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNilDataAndEmptyMetaRoundTrip(t *testing.T) {
+func TestEmptyMetaRoundTrip(t *testing.T) {
 	l := mustOpen(t, t.TempDir(), Options{})
 	defer l.Close()
-	if _, err := l.AppendBatch([]Record{{Meta: []byte(`{}`)}, {Data: []byte("x")}}); err != nil {
+	if _, err := l.AppendBatch([]Record{{Meta: []byte(`{}`)}, {}}); err != nil {
 		t.Fatal(err)
 	}
 	got := collect(t, l, 0)
 	if len(got) != 2 {
 		t.Fatalf("got %d records", len(got))
 	}
-	if got[0].Data != nil {
-		t.Fatalf("nil data came back as %q", got[0].Data)
+	if string(got[0].Meta) != `{}` || len(got[1].Meta) != 0 {
+		t.Fatalf("records = %q, %q", got[0].Meta, got[1].Meta)
 	}
-	if len(got[1].Meta) != 0 || string(got[1].Data) != "x" {
-		t.Fatalf("empty-meta record = %q/%q", got[1].Meta, got[1].Data)
+}
+
+// frameWithTail frames meta followed by tail in one payload: a frame whose
+// metadata length is shorter than its payload, as a log that stored a data
+// blob after each event's metadata wrote them.
+func frameWithTail(meta, tail []byte) []byte {
+	payload := binary.LittleEndian.AppendUint32(nil, uint32(len(meta)))
+	payload = append(append(payload, meta...), tail...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
+	return append(frame, payload...)
+}
+
+// TestShortMetadataFrameIsTorn: a frame whose metadata does not fill its
+// payload is not a record. At the end of the newest segment it is a torn tail,
+// truncated away; in an older segment it is ErrCorrupt.
+func TestShortMetadataFrameIsTorn(t *testing.T) {
+	bad := frameWithTail([]byte(`{"i":2}`), []byte("data"))
+	dir := t.TempDir()
+	seg := filepath.Join(dir, fuzzSegName)
+	if err := os.WriteFile(seg, append(validStream(2), bad...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := mustOpen(t, dir, Options{})
+	if l.NextOffset() != 2 || l.TornBytes() != int64(len(bad)) {
+		t.Fatalf("tail: NextOffset %d, torn %d bytes, want 2 and %d", l.NextOffset(), l.TornBytes(), len(bad))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(seg); err != nil || st.Size() != int64(len(validStream(2))) {
+		t.Fatalf("tail not truncated: %v, %v", st, err)
+	}
+
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, fuzzSegName), append(validStream(2), bad...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%020d.seg", 3)), validStream(1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("interior: Open = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -326,7 +363,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 func TestOversizeRecordRejected(t *testing.T) {
 	l := mustOpen(t, t.TempDir(), Options{maxRecordBytes: 64})
 	defer l.Close()
-	if _, err := l.Append(Record{Meta: []byte("{}"), Data: make([]byte, 128)}); err == nil {
+	if _, err := l.Append(Record{Meta: make([]byte, 128)}); err == nil {
 		t.Fatal("oversize record accepted")
 	}
 }
@@ -436,7 +473,7 @@ func TestTruncateTo(t *testing.T) {
 	}
 
 	// Appends continue at the cut with dense offsets.
-	off, err := l.Append(Record{Meta: []byte(`{"key":"new"}`), Data: []byte("new")})
+	off, err := l.Append(Record{Meta: []byte(`{"key":"new"}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +494,7 @@ func TestTruncateTo(t *testing.T) {
 	if len(recovered) != 18 {
 		t.Fatalf("reopened replay %d records, want 18", len(recovered))
 	}
-	if !bytes.Equal(recovered[17].Data, []byte("new")) {
+	if !bytes.Equal(recovered[17].Meta, []byte(`{"key":"new"}`)) {
 		t.Fatalf("post-truncate append lost across reopen")
 	}
 }
@@ -515,8 +552,8 @@ func TestReplayedRecordsOutliveTheOpen(t *testing.T) {
 			t.Fatalf("%s: kept %d records, want %d", stage, len(kept), n)
 		}
 		for i, r := range kept {
-			if want := rec(i); !bytes.Equal(r.Meta, want.Meta) || !bytes.Equal(r.Data, want.Data) {
-				t.Fatalf("%s: kept record %d reads %q / %q, want %q / %q", stage, i, r.Meta, r.Data, want.Meta, want.Data)
+			if want := rec(i); !bytes.Equal(r.Meta, want.Meta) {
+				t.Fatalf("%s: kept record %d reads %q, want %q", stage, i, r.Meta, want.Meta)
 			}
 		}
 	}

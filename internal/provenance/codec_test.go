@@ -602,7 +602,7 @@ func TestDrain(t *testing.T) {
 	if err != nil || len(got) != n {
 		t.Fatalf("drained %d, %v", len(got), err)
 	}
-	c, err := topic.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	c, err := topic.NewConsumer(mofka.ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

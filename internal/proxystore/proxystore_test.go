@@ -20,7 +20,7 @@ func TestPublishResolveRoundTrip(t *testing.T) {
 	}
 	// The manifest region is tiny regardless of the logical payload size.
 	target := s.provider.Target("worker-003")
-	if regions, written, _ := target.Stats(); regions != 1 || written > 1024 {
+	if regions, written := target.Stats(); regions != 1 || written > 1024 {
 		t.Fatalf("manifest footprint: %d regions, %d bytes", regions, written)
 	}
 	if _, ok := s.Resolve("absent"); ok {
@@ -49,7 +49,7 @@ func TestRefcountDrainDestroysBlob(t *testing.T) {
 		t.Fatalf("resident = %d, live = %d", s.ResidentBytes(), s.Stats().Live)
 	}
 	// The backing region is gone too.
-	if regions, _, _ := s.provider.Target("worker-000").Stats(); regions != 0 {
+	if regions, _ := s.provider.Target("worker-000").Stats(); regions != 0 {
 		t.Fatalf("leaked %d regions", regions)
 	}
 }

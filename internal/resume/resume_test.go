@@ -154,7 +154,7 @@ func serialOpen(dataDir string) (*mofka.Broker, error) {
 					}
 					var recs []wal.Record
 					err = l.Replay(0, func(_ uint64, r wal.Record) bool {
-						recs = append(recs, wal.Record{Meta: append([]byte(nil), r.Meta...), Data: append([]byte(nil), r.Data...)})
+						recs = append(recs, wal.Record{Meta: append([]byte(nil), r.Meta...)})
 						return true
 					})
 					if err != nil {
@@ -172,7 +172,7 @@ func serialOpen(dataDir string) (*mofka.Broker, error) {
 					return nil, err
 				}
 				for _, r := range longest {
-					if err := p.Append([][]byte{r.Meta}, [][]byte{r.Data}); err != nil {
+					if err := p.Append([][]byte{r.Meta}, nil); err != nil {
 						return nil, err
 					}
 				}

@@ -30,7 +30,7 @@ func checkTopicCodec[T any](t *testing.T, art *core.RunArtifacts, dec *provenanc
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := tp.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	c, err := tp.NewConsumer(mofka.ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func legacyTopicJSONL(t *testing.T, b *mofka.Broker, topic string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := tp.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	c, err := tp.NewConsumer(mofka.ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

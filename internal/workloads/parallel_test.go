@@ -101,7 +101,7 @@ func serialRecords[T any](b *mofka.Broker, topic string, decode func(*provenance
 	if err != nil {
 		return nil, err
 	}
-	c, err := t.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	c, err := t.NewConsumer(mofka.ConsumerOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -78,7 +78,7 @@ var programless = map[string]string{
 	// Accessors read by tests of behaviour that stays.
 	"internal/dask.Client.GraphError":         "accessor: how the dask, core and workloads suites see that a graph erred, or that a recovery path did not make one err",
 	"internal/mochi/bedrock.Deployment.Group": "accessor: the bedrock suite checks that the SSG groups a config names are instantiated with its thresholds",
-	"internal/mochi/warabi.Target.Stats":      "accessor: the mofka and proxystore suites check through it that a refused batch or a drained blob leaves no region behind",
+	"internal/mochi/warabi.Target.Stats":      "accessor: the proxystore suite checks through it that a drained blob leaves no region behind",
 	"internal/proxystore.Store.Keys":          "accessor: the dask attempt suite lists the live blobs to check the store drains to the no-fault baseline",
 	"internal/perfrecup.LiveReplay":           "reference: the post-mortem side of live ≡ replay that internal/live's crosscheck (TestLiveEqualsArtifactReplay, TestLiveEqualsWALReplay) and internal/workloads' TestPhasesMatchFullReplay compare against",
 	"internal/perfrecup/frame.Inner":          "vocabulary: the zero value of Frame.Join's kind argument, which the frame join tests and BenchmarkHashJoin name; the programs only left-join",
