@@ -92,10 +92,13 @@ chaos:
 # contract lives here too, in the one package that can build every
 # deployment: the conformance table over broker, cluster and a Remote to
 # each, and the wire golden — named on a line of their own, uncached, so a
-# rename cannot drop them from the gate.
+# rename cannot drop them from the gate. So is the remote tailer against a
+# standalone broker and a cluster gateway reopened over a durable run's dir,
+# each held to the replay of the same log.
 cluster:
 	$(GO) test -race ./internal/mofka/cluster/
 	$(GO) test -race -count=1 -run 'TestServiceConformance|TestWireGolden|TestRemoteMember' ./internal/mofka/cluster/
+	$(GO) test -race -count=1 -run 'TestTailRemoteEqualsReplayBroker' ./internal/live/
 	$(GO) test -race -run 'TestCluster' ./internal/core/
 
 # Property push, race-enabled: random DAGs through the scheduler (exactly

@@ -1,12 +1,12 @@
-// Command mofkad runs a Mofka broker over TCP, exposing the
-// event-streaming RPCs (create_topic, push, pull, commit) through the
-// Mercury wire protocol. It is the deployment mode for consumers that run
-// on different nodes than the instrumented workflow.
+// Command mofkad runs a Mofka broker over TCP, exposing the log service's
+// seven RPCs (create_topic, topics, topic_info, push, pull, partition_info,
+// ping) through the Mercury wire protocol. It is the deployment mode for
+// consumers that run on different nodes than the instrumented workflow.
 //
 // With -data-dir the broker is backed by the durable segmented event log:
-// every topic, event, and committed cursor persists under the directory,
-// survives restarts (including crashes — torn segment tails are truncated
-// on reopen), and can later be analyzed post-mortem with
+// every topic and event, and the cursors the -live monitor commits, persist
+// under the directory, survive restarts (including crashes — torn segment
+// tails are truncated on reopen), and can later be analyzed post-mortem with
 // `perfrecup <cmd> <data-dir>`.
 //
 // With -live the daemon additionally runs the live monitoring subsystem

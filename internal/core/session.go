@@ -264,8 +264,8 @@ type RunArtifacts struct {
 
 	// Cluster is the sharded Mofka cluster the run published through, set
 	// when SessionConfig.ClusterBrokers > 0. Broker then holds the
-	// cluster's merged read view (every partition's acknowledged prefix
-	// plus max-merged cursors), so every analysis path works unchanged.
+	// cluster's merged read view (every partition's acknowledged prefix),
+	// so every analysis path works unchanged.
 	Cluster *mcluster.Cluster
 
 	// Live is the live monitor's final Summary, set when
@@ -725,8 +725,8 @@ func (s *Session) collect(start, end sim.Time) (*RunArtifacts, error) {
 		}
 	}
 	// All analyses read the bus's view: the broker itself, or for a cluster
-	// the acknowledged prefixes of every partition plus max-merged consumer
-	// cursors, materialized as a standalone in-memory broker.
+	// the acknowledged prefixes of every partition, materialized as a
+	// standalone in-memory broker.
 	var err error
 	if art.Broker, err = s.bus.ReadView(); err != nil {
 		return nil, fmt.Errorf("core: read view: %w", err)

@@ -68,7 +68,7 @@ type Config struct {
 	ConnectionSetup sim.Time `json:"connection_setup_ns"`
 
 	// ProxyThresholdBytes enables the pass-by-reference data plane: task
-	// outputs at or above this size are published to the Warabi-backed proxy
+	// outputs at or above this size are published to the pass-by-reference proxy
 	// store and dependencies ship as small references resolved peer-to-peer
 	// at first use. Zero (the default) disables the proxy store entirely —
 	// behavior is identical to the direct data plane.

@@ -22,6 +22,7 @@ import (
 	"taskprov/internal/live"
 	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
+	mcluster "taskprov/internal/mofka/cluster"
 	"taskprov/internal/perfrecup"
 	"taskprov/internal/posixio"
 	"taskprov/internal/sim"
@@ -280,7 +281,10 @@ func TestWatchServesCrashedRun(t *testing.T) {
 // TestTailRemoteEqualsReplayBroker: a remote tailer attached to a finished
 // run's log service, in process or across a Mercury endpoint, reads the log in
 // the order the replay does, so its first snapshot is ReplayBroker's,
-// anomalies included.
+// anomalies included. The same holds for a cluster gateway over a durable
+// `-cluster 3 -replication 2` run's data dir, reopened as `mofkad -brokers 3
+// -replication 2 -data-dir` reopens it, against the replay of the dir's
+// post-mortem open.
 func TestTailRemoteEqualsReplayBroker(t *testing.T) {
 	wf, err := workloads.New("imageprocessing")
 	if err != nil {
@@ -290,17 +294,46 @@ func TestTailRemoteEqualsReplayBroker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ep := mercury.NewEndpoint("mofkad")
+	mofka.Serve(ep, art.Broker.Service())
+	tailsEqualReplay(t, art.Broker, art.Broker.Service(), mofka.NewRemote(ep))
+
+	cfg := workloads.DefaultSession("imageprocessing", "job-imageprocessing", 3)
+	cfg.MofkaDataDir = filepath.Join(t.TempDir(), "cluster")
+	cfg.ClusterBrokers, cfg.ClusterReplication = 3, 2
+	if wf, err = workloads.New("imageprocessing"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Run(cfg, wf); err != nil {
+		t.Fatal(err)
+	}
+	pm, err := mcluster.OpenPostMortem(cfg.MofkaDataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := mcluster.New(mcluster.Config{Brokers: 3, ReplicationFactor: 2, DataDir: cfg.MofkaDataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	gw := mercury.NewEndpoint("gateway")
+	c.RegisterRPCs(gw)
+	tailsEqualReplay(t, pm, c.Service(), mofka.NewRemote(gw))
+}
+
+// tailsEqualReplay fails unless a remote tailer over each service takes
+// ReplayBroker's snapshot of b, which must raise anomalies, as its first.
+func tailsEqualReplay(t *testing.T, b *mofka.Broker, svcs ...mofka.Service) {
+	t.Helper()
 	replay := live.NewAggregator(live.AggregatorOptions{})
-	if err := live.ReplayBroker(art.Broker, replay); err != nil {
+	if err := live.ReplayBroker(b, replay); err != nil {
 		t.Fatal(err)
 	}
 	want := replay.Snapshot()
 	if len(want.Anomalies) == 0 {
 		t.Fatal("the replay raised no anomaly; the test wants some to compare")
 	}
-	ep := mercury.NewEndpoint("mofkad")
-	mofka.Serve(ep, art.Broker.Service())
-	for _, svc := range []mofka.Service{art.Broker.Service(), mofka.NewRemote(ep)} {
+	for _, svc := range svcs {
 		tail, err := live.TailRemote(svc, live.TailOptions{Interval: time.Hour})
 		if err != nil {
 			t.Fatal(err)

@@ -246,7 +246,7 @@ func checkOneDeliveryOrder(t *testing.T, seed int64) {
 		c, _ := tp.NewConsumer(mofka.ConsumerOptions{})
 		var scanned []pos
 		for range rng.Intn(3 * mofka.ConsumerChunk) { // leave part of a chunk buffered
-			if ev, ok, _ := c.Pull(); ok {
+			if ev, ok := c.Pull(); ok {
 				scanned = append(scanned, pos{ev.Partition, ev.ID})
 			}
 		}

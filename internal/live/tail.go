@@ -399,7 +399,7 @@ func (t *RemoteTailer) sweep() error {
 		}
 		rt := t.topics[topic]
 		if rt == nil {
-			parts, _, err := t.remote.TopicInfo(topic)
+			parts, err := t.remote.TopicInfo(topic)
 			if err != nil {
 				return err
 			}

@@ -80,8 +80,3 @@ func (s *skiplist) get(key string) ([]byte, bool) {
 	}
 	return nil, false
 }
-
-// seek returns the first node with key >= from.
-func (s *skiplist) seek(from string) *skipnode {
-	return s.findPredecessors(from, nil)
-}

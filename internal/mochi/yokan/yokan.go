@@ -7,7 +7,6 @@ package yokan
 
 import (
 	"slices"
-	"strings"
 	"sync"
 )
 
@@ -47,33 +46,6 @@ func (db *Database) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return append([]byte(nil), v...), true
-}
-
-// KeyValue is a key with its value, as returned by ListKeyVals.
-type KeyValue struct {
-	Key   string
-	Value []byte
-}
-
-// ListKeyVals returns up to max key/value pairs >= from with the given
-// prefix, in key order. Values are copies.
-func (db *Database) ListKeyVals(from, prefix string, max int) []KeyValue {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []KeyValue
-	for n := db.kv.seek(from); n != nil; n = n.next[0] {
-		if prefix != "" && !strings.HasPrefix(n.key, prefix) {
-			if n.key > prefix {
-				break
-			}
-			continue
-		}
-		out = append(out, KeyValue{Key: n.key, Value: append([]byte(nil), n.value...)})
-		if max > 0 && len(out) >= max {
-			break
-		}
-	}
-	return out
 }
 
 // Collection returns the named document collection, creating it on first

@@ -7,16 +7,29 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-// keys lists a database's keys >= from with the prefix, in scan order.
+// keys lists up to max of a database's keys >= from with the prefix, in the
+// skiplist's bottom-level order, which must be key order.
 func keys(db *Database, from, prefix string, max int) []string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	var out []string
-	for _, kv := range db.ListKeyVals(from, prefix, max) {
-		out = append(out, kv.Key)
+	for n := db.kv.findPredecessors(from, nil); n != nil; n = n.next[0] {
+		if !strings.HasPrefix(n.key, prefix) {
+			if n.key > prefix {
+				break
+			}
+			continue
+		}
+		out = append(out, n.key)
+		if max > 0 && len(out) >= max {
+			break
+		}
 	}
 	return out
 }
@@ -81,17 +94,6 @@ func TestListKeysFromAndMax(t *testing.T) {
 	got := keys(db, "k03", "", 4)
 	if len(got) != 4 || got[0] != "k03" || got[3] != "k06" {
 		t.Fatalf("keys(from k03, max 4) = %v", got)
-	}
-}
-
-func TestListKeyVals(t *testing.T) {
-	db := NewDatabase("test")
-	db.Put("p/a", []byte("va"))
-	db.Put("p/b", []byte("vb"))
-	db.Put("q/c", []byte("vc"))
-	kvs := db.ListKeyVals("", "p/", 0)
-	if len(kvs) != 2 || kvs[0].Key != "p/a" || string(kvs[1].Value) != "vb" {
-		t.Fatalf("ListKeyVals = %+v", kvs)
 	}
 }
 

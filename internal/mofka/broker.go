@@ -255,13 +255,6 @@ func (b *Broker) Sync() error {
 	return errors.Join(errs...)
 }
 
-// CommitCursor durably records a consumer's next-unread offset. On a durable
-// broker the cursor is also persisted to the sidecar store, so it survives a
-// restart.
-func (b *Broker) CommitCursor(consumer, topic string, partition int, next uint64) error {
-	return b.commitCursors([]wal.Cursor{{Key: cursorKey(consumer, topic, partition), Next: next}})
-}
-
 // commitCursors records several cursors; the sidecar store is rewritten once
 // for all of them.
 func (b *Broker) commitCursors(cursors []wal.Cursor) error {
@@ -274,57 +267,6 @@ func (b *Broker) commitCursors(cursors []wal.Cursor) error {
 		}
 	}
 	return nil
-}
-
-// CursorEntry is one committed consumer cursor, as enumerated by Cursors.
-type CursorEntry struct {
-	Consumer  string
-	Topic     string
-	Partition int
-	Next      uint64
-}
-
-// Cursors enumerates every committed cursor on the broker in key order. The
-// cluster layer uses it to merge per-replica cursor stores into one view.
-func (b *Broker) Cursors() []CursorEntry {
-	var out []CursorEntry
-	for _, kv := range b.meta.ListKeyVals("", "cursor/", 0) {
-		ent, ok := parseCursorKey(strings.TrimPrefix(kv.Key, "cursor/"))
-		if !ok {
-			continue
-		}
-		var next uint64
-		if json.Unmarshal(kv.Value, &next) != nil {
-			continue
-		}
-		ent.Next = next
-		out = append(out, ent)
-	}
-	return out
-}
-
-// parseCursorKey inverts cursorKey. Topic names cannot contain "/", so the
-// last two "/"-separated segments are unambiguous even if a consumer name
-// contains slashes.
-func parseCursorKey(key string) (CursorEntry, bool) {
-	i := strings.LastIndex(key, "/")
-	if i < 0 {
-		return CursorEntry{}, false
-	}
-	pseg := key[i+1:]
-	if len(pseg) < 2 || pseg[0] != 'p' {
-		return CursorEntry{}, false
-	}
-	part, err := strconv.Atoi(pseg[1:])
-	if err != nil || part < 0 {
-		return CursorEntry{}, false
-	}
-	rest := key[:i]
-	j := strings.LastIndex(rest, "/")
-	if j < 0 {
-		return CursorEntry{}, false
-	}
-	return CursorEntry{Consumer: rest[:j], Topic: rest[j+1:], Partition: part}, true
 }
 
 // LoadCursor returns a consumer's committed next-unread offset (0 if never

@@ -9,7 +9,7 @@ package mofka
 //
 // A Bus is owned and in-process: its producers bind straight to the
 // deployment's append, with no request to encode. Service is the other seam —
-// the nine operations anyone may speak to a log, its owner or not, over the
+// the seven operations anyone may speak to a log, its owner or not, over the
 // wire or not.
 type Bus interface {
 	TopicOpener
@@ -18,9 +18,10 @@ type Bus interface {
 	SetAppendFault(f func(topic string, partition int) error)
 	// Sync forces everything acknowledged so far to stable storage.
 	Sync() error
-	// ReadView returns a broker holding every acknowledged event and
-	// committed cursor, for the analysis side. A standalone broker's view is
-	// the broker itself, live; a cluster's is a snapshot of the moment.
+	// ReadView returns a broker holding every acknowledged event, for the
+	// analysis side. A standalone broker's view is the broker itself, live,
+	// its committed cursors included; a cluster's is a snapshot of the
+	// moment, and holds no cursors.
 	ReadView() (*Broker, error)
 	// Close shuts the deployment down. Idempotent.
 	Close() error

@@ -144,7 +144,7 @@ func (c Config) Validate() error {
 // replica is one member's copy of the event store: the log service every
 // deployment speaks, plus what shuts the member down. A local node's is its
 // broker's view, a joined member's a mofka.Remote over its connection; the
-// replication layer drives both through the same nine operations and cannot
+// replication layer drives both through the same seven operations and cannot
 // tell which it holds.
 type replica struct {
 	mofka.Service

@@ -415,18 +415,12 @@ func TestReadViewMatchesCluster(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, after := tc.open(t)
-			if err := c.CommitCursor("grp", "tasks", tc.parts-1, 7); err != nil {
-				t.Fatal(err)
-			}
 			want := pullAll(t, c.Service(), "tasks", tc.parts)
 			view, err := c.ReadView()
 			if err != nil {
 				t.Fatalf("ReadView: %v", err)
 			}
 			sameEvents(t, "view", pullAll(t, view.Service(), "tasks", tc.parts), want)
-			if got := view.LoadCursor("grp", "tasks", tc.parts-1); got != 7 {
-				t.Fatalf("view cursor %d, want 7", got)
-			}
 			if after != nil {
 				after(t, c, view)
 				sameEvents(t, "view afterwards", pullAll(t, view.Service(), "tasks", tc.parts), want)

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -258,9 +260,6 @@ func TestDurableClusterCrashReopen(t *testing.T) {
 		}
 		acked[pi] = n
 	}
-	if err := c.CommitCursor("analysis", "tasks", 0, 5); err != nil {
-		t.Fatal(err)
-	}
 	// kill -9: abandon producer and cluster without Close. SyncBatch (the
 	// default) means every acknowledged batch is already fsynced.
 	_ = p
@@ -282,9 +281,6 @@ func TestDurableClusterCrashReopen(t *testing.T) {
 	}
 	if evs := drainAll(t, rc, "tasks", 3); uint64(len(evs)) < acked[0]+acked[1]+acked[2] {
 		t.Fatalf("recovered drain %d < acked total %d", len(evs), acked[0]+acked[1]+acked[2])
-	}
-	if got := rc.LoadCursor("analysis", "tasks", 0); got != 5 {
-		t.Errorf("recovered cursor %d, want 5", got)
 	}
 	// Replicas were healed to a common prefix on reopen.
 	for _, pv := range rc.Placement() {
@@ -330,9 +326,6 @@ func TestPostMortemClusterLoad(t *testing.T) {
 	}
 	p := pushN(t, ct, 80, mofka.ProducerOptions{BatchSize: 8})
 	p.Close() //nolint:errcheck
-	if err := c.CommitCursor("grp", "tasks", 1, 3); err != nil {
-		t.Fatal(err)
-	}
 	live := drainAll(t, c, "tasks", 2)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -352,7 +345,11 @@ func TestPostMortemClusterLoad(t *testing.T) {
 	if got := vt.Events(); got != uint64(len(live)) {
 		t.Fatalf("post-mortem holds %d events, live acked %d", got, len(live))
 	}
-	if got := view.LoadCursor("grp", "tasks", 1); got != 3 {
-		t.Errorf("post-mortem cursor %d, want 3", got)
+	// A node directory is a broker data dir without the cursor sidecar: a
+	// cluster holds no consumer cursors.
+	for i := range cfg.Brokers {
+		if _, err := os.Stat(filepath.Join(nodeDir(dir, i), "cursors.json")); !os.IsNotExist(err) {
+			t.Errorf("node %d: cursors.json present (%v)", i, err)
+		}
 	}
 }

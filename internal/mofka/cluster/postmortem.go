@@ -15,10 +15,11 @@ import (
 //	<DataDir>/cluster.json        deployment shape (broker count, RF, quorum)
 //	<DataDir>/node-<NN>/...       one standard broker data directory per node
 //
-// Each node directory is exactly what a standalone durable broker writes —
-// topics/<name>/p<NNNN>/*.seg WAL segments plus cursors.json — so every
-// existing WAL tool (recovery, torn-tail truncation, post-mortem loading)
-// applies per node unchanged.
+// Each node directory is what a standalone durable broker writes —
+// topics/<name>/p<NNNN>/*.seg WAL segments — so every existing WAL tool
+// (recovery, torn-tail truncation, post-mortem loading) applies per node
+// unchanged. It holds no cursors.json: a cursor is the live monitor's
+// bookmark on its own standalone broker, and a cluster has none.
 
 const clusterMetaFile = "cluster.json"
 
@@ -75,9 +76,8 @@ func IsClusterDir(dir string) bool {
 // live broker process and merges it into one in-memory broker
 // (mofka.OpenPostMortemReplicas over the node directories): every replica
 // log is validated and read once, for every partition the longest one is
-// published and only its bytes are kept, nodes that disagree on a topic's
-// partition count fail the load, and for every consumer cursor the maximum
-// across node cursor stores wins. The on-disk state is never modified.
+// published and only its bytes are kept, and nodes that disagree on a topic's
+// partition count fail the load. The on-disk state is never modified.
 func OpenPostMortem(dataDir string) (*mofka.Broker, error) {
 	meta, ok, err := loadClusterMeta(dataDir)
 	if err != nil {

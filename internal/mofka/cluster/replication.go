@@ -805,65 +805,6 @@ func (c *Cluster) Length(topic string, part int) (uint64, error) {
 	return ps.acked, nil
 }
 
-// CommitCursor durably records a consumer's next-unread offset on every
-// alive replica of the partition, so the cursor survives any single broker
-// loss exactly as the events do.
-func (c *Cluster) CommitCursor(consumer, topic string, part int, next uint64) error {
-	ps, err := c.partition(topic, part)
-	if err != nil {
-		return err
-	}
-	ps.mu.Lock()
-	alive := ps.aliveReplicas(c)
-	ps.mu.Unlock()
-	committed := 0
-	var firstErr error
-	for _, r := range alive {
-		rep, ok := c.replicaOf(r)
-		if !ok {
-			continue
-		}
-		if err := rep.Commit(consumer, topic, part, next); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		committed++
-	}
-	if committed == 0 {
-		if firstErr != nil {
-			return firstErr
-		}
-		return ErrUnavailable
-	}
-	return nil
-}
-
-// LoadCursor returns a consumer's committed next-unread offset: the maximum
-// across the partition's alive replicas (commits land on all of them; a
-// replica that was dead during a commit reports a stale value).
-func (c *Cluster) LoadCursor(consumer, topic string, part int) uint64 {
-	ps, err := c.partition(topic, part)
-	if err != nil {
-		return 0
-	}
-	ps.mu.Lock()
-	alive := ps.aliveReplicas(c)
-	ps.mu.Unlock()
-	var max uint64
-	for _, r := range alive {
-		rep, ok := c.replicaOf(r)
-		if !ok {
-			continue
-		}
-		if n, err := rep.Cursor(consumer, topic, part); err == nil && n > max {
-			max = n
-		}
-	}
-	return max
-}
-
 // recoverTopics rebuilds cluster topic state after reopening a durable
 // cluster: each node broker has already replayed its own WAL; the cluster
 // recomputes placement (a pure function, so it matches the original run),
@@ -924,13 +865,14 @@ func (c *Cluster) recoverTopics() error {
 }
 
 // ReadView materializes the cluster's acknowledged state as a standalone
-// in-memory broker: every topic, every partition's acknowledged prefix, and
-// every committed cursor. Post-run analysis (perfrecup views, the live
-// monitor's final replay, provenance.Records) works on the view unchanged —
-// the cluster looks exactly like the single broker those tools were built
-// for. What is in flight settles first, so the view is the same whenever
-// the fsyncs returned. Appends to the view stay in the view, and nothing
-// the cluster does afterwards reaches it.
+// in-memory broker: every topic and every partition's acknowledged prefix. A
+// cluster holds no consumer cursors, so the view starts with none. Post-run
+// analysis (perfrecup views, the live monitor's final replay,
+// provenance.Records) works on the view unchanged — the cluster looks exactly
+// like the single broker those tools were built for. What is in flight
+// settles first, so the view is the same whenever the fsyncs returned.
+// Appends to the view stay in the view, and nothing the cluster does
+// afterwards reaches it.
 func (c *Cluster) ReadView() (*mofka.Broker, error) {
 	view := mofka.NewStandaloneBroker()
 	c.mu.Lock()
@@ -957,43 +899,6 @@ func (c *Cluster) ReadView() (*mofka.Broker, error) {
 		}
 	}
 
-	// Cursors: merge every node's committed cursors (max wins) into the view.
-	c.mu.Lock()
-	locals := make([]*mofka.Broker, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		if n.alive && n.local != nil {
-			locals = append(locals, n.local)
-		}
-	}
-	c.mu.Unlock()
-	var cursors []mofka.CursorEntry
-	for _, b := range locals {
-		cursors = append(cursors, b.Cursors()...)
-	}
-	// In key order, each key's largest offset first: the one committed.
-	sort.Slice(cursors, func(i, j int) bool {
-		a, b := cursors[i], cursors[j]
-		if a.Consumer != b.Consumer {
-			return a.Consumer < b.Consumer
-		}
-		if a.Topic != b.Topic {
-			return a.Topic < b.Topic
-		}
-		if a.Partition != b.Partition {
-			return a.Partition < b.Partition
-		}
-		return a.Next > b.Next
-	})
-	for i, cur := range cursors {
-		if i > 0 {
-			if prev := cursors[i-1]; prev.Consumer == cur.Consumer && prev.Topic == cur.Topic && prev.Partition == cur.Partition {
-				continue // a smaller offset of the key committed just before
-			}
-		}
-		if err := view.CommitCursor(cur.Consumer, cur.Topic, cur.Partition, cur.Next); err != nil {
-			return nil, err
-		}
-	}
 	return view, nil
 }
 

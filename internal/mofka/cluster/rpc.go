@@ -41,8 +41,7 @@ type InfoResponse struct {
 }
 
 // Service returns the cluster as a mofka.Service: pushes replicate with
-// quorum acknowledgement, pulls and lengths serve the acknowledged prefix,
-// cursor commits land on every alive replica.
+// quorum acknowledgement, pulls and lengths serve the acknowledged prefix.
 func (c *Cluster) Service() mofka.Service { return clusterService{c} }
 
 type clusterService struct{ c *Cluster }
@@ -54,20 +53,12 @@ func (s clusterService) CreateTopic(cfg mofka.TopicConfig) error {
 
 func (s clusterService) Topics() ([]string, error) { return s.c.Topics(), nil }
 
-func (s clusterService) TopicInfo(name string) (int, uint64, error) {
+func (s clusterService) TopicInfo(name string) (int, error) {
 	t, err := s.c.Topic(name)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	var events uint64
-	for p := 0; p < t.PartitionCount(); p++ {
-		n, err := s.c.Length(name, p)
-		if err != nil {
-			return 0, 0, err
-		}
-		events += n
-	}
-	return t.PartitionCount(), events, nil
+	return t.PartitionCount(), nil
 }
 
 func (s clusterService) PushBatch(topic string, part int, metas [][]byte) error {
@@ -94,14 +85,6 @@ func (s clusterService) PushFenced(topic string, part int, producer string, seq,
 
 func (s clusterService) Pull(topic string, part int, from uint64, max int) ([]mofka.Event, error) {
 	return s.c.Read(topic, part, from, max)
-}
-
-func (s clusterService) Commit(consumer, topic string, part int, next uint64) error {
-	return s.c.CommitCursor(consumer, topic, part, next)
-}
-
-func (s clusterService) Cursor(consumer, topic string, part int) (uint64, error) {
-	return s.c.LoadCursor(consumer, topic, part), nil
 }
 
 func (s clusterService) PartitionLength(topic string, part int) (uint64, error) {
@@ -182,7 +165,7 @@ func (c *Cluster) addMember(addr string, rep replica) (int, error) {
 	n := &node{id: id, addr: addr, rep: rep, alive: true, member: member}
 	c.nodes = append(c.nodes, n)
 	// Replicate existing topic definitions so the member can serve future
-	// catch-up reads and cursor commits for topics it will host.
+	// catch-up reads for topics it will host.
 	cfgs := make([]mofka.TopicConfig, 0, len(c.topics))
 	for _, ts := range c.topicStatesLocked() {
 		cfgs = append(cfgs, ts.cfg)

@@ -54,7 +54,7 @@ var deployments = []struct {
 }
 
 // TestServiceConformance holds every deployment to one contract: what the
-// nine operations answer, and what they refuse, does not depend on who
+// seven operations answer, and what they refuse, does not depend on who
 // serves them.
 func TestServiceConformance(t *testing.T) {
 	wantErr := func(t *testing.T, what string, err error, text string) {
@@ -91,9 +91,9 @@ func TestServiceConformance(t *testing.T) {
 			if err != nil || len(topics) != 1 || topics[0] != "tasks" {
 				t.Fatalf("Topics = %v, %v", topics, err)
 			}
-			parts, events, err := svc.TopicInfo("tasks")
-			if err != nil || parts != 2 || events != 0 {
-				t.Fatalf("TopicInfo = %d, %d, %v", parts, events, err)
+			parts, err := svc.TopicInfo("tasks")
+			if err != nil || parts != 2 {
+				t.Fatalf("TopicInfo = %d, %v", parts, err)
 			}
 			wantErr(t, "create without a name", svc.CreateTopic(mofka.TopicConfig{}), "empty topic name")
 		}},
@@ -128,21 +128,6 @@ func TestServiceConformance(t *testing.T) {
 				wantErr(t, "length", err, want)
 			}
 		}},
-		{"cursor commit and load", func(t *testing.T, svc mofka.Service, _ func() error) {
-			push(t, svc)
-			if err := svc.Commit("c1", "t", 0, 2); err != nil {
-				t.Fatal(err)
-			}
-			if next, err := svc.Cursor("c1", "t", 0); err != nil || next != 2 {
-				t.Fatalf("Cursor = %d, %v", next, err)
-			}
-			if next, err := svc.Cursor("c1", "t", 1); err != nil || next != 0 {
-				t.Fatalf("other partition's cursor = %d, %v", next, err)
-			}
-			if next, err := svc.Cursor("nobody", "t", 0); err != nil || next != 0 {
-				t.Fatalf("unknown consumer's cursor = %d, %v", next, err)
-			}
-		}},
 		{"partition length", func(t *testing.T, svc mofka.Service, _ func() error) {
 			push(t, svc)
 			for part, want := range []uint64{2, 1} {
@@ -150,8 +135,8 @@ func TestServiceConformance(t *testing.T) {
 					t.Fatalf("PartitionLength(%d) = %d, %v, want %d", part, n, err, want)
 				}
 			}
-			if parts, events, err := svc.TopicInfo("t"); err != nil || parts != 2 || events != 3 {
-				t.Fatalf("TopicInfo = %d, %d, %v", parts, events, err)
+			if parts, err := svc.TopicInfo("t"); err != nil || parts != 2 {
+				t.Fatalf("TopicInfo = %d, %v", parts, err)
 			}
 		}},
 		{"ping after close", func(t *testing.T, svc mofka.Service, shutdown func() error) {
@@ -168,7 +153,7 @@ func TestServiceConformance(t *testing.T) {
 			_, err := svc.Pull("ghost", 0, 0, 1)
 			wantErr(t, "pull", err, want)
 			wantErr(t, "push", svc.PushBatch("ghost", 0, [][]byte{[]byte(`{}`)}), want)
-			_, _, err = svc.TopicInfo("ghost")
+			_, err = svc.TopicInfo("ghost")
 			wantErr(t, "info", err, want)
 			_, err = svc.PartitionLength("ghost", 0)
 			wantErr(t, "length", err, want)

@@ -32,9 +32,10 @@ func (w wireTap) Call(rpc string, req []byte) ([]byte, error) {
 	return resp, err
 }
 
-// TestWireGolden pins the bytes of all nine mofka.* RPCs — requests as
+// TestWireGolden pins the bytes of all seven mofka.* RPCs — requests as
 // mofka.Remote writes them, responses and error texts as a standalone broker
-// and a cluster gateway answer them — plus the gateway's fenced push. The
+// and a cluster gateway answer them — plus the gateway's fenced push, and the
+// refusal of a raw mofka.commit, an RPC neither serves any more. The
 // golden pins this build's bytes: every client and server of these RPCs is in
 // this repository, so a change that moves them regenerates it with
 // -update-wire and says which lines moved.
@@ -59,28 +60,25 @@ func TestWireGolden(t *testing.T) {
 		_ = r.CreateTopic(mofka.TopicConfig{Name: "wire", Partitions: 2})
 		_ = r.CreateTopic(mofka.TopicConfig{Name: "wire"}) // reopen with the count left out
 		_, _ = r.Topics()
-		_, _, _ = r.TopicInfo("wire")
+		_, _ = r.TopicInfo("wire")
 		_ = r.PushBatch("wire", 0, [][]byte{[]byte(`{"i":0}`), []byte(`{"i":1,"s":"a\u00e9"}`)})
 		_ = r.PushBatch("wire", 1, [][]byte{[]byte(`{"i":2}`)})
 		_, _ = r.Pull("wire", 0, 0, 10)
 		_, _ = r.Pull("wire", 0, 1, 10)
 		_, _ = r.Pull("wire", 1, 5, 10) // past the end
-		_ = r.Commit("cons", "wire", 0, 2)
-		_, _ = r.Cursor("cons", "wire", 0)
-		_, _ = r.Cursor("nobody", "wire", 1)
 		_, _ = r.PartitionLength("wire", 0)
-		_, _, _ = r.TopicInfo("wire")
+		_, _ = r.TopicInfo("wire")
 		_ = r.Ping()
 
 		// Errors cross the wire as text.
 		_, _ = r.Pull("ghost", 0, 0, 1)
 		_ = r.PushBatch("ghost", 0, [][]byte{[]byte(`{}`)})
-		_, _, _ = r.TopicInfo("ghost")
+		_, _ = r.TopicInfo("ghost")
 		_, _ = r.Pull("wire", 7, 0, 1)
 		_ = r.PushBatch("wire", 7, [][]byte{[]byte(`{}`)})
 		_, _ = r.PartitionLength("wire", -1)
 		_ = r.PushBatch("wire", 0, [][]byte{[]byte(`[1]`)}) // not an object
-		_ = r.Commit("cons", "ghost", 0, 1)
+		_, _ = tap.Call("mofka.commit", []byte(`{"consumer":"cons","topic":"ghost","partition":0,"next":1}`))
 		_ = r.CreateTopic(mofka.TopicConfig{Name: ""})
 		_, _ = tap.Call("mofka.push", []byte(`{"topic":`))
 		_, _ = tap.Call("mofka.topic_info", []byte(`7`))

@@ -166,27 +166,25 @@ func (c *Consumer) Scan(visit func(partition int, id uint64, metadata []byte) er
 }
 
 // Pull returns the next event, or ok=false when no unread events exist.
-func (c *Consumer) Pull() (Event, bool, error) {
+func (c *Consumer) Pull() (Event, bool) {
 	if len(c.buf) == 0 {
 		c.fill()
 	}
 	if len(c.buf) == 0 {
-		return Event{}, false, nil
+		return Event{}, false
 	}
 	ev := c.buf[0]
 	c.buf = c.buf[1:]
-	return ev, true, nil
+	return ev, true
 }
 
 // PullBatch returns up to max unread events (possibly fewer, empty at end of
-// stream).
+// stream). It does not fail; the error result stays for the callers that
+// compile against it (bench/e2e).
 func (c *Consumer) PullBatch(max int) ([]Event, error) {
 	var out []Event
 	for len(out) < max {
-		ev, ok, err := c.Pull()
-		if err != nil {
-			return out, err
-		}
+		ev, ok := c.Pull()
 		if !ok {
 			break
 		}
@@ -195,14 +193,12 @@ func (c *Consumer) PullBatch(max int) ([]Event, error) {
 	return out, nil
 }
 
-// Drain pulls every remaining event.
+// Drain pulls every remaining event. It does not fail; the error result stays
+// for the callers that compile against it (bench/e2e).
 func (c *Consumer) Drain() ([]Event, error) {
 	var out []Event
 	for {
-		ev, ok, err := c.Pull()
-		if err != nil {
-			return out, err
-		}
+		ev, ok := c.Pull()
 		if !ok {
 			return out, nil
 		}

@@ -265,8 +265,9 @@ func inParallel(n int, job func(i int) error) error {
 // directory winning a tie. Each replica's segments are read once, and only
 // the published one's are kept (see recoverLongest). A topic's configuration
 // comes from the first directory holding it, and a directory that declares
-// the topic with another partition count fails the load. For every consumer
-// cursor the maximum across the directories' cursor stores wins.
+// the topic with another partition count fails the load. The directories are
+// a cluster's node directories, which hold no consumer cursors: a cursor is
+// the live monitor's bookmark on its own standalone broker.
 func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
 	view := NewStandaloneBroker()
 	type replicas struct {
@@ -275,17 +276,7 @@ func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
 	}
 	var jobs []replicas
 	first := make(map[string]int) // topic → the job of its partition 0
-	cursors := make(map[CursorEntry]uint64)
 	for _, dir := range dataDirs {
-		cs, err := wal.OpenCursorStore(filepath.Join(dir, "cursors.json"))
-		if err != nil {
-			return nil, err
-		}
-		for key, next := range cs.All() {
-			if ent, ok := parseCursorKey(key); ok && next > cursors[ent] {
-				cursors[ent] = next
-			}
-		}
 		names, err := topicDirs(dir)
 		if err != nil {
 			return nil, err
@@ -322,11 +313,6 @@ func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	for ent, next := range cursors {
-		if err := view.CommitCursor(ent.Consumer, ent.Topic, ent.Partition, next); err != nil {
-			return nil, err
-		}
 	}
 	return view, nil
 }

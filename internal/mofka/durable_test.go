@@ -72,9 +72,9 @@ func TestDurableRecoveryAcrossRestart(t *testing.T) {
 	}
 	read := make([]uint64, execs.Partitions())
 	for i := 0; i < 6; i++ {
-		ev, ok, err := c.Pull()
-		if err != nil || !ok {
-			t.Fatalf("pull %d: ok=%v err=%v", i, ok, err)
+		ev, ok := c.Pull()
+		if !ok {
+			t.Fatalf("pull %d: the stream ended", i)
 		}
 		read[ev.Partition] = ev.ID + 1
 		if err := execs.CommitCursors("analysis", read); err != nil {
@@ -235,15 +235,15 @@ func TestCloseDrainsBufferedEventsFirst(t *testing.T) {
 	p.Close()
 	b.Close()
 	c, _ := tp.NewConsumer(ConsumerOptions{})
-	ev, ok, err := c.Pull()
-	if err != nil || !ok {
-		t.Fatalf("pre-close event not served: ok=%v err=%v", ok, err)
+	ev, ok := c.Pull()
+	if !ok {
+		t.Fatal("pre-close event not served")
 	}
 	if len(ev.Metadata) == 0 {
 		t.Fatal("empty event")
 	}
-	if _, ok, err := c.Pull(); ok || err != nil {
-		t.Fatalf("after drain: ok=%v err=%v, want the end of the stream", ok, err)
+	if _, ok := c.Pull(); ok {
+		t.Fatal("after drain: an event, want the end of the stream")
 	}
 }
 

@@ -110,7 +110,7 @@ func TestCommitAndResume(t *testing.T) {
 
 	c1, _ := tp.NewConsumer(ConsumerOptions{})
 	for i := 0; i < 4; i++ {
-		ev, ok, _ := c1.Pull()
+		ev, ok := c1.Pull()
 		if !ok {
 			t.Fatal("pull failed")
 		}
@@ -151,8 +151,8 @@ func TestPullBatchAndProgress(t *testing.T) {
 	if len(rest) != 5 {
 		t.Fatalf("rest = %d", len(rest))
 	}
-	if ev, ok, err := c.Pull(); ok || err != nil {
-		t.Fatalf("pull after reading everything: %v %v %v", ev, ok, err)
+	if ev, ok := c.Pull(); ok {
+		t.Fatalf("pull after reading everything: %v", ev)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"taskprov/internal/mochi/mercury"
 )
 
-// Service is the event log as every deployment offers it: nine operations,
+// Service is the event log as every deployment offers it: seven operations,
 // the same whether they land on one broker (Broker.Service), on a sharded,
 // replicated cluster (cluster.Cluster.Service), or cross the wire to either
 // (Remote). Serve exposes any Service on a Mercury endpoint; consumers, the
@@ -21,16 +21,12 @@ type Service interface {
 	CreateTopic(cfg TopicConfig) error
 	// Topics lists topic names in sorted order.
 	Topics() ([]string, error)
-	// TopicInfo returns a topic's partition count and its total event count.
-	TopicInfo(name string) (partitions int, events uint64, err error)
+	// TopicInfo returns a topic's partition count.
+	TopicInfo(name string) (partitions int, err error)
 	// PushBatch appends a batch of events to one partition.
 	PushBatch(topic string, partition int, metas [][]byte) error
 	// Pull returns up to max events of one partition from offset from on.
 	Pull(topic string, partition int, from uint64, max int) ([]Event, error)
-	// Commit records a consumer's next-unread offset.
-	Commit(consumer, topic string, partition int, next uint64) error
-	// Cursor returns a consumer's committed offset, 0 if it never committed.
-	Cursor(consumer, topic string, partition int) (uint64, error)
 	// PartitionLength returns the number of events a consumer can observe in
 	// one partition.
 	PartitionLength(topic string, partition int) (uint64, error)
@@ -56,7 +52,7 @@ type fencedPusher interface {
 	PushFenced(topic string, partition int, producer string, seq, epoch uint64, metas [][]byte) (current uint64, err error)
 }
 
-// The RPC names and wire structs of the nine operations: Serve decodes them,
+// The RPC names and wire structs of the seven operations: Serve decodes them,
 // Remote encodes them, nothing else spells them.
 const (
 	rpcCreateTopic = "mofka.create_topic"
@@ -64,8 +60,6 @@ const (
 	rpcTopicInfo   = "mofka.topic_info"
 	rpcPush        = "mofka.push"
 	rpcPull        = "mofka.pull"
-	rpcCommit      = "mofka.commit"
-	rpcCursor      = "mofka.cursor"
 	rpcPartInfo    = "mofka.partition_info"
 	rpcPing        = "mofka.ping"
 )
@@ -96,17 +90,15 @@ type pullResponse struct {
 	Events []Event `json:"events"`
 }
 
-type commitRequest struct {
-	Consumer  string `json:"consumer"`
+// partitionRequest names one partition: a length probe's request.
+type partitionRequest struct {
 	Topic     string `json:"topic"`
 	Partition int    `json:"partition"`
-	Next      uint64 `json:"next"`
 }
 
 type topicInfo struct {
 	Name       string `json:"name"`
 	Partitions int    `json:"partitions"`
-	Events     uint64 `json:"events"`
 }
 
 // Serve exposes svc on a Mercury endpoint, which mercury.Serve puts on TCP
@@ -119,8 +111,8 @@ func Serve(ep *mercury.Endpoint, svc Service) {
 		return reply(svc.Topics())
 	})
 	ep.Register(rpcTopicInfo, handler(func(name string) (any, error) {
-		parts, events, err := svc.TopicInfo(name)
-		return topicInfo{Name: name, Partitions: parts, Events: events}, err
+		parts, err := svc.TopicInfo(name)
+		return topicInfo{Name: name, Partitions: parts}, err
 	}))
 	fenced, _ := svc.(fencedPusher)
 	ep.Register(rpcPush, handler(func(pr pushRequest) (any, error) {
@@ -138,13 +130,7 @@ func Serve(ep *mercury.Endpoint, svc Service) {
 		evs, err := svc.Pull(pr.Topic, pr.Partition, pr.From, pr.Max)
 		return pullResponse{Events: evs}, err
 	}))
-	ep.Register(rpcCommit, handler(func(cr commitRequest) (any, error) {
-		return nil, svc.Commit(cr.Consumer, cr.Topic, cr.Partition, cr.Next)
-	}))
-	ep.Register(rpcCursor, handler(func(cr commitRequest) (any, error) {
-		return svc.Cursor(cr.Consumer, cr.Topic, cr.Partition)
-	}))
-	ep.Register(rpcPartInfo, handler(func(pr pullRequest) (any, error) {
+	ep.Register(rpcPartInfo, handler(func(pr partitionRequest) (any, error) {
 		return svc.PartitionLength(pr.Topic, pr.Partition)
 	}))
 	ep.Register(rpcPing, func([]byte) ([]byte, error) {
@@ -196,12 +182,12 @@ func (s brokerService) CreateTopic(cfg TopicConfig) error {
 
 func (s brokerService) Topics() ([]string, error) { return s.b.Topics(), nil }
 
-func (s brokerService) TopicInfo(name string) (int, uint64, error) {
+func (s brokerService) TopicInfo(name string) (int, error) {
 	t, err := s.b.OpenTopic(name)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return t.Partitions(), t.Events(), nil
+	return t.Partitions(), nil
 }
 
 func (s brokerService) PushBatch(topic string, partition int, metas [][]byte) error {
@@ -226,14 +212,6 @@ func (s brokerService) Pull(topic string, partition int, from uint64, max int) (
 		return nil, err
 	}
 	return p.read(from, max), nil
-}
-
-func (s brokerService) Commit(consumer, topic string, partition int, next uint64) error {
-	return s.b.CommitCursor(consumer, topic, partition, next)
-}
-
-func (s brokerService) Cursor(consumer, topic string, partition int) (uint64, error) {
-	return s.b.LoadCursor(consumer, topic, partition), nil
 }
 
 func (s brokerService) PartitionLength(topic string, partition int) (uint64, error) {
@@ -289,13 +267,11 @@ func (r *Remote) Topics() ([]string, error) {
 	return out, err
 }
 
-// TopicInfo returns partition and event counts for a topic.
-func (r *Remote) TopicInfo(name string) (partitions int, events uint64, err error) {
+// TopicInfo returns a topic's partition count.
+func (r *Remote) TopicInfo(name string) (partitions int, err error) {
 	var info topicInfo
-	if err := r.call(rpcTopicInfo, name, &info); err != nil {
-		return 0, 0, err
-	}
-	return info.Partitions, info.Events, nil
+	err = r.call(rpcTopicInfo, name, &info)
+	return info.Partitions, err
 }
 
 // PushBatch appends a batch of events to one partition.
@@ -314,22 +290,10 @@ func (r *Remote) Pull(topic string, partition int, from uint64, max int) ([]Even
 	return resp.Events, err
 }
 
-// Commit records a consumer cursor remotely.
-func (r *Remote) Commit(consumer, topic string, partition int, next uint64) error {
-	return r.call(rpcCommit, commitRequest{Consumer: consumer, Topic: topic, Partition: partition, Next: next}, nil)
-}
-
-// Cursor fetches a consumer's committed cursor.
-func (r *Remote) Cursor(consumer, topic string, partition int) (uint64, error) {
-	var next uint64
-	err := r.call(rpcCursor, commitRequest{Consumer: consumer, Topic: topic, Partition: partition}, &next)
-	return next, err
-}
-
 // PartitionLength returns the number of events in one remote partition.
 func (r *Remote) PartitionLength(topic string, partition int) (uint64, error) {
 	var n uint64
-	err := r.call(rpcPartInfo, pullRequest{Topic: topic, Partition: partition}, &n)
+	err := r.call(rpcPartInfo, partitionRequest{Topic: topic, Partition: partition}, &n)
 	return n, err
 }
 

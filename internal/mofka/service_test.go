@@ -7,7 +7,7 @@ import (
 	"taskprov/internal/mochi/mercury"
 )
 
-// The contract of the nine operations — over a broker, a cluster, and a
+// The contract of the seven operations — over a broker, a cluster, and a
 // Remote to each — is TestServiceConformance in internal/mofka/cluster, the
 // one package that can build all four; the bytes they put on the wire are
 // pinned by TestWireGolden beside it.
@@ -52,19 +52,17 @@ func (f fencedBroker) PushFenced(topic string, partition int, _ string, _, epoch
 	return epoch, f.PushBatch(topic, partition, metas)
 }
 
-// FuzzServe: whatever bytes arrive under any of the nine RPC names, a handler
+// FuzzServe: whatever bytes arrive under any of the seven RPC names, a handler
 // neither panics nor answers anything but JSON, a request its decoder refuses
 // is an error, and the service behind it stays usable.
 func FuzzServe(f *testing.F) {
-	names := []string{rpcCreateTopic, rpcTopics, rpcTopicInfo, rpcPush, rpcPull, rpcCommit, rpcCursor, rpcPartInfo, rpcPing}
+	names := []string{rpcCreateTopic, rpcTopics, rpcTopicInfo, rpcPush, rpcPull, rpcPartInfo, rpcPing}
 	decodes := map[string]func([]byte) error{
 		rpcCreateTopic: func(b []byte) error { return json.Unmarshal(b, new(TopicConfig)) },
 		rpcTopicInfo:   func(b []byte) error { return json.Unmarshal(b, new(string)) },
 		rpcPush:        func(b []byte) error { return json.Unmarshal(b, new(pushRequest)) },
 		rpcPull:        func(b []byte) error { return json.Unmarshal(b, new(pullRequest)) },
-		rpcCommit:      func(b []byte) error { return json.Unmarshal(b, new(commitRequest)) },
-		rpcCursor:      func(b []byte) error { return json.Unmarshal(b, new(commitRequest)) },
-		rpcPartInfo:    func(b []byte) error { return json.Unmarshal(b, new(pullRequest)) },
+		rpcPartInfo:    func(b []byte) error { return json.Unmarshal(b, new(partitionRequest)) },
 	}
 	for i, req := range []string{
 		`{"name":"wire","partitions":2}`,
@@ -72,9 +70,7 @@ func FuzzServe(f *testing.F) {
 		`"t"`,
 		`{"topic":"t","partition":0,"metas":[{"i":0},{"i":1,"s":"aé"}]}`,
 		`{"topic":"t","partition":0,"from":0,"max":10}`,
-		`{"consumer":"cons","topic":"t","partition":0,"next":2}`,
-		`{"consumer":"cons","topic":"t","partition":0,"next":0}`,
-		`{"topic":"t","partition":1,"from":0,"max":0}`,
+		`{"topic":"t","partition":1}`,
 		`{}`,
 	} {
 		f.Add(uint8(i), []byte(req))
@@ -84,6 +80,8 @@ func FuzzServe(f *testing.F) {
 	f.Add(uint8(3), []byte(`{"topic":`))
 	f.Add(uint8(4), []byte(`{"topic":"t","partition":0,"from":18446744073709551615,"max":-5}`))
 	f.Add(uint8(0), []byte(`{"name":"big","partitions":100000}`))
+	f.Add(uint8(5), []byte(`{"topic":"t","partition":1,"from":0,"max":0}`)) // a probe as older clients sent it
+	f.Add(uint8(2), []byte(`"ghost"`))
 
 	f.Fuzz(func(t *testing.T, which uint8, req []byte) {
 		name := names[int(which)%len(names)]

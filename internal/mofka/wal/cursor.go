@@ -9,7 +9,8 @@ import (
 )
 
 // CursorStore is the small sidecar that persists consumer cursors next to a
-// broker's event log, so Commit/LoadCursor survive restarts. The whole map
+// standalone broker's event log, so what Topic.CommitCursors records survives
+// restarts and Broker.LoadCursor reads it back. The whole map
 // is rewritten atomically (temp file + fsync + rename) on every update —
 // cursors are tiny and commits are rare compared to appends, so simplicity
 // wins over an incremental format; a commit that moves several cursors is

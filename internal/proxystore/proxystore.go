@@ -1,28 +1,22 @@
 // Package proxystore is a pass-by-reference object store for dependency
-// transfers, layered on the Warabi blob service (the ProxyStore pattern of
-// Pauloski et al. applied to the simulated Dask data plane): task outputs
-// above a size threshold are published once as reference-counted blobs owned
-// by the producing worker, the scheduler ships only a small proxy reference
-// in its control messages, and consumers resolve the payload peer-to-peer
-// from the owner at first use.
+// transfers (the ProxyStore pattern of Pauloski et al. applied to the
+// simulated Dask data plane): task outputs above a size threshold are
+// published once as reference-counted blobs owned by the producing worker,
+// the scheduler ships only a small proxy reference in its control messages,
+// and consumers resolve the payload peer-to-peer from the owner at first use.
 //
-// The store tracks blob metadata — ownership, incarnation fencing, logical
-// payload size, and reference counts — while the simulation moves sizes, not
-// bytes: each blob's Warabi region holds a small JSON manifest describing
-// the payload rather than the payload itself, so multi-gigabyte logical
-// outputs cost a few hundred real bytes. Reference counts mirror the
-// scheduler's dependent refcounts; when a blob's count drains (or its owner
-// worker is reclaimed after a crash) the region is destroyed and the
+// The store is the blob index and nothing else: ownership, incarnation
+// fencing, logical payload size and reference counts, one entry per key. The
+// simulation moves sizes, not bytes, so a blob is its Ref — there is no
+// payload, and no second copy of the reference, anywhere. Reference counts
+// mirror the scheduler's dependent refcounts; when a blob's count drains (or
+// its owner worker is reclaimed after a crash) its entry goes and the
 // resident footprint shrinks back.
 package proxystore
 
 import (
-	"encoding/json"
-	"fmt"
 	"sort"
 	"sync"
-
-	"taskprov/internal/mochi/warabi"
 )
 
 // Ref is the proxy reference the scheduler ships in place of a payload: it
@@ -48,26 +42,21 @@ type Stats struct {
 }
 
 type blob struct {
-	ref    Ref
-	target *warabi.Target
-	region warabi.RegionID
-	refs   int
+	ref  Ref
+	refs int
 }
 
 // Store is the blob index. All methods are safe for concurrent use, though
 // the deterministic simulation drives it from a single kernel goroutine.
 type Store struct {
-	provider *warabi.Provider
-
 	mu    sync.Mutex
 	blobs map[string]*blob
 	stats Stats
 }
 
-// New builds an empty store over its own Warabi provider (one target per
-// owning worker, mirroring a per-node Warabi deployment).
+// New builds an empty store.
 func New() *Store {
-	return &Store{provider: warabi.NewProvider(), blobs: make(map[string]*blob)}
+	return &Store{blobs: make(map[string]*blob)}
 }
 
 // Publish registers key's payload as a blob owned by worker rank owner at
@@ -87,14 +76,7 @@ func (s *Store) Publish(key string, owner, incarnation int, size int64) (r Ref, 
 		s.stats.Frees++
 	}
 	ref := Ref{Key: key, Owner: owner, Incarnation: incarnation, Size: size}
-	manifest, err := json.Marshal(ref)
-	if err != nil {
-		// Ref is a plain struct of strings and integers; this cannot fail.
-		panic(fmt.Sprintf("proxystore: encode manifest for %s: %v", key, err))
-	}
-	target := s.provider.Target(fmt.Sprintf("worker-%03d", owner))
-	b := &blob{ref: ref, target: target, region: target.CreateWrite(manifest)}
-	s.blobs[key] = b
+	s.blobs[key] = &blob{ref: ref}
 	s.stats.Publishes++
 	s.stats.Resident += size
 	return ref, replaced
@@ -213,15 +195,10 @@ func (s *Store) ReclaimWorker(owner int) (reclaimed []Ref, bytes int64) {
 	return reclaimed, bytes
 }
 
-// destroyLocked removes a blob and its manifest region. Callers hold s.mu.
+// destroyLocked removes a blob from the index. Callers hold s.mu.
 func (s *Store) destroyLocked(key string, b *blob) {
 	delete(s.blobs, key)
 	s.stats.Resident -= b.ref.Size
-	if err := b.target.Destroy(b.region); err != nil {
-		// The store is the region's only owner; a missing region means the
-		// index and the target diverged — a bug, not a runtime condition.
-		panic(fmt.Sprintf("proxystore: destroy region for %s: %v", key, err))
-	}
 }
 
 // ResidentBytes reports the logical payload bytes currently held.

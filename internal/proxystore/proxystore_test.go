@@ -18,10 +18,8 @@ func TestPublishResolveRoundTrip(t *testing.T) {
 	if s.ResidentBytes() != 64<<20 || s.Stats().Live != 1 {
 		t.Fatalf("resident = %d, live = %d", s.ResidentBytes(), s.Stats().Live)
 	}
-	// The manifest region is tiny regardless of the logical payload size.
-	target := s.provider.Target("worker-003")
-	if regions, written := target.Stats(); regions != 1 || written > 1024 {
-		t.Fatalf("manifest footprint: %d regions, %d bytes", regions, written)
+	if keys := s.Keys(); len(keys) != 1 || keys[0] != "k-1" {
+		t.Fatalf("keys = %v, want the one published", keys)
 	}
 	if _, ok := s.Resolve("absent"); ok {
 		t.Fatal("resolved an absent key")
@@ -48,9 +46,9 @@ func TestRefcountDrainDestroysBlob(t *testing.T) {
 	if s.ResidentBytes() != 0 || s.Stats().Live != 0 {
 		t.Fatalf("resident = %d, live = %d", s.ResidentBytes(), s.Stats().Live)
 	}
-	// The backing region is gone too.
-	if regions, _ := s.provider.Target("worker-000").Stats(); regions != 0 {
-		t.Fatalf("leaked %d regions", regions)
+	// The index entry is gone too.
+	if keys := s.Keys(); len(keys) != 0 {
+		t.Fatalf("drained blob still indexed: %v", keys)
 	}
 }
 
