@@ -86,7 +86,7 @@ chaos:
 	$(GO) test -race -run 'TestCmdRunSurvivesKillWithSpeculation' ./cmd/taskprov/
 
 # The sharded, replicated cluster suites, race-enabled: placement, quorum
-# replication, failover/fencing (a remote replica member included), and the
+# replication, failover/fencing, and the
 # end-to-end cluster sessions (broker kill mid-workflow, zero acknowledged
 # loss, deterministic failover timeline). The log service's
 # contract lives here too, in the one package that can build every
@@ -97,7 +97,7 @@ chaos:
 # each held to the replay of the same log.
 cluster:
 	$(GO) test -race ./internal/mofka/cluster/
-	$(GO) test -race -count=1 -run 'TestServiceConformance|TestWireGolden|TestRemoteMember' ./internal/mofka/cluster/
+	$(GO) test -race -count=1 -run 'TestServiceConformance|TestWireGolden' ./internal/mofka/cluster/
 	$(GO) test -race -count=1 -run 'TestTailRemoteEqualsReplayBroker' ./internal/live/
 	$(GO) test -race -run 'TestCluster' ./internal/core/
 
@@ -191,8 +191,8 @@ readpath:
 # frame whose metadata does not fill its payload read as torn, the
 # windowed reader against the keeping one over its corpus, the
 # records a log's replay lent surviving its appends, rotation and close, the
-# cluster's read view (shared from local leaders, pulled from a remote one,
-# apart from the cluster once taken, through a restart's truncation too), a
+# cluster's read view (shared from the leaders' documents, apart from the
+# cluster once taken, through a restart's truncation too), a
 # partition sharing another's events, a partition serving what it stored
 # (live, shared, truncated, post-mortem), and the
 # paged document store against a plain slice. The allocation pins of the lean
@@ -323,9 +323,9 @@ bench-speculation:
 # what it accepts in that form, through a share and a truncation too. Data dir sidecars (checkpoint.json, attempts.json,
 # cluster.json): loading them and reconstructing a resume state over them
 # never panics or spins on a number the file supplied. Cluster gateway
-# requests (cluster.join, cluster.info, cluster.health): no body panics a
-# handler or draws an answer that is not JSON, a join that does not decode or
-# names no address is refused, and the nine log RPCs still work afterwards.
+# requests (the four log RPCs over a cluster holding a topic): no body panics
+# a handler or draws an answer that is not JSON, and the cluster still reads
+# the same events afterwards.
 fuzz:
 	$(GO) test -run 'FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALRecover' -fuzztime 20s ./internal/mofka/wal/

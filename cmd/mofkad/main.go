@@ -1,7 +1,10 @@
-// Command mofkad runs a Mofka broker over TCP, exposing the log service's
-// seven RPCs (create_topic, topics, topic_info, push, pull, partition_info,
-// ping) through the Mercury wire protocol. It is the deployment mode for
-// consumers that run on different nodes than the instrumented workflow.
+// Command mofkad serves a Mofka event log over TCP, exposing the log
+// service's four read RPCs (topics, topic_info, pull, partition_info) through
+// the Mercury wire protocol. It is the deployment mode for consumers that run
+// on different nodes than the instrumented workflow: `taskprov watch -broker
+// ADDR` tails it. A run writes its events into its own process's broker or
+// cluster, never over the wire; mofkad serves what such a run left in its
+// data directory.
 //
 // With -data-dir the broker is backed by the durable segmented event log:
 // every topic and event, and the cursors the -live monitor commits, persist
@@ -14,12 +17,10 @@
 // anomaly detection over the provenance topics, served on -live-http.
 //
 // With -brokers N the daemon serves a sharded, replicated Mofka cluster of
-// N broker replicas behind one RPC gateway (internal/mofka/cluster):
-// partitions are placed by rendezvous hashing, appends are acknowledged
-// after a replica quorum, and a background sweeper drives SSG failure
-// detection and leader failover. Plain mofka clients work unchanged against
-// the gateway. With -join ADDR the daemon instead runs a single broker and
-// registers it as a remote replica member of the cluster behind ADDR.
+// N broker replicas behind one RPC gateway (internal/mofka/cluster), such as
+// the data dir of a `taskprov run -cluster N`: reopening it recovers every
+// node's log and heals replica divergence. A mofka.Remote reads the gateway
+// as it reads a standalone broker.
 //
 // Usage:
 //
@@ -27,7 +28,6 @@
 //	       [-data-dir /path/to/log] [-fsync batch|interval|never]
 //	       [-live] [-live-http 127.0.0.1:9090]
 //	       [-brokers N [-replication N] [-quorum N]]
-//	       [-join ADDR]
 package main
 
 import (
@@ -53,8 +53,6 @@ func main() {
 	brokers := flag.Int("brokers", 0, "serve a sharded cluster of N broker replicas behind this gateway (0 = single broker)")
 	replication := flag.Int("replication", 0, "with -brokers, replicas per partition (0 = cluster default)")
 	quorum := flag.Int("quorum", 0, "with -brokers, append acknowledgement quorum (0 = majority of replication)")
-	joinAddr := flag.String("join", "", "join the cluster behind this gateway address as a remote replica member")
-	sweep := flag.Duration("sweep", time.Second, "with -brokers, failure-detector sweep interval")
 	liveMon := flag.Bool("live", false, "run the live monitor against this broker")
 	liveHTTP := flag.String("live-http", "", "with -live, serve /snapshot /metrics /events on this address")
 	flag.Parse()
@@ -64,9 +62,6 @@ func main() {
 	}
 	if *brokers == 0 && (*replication != 0 || *quorum != 0) {
 		fatal(fmt.Errorf("-replication/-quorum need -brokers N"))
-	}
-	if *brokers > 0 && *joinAddr != "" {
-		fatal(fmt.Errorf("-brokers and -join are mutually exclusive: a gateway hosts replicas, a joiner is one"))
 	}
 	if *brokers > 0 && *liveMon {
 		fatal(fmt.Errorf("-live needs single-broker mode; watch a cluster gateway with `taskprov watch -broker ADDR`"))
@@ -94,7 +89,7 @@ func main() {
 	defer dep.Shutdown()
 
 	if *brokers > 0 {
-		runCluster(dep, *brokers, *replication, *quorum, *dataDir, *fsync, pol, *sweep)
+		runCluster(dep, *brokers, *replication, *quorum, *dataDir, *fsync, pol)
 		return
 	}
 
@@ -113,14 +108,6 @@ func main() {
 	}
 	fmt.Printf("mofkad: serving on %s (yokan dbs: %v, %s)\n",
 		dep.Addr(), cfg.Yokan.Databases, durability)
-
-	if *joinAddr != "" {
-		node, err := cluster.JoinRemote(*joinAddr, dep.Addr(), 10*time.Second)
-		if err != nil {
-			fatal(fmt.Errorf("join %s: %w", *joinAddr, err))
-		}
-		fmt.Printf("mofkad: joined cluster at %s as broker node %d\n", *joinAddr, node)
-	}
 
 	var monitor *live.Monitor
 	var sweeps <-chan time.Time // nil, so never ready, without -live
@@ -172,7 +159,7 @@ func main() {
 
 // runCluster serves a sharded, replicated cluster behind the deployed
 // endpoint until interrupted.
-func runCluster(dep *bedrock.Deployment, brokers, replication, quorum int, dataDir, fsync string, pol wal.SyncPolicy, sweep time.Duration) {
+func runCluster(dep *bedrock.Deployment, brokers, replication, quorum int, dataDir, fsync string, pol wal.SyncPolicy) {
 	cl, err := cluster.New(cluster.Config{
 		Brokers:           brokers,
 		ReplicationFactor: replication,
@@ -183,23 +170,18 @@ func runCluster(dep *bedrock.Deployment, brokers, replication, quorum int, dataD
 	if err != nil {
 		fatal(err)
 	}
-	cl.RegisterRPCs(dep.Endpoint())
-
-	stop := make(chan struct{})
-	go cl.RunSweeper(sweep, stop)
+	mofka.Serve(dep.Endpoint(), cl.Service())
 
 	durability := "in-memory"
 	if dataDir != "" {
 		durability = fmt.Sprintf("durable logs under %s (fsync=%s per node, %d topics recovered)", dataDir, fsync, len(cl.Topics()))
 	}
 	fmt.Printf("mofkad: cluster gateway on %s (%d brokers, %s)\n", dep.Addr(), cl.Brokers(), durability)
-	fmt.Printf("mofkad: join more replicas with `mofkad -listen HOST:PORT -join %s`\n", dep.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("mofkad: shutting down cluster")
-	close(stop)
 	if err := cl.Close(); err != nil {
 		fatal(err)
 	}

@@ -317,7 +317,7 @@ func TestTailRemoteEqualsReplayBroker(t *testing.T) {
 	}
 	defer c.Close()
 	gw := mercury.NewEndpoint("gateway")
-	c.RegisterRPCs(gw)
+	mofka.Serve(gw, c.Service())
 	tailsEqualReplay(t, pm, c.Service(), mofka.NewRemote(gw))
 }
 

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"taskprov/internal/dask"
-	"taskprov/internal/mochi/mercury"
 	"taskprov/internal/mofka"
 	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
@@ -677,10 +676,10 @@ func TestConcurrentProducersMonitorAndReaders(t *testing.T) {
 	}
 }
 
-// TestMonitorSweptFromHostTicker is mofkad's shape: a producer in another
-// process — here a goroutine pushing through the log service, as a remote
-// client does — writes to a durable broker that fsyncs per batch, while a
-// host ticker sweeps the monitor. Which chunks each sweep found is up to the
+// TestMonitorSweptFromHostTicker is mofkad's shape: producers on no clock of
+// the monitor's — here the test goroutine, filling the broker in process —
+// write to a durable broker that fsyncs per batch, while a host ticker sweeps
+// the monitor. Which chunks each sweep found is up to the
 // host; the Summary Finish returns is the replay's all the same, anomalies
 // included.
 func TestMonitorSweptFromHostTicker(t *testing.T) {
@@ -689,21 +688,16 @@ func TestMonitorSweptFromHostTicker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = b.Close() }()
-	ep := mercury.NewEndpoint("mofka")
-	mofka.Serve(ep, b.Service())
-	remote := mofka.NewRemote(ep)
 
 	m := NewMonitor(b, MonitorOptions{})
 	stopSweeps := sweepEvery(m, time.Millisecond)
 	producers := map[string]*mofka.Producer{}
 	for _, topic := range []string{provenance.TopicExecutions, provenance.TopicWarnings} {
-		if err := remote.CreateTopic(mofka.TopicConfig{Name: topic, Partitions: 3}); err != nil {
+		tp, err := b.CreateTopic(mofka.TopicConfig{Name: topic, Partitions: 3})
+		if err != nil {
 			t.Fatal(err)
 		}
-		producers[topic] = mofka.NewProducer(3, mofka.ProducerOptions{BatchSize: 32},
-			func(part int, _ uint64, metas [][]byte) (*mofka.Commit, error) {
-				return nil, remote.PushBatch(topic, part, metas)
-			})
+		producers[topic] = tp.NewProducer(mofka.ProducerOptions{BatchSize: 32})
 	}
 	for i := 0; i < 3000; i++ {
 		start := float64(i) * 0.1

@@ -103,10 +103,12 @@ func TestSSGGroupThresholdsApplied(t *testing.T) {
 	}
 	defer d.Shutdown()
 	g := d.Group("fast")
+	var seen []ssg.Event
+	g.Observe(func(ev ssg.Event) { seen = append(seen, ev) })
 	now := time.Now()
 	g.Join("m0", now)
 	g.Sweep(now.Add(15 * time.Millisecond))
-	if ms := g.Members(); len(ms) != 1 || ms[0].State != ssg.Suspect {
-		t.Fatalf("members = %+v, want one suspect (thresholds not applied)", ms)
+	if len(seen) != 2 || seen[1].Kind != ssg.EventSuspect {
+		t.Fatalf("membership events = %+v, want a join, then a suspect (thresholds not applied)", seen)
 	}
 }

@@ -213,9 +213,8 @@ func (s *Server) Close() error {
 	return err
 }
 
-// DefaultCallTimeout bounds each Call when no explicit timeout was set. A
-// dead peer must surface as ErrTimeout rather than blocking the caller
-// forever.
+// DefaultCallTimeout bounds each Call. A dead peer must surface as ErrTimeout
+// rather than blocking the caller forever.
 const DefaultCallTimeout = 30 * time.Second
 
 // Client is a TCP RPC client with a single underlying connection. Calls are
@@ -235,17 +234,6 @@ func Dial(addr string) (*Client, error) {
 		return nil, err
 	}
 	return &Client{addr: addr, conn: conn, timeout: DefaultCallTimeout}, nil
-}
-
-// SetTimeout sets the per-call deadline. Zero or negative restores the
-// default; there is deliberately no way to disable the deadline entirely.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	if d <= 0 {
-		d = DefaultCallTimeout
-	}
-	c.timeout = d
-	c.mu.Unlock()
 }
 
 // Call performs one RPC over the client's connection, bounded by the

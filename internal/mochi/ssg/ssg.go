@@ -1,12 +1,12 @@
 // Package ssg reimplements the interface shape of Mochi's SSG (scalable
 // service groups) component: named process groups with membership, heartbeat
-// liveness, and observer notifications on join/leave/failure. Mofka brokers
-// and the provenance collectors register in a group so consumers can
-// discover partitions and detect dead producers.
+// liveness, and observer notifications on join/leave/failure. The simulated
+// Dask scheduler keeps its workers in a group and evicts the ones the group
+// declares dead.
 //
 // Liveness is driven by an explicit clock (Sweep) rather than wall-clock
 // timers so the component is deterministic under test and usable from the
-// simulation; RunSweeper provides a real-time driver for daemon use.
+// simulation.
 package ssg
 
 import (
@@ -65,11 +65,6 @@ type Config struct {
 	DeadAfter    time.Duration // no heartbeat for this long: Dead
 }
 
-// DefaultConfig mirrors SSG's SWIM-ish defaults at a small scale.
-func DefaultConfig() Config {
-	return Config{SuspectAfter: 2 * time.Second, DeadAfter: 5 * time.Second}
-}
-
 // Group is a named membership group. All methods are safe for concurrent
 // use.
 type Group struct {
@@ -82,10 +77,13 @@ type Group struct {
 	observers []Observer
 }
 
+// defaultSuspectAfter mirrors SSG's SWIM-ish default at a small scale.
+const defaultSuspectAfter = 2 * time.Second
+
 // NewGroup creates an empty group.
 func NewGroup(name string, cfg Config) *Group {
 	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = DefaultConfig().SuspectAfter
+		cfg.SuspectAfter = defaultSuspectAfter
 	}
 	if cfg.DeadAfter <= cfg.SuspectAfter {
 		cfg.DeadAfter = cfg.SuspectAfter * 2
@@ -163,26 +161,6 @@ func (g *Group) Heartbeat(id MemberID, now time.Time) bool {
 	return true
 }
 
-// Fail forcibly transitions a member to Dead at time now, firing EventFail.
-// It is the path external failure detectors use — chaos-injected broker
-// crashes and gateway ping timeouts — instead of waiting out the heartbeat
-// timeouts. Returns false when the member is unknown or already Dead.
-func (g *Group) Fail(id MemberID, now time.Time) bool {
-	g.mu.Lock()
-	m, ok := g.members[id]
-	if !ok || m.State == Dead {
-		g.mu.Unlock()
-		return false
-	}
-	m.State = Dead
-	m.LastSeen = now
-	obs := append([]Observer(nil), g.observers...)
-	ev := Event{Kind: EventFail, Member: *m}
-	g.mu.Unlock()
-	g.notify(obs, ev)
-	return true
-}
-
 // Sweep advances failure detection to time now, transitioning silent members
 // to Suspect and then Dead, and returns the number of state changes.
 func (g *Group) Sweep(now time.Time) int {
@@ -208,16 +186,4 @@ func (g *Group) Sweep(now time.Time) int {
 		g.notify(obs, ev)
 	}
 	return len(events)
-}
-
-// Members returns a snapshot of the membership sorted by ID.
-func (g *Group) Members() []Member {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]Member, 0, len(g.members))
-	for _, m := range g.members {
-		out = append(out, *m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

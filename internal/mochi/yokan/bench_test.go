@@ -1,29 +1,6 @@
 package yokan
 
-import (
-	"fmt"
-	"testing"
-)
-
-func BenchmarkPut(b *testing.B) {
-	db := NewDatabase("bench")
-	val := []byte("value-payload-64-bytes-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.Put(fmt.Sprintf("key-%09d", i), val)
-	}
-}
-
-func BenchmarkGet(b *testing.B) {
-	db := NewDatabase("bench")
-	for i := 0; i < 10000; i++ {
-		db.Put(fmt.Sprintf("key-%09d", i), []byte("v"))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.Get(fmt.Sprintf("key-%09d", i%10000))
-	}
-}
+import "testing"
 
 func BenchmarkCollectionStoreBatch(b *testing.B) {
 	c := NewDatabase("bench").Collection("docs")

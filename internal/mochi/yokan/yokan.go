@@ -1,8 +1,7 @@
 // Package yokan reimplements the interface shape of Mochi's Yokan
-// microservice: named databases holding an ordered key/value space plus
-// document collections with monotonically increasing IDs. Mofka stores event
-// metadata and topic configuration in Yokan; the provenance framework reads
-// it back at analysis time.
+// microservice: named databases of document collections with monotonically
+// increasing IDs. A Mofka partition stores its events' metadata in one
+// collection; the provenance framework reads it back at analysis time.
 package yokan
 
 import (
@@ -10,42 +9,18 @@ import (
 	"sync"
 )
 
-// Database is one ordered key/value space with named document collections.
-// All methods are safe for concurrent use.
+// Database is a set of named document collections. All methods are safe for
+// concurrent use.
 type Database struct {
 	name string
 
-	mu          sync.RWMutex
-	kv          *skiplist
+	mu          sync.Mutex
 	collections map[string]*Collection
 }
 
 // NewDatabase creates an empty database. The name is diagnostic.
 func NewDatabase(name string) *Database {
-	return &Database{
-		name:        name,
-		kv:          newSkiplist(int64(len(name)) + 42),
-		collections: make(map[string]*Collection),
-	}
-}
-
-// Put stores value under key, replacing any existing value. The value slice
-// is copied.
-func (db *Database) Put(key string, value []byte) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.kv.put(key, append([]byte(nil), value...))
-}
-
-// Get returns the value for key.
-func (db *Database) Get(key string) ([]byte, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	v, ok := db.kv.get(key)
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
+	return &Database{name: name, collections: make(map[string]*Collection)}
 }
 
 // Collection returns the named document collection, creating it on first

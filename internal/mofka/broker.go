@@ -1,12 +1,10 @@
 package mofka
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -42,6 +40,7 @@ type Broker struct {
 
 	mu          sync.RWMutex
 	topics      map[string]*Topic
+	next        map[string]uint64 // committed cursors, by cursorKey
 	closed      bool
 	appendFault func(topic string, partition int) error
 
@@ -76,6 +75,7 @@ func NewBroker(dep *bedrock.Deployment) *Broker {
 	return &Broker{
 		meta:   dep.Yokan.Open("metadata"),
 		topics: make(map[string]*Topic),
+		next:   make(map[string]uint64),
 	}
 }
 
@@ -85,6 +85,7 @@ func NewStandaloneBroker() *Broker {
 	return &Broker{
 		meta:   yokan.NewDatabase("metadata"),
 		topics: make(map[string]*Topic),
+		next:   make(map[string]uint64),
 	}
 }
 
@@ -114,17 +115,11 @@ func (b *Broker) CreateTopic(cfg TopicConfig) (*Topic, error) {
 		return nil, fmt.Errorf("%w: %s", ErrTopicExists, cfg.Name)
 	}
 	t := b.buildTopic(cfg)
-	// Record the topic in the KV space so it is discoverable post-mortem.
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("mofka: encode config for topic %s: %w", cfg.Name, err)
-	}
 	if b.dataDir != "" && !b.readOnly {
-		if err := b.persistTopic(t, cfgJSON); err != nil {
+		if err := b.persistTopic(t); err != nil {
 			return nil, err
 		}
 	}
-	b.meta.Put("topics/"+cfg.Name, cfgJSON)
 	b.topics[cfg.Name] = t
 	return t, nil
 }
@@ -193,7 +188,7 @@ func (b *Broker) topicsLocked() []*Topic {
 }
 
 // cursorKey is the per-(consumer, topic, partition) identifier shared by the
-// in-memory KV space and the on-disk cursor sidecar.
+// broker's cursor map and the on-disk cursor sidecar.
 func cursorKey(consumer, topic string, partition int) string {
 	return fmt.Sprintf("%s/%s/p%04d", consumer, topic, partition)
 }
@@ -225,13 +220,6 @@ func (b *Broker) Close() error {
 	return errors.Join(errs...)
 }
 
-// IsClosed reports whether Close has been called.
-func (b *Broker) IsClosed() bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.closed
-}
-
 // Sync commits every batch submitted so far and forces every durable
 // partition log to stable storage (a no-op for in-memory brokers) without
 // closing anything.
@@ -258,9 +246,11 @@ func (b *Broker) Sync() error {
 // commitCursors records several cursors; the sidecar store is rewritten once
 // for all of them.
 func (b *Broker) commitCursors(cursors []wal.Cursor) error {
+	b.mu.Lock()
 	for _, c := range cursors {
-		b.meta.Put("cursor/"+c.Key, strconv.AppendUint(nil, c.Next, 10))
+		b.next[c.Key] = c.Next
 	}
+	b.mu.Unlock()
 	if b.cursors != nil {
 		if err := b.cursors.SetBatch(cursors); err != nil {
 			return fmt.Errorf("mofka: persist cursors: %w", err)
@@ -272,16 +262,9 @@ func (b *Broker) commitCursors(cursors []wal.Cursor) error {
 // LoadCursor returns a consumer's committed next-unread offset (0 if never
 // committed).
 func (b *Broker) LoadCursor(consumer, topic string, partition int) uint64 {
-	key := "cursor/" + cursorKey(consumer, topic, partition)
-	v, ok := b.meta.Get(key)
-	if !ok {
-		return 0
-	}
-	var next uint64
-	if json.Unmarshal(v, &next) != nil {
-		return 0
-	}
-	return next
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.next[cursorKey(consumer, topic, partition)]
 }
 
 // Topic is a named event stream divided into partitions.

@@ -1,19 +1,19 @@
 // Package cluster turns the single-broker Mofka reimplementation into a
-// sharded, replicated deployment: topic partitions are placed across N
-// broker nodes by rendezvous hashing, every partition has a leader plus a
-// configurable number of follower replicas, appends are acknowledged only
-// after a quorum of replicas has them (each replica persisting through its
-// own broker — and therefore its own WAL when the node is durable), and SSG
-// membership drives automatic leader failover with incarnation-fenced
-// catch-up from the surviving replicas' logs.
+// sharded, replicated deployment inside one process: topic partitions are
+// placed across N broker nodes by rendezvous hashing, every partition has a
+// leader plus a configurable number of follower replicas, appends are
+// acknowledged only after a quorum of replicas has them (each replica
+// persisting through its own broker — and therefore its own WAL when the node
+// is durable), and a killed broker fails over to the surviving replicas with
+// incarnation-fenced catch-up from their logs.
 //
 // The design center is the same as the rest of the repo: determinism first.
 // Placement is a pure function of (topic, partition, node id); failover is
-// triggered either synchronously (chaos-injected kills, the simulation path)
-// or by SSG heartbeat timeouts (the daemon path), and both funnel through
-// the same election/catch-up routine; health events are emitted in a fixed
-// order outside all locks. The same seed and chaos plan therefore reproduce
-// the identical failover timeline.
+// triggered synchronously, by a chaos-injected kill, and runs one
+// election/catch-up routine; health events are emitted in a fixed order
+// outside all locks. The same seed and chaos plan therefore reproduce the
+// identical failover timeline. Every member is a broker of this process: the
+// cluster has no remote members and no failure detector of its own.
 //
 // Consistency contract: an acknowledged append is present on at least
 // Quorum replicas, appends within one partition are prefix-consistent
@@ -28,11 +28,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
-	"taskprov/internal/mochi/ssg"
 	"taskprov/internal/mofka"
 	"taskprov/internal/mofka/wal"
 )
@@ -53,8 +51,7 @@ var (
 
 // Config describes a cluster deployment.
 type Config struct {
-	// Brokers is the number of local broker nodes (default 3). Remote
-	// members joined through the RPC gateway add to this.
+	// Brokers is the number of broker nodes (default 3).
 	Brokers int
 	// ReplicationFactor is the number of replicas per partition, leader
 	// included (default 2, capped at the node count).
@@ -64,7 +61,7 @@ type Config struct {
 	// the replication factor (RF/2+1).
 	Quorum int
 
-	// DataDir, when set, makes every local node durable: node i keeps a
+	// DataDir, when set, makes every node durable: node i keeps a
 	// standard broker data directory under <DataDir>/node-<NN>, and
 	// cluster.json at the root records the deployment shape. Reopening a
 	// cluster on an existing DataDir recovers every node's log and heals
@@ -78,13 +75,6 @@ type Config struct {
 	// NowSeconds timestamps health events (virtual seconds inside a
 	// simulation, seconds since cluster start otherwise).
 	NowSeconds func() float64
-
-	// membership tunes the SSG group's failure detection (heartbeat timeouts
-	// for the daemon path; default ssg's), and clock is the liveness clock
-	// for its bookkeeping (default time.Now). Only this package's tests set
-	// either: tighter timeouts, and a clock they move by hand.
-	membership ssg.Config
-	clock      func() time.Time
 }
 
 // catchUpBatch is the event batch size used when healing a lagging replica
@@ -106,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Quorum > c.ReplicationFactor {
 		c.Quorum = c.ReplicationFactor
-	}
-	if c.clock == nil {
-		c.clock = time.Now
 	}
 	return c
 }
@@ -141,23 +128,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// replica is one member's copy of the event store: the log service every
-// deployment speaks, plus what shuts the member down. A local node's is its
-// broker's view, a joined member's a mofka.Remote over its connection; the
-// replication layer drives both through the same seven operations and cannot
-// tell which it holds.
-type replica struct {
-	mofka.Service
-	io.Closer
-}
-
 // node is one broker member of the cluster.
 type node struct {
 	id          int
-	addr        string // "" for local nodes
-	rep         replica
-	local       *mofka.Broker // nil for remote members
-	member      ssg.MemberID
+	broker      *mofka.Broker
 	alive       bool
 	incarnation uint64
 }
@@ -165,9 +139,7 @@ type node struct {
 // Cluster is a sharded, replicated Mofka deployment. All methods are safe
 // for concurrent use.
 type Cluster struct {
-	cfg   Config
-	group *ssg.Group
-	start time.Time
+	cfg Config
 
 	mu     sync.Mutex
 	nodes  []*node
@@ -182,7 +154,7 @@ type Cluster struct {
 }
 
 // New builds (or, when Config.DataDir already holds a cluster, reopens) a
-// cluster with Config.Brokers local nodes. Reopening recovers every node's
+// cluster with Config.Brokers nodes. Reopening recovers every node's
 // durable log and heals replica divergence before the cluster is returned.
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
@@ -191,13 +163,12 @@ func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:    cfg,
-		group:  ssg.NewGroup("mofka-cluster", cfg.membership),
-		start:  cfg.clock(),
 		topics: make(map[string]*topicState),
 		health: newHealthLog(),
 	}
 	if c.cfg.NowSeconds == nil {
-		c.cfg.NowSeconds = func() float64 { return c.cfg.clock().Sub(c.start).Seconds() }
+		start := time.Now()
+		c.cfg.NowSeconds = func() float64 { return time.Since(start).Seconds() }
 	}
 	reopen := false
 	if cfg.DataDir != "" {
@@ -218,10 +189,12 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	for i := 0; i < cfg.Brokers; i++ {
-		if _, err := c.addLocalNode(i); err != nil {
+		b, err := c.openBroker(i)
+		if err != nil {
 			_ = c.Close()
-			return nil, err
+			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
+		c.nodes = append(c.nodes, &node{id: i, broker: b, alive: true})
 	}
 	if reopen {
 		if err := c.recoverTopics(); err != nil {
@@ -232,62 +205,33 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// addLocalNode builds local node i (durable when DataDir is set) and joins
-// it to the membership group.
-func (c *Cluster) addLocalNode(i int) (*node, error) {
-	var b *mofka.Broker
-	var err error
+// openBroker opens node i's broker: empty in memory, or recovered from its
+// directory under DataDir.
+func (c *Cluster) openBroker(i int) (*mofka.Broker, error) {
 	if c.cfg.DataDir == "" {
-		b = mofka.NewStandaloneBroker()
-	} else {
-		b, err = mofka.NewDurableBroker(mofka.Options{DataDir: nodeDir(c.cfg.DataDir, i), WAL: c.cfg.WAL})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
-		}
+		return mofka.NewStandaloneBroker(), nil
 	}
-	n := &node{
-		id:    i,
-		rep:   replica{b.Service(), b},
-		local: b,
-		alive: true,
-	}
-	n.member = c.group.Join(fmt.Sprintf("broker-%d", i), c.cfg.clock())
-	c.mu.Lock()
-	c.nodes = append(c.nodes, n)
-	c.mu.Unlock()
-	return n, nil
+	return mofka.NewDurableBroker(mofka.Options{DataDir: nodeDir(c.cfg.DataDir, i), WAL: c.cfg.WAL})
 }
 
-// Brokers returns the current member count (local + joined remotes).
+// Brokers returns the member count.
 func (c *Cluster) Brokers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.nodes)
 }
 
-// AliveBrokers returns the ids of currently alive members in id order.
-func (c *Cluster) AliveBrokers() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []int
-	for _, n := range c.nodes {
-		if n.alive {
-			out = append(out, n.id)
-		}
-	}
-	return out
-}
-
-// NodeBroker returns local node i's broker (nil for remote members): what
-// ReadView shares a local leader's events from, and what tests inspect and
-// fault one replica through.
-func (c *Cluster) NodeBroker(i int) *mofka.Broker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i < 0 || i >= len(c.nodes) {
+// Replicas returns the replica set of a partition, preferred leader first:
+// what tests that kill a partition's leader or fault its follower pick the
+// node by. Nil for an unknown partition.
+func (c *Cluster) Replicas(topic string, part int) []int {
+	ps, err := c.partition(topic, part)
+	if err != nil {
 		return nil
 	}
-	return c.nodes[i].local
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return append([]int(nil), ps.replicas...)
 }
 
 func (c *Cluster) node(id int) (*node, error) {
@@ -308,79 +252,28 @@ func (c *Cluster) nodeAlive(id int) bool {
 	return c.nodes[id].alive
 }
 
-// Heartbeat records liveness for every alive local node; the daemon's
-// sweeper calls it each interval (remote members heartbeat through the ping
-// RPC).
-func (c *Cluster) Heartbeat() {
-	now := c.cfg.clock()
-	c.mu.Lock()
-	members := make([]ssg.MemberID, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		if n.alive && n.local != nil {
-			members = append(members, n.member)
-		}
-	}
-	c.mu.Unlock()
-	for _, m := range members {
-		c.group.Heartbeat(m, now)
-	}
-}
-
-// Sweep advances SSG failure detection to now. Members the group declares
-// dead fail over exactly as chaos-killed ones do. Returns the number of
-// membership state changes.
-func (c *Cluster) Sweep(now time.Time) int {
-	changes := c.group.Sweep(now)
-	if changes == 0 {
-		return 0
-	}
-	// The group marks members Suspect/Dead; reconcile cluster liveness with
-	// it and fail over partitions led by newly dead members.
-	for _, m := range c.group.Members() {
-		if m.State != ssg.Dead {
-			continue
-		}
-		if id, ok := c.nodeByMember(m.ID); ok && c.nodeAlive(id) {
-			c.failNode(id, "heartbeat timeout")
-		}
-	}
-	return changes
-}
-
-func (c *Cluster) nodeByMember(m ssg.MemberID) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, n := range c.nodes {
-		if n.member == m {
-			return n.id, true
-		}
-	}
-	return 0, false
-}
-
-// KillBroker crashes node id: the member is marked dead in the SSG group
-// (EventFail), every partition it led fails over to the highest-ranked
-// surviving replica, and survivors are healed to a common prefix. A durable
-// node's broker is abandoned un-closed — exactly what a kill -9 leaves
-// behind — so a later RestartBroker exercises torn-tail recovery.
+// KillBroker crashes node id: the member is marked dead, every partition it
+// led fails over to the highest-ranked surviving replica, and survivors are
+// healed to a common prefix. A durable node's broker is abandoned un-closed —
+// exactly what a kill -9 leaves behind — so a later RestartBroker exercises
+// torn-tail recovery.
 func (c *Cluster) KillBroker(id int) error {
 	n, err := c.node(id)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	if !n.alive {
-		c.mu.Unlock()
+	alive := n.alive
+	c.mu.Unlock()
+	if !alive {
 		return fmt.Errorf("cluster: broker %d already dead", id)
 	}
-	c.mu.Unlock()
-	c.group.Fail(n.member, c.cfg.clock())
 	c.failNode(id, "killed")
 	return nil
 }
 
 // failNode marks a node dead and fails over every partition that referenced
-// it. Idempotent; safe from both the chaos path and the SSG sweep path.
+// it. Idempotent.
 func (c *Cluster) failNode(id int, reason string) {
 	c.mu.Lock()
 	if c.closed || id < 0 || id >= len(c.nodes) || !c.nodes[id].alive {
@@ -412,12 +305,11 @@ func (c *Cluster) failNode(id int, reason string) {
 	c.health.emit(evs)
 }
 
-// RestartBroker reboots a previously killed local node: a durable node
-// reopens its data directory (recovering the WAL, truncating torn tails),
-// an in-memory node comes back empty. The node rejoins the membership group
-// with a bumped incarnation, is caught up from the current leaders, and —
-// because leadership is rank-based and deterministic — resumes leading the
-// partitions it ranks highest for.
+// RestartBroker reboots a previously killed node: a durable node reopens its
+// data directory (recovering the WAL, truncating torn tails), an in-memory
+// node comes back empty. The node rejoins with a bumped incarnation, is
+// caught up from the current leaders, and — because leadership is rank-based
+// and deterministic — resumes leading the partitions it ranks highest for.
 func (c *Cluster) RestartBroker(id int) error {
 	n, err := c.node(id)
 	if err != nil {
@@ -432,36 +324,33 @@ func (c *Cluster) RestartBroker(id int) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: broker %d is alive", id)
 	}
-	if n.local == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: broker %d is a remote member; restart it from its own process", id)
-	}
-	old := n.local
+	old := n.broker
 	inc := n.incarnation + 1
 	c.mu.Unlock()
 
 	// Abandon the crashed broker instance and rebuild from disk (or empty).
-	var b *mofka.Broker
-	if c.cfg.DataDir == "" {
-		b = mofka.NewStandaloneBroker()
-	} else {
-		// Close the old handle first so segment files are not double-owned.
+	// A durable one's old handle is closed first so segment files are not
+	// double-owned.
+	if c.cfg.DataDir != "" {
 		_ = old.Close() // crash path; recovery re-reads disk
-		b, err = mofka.NewDurableBroker(mofka.Options{DataDir: nodeDir(c.cfg.DataDir, id), WAL: c.cfg.WAL})
-		if err != nil {
+	}
+	b, err := c.openBroker(id)
+	if err != nil {
+		return fmt.Errorf("cluster: restart node %d: %w", id, err)
+	}
+
+	// The new broker gets every registered topic before it is published, in
+	// one critical section with the publication, so no probe or append finds
+	// a member without a topic the cluster placed.
+	c.mu.Lock()
+	for _, ts := range c.topicStatesLocked() {
+		if _, err := b.OpenOrCreateTopic(ts.cfg); err != nil {
+			c.mu.Unlock()
+			_ = b.Close() // the node stays dead; its error is the one reported
 			return fmt.Errorf("cluster: restart node %d: %w", id, err)
 		}
 	}
-
-	// Join the membership group first, then publish the node mutation in one
-	// critical section: the sweeper goroutine reads n.member and n.alive
-	// under c.mu and must never observe a half-updated node.
-	rep := replica{b.Service(), b}
-	member := c.group.Join(fmt.Sprintf("broker-%d#%d", id, inc), c.cfg.clock())
-	c.mu.Lock()
-	n.local = b
-	n.rep = rep
-	n.member = member
+	n.broker = b
 	n.alive = true
 	n.incarnation = inc
 	parts := c.partitionsOfLocked(id)
@@ -475,11 +364,6 @@ func (c *Cluster) RestartBroker(id int) error {
 		ps.mu.Lock()
 		c.settleLocked(ps, nil)
 		delete(ps.broken, id) // a new broker, whose log takes appends again
-		// The rejoined replica must know the topic before catch-up appends.
-		if err := rep.CreateTopic(c.topicConfig(ps.topic)); err != nil {
-			ps.mu.Unlock()
-			return fmt.Errorf("cluster: restart node %d: %w", id, err)
-		}
 		// A durable restart can resurrect a tail the dead node appended but
 		// the cluster never acknowledged (quorum-failed batches, batches the
 		// producer later dropped). The cluster may have since reused those
@@ -495,8 +379,12 @@ func (c *Cluster) RestartBroker(id int) error {
 			cut = t
 		}
 		delete(ps.trustedLen, id)
-		if ln, lerr := rep.PartitionLength(ps.topic, ps.index); lerr == nil && ln > cut {
-			if terr := truncateLocal(b, ps.topic, ps.index, cut); terr != nil {
+		if ln := ps.lengthOn(b); ln > cut {
+			p, terr := partitionOf(b, ps.topic, ps.index)
+			if terr == nil {
+				terr = p.TruncateTo(cut)
+			}
+			if terr != nil {
 				ps.mu.Unlock()
 				return fmt.Errorf("cluster: restart node %d: truncate %s[%d]: %w", id, ps.topic, ps.index, terr)
 			}
@@ -514,21 +402,6 @@ func (c *Cluster) RestartBroker(id int) error {
 	return nil
 }
 
-// truncateLocal drops b's events of (topic, part) with offset >= n. Only the
-// restart path needs it — RestartBroker rejects remote members — so it is
-// not an operation of the log service.
-func truncateLocal(b *mofka.Broker, topic string, part int, n uint64) error {
-	t, err := b.OpenTopic(topic)
-	if err != nil {
-		return err
-	}
-	p, err := t.Partition(part)
-	if err != nil {
-		return err
-	}
-	return p.TruncateTo(n)
-}
-
 // partitionsOfLocked returns every partition whose replica set includes
 // node id, in (topic, index) order so failover walks partitions in a
 // deterministic order. Caller holds c.mu.
@@ -544,17 +417,7 @@ func (c *Cluster) partitionsOfLocked(id int) []*partState {
 	return out
 }
 
-func (c *Cluster) topicConfig(name string) mofka.TopicConfig {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ts, ok := c.topics[name]; ok {
-		return ts.cfg
-	}
-	return mofka.TopicConfig{Name: name, Partitions: 1}
-}
-
-// SetAppendFault installs an append fault hook on every local node's
-// broker — the cluster counterpart of mofka.Broker.SetAppendFault, used by
+// SetAppendFault installs an append fault hook on every node's broker — the cluster counterpart of mofka.Broker.SetAppendFault, used by
 // the chaos controller's "wal" directive. A fault on the leader fails the
 // quorum append (the batch stays queued at the producer); a fault on a
 // follower just costs that replica's acknowledgement.
@@ -562,9 +425,7 @@ func (c *Cluster) SetAppendFault(f func(topic string, partition int) error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, n := range c.nodes {
-		if n.local != nil {
-			n.local.SetAppendFault(f)
-		}
+		n.broker.SetAppendFault(f)
 	}
 }
 
@@ -573,8 +434,8 @@ func (c *Cluster) Sync() error {
 	c.mu.Lock()
 	brokers := make([]*mofka.Broker, 0, len(c.nodes))
 	for _, n := range c.nodes {
-		if n.alive && n.local != nil {
-			brokers = append(brokers, n.local)
+		if n.alive {
+			brokers = append(brokers, n.broker)
 		}
 	}
 	c.mu.Unlock()
@@ -601,7 +462,7 @@ func (c *Cluster) Close() error {
 	c.mu.Unlock()
 	var firstErr error
 	for _, n := range nodes {
-		if err := n.rep.Close(); err != nil && firstErr == nil {
+		if err := n.broker.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -614,43 +475,4 @@ func (c *Cluster) IsClosed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.closed
-}
-
-// RunSweeper drives Heartbeat+Sweep with wall-clock time every interval
-// until stop is closed — the daemon-mode failure detector. Remote members
-// are pinged each interval; a member whose ping fails stops receiving
-// heartbeats and times out through SSG.
-func (c *Cluster) RunSweeper(interval time.Duration, stop <-chan struct{}) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case now := <-t.C:
-			c.Heartbeat()
-			c.pingRemotes(now)
-			c.Sweep(now)
-		case <-stop:
-			return
-		}
-	}
-}
-
-func (c *Cluster) pingRemotes(now time.Time) {
-	c.mu.Lock()
-	type probe struct {
-		member ssg.MemberID
-		rep    replica
-	}
-	var probes []probe
-	for _, n := range c.nodes {
-		if n.alive && n.local == nil {
-			probes = append(probes, probe{n.member, n.rep})
-		}
-	}
-	c.mu.Unlock()
-	for _, p := range probes {
-		if p.rep.Ping() == nil {
-			c.group.Heartbeat(p.member, now)
-		}
-	}
 }

@@ -125,7 +125,7 @@ func TestQuorumAppendAndAckedRead(t *testing.T) {
 	}
 	// Every partition's acknowledged prefix must exist on at least quorum
 	// replicas, byte-identical.
-	for _, pv := range c.Placement() {
+	for _, pv := range c.placement() {
 		copies := 0
 		for _, r := range pv.Replicas {
 			b := c.NodeBroker(r)
@@ -146,7 +146,7 @@ func TestQuorumAppendAndAckedRead(t *testing.T) {
 		}
 	}
 	// Non-replica nodes stay empty for the partition.
-	for _, pv := range c.Placement() {
+	for _, pv := range c.placement() {
 		inSet := make(map[int]bool)
 		for _, r := range pv.Replicas {
 			inSet[r] = true
@@ -177,13 +177,13 @@ func TestIdempotentAppendDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	metas := [][]byte{[]byte(`{"a":1}`), []byte(`{"a":2}`)}
-	epoch, err := c.Append("t", 0, "prod-1", 1, 1, metas)
+	epoch, err := c.submitWait("t", 0, "prod-1", 1, 1, metas)
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	// Retry the same (producer, seq): must be acknowledged without growing
 	// the log.
-	if _, err := c.Append("t", 0, "prod-1", 1, epoch, metas); err != nil {
+	if _, err := c.submitWait("t", 0, "prod-1", 1, epoch, metas); err != nil {
 		t.Fatalf("retry append: %v", err)
 	}
 	n, err := c.Length("t", 0)
@@ -200,7 +200,7 @@ func TestAppendFencing(t *testing.T) {
 	if _, err := c.EnsureTopic(mofka.TopicConfig{Name: "t", Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Append("t", 0, "p", 1, 99, [][]byte{[]byte(`{}`)})
+	_, err := c.submitWait("t", 0, "p", 1, 99, [][]byte{[]byte(`{}`)})
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale epoch append: err=%v, want ErrFenced", err)
 	}
@@ -273,9 +273,8 @@ func sameEvents(t *testing.T, what string, got, want [][]mofka.Event) {
 }
 
 // TestReadViewMatchesCluster: a read view holds every partition's
-// acknowledged prefix and cursors as the cluster serves
-// it — shared from a local leader, pulled from a remote one — and from then on
-// the two go separate ways: what either side appends, and what a restart
+// acknowledged prefix as the cluster serves it — shared from the leader's
+// documents — and from then on the two go separate ways: what either side appends, and what a restart
 // truncates, stays on its own side.
 func TestReadViewMatchesCluster(t *testing.T) {
 	cases := []struct {
@@ -308,11 +307,16 @@ func TestReadViewMatchesCluster(t *testing.T) {
 				}
 				before := lengths()
 				meta := [][]byte{[]byte(`{"view":1}`)}
-				if err := view.Service().CreateTopic(mofka.TopicConfig{Name: "view-topic", Partitions: 1}); err != nil {
-					t.Fatal(err)
-				}
 				for _, topic := range []string{"view-topic", "other"} {
-					if err := view.Service().PushBatch(topic, 0, meta); err != nil {
+					vt, err := view.OpenOrCreateTopic(mofka.TopicConfig{Name: topic, Partitions: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					vp, err := vt.Partition(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := vp.Append(meta, nil); err != nil {
 						t.Fatal(err)
 					}
 					evs := pullAll(t, view.Service(), topic, 1)[0]
@@ -383,33 +387,6 @@ func TestReadViewMatchesCluster(t *testing.T) {
 					t.Fatalf("after the restart the cluster serves %v, truncated %v; want [A C], true", got, truncated)
 				}
 			}
-		}},
-		{"a remote leader's partitions are pulled", 8, func(t *testing.T) (*Cluster, func(*testing.T, *Cluster, *mofka.Broker)) {
-			// As TestRemoteMemberReplicationAndFailover: a member reached only
-			// through the log service it serves.
-			c, err := New(Config{Brokers: 2, ReplicationFactor: 2, Quorum: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			member := mofka.NewStandaloneBroker()
-			addr, remote, vanish := remoteMember(t, member)
-			id, err := c.addMember(addr, replica{remote, member})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fillTopic(t, c, "tasks", 8, 200)
-			led := 0
-			for _, pv := range c.Placement() {
-				if pv.Leader == id && pv.Acked > 0 {
-					led++
-				}
-			}
-			if led == 0 {
-				t.Fatal("the member leads no partition holding events; the case needs one")
-			}
-			// The member goes away: what the view pulled from it is the view's.
-			return c, func(*testing.T, *Cluster, *mofka.Broker) { vanish() }
 		}},
 	}
 	for _, tc := range cases {

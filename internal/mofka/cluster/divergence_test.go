@@ -16,7 +16,7 @@ func appendRaw(t *testing.T, c *Cluster, topic string, part int, tag string) err
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Append(topic, part, "", 0, epoch, [][]byte{[]byte(fmt.Sprintf(`{"tag":%q}`, tag))})
+	_, err = c.submitWait(topic, part, "", 0, epoch, [][]byte{[]byte(fmt.Sprintf(`{"tag":%q}`, tag))})
 	return err
 }
 
@@ -61,7 +61,7 @@ func TestRestartDiscardsUnackedDivergentTail(t *testing.T) {
 
 	// Followers fault the next append: B lands on the leader's durable log
 	// only and is never acknowledged.
-	for _, pv := range c.Placement() {
+	for _, pv := range c.placement() {
 		for _, r := range pv.Replicas {
 			if r != leader {
 				c.NodeBroker(r).SetAppendFault(func(string, int) error { return errors.New("injected wal fault") })
@@ -101,7 +101,7 @@ func TestRestartDiscardsUnackedDivergentTail(t *testing.T) {
 	}
 	// Every replica converged on the acknowledged prefix — including the
 	// restarted node's durable log.
-	for _, pv := range c.Placement() {
+	for _, pv := range c.placement() {
 		for _, r := range pv.Replicas {
 			evs, err := c.NodeBroker(r).Service().Pull("t", 0, 0, 16)
 			if err != nil {
@@ -134,80 +134,5 @@ func TestRestartDiscardsUnackedDivergentTail(t *testing.T) {
 	defer rc.Close()
 	if got := tagsOf(t, drainAll(t, rc, "t", 1)); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("acked stream after reopen = %v, want %v", got, want)
-	}
-}
-
-// probeFailService wraps a replica's log service so its length probe can be
-// made to fail, simulating a transient RPC error against a remote member.
-type probeFailService struct {
-	mofka.Service
-	fail *bool
-}
-
-func (p probeFailService) PartitionLength(topic string, part int) (uint64, error) {
-	if *p.fail {
-		return 0, errors.New("injected probe failure")
-	}
-	return p.Service.PartitionLength(topic, part)
-}
-
-// TestElectSkipsUnprobeableReplica: a replica whose length probe fails
-// during an election must be excluded from leadership and healing for that
-// round — treating the failed probe as length 0 used to re-append the whole
-// prefix onto data the replica already holds.
-func TestElectSkipsUnprobeableReplica(t *testing.T) {
-	c := newTestCluster(t, 3, 3)
-	ct, err := c.EnsureTopic(mofka.TopicConfig{Name: "t", Partitions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 20
-	p := pushN(t, ct, n, mofka.ProducerOptions{BatchSize: 5})
-	defer p.Close()
-
-	var replicas []int
-	for _, pv := range c.Placement() {
-		replicas = pv.Replicas
-	}
-	leader, second, third := replicas[0], replicas[1], replicas[2]
-
-	// The next-preferred replica stops answering length probes, then the
-	// leader dies.
-	fail := true
-	c.mu.Lock()
-	c.nodes[second].rep.Service = probeFailService{c.nodes[second].rep.Service, &fail}
-	c.mu.Unlock()
-	if err := c.KillBroker(leader); err != nil {
-		t.Fatal(err)
-	}
-
-	// Leadership skipped the unprobeable replica.
-	if got := leaderOf(t, c, "t", 0); got != third {
-		t.Fatalf("leader = %d, want %d (unprobeable %d must be skipped)", got, third, second)
-	}
-	// And no duplicate healing was applied to it.
-	bt, err := c.NodeBroker(second).OpenTopic("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, err := bt.Partition(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bp.Length(); got != n {
-		t.Fatalf("unprobeable replica holds %d events, want %d (duplicated heal)", got, n)
-	}
-
-	// Once the probe recovers, appends flow and the replica stays in
-	// lockstep without duplication.
-	fail = false
-	if err := appendRaw(t, c, "t", 0, "after"); err != nil {
-		t.Fatalf("append after probe recovery: %v", err)
-	}
-	if got := bp.Length(); got != n+1 {
-		t.Fatalf("replica holds %d events after recovery, want %d", got, n+1)
-	}
-	if evs := drainAll(t, c, "t", 1); len(evs) != n+1 {
-		t.Fatalf("acked drain %d events, want %d", len(evs), n+1)
 	}
 }

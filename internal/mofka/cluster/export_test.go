@@ -1,5 +1,18 @@
 package cluster
 
+import "taskprov/internal/mofka"
+
+// NodeBroker returns node i's broker (nil for no such node): what tests
+// inspect and fault one replica through.
+func (c *Cluster) NodeBroker(i int) *mofka.Broker {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i < 0 || i >= len(c.nodes) {
+		return nil
+	}
+	return c.nodes[i].broker
+}
+
 // Epoch returns the partition's current fencing epoch.
 func (c *Cluster) Epoch(topic string, part int) (uint64, error) {
 	ps, err := c.partition(topic, part)
@@ -9,4 +22,50 @@ func (c *Cluster) Epoch(topic string, part int) (uint64, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	return ps.epoch, nil
+}
+
+// placementView describes where one partition lives and how far it is
+// acknowledged.
+type placementView struct {
+	Topic     string
+	Partition int
+	Replicas  []int // rank order; [0] is preferred leader
+	Leader    int   // current leader node id, -1 if none
+	Epoch     uint64
+	Acked     uint64
+}
+
+// placement returns the current placement of every partition, sorted by
+// (topic, partition).
+func (c *Cluster) placement() []placementView {
+	c.mu.Lock()
+	var parts []*partState
+	for _, ts := range c.topicStatesLocked() {
+		parts = append(parts, ts.parts...)
+	}
+	c.mu.Unlock()
+	var out []placementView
+	for _, ps := range parts {
+		ps.mu.Lock()
+		out = append(out, placementView{
+			Topic:     ps.topic,
+			Partition: ps.index,
+			Replicas:  append([]int(nil), ps.replicas...),
+			Leader:    ps.leader,
+			Epoch:     ps.epoch,
+			Acked:     ps.acked,
+		})
+		ps.mu.Unlock()
+	}
+	return out
+}
+
+// submitWait is a quorum append its caller waits out: submit, then the wait
+// for the quorum's fsyncs.
+func (c *Cluster) submitWait(topic string, part int, producer string, seq, epoch uint64, metas [][]byte) (uint64, error) {
+	cur, commit, err := c.submit(topic, part, producer, seq, epoch, metas)
+	if err != nil {
+		return cur, err
+	}
+	return cur, commit.Wait()
 }

@@ -7,10 +7,10 @@ import "sync"
 // live monitor's cluster-health lane, perfrecup's cluster timeline — can
 // select replication/failover provenance with one prefix match.
 const (
-	// EventBrokerDead: a broker member was declared dead (chaos kill or
-	// heartbeat timeout). Detail carries the reason.
+	// EventBrokerDead: a broker member was declared dead (a chaos kill).
+	// Detail carries the reason.
 	EventBrokerDead = "cluster_broker_dead"
-	// EventBrokerRejoined: a previously dead local broker restarted and
+	// EventBrokerRejoined: a previously dead broker restarted and
 	// rejoined with a bumped incarnation.
 	EventBrokerRejoined = "cluster_broker_rejoined"
 	// EventLeaderElected: a partition changed leaders; Epoch is the new

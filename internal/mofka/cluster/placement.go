@@ -16,10 +16,6 @@ import (
 //     without a placement service or any coordination.
 //   - Balanced: weights are independent hashes, so partitions spread evenly
 //     across nodes in expectation.
-//   - Minimal movement: adding node N+1 only claims the partitions where it
-//     out-weighs an incumbent; nothing else moves. (This repo fixes a
-//     topic's replica set at creation time — the property matters for
-//     topics created after a join.)
 //
 // Ties (astronomically unlikely with 64-bit FNV, but the simulation demands
 // total determinism) break toward the lower node id.
@@ -62,40 +58,4 @@ func replicaSet(topic string, part, nodes, rf int) []int {
 		rf = nodes
 	}
 	return rendezvousRank(topic, part, nodes)[:rf]
-}
-
-// PlacementView describes where one partition lives — the introspection
-// surface `taskprov` status commands and tests use.
-type PlacementView struct {
-	Topic     string `json:"topic"`
-	Partition int    `json:"partition"`
-	Replicas  []int  `json:"replicas"` // rank order; [0] is preferred leader
-	Leader    int    `json:"leader"`   // current leader node id, -1 if none
-	Epoch     uint64 `json:"epoch"`
-	Acked     uint64 `json:"acked"`
-}
-
-// Placement returns the current placement of every partition, sorted by
-// (topic, partition).
-func (c *Cluster) Placement() []PlacementView {
-	c.mu.Lock()
-	var parts []*partState
-	for _, ts := range c.topicStatesLocked() {
-		parts = append(parts, ts.parts...)
-	}
-	c.mu.Unlock()
-	var out []PlacementView
-	for _, ps := range parts {
-		ps.mu.Lock()
-		out = append(out, PlacementView{
-			Topic:     ps.topic,
-			Partition: ps.index,
-			Replicas:  append([]int(nil), ps.replicas...),
-			Leader:    ps.leader,
-			Epoch:     ps.epoch,
-			Acked:     ps.acked,
-		})
-		ps.mu.Unlock()
-	}
-	return out
 }

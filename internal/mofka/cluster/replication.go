@@ -107,24 +107,42 @@ func (ps *partState) setEnd(node int, n uint64) { ps.ends[rankOf(ps.replicas, no
 // logEndLocked returns replica node's log-end, probing it when it is
 // unknown: once everything in flight on the partition has settled, what the
 // replica has committed is all its log holds. Caller holds ps.mu.
-func (c *Cluster) logEndLocked(ps *partState, rep replica, node int) (uint64, error) {
+func (c *Cluster) logEndLocked(ps *partState, b *mofka.Broker, node int) uint64 {
 	if n := ps.ends[rankOf(ps.replicas, node)]; n != unknownEnd {
-		return n, nil
+		return n
 	}
 	c.settleLocked(ps, nil)
-	n, err := rep.PartitionLength(ps.topic, ps.index)
-	if err != nil {
-		return 0, err
-	}
+	n := ps.lengthOn(b)
 	ps.setEnd(node, n)
-	return n, nil
+	return n
+}
+
+// lengthOn probes b's log of the partition. The probe is a local call that
+// cannot fail on a member holding the topic, and every member holds every
+// topic the cluster registered (EnsureTopic and RestartBroker create them
+// under c.mu); a broker without the topic holds none of its events, which is
+// the 0 its service answers.
+func (ps *partState) lengthOn(b *mofka.Broker) uint64 {
+	n, _ := b.Service().PartitionLength(ps.topic, ps.index)
+	return n
+}
+
+// partitionOf returns b's partition part of topic.
+func partitionOf(b *mofka.Broker, topic string, part int) (*mofka.Partition, error) {
+	t, err := b.OpenTopic(topic)
+	if err != nil {
+		return nil, err
+	}
+	return t.Partition(part)
 }
 
 // EnsureTopic opens the topic cluster-wide, creating it if absent: the
 // replica set of every partition is computed by rendezvous hashing over the
-// current membership and fixed for the topic's lifetime, and the topic is
-// created on every node broker (nodes outside a partition's replica set
-// simply keep that partition empty).
+// members and fixed for the topic's lifetime, and the topic is created on
+// every node broker (nodes outside a partition's replica set simply keep that
+// partition empty). It is created and registered under c.mu, so a broker that
+// RestartBroker publishes either gets it here or finds the topic registered
+// and creates it itself: every member holds every topic the cluster placed.
 func (c *Cluster) EnsureTopic(cfg mofka.TopicConfig) (*ClusterTopic, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("%w: empty topic name", mofka.ErrInvalidEvent)
@@ -138,43 +156,24 @@ func (c *Cluster) EnsureTopic(cfg mofka.TopicConfig) (*ClusterTopic, error) {
 	}
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil, ErrClosed
 	}
 	if ts, ok := c.topics[cfg.Name]; ok {
 		if ts.cfg.Partitions != cfg.Partitions {
-			c.mu.Unlock()
 			return nil, fmt.Errorf("%w: topic %s exists with %d partitions, requested %d",
 				mofka.ErrTopicExists, cfg.Name, ts.cfg.Partitions, cfg.Partitions)
 		}
-		c.mu.Unlock()
 		return &ClusterTopic{c: c, name: cfg.Name, parts: cfg.Partitions}, nil
 	}
-	nodes := len(c.nodes)
-	reps := make([]replica, nodes)
 	for i, n := range c.nodes {
-		reps[i] = n.rep
-	}
-	ts := c.buildTopicStateLocked(cfg, nodes)
-	c.mu.Unlock()
-
-	// Create the topic on every member outside c.mu (remote members mean a
-	// network round-trip per node).
-	for i, rep := range reps {
-		if err := rep.CreateTopic(cfg); err != nil {
+		if _, err := n.broker.OpenOrCreateTopic(cfg); err != nil {
 			return nil, fmt.Errorf("cluster: create %s on node %d: %w", cfg.Name, i, err)
 		}
 	}
-
-	c.mu.Lock()
-	if existing, ok := c.topics[cfg.Name]; ok {
-		ts = existing // lost a create race; both computed identical placement
-	} else {
-		c.topics[cfg.Name] = ts
-	}
-	c.mu.Unlock()
-	return &ClusterTopic{c: c, name: cfg.Name, parts: ts.cfg.Partitions}, nil
+	c.topics[cfg.Name] = c.buildTopicStateLocked(cfg, len(c.nodes))
+	return &ClusterTopic{c: c, name: cfg.Name, parts: cfg.Partitions}, nil
 }
 
 // buildTopicStateLocked computes placement for a new topic. Caller holds
@@ -241,37 +240,25 @@ func (c *Cluster) partition(topic string, part int) (*partState, error) {
 	return ts.parts[part], nil
 }
 
-// replicaOf returns node id's replica handle and liveness.
-func (c *Cluster) replicaOf(id int) (replica, bool) {
+// brokerOf returns node id's broker and liveness.
+func (c *Cluster) brokerOf(id int) (*mofka.Broker, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if id < 0 || id >= len(c.nodes) {
-		return replica{}, false
+		return nil, false
 	}
-	return c.nodes[id].rep, c.nodes[id].alive
+	return c.nodes[id].broker, c.nodes[id].alive
 }
 
-// Append replicates one producer batch into (topic, part) with quorum
-// acknowledgement and returns once it is acknowledged: submit, then the wait
-// for the quorum's fsyncs. producer/seq implement idempotent retry: a batch
-// the cluster has already applied to a replica is acknowledged there without
+// submit replicates one producer batch into (topic, part) with quorum
+// acknowledgement: it returns once every decision about the batch is taken,
+// with the commit that completes once the quorum's fsyncs have returned (see
+// submitLocked). producer/seq implement idempotent retry: a batch the cluster
+// has already applied to a replica is acknowledged there without
 // re-appending, so producers may retry freely across failures and leader
-// changes. epoch is the producer's cached fencing epoch; a stale value
-// fails with ErrFenced and the current epoch is returned for the retry.
-// producer=="" skips sequence tracking (non-idempotent raw appends).
-//
-// The returned epoch is always the partition's current epoch.
-func (c *Cluster) Append(topic string, part int, producer string, seq uint64, epoch uint64, metas [][]byte) (uint64, error) {
-	cur, commit, err := c.submit(topic, part, producer, seq, epoch, metas)
-	if err != nil {
-		return cur, err
-	}
-	return cur, commit.Wait()
-}
-
-// submit is the first half of Append: it returns once every decision about
-// the batch is taken, with the wait for the quorum's fsyncs (see
-// submitLocked).
+// changes. epoch is the producer's cached fencing epoch; a stale value fails
+// with ErrFenced, and the partition's current epoch is always returned for
+// the retry. producer=="" skips sequence tracking.
 func (c *Cluster) submit(topic string, part int, producer string, seq, epoch uint64, metas [][]byte) (uint64, *mofka.Commit, error) {
 	ps, err := c.partition(topic, part)
 	if err != nil {
@@ -307,11 +294,10 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 	if epoch != ps.epoch {
 		return ps.epoch, nil, nil, fmt.Errorf("%w: have epoch %d, current %d", ErrFenced, epoch, ps.epoch)
 	}
-	// A leader that died without a detected failure (remote member crash
-	// between sweeps) surfaces here: elect before appending. If no alive
-	// leader exists even after the election, the partition is unavailable —
-	// reported as such (not as a fence) so producers back off instead of
-	// hot-looping on route refreshes.
+	// A partition whose replicas all died has no leader: elect before
+	// appending, in case one came back. If no alive leader exists even after
+	// the election, the partition is unavailable — reported as such (not as a
+	// fence) so producers back off instead of hot-looping on route refreshes.
 	if ps.leader < 0 || !c.nodeAlive(ps.leader) {
 		evs = append(evs, c.electLocked(ps)...)
 		if ps.leader < 0 || !c.nodeAlive(ps.leader) {
@@ -329,12 +315,9 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 		return ps.epoch, nil, evs, ErrUnavailable
 	}
 
-	leaderRep, _ := c.replicaOf(ps.leader)
+	leaderBroker, _ := c.brokerOf(ps.leader)
 	batch := uint64(len(metas))
-	leaderEnd, err := c.logEndLocked(ps, leaderRep, ps.leader)
-	if err != nil {
-		return ps.epoch, nil, evs, err
-	}
+	leaderEnd := c.logEndLocked(ps, leaderBroker, ps.leader)
 
 	// Leader first. Dedup: a retried batch the leader already holds is
 	// acknowledged without re-appending.
@@ -343,7 +326,8 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 	leaderHas := producer != "" && ps.appliedSeq(ps.leader, producer) >= seq
 	var leaderCommit *mofka.Commit
 	if !leaderHas {
-		if leaderCommit, err = ps.submitTo(leaderRep, ps.leader, metas); err != nil {
+		var err error
+		if leaderCommit, err = ps.submitTo(leaderBroker, ps.leader, metas); err != nil {
 			return ps.epoch, nil, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
 		}
 		leaderEnd += batch
@@ -364,7 +348,7 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 		if r == ps.leader {
 			continue
 		}
-		rep, ok := c.replicaOf(r)
+		b, ok := c.brokerOf(r)
 		if !ok {
 			continue
 		}
@@ -372,12 +356,9 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 			q.acks = append(q.acks, replicaAck{node: r})
 			continue
 		}
-		end, err := c.logEndLocked(ps, rep, r)
-		if err != nil {
-			continue // replica unreachable: no ack
-		}
+		end := c.logEndLocked(ps, b, r)
 		if !leaderHas && end == leaderEnd-batch {
-			if fc, err := ps.submitTo(rep, r, metas); err == nil {
+			if fc, err := ps.submitTo(b, r, metas); err == nil {
 				q.acks = append(q.acks, replicaAck{r, fc})
 				if producer != "" {
 					ps.setApplied(r, producer, seq)
@@ -423,26 +404,18 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 	return ps.epoch, commit, evs, err
 }
 
-// submitTo lands a batch on one replica and moves the replica's log-end past
-// it. A local broker's service takes it in two halves: submitted here, with
-// its commit to wait for. A remote member's push is synchronous, nothing left
-// to wait for — and after a failed one, what its log holds is unknown.
-// Caller holds ps.mu.
-func (ps *partState) submitTo(rep replica, node int, metas [][]byte) (*mofka.Commit, error) {
-	sub, halves := rep.Service.(mofka.BatchSubmitter)
-	var commit *mofka.Commit
-	var err error
-	if halves {
-		commit, err = sub.SubmitBatch(ps.topic, ps.index, metas)
-	} else {
-		err = rep.PushBatch(ps.topic, ps.index, metas)
+// submitTo submits a batch to replica node's partition, b's, and moves the
+// replica's log-end past it. The batch is admitted and its offsets fixed
+// here; what it returns is the commit to wait for (see
+// mofka.Partition.Submit). Caller holds ps.mu.
+func (ps *partState) submitTo(b *mofka.Broker, node int, metas [][]byte) (*mofka.Commit, error) {
+	p, err := partitionOf(b, ps.topic, ps.index)
+	if err != nil {
+		return nil, err
 	}
-	i := rankOf(ps.replicas, node)
-	switch {
-	case err == nil:
-		ps.ends[i] += uint64(len(metas))
-	case !halves:
-		ps.ends[i] = unknownEnd
+	commit, err := p.Submit(metas)
+	if err == nil {
+		ps.ends[rankOf(ps.replicas, node)] += uint64(len(metas))
 	}
 	return commit, err
 }
@@ -461,7 +434,7 @@ type quorumAppend struct {
 }
 
 // replicaAck is one replica's acknowledgement of a batch: pending on its
-// commit, or (nil) durable when counted — a dedup, a catch-up, a remote push.
+// commit, or (nil) durable when counted — a dedup, a catch-up.
 type replicaAck struct {
 	node   int
 	commit *mofka.Commit
@@ -587,39 +560,34 @@ func (ps *partState) aliveReplicas(c *Cluster) []int {
 
 // syncReplicaLocked copies the partition's events from donor to dst in
 // catchUpBatch chunks until dst holds the donor's prefix [0, want), and
-// adopts the donor's dedup table. dst's current length is probed fresh here,
+// adopts the donor's dedup table. dst's current length is read fresh here,
 // once what is in flight has settled, rather than trusted from the caller — a
 // stale or defaulted value would re-append events dst already holds,
 // duplicating them. Caller holds ps.mu. Returns the number of events copied.
 func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) (uint64, error) {
-	dstRep, ok := c.replicaOf(dst)
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoNode, dst)
-	}
-	donorRep, ok := c.replicaOf(donor)
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoNode, donor)
-	}
+	dstBroker, _ := c.brokerOf(dst)
+	donorBroker, _ := c.brokerOf(donor)
 	c.settleLocked(ps, nil)
 	ps.setEnd(dst, unknownEnd)
-	have, err := dstRep.PartitionLength(ps.topic, ps.index)
+	dstLog, err := partitionOf(dstBroker, ps.topic, ps.index)
 	if err != nil {
 		return 0, err
 	}
+	have := dstLog.Length()
 	var copied uint64
 	for have < want {
 		n := int(want - have)
 		if n > catchUpBatch {
 			n = catchUpBatch
 		}
-		evs, err := donorRep.Pull(ps.topic, ps.index, have, n)
+		evs, err := donorBroker.Service().Pull(ps.topic, ps.index, have, n)
 		if err != nil {
 			return copied, err
 		}
 		if len(evs) == 0 {
 			break
 		}
-		if err := dstRep.PushBatch(ps.topic, ps.index, metadataOf(evs)); err != nil {
+		if err := dstLog.Append(metadataOf(evs), nil); err != nil {
 			return copied, err
 		}
 		have += uint64(len(evs))
@@ -661,35 +629,18 @@ func (c *Cluster) electLocked(ps *partState) []Event {
 
 	// Longest surviving log is the catch-up donor: it holds every
 	// acknowledged event (acked events live on >= quorum replicas, and
-	// replica logs are prefix-consistent). A replica whose length probe
-	// fails is excluded from donor selection, leadership, and healing this
-	// round — treating a failed probe as length 0 would re-append the
-	// donor's whole prefix onto data the replica already holds.
+	// replica logs are prefix-consistent).
 	donor, donorLen := -1, uint64(0)
-	lengths := make(map[int]uint64, len(alive))
 	for _, r := range alive {
-		rep, _ := c.replicaOf(r)
-		n, err := rep.PartitionLength(ps.topic, ps.index)
-		if err != nil {
-			continue
-		}
-		lengths[r] = n
+		b, _ := c.brokerOf(r)
+		n := ps.lengthOn(b)
 		ps.setEnd(r, n)
 		if donor < 0 || n > donorLen {
 			donor, donorLen = r, n
 		}
 	}
-	if donor < 0 {
-		return evs
-	}
 
-	newLeader := -1
-	for _, r := range alive {
-		if _, ok := lengths[r]; ok {
-			newLeader = r
-			break
-		}
-	}
+	newLeader := alive[0]
 	healed := 1 // the donor holds its own full prefix
 	if newLeader != donor {
 		copied, err := c.syncReplicaLocked(ps, newLeader, donor, donorLen)
@@ -710,9 +661,6 @@ func (c *Cluster) electLocked(ps *partState) []Event {
 	}
 	for _, r := range alive {
 		if r == newLeader || r == donor {
-			continue
-		}
-		if _, ok := lengths[r]; !ok {
 			continue
 		}
 		copied, err := c.syncReplicaLocked(ps, r, newLeader, donorLen)
@@ -747,8 +695,8 @@ func (c *Cluster) electLocked(ps *partState) []Event {
 	} else if healed >= c.cfg.Quorum && donorLen > ps.acked {
 		// The donor's full prefix now provably lives on >= quorum replicas
 		// (the donor plus every replica healed to it this round): the
-		// reconciled log is acknowledged. Replicas that could not be probed
-		// or healed do not count toward the quorum.
+		// reconciled log is acknowledged. Replicas that could not be healed
+		// do not count toward the quorum.
 		ps.acked = donorLen
 	}
 	return evs
@@ -773,24 +721,20 @@ func (c *Cluster) Read(topic string, part int, from uint64, max int) ([]mofka.Ev
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	return c.readLocked(ps, from, max)
-}
-
-func (c *Cluster) readLocked(ps *partState, from uint64, max int) ([]mofka.Event, error) {
 	if from >= ps.acked {
 		return nil, nil
 	}
 	if ps.leader < 0 {
 		return nil, ErrUnavailable
 	}
-	rep, ok := c.replicaOf(ps.leader)
+	b, ok := c.brokerOf(ps.leader)
 	if !ok {
 		return nil, ErrUnavailable
 	}
 	if avail := ps.acked - from; uint64(max) > avail {
 		max = int(avail)
 	}
-	return rep.Pull(ps.topic, ps.index, from, max)
+	return b.Service().Pull(ps.topic, ps.index, from, max)
 }
 
 // Length returns the partition's acknowledged length — what consumers can
@@ -812,27 +756,19 @@ func (c *Cluster) Length(topic string, part int) (uint64, error) {
 // longest recovered prefix.
 func (c *Cluster) recoverTopics() error {
 	c.mu.Lock()
-	nodes := len(c.nodes)
 	names := make(map[string]mofka.TopicConfig)
 	for _, n := range c.nodes {
-		if n.local == nil {
-			continue
-		}
-		for _, name := range n.local.Topics() {
+		for _, name := range n.broker.Topics() {
 			if _, ok := names[name]; ok {
 				continue
 			}
-			t, err := n.local.OpenTopic(name)
+			t, err := n.broker.OpenTopic(name)
 			if err != nil {
 				c.mu.Unlock()
 				return err
 			}
 			names[name] = t.Config()
 		}
-	}
-	reps := make([]replica, nodes)
-	for i, n := range c.nodes {
-		reps[i] = n.rep
 	}
 	sortedNames := make([]string, 0, len(names))
 	for name := range names {
@@ -841,7 +777,13 @@ func (c *Cluster) recoverTopics() error {
 	sort.Strings(sortedNames)
 	states := make([]*topicState, 0, len(sortedNames))
 	for _, name := range sortedNames {
-		ts := c.buildTopicStateLocked(names[name], nodes)
+		for _, n := range c.nodes {
+			if _, err := n.broker.OpenOrCreateTopic(names[name]); err != nil {
+				c.mu.Unlock()
+				return err
+			}
+		}
+		ts := c.buildTopicStateLocked(names[name], len(c.nodes))
 		c.topics[name] = ts
 		states = append(states, ts)
 	}
@@ -849,11 +791,6 @@ func (c *Cluster) recoverTopics() error {
 
 	var evs []Event
 	for _, ts := range states {
-		for _, rep := range reps {
-			if err := rep.CreateTopic(ts.cfg); err != nil {
-				return err
-			}
-		}
 		for _, ps := range ts.parts {
 			ps.mu.Lock()
 			evs = append(evs, c.electLocked(ps)...)
@@ -903,37 +840,22 @@ func (c *Cluster) ReadView() (*mofka.Broker, error) {
 }
 
 // viewLocked gives vp, a partition of a read view, the acknowledged prefix of
-// ps. A local leader's committed documents are shared, not stored again
+// ps. The leader's committed documents are shared, not stored again
 // (mofka.Partition.ShareFrom): one copy of each event per replica, whatever
-// reads it. A remote member's events exist in this process only as they
-// arrive over the wire, so a partition it leads is pulled a catch-up batch at
-// a time and admitted into vp like any other outside bytes. Caller holds
-// ps.mu, after settleLocked.
+// reads it. Caller holds ps.mu, after settleLocked.
 func (c *Cluster) viewLocked(ps *partState, vp *mofka.Partition) error {
-	if ps.acked > 0 && ps.leader >= 0 {
-		if local := c.NodeBroker(ps.leader); local != nil {
-			t, err := local.OpenTopic(ps.topic)
-			if err != nil {
-				return err
-			}
-			lp, err := t.Partition(ps.index)
-			if err != nil {
-				return err
-			}
-			return vp.ShareFrom(lp, ps.acked)
-		}
+	if ps.acked == 0 {
+		return nil
 	}
-	var from uint64
-	for {
-		evs, err := c.readLocked(ps, from, catchUpBatch)
-		if err != nil || len(evs) == 0 {
-			return err
-		}
-		if err := vp.Append(metadataOf(evs), nil); err != nil {
-			return err
-		}
-		from += uint64(len(evs))
+	if ps.leader < 0 {
+		return ErrUnavailable
 	}
+	b, _ := c.brokerOf(ps.leader)
+	lp, err := partitionOf(b, ps.topic, ps.index)
+	if err != nil {
+		return err
+	}
+	return vp.ShareFrom(lp, ps.acked)
 }
 
 // metadataOf returns the events' metadata: the batch that stores them again.

@@ -32,70 +32,53 @@ func (w wireTap) Call(rpc string, req []byte) ([]byte, error) {
 	return resp, err
 }
 
-// TestWireGolden pins the bytes of all seven mofka.* RPCs — requests as
+// TestWireGolden pins the bytes of the four mofka.* RPCs — requests as
 // mofka.Remote writes them, responses and error texts as a standalone broker
-// and a cluster gateway answer them — plus the gateway's fenced push, and the
-// refusal of a raw mofka.commit, an RPC neither serves any more. The
-// golden pins this build's bytes: every client and server of these RPCs is in
-// this repository, so a change that moves them regenerates it with
-// -update-wire and says which lines moved.
+// and a cluster gateway answer them, each filled in process — and the
+// refusal of RPCs neither serves any more: a raw mofka.commit, mofka.push,
+// mofka.create_topic, mofka.ping and cluster.join. The golden pins this
+// build's bytes: every client and server of these RPCs is in this
+// repository, so a change that moves them regenerates it with -update-wire
+// and says which lines moved.
 func TestWireGolden(t *testing.T) {
 	var out bytes.Buffer
+	log := [][][]byte{{[]byte(`{"i":0}`), []byte(`{"i":1,"s":"a\u00e9"}`)}, {[]byte(`{"i":2}`)}}
 	for _, dep := range []string{"broker", "gateway"} {
 		fmt.Fprintf(&out, "== %s\n", dep)
 		ep := mercury.NewEndpoint("wire")
-		var closeDep func() error
 		if dep == "broker" {
 			b := mofka.NewStandaloneBroker()
+			fillBroker(t, b, "wire", log)
 			mofka.Serve(ep, b.Service())
-			closeDep = b.Close
 		} else {
 			c := newTestCluster(t, 3, 2)
-			c.RegisterRPCs(ep)
-			closeDep = c.Close
+			fillCluster(t, c, "wire", log)
+			mofka.Serve(ep, c.Service())
 		}
 		tap := wireTap{ep, &out}
 		r := mofka.NewRemote(tap)
 
-		_ = r.CreateTopic(mofka.TopicConfig{Name: "wire", Partitions: 2})
-		_ = r.CreateTopic(mofka.TopicConfig{Name: "wire"}) // reopen with the count left out
 		_, _ = r.Topics()
 		_, _ = r.TopicInfo("wire")
-		_ = r.PushBatch("wire", 0, [][]byte{[]byte(`{"i":0}`), []byte(`{"i":1,"s":"a\u00e9"}`)})
-		_ = r.PushBatch("wire", 1, [][]byte{[]byte(`{"i":2}`)})
 		_, _ = r.Pull("wire", 0, 0, 10)
 		_, _ = r.Pull("wire", 0, 1, 10)
 		_, _ = r.Pull("wire", 1, 5, 10) // past the end
 		_, _ = r.PartitionLength("wire", 0)
 		_, _ = r.TopicInfo("wire")
-		_ = r.Ping()
 
 		// Errors cross the wire as text.
 		_, _ = r.Pull("ghost", 0, 0, 1)
-		_ = r.PushBatch("ghost", 0, [][]byte{[]byte(`{}`)})
 		_, _ = r.TopicInfo("ghost")
 		_, _ = r.Pull("wire", 7, 0, 1)
-		_ = r.PushBatch("wire", 7, [][]byte{[]byte(`{}`)})
 		_, _ = r.PartitionLength("wire", -1)
-		_ = r.PushBatch("wire", 0, [][]byte{[]byte(`[1]`)}) // not an object
-		_, _ = tap.Call("mofka.commit", []byte(`{"consumer":"cons","topic":"ghost","partition":0,"next":1}`))
-		_ = r.CreateTopic(mofka.TopicConfig{Name: ""})
-		_, _ = tap.Call("mofka.push", []byte(`{"topic":`))
 		_, _ = tap.Call("mofka.topic_info", []byte(`7`))
 
-		// The fenced push: a superset of the plain request. A broker ignores
-		// the extra fields; the gateway dedups on (producer, seq) and fences on
-		// the epoch.
-		fenced := `{"topic":"wire","partition":1,"metas":[{"i":3}],"producer":"p1","seq":1,"epoch":1}`
-		_, _ = tap.Call("mofka.push", []byte(fenced))
-		_, _ = tap.Call("mofka.push", []byte(fenced)) // retry: applied once
-		_, _ = tap.Call("mofka.push", []byte(`{"topic":"wire","partition":1,"metas":[{"i":4}],"producer":"p1","seq":2,"epoch":9}`))
-		_, _ = r.PartitionLength("wire", 1)
-
-		if err := closeDep(); err != nil {
-			t.Fatal(err)
-		}
-		_ = r.Ping()
+		// RPCs that are gone: the endpoint does not know them.
+		_, _ = tap.Call("mofka.commit", []byte(`{"consumer":"cons","topic":"ghost","partition":0,"next":1}`))
+		_, _ = tap.Call("mofka.push", []byte(`{"topic":"wire","partition":1,"metas":[{"i":3}],"producer":"p1","seq":1,"epoch":1}`))
+		_, _ = tap.Call("mofka.create_topic", []byte(`{"name":"wire","partitions":2}`))
+		_, _ = tap.Call("mofka.ping", []byte(`{}`))
+		_, _ = tap.Call("cluster.join", []byte(`{"address":"127.0.0.1:1"}`))
 	}
 
 	path := filepath.Join("testdata", "wire.golden")

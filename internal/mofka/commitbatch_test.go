@@ -1,6 +1,9 @@
 package mofka
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // TestCommitBatch: a topic's cursors are committed as one batch, each
 // partition's at its next offset, and what a reader resumed from them reads
@@ -69,13 +72,13 @@ func TestCommitBatchEmptyAndAnonymous(t *testing.T) {
 
 func TestBrokerIsClosed(t *testing.T) {
 	b := NewStandaloneBroker()
-	if b.IsClosed() {
-		t.Fatal("fresh broker reports closed")
+	if _, err := b.CreateTopic(TopicConfig{Name: "open"}); err != nil {
+		t.Fatalf("fresh broker refuses a topic: %v", err)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !b.IsClosed() {
-		t.Fatal("closed broker reports open")
+	if _, err := b.CreateTopic(TopicConfig{Name: "shut"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed broker creates a topic: %v, want ErrClosed", err)
 	}
 }

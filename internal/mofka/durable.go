@@ -108,11 +108,7 @@ func (b *Broker) attachDataDir(opts Options) error {
 		return err
 	}
 	for key, next := range cs.All() {
-		val, err := json.Marshal(next)
-		if err != nil {
-			return fmt.Errorf("mofka: recover cursor %s: %w", key, err)
-		}
-		b.meta.Put("cursor/"+key, val)
+		b.next[key] = next
 	}
 	if !opts.ReadOnly {
 		b.cursors = cs
@@ -124,13 +120,12 @@ func (b *Broker) attachDataDir(opts Options) error {
 	}
 	var parts []*Partition
 	for _, name := range names {
-		cfg, cfgBytes, err := readTopicConfig(opts.DataDir, name)
+		cfg, err := readTopicConfig(opts.DataDir, name)
 		if err != nil {
 			return err
 		}
 		t := b.buildTopic(cfg)
 		parts = append(parts, t.partitions...)
-		b.meta.Put("topics/"+cfg.Name, cfgBytes)
 		b.topics[cfg.Name] = t
 	}
 	err = inParallel(len(parts), func(i int) error {
@@ -184,22 +179,22 @@ func topicDirs(dataDir string) ([]string, error) {
 }
 
 // readTopicConfig loads and checks one topic directory's topic.json.
-func readTopicConfig(dataDir, name string) (TopicConfig, []byte, error) {
+func readTopicConfig(dataDir, name string) (TopicConfig, error) {
 	cfgBytes, err := os.ReadFile(filepath.Join(topicDir(dataDir, name), "topic.json"))
 	if err != nil {
-		return TopicConfig{}, nil, fmt.Errorf("mofka: recover topic %s: %w", name, err)
+		return TopicConfig{}, fmt.Errorf("mofka: recover topic %s: %w", name, err)
 	}
 	var cfg TopicConfig
 	if err := json.Unmarshal(cfgBytes, &cfg); err != nil {
-		return TopicConfig{}, nil, fmt.Errorf("mofka: recover topic %s: corrupt topic.json: %w", name, err)
+		return TopicConfig{}, fmt.Errorf("mofka: recover topic %s: corrupt topic.json: %w", name, err)
 	}
 	if cfg.Name != name {
-		return TopicConfig{}, nil, fmt.Errorf("mofka: topic dir %q holds config for %q", name, cfg.Name)
+		return TopicConfig{}, fmt.Errorf("mofka: topic dir %q holds config for %q", name, cfg.Name)
 	}
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 1
 	}
-	return cfg, cfgBytes, nil
+	return cfg, nil
 }
 
 // recoverFrom rebuilds the partition from the log segs lists, so the consumer
@@ -282,7 +277,7 @@ func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
 			return nil, err
 		}
 		for _, name := range names {
-			cfg, _, err := readTopicConfig(dir, name)
+			cfg, err := readTopicConfig(dir, name)
 			if err != nil {
 				return nil, err
 			}
@@ -386,7 +381,7 @@ func (p *Partition) recoverClosed(segs wal.Segments, opts wal.Options) (uint64, 
 
 // persistTopic writes a new topic's config and opens its partition logs.
 // Called under b.mu by CreateTopic on durable brokers.
-func (b *Broker) persistTopic(t *Topic, cfgJSON []byte) error {
+func (b *Broker) persistTopic(t *Topic) error {
 	name := t.cfg.Name
 	if strings.ContainsAny(name, "/\\") || name == "." || name == ".." {
 		return fmt.Errorf("%w: topic name %q not usable as a directory", ErrInvalidEvent, name)
@@ -394,6 +389,10 @@ func (b *Broker) persistTopic(t *Topic, cfgJSON []byte) error {
 	dir := topicDir(b.dataDir, name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("mofka: topic dir %s: %w", name, err)
+	}
+	cfgJSON, err := json.Marshal(t.cfg)
+	if err != nil {
+		return fmt.Errorf("mofka: encode config for topic %s: %w", name, err)
 	}
 	if err := wal.WriteFileAtomic(filepath.Join(dir, "topic.json"), cfgJSON); err != nil {
 		return fmt.Errorf("mofka: persist topic %s: %w", name, err)

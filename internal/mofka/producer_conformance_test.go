@@ -59,11 +59,7 @@ var deployments = []struct {
 		leaderKill := outage{
 			name: "leader-kill",
 			start: func(t *testing.T) {
-				for _, pv := range c.Placement() {
-					if pv.Topic == "leader-kill" && pv.Partition == 0 {
-						victim = pv.Leader
-					}
-				}
+				victim = c.Replicas("leader-kill", 0)[0] // every member alive: the preferred leader leads
 				if err := c.KillBroker(victim); err != nil {
 					t.Fatal(err)
 				}

@@ -202,14 +202,14 @@ func TestCommitWaitsForFsync(t *testing.T) {
 	go func() { defer close(flushed); flushErr = prod.Flush() }()
 	stillBlocked(t, "Producer.Flush", flushed)
 
-	// A push through the log service is submit plus wait.
+	// An append is submit plus wait.
 	pushed := make(chan struct{})
 	var pushErr error
 	go func() {
 		defer close(pushed)
-		pushErr = b.Service().PushBatch("t", 0, [][]byte{tagged("service", 0), tagged("service", 1)})
+		pushErr = part.Append([][]byte{tagged("append", 0), tagged("append", 1)}, nil)
 	}()
-	stillBlocked(t, "Service.PushBatch", pushed)
+	stillBlocked(t, "Partition.Append", pushed)
 	batches++
 
 	// Submits return until the partition holds its bound of staged batches —
@@ -238,10 +238,10 @@ func TestCommitWaitsForFsync(t *testing.T) {
 
 	g.release()
 	awaitDone(t, "Producer.Flush", flushed)
-	awaitDone(t, "Service.PushBatch", pushed)
+	awaitDone(t, "Partition.Append", pushed)
 	awaitDone(t, "the submit past the staging bound", overBound)
 	if flushErr != nil || pushErr != nil || overErr != nil {
-		t.Fatalf("after release: Flush %v, PushBatch %v, Submit %v", flushErr, pushErr, overErr)
+		t.Fatalf("after release: Flush %v, Append %v, Submit %v", flushErr, pushErr, overErr)
 	}
 	want := 4 + 2 + direct
 	if n := part.Length(); n != uint64(want) {
@@ -378,7 +378,7 @@ func durableCluster(t *testing.T, dir string) (*cluster.Cluster, *cluster.Cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, ct, c.Placement()[0].Replicas[1]
+	return c, ct, c.Replicas("t", 0)[1]
 }
 
 // unacknowledged fails the test if the cluster acknowledges any event of t.
@@ -553,14 +553,17 @@ func TestConcurrentPushBatchKeepsOrder(t *testing.T) {
 	const callers, each = 8, 40
 	b, tp := durableTopic(t, t.TempDir(), "t")
 	defer b.Close()
-	svc := b.Service()
+	part, err := tp.Partition(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < callers; w++ {
 		wg.Add(1)
 		go func(who string) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := svc.PushBatch("t", 0, [][]byte{tagged(who, i)}); err != nil {
+				if err := part.Append([][]byte{tagged(who, i)}, nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -159,8 +159,9 @@ curl_live curl-watch "$(addr watch-http "serving on http://")"
 stop "$daemon_pid"
 
 # mofkad: standalone with a bedrock config, the live monitor and a durable
-# log; then a cluster gateway over a recovered cluster log that a -join
-# member joins, watched over RPC.
+# log; standalone over a copy of a finished run's data dir (kept outside
+# work/, which holds only outputs), tailed over TCP; then a cluster gateway
+# over a recovered cluster log, watched over RPC.
 cat >bedrock.json <<'EOF'
 {"address": "127.0.0.1:0", "yokan": {"databases": ["metadata"]}, "warabi": {"targets": ["data"]},
  "ssg": {"groups": [{"name": "members", "suspect_after_ms": 2000, "dead_after_ms": 5000}]}}
@@ -168,24 +169,22 @@ EOF
 daemon mofkad-config "serving on" "$bin/mofkad" -config bedrock.json -data-dir mofkad-data -fsync interval \
 	-live -live-http 127.0.0.1:0
 mofkad=$daemon_pid
-m=$(addr mofkad-config "serving on ")
 curl_live curl-mofkad "$(addr mofkad-config "live monitor on http://")"
+stop "$mofkad"
+cp -r data/imageprocessing-0003 "$build/served"
+daemon mofkad-served "serving on" "$bin/mofkad" -listen 127.0.0.1:0 -data-dir "$build/served"
+served=$daemon_pid
+m=$(addr mofkad-served "serving on ")
 run watch-broker "$tp" watch -broker "$m" -once
 daemon watch-broker-http "serving on" "$tp" watch -broker "$m" -http 127.0.0.1:0
 curl_live curl-watch-broker "$(addr watch-broker-http "serving on http://")"
 stop "$daemon_pid"
-stop "$mofkad"
+stop "$served"
 daemon mofkad-gateway "cluster gateway on" "$bin/mofkad" -listen 127.0.0.1:0 -brokers 3 -replication 2 \
-	-data-dir cluster/imageprocessing-0005 -sweep 100ms
+	-data-dir cluster/imageprocessing-0005
 gateway=$daemon_pid
 gw=$(addr mofkad-gateway "cluster gateway on ")
-daemon mofkad-join "joined cluster" "$bin/mofkad" -listen 127.0.0.1:0 -join "$gw"
-member=$daemon_pid
 run watch-gateway "$tp" watch -broker "$gw" -once -json
-# The member leaves; the gateway's sweeper declares it dead (SSG's 5 s
-# default) and fails it over before the gateway itself stops.
-stop "$member"
-sleep 6
 stop "$gateway"
 
 # The examples, then every lane of the end-to-end benchmark, traced.
