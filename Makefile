@@ -90,11 +90,12 @@ chaos:
 # end-to-end cluster sessions (broker kill mid-workflow, zero acknowledged
 # loss, deterministic failover timeline). The log service's
 # contract lives here too, in the one package that can build every
-# deployment: the conformance table over broker, cluster and a Remote to
-# each, and the wire golden — named on a line of their own, uncached, so a
-# rename cannot drop them from the gate. So is the remote tailer against a
-# standalone broker and a cluster gateway reopened over a durable run's dir,
-# each held to the replay of the same log.
+# deployment: the conformance table over a broker, a closed durable
+# cluster's log opened as every reader opens it, and each of them over TCP,
+# and the wire golden — named on a line of their own, uncached, so a rename
+# cannot drop them from the gate. So is the remote tailer against what mofkad
+# serves of a standalone run's dir and a cluster run's, each held to the
+# replay of the run's own broker, each dir unchanged by the serving.
 cluster:
 	$(GO) test -race ./internal/mofka/cluster/
 	$(GO) test -race -count=1 -run 'TestServiceConformance|TestWireGolden' ./internal/mofka/cluster/
@@ -149,14 +150,14 @@ resume:
 # lagging, killed, a torn tail on the replica with the most bytes, a replica
 # with fewer bytes but more records, nodes disagreeing on a topic's
 # partitions; each segment opened once, by a standalone open and by a merge
-# of replicas), one cursor-store rewrite per
-# topic's cursor commit, stored bytes a scan lent surviving a truncate and
+# of replicas), stored bytes a scan lent surviving a truncate and
 # re-append (document collection and partition), the records a log's replay
 # lent surviving the open, its appends and its close, the malformed-event
 # regressions, two goroutines feeding one aggregator through the chunk path,
 # an aggregator whose ingested bytes are overwritten keeping its snapshot, a
-# monitor swept from a host ticker ending at the replay, its commits, one
-# delivery order (consumer, ChunksFrom and two monitors swept at random
+# monitor swept from a host ticker over a committer-published durable log
+# ending at the replay, one delivery order (consumer, ChunksFrom and two
+# monitors, attached early and late, swept at random
 # points over unevenly growing partitions, against a naive round-robin
 # model and the replay), SSE clients that leave no subscription behind and
 # an /events interval too short to serve refused, and frontier
@@ -169,8 +170,8 @@ readpath:
 	$(GO) test -count=1 -run 'TestSchedulerLogOrdersSimultaneousGraphs' ./internal/core/
 	$(GO) test -count=1 -run 'TestStragglerFitMatchesSortReference|TestLiveBytesFollowSeed' ./internal/live/ -paper-workflows
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode' -benchtime 1x ./internal/provenance/
-	$(GO) test -race -count=1 -run 'TestPostMortemOpen|TestCommitBatchRewritesCursorStoreOnce|TestScannedBytesSurviveTruncate|TestLentDocumentsSurviveTruncate|TestReplayedRecordsOutliveTheOpen' ./internal/mofka/ ./internal/mofka/cluster/ ./internal/mochi/yokan/ ./internal/mofka/wal/
-	$(GO) test -race -count=1 -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent|TestAggregatorConcurrentIngest|TestAggregatorKeepsNoBorrowedName|TestMonitorSweptFromHostTicker|TestMonitorResumesFromCommitted|TestOneDeliveryOrder|TestSSEClientsUnsubscribe|TestSSERejectsTinyInterval' ./internal/live/
+	$(GO) test -race -count=1 -run 'TestPostMortemOpen|TestScannedBytesSurviveTruncate|TestLentDocumentsSurviveTruncate|TestReplayedRecordsOutliveTheOpen' ./internal/mofka/ ./internal/mofka/cluster/ ./internal/mochi/yokan/ ./internal/mofka/wal/
+	$(GO) test -race -count=1 -run 'FuzzIngest|TestReplayReportsMalformedEvent|TestRemoteTailerReportsMalformedEventOnce|TestMonitorSkipsMalformedEvent|TestAggregatorConcurrentIngest|TestAggregatorKeepsNoBorrowedName|TestMonitorSweptFromHostTicker|TestOneDeliveryOrder|TestSSEClientsUnsubscribe|TestSSERejectsTinyInterval' ./internal/live/
 	$(GO) test -race -count=1 -run 'TestReconstructDeterministicAndEqualsReferenceOpen' ./internal/resume/
 
 # Durable write-path gate, race-enabled and uncached: the commit contract
@@ -322,10 +323,11 @@ bench-speculation:
 # partition refuses the rest and any event offered with a payload, and serves
 # what it accepts in that form, through a share and a truncation too. Data dir sidecars (checkpoint.json, attempts.json,
 # cluster.json): loading them and reconstructing a resume state over them
-# never panics or spins on a number the file supplied. Cluster gateway
-# requests (the four log RPCs over a cluster holding a topic): no body panics
-# a handler or draws an answer that is not JSON, and the cluster still reads
-# the same events afterwards.
+# never panics or spins on a number the file supplied. Log service requests
+# (the four RPCs over a broker holding a topic, the only log mofkad serves):
+# no body panics a handler, draws an answer that is not JSON or is accepted
+# when its request type does not decode it, and the broker still reads the
+# same events afterwards.
 fuzz:
 	$(GO) test -run 'FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALRecover' -fuzztime 20s ./internal/mofka/wal/
@@ -347,8 +349,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 20s ./internal/mochi/mercury/
 	$(GO) test -run 'FuzzSidecars' ./internal/resume/
 	$(GO) test -run '^$$' -fuzz 'FuzzSidecars' -fuzztime 20s ./internal/resume/
-	$(GO) test -run 'FuzzClusterRPCs' ./internal/mofka/cluster/
-	$(GO) test -run '^$$' -fuzz 'FuzzClusterRPCs' -fuzztime 20s ./internal/mofka/cluster/
 
 # The repo's end-to-end benchmark (bench/e2e, a module of its own): all four
 # workloads twice, the spread judged against BENCHMARK.json's bounds. Minutes,

@@ -270,7 +270,7 @@ var _ = pfs.Lustre
 // post-mortem drain of the same broker sees.
 func TestInSituMonitor(t *testing.T) {
 	broker := mofka.NewStandaloneBroker()
-	mon := live.NewMonitor(broker, live.MonitorOptions{})
+	mon := live.NewMonitor(broker)
 	s, err := NewSession(testSession(21), &toyWorkflow{files: 10}, broker)
 	if err != nil {
 		t.Fatal(err)

@@ -552,7 +552,7 @@ func (s *Session) attachLive() error {
 
 // attachMonitor attaches the live monitor to the broker; run sweeps it.
 func (s *Session) attachMonitor(b *mofka.Broker) {
-	s.monitor = live.NewMonitor(b, live.MonitorOptions{})
+	s.monitor = live.NewMonitor(b)
 	s.monitor.Aggregator().SetMeta(s.wf.Name(), s.cfg.Seed, s.buildMeta(0, 0).ThreadSlots())
 }
 

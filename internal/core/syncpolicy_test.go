@@ -11,8 +11,7 @@ import (
 )
 
 // storedBytes reads what a run left in its data dir that the fsync policy
-// must not influence: every segment file and every cursor store, keyed by
-// path below root.
+// must not influence: every segment file, keyed by path below root.
 func storedBytes(t *testing.T, root string) map[string]string {
 	t.Helper()
 	out := map[string]string{}
@@ -21,7 +20,7 @@ func storedBytes(t *testing.T, root string) map[string]string {
 			return err
 		}
 		rel, _ := filepath.Rel(root, path)
-		if !strings.HasSuffix(rel, ".seg") && d.Name() != "cursors.json" {
+		if !strings.HasSuffix(rel, ".seg") {
 			return nil
 		}
 		b, err := os.ReadFile(path)
@@ -37,7 +36,7 @@ func storedBytes(t *testing.T, root string) map[string]string {
 // TestSyncPolicyLeavesSameBytes: under `batch` a partition's commit runs on
 // the broker's committer goroutine, under `interval` and `never` inline in the
 // submit. Which one it was leaves no trace: one seeded session stores the
-// same segment bytes and cursors and serves the same topics — warnings
+// same segment bytes and serves the same topics — warnings
 // included, so the same retries, degraded spells and drops at the same
 // virtual times — under all three, standalone and on a replicated cluster,
 // with a healthy log and with one that refuses forty appends. Two `batch`
@@ -65,6 +64,9 @@ func TestSyncPolicyLeavesSameBytes(t *testing.T) {
 		}
 		if wf.graphErr != "" {
 			t.Fatalf("graph erred: %s", wf.graphErr)
+		}
+		if art.Live == nil {
+			t.Fatal("the run had no live monitor")
 		}
 		out := outcome{files: storedBytes(t, cfg.MofkaDataDir), topics: map[string][]string{}}
 		for _, topic := range provenance.AllTopics() {
@@ -103,9 +105,6 @@ func TestSyncPolicyLeavesSameBytes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := run(t, "batch", tc.clustered, tc.chaos)
-			if _, ok := want.files["cursors.json"]; !ok && !tc.clustered {
-				t.Fatal("the live monitor left no cursors.json to compare")
-			}
 			if tc.chaos != "" {
 				degraded := false
 				for _, w := range want.topics[provenance.TopicWarnings] {

@@ -75,7 +75,7 @@ func (staticSource) SubscribeAnomalies() (<-chan Anomaly, func()) {
 // drains the backlog (so a finished run's Summary carries no lag map).
 func TestConsumerLagSurfaced(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
-	m := NewMonitor(b, MonitorOptions{})
+	m := NewMonitor(b)
 	tp, err := b.OpenOrCreateTopic(mofka.TopicConfig{Name: provenance.TopicExecutions, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)

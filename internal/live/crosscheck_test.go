@@ -6,6 +6,7 @@
 package live_test
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io/fs"
@@ -278,47 +279,73 @@ func TestWatchServesCrashedRun(t *testing.T) {
 	}
 }
 
-// TestTailRemoteEqualsReplayBroker: a remote tailer attached to a finished
-// run's log service, in process or across a Mercury endpoint, reads the log in
-// the order the replay does, so its first snapshot is ReplayBroker's,
-// anomalies included. The same holds for a cluster gateway over a durable
-// `-cluster 3 -replication 2` run's data dir, reopened as `mofkad -brokers 3
-// -replication 2 -data-dir` reopens it, against the replay of the dir's
-// post-mortem open.
+// TestTailRemoteEqualsReplayBroker: a remote tailer attached to what mofkad
+// serves of a finished run — its data dir opened by cluster.OpenLog, in
+// process and over TCP — reads the log in the order the replay of the run's
+// own broker does, so its first snapshot is ReplayBroker's, anomalies
+// included. That holds for a standalone run's dir and a `-cluster 3
+// -replication 2` run's, and serving either leaves every byte of it as it
+// was.
 func TestTailRemoteEqualsReplayBroker(t *testing.T) {
-	wf, err := workloads.New("imageprocessing")
-	if err != nil {
-		t.Fatal(err)
+	for _, clustered := range []bool{false, true} {
+		cfg := workloads.DefaultSession("imageprocessing", "job-imageprocessing", 3)
+		cfg.MofkaDataDir = filepath.Join(t.TempDir(), "data")
+		if clustered {
+			cfg.ClusterBrokers, cfg.ClusterReplication = 3, 2
+		}
+		wf, err := workloads.New("imageprocessing")
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := core.Run(cfg, wf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := dirDigest(t, cfg.MofkaDataDir)
+		served, err := mcluster.OpenLog(cfg.MofkaDataDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := mercury.NewEndpoint("mofkad")
+		mofka.Serve(ep, served.Service())
+		srv, err := mercury.Serve(ep, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := mercury.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tailsEqualReplay(t, art.Broker, served.Service(), mofka.NewRemote(cli))
+		_ = cli.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after := dirDigest(t, cfg.MofkaDataDir); after != before {
+			t.Fatalf("clustered=%v: serving the data dir changed it", clustered)
+		}
 	}
-	art, err := core.Run(workloads.DefaultSession("imageprocessing", "job-imageprocessing", 3), wf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := mercury.NewEndpoint("mofkad")
-	mofka.Serve(ep, art.Broker.Service())
-	tailsEqualReplay(t, art.Broker, art.Broker.Service(), mofka.NewRemote(ep))
+}
 
-	cfg := workloads.DefaultSession("imageprocessing", "job-imageprocessing", 3)
-	cfg.MofkaDataDir = filepath.Join(t.TempDir(), "cluster")
-	cfg.ClusterBrokers, cfg.ClusterReplication = 3, 2
-	if wf, err = workloads.New("imageprocessing"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Run(cfg, wf); err != nil {
-		t.Fatal(err)
-	}
-	pm, err := mcluster.OpenPostMortem(cfg.MofkaDataDir)
+// dirDigest is the SHA-256 of every directory and file under root, paths and
+// bytes, in path order.
+func dirDigest(t *testing.T, root string) string {
+	t.Helper()
+	h := sha256.New()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			fmt.Fprintf(h, "%s/\n", path)
+			return err
+		}
+		b, err := os.ReadFile(path)
+		fmt.Fprintf(h, "%s %d\n", path, len(b))
+		h.Write(b)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := mcluster.New(mcluster.Config{Brokers: 3, ReplicationFactor: 2, DataDir: cfg.MofkaDataDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	gw := mercury.NewEndpoint("gateway")
-	mofka.Serve(gw, c.Service())
-	tailsEqualReplay(t, pm, c.Service(), mofka.NewRemote(gw))
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // tailsEqualReplay fails unless a remote tailer over each service takes

@@ -11,7 +11,7 @@ import (
 
 // Source is anything the HTTP server can serve: a Monitor attached to an
 // in-process broker, a WALTailer following a data dir, or a RemoteTailer
-// attached to a running mofkad.
+// attached to a mofkad.
 type Source interface {
 	Snapshot() Summary
 	// SubscribeAnomalies returns the anomalies raised from now on, and the

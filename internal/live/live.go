@@ -10,47 +10,33 @@ import (
 	"taskprov/internal/provenance"
 )
 
-// MonitorOptions configures a Monitor.
-type MonitorOptions struct {
-	// Logf, when set, receives one-line operational notices (emission
-	// disabled, commit failures).
-	Logf func(format string, args ...any)
-}
-
-const (
-	// consumerName names the monitor's consumer group for cursor commits; on
-	// a durable broker a restarted monitor resumes where it left off.
-	consumerName = "live-monitor"
-	// chunk is the unit of a topic's ingestion order: chunk events of one
-	// partition, then chunk of the next, round-robin (mofka.Topic.ChunksFrom),
-	// which ReplayTopics reads too.
-	chunk = 256
-)
+// chunk is the unit of a topic's ingestion order: chunk events of one
+// partition, then chunk of the next, round-robin (mofka.Topic.ChunksFrom),
+// which ReplayTopics reads too.
+const chunk = 256
 
 // Monitor feeds a broker's provenance topics through an Aggregator while the
 // run is in flight. It starts nothing: its owner drives it from the owner's
-// own clock — a session from virtual time, at every window boundary; mofkad
-// from a host ticker. Sweep, Commit and Finish belong to that one goroutine;
-// Snapshot and SubscribeAnomalies are safe from any.
+// own clock — a session from virtual time, at every window boundary. Sweep
+// and Finish belong to that one goroutine; Snapshot and SubscribeAnomalies
+// are safe from any.
 //
-// Each topic is ingested in one order, mofka.Topic.ChunksFrom's with chunk
-// events per turn, whatever moment a sweep happens at: a sweep takes the
-// order's leading chunks that are whole, and Finish, when nothing more can
-// arrive, takes the rest, partial tails included. Both hand them to the
-// chunk path ReplayTopics feeds, so the final Summary is the one
-// ReplayBroker's replay of the same broker gives. Topics are attached as they
-// appear on the broker. Every anomaly the detectors raise is also emitted
+// Each topic is ingested in one order from its first event,
+// mofka.Topic.ChunksFrom's with chunk events per turn, whatever moment a
+// sweep happens at: a sweep takes the order's leading chunks that are whole,
+// and Finish, when nothing more can arrive, takes the rest, partial tails
+// included. Both hand them to the chunk path ReplayTopics feeds, so the
+// final Summary is the one ReplayBroker's replay of the same broker gives.
+// Topics are attached as they appear on the broker. Every anomaly the detectors raise is also emitted
 // into the provenance.TopicAnomalies topic, until the broker refuses an
 // append (a post-mortem read-only broker does).
 type Monitor struct {
 	broker *mofka.Broker
-	opts   MonitorOptions
 	agg    *Aggregator
 
-	feeds     []*feed // per provenance.AllTopics() entry; nil until the topic exists
-	emitter   *mofka.Producer
-	emitDead  bool
-	commitOff bool
+	feeds    []*feed // per provenance.AllTopics() entry; nil until the topic exists
+	emitter  *mofka.Producer
+	emitDead bool
 	// took, when set, sees every chunk the monitor hands to the aggregator,
 	// in order.
 	took func(topic string, c mofka.Chunk)
@@ -61,21 +47,18 @@ type Monitor struct {
 
 // feed is the monitor's place in one topic's order.
 type feed struct {
-	t     *mofka.Topic
-	r     chunkReader
-	next  []uint64 // per partition, the next offset to ingest
-	turn  int      // the partition whose chunk comes next
-	keys  []string // per partition, its "topic/partition" lag key
-	moved bool     // next moved since the last commit
-	bad   bool     // a malformed event was logged for the topic
+	t    *mofka.Topic
+	r    chunkReader
+	next []uint64 // per partition, the next offset to ingest
+	turn int      // the partition whose chunk comes next
+	keys []string // per partition, its "topic/partition" lag key
 }
 
 // NewMonitor attaches a monitor to the broker. Drive it with Sweep, and end
 // it with Finish once the run is complete.
-func NewMonitor(b *mofka.Broker, opts MonitorOptions) *Monitor {
+func NewMonitor(b *mofka.Broker) *Monitor {
 	m := &Monitor{
 		broker: b,
-		opts:   opts,
 		agg:    NewAggregator(AggregatorOptions{}),
 		feeds:  make([]*feed, len(provenance.AllTopics())),
 		lags:   make(map[string]uint64),
@@ -121,15 +104,10 @@ func (m *Monitor) recordLag(f *feed) {
 // buffered; slow receivers lose anomalies rather than stalling ingestion.
 func (m *Monitor) SubscribeAnomalies() (<-chan Anomaly, func()) { return m.agg.SubscribeAnomalies() }
 
-func (m *Monitor) logf(format string, args ...any) {
-	if m.opts.Logf != nil {
-		m.opts.Logf(format, args...)
-	}
-}
-
 // publish is the aggregator's anomaly callback, run by the ingesting owner:
 // emit into the anomalies topic (snapshot/SSE delivery happens via the
-// aggregator itself).
+// aggregator itself) until the broker refuses an append; the aggregator
+// keeps every anomaly either way.
 func (m *Monitor) publish(a Anomaly) {
 	if m.emitDead {
 		return
@@ -138,20 +116,18 @@ func (m *Monitor) publish(a Anomaly) {
 		t, err := m.broker.OpenOrCreateTopic(mofka.TopicConfig{Name: provenance.TopicAnomalies, Partitions: 1})
 		if err != nil {
 			m.emitDead = true
-			m.logf("live: anomaly emission disabled: %v", err)
 			return
 		}
 		m.emitter = t.NewProducer(mofka.ProducerOptions{BatchSize: 1})
 	}
 	if err := m.emitter.PushRaw(a.appendEvent(nil), nil); err != nil {
 		m.emitDead = true
-		m.logf("live: anomaly emission disabled: %v", err)
 	}
 }
 
 // feed returns (attaching lazily) the feed of the i-th provenance topic, or
-// nil while the topic does not exist yet. It starts at the monitor's
-// committed cursors, with partition 0 up next.
+// nil while the topic does not exist yet. It starts at every partition's
+// first event, with partition 0 up next.
 func (m *Monitor) feed(i int, topic string) *feed {
 	if f := m.feeds[i]; f != nil {
 		return f
@@ -161,8 +137,7 @@ func (m *Monitor) feed(i int, topic string) *feed {
 		return nil // not created yet
 	}
 	f := &feed{t: t, r: readerOf(topic), next: make([]uint64, t.Partitions()), keys: make([]string, t.Partitions())}
-	for p := range f.next {
-		f.next[p] = m.broker.LoadCursor(consumerName, topic, p)
+	for p := range f.keys {
 		f.keys[p] = fmt.Sprintf("%s/%d", topic, p)
 	}
 	m.feeds[i] = f
@@ -172,8 +147,7 @@ func (m *Monitor) feed(i int, topic string) *feed {
 // take hands f's order from where the feed stands to the aggregator — only
 // its leading whole chunks, each of the partition whose turn it is, when
 // whole is set — and returns the number of events taken. An event that does
-// not decode is skipped, not fatal: it is logged once per topic, and the
-// feed still moves past it.
+// not decode is skipped, not fatal: the feed moves past it.
 func (m *Monitor) take(f *feed, whole bool) int {
 	chunks := f.t.ChunksFrom(f.next, f.turn, chunk)
 	if whole {
@@ -183,10 +157,7 @@ func (m *Monitor) take(f *feed, whole bool) int {
 		}
 		chunks = chunks[:n]
 	}
-	if err := f.r.chunks(m.agg, f.t, chunks); err != nil && !f.bad {
-		f.bad = true
-		m.logf("%v (skipped, with any later one on this topic)", err)
-	}
+	_ = f.r.chunks(m.agg, f.t, chunks) // the chunk path skips what it cannot decode
 	events := 0
 	for _, c := range chunks {
 		if m.took != nil {
@@ -196,7 +167,6 @@ func (m *Monitor) take(f *feed, whole bool) int {
 		f.turn = (c.Part + 1) % len(f.next)
 		events += c.N
 	}
-	f.moved = f.moved || events > 0
 	m.recordLag(f)
 	return events
 }
@@ -215,42 +185,22 @@ func (m *Monitor) Sweep() int {
 	return total
 }
 
-// Commit records the monitor's cursors — every event ingested so far — with
-// one cursor-store write per topic that moved since the last commit, until a
-// commit fails.
-func (m *Monitor) Commit() {
-	for _, f := range m.feeds {
-		if f == nil || !f.moved || m.commitOff {
-			continue
-		}
-		if err := f.t.CommitCursors(consumerName, f.next); err != nil {
-			m.commitOff = true
-			m.logf("live: cursor commits disabled: %v", err)
-		}
-		f.moved = false
-	}
-}
-
 // Finish completes monitoring for a finished run: every remaining event is
-// ingested, the cursors are committed, the run's Darshan logs are folded in,
-// the anomalies raised are flushed to their topic, the wall time is set, and
-// the final Summary — the one the equivalence invariant holds for — is
-// returned.
+// ingested, the run's Darshan logs are folded in, the anomalies raised are
+// flushed to their topic, the wall time is set, and the final Summary — the
+// one the equivalence invariant holds for — is returned.
 func (m *Monitor) Finish(logs []*darshan.Log, wallSeconds float64) Summary {
 	for i, topic := range provenance.AllTopics() {
 		if f := m.feed(i, topic); f != nil {
 			m.take(f, false)
 		}
 	}
-	m.Commit()
 	for _, l := range logs {
 		m.agg.IngestDarshanLog(l)
 	}
 	if m.emitter != nil {
-		if err := m.emitter.Flush(); err != nil {
-			m.logf("live: anomaly emission: %v", err)
-		}
+		_ = m.emitter.Flush() // a refused flush loses the topic's copy only
 	}
 	m.agg.SetWall(wallSeconds)
-	return m.agg.Snapshot()
+	return m.Snapshot() // the tails are taken: no lag is left to report
 }

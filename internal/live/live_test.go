@@ -323,7 +323,7 @@ func seedBroker(t *testing.T, b *mofka.Broker, tasks int) {
 
 func TestMonitorEqualsReplay(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
-	m := NewMonitor(b, MonitorOptions{})
+	m := NewMonitor(b)
 	seedBroker(t, b, 120)
 	liveSum := m.Finish(nil, 40)
 
@@ -347,7 +347,7 @@ func TestMonitorEqualsReplay(t *testing.T) {
 // topic (as provenance) and on the subscription channel.
 func TestMonitorEmitsAnomalies(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
-	m := NewMonitor(b, MonitorOptions{})
+	m := NewMonitor(b)
 	ch, unsubscribe := m.SubscribeAnomalies()
 	defer unsubscribe()
 	tp, err := b.OpenOrCreateTopic(mofka.TopicConfig{Name: provenance.TopicWarnings, Partitions: 2})
@@ -389,38 +389,9 @@ func TestMonitorEmitsAnomalies(t *testing.T) {
 	}
 }
 
-// TestMonitorResumesFromCommitted: a monitor under the same consumer name
-// starts where the last one committed — nothing of what a sweep ingested
-// before Commit, all of what it ingested after.
-func TestMonitorResumesFromCommitted(t *testing.T) {
-	b := mofka.NewStandaloneBroker()
-	seedBroker(t, b, 600)
-	var total int64
-	for _, name := range provenance.AllTopics() {
-		tp, err := b.OpenTopic(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += int64(tp.Events())
-	}
-	m1 := NewMonitor(b, MonitorOptions{})
-	swept := int64(m1.Sweep())
-	if swept == 0 || swept == total {
-		t.Fatalf("the sweep ingested %d of %d events; the test wants whole chunks and tails", swept, total)
-	}
-	m1.Commit()
-	if s := NewMonitor(b, MonitorOptions{}).Finish(nil, 10); s.Events != total-swept {
-		t.Fatalf("resumed monitor read %d events, want the %d past the commit", s.Events, total-swept)
-	}
-	// Finish commits too: a third monitor has nothing left to read.
-	if s := NewMonitor(b, MonitorOptions{}).Finish(nil, 10); s.Events != 0 {
-		t.Fatalf("resumed monitor re-read %d events", s.Events)
-	}
-}
-
 func TestHTTPEndpoints(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
-	m := NewMonitor(b, MonitorOptions{})
+	m := NewMonitor(b)
 	seedBroker(t, b, 60)
 	m.Finish(nil, 20)
 
@@ -467,7 +438,7 @@ func TestHTTPEndpoints(t *testing.T) {
 
 func TestSSEStream(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
-	m := NewMonitor(b, MonitorOptions{})
+	m := NewMonitor(b)
 	srv := httptest.NewServer(NewServer(m).mux)
 	defer srv.Close()
 
@@ -493,7 +464,7 @@ func TestSSEStream(t *testing.T) {
 // TestSSERejectsTinyInterval: an /events interval that does not parse, or is
 // shorter than 10 ms, is refused before any snapshot is taken.
 func TestSSERejectsTinyInterval(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewMonitor(mofka.NewStandaloneBroker(), MonitorOptions{})).mux)
+	srv := httptest.NewServer(NewServer(NewMonitor(mofka.NewStandaloneBroker())).mux)
 	defer srv.Close()
 	for _, interval := range []string{"1ns", "9ms", "0s", "-1s", "soon"} {
 		res, err := http.Get(srv.URL + "/events?interval=" + interval)
@@ -508,10 +479,8 @@ func TestSSERejectsTinyInterval(t *testing.T) {
 	}
 }
 
-// sweepEvery sweeps m from a host ticker, the way mofkad drives a monitor
-// whose producers run on no clock of its own, committing after every sweep
-// that ingested something. stop ends the sweeps and reports how many events
-// they ingested.
+// sweepEvery sweeps m from a host ticker, on no clock of its producers.
+// stop ends the sweeps and reports how many events they ingested.
 func sweepEvery(m *Monitor, d time.Duration) (stop func() int) {
 	quit, done := make(chan struct{}), make(chan int)
 	go func() {
@@ -524,10 +493,7 @@ func sweepEvery(m *Monitor, d time.Duration) (stop func() int) {
 				done <- n
 				return
 			case <-tick.C:
-				if k := m.Sweep(); k > 0 {
-					n += k
-					m.Commit()
-				}
+				n += m.Sweep()
 			}
 		}
 	}()
@@ -535,9 +501,9 @@ func sweepEvery(m *Monitor, d time.Duration) (stop func() int) {
 }
 
 // TestSSEClientsUnsubscribe: an /events client subscribes to the anomalies
-// for as long as its request lasts, and no longer. A long-lived mofkad -live
-// used to keep a channel, and a fan-out per later anomaly, for every client
-// it ever served.
+// for as long as its request lasts, and no longer. A long-lived server used
+// to keep a channel, and a fan-out per later anomaly, for every client it
+// ever served.
 func TestSSEClientsUnsubscribe(t *testing.T) {
 	dir := t.TempDir()
 	b, err := mofka.NewDurableBroker(mofka.Options{DataDir: dir})
@@ -553,7 +519,7 @@ func TestSSEClientsUnsubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tail.Stop()
-	m := NewMonitor(mofka.NewStandaloneBroker(), MonitorOptions{})
+	m := NewMonitor(mofka.NewStandaloneBroker())
 	for _, c := range []struct {
 		name        string
 		src         Source
@@ -606,7 +572,7 @@ func TestConcurrentProducersMonitorAndReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := NewMonitor(b, MonitorOptions{})
+	m := NewMonitor(b)
 	stopSweeps := sweepEvery(m, time.Millisecond)
 	srv := httptest.NewServer(NewServer(m).mux)
 	defer srv.Close()
@@ -676,12 +642,13 @@ func TestConcurrentProducersMonitorAndReaders(t *testing.T) {
 	}
 }
 
-// TestMonitorSweptFromHostTicker is mofkad's shape: producers on no clock of
-// the monitor's — here the test goroutine, filling the broker in process —
-// write to a durable broker that fsyncs per batch, while a host ticker sweeps
-// the monitor. Which chunks each sweep found is up to the
-// host; the Summary Finish returns is the replay's all the same, anomalies
-// included.
+// TestMonitorSweptFromHostTicker: producers on no clock of the monitor's —
+// here the test goroutine, filling the broker in process — write to a durable
+// broker that fsyncs per batch, so the committer goroutine publishes what a
+// sweep sees, while a host ticker sweeps the monitor at moments no session
+// picks (a session sweeps at window boundaries, once its shipped batches have
+// committed). Which chunks each sweep found is up to the host; the Summary
+// Finish returns is the replay's all the same, anomalies included.
 func TestMonitorSweptFromHostTicker(t *testing.T) {
 	b, err := mofka.NewDurableBroker(mofka.Options{DataDir: t.TempDir()})
 	if err != nil {
@@ -689,7 +656,7 @@ func TestMonitorSweptFromHostTicker(t *testing.T) {
 	}
 	defer func() { _ = b.Close() }()
 
-	m := NewMonitor(b, MonitorOptions{})
+	m := NewMonitor(b)
 	stopSweeps := sweepEvery(m, time.Millisecond)
 	producers := map[string]*mofka.Producer{}
 	for _, topic := range []string{provenance.TopicExecutions, provenance.TopicWarnings} {

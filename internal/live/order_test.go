@@ -69,12 +69,11 @@ func samePositions(t *testing.T, what string, got, want []pos) {
 // TestOneDeliveryOrder: a topic's partitions grow unevenly — one stays empty,
 // one lags far behind, one grows a whole chunk at a time and so is often
 // read up when its turn comes — while two monitors sweep at random points,
-// one from the start and one from committed cursors that are not
-// chunk-aligned, and a consumer drains at random points. The consumer
-// (Drain, Scan) and ChunksFrom give the naive round-robin model's order;
-// each monitor applies exactly ChunksFrom's order of the final log from
-// where it started; and the one that started at zero ends with
-// ReplayBroker's Summary, anomalies included.
+// one attached from the start and one attached once the log has grown, and a
+// consumer drains at random points. The consumer (Drain, Scan) and ChunksFrom
+// give the naive round-robin model's order; each monitor applies exactly
+// ChunksFrom's order of the final log from its first event; and both end
+// with ReplayBroker's Summary, anomalies included.
 func TestOneDeliveryOrder(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { checkOneDeliveryOrder(t, seed) })
@@ -181,46 +180,25 @@ func checkOneDeliveryOrder(t *testing.T, seed int64) {
 	}
 
 	type watched struct {
-		m     *Monitor
-		start map[string][]uint64
-		took  map[string][]pos
+		m    *Monitor
+		took map[string][]pos
 	}
 	watch := func() *watched {
-		w := &watched{m: NewMonitor(b, MonitorOptions{}), start: map[string][]uint64{}, took: map[string][]pos{}}
+		w := &watched{m: NewMonitor(b), took: map[string][]pos{}}
 		w.m.took = func(topic string, c mofka.Chunk) {
 			w.took[topic] = append(w.took[topic], expand([]mofka.Chunk{c})...)
 		}
-		for _, name := range topics {
-			w.start[name] = make([]uint64, tps[name].Partitions())
-			for part := range w.start[name] {
-				w.start[name][part] = b.LoadCursor(consumerName, name, part)
-			}
-		}
-		w.m.Sweep() // attaches the feeds at the cursors just read
+		w.m.Sweep() // attaches the feeds
 		return w
 	}
-	fromZero := watch()
+	early := watch()
 	for range 3 {
 		grow()
 	}
-	// Commit cursors no chunk boundary holds, for the second monitor to
-	// start from.
-	for _, name := range topics {
-		next := make([]uint64, tps[name].Partitions())
-		for part := range next {
-			p, _ := tps[name].Partition(part)
-			if l := p.Length(); l > 0 {
-				next[part] = uint64(rng.Int63n(int64(l))) | 1 // odd: no multiple of chunk
-			}
-		}
-		if err := tps[name].CommitCursors(consumerName, next); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resumed := watch()
+	late := watch()
 	for range 30 {
 		grow()
-		for _, w := range []*watched{fromZero, resumed} {
+		for _, w := range []*watched{early, late} {
 			if rng.Intn(2) == 0 {
 				w.m.Sweep()
 			}
@@ -230,8 +208,8 @@ func checkOneDeliveryOrder(t *testing.T, seed int64) {
 		}
 	}
 	drain()
-	got := fromZero.m.Finish(nil, 100)
-	resumed.m.Finish(nil, 100)
+	got := early.m.Finish(nil, 100)
+	gotLate := late.m.Finish(nil, 100)
 
 	for _, name := range topics {
 		tp := tps[name]
@@ -268,23 +246,25 @@ func checkOneDeliveryOrder(t *testing.T, seed int64) {
 				expand(tp.ChunksFrom(next, turn, prefetch)), want)
 		}
 
-		// (b) Each monitor applied the final log's order from its start.
-		for what, w := range map[string]*watched{"from zero": fromZero, "resumed": resumed} {
-			samePositions(t, fmt.Sprintf("%s: the monitor %s", name, what), w.took[name], expand(tp.ChunksFrom(w.start[name], 0, chunk)))
-		}
-		if reflect.DeepEqual(resumed.start[name], zero) {
-			t.Fatalf("%s: the resumed monitor started at zero", name)
+		// (b) Each monitor applied the final log's order from its first
+		// event.
+		for what, w := range map[string]*watched{"attached early": early, "attached late": late} {
+			samePositions(t, fmt.Sprintf("%s: the monitor %s", name, what), w.took[name], expand(tp.ChunksFrom(zero, 0, chunk)))
 		}
 	}
 
-	// (c) The monitor from zero ends at the replay's Summary.
+	// (c) Both monitors end at the replay's Summary.
 	replay := NewAggregator(AggregatorOptions{})
 	if err := ReplayBroker(b, replay); err != nil {
 		t.Fatal(err)
 	}
 	replay.SetWall(100)
-	if want := replay.Snapshot(); !reflect.DeepEqual(got, want) {
+	want := replay.Snapshot()
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("swept monitor != replay:\n%+v\nvs\n%+v", got, want)
+	}
+	if !reflect.DeepEqual(gotLate, want) {
+		t.Fatalf("monitor attached late != replay:\n%+v\nvs\n%+v", gotLate, want)
 	}
 	kinds := map[string]int{}
 	for _, a := range got.Anomalies {

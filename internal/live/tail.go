@@ -348,8 +348,8 @@ func (t *WALTailer) SubscribeAnomalies() (<-chan Anomaly, func()) {
 	}
 }
 
-// RemoteTailer attaches to a running log service — a mofkad broker or cluster
-// gateway over Mercury RPC, as taskprov watch -broker does — and pulls
+// RemoteTailer attaches to a running log service — a mofkad over Mercury
+// RPC, as taskprov watch -broker does — and pulls
 // provenance topics incrementally into a persistent aggregator.
 type RemoteTailer struct {
 	remote mofka.Service

@@ -3,7 +3,7 @@ package yokan
 import "testing"
 
 func BenchmarkCollectionStoreBatch(b *testing.B) {
-	c := NewDatabase("bench").Collection("docs")
+	c := new(Collection)
 	doc := []byte(`{"key":"('getitem-abc',63)","from":"waiting","to":"processing"}`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,7 @@
-// Package yokan reimplements the interface shape of Mochi's Yokan
-// microservice: named databases of document collections with monotonically
-// increasing IDs. A Mofka partition stores its events' metadata in one
-// collection; the provenance framework reads it back at analysis time.
+// Package yokan reimplements the document collection of Mochi's Yokan
+// microservice: an append-only store with monotonically increasing IDs. A
+// Mofka partition owns one and stores its events' metadata in it; the
+// provenance framework reads it back at analysis time.
 package yokan
 
 import (
@@ -9,38 +9,11 @@ import (
 	"sync"
 )
 
-// Database is a set of named document collections. All methods are safe for
-// concurrent use.
-type Database struct {
-	name string
-
-	mu          sync.Mutex
-	collections map[string]*Collection
-}
-
-// NewDatabase creates an empty database. The name is diagnostic.
-func NewDatabase(name string) *Database {
-	return &Database{name: name, collections: make(map[string]*Collection)}
-}
-
-// Collection returns the named document collection, creating it on first
-// use.
-func (db *Database) Collection(name string) *Collection {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	c, ok := db.collections[name]
-	if !ok {
-		c = &Collection{name: name}
-		db.collections[name] = c
-	}
-	return c
-}
-
 // Collection is an append-only document store with uint64 IDs assigned in
-// insertion order, mirroring Yokan's document collection API.
+// insertion order, mirroring Yokan's document collection API. The zero value
+// is an empty collection; it must not be copied once used.
 type Collection struct {
-	name string
-	mu   sync.RWMutex
+	mu sync.RWMutex
 	// pages holds document id in pages[id/pageSize][id%pageSize]. A page is
 	// allocated whole when the first document lands in it and never moves, so
 	// storing a document never copies the ones before it; only the directory
@@ -109,26 +82,4 @@ func (c *Collection) Iter(from uint64, max int, fn func(id uint64, doc []byte) b
 			return
 		}
 	}
-}
-
-// Store manages a namespace of databases, like a Yokan provider managing
-// multiple backends.
-type Store struct {
-	mu  sync.Mutex
-	dbs map[string]*Database
-}
-
-// NewStore creates an empty provider.
-func NewStore() *Store { return &Store{dbs: make(map[string]*Database)} }
-
-// Open returns the named database, creating it on first use.
-func (s *Store) Open(name string) *Database {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	db, ok := s.dbs[name]
-	if !ok {
-		db = NewDatabase(name)
-		s.dbs[name] = db
-	}
-	return db
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestCollectionIterBounds(t *testing.T) {
-	c := NewDatabase("t").Collection("c")
+	c := new(Collection)
 	docs := make([][]byte, 10)
 	for i := range docs {
 		docs[i] = []byte{byte(i)}
@@ -48,7 +48,7 @@ func TestCollectionIterBounds(t *testing.T) {
 // after TruncateTo drops their documents and a StoreBatch puts others at
 // the same IDs, which is what lets a decoded record borrow them.
 func TestLentDocumentsSurviveTruncate(t *testing.T) {
-	c := NewDatabase("t").Collection("c")
+	c := new(Collection)
 	docs := make([][]byte, 2*pageSize)
 	for i := range docs {
 		docs[i] = []byte(fmt.Sprintf("doc-%04d", i))
@@ -87,7 +87,7 @@ func TestCollectionMatchesSliceModelProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		// edge is a count within one document of a page boundary.
 		edge := func(pages int) int { return max(0, pageSize*pages+rng.Intn(3)-1) }
-		c := NewDatabase("model").Collection("c")
+		c := new(Collection)
 		var model [][]byte
 		stored := 0
 		for op := 0; op < 40; op++ {
@@ -195,20 +195,8 @@ func TestCollectionAllocatesPerPage(t *testing.T) {
 	}
 }
 
-func TestStoreOpenIsIdempotent(t *testing.T) {
-	s := NewStore()
-	a := s.Open("db1")
-	b := s.Open("db1")
-	if a != b {
-		t.Fatal("Open returned distinct instances for same name")
-	}
-	if s.Open("db2") == a {
-		t.Fatal("two names share one database")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
-	db := NewDatabase("conc")
+	c := new(Collection)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -216,13 +204,13 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("g%d-k%d", g, i)
-				db.Collection("docs").StoreBatch([][]byte{[]byte(k)})
+				c.StoreBatch([][]byte{[]byte(k)})
 			}
 		}(g)
 	}
 	wg.Wait()
 	n := 0
-	db.Collection("docs").Iter(0, 0, func(uint64, []byte) bool { n++; return true })
+	c.Iter(0, 0, func(uint64, []byte) bool { n++; return true })
 	if n != 8*200 {
 		t.Fatalf("%d documents", n)
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"taskprov/internal/mochi/bedrock"
 	"taskprov/internal/mochi/yokan"
 	"taskprov/internal/mofka/wal"
 )
@@ -26,21 +25,18 @@ var (
 	errPayload = fmt.Errorf("%w: an event carries no data payload", ErrInvalidEvent)
 )
 
-// Broker hosts topics on top of a bedrock deployment's Yokan service,
-// optionally backed by a durable segmented event log (see Options.DataDir
-// and the wal package). All methods are safe for concurrent use.
+// Broker hosts topics, each partition's events in a Yokan document
+// collection of its own, optionally backed by a durable segmented event log
+// (see Options.DataDir and the wal package). All methods are safe for
+// concurrent use.
 type Broker struct {
-	meta *yokan.Database
-
-	// Durable backend, nil/zero for a purely in-memory broker.
+	// Durable backend, zero for a purely in-memory broker.
 	dataDir  string
 	readOnly bool
 	walOpts  wal.Options
-	cursors  *wal.CursorStore
 
 	mu          sync.RWMutex
 	topics      map[string]*Topic
-	next        map[string]uint64 // committed cursors, by cursorKey
 	closed      bool
 	appendFault func(topic string, partition int) error
 
@@ -69,24 +65,9 @@ func (b *Broker) injectAppendFault(topic string, partition int) error {
 	return f(topic, partition)
 }
 
-// NewBroker builds a broker on the deployment's "metadata" Yokan database
-// (creating it if the deployment config did not).
-func NewBroker(dep *bedrock.Deployment) *Broker {
-	return &Broker{
-		meta:   dep.Yokan.Open("metadata"),
-		topics: make(map[string]*Topic),
-		next:   make(map[string]uint64),
-	}
-}
-
-// NewStandaloneBroker builds a broker on fresh in-memory services, for uses
-// that do not need a bedrock deployment (tests, embedded collection).
+// NewStandaloneBroker builds an empty in-memory broker.
 func NewStandaloneBroker() *Broker {
-	return &Broker{
-		meta:   yokan.NewDatabase("metadata"),
-		topics: make(map[string]*Topic),
-		next:   make(map[string]uint64),
-	}
+	return &Broker{topics: make(map[string]*Topic)}
 }
 
 // CreateTopic creates a topic. Partition count defaults to 1.
@@ -124,16 +105,11 @@ func (b *Broker) CreateTopic(cfg TopicConfig) (*Topic, error) {
 	return t, nil
 }
 
-// buildTopic builds a topic with empty partitions on b's document store; the
-// caller registers it.
+// buildTopic builds a topic with empty partitions; the caller registers it.
 func (b *Broker) buildTopic(cfg TopicConfig) *Topic {
 	t := &Topic{broker: b, cfg: cfg}
 	for i := 0; i < cfg.Partitions; i++ {
-		p := &Partition{
-			topic: t,
-			index: i,
-			docs:  b.meta.Collection(fmt.Sprintf("topic/%s/p%04d", cfg.Name, i)),
-		}
+		p := &Partition{topic: t, index: i}
 		p.cond = sync.NewCond(&p.mu)
 		t.partitions = append(t.partitions, p)
 	}
@@ -187,12 +163,6 @@ func (b *Broker) topicsLocked() []*Topic {
 	return topics
 }
 
-// cursorKey is the per-(consumer, topic, partition) identifier shared by the
-// broker's cursor map and the on-disk cursor sidecar.
-func cursorKey(consumer, topic string, partition int) string {
-	return fmt.Sprintf("%s/%s/p%04d", consumer, topic, partition)
-}
-
 // Close shuts the broker down: every partition is marked closed, batches
 // still awaiting their commit are committed, durable logs are fsynced and
 // closed, and the committer goroutine has exited when Close returns. Reads of already-published
@@ -243,30 +213,6 @@ func (b *Broker) Sync() error {
 	return errors.Join(errs...)
 }
 
-// commitCursors records several cursors; the sidecar store is rewritten once
-// for all of them.
-func (b *Broker) commitCursors(cursors []wal.Cursor) error {
-	b.mu.Lock()
-	for _, c := range cursors {
-		b.next[c.Key] = c.Next
-	}
-	b.mu.Unlock()
-	if b.cursors != nil {
-		if err := b.cursors.SetBatch(cursors); err != nil {
-			return fmt.Errorf("mofka: persist cursors: %w", err)
-		}
-	}
-	return nil
-}
-
-// LoadCursor returns a consumer's committed next-unread offset (0 if never
-// committed).
-func (b *Broker) LoadCursor(consumer, topic string, partition int) uint64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.next[cursorKey(consumer, topic, partition)]
-}
-
 // Topic is a named event stream divided into partitions.
 type Topic struct {
 	broker     *Broker
@@ -301,8 +247,8 @@ func (t *Topic) Events() uint64 {
 type Partition struct {
 	topic *Topic
 	index int
-	docs  *yokan.Collection
-	log   *wal.Log // durable backend; nil for in-memory partitions
+	docs  yokan.Collection // the events' metadata, in offset order
+	log   *wal.Log         // durable backend; nil for in-memory partitions
 
 	mu     sync.Mutex
 	cond   *sync.Cond    // length grew, staged shrank, or the partition closed

@@ -19,9 +19,8 @@ type Bus interface {
 	// Sync forces everything acknowledged so far to stable storage.
 	Sync() error
 	// ReadView returns a broker holding every acknowledged event, for the
-	// analysis side. A standalone broker's view is the broker itself, live,
-	// its committed cursors included; a cluster's is a snapshot of the
-	// moment, and holds no cursors.
+	// analysis side. A standalone broker's view is the broker itself, live;
+	// a cluster's is a snapshot of the moment.
 	ReadView() (*Broker, error)
 	// Close shuts the deployment down. Idempotent.
 	Close() error

@@ -214,13 +214,6 @@ func (c *Cluster) openBroker(i int) (*mofka.Broker, error) {
 	return mofka.NewDurableBroker(mofka.Options{DataDir: nodeDir(c.cfg.DataDir, i), WAL: c.cfg.WAL})
 }
 
-// Brokers returns the member count.
-func (c *Cluster) Brokers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.nodes)
-}
-
 // Replicas returns the replica set of a partition, preferred leader first:
 // what tests that kill a partition's leader or fault its follower pick the
 // node by. Nil for an unknown partition.

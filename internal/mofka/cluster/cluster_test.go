@@ -32,23 +32,32 @@ func pushN(t *testing.T, ct *ClusterTopic, n int, opts mofka.ProducerOptions) *m
 	return p
 }
 
-// drainAll reads every acknowledged event of every partition.
-func drainAll(t *testing.T, c *Cluster, topic string, parts int) []mofka.Event {
+// ackedAll reads every acknowledged event of every partition, partition by
+// partition.
+func ackedAll(t *testing.T, c *Cluster, topic string, parts int) [][]mofka.Event {
 	t.Helper()
-	var out []mofka.Event
-	for pi := 0; pi < parts; pi++ {
-		var from uint64
+	out := make([][]mofka.Event, parts)
+	for pi := range out {
 		for {
-			evs, err := c.Read(topic, pi, from, 1024)
+			evs, err := c.readAcked(topic, pi, uint64(len(out[pi])), 1024)
 			if err != nil {
 				t.Fatalf("read %s[%d]: %v", topic, pi, err)
 			}
 			if len(evs) == 0 {
 				break
 			}
-			out = append(out, evs...)
-			from += uint64(len(evs))
+			out[pi] = append(out[pi], evs...)
 		}
+	}
+	return out
+}
+
+// drainAll reads every acknowledged event of every partition.
+func drainAll(t *testing.T, c *Cluster, topic string, parts int) []mofka.Event {
+	t.Helper()
+	var out []mofka.Event
+	for _, evs := range ackedAll(t, c, topic, parts) {
+		out = append(out, evs...)
 	}
 	return out
 }
@@ -186,11 +195,7 @@ func TestIdempotentAppendDedup(t *testing.T) {
 	if _, err := c.submitWait("t", 0, "prod-1", 1, epoch, metas); err != nil {
 		t.Fatalf("retry append: %v", err)
 	}
-	n, err := c.Length("t", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
+	if n := len(ackedAll(t, c, "t", 1)[0]); n != 2 {
 		t.Fatalf("length %d after idempotent retry, want 2", n)
 	}
 }
@@ -296,7 +301,7 @@ func TestReadViewMatchesCluster(t *testing.T) {
 			fillTopic(t, c, "other", 1, 10)
 			return c, func(t *testing.T, c *Cluster, view *mofka.Broker) {
 				lengths := func() (out []uint64) {
-					for i := 0; i < c.Brokers(); i++ {
+					for i := 0; i < 3; i++ {
 						n, err := c.NodeBroker(i).Service().PartitionLength("other", 0)
 						if err != nil {
 							t.Fatal(err)
@@ -324,11 +329,15 @@ func TestReadViewMatchesCluster(t *testing.T) {
 						t.Fatalf("the view's %s ends with %s", topic, last.Metadata)
 					}
 				}
-				if topics := c.Topics(); fmt.Sprint(topics) != "[other tasks]" {
+				fresh, err := c.ReadView()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if topics := fresh.Topics(); fmt.Sprint(topics) != "[other tasks]" {
 					t.Fatalf("cluster topics %v after the view created one", topics)
 				}
-				if n, err := c.Length("other", 0); err != nil || n != 10 {
-					t.Fatalf("cluster holds %d events of other, %v; want 10", n, err)
+				if n := len(ackedAll(t, c, "other", 1)[0]); n != 10 {
+					t.Fatalf("cluster holds %d events of other, want 10", n)
 				}
 				if after := lengths(); fmt.Sprint(after) != fmt.Sprint(before) {
 					t.Fatalf("brokers hold %v events of other after the view's append, %v before", after, before)
@@ -360,7 +369,7 @@ func TestReadViewMatchesCluster(t *testing.T) {
 			if err := appendRaw(t, c, "tasks", 0, "A"); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < c.Brokers(); i++ {
+			for i := 0; i < 3; i++ {
 				if i != leader {
 					c.NodeBroker(i).SetAppendFault(func(string, int) error { return errors.New("injected wal fault") })
 				}
@@ -392,7 +401,7 @@ func TestReadViewMatchesCluster(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, after := tc.open(t)
-			want := pullAll(t, c.Service(), "tasks", tc.parts)
+			want := ackedAll(t, c, "tasks", tc.parts)
 			view, err := c.ReadView()
 			if err != nil {
 				t.Fatalf("ReadView: %v", err)

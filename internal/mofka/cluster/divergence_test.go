@@ -71,7 +71,7 @@ func TestRestartDiscardsUnackedDivergentTail(t *testing.T) {
 	if err := appendRaw(t, c, "t", 0, "B"); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("append B: got %v, want ErrUnavailable (quorum failed)", err)
 	}
-	for i := 0; i < c.Brokers(); i++ {
+	for i := 0; i < cfg.Brokers; i++ {
 		if b := c.NodeBroker(i); b != nil {
 			b.SetAppendFault(nil)
 		}

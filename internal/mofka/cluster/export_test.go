@@ -69,3 +69,27 @@ func (c *Cluster) submitWait(topic string, part int, producer string, seq, epoch
 	}
 	return cur, commit.Wait()
 }
+
+// readAcked returns up to max events of the partition's acknowledged prefix
+// from offset from, read off its leader without settling what is in flight:
+// what a reader of the cluster may see at this moment, which tests hold the
+// read view and the post-mortem open to.
+func (c *Cluster) readAcked(topic string, part int, from uint64, max int) ([]mofka.Event, error) {
+	ps, err := c.partition(topic, part)
+	if err != nil {
+		return nil, err
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if from >= ps.acked {
+		return nil, nil
+	}
+	b, ok := c.brokerOf(ps.leader)
+	if ps.leader < 0 || !ok {
+		return nil, ErrUnavailable
+	}
+	if avail := ps.acked - from; uint64(max) > avail {
+		max = int(avail)
+	}
+	return b.Service().Pull(ps.topic, ps.index, from, max)
+}

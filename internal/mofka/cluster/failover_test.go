@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -207,12 +205,8 @@ func TestDurableClusterCrashReopen(t *testing.T) {
 	}
 	p := pushN(t, ct, 150, mofka.ProducerOptions{BatchSize: 10})
 	acked := make(map[int]uint64)
-	for pi := 0; pi < 3; pi++ {
-		n, err := c.Length("tasks", pi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acked[pi] = n
+	for pi, evs := range ackedAll(t, c, "tasks", 3) {
+		acked[pi] = uint64(len(evs))
 	}
 	// kill -9: abandon producer and cluster without Close. SyncBatch (the
 	// default) means every acknowledged batch is already fsynced.
@@ -224,12 +218,8 @@ func TestDurableClusterCrashReopen(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer rc.Close()
-	for pi := 0; pi < 3; pi++ {
-		n, err := rc.Length("tasks", pi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n < acked[pi] {
+	for pi, evs := range ackedAll(t, rc, "tasks", 3) {
+		if n := uint64(len(evs)); n < acked[pi] {
 			t.Errorf("tasks[%d]: recovered %d events, acked was %d (durable loss)", pi, n, acked[pi])
 		}
 	}
@@ -298,12 +288,5 @@ func TestPostMortemClusterLoad(t *testing.T) {
 	}
 	if got := vt.Events(); got != uint64(len(live)) {
 		t.Fatalf("post-mortem holds %d events, live acked %d", got, len(live))
-	}
-	// A node directory is a broker data dir without the cursor sidecar: a
-	// cluster holds no consumer cursors.
-	for i := range cfg.Brokers {
-		if _, err := os.Stat(filepath.Join(nodeDir(dir, i), "cursors.json")); !os.IsNotExist(err) {
-			t.Errorf("node %d: cursors.json present (%v)", i, err)
-		}
 	}
 }

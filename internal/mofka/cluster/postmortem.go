@@ -18,8 +18,7 @@ import (
 // Each node directory is what a standalone durable broker writes —
 // topics/<name>/p<NNNN>/*.seg WAL segments — so every existing WAL tool
 // (recovery, torn-tail truncation, post-mortem loading) applies per node
-// unchanged. It holds no cursors.json: a cursor is the live monitor's
-// bookmark on its own standalone broker, and a cluster has none.
+// unchanged.
 
 const clusterMetaFile = "cluster.json"
 

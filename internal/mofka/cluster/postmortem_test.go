@@ -99,27 +99,20 @@ func refPartition(t *testing.T, dir string) ([]refEvent, error) {
 }
 
 // refView is the content of a merged view: per topic, per partition, the
-// events; and the committed cursors by key.
+// events.
 type refView struct {
-	topics  map[string][][]refEvent
-	cursors map[string]uint64
+	topics map[string][][]refEvent
 }
 
 // refOpen reads broker data directories holding replicas of the same topics
 // (one directory: a standalone broker's) into the view a post-mortem open
 // must give: per partition the longest replica log, the earliest directory
-// on a tie; a standalone broker's cursors as committed, and none for a
-// cluster's node directories. Directories that disagree on a topic's
-// partition count have no view.
+// on a tie. Directories that disagree on a topic's partition count have no
+// view.
 func refOpen(t *testing.T, dirs []string) (refView, error) {
 	t.Helper()
-	v := refView{topics: make(map[string][][]refEvent), cursors: make(map[string]uint64)}
+	v := refView{topics: make(map[string][][]refEvent)}
 	for _, dir := range dirs {
-		if raw, err := os.ReadFile(filepath.Join(dir, "cursors.json")); err == nil && len(dirs) == 1 {
-			if err := json.Unmarshal(raw, &v.cursors); err != nil {
-				t.Fatal(err)
-			}
-		}
 		cfgs, err := filepath.Glob(filepath.Join(dir, "topics", "*", "topic.json"))
 		if err != nil {
 			t.Fatal(err)
@@ -154,8 +147,7 @@ func refOpen(t *testing.T, dirs []string) (refView, error) {
 }
 
 // checkView holds an opened broker to the reference: same topics, and per
-// partition the same dense offsets and metadata bytes; same
-// cursors.
+// partition the same dense offsets and metadata bytes.
 func checkView(t *testing.T, b *mofka.Broker, want refView) {
 	t.Helper()
 	var names []string
@@ -194,21 +186,6 @@ func checkView(t *testing.T, b *mofka.Broker, want refView) {
 					t.Fatalf("%s[%d]/%d: metadata %s, reference %s", name, pi, i, ev.Metadata, ref[i].meta)
 				}
 			}
-		}
-	}
-	keys := make([]string, 0, len(want.cursors))
-	for key := range want.cursors {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		f := strings.Split(key, "/") // consumer/topic/pNNNN
-		part, err := strconv.Atoi(strings.TrimPrefix(f[2], "p"))
-		if err != nil {
-			t.Fatalf("reference cursor key %q: %v", key, err)
-		}
-		if got := b.LoadCursor(f[0], f[1], part); got != want.cursors[key] {
-			t.Fatalf("cursor %s = %d, reference %d", key, got, want.cursors[key])
 		}
 	}
 }
@@ -272,8 +249,7 @@ func fill(t *testing.T, b *mofka.Broker, name string, pi, n int, varied bool) {
 
 // standaloneDir writes a broker data dir: topic "a" (2 partitions, the second
 // with events of varied length) and topic "b" (3 partitions, the last left
-// empty), in small
-// segments, with two cursors committed.
+// empty), in small segments.
 func standaloneDir(t *testing.T, dir string) {
 	t.Helper()
 	b, err := mofka.NewDurableBroker(mofka.Options{DataDir: dir, WAL: wal.Options{Sync: wal.SyncNever}})
@@ -286,11 +262,6 @@ func standaloneDir(t *testing.T, dir string) {
 	fill(t, b, "a", 1, 33, true)
 	fill(t, b, "b", 0, 7, true)
 	fill(t, b, "b", 1, 21, false)
-	for name, next := range map[string][]uint64{"a": {17, 0}, "b": {0, 4, 0}} {
-		tp, err := b.OpenTopic(name)
-		must(t, err)
-		must(t, tp.CommitCursors("mon", next))
-	}
 	must(t, b.Close())
 	resegment(t, dir, 700)
 }
@@ -442,7 +413,7 @@ func TestPostMortemOpen(t *testing.T) {
 		corrupt bool // the open must fail with wal.ErrCorrupt
 		shape   bool // the open must fail naming the topic and the two node directories
 	}{
-		{name: "clean multi-segment dir, empty partition, cursors", build: standaloneDir},
+		{name: "clean multi-segment dir, empty partition", build: standaloneDir},
 		{name: "kill -9 torn tail", build: func(t *testing.T, dir string) {
 			standaloneDir(t, dir)
 			segs := segmentsOf(t, p(dir, "topics", "a", "p0001"), 2)

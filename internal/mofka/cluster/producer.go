@@ -16,9 +16,6 @@ type ClusterTopic struct {
 	parts int
 }
 
-// PartitionCount returns the topic's partition count.
-func (t *ClusterTopic) PartitionCount() int { return t.parts }
-
 // producerSeq is the global producer-id source; ids only need to be unique
 // within a process, and a plain counter keeps them deterministic.
 var producerSeq atomic.Uint64

@@ -204,29 +204,6 @@ func (c *Cluster) buildTopicStateLocked(cfg mofka.TopicConfig, nodes int) *topic
 	return ts
 }
 
-// Topics lists cluster topic names in sorted order.
-func (c *Cluster) Topics() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.topics))
-	for n := range c.topics {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Topic returns a handle for an existing cluster topic.
-func (c *Cluster) Topic(name string) (*ClusterTopic, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ts, ok := c.topics[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", mofka.ErrNoTopic, name)
-	}
-	return &ClusterTopic{c: c, name: name, parts: ts.cfg.Partitions}, nil
-}
-
 func (c *Cluster) partition(topic string, part int) (*partState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -711,44 +688,6 @@ func rankOf(replicas []int, node int) int {
 	return -1
 }
 
-// Read returns up to max events of the partition's acknowledged prefix
-// starting at offset from. Unacknowledged leader-only suffixes are never
-// visible to consumers — they could be lost in a failover.
-func (c *Cluster) Read(topic string, part int, from uint64, max int) ([]mofka.Event, error) {
-	ps, err := c.partition(topic, part)
-	if err != nil {
-		return nil, err
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if from >= ps.acked {
-		return nil, nil
-	}
-	if ps.leader < 0 {
-		return nil, ErrUnavailable
-	}
-	b, ok := c.brokerOf(ps.leader)
-	if !ok {
-		return nil, ErrUnavailable
-	}
-	if avail := ps.acked - from; uint64(max) > avail {
-		max = int(avail)
-	}
-	return b.Service().Pull(ps.topic, ps.index, from, max)
-}
-
-// Length returns the partition's acknowledged length — what consumers can
-// observe.
-func (c *Cluster) Length(topic string, part int) (uint64, error) {
-	ps, err := c.partition(topic, part)
-	if err != nil {
-		return 0, err
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.acked, nil
-}
-
 // recoverTopics rebuilds cluster topic state after reopening a durable
 // cluster: each node broker has already replayed its own WAL; the cluster
 // recomputes placement (a pure function, so it matches the original run),
@@ -802,8 +741,7 @@ func (c *Cluster) recoverTopics() error {
 }
 
 // ReadView materializes the cluster's acknowledged state as a standalone
-// in-memory broker: every topic and every partition's acknowledged prefix. A
-// cluster holds no consumer cursors, so the view starts with none. Post-run
+// in-memory broker: every topic and every partition's acknowledged prefix. Post-run
 // analysis (perfrecup views, the live monitor's final replay,
 // provenance.Records) works on the view unchanged — the cluster looks exactly
 // like the single broker those tools were built for. What is in flight

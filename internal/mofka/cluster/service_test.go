@@ -49,44 +49,71 @@ func fillCluster(t *testing.T, c *Cluster, topic string, log [][][]byte) {
 	}
 }
 
-// deployments are the four ways to reach the log service: a broker and a
-// cluster in process, and each of them across the wire (the broker over TCP,
-// the gateway through its endpoint's own Call, so both the wire and the
-// dispatch behind it are spoken). Each returns the service, what fills the
-// deployment behind it with serviceLog, and what shuts it down.
+// closedClusterLog fills a durable test cluster with serviceLog, closes it,
+// and opens its dir as every reader does (OpenLog): what mofkad serves of a
+// cluster run.
+func closedClusterLog(t *testing.T) *mofka.Broker {
+	t.Helper()
+	dir := t.TempDir()
+	c, err := New(Config{Brokers: 3, ReplicationFactor: 2, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillCluster(t, c, "t", serviceLog)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// overTCP serves svc as mofkad does, on a Mercury endpoint over TCP, and
+// returns a Remote dialled to it.
+func overTCP(t *testing.T, svc mofka.Service) mofka.Service {
+	t.Helper()
+	ep := mercury.NewEndpoint("mofkad")
+	mofka.Serve(ep, svc)
+	srv, err := mercury.Serve(ep, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	cli, err := mercury.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cli.Close() })
+	return mofka.NewRemote(cli)
+}
+
+// deployments are the four ways to reach the log service, each holding
+// serviceLog: a broker filled in process, a cluster's log (a closed durable
+// cluster opened by OpenLog), and each of them across the wire. Each returns
+// the service and what shuts the log behind it down.
 var deployments = []struct {
 	name string
-	open func(t *testing.T) (svc mofka.Service, fill func(t *testing.T), shutdown func() error)
+	open func(t *testing.T) (svc mofka.Service, shutdown func() error)
 }{
-	{"broker", func(t *testing.T) (mofka.Service, func(*testing.T), func() error) {
+	{"broker", func(t *testing.T) (mofka.Service, func() error) {
 		b := mofka.NewStandaloneBroker()
-		return b.Service(), func(t *testing.T) { fillBroker(t, b, "t", serviceLog) }, b.Close
+		fillBroker(t, b, "t", serviceLog)
+		return b.Service(), b.Close
 	}},
-	{"cluster", func(t *testing.T) (mofka.Service, func(*testing.T), func() error) {
-		c := newTestCluster(t, 3, 2)
-		return c.Service(), func(t *testing.T) { fillCluster(t, c, "t", serviceLog) }, c.Close
+	{"cluster", func(t *testing.T) (mofka.Service, func() error) {
+		b := closedClusterLog(t)
+		return b.Service(), b.Close
 	}},
-	{"remote-broker", func(t *testing.T) (mofka.Service, func(*testing.T), func() error) {
+	{"remote-broker", func(t *testing.T) (mofka.Service, func() error) {
 		b := mofka.NewStandaloneBroker()
-		ep := mercury.NewEndpoint("mofkad")
-		mofka.Serve(ep, b.Service())
-		srv, err := mercury.Serve(ep, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		cli, err := mercury.Dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = cli.Close() })
-		return mofka.NewRemote(cli), func(t *testing.T) { fillBroker(t, b, "t", serviceLog) }, b.Close
+		fillBroker(t, b, "t", serviceLog)
+		return overTCP(t, b.Service()), b.Close
 	}},
-	{"remote-gateway", func(t *testing.T) (mofka.Service, func(*testing.T), func() error) {
-		c := newTestCluster(t, 3, 2)
-		ep := mercury.NewEndpoint("cluster-gw")
-		mofka.Serve(ep, c.Service())
-		return mofka.NewRemote(ep), func(t *testing.T) { fillCluster(t, c, "t", serviceLog) }, c.Close
+	{"remote-cluster", func(t *testing.T) (mofka.Service, func() error) {
+		b := closedClusterLog(t)
+		return overTCP(t, b.Service()), b.Close
 	}},
 }
 
@@ -171,8 +198,7 @@ func TestServiceConformance(t *testing.T) {
 	for _, d := range deployments {
 		for _, c := range cases {
 			t.Run(d.name+"/"+c.name, func(t *testing.T) {
-				svc, fill, shutdown := d.open(t)
-				fill(t)
+				svc, shutdown := d.open(t)
 				if c.closed {
 					if err := shutdown(); err != nil {
 						t.Fatal(err)

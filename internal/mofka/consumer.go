@@ -1,11 +1,5 @@
 package mofka
 
-import (
-	"fmt"
-
-	"taskprov/internal/mofka/wal"
-)
-
 // ConsumerOptions configures a subscription.
 type ConsumerOptions struct {
 	// NoData is accepted and has no effect: an event is its metadata, so
@@ -204,26 +198,4 @@ func (c *Consumer) Drain() ([]Event, error) {
 		}
 		out = append(out, ev)
 	}
-}
-
-// CommitCursors durably records where the named consumer stands in the
-// topic, next[p] being the next unread offset of partition p, with one
-// cursor-store write for the whole topic (not one per partition): on a
-// durable broker every commit is an fsynced sidecar rewrite. A partition
-// with nothing read (next 0) is left out; Broker.LoadCursor reads a cursor
-// back.
-func (t *Topic) CommitCursors(consumer string, next []uint64) error {
-	if consumer == "" {
-		return fmt.Errorf("mofka: anonymous consumer cannot commit")
-	}
-	var cursors []wal.Cursor
-	for p, n := range next {
-		if n > 0 {
-			cursors = append(cursors, wal.Cursor{Key: cursorKey(consumer, t.cfg.Name, p), Next: n})
-		}
-	}
-	if len(cursors) == 0 {
-		return nil
-	}
-	return t.broker.commitCursors(cursors)
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"taskprov/internal/mochi/bedrock"
 	"taskprov/internal/mofka/wal"
 )
 
@@ -21,25 +20,23 @@ type Options struct {
 	//
 	//	<DataDir>/topics/<name>/topic.json      topic configuration
 	//	<DataDir>/topics/<name>/p<NNNN>/*.seg   per-partition WAL segments
-	//	<DataDir>/cursors.json                  committed consumer cursors
 	//
-	// Opening a broker on an existing DataDir recovers every topic, event,
-	// and cursor persisted there (truncating torn segment tails left by a
-	// crash).
+	// Opening a broker on an existing DataDir recovers every topic and event
+	// persisted there (truncating torn segment tails left by a crash).
 	DataDir string
 	// WAL tunes the per-partition logs (the fsync policy). Zero values take
 	// the wal package defaults.
 	WAL wal.Options
 	// ReadOnly opens the data directory for post-mortem analysis: events
 	// replay into memory, but nothing on disk is appended, truncated, or
-	// rewritten, and cursor commits stay in-memory only.
+	// rewritten.
 	ReadOnly bool
 }
 
 // NewDurableBroker builds a standalone broker whose partitions are backed by
 // the segmented event log under opts.DataDir. If the directory already holds
-// a log (from a previous run, clean or crashed), its topics, events, and
-// consumer cursors are recovered before the broker is returned.
+// a log (from a previous run, clean or crashed), its topics and events are
+// recovered before the broker is returned.
 func NewDurableBroker(opts Options) (*Broker, error) {
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("mofka: NewDurableBroker needs Options.DataDir")
@@ -51,33 +48,19 @@ func NewDurableBroker(opts Options) (*Broker, error) {
 	return b, nil
 }
 
-// NewBrokerOptions builds a broker on a bedrock deployment's services, with
-// an optional durable backend — the constructor cmd/mofkad uses.
-func NewBrokerOptions(dep *bedrock.Deployment, opts Options) (*Broker, error) {
-	b := NewBroker(dep)
-	if opts.DataDir != "" {
-		if err := b.attachDataDir(opts); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
 // OpenPostMortem opens a data directory for analysis without a live broker
-// process: all topics and cursors replay into an in-memory broker, and the
+// process: all topics replay into an in-memory broker, and the
 // on-disk log is never modified. This is PERFRECUP's post-mortem loading
 // mode.
 func OpenPostMortem(dataDir string) (*Broker, error) {
 	return NewDurableBroker(Options{DataDir: dataDir, ReadOnly: true})
 }
 
-// IsDataDir reports whether dir looks like a durable broker data directory.
+// IsDataDir reports whether dir looks like a durable broker data directory:
+// one holding a topics directory.
 func IsDataDir(dir string) bool {
-	if st, err := os.Stat(filepath.Join(dir, "topics")); err == nil && st.IsDir() {
-		return true
-	}
-	_, err := os.Stat(filepath.Join(dir, "cursors.json"))
-	return err == nil
+	st, err := os.Stat(filepath.Join(dir, "topics"))
+	return err == nil && st.IsDir()
 }
 
 func topicDir(dataDir, name string) string {
@@ -89,9 +72,8 @@ func partitionDir(dataDir, name string, index int) string {
 }
 
 // attachDataDir wires the durable backend into a freshly built broker:
-// loads persisted cursors, recovers every topic directory (config + one pass
-// over each partition's WAL), and leaves writable logs attached for
-// subsequent appends.
+// recovers every topic directory (config + one pass over each partition's
+// WAL), and leaves writable logs attached for subsequent appends.
 func (b *Broker) attachDataDir(opts Options) error {
 	b.dataDir = opts.DataDir
 	b.readOnly = opts.ReadOnly
@@ -103,17 +85,6 @@ func (b *Broker) attachDataDir(opts Options) error {
 			return fmt.Errorf("mofka: data dir: %w", err)
 		}
 	}
-	cs, err := wal.OpenCursorStore(filepath.Join(opts.DataDir, "cursors.json"))
-	if err != nil {
-		return err
-	}
-	for key, next := range cs.All() {
-		b.next[key] = next
-	}
-	if !opts.ReadOnly {
-		b.cursors = cs
-	}
-
 	names, err := topicDirs(opts.DataDir)
 	if err != nil {
 		return err
@@ -261,8 +232,7 @@ func inParallel(n int, job func(i int) error) error {
 // the published one's are kept (see recoverLongest). A topic's configuration
 // comes from the first directory holding it, and a directory that declares
 // the topic with another partition count fails the load. The directories are
-// a cluster's node directories, which hold no consumer cursors: a cursor is
-// the live monitor's bookmark on its own standalone broker.
+// a cluster's node directories.
 func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
 	view := NewStandaloneBroker()
 	type replicas struct {

@@ -42,8 +42,8 @@ func drainAll(t *testing.T, b *Broker, topic string) []Event {
 }
 
 // TestDurableRecoveryAcrossRestart is the satellite recovery scenario:
-// create topics, push, commit cursors, close, reopen from the same DataDir,
-// and assert topics, offsets, event contents, and cursors are identical.
+// create topics, push, close, reopen from the same DataDir, and assert
+// topics, offsets and event contents are identical.
 func TestDurableRecoveryAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	b := newDurable(t, dir)
@@ -66,24 +66,7 @@ func TestDurableRecoveryAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := execs.NewConsumer(ConsumerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := make([]uint64, execs.Partitions())
-	for i := 0; i < 6; i++ {
-		ev, ok := c.Pull()
-		if !ok {
-			t.Fatalf("pull %d: the stream ended", i)
-		}
-		read[ev.Partition] = ev.ID + 1
-		if err := execs.CommitCursors("analysis", read); err != nil {
-			t.Fatal(err)
-		}
-	}
 	liveEvents := drainAll(t, b, "task-executions")
-	liveCursor0 := b.LoadCursor("analysis", "task-executions", 0)
-	liveCursor1 := b.LoadCursor("analysis", "task-executions", 1)
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,22 +98,6 @@ func TestDurableRecoveryAcrossRestart(t *testing.T) {
 			string(l.Metadata) != string(r.Metadata) {
 			t.Fatalf("event %d differs: live %+v vs recovered %+v", i, l, r)
 		}
-	}
-
-	if got := b2.LoadCursor("analysis", "task-executions", 0); got != liveCursor0 {
-		t.Fatalf("cursor p0 = %d, want %d", got, liveCursor0)
-	}
-	if got := b2.LoadCursor("analysis", "task-executions", 1); got != liveCursor1 {
-		t.Fatalf("cursor p1 = %d, want %d", got, liveCursor1)
-	}
-	// A resuming reader picks up exactly where the committed cursors left
-	// off: 20 pushed, 6 consumed-and-committed.
-	rest := 0
-	for _, c := range tp.ChunksFrom([]uint64{liveCursor0, liveCursor1}, 0, ConsumerChunk) {
-		rest += c.N
-	}
-	if rest != 14 {
-		t.Fatalf("resumed order = %d events, want 14", rest)
 	}
 }
 
@@ -271,7 +238,6 @@ func TestPostMortemOpenIsReadOnly(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		p.Push(Metadata{"i": i}, nil)
 	}
-	tp.CommitCursors("mon", []uint64{1})
 	b.Close()
 	// Torn tail, as left by a crash.
 	segs, _ := filepath.Glob(filepath.Join(dir, "topics", "t", "p0000", "*.seg"))
@@ -287,9 +253,6 @@ func TestPostMortemOpenIsReadOnly(t *testing.T) {
 	defer pm.Close()
 	if evs := drainAll(t, pm, "t"); len(evs) != 7 {
 		t.Fatalf("post-mortem drain = %d events", len(evs))
-	}
-	if got := pm.LoadCursor("mon", "t", 0); got != 1 {
-		t.Fatalf("post-mortem cursor = %d", got)
 	}
 	after, _ := os.Stat(segs[len(segs)-1])
 	if after.Size() != before.Size() {

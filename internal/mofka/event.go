@@ -1,9 +1,9 @@
 // Package mofka reimplements the interface shape of the Mofka event
 // streaming service from the Mochi project: topics divided into partitions,
 // producers that push events with batching, and consumers that pull events
-// individually or in bulk; a standalone broker also keeps the cursors its
-// live monitor commits. An event is its JSON metadata, persisted in Yokan
-// collections (and, on a durable broker, a segmented log). Mofka's data
+// individually or in bulk. An event is its JSON metadata, persisted in a
+// Yokan collection per partition (and, on a durable broker, a segmented
+// log). Mofka's data
 // payload beside an event has no counterpart here: bulk bytes travel by
 // reference on the proxy plane (internal/proxystore), which indexes them and
 // stores none.

@@ -181,39 +181,3 @@ func copyTree(t *testing.T, src, dst string) {
 		t.Fatal(err)
 	}
 }
-
-// TestCommitBatchRewritesCursorStoreOnce: committing a topic's cursors over
-// three partitions is one atomic install of cursors.json, not three, and the
-// file holds what three single commits would have left.
-func TestCommitBatchRewritesCursorStoreOnce(t *testing.T) {
-	dir := t.TempDir()
-	b := newDurable(t, dir)
-	defer b.Close()
-	tp, err := b.CreateTopic(TopicConfig{Name: "t", Partitions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := tp.NewProducer(ProducerOptions{})
-	for i := 0; i < 12; i++ {
-		if err := p.Push(Metadata{"i": i}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	installs := fileEvents(t, []string{dir}, syscall.IN_MOVED_TO, syscall.IN_CREATE, "cursors.json")
-	if err := tp.CommitCursors("mon", []uint64{4, 4, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if n := installs()[filepath.Join(dir, "cursors.json")]; n != 1 {
-		t.Fatalf("CommitCursors over three partitions installed cursors.json %d times, want once", n)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "cursors.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `{"mon/t/p0000":4,"mon/t/p0001":4,"mon/t/p0002":4}`; string(got) != want {
-		t.Fatalf("cursors.json holds %s, want %s", got, want)
-	}
-}

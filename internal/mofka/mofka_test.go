@@ -100,38 +100,16 @@ func TestConsumerNoData(t *testing.T) {
 	}
 }
 
-func TestCommitAndResume(t *testing.T) {
-	b, tp := newTopic(t, "t", 1)
-	p := tp.NewProducer(ProducerOptions{})
-	for i := 0; i < 10; i++ {
-		p.Push(Metadata{"i": i}, nil)
+func TestBrokerIsClosed(t *testing.T) {
+	b := NewStandaloneBroker()
+	if _, err := b.CreateTopic(TopicConfig{Name: "open"}); err != nil {
+		t.Fatalf("fresh broker refuses a topic: %v", err)
 	}
-	p.Flush()
-
-	c1, _ := tp.NewConsumer(ConsumerOptions{})
-	for i := 0; i < 4; i++ {
-		ev, ok := c1.Pull()
-		if !ok {
-			t.Fatal("pull failed")
-		}
-		if err := tp.CommitCursors("analysis", []uint64{ev.ID + 1}); err != nil {
-			t.Fatal(err)
-		}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if got := b.LoadCursor("analysis", "t", 0); got != 4 {
-		t.Fatalf("cursor = %d, want 4", got)
-	}
-
-	rest := tp.ChunksFrom([]uint64{b.LoadCursor("analysis", "t", 0)}, 0, ConsumerChunk)
-	if len(rest) != 1 || rest[0].From != 4 || rest[0].N != 6 {
-		t.Fatalf("resumed order = %+v, want offsets 4 to 9", rest)
-	}
-}
-
-func TestAnonymousCommitFails(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	if err := tp.CommitCursors("", []uint64{1}); err == nil {
-		t.Fatal("anonymous commit succeeded")
+	if _, err := b.CreateTopic(TopicConfig{Name: "shut"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed broker creates a topic: %v, want ErrClosed", err)
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 )
 
 // Service is the event log as a reader sees it: four operations, the same
-// whether they land on one broker (Broker.Service), on a sharded, replicated
-// cluster (cluster.Cluster.Service), or cross the wire to either (Remote).
-// Serve exposes any Service on a Mercury endpoint; the remote tailer
-// (live.TailRemote) is written against the interface and cannot tell which
-// deployment answers.
+// whether they land on a broker (Broker.Service) — a run's own, or a finished
+// log opened post-mortem, a cluster's merged into one — or cross the wire to
+// one (Remote). Serve exposes any Service on a Mercury endpoint; the remote
+// tailer (live.TailRemote) is written against the interface and cannot tell
+// which answers.
 //
 // It is the read side and the wire. A session publishes straight into its own
 // deployment: a Producer binds to its broker's or cluster's append (see Bus),
@@ -61,7 +61,7 @@ type topicInfo struct {
 }
 
 // Serve exposes svc on a Mercury endpoint, which mercury.Serve puts on TCP
-// for the daemon (cmd/mofkad), a standalone broker's or a cluster gateway's.
+// for the daemon (cmd/mofkad).
 func Serve(ep *mercury.Endpoint, svc Service) {
 	ep.Register(rpcTopics, func([]byte) ([]byte, error) {
 		return reply(svc.Topics())
@@ -139,7 +139,7 @@ func (s brokerService) PartitionLength(topic string, partition int) (uint64, err
 }
 
 // Remote is the Service at the far end of a Mercury caller: whatever Serve
-// exposed there, a broker or a cluster gateway.
+// exposed there.
 type Remote struct {
 	c mercury.Caller
 }

@@ -9,8 +9,8 @@ import (
 // file in the same directory, fsynced and then renamed over it: a crash or a
 // failure part-way leaves the previous file, never a truncated one, and no
 // temp file behind.
-// It is how every small sidecar of a data dir is written (cursors.json,
-// topic.json, cluster.json, checkpoint.json, attempts.json, metadata.json).
+// It is how every small sidecar of a data dir is written (topic.json,
+// cluster.json, checkpoint.json, attempts.json, metadata.json).
 // The directory itself is not fsynced: after a power loss the rename may not
 // have happened, but whichever version is there is whole.
 func WriteFileAtomic(path string, parts ...[]byte) error {

@@ -381,22 +381,37 @@ func durableCluster(t *testing.T, dir string) (*cluster.Cluster, *cluster.Cluste
 	return c, ct, c.Replicas("t", 0)[1]
 }
 
-// unacknowledged fails the test if the cluster acknowledges any event of t.
+// acknowledged returns the events of t a reader of the cluster sees: those of
+// its read view, which waits out the quorum appends in flight.
+func acknowledged(t *testing.T, c *cluster.Cluster) []mofka.Event {
+	t.Helper()
+	view, err := c.ReadView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := view.Service().Pull("t", 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+// unacknowledged fails the test if a reader of the cluster sees any event of
+// t. Only for a cluster with no quorum append in flight, whose read view
+// answers at once.
 func unacknowledged(t *testing.T, c *cluster.Cluster, when string) {
 	t.Helper()
-	if n, err := c.Length("t", 0); err != nil || n != 0 {
-		t.Fatalf("%s: Cluster.Length = %d (%v), want 0", when, n, err)
-	}
-	if evs, err := c.Read("t", 0, 0, 100); err != nil || len(evs) != 0 {
-		t.Fatalf("%s: Cluster.Read = %d events (%v), want none", when, len(evs), err)
+	if evs := acknowledged(t, c); len(evs) != 0 {
+		t.Fatalf("%s: the read view holds %d events, want none", when, len(evs))
 	}
 }
 
 // TestQuorumAckIsPipelined: a producer on a durable cluster ships a batch
 // while the ones before it await their quorum. With every fsync held, the
-// size-triggered ships return, the cluster acknowledges none of them and
-// Flush blocks; once the fsyncs return, every event is acknowledged, in
-// order, none twice.
+// size-triggered ships return, Flush blocks, and so does a read view: the
+// cluster acknowledges none of the shipped batches before their fsyncs
+// return. Once they do, the view and Flush return together, and the view
+// holds every event, in order, none twice.
 func TestQuorumAckIsPipelined(t *testing.T) {
 	g := newFsyncGate(t)
 	c, ct, _ := durableCluster(t, t.TempDir())
@@ -418,26 +433,36 @@ func TestQuorumAckIsPipelined(t *testing.T) {
 	if shipErr != nil {
 		t.Fatal(shipErr)
 	}
-	unacknowledged(t, c, "with the fsyncs held")
 	flushed := make(chan struct{})
 	var flushErr error
 	go func() { defer close(flushed); flushErr = prod.Flush() }()
 	stillBlocked(t, "Producer.Flush", flushed)
-	unacknowledged(t, c, "with Flush waiting")
+	viewed := make(chan struct{})
+	var held *mofka.Broker
+	var viewErr error
+	go func() { defer close(viewed); held, viewErr = c.ReadView() }()
+	stillBlocked(t, "Cluster.ReadView", viewed)
 
 	g.release()
 	awaitDone(t, "Producer.Flush", flushed)
 	if flushErr != nil {
 		t.Fatal(flushErr)
 	}
-	if n, err := c.Length("t", 0); err != nil || n != 2*ships {
-		t.Fatalf("Cluster.Length = %d (%v) after Flush, want %d", n, err, 2*ships)
+	awaitDone(t, "Cluster.ReadView", viewed)
+	if viewErr != nil {
+		t.Fatal(viewErr)
 	}
-	evs, err := c.Read("t", 0, 0, 100)
-	if err != nil || len(evs) != 2*ships {
-		t.Fatalf("Cluster.Read = %d events (%v), want %d", len(evs), err, 2*ships)
+	evs, err := held.Service().Pull("t", 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 2*ships {
+		t.Fatalf("the view taken with the fsyncs held holds %d events, want %d", len(evs), 2*ships)
 	}
 	checkStream(t, evs)
+	if after := acknowledged(t, c); len(after) != len(evs) {
+		t.Fatalf("the read view holds %d events after Flush, want %d", len(after), len(evs))
+	}
 }
 
 // TestKillSettlesInFlightQuorum: a kill waits out the quorum appends in
@@ -471,9 +496,9 @@ func TestKillSettlesInFlightQuorum(t *testing.T) {
 	if err := prod.Flush(); err != nil {
 		t.Fatalf("Flush of the batches the kill found in flight: %v", err)
 	}
-	acked, err := c.Length("t", 0)
-	if err != nil || acked != events {
-		t.Fatalf("Cluster.Length = %d (%v), want %d", acked, err, events)
+	acked := uint64(len(acknowledged(t, c)))
+	if acked != events {
+		t.Fatalf("the read view holds %d events, want %d", acked, events)
 	}
 	for _, ev := range c.Events() {
 		if ev.Kind == cluster.EventCatchUp {

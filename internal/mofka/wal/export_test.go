@@ -32,14 +32,6 @@ func (l *Log) TornBytes() int64 {
 	return l.torn
 }
 
-// Get returns a committed cursor.
-func (s *CursorStore) Get(key string) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[key]
-	return v, ok
-}
-
 // WithSegmentBytes returns o with the rotation threshold set, for the
 // external tests that need a log of several segments.
 func (o Options) WithSegmentBytes(n int64) Options {

@@ -368,48 +368,6 @@ func TestOversizeRecordRejected(t *testing.T) {
 	}
 }
 
-func TestCursorStore(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cursors.json")
-	s, err := OpenCursorStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetBatch([]Cursor{{Key: "analysis/task-executions/p0000", Next: 41}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetBatch([]Cursor{{Key: "analysis/task-executions/p0000", Next: 42}, {Key: "analysis/task-executions/p0001", Next: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := s.Get("analysis/task-executions/p0000"); !ok || v != 42 {
-		t.Fatalf("Get = %d, %v", v, ok)
-	}
-	// Reopen: cursors survive.
-	s2, err := OpenCursorStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := s2.All()
-	if len(all) != 2 || all["analysis/task-executions/p0001"] != 7 {
-		t.Fatalf("reloaded cursors = %v", all)
-	}
-	// No leftover temp files from the atomic writes.
-	leftovers, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
-	if len(leftovers) != 0 {
-		t.Fatalf("temp files left behind: %v", leftovers)
-	}
-}
-
-func TestCursorStoreCorruptFileErrors(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cursors.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCursorStore(path); err == nil {
-		t.Fatal("corrupt cursor store opened")
-	}
-}
-
 func TestConcurrentAppendReplay(t *testing.T) {
 	l := mustOpen(t, t.TempDir(), Options{Sync: SyncNever, segmentBytes: 4096})
 	defer l.Close()

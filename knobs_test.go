@@ -25,7 +25,7 @@ import (
 // path it selects, or make it a constant at its default (an unexported seam,
 // if the package's own tests need another value). The modelled systems'
 // configs (internal/platform, internal/pfs, internal/dask, internal/mochi)
-// mirror distributed.yaml, Lustre and Bedrock and are out of scope.
+// mirror distributed.yaml, Lustre and Mochi's services and are out of scope.
 func TestEveryKnobIsSet(t *testing.T) {
 	r := loadRepo(t)
 	declared := map[string]bool{}

@@ -110,6 +110,15 @@ if "$tp" run -workflow imageprocessing -seed 11 -out runs -data-dir sched -proxy
 	exit 1
 fi
 run resume "$tp" resume -out runs sched/imageprocessing-0011
+# The same crash on a replicated cluster: its resume reopens the cluster's
+# dir, recovering every node's log and reconciling the replicas.
+step "run-scheduler-kill-cluster"
+if "$tp" run -workflow imageprocessing -seed 17 -out runs -data-dir sched-cluster -cluster 3 -replication 2 \
+	-chaos "scheduler at=30s" >"$work/run-scheduler-kill-cluster.log" 2>&1; then
+	echo "reach: a scheduler kill must end the clustered run with an error" >&2
+	exit 1
+fi
+run resume-cluster "$tp" resume -out runs sched-cluster/imageprocessing-0017
 run list "$tp" list
 run watch-data-dir "$tp" watch -data-dir data/imageprocessing-0003 -once -json
 
@@ -158,21 +167,16 @@ daemon watch-http "serving on" "$tp" watch -data-dir data/imageprocessing-0003 -
 curl_live curl-watch "$(addr watch-http "serving on http://")"
 stop "$daemon_pid"
 
-# mofkad: standalone with a bedrock config, the live monitor and a durable
-# log; standalone over a copy of a finished run's data dir (kept outside
-# work/, which holds only outputs), tailed over TCP; then a cluster gateway
-# over a recovered cluster log, watched over RPC.
-cat >bedrock.json <<'EOF'
-{"address": "127.0.0.1:0", "yokan": {"databases": ["metadata"]}, "warabi": {"targets": ["data"]},
- "ssg": {"groups": [{"name": "members", "suspect_after_ms": 2000, "dead_after_ms": 5000}]}}
-EOF
-daemon mofkad-config "serving on" "$bin/mofkad" -config bedrock.json -data-dir mofkad-data -fsync interval \
-	-live -live-http 127.0.0.1:0
-mofkad=$daemon_pid
-curl_live curl-mofkad "$(addr mofkad-config "live monitor on http://")"
-stop "$mofkad"
-cp -r data/imageprocessing-0003 "$build/served"
-daemon mofkad-served "serving on" "$bin/mofkad" -listen 127.0.0.1:0 -data-dir "$build/served"
+# mofkad refuses a path that holds no event log, and creates nothing there.
+step "refused-mofkad"
+if "$bin/mofkad" -listen 127.0.0.1:0 -data-dir no-such-log >"$work/refused-mofkad.log" 2>&1 || [ -e no-such-log ]; then
+	echo "reach: mofkad must refuse a path that is not a log, and leave it absent" >&2
+	exit 1
+fi
+# mofkad serves finished logs in place, read-only — a standalone run's data
+# dir, tailed over TCP, then a cluster run's, watched over RPC — so the
+# identity manifest holds both dirs to the bytes the runs left.
+daemon mofkad-served "serving on" "$bin/mofkad" -listen 127.0.0.1:0 -data-dir data/imageprocessing-0003
 served=$daemon_pid
 m=$(addr mofkad-served "serving on ")
 run watch-broker "$tp" watch -broker "$m" -once
@@ -180,12 +184,10 @@ daemon watch-broker-http "serving on" "$tp" watch -broker "$m" -http 127.0.0.1:0
 curl_live curl-watch-broker "$(addr watch-broker-http "serving on http://")"
 stop "$daemon_pid"
 stop "$served"
-daemon mofkad-gateway "cluster gateway on" "$bin/mofkad" -listen 127.0.0.1:0 -brokers 3 -replication 2 \
-	-data-dir cluster/imageprocessing-0005
-gateway=$daemon_pid
-gw=$(addr mofkad-gateway "cluster gateway on ")
-run watch-gateway "$tp" watch -broker "$gw" -once -json
-stop "$gateway"
+daemon mofkad-cluster "serving on" "$bin/mofkad" -listen 127.0.0.1:0 -data-dir cluster/imageprocessing-0005
+served=$daemon_pid
+run watch-gateway "$tp" watch -broker "$(addr mofkad-cluster "serving on ")" -once -json
+stop "$served"
 
 # The examples, then every lane of the end-to-end benchmark, traced.
 for d in "$root"/examples/*; do

@@ -78,7 +78,6 @@ var programless = map[string]string{
 	// Accessors read by tests of behaviour that stays.
 	"internal/dask.Client.GraphError":         "accessor: how the dask, core and workloads suites see that a graph erred, or that a recovery path did not make one err",
 	"internal/mofka/cluster.Cluster.Replicas": "accessor: the producer conformance suite kills a partition's leader and the wal commit suite faults its follower, picked by the replica set",
-	"internal/mochi/bedrock.Deployment.Group": "accessor: the bedrock suite checks that the SSG groups a config names are instantiated with its thresholds",
 	"internal/proxystore.Store.Keys":          "accessor: the dask attempt suite lists the live blobs to check the store drains to the no-fault baseline",
 	"internal/perfrecup.LiveReplay":           "reference: the post-mortem side of live ≡ replay that internal/live's crosscheck (TestLiveEqualsArtifactReplay, TestLiveEqualsWALReplay) and internal/workloads' TestPhasesMatchFullReplay compare against",
 	"internal/perfrecup/frame.Inner":          "vocabulary: the zero value of Frame.Join's kind argument, which the frame join tests and BenchmarkHashJoin name; the programs only left-join",
