@@ -76,12 +76,12 @@ bench-proxy:
 
 # Seeded, deterministic fault-injection and recovery suites, race-enabled:
 # the chaos plan parser/controller, the scheduler crash-recovery tests
-# (including the crash-vs-baseline property test and the kill x -speculate
-# regression: a hedge candidate on a dead, not yet evicted worker, on both
-# data planes), the end-to-end degraded sessions in core/perfrecup/live, and
+# (including the crash-vs-baseline property test, the TTL sweep's eviction
+# order and the kill x -speculate regression: a hedge candidate on a dead,
+# not yet evicted worker, on both data planes), the end-to-end degraded sessions in core/perfrecup/live, and
 # the command lines that used to abort the process.
 chaos:
-	$(GO) test -race -run 'TestParse|TestArm|TestPlanCheck|TestEmptyPlan|TestWorkerCrash|TestLostKey|TestWorkerRestart|TestRepeatedCrash|TestCrash|TestHedgeOnDeadWorkerLosesNoTask|TestEmptyHolderSnapshotSurrenders|TestChaos|TestRecoveryTimeline|TestAggregatorRecovery' \
+	$(GO) test -race -run 'TestParse|TestArm|TestPlanCheck|TestEmptyPlan|TestWorkerCrash|TestLostKey|TestWorkerRestart|TestRepeatedCrash|TestCrash|TestTTLSweep|TestHedgeOnDeadWorkerLosesNoTask|TestEmptyHolderSnapshotSurrenders|TestChaos|TestRecoveryTimeline|TestAggregatorRecovery' \
 		./internal/chaos/ ./internal/dask/ ./internal/core/ ./internal/perfrecup/ ./internal/live/
 	$(GO) test -race -run 'TestCmdRunSurvivesKillWithSpeculation' ./cmd/taskprov/
 

@@ -20,9 +20,9 @@
 // DUR is a Go duration ("30s", "1.5m"). "kill" crashes worker N at virtual
 // time at, optionally booting a fresh process restart later. "broker" does
 // the same to broker replica N of a sharded Mofka cluster
-// (internal/mofka/cluster): the node drops out of the SSG membership, its
-// partitions fail over to surviving replicas, and an optional restart
-// rejoins it with catch-up. "scheduler" SIGKILLs the whole coordinator
+// (internal/mofka/cluster): the node is marked dead, its partitions fail
+// over to surviving replicas, and an optional restart rejoins it with
+// catch-up. "scheduler" SIGKILLs the whole coordinator
 // process (scheduler, client, and every worker die together, taking
 // unflushed producer batches with them) either at a virtual time or the
 // moment the named task's execution completes; the run can afterwards be

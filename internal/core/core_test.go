@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"taskprov/internal/darshan"
 	"taskprov/internal/dask"
 	"taskprov/internal/live"
 	"taskprov/internal/mofka"
@@ -356,112 +355,6 @@ func TestRenderChart(t *testing.T) {
 	}
 }
 
-func TestOnlineIOTracer(t *testing.T) {
-	// The future-work mode: POSIX operations stream to Mofka live, while
-	// the wrapped Darshan runtime still builds its log.
-	broker := mofka.NewStandaloneBroker()
-	inner := darshan.NewRuntime(darshan.Config{JobID: "j", Rank: 0, Hostname: "n0", DXTEnabled: true})
-	tracer, err := NewOnlineIOTracer(broker, mofka.ProducerOptions{BatchSize: 4}, inner, 0, "n0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := func(path string, off, n int64, s, e float64) posixio.OpRecord {
-		return posixio.OpRecord{Path: path, TID: 9, Offset: off, Bytes: n,
-			Start: sim.Seconds(s), End: sim.Seconds(e)}
-	}
-	tracer.OpenEvent(rec("/f", 0, 0, 0, 0.01), true)
-	tracer.ReadEvent(rec("/f", 0, 4096, 0.1, 0.2))
-	tracer.WriteEvent(rec("/f", 4096, 512, 0.3, 0.4))
-	tracer.CloseEvent(rec("/f", 0, 0, 0.5, 0.5))
-	if err := tracer.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	metas, err := ioTraces(t, broker)
-	if err != nil || len(metas) != 4 {
-		t.Fatalf("streamed events = %d, %v", len(metas), err)
-	}
-	// Ordering is per-partition only (round-robin partitioner), so check
-	// the multiset of operations and the identity fields.
-	got := map[string]int{}
-	for i, m := range metas {
-		got[m.Op]++
-		if m.Hostname != "n0" || m.ThreadID != 9 {
-			t.Fatalf("event %d identity wrong: %v", i, m)
-		}
-	}
-	for _, op := range []string{"create", "read", "write", "close"} {
-		if got[op] != 1 {
-			t.Fatalf("ops = %v", got)
-		}
-	}
-	// The wrapped Darshan runtime saw everything too.
-	log := inner.Snapshot()
-	if log.TotalOps() != 2 {
-		t.Fatalf("inner darshan ops = %d", log.TotalOps())
-	}
-	if len(log.Records) != 1 || log.Records[0].Path != "/f" || len(log.Records[0].DXT) != 2 {
-		t.Fatal("inner darshan DXT missing")
-	}
-}
-
-func TestOnlineIOTracerEndToEnd(t *testing.T) {
-	// A full instrumented run with the online tracer wrapping each worker's
-	// Darshan runtime: the io-trace topic must match the Darshan logs.
-	broker := mofka.NewStandaloneBroker()
-	cfg := testSession(61)
-	k := sim.NewKernel(cfg.Seed)
-	plat := platform.New(k, cfg.Platform)
-	fsys := pfs.New(k, cfg.PFS)
-	px := posixio.NewFS(fsys)
-	var runtimes []*darshan.Runtime
-	tracers := func(rank int, hostname string) posixio.Tracer {
-		rt := darshan.NewRuntime(darshan.Config{JobID: cfg.JobID, Rank: rank, Hostname: hostname, DXTEnabled: true})
-		runtimes = append(runtimes, rt)
-		online, err := NewOnlineIOTracer(broker, mofka.ProducerOptions{BatchSize: 8}, rt, rank, hostname)
-		if err != nil {
-			t.Fatal(err)
-		}
-		onlineTracers = append(onlineTracers, online)
-		return online
-	}
-	onlineTracers = nil
-	cluster := dask.NewCluster(k, plat, px, cfg.Dask, tracers)
-	wf := &toyWorkflow{files: 8}
-	wf.Stage(&Env{Kernel: k, Platform: plat, PFS: fsys, FS: px, Cluster: cluster})
-	cluster.Start()
-	k.Go(func(p *sim.Proc) {
-		cl := cluster.Client()
-		cl.WaitForWorkers(p, len(cluster.Workers()))
-		wf.Run(p, cl, nil)
-		k.Stop()
-	})
-	k.Run()
-	for _, o := range onlineTracers {
-		if err := o.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	metas, err := ioTraces(t, broker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamedRW int
-	for _, m := range metas {
-		if m.Op == "read" || m.Op == "write" {
-			streamedRW++
-		}
-	}
-	var darshanRW int64
-	for _, rt := range runtimes {
-		darshanRW += rt.Snapshot().TotalOps()
-	}
-	if int64(streamedRW) != darshanRW {
-		t.Fatalf("streamed %d read/write events, darshan has %d", streamedRW, darshanRW)
-	}
-}
-
-var onlineTracers []*OnlineIOTracer
-
 // TestCollectorAllocationBudget guards the event hot path: a scheduler
 // transition through the plugin, the encoder, the producer and an in-memory
 // broker's append costs at most two allocations, amortised over its batch.
@@ -603,21 +496,6 @@ func storedEvents(t *testing.T, broker *mofka.Broker, topic string) []mofka.Even
 		t.Fatal(err)
 	}
 	return evs
-}
-
-// ioTraces decodes the online tracer's io-trace topic.
-func ioTraces(t *testing.T, broker *mofka.Broker) ([]provenance.IOTrace, error) {
-	t.Helper()
-	dec := new(provenance.Decoder)
-	var out []provenance.IOTrace
-	for _, ev := range storedEvents(t, broker, provenance.TopicIOTrace) {
-		rec, err := dec.IOTrace(ev.Metadata)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
 }
 
 // TestSchedulerLogOrdersSimultaneousGraphs: graphs submitted at the same

@@ -40,17 +40,7 @@ type Config struct {
 	// DARSHAN_DEF_MOD_REC_COUNT: operations on files beyond the cap are
 	// not tracked at all. Zero means DefaultMaxFileRecords.
 	MaxFileRecords int
-
-	// DXTAdaptiveSampling implements the paper's future-work idea of
-	// "dynamically adjusting our data capture in response to changes in
-	// workflow behavior": once the DXT buffer falls below a quarter of its
-	// budget, only every 4th segment is recorded, stretching the remaining
-	// memory over the rest of the run instead of truncating it outright.
-	DXTAdaptiveSampling bool
 }
-
-// dxtSampleStride is the sampling rate in adaptive mode.
-const dxtSampleStride = 4
 
 // DefaultMaxFileRecords matches Darshan's default per-module record count.
 const DefaultMaxFileRecords = 1024
@@ -132,9 +122,6 @@ type Runtime struct {
 	files          map[string]*FileRecord
 	heatmap        *Heatmap
 	dxtBudget      int
-	dxtInitial     int
-	dxtSampleSkip  int
-	dxtSampling    bool
 	dxtDropped     int64
 	recordsDropped int64
 	startClock     sim.Time
@@ -151,10 +138,9 @@ func NewRuntime(cfg Config) *Runtime {
 		cfg.MaxFileRecords = DefaultMaxFileRecords
 	}
 	r := &Runtime{
-		cfg:        cfg,
-		files:      make(map[string]*FileRecord),
-		dxtBudget:  cfg.DXTBufferSegments,
-		dxtInitial: cfg.DXTBufferSegments,
+		cfg:       cfg,
+		files:     make(map[string]*FileRecord),
+		dxtBudget: cfg.DXTBufferSegments,
 	}
 	r.heatmap = newHeatmap(DefaultHeatmapBins)
 	return r
@@ -189,9 +175,7 @@ func (r *Runtime) touchClock(start, end sim.Time) {
 }
 
 // addSegment appends a DXT segment if the module is enabled and the buffer
-// has room; otherwise the segment is dropped and counted. In adaptive mode
-// the module downshifts to 1-in-N sampling when the budget runs low,
-// trading uniform coverage for completeness of the tail.
+// has room; otherwise the segment is dropped and counted.
 func (r *Runtime) addSegment(fr *FileRecord, seg Segment) {
 	if !r.cfg.DXTEnabled {
 		return
@@ -199,16 +183,6 @@ func (r *Runtime) addSegment(fr *FileRecord, seg Segment) {
 	if r.dxtBudget <= 0 {
 		r.dxtDropped++
 		return
-	}
-	if r.cfg.DXTAdaptiveSampling && !r.dxtSampling && r.dxtBudget*4 <= r.dxtInitial {
-		r.dxtSampling = true
-	}
-	if r.dxtSampling {
-		r.dxtSampleSkip++
-		if r.dxtSampleSkip%dxtSampleStride != 0 {
-			r.dxtDropped++
-			return
-		}
 	}
 	r.dxtBudget--
 	fr.DXT = append(fr.DXT, seg)

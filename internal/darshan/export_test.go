@@ -2,13 +2,6 @@ package darshan
 
 // Observers the in-package tests read a runtime, a heatmap and a log through.
 
-// DXTSamplingActive reports whether adaptive sampling has engaged.
-func (r *Runtime) DXTSamplingActive() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dxtSampling
-}
-
 // DXTDropped reports how many trace segments were lost to the buffer limit.
 func (r *Runtime) DXTDropped() int64 {
 	r.mu.Lock()

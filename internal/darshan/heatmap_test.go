@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"taskprov/internal/posixio"
-	"taskprov/internal/sim"
 )
 
 func TestHeatmapAccumulates(t *testing.T) {
@@ -137,45 +134,5 @@ func TestHeatmapRender(t *testing.T) {
 	}
 	if (&Heatmap{}).Render() == "" || strings.Contains((*Heatmap)(nil).Render(), "R |") {
 		t.Fatal("degenerate renders wrong")
-	}
-}
-
-var _ = posixio.OpRecord{}
-var _ = sim.Second
-
-func TestDXTAdaptiveSampling(t *testing.T) {
-	c := Config{JobID: "j", DXTEnabled: true, DXTBufferSegments: 100, DXTAdaptiveSampling: true}
-	r := NewRuntime(c)
-	for i := 0; i < 400; i++ {
-		r.ReadEvent(op("/f", 1, int64(i)*100, 100, float64(i), float64(i)+0.5))
-	}
-	log := r.Snapshot()
-	rec, _ := log.Record("/f")
-	if !r.DXTSamplingActive() {
-		t.Fatal("adaptive sampling never engaged")
-	}
-	// Non-adaptive would keep exactly the first 100; adaptive keeps the
-	// first 75 densely plus a 1-in-4 sample of the rest, covering later
-	// timestamps.
-	last := rec.DXT[len(rec.DXT)-1]
-	if last.Start <= 100 {
-		t.Fatalf("adaptive trace ends at %.0fs; tail not covered", last.Start)
-	}
-	if len(rec.DXT) > 100 {
-		t.Fatalf("budget exceeded: %d segments", len(rec.DXT))
-	}
-	// The fixed-budget variant stops early.
-	c.DXTAdaptiveSampling = false
-	r2 := NewRuntime(c)
-	for i := 0; i < 400; i++ {
-		r2.ReadEvent(op("/f", 1, int64(i)*100, 100, float64(i), float64(i)+0.5))
-	}
-	rec2, _ := r2.Snapshot().Record("/f")
-	if tail := rec2.DXT[len(rec2.DXT)-1]; tail.Start > 100 {
-		t.Fatalf("fixed-budget trace unexpectedly covers %.0fs", tail.Start)
-	}
-	// Both flag partiality.
-	if !r.Snapshot().Job.Partial || !r2.Snapshot().Job.Partial {
-		t.Fatal("partial flag missing")
 	}
 }

@@ -141,8 +141,8 @@ const (
 // emitted on the warnings topic so degraded runs carry their own recovery
 // timeline in the provenance stream.
 const (
-	// WarnWorkerLost: the scheduler declared a worker dead after missed
-	// heartbeats and evicted it from the SSG membership group.
+	// WarnWorkerLost: the scheduler declared a worker dead, silent for
+	// WorkerTTL or replaced by a fresh process, and evicted it.
 	WarnWorkerLost WarningKind = "worker_lost"
 	// WarnWorkerRejoined: a previously lost worker reconnected.
 	WarnWorkerRejoined WarningKind = "worker_rejoined"

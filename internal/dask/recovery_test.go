@@ -2,6 +2,7 @@ package dask
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"taskprov/internal/sim"
@@ -305,5 +306,49 @@ func TestCrashDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("warning %d differs:\n%+v\n%+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestTTLSweepEvictsInConnectionOrder pins distributed's worker-ttl sweep:
+// every connected worker silent for at least WorkerTTL is evicted, once, in
+// the order it connected. Worker 0 is killed and restarted, so it reconnects
+// after worker 1; then both die at the same instant and, under seed 1, expire
+// in the same sweep (the test checks that they do), where the later-connected
+// worker 0 must go second despite its lower rank. Worker 2 dies 1.5 s later, so its last heartbeat is still inside the
+// TTL at that sweep and it stays until a later one; worker 3 never dies.
+func TestTTLSweepEvictsInConnectionOrder(t *testing.T) {
+	env := newEnv(1, smallCfg())
+	env.k.At(sim.Seconds(4), func() { env.c.KillWorker(0) })
+	env.k.At(sim.Seconds(9), func() { env.c.RestartWorker(0) })
+	env.k.At(sim.Seconds(12), func() { env.c.KillWorker(0); env.c.KillWorker(1) })
+	env.k.At(sim.Seconds(13.5), func() { env.c.KillWorker(2) })
+	env.runWorkflow(func(p *sim.Proc, cl *Client) { p.Sleep(sim.Seconds(20) - p.Now()) })
+
+	addr := func(rank int) string { return env.c.Workers()[rank].Addr() }
+	var lost []Warning
+	for _, w := range env.rec.warnings {
+		if w.Kind != WarnWorkerLost {
+			continue
+		}
+		if !strings.Contains(w.Message, "missed heartbeats") {
+			t.Errorf("worker_lost %q does not say missed heartbeats", w.Message)
+		}
+		if w.At > sim.Seconds(12) {
+			lost = append(lost, w)
+		}
+	}
+	if len(lost) != 3 {
+		t.Fatalf("worker_lost after the double kill = %+v, want workers 1, 0, 2", lost)
+	}
+	for i, rank := range []int{1, 0, 2} {
+		if lost[i].Worker != addr(rank) {
+			t.Errorf("eviction %d is %s, want worker %d (%s)", i, lost[i].Worker, rank, addr(rank))
+		}
+	}
+	if lost[0].At != lost[1].At {
+		t.Errorf("workers 1 and 0 expired in different sweeps (%v, %v)", lost[0].At, lost[1].At)
+	}
+	if lost[2].At <= lost[1].At {
+		t.Errorf("worker 2 evicted at %v, not after the sweep at %v", lost[2].At, lost[1].At)
 	}
 }

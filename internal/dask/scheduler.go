@@ -4,9 +4,8 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"time"
+	"slices"
 
-	"taskprov/internal/mochi/ssg"
 	"taskprov/internal/platform"
 	"taskprov/internal/sim"
 )
@@ -40,11 +39,11 @@ type Scheduler struct {
 	holderMark []bool
 	best       []*workerHandle
 
-	// group is the SSG membership group the scheduler maintains over its
-	// workers: heartbeats feed it, and a liveness sweep declares silent
-	// workers dead, triggering eviction and task recovery.
-	group      *ssg.Group
-	memberRank map[ssg.MemberID]int
+	// nextConn numbers worker connections, and expired is sweepTTL's
+	// scratch: the TTL sweep evicts the workers it finds silent in the order
+	// they connected.
+	nextConn int
+	expired  []*workerHandle
 
 	// memo holds the previous attempt's completion frontier when this
 	// scheduler is resuming a crashed run (SeedResume): tasks found here at
@@ -316,10 +315,11 @@ type workerHandle struct {
 	processing []*schedTask // tasks with a live attempt here, in no order
 	memory     int64
 
-	// SSG membership: the current incarnation's member ID, valid while
-	// joined. everConnected distinguishes a first connect from a rejoin.
-	ssgID         ssg.MemberID
-	joined        bool
+	// Liveness: when the scheduler last heard from the current incarnation
+	// (its connection or a heartbeat), and its place in connection order.
+	// everConnected distinguishes a first connect from a rejoin.
+	lastSeen      sim.Time
+	connSeq       int
 	everConnected bool
 
 	// In-flight steal accounting, so one tick's batch of moves does not
@@ -353,21 +353,12 @@ func newScheduler(c *Cluster, node *platform.Node) *Scheduler {
 		tasks:       make(map[TaskKey]*schedTask),
 		graphs:      make(map[int]*graphState),
 		prefixDur:   make(map[string]*durAvg),
-		memberRank:  make(map[ssg.MemberID]int),
 		specSamples: make(map[string][]float64),
 		rng:         c.kernel.RNG("dask/scheduler"),
 	}
-	s.group = ssg.NewGroup("dask/workers", ssg.Config{
-		SuspectAfter: time.Duration(c.cfg.WorkerTTL) / 2,
-		DeadAfter:    time.Duration(c.cfg.WorkerTTL),
-	})
-	s.group.Observe(s.onMembership)
 	s.stealTicker = s.stealTick
 	return s
 }
-
-// ssgNow maps the virtual clock onto the wall-clock type SSG speaks.
-func (s *Scheduler) ssgNow() time.Time { return time.Unix(0, int64(s.c.kernel.Now())) }
 
 func (s *Scheduler) registerWorkers(ws []*Worker) {
 	for _, w := range ws {
@@ -391,7 +382,7 @@ func (s *Scheduler) start() {
 		sweepRNG := s.c.kernel.RNG("dask/scheduler/sweep")
 		var sweep func()
 		sweep = func() {
-			s.group.Sweep(s.ssgNow())
+			s.sweepTTL()
 			s.c.kernel.After(sweepRNG.JitterTime(s.c.cfg.HeartbeatInterval, s.c.cfg.HeartbeatJitterCV), sweep)
 		}
 		s.c.kernel.After(sweepRNG.JitterTime(s.c.cfg.HeartbeatInterval, s.c.cfg.HeartbeatJitterCV), sweep)
@@ -409,13 +400,9 @@ func (s *Scheduler) workerConnected(rank int) {
 		s.evictWorker(wh, "worker restarted")
 	}
 	rejoin := wh.everConnected
-	if wh.joined {
-		delete(s.memberRank, wh.ssgID)
-		s.group.Leave(wh.ssgID)
-	}
-	wh.ssgID = s.group.Join(wh.w.addr, s.ssgNow())
-	wh.joined = true
-	s.memberRank[wh.ssgID] = rank
+	wh.lastSeen = s.c.kernel.Now()
+	wh.connSeq = s.nextConn
+	s.nextConn++
 	wh.connected = true
 	wh.everConnected = true
 	if rejoin {
@@ -425,31 +412,28 @@ func (s *Scheduler) workerConnected(rank int) {
 	s.drainQueued()
 }
 
-// handleHeartbeat records a worker heartbeat in the membership group,
-// reviving Suspect members.
+// handleHeartbeat records that a connected worker is alive.
 func (s *Scheduler) handleHeartbeat(rank int) {
-	wh := s.workers[rank]
-	if !wh.connected || !wh.joined {
-		return
+	if wh := s.workers[rank]; wh.connected {
+		wh.lastSeen = s.c.kernel.Now()
 	}
-	s.group.Heartbeat(wh.ssgID, s.ssgNow())
 }
 
-// onMembership reacts to SSG liveness verdicts: a member declared dead is
-// evicted, with all its tasks and data recovered elsewhere.
-func (s *Scheduler) onMembership(ev ssg.Event) {
-	if ev.Kind != ssg.EventFail {
-		return
+// sweepTTL is distributed's worker-ttl check: every connected worker silent
+// for at least WorkerTTL is declared dead and evicted, with all its tasks and
+// data recovered elsewhere, in the order the workers connected.
+func (s *Scheduler) sweepTTL() {
+	now := s.c.kernel.Now()
+	s.expired = s.expired[:0]
+	for _, wh := range s.workers {
+		if wh.connected && now-wh.lastSeen >= s.c.cfg.WorkerTTL {
+			s.expired = append(s.expired, wh)
+		}
 	}
-	rank, ok := s.memberRank[ev.Member.ID]
-	if !ok {
-		return
+	slices.SortFunc(s.expired, func(a, b *workerHandle) int { return a.connSeq - b.connSeq })
+	for _, wh := range s.expired {
+		s.evictWorker(wh, "missed heartbeats")
 	}
-	wh := s.workers[rank]
-	if !wh.connected || !wh.joined || wh.ssgID != ev.Member.ID {
-		return
-	}
-	s.evictWorker(wh, "missed heartbeats")
 }
 
 // emitRecovery fans a failure/recovery warning out to the worker plugins, so
@@ -465,8 +449,8 @@ func (s *Scheduler) emitRecovery(kind WarningKind, worker, hostname, msg string)
 	}
 }
 
-// evictWorker removes a dead worker from the cluster's working set: its SSG
-// membership is dropped, its in-memory replicas are forgotten (keys whose
+// evictWorker removes a dead worker from the cluster's working set: it
+// counts as disconnected, its in-memory replicas are forgotten (keys whose
 // last replica lived there are recomputed from their dependencies), and the
 // tasks it was processing are rescheduled — Dask's resilience model.
 func (s *Scheduler) evictWorker(wh *workerHandle, reason string) {
@@ -474,11 +458,6 @@ func (s *Scheduler) evictWorker(wh *workerHandle, reason string) {
 		return
 	}
 	wh.connected = false
-	if wh.joined {
-		delete(s.memberRank, wh.ssgID)
-		s.group.Leave(wh.ssgID)
-		wh.joined = false
-	}
 	wh.occupancy, wh.memory = 0, 0
 	wh.inbound, wh.outbound = 0, 0
 	clear(wh.processing)

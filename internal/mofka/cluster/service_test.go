@@ -102,7 +102,7 @@ var deployments = []struct {
 		fillBroker(t, b, "t", serviceLog)
 		return b.Service(), b.Close
 	}},
-	{"cluster", func(t *testing.T) (mofka.Service, func() error) {
+	{"cluster-log", func(t *testing.T) (mofka.Service, func() error) {
 		b := closedClusterLog(t)
 		return b.Service(), b.Close
 	}},
@@ -111,7 +111,7 @@ var deployments = []struct {
 		fillBroker(t, b, "t", serviceLog)
 		return overTCP(t, b.Service()), b.Close
 	}},
-	{"remote-cluster", func(t *testing.T) (mofka.Service, func() error) {
+	{"remote-cluster-log", func(t *testing.T) (mofka.Service, func() error) {
 		b := closedClusterLog(t)
 		return overTCP(t, b.Service()), b.Close
 	}},
@@ -132,7 +132,7 @@ func TestServiceConformance(t *testing.T) {
 		closed bool // the deployment is shut down before run
 		run    func(t *testing.T, svc mofka.Service)
 	}{
-		{"create, list, info", false, func(t *testing.T, svc mofka.Service) {
+		{"topic list and info", false, func(t *testing.T, svc mofka.Service) {
 			topics, err := svc.Topics()
 			if err != nil || len(topics) != 1 || topics[0] != "t" {
 				t.Fatalf("Topics = %v, %v", topics, err)
@@ -142,7 +142,7 @@ func TestServiceConformance(t *testing.T) {
 				t.Fatalf("TopicInfo = %d, %v", parts, err)
 			}
 		}},
-		{"push, pull with and without data", false, func(t *testing.T, svc mofka.Service) {
+		{"pull by offset and max", false, func(t *testing.T, svc mofka.Service) {
 			evs, err := svc.Pull("t", 0, 0, 10)
 			if err != nil || len(evs) != 2 {
 				t.Fatalf("Pull = %d events, %v", len(evs), err)

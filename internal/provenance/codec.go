@@ -39,20 +39,6 @@ type GraphEvent struct {
 // GraphDone is the Event value of a graph completion.
 const GraphDone = "done"
 
-// IOTrace is one record of the io-trace topic: a POSIX operation the online
-// I/O tracer streamed the moment it completed.
-type IOTrace struct {
-	Op       string // "create", "open", "read", "write" or "close"
-	Rank     int
-	Hostname string
-	Path     string
-	ThreadID uint64
-	Offset   int64
-	Bytes    int64
-	Start    sim.Time
-	End      sim.Time
-}
-
 // ---- encoding ----
 
 const hexDigits = "0123456789abcdef"
@@ -396,29 +382,6 @@ func AppendGraphEvent(dst []byte, g GraphEvent) []byte {
 	return append(dst, '}')
 }
 
-// AppendIOTrace appends r's canonical event metadata to dst.
-func AppendIOTrace(dst []byte, r IOTrace) []byte {
-	dst = append(dst, `{"bytes":`...)
-	dst = strconv.AppendInt(dst, r.Bytes, 10)
-	dst = append(dst, `,"end":`...)
-	dst = appendSeconds(dst, r.End)
-	dst = append(dst, `,"hostname":`...)
-	dst = AppendString(dst, r.Hostname)
-	dst = append(dst, `,"offset":`...)
-	dst = strconv.AppendInt(dst, r.Offset, 10)
-	dst = append(dst, `,"op":`...)
-	dst = AppendString(dst, r.Op)
-	dst = append(dst, `,"path":`...)
-	dst = AppendString(dst, r.Path)
-	dst = append(dst, `,"rank":`...)
-	dst = strconv.AppendInt(dst, int64(r.Rank), 10)
-	dst = append(dst, `,"start":`...)
-	dst = appendSeconds(dst, r.Start)
-	dst = append(dst, `,"thread_id":`...)
-	dst = strconv.AppendUint(dst, r.ThreadID, 10)
-	return append(dst, '}')
-}
-
 // ---- decoding ----
 
 // Decoder reads stored event metadata into typed records, one method per
@@ -757,37 +720,6 @@ func (x *Decoder) GraphEvent(b []byte) (GraphEvent, error) {
 		}
 	}
 	return g, d.end()
-}
-
-// IOTrace decodes metadata written by AppendIOTrace.
-func (x *Decoder) IOTrace(b []byte) (IOTrace, error) {
-	var r IOTrace
-	d := x.begin(b)
-	for ok := d.top(); ok && d.more('}'); {
-		switch string(d.key()) {
-		case "op":
-			r.Op = d.ident()
-		case "rank":
-			r.Rank = int(d.num())
-		case "hostname":
-			r.Hostname = d.ident()
-		case "path":
-			r.Path = d.ident()
-		case "thread_id":
-			r.ThreadID = uint64(d.num())
-		case "offset":
-			r.Offset = int64(d.num())
-		case "bytes":
-			r.Bytes = int64(d.num())
-		case "start":
-			r.Start = d.seconds()
-		case "end":
-			r.End = d.seconds()
-		default:
-			d.skip()
-		}
-	}
-	return r, d.end()
 }
 
 // Validate accepts exactly the metadata every record method accepts — a JSON

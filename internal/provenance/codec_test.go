@@ -40,25 +40,6 @@ var (
 		func(m mofka.Metadata) GraphEvent {
 			return GraphEvent{GraphID: int(Num(m, "graph_id")), Event: Str(m, "event"), At: Num(m, "at")}
 		}}
-	// The online tracer's map form, as core.OnlineIOTracer built it before
-	// the codec.
-	ioTraceCodec = codec[IOTrace]{"io-trace", AppendIOTrace, (*Decoder).IOTrace,
-		func(r IOTrace) mofka.Metadata {
-			return mofka.Metadata{
-				"op": r.Op, "rank": r.Rank, "hostname": r.Hostname,
-				"path": r.Path, "thread_id": r.ThreadID,
-				"offset": r.Offset, "bytes": r.Bytes,
-				"start": r.Start.Seconds(), "end": r.End.Seconds(),
-			}
-		},
-		func(m mofka.Metadata) IOTrace {
-			return IOTrace{
-				Op: Str(m, "op"), Rank: int(Num(m, "rank")), Hostname: Str(m, "hostname"),
-				Path: Str(m, "path"), ThreadID: uint64(Num(m, "thread_id")),
-				Offset: int64(Num(m, "offset")), Bytes: int64(Num(m, "bytes")),
-				Start: sim.Seconds(Num(m, "start")), End: sim.Seconds(Num(m, "end")),
-			}
-		}}
 )
 
 // Hostile field values: everything encoding/json escapes or rewrites, and
@@ -228,16 +209,6 @@ func hostileGraphEvents() []GraphEvent {
 	return out
 }
 
-func hostileIOTraces() []IOTrace {
-	var p pick
-	out := []IOTrace{{}, {ThreadID: math.MaxUint64}}
-	for i := 0; i < hostileRounds; i++ {
-		out = append(out, IOTrace{Op: p.str(), Rank: int(p.int64()), Hostname: p.str(), Path: p.str(),
-			ThreadID: uint64(p.int64()), Offset: p.int64(), Bytes: p.int64(), Start: p.time(), End: p.time()})
-	}
-	return out
-}
-
 // checkCodec holds one type's typed pair to its map pair: the encoder byte
 // for byte, the decoder record for record, on every given record. x is
 // shared by every record, so most of them decode with a used scratch.
@@ -279,7 +250,6 @@ func TestCodecMatchesMapAPI(t *testing.T) {
 	checkCodec(t, x, stealCodec, hostileSteals())
 	checkCodec(t, x, speculationCodec, hostileSpeculations())
 	checkCodec(t, x, graphCodec, hostileGraphEvents())
-	checkCodec(t, x, ioTraceCodec, hostileIOTraces())
 }
 
 // TestGraphDoneMatchesMapBuilder pins the one graph event the plugins emit
@@ -358,7 +328,6 @@ func TestCodecRoundTrip(t *testing.T) {
 			Wasted: s(0.25), Attempt: 3, Detail: "lost the race", At: s(2)}
 	})...)
 	roundTrip(t, graphCodec, GraphEvent{}, GraphEvent{GraphID: 3, Event: GraphDone, At: 12.000000001}, GraphEvent{Event: "other", At: -1e-7})
-	roundTrip(t, ioTraceCodec, IOTrace{}, IOTrace{Op: "read", Rank: 3, Hostname: "n0", Path: "/f", ThreadID: 9, Offset: 4096, Bytes: 512, Start: s(0.5), End: s(0.75)})
 }
 
 // TestAppendSecondsMatchesAppendFloat checks the direct digit path against
@@ -473,7 +442,6 @@ func decodeAll(b []byte) map[string]error {
 	_, errs["steal"] = x.Steal(b)
 	_, errs["speculation"] = x.Speculation(b)
 	_, errs["graph-event"] = x.GraphEvent(b)
-	_, errs["io-trace"] = x.IOTrace(b)
 	return errs
 }
 
@@ -583,7 +551,6 @@ func FuzzCodec(f *testing.F) {
 		fuzzCodec(t, warm, stealCodec, in)
 		fuzzCodec(t, warm, speculationCodec, in)
 		fuzzCodec(t, warm, graphCodec, in)
-		fuzzCodec(t, warm, ioTraceCodec, in)
 	})
 }
 

@@ -36,7 +36,7 @@ var sampleDecoders = map[string]sampleDecoder{
 	TopicExecutions: decodes(executionCodec), TopicTransfers: decodes(transferCodec),
 	TopicWarnings: decodes(warningCodec), TopicHeartbeats: decodes(heartbeatCodec),
 	TopicSteals: decodes(stealCodec), TopicGraphs: decodes(graphCodec), TopicProxy: decodes(proxyCodec),
-	TopicSpeculation: decodes(speculationCodec), TopicIOTrace: decodes(ioTraceCodec),
+	TopicSpeculation: decodes(speculationCodec),
 }
 
 // ownSlices counts the allocations a record's own slices take when decoded

@@ -47,10 +47,6 @@ const (
 	// wasted seconds), promotions, RPC retries, and retry-budget exhaustion.
 	TopicSpeculation = "speculation"
 
-	// TopicIOTrace carries the POSIX operations the online I/O tracer streams
-	// at runtime (core.OnlineIOTracer); it is not part of AllTopics.
-	TopicIOTrace = "io-trace"
-
 	// TopicAnomalies carries the live monitor's online findings back into
 	// the event space, so anomalies are themselves provenance (see
 	// internal/live).

@@ -18,7 +18,7 @@ import (
 // composite-literal key, or where it lies anywhere on the selector path of an
 // assignment target (cfg.Speculation.Enabled = … sets both fields). A set
 // inside the type's own withDefaults or setDefaults does not count: that only
-// fills in what nobody set.
+// fills in what nobody set. No field is exempt.
 //
 // A field no program sets doubles the configurations tests and benchmarks
 // would have to cover for behaviour nothing runs: delete it with the code
@@ -28,7 +28,6 @@ import (
 // mirror distributed.yaml, Lustre and Mochi's services and are out of scope.
 func TestEveryKnobIsSet(t *testing.T) {
 	r := loadRepo(t)
-	declared := map[string]bool{}
 	var unset []string
 	for _, dir := range r.dirs {
 		slash := filepath.ToSlash(dir)
@@ -45,14 +44,8 @@ func TestEveryKnobIsSet(t *testing.T) {
 			if _, field := e.obj.(*types.Var); !field || e.owner == nil || !isKnobType(e.owner) {
 				continue
 			}
-			name := slash + "." + e.name
-			declared[name] = true
-			_, listed := unsetKnobs[name]
-			switch set := r.set[e.obj.Pos()]; {
-			case set && listed:
-				t.Errorf("unsetKnobs lists %s, but a program sets it now; drop the entry", name)
-			case !set && !listed:
-				unset = append(unset, r.fset.Position(e.obj.Pos()).String()+": "+name)
+			if !r.set[e.obj.Pos()] {
+				unset = append(unset, r.fset.Position(e.obj.Pos()).String()+": "+slash+"."+e.name)
 			}
 		}
 	}
@@ -60,25 +53,11 @@ func TestEveryKnobIsSet(t *testing.T) {
 	for _, u := range unset {
 		t.Errorf("%s is an option no program sets; delete it with the path it selects, or make it a constant at its default", u)
 	}
-	for name, reason := range unsetKnobs {
-		if !declared[name] {
-			t.Errorf("unsetKnobs lists %s, which is not an option field; drop the entry", name)
-		}
-		if strings.TrimSpace(reason) == "" {
-			t.Errorf("unsetKnobs lists %s without a reason", name)
-		}
-	}
 }
 
 // modelled are the packages whose configs describe the simulated systems
 // rather than the framework.
 var modelled = []string{"internal/platform", "internal/pfs", "internal/dask", "internal/mochi"}
-
-// unsetKnobs is the allowlist: option fields no program sets that stay anyway,
-// each with the reason.
-var unsetKnobs = map[string]string{
-	"internal/darshan.Config.DXTAdaptiveSampling": "paper §VI: adaptive DXT sampling, whose fate ROADMAP item 5 decides with the online tracer's",
-}
 
 // isKnobType reports whether tn is an exported struct type named *Options or
 // *Config.

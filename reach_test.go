@@ -34,13 +34,11 @@ import (
 // REACH.txt has one line per function, keyed by file and name (Type.Name for
 // a method), never by line number, with a reason from a closed set:
 //
-//	internal/core/online.go NewOnlineIOTracer §VI: fully-online I/O capture
+//	internal/mofka/wal/wal.go Log.TruncateTo fault: a restarted broker drops its unacknowledged divergent tail; TestTruncateTo
 //
 // "fault:" a fault path, naming the test (Test*/Fuzz*) or the chaos spec
 // (chaos "...") that exercises it; "seam:" a test seam; "surface:" an RPC or
-// interface surface, naming its test; "§VI:" the paper's §VI online I/O
-// tracing (ROADMAP item 5), which only the online tracer and the encoder and
-// typed reader of its io-trace topic may cite.
+// interface surface, naming its test.
 func TestReach(t *testing.T) {
 	dir := flag.Arg(0)
 	if dir == "" {
@@ -123,8 +121,8 @@ taskprov/bench/e2e/main.go:1.1,2.2 1 0
 	check(listed+"internal/x/x.go Gone seam: it was deleted\n", "internal/x/x.go Gone: listed in", "no program links")
 	check(listed+"internal/x/x.go Empty seam: empty\n", "internal/x/x.go Empty: listed in", "no program links")
 	check(strings.Replace(listed, "fault: TestIdle", "fault: TestNoSuchTest", 1), "must name the test", "no program links")
-	check(strings.Replace(listed, "fault: TestIdle", "guess: why not", 1), "not one of fault, seam, surface, §VI", "no program links")
-	check(strings.Replace(listed, "seam: an accessor", "§VI: online", 1), "§VI covers only", "no program links")
+	check(strings.Replace(listed, "fault: TestIdle", "guess: why not", 1), "not one of fault, seam, surface", "no program links")
+	check(strings.Replace(listed, "seam: an accessor", "§VI: online", 1), `kind "§VI" is not one of fault, seam, surface`, "no program links")
 }
 
 // reachCensus is what one comparison found.
@@ -389,9 +387,6 @@ func reachFuncName(fd *ast.FuncDecl) string {
 var (
 	reachTestName  = regexp.MustCompile(`\b(Test|Fuzz)\w+`)
 	reachChaosSpec = regexp.MustCompile(`chaos "([^"]+)"`)
-	// reachSectionVI are the only functions the §VI reason may cover: the
-	// online I/O tracer and the encoder and typed reader of its topic.
-	reachSectionVI = regexp.MustCompile(`^internal/(core/\S+ (NewOnlineIOTracer|OnlineIOTracer\.\w+)|provenance/\S+ (AppendIOTrace|Decoder\.IOTrace))$`)
 )
 
 // readReachList reads REACH.txt into its entries by key, with a problem for
@@ -419,7 +414,7 @@ func readReachList(path string, tests map[string]bool) (map[string]string, []str
 			problems = append(problems, fmt.Sprintf("%s: %s listed twice", where, key))
 		}
 		entries[key] = strings.Join(fields[2:], " ")
-		if p := reachReasonProblem(key, entries[key], tests); p != "" {
+		if p := reachReasonProblem(entries[key], tests); p != "" {
 			problems = append(problems, fmt.Sprintf("%s: %s: %s", where, key, p))
 		}
 	}
@@ -427,7 +422,7 @@ func readReachList(path string, tests map[string]bool) (map[string]string, []str
 }
 
 // reachReasonProblem says what is wrong with one entry's reason, or "".
-func reachReasonProblem(key, reason string, tests map[string]bool) string {
+func reachReasonProblem(reason string, tests map[string]bool) string {
 	kind, detail, ok := strings.Cut(reason, ":")
 	if detail = strings.TrimSpace(detail); !ok || detail == "" {
 		return `the reason must be "KIND: DETAIL"`
@@ -452,12 +447,8 @@ func reachReasonProblem(key, reason string, tests map[string]bool) string {
 			return "an RPC or interface surface must name its test (a declared Test*/Fuzz*)"
 		}
 	case "seam":
-	case "§VI":
-		if !reachSectionVI.MatchString(key) {
-			return "§VI covers only the online I/O tracer, AppendIOTrace and Decoder.IOTrace"
-		}
 	default:
-		return fmt.Sprintf("kind %q is not one of fault, seam, surface, §VI", kind)
+		return fmt.Sprintf("kind %q is not one of fault, seam, surface", kind)
 	}
 	return ""
 }

@@ -68,12 +68,11 @@ func TestNoUnusedExports(t *testing.T) {
 }
 
 // programless is the allowlist: exports no program reaches that stay anyway,
-// each with the reason. Four kinds belong here and nothing else — plain
+// each with the reason. Three kinds belong here and nothing else — plain
 // accessors that tests of surviving behaviour observe through from another
 // package (an in-package observer lives in that package's export_test.go
-// instead), the reference replay those tests hold the live monitor to, the
-// paper's §VI online I/O tracer, and the one constant that is vocabulary of
-// a method programs call.
+// instead), the reference replay those tests hold the live monitor to, and
+// the one constant that is vocabulary of a method programs call.
 var programless = map[string]string{
 	// Accessors read by tests of behaviour that stays.
 	"internal/dask.Client.GraphError":         "accessor: how the dask, core and workloads suites see that a graph erred, or that a recovery path did not make one err",
@@ -81,9 +80,6 @@ var programless = map[string]string{
 	"internal/proxystore.Store.Keys":          "accessor: the dask attempt suite lists the live blobs to check the store drains to the no-fault baseline",
 	"internal/perfrecup.LiveReplay":           "reference: the post-mortem side of live ≡ replay that internal/live's crosscheck (TestLiveEqualsArtifactReplay, TestLiveEqualsWALReplay) and internal/workloads' TestPhasesMatchFullReplay compare against",
 	"internal/perfrecup/frame.Inner":          "vocabulary: the zero value of Frame.Join's kind argument, which the frame join tests and BenchmarkHashJoin name; the programs only left-join",
-	"internal/core.NewOnlineIOTracer":         "paper §VI: fully-online I/O capture, a library mode no SessionConfig reaches yet (ROADMAP)",
-	"internal/core.OnlineIOTracer.Flush":      "paper §VI: ships the online tracer's pending batches",
-	"internal/provenance.Decoder.IOTrace":     "paper §VI: the typed reader of the online tracer's io-trace topic",
 }
 
 // export is one exported identifier of a swept package: its name within the
