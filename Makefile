@@ -95,12 +95,17 @@ chaos:
 # and the wire golden — named on a line of their own, uncached, so a rename
 # cannot drop them from the gate. So is the remote tailer against what mofkad
 # serves of a standalone run's dir and a cluster run's, each held to the
-# replay of the run's own broker, each dir unchanged by the serving.
+# replay of the run's own broker, each dir unchanged by the serving. So are
+# the replicas of one admitted batch: a follower storing the leader's very
+# documents, a batch with an invalid event left on no replica, and a follower
+# healed by catch-up in a session whose log equals its leader's.
 cluster:
 	$(GO) test -race ./internal/mofka/cluster/
 	$(GO) test -race -count=1 -run 'TestServiceConformance|TestWireGolden' ./internal/mofka/cluster/
+	$(GO) test -race -count=1 -run 'TestFollowerStoresLeaderDocuments|TestInvalidBatchStoresNothing' ./internal/mofka/cluster/
 	$(GO) test -race -count=1 -run 'TestTailRemoteEqualsReplayBroker' ./internal/live/
 	$(GO) test -race -run 'TestCluster' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestClusterHealedFollowerLogEqualsLeader' ./internal/core/
 
 # Property push, race-enabled: random DAGs through the scheduler (exactly
 # once, dependency order, determinism), random kill/restart schedules under
@@ -255,7 +260,9 @@ simcost:
 # pinned count, the whole batch refused for one invalid event, a payload
 # refused before anything is stored, encoding/json's stored form for what is
 # not in it, a partition serving exactly that form, the pass against
-# json.Valid over its seed corpus, and a
+# json.Valid over its seed corpus, a quorum append to a 3-broker RF2 cluster
+# admitting its batch once (one arena and one documents slice in all, which
+# every replica stores), and a
 # Darshan log written and read back with no malloc per word. Then one
 # iteration of the admission benchmark, so it cannot go uncompiled.
 collectcost:
@@ -263,6 +270,8 @@ collectcost:
 	$(GO) test -count=1 -run 'TestCollectOnAllocBudget' ./internal/workloads/
 	$(GO) test -count=1 -run 'TestLogCodecAllocationsDoNotGrowWithSegments|TestBinaryRoundTrip' ./internal/darshan/
 	$(GO) test -count=1 -run 'TestAdmissionReadsAndAllocatesPerBatch|TestAppendRejectsInvalidMetadata|TestPayloadRefused|TestAppendStoresCompactedMetadata|TestPartitionRoundTrip|FuzzAdmission' ./internal/mofka/
+	$(GO) test -count=1 -run 'TestQuorumAppendAdmitsOnce|TestFollowerStoresLeaderDocuments|TestInvalidBatchStoresNothing' ./internal/mofka/cluster/
+	$(GO) test -count=1 -run 'TestClusterHealedFollowerLogEqualsLeader' ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmit' -benchtime 1x ./internal/mofka/
 
 # What-if validation: self-replay of the unchanged scenario on the seeded

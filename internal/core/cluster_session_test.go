@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"taskprov/internal/dask"
+	"taskprov/internal/mofka"
 	mcluster "taskprov/internal/mofka/cluster"
 	"taskprov/internal/provenance"
 )
@@ -217,4 +221,91 @@ func TestClusterChaosDeterministicTimeline(t *testing.T) {
 			t.Fatalf("cluster event %d differs:\n%+v\n%+v", i, a[i], b[i])
 		}
 	}
+}
+
+// TestClusterHealedFollowerLogEqualsLeader: broker 1 of a durable 3-broker
+// RF=2 cluster dies 3 virtual seconds into a run and rejoins 4 seconds
+// later. With a quorum of one its partitions' survivors keep taking
+// appends meanwhile, so the restarted broker lags and is healed by
+// catch-up: it stores the leaders' documents and frames them in its own
+// log. At the end of the run every replica's log of every partition, read
+// back from its node directory, holds the same documents: the healed
+// follower's log equals its leader's.
+func TestClusterHealedFollowerLogEqualsLeader(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "log")
+	cfg := clusterSession(21)
+	cfg.ClusterQuorum = 1
+	cfg.ChaosSpec = "broker node=1 at=3s restart=4s"
+	cfg.MofkaDataDir = dir
+	wf := &crashWorkflow{width: 32}
+	art, err := Run(cfg, wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caughtUp := 0
+	for _, ev := range art.Cluster.Events() {
+		if ev.Kind == mcluster.EventCatchUp && ev.Node == 1 {
+			caughtUp++
+		}
+	}
+	if caughtUp == 0 {
+		t.Fatal("broker 1 was never caught up")
+	}
+	logs := make([]*mofka.Broker, cfg.ClusterBrokers)
+	for i := range logs {
+		if logs[i], err = mofka.OpenPostMortem(filepath.Join(dir, fmt.Sprintf("node-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	healed := 0
+	for _, name := range logs[0].Topics() {
+		tp, err := logs[0].OpenTopic(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for part := 0; part < tp.Partitions(); part++ {
+			replicas := art.Cluster.Replicas(name, part)
+			var want [][]byte
+			for rank, node := range replicas {
+				got := nodeDocs(t, logs[node], name, part)
+				if rank == 0 {
+					want = got
+					continue
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s[%d]: node %d's log holds %d events, node %d's %d", name, part, node, len(got), replicas[0], len(want))
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("%s[%d] event %d: node %d's log holds %s, node %d's %s", name, part, i, node, got[i], replicas[0], want[i])
+					}
+				}
+				if node == 1 && len(got) > 0 {
+					healed++
+				}
+			}
+		}
+	}
+	if healed == 0 {
+		t.Fatal("broker 1 follows no partition that holds events")
+	}
+}
+
+// nodeDocs returns the documents b stores of topic[part].
+func nodeDocs(t *testing.T, b *mofka.Broker, topic string, part int) [][]byte {
+	t.Helper()
+	tp, err := b.OpenTopic(topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := tp.Partition(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs [][]byte
+	p.Scan(0, 0, func(_ uint64, doc []byte) bool {
+		docs = append(docs, doc)
+		return true
+	})
+	return docs
 }

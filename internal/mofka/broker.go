@@ -270,47 +270,64 @@ func (p *Partition) Length() uint64 {
 }
 
 // Submit is the first half of an append, on the caller's goroutine and in
-// caller order: the fault hook and admission accept or refuse the batch, its
-// metadata become the documents the partition stores, and on a durable
-// partition its frames are written to the log, which fixes its offsets. What remains is the commit —
-// the fsync that covers the batch, then its documents stored, the length
-// advanced and waiting consumers woken, in submit order — so that every
-// event a consumer can observe is also recoverable. An in-memory partition,
-// and a log whose policy does not fsync per batch, commit before Submit
-// returns (a nil Commit). A log that does hands the commit to the broker's
-// committer, whose one fsync covers every batch staged on the partition
-// since the last; Submit then blocks only while maxStaged batches are staged
-// ahead of it.
+// caller order: Admit, then Store. Admission accepts or refuses the batch
+// and makes its metadata the documents the partition stores; storing runs
+// the fault hook and, on a durable partition, writes the frames to the log,
+// which fixes its offsets. What remains is the commit — the fsync that
+// covers the batch, then its documents stored, the length advanced and
+// waiting consumers woken, in submit order — so that every event a consumer
+// can observe is also recoverable. An in-memory partition, and a log whose
+// policy does not fsync per batch, commit before Submit returns (a nil
+// Commit). A log that does hands the commit to the broker's committer, whose
+// one fsync covers every batch staged on the partition since the last;
+// Submit then blocks only while maxStaged batches are staged ahead of it.
 //
 // An error means nothing of the batch was kept. Everything a caller can
 // decide on is reported here; Commit.Wait can only report a failed fsync.
 func (p *Partition) Submit(metas [][]byte) (*Commit, error) {
-	if len(metas) == 0 {
-		return nil, nil
-	}
-	if err := p.topic.broker.injectAppendFault(p.topic.cfg.Name, p.index); err != nil {
+	a, err := p.Admit(metas)
+	if err != nil {
 		return nil, err
 	}
+	return p.Store(a)
+}
+
+// Admitted is a batch through admission: its metadata as pushed, which a
+// log frames, and the documents a partition stores, in stored form. The
+// documents are immutable once admitted, so one admitted batch may be
+// stored on every replica of a partition: each stores the same bytes under
+// an index of its own. Outside this package only Admit and Partition.Stored
+// make one.
+type Admitted struct {
+	metas [][]byte
+	docs  [][]byte
+}
+
+// Len is the number of events in the batch.
+func (a Admitted) Len() int { return len(a.docs) }
+
+// Admit runs admission over a batch for p: one invalid event refuses the
+// whole batch, with ErrInvalidEvent, before anything is written anywhere.
+// The documents of an accepted batch are copied into one arena, as its
+// producer reuses its memory; the batch's metas stay the caller's, and must
+// not change until the last Store of it has returned.
+func (p *Partition) Admit(metas [][]byte) (Admitted, error) {
 	return p.admit(metas, false)
 }
 
-// admit is the one batch step behind both a live append and the recovery of
-// a partition from its log (recovered: the events are already on disk, so
-// nothing is written there, the commit is immediate, and a read-only or
-// closed broker still takes them). Disk bytes are no more trusted than a
-// producer's: admission runs over every event either way.
+// admit is the one admission step behind both a live append and the
+// recovery of a partition from its log (recovered: the events are already on
+// disk). Disk bytes are no more trusted than a producer's: admission runs
+// over every event either way.
 //
 // An event's document is its metadata in stored form (see storedForm). A
 // recovered event already in that form is stored as the very bytes the log
 // read — metas is then rewritten in place — since the log never reuses them
-// (wal.OpenReplay); a live batch's are copied into one arena, as its
-// producer reuses its memory.
-func (p *Partition) admit(metas [][]byte, recovered bool) (*Commit, error) {
-	// Admission comes before anything is written anywhere: one invalid event
-	// refuses the whole batch and leaves no WAL record and no document
-	// behind. The same pass tells which events are not yet in the form the
-	// broker stores, one bit each — on the stack up to a producer's default
-	// batch of 128.
+// (wal.OpenReplay); a live batch's are copied into one arena.
+func (p *Partition) admit(metas [][]byte, recovered bool) (Admitted, error) {
+	// The pass tells which events are not yet in the form the broker
+	// stores, one bit each — on the stack up to a producer's default batch
+	// of 128.
 	var inline [2]uint64
 	rewrite := inline[:]
 	if len(metas) > 64*len(inline) {
@@ -323,7 +340,7 @@ func (p *Partition) admit(metas [][]byte, recovered bool) (*Commit, error) {
 		}
 		valid, stored := scanMetadata(m)
 		if !valid {
-			return nil, fmt.Errorf("mofka: event %d of a batch for %s[%d]: %w: metadata is not valid JSON", i, p.topic.cfg.Name, p.index, ErrInvalidEvent)
+			return Admitted{}, fmt.Errorf("mofka: event %d of a batch for %s[%d]: %w: metadata is not valid JSON", i, p.topic.cfg.Name, p.index, ErrInvalidEvent)
 		}
 		if stored {
 			size += len(m)
@@ -349,8 +366,51 @@ func (p *Partition) admit(metas [][]byte, recovered bool) (*Commit, error) {
 			docs[i] = arena[start:len(arena):len(arena)]
 		}
 	}
+	return Admitted{metas: metas, docs: docs}, nil
+}
 
-	// The whole submit happens under the partition lock so WAL offsets and
+// Stored returns up to max of p's committed documents from offset from as an
+// admitted batch, without copying them: what a lagging replica of the same
+// partition stores to catch up. They were admitted when p stored them, and
+// a stored document never changes (see Scan), so the other replica's log
+// frames them in the form p stores and its index shares their bytes.
+func (p *Partition) Stored(from uint64, max int) Admitted {
+	p.mu.Lock()
+	n := p.length
+	p.mu.Unlock()
+	if from >= n {
+		return Admitted{}
+	}
+	if k := n - from; max <= 0 || uint64(max) > k {
+		max = int(k)
+	}
+	docs := make([][]byte, 0, max)
+	p.Scan(from, max, func(_ uint64, doc []byte) bool {
+		docs = append(docs, doc)
+		return true
+	})
+	return Admitted{metas: docs, docs: docs}
+}
+
+// Store is the storing half of Submit: the fault hook, then, on a durable
+// partition, the batch's frames written to the log, then its documents
+// staged for the committer or published. The error and the commit are
+// Submit's.
+func (p *Partition) Store(a Admitted) (*Commit, error) {
+	if a.Len() == 0 {
+		return nil, nil
+	}
+	if err := p.topic.broker.injectAppendFault(p.topic.cfg.Name, p.index); err != nil {
+		return nil, err
+	}
+	return p.store(a, false)
+}
+
+// store stores an admitted batch (recovered: read from p's own log, so
+// nothing is written there, the commit is immediate, and a read-only or
+// closed broker still takes it).
+func (p *Partition) store(a Admitted, recovered bool) (*Commit, error) {
+	// The whole store happens under the partition lock so WAL offsets and
 	// in-memory event IDs assign in the same order across concurrent
 	// producers — replaying the log reproduces the exact live stream.
 	b := p.topic.broker
@@ -368,7 +428,7 @@ func (p *Partition) admit(metas [][]byte, recovered bool) (*Commit, error) {
 		}
 	}
 	if p.log != nil && !recovered {
-		for _, m := range metas {
+		for _, m := range a.metas {
 			p.recs = append(p.recs, wal.Record{Meta: m})
 		}
 		// Only a log that fsyncs per batch has a commit worth taking off the
@@ -388,7 +448,7 @@ func (p *Partition) admit(metas [][]byte, recovered bool) (*Commit, error) {
 		}
 		if stage {
 			c := NewCommit()
-			p.staged = append(p.staged, stagedBatch{docs: docs, commit: c})
+			p.staged = append(p.staged, stagedBatch{docs: a.docs, commit: c})
 			if !p.queued {
 				p.queued = true
 				b.commits.enqueue(p)
@@ -396,7 +456,7 @@ func (p *Partition) admit(metas [][]byte, recovered bool) (*Commit, error) {
 			return c, nil
 		}
 	}
-	p.publishLocked(docs)
+	p.publishLocked(a.docs)
 	p.cond.Broadcast()
 	return nil, nil
 }
@@ -410,8 +470,7 @@ func (p *Partition) publishLocked(docs [][]byte) {
 
 // Append publishes a batch of pre-encoded events directly to this partition,
 // bypassing producer batching, and returns once it is committed: Submit, then
-// the wait. The cluster's read view fills a partition a remote member leads
-// with it. datas must be nil or all empty — an event is its metadata, and
+// the wait. datas must be nil or all empty — an event is its metadata, and
 // the parameter stays for the callers that compile against it (bench/e2e); a
 // non-empty payload is refused with ErrInvalidEvent before anything is
 // stored.

@@ -302,9 +302,15 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 	q.acks = q.inline[:0]
 	leaderHas := producer != "" && ps.appliedSeq(ps.leader, producer) >= seq
 	var leaderCommit *mofka.Commit
+	var admitted mofka.Admitted
 	if !leaderHas {
+		// The batch is admitted once, before any replica stores it, and
+		// every replica that takes it directly stores that admitted batch.
 		var err error
-		if leaderCommit, err = ps.submitTo(leaderBroker, ps.leader, metas); err != nil {
+		if admitted, err = ps.admitOn(leaderBroker, metas); err == nil {
+			leaderCommit, err = ps.storeTo(leaderBroker, ps.leader, admitted)
+		}
+		if err != nil {
 			return ps.epoch, nil, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
 		}
 		leaderEnd += batch
@@ -335,7 +341,7 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 		}
 		end := c.logEndLocked(ps, b, r)
 		if !leaderHas && end == leaderEnd-batch {
-			if fc, err := ps.submitTo(b, r, metas); err == nil {
+			if fc, err := ps.storeTo(b, r, admitted); err == nil {
 				q.acks = append(q.acks, replicaAck{r, fc})
 				if producer != "" {
 					ps.setApplied(r, producer, seq)
@@ -381,18 +387,28 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 	return ps.epoch, commit, evs, err
 }
 
-// submitTo submits a batch to replica node's partition, b's, and moves the
-// replica's log-end past it. The batch is admitted and its offsets fixed
-// here; what it returns is the commit to wait for (see
-// mofka.Partition.Submit). Caller holds ps.mu.
-func (ps *partState) submitTo(b *mofka.Broker, node int, metas [][]byte) (*mofka.Commit, error) {
+// admitOn runs admission over a batch on b's partition (see
+// mofka.Partition.Admit).
+func (ps *partState) admitOn(b *mofka.Broker, metas [][]byte) (mofka.Admitted, error) {
+	p, err := partitionOf(b, ps.topic, ps.index)
+	if err != nil {
+		return mofka.Admitted{}, err
+	}
+	return p.Admit(metas)
+}
+
+// storeTo stores an admitted batch on replica node's partition, b's, and
+// moves the replica's log-end past it. Its offsets are fixed here; what it
+// returns is the commit to wait for (see mofka.Partition.Submit). Caller
+// holds ps.mu.
+func (ps *partState) storeTo(b *mofka.Broker, node int, a mofka.Admitted) (*mofka.Commit, error) {
 	p, err := partitionOf(b, ps.topic, ps.index)
 	if err != nil {
 		return nil, err
 	}
-	commit, err := p.Submit(metas)
+	commit, err := p.Store(a)
 	if err == nil {
-		ps.ends[rankOf(ps.replicas, node)] += uint64(len(metas))
+		ps.ends[rankOf(ps.replicas, node)] += uint64(a.Len())
 	}
 	return commit, err
 }
@@ -535,7 +551,7 @@ func (ps *partState) aliveReplicas(c *Cluster) []int {
 	return out
 }
 
-// syncReplicaLocked copies the partition's events from donor to dst in
+// syncReplicaLocked has dst store the partition's events from donor in
 // catchUpBatch chunks until dst holds the donor's prefix [0, want), and
 // adopts the donor's dedup table. dst's current length is read fresh here,
 // once what is in flight has settled, rather than trusted from the caller — a
@@ -550,6 +566,10 @@ func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) 
 	if err != nil {
 		return 0, err
 	}
+	donorLog, err := partitionOf(donorBroker, ps.topic, ps.index)
+	if err != nil {
+		return 0, err
+	}
 	have := dstLog.Length()
 	var copied uint64
 	for have < want {
@@ -557,18 +577,21 @@ func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) 
 		if n > catchUpBatch {
 			n = catchUpBatch
 		}
-		evs, err := donorBroker.Service().Pull(ps.topic, ps.index, have, n)
+		// The donor's stored documents, shared: dst frames them in the
+		// form the donor stores and keeps their bytes under its own index.
+		batch := donorLog.Stored(have, n)
+		if batch.Len() == 0 {
+			break
+		}
+		commit, err := dstLog.Store(batch)
+		if err == nil {
+			err = commit.Wait()
+		}
 		if err != nil {
 			return copied, err
 		}
-		if len(evs) == 0 {
-			break
-		}
-		if err := dstLog.Append(metadataOf(evs), nil); err != nil {
-			return copied, err
-		}
-		have += uint64(len(evs))
-		copied += uint64(len(evs))
+		have += uint64(batch.Len())
+		copied += uint64(batch.Len())
 	}
 	ps.setEnd(dst, have)
 	if copied > 0 || have == want {
@@ -794,15 +817,6 @@ func (c *Cluster) viewLocked(ps *partState, vp *mofka.Partition) error {
 		return err
 	}
 	return vp.ShareFrom(lp, ps.acked)
-}
-
-// metadataOf returns the events' metadata: the batch that stores them again.
-func metadataOf(evs []mofka.Event) [][]byte {
-	metas := make([][]byte, len(evs))
-	for i, ev := range evs {
-		metas[i] = ev.Metadata
-	}
-	return metas
 }
 
 // topicStatesLocked returns every topic's state in name order: what acts on

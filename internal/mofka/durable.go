@@ -99,7 +99,7 @@ func (b *Broker) attachDataDir(opts Options) error {
 		parts = append(parts, t.partitions...)
 		b.topics[cfg.Name] = t
 	}
-	err = inParallel(len(parts), func(i int) error {
+	recoverPart := func(i int) error {
 		p := parts[i]
 		segs, err := wal.ListSegments(partitionDir(opts.DataDir, p.topic.cfg.Name, p.index))
 		if err != nil {
@@ -119,8 +119,8 @@ func (b *Broker) attachDataDir(opts Options) error {
 			return fmt.Errorf("mofka: close recovered log %s[%d]: %w", p.topic.cfg.Name, p.index, err)
 		}
 		return nil
-	})
-	if err != nil {
+	}
+	if err = inParallel(len(parts), func() func(i int) error { return recoverPart }); err != nil {
 		for _, p := range parts {
 			if p.log != nil {
 				_ = p.log.Close() // the recovery failure is the error that matters
@@ -171,8 +171,8 @@ func readTopicConfig(dataDir, name string) (TopicConfig, error) {
 // recoverFrom rebuilds the partition from the log segs lists, so the consumer
 // API serves exactly the persisted stream: the log's one validating pass over
 // its segments hands the records over by the batch, and each batch goes
-// through admit, which keeps the metadata where the log read it. It returns
-// the opened log.
+// through admit, which keeps the metadata where the log read it, and is
+// stored. It returns the opened log.
 func (p *Partition) recoverFrom(segs wal.Segments, opts wal.Options) (*wal.Log, error) {
 	var metas [][]byte
 	l, err := wal.OpenReplay(segs, opts, func(recs []wal.Record) error {
@@ -180,7 +180,11 @@ func (p *Partition) recoverFrom(segs wal.Segments, opts wal.Options) (*wal.Log, 
 		for _, r := range recs {
 			metas = append(metas, r.Meta)
 		}
-		_, err := p.admit(metas, true)
+		a, err := p.admit(metas, true)
+		if err != nil {
+			return err
+		}
+		_, err = p.store(a, true)
 		return err
 	})
 	if err != nil {
@@ -190,10 +194,11 @@ func (p *Partition) recoverFrom(segs wal.Segments, opts wal.Options) (*wal.Log, 
 }
 
 // inParallel runs job(0) … job(n-1) on up to GOMAXPROCS goroutines and
-// returns the failure with the lowest index. Jobs start in index order and
-// none starts once one has failed, so which failure that is does not depend
-// on scheduling.
-func inParallel(n int, job func(i int) error) error {
+// returns the failure with the lowest index. Each goroutine calls worker once
+// for the job function it runs, so a job can reuse what its worker keeps
+// from one job to the next. Jobs start in index order and none starts once
+// one has failed, so which failure that is does not depend on scheduling.
+func inParallel(n int, worker func() func(i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -202,6 +207,7 @@ func inParallel(n int, job func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			job := worker()
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -273,8 +279,11 @@ func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
 		}
 	}
 
-	err := inParallel(len(jobs), func(i int) error {
-		return jobs[i].part.recoverLongest(jobs[i].dirs)
+	err := inParallel(len(jobs), func() func(i int) error {
+		var w wal.Window // the worker's, for every replica it validates
+		return func(i int) error {
+			return jobs[i].part.recoverLongest(jobs[i].dirs, &w)
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -287,11 +296,11 @@ func OpenPostMortemReplicas(dataDirs []string) (*Broker, error) {
 // tie) and validates the others. The candidate is the replica whose segments
 // hold the most bytes, the earliest directory on a tie: it is recovered
 // straight into p in its one validating pass, keeping its buffers. The others
-// are validated through the reader's window and kept nowhere. Only when one
-// of them proves longer — the candidate's tail was torn, say — or as long
-// from an earlier directory does p drop what it holds and recover that one:
-// the one case where a segment is read twice.
-func (p *Partition) recoverLongest(dataDirs []string) error {
+// are validated through w, the window of the goroutine running the job, and
+// kept nowhere. Only when one of them proves longer — the candidate's tail
+// was torn, say — or as long from an earlier directory does p drop what it
+// holds and recover that one: the one case where a segment is read twice.
+func (p *Partition) recoverLongest(dataDirs []string, w *wal.Window) error {
 	name, opts := p.topic.cfg.Name, wal.Options{ReadOnly: true}
 	listings := make([]wal.Segments, len(dataDirs))
 	cand := 0
@@ -314,15 +323,12 @@ func (p *Partition) recoverLongest(dataDirs []string) error {
 		if i == cand {
 			continue
 		}
-		l, err := wal.OpenReplay(segs, opts, nil)
+		n, err := wal.Validate(segs, w)
 		if err != nil {
 			return fmt.Errorf("mofka: validate %s[%d] in %s: %w", name, p.index, dataDirs[i], err)
 		}
-		if n := l.NextOffset(); n > length || n == length && i < donor {
+		if n > length || n == length && i < donor {
 			donor, length = i, n
-		}
-		if err := l.Close(); err != nil {
-			return err
 		}
 	}
 	if donor == cand {

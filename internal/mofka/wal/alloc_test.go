@@ -78,6 +78,8 @@ func TestAppendBatchAllocatesNothing(t *testing.T) {
 // 16 KiB, a bound that does not grow with the segments. (It allocated just
 // under twice the largest segment while the buffer was sized to it;
 // OpenReplay with a visitor reads each segment into a buffer of its own.)
+// Validating that log three times through one Window stays under the same
+// bound: the logs share the window.
 func TestOpenReadsThroughOneBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pin; the race detector allocates on its own")
@@ -133,5 +135,26 @@ func TestOpenReadsThroughOneBuffer(t *testing.T) {
 	t.Logf("opening a log of three segments, the largest %d bytes, allocated %d bytes", largest, got)
 	if got >= bound {
 		t.Fatalf("opening a log of three segments allocated %d bytes, want under %d (the window plus 16 KiB)", got, bound)
+	}
+
+	listings := make([]wal.Segments, 3)
+	for i := range listings {
+		if listings[i], err = wal.ListSegments(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var w wal.Window
+	runtime.ReadMemStats(&before)
+	for _, segs := range listings {
+		n, err := wal.Validate(segs, &w)
+		if err != nil || n != l.NextOffset() {
+			t.Fatalf("Validate = %d, %v; the log holds %d records", n, err, l.NextOffset())
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got = after.TotalAlloc - before.TotalAlloc
+	t.Logf("validating it three times through one window allocated %d bytes", got)
+	if got >= bound {
+		t.Fatalf("validating a log three times through one window allocated %d bytes, want under %d (the window plus 16 KiB)", got, bound)
 	}
 }

@@ -213,7 +213,7 @@ func OpenReplay(segs Segments, opts Options, visit func(recs []Record) error) (*
 			return nil, fmt.Errorf("wal: open %s: %w", l.dir, err)
 		}
 	}
-	if err := l.recover(visit); err != nil {
+	if err := l.recover(visit, nil); err != nil {
 		return nil, err
 	}
 	l.durable = l.next
@@ -225,11 +225,40 @@ func OpenReplay(segs Segments, opts Options, visit func(recs []Record) error) (*
 	return l, nil
 }
 
+// Window is what a reader that keeps nothing reads through (see
+// frameReader): its buffer and the slice of records it hands over. A caller
+// that validates several logs in turn passes each the same Window, so they
+// are all read through one buffer; the zero value is an empty window, grown
+// on first use. One Window serves one goroutine at a time.
+type Window struct {
+	buf  []byte
+	recs []Record
+}
+
+// Validate reads the listed log through w, read-only, and returns how many
+// records it holds: what OpenReplay with a nil visit and Options.ReadOnly
+// finds, without a Log to close. Interior corruption fails it with
+// ErrCorrupt; a torn tail is skipped.
+func Validate(segs Segments, w *Window) (uint64, error) {
+	opts := Options{ReadOnly: true}
+	opts.setDefaults()
+	l := &Log{dir: segs.dir, opts: opts, segs: segs.segs}
+	if err := l.recover(nil, w); err != nil {
+		return 0, err
+	}
+	return l.next, nil
+}
+
 // recover validates the listed segments in one pass that also feeds visit
 // (if not nil), truncates a torn tail (unless read-only), and computes the
-// next offset.
-func (l *Log) recover(visit func([]Record) error) error {
+// next offset. A reader that keeps nothing reads through w, when it is not
+// nil, and leaves it there for the next log.
+func (l *Log) recover(visit func([]Record) error, w *Window) error {
 	fr := frameReader{maxRecordBytes: l.opts.maxRecordBytes, keep: visit != nil}
+	if w != nil {
+		fr.buf, fr.recs = w.buf, w.recs
+		defer func() { w.buf, w.recs = fr.buf, fr.recs }()
+	}
 	if visit == nil {
 		visit = func([]Record) error { return nil }
 	}

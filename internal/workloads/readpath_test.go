@@ -182,12 +182,14 @@ func TestPostMortemOpenAllocatesItsSegments(t *testing.T) {
 
 // TestClusterPostMortemOpenAllocatesOneReplica: opening a seeded
 // imageprocessing cluster dir (three brokers, two replicas of every
-// partition) post-mortem allocates at most 1.75 times the segment bytes of
+// partition) post-mortem allocates at most 1.5 times the segment bytes of
 // one replica set. The replica a partition publishes is read once, into the
-// buffers its events keep; the other is validated through a 64 KiB window
-// and kept nowhere: 1.54 times them. It allocated 3.64 times them while
-// every replica was validated through a buffer the size of its largest
-// segment and the donor was then read a second time.
+// buffers its events keep; the other is validated through the 64 KiB window
+// of the goroutine opening it, one per goroutine, and kept nowhere: 1.34
+// times them under GOMAXPROCS=2. It allocated 1.40 times them while each of
+// the twenty partitions validated through a window of its own, and 3.64
+// times them while every replica was validated through a buffer the size of
+// its largest segment and the donor was then read a second time.
 func TestClusterPostMortemOpenAllocatesOneReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workflow run")
@@ -220,8 +222,8 @@ func TestClusterPostMortemOpenAllocatesOneReplica(t *testing.T) {
 	if replicaSet < 1<<20 {
 		t.Fatalf("a replica set holds %d segment bytes, want the whole run's", replicaSet)
 	}
-	if ratio > 1.75 {
-		t.Errorf("cluster.OpenPostMortem allocates %.2f times one replica set's segment bytes, budget 1.75", ratio)
+	if ratio > 1.5 {
+		t.Errorf("cluster.OpenPostMortem allocates %.2f times one replica set's segment bytes, budget 1.5", ratio)
 	}
 }
 
