@@ -86,16 +86,17 @@ chaos:
 	$(GO) test -race -run 'TestCmdRunSurvivesKillWithSpeculation' ./cmd/taskprov/
 
 # The sharded, replicated cluster suites, race-enabled: placement, quorum
-# replication, failover/fencing, and the
+# replication, failover, and the
 # end-to-end cluster sessions (broker kill mid-workflow, zero acknowledged
 # loss, deterministic failover timeline). The log service's
 # contract lives here too, in the one package that can build every
 # deployment: the conformance table over a broker, a closed durable
 # cluster's log opened as every reader opens it, and each of them over TCP,
 # and the wire golden — named on a line of their own, uncached, so a rename
-# cannot drop them from the gate. So is the remote tailer against what mofkad
-# serves of a standalone run's dir and a cluster run's, each held to the
-# replay of the run's own broker, each dir unchanged by the serving. So are
+# cannot drop them from the gate. So is the one-pass read of what mofkad
+# serves (live.ReplayService) of a standalone run's dir and a cluster run's,
+# each held to the replay of the run's own broker, each dir unchanged by the
+# serving. So are
 # the replicas of one admitted batch: a follower storing the leader's very
 # documents, a batch with an invalid event left on no replica, and a follower
 # healed by catch-up in a session whose log equals its leader's.
@@ -103,7 +104,7 @@ cluster:
 	$(GO) test -race ./internal/mofka/cluster/
 	$(GO) test -race -count=1 -run 'TestServiceConformance|TestWireGolden' ./internal/mofka/cluster/
 	$(GO) test -race -count=1 -run 'TestFollowerStoresLeaderDocuments|TestInvalidBatchStoresNothing' ./internal/mofka/cluster/
-	$(GO) test -race -count=1 -run 'TestTailRemoteEqualsReplayBroker' ./internal/live/
+	$(GO) test -race -count=1 -run 'TestReplayServiceEqualsReplayBroker' ./internal/live/
 	$(GO) test -race -run 'TestCluster' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestClusterHealedFollowerLogEqualsLeader' ./internal/core/
 

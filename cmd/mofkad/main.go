@@ -2,9 +2,9 @@
 // service's four read RPCs (topics, topic_info, pull, partition_info) through
 // the Mercury wire protocol. It is the deployment mode for consumers that run
 // on different nodes than the instrumented workflow: `taskprov watch -broker
-// ADDR` tails it. A run writes its events into its own process's broker or
-// cluster, never over the wire; mofkad serves what such a run left in its
-// data directory.
+// ADDR` reads it once. A run writes its events into its own process's broker
+// or cluster, never over the wire; mofkad serves what such a run left in its
+// data directory, opened once, so the log it serves never grows.
 //
 // The directory is opened the way every other reader opens it
 // (cluster.OpenLog): a standalone broker's data dir or a cluster's (`taskprov

@@ -344,8 +344,8 @@ func moveAsideDataDir(dir string) (string, error) {
 
 // cmdWatch attaches live monitoring to an existing run: either tailing a
 // durable data dir as it grows (works on the log of a crashed run too) or
-// attaching to a running mofkad broker over Mercury RPC. started, when
-// non-nil, receives the bound HTTP address (used by tests).
+// reading, once, the finished log a mofkad serves over Mercury RPC. started,
+// when non-nil, receives the bound HTTP address (used by tests).
 func cmdWatch(args []string, started chan<- string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	dataDir := fs.String("data-dir", "", "durable Mofka data dir to tail")
@@ -363,26 +363,26 @@ func cmdWatch(args []string, started chan<- string) error {
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, "taskprov watch: "+format+"\n", a...) }
 
 	var src live.Source
-	var stop func()
 	if *dataDir != "" {
 		t, err := live.TailWAL(*dataDir, live.TailOptions{Interval: *interval, Logf: logf})
 		if err != nil {
 			return err
 		}
-		src, stop = t, t.Stop
+		defer t.Stop()
+		src = t
 	} else {
 		cli, err := mercury.Dial(*brokerAddr)
 		if err != nil {
 			return err
 		}
-		t, err := live.TailRemote(mofka.NewRemote(cli), live.TailOptions{Interval: *interval, Logf: logf})
+		agg := live.NewAggregator(live.AggregatorOptions{})
+		err = live.ReplayService(mofka.NewRemote(cli), agg)
+		_ = cli.Close()
 		if err != nil {
-			_ = cli.Close()
 			return err
 		}
-		src, stop = t, func() { t.Stop(); _ = cli.Close() }
+		src = agg
 	}
-	defer stop()
 
 	if *once {
 		return printSnapshot(src.Snapshot(), *asJSON)

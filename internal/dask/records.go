@@ -225,23 +225,15 @@ const (
 	// SpecPromoted: the primary attempt's worker died while a duplicate was
 	// in flight; the duplicate was promoted to sole attempt.
 	SpecPromoted = "promoted"
-	// SpecRetry: one RPC retry under the adaptive retry policy of the Mercury
-	// retry layer. That layer is gone and nothing emits the kind any more;
-	// it stays in the vocabulary because logs written by older builds carry it.
-	SpecRetry = "retry"
-	// SpecBudgetExhausted: a retry was denied because the per-run retry
-	// budget drained. Read side only, like SpecRetry.
-	SpecBudgetExhausted = "budget_exhausted"
 )
 
-// SpeculationEvent is one speculation or retry decision, streamed to the
-// speculation provenance topic: why a duplicate was launched, which attempt
-// won, what the loser wasted, and every adaptive-retry backoff.
+// SpeculationEvent is one speculation decision, streamed to the speculation
+// provenance topic: why a duplicate was launched, which attempt won, and what
+// the loser wasted.
 type SpeculationEvent struct {
 	Kind string  `json:"kind"`
 	Key  TaskKey `json:"key,omitempty"`
-	// Primary and Duplicate are the two attempts' worker addresses (for
-	// retry records, Primary holds the destination address instead).
+	// Primary and Duplicate are the two attempts' worker addresses.
 	Primary   string `json:"primary,omitempty"`
 	Duplicate string `json:"duplicate,omitempty"`
 	// Winner is the completing worker for "won" events.
@@ -249,10 +241,8 @@ type SpeculationEvent struct {
 	// Wasted is the virtual time the cancelled losing attempt had been
 	// running — the wasted-speculative-seconds live lane sums this field.
 	Wasted sim.Time `json:"wasted,omitempty"`
-	// Attempt is the retry ordinal for "retry" records.
-	Attempt int      `json:"attempt,omitempty"`
-	Detail  string   `json:"detail,omitempty"`
-	At      sim.Time `json:"at"`
+	Detail string   `json:"detail,omitempty"`
+	At     sim.Time `json:"at"`
 }
 
 // SchedulerPlugin observes scheduler-side events, like a

@@ -143,28 +143,23 @@ type ProxyStats struct {
 	MeanResolveSeconds float64 `json:"mean_resolve_seconds"`
 }
 
-// SpeculationStats aggregates the speculation provenance topic: the hedged
-// execution lane (duplicate attempts launched, winners, cancelled and failed
-// losers, promotions) plus the adaptive-retry lane (retries sent, budget
-// denials — only logs of builds that had a Mercury retry layer carry those;
-// the fields stay so their summaries keep their shape). Counters commute; WastedSeconds — the virtual time cancelled
-// losing attempts had been running — is summed per (topic, partition) lane so
-// the figure is deterministic regardless of consumption order.
+// SpeculationStats aggregates the speculation provenance topic, the hedged
+// execution lane: duplicate attempts launched, winners, cancelled and failed
+// losers, promotions. A kind no build emits any more (an older log's
+// "retry") counts in none of them. Counters commute; WastedSeconds — the
+// virtual time cancelled losing attempts had been running — is summed per
+// (topic, partition) lane so the figure is deterministic regardless of
+// consumption order.
 type SpeculationStats struct {
-	Launched        int64 `json:"launched"`
-	Won             int64 `json:"won"`
-	Cancelled       int64 `json:"cancelled"`
-	Failed          int64 `json:"failed"`
-	Promoted        int64 `json:"promoted"`
-	Retries         int64 `json:"retries"`
-	BudgetExhausted int64 `json:"budget_exhausted"`
+	Launched  int64 `json:"launched"`
+	Won       int64 `json:"won"`
+	Cancelled int64 `json:"cancelled"`
+	Failed    int64 `json:"failed"`
+	Promoted  int64 `json:"promoted"`
 
 	// WastedSeconds is the summed runtime of losing attempts at the moment
 	// they were cancelled — the price paid for hedging.
 	WastedSeconds float64 `json:"wasted_seconds"`
-	// RetryRate is retries per wall-clock second (0 until the wall time is
-	// known).
-	RetryRate float64 `json:"retry_rate"`
 }
 
 // HostIOStats aggregates Darshan POSIX counters per hostname (Darshan logs
@@ -249,8 +244,8 @@ type Summary struct {
 	// streamed no proxy-store events (direct transfers only).
 	Proxy *ProxyStats `json:"proxy,omitempty"`
 
-	// Speculation is the hedged-execution and adaptive-retry lane; nil when
-	// the run streamed no speculation events.
+	// Speculation is the hedged-execution lane; nil when the run streamed no
+	// speculation events.
 	Speculation *SpeculationStats `json:"speculation,omitempty"`
 
 	// ConsumerLag is the monitoring consumer's own backlog per
@@ -700,10 +695,6 @@ func (a *Aggregator) ingestSpeculation(partition int, e dask.SpeculationEvent) {
 		a.spec.Failed++
 	case dask.SpecPromoted:
 		a.spec.Promoted++
-	case dask.SpecRetry:
-		a.spec.Retries++
-	case dask.SpecBudgetExhausted:
-		a.spec.BudgetExhausted++
 	}
 	if e.Wasted > 0 {
 		a.lane(provenance.TopicSpeculation, partition).wastedSeconds += e.Wasted.Seconds()
@@ -828,9 +819,6 @@ func (a *Aggregator) Snapshot() Summary {
 	if a.spec != nil {
 		sp := *a.spec
 		sp.WastedSeconds = wastedSeconds
-		if a.wall > 0 {
-			sp.RetryRate = float64(sp.Retries) / a.wall
-		}
 		s.Speculation = &sp
 	}
 

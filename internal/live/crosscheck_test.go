@@ -16,7 +16,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
@@ -279,14 +278,13 @@ func TestWatchServesCrashedRun(t *testing.T) {
 	}
 }
 
-// TestTailRemoteEqualsReplayBroker: a remote tailer attached to what mofkad
-// serves of a finished run — its data dir opened by cluster.OpenLog, in
-// process and over TCP — reads the log in the order the replay of the run's
-// own broker does, so its first snapshot is ReplayBroker's, anomalies
-// included. That holds for a standalone run's dir and a `-cluster 3
-// -replication 2` run's, and serving either leaves every byte of it as it
-// was.
-func TestTailRemoteEqualsReplayBroker(t *testing.T) {
+// TestReplayServiceEqualsReplayBroker: ReplayService over what mofkad serves
+// of a finished run — its data dir opened by cluster.OpenLog, in process and
+// over TCP — reads the log in the order the replay of the run's own broker
+// does, so its snapshot is ReplayBroker's, anomalies included. That holds
+// for a standalone run's dir and a `-cluster 3 -replication 2` run's, and
+// serving either leaves every byte of it as it was.
+func TestReplayServiceEqualsReplayBroker(t *testing.T) {
 	for _, clustered := range []bool{false, true} {
 		cfg := workloads.DefaultSession("imageprocessing", "job-imageprocessing", 3)
 		cfg.MofkaDataDir = filepath.Join(t.TempDir(), "data")
@@ -316,7 +314,7 @@ func TestTailRemoteEqualsReplayBroker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tailsEqualReplay(t, art.Broker, served.Service(), mofka.NewRemote(cli))
+		servicesEqualReplay(t, art.Broker, served.Service(), mofka.NewRemote(cli))
 		_ = cli.Close()
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
@@ -348,9 +346,9 @@ func dirDigest(t *testing.T, root string) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// tailsEqualReplay fails unless a remote tailer over each service takes
-// ReplayBroker's snapshot of b, which must raise anomalies, as its first.
-func tailsEqualReplay(t *testing.T, b *mofka.Broker, svcs ...mofka.Service) {
+// servicesEqualReplay fails unless ReplayService over each service takes
+// ReplayBroker's snapshot of b, which must raise anomalies.
+func servicesEqualReplay(t *testing.T, b *mofka.Broker, svcs ...mofka.Service) {
 	t.Helper()
 	replay := live.NewAggregator(live.AggregatorOptions{})
 	if err := live.ReplayBroker(b, replay); err != nil {
@@ -361,17 +359,16 @@ func tailsEqualReplay(t *testing.T, b *mofka.Broker, svcs ...mofka.Service) {
 		t.Fatal("the replay raised no anomaly; the test wants some to compare")
 	}
 	for _, svc := range svcs {
-		tail, err := live.TailRemote(svc, live.TailOptions{Interval: time.Hour})
-		if err != nil {
+		agg := live.NewAggregator(live.AggregatorOptions{})
+		if err := live.ReplayService(svc, agg); err != nil {
 			t.Fatal(err)
 		}
-		got := tail.Snapshot()
-		tail.Stop()
+		got := agg.Snapshot()
 		if len(got.Anomalies) != len(want.Anomalies) {
-			t.Errorf("%T: the tailer raised %d anomalies, the replay %d", svc, len(got.Anomalies), len(want.Anomalies))
+			t.Errorf("%T: ReplayService raised %d anomalies, the replay %d", svc, len(got.Anomalies), len(want.Anomalies))
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%T: the tailer's first snapshot differs from the replay's", svc)
+			t.Errorf("%T: ReplayService's snapshot differs from the replay's", svc)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // Source is anything the HTTP server can serve: a Monitor attached to an
-// in-process broker, a WALTailer following a data dir, or a RemoteTailer
-// attached to a mofkad.
+// in-process broker, a WALTailer following a data dir, or the Aggregator
+// ReplayService filled from a mofkad.
 type Source interface {
 	Snapshot() Summary
 	// SubscribeAnomalies returns the anomalies raised from now on, and the

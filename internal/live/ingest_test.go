@@ -99,43 +99,41 @@ func TestReplayReportsMalformedEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedWithMalformed(t, b, 8)
-	check := func(what string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), provenance.TopicExecutions+"[") {
-			t.Fatalf("%s of a log with a malformed event: %v", what, err)
-		}
-	}
-	check("ReplayBroker", ReplayBroker(b, NewAggregator(AggregatorOptions{})))
+	checkMalformed(t, "ReplayBroker", ReplayBroker(b, NewAggregator(AggregatorOptions{})))
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, err = ReplayDataDir(dir, AggregatorOptions{})
-	check("ReplayDataDir", err)
+	checkMalformed(t, "ReplayDataDir", err)
 }
 
-// TestRemoteTailerReportsMalformedEventOnce: the tailer returns the error,
-// steps past the event, and the next sweep carries on from there.
+// TestRemoteTailerReportsMalformedEventOnce: a served broker read through
+// mofka.NewRemote reports the malformed events once, by the first of them, as
+// ReplayBroker does, reads past them and ingests the 9 good executions.
 func TestRemoteTailerReportsMalformedEventOnce(t *testing.T) {
 	b := mofka.NewStandaloneBroker()
 	seedWithMalformed(t, b, 8)
+	replayErr := ReplayBroker(b, NewAggregator(AggregatorOptions{}))
+	checkMalformed(t, "ReplayBroker", replayErr)
+
 	ep := mercury.NewEndpoint("mofka")
 	mofka.Serve(ep, b.Service())
-	tl := &RemoteTailer{
-		remote: mofka.NewRemote(ep),
-		agg:    NewAggregator(AggregatorOptions{}),
-		topics: make(map[string]*remoteTopic),
+	agg := NewAggregator(AggregatorOptions{})
+	err := ReplayService(mofka.NewRemote(ep), agg)
+	checkMalformed(t, "ReplayService", err)
+	if err.Error() != replayErr.Error() {
+		t.Errorf("ReplayService: %v, want the first malformed event, as ReplayBroker: %v", err, replayErr)
 	}
-	for i, bad := range malformed {
-		err := tl.sweep()
-		if err == nil || !strings.Contains(err.Error(), provenance.TopicExecutions+"[") {
-			t.Fatalf("sweep %d over malformed event %s: %v", i, bad, err)
-		}
+	if got := agg.Snapshot().Tasks; got != 9 {
+		t.Errorf("ReplayService ingested %d executions, want the 9 good ones", got)
 	}
-	if err := tl.sweep(); err != nil {
-		t.Fatalf("sweep past the malformed events: %v", err)
-	}
-	if got := tl.Snapshot().Tasks; got != 9 {
-		t.Fatalf("tailer ingested %d executions, want the 9 good ones", got)
+}
+
+// checkMalformed fails t unless err names an event of the executions topic.
+func checkMalformed(t *testing.T, what string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), provenance.TopicExecutions+"[") {
+		t.Fatalf("%s of a log with a malformed event: %v", what, err)
 	}
 }
 

@@ -42,14 +42,77 @@ func ReplayTopics(b *mofka.Broker, agg *Aggregator, topics []string) error {
 	return nil
 }
 
+// ReplayService is ReplayBroker over a log service — what taskprov watch
+// -broker reads of a mofkad: topic by topic in provenance.AllTopics' order,
+// each in its delivery order (mofka.ChunkOrder from offset 0 over the
+// partition lengths the service answers), a chunk pulled and fed to the
+// aggregator as one. A mofkad serves a finished log, which never grows, so
+// one pass reads all of it and leaves ReplayBroker's aggregates. It fails at
+// the end of the first topic with an event that does not decode, as the
+// replay does.
+func ReplayService(svc mofka.Service, agg *Aggregator) error {
+	names, err := svc.Topics()
+	if err != nil {
+		return err
+	}
+	for _, topic := range provenance.AllTopics() {
+		if !slices.Contains(names, topic) {
+			continue
+		}
+		parts, err := svc.TopicInfo(topic)
+		if err != nil {
+			return err
+		}
+		lens := make([]uint64, parts)
+		for p := range lens {
+			if lens[p], err = svc.PartitionLength(topic, p); err != nil {
+				return err
+			}
+		}
+		r := readerOf(topic)
+		var first error
+		for _, c := range mofka.ChunkOrder(make([]uint64, parts), lens, 0, chunk) {
+			evs, err := pullChunk(svc, topic, c)
+			if err != nil {
+				return err
+			}
+			if len(evs) > 0 {
+				if err := r.events(agg, c.Part, evs); first == nil {
+					first = err
+				}
+			}
+			if len(evs) < c.N {
+				break // the rest of the order assumed this chunk whole
+			}
+		}
+		if first != nil {
+			return fmt.Errorf("live: replay %s: %w", topic, first)
+		}
+	}
+	return nil
+}
+
+// pullChunk reads chunk c of topic, pulling again while the service answers
+// short of it; it stops early only where the partition has no more to give.
+func pullChunk(svc mofka.Service, topic string, c mofka.Chunk) ([]mofka.Event, error) {
+	var evs []mofka.Event
+	for len(evs) < c.N {
+		more, err := svc.Pull(topic, c.Part, c.From+uint64(len(evs)), c.N-len(evs))
+		if err != nil || len(more) == 0 {
+			return evs, err
+		}
+		evs = append(evs, more...)
+	}
+	return evs, nil
+}
+
 // chunkReader is the one way a topic's events reach the aggregates: a chunk
 // of consecutive events of one partition at a time, decoded from their
 // stored bytes and applied in order under one hold of the aggregator's lock.
 // An event that does not decode is skipped; the error returned names the
-// first, and what it means is the caller's to say: the replay fails, the
-// monitor logs it once and reads on, the remote tailer reports it once. A
-// reader keeps its buffers from one call to the next; it belongs to one
-// goroutine.
+// first, and what it means is the caller's to say: a replay fails, the
+// monitor logs it once and reads on. A reader keeps its buffers from one
+// call to the next; it belongs to one goroutine.
 type chunkReader interface {
 	// chunks feeds the given chunks of t, in their order.
 	chunks(a *Aggregator, t *mofka.Topic, chunks []mofka.Chunk) error
@@ -276,9 +339,10 @@ func (o TailOptions) withDefaults() TailOptions {
 // aggregates from the WAL on every refresh. Each refresh is a full replay —
 // O(log size) per tick, the price of staying read-only against a directory
 // another process is actively writing (no shared cursor state, no risk of
-// perturbing the run). For the paper-scale logs this is milliseconds; for
-// production-scale logs attach to the broker with a RemoteTailer instead. A
-// sharded cluster directory tails the same way (see ReplayDataDir).
+// perturbing the run). For the paper-scale logs this is milliseconds. A
+// sharded cluster directory tails the same way (see ReplayDataDir). The
+// refreshes run on host time: the tailer watches a run from outside it, on
+// no clock of the run's.
 type WALTailer struct {
 	dir  string
 	opts TailOptions
@@ -288,7 +352,9 @@ type WALTailer struct {
 	seen int // anomalies already forwarded to subscribers
 	subs []chan Anomaly
 
-	poller
+	stopOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{}
 }
 
 // TailWAL starts tailing a data dir. The first refresh happens synchronously
@@ -298,12 +364,35 @@ func TailWAL(dir string, opts TailOptions) (*WALTailer, error) {
 	if !cluster.IsLogDir(dir) {
 		return nil, fmt.Errorf("live: %s is not a Mofka data dir", dir)
 	}
-	t := &WALTailer{dir: dir, opts: opts.withDefaults()}
+	t := &WALTailer{dir: dir, opts: opts.withDefaults(), stop: make(chan struct{}), done: make(chan struct{})}
 	if err := t.Refresh(); err != nil {
 		return nil, err
 	}
-	t.start(t.opts, "tail "+dir, t.Refresh)
+	go t.poll()
 	return t, nil
+}
+
+// poll refreshes every opts.Interval, logging the failures, until Stop.
+func (t *WALTailer) poll() {
+	defer close(t.done)
+	tick := time.NewTicker(t.opts.Interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-t.stop:
+			return
+		case <-tick.C:
+			if err := t.Refresh(); err != nil && t.opts.Logf != nil {
+				t.opts.Logf("live: tail %s: %v", t.dir, err)
+			}
+		}
+	}
+}
+
+// Stop halts the refreshes.
+func (t *WALTailer) Stop() {
+	t.stopOnce.Do(func() { close(t.stop) })
+	<-t.done
 }
 
 // Refresh rebuilds the snapshot from the directory now. Anomalies beyond as
@@ -346,147 +435,4 @@ func (t *WALTailer) SubscribeAnomalies() (<-chan Anomaly, func()) {
 		t.subs = slices.DeleteFunc(t.subs, func(c chan Anomaly) bool { return c == ch })
 		t.mu.Unlock()
 	}
-}
-
-// RemoteTailer attaches to a running log service — a mofkad over Mercury
-// RPC, as taskprov watch -broker does — and pulls
-// provenance topics incrementally into a persistent aggregator.
-type RemoteTailer struct {
-	remote mofka.Service
-	opts   TailOptions
-	agg    *Aggregator
-	topics map[string]*remoteTopic
-
-	poller
-}
-
-// remoteTopic is where the tailer stands in one topic's delivery order.
-type remoteTopic struct {
-	r    chunkReader
-	next []uint64 // per partition, the next offset to read
-	turn int      // the partition the rest of the order starts at
-}
-
-// TailRemote starts tailing a log service. One synchronous sweep runs before
-// returning so the first snapshot is already populated.
-func TailRemote(r mofka.Service, opts TailOptions) (*RemoteTailer, error) {
-	t := &RemoteTailer{
-		remote: r,
-		opts:   opts.withDefaults(),
-		agg:    NewAggregator(AggregatorOptions{}),
-		topics: make(map[string]*remoteTopic),
-	}
-	if err := t.sweep(); err != nil {
-		return nil, err
-	}
-	t.start(t.opts, "remote tail", t.sweep)
-	return t, nil
-}
-
-// sweep pulls everything new from the remote in the order ReplayBroker reads
-// a log: topic by topic in provenance.AllTopics' order, each topic in its
-// delivery order (mofka.ChunkOrder over the partition lengths the remote
-// answers, from where the last sweep stopped), a chunk fed to the aggregator
-// as one. So a sweep over a finished log leaves ReplayBroker's aggregates.
-func (t *RemoteTailer) sweep() error {
-	names, err := t.remote.Topics()
-	if err != nil {
-		return err
-	}
-	for _, topic := range provenance.AllTopics() {
-		if !slices.Contains(names, topic) {
-			continue
-		}
-		rt := t.topics[topic]
-		if rt == nil {
-			parts, err := t.remote.TopicInfo(topic)
-			if err != nil {
-				return err
-			}
-			rt = &remoteTopic{r: readerOf(topic), next: make([]uint64, parts)}
-			t.topics[topic] = rt
-		}
-		lens := make([]uint64, len(rt.next))
-		for p := range lens {
-			if lens[p], err = t.remote.PartitionLength(topic, p); err != nil {
-				return err
-			}
-		}
-		for _, c := range mofka.ChunkOrder(rt.next, lens, rt.turn, chunk) {
-			evs, err := t.pull(topic, c)
-			if err != nil {
-				return err
-			}
-			// Step past the chunk first: an event in it that does not decode
-			// is reported once, not on every sweep.
-			rt.next[c.Part] = c.From + uint64(len(evs))
-			rt.turn = (c.Part + 1) % len(rt.next)
-			if len(evs) > 0 {
-				if err := rt.r.events(t.agg, c.Part, evs); err != nil {
-					return err
-				}
-			}
-			if len(evs) < c.N {
-				break // the rest of the order assumed this chunk whole
-			}
-		}
-	}
-	return nil
-}
-
-// pull reads chunk c of topic, pulling again while the remote answers short
-// of it; it stops early only where the partition has no more to give.
-func (t *RemoteTailer) pull(topic string, c mofka.Chunk) ([]mofka.Event, error) {
-	var evs []mofka.Event
-	for len(evs) < c.N {
-		more, err := t.remote.Pull(topic, c.Part, c.From+uint64(len(evs)), c.N-len(evs))
-		if err != nil || len(more) == 0 {
-			return evs, err
-		}
-		evs = append(evs, more...)
-	}
-	return evs, nil
-}
-
-// Snapshot implements Source.
-func (t *RemoteTailer) Snapshot() Summary { return t.agg.Snapshot() }
-
-// SubscribeAnomalies implements Source.
-func (t *RemoteTailer) SubscribeAnomalies() (<-chan Anomaly, func()) {
-	return t.agg.SubscribeAnomalies()
-}
-
-// poller is a tailer's host-time refresh: the tailers watch a run from
-// outside it, on no clock of the run's.
-type poller struct {
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-// start calls refresh every opts.Interval on a goroutine of its own, logging
-// its failures under what, until Stop.
-func (p *poller) start(opts TailOptions, what string, refresh func() error) {
-	p.stop, p.done = make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(p.done)
-		tick := time.NewTicker(opts.Interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-tick.C:
-				if err := refresh(); err != nil && opts.Logf != nil {
-					opts.Logf("live: %s: %v", what, err)
-				}
-			}
-		}
-	}()
-}
-
-// Stop halts the refreshes.
-func (p *poller) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	<-p.done
 }

@@ -40,9 +40,6 @@ var (
 	// ErrUnavailable: the partition has no alive replica set large enough
 	// to reach quorum; appends fail and producers buffer.
 	ErrUnavailable = errors.New("cluster: partition unavailable (quorum unreachable)")
-	// ErrFenced: the append carried a stale leadership epoch. The producer
-	// must refresh its route and retry with the same sequence number.
-	ErrFenced = errors.New("cluster: fenced by newer leadership epoch")
 	// ErrClosed: the cluster has been shut down.
 	ErrClosed = errors.New("cluster: closed")
 	// ErrNoNode: the addressed broker node does not exist.

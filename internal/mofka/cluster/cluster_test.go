@@ -186,28 +186,16 @@ func TestIdempotentAppendDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	metas := [][]byte{[]byte(`{"a":1}`), []byte(`{"a":2}`)}
-	epoch, err := c.submitWait("t", 0, "prod-1", 1, 1, metas)
-	if err != nil {
+	if err := c.submitWait("t", 0, "prod-1", 1, metas); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	// Retry the same (producer, seq): must be acknowledged without growing
 	// the log.
-	if _, err := c.submitWait("t", 0, "prod-1", 1, epoch, metas); err != nil {
+	if err := c.submitWait("t", 0, "prod-1", 1, metas); err != nil {
 		t.Fatalf("retry append: %v", err)
 	}
 	if n := len(ackedAll(t, c, "t", 1)[0]); n != 2 {
 		t.Fatalf("length %d after idempotent retry, want 2", n)
-	}
-}
-
-func TestAppendFencing(t *testing.T) {
-	c := newTestCluster(t, 3, 2)
-	if _, err := c.EnsureTopic(mofka.TopicConfig{Name: "t", Partitions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := c.submitWait("t", 0, "p", 1, 99, [][]byte{[]byte(`{}`)})
-	if !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale epoch append: err=%v, want ErrFenced", err)
 	}
 }
 

@@ -8,16 +8,11 @@ import (
 	"taskprov/internal/mofka"
 )
 
-// appendRaw appends one raw event through the quorum path with the current
-// epoch, returning the append error.
+// appendRaw appends one raw event through the quorum path, returning the
+// append error.
 func appendRaw(t *testing.T, c *Cluster, topic string, part int, tag string) error {
 	t.Helper()
-	epoch, err := c.Epoch(topic, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.submitWait(topic, part, "", 0, epoch, [][]byte{[]byte(fmt.Sprintf(`{"tag":%q}`, tag))})
-	return err
+	return c.submitWait(topic, part, "", 0, [][]byte{[]byte(fmt.Sprintf(`{"tag":%q}`, tag))})
 }
 
 func tagsOf(t *testing.T, evs []mofka.Event) []string {

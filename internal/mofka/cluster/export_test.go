@@ -13,17 +13,6 @@ func (c *Cluster) NodeBroker(i int) *mofka.Broker {
 	return c.nodes[i].broker
 }
 
-// Epoch returns the partition's current fencing epoch.
-func (c *Cluster) Epoch(topic string, part int) (uint64, error) {
-	ps, err := c.partition(topic, part)
-	if err != nil {
-		return 0, err
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.epoch, nil
-}
-
 // placementView describes where one partition lives and how far it is
 // acknowledged.
 type placementView struct {
@@ -62,12 +51,12 @@ func (c *Cluster) placement() []placementView {
 
 // submitWait is a quorum append its caller waits out: submit, then the wait
 // for the quorum's fsyncs.
-func (c *Cluster) submitWait(topic string, part int, producer string, seq, epoch uint64, metas [][]byte) (uint64, error) {
-	cur, commit, err := c.submit(topic, part, producer, seq, epoch, metas)
+func (c *Cluster) submitWait(topic string, part int, producer string, seq uint64, metas [][]byte) error {
+	commit, err := c.submit(topic, part, producer, seq, metas)
 	if err != nil {
-		return cur, err
+		return err
 	}
-	return cur, commit.Wait()
+	return commit.Wait()
 }
 
 // readAcked returns up to max events of the partition's acknowledged prefix

@@ -14,7 +14,7 @@ const (
 	// rejoined with a bumped incarnation.
 	EventBrokerRejoined = "cluster_broker_rejoined"
 	// EventLeaderElected: a partition changed leaders; Epoch is the new
-	// fencing epoch, Node the new leader.
+	// leadership term, Node the new leader.
 	EventLeaderElected = "cluster_leader_elected"
 	// EventCatchUp: a lagging replica was healed from a donor; Detail
 	// carries "copied N events from node M".
@@ -35,7 +35,7 @@ type Event struct {
 	Node      int     `json:"node"`      // broker id, or new leader for elections; -1 when not node-scoped
 	Topic     string  `json:"topic"`     // "" for node-scoped events
 	Partition int     `json:"partition"` // -1 for node-scoped events
-	Epoch     uint64  `json:"epoch"`     // fencing epoch for partition-scoped events
+	Epoch     uint64  `json:"epoch"`     // leadership term for partition-scoped events
 	At        float64 `json:"at"`        // seconds (virtual in simulations)
 	Detail    string  `json:"detail"`
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -32,33 +31,9 @@ var producerSeq atomic.Uint64
 // awaits its quorum.
 func (t *ClusterTopic) NewProducer(opts mofka.ProducerOptions) *mofka.Producer {
 	id := fmt.Sprintf("producer-%d", producerSeq.Add(1))
-	// Per-partition cached fencing epoch (0 = unknown). The producer never
-	// runs its sink concurrently, so the cache needs no lock of its own.
-	epochs := make([]uint64, t.parts)
 	return mofka.NewProducer(t.parts, opts, func(part int, seq uint64, metas [][]byte) (*mofka.Commit, error) {
-		cur, commit, err := t.c.submitRefreshing(t.name, part, id, seq, epochs[part], metas)
-		epochs[part] = cur
-		return commit, err
+		return t.c.submit(t.name, part, id, seq, metas)
 	})
-}
-
-// maxFenceRefreshes bounds how often one append follows a stale route to a
-// fresh epoch before reporting ErrFenced to its caller.
-const maxFenceRefreshes = 5
-
-// submitRefreshing is submit for callers that follow the route: ErrFenced
-// means the epoch they hold is stale, not that the append failed, so it is
-// retried at once with the current epoch that rides on the error return. An
-// append still fenced after maxFenceRefreshes tries is an election storm;
-// the caller gets the ErrFenced and treats it as any other failed attempt.
-func (c *Cluster) submitRefreshing(topic string, part int, producer string, seq, epoch uint64, metas [][]byte) (cur uint64, commit *mofka.Commit, err error) {
-	for refreshes := 0; ; refreshes++ {
-		cur, commit, err = c.submit(topic, part, producer, seq, epoch, metas)
-		if !errors.Is(err, ErrFenced) || refreshes >= maxFenceRefreshes {
-			return cur, commit, err
-		}
-		epoch = cur
-	}
 }
 
 // Bus adapts the cluster to the mofka.Bus interface, so internal/core can

@@ -29,7 +29,11 @@ type partState struct {
 	mu       sync.Mutex
 	replicas []int // node ids, rendezvous rank order; [0] is preferred leader
 	leader   int   // current leader node id, -1 when no replica is alive
-	epoch    uint64
+	// epoch is the leadership term: every leadership change bumps it, and
+	// the partition's health events report it.
+	epoch uint64
+	// alive is aliveReplicas' result, reused from one call to the next.
+	alive []int
 
 	// acked is the acknowledged high-water mark, what Read and Length serve:
 	// consumers see [0, acked). It advances only as quorum appends settle, in
@@ -117,14 +121,16 @@ func (c *Cluster) logEndLocked(ps *partState, b *mofka.Broker, node int) uint64 
 	return n
 }
 
-// lengthOn probes b's log of the partition. The probe is a local call that
-// cannot fail on a member holding the topic, and every member holds every
-// topic the cluster registered (EnsureTopic and RestartBroker create them
-// under c.mu); a broker without the topic holds none of its events, which is
-// the 0 its service answers.
+// lengthOn probes b's log of the partition. The probe cannot fail on a
+// member holding the topic, and every member holds every topic the cluster
+// registered (EnsureTopic and RestartBroker create them under c.mu); a broker
+// without the topic holds none of its events: 0.
 func (ps *partState) lengthOn(b *mofka.Broker) uint64 {
-	n, _ := b.Service().PartitionLength(ps.topic, ps.index)
-	return n
+	p, err := partitionOf(b, ps.topic, ps.index)
+	if err != nil {
+		return 0
+	}
+	return p.Length()
 }
 
 // partitionOf returns b's partition part of topic.
@@ -195,6 +201,7 @@ func (c *Cluster) buildTopicStateLocked(cfg mofka.TopicConfig, nodes int) *topic
 			replicas: set,
 			leader:   leader,
 			epoch:    1,
+			alive:    make([]int, 0, len(set)),
 			ends:     make([]uint64, len(set)),
 			applied:  make(map[int]map[string]uint64),
 		}
@@ -233,23 +240,23 @@ func (c *Cluster) brokerOf(id int) (*mofka.Broker, bool) {
 // submitLocked). producer/seq implement idempotent retry: a batch the cluster
 // has already applied to a replica is acknowledged there without
 // re-appending, so producers may retry freely across failures and leader
-// changes. epoch is the producer's cached fencing epoch; a stale value fails
-// with ErrFenced, and the partition's current epoch is always returned for
-// the retry. producer=="" skips sequence tracking.
-func (c *Cluster) submit(topic string, part int, producer string, seq, epoch uint64, metas [][]byte) (uint64, *mofka.Commit, error) {
+// changes. Every batch goes to the partition's leader of the moment, read
+// under ps.mu, so a producer holds no route of its own. producer=="" skips
+// sequence tracking.
+func (c *Cluster) submit(topic string, part int, producer string, seq uint64, metas [][]byte) (*mofka.Commit, error) {
 	ps, err := c.partition(topic, part)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	ps.mu.Lock()
-	cur, commit, evs, err := c.submitLocked(ps, producer, seq, epoch, metas)
+	commit, evs, err := c.submitLocked(ps, producer, seq, metas)
 	ps.mu.Unlock()
 	c.health.emit(evs)
-	return cur, commit, err
+	return commit, err
 }
 
 // submitLocked takes every decision of a quorum append on the caller's
-// goroutine, in a fixed order — fence, availability, dedup, lock-step or
+// goroutine, in a fixed order — election, availability, dedup, lock-step or
 // lagging — and the health events with their timestamps. The
 // batch goes to the leader and then to the followers in rank order, and
 // nothing waits for an fsync: each replica's broker fsyncs on its own
@@ -263,24 +270,20 @@ func (c *Cluster) submit(topic string, part int, producer string, seq, epoch uin
 // have returned, behind every append submitted to the partition before it;
 // all it can add to what submit decided is a failed fsync. A nil commit is
 // an append that settled at once. Caller holds ps.mu.
-func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch uint64, metas [][]byte) (uint64, *mofka.Commit, []Event, error) {
+func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, metas [][]byte) (*mofka.Commit, []Event, error) {
 	var evs []Event
 	if c.IsClosed() {
-		return ps.epoch, nil, nil, ErrClosed
-	}
-	if epoch != ps.epoch {
-		return ps.epoch, nil, nil, fmt.Errorf("%w: have epoch %d, current %d", ErrFenced, epoch, ps.epoch)
+		return nil, nil, ErrClosed
 	}
 	// A partition whose replicas all died has no leader: elect before
-	// appending, in case one came back. If no alive leader exists even after
-	// the election, the partition is unavailable — reported as such (not as a
-	// fence) so producers back off instead of hot-looping on route refreshes.
+	// appending, in case one came back, and append to whichever leader comes
+	// out of it. With none, the partition is unavailable and producers back
+	// off.
 	if ps.leader < 0 || !c.nodeAlive(ps.leader) {
 		evs = append(evs, c.electLocked(ps)...)
 		if ps.leader < 0 || !c.nodeAlive(ps.leader) {
-			return ps.epoch, nil, evs, ErrUnavailable
+			return nil, evs, ErrUnavailable
 		}
-		return ps.epoch, nil, evs, fmt.Errorf("%w: leader changed", ErrFenced)
 	}
 	alive := ps.aliveReplicas(c)
 	if len(alive) < c.cfg.Quorum {
@@ -289,7 +292,7 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 			Epoch: ps.epoch, At: c.cfg.NowSeconds(),
 			Detail: fmt.Sprintf("%d alive of %d replicas, quorum %d", len(alive), len(ps.replicas), c.cfg.Quorum),
 		})
-		return ps.epoch, nil, evs, ErrUnavailable
+		return nil, evs, ErrUnavailable
 	}
 
 	leaderBroker, _ := c.brokerOf(ps.leader)
@@ -311,7 +314,7 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 			leaderCommit, err = ps.storeTo(leaderBroker, ps.leader, admitted)
 		}
 		if err != nil {
-			return ps.epoch, nil, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
+			return nil, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, err)
 		}
 		leaderEnd += batch
 		if producer != "" {
@@ -375,16 +378,16 @@ func (c *Cluster) submitLocked(ps *partState, producer string, seq uint64, epoch
 	commit, err := c.trackLocked(ps, q)
 	switch {
 	case leaderErr != nil:
-		return ps.epoch, nil, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, leaderErr)
+		return nil, evs, fmt.Errorf("cluster: leader %d append %s[%d]: %w", ps.leader, ps.topic, ps.index, leaderErr)
 	case q.refused:
 		evs = append(evs, Event{
 			Kind: EventUnderReplicated, Node: ps.leader, Topic: ps.topic, Partition: ps.index,
 			Epoch: ps.epoch, At: c.cfg.NowSeconds(),
 			Detail: fmt.Sprintf("append reached %d of %d quorum acks", len(q.acks), c.cfg.Quorum),
 		})
-		return ps.epoch, nil, evs, ErrUnavailable
+		return nil, evs, ErrUnavailable
 	}
-	return ps.epoch, commit, evs, err
+	return commit, evs, err
 }
 
 // admitOn runs admission over a batch on b's partition (see
@@ -540,15 +543,16 @@ func (c *Cluster) settle(ps *partState, q *quorumAppend) error {
 }
 
 // aliveReplicas returns the partition's alive replica node ids in rank
-// order. Caller holds ps.mu.
+// order, in ps.alive: the next call overwrites it, and nothing that holds
+// the result calls again. Caller holds ps.mu.
 func (ps *partState) aliveReplicas(c *Cluster) []int {
-	var out []int
+	ps.alive = ps.alive[:0]
 	for _, r := range ps.replicas {
 		if c.nodeAlive(r) {
-			out = append(out, r)
+			ps.alive = append(ps.alive, r)
 		}
 	}
-	return out
+	return ps.alive
 }
 
 // syncReplicaLocked has dst store the partition's events from donor in
@@ -605,7 +609,7 @@ func (c *Cluster) syncReplicaLocked(ps *partState, dst, donor int, want uint64) 
 // from the longest surviving log (leader-first appends mean a dead leader's
 // unacknowledged tail — and only that tail — can be lost), and the other
 // survivors are healed from the new leader. Leadership changes bump the
-// fencing epoch, invalidating every producer's cached route. Caller holds
+// partition's epoch, the term its health events report. Caller holds
 // ps.mu; returned events must be emitted after the lock is released.
 func (c *Cluster) electLocked(ps *partState) []Event {
 	var evs []Event

@@ -39,11 +39,7 @@ func fillCluster(t *testing.T, c *Cluster, topic string, log [][][]byte) {
 		t.Fatal(err)
 	}
 	for i, metas := range log {
-		epoch, err := c.Epoch(topic, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.submitWait(topic, i, "", 0, epoch, metas); err != nil {
+		if err := c.submitWait(topic, i, "", 0, metas); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -59,7 +59,7 @@ func (t *Topic) ChunksFrom(next []uint64, turn, prefetch int) []Chunk {
 // reader at offset next[p] of each partition p with partition turn up next:
 // round-robin from partition turn, prefetch events of a partition per turn,
 // and a partition with nothing left drops out of the rotation. A reader that
-// learns the lengths from a log service (the remote tailer) follows the
+// learns the lengths from a log service (live.ReplayService) follows the
 // order a reader of the Topic does.
 func ChunkOrder(next, lens []uint64, turn, prefetch int) []Chunk {
 	step := uint64(prefetch)

@@ -10,9 +10,9 @@ import (
 // Service is the event log as a reader sees it: four operations, the same
 // whether they land on a broker (Broker.Service) — a run's own, or a finished
 // log opened post-mortem, a cluster's merged into one — or cross the wire to
-// one (Remote). Serve exposes any Service on a Mercury endpoint; the remote
-// tailer (live.TailRemote) is written against the interface and cannot tell
-// which answers.
+// one (Remote). Serve exposes any Service on a Mercury endpoint; the
+// one-pass reader of taskprov watch -broker (live.ReplayService) is written
+// against the interface and cannot tell which answers.
 //
 // It is the read side and the wire. A session publishes straight into its own
 // deployment: a Producer binds to its broker's or cluster's append (see Bus),

@@ -11,8 +11,8 @@ import (
 
 // ClusterTimelineView tabulates the Mofka cluster's replication/failover
 // lane: every warning whose kind carries the "cluster_" prefix (broker
-// dead/rejoined, leader elections, replica catch-up, under-replication,
-// consumer-group rebalances — see internal/mofka/cluster), sorted by
+// dead/rejoined, leader elections, replica catch-up, log truncation,
+// under-replication — see internal/mofka/cluster), sorted by
 // (at, kind, worker, message) so the view is deterministic regardless of
 // partition drain order. Empty for single-broker runs.
 func ClusterTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {

@@ -9,12 +9,12 @@ import (
 	"taskprov/internal/perfrecup/frame"
 )
 
-// SpeculationTimelineView tabulates the run's hedged-execution and
-// adaptive-retry record: every event of the speculation topic (duplicate
-// launched, winner settled, loser cancelled with its wasted runtime,
-// promotions after a primary died, RPC retries and budget denials), sorted by
-// (at, kind, key, duplicate, detail) so the view is deterministic regardless
-// of partition drain order. Empty for runs without speculation or retries.
+// SpeculationTimelineView tabulates the run's hedged-execution record: every
+// event of the speculation topic (duplicate launched, winner settled, loser
+// cancelled with its wasted runtime, failed duplicates, promotions after a
+// primary died), sorted by (at, kind, key, duplicate, detail) so the view is
+// deterministic regardless of partition drain order. Empty for runs without
+// speculation.
 func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 	recs, err := art.Records().Speculation()
 	if err != nil {
@@ -23,7 +23,6 @@ func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 	type row struct {
 		kind, key, primary, duplicate, winner, detail string
 		at, wasted                                    float64
-		attempt                                       int
 	}
 	rows := make([]row, 0, len(recs))
 	for _, e := range recs {
@@ -31,7 +30,7 @@ func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 			kind: e.Kind, key: string(e.Key),
 			primary: e.Primary, duplicate: e.Duplicate, winner: e.Winner,
 			detail: e.Detail, at: e.At.Seconds(),
-			wasted: e.Wasted.Seconds(), attempt: e.Attempt,
+			wasted: e.Wasted.Seconds(),
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -57,12 +56,11 @@ func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 	duplicate := make([]string, n)
 	winner := make([]string, n)
 	wasted := make([]float64, n)
-	attempt := make([]float64, n)
 	detail := make([]string, n)
 	for i, r := range rows {
 		at[i], kind[i], key[i] = r.at, r.kind, r.key
 		primary[i], duplicate[i], winner[i] = r.primary, r.duplicate, r.winner
-		wasted[i], attempt[i], detail[i] = r.wasted, float64(r.attempt), r.detail
+		wasted[i], detail[i] = r.wasted, r.detail
 	}
 	return frame.New(
 		frame.Floats("at", at...),
@@ -72,7 +70,6 @@ func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 		frame.Strings("duplicate", duplicate...),
 		frame.Strings("winner", winner...),
 		frame.Floats("wasted", wasted...),
-		frame.Floats("attempt", attempt...),
 		frame.Strings("detail", detail...),
 	)
 }
@@ -92,11 +89,9 @@ func RenderSpeculationTimeline(f *frame.Frame) string {
 	at := f.Col("at")
 	kind := f.Col("kind")
 	key := f.Col("key")
-	primary := f.Col("primary")
 	duplicate := f.Col("duplicate")
 	winner := f.Col("winner")
 	wasted := f.Col("wasted")
-	attempt := f.Col("attempt")
 	detail := f.Col("detail")
 	var b strings.Builder
 	for i := 0; i < f.NRows(); i++ {
@@ -108,18 +103,10 @@ func RenderSpeculationTimeline(f *frame.Frame) string {
 			what = fmt.Sprintf("winner %s", winner.Str(i))
 		case "cancelled":
 			what = fmt.Sprintf("loser wasted %.3fs", wasted.Float(i))
-		case "retry":
-			what = fmt.Sprintf("attempt %d to %s: %s", int(attempt.Float(i)), primary.Str(i), detail.Str(i))
-		case "budget_exhausted":
-			what = fmt.Sprintf("to %s: %s", primary.Str(i), detail.Str(i))
 		default:
 			what = detail.Str(i)
 		}
-		subject := key.Str(i)
-		if subject == "" {
-			subject = "rpc"
-		}
-		fmt.Fprintf(&b, "[%9.3fs] %-18s %s: %s\n", at.Float(i), kind.Str(i), subject, what)
+		fmt.Fprintf(&b, "[%9.3fs] %-18s %s: %s\n", at.Float(i), kind.Str(i), key.Str(i), what)
 	}
 	return b.String()
 }

@@ -338,10 +338,6 @@ func AppendSteal(dst []byte, s dask.StealEvent) []byte {
 func AppendSpeculation(dst []byte, e dask.SpeculationEvent) []byte {
 	dst = append(dst, `{"at":`...)
 	dst = appendSeconds(dst, e.At)
-	if e.Attempt != 0 {
-		dst = append(dst, `,"attempt":`...)
-		dst = strconv.AppendInt(dst, int64(e.Attempt), 10)
-	}
 	if e.Detail != "" {
 		dst = append(dst, `,"detail":`...)
 		dst = AppendString(dst, e.Detail)
@@ -690,8 +686,6 @@ func (x *Decoder) Speculation(b []byte) (dask.SpeculationEvent, error) {
 			e.Winner = d.ident()
 		case "wasted":
 			e.Wasted = d.seconds()
-		case "attempt":
-			e.Attempt = int(d.num())
 		case "detail":
 			e.Detail = d.str()
 		case "at":

@@ -158,11 +158,11 @@ func hostileSteals() []dask.StealEvent {
 	return out
 }
 
-// speculationSubsets walks every subset of the seven optional dimensions,
+// speculationSubsets walks every subset of the six optional dimensions,
 // filling the set ones from fill.
 func speculationSubsets(fill func(e *dask.SpeculationEvent)) []dask.SpeculationEvent {
 	var out []dask.SpeculationEvent
-	for mask := 0; mask < 1<<7; mask++ {
+	for mask := 0; mask < 1<<6; mask++ {
 		var full, e dask.SpeculationEvent
 		fill(&full)
 		e.Kind, e.At = full.Kind, full.At
@@ -182,9 +182,6 @@ func speculationSubsets(fill func(e *dask.SpeculationEvent)) []dask.SpeculationE
 			e.Wasted = full.Wasted
 		}
 		if mask&32 != 0 {
-			e.Attempt = full.Attempt
-		}
-		if mask&64 != 0 {
 			e.Detail = full.Detail
 		}
 		out = append(out, e)
@@ -196,7 +193,7 @@ func hostileSpeculations() []dask.SpeculationEvent {
 	var p pick
 	return speculationSubsets(func(e *dask.SpeculationEvent) {
 		*e = dask.SpeculationEvent{Kind: p.str(), Key: "k" + p.key(), Primary: "p" + p.str(), Duplicate: "d" + p.str(),
-			Winner: "w" + p.str(), Wasted: p.time() | 1, Attempt: int(p.int64() | 1), Detail: "x" + p.str(), At: p.time()}
+			Winner: "w" + p.str(), Wasted: p.time() | 1, Detail: "x" + p.str(), At: p.time()}
 	})
 }
 
@@ -325,7 +322,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		dask.StealEvent{Key: "k", Victim: "v", Thief: "t", At: s(5)})
 	roundTrip(t, speculationCodec, speculationSubsets(func(e *dask.SpeculationEvent) {
 		*e = dask.SpeculationEvent{Kind: dask.SpecCancelled, Key: "k", Primary: "w1", Duplicate: "w2", Winner: "w2",
-			Wasted: s(0.25), Attempt: 3, Detail: "lost the race", At: s(2)}
+			Wasted: s(0.25), Detail: "lost the race", At: s(2)}
 	})...)
 	roundTrip(t, graphCodec, GraphEvent{}, GraphEvent{GraphID: 3, Event: GraphDone, At: 12.000000001}, GraphEvent{Event: "other", At: -1e-7})
 }
@@ -532,7 +529,7 @@ func FuzzCodec(f *testing.F) {
 	add := func(b []byte) { f.Add(append([]byte(nil), b...)) }
 	add(AppendExecution(nil, hostileExecutions()[7]))
 	add(AppendTaskMeta(nil, hostileTaskMetas()[9]))
-	add(AppendSpeculation(nil, hostileSpeculations()[127]))
+	add(AppendSpeculation(nil, hostileSpeculations()[63]))
 	// The unrelated event every warm decoder reads first: escaped and
 	// non-ASCII names, so its unescape scratch is not empty.
 	unrelated := AppendTaskMeta(nil, dask.TaskMeta{Key: `('x-"q"', 0)`, Prefix: "x", Group: "日本", Deps: []dask.TaskKey{"a\u2028b", "<k>"}})

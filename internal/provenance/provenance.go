@@ -42,9 +42,9 @@ const (
 	// misses on dangling references, frees, and crash reclaims.
 	TopicProxy = "proxy-store"
 
-	// TopicSpeculation carries hedged-execution and adaptive-retry decisions:
-	// duplicate launches, first-completion wins, loser cancellations (with
-	// wasted seconds), promotions, RPC retries, and retry-budget exhaustion.
+	// TopicSpeculation carries hedged-execution decisions: duplicate
+	// launches, first-completion wins, loser cancellations (with wasted
+	// seconds), failed duplicates, and promotions.
 	TopicSpeculation = "speculation"
 
 	// TopicAnomalies carries the live monitor's online findings back into
@@ -154,8 +154,8 @@ func StealEventMeta(s dask.StealEvent) mofka.Metadata {
 }
 
 // SpeculationEventMeta encodes a SpeculationEvent as Mofka event metadata.
-// Optional dimensions ride along only when set, so retry records stay small
-// and the stream layout is stable per event kind.
+// Optional dimensions ride along only when set, so the stream layout is
+// stable per event kind.
 func SpeculationEventMeta(e dask.SpeculationEvent) mofka.Metadata {
 	m := mofka.Metadata{"kind": e.Kind, "at": seconds(e.At)}
 	if e.Key != "" {
@@ -172,9 +172,6 @@ func SpeculationEventMeta(e dask.SpeculationEvent) mofka.Metadata {
 	}
 	if e.Wasted != 0 {
 		m["wasted"] = seconds(e.Wasted)
-	}
-	if e.Attempt != 0 {
-		m["attempt"] = e.Attempt
 	}
 	if e.Detail != "" {
 		m["detail"] = e.Detail
@@ -341,7 +338,6 @@ func ParseSpeculationEvent(m mofka.Metadata) dask.SpeculationEvent {
 		Duplicate: Str(m, "duplicate"),
 		Winner:    Str(m, "winner"),
 		Wasted:    sim.Seconds(Num(m, "wasted")),
-		Attempt:   int(Num(m, "attempt")),
 		Detail:    Str(m, "detail"),
 		At:        sim.Seconds(Num(m, "at")),
 	}

@@ -174,8 +174,8 @@ if "$bin/mofkad" -listen 127.0.0.1:0 -data-dir no-such-log >"$work/refused-mofka
 	exit 1
 fi
 # mofkad serves finished logs in place, read-only — a standalone run's data
-# dir, tailed over TCP, then a cluster run's, watched over RPC — so the
-# identity manifest holds both dirs to the bytes the runs left.
+# dir, then a cluster run's, each read once over TCP by watch -broker — so
+# the identity manifest holds both dirs to the bytes the runs left.
 daemon mofkad-served "serving on" "$bin/mofkad" -listen 127.0.0.1:0 -data-dir data/imageprocessing-0003
 served=$daemon_pid
 m=$(addr mofkad-served "serving on ")
